@@ -246,7 +246,7 @@ func FilterPipeline(c Config) *Table {
 	return t
 }
 
-// AblationPosition measures the two-layer index's position layer: the sound
+// AblationPosition measures the subgraph index's position test: the sound
 // size-difference-aware default, the paper's tighter ranges, and no position
 // layer at all. A reproduction extension (not a paper figure).
 func AblationPosition(c Config) *Table {

@@ -9,7 +9,8 @@ import (
 )
 
 // Micro-benchmarks of PartSJ's building blocks: the O(n log(n/δ)) MaxMinSize
-// search, partition extraction, and the subgraph containment test.
+// search, partition extraction, the subgraph containment test, and the index
+// probe.
 
 func benchBin(size int) *lcrs.Bin {
 	ts := synth.Generate(synth.Params{
@@ -45,11 +46,15 @@ func BenchmarkComputePartition(b *testing.B) {
 func BenchmarkSubgraphMatch(b *testing.B) {
 	bin := benchBin(256)
 	p := Compute(bin, 7)
+	ix := newInvIndex(3, PositionSafe, 0)
+	ix.insert(0, p)
 	var sc matchScratch
 	b.Run("self-hit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for c := 0; c < p.Delta; c++ {
-				matches(p, int32(c), bin, p.Roots[c], &sc)
+			for _, ps := range ix.posts {
+				for _, e := range ps {
+					ix.matches(e, bin, p.Roots[e.comp], &sc)
+				}
 			}
 		}
 	})
@@ -69,5 +74,41 @@ func BenchmarkIncrementalAdd(b *testing.B) {
 	inc := NewIncremental(Options{Tau: 2})
 	for i := 0; i < b.N; i++ {
 		inc.Add(ts[i%len(ts)])
+	}
+}
+
+// BenchmarkIndexProbe times the index probe alone — twig lookups, the search
+// for the size window and the position test per posting, no match tests — over
+// a Swissprot-profile collection indexed in full, every tree probing the
+// sizes a join would. lookups/node is the twig-table lookups one probe node
+// costs (its compatible keys, at most 4).
+func BenchmarkIndexProbe(b *testing.B) {
+	ts := synth.Swissprot(2000, 11)
+	bins := make([]*lcrs.Bin, len(ts))
+	for i, t := range ts {
+		bins[i] = lcrs.Build(t)
+	}
+	for _, tau := range []int{2, 3} {
+		parts := make([]*Partition, len(ts))
+		for i, bin := range bins {
+			parts[i] = Compute(bin, 2*tau+1)
+		}
+		ix := buildInvIndex(tau, PositionSafe, parts)
+		b.Run(fmt.Sprintf("tau=%d", tau), func(b *testing.B) {
+			var nodes, lookups, visited int64
+			var keys [4]twig
+			for i := 0; i < b.N; i++ {
+				for _, bin := range bins {
+					for _, n := range bin.Order {
+						lookups += int64(probeKeys(bin, n, &keys))
+						visited += ix.probe(bin, n, bin.Size()-tau, bin.Size(), func(posting) {})
+					}
+					nodes += int64(bin.Size())
+				}
+			}
+			b.ReportMetric(float64(lookups)/float64(nodes), "lookups/node")
+			b.ReportMetric(float64(visited)/float64(nodes), "visited/node")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/probe-node")
+		})
 	}
 }

@@ -34,6 +34,7 @@ type Incremental struct {
 	checked []int32
 	gen     int32
 	sc      matchScratch
+	st      partitionState
 	seqs    *seqCache
 	stats   sim.Stats
 
@@ -74,7 +75,7 @@ func NewIncrementalCached(opts Options, cache *engine.Cache) *Incremental {
 		opts:      opts,
 		delta:     opts.delta(),
 		cache:     cache,
-		ix:        newInvIndex(opts.Tau, opts.Position),
+		ix:        newInvIndex(opts.Tau, opts.Position, 0),
 		compactAt: 16,
 		standing:  make(map[uint64]int32),
 	}
@@ -146,12 +147,12 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 		minSize = 1
 	}
 	for _, n := range b.Order {
-		inc.stats.SubgraphProbes += inc.ix.probe(b, n, minSize, sz+inc.opts.Tau, func(e entry) {
+		inc.stats.SubgraphProbes += inc.ix.probe(b, n, minSize, sz+inc.opts.Tau, func(e posting) {
 			if inc.removed[e.tree] || inc.checked[e.tree] == gen {
 				return
 			}
 			inc.stats.MatchTests++
-			if matches(inc.parts[e.tree], e.comp, b, n, &inc.sc) {
+			if inc.ix.matches(e, b, n, &inc.sc) {
 				inc.stats.MatchHits++
 				inc.checked[e.tree] = gen
 				cands = append(cands, sim.Candidate{I: int(e.tree), J: ti})
@@ -164,10 +165,11 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 
 	pStart := time.Now()
 	if sz >= inc.delta {
-		p := cachedPartition(inc.cache, t, b, partitionCacheKey(inc.delta), inc.delta)
+		p := cachedPartition(inc.cache, t, b, partitionCacheKey(inc.delta), inc.delta, &inc.st)
 		inc.parts[ti] = p
-		inc.stats.IndexedSubgraphs += int64(inc.delta)
+		indexed := inc.ix.n
 		inc.ix.insert(ti, p)
+		inc.stats.IndexedSubgraphs += inc.ix.n - indexed
 	} else {
 		inc.smalls = append(inc.smalls, ti)
 	}
@@ -252,15 +254,10 @@ func (inc *Incremental) Update(i int, t *tree.Tree) (int, []sim.Pair) {
 // amortised rebuild cost linear.
 func (inc *Incremental) compact() {
 	start := time.Now()
-	inc.ix = newInvIndex(inc.opts.Tau, inc.opts.Position)
+	inc.ix = buildInvIndex(inc.opts.Tau, inc.opts.Position, inc.parts) // Remove cleared the dead trees' slots
 	inc.smalls = inc.smalls[:0]
-	for ti := range inc.ts {
-		if inc.removed[ti] {
-			continue
-		}
-		if inc.parts[ti] != nil {
-			inc.ix.insert(ti, inc.parts[ti])
-		} else {
+	for ti, p := range inc.parts {
+		if p == nil && !inc.removed[ti] {
 			inc.smalls = append(inc.smalls, ti)
 		}
 	}

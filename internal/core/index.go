@@ -1,17 +1,29 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"treejoin/internal/lcrs"
 )
 
-// The two-layer subgraph index (§3.4). Subgraphs are first grouped by tree
-// size (the inverted lists I_n of Algorithm 1), within a size by a postorder
-// position key, and within a position group by the label twig at the
-// subgraph root. Probing a node of the current tree touches only the groups
-// whose subgraphs could both match at that node and be position-compatible.
+// The subgraph index (§3.4), layered twig-first. The paper narrows a probe by
+// tree size (the inverted lists I_n of Algorithm 1), then by postorder
+// position, then by the label twig at the subgraph root. This index holds the
+// same entries and applies the same three tests in the opposite order: one
+// flat table maps a twig to its postings {size, pos, tree, comp}, each list
+// kept sorted by (size, pos). A probe node looks up its ≤4 compatible twigs
+// — the only hash lookups it pays — binary-searches each list to the first
+// admissible size and scans to the last, applying the position window to each
+// posting. The size → position → twig order costs (τ+1) sizes × (τ+1)
+// positions × 4 twigs lookups per node, nearly all of them misses, because
+// the twig is by far the most selective of the three keys; asking it first
+// means a probe touches only lists that can hold a partner (the ordering
+// argument of filter-and-verification trees). Position windows are therefore
+// a per-posting comparison rather than a bucket address. The set of entries a
+// probe visits is unchanged; only the order it visits them in differs.
 //
 // # Position keys — corrections to the paper
 //
@@ -36,7 +48,7 @@ import (
 //     from the end is also what the paper's own |N_k| argument bounds.
 //
 // With both corrections the sound default (PositionSafe) stores each
-// subgraph once, at its exact reverse position r_k, and the probe enumerates
+// subgraph once, at its exact reverse position r_k, and the probe admits
 // the window r_k could have moved to. Let the candidate pair's sizes differ
 // by d = |probe| − |pattern| and let the mapping use I inserts and D
 // deletes; then I − D = d and I + D ≤ τ, so I ≤ ⌊(τ+d)/2⌋ and
@@ -66,7 +78,7 @@ const (
 	// root postorder). Retained for benchmarking fidelity; can miss results
 	// in adversarial corner cases.
 	PositionPaper
-	// PositionOff disables the position layer entirely (label layer only).
+	// PositionOff disables the position test entirely (size and twig only).
 	PositionOff
 )
 
@@ -96,53 +108,66 @@ const (
 
 type twig struct{ root, left, right int32 }
 
-// entry identifies one indexed subgraph: the owning tree (collection index)
-// and the component number within that tree's partition.
-type entry struct {
-	tree int32
-	comp int32
+// posting is one index entry: a subgraph (component comp of tree's
+// partition) filed under its tree's size and a position key, with the offset
+// of its match program in the index's arena. PositionPaper files one
+// subgraph under a range of positions; the postings share one program.
+type posting struct {
+	size, pos  int32
+	tree, comp int32
+	prog       int32
 }
 
-// group is the second index layer: twig key -> subgraphs.
-type group map[twig][]entry
-
-// sizeIndex is one inverted list I_n: reverse-postorder position -> label
-// groups. Positions are bounded by the tree size, so a slice replaces the
-// map on the hot path.
-type sizeIndex struct {
-	byPos []group
+// comparePostings orders postings by (size, pos).
+func comparePostings(a, b posting) int {
+	return cmp.Or(cmp.Compare(a.size, b.size), cmp.Compare(a.pos, b.pos))
 }
 
-func (si *sizeIndex) atOrCreate(pos int32) group {
-	for int(pos) >= len(si.byPos) {
-		si.byPos = append(si.byPos, nil)
-	}
-	if si.byPos[pos] == nil {
-		si.byPos[pos] = make(group)
-	}
-	return si.byPos[pos]
-}
-
-// invIndex is the full on-the-fly index of Algorithm 1, one inverted list per
-// tree size.
+// invIndex is the on-the-fly index of Algorithm 1. Reads (probe, matches)
+// touch no mutable state, so a fully built index is safe for concurrent use.
 type invIndex struct {
-	tau    int
-	mode   PositionFilter
-	bySize map[int]*sizeIndex
+	tau   int
+	mode  PositionFilter
+	lists map[twig]int32 // twig -> position of its list in posts
+	posts [][]posting    // each sorted by (size, pos), equal keys in insertion order
+	progs []twig         // match programs, see encode
+	n     int64          // postings inserted
+	stack []int32        // encode's scratch
 }
 
-func newInvIndex(tau int, mode PositionFilter) *invIndex {
-	return &invIndex{tau: tau, mode: mode, bySize: make(map[int]*sizeIndex)}
+// newInvIndex returns an empty index whose match-program arena has room for
+// nodes tree nodes (0 when the caller cannot tell; the arena grows).
+func newInvIndex(tau int, mode PositionFilter, nodes int) *invIndex {
+	return &invIndex{tau: tau, mode: mode, lists: make(map[twig]int32), progs: make([]twig, 0, nodes)}
 }
 
-// subgraphTwig computes the label twig of component c's root.
-func subgraphTwig(p *Partition, c int32) twig {
+// buildInvIndex indexes every non-nil partition of parts (tree index =
+// slice position) in bulk: postings are appended in arrival order and each
+// list is sorted once at the end.
+func buildInvIndex(tau int, mode PositionFilter, parts []*Partition) *invIndex {
+	nodes := 0
+	for _, p := range parts {
+		if p != nil {
+			nodes += p.Bin.Size()
+		}
+	}
+	ix := newInvIndex(tau, mode, nodes)
+	for ti, p := range parts {
+		if p != nil {
+			ix.add(ti, p, false)
+		}
+	}
+	for _, ps := range ix.posts {
+		slices.SortStableFunc(ps, comparePostings)
+	}
+	return ix
+}
+
+// nodeTwig computes the label twig of node v of component c; the root's is
+// the subgraph's index key.
+func nodeTwig(p *Partition, c, v int32) twig {
 	b := p.Bin
-	root := p.Roots[c]
-	tw := twig{root: b.Label(root)}
-	tw.left = slotKey(p, c, b.Left(root))
-	tw.right = slotKey(p, c, b.Right(root))
-	return tw
+	return twig{root: b.Label(v), left: slotKey(p, c, b.Left(v)), right: slotKey(p, c, b.Right(v))}
 }
 
 func slotKey(p *Partition, c int32, child int32) int32 {
@@ -174,50 +199,48 @@ func postorderRanks(p *Partition) []int {
 	return ranks
 }
 
-// insert adds every subgraph of p (a partition of tree treeIdx) to the index.
-// It returns the number of (position group × subgraph) entries created, for
-// statistics.
-func (ix *invIndex) insert(treeIdx int, p *Partition) int64 {
-	size := p.Bin.Size()
-	si := ix.bySize[size]
-	if si == nil {
-		si = &sizeIndex{}
-		ix.bySize[size] = si
-	}
+// insert adds every subgraph of p (a partition of tree treeIdx) to the
+// index, keeping each touched list sorted. Ascending-size arrival (the join
+// loop) appends; any other order pays a binary search and a shift.
+func (ix *invIndex) insert(treeIdx int, p *Partition) { ix.add(treeIdx, p, true) }
+
+func (ix *invIndex) add(treeIdx int, p *Partition, sorted bool) {
+	size := int32(p.Bin.Size())
 	var ranks []int
 	if ix.mode == PositionPaper {
 		ranks = postorderRanks(p)
 	}
-	var added int64
-	for c := 0; c < p.Delta; c++ {
-		e := entry{tree: int32(treeIdx), comp: int32(c)}
-		tw := subgraphTwig(p, int32(c))
+	for c := int32(0); c < int32(p.Delta); c++ {
+		e := posting{size: size, tree: int32(treeIdx), comp: c, prog: ix.encode(p, c)}
+		// PositionSafe stores the exact reverse position and probes a window.
+		rk := size - 1 - p.Bin.GenRank[p.Roots[c]]
+		lo, hi := rk, rk
 		switch ix.mode {
 		case PositionOff:
-			g := si.atOrCreate(0)
-			g[tw] = append(g[tw], e)
-			added++
+			lo, hi = 0, 0
 		case PositionPaper:
 			// The paper stores ranges around r_k and probes a point.
-			rk := int32(size) - 1 - p.Bin.GenRank[p.Roots[c]]
 			slack := int32(ix.tau - ranks[c]/2)
-			lo := rk - slack
-			if lo < 0 {
-				lo = 0
-			}
-			for v := lo; v <= rk+slack; v++ {
-				g := si.atOrCreate(v)
-				g[tw] = append(g[tw], e)
-				added++
-			}
-		default: // PositionSafe: store the exact position, probe a window.
-			rk := int32(size) - 1 - p.Bin.GenRank[p.Roots[c]]
-			g := si.atOrCreate(rk)
-			g[tw] = append(g[tw], e)
-			added++
+			lo, hi = max(rk-slack, 0), rk+slack
 		}
+		tw := ix.progs[e.prog] // a program starts with its root's twig
+		li, ok := ix.lists[tw]
+		if !ok {
+			li = int32(len(ix.posts))
+			ix.lists[tw] = li
+			ix.posts = append(ix.posts, nil)
+		}
+		ps := ix.posts[li]
+		for e.pos = lo; e.pos <= hi; e.pos++ {
+			at := len(ps)
+			if sorted && at > 0 && comparePostings(e, ps[at-1]) < 0 {
+				at = sort.Search(at, func(i int) bool { return comparePostings(e, ps[i]) < 0 })
+			}
+			ps = slices.Insert(ps, at, e)
+		}
+		ix.posts[li] = ps
+		ix.n += int64(hi - lo + 1)
 	}
-	return added
 }
 
 // probeKeys materialises the ≤4 twig keys compatible with probe node n: each
@@ -249,45 +272,48 @@ func probeKeys(b *lcrs.Bin, n int32, keys *[4]twig) int {
 	return k
 }
 
-// probe visits the index entries that are position- and twig-compatible with
+// probe visits the index entries that are twig- and position-compatible with
 // node n of probe tree b, for every indexed tree size in [minSize, maxSize].
 // It reports the number of entries visited.
-func (ix *invIndex) probe(b *lcrs.Bin, n int32, minSize, maxSize int, visit func(entry)) int64 {
+func (ix *invIndex) probe(b *lcrs.Bin, n int32, minSize, maxSize int, visit func(posting)) int64 {
 	var keys [4]twig
 	nk := probeKeys(b, n, &keys)
-	r := int32(b.Size()) - 1 - b.GenRank[n]
+	psize := int32(b.Size())
+	r := psize - 1 - b.GenRank[n]
+	lo, hi := r, r // PositionPaper: ranges live on the store side
+	if ix.mode == PositionOff {
+		lo, hi = 0, 0
+	}
 	var visited int64
-	for size := minSize; size <= maxSize; size++ {
-		si := ix.bySize[size]
-		if si == nil {
+	for k := 0; k < nk; k++ {
+		li, ok := ix.lists[keys[k]]
+		if !ok {
 			continue
 		}
-		var lo, hi int32
-		switch ix.mode {
-		case PositionOff:
-			lo, hi = 0, 0
-		case PositionPaper:
-			lo, hi = r, r // ranges live on the store side
-		default: // PositionSafe: size-difference-aware window around r.
-			d := b.Size() - size // probe minus pattern size
-			lo = r - int32((ix.tau+d)/2)
-			hi = r + int32((ix.tau-d)/2)
+		ps := ix.posts[li]
+		// First posting of an admissible size: gallop back from the tail,
+		// where the join's ascending-size probes always land, then bisect.
+		i, end, step := len(ps), len(ps), 1
+		for i > 0 && int(ps[i-1].size) >= minSize {
+			i, end, step = max(i-step, 0), i-1, step*2
 		}
-		if lo < 0 {
-			lo = 0
-		}
-		if m := int32(len(si.byPos)) - 1; hi > m {
-			hi = m
-		}
-		for pos := lo; pos <= hi; pos++ {
-			g := si.byPos[pos]
-			if g == nil {
-				continue
+		for i < end {
+			if m := int(uint(i+end) >> 1); int(ps[m].size) < minSize {
+				i = m + 1
+			} else {
+				end = m
 			}
-			for k := 0; k < nk; k++ {
-				for _, e := range g[keys[k]] {
+		}
+		for i < len(ps) && int(ps[i].size) <= maxSize {
+			size := ps[i].size
+			if ix.mode == PositionSafe { // size-difference-aware window around r
+				d := int(psize - size) // probe minus pattern size
+				lo, hi = r-int32((ix.tau+d)/2), r+int32((ix.tau-d)/2)
+			}
+			for ; i < len(ps) && ps[i].size == size; i++ {
+				if pos := ps[i].pos; pos >= lo && pos <= hi {
 					visited++
-					visit(e)
+					visit(ps[i])
 				}
 			}
 		}

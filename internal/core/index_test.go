@@ -1,6 +1,10 @@
 package core
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"treejoin/internal/lcrs"
@@ -15,21 +19,21 @@ func TestSubgraphTwig(t *testing.T) {
 
 	// Component 0 root is l4: binary left = l5 (in component), right = l6
 	// (in component).
-	tw := subgraphTwig(p, 0)
+	tw := nodeTwig(p, 0, p.Roots[0])
 	l4, l5, l6 := lt.Intern("l4"), lt.Intern("l5"), lt.Intern("l6")
 	if tw != (twig{root: l4, left: l5, right: l6}) {
 		t.Errorf("twig(comp0) = %+v", tw)
 	}
 	// Component 2 (root component) root is l1: left = l2 (in component),
 	// right = empty (the root has no sibling).
-	tw = subgraphTwig(p, 2)
+	tw = nodeTwig(p, 2, p.Roots[2])
 	l1, l2 := lt.Intern("l1"), lt.Intern("l2")
 	if tw != (twig{root: l1, left: l2, right: slotEmpty}) {
 		t.Errorf("twig(comp2) = %+v", tw)
 	}
 	// Component 1 root is l8: left = l9 (in component), right = l11 (also in
 	// component 1).
-	tw = subgraphTwig(p, 1)
+	tw = nodeTwig(p, 1, p.Roots[1])
 	l8, l9, l11 := lt.Intern("l8"), lt.Intern("l9"), lt.Intern("l11")
 	if tw != (twig{root: l8, left: l9, right: l11}) {
 		t.Errorf("twig(comp1) = %+v", tw)
@@ -48,7 +52,7 @@ func TestSubgraphTwigBridge(t *testing.T) {
 	}
 	// The root component {a} has a bridging left slot (to b) and empty right.
 	rootComp := int32(p.Delta - 1)
-	tw := subgraphTwig(p, rootComp)
+	tw := nodeTwig(p, rootComp, p.Roots[rootComp])
 	if tw != (twig{root: lt.Intern("a"), left: slotBridge, right: slotEmpty}) {
 		t.Errorf("twig(root comp) = %+v", tw)
 	}
@@ -127,18 +131,17 @@ func TestProbeWindowMath(t *testing.T) {
 	bp := lcrs.Build(pat)
 	tau := 2
 	p := Compute(bp, 2*tau+1)
-	ix := newInvIndex(tau, PositionSafe)
+	ix := newInvIndex(tau, PositionSafe, 0)
 	ix.insert(0, p)
 
 	// Probing with the identical tree must visit every component once per
 	// matching (node, window) position; in particular each component's root
 	// node probe must see its own entry.
-	parts := []*Partition{p}
 	var sc matchScratch
 	hits := make(map[int32]bool)
 	for _, n := range bp.Order {
-		ix.probe(bp, n, pat.Size(), pat.Size(), func(e entry) {
-			if matches(parts[e.tree], e.comp, bp, n, &sc) {
+		ix.probe(bp, n, pat.Size(), pat.Size(), func(e posting) {
+			if ix.matches(e, bp, n, &sc) {
 				hits[e.comp] = true
 			}
 		})
@@ -150,21 +153,106 @@ func TestProbeWindowMath(t *testing.T) {
 	}
 }
 
-// TestPositionOffSingleBucket: with the position layer off, everything lives
-// in bucket zero and probes ignore positions entirely.
-func TestPositionOffSingleBucket(t *testing.T) {
-	lt := tree.NewLabelTable()
-	pat := tree.MustParseBracket("{a{b}{c}{d}{e}}", lt)
-	bp := lcrs.Build(pat)
-	p := Compute(bp, 3)
-	ix := newInvIndex(1, PositionOff)
-	added := ix.insert(0, p)
-	if added != int64(p.Delta) {
-		t.Fatalf("PositionOff added %d entries, want %d", added, p.Delta)
+// bruteProbe is the documented contract of probe, applied to every posting
+// ever inserted: same twig as one of the node's keys, size within
+// [minSize, maxSize], and position inside the mode's window.
+func bruteProbe(all []posting, twigs map[int32]twig, tau int, mode PositionFilter, b *lcrs.Bin, n int32, minSize, maxSize int) map[posting]int {
+	var keys [4]twig
+	nk := probeKeys(b, n, &keys)
+	r := int32(b.Size()) - 1 - b.GenRank[n]
+	want := make(map[posting]int)
+	for _, e := range all {
+		if int(e.size) < minSize || int(e.size) > maxSize || !slices.Contains(keys[:nk], twigs[e.prog]) {
+			continue
+		}
+		lo, hi := r, r // PositionPaper probes the point; ranges were stored
+		switch mode {
+		case PositionOff:
+			lo, hi = 0, 0
+		case PositionSafe:
+			d := b.Size() - int(e.size)
+			lo, hi = r-int32((tau+d)/2), r+int32((tau-d)/2)
+		}
+		if e.pos >= lo && e.pos <= hi {
+			want[e]++
+		}
 	}
-	si := ix.bySize[pat.Size()]
-	if si == nil || len(si.byPos) != 1 {
-		t.Fatalf("PositionOff should use exactly one position bucket")
+	return want
+}
+
+// TestProbeVisitsExactlyTheWindow: for random trees, every position mode and
+// every way of building the index (ascending-size inserts, shuffled inserts,
+// bulk build), the multiset of postings probe visits at a node equals a
+// brute-force scan of everything inserted against the size and position
+// windows — and the lists stay sorted, which is what probe's binary search
+// assumes.
+func TestProbeVisitsExactlyTheWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(307))
+	lt := tree.NewLabelTable()
+	for iter := 0; iter < 60; iter++ {
+		tau := 1 + rng.Intn(3)
+		delta := 2*tau + 1
+		mode := PositionFilter(iter % 3)
+		parts := make([]*Partition, 12+rng.Intn(12))
+		for i := range parts {
+			if rng.Intn(6) == 0 {
+				continue // a tree too small to index, or removed
+			}
+			parts[i] = Compute(lcrs.Build(randomSizedTree(rng, delta+rng.Intn(12), lt)), delta)
+		}
+		ascending := make([]int, 0, len(parts))
+		for i, p := range parts {
+			if p != nil {
+				ascending = append(ascending, i)
+			}
+		}
+		shuffled := slices.Clone(ascending)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		sort.SliceStable(ascending, func(i, j int) bool { return parts[ascending[i]].Bin.Size() < parts[ascending[j]].Bin.Size() })
+
+		built := map[string]*invIndex{"sorted": newInvIndex(tau, mode, 0), "shuffled": newInvIndex(tau, mode, 0), "bulk": buildInvIndex(tau, mode, parts)}
+		for _, ti := range ascending {
+			built["sorted"].insert(ti, parts[ti])
+		}
+		for _, ti := range shuffled {
+			built["shuffled"].insert(ti, parts[ti])
+		}
+		probes := []*lcrs.Bin{parts[ascending[0]].Bin, lcrs.Build(randomSizedTree(rng, delta+rng.Intn(12), lt))}
+		for name, ix := range built {
+			var all []posting
+			twigs := make(map[int32]twig)
+			for tw, li := range ix.lists {
+				ps := ix.posts[li]
+				if !slices.IsSortedFunc(ps, comparePostings) {
+					t.Fatalf("%s/%v: list of %+v is not sorted by (size, pos)", name, mode, tw)
+				}
+				for _, e := range ps {
+					twigs[e.prog] = tw
+				}
+				all = append(all, ps...)
+			}
+			if int64(len(all)) != ix.n || mode != PositionPaper && len(all) != delta*len(ascending) {
+				t.Fatalf("%s/%v: %d postings held, counter says %d, %d subgraphs inserted", name, mode, len(all), ix.n, delta*len(ascending))
+			}
+			for _, b := range probes {
+				minSize, maxSize := b.Size()-rng.Intn(tau+1), b.Size()+rng.Intn(tau+1)
+				for _, n := range b.Order {
+					got := make(map[posting]int)
+					visited := ix.probe(b, n, minSize, maxSize, func(e posting) { got[e]++ })
+					want := bruteProbe(all, twigs, tau, mode, b, n, minSize, maxSize)
+					if !maps.Equal(got, want) {
+						t.Fatalf("%s/%v τ=%d node %d sizes [%d,%d]: probe visited %v, brute force admits %v", name, mode, tau, n, minSize, maxSize, got, want)
+					}
+					made := 0
+					for _, c := range got {
+						made += c
+					}
+					if int64(made) != visited {
+						t.Fatalf("%s/%v: probe reported %d visits, made %d", name, mode, visited, made)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -177,8 +265,9 @@ func TestPaperModeStoresRanges(t *testing.T) {
 	tau := 2
 	delta := 2*tau + 1
 	p := Compute(bp, delta)
-	ix := newInvIndex(tau, PositionPaper)
-	added := ix.insert(0, p)
+	ix := newInvIndex(tau, PositionPaper, 0)
+	ix.insert(0, p)
+	added := ix.n
 	// Σ_k (2·(τ−⌊k/2⌋)+1) for k=1..5, τ=2: 5+3+3+1+1 = 13, minus any range
 	// clamped at position 0.
 	if added > 13 || added < int64(delta) {

@@ -23,77 +23,74 @@ import (
 // behind Lemma 1 and hence the δ = 2τ+1 guarantee of Lemma 2. With
 // slot-occupancy matching every edit operation invalidates at most two
 // components' matches, so the filter is safe; see DESIGN.md.
+//
+// The index does not walk the partition to run this test. At insert time each
+// component is compiled into a match program: its nodes' twigs in component
+// preorder (node, in-component left subtree, in-component right subtree),
+// contiguous in the index's arena. A twig says everything the rules above
+// need about one node — its label and, per slot, empty / bridge / descend —
+// and preorder makes the walk implicit: the twig after a node's is its left
+// child's if that slot descends, else its right child's, else the twig of
+// whichever right child is still pending. The pattern side of a match test is
+// thus one sequential read instead of a tree → partition → view → node →
+// component pointer chase per node. (The pointer walk survives in the tests,
+// as the programs' oracle.)
 
-// matchFrame pairs a pattern node with a probe node during the parallel walk.
-type matchFrame struct{ pat, prb int32 }
-
-// matchScratch holds reusable state for Matches, avoiding per-call
-// allocation. The zero value is ready to use.
-type matchScratch struct {
-	stack []matchFrame
-}
-
-// matches reports whether component comp of partition p occurs at node
-// probeNode of probe (in the sense above).
-func matches(p *Partition, comp int32, probe *lcrs.Bin, probeNode int32, sc *matchScratch) bool {
-	pat := p.Bin
-	stack := sc.stack[:0]
-	stack = append(stack, matchFrame{p.Roots[comp], probeNode})
+// encode appends component c's match program to the arena and returns its
+// offset. The program is self-delimiting: it ends when no slot is pending.
+func (ix *invIndex) encode(p *Partition, c int32) int32 {
+	at := int32(len(ix.progs))
+	b := p.Bin
+	stack := append(ix.stack[:0], p.Roots[c])
 	for len(stack) > 0 {
-		f := stack[len(stack)-1]
+		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if pat.Label(f.pat) != probe.Label(f.prb) {
-			sc.stack = stack
-			return false
+		tw := nodeTwig(p, c, v)
+		ix.progs = append(ix.progs, tw)
+		if tw.right >= 0 {
+			stack = append(stack, b.Right(v))
 		}
-		pl, ql := pat.Left(f.pat), probe.Left(f.prb)
-		if !slotOK(p, comp, pl, ql, &stack) {
-			sc.stack = stack
-			return false
-		}
-		pr, qr := pat.Right(f.pat), probe.Right(f.prb)
-		if !slotOK(p, comp, pr, qr, &stack) {
-			sc.stack = stack
-			return false
+		if tw.left >= 0 { // pushed last: the left subtree comes first
+			stack = append(stack, b.Left(v))
 		}
 	}
-	sc.stack = stack
-	return true
+	ix.stack = stack
+	return at
 }
 
-// slotOK applies the slot rules for one (pattern child, probe child) pair and
-// schedules the recursive comparison for in-component children.
-func slotOK(p *Partition, comp int32, pc, qc int32, stack *[]matchFrame) bool {
-	switch {
-	case pc == lcrs.None: // empty slot: probe must be empty too
-		return qc == lcrs.None
-	case p.Comp[pc] != comp: // bridging edge: probe must have some child
-		return qc != lcrs.None
-	default: // in-component child: recurse
-		if qc == lcrs.None {
+// matchScratch holds the pending-right-children stack of matches, avoiding
+// per-call allocation. The zero value is ready to use.
+type matchScratch struct {
+	stack []int32
+}
+
+// matches reports whether the subgraph behind posting e occurs at node n of
+// probe (in the sense above), by running e's match program against the
+// probe's nodes.
+func (ix *invIndex) matches(e posting, probe *lcrs.Bin, n int32, sc *matchScratch) bool {
+	nodes := probe.Tree.Nodes
+	sc.stack = sc.stack[:0]
+	for pc := e.prog; ; pc++ {
+		tw := ix.progs[pc]
+		nd := &nodes[n]
+		if tw.root != nd.Label ||
+			(tw.left == slotEmpty) != (nd.FirstChild == lcrs.None) ||
+			(tw.right == slotEmpty) != (nd.NextSibling == lcrs.None) {
 			return false
 		}
-		*stack = append(*stack, matchFrame{pc, qc})
-		return true
-	}
-}
-
-// Matches is the exported form of the subgraph containment test, used by
-// tests and by downstream tooling; join loops use the scratch-buffer variant.
-func Matches(p *Partition, comp int32, probe *lcrs.Bin, probeNode int32) bool {
-	var sc matchScratch
-	return matches(p, comp, probe, probeNode, &sc)
-}
-
-// MatchesAnywhere reports whether component comp of p occurs at any node of
-// probe. This is the containment test of Lemma 2 in its brute-force form; the
-// two-layer index exists to avoid calling it for every (subgraph, node) pair.
-func MatchesAnywhere(p *Partition, comp int32, probe *lcrs.Bin) bool {
-	var sc matchScratch
-	for n := range probe.Tree.Nodes {
-		if matches(p, comp, probe, int32(n), &sc) {
+		switch {
+		case tw.left >= 0:
+			if tw.right >= 0 {
+				sc.stack = append(sc.stack, nd.NextSibling)
+			}
+			n = nd.FirstChild
+		case tw.right >= 0:
+			n = nd.NextSibling
+		case len(sc.stack) > 0:
+			n = sc.stack[len(sc.stack)-1]
+			sc.stack = sc.stack[:len(sc.stack)-1]
+		default:
 			return true
 		}
 	}
-	return false
 }

@@ -19,17 +19,12 @@ func TestSelfMatch(t *testing.T) {
 		for delta := 1; delta <= b.Size() && delta <= 9; delta += 2 {
 			p := Compute(b, delta)
 			for c := 0; c < delta; c++ {
-				if !matchesAt(p, int32(c), b, p.Roots[c]) {
+				if !Matches(p, int32(c), b, p.Roots[c]) {
 					t.Fatalf("component %d does not match itself in %s", c, tree.FormatBracket(g))
 				}
 			}
 		}
 	}
-}
-
-func matchesAt(p *Partition, c int32, probe *lcrs.Bin, n int32) bool {
-	var sc matchScratch
-	return matches(p, c, probe, n, &sc)
 }
 
 func TestMatchRequiresEmptySlots(t *testing.T) {
@@ -39,7 +34,7 @@ func TestMatchRequiresEmptySlots(t *testing.T) {
 	pat := tree.MustParseBracket("{a{b}}", lt)
 	p := Compute(lcrs.Build(pat), 1)
 	yes := lcrs.Build(tree.MustParseBracket("{a{b}}", lt))
-	if !matchesAt(p, 0, yes, yes.Tree.Root()) {
+	if !Matches(p, 0, yes, yes.Tree.Root()) {
 		t.Fatal("identical tree should match")
 	}
 	for _, s := range []string{
@@ -50,7 +45,7 @@ func TestMatchRequiresEmptySlots(t *testing.T) {
 		"{a}",       // b missing
 	} {
 		probe := lcrs.Build(tree.MustParseBracket(s, lt))
-		if matchesAt(p, 0, probe, probe.Tree.Root()) {
+		if Matches(p, 0, probe, probe.Tree.Root()) {
 			t.Errorf("pattern {a{b}} should not match %s at root", s)
 		}
 	}
@@ -58,7 +53,7 @@ func TestMatchRequiresEmptySlots(t *testing.T) {
 	deep := lcrs.Build(tree.MustParseBracket("{x{a{b}}}", lt))
 	found := false
 	for n := range deep.Tree.Nodes {
-		if matchesAt(p, 0, deep, int32(n)) {
+		if Matches(p, 0, deep, int32(n)) {
 			found = true
 		}
 	}
@@ -78,7 +73,7 @@ func TestMatchBridgeSlotsAreWildcards(t *testing.T) {
 	// The root component has at least one bridging edge by construction.
 	rootComp := int32(p.Delta - 1)
 	// Matching the unmodified tree at the root must succeed.
-	if !matchesAt(p, rootComp, bp, bp.Tree.Root()) {
+	if !Matches(p, rootComp, bp, bp.Tree.Root()) {
 		t.Fatal("root component must match its own tree")
 	}
 	if err := p.Validate(); err != nil {
@@ -174,10 +169,9 @@ func randomEditOp(rng *rand.Rand, t *tree.Tree, lt *tree.LabelTable) *tree.Tree 
 }
 
 // TestIndexProbeFindsMatches: any component that matches at a node is
-// returned by the two-layer index probe at that node under PositionOff and
-// PositionFull (the sound settings with per-node completeness; PositionSafe's
-// guarantee is join-level, not per-node, and is exercised by the join oracle
-// tests).
+// returned by the index probe at that node under PositionOff (the setting
+// with per-node completeness; PositionSafe's guarantee is join-level, not
+// per-node, and is exercised by the join oracle tests).
 func TestIndexProbeFindsMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	lt := tree.NewLabelTable()
@@ -192,21 +186,20 @@ func TestIndexProbeFindsMatches(t *testing.T) {
 			t2 = randomEditOp(rng, t2, lt)
 		}
 		b2 := lcrs.Build(t2)
-		ix := newInvIndex(tau, PositionOff)
+		ix := newInvIndex(tau, PositionOff, 0)
 		ix.insert(0, p)
-		parts := []*Partition{p}
 		var sc matchScratch
 		// For every (node, component) with a structural match, the PositionOff
 		// probe at that node must visit the component.
 		for n := range b2.Tree.Nodes {
 			node := int32(n)
 			for c := 0; c < delta; c++ {
-				if !matches(p, int32(c), b2, node, &sc) {
+				if !Matches(p, int32(c), b2, node) {
 					continue
 				}
 				seen := false
-				ix.probe(b2, node, b1.Size(), b1.Size(), func(e entry) {
-					if e.comp == int32(c) && matches(parts[e.tree], e.comp, b2, node, &sc) {
+				ix.probe(b2, node, b1.Size(), b1.Size(), func(e posting) {
+					if e.comp == int32(c) && ix.matches(e, b2, node, &sc) {
 						seen = true
 					}
 				})

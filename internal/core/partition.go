@@ -1,6 +1,6 @@
 // Package core implements PartSJ, the paper's partition-based tree similarity
 // join: threshold-sensitive δ-partitioning of LC-RS binary trees (§3.3), the
-// subgraph containment filter (§3.1), the two-layer subgraph index (§3.4) and
+// subgraph containment filter (§3.1), the subgraph index (§3.4, twig-first) and
 // the join drivers (§3.2), including an order-insensitive incremental variant
 // for streaming collections.
 package core
@@ -33,7 +33,7 @@ func maxMinSizeLowerBound(n, delta int) int {
 }
 
 // partitionState carries the per-node size/detached counters of Algorithm 2.
-// Buffers are reused across calls via Partitioner scratch space.
+// The buffers grow to the largest tree seen and are reused across calls.
 type partitionState struct {
 	size     []int32
 	detached []int32
@@ -87,7 +87,9 @@ func partitionable(b *lcrs.Bin, delta, gamma int, st *partitionState, cuts *[]in
 // MaxMinSize is Algorithm 3: the largest γ such that b is (δ, γ)-partitionable,
 // found by binary search between the closed-form lower bound and ⌊n/δ⌋.
 // It requires delta ≤ size(b); O(n·log(n/δ)) time.
-func MaxMinSize(b *lcrs.Bin, delta int) int {
+func MaxMinSize(b *lcrs.Bin, delta int) int { return maxMinSize(b, delta, &partitionState{}) }
+
+func maxMinSize(b *lcrs.Bin, delta int, st *partitionState) int {
 	n := b.Size()
 	if delta > n {
 		panic(fmt.Sprintf("core: MaxMinSize: delta %d exceeds tree size %d", delta, n))
@@ -95,7 +97,6 @@ func MaxMinSize(b *lcrs.Bin, delta int) int {
 	if delta == n {
 		return 1
 	}
-	st := &partitionState{}
 	gammaMax := n / delta
 	gammaMin := maxMinSizeLowerBound(n, delta)
 	c := gammaMax - gammaMin + 1
@@ -114,9 +115,12 @@ func MaxMinSize(b *lcrs.Bin, delta int) int {
 // Compute runs the paper's partitioning scheme: γ = MaxMinSize(b, δ), then a
 // δ-partitioning realised by the first δ−1 greedy γ-subtree cuts, with the
 // root component absorbing everything else. It requires delta ≤ size(b).
-func Compute(b *lcrs.Bin, delta int) *Partition {
-	gamma := MaxMinSize(b, delta)
-	st := &partitionState{}
+func Compute(b *lcrs.Bin, delta int) *Partition { return compute(b, delta, &partitionState{}) }
+
+// compute is Compute over the caller's scratch, shared by the γ search and
+// the cut pass and reusable across trees.
+func compute(b *lcrs.Bin, delta int, st *partitionState) *Partition {
+	gamma := maxMinSize(b, delta, st)
 	cuts := make([]int32, 0, delta-1)
 	if !partitionable(b, delta, gamma, st, &cuts) {
 		// Unreachable: MaxMinSize returned a feasible γ.

@@ -14,7 +14,7 @@ import (
 // It is the similarity-search counterpart of the join ([13, 16, 27] study
 // this query; PartSJ's subgraph index answers it directly): every collection
 // tree is δ-partitioned at build time, and a query is probed against the
-// two-layer index exactly like the current tree in Algorithm 1 — Lemma 2
+// subgraph index exactly like the current tree in Algorithm 1 — Lemma 2
 // applies with the collection tree as the partitioned side, so no size
 // relationship between query and data is required.
 //
@@ -25,7 +25,6 @@ type Index struct {
 	ts     []*tree.Tree
 	cache  *engine.Cache
 	seqs   *seqCache // non-nil when the index owns the hybrid verifier
-	parts  []*Partition
 	ix     *invIndex
 	smalls []int
 }
@@ -57,8 +56,6 @@ func NewIndexCached(ts []*tree.Tree, opts Options, cache *engine.Cache) *Index {
 		opts:  opts,
 		ts:    ts,
 		cache: cache,
-		parts: make([]*Partition, len(ts)),
-		ix:    newInvIndex(opts.Tau, opts.Position),
 	}
 	if opts.HybridVerify && opts.Verifier == nil {
 		// Kept on the index (not just as an opts.Verifier closure) so
@@ -69,15 +66,16 @@ func NewIndexCached(ts []*tree.Tree, opts Options, cache *engine.Cache) *Index {
 	}
 	delta := opts.delta()
 	partKey := partitionCacheKey(delta)
+	parts := make([]*Partition, len(ts))
+	var st partitionState
 	for i, t := range ts {
 		if t.Size() < delta {
 			ix.smalls = append(ix.smalls, i)
 			continue
 		}
-		p := cachedPartition(cache, t, nil, partKey, delta)
-		ix.parts[i] = p
-		ix.ix.insert(i, p)
+		parts[i] = cachedPartition(cache, t, nil, partKey, delta, &st)
 	}
+	ix.ix = buildInvIndex(opts.Tau, opts.Position, parts)
 	return ix
 }
 
@@ -150,11 +148,11 @@ func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
 		if k%searchCtxStride == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		x.ix.probe(b, n, minSize, sz+tau, func(e entry) {
+		x.ix.probe(b, n, minSize, sz+tau, func(e posting) {
 			if seen[e.tree] {
 				return
 			}
-			if matches(x.parts[e.tree], e.comp, b, n, &sc) {
+			if x.ix.matches(e, b, n, &sc) {
 				seen[e.tree] = true
 				cands = append(cands, int(e.tree))
 			}

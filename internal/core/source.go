@@ -154,6 +154,7 @@ type joiner struct {
 	state   []int64
 	gen     int64
 	sc      matchScratch
+	st      partitionState
 	rng     *rand.Rand
 }
 
@@ -196,15 +197,16 @@ func cachedBin(cache *engine.Cache, t *tree.Tree) *lcrs.Bin {
 // cachedPartition returns t's δ-partition (the tree must have ≥ δ nodes)
 // from the artifact cache, computing it on a miss — from b when the caller
 // already has the binary view in hand, otherwise from the cached one.
-// partKey must be partitionCacheKey(delta).
-func cachedPartition(cache *engine.Cache, t *tree.Tree, b *lcrs.Bin, partKey string, delta int) *Partition {
+// partKey must be partitionCacheKey(delta); st is the caller's partitioning
+// scratch.
+func cachedPartition(cache *engine.Cache, t *tree.Tree, b *lcrs.Bin, partKey string, delta int, st *partitionState) *Partition {
 	if v, ok := cache.Lookup(partKey, t); ok {
 		return v.(*Partition)
 	}
 	if b == nil {
 		b = cachedBin(cache, t)
 	}
-	p := Compute(b, delta)
+	p := compute(b, delta, st)
 	cache.Store(partKey, t, p)
 	return p
 }
@@ -222,8 +224,9 @@ func (j *joiner) bin(ti int) *lcrs.Bin {
 
 // partition returns tree ti's δ-partition (the tree must have ≥ δ nodes),
 // cached like bin. Random partitions are rebuilt every time — their output
-// depends on the RNG stream, not just (tree, δ).
-func (j *joiner) partition(ti int) *Partition {
+// depends on the RNG stream, not just (tree, δ). st is the caller's
+// partitioning scratch.
+func (j *joiner) partition(ti int, st *partitionState) *Partition {
 	if p := j.parts[ti]; p != nil {
 		return p
 	}
@@ -231,7 +234,7 @@ func (j *joiner) partition(ti int) *Partition {
 	if j.rng != nil {
 		p = ComputeRandom(j.bin(ti), j.delta, j.rng)
 	} else {
-		p = cachedPartition(j.c.Cache(), j.c.Trees[ti], j.bins[ti], j.partKey, j.delta)
+		p = cachedPartition(j.c.Cache(), j.c.Trees[ti], j.bins[ti], j.partKey, j.delta, st)
 		j.bins[ti] = p.Bin
 	}
 	j.parts[ti] = p
@@ -259,6 +262,7 @@ func (j *joiner) prepartition(stats *sim.Stats, workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var st partitionState
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(ts) {
@@ -269,7 +273,7 @@ func (j *joiner) prepartition(stats *sim.Stats, workers int) {
 				}
 				j.bin(i)
 				if ts[i].Size() >= j.delta {
-					j.partition(i)
+					j.partition(i, &st)
 				}
 			}
 		}()
@@ -284,19 +288,31 @@ func (j *joiner) prepartition(stats *sim.Stats, workers int) {
 // so with one side every preceding pair is offered and with two sides only
 // cross pairs are.
 func (j *joiner) runLoop(px *engine.Pipeline, positions []int, sideAt func(k int) int, nSides int) {
+	side := func(k int) int {
+		if sideAt == nil {
+			return 0
+		}
+		return sideAt(k)
+	}
+	nodes := make([]int, nSides) // per side, what its index's arena must hold
+	for k, ti := range positions {
+		nodes[side(k)] += j.c.Trees[ti].Size()
+	}
 	ixes := make([]*invIndex, nSides)
 	smalls := make([][]int, nSides)
 	for i := range ixes {
-		ixes[i] = newInvIndex(j.opts.Tau, j.opts.Position)
+		ixes[i] = newInvIndex(j.opts.Tau, j.opts.Position, nodes[i])
 	}
+	defer func() {
+		for _, ix := range ixes {
+			px.Stats().IndexedSubgraphs += ix.n
+		}
+	}()
 	for k, ti := range positions {
 		if px.Cancelled() {
 			return
 		}
-		s := 0
-		if sideAt != nil {
-			s = sideAt(k)
-		}
+		s := side(k)
 		probe := (nSides - 1) - s*(nSides-1) // 0 for self joins, 1-s for cross
 		j.probeAndCollect(px, ti, ixes[probe], smalls[probe])
 		j.insert(px, ti, ixes[s], &smalls[s])
@@ -307,7 +323,7 @@ func (j *joiner) runLoop(px *engine.Pipeline, positions []int, sideAt func(k int
 // already inserted into ix and smalls (Algorithm 1 lines 5–10). Pairs pass
 // the filter chain before any subgraph-match test.
 func (j *joiner) probeAndCollect(px *engine.Pipeline, ti int, ix *invIndex, smalls []int) {
-	if len(ix.bySize) == 0 && len(smalls) == 0 {
+	if ix.n == 0 && len(smalls) == 0 {
 		return // nothing indexed yet (e.g. the smaller side of a cross task)
 	}
 	stats := px.Stats()
@@ -333,7 +349,7 @@ func (j *joiner) probeAndCollect(px *engine.Pipeline, ti int, ix *invIndex, smal
 		minSize = 1
 	}
 	for _, n := range b.Order {
-		stats.SubgraphProbes += ix.probe(b, n, minSize, sz, func(e entry) {
+		stats.SubgraphProbes += ix.probe(b, n, minSize, sz, func(e posting) {
 			switch st := j.state[e.tree]; {
 			case st>>2 != gen:
 				if !px.Screen(ti, int(e.tree)) {
@@ -345,7 +361,7 @@ func (j *joiner) probeAndCollect(px *engine.Pipeline, ti int, ix *invIndex, smal
 				return
 			}
 			stats.MatchTests++
-			if matches(j.parts[e.tree], e.comp, b, n, &j.sc) {
+			if ix.matches(e, b, n, &j.sc) {
 				stats.MatchHits++
 				j.state[e.tree] = gen<<2 | stEmitted
 				px.Emit(ti, int(e.tree))
@@ -362,8 +378,7 @@ func (j *joiner) insert(px *engine.Pipeline, ti int, ix *invIndex, smalls *[]int
 	start := time.Now()
 	ts := j.c.Trees
 	if ts[ti].Size() >= j.delta {
-		stats.IndexedSubgraphs += int64(j.delta)
-		ix.insert(ti, j.partition(ti))
+		ix.insert(ti, j.partition(ti, &j.st))
 	} else {
 		*smalls = append(*smalls, ti)
 	}

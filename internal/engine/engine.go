@@ -238,12 +238,21 @@ type Pipeline struct {
 	// Sequential jobs verify candidates in bounded chunks as they are
 	// emitted (Algorithm 1's interleaving, generalised), streaming results
 	// to the emitter with peak candidate memory O(flushAt) instead of
-	// O(total candidates). Parallel jobs set flushAt = 0 and defer
-	// everything to one pool-wide pass, where the bigger batch
-	// load-balances better. The flush verifier is minted lazily from the
+	// O(total candidates). The flush verifier is minted lazily from the
 	// run's factory and persists across flushes (so its scratch stays warm
 	// for the whole task); stream() closes it after the tasks finish.
+	//
+	// Parallel jobs whose plan has fewer tasks than workers (PartSJ's and
+	// the token index's single sequential task) set handoff: a full chunk is
+	// offered to the spare workers, who verify it while the source keeps
+	// running. The offer never blocks — when every spare worker is busy the
+	// chunk moves to deferred and waits, with whatever is left in cands, for
+	// the pool-wide pass after the tasks. Parallel jobs whose tasks fill the
+	// pool set flushAt = 0 and defer everything to that pass, where the
+	// bigger batch load-balances better.
 	flushAt    int
+	handoff    chan<- []sim.Candidate
+	deferred   []sim.Candidate
 	vfactory   sim.BatchVerifierFactory
 	bv         sim.BatchVerifier
 	em         *emitter
@@ -255,12 +264,23 @@ type Pipeline struct {
 // between probes.
 func (px *Pipeline) Cancelled() bool { return px.c.Cancelled() }
 
-// flushCandidates verifies and drains the buffered candidates inline,
-// streaming confirmed pairs to the emitter. The elapsed time is remembered so
-// the engine can carve it back out of the source's candidate-generation clock
-// (flushes happen inside the source's timed loop).
+// flushCandidates drains the buffered candidates: to a spare worker when the
+// job overlaps verification with its tasks, otherwise by verifying them
+// inline, streaming confirmed pairs to the emitter. Inline time is remembered
+// so the engine can carve it back out of the source's candidate-generation
+// clock (flushes happen inside the source's timed loop).
 func (px *Pipeline) flushCandidates() {
 	if len(px.cands) == 0 {
+		return
+	}
+	if px.handoff != nil {
+		select {
+		case px.handoff <- px.cands:
+			px.cands = make([]sim.Candidate, 0, px.flushAt)
+		default:
+			px.deferred = append(px.deferred, px.cands...)
+			px.cands = px.cands[:0]
+		}
 		return
 	}
 	start := time.Now()
@@ -502,12 +522,19 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 		vfactory = NewArenaVerifiers(ts, c.cache, c.counters)
 		stats.VerifyTime += time.Since(vstart)
 	}
-	flushAt := 0
-	if c.Workers <= 1 {
-		flushAt = inlineFlushChunk
-	}
 	stats.Source = source.Name()
 	tasks := source.Tasks(c, job.Shards)
+	flushAt := 0
+	var handoff chan []sim.Candidate
+	spare := c.Workers - len(tasks)
+	switch {
+	case c.Workers <= 1:
+		flushAt = inlineFlushChunk
+	case spare > 0 && len(tasks) > 0:
+		// One queued chunk per spare worker: a worker that finishes a chunk
+		// finds the next without waiting for a task to fill one.
+		flushAt, handoff = overlapChunk, make(chan []sim.Candidate, spare)
+	}
 	if job.Shards > 1 && len(tasks) > 1 {
 		// Sources' natural decompositions (the sorted loop's strides, the
 		// cross-join plan) offer every pair exactly once by construction, so
@@ -524,6 +551,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 			preds:    preds,
 			counts:   make([]sim.StageStats, len(job.Filters)),
 			flushAt:  flushAt,
+			handoff:  handoff,
 			vfactory: vfactory,
 			em:       em,
 		}
@@ -532,9 +560,39 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 		}
 		pipes[i] = px
 	}
+	var cands []sim.Candidate
+	var spareWG sync.WaitGroup
+	var spareStats []sim.Stats
+	if handoff != nil {
+		spareStats = make([]sim.Stats, spare)
+		for w := range spareStats {
+			spareWG.Add(1)
+			go func(st *sim.Stats) {
+				defer spareWG.Done()
+				bv := vfactory()
+				defer bv.Close()
+				for chunk := range handoff {
+					sim.VerifyStreamWith(ctx, chunk, job.Tau, bv, st, em.emit)
+				}
+			}(&spareStats[w])
+		}
+	}
 	tasksStart := time.Now()
 	runTasks(tasks, pipes, c.Workers)
 	tasksWall := time.Since(tasksStart)
+	if handoff != nil {
+		// Chunks still queued rejoin the pool-wide pass; the spare workers
+		// finish at most the one each has in hand.
+		close(handoff)
+		for chunk := range handoff {
+			cands = append(cands, chunk...)
+		}
+		spareWG.Wait()
+		for w := range spareStats {
+			stats.VerifyTime += spareStats[w].VerifyTime
+			stats.Candidates += spareStats[w].Candidates
+		}
+	}
 
 	// Merge task-local candidates and statistics. Stage counters merge by
 	// position: every pipeline carries the same chain. Inline verification
@@ -546,10 +604,9 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	for k, f := range job.Filters {
 		stats.Stages[k].Name = f.Name()
 	}
-	var cands []sim.Candidate
 	var inline time.Duration
 	for _, px := range pipes {
-		cands = append(cands, px.cands...)
+		cands = append(append(cands, px.deferred...), px.cands...)
 		px.stats.CandTime -= px.inlineTime
 		inline += px.inlineTime
 		mergeStats(stats, &px.stats)
@@ -581,6 +638,12 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 // enough to amortise the per-batch clock reads, small enough that a
 // paper-scale join never holds more than a sliver of its candidates.
 const inlineFlushChunk = 4096
+
+// overlapChunk is the unit a task offers the spare workers: large enough to
+// amortise the channel operation and keep a verifier on one run of the
+// candidate stream, small enough that the chunk a spare worker still holds
+// when the tasks end is a sliver of the pool-wide pass it delays.
+const overlapChunk = 256
 
 // runTasks executes the tasks on a pool of at most workers goroutines; one
 // task (or one worker) runs inline.

@@ -84,7 +84,10 @@ type Stats struct {
 	Candidates int64         // pairs that reached the TED verifier
 	Results    int64         // pairs with TED ≤ τ
 	CandTime   time.Duration // candidate generation (filtering) time, summed across tasks (CPU effort)
-	VerifyTime time.Duration // exact TED computation time
+	// VerifyTime is exact TED computation time: the wall clock of the
+	// pool-wide verification pass, plus the busy time of each spare worker
+	// that verified chunks while the source was still running.
+	VerifyTime time.Duration
 
 	// CandWall is the wall-clock time of the candidate-generation stage:
 	// filter preparation plus the elapsed time of the source's task pool,
@@ -111,8 +114,8 @@ type Stats struct {
 
 	// PartSJ-specific counters (zero for the baselines).
 	PartitionTime     time.Duration // δ-partitioning of all trees
-	IndexedSubgraphs  int64         // subgraphs inserted into the two-layer index
-	SubgraphProbes    int64         // index bucket entries inspected
+	IndexedSubgraphs  int64         // index postings created: one per subgraph, or under PositionPaper one per stored position
+	SubgraphProbes    int64         // index postings inspected
 	MatchTests        int64         // full subgraph-match verifications run
 	MatchHits         int64         // match tests that succeeded
 	SmallTreeFallback int64         // candidate pairs produced by the small-tree path
