@@ -44,10 +44,8 @@ func requireViewEqual(t *testing.T, step string, got, want *ted.TreeView) {
 	check("KrByLml", got.KrByLml, want.KrByLml)
 	check("RKeyroots", got.RKeyroots, want.RKeyroots)
 	check("RKrByLml", got.RKrByLml, want.RKrByLml)
-	check("Depth", got.Depth, want.Depth)
 	check("Parent", got.Parent, want.Parent)
 	check("RParent", got.RParent, want.RParent)
-	check("SubtreeSize", got.SubtreeSize, want.SubtreeSize)
 	check("SortedLabels", got.SortedLabels, want.SortedLabels)
 	if got.CostL != want.CostL || got.CostR != want.CostR {
 		t.Fatalf("%s: cached costs (%d,%d), fresh rebuild (%d,%d)",

@@ -161,17 +161,15 @@ func BenchmarkParallelVerification(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedJoin — the paper's distributed direction: the same join
-// decomposed into fragment-and-replicate shard tasks on a worker pool
-// (candidate generation parallelises too, at the price of per-task indexes).
+// BenchmarkShardedJoin — the paper's parallel direction: the same join with
+// its size order cut into at least `shards` probe chunks over one shared
+// index, on as many workers.
 func BenchmarkShardedJoin(b *testing.B) {
 	ts := synth.Synthetic(400, 1)
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ShardedSelfJoin(ts, shards, core.Options{Tau: 3, Workers: shards}); err != nil {
-					b.Fatal(err)
-				}
+				core.Options{Tau: 3, Workers: shards}.Job(shards, nil).SelfJoin(ts)
 			}
 		})
 	}

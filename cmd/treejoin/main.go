@@ -107,7 +107,7 @@ func main() {
 		method     = flag.String("method", "PRT", "join method: PRT, STR, SET, BF, HIST, EUL, or PQG")
 		prefilter  = flag.String("prefilter", "", "comma-separated filter stages to chain in front of the method (HIST, STR, SET, EUL, PQG)")
 		workers    = flag.Int("workers", 0, "parallel candidate-generation and TED-verification workers")
-		shards     = flag.Int("shards", 0, "decompose the PRT join into fragment-and-replicate shards")
+		shards     = flag.Int("shards", 0, "cut the PRT join's size order into at least this many probe chunks over its one index")
 		timeout    = flag.Duration("timeout", 0, "abort the join after this duration (0: no limit)")
 		stats      = flag.Bool("stats", false, "print execution statistics to stderr")
 		quiet      = flag.Bool("quiet", false, "suppress pair output (useful with -stats)")
@@ -434,10 +434,10 @@ func printStats(m treejoin.Method, tau int, st treejoin.Stats) {
 			stage.Name+":", stage.In, stage.Pruned, stage.Out())
 	}
 	if st.IndexedSubgraphs > 0 {
-		fmt.Fprintf(os.Stderr, "subgraphs:   %d indexed, %d probes, %d match tests (%d hits)\n",
-			st.IndexedSubgraphs, st.SubgraphProbes, st.MatchTests, st.MatchHits)
-	}
-	if st.PostingsScanned > 0 || st.IndexBuildTime > 0 {
+		// Build time is 0 when the corpus already held this epoch's index.
+		fmt.Fprintf(os.Stderr, "subgraphs:   %d indexed (built in %v), %d probes, %d match tests (%d hits)\n",
+			st.IndexedSubgraphs, st.IndexBuildTime, st.SubgraphProbes, st.MatchTests, st.MatchHits)
+	} else if st.PostingsScanned > 0 || st.IndexBuildTime > 0 {
 		fmt.Fprintf(os.Stderr, "tokenindex:  built in %v, %d postings scanned, %d partners skipped by count, %d tombstones crossed\n",
 			st.IndexBuildTime, st.PostingsScanned, st.SkippedByCount, st.PostingsTombstoned)
 	}

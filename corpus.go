@@ -93,7 +93,9 @@ type dynEntry struct {
 // τ recomputes no per-tree signature and re-runs no prepare; only the
 // τ-dependent pair predicates and candidate enumeration run again. Search
 // and KNN queries additionally share a small LRU of per-threshold PartSJ
-// indexes (see WithIndexCacheCap). Removing trees evicts their artifacts,
+// indexes (see WithIndexCacheCap), and PartSJ joins probe those same indexes
+// — one is built at most once per epoch, threshold and position mode, whoever
+// asks first. Removing trees evicts their artifacts,
 // so the cache's memory tracks the live collection; beyond that it never
 // evicts — its size is bounded by the filter kinds and PartSJ thresholds
 // actually queried (see DESIGN.md, "The corpus artifact cache").
@@ -154,8 +156,12 @@ type Corpus struct {
 	// internal/engine/plan and autoplan.go.
 	planner *plan.Model
 
+	// searchers holds, per position mode, the epoch's frozen PartSJ indexes
+	// by threshold: what Search and KNN probe, and what every PartSJ join over
+	// this membership — SelfJoin, either side of a Join, a TopK round, a shard
+	// round — resolves instead of building its own (see indexResolver).
 	mu            sync.Mutex
-	searchers     map[searcherKey]*core.KNN
+	searchers     map[core.PositionFilter]*core.KNN
 	searcherEpoch int64
 }
 
@@ -180,14 +186,6 @@ func (cp *Corpus) runCache() *engine.Cache {
 		}
 		return over
 	})
-}
-
-// searcherKey identifies one index configuration of the per-corpus search
-// machinery: queries differing only in threshold share a searcher (and its
-// per-threshold index LRU).
-type searcherKey struct {
-	pos    core.PositionFilter
-	hybrid bool
 }
 
 // NewCorpus validates ts (no nil trees, one shared LabelTable) and returns a
@@ -219,7 +217,7 @@ func NewCorpus(ts []*Tree, opts ...Option) (*Corpus, error) {
 	cp := &Corpus{
 		cache:     engine.NewCache(),
 		indexCap:  c.indexCap,
-		searchers: make(map[searcherKey]*core.KNN),
+		searchers: make(map[core.PositionFilter]*core.KNN),
 		planner:   plan.New(),
 	}
 	cp.state.Store(st)
@@ -282,7 +280,7 @@ func (cp *Corpus) Snapshot() *Corpus {
 		indexCap:  cp.indexCap,
 		frozen:    true,
 		parent:    parent,
-		searchers: make(map[searcherKey]*core.KNN),
+		searchers: make(map[core.PositionFilter]*core.KNN),
 		planner:   cp.planner,
 	}
 	st := cp.state.Load()
@@ -360,7 +358,7 @@ func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 	// this — the artifact would be pure speculation. Removal needs no
 	// counterpart: Remove's Evict drops every kind, arenas included.
 	if cp.cache.KindEntries(engine.ArenaKey) > 0 {
-		engine.ArenaFor(cp.cache, ts)
+		engine.ArenaFor(cp.cache, ts, 1)
 	}
 	cp.state.Store(ns)
 	cp.dropSearchers(ns.epoch)
@@ -374,7 +372,7 @@ func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 // keep full PartSJ indexes (and the removed trees they reference) resident.
 func (cp *Corpus) dropSearchers(epoch int64) {
 	cp.mu.Lock()
-	cp.searchers = make(map[searcherKey]*core.KNN)
+	cp.searchers = make(map[core.PositionFilter]*core.KNN)
 	cp.searcherEpoch = epoch
 	cp.mu.Unlock()
 }
@@ -549,11 +547,12 @@ func (cp *Corpus) SelfJoin(ctx context.Context, tau int, opts ...Option) ([]Pair
 // never race on a caller's WithStats destination, and rolls the returned
 // per-round Stats up itself.
 func (cp *Corpus) streamSelfWith(ctx context.Context, tau int, c config, sink sim.EmitFunc) (*sim.Stats, error) {
+	st := cp.state.Load()
+	c.indexes = cp.indexResolver(st, c, nil, nil)
 	job, tz, err := c.pipelineChecked(tau)
 	if err != nil {
 		return nil, err
 	}
-	st := cp.state.Load()
 	job.Cache = cp.runCache()
 	job.DynTokens = cp.dynTokens(st)
 	job, _ = cp.planJob(ctx, c, job, tz, st.ts, -1, st.epoch)
@@ -577,11 +576,12 @@ func (cp *Corpus) streamSelfWith(ctx context.Context, tau int, c config, sink si
 // running (or re-run) iteration.
 func (cp *Corpus) SelfJoinSeq(ctx context.Context, tau int, opts ...Option) (iter.Seq[Pair], error) {
 	c := buildConfig(opts)
+	st := cp.state.Load()
+	c.indexes = cp.indexResolver(st, c, nil, nil)
 	job, tz, err := c.pipelineChecked(tau)
 	if err != nil {
 		return nil, err
 	}
-	st := cp.state.Load()
 	job.Cache = cp.runCache()
 	job.DynTokens = cp.dynTokens(st)
 	job, _ = cp.planJob(ctx, c, job, tz, st.ts, -1, st.epoch)
@@ -664,7 +664,8 @@ type crossRun struct {
 // both sides warm their own caches and neither retains (and pins) the
 // other's trees; trees belonging to neither side — including trees either
 // side has since removed — land in a run-local overflow that dies with the
-// query.
+// query. A PartSJ run likewise takes each side's subgraph index from the
+// corpus that owns the side.
 func (cp *Corpus) crossJob(ctx context.Context, c config, other *Corpus, tau int) (crossRun, error) {
 	if other == nil {
 		return crossRun{}, ErrNilCorpus
@@ -673,6 +674,7 @@ func (cp *Corpus) crossJob(ctx context.Context, c config, other *Corpus, tau int
 	if sa.lt != nil && sb.lt != nil && sa.lt != sb.lt {
 		return crossRun{}, fmt.Errorf("%w (cross join)", ErrLabelTable)
 	}
+	c.indexes = cp.indexResolver(sa, c, other, sb)
 	job, tz, err := c.pipelineChecked(tau)
 	if err != nil {
 		return crossRun{}, err
@@ -705,7 +707,11 @@ func (cp *Corpus) Search(ctx context.Context, q *Tree, tau int, opts ...Option) 
 	if err != nil {
 		return nil, err
 	}
-	return cp.searcher(st, c).IndexAt(tau).SearchCtx(ctx, q)
+	ix, _, err := cp.searcher(st, c).IndexAt(ctx, tau, c.workers)
+	if err != nil {
+		return nil, err
+	}
+	return ix.SearchWith(ctx, q, c.hybrid)
 }
 
 // TopK returns the k closest pairs of the corpus by TED, ordered by
@@ -722,7 +728,9 @@ func (cp *Corpus) TopK(ctx context.Context, k int, opts ...Option) ([]Pair, erro
 	if err := c.requirePartSJ("TopK", true); err != nil {
 		return nil, err
 	}
-	return core.TopKCtx(ctx, cp.state.Load().ts, k, c.coreOptions(0), c.shards, cp.runCache())
+	st := cp.state.Load()
+	c.indexes = cp.indexResolver(st, c, nil, nil)
+	return core.TopKCtx(ctx, st.ts, k, c.coreOptions(0), c.shards, cp.runCache())
 }
 
 // KNN returns the k corpus trees closest to q by TED, ordered by
@@ -738,7 +746,7 @@ func (cp *Corpus) KNN(ctx context.Context, q *Tree, k int, opts ...Option) ([]Ma
 	if err != nil {
 		return nil, err
 	}
-	return cp.searcher(st, c).NearestCtx(ctx, q, k)
+	return cp.searcher(st, c).NearestWith(ctx, q, k, c.hybrid)
 }
 
 // Incremental returns an empty streaming join with threshold tau that shares
@@ -794,7 +802,23 @@ func (c config) requirePartSJ(op string, allowShards bool) error {
 	return nil
 }
 
-// searcher returns the index machinery for c's index configuration over the
+// indexResolver is the core.Options.Indexes hook of a PartSJ join configured
+// by c over st — and, for a cross join, over other's pinned sb as side 1: each
+// side's frozen index comes out of the owning corpus's searcher, where Search,
+// KNN and every other join at that epoch, threshold and position mode find
+// the same instance. A side pinned to a superseded epoch gets a one-off.
+func (cp *Corpus) indexResolver(st *corpusState, c config, other *Corpus, sb *corpusState) func(context.Context, int, int) (*core.Index, bool) {
+	return func(ctx context.Context, side, tau int) (*core.Index, bool) {
+		owner, pinned := cp, st
+		if side == 1 {
+			owner, pinned = other, sb
+		}
+		ix, built, _ := owner.searcher(pinned, c).IndexAt(ctx, tau, c.workers)
+		return ix, built
+	}
+}
+
+// searcher returns the index machinery for c's position mode over the
 // st membership, creating it on first use. The searcher cache is pinned to
 // one epoch: the first query after a mutation rotates it, dropping every
 // per-threshold index built over the old membership (the eviction-on-epoch
@@ -806,15 +830,18 @@ func (cp *Corpus) searcher(st *corpusState, c config) *core.KNN {
 	if capacity < 1 {
 		capacity = core.DefaultIndexCacheCap
 	}
-	o := c.coreOptions(1) // Tau here only seeds KNN's expanding search
-	key := searcherKey{pos: c.position, hybrid: c.hybrid}
+	// Tau here only seeds KNN's expanding search; the verifier and the
+	// build's worker count are chosen per call, so one searcher — and one
+	// index per threshold — serves every caller at this position mode.
+	o := core.Options{Tau: 1, Position: c.position}
+	key := c.position
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if cp.searcherEpoch != st.epoch {
 		if cur := cp.state.Load(); cur.epoch == st.epoch {
 			// First query at the new epoch: invalidate everything built
 			// over the previous membership.
-			cp.searchers = make(map[searcherKey]*core.KNN)
+			cp.searchers = make(map[core.PositionFilter]*core.KNN)
 			cp.searcherEpoch = st.epoch
 		} else {
 			// The query snapshotted an older epoch than the cache serves.

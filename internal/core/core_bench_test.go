@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"treejoin/internal/engine"
 	"treejoin/internal/lcrs"
 	"treejoin/internal/synth"
 )
@@ -46,7 +48,7 @@ func BenchmarkComputePartition(b *testing.B) {
 func BenchmarkSubgraphMatch(b *testing.B) {
 	bin := benchBin(256)
 	p := Compute(bin, 7)
-	ix := newInvIndex(3, PositionSafe, 0)
+	ix := newInvIndex(3, PositionSafe)
 	ix.insert(0, p)
 	var sc matchScratch
 	b.Run("self-hit", func(b *testing.B) {
@@ -93,7 +95,7 @@ func BenchmarkIndexProbe(b *testing.B) {
 		for i, bin := range bins {
 			parts[i] = Compute(bin, 2*tau+1)
 		}
-		ix := buildInvIndex(tau, PositionSafe, parts)
+		ix := bulkIndex(tau, PositionSafe, parts, 1)
 		b.Run(fmt.Sprintf("tau=%d", tau), func(b *testing.B) {
 			var nodes, lookups, visited int64
 			var keys [4]twig
@@ -101,7 +103,7 @@ func BenchmarkIndexProbe(b *testing.B) {
 				for _, bin := range bins {
 					for _, n := range bin.Order {
 						lookups += int64(probeKeys(bin, n, &keys))
-						visited += ix.probe(bin, n, bin.Size()-tau, bin.Size(), func(posting) {})
+						visited += ix.probe(bin, n, bin.Size()-tau, bin.Size(), noTieLimit, func(posting) {})
 					}
 					nodes += int64(bin.Size())
 				}
@@ -110,5 +112,33 @@ func BenchmarkIndexProbe(b *testing.B) {
 			b.ReportMetric(float64(visited)/float64(nodes), "visited/node")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/probe-node")
 		})
+	}
+}
+
+// BenchmarkSelfJoinWorkers times whole PartSJ self joins of a Swissprot-profile
+// collection, per-tree artifacts warm, across worker counts: cold-index joins
+// build the subgraph index and probe it (a corpus's first join at a
+// threshold), warm-index joins resolve it ready-made (every later one).
+func BenchmarkSelfJoinWorkers(b *testing.B) {
+	ts := synth.Swissprot(2000, 11)
+	for _, tau := range []int{2, 3} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			cache := engine.NewCache()
+			opts := Options{Tau: tau, Workers: workers}
+			shared := NewIndexCached(ts, opts, cache)
+			for _, mode := range []string{"cold-index", "warm-index"} {
+				if mode == "warm-index" {
+					opts.Indexes = func(context.Context, int, int) (*Index, bool) { return shared, false }
+				}
+				job := opts.Job(0, nil)
+				job.Cache = cache
+				job.SelfJoin(ts) // the verifier's views
+				b.Run(fmt.Sprintf("tau=%d/workers=%d/%s", tau, workers, mode), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						job.SelfJoin(ts)
+					}
+				})
+			}
+		}
 	}
 }

@@ -75,7 +75,7 @@ func NewIncrementalCached(opts Options, cache *engine.Cache) *Incremental {
 		opts:      opts,
 		delta:     opts.delta(),
 		cache:     cache,
-		ix:        newInvIndex(opts.Tau, opts.Position, 0),
+		ix:        newInvIndex(opts.Tau, opts.Position),
 		compactAt: 16,
 		standing:  make(map[uint64]int32),
 	}
@@ -147,7 +147,7 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 		minSize = 1
 	}
 	for _, n := range b.Order {
-		inc.stats.SubgraphProbes += inc.ix.probe(b, n, minSize, sz+inc.opts.Tau, func(e posting) {
+		inc.stats.SubgraphProbes += inc.ix.probe(b, n, minSize, sz+inc.opts.Tau, noTieLimit, func(e posting) {
 			if inc.removed[e.tree] || inc.checked[e.tree] == gen {
 				return
 			}
@@ -254,7 +254,8 @@ func (inc *Incremental) Update(i int, t *tree.Tree) (int, []sim.Pair) {
 // amortised rebuild cost linear.
 func (inc *Incremental) compact() {
 	start := time.Now()
-	inc.ix = buildInvIndex(inc.opts.Tau, inc.opts.Position, inc.parts) // Remove cleared the dead trees' slots
+	// Remove cleared the dead trees' slots.
+	inc.ix = buildInvIndex(inc.opts.Tau, inc.opts.Position, len(inc.parts), 1, func(i int, _ *partitionState) *Partition { return inc.parts[i] })
 	inc.smalls = inc.smalls[:0]
 	for ti, p := range inc.parts {
 		if p == nil && !inc.removed[ti] {

@@ -3,8 +3,11 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"treejoin/internal/lcrs"
 )
@@ -108,6 +111,68 @@ const (
 
 type twig struct{ root, left, right int32 }
 
+// twigTable maps a twig to its list id: open addressing with linear probing
+// over a power-of-two slot array kept at most half full. A probe node pays its
+// ≤4 lookups here and every indexed tree of a sharded join is probed against
+// S of these, so the table is flat — one multiply-mix of the 12-byte key and
+// a short scan of adjacent 16-byte slots — rather than a generic hash map.
+type twigTable struct {
+	slots []twigSlot
+	shift uint // 64 − log2(len(slots))
+	n     int  // keys held; list ids are 0..n−1 in arrival order
+}
+
+type twigSlot struct {
+	key  twig
+	list int32 // list id + 1; 0 marks an empty slot
+}
+
+func (t *twigTable) home(k twig) int {
+	h := (uint64(uint32(k.root))<<32 | uint64(uint32(k.left))) * 0x9E3779B97F4A7C15
+	h = (h ^ h>>32 ^ uint64(uint32(k.right))) * 0xC2B2AE3D27D4EB4F
+	return int(h >> t.shift)
+}
+
+// get returns the list id of k, or −1.
+func (t *twigTable) get(k twig) int32 {
+	if t.n == 0 {
+		return -1
+	}
+	for i := t.home(k); ; i = (i + 1) & (len(t.slots) - 1) {
+		if s := &t.slots[i]; s.list == 0 || s.key == k {
+			return s.list - 1
+		}
+	}
+}
+
+// list returns the list id of k, giving a new key the next id.
+func (t *twigTable) list(k twig) int32 {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]twigSlot, max(2*len(old), 16))
+		t.shift = uint(64 - bits.Len(uint(len(t.slots)-1)))
+		for _, s := range old {
+			if s.list != 0 {
+				i := t.home(s.key)
+				for t.slots[i].list != 0 {
+					i = (i + 1) & (len(t.slots) - 1)
+				}
+				t.slots[i] = s
+			}
+		}
+	}
+	for i := t.home(k); ; i = (i + 1) & (len(t.slots) - 1) {
+		s := &t.slots[i]
+		if s.list == 0 {
+			t.n++
+			*s = twigSlot{key: k, list: int32(t.n)}
+		}
+		if s.key == k {
+			return s.list - 1
+		}
+	}
+}
+
 // posting is one index entry: a subgraph (component comp of tree's
 // partition) filed under its tree's size and a position key, with the offset
 // of its match program in the index's arena. PositionPaper files one
@@ -123,44 +188,82 @@ func comparePostings(a, b posting) int {
 	return cmp.Or(cmp.Compare(a.size, b.size), cmp.Compare(a.pos, b.pos))
 }
 
-// invIndex is the on-the-fly index of Algorithm 1. Reads (probe, matches)
-// touch no mutable state, so a fully built index is safe for concurrent use.
+// invIndex is the subgraph index. Reads (probe, matches) touch no mutable
+// state, so a fully built index is safe for concurrent use — the joins, Search
+// and KNN all probe one frozen instance; only Incremental keeps inserting.
 type invIndex struct {
 	tau   int
 	mode  PositionFilter
-	lists map[twig]int32 // twig -> position of its list in posts
-	posts [][]posting    // each sorted by (size, pos), equal keys in insertion order
-	progs []twig         // match programs, see encode
-	n     int64          // postings inserted
-	stack []int32        // encode's scratch
+	lists twigTable   // twig -> position of its list in posts
+	posts [][]posting // each sorted by (size, pos), equal keys in tree order
+	progs []uint32    // match programs, see encode
+	n     int64       // postings inserted
+	stack []int32     // encode's scratch
 }
 
-// newInvIndex returns an empty index whose match-program arena has room for
-// nodes tree nodes (0 when the caller cannot tell; the arena grows).
-func newInvIndex(tau int, mode PositionFilter, nodes int) *invIndex {
-	return &invIndex{tau: tau, mode: mode, lists: make(map[twig]int32), progs: make([]twig, 0, nodes)}
+func newInvIndex(tau int, mode PositionFilter) *invIndex {
+	return &invIndex{tau: tau, mode: mode}
 }
 
-// buildInvIndex indexes every non-nil partition of parts (tree index =
-// slice position) in bulk: postings are appended in arrival order and each
-// list is sorted once at the end.
-func buildInvIndex(tau int, mode PositionFilter, parts []*Partition) *invIndex {
-	nodes := 0
-	for _, p := range parts {
-		if p != nil {
-			nodes += p.Bin.Size()
+// buildInvIndex indexes trees 0..n−1 in bulk on up to workers goroutines:
+// part(i) yields tree i's partition, or nil for a tree that is not indexed
+// (too small, removed). Each worker partitions and compiles a contiguous run
+// of trees into an index of its own; the runs are then concatenated in tree
+// order and every list sorted once — the only serial part — into exactly
+// sized storage, since the result is retained for as long as its corpus
+// epoch.
+func buildInvIndex(tau int, mode PositionFilter, n, workers int, part func(i int, st *partitionState) *Partition) *invIndex {
+	workers = max(1, min(workers, n))
+	runs := make([]*invIndex, workers)
+	var wg sync.WaitGroup
+	for w := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run, st := newInvIndex(tau, mode), new(partitionState)
+			for i := w * n / workers; i < (w+1)*n/workers; i++ {
+				if p := part(i, st); p != nil {
+					run.add(i, p, false)
+				}
+			}
+			runs[w] = run
+		}()
+	}
+	wg.Wait()
+	ix := runs[0]
+	for _, run := range runs[1:] {
+		base := int32(len(ix.progs))
+		ix.progs = append(ix.progs, run.progs...)
+		for _, s := range run.lists.slots {
+			if s.list == 0 {
+				continue
+			}
+			li := ix.list(s.key)
+			for _, e := range run.posts[s.list-1] {
+				e.prog += base
+				ix.posts[li] = append(ix.posts[li], e)
+			}
 		}
+		ix.n += run.n
 	}
-	ix := newInvIndex(tau, mode, nodes)
-	for ti, p := range parts {
-		if p != nil {
-			ix.add(ti, p, false)
-		}
+	block := make([]posting, 0, ix.n)
+	for li, ps := range ix.posts {
+		at := len(block)
+		block = append(block, ps...)
+		ix.posts[li] = block[at:len(block):len(block)]
+		slices.SortStableFunc(ix.posts[li], comparePostings)
 	}
-	for _, ps := range ix.posts {
-		slices.SortStableFunc(ps, comparePostings)
-	}
+	ix.progs, ix.stack = slices.Clone(ix.progs), nil
 	return ix
+}
+
+// list returns the position in posts of tw's list, creating it if needed.
+func (ix *invIndex) list(tw twig) int32 {
+	li := ix.lists.list(tw)
+	if int(li) == len(ix.posts) {
+		ix.posts = append(ix.posts, nil)
+	}
+	return li
 }
 
 // nodeTwig computes the label twig of node v of component c; the root's is
@@ -200,8 +303,8 @@ func postorderRanks(p *Partition) []int {
 }
 
 // insert adds every subgraph of p (a partition of tree treeIdx) to the
-// index, keeping each touched list sorted. Ascending-size arrival (the join
-// loop) appends; any other order pays a binary search and a shift.
+// index, keeping each touched list sorted: Incremental's arrival-order
+// inserts pay a binary search and a shift.
 func (ix *invIndex) insert(treeIdx int, p *Partition) { ix.add(treeIdx, p, true) }
 
 func (ix *invIndex) add(treeIdx int, p *Partition, sorted bool) {
@@ -223,13 +326,7 @@ func (ix *invIndex) add(treeIdx int, p *Partition, sorted bool) {
 			slack := int32(ix.tau - ranks[c]/2)
 			lo, hi = max(rk-slack, 0), rk+slack
 		}
-		tw := ix.progs[e.prog] // a program starts with its root's twig
-		li, ok := ix.lists[tw]
-		if !ok {
-			li = int32(len(ix.posts))
-			ix.lists[tw] = li
-			ix.posts = append(ix.posts, nil)
-		}
+		li := ix.list(nodeTwig(p, c, p.Roots[c]))
 		ps := ix.posts[li]
 		for e.pos = lo; e.pos <= hi; e.pos++ {
 			at := len(ps)
@@ -272,10 +369,21 @@ func probeKeys(b *lcrs.Bin, n int32, keys *[4]twig) int {
 	return k
 }
 
+// noTieLimit is probe's tieBelow for callers that admit every tree of the
+// largest size (Search, Incremental).
+const noTieLimit = math.MaxInt32
+
 // probe visits the index entries that are twig- and position-compatible with
-// node n of probe tree b, for every indexed tree size in [minSize, maxSize].
-// It reports the number of entries visited.
-func (ix *invIndex) probe(b *lcrs.Bin, n int32, minSize, maxSize int, visit func(posting)) int64 {
+// node n of probe tree b, for every indexed tree size in [minSize, maxSize];
+// of the trees of exactly maxSize, only those numbered below tieBelow. It
+// reports the number of entries visited.
+//
+// tieBelow is what lets a join probe an index built ahead of it: Algorithm 1
+// offers a probe the trees before it in the (size, number) order, and a
+// posting with size below the probe's is before it whatever its number, so
+// maxSize = the probe's size and tieBelow = its number admit exactly the
+// postings the on-the-fly index would hold at that moment.
+func (ix *invIndex) probe(b *lcrs.Bin, n int32, minSize, maxSize int, tieBelow int32, visit func(posting)) int64 {
 	var keys [4]twig
 	nk := probeKeys(b, n, &keys)
 	psize := int32(b.Size())
@@ -286,17 +394,12 @@ func (ix *invIndex) probe(b *lcrs.Bin, n int32, minSize, maxSize int, visit func
 	}
 	var visited int64
 	for k := 0; k < nk; k++ {
-		li, ok := ix.lists[keys[k]]
-		if !ok {
+		li := ix.lists.get(keys[k])
+		if li < 0 {
 			continue
 		}
 		ps := ix.posts[li]
-		// First posting of an admissible size: gallop back from the tail,
-		// where the join's ascending-size probes always land, then bisect.
-		i, end, step := len(ps), len(ps), 1
-		for i > 0 && int(ps[i-1].size) >= minSize {
-			i, end, step = max(i-step, 0), i-1, step*2
-		}
+		i, end := 0, len(ps) // bisect to the first posting of an admissible size
 		for i < end {
 			if m := int(uint(i+end) >> 1); int(ps[m].size) < minSize {
 				i = m + 1
@@ -305,15 +408,18 @@ func (ix *invIndex) probe(b *lcrs.Bin, n int32, minSize, maxSize int, visit func
 			}
 		}
 		for i < len(ps) && int(ps[i].size) <= maxSize {
-			size := ps[i].size
+			size, below := ps[i].size, int32(noTieLimit)
+			if int(size) == maxSize {
+				below = tieBelow
+			}
 			if ix.mode == PositionSafe { // size-difference-aware window around r
 				d := int(psize - size) // probe minus pattern size
 				lo, hi = r-int32((ix.tau+d)/2), r+int32((ix.tau-d)/2)
 			}
 			for ; i < len(ps) && ps[i].size == size; i++ {
-				if pos := ps[i].pos; pos >= lo && pos <= hi {
+				if e := &ps[i]; e.pos >= lo && e.pos <= hi && e.tree < below {
 					visited++
-					visit(ps[i])
+					visit(*e)
 				}
 			}
 		}

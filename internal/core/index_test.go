@@ -131,7 +131,7 @@ func TestProbeWindowMath(t *testing.T) {
 	bp := lcrs.Build(pat)
 	tau := 2
 	p := Compute(bp, 2*tau+1)
-	ix := newInvIndex(tau, PositionSafe, 0)
+	ix := newInvIndex(tau, PositionSafe)
 	ix.insert(0, p)
 
 	// Probing with the identical tree must visit every component once per
@@ -140,7 +140,7 @@ func TestProbeWindowMath(t *testing.T) {
 	var sc matchScratch
 	hits := make(map[int32]bool)
 	for _, n := range bp.Order {
-		ix.probe(bp, n, pat.Size(), pat.Size(), func(e posting) {
+		ix.probe(bp, n, pat.Size(), pat.Size(), noTieLimit, func(e posting) {
 			if ix.matches(e, bp, n, &sc) {
 				hits[e.comp] = true
 			}
@@ -155,14 +155,16 @@ func TestProbeWindowMath(t *testing.T) {
 
 // bruteProbe is the documented contract of probe, applied to every posting
 // ever inserted: same twig as one of the node's keys, size within
-// [minSize, maxSize], and position inside the mode's window.
-func bruteProbe(all []posting, twigs map[int32]twig, tau int, mode PositionFilter, b *lcrs.Bin, n int32, minSize, maxSize int) map[posting]int {
+// [minSize, maxSize], at maxSize a tree number below tieBelow, and position
+// inside the mode's window.
+func bruteProbe(all []posting, twigs map[int32]twig, tau int, mode PositionFilter, b *lcrs.Bin, n int32, minSize, maxSize int, tieBelow int32) map[posting]int {
 	var keys [4]twig
 	nk := probeKeys(b, n, &keys)
 	r := int32(b.Size()) - 1 - b.GenRank[n]
 	want := make(map[posting]int)
 	for _, e := range all {
-		if int(e.size) < minSize || int(e.size) > maxSize || !slices.Contains(keys[:nk], twigs[e.prog]) {
+		if int(e.size) < minSize || int(e.size) > maxSize || int(e.size) == maxSize && e.tree >= tieBelow ||
+			!slices.Contains(keys[:nk], twigs[e.prog]) {
 			continue
 		}
 		lo, hi := r, r // PositionPaper probes the point; ranges were stored
@@ -182,10 +184,10 @@ func bruteProbe(all []posting, twigs map[int32]twig, tau int, mode PositionFilte
 
 // TestProbeVisitsExactlyTheWindow: for random trees, every position mode and
 // every way of building the index (ascending-size inserts, shuffled inserts,
-// bulk build), the multiset of postings probe visits at a node equals a
-// brute-force scan of everything inserted against the size and position
-// windows — and the lists stay sorted, which is what probe's binary search
-// assumes.
+// bulk build on one goroutine and on several), the multiset of postings probe
+// visits at a node equals a brute-force scan of everything inserted against
+// the size and position windows and the tie limit — and the lists stay
+// sorted, which is what probe's binary search assumes.
 func TestProbeVisitsExactlyTheWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
 	lt := tree.NewLabelTable()
@@ -210,7 +212,7 @@ func TestProbeVisitsExactlyTheWindow(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		sort.SliceStable(ascending, func(i, j int) bool { return parts[ascending[i]].Bin.Size() < parts[ascending[j]].Bin.Size() })
 
-		built := map[string]*invIndex{"sorted": newInvIndex(tau, mode, 0), "shuffled": newInvIndex(tau, mode, 0), "bulk": buildInvIndex(tau, mode, parts)}
+		built := map[string]*invIndex{"sorted": newInvIndex(tau, mode), "shuffled": newInvIndex(tau, mode), "bulk": bulkIndex(tau, mode, parts, 1), "bulk3": bulkIndex(tau, mode, parts, 3)}
 		for _, ti := range ascending {
 			built["sorted"].insert(ti, parts[ti])
 		}
@@ -221,8 +223,14 @@ func TestProbeVisitsExactlyTheWindow(t *testing.T) {
 		for name, ix := range built {
 			var all []posting
 			twigs := make(map[int32]twig)
-			for tw, li := range ix.lists {
-				ps := ix.posts[li]
+			for _, slot := range ix.lists.slots {
+				if slot.list == 0 {
+					continue
+				}
+				tw, ps := slot.key, ix.posts[slot.list-1]
+				if ix.lists.get(tw) != slot.list-1 {
+					t.Fatalf("%s/%v: table does not find %+v where it holds it", name, mode, tw)
+				}
 				if !slices.IsSortedFunc(ps, comparePostings) {
 					t.Fatalf("%s/%v: list of %+v is not sorted by (size, pos)", name, mode, tw)
 				}
@@ -236,12 +244,16 @@ func TestProbeVisitsExactlyTheWindow(t *testing.T) {
 			}
 			for _, b := range probes {
 				minSize, maxSize := b.Size()-rng.Intn(tau+1), b.Size()+rng.Intn(tau+1)
+				tieBelow := int32(noTieLimit)
+				if rng.Intn(2) == 0 {
+					tieBelow = int32(rng.Intn(len(parts) + 1))
+				}
 				for _, n := range b.Order {
 					got := make(map[posting]int)
-					visited := ix.probe(b, n, minSize, maxSize, func(e posting) { got[e]++ })
-					want := bruteProbe(all, twigs, tau, mode, b, n, minSize, maxSize)
+					visited := ix.probe(b, n, minSize, maxSize, tieBelow, func(e posting) { got[e]++ })
+					want := bruteProbe(all, twigs, tau, mode, b, n, minSize, maxSize, tieBelow)
 					if !maps.Equal(got, want) {
-						t.Fatalf("%s/%v τ=%d node %d sizes [%d,%d]: probe visited %v, brute force admits %v", name, mode, tau, n, minSize, maxSize, got, want)
+						t.Fatalf("%s/%v τ=%d node %d sizes [%d,%d] ties below %d: probe visited %v, brute force admits %v", name, mode, tau, n, minSize, maxSize, tieBelow, got, want)
 					}
 					made := 0
 					for _, c := range got {
@@ -265,7 +277,7 @@ func TestPaperModeStoresRanges(t *testing.T) {
 	tau := 2
 	delta := 2*tau + 1
 	p := Compute(bp, delta)
-	ix := newInvIndex(tau, PositionPaper, 0)
+	ix := newInvIndex(tau, PositionPaper)
 	ix.insert(0, p)
 	added := ix.n
 	// Σ_k (2·(τ−⌊k/2⌋)+1) for k=1..5, τ=2: 5+3+3+1+1 = 13, minus any range
@@ -273,4 +285,9 @@ func TestPaperModeStoresRanges(t *testing.T) {
 	if added > 13 || added < int64(delta) {
 		t.Fatalf("PositionPaper added %d entries", added)
 	}
+}
+
+// bulkIndex is buildInvIndex over partitions computed beforehand.
+func bulkIndex(tau int, mode PositionFilter, parts []*Partition, workers int) *invIndex {
+	return buildInvIndex(tau, mode, len(parts), workers, func(i int, _ *partitionState) *Partition { return parts[i] })
 }

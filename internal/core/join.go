@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"treejoin/internal/engine"
@@ -26,11 +27,19 @@ type Options struct {
 	// lower bounds before the cubic TED (see verify.go). Ignored when
 	// Verifier is set; not supported by Incremental.
 	HybridVerify bool
-	// Workers parallelises TED verification, the partitioning pre-pass, and
-	// (through ShardedSelfJoin's fragment-and-replicate decomposition) the
-	// candidate generation tasks. 1 runs sequentially; values below 1
-	// ("unset") are normalized to runtime.GOMAXPROCS(0).
+	// Workers parallelises the index build, the probe chunks and TED
+	// verification. 1 runs sequentially; values below 1 ("unset") are
+	// normalized to runtime.GOMAXPROCS(0).
 	Workers int
+	// Indexes, when non-nil, resolves the shared frozen index of one side of
+	// a join (0: the collection of a self join or side A of a cross join, 1:
+	// side B) at threshold tau and the options' position mode — a corpus's
+	// per-epoch index cache, which Search and KNN fill and use too. built
+	// reports that this call paid for the build. The source probes the index
+	// only if it covers exactly that side's trees and builds a private one
+	// otherwise (nil included), so a stale or foreign index can never produce
+	// wrong candidates. Ignored under RandomPartition and by Incremental.
+	Indexes func(ctx context.Context, side, tau int) (ix *Index, built bool)
 }
 
 func (o Options) delta() int { return 2*o.Tau + 1 }
@@ -69,7 +78,8 @@ func (o Options) Job(shards int, filters []engine.PairFilter) engine.Job {
 // SelfJoin implements Algorithm 1 (PartSJ): it reports every pair of trees in
 // ts with TED ≤ opts.Tau, in canonical (I, J) order, together with execution
 // statistics. Trees must share a label table. The index over subgraphs is
-// built during the join; no preprocessing is required.
+// built at the start of the join (see source.go); no preprocessing is
+// required.
 //
 // Trees smaller than δ = 2τ+1 nodes cannot be δ-partitioned (a δ-partitioning
 // needs 2τ distinct edges); the paper does not discuss them. They are kept in
@@ -85,9 +95,8 @@ func SelfJoin(ts []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
 // Join reports every cross pair (a ∈ A, b ∈ B) with TED ≤ opts.Tau. Pair.I
 // indexes into A and Pair.J into B. Both collections must share one label
 // table. The engine processes the union of the collections in ascending
-// size order, maintaining one subgraph index per side and probing the
-// opposite side's index, so the Lemma 2 filter applies to every cross pair
-// exactly as in the self join.
+// size order, each tree probing the opposite side's subgraph index, so the
+// Lemma 2 filter applies to every cross pair exactly as in the self join.
 func Join(a, b []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
 	if err := opts.validate(); err != nil {
 		panic(err)

@@ -1,0 +1,257 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"treejoin/internal/baseline"
+	"treejoin/internal/engine"
+	"treejoin/internal/lcrs"
+	"treejoin/internal/sim"
+	"treejoin/internal/tree"
+)
+
+// The sequential probe-and-insert loop of Algorithm 1 (lines 3–16), as the
+// join ran it before build-then-probe: one pass over the size order, each tree
+// probing an index that holds exactly the trees before it and then joining
+// it. It is kept as the oracle of the frozen-index source: same candidates,
+// same counters.
+
+// loopOracle holds the loop's state; see run.
+type loopOracle struct {
+	ts    []*tree.Tree // the collection; A ++ B for a cross join
+	split int          // len(A), or −1 for a self join
+	opts  Options
+	keep  func(i, j int) bool // the prefilter chain; nil keeps every pair
+
+	bins  []*lcrs.Bin
+	state []int64
+	gen   int64
+	sc    matchScratch
+	st    partitionState
+
+	cands map[[2]int]int // candidate multiset, keyed by (smaller, larger) index
+	stats sim.Stats
+}
+
+// run is the probe/insert loop over the ascending-size order: a tree probes
+// the opposite side's index and is inserted into its own, so with one side
+// every preceding pair is offered and with two sides only cross pairs are.
+func (j *loopOracle) run() {
+	n := len(j.ts)
+	j.bins, j.state, j.gen, j.cands = make([]*lcrs.Bin, n), make([]int64, n), 1, make(map[[2]int]int)
+	nSides := 1
+	if j.split >= 0 {
+		nSides = 2
+	}
+	ixes, smalls := make([]*invIndex, nSides), make([][]int, nSides)
+	for i := range ixes {
+		ixes[i] = newInvIndex(j.opts.Tau, j.opts.Position)
+	}
+	for _, ti := range sim.SizeOrder(j.ts) {
+		s := 0
+		if j.split >= 0 && ti >= j.split {
+			s = 1
+		}
+		j.bins[ti] = lcrs.Build(j.ts[ti])
+		probe := (nSides - 1) - s*(nSides-1) // 0 for self joins, 1-s for cross
+		j.probeAndCollect(ti, ixes[probe], smalls[probe])
+		// Algorithm 1 lines 13–16: partition the tree and add its subgraphs,
+		// or record it as a small tree.
+		if j.ts[ti].Size() >= j.opts.delta() {
+			ixes[s].insert(ti, compute(j.bins[ti], j.opts.delta(), &j.st))
+		} else {
+			smalls[s] = append(smalls[s], ti)
+		}
+	}
+	for _, ix := range ixes {
+		j.stats.IndexedSubgraphs += ix.n
+	}
+}
+
+func (j *loopOracle) screen(a, b int) bool { return j.keep == nil || j.keep(a, b) }
+
+func (j *loopOracle) emit(a, b int) { j.cands[[2]int{min(a, b), max(a, b)}]++ }
+
+// probeAndCollect gathers the candidate partners of tree ti among the trees
+// already inserted into ix and smalls (Algorithm 1 lines 5–10). Pairs pass
+// the filter chain before any subgraph-match test.
+func (j *loopOracle) probeAndCollect(ti int, ix *invIndex, smalls []int) {
+	b, sz := j.bins[ti], j.ts[ti].Size()
+	gen := j.gen
+	j.gen++
+	// Small-tree fallback: trees below δ nodes were never indexed.
+	for _, other := range smalls {
+		if j.ts[other].Size() >= sz-j.opts.Tau && j.screen(ti, other) {
+			j.stats.SmallTreeFallback++
+			j.emit(ti, other)
+		}
+	}
+	for _, n := range b.Order {
+		j.stats.SubgraphProbes += ix.probe(b, n, max(sz-j.opts.Tau, 1), sz, noTieLimit, func(e posting) {
+			switch st := j.state[e.tree]; {
+			case st>>2 != gen:
+				if !j.screen(ti, int(e.tree)) {
+					j.state[e.tree] = gen<<2 | stKilled
+					return
+				}
+				j.state[e.tree] = gen<<2 | stPassed
+			case st&3 != stPassed: // already emitted or killed this probe
+				return
+			}
+			j.stats.MatchTests++
+			if ix.matches(e, b, n, &j.sc) {
+				j.stats.MatchHits++
+				j.state[e.tree] = gen<<2 | stEmitted
+				j.emit(ti, int(e.tree))
+			}
+		})
+	}
+}
+
+// clusteredTrees draws n trees in clusters of near-duplicates a few edits
+// apart — so that joins have candidates — with a few trees too small to
+// partition, all distinct objects.
+func clusteredTrees(rng *rand.Rand, n int, lt *tree.LabelTable) []*tree.Tree {
+	ts := make([]*tree.Tree, 0, n)
+	for len(ts) < n {
+		base := randomSizedTree(rng, 1+rng.Intn(24), lt)
+		for k := 1 + rng.Intn(5); k > 0 && len(ts) < n; k-- {
+			t := base.Clone()
+			for e := rng.Intn(4); e > 0; e-- {
+				t = randomEditOp(rng, t, lt)
+			}
+			ts = append(ts, t)
+		}
+	}
+	rng.Shuffle(n, func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+	return ts
+}
+
+// TestProbesAgreeWithSequentialLoop: over random collections, every
+// threshold 0..4, every position mode, self and cross joins, with and
+// without a HIST prefilter, on 1, 2 and 8 workers (and more probe chunks than
+// that), the frozen-index source hands the verifier the candidate multiset
+// the sequential loop produces, and reports its four index counters and its
+// small-tree count. A corpus-style resolver that serves one index to every
+// run must change nothing.
+func TestProbesAgreeWithSequentialLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1307))
+	lt := tree.NewLabelTable()
+	iters := 24
+	if testing.Short() {
+		iters = 8
+	}
+	for iter := 0; iter < iters; iter++ {
+		ts := clusteredTrees(rng, 40+rng.Intn(60), lt)
+		split := -1
+		if iter%2 == 1 {
+			split = len(ts) / 3
+		}
+		at := make(map[*tree.Tree]int, len(ts))
+		for i, tr := range ts {
+			at[tr] = i
+		}
+		profiles := make([]*baseline.HistProfile, len(ts))
+		for i, tr := range ts {
+			profiles[i] = baseline.NewHistProfile(tr)
+		}
+		for tau := 0; tau <= 4; tau++ {
+			for _, mode := range []PositionFilter{PositionSafe, PositionPaper, PositionOff} {
+				for _, hist := range []bool{false, true} {
+					opts := Options{Tau: tau, Position: mode}
+					want := &loopOracle{ts: ts, split: split, opts: opts}
+					var filters []engine.PairFilter
+					if hist {
+						want.keep = func(i, j int) bool { return baseline.HistLowerBound(profiles[i], profiles[j]) <= tau }
+						filters = []engine.PairFilter{baseline.HISTFilter()}
+					}
+					want.run()
+
+					// One resolver for all worker counts: the first run builds
+					// each side's index, the rest must find and accept it.
+					shared := map[int]*Index{}
+					builds := 0
+					opts.Indexes = func(_ context.Context, side, tau int) (*Index, bool) {
+						if x := shared[side]; x != nil {
+							return x, false
+						}
+						side0 := ts
+						if split >= 0 {
+							side0 = [][]*tree.Tree{ts[:split], ts[split:]}[side]
+						}
+						o := opts
+						o.Workers = 2
+						shared[side] = NewIndexCached(side0, o, nil)
+						builds++
+						return shared[side], true
+					}
+					for _, workers := range []int{1, 2, 8} {
+						name := fmt.Sprintf("iter %d split %d τ=%d %v hist=%v workers=%d", iter, split, tau, mode, hist, workers)
+						var mu sync.Mutex
+						got := make(map[[2]int]int)
+						opts.Workers = workers
+						opts.Verifier = func(t1, t2 *tree.Tree, _ int) (int, bool) {
+							i, j := at[t1], at[t2]
+							mu.Lock()
+							got[[2]int{min(i, j), max(i, j)}]++
+							mu.Unlock()
+							return 0, false
+						}
+						job := opts.Job(workers+1, filters)
+						var st *sim.Stats
+						if split < 0 {
+							_, st = job.SelfJoin(ts)
+						} else {
+							_, st = job.Join(ts[:split], ts[split:])
+						}
+						if !maps.Equal(got, want.cands) {
+							t.Fatalf("%s: candidates differ from the sequential loop's:\n got %v\nwant %v", name, got, want.cands)
+						}
+						w := want.stats
+						if st.SubgraphProbes != w.SubgraphProbes || st.MatchTests != w.MatchTests || st.MatchHits != w.MatchHits ||
+							st.IndexedSubgraphs != w.IndexedSubgraphs || st.SmallTreeFallback != w.SmallTreeFallback {
+							t.Fatalf("%s: probes/tests/hits/indexed/small = %d/%d/%d/%d/%d, the loop's %d/%d/%d/%d/%d", name,
+								st.SubgraphProbes, st.MatchTests, st.MatchHits, st.IndexedSubgraphs, st.SmallTreeFallback,
+								w.SubgraphProbes, w.MatchTests, w.MatchHits, w.IndexedSubgraphs, w.SmallTreeFallback)
+						}
+						if (st.IndexBuildTime > 0) != (workers == 1) {
+							t.Fatalf("%s: IndexBuildTime %v; only the first run builds", name, st.IndexBuildTime)
+						}
+					}
+					if sides := len(shared); builds != sides {
+						t.Fatalf("iter %d: %d index builds for %d sides", iter, builds, sides)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestForeignIndexIsNotProbed: a resolver that hands back an index over other
+// trees, or at another threshold, is ignored — the run builds its own.
+func TestForeignIndexIsNotProbed(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	lt := tree.NewLabelTable()
+	ts := clusteredTrees(rng, 60, lt)
+	want, _ := SelfJoin(ts, Options{Tau: 2})
+	for name, foreign := range map[string]*Index{
+		"other trees":     NewIndex(ts[:59], Options{Tau: 2}),
+		"other threshold": NewIndex(ts, Options{Tau: 1}),
+		"other mode":      NewIndex(ts, Options{Tau: 2, Position: PositionOff}),
+	} {
+		opts := Options{Tau: 2, Indexes: func(context.Context, int, int) (*Index, bool) { return foreign, false }}
+		got, st := SelfJoin(ts, opts)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: a foreign index changed the result", name)
+		}
+		if st.IndexBuildTime == 0 {
+			t.Fatalf("%s: no private index was built", name)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"treejoin/internal/core"
@@ -14,9 +15,16 @@ import (
 func TestKNNIndexCacheEviction(t *testing.T) {
 	ts := synth.Synthetic(30, 19)
 	knn := core.NewKNNCached(ts, core.Options{Tau: 1}, engine.NewCache(), 2)
+	indexAt := func(tau int) *core.Index {
+		ix, _, err := knn.IndexAt(context.Background(), tau, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
 
 	for _, tau := range []int{1, 2, 4, 8} {
-		knn.IndexAt(tau)
+		indexAt(tau)
 	}
 	if n := knn.CachedIndexes(); n > 2 {
 		t.Fatalf("cache holds %d indexes, cap 2", n)
@@ -26,17 +34,17 @@ func TestKNNIndexCacheEviction(t *testing.T) {
 	}
 
 	// LRU order: touching 4 then inserting 16 must evict 8, not 4.
-	knn.IndexAt(4)
-	ix4 := knn.IndexAt(4) // cached: same pointer both times
-	if knn.IndexAt(4) != ix4 {
+	indexAt(4)
+	ix4 := indexAt(4) // cached: same pointer both times
+	if indexAt(4) != ix4 {
 		t.Fatal("repeated IndexAt(4) rebuilt a cached index")
 	}
 	ev := knn.Evictions()
-	knn.IndexAt(16)
+	indexAt(16)
 	if knn.Evictions() != ev+1 {
 		t.Fatalf("inserting past cap evicted %d entries, want 1", knn.Evictions()-ev)
 	}
-	if knn.IndexAt(4) != ix4 {
+	if indexAt(4) != ix4 {
 		t.Fatal("most-recently-used index 4 was evicted instead of 8")
 	}
 

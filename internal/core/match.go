@@ -25,16 +25,38 @@ import (
 // components' matches, so the filter is safe; see DESIGN.md.
 //
 // The index does not walk the partition to run this test. At insert time each
-// component is compiled into a match program: its nodes' twigs in component
+// component is compiled into a match program: one word per node in component
 // preorder (node, in-component left subtree, in-component right subtree),
-// contiguous in the index's arena. A twig says everything the rules above
-// need about one node — its label and, per slot, empty / bridge / descend —
-// and preorder makes the walk implicit: the twig after a node's is its left
-// child's if that slot descends, else its right child's, else the twig of
-// whichever right child is still pending. The pattern side of a match test is
-// thus one sequential read instead of a tree → partition → view → node →
-// component pointer chase per node. (The pointer walk survives in the tests,
-// as the programs' oracle.)
+// contiguous in the index's arena. A word holds everything the rules above
+// need about one node — its label and, per slot, empty / bridge / descend
+// (the label of a child that is descended into is read from the child's own
+// word) — and preorder makes the walk implicit: the word after a node's is
+// its left child's if that slot descends, else its right child's, else the
+// word of whichever right child is still pending. The pattern side of a match
+// test is thus one sequential read of 4 bytes per node instead of a tree →
+// partition → view → node → component pointer chase per node. (The pointer
+// walk survives in the tests, as the programs' oracle.)
+
+// A program word is label<<5 | left<<3 | right<<1, the slots as slotKind; a
+// label too large for its 27 bits sets bit 0 and follows in a word of its own.
+const (
+	kindEmpty uint32 = iota
+	kindBridge
+	kindDescend
+	wideLabel = 1 << 27
+)
+
+// slotKind maps a twig slot (a child label, slotBridge or slotEmpty) to its
+// kind.
+func slotKind(slot int32) uint32 {
+	switch slot {
+	case slotEmpty:
+		return kindEmpty
+	case slotBridge:
+		return kindBridge
+	}
+	return kindDescend
+}
 
 // encode appends component c's match program to the arena and returns its
 // offset. The program is self-delimiting: it ends when no slot is pending.
@@ -46,7 +68,11 @@ func (ix *invIndex) encode(p *Partition, c int32) int32 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		tw := nodeTwig(p, c, v)
-		ix.progs = append(ix.progs, tw)
+		if slots := slotKind(tw.left)<<3 | slotKind(tw.right)<<1; tw.root < wideLabel {
+			ix.progs = append(ix.progs, uint32(tw.root)<<5|slots)
+		} else {
+			ix.progs = append(ix.progs, slots|1, uint32(tw.root))
+		}
 		if tw.right >= 0 {
 			stack = append(stack, b.Right(v))
 		}
@@ -71,20 +97,25 @@ func (ix *invIndex) matches(e posting, probe *lcrs.Bin, n int32, sc *matchScratc
 	nodes := probe.Tree.Nodes
 	sc.stack = sc.stack[:0]
 	for pc := e.prog; ; pc++ {
-		tw := ix.progs[pc]
+		w := ix.progs[pc]
+		label, left, right := int32(w>>5), w>>3&3, w>>1&3
+		if w&1 != 0 {
+			pc++
+			label = int32(ix.progs[pc])
+		}
 		nd := &nodes[n]
-		if tw.root != nd.Label ||
-			(tw.left == slotEmpty) != (nd.FirstChild == lcrs.None) ||
-			(tw.right == slotEmpty) != (nd.NextSibling == lcrs.None) {
+		if label != nd.Label ||
+			(left == kindEmpty) != (nd.FirstChild == lcrs.None) ||
+			(right == kindEmpty) != (nd.NextSibling == lcrs.None) {
 			return false
 		}
 		switch {
-		case tw.left >= 0:
-			if tw.right >= 0 {
+		case left == kindDescend:
+			if right == kindDescend {
 				sc.stack = append(sc.stack, nd.NextSibling)
 			}
 			n = nd.FirstChild
-		case tw.right >= 0:
+		case right == kindDescend:
 			n = nd.NextSibling
 		case len(sc.stack) > 0:
 			n = sc.stack[len(sc.stack)-1]

@@ -186,7 +186,7 @@ func TestIndexProbeFindsMatches(t *testing.T) {
 			t2 = randomEditOp(rng, t2, lt)
 		}
 		b2 := lcrs.Build(t2)
-		ix := newInvIndex(tau, PositionOff, 0)
+		ix := newInvIndex(tau, PositionOff)
 		ix.insert(0, p)
 		var sc matchScratch
 		// For every (node, component) with a structural match, the PositionOff
@@ -198,7 +198,7 @@ func TestIndexProbeFindsMatches(t *testing.T) {
 					continue
 				}
 				seen := false
-				ix.probe(b2, node, b1.Size(), b1.Size(), func(e posting) {
+				ix.probe(b2, node, b1.Size(), b1.Size(), noTieLimit, func(e posting) {
 					if e.comp == int32(c) && ix.matches(e, b2, node, &sc) {
 						seen = true
 					}

@@ -1,32 +1,42 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"math/rand"
+	"slices"
+	"sync"
+	"time"
 
 	"treejoin/internal/engine"
 	"treejoin/internal/lcrs"
+	"treejoin/internal/sim"
 	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
-// Index is a static similarity-search index over a fixed collection: build
-// once, then Search reports every collection tree within TED τ of a query.
-// It is the similarity-search counterpart of the join ([13, 16, 27] study
-// this query; PartSJ's subgraph index answers it directly): every collection
-// tree is δ-partitioned at build time, and a query is probed against the
-// subgraph index exactly like the current tree in Algorithm 1 — Lemma 2
-// applies with the collection tree as the partitioned side, so no size
-// relationship between query and data is required.
+// Index is the frozen subgraph index of a fixed collection at one threshold:
+// every tree is δ-partitioned and indexed once, and everything that needs
+// PartSJ candidates over that collection — Search, KNN, and the self and
+// cross joins, which probe it from every worker — shares the one instance
+// for as long as the collection's epoch lasts. A query is probed against it
+// exactly like the current tree in Algorithm 1 — Lemma 2 applies with the
+// collection tree as the partitioned side, so no size relationship between
+// query and data is required ([13, 16, 27] study the search query; PartSJ's
+// index answers it directly).
 //
-// Search is safe for concurrent use: probing state is per-call, and the
-// index is immutable after NewIndex.
+// An Index is immutable after NewIndex and safe for concurrent use; probing
+// state is per call.
 type Index struct {
 	opts   Options
 	ts     []*tree.Tree
 	cache  *engine.Cache
-	seqs   *seqCache // non-nil when the index owns the hybrid verifier
 	ix     *invIndex
-	smalls []int
+	smalls []int32 // trees below δ nodes, ascending (size, position)
+	built  time.Duration
+
+	seqsOnce sync.Once
+	seqs     *seqCache // the hybrid verifier's sequences, built on first use
 }
 
 // Match is one search hit: collection position and exact distance.
@@ -36,9 +46,9 @@ type Match struct {
 }
 
 // NewIndex partitions and indexes every tree of ts for searches with
-// threshold opts.Tau. RandomPartition and Workers are ignored; the verifier
-// is used by Search. It panics on invalid options — the legacy contract;
-// corpus-backed callers validate first and use NewIndexCached.
+// threshold opts.Tau; the verifier options are used by Search. It panics on
+// invalid options — the legacy contract; corpus-backed callers validate first
+// and use NewIndexCached.
 func NewIndex(ts []*tree.Tree, opts Options) *Index {
 	if err := opts.validate(); err != nil {
 		panic(err)
@@ -48,35 +58,44 @@ func NewIndex(ts []*tree.Tree, opts Options) *Index {
 
 // NewIndexCached is NewIndex drawing per-tree artifacts (binary views and
 // δ-partitions) from cache, so an index built over a corpus's trees reuses
-// the signatures its joins already computed — and later indexes at other
-// thresholds reuse at least the views. A nil cache computes everything
-// locally. Options must be valid.
+// the signatures earlier indexes computed — and indexes at other thresholds
+// reuse at least the views. A nil cache computes everything locally. The
+// build runs on opts.Workers goroutines (partitioning and program
+// compilation per tree; see buildInvIndex), except under RandomPartition,
+// whose RNG stream is sequential. Options must be valid.
 func NewIndexCached(ts []*tree.Tree, opts Options, cache *engine.Cache) *Index {
-	ix := &Index{
-		opts:  opts,
-		ts:    ts,
-		cache: cache,
-	}
-	if opts.HybridVerify && opts.Verifier == nil {
-		// Kept on the index (not just as an opts.Verifier closure) so
-		// SearchCtx can pre-bind each query instead of re-deriving its
-		// sequences and preparation per candidate.
-		ix.seqs = newSeqCache(ts, cache, nil)
-		ix.opts.Verifier = ix.seqs.verifier()
-	}
-	delta := opts.delta()
+	start := time.Now()
+	x := &Index{opts: opts, ts: ts, cache: cache}
+	delta, workers := opts.delta(), sim.NormalizeWorkers(opts.Workers)
 	partKey := partitionCacheKey(delta)
-	parts := make([]*Partition, len(ts))
-	var st partitionState
+	var rng *rand.Rand
+	if opts.RandomPartition {
+		rng, workers = rand.New(rand.NewSource(opts.Seed)), 1
+	}
+	x.ix = buildInvIndex(opts.Tau, opts.Position, len(ts), workers, func(i int, st *partitionState) *Partition {
+		switch {
+		case ts[i].Size() < delta:
+			return nil
+		case rng != nil:
+			return ComputeRandom(cachedBin(cache, ts[i]), delta, rng)
+		}
+		return cachedPartition(cache, ts[i], nil, partKey, delta, st)
+	})
 	for i, t := range ts {
 		if t.Size() < delta {
-			ix.smalls = append(ix.smalls, i)
-			continue
+			x.smalls = append(x.smalls, int32(i))
 		}
-		parts[i] = cachedPartition(cache, t, nil, partKey, delta, &st)
 	}
-	ix.ix = buildInvIndex(opts.Tau, opts.Position, parts)
-	return ix
+	slices.SortStableFunc(x.smalls, func(a, b int32) int { return cmp.Compare(ts[a].Size(), ts[b].Size()) })
+	x.built = time.Since(start)
+	return x
+}
+
+// covers reports whether the index was built over exactly ts, in order, at
+// o's threshold and position mode: the check that keeps a resolver's index
+// from answering for another membership.
+func (x *Index) covers(ts []*tree.Tree, o Options) bool {
+	return x.opts.Tau == o.Tau && x.opts.Position == o.Position && slices.Equal(ts, x.ts)
 }
 
 // Len returns the collection size.
@@ -89,9 +108,9 @@ func (x *Index) Tree(i int) *tree.Tree { return x.ts[i] }
 func (x *Index) Tau() int { return x.opts.Tau }
 
 // Search returns the collection trees within TED τ of q, in ascending
-// collection order.
+// collection order, verifying as the index's options say.
 func (x *Index) Search(q *tree.Tree) []Match {
-	ms, _ := x.SearchCtx(context.Background(), q)
+	ms, _ := x.SearchWith(context.Background(), q, x.opts.HybridVerify)
 	return ms
 }
 
@@ -99,16 +118,20 @@ func (x *Index) Search(q *tree.Tree) []Match {
 // context checks.
 const searchCtxStride = 64
 
-// SearchCtx is Search under a context: cancellation aborts the probe and
-// verification loops promptly and returns ctx's error with nil matches.
-func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
+// SearchWith is Search under a context — cancellation aborts the probe and
+// verification loops promptly and returns ctx's error with nil matches — with
+// the verifier chosen per call (one index serves both kinds of caller):
+// hybrid screens candidates with the traversal-string bounds first. A custom
+// Options.Verifier overrides either.
+func (x *Index) SearchWith(ctx context.Context, q *tree.Tree, hybrid bool) ([]Match, error) {
 	verify := x.opts.Verifier
 	switch {
-	case x.seqs != nil:
-		// Hybrid screen with the query's sequences and preparation bound
-		// once per call.
+	case verify != nil:
+	case hybrid:
+		// The query's sequences and preparation are bound once per call.
+		x.seqsOnce.Do(func() { x.seqs = newSeqCache(x.ts, x.cache, nil) })
 		verify = x.seqs.searchVerifier(q)
-	case verify == nil:
+	default:
 		// τ-banded bounded TED: collection preparations come from the
 		// index's artifact cache; the query's preparation is computed once
 		// per call and never stored, so query traffic cannot pin the cache.
@@ -130,13 +153,8 @@ func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
 	seen := make(map[int32]bool)
 	var cands []int
 	for _, i := range x.smalls {
-		d := x.ts[i].Size() - sz
-		if d < 0 {
-			d = -d
-		}
-		if d <= tau {
-			cands = append(cands, i)
-			seen[int32(i)] = true
+		if d := x.ts[i].Size() - sz; d >= -tau && d <= tau {
+			cands = append(cands, int(i))
 		}
 	}
 	minSize := sz - tau
@@ -148,7 +166,7 @@ func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
 		if k%searchCtxStride == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		x.ix.probe(b, n, minSize, sz+tau, func(e posting) {
+		x.ix.probe(b, n, minSize, sz+tau, noTieLimit, func(e posting) {
 			if seen[e.tree] {
 				return
 			}

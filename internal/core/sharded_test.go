@@ -1,23 +1,35 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"treejoin/internal/core"
+	"treejoin/internal/sim"
 	"treejoin/internal/synth"
 	"treejoin/internal/tree"
 )
 
-// TestShardedMatchesSelfJoin: the fragment-and-replicate decomposition
-// returns exactly the sequential join's pairs, for every shard count and
-// worker count.
+// shardedSelfJoin runs the self join cut into at least shards probe chunks.
+func shardedSelfJoin(ts []*tree.Tree, shards int, opts core.Options) ([]sim.Pair, *sim.Stats, error) {
+	var pairs []sim.Pair
+	stats, err := opts.Job(shards, nil).StreamSelf(context.Background(), ts, func(p sim.Pair) bool {
+		pairs = append(pairs, p)
+		return true
+	})
+	sim.SortPairs(pairs)
+	return pairs, stats, err
+}
+
+// TestShardedMatchesSelfJoin: the chunked join returns exactly the
+// sequential join's pairs, for every shard count and worker count.
 func TestShardedMatchesSelfJoin(t *testing.T) {
 	ts := synth.Synthetic(120, 43)
 	for _, tau := range []int{1, 3} {
 		want, _ := core.SelfJoin(ts, core.Options{Tau: tau})
 		for _, shards := range []int{1, 2, 3, 7, 16} {
 			for _, workers := range []int{0, 1, 4} {
-				got, stats, err := core.ShardedSelfJoin(ts, shards, core.Options{Tau: tau, Workers: workers})
+				got, stats, err := shardedSelfJoin(ts, shards, core.Options{Tau: tau, Workers: workers})
 				if err != nil {
 					t.Fatalf("τ=%d shards=%d workers=%d: %v", tau, shards, workers, err)
 				}
@@ -39,10 +51,8 @@ func TestShardedMatchesSelfJoin(t *testing.T) {
 	}
 }
 
-// TestShardedSizeSkip: shards whose size ranges are further than τ apart
-// generate no cross tasks, so the candidate total stays below the all-pairs
-// task count's worst case. Verified indirectly: a collection of two widely
-// separated size clusters joins with zero cross-cluster candidates.
+// TestShardedSizeSkip: a collection of two widely separated size clusters
+// joins with zero cross-cluster candidates, however it is chunked.
 func TestShardedSizeSkip(t *testing.T) {
 	lt := tree.NewLabelTable()
 	var ts []*tree.Tree
@@ -63,7 +73,7 @@ func TestShardedSizeSkip(t *testing.T) {
 		}
 		ts = append(ts, b.MustBuild())
 	}
-	got, _, err := core.ShardedSelfJoin(ts, 2, core.Options{Tau: 2, Workers: 2})
+	got, _, err := shardedSelfJoin(ts, 2, core.Options{Tau: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +92,12 @@ func TestShardedSizeSkip(t *testing.T) {
 // input.
 func TestShardedEdgeCases(t *testing.T) {
 	lt := tree.NewLabelTable()
-	if got, _, err := core.ShardedSelfJoin(nil, 4, core.Options{Tau: 1}); err != nil || len(got) != 0 {
+	if got, _, err := shardedSelfJoin(nil, 4, core.Options{Tau: 1}); err != nil || len(got) != 0 {
 		t.Fatalf("empty collection: %v", got)
 	}
 	a := tree.MustParseBracket("{a{b}}", lt)
 	b := tree.MustParseBracket("{a{c}}", lt)
-	got, _, err := core.ShardedSelfJoin([]*tree.Tree{a, b}, 8, core.Options{Tau: 1, Workers: 4})
+	got, _, err := shardedSelfJoin([]*tree.Tree{a, b}, 8, core.Options{Tau: 1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +112,7 @@ func TestShardedDuplicateTrees(t *testing.T) {
 	lt := tree.NewLabelTable()
 	a := tree.MustParseBracket("{a{b}{c}}", lt)
 	ts := []*tree.Tree{a, a.Clone(), a.Clone(), a.Clone(), a.Clone()}
-	got, _, err := core.ShardedSelfJoin(ts, 3, core.Options{Tau: 0, Workers: 2})
+	got, _, err := shardedSelfJoin(ts, 3, core.Options{Tau: 0, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,16 +129,16 @@ func TestShardedDuplicateTrees(t *testing.T) {
 	}
 }
 
-// TestShardedInvalidOptions: malformed options must come back as an error —
-// never a panic — since this decomposition sits behind network-facing
-// callers (a bad request must not crash a server).
+// TestShardedInvalidOptions: a malformed threshold comes back from the
+// streaming entry as an error — never a panic — since it sits behind
+// network-facing callers (a bad request must not crash a server).
 func TestShardedInvalidOptions(t *testing.T) {
 	ts := synth.Synthetic(10, 7)
-	pairs, stats, err := core.ShardedSelfJoin(ts, 2, core.Options{Tau: -3})
+	pairs, stats, err := shardedSelfJoin(ts, 2, core.Options{Tau: -3})
 	if err == nil {
 		t.Fatal("negative threshold: want error, got nil")
 	}
-	if pairs != nil || stats != nil {
+	if pairs != nil || stats.Results != 0 {
 		t.Fatalf("invalid options returned results: %v %v", pairs, stats)
 	}
 }

@@ -128,37 +128,35 @@ type indexLRU struct {
 	mu        sync.Mutex
 	cap       int
 	order     []int // thresholds, most recently used first
-	m         map[int]*Index
+	m         map[int]*indexEntry
+	builds    int64
 	evictions int64
+}
+
+// indexEntry is one threshold's slot: whoever created it builds the index and
+// closes done; everyone else waits on done, so an index is built once however
+// many callers ask for it at the same moment.
+type indexEntry struct {
+	done chan struct{}
+	ix   *Index
 }
 
 func newIndexLRU(capacity int) *indexLRU {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &indexLRU{cap: capacity, m: make(map[int]*Index)}
+	return &indexLRU{cap: capacity, m: make(map[int]*indexEntry)}
 }
 
-// get returns the cached index for tau, or nil; a hit refreshes recency.
-func (l *indexLRU) get(tau int) *Index {
+// entry returns tau's slot, refreshing its recency; created reports that the
+// slot is new — the caller must build its index — after evicting the least
+// recently used slot of a full cache.
+func (l *indexLRU) entry(tau int) (e *indexEntry, created bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ix := l.m[tau]
-	if ix != nil {
+	if e := l.m[tau]; e != nil {
 		l.touch(tau)
-	}
-	return ix
-}
-
-// put inserts the index for tau, evicting the least recently used entry when
-// the cache is full.
-func (l *indexLRU) put(tau int, ix *Index) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.m[tau]; ok {
-		l.m[tau] = ix
-		l.touch(tau)
-		return
+		return e, false
 	}
 	if len(l.order) >= l.cap {
 		last := l.order[len(l.order)-1]
@@ -166,8 +164,11 @@ func (l *indexLRU) put(tau int, ix *Index) {
 		delete(l.m, last)
 		l.evictions++
 	}
-	l.m[tau] = ix
+	e = &indexEntry{done: make(chan struct{})}
+	l.m[tau] = e
 	l.order = append([]int{tau}, l.order...)
+	l.builds++
+	return e, true
 }
 
 // touch moves tau to the front of the recency order (must hold l.mu).
@@ -225,46 +226,54 @@ func (x *KNN) Len() int { return len(x.ts) }
 func (x *KNN) Tree(i int) *tree.Tree { return x.ts[i] }
 
 // CachedIndexes returns the number of per-threshold indexes currently
-// retained (≤ the configured capacity).
+// retained (≤ the configured capacity); Builds how many were ever built and
+// Evictions how many the LRU bound has discarded.
 func (x *KNN) CachedIndexes() int {
+	return int(x.counter(func(l *indexLRU) int64 { return int64(len(l.m)) }))
+}
+func (x *KNN) Builds() int64    { return x.counter(func(l *indexLRU) int64 { return l.builds }) }
+func (x *KNN) Evictions() int64 { return x.counter(func(l *indexLRU) int64 { return l.evictions }) }
+
+func (x *KNN) counter(read func(*indexLRU) int64) int64 {
 	x.cache.mu.Lock()
 	defer x.cache.mu.Unlock()
-	return len(x.cache.m)
+	return read(x.cache)
 }
 
-// Evictions returns how many cached indexes the LRU bound has discarded.
-func (x *KNN) Evictions() int64 {
-	x.cache.mu.Lock()
-	defer x.cache.mu.Unlock()
-	return x.cache.evictions
-}
-
-// IndexAt returns the search index for threshold tau, building and caching
-// it on first use. Two concurrent callers may both build the same index; one
-// build wins the cache slot and the other is garbage — acceptable for an
-// operation whose callers are already paying an index build.
-func (x *KNN) IndexAt(tau int) *Index {
-	if ix := x.cache.get(tau); ix != nil {
-		return ix
+// IndexAt returns the index for threshold tau, building and caching it on
+// first use, on workers goroutines; built reports that this call paid for
+// the build. The build runs once per cached threshold: callers that arrive
+// while it is under way wait for it, or for their own context, whichever ends
+// first.
+func (x *KNN) IndexAt(ctx context.Context, tau, workers int) (ix *Index, built bool, err error) {
+	e, created := x.cache.entry(tau)
+	if created {
+		defer close(e.done)
+		o := x.opts
+		o.Tau, o.Workers = tau, workers
+		e.ix = NewIndexCached(x.ts, o, x.artifacts)
+		return e.ix, true, nil
 	}
-	o := x.opts
-	o.Tau = tau
-	ix := NewIndexCached(x.ts, o, x.artifacts)
-	x.cache.put(tau, ix)
-	return ix
+	select {
+	case <-e.done:
+		return e.ix, false, nil
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	}
 }
 
 // Nearest returns the k collection trees closest to q by TED, ordered by
-// (Dist, Pos). Fewer than k matches are returned only when the collection
-// holds fewer than k trees.
+// (Dist, Pos), verifying as the searcher's options say. Fewer than k matches
+// are returned only when the collection holds fewer than k trees.
 func (x *KNN) Nearest(q *tree.Tree, k int) []Match {
-	ms, _ := x.NearestCtx(context.Background(), q, k)
+	ms, _ := x.NearestWith(context.Background(), q, k, x.opts.HybridVerify)
 	return ms
 }
 
-// NearestCtx is Nearest under a context: cancellation aborts the expanding
-// search promptly and returns ctx's error with nil matches.
-func (x *KNN) NearestCtx(ctx context.Context, q *tree.Tree, k int) ([]Match, error) {
+// NearestWith is Nearest under a context — cancellation aborts the expanding
+// search promptly and returns ctx's error with nil matches — with the
+// verifier chosen per call, as in Index.SearchWith.
+func (x *KNN) NearestWith(ctx context.Context, q *tree.Tree, k int, hybrid bool) ([]Match, error) {
 	if k <= 0 || len(x.ts) == 0 {
 		return nil, ctx.Err()
 	}
@@ -282,7 +291,11 @@ func (x *KNN) NearestCtx(ctx context.Context, q *tree.Tree, k int) ([]Match, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ms, err := x.IndexAt(tau).SearchCtx(ctx, q)
+		ix, _, err := x.IndexAt(ctx, tau, x.opts.Workers)
+		if err != nil {
+			return nil, err
+		}
+		ms, err := ix.SearchWith(ctx, q, hybrid)
 		if err != nil {
 			return nil, err
 		}

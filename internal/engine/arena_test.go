@@ -17,7 +17,7 @@ func TestArenaForCaching(t *testing.T) {
 	ts := synth.Synthetic(20, 19)
 	c := engine.NewCache()
 
-	views := engine.ArenaFor(c, ts)
+	views := engine.ArenaFor(c, ts, 2)
 	if len(views) != len(ts) {
 		t.Fatalf("%d views for %d trees", len(views), len(ts))
 	}
@@ -31,7 +31,7 @@ func TestArenaForCaching(t *testing.T) {
 	}
 
 	// Warm pass: identical view pointers, no new entries.
-	again := engine.ArenaFor(c, ts)
+	again := engine.ArenaFor(c, ts, 2)
 	for i := range views {
 		if again[i] != views[i] {
 			t.Fatalf("warm ArenaFor rebuilt view %d", i)
@@ -40,7 +40,7 @@ func TestArenaForCaching(t *testing.T) {
 
 	// A grown collection rebuilds only the new tree.
 	grown := append(append([]*tree.Tree{}, ts...), synth.Synthetic(21, 19)[20])
-	mixed := engine.ArenaFor(c, grown)
+	mixed := engine.ArenaFor(c, grown, 2)
 	for i := range views {
 		if mixed[i] != views[i] {
 			t.Fatalf("grown ArenaFor rebuilt warm view %d", i)
@@ -60,7 +60,7 @@ func TestArenaForCaching(t *testing.T) {
 	}
 
 	// A nil cache degrades to a plain batch build.
-	bare := engine.ArenaFor(nil, ts)
+	bare := engine.ArenaFor(nil, ts, 2)
 	if len(bare) != len(ts) || bare[0].T != ts[0] {
 		t.Fatal("nil-cache ArenaFor broken")
 	}
@@ -92,7 +92,7 @@ func TestArenaVerifierMatchesOracle(t *testing.T) {
 func TestArenaVerifierZeroAllocs(t *testing.T) {
 	ts := synth.Synthetic(24, 29)
 	cache := engine.NewCache()
-	factory := engine.NewArenaVerifiers(ts, cache, nil)
+	factory := engine.NewArenaVerifiers(ts, cache, 2, nil)
 	var cands []sim.Candidate
 	for i := range ts {
 		for j := i + 1; j < len(ts); j++ {

@@ -157,54 +157,90 @@ func (c *Cache) Evict(ts ...*tree.Tree) int {
 
 // Cached returns build(t) for every tree of ts, in order, computing each
 // missing artifact exactly once and caching it under key. With a nil cache it
-// degrades to plain computation — the pre-corpus behaviour. The misses are
-// built outside the lock, in input order.
+// degrades to plain computation — the pre-corpus behaviour.
 func Cached[T any](c *Cache, key string, ts []*tree.Tree, build func(*tree.Tree) T) []T {
-	out := make([]T, len(ts))
-	if c == nil {
+	return cachedBatch(c, key, ts, 1, func(ts []*tree.Tree) []T {
+		out := make([]T, len(ts))
 		for i, t := range ts {
 			out[i] = build(t)
 		}
 		return out
+	})
+}
+
+// cachedBatch is Cached for artifacts built a batch at a time: the hits are
+// read and the misses noted under one lock acquisition, the missing trees are
+// cut into at most workers contiguous runs, each built by one build call on
+// its own goroutine outside the lock, and the results stored under a second
+// acquisition. A routed cache delegates per tree (the trees may span several
+// caches, so there is no single lock to bulk under), and stores through the
+// route as it is then: a tree removed while the batch was building must land
+// in the overflow, not back in the cache it was just evicted from.
+func cachedBatch[T any](c *Cache, key string, ts []*tree.Tree, workers int, build func([]*tree.Tree) []T) []T {
+	if c == nil {
+		return build(ts)
 	}
-	if c.route != nil {
-		// Routed cache: per-tree delegation (the trees span two caches, so
-		// there is no single lock to bulk under).
+	out := make([]T, len(ts))
+	var missing []int
+	if c.route == nil {
+		c.mu.Lock()
+		byTree := c.m[key]
+		for i, t := range ts {
+			if v, ok := byTree[t]; ok {
+				c.hits++
+				out[i] = v.(T)
+			} else {
+				c.misses++
+				missing = append(missing, i)
+			}
+		}
+		c.mu.Unlock()
+	} else {
 		for i, t := range ts {
 			if v, ok := c.Lookup(key, t); ok {
 				out[i] = v.(T)
 			} else {
-				out[i] = build(t)
-				c.Store(key, t, out[i])
+				missing = append(missing, i)
 			}
+		}
+	}
+	if len(missing) == 0 {
+		return out
+	}
+	mts := make([]*tree.Tree, len(missing))
+	for k, i := range missing {
+		mts[k] = ts[i]
+	}
+	workers = max(1, min(workers, len(mts)))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*len(mts)/workers, (w+1)*len(mts)/workers
+		run := func() {
+			defer wg.Done()
+			for k, v := range build(mts[lo:hi]) {
+				out[missing[lo+k]] = v
+			}
+		}
+		wg.Add(1)
+		if w == workers-1 {
+			run() // the last run — a small batch's only one — on the caller's goroutine
+		} else {
+			go run()
+		}
+	}
+	wg.Wait()
+	if c.route != nil {
+		for _, i := range missing {
+			c.Store(key, ts[i], out[i])
 		}
 		return out
 	}
-	// Snapshot hits and note misses under one lock acquisition.
 	c.mu.Lock()
 	byTree := c.m[key]
 	if byTree == nil {
 		byTree = make(map[*tree.Tree]any)
 		c.m[key] = byTree
 	}
-	missing := make([]int, 0, len(ts))
-	for i, t := range ts {
-		if v, ok := byTree[t]; ok {
-			c.hits++
-			out[i] = v.(T)
-		} else {
-			c.misses++
-			missing = append(missing, i)
-		}
-	}
-	c.mu.Unlock()
-	if len(missing) == 0 {
-		return out
-	}
-	for _, i := range missing {
-		out[i] = build(ts[i])
-	}
-	c.mu.Lock()
 	for _, i := range missing {
 		byTree[ts[i]] = out[i]
 	}

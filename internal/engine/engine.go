@@ -81,6 +81,10 @@ func (c *Collection) DynTokenSnap(tz Tokenizer) *TokenSnap {
 // the engine then returns whatever statistics accumulated.
 func (c *Collection) Cancelled() bool { return c.ctx.Err() != nil }
 
+// Context returns the run's context, for a source that waits on something
+// other than its own loops (a shared index another run is still building).
+func (c *Collection) Context() context.Context { return c.ctx }
+
 // Cache returns the run's artifact cache. A corpus-backed run shares the
 // corpus cache across joins; a one-shot run gets a private cache that at
 // least lets concurrent tasks of the same join share per-tree artifacts.
@@ -172,24 +176,23 @@ type CandidateSource interface {
 	Name() string
 	// Tasks decomposes candidate generation into independent units. The
 	// engine passes the job's shard count; shards ≤ 1 asks for the source's
-	// natural decomposition (a single sequential task, or a cheap split
-	// across c.Workers when the source has no shared state). Together the
-	// tasks must offer every unordered candidate pair exactly once.
+	// natural decomposition (a single sequential task, or a split across
+	// c.Workers when the tasks share no mutable state). Together the tasks
+	// must offer every unordered candidate pair exactly once.
 	Tasks(c *Collection, shards int) []Task
 }
 
 // emitter is the serialised result stream of one run: every verified pair —
 // from any task's inline flush or from the final pool-wide verification pass
-// — funnels through emit, which remaps cross-join indices, drops duplicates
-// from overlapping shard tasks, and hands the pair to the consumer's sink. A
-// sink that returns false stops the run: the emitter cancels the run context
-// and sources abandon their loops.
+// — funnels through emit, which remaps cross-join indices and hands the pair
+// to the consumer's sink (every source offers a pair at most once, so there
+// is nothing to deduplicate). A sink that returns false stops the run: the
+// emitter cancels the run context and sources abandon their loops.
 type emitter struct {
 	mu      sync.Mutex
 	sink    sim.EmitFunc
-	split   int             // ≥ 0: cross join, remap J to the B side
-	seen    map[[2]int]bool // non-nil: dedup pairs from multi-task plans
-	n       int64           // pairs delivered to the sink
+	split   int   // ≥ 0: cross join, remap J to the B side
+	n       int64 // pairs delivered to the sink
 	stopped bool
 	cancel  context.CancelFunc
 }
@@ -204,13 +207,6 @@ func (e *emitter) emit(p sim.Pair) bool {
 		// Combined A indices precede B indices, so Pair.I is the A element
 		// already; J maps back to its per-collection position.
 		p.J -= e.split
-	}
-	if e.seen != nil {
-		k := [2]int{p.I, p.J}
-		if e.seen[k] {
-			return true // duplicate from an overlapping task; keep going
-		}
-		e.seen[k] = true
 	}
 	e.n++
 	if !e.sink(p) {
@@ -242,8 +238,8 @@ type Pipeline struct {
 	// run's factory and persists across flushes (so its scratch stays warm
 	// for the whole task); stream() closes it after the tasks finish.
 	//
-	// Parallel jobs whose plan has fewer tasks than workers (PartSJ's and
-	// the token index's single sequential task) set handoff: a full chunk is
+	// Parallel jobs whose plan has fewer tasks than workers (the token
+	// index's single sequential task) set handoff: a full chunk is
 	// offered to the spare workers, who verify it while the source keeps
 	// running. The offer never blocks — when every spare worker is busy the
 	// chunk moves to deferred and waits, with whatever is left in cands, for
@@ -382,9 +378,8 @@ type Job struct {
 	// normalized to runtime.GOMAXPROCS(0).
 	Workers int
 	// Shards asks the source to decompose the join into at least this many
-	// independent tasks even when that costs extra filtering work (PartSJ's
-	// fragment-and-replicate plan rebuilds an index per task). ≤ 1 leaves
-	// the decomposition to the source.
+	// independent tasks (PartSJ's probe chunks, the sorted loop's strides).
+	// ≤ 1 leaves the decomposition to the source.
 	Shards int
 	// Cache, when non-nil, is the artifact cache shared across runs (a
 	// corpus's cache): per-tree filter signatures and source artifacts are
@@ -519,7 +514,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 			return stats, err
 		}
 		vstart := time.Now()
-		vfactory = NewArenaVerifiers(ts, c.cache, c.counters)
+		vfactory = NewArenaVerifiers(ts, c.cache, c.Workers, c.counters)
 		stats.VerifyTime += time.Since(vstart)
 	}
 	stats.Source = source.Name()
@@ -534,15 +529,6 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 		// One queued chunk per spare worker: a worker that finishes a chunk
 		// finds the next without waiting for a task to fill one.
 		flushAt, handoff = overlapChunk, make(chan []sim.Candidate, spare)
-	}
-	if job.Shards > 1 && len(tasks) > 1 {
-		// Sources' natural decompositions (the sorted loop's strides, the
-		// cross-join plan) offer every pair exactly once by construction, so
-		// streaming stays constant-memory. Only an explicitly sharded
-		// fragment-and-replicate plan gets the dedup map, defending against
-		// aliased trees straddling a shard boundary (see core's sharded
-		// plan).
-		em.seen = make(map[[2]int]bool)
 	}
 	pipes := make([]*Pipeline, len(tasks))
 	for i := range pipes {

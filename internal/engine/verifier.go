@@ -43,35 +43,12 @@ func NewTEDVerifier(c *Cache, tc *ted.Counters) sim.Verifier {
 const ArenaKey = "ted/arena"
 
 // ArenaFor returns the arena views of the collection, in order, serving each
-// tree from the cache and flattening the misses in one contiguous BuildViews
-// batch (the arena's locality comes from batching; per-tree builds would
-// scatter the blocks). A nil cache degrades to a plain batch build.
-func ArenaFor(c *Cache, ts []*tree.Tree) []*ted.TreeView {
-	if c == nil {
-		return ted.BuildViews(ts)
-	}
-	out := make([]*ted.TreeView, len(ts))
-	var missing []int
-	for i, t := range ts {
-		if v, ok := c.Lookup(ArenaKey, t); ok {
-			out[i] = v.(*ted.TreeView)
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return out
-	}
-	mts := make([]*tree.Tree, len(missing))
-	for k, i := range missing {
-		mts[k] = ts[i]
-	}
-	built := ted.BuildViews(mts)
-	for k, i := range missing {
-		out[i] = built[k]
-		c.Store(ArenaKey, ts[i], built[k])
-	}
-	return out
+// tree from the cache and flattening the misses in at most workers contiguous
+// BuildViews batches, one block each, built side by side (the arena's
+// locality comes from batching; per-tree builds would scatter the blocks). A
+// nil cache degrades to a plain batch build.
+func ArenaFor(c *Cache, ts []*tree.Tree, workers int) []*ted.TreeView {
+	return cachedBatch(c, ArenaKey, ts, workers, ted.BuildViews)
 }
 
 // arenaVerifier is one worker's batched arena verification context: the
@@ -98,8 +75,8 @@ func (v *arenaVerifier) Close() {
 // every minted verifier shares them, adding only a pooled per-worker scratch.
 // tc, when non-nil, accumulates pruning and strategy counters across all
 // workers; the engine folds them into the run's Stats.
-func NewArenaVerifiers(ts []*tree.Tree, c *Cache, tc *ted.Counters) sim.BatchVerifierFactory {
-	views := ArenaFor(c, ts)
+func NewArenaVerifiers(ts []*tree.Tree, c *Cache, workers int, tc *ted.Counters) sim.BatchVerifierFactory {
+	views := ArenaFor(c, ts, workers)
 	return func() sim.BatchVerifier {
 		return &arenaVerifier{views: views, s: ted.AcquireScratch(), tc: tc}
 	}

@@ -113,7 +113,7 @@ type Stats struct {
 	Plan PlanRecord
 
 	// PartSJ-specific counters (zero for the baselines).
-	PartitionTime     time.Duration // δ-partitioning of all trees
+	PartitionTime     time.Duration // δ-partitioning and indexing of all trees; 0 when the corpus already held the index
 	IndexedSubgraphs  int64         // index postings created: one per subgraph, or under PositionPaper one per stored position
 	SubgraphProbes    int64         // index postings inspected
 	MatchTests        int64         // full subgraph-match verifications run
@@ -121,10 +121,11 @@ type Stats struct {
 	SmallTreeFallback int64         // candidate pairs produced by the small-tree path
 
 	// Token-index source counters (zero unless the join's candidates came
-	// from engine.TokenIndexSource). IndexBuildTime is a breakdown of
-	// CandTime (tokenisation, frequency ranking, prefix construction), not
-	// an addition to Total.
-	IndexBuildTime  time.Duration // building the frequency-ordered prefix index
+	// from engine.TokenIndexSource). IndexBuildTime is a breakdown, not an
+	// addition to Total: of CandTime for the token index (tokenisation,
+	// frequency ranking, prefix construction), of PartitionTime for PartSJ,
+	// whose frozen subgraph index it times (0 when the index was found built).
+	IndexBuildTime  time.Duration // building the source's index
 	PostingsScanned int64         // posting-list entries inspected while probing
 	SkippedByCount  int64         // partners discarded because their shared-token count proved the bound unreachable
 

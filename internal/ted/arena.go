@@ -9,8 +9,8 @@
 //     the strategy-driven kernel flips between the two array sets per pair,
 //   - keyroots of both decompositions, each also sorted by leftmost leaf so
 //     the banded kernel binary-searches its τ-window instead of scanning,
-//   - depth, parent, and subtree size (postorder-indexed), and the sorted
-//     label multiset behind the label lower bound,
+//   - the parent arrays of both postorders, and the sorted label multiset
+//     behind the label lower bound,
 //   - the left/right strategy costs the per-pair decomposition choice reads.
 //
 // BuildViews lays a whole collection out back-to-back, so a join's verify
@@ -20,7 +20,7 @@
 package ted
 
 import (
-	"sort"
+	"slices"
 
 	"treejoin/internal/tree"
 )
@@ -53,17 +53,15 @@ type TreeView struct {
 	RKeyroots []int32
 	RKrByLml  []int32
 
-	// Structural arrays indexed by left postorder position: node depth
-	// (root = 0), the postorder index of the parent (−1 for the root), and
-	// the subtree size (i − Lml[i] + 1, stored so consumers — serialisation,
-	// future filters — need no recomputation). RParent is the parent array
-	// over mirrored postorder indices (the parent relation is mirror-
-	// invariant; only the ranks change): the kernel walks it to enumerate a
-	// keyroot's decomposition path under the right-path arrays.
-	Depth       []int32
-	Parent      []int32
-	RParent     []int32
-	SubtreeSize []int32
+	// Parent is the postorder index of each node's parent (−1 for the root),
+	// by left postorder position; RParent is the same relation over mirrored
+	// postorder indices (the parent relation is mirror-invariant; only the
+	// ranks change): the kernel walks it to enumerate a keyroot's
+	// decomposition path under the right-path arrays. (Node depth and subtree
+	// size, which nothing in memory reads, exist only in the serialised form;
+	// see arena_io.go.)
+	Parent  []int32
+	RParent []int32
 
 	// SortedLabels is the label multiset sorted ascending, for the merge-based
 	// label lower bound.
@@ -79,20 +77,23 @@ type TreeView struct {
 func (v *TreeView) Size() int { return len(v.Labels) }
 
 // BuildViews flattens a collection into arena views backed by one contiguous
-// int32 block: per tree, 8·n array cells plus 4·leaves keyroot cells, laid
-// out back-to-back in collection order. Construction allocates (it is a
-// build-time, per-collection cost the engine caches); verification over the
-// views does not.
+// int32 block: per tree, 7·n array cells plus 4·leaves keyroot cells, laid
+// out back-to-back in collection order, with one working memory for the whole
+// batch. Construction allocates (it is a build-time, per-collection cost the
+// engine caches); verification over the views does not.
 func BuildViews(ts []*tree.Tree) []*TreeView {
 	total := 0
-	for _, t := range ts {
-		total += 9*t.Size() + 4*leafCount(t)
+	leaves := make([]int, len(ts))
+	for i, t := range ts {
+		leaves[i] = leafCount(t)
+		total += 7*t.Size() + 4*leaves[i]
 	}
 	block := make([]int32, total)
 	views := make([]*TreeView, len(ts))
+	var s viewScratch
 	off := 0
 	for i, t := range ts {
-		views[i], off = buildView(t, block, off)
+		views[i], off = s.buildView(t, leaves[i], block, off)
 	}
 	return views
 }
@@ -110,10 +111,21 @@ func leafCount(t *tree.Tree) int {
 	return n
 }
 
-// buildView fills one tree's view from block[off:], returning the new offset.
-func buildView(t *tree.Tree, block []int32, off int) (*TreeView, int) {
+// viewScratch is buildView's working memory, grown to the largest tree of a
+// batch: the child links of both traversal directions by node, one
+// traversal's order, ranks and decomposition leaves, and its stack.
+type viewScratch struct {
+	first, next, last, prev []int32
+	post, rank, leaf        []int32
+	stack                   []viewFrame
+}
+
+type viewFrame struct{ node, child int32 }
+
+// buildView fills the view of t, a tree with so many leaves, from
+// block[off:], returning the new offset.
+func (s *viewScratch) buildView(t *tree.Tree, leaves int, block []int32, off int) (*TreeView, int) {
 	n := t.Size()
-	leaves := leafCount(t)
 	take := func(k int) []int32 {
 		s := block[off : off+k : off+k]
 		off += k
@@ -124,116 +136,104 @@ func buildView(t *tree.Tree, block []int32, off int) (*TreeView, int) {
 	v.RLabels, v.Rml = take(n), take(n)
 	v.Keyroots, v.KrByLml = take(leaves), take(leaves)
 	v.RKeyroots, v.RKrByLml = take(leaves), take(leaves)
-	v.Depth, v.Parent, v.RParent, v.SubtreeSize = take(n), take(n), take(n), take(n)
+	v.Parent, v.RParent = take(n), take(n)
 	v.SortedLabels = take(n)
-	v.CostL, v.CostR = strategyCost(t)
 
-	// Left decomposition: standard postorder, leftmost leaves memoised
-	// bottom-up (children precede parents in postorder).
-	post := tree.Postorder(t)
-	rank := make([]int32, n)
-	for i, u := range post {
-		rank[u] = int32(i)
-	}
-	leafNode := make([]int32, n)
-	for _, u := range post {
-		if fc := t.Nodes[u].FirstChild; fc == tree.None {
-			leafNode[u] = u
-		} else {
-			leafNode[u] = leafNode[fc]
+	if cap(s.first) < n {
+		cells := make([]int32, 7*n)
+		for i, p := range []*[]int32{&s.first, &s.next, &s.last, &s.prev, &s.post, &s.rank, &s.leaf} {
+			*p = cells[i*n : (i+1)*n : (i+1)*n]
 		}
 	}
-	for i, u := range post {
-		v.Labels[i] = t.Nodes[u].Label
-		v.Lml[i] = rank[leafNode[u]]
-		if p := t.Nodes[u].Parent; p == tree.None {
-			v.Parent[i] = -1
-		} else {
-			v.Parent[i] = rank[p]
-		}
-		v.SubtreeSize[i] = int32(i) - v.Lml[i] + 1
-	}
-	// Reverse postorder visits parents before children, so depths fill in
-	// one pass without recursion.
-	depthNode := make([]int32, n)
-	for i := n - 1; i >= 0; i-- {
-		u := post[i]
-		if p := t.Nodes[u].Parent; p != tree.None {
-			depthNode[u] = depthNode[p] + 1
-		}
-	}
-	for i, u := range post {
-		v.Depth[i] = depthNode[u]
-	}
-	fillKeyroots(v.Lml, v.Keyroots, v.KrByLml)
-
-	// Right decomposition: mirrored postorder, the same construction as
-	// prepareMirrored — children walked right-to-left through inverted
-	// sibling links, decomposition leaf = rightmost leaf.
-	last := make([]int32, n)
-	prev := make([]int32, n)
+	first, next, last, prev := s.first[:n], s.next[:n], s.last[:n], s.prev[:n]
+	prev[t.Root()] = tree.None
 	for id := range t.Nodes {
+		first[id], next[id] = t.Nodes[id].FirstChild, t.Nodes[id].NextSibling
 		var p int32 = tree.None
-		for c := t.Nodes[id].FirstChild; c != tree.None; c = t.Nodes[c].NextSibling {
+		for c := first[id]; c != tree.None; c = t.Nodes[c].NextSibling {
 			prev[c] = p
 			p = c
 		}
 		last[id] = p
 	}
-	rpost := make([]int32, 0, n)
-	type frame struct{ node, child int32 }
-	stack := make([]frame, 0, 16)
-	root := t.Root()
-	stack = append(stack, frame{root, last[root]})
+	// Left decomposition: standard postorder. Right decomposition: the same
+	// construction over the mirrored postorder — children walked right to
+	// left through the inverted sibling links, decomposition leaf = rightmost
+	// leaf — exactly as prepareMirrored builds it. The strategy costs are
+	// strategyCost's: n plus the subtree sizes of the nodes with a sibling
+	// before them (left paths) or after them (right paths).
+	before, after := s.decompose(t, first, next, v.Labels, v.Lml, v.Parent, v.Keyroots, v.KrByLml)
+	v.CostL, v.CostR = int64(n)+before, int64(n)+after
+	s.decompose(t, last, prev, v.RLabels, v.Rml, v.RParent, v.RKeyroots, v.RKrByLml)
+
+	copy(v.SortedLabels, v.Labels)
+	slices.Sort(v.SortedLabels)
+	return v, off
+}
+
+// decompose fills one decomposition's arrays over the postorder that visits
+// each node's children from first[node] along next: labels, decomposition
+// leaves (memoised bottom-up: children precede parents) and parents by
+// postorder index, then the keyroots. It returns the summed subtree sizes of
+// the nodes that are not their parent's first child, and of those that have a
+// next sibling.
+func (s *viewScratch) decompose(t *tree.Tree, first, next, labels, lml, parent, kr, krByLml []int32) (notFirst, hasNext int64) {
+	n := len(labels)
+	post, rank, leaf := s.post[:0], s.rank[:n], s.leaf[:n]
+	stack := append(s.stack[:0], viewFrame{t.Root(), first[t.Root()]})
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
 		if top.child == tree.None {
-			rpost = append(rpost, top.node)
+			post = append(post, top.node)
 			stack = stack[:len(stack)-1]
 			continue
 		}
 		c := top.child
-		top.child = prev[c]
-		stack = append(stack, frame{c, last[c]})
+		top.child = next[c]
+		stack = append(stack, viewFrame{c, first[c]})
 	}
-	rrank, rleafNode := rank, leafNode // reuse the left-pass scratch
-	for i, u := range rpost {
-		rrank[u] = int32(i)
-	}
-	for _, u := range rpost {
-		if lc := last[u]; lc == tree.None {
-			rleafNode[u] = u
+	s.stack = stack
+	for i, u := range post {
+		rank[u] = int32(i)
+		if c := first[u]; c == tree.None {
+			leaf[u] = u
 		} else {
-			rleafNode[u] = rleafNode[lc]
+			leaf[u] = leaf[c]
 		}
 	}
-	for i, u := range rpost {
-		v.RLabels[i] = t.Nodes[u].Label
-		v.Rml[i] = rrank[rleafNode[u]]
+	for i, u := range post {
+		labels[i] = t.Nodes[u].Label
+		lml[i] = rank[leaf[u]]
 		if p := t.Nodes[u].Parent; p == tree.None {
-			v.RParent[i] = -1
+			parent[i] = -1
 		} else {
-			v.RParent[i] = rrank[p]
+			parent[i] = rank[p]
+			if size := int64(int32(i) - lml[i] + 1); first[p] != u {
+				notFirst += size
+			}
+		}
+		if next[u] != tree.None {
+			hasNext += int64(int32(i) - lml[i] + 1)
 		}
 	}
-	fillKeyroots(v.Rml, v.RKeyroots, v.RKrByLml)
-
-	copy(v.SortedLabels, v.Labels)
-	sort.Slice(v.SortedLabels, func(a, b int) bool { return v.SortedLabels[a] < v.SortedLabels[b] })
-	return v, off
+	fillKeyroots(lml, kr, krByLml, leaf)
+	return notFirst, hasNext
 }
 
 // fillKeyroots writes the keyroots of a decomposition given its lml array —
 // the nodes no later postorder node shares a decomposition leaf with — in
-// ascending postorder into kr, and the same set sorted by ascending lml into
-// krByLml. len(kr) must equal the tree's leaf count.
-func fillKeyroots(lml, kr, krByLml []int32) {
-	n := len(lml)
-	seen := make([]bool, n)
+// ascending postorder into kr, and the same set by ascending lml into
+// krByLml (keyroots own distinct leaves, so a sweep over the leaves' owners
+// orders them; owner is n cells of scratch). len(kr) must equal the tree's
+// leaf count.
+func fillKeyroots(lml, kr, krByLml, owner []int32) {
+	for i := range owner {
+		owner[i] = -1
+	}
 	k := len(kr)
-	for i := n - 1; i >= 0; i-- {
-		if !seen[lml[i]] {
-			seen[lml[i]] = true
+	for i := len(lml) - 1; i >= 0; i-- {
+		if owner[lml[i]] < 0 {
+			owner[lml[i]] = int32(i)
 			k--
 			kr[k] = int32(i)
 		}
@@ -241,6 +241,10 @@ func fillKeyroots(lml, kr, krByLml []int32) {
 	if k != 0 {
 		panic("ted: keyroot count does not match leaf count")
 	}
-	copy(krByLml, kr)
-	sort.Slice(krByLml, func(a, b int) bool { return lml[krByLml[a]] < lml[krByLml[b]] })
+	for _, r := range owner {
+		if r >= 0 {
+			krByLml[k] = r
+			k++
+		}
+	}
 }

@@ -3,8 +3,11 @@
 // corpus can store the flattened cells once and reload them instead of
 // re-running the whole view construction (postorder passes, keyroot fills,
 // label sorts) on every open. This file defines the canonical cell layout
-// (the exact take() order of buildView) and the validated reassembly path a
-// segment reader uses.
+// and the validated reassembly path a segment reader uses. The layout carries
+// two arrays a TreeView does not keep — node depth and subtree size, written
+// by the first format and read by nothing in memory: they are computed while
+// encoding and validated, then dropped, while decoding, so the bytes on disk
+// are what they always were.
 //
 // Validation philosophy: ViewFromCells re-checks, in O(n), every structural
 // invariant the banded kernel's index arithmetic leans on — lml values
@@ -39,26 +42,36 @@ func Leaves(t *tree.Tree) int { return leafCount(t) }
 // leaves leaves: nine n-sized arrays plus four keyroot arrays.
 func ViewCellCount(n, leaves int) int { return 9*n + 4*leaves }
 
-// AppendViewCells appends v's arena cells to dst in the canonical layout —
-// the exact order buildView carves them out of the shared block: Labels, Lml,
-// RLabels, Rml, Keyroots, KrByLml, RKeyroots, RKrByLml, Depth, Parent,
-// RParent, SubtreeSize, SortedLabels. ViewFromCells inverts it.
+// AppendViewCells appends v's arena cells to dst in the canonical layout:
+// Labels, Lml, RLabels, Rml, Keyroots, KrByLml, RKeyroots, RKrByLml, Depth
+// (root = 0), Parent, RParent, SubtreeSize (i − Lml[i] + 1), SortedLabels.
+// ViewFromCells inverts it.
 func AppendViewCells(dst []int32, v *TreeView) []int32 {
 	for _, s := range [][]int32{
 		v.Labels, v.Lml, v.RLabels, v.Rml,
 		v.Keyroots, v.KrByLml, v.RKeyroots, v.RKrByLml,
-		v.Depth, v.Parent, v.RParent, v.SubtreeSize, v.SortedLabels,
 	} {
 		dst = append(dst, s...)
 	}
-	return dst
+	n := len(v.Parent)
+	dst = append(dst, make([]int32, n)...)
+	depth := dst[len(dst)-n:]
+	for i := n - 2; i >= 0; i-- { // parents follow children in postorder
+		depth[i] = depth[v.Parent[i]] + 1
+	}
+	dst = append(append(dst, v.Parent...), v.RParent...)
+	for i, l := range v.Lml {
+		dst = append(dst, int32(i)-l+1)
+	}
+	return append(dst, v.SortedLabels...)
 }
 
 // ViewFromCells reassembles the arena view of t from cells laid out by
-// AppendViewCells, taking ownership of the slice (it becomes the view's
-// backing block). The cells are validated against the structural invariants
-// the verification kernel relies on; corrupt input returns an error wrapping
-// ErrBadView, never a panic in later kernel use.
+// AppendViewCells; the view gets a block of its own, without the two arrays
+// it does not keep, and cells is not retained. The cells are validated
+// against the structural invariants the verification kernel relies on;
+// corrupt input returns an error wrapping ErrBadView, never a panic in later
+// kernel use.
 func ViewFromCells(t *tree.Tree, cells []int32, costL, costR int64) (*TreeView, error) {
 	n := t.Size()
 	leaves := leafCount(t)
@@ -69,9 +82,13 @@ func ViewFromCells(t *tree.Tree, cells []int32, costL, costR int64) (*TreeView, 
 	if costL < 0 || costR < 0 {
 		return nil, badViewf("negative strategy cost %d/%d", costL, costR)
 	}
+	head := 4*n + 4*leaves // the cells before Depth
+	depth, subtreeSize := cells[head:head+n], cells[head+3*n:head+4*n]
+	block := make([]int32, 0, 7*n+4*leaves)
+	block = append(append(append(block, cells[:head]...), cells[head+n:head+3*n]...), cells[head+4*n:]...)
 	off := 0
 	take := func(k int) []int32 {
-		s := cells[off : off+k : off+k]
+		s := block[off : off+k : off+k]
 		off += k
 		return s
 	}
@@ -80,7 +97,7 @@ func ViewFromCells(t *tree.Tree, cells []int32, costL, costR int64) (*TreeView, 
 	v.RLabels, v.Rml = take(n), take(n)
 	v.Keyroots, v.KrByLml = take(leaves), take(leaves)
 	v.RKeyroots, v.RKrByLml = take(leaves), take(leaves)
-	v.Depth, v.Parent, v.RParent, v.SubtreeSize = take(n), take(n), take(n), take(n)
+	v.Parent, v.RParent = take(n), take(n)
 	v.SortedLabels = take(n)
 
 	limit := int32(t.Labels.Len())
@@ -96,14 +113,14 @@ func ViewFromCells(t *tree.Tree, cells []int32, costL, costR int64) (*TreeView, 
 	// back-to-front pass sees every parent's depth before its children's.
 	for i := n - 1; i >= 0; i-- {
 		if p := v.Parent[i]; p == -1 {
-			if v.Depth[i] != 0 {
-				return nil, badViewf("root depth %d", v.Depth[i])
+			if depth[i] != 0 {
+				return nil, badViewf("root depth %d", depth[i])
 			}
-		} else if v.Depth[i] != v.Depth[p]+1 {
-			return nil, badViewf("depth[%d] = %d, parent depth %d", i, v.Depth[i], v.Depth[p])
+		} else if depth[i] != depth[p]+1 {
+			return nil, badViewf("depth[%d] = %d, parent depth %d", i, depth[i], depth[p])
 		}
-		if v.SubtreeSize[i] != int32(i)-v.Lml[i]+1 {
-			return nil, badViewf("subtree size[%d] = %d, want %d", i, v.SubtreeSize[i], int32(i)-v.Lml[i]+1)
+		if subtreeSize[i] != int32(i)-v.Lml[i]+1 {
+			return nil, badViewf("subtree size[%d] = %d, want %d", i, subtreeSize[i], int32(i)-v.Lml[i]+1)
 		}
 	}
 	for i := 1; i < n; i++ {

@@ -68,7 +68,11 @@ func TestBuildViewsMatchesPrepare(t *testing.T) {
 			}
 		}
 
-		// Structural arrays against naive per-node recomputation.
+		// Structural arrays against naive per-node recomputation; depth and
+		// subtree size exist only in the serialised cells.
+		cells := AppendViewCells(nil, v)
+		head := 4*n + 4*len(v.Keyroots)
+		depths, subtreeSizes := cells[head:head+n], cells[head+3*n:head+4*n]
 		post := tree.Postorder(tr)
 		rank := make(map[int32]int32, n)
 		for i, u := range post {
@@ -80,8 +84,8 @@ func TestBuildViewsMatchesPrepare(t *testing.T) {
 			for p := tr.Nodes[u].Parent; p != tree.None; p = tr.Nodes[p].Parent {
 				depth++
 			}
-			if v.Depth[i] != depth {
-				t.Fatalf("iter %d: depth[%d]=%d, want %d", iter, i, v.Depth[i], depth)
+			if depths[i] != depth {
+				t.Fatalf("iter %d: depth[%d]=%d, want %d", iter, i, depths[i], depth)
 			}
 			wantParent := int32(-1)
 			if p := tr.Nodes[u].Parent; p != tree.None {
@@ -90,8 +94,8 @@ func TestBuildViewsMatchesPrepare(t *testing.T) {
 			if v.Parent[i] != wantParent {
 				t.Fatalf("iter %d: parent[%d]=%d, want %d", iter, i, v.Parent[i], wantParent)
 			}
-			if v.SubtreeSize[i] != sizes[u] {
-				t.Fatalf("iter %d: subtreeSize[%d]=%d, want %d", iter, i, v.SubtreeSize[i], sizes[u])
+			if subtreeSizes[i] != sizes[u] {
+				t.Fatalf("iter %d: subtreeSize[%d]=%d, want %d", iter, i, subtreeSizes[i], sizes[u])
 			}
 		}
 	}

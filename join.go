@@ -1,6 +1,7 @@
 package treejoin
 
 import (
+	"context"
 	"fmt"
 
 	"treejoin/internal/baseline"
@@ -134,6 +135,9 @@ type config struct {
 	prefilters []Prefilter
 	statsDst   *Stats
 	indexCap   int
+	// indexes is the corpus's shared-index resolver (core.Options.Indexes);
+	// set by the Corpus query paths, never by an Option.
+	indexes func(context.Context, int, int) (*core.Index, bool)
 
 	// Persistent-store knobs (see Open, WithMemtableBudget, WithStoreNoSync,
 	// WithSalvage).
@@ -150,24 +154,25 @@ func WithMethod(m Method) Option { return func(c *config) { c.method = m } }
 
 // WithWorkers runs the join on n parallel goroutines: TED verification for
 // every method, plus candidate generation wherever the source decomposes —
-// the sorted nested loop (WithSortedLoop, MethodBruteForce) shards its probe
-// loop freely, and PartSJ parallelises its partitioning pre-pass (its index
-// probing parallelises only under WithShards). The signature methods'
-// default token-index source generates candidates in one sequential task
-// (the inverted index is shared state); their parallelism is in the
-// verification stage. Unset (or any n < 1) uses one worker per available
-// core — runtime.GOMAXPROCS(0); pass 1 explicitly for a sequential run.
-// Stats.CandTime sums the tasks' own clocks (CPU effort); Stats.CandWall
-// reports the stage's wall time.
+// the sorted nested loop (WithSortedLoop, MethodBruteForce) deals its probe
+// positions across the pool, and PartSJ builds its subgraph index on the pool
+// (unless the corpus already holds it for this epoch and threshold) and then
+// cuts the size order into chunks that probe the one index concurrently. The
+// signature methods' default token-index source generates candidates in one
+// sequential task (its inverted index grows as it probes); their parallelism
+// is in the verification stage, which overlaps that task. Unset (or any
+// n < 1) uses one worker per available core — runtime.GOMAXPROCS(0); pass 1
+// explicitly for a sequential run. Stats.CandTime sums the tasks' own clocks
+// (CPU effort); Stats.CandWall reports the stage's wall time.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithShards decomposes a PartSJ self-join into n intra-shard joins plus the
-// necessary cross-shard joins (fragment-and-replicate over the size-sorted
-// order) and runs the independent tasks on the WithWorkers pool — the
-// paper's §6 parallel/distributed direction. Results are identical to the
-// sequential join; total filtering work is higher (each task builds its own
-// index), wall-clock time lower once a single core no longer keeps up.
-// Applies to SelfJoin with MethodPartSJ only.
+// WithShards asks a PartSJ self-join to cut its size order into at least n
+// probe chunks (by default it makes several per worker), run on the
+// WithWorkers pool — the paper's §6 parallel direction. Every chunk probes
+// the same frozen index, so results, candidates and filtering work are those
+// of the sequential join whatever n is; only the granularity of the work
+// dealt to the workers changes. Applies to SelfJoin and TopK with
+// MethodPartSJ only.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithPrefilter chains the given filter stages, in order, in front of the
@@ -306,6 +311,7 @@ func (c config) coreOptions(tau int) core.Options {
 		HybridVerify:    c.hybrid,
 		Seed:            c.seed,
 		Workers:         c.workers,
+		Indexes:         c.indexes,
 	}
 }
 

@@ -113,7 +113,7 @@ func corpusFromStore(s *segstore.Store, c config) (*Corpus, error) {
 	cp := &Corpus{
 		cache:      cache,
 		indexCap:   c.indexCap,
-		searchers:  make(map[searcherKey]*core.KNN),
+		searchers:  make(map[core.PositionFilter]*core.KNN),
 		store:      s,
 		persistent: true,
 		planner:    plan.New(),
@@ -261,7 +261,7 @@ type corpusArtifacts struct {
 }
 
 func (a corpusArtifacts) Views(ts []*tree.Tree) []*ted.TreeView {
-	return engine.ArenaFor(a.cache, ts)
+	return engine.ArenaFor(a.cache, ts, 1)
 }
 
 func (a corpusArtifacts) BagKinds() []string {

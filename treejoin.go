@@ -9,7 +9,8 @@
 // paper's PartSJ: each tree's left-child/right-sibling binary representation
 // is decomposed into 2τ+1 balanced subgraphs, and a pair can be similar only
 // if one tree contains a subgraph of the other — a filter served by an
-// in-memory subgraph index built on the fly, with exact TED verification
+// in-memory subgraph index, built once per corpus epoch and threshold and
+// probed in parallel by joins and searches alike, with exact TED verification
 // (an RTED-style hybrid of Zhang–Shasha strategies) only for surviving
 // candidates. The baselines the paper compares against (STR traversal-string
 // lower bounds and SET binary-branch distance) are included for comparison,
