@@ -29,7 +29,7 @@ func TestWarmJoinAllocationGate(t *testing.T) {
 	opts := []treejoin.Option{treejoin.WithMethod(treejoin.MethodBruteForce), treejoin.WithWorkers(1)}
 	var st treejoin.Stats
 	if _, _, err := cp.SelfJoin(ctx, 4, append(opts, treejoin.WithStats(&st))...); err != nil {
-		t.Fatal(err) // also warms the corpus: arenas, signatures, preps
+		t.Fatal(err) // also warms the corpus: arenas, signatures
 	}
 	if st.Candidates < 400 {
 		t.Fatalf("fixture too small to gate on: %d candidates", st.Candidates)

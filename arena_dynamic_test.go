@@ -189,3 +189,71 @@ func TestArenaMutationOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestOneVerifierArtifact: every verification path of a corpus — joins,
+// Search and KNN (plain and hybrid) and an Incremental stream fed corpus
+// trees — draws on the one per-tree verifier artifact, the arena view. Once a
+// join has built the views, none of the other paths records a single new
+// artifact miss or entry, and query trees, however many, are never stored.
+func TestOneVerifierArtifact(t *testing.T) {
+	ctx := context.Background()
+	const tau = 1
+	all := synth.Synthetic(2100, 41)
+	// Clusters are contiguous: alternate positions so queries have
+	// near-duplicates in the corpus and KNN settles at the first threshold.
+	var ts, queries []*Tree
+	for i, tr := range all {
+		if i < 120 && i%2 == 0 {
+			ts = append(ts, tr)
+		} else {
+			queries = append(queries, tr)
+		}
+	}
+	cp := mustNewCorpus(t, ts)
+	member := cp.state.Load().members
+	queries = slices.DeleteFunc(queries, func(q *Tree) bool { _, ok := member[q]; return ok })
+	if len(queries) < 1000 {
+		t.Fatalf("only %d distinct non-member queries", len(queries))
+	}
+	for _, opts := range [][]Option{nil, {WithHybridVerification()}} {
+		if _, _, err := cp.SelfJoin(ctx, tau, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := cp.cache.KindEntries(engine.ArenaKey), distinctTrees(ts); got != want {
+		t.Fatalf("%d arena views after the joins, want one per distinct tree (%d)", got, want)
+	}
+	warm := cp.cache.Stats()
+
+	knn := 0
+	for _, opts := range [][]Option{nil, {WithHybridVerification()}} {
+		for _, q := range queries[:1000] {
+			hits, err := cp.Search(ctx, q, tau, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hits) == 0 {
+				continue // KNN would move on to thresholds no join has partitioned for
+			}
+			knn++
+			if ms, err := cp.KNN(ctx, q, 1, opts...); err != nil || len(ms) != 1 || ms[0].Dist > tau {
+				t.Fatalf("KNN: %v, err %v", ms, err)
+			}
+		}
+		inc, err := cp.Incremental(tau, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range ts {
+			inc.Add(tr)
+		}
+	}
+	after := cp.cache.Stats()
+	if after.Misses != warm.Misses || after.Entries != warm.Entries {
+		t.Fatalf("queries and streams after the joins built artifacts: misses %d → %d, entries %d → %d",
+			warm.Misses, after.Misses, warm.Entries, after.Entries)
+	}
+	if after.Hits == warm.Hits || knn == 0 {
+		t.Fatalf("vacuous: cache hits %d → %d, %d KNN queries", warm.Hits, after.Hits, knn)
+	}
+}

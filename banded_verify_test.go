@@ -9,61 +9,55 @@ import (
 	"treejoin/internal/synth"
 )
 
-// TestUnbandedVerificationMatches: the τ-banded default verifier and the
-// WithUnbandedVerification full-DP baseline produce identical result sets
-// across methods and thresholds, the banded run records its pruning
-// counters, and the unbanded run keeps them zero.
-func TestUnbandedVerificationMatches(t *testing.T) {
+// TestBandedVerificationMatches: the τ-banded verifier produces exactly the
+// brute-force result set (unbounded Zhang–Shasha over every pair) across
+// methods and thresholds and records its pruning counters; hybrid
+// verification composes with it — the banded TED sits behind the string
+// screens — for the same results, and reports the strategy it ran.
+func TestBandedVerificationMatches(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(50, 23)
 	cp := mustCorpus(t, ts)
-	for _, m := range []treejoin.Method{
-		treejoin.MethodPartSJ, treejoin.MethodBruteForce, treejoin.MethodHistogram,
-	} {
-		for _, tau := range []int{0, 1, 3, 6} {
+	for _, tau := range []int{0, 1, 3, 6} {
+		var want []treejoin.Pair
+		for i := range ts {
+			for j := i + 1; j < len(ts); j++ {
+				if d := treejoin.Distance(ts[i], ts[j]); d <= tau {
+					want = append(want, treejoin.Pair{I: i, J: j, Dist: d})
+				}
+			}
+		}
+		for _, m := range []treejoin.Method{
+			treejoin.MethodPartSJ, treejoin.MethodBruteForce, treejoin.MethodHistogram,
+		} {
 			banded, bst, err := cp.SelfJoin(ctx, tau, treejoin.WithMethod(m))
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, fst, err := cp.SelfJoin(ctx, tau, treejoin.WithMethod(m), treejoin.WithUnbandedVerification())
-			if err != nil {
-				t.Fatal(err)
-			}
-			samePairs(t, "banded vs unbanded", banded, full)
-			if fst.DPAvoided != 0 || fst.KeyrootsSkipped != 0 || fst.BandAborts != 0 {
-				t.Fatalf("%v τ=%d: unbanded run recorded banded counters %+v", m, tau, fst)
-			}
+			samePairs(t, "banded vs brute force", banded, want)
 			if m == treejoin.MethodBruteForce && tau <= 1 &&
 				bst.DPAvoided == 0 && bst.KeyrootsSkipped == 0 && bst.BandAborts == 0 {
 				t.Fatalf("%v τ=%d: banded run recorded no verifier pruning (candidates=%d)",
 					m, tau, bst.Candidates)
 			}
 		}
+		hyb, hst, err := cp.SelfJoin(ctx, tau, treejoin.WithHybridVerification())
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePairs(t, "hybrid", hyb, want)
+		if len(want) > 0 && hst.StrategyLeft+hst.StrategyRight == 0 {
+			t.Fatalf("τ=%d: hybrid run verified %d results without a strategy decision", tau, len(want))
+		}
 	}
-	// Hybrid verification composes (the banded TED sits behind the string
-	// screens) and unbanded overrides it; both still match.
-	ref, _, err := cp.SelfJoin(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyb, _, err := cp.SelfJoin(ctx, 3, treejoin.WithHybridVerification())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePairs(t, "hybrid", hyb, ref)
-	both, _, err := cp.SelfJoin(ctx, 3, treejoin.WithHybridVerification(), treejoin.WithUnbandedVerification())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePairs(t, "hybrid+unbanded", both, ref)
 }
 
 // TestConcurrentVerifyAcrossTwoCorpora hammers the verifier's pooled scratch
-// buffers and shared cached preparations from many concurrent verify workers
+// buffers and shared cached arena views from many concurrent verify workers
 // across two corpora — parallel self joins on each side and cross joins
 // between them, all racing — and asserts every result identical to the
-// serial run. Under -race this is the detector test for the scratch pool,
-// the lazy Prep materialisation, and the routed cross-join cache.
+// serial run. Under -race this is the detector test for the scratch pool
+// and the routed cross-join cache.
 func TestConcurrentVerifyAcrossTwoCorpora(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Sentiment(85, 3) // one generation → one shared label table

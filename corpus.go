@@ -86,12 +86,12 @@ type dynEntry struct {
 //
 // The corpus owns a signature cache: every per-tree artifact any query
 // computes — traversal strings, histograms, Euler strings and gram bags,
-// binary views, δ-partitions, and the verifier's Zhang–Shasha preparations
-// (postorder labels, leftmost-leaf indices, keyroots of both
-// decompositions) — is cached by (artifact, tree) and reused by every later
-// query, whatever its threshold or method. A second SelfJoin at a different
-// τ recomputes no per-tree signature and re-runs no prepare; only the
-// τ-dependent pair predicates and candidate enumeration run again. Search
+// binary views, δ-partitions, and the verifier's arena views (postorder
+// labels, leftmost-leaf indices, keyroots of both decompositions) — is
+// cached by (artifact, tree) and reused by every later query, whatever its
+// threshold or method. A second SelfJoin at a different τ recomputes no
+// per-tree signature and rebuilds no view; only the τ-dependent pair
+// predicates and candidate enumeration run again. Search
 // and KNN queries additionally share a small LRU of per-threshold PartSJ
 // indexes (see WithIndexCacheCap), and PartSJ joins probe those same indexes
 // — one is built at most once per epoch, threshold and position mode, whoever
@@ -382,7 +382,7 @@ func (cp *Corpus) dropSearchers(epoch int64) {
 // Later trees shift down to keep positions dense, so after the call the
 // corpus is indistinguishable — query for query, pair for pair — from a
 // corpus freshly built over the survivors; ids are stable throughout. The
-// removed trees' cached signatures and preparations are evicted, their
+// removed trees' cached signatures and arena views are evicted, their
 // token-index postings tombstoned (probes skip them; the lists compact once
 // tombstones exceed half the postings), and the per-threshold search-index
 // LRU is invalidated, so no stale index can serve a post-Remove query.

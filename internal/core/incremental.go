@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"treejoin/internal/engine"
 	"treejoin/internal/lcrs"
 	"treejoin/internal/sim"
+	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
@@ -27,6 +29,8 @@ type Incremental struct {
 	delta   int
 	cache   *engine.Cache
 	ts      []*tree.Tree
+	views   []*ted.TreeView // the default verifier's arena views, beside ts
+	seqs    []travSeqs      // the hybrid screen's sequences, beside ts
 	bins    []*lcrs.Bin
 	parts   []*Partition
 	ix      *invIndex
@@ -35,7 +39,6 @@ type Incremental struct {
 	gen     int32
 	sc      matchScratch
 	st      partitionState
-	seqs    *seqCache
 	stats   sim.Stats
 
 	removed   []bool
@@ -67,11 +70,12 @@ func NewIncremental(opts Options) *Incremental {
 }
 
 // NewIncrementalCached is NewIncremental drawing per-tree artifacts (binary
-// views, δ-partitions) from cache: a stream fed trees a corpus has already
-// joined — or re-adding a tree it removed — skips their recomputation. A nil
-// cache computes everything locally. Options must be valid.
+// views, δ-partitions, the verifier's arena views and hybrid sequences) from
+// cache: a stream fed trees a corpus has already joined — or re-adding a tree
+// it removed — skips their recomputation. A nil cache computes everything
+// locally. Options must be valid.
 func NewIncrementalCached(opts Options, cache *engine.Cache) *Incremental {
-	inc := &Incremental{
+	return &Incremental{
 		opts:      opts,
 		delta:     opts.delta(),
 		cache:     cache,
@@ -79,16 +83,21 @@ func NewIncrementalCached(opts Options, cache *engine.Cache) *Incremental {
 		compactAt: 16,
 		standing:  make(map[uint64]int32),
 	}
-	if opts.HybridVerify && opts.Verifier == nil {
-		inc.seqs = newSeqCache(nil, cache, nil)
-		inc.opts.Verifier = inc.seqs.verifier()
-	} else if opts.Verifier == nil {
-		// τ-banded bounded TED drawing preparations from the stream's cache
-		// (a corpus-backed stream reuses preps its joins already computed; a
-		// nil cache computes them per pair, as before).
-		inc.opts.Verifier = engine.NewTEDVerifier(cache, nil)
+}
+
+// verifiers returns the stream's batched verifier factory over the trees
+// added so far: a custom Options.Verifier adapted statelessly, else the
+// τ-banded bounded TED over the views kept beside the trees, behind the
+// string screens under hybrid.
+func (inc *Incremental) verifiers() sim.BatchVerifierFactory {
+	if inc.opts.Verifier != nil {
+		return sim.AdaptVerifier(inc.ts, inc.opts.Verifier)
 	}
-	return inc
+	arena := engine.NewArenaVerifiers(inc.views, nil)
+	if inc.opts.HybridVerify {
+		return hybridVerifiers(inc.seqs, arena)
+	}
+	return arena
 }
 
 // Len returns the number of trees added so far, including removed ones
@@ -115,9 +124,16 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 	start := time.Now()
 	ti := len(inc.ts)
 	inc.ts = append(inc.ts, t)
-	if inc.seqs != nil {
-		inc.seqs.add(t)
+	var view *ted.TreeView
+	var seqs travSeqs
+	if inc.opts.Verifier == nil {
+		one := []*tree.Tree{t}
+		view = engine.ArenaFor(inc.cache, one, 1)[0]
+		if inc.opts.HybridVerify {
+			seqs = engine.Cached(inc.cache, seqKey, one, computeSeqs)[0]
+		}
 	}
+	inc.views, inc.seqs = append(inc.views, view), append(inc.seqs, seqs)
 	b := cachedBin(inc.cache, t)
 	inc.bins = append(inc.bins, b)
 	inc.parts = append(inc.parts, nil)
@@ -161,7 +177,11 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 	}
 	inc.stats.CandTime += time.Since(start)
 
-	pairs := sim.VerifyAll(inc.ts, cands, inc.opts.Tau, inc.opts.Verifier, sim.NormalizeWorkers(inc.opts.Workers), &inc.stats)
+	var pairs []sim.Pair
+	sim.VerifyStreamBatched(context.Background(), cands, inc.opts.Tau, inc.verifiers(), sim.NormalizeWorkers(inc.opts.Workers), &inc.stats, func(p sim.Pair) bool {
+		pairs = append(pairs, p)
+		return true
+	})
 
 	pStart := time.Now()
 	if sz >= inc.delta {
@@ -230,6 +250,7 @@ func (inc *Incremental) Remove(i int) bool {
 	}
 	// Release the payload; only the tombstone remains.
 	inc.ts[i] = nil
+	inc.views[i], inc.seqs[i] = nil, travSeqs{}
 	inc.bins[i] = nil
 	inc.parts[i] = nil
 	if inc.nRemoved >= inc.compactAt && inc.nRemoved*2 >= len(inc.ts) {

@@ -21,11 +21,12 @@ type Options struct {
 	RandomPartition bool
 	// Seed seeds the random partitioner (ignored unless RandomPartition).
 	Seed int64
-	// Verifier decides candidate pairs; nil means ted.DistanceBounded.
+	// Verifier decides candidate pairs; nil means the τ-banded bounded TED
+	// over cached arena views.
 	Verifier sim.Verifier
 	// HybridVerify screens candidates with the τ-banded traversal-string
-	// lower bounds before the cubic TED (see verify.go). Ignored when
-	// Verifier is set; not supported by Incremental.
+	// lower bounds before the bounded TED (see verify.go). Ignored when
+	// Verifier is set.
 	HybridVerify bool
 	// Workers parallelises the index build, the probe chunks and TED
 	// verification. 1 runs sequentially; values below 1 ("unset") are
@@ -102,13 +103,4 @@ func Join(a, b []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
 		panic(err)
 	}
 	return opts.Job(0, nil).Join(a, b)
-}
-
-// HybridVerifier returns the hybrid verification stage over a run's
-// collection: candidates are screened with the τ-banded traversal-string
-// lower bounds before the τ-banded bounded TED (see verify.go), with both
-// the sequences and the TED preparations drawn from the run's artifact
-// cache. It is the engine Job.VerifierFor hook behind Options.HybridVerify.
-func HybridVerifier(c *engine.Collection) sim.Verifier {
-	return newSeqCache(c.Trees, c.Cache(), c.VerifyCounters()).verifier()
 }

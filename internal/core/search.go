@@ -5,7 +5,6 @@ import (
 	"context"
 	"math/rand"
 	"slices"
-	"sync"
 	"time"
 
 	"treejoin/internal/engine"
@@ -34,15 +33,22 @@ type Index struct {
 	ix     *invIndex
 	smalls []int32 // trees below δ nodes, ascending (size, position)
 	built  time.Duration
-
-	seqsOnce sync.Once
-	seqs     *seqCache // the hybrid verifier's sequences, built on first use
 }
 
 // Match is one search hit: collection position and exact distance.
 type Match struct {
 	Pos  int
 	Dist int
+}
+
+// SortMatches orders hits by ascending position: Search's result order.
+func SortMatches(ms []Match) {
+	slices.SortFunc(ms, func(a, b Match) int { return cmp.Compare(a.Pos, b.Pos) })
+}
+
+// CompareMatchesByDist orders hits by (Dist, Pos): the k-nearest result order.
+func CompareMatchesByDist(a, b Match) int {
+	return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Pos, b.Pos))
 }
 
 // NewIndex partitions and indexes every tree of ts for searches with
@@ -124,29 +130,6 @@ const searchCtxStride = 64
 // hybrid screens candidates with the traversal-string bounds first. A custom
 // Options.Verifier overrides either.
 func (x *Index) SearchWith(ctx context.Context, q *tree.Tree, hybrid bool) ([]Match, error) {
-	verify := x.opts.Verifier
-	switch {
-	case verify != nil:
-	case hybrid:
-		// The query's sequences and preparation are bound once per call.
-		x.seqsOnce.Do(func() { x.seqs = newSeqCache(x.ts, x.cache, nil) })
-		verify = x.seqs.searchVerifier(q)
-	default:
-		// τ-banded bounded TED: collection preparations come from the
-		// index's artifact cache; the query's preparation is computed once
-		// per call and never stored, so query traffic cannot pin the cache.
-		qp := ted.NewPrep(q)
-		verify = func(t1, t2 *tree.Tree, tau int) (int, bool) {
-			p1, p2 := qp, qp
-			if t1 != q {
-				p1 = engine.PrepFor(x.cache, t1)
-			}
-			if t2 != q {
-				p2 = engine.PrepFor(x.cache, t2)
-			}
-			return ted.DistanceBoundedPrep(p1, p2, tau, nil)
-		}
-	}
 	b := lcrs.Build(q)
 	sz := q.Size()
 	tau := x.opts.Tau
@@ -176,23 +159,47 @@ func (x *Index) SearchWith(ctx context.Context, q *tree.Tree, hybrid bool) ([]Ma
 			}
 		})
 	}
+	// The default verifier is the τ-banded bounded TED over arena views: the
+	// candidates' views come through the index's artifact cache in one batch,
+	// and the query's view is built once per call, for the first candidate
+	// that reaches the DP (under hybrid: that passes the string screens), and
+	// — like its traversal sequences — never stored, so query traffic cannot
+	// pin corpus cache memory.
+	verify := func(k int) (int, bool) { return x.opts.Verifier(x.ts[cands[k]], q, tau) }
+	if x.opts.Verifier == nil && len(cands) > 0 {
+		cts := make([]*tree.Tree, len(cands))
+		for k, i := range cands {
+			cts[k] = x.ts[i]
+		}
+		views := engine.ArenaFor(x.cache, cts, 1)
+		var qv *ted.TreeView
+		s := ted.AcquireScratch()
+		defer ted.ReleaseScratch(s)
+		verify = func(k int) (int, bool) {
+			if qv == nil {
+				qv = ted.BuildViews([]*tree.Tree{q})[0]
+			}
+			return ted.DistanceBoundedView(views[k], qv, tau, s, nil)
+		}
+		if hybrid {
+			seqs, qs, arena := engine.Cached(x.cache, seqKey, cts, computeSeqs), computeSeqs(q), verify
+			verify = func(k int) (int, bool) {
+				if !seqs[k].within(qs, tau) {
+					return tau + 1, false
+				}
+				return arena(k)
+			}
+		}
+	}
 	var out []Match
-	for _, i := range cands {
+	for k, i := range cands {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if d, ok := verify(x.ts[i], q, tau); ok {
+		if d, ok := verify(k); ok {
 			out = append(out, Match{Pos: i, Dist: d})
 		}
 	}
-	sortMatches(out)
+	SortMatches(out)
 	return out, nil
-}
-
-func sortMatches(ms []Match) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].Pos < ms[j-1].Pos; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"treejoin/internal/engine"
@@ -14,12 +13,7 @@ import (
 // join and search take a TED threshold τ, but two common workloads do not
 // know one up front — "find the k most similar pairs in the collection" and
 // "find the k nearest neighbours of this query". Both reduce to the
-// thresholded forms by an expanding-threshold search: a run at threshold τ
-// is complete for distances ≤ τ, so as soon as it produces k hits the k
-// best of them are the global answer (anything unseen is farther than τ,
-// hence farther than the k-th hit). Thresholds grow geometrically, so the
-// total work is dominated by the last round — the round a clairvoyant
-// caller with the right τ would have paid for anyway.
+// thresholded forms by the expanding-threshold search of sim.ExpandTau.
 
 // TopK returns the k closest pairs of the collection by TED, ties broken by
 // (Dist, I, J). It runs PartSJ self-joins at geometrically increasing
@@ -61,12 +55,7 @@ func TopKCtx(ctx context.Context, ts []*tree.Tree, k int, opts Options, shards i
 			max2 = s
 		}
 	}
-	tauCap := max1 + max2
-	tau := opts.Tau
-	if tau < 1 {
-		tau = 1
-	}
-	for {
+	return sim.ExpandTau(opts.Tau, max1+max2, k, sim.ComparePairsByDist, func(tau int) ([]sim.Pair, error) {
 		o := opts
 		o.Tau = tau
 		job := o.Job(shards, nil)
@@ -76,37 +65,7 @@ func TopKCtx(ctx context.Context, ts []*tree.Tree, k int, opts Options, shards i
 			pairs = append(pairs, p)
 			return true
 		})
-		if err != nil {
-			sortByDist(pairs)
-			if len(pairs) > k {
-				pairs = pairs[:k]
-			}
-			return pairs, err
-		}
-		if len(pairs) >= k || tau >= tauCap {
-			sortByDist(pairs)
-			if len(pairs) > k {
-				pairs = pairs[:k]
-			}
-			return pairs, nil
-		}
-		tau *= 2
-		if tau > tauCap {
-			tau = tauCap
-		}
-	}
-}
-
-// sortByDist orders pairs by (Dist, I, J).
-func sortByDist(ps []sim.Pair) {
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].Dist != ps[b].Dist {
-			return ps[a].Dist < ps[b].Dist
-		}
-		if ps[a].I != ps[b].I {
-			return ps[a].I < ps[b].I
-		}
-		return ps[a].J < ps[b].J
+		return pairs, err
 	})
 }
 
@@ -280,12 +239,7 @@ func (x *KNN) NearestWith(ctx context.Context, q *tree.Tree, k int, hybrid bool)
 	if k > len(x.ts) {
 		k = len(x.ts)
 	}
-	tauCap := x.tauCap + q.Size()
-	tau := x.opts.Tau
-	if tau < 1 {
-		tau = 1
-	}
-	for {
+	return sim.ExpandTau(x.opts.Tau, x.tauCap+q.Size(), k, CompareMatchesByDist, func(tau int) ([]Match, error) {
 		// Check before each round: IndexAt may pay a full (uncancellable)
 		// index build, so don't start one the caller no longer wants.
 		if err := ctx.Err(); err != nil {
@@ -295,25 +249,6 @@ func (x *KNN) NearestWith(ctx context.Context, q *tree.Tree, k int, hybrid bool)
 		if err != nil {
 			return nil, err
 		}
-		ms, err := ix.SearchWith(ctx, q, hybrid)
-		if err != nil {
-			return nil, err
-		}
-		if len(ms) >= k || tau >= tauCap {
-			sort.Slice(ms, func(a, b int) bool {
-				if ms[a].Dist != ms[b].Dist {
-					return ms[a].Dist < ms[b].Dist
-				}
-				return ms[a].Pos < ms[b].Pos
-			})
-			if len(ms) > k {
-				ms = ms[:k]
-			}
-			return ms, nil
-		}
-		tau *= 2
-		if tau > tauCap {
-			tau = tauCap
-		}
-	}
+		return ix.SearchWith(ctx, q, hybrid)
+	})
 }

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"sync"
-
 	"treejoin/internal/engine"
 	"treejoin/internal/sim"
 	"treejoin/internal/strdist"
-	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
@@ -28,41 +25,6 @@ type travSeqs struct {
 	pre, post []int32
 }
 
-// seqCache holds the traversal sequences for a fixed tree collection, drawn
-// from (and stored back into) an artifact cache when one is supplied. It is
-// immutable after newSeqCache and safe for concurrent verifiers. Trees
-// outside the collection (search queries) get their sequences and TED
-// preparations computed per call and never stored, so query traffic cannot
-// pin corpus cache memory.
-type seqCache struct {
-	cache *engine.Cache
-	seqs  map[*tree.Tree]travSeqs
-	tc    *ted.Counters
-}
-
-func newSeqCache(ts []*tree.Tree, cache *engine.Cache, tc *ted.Counters) *seqCache {
-	c := &seqCache{cache: cache, seqs: make(map[*tree.Tree]travSeqs, len(ts)), tc: tc}
-	for _, t := range ts {
-		c.add(t)
-	}
-	return c
-}
-
-// add caches the traversal sequences of t. Not safe concurrently with
-// verifier calls; the joins only add between verification batches.
-func (c *seqCache) add(t *tree.Tree) {
-	if _, ok := c.seqs[t]; ok {
-		return
-	}
-	if v, ok := c.cache.Lookup(seqKey, t); ok {
-		c.seqs[t] = v.(travSeqs)
-		return
-	}
-	s := computeSeqs(t)
-	c.cache.Store(seqKey, t, s)
-	c.seqs[t] = s
-}
-
 func computeSeqs(t *tree.Tree) travSeqs {
 	return travSeqs{
 		pre:  tree.LabelSeq(t, tree.Preorder(t)),
@@ -70,64 +32,41 @@ func computeSeqs(t *tree.Tree) travSeqs {
 	}
 }
 
-// seqsOf returns t's sequences: collection trees from the prebuilt map,
-// anything else computed on the fly.
-func (c *seqCache) seqsOf(t *tree.Tree) travSeqs {
-	if s, ok := c.seqs[t]; ok {
-		return s
-	}
-	return computeSeqs(t)
+// within reports whether both string lower bounds leave the pair a chance of
+// TED ≤ tau.
+func (s travSeqs) within(o travSeqs, tau int) bool {
+	return strdist.Bounded(s.pre, o.pre, tau) <= tau && strdist.Bounded(s.post, o.post, tau) <= tau
 }
 
-// prepOf returns t's TED preparation: collection trees through the artifact
-// cache, anything else computed locally.
-func (c *seqCache) prepOf(t *tree.Tree) *ted.Prep {
-	if _, ok := c.seqs[t]; ok {
-		return engine.PrepFor(c.cache, t)
-	}
-	return ted.NewPrep(t)
+// hybridVerifier is one worker's hybrid verification context: the string
+// screens over sequences indexed like the candidates, then the worker's arena
+// verifier for the pairs they let through.
+type hybridVerifier struct {
+	seqs  []travSeqs
+	arena sim.BatchVerifier
 }
 
-// verifier returns a sim.Verifier that applies the string lower bounds and
-// falls back to the τ-banded bounded TED over cached preparations.
-func (c *seqCache) verifier() sim.Verifier {
-	return func(t1, t2 *tree.Tree, tau int) (int, bool) {
-		s1, s2 := c.seqsOf(t1), c.seqsOf(t2)
-		if strdist.Bounded(s1.pre, s2.pre, tau) > tau {
-			return tau + 1, false
-		}
-		if strdist.Bounded(s1.post, s2.post, tau) > tau {
-			return tau + 1, false
-		}
-		return ted.DistanceBoundedPrep(c.prepOf(t1), c.prepOf(t2), tau, c.tc)
+func (h hybridVerifier) VerifyPair(i, j, tau int) (int, bool) {
+	if !h.seqs[i].within(h.seqs[j], tau) {
+		return tau + 1, false
 	}
+	return h.arena.VerifyPair(i, j, tau)
 }
 
-// searchVerifier is verifier pre-bound to one query tree: the query's
-// sequences and TED preparation are computed once per call instead of once
-// per candidate (the query is never in the collection maps), and still never
-// stored, so query traffic cannot pin corpus memory.
-func (c *seqCache) searchVerifier(q *tree.Tree) sim.Verifier {
-	qs := c.seqsOf(q)
-	var qpOnce sync.Once
-	var qp *ted.Prep
-	inner := c.verifier()
-	return func(t1, t2 *tree.Tree, tau int) (int, bool) {
-		if t1 != q && t2 != q {
-			return inner(t1, t2, tau)
-		}
-		if t2 == q {
-			// Canonical orientation: collection tree second.
-			t1, t2 = t2, t1
-		}
-		s2 := c.seqsOf(t2)
-		if strdist.Bounded(qs.pre, s2.pre, tau) > tau {
-			return tau + 1, false
-		}
-		if strdist.Bounded(qs.post, s2.post, tau) > tau {
-			return tau + 1, false
-		}
-		qpOnce.Do(func() { qp = ted.NewPrep(q) })
-		return ted.DistanceBoundedPrep(qp, c.prepOf(t2), tau, c.tc)
-	}
+func (h hybridVerifier) Close() { h.arena.Close() }
+
+// hybridVerifiers puts the string screens in front of every verifier arena
+// mints; seqs and the arena's views are indexed alike.
+func hybridVerifiers(seqs []travSeqs, arena sim.BatchVerifierFactory) sim.BatchVerifierFactory {
+	return func() sim.BatchVerifier { return hybridVerifier{seqs: seqs, arena: arena()} }
+}
+
+// HybridVerifier returns the hybrid verification stage over a run's
+// collection, with both the sequences and the arena views drawn from the
+// run's artifact cache. It is the engine Job.VerifierFor hook behind
+// Options.HybridVerify.
+func HybridVerifier(c *engine.Collection) sim.BatchVerifierFactory {
+	seqs := engine.Cached(c.Cache(), seqKey, c.Trees, computeSeqs)
+	views := engine.ArenaFor(c.Cache(), c.Trees, c.Workers)
+	return hybridVerifiers(seqs, engine.NewArenaVerifiers(views, c.VerifyCounters()))
 }

@@ -68,7 +68,7 @@ func TestArenaForCaching(t *testing.T) {
 
 // TestArenaVerifierMatchesOracle: the default engine verifier (the batched
 // arena path) returns bit-identical pairs and distances to the exhaustive
-// pointer-kernel oracle, across worker counts and thresholds — the engine
+// Zhang–Shasha oracle, across worker counts and thresholds — the engine
 // half of the arena soundness argument (internal/ted proves the kernel).
 func TestArenaVerifierMatchesOracle(t *testing.T) {
 	ts := synth.Synthetic(60, 23)
@@ -92,7 +92,7 @@ func TestArenaVerifierMatchesOracle(t *testing.T) {
 func TestArenaVerifierZeroAllocs(t *testing.T) {
 	ts := synth.Synthetic(24, 29)
 	cache := engine.NewCache()
-	factory := engine.NewArenaVerifiers(ts, cache, 2, nil)
+	factory := engine.NewArenaVerifiers(engine.ArenaFor(cache, ts, 2), nil)
 	var cands []sim.Candidate
 	for i := range ts {
 		for j := i + 1; j < len(ts); j++ {

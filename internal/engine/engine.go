@@ -366,13 +366,14 @@ type Job struct {
 	// Tau is the TED threshold τ ≥ 0.
 	Tau int
 	// Verifier decides candidate pairs; nil installs the default τ-banded
-	// TED verifier over preparations cached in the run's Cache.
+	// TED verifier over arena views cached in the run's Cache.
 	Verifier sim.Verifier
-	// VerifierFor, when non-nil and Verifier is nil, builds the verifier
-	// from the run's collection (e.g. the hybrid screen's sequence cache,
-	// which draws on the collection's artifact cache and verify counters).
-	// It runs once per join.
-	VerifierFor func(c *Collection) sim.Verifier
+	// VerifierFor, when non-nil and Verifier is nil, builds the batched
+	// verifiers from the run's collection in place of the default (the
+	// hybrid screen, which draws its sequences and views from the
+	// collection's artifact cache and records into its verify counters). It
+	// runs once per join.
+	VerifierFor func(c *Collection) sim.BatchVerifierFactory
 	// Workers sizes the worker pool used for candidate generation and TED
 	// verification; 1 runs sequentially, and values below 1 ("unset") are
 	// normalized to runtime.GOMAXPROCS(0).
@@ -494,15 +495,11 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	stats.CandTime += time.Since(start)
 	stats.CandWall += time.Since(start)
 
-	verifier := job.Verifier
-	if verifier == nil && job.VerifierFor != nil {
-		verifier = job.VerifierFor(c)
-	}
 	var vfactory sim.BatchVerifierFactory
-	if verifier != nil {
-		// A custom verifier (a test's instrumentation, the unbanded
-		// ablation) runs through the same batched stage, adapted statelessly.
-		vfactory = sim.AdaptVerifier(ts, verifier)
+	if job.Verifier != nil {
+		// A custom verifier (a test's instrumentation) runs through the same
+		// batched stage, adapted statelessly.
+		vfactory = sim.AdaptVerifier(ts, job.Verifier)
 	} else {
 		// The arena views are τ-independent per-tree signatures like any
 		// filter's: compute (or warm-hit) every tree's now, so the corpus
@@ -514,7 +511,11 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 			return stats, err
 		}
 		vstart := time.Now()
-		vfactory = NewArenaVerifiers(ts, c.cache, c.Workers, c.counters)
+		if job.VerifierFor != nil {
+			vfactory = job.VerifierFor(c)
+		} else {
+			vfactory = NewArenaVerifiers(ArenaFor(c.cache, ts, c.Workers), c.counters)
+		}
 		stats.VerifyTime += time.Since(vstart)
 	}
 	stats.Source = source.Name()

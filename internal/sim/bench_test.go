@@ -13,9 +13,8 @@ import (
 
 // The verify-stage benchmark: the whole stage as the engine runs it —
 // candidate take, verifier dispatch, pair delivery — not just the kernel.
-// BENCH_verify.json pairs these with internal/ted's kernel benchmarks: the
-// kernel entries isolate the DP, these measure what a join's verify phase
-// actually costs end to end under each verifier generation.
+// internal/ted's BenchmarkVerifyArena isolates the DP over the same candidate
+// stream; these measure what a join's verify phase costs end to end.
 
 // stageWorkload mirrors internal/ted's verifyWorkload (same generator
 // parameters and seed), so stage and kernel numbers describe one candidate
@@ -36,43 +35,10 @@ func stageWorkload() ([]*tree.Tree, []sim.Candidate) {
 
 func drain(p sim.Pair) bool { return true }
 
-// BenchmarkVerifyStageBanded is the pre-arena stage: the pointer-based
-// τ-banded verifier behind the per-candidate Verifier interface, exactly the
-// shape the engine ran before batching (prep lookups resolved up front, one
-// virtual call and one pooled-scratch acquire/release per pair).
-func BenchmarkVerifyStageBanded(b *testing.B) {
-	ts, cands := stageWorkload()
-	preps := make([]*ted.Prep, len(ts))
-	for i, t := range ts {
-		preps[i] = ted.NewPrep(t)
-	}
-	var tc ted.Counters
-	// Preps resolved by identity up front, as the engine's pre-batching
-	// verifier closure held them.
-	byTree := make(map[*tree.Tree]*ted.Prep, len(ts))
-	for i, t := range ts {
-		byTree[t] = preps[i]
-	}
-	for _, tau := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("tau=%d", tau), func(b *testing.B) {
-			b.ReportAllocs()
-			ctx := context.Background()
-			v := func(t1, t2 *tree.Tree, tau int) (int, bool) {
-				return ted.DistanceBoundedPrep(byTree[t1], byTree[t2], tau, &tc)
-			}
-			for i := 0; i < b.N; i++ {
-				var st sim.Stats
-				sim.VerifyStream(ctx, ts, cands, tau, v, 1, &st, drain)
-			}
-		})
-	}
-}
-
 // BenchmarkVerifyStageArena is the batched arena stage: per-worker
 // BatchVerifier over struct-of-arrays views, chunked candidate take, scratch
-// held for the whole run. Workers = 1 keeps the comparison like-for-like on
-// single-core runners; the stage parallelises by minting one verifier per
-// worker (see BenchmarkVerifyStageArenaParallel).
+// held for the whole run, on one worker; the stage parallelises by minting
+// one verifier per worker (see BenchmarkVerifyStageArenaParallel).
 func BenchmarkVerifyStageArena(b *testing.B) {
 	ts, cands := stageWorkload()
 	views := ted.BuildViews(ts)
@@ -92,8 +58,7 @@ func BenchmarkVerifyStageArena(b *testing.B) {
 
 // BenchmarkVerifyStageArenaParallel is the batched arena stage at the worker
 // counts a join actually runs with. On a single-core machine this measures
-// scheduling overhead, not speedup — BENCH_verify.json records the core
-// count next to these numbers for that reason.
+// scheduling overhead, not speedup.
 func BenchmarkVerifyStageArenaParallel(b *testing.B) {
 	ts, cands := stageWorkload()
 	views := ted.BuildViews(ts)

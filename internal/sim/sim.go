@@ -4,8 +4,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -30,6 +32,32 @@ func SortPairs(ps []Pair) {
 		}
 		return ps[a].J < ps[b].J
 	})
+}
+
+// ComparePairsByDist orders pairs by (Dist, I, J): the top-k result order.
+func ComparePairsByDist(a, b Pair) int {
+	return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+}
+
+// ExpandTau is the expanding-threshold driver behind every threshold-free
+// query (top-k pairs, k nearest trees, k best subtrees). A round at threshold
+// τ is complete for distances ≤ τ, so as soon as one produces k hits the k
+// best of them are the global answer — anything unseen is farther than τ,
+// hence farther than the k-th hit. Rounds start at max(1, start) and double,
+// clamped to tauCap (the largest distance any hit can have), so the total
+// work is dominated by the last round — the one a clairvoyant caller with
+// the right τ would have paid for anyway. The final round's hits come back
+// ordered by order and cut to k. A round that fails ends the search with its
+// error and whatever hits it returned beside it, ordered and cut the same
+// way: a caller that wants nothing on failure returns nil from round.
+func ExpandTau[T any](start, tauCap, k int, order func(a, b T) int, round func(tau int) ([]T, error)) ([]T, error) {
+	for tau := max(1, start); ; tau = min(2*tau, tauCap) {
+		hits, err := round(tau)
+		if err != nil || len(hits) >= k || tau >= tauCap {
+			slices.SortFunc(hits, order)
+			return hits[:min(k, len(hits))], err
+		}
+	}
 }
 
 // StageStats attributes filtering work to one pipeline stage: how many pairs
@@ -173,14 +201,15 @@ func NormalizeWorkers(n int) int {
 }
 
 // Verifier decides whether a candidate pair is a result: it reports the
-// distance and whether it is ≤ tau. The default is ted.DistanceBounded;
-// tests inject instrumented verifiers.
+// distance and whether it is ≤ tau. It is the stateless, pair-at-a-time form
+// tests use to inject instrumented verifiers; the joins themselves verify by
+// position through a BatchVerifier.
 type Verifier func(t1, t2 *tree.Tree, tau int) (int, bool)
 
-// DefaultVerifier is the τ-banded bounded TED (RTED-style strategy choice,
-// threshold-aware DP). Engine-driven joins install a cache-backed variant
-// that reuses per-tree preparations; this uncached form is the fallback for
-// direct VerifyStream callers.
+// DefaultVerifier is the τ-banded bounded TED in its one-off form, which
+// flattens both trees per call. Engine-driven joins install a batch verifier
+// over cached arena views instead; this is the fallback for direct
+// VerifyStream callers.
 func DefaultVerifier(t1, t2 *tree.Tree, tau int) (int, bool) {
 	return ted.DistanceBounded(t1, t2, tau)
 }
@@ -227,14 +256,14 @@ const verifyCtxStride = 16
 // lock acquisition. Candidate decisions are microseconds, not nanoseconds, so
 // the chunk is about amortising the take/deliver mutex and keeping each
 // worker on one run of the candidate slice (the pairs of a run share trees
-// far more often than random pairs do — the arena verifier's prep lookups and
+// far more often than random pairs do — the arena verifier's views and
 // scratch stay hot); it is small enough that the tail imbalance stays under a
 // chunk's worth of work per worker.
 const verifyBatchChunk = 32
 
 // BatchVerifier is a per-worker verification context: it decides candidate
 // pairs by collection index and may hold worker-private state — DP scratch, a
-// prep table — that VerifyPair reuses across the whole batch. Close releases
+// view table — that VerifyPair reuses across the whole batch. Close releases
 // that state (returns scratch to its pool); the verifier must not be used
 // after Close. A BatchVerifier is confined to one goroutine, so VerifyPair
 // needs no locking.
@@ -258,8 +287,8 @@ func (f funcVerifier) VerifyPair(i, j, tau int) (int, bool) { return f.v(f.ts[i]
 func (f funcVerifier) Close()                               {}
 
 // AdaptVerifier lifts a stateless Verifier into a BatchVerifierFactory, so
-// custom verifiers (tests, ablations) run through the same batched stage as
-// the arena verifier. A nil v adapts DefaultVerifier.
+// custom verifiers (tests) run through the same batched stage as the arena
+// verifier. A nil v adapts DefaultVerifier.
 func AdaptVerifier(ts []*tree.Tree, v Verifier) BatchVerifierFactory {
 	if v == nil {
 		v = DefaultVerifier

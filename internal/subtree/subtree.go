@@ -15,8 +15,9 @@
 package subtree
 
 import (
-	"sort"
+	"cmp"
 
+	"treejoin/internal/sim"
 	"treejoin/internal/strdist"
 	"treejoin/internal/ted"
 	"treejoin/internal/tree"
@@ -32,15 +33,26 @@ type Match struct {
 // Search returns every subtree of data within TED tau of query, in ascending
 // root node id order. data and query must share one label table.
 func Search(data, query *tree.Tree, tau int) []Match {
-	if data.Labels != query.Labels {
-		panic("subtree: trees must share a label table")
-	}
+	search := searcher(data, query)
 	if tau < 0 {
 		return nil
+	}
+	return search(tau)
+}
+
+// searcher returns Search over one (data, query) pair as a function of the
+// threshold (≥ 0), so that everything thresholds share — the query's
+// traversal sequences and arena view, the data tree's whole-tree sequences
+// with each node's rank and subtree size — is computed once however many
+// rounds SearchBest runs.
+func searcher(data, query *tree.Tree) func(tau int) []Match {
+	if data.Labels != query.Labels {
+		panic("subtree: trees must share a label table")
 	}
 	qSize := query.Size()
 	qPre := tree.LabelSeq(query, tree.Preorder(query))
 	qPost := tree.LabelSeq(query, tree.Postorder(query))
+	qView := ted.BuildViews([]*tree.Tree{query})[0]
 
 	// Whole-tree sequences; each subtree owns a contiguous slice of both.
 	pre := tree.Preorder(data)
@@ -57,29 +69,38 @@ func Search(data, query *tree.Tree, tau int) []Match {
 	}
 	sizes := tree.SubtreeSizes(data)
 
-	var out []Match
-	for id := range data.Nodes {
-		n := int32(id)
-		sz := int(sizes[n])
-		if sz < qSize-tau || sz > qSize+tau {
-			continue
+	return func(tau int) []Match {
+		// Screen every node first, then flatten the survivors in one batch.
+		var roots []int32
+		var subs []*tree.Tree
+		for id := range data.Nodes {
+			n := int32(id)
+			sz := int(sizes[n])
+			if sz < qSize-tau || sz > qSize+tau {
+				continue
+			}
+			// Subtree n occupies preorder [preRank, preRank+sz) and postorder
+			// [postRank−sz+1, postRank+1].
+			p := preSeq[preRank[n] : int(preRank[n])+sz]
+			if strdist.Bounded(p, qPre, tau) > tau {
+				continue
+			}
+			q := postSeq[int(postRank[n])-sz+1 : postRank[n]+1]
+			if strdist.Bounded(q, qPost, tau) > tau {
+				continue
+			}
+			roots, subs = append(roots, n), append(subs, tree.SubtreeAt(data, n))
 		}
-		// Subtree n occupies preorder [preRank, preRank+sz) and postorder
-		// [postRank−sz+1, postRank+1].
-		p := preSeq[preRank[n] : int(preRank[n])+sz]
-		if strdist.Bounded(p, qPre, tau) > tau {
-			continue
+		scratch := ted.AcquireScratch()
+		defer ted.ReleaseScratch(scratch)
+		var out []Match
+		for k, sub := range ted.BuildViews(subs) {
+			if d, ok := ted.DistanceBoundedView(sub, qView, tau, scratch, nil); ok {
+				out = append(out, Match{Root: roots[k], Dist: d})
+			}
 		}
-		q := postSeq[int(postRank[n])-sz+1 : postRank[n]+1]
-		if strdist.Bounded(q, qPost, tau) > tau {
-			continue
-		}
-		if d, ok := ted.DistanceBounded(tree.SubtreeAt(data, n), query, tau); ok {
-			out = append(out, Match{Root: n, Dist: d})
-		}
+		return out // ascending Root: the loop's order
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Root < out[b].Root })
-	return out
 }
 
 // SearchBest returns the k subtrees of data closest to query by TED, ordered
@@ -90,28 +111,10 @@ func SearchBest(data, query *tree.Tree, k int) []Match {
 	if k <= 0 {
 		return nil
 	}
-	if k > data.Size() {
-		k = data.Size()
-	}
-	tauCap := data.Size() + query.Size()
-	tau := 1
-	for {
-		ms := Search(data, query, tau)
-		if len(ms) >= k || tau >= tauCap {
-			sort.Slice(ms, func(a, b int) bool {
-				if ms[a].Dist != ms[b].Dist {
-					return ms[a].Dist < ms[b].Dist
-				}
-				return ms[a].Root < ms[b].Root
-			})
-			if len(ms) > k {
-				ms = ms[:k]
-			}
-			return ms
-		}
-		tau *= 2
-		if tau > tauCap {
-			tau = tauCap
-		}
-	}
+	search := searcher(data, query)
+	byDist := func(a, b Match) int { return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Root, b.Root)) }
+	ms, _ := sim.ExpandTau(1, data.Size()+query.Size(), min(k, data.Size()), byDist, func(tau int) ([]Match, error) {
+		return search(tau), nil
+	})
+	return ms
 }

@@ -1,12 +1,12 @@
-// Struct-of-arrays tree arenas. The pointer-based verifier of banded.go
-// walks heap-scattered prep structs; at paper scale the DP is memory-bound,
-// so this file flattens every tree of a collection into postorder-indexed
-// parallel slices carved out of one contiguous int32 block:
+// Struct-of-arrays tree arenas. At paper scale the verifier's DP is
+// memory-bound, so this file flattens every tree of a collection into
+// postorder-indexed parallel slices carved out of one contiguous int32 block:
 //
 //   - labels and leftmost-leaf indices of the left-path decomposition,
-//   - the same two arrays of the mirrored (right-path) decomposition, built
-//     exactly as prepareMirrored builds them but materialised eagerly —
-//     the strategy-driven kernel flips between the two array sets per pair,
+//   - the same two arrays of the mirrored (right-path) decomposition, equal
+//     to prepare(Mirror(t))'s without materialising the mirror, and built
+//     eagerly — the strategy-driven kernel flips between the two array sets
+//     per pair,
 //   - keyroots of both decompositions, each also sorted by leftmost leaf so
 //     the banded kernel binary-searches its τ-window instead of scanning,
 //   - the parent arrays of both postorders, and the sorted label multiset
@@ -31,8 +31,8 @@ import (
 // TreeView is immutable after construction and safe to share across
 // goroutines.
 type TreeView struct {
-	// T is the tree this view flattens, kept for the rare fallback paths
-	// (oversized bands) and for tests; the kernel itself never touches it.
+	// T is the tree this view flattens, kept for the shared-label-table
+	// check; the kernel itself never touches it.
 	T *tree.Tree
 
 	// Left-path (standard postorder) decomposition arrays, exactly the
@@ -41,7 +41,7 @@ type TreeView struct {
 	Lml    []int32 // postorder index of the leftmost leaf of the subtree at i
 
 	// Right-path decomposition arrays over the mirrored postorder, exactly
-	// the arrays prepareMirrored(T) computes (≡ prepare(Mirror(T))).
+	// the arrays prepare(Mirror(T)) computes.
 	RLabels []int32
 	Rml     []int32
 
@@ -68,8 +68,8 @@ type TreeView struct {
 	SortedLabels []int32
 
 	// CostL and CostR are the RTED-style strategy costs of the left- and
-	// right-path decompositions (identical to Prep's); the per-pair
-	// decomposition choice multiplies them.
+	// right-path decompositions (strategyCost's); the per-pair decomposition
+	// choice multiplies them.
 	CostL, CostR int64
 }
 
@@ -159,9 +159,9 @@ func (s *viewScratch) buildView(t *tree.Tree, leaves int, block []int32, off int
 	// Left decomposition: standard postorder. Right decomposition: the same
 	// construction over the mirrored postorder — children walked right to
 	// left through the inverted sibling links, decomposition leaf = rightmost
-	// leaf — exactly as prepareMirrored builds it. The strategy costs are
-	// strategyCost's: n plus the subtree sizes of the nodes with a sibling
-	// before them (left paths) or after them (right paths).
+	// leaf. The strategy costs are strategyCost's: n plus the subtree sizes
+	// of the nodes with a sibling before them (left paths) or after them
+	// (right paths).
 	before, after := s.decompose(t, first, next, v.Labels, v.Lml, v.Parent, v.Keyroots, v.KrByLml)
 	v.CostL, v.CostR = int64(n)+before, int64(n)+after
 	s.decompose(t, last, prev, v.RLabels, v.Rml, v.RParent, v.RKeyroots, v.RKrByLml)

@@ -2,18 +2,19 @@ package ted
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"treejoin/internal/tree"
 )
 
-// TestBuildViewsMatchesPrepare checks that arena views are bit-identical to
-// the pointer-based preparations they replace: left arrays against prepare,
-// mirrored arrays against prepareMirrored, keyroots of both directions, the
-// lml-sorted keyroot orders, strategy costs, the sorted label multiset, and
-// the structural arrays (depth, parent, subtree size) against naive
-// recomputation from the tree.
+// TestBuildViewsMatchesPrepare checks the arena views against the oracle's
+// own preparation: left arrays against prepare(t), mirrored arrays against
+// prepare(Mirror(t)), keyroots of both directions, the lml-sorted keyroot
+// orders, strategy costs, the sorted label multiset, and the structural
+// arrays (depth, parent, subtree size) against naive recomputation from the
+// tree.
 func TestBuildViewsMatchesPrepare(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 200; iter++ {
@@ -55,17 +56,16 @@ func TestBuildViewsMatchesPrepare(t *testing.T) {
 			}
 		}
 		checkDir("left", prepare(tr), v.Labels, v.Lml, v.Keyroots, v.KrByLml)
-		checkDir("right", prepareMirrored(tr), v.RLabels, v.Rml, v.RKeyroots, v.RKrByLml)
+		checkDir("right", prepare(Mirror(tr)), v.RLabels, v.Rml, v.RKeyroots, v.RKrByLml)
 
 		wantL, wantR := strategyCost(tr)
 		if v.CostL != wantL || v.CostR != wantR {
 			t.Fatalf("iter %d: costs (%d,%d), want (%d,%d)", iter, v.CostL, v.CostR, wantL, wantR)
 		}
-		np := NewPrep(tr)
-		for i := range np.labels {
-			if v.SortedLabels[i] != np.labels[i] {
-				t.Fatalf("iter %d: sorted labels differ at %d", iter, i)
-			}
+		sorted := slices.Clone(prepare(tr).labels)
+		slices.Sort(sorted)
+		if !slices.Equal(v.SortedLabels, sorted) {
+			t.Fatalf("iter %d: sorted labels %v, want %v", iter, v.SortedLabels, sorted)
 		}
 
 		// Structural arrays against naive per-node recomputation; depth and
@@ -101,53 +101,95 @@ func TestBuildViewsMatchesPrepare(t *testing.T) {
 	}
 }
 
-// TestArenaAgreesWithOracleTauSweep is the arena verifier's tri-equivalence
+// TestArenaAgreesWithOracleTauSweep is the arena verifier's equivalence
 // property: for random pairs (including mutated near-duplicates, where bands
-// matter) and every τ from 0 past the true distance, the arena DP, the
-// pointer-based banded DP, and the unbounded Zhang–Shasha oracle agree on
-// verdict AND distance — in strategy-driven mode and with each decomposition
-// forced.
+// matter) and every τ from 0 past the true distance, the arena DP and the
+// unbounded Zhang–Shasha oracle agree on verdict AND distance — in
+// strategy-driven mode and with each decomposition forced.
 func TestArenaAgreesWithOracleTauSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := AcquireScratch()
 	defer ReleaseScratch(s)
 	for iter := 0; iter < 150; iter++ {
-		lt := tree.NewLabelTable()
-		t1 := randTree(rng, 28, 3, lt)
-		var t2 *tree.Tree
-		if iter%2 == 0 {
-			t2 = mutate(rng, t1, 1+rng.Intn(4), 3, lt)
-		} else {
-			t2 = randTree(rng, 28, 3, lt)
-		}
+		t1, t2 := sweepPair(rng, iter, 28)
 		exact := ZhangShasha(t1, t2)
 		vs := BuildViews([]*tree.Tree{t1, t2})
-		p1, p2 := NewPrep(t1), NewPrep(t2)
 		for tau := 0; tau <= exact+2; tau++ {
-			wd, wok := DistanceBoundedPrep(p1, p2, tau, nil)
 			for _, dec := range []Decomp{DecompAuto, DecompLeft, DecompRight} {
-				gd, gok := DistanceBoundedViewDecomp(vs[0], vs[1], tau, dec, s, nil)
-				if gok != wok || gd != wd {
-					t.Fatalf("iter %d τ=%d dec=%d: arena (%d,%v), banded (%d,%v), exact %d",
-						iter, tau, dec, gd, gok, wd, wok, exact)
-				}
-				if gok != (exact <= tau) {
-					t.Fatalf("iter %d τ=%d dec=%d: verdict %v, exact %d", iter, tau, dec, gok, exact)
-				}
-				if gok && gd != exact {
-					t.Fatalf("iter %d τ=%d dec=%d: distance %d, exact %d", iter, tau, dec, gd, exact)
+				checkVerdict(t, vs, tau, dec, s, nil, exact)
+			}
+		}
+	}
+}
+
+// sweepPair draws one pair of trees of at most maxN nodes over a fresh label
+// table: a mutated near-duplicate on even iterations, an independent pair on
+// odd ones.
+func sweepPair(rng *rand.Rand, iter, maxN int) (t1, t2 *tree.Tree) {
+	lt := tree.NewLabelTable()
+	t1 = randTree(rng, maxN, 3, lt)
+	if iter%2 == 0 {
+		return t1, mutate(rng, t1, 1+rng.Intn(4), 3, lt)
+	}
+	return t1, randTree(rng, maxN, 3, lt)
+}
+
+// checkVerdict requires the tri-state contract of one verification against
+// the oracle distance exact.
+func checkVerdict(t *testing.T, vs []*TreeView, tau int, dec Decomp, s *VerifyScratch, tc *Counters, exact int) {
+	t.Helper()
+	d, ok := DistanceBoundedViewDecomp(vs[0], vs[1], tau, dec, s, tc)
+	want := tau + 1
+	if exact <= tau {
+		want = exact
+	}
+	if ok != (exact <= tau) || d != want {
+		t.Fatalf("τ=%d dec=%d: got (%d,%v), oracle distance %d\n%s\n%s", tau, dec, d, ok, exact,
+			tree.FormatBracket(vs[0].T), tree.FormatBracket(vs[1].T))
+	}
+}
+
+// TestArenaOverflowRunsUnboundedDP lowers the int16 band limit so that
+// ordinary thresholds overflow it, and requires the overflow path — the
+// unbounded DP over the chosen decomposition's view arrays — to keep the
+// contract for every τ up to past the trivial maximum n1+n2, under all three
+// decomposition modes, counting the forced direction's strategy.
+func TestArenaOverflowRunsUnboundedDP(t *testing.T) {
+	defer func(old int) { maxViewBand = old }(maxViewBand)
+	maxViewBand = 3
+	rng := rand.New(rand.NewSource(13))
+	s := AcquireScratch()
+	defer ReleaseScratch(s)
+	for iter := 0; iter < 60; iter++ {
+		t1, t2 := sweepPair(rng, iter, 12)
+		exact := ZhangShasha(t1, t2)
+		vs := BuildViews([]*tree.Tree{t1, t2})
+		for tau := 0; tau <= t1.Size()+t2.Size()+1; tau++ {
+			if d, ok := DistanceBounded(t1, t2, tau); ok != (exact <= tau) || ok && d != exact {
+				t.Fatalf("iter %d τ=%d: DistanceBounded (%d,%v), oracle distance %d", iter, tau, d, ok, exact)
+			}
+			for _, dec := range []Decomp{DecompAuto, DecompLeft, DecompRight} {
+				var tc Counters
+				checkVerdict(t, vs, tau, dec, s, &tc, exact)
+				l, r := tc.StrategyLeft.Load(), tc.StrategyRight.Load()
+				reached := tc.DPAvoided.Load() == 0
+				switch {
+				case !reached && l+r != 0, reached && l+r != 1:
+					t.Fatalf("iter %d τ=%d dec=%d: strategy counts (%d,%d), DP reached: %v", iter, tau, dec, l, r, reached)
+				case reached && dec == DecompLeft && l != 1, reached && dec == DecompRight && r != 1:
+					t.Fatalf("iter %d τ=%d: forced dec=%d counted as (%d,%d)", iter, tau, dec, l, r)
 				}
 			}
 		}
 	}
 }
 
-// TestArenaCountersMatchBanded: the arena verifier reports the same pruning
-// counters as the pointer kernel — the keyroot window must skip exactly the
-// pairs the positional skip did, and the band aborts must dominate the
-// pointer kernel's (the global band aborts a superset of the DPs) — plus the
+// TestArenaCountersBruteForce checks the pruning and strategy counters
+// against expectations computed the slow way: DPAvoided from the size and
+// label bounds, KeyrootsSkipped by counting the keyroot pairs of the chosen
+// decomposition whose leftmost leaves lie more than the band apart, and the
 // strategy split, which must sum to the number of pairs that reached a DP.
-func TestArenaCountersMatchBanded(t *testing.T) {
+func TestArenaCountersBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	s := AcquireScratch()
 	defer ReleaseScratch(s)
@@ -157,45 +199,40 @@ func TestArenaCountersMatchBanded(t *testing.T) {
 		trees = append(trees, randTree(rng, 30, 3, lt))
 	}
 	vs := BuildViews(trees)
-	preps := make([]*Prep, len(trees))
-	for i, tr := range trees {
-		preps[i] = NewPrep(tr)
-	}
 	for _, tau := range []int{1, 3, 6} {
-		var tcA, tcB Counters
-		dps := int64(0)
+		var tc Counters
+		var avoided, dps, skipped, left int64
 		for i := range trees {
 			for j := i + 1; j < len(trees); j++ {
-				_, _ = DistanceBoundedView(vs[i], vs[j], tau, s, &tcA)
-				_, _ = DistanceBoundedPrep(preps[i], preps[j], tau, &tcB)
-				d := trees[i].Size() - trees[j].Size()
-				if d < 0 {
-					d = -d
+				_, _ = DistanceBoundedView(vs[i], vs[j], tau, s, &tc)
+				if SizeLowerBound(trees[i], trees[j]) > tau || LabelLowerBound(trees[i], trees[j]) > tau {
+					avoided++
+					continue
 				}
-				if d <= tau && labelLowerBoundSorted(preps[i].labels, preps[j].labels) <= tau {
-					dps++
+				dps++
+				dec := chooseDecomp(vs[i].CostL, vs[i].CostR, vs[j].CostL, vs[j].CostR)
+				if dec == DecompLeft {
+					left++
+				}
+				a, b := vs[i].zsArrays(dec), vs[j].zsArrays(dec)
+				band := int32(min(tau, len(a.labels)+len(b.labels)))
+				for _, ka := range a.keyroots {
+					for _, kb := range b.keyroots {
+						if d := a.lml[ka] - b.lml[kb]; d > band || -d > band {
+							skipped++
+						}
+					}
 				}
 			}
 		}
-		if got, want := tcA.DPAvoided.Load(), tcB.DPAvoided.Load(); got != want {
-			t.Fatalf("τ=%d: DPAvoided %d, banded %d", tau, got, want)
+		if got := tc.DPAvoided.Load(); got != avoided {
+			t.Fatalf("τ=%d: DPAvoided %d, want %d", tau, got, avoided)
 		}
-		if got, want := tcA.KeyrootsSkipped.Load(), tcB.KeyrootsSkipped.Load(); got != want {
-			t.Fatalf("τ=%d: KeyrootsSkipped %d, banded %d", tau, got, want)
+		if got := tc.KeyrootsSkipped.Load(); got != skipped {
+			t.Fatalf("τ=%d: KeyrootsSkipped %d, want %d", tau, got, skipped)
 		}
-		// The arena kernel's globally-narrowed band holds every cell the
-		// pointer kernel's local band holds or more at the sentinel, so its
-		// row frontiers die at least as early: per keyroot pair it aborts
-		// whenever the pointer kernel does, and possibly sooner. Equality
-		// holds only for zero-offset pairs; assert the one-sided bound.
-		if got, want := tcA.BandAborts.Load(), tcB.BandAborts.Load(); got < want {
-			t.Fatalf("τ=%d: BandAborts %d, banded %d", tau, got, want)
-		}
-		if got := tcA.StrategyLeft.Load() + tcA.StrategyRight.Load(); got != dps {
-			t.Fatalf("τ=%d: strategy counts sum to %d, want %d DPs", tau, got, dps)
-		}
-		if tcB.StrategyLeft.Load() != 0 || tcB.StrategyRight.Load() != 0 {
-			t.Fatalf("τ=%d: pointer kernel recorded strategy counts", tau)
+		if l, r := tc.StrategyLeft.Load(), tc.StrategyRight.Load(); l != left || l+r != dps {
+			t.Fatalf("τ=%d: strategy counts (%d,%d), want %d left of %d DPs", tau, l, r, left, dps)
 		}
 	}
 }

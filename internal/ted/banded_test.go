@@ -60,36 +60,6 @@ func mutate(rng *rand.Rand, t *tree.Tree, k, alphabet int, lt *tree.LabelTable) 
 	return out
 }
 
-// TestPrepareMirroredMatchesMirror checks the direct mirrored preparation
-// against the reference (prepare over the materialised mirror): identical
-// postorder labels, leftmost-leaf indices, and keyroots.
-func TestPrepareMirroredMatchesMirror(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for iter := 0; iter < 200; iter++ {
-		lt := tree.NewLabelTable()
-		tr := randTree(rng, 24, 4, lt)
-		got := prepareMirrored(tr)
-		want := prepare(Mirror(tr))
-		if len(got.labels) != len(want.labels) {
-			t.Fatalf("size mismatch: %d vs %d", len(got.labels), len(want.labels))
-		}
-		for i := range want.labels {
-			if got.labels[i] != want.labels[i] || got.lml[i] != want.lml[i] {
-				t.Fatalf("iter %d: arrays differ at postorder %d: label %d/%d lml %d/%d",
-					iter, i, got.labels[i], want.labels[i], got.lml[i], want.lml[i])
-			}
-		}
-		if len(got.keyroots) != len(want.keyroots) {
-			t.Fatalf("keyroot count mismatch: %v vs %v", got.keyroots, want.keyroots)
-		}
-		for i := range want.keyroots {
-			if got.keyroots[i] != want.keyroots[i] {
-				t.Fatalf("keyroots differ: %v vs %v", got.keyroots, want.keyroots)
-			}
-		}
-	}
-}
-
 // tauSweep builds the τ values the property tests exercise for a pair with
 // true distance d: 0, around d (exactly at, just below, just above), and at
 // and beyond the trivial maximum n1+n2.
@@ -108,34 +78,31 @@ func tauSweep(d, max int) []int {
 // random tree pairs, the banded verifier must agree with the unbounded
 // Zhang–Shasha oracle on the ≤ τ verdict at every τ — including τ=0, τ
 // exactly at the true distance, and τ ≥ the maximum possible distance — and
-// report the exact distance whenever the verdict is positive. The unbanded
-// prep path (DistanceBoundedPrepFull) is held to the same contract.
+// report the exact distance whenever the verdict is positive. The one-off
+// tree-level wrapper DistanceBounded is held to the same contract, negative
+// thresholds included.
 func TestBandedAgreesWithOracleTauSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	s := AcquireScratch()
+	defer ReleaseScratch(s)
 	check := func(iter int, t1, t2 *tree.Tree) {
 		t.Helper()
 		want := ZhangShasha(t1, t2) // unbounded oracle
-		a, b := NewPrep(t1), NewPrep(t2)
-		for _, tau := range tauSweep(want, t1.Size()+t2.Size()) {
-			var tc Counters
-			got, ok := DistanceBoundedPrep(a, b, tau, &tc)
-			if ok != (want <= tau) {
+		vs := BuildViews([]*tree.Tree{t1, t2})
+		for _, tau := range append(tauSweep(want, t1.Size()+t2.Size()), -1) {
+			got, ok := DistanceBoundedView(vs[0], vs[1], tau, s, nil)
+			if ok != (tau >= 0 && want <= tau) {
 				t.Fatalf("iter %d τ=%d: banded verdict %v, oracle distance %d", iter, tau, ok, want)
 			}
 			if ok && got != want {
 				t.Fatalf("iter %d τ=%d: banded distance %d, oracle %d", iter, tau, got, want)
 			}
-			if !ok && got <= tau {
-				t.Fatalf("iter %d τ=%d: negative verdict with distance %d ≤ τ", iter, tau, got)
+			if !ok && got != tau+1 {
+				t.Fatalf("iter %d τ=%d: negative verdict with distance %d, want τ+1", iter, tau, got)
 			}
-			gotF, okF := DistanceBoundedPrepFull(a, b, tau)
-			if okF != ok || (ok && gotF != want) {
-				t.Fatalf("iter %d τ=%d: full path (%d,%v) disagrees with oracle (%d)", iter, tau, gotF, okF, want)
+			if gotW, okW := DistanceBounded(t1, t2, tau); okW != ok || gotW != got {
+				t.Fatalf("iter %d τ=%d: DistanceBounded (%d,%v), view path (%d,%v)", iter, tau, gotW, okW, got, ok)
 			}
-		}
-		// The convenience tree-level wrapper takes the same path.
-		if d, ok := DistanceBounded(t1, t2, want); !ok || d != want {
-			t.Fatalf("iter %d: DistanceBounded(τ=d) = (%d,%v), want (%d,true)", iter, d, ok, want)
 		}
 	}
 	// Independent random pairs: mostly distant, exercising aborts and skips.
@@ -161,54 +128,57 @@ func TestBandedCountersFire(t *testing.T) {
 	lt := tree.NewLabelTable()
 	small := tree.MustParseBracket("{a}", lt)
 	big := tree.MustParseBracket("{a{b{c}}{d}{e}}", lt)
+	rng := rand.New(rand.NewSource(3))
+	t1 := randTree(rng, 30, 2, lt)
+	t2 := mutate(rng, t1, 12, 2, lt)
+	vs := BuildViews([]*tree.Tree{small, big, t1, t2})
+	s := AcquireScratch()
+	defer ReleaseScratch(s)
 	var tc Counters
-	if _, ok := DistanceBoundedPrep(NewPrep(small), NewPrep(big), 1, &tc); ok {
+	if _, ok := DistanceBoundedView(vs[0], vs[1], 1, s, &tc); ok {
 		t.Fatal("size-distant pair accepted")
 	}
 	if tc.DPAvoided.Load() != 1 {
 		t.Fatalf("DPAvoided = %d, want 1", tc.DPAvoided.Load())
 	}
-	// Same shape, all labels differ → label LB may pass alphabet reuse, so
-	// build trees whose every row is a mismatch: distance = size, τ = 1.
-	rng := rand.New(rand.NewSource(3))
-	t1 := randTree(rng, 30, 2, lt)
-	t2 := mutate(rng, t1, 12, 2, lt)
 	tc = Counters{}
-	_, _ = DistanceBoundedPrep(NewPrep(t1), NewPrep(t2), 0, &tc)
+	_, _ = DistanceBoundedView(vs[2], vs[3], 0, s, &tc)
 	if tc.BandAborts.Load() == 0 && tc.KeyrootsSkipped.Load() == 0 && tc.DPAvoided.Load() == 0 {
 		t.Fatal("no pruning counter fired on a distant pair at τ=0")
 	}
 }
 
-// TestPooledScratchConcurrent hammers the pooled DP scratch from many
-// goroutines sharing the same Preps and asserts bitwise-identical results to
-// the serial run. Run under -race this is the detector test for the
-// sync.Pool reuse and the lazy Prep materialisation.
+// TestPooledScratchConcurrent hammers the one-off wrapper — which borrows its
+// DP scratch from the pool, at thresholds that keep changing the band width
+// baked into it — from many goroutines and asserts identical results to the
+// serial run over views. Run under -race this is the detector test for the
+// sync.Pool reuse.
 func TestPooledScratchConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	lt := tree.NewLabelTable()
 	const nTrees = 14
 	trees := make([]*tree.Tree, nTrees)
-	preps := make([]*Prep, nTrees)
 	for i := range trees {
 		if i%2 == 1 {
 			trees[i] = mutate(rng, trees[i-1], 1+rng.Intn(3), 3, lt)
 		} else {
 			trees[i] = randTree(rng, 22, 3, lt)
 		}
-		preps[i] = NewPrep(trees[i])
 	}
+	vs := BuildViews(trees)
 	type key struct{ i, j, tau int }
 	serial := make(map[key]string)
 	taus := []int{0, 1, 2, 5}
+	seq := AcquireScratch()
 	for i := 0; i < nTrees; i++ {
 		for j := i + 1; j < nTrees; j++ {
 			for _, tau := range taus {
-				d, ok := DistanceBoundedPrep(NewPrep(trees[i]), NewPrep(trees[j]), tau, nil)
+				d, ok := DistanceBoundedView(vs[i], vs[j], tau, seq, nil)
 				serial[key{i, j, tau}] = fmt.Sprint(d, ok)
 			}
 		}
 	}
+	ReleaseScratch(seq)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 8; w++ {
@@ -216,7 +186,6 @@ func TestPooledScratchConcurrent(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
-			var tc Counters
 			for n := 0; n < 400; n++ {
 				i, j := r.Intn(nTrees), r.Intn(nTrees)
 				if i == j {
@@ -226,7 +195,7 @@ func TestPooledScratchConcurrent(t *testing.T) {
 					i, j = j, i
 				}
 				tau := taus[r.Intn(len(taus))]
-				d, ok := DistanceBoundedPrep(preps[i], preps[j], tau, &tc)
+				d, ok := DistanceBounded(trees[i], trees[j], tau)
 				if got := fmt.Sprint(d, ok); got != serial[key{i, j, tau}] {
 					select {
 					case errs <- fmt.Sprintf("pair (%d,%d) τ=%d: concurrent %s, serial %s", i, j, tau, got, serial[key{i, j, tau}]):

@@ -82,12 +82,20 @@ func LabelLowerBound(t1, t2 *tree.Tree) int {
 }
 
 // DistanceBounded reports whether TED(t1, t2) ≤ tau, returning the exact
-// distance when it is and tau+1 otherwise. The size and label lower bounds
-// are applied before any DP, and the DP itself is the τ-banded Zhang–Shasha
-// of banded.go — worst-case cost shrinks from cubic to O(n·τ) per keyroot
-// pair, and hopeless pairs abort as soon as a band row proves them > τ. This
-// is the verifier behind every join method in this module; engine-driven
-// joins call DistanceBoundedPrep directly with cached preparations.
+// distance when it is and tau+1 otherwise: the one-off form of the verifier
+// in banded.go. The size bound runs before anything is built; a surviving
+// pair pays for both arena views and borrows a pooled scratch. Callers that
+// verify a tree more than once (every join, search and stream in this
+// module) hold its view and call DistanceBoundedView instead.
 func DistanceBounded(t1, t2 *tree.Tree, tau int) (int, bool) {
-	return DistanceBoundedPrep(NewPrep(t1), NewPrep(t2), tau, nil)
+	if t1.Labels != t2.Labels {
+		panic("ted: trees must share a label table")
+	}
+	if tau < 0 || SizeLowerBound(t1, t2) > tau {
+		return tau + 1, false
+	}
+	vs := BuildViews([]*tree.Tree{t1, t2})
+	s := AcquireScratch()
+	defer ReleaseScratch(s)
+	return DistanceBoundedView(vs[0], vs[1], tau, s, nil)
 }

@@ -23,12 +23,35 @@ type prep struct {
 
 // prepare computes the Zhang–Shasha arrays for t.
 func prepare(t *tree.Tree) *prep {
-	return finishPrep(t, tree.Postorder(t), func(u int32) int32 {
-		for t.Nodes[u].FirstChild != tree.None {
-			u = t.Nodes[u].FirstChild
+	post := tree.Postorder(t)
+	n := len(post)
+	rank := make([]int32, n)
+	for i, v := range post {
+		rank[v] = int32(i)
+	}
+	p := &prep{labels: make([]int32, n), lml: make([]int32, n), nodes: post}
+	for i, v := range post {
+		p.labels[i] = t.Nodes[v].Label
+		leaf := v
+		for t.Nodes[leaf].FirstChild != tree.None {
+			leaf = t.Nodes[leaf].FirstChild
 		}
-		return u
-	})
+		p.lml[i] = rank[leaf]
+	}
+	// A node is a keyroot iff no node with a larger postorder index shares
+	// its leftmost leaf (i.e. it has a left sibling, or it is the root).
+	seen := make([]bool, n)
+	for i := n - 1; i >= 0; i-- {
+		if !seen[p.lml[i]] {
+			seen[p.lml[i]] = true
+			p.keyroots = append(p.keyroots, int32(i))
+		}
+	}
+	// Collected in descending order above; reverse to ascending.
+	for l, r := 0, len(p.keyroots)-1; l < r; l, r = l+1, r-1 {
+		p.keyroots[l], p.keyroots[r] = p.keyroots[r], p.keyroots[l]
+	}
+	return p
 }
 
 // ZhangShasha returns TED(t1, t2) using the classic left-path decomposition:

@@ -127,7 +127,6 @@ type config struct {
 	position   core.PositionFilter
 	randPart   bool
 	hybrid     bool
-	unbanded   bool
 	sortedLoop bool
 	fixedPlan  bool
 	planSpecs  []PlanSpec
@@ -215,19 +214,6 @@ func WithRandomPartitions(seed int64) Option {
 // Join with MethodPartSJ.
 func WithHybridVerification() Option {
 	return func(c *config) { c.hybrid = true }
-}
-
-// WithUnbandedVerification makes candidate verification run the classic
-// full Zhang–Shasha DP on every pair that passes the size lower bound,
-// instead of the default threshold-aware verifier (τ-banded DP with keyroot
-// skipping and early termination; see DESIGN.md, "Threshold-aware
-// verification"). Results are identical — this is the ablation/baseline
-// knob behind the verify benchmarks, and the verifier counters in Stats
-// (DPAvoided, KeyrootsSkipped, BandAborts) stay zero under it. It replaces
-// the whole verification stage, so combining it with
-// WithHybridVerification also disables the hybrid string screens.
-func WithUnbandedVerification() Option {
-	return func(c *config) { c.unbanded = true }
 }
 
 // WithSortedLoop forces candidate generation back to the O(n²) sorted
@@ -364,7 +350,7 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 				filters = chainStages(spec.Chain)
 			}
 		}
-		return c.applyVerifier(c.coreOptions(tau).Job(c.shards, filters)), nil, nil
+		return c.coreOptions(tau).Job(c.shards, filters), nil, nil
 	case MethodSTR:
 		filters = append(filters, baseline.STRFilter())
 		tz = pqgram.Tokenizer(0)
@@ -419,7 +405,7 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 		PrefixC: prefixC,
 	}
 	job.Plan = fixedPlanRecord(job, tz)
-	return c.applyVerifier(job), tz, nil
+	return job, tz, nil
 }
 
 // chainStages maps a fixed-plan chain to engine filters, in order.
@@ -454,17 +440,6 @@ func fixedPlanRecord(job engine.Job, tz engine.Tokenizer) sim.PlanRecord {
 		}
 	}
 	return rec
-}
-
-// applyVerifier applies the verification-stage options to an assembled job:
-// WithUnbandedVerification swaps in the full-DP verifier, replacing any
-// method-installed hook (including the hybrid screen).
-func (c config) applyVerifier(job engine.Job) engine.Job {
-	if c.unbanded {
-		job.Verifier = nil
-		job.VerifierFor = engine.FullTEDVerifier
-	}
-	return job
 }
 
 // job is jobChecked for the legacy free functions, which panic on invalid

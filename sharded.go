@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
 	"sync"
 	"sync/atomic"
 
+	"treejoin/internal/core"
 	"treejoin/internal/sim"
 )
 
@@ -779,7 +779,7 @@ func (v *ShardedView) Search(ctx context.Context, q *Tree, tau int, opts ...Opti
 		}
 		out = append(out, r.ms...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
+	core.SortMatches(out)
 	return out, nil
 }
 
@@ -808,38 +808,13 @@ func (v *ShardedView) TopK(ctx context.Context, k int, opts ...Option) ([]Pair, 
 			max2 = s
 		}
 	}
-	tauCap := max1 + max2
-	tau := 1
-	for {
+	return sim.ExpandTau(1, max1+max2, k, sim.ComparePairsByDist, func(tau int) ([]Pair, error) {
 		var pairs []Pair
 		_, err := v.streamSelf(ctx, tau, c, func(p Pair) bool {
 			pairs = append(pairs, p)
 			return true
 		})
-		if err != nil || len(pairs) >= k || tau >= tauCap {
-			sortByDist(pairs)
-			if len(pairs) > k {
-				pairs = pairs[:k]
-			}
-			return pairs, err
-		}
-		tau *= 2
-		if tau > tauCap {
-			tau = tauCap
-		}
-	}
-}
-
-// sortByDist orders pairs by (Dist, I, J) — the TopK result order.
-func sortByDist(ps []Pair) {
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].Dist != ps[b].Dist {
-			return ps[a].Dist < ps[b].Dist
-		}
-		if ps[a].I != ps[b].I {
-			return ps[a].I < ps[b].I
-		}
-		return ps[a].J < ps[b].J
+		return pairs, err
 	})
 }
 
@@ -875,33 +850,12 @@ func (v *ShardedView) KNN(ctx context.Context, q *Tree, k int, opts ...Option) (
 			max1 = s
 		}
 	}
-	tauCap := max1 + q.Size()
-	tau := 1
-	for {
+	return sim.ExpandTau(1, max1+q.Size(), k, core.CompareMatchesByDist, func(tau int) ([]Match, error) {
 		// Check before each round: the per-shard index builds are
 		// uncancellable, so don't start a round the caller no longer wants.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ms, err := v.Search(ctx, q, tau, opts...)
-		if err != nil {
-			return nil, err
-		}
-		if len(ms) >= k || tau >= tauCap {
-			sort.Slice(ms, func(a, b int) bool {
-				if ms[a].Dist != ms[b].Dist {
-					return ms[a].Dist < ms[b].Dist
-				}
-				return ms[a].Pos < ms[b].Pos
-			})
-			if len(ms) > k {
-				ms = ms[:k]
-			}
-			return ms, nil
-		}
-		tau *= 2
-		if tau > tauCap {
-			tau = tauCap
-		}
-	}
+		return v.Search(ctx, q, tau, opts...)
+	})
 }
