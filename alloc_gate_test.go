@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"treejoin"
+	"treejoin/internal/strdist"
 	"treejoin/internal/synth"
 )
 
@@ -47,5 +48,29 @@ func TestWarmJoinAllocationGate(t *testing.T) {
 	if budget := 150.0; allocs > budget {
 		t.Fatalf("warm join allocated %.0f times for %d candidates (budget %.0f): the verify path is no longer allocation-free",
 			allocs, st.Candidates, budget)
+	}
+}
+
+// TestStringScreenAllocationGate is the same gate at the screen the verifier
+// runs in front of every DP: the banded string kernel on a caller-owned
+// scratch allocates nothing once its row has grown, on a near-duplicate pair
+// (the band runs to the end) and on an unrelated one (an early abort) alike.
+func TestStringScreenAllocationGate(t *testing.T) {
+	base, near, far := make([]int32, 200), make([]int32, 200), make([]int32, 200)
+	for i := range base {
+		base[i], near[i], far[i] = int32(i%17), int32(i%17), int32(i%13+20)
+	}
+	for e := 0; e < 7; e++ {
+		near[10+25*e] = 99
+	}
+	var s strdist.Scratch
+	if d := s.Bounded(base, near, 8); d != 7 {
+		t.Fatalf("near-duplicate distance %d, want 7", d)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Bounded(base, near, 8)
+		s.Bounded(base, far, 8)
+	}); allocs != 0 {
+		t.Fatalf("Scratch.Bounded allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -191,7 +191,7 @@ func TestArenaMutationOracle(t *testing.T) {
 }
 
 // TestOneVerifierArtifact: every verification path of a corpus — joins,
-// Search and KNN (plain and hybrid) and an Incremental stream fed corpus
+// Search and KNN and an Incremental stream fed corpus
 // trees — draws on the one per-tree verifier artifact, the arena view. Once a
 // join has built the views, none of the other paths records a single new
 // artifact miss or entry, and query trees, however many, are never stored.
@@ -215,10 +215,8 @@ func TestOneVerifierArtifact(t *testing.T) {
 	if len(queries) < 1000 {
 		t.Fatalf("only %d distinct non-member queries", len(queries))
 	}
-	for _, opts := range [][]Option{nil, {WithHybridVerification()}} {
-		if _, _, err := cp.SelfJoin(ctx, tau, opts...); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := cp.SelfJoin(ctx, tau); err != nil {
+		t.Fatal(err)
 	}
 	if got, want := cp.cache.KindEntries(engine.ArenaKey), distinctTrees(ts); got != want {
 		t.Fatalf("%d arena views after the joins, want one per distinct tree (%d)", got, want)
@@ -226,27 +224,25 @@ func TestOneVerifierArtifact(t *testing.T) {
 	warm := cp.cache.Stats()
 
 	knn := 0
-	for _, opts := range [][]Option{nil, {WithHybridVerification()}} {
-		for _, q := range queries[:1000] {
-			hits, err := cp.Search(ctx, q, tau, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(hits) == 0 {
-				continue // KNN would move on to thresholds no join has partitioned for
-			}
-			knn++
-			if ms, err := cp.KNN(ctx, q, 1, opts...); err != nil || len(ms) != 1 || ms[0].Dist > tau {
-				t.Fatalf("KNN: %v, err %v", ms, err)
-			}
-		}
-		inc, err := cp.Incremental(tau, opts...)
+	for _, q := range queries[:1000] {
+		hits, err := cp.Search(ctx, q, tau)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tr := range ts {
-			inc.Add(tr)
+		if len(hits) == 0 {
+			continue // KNN would move on to thresholds no join has partitioned for
 		}
+		knn++
+		if ms, err := cp.KNN(ctx, q, 1); err != nil || len(ms) != 1 || ms[0].Dist > tau {
+			t.Fatalf("KNN: %v, err %v", ms, err)
+		}
+	}
+	inc, err := cp.Incremental(tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range ts {
+		inc.Add(tr)
 	}
 	after := cp.cache.Stats()
 	if after.Misses != warm.Misses || after.Entries != warm.Entries {

@@ -11,9 +11,9 @@ import (
 
 // TestBandedVerificationMatches: the τ-banded verifier produces exactly the
 // brute-force result set (unbounded Zhang–Shasha over every pair) across
-// methods and thresholds and records its pruning counters; hybrid
-// verification composes with it — the banded TED sits behind the string
-// screens — for the same results, and reports the strategy it ran.
+// methods and thresholds, records its pruning counters — the
+// traversal-string screen's rejections a subset of the pairs settled with no
+// DP — and reports the strategy every DP it did run was decided under.
 func TestBandedVerificationMatches(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(50, 23)
@@ -40,14 +40,13 @@ func TestBandedVerificationMatches(t *testing.T) {
 				t.Fatalf("%v τ=%d: banded run recorded no verifier pruning (candidates=%d)",
 					m, tau, bst.Candidates)
 			}
-		}
-		hyb, hst, err := cp.SelfJoin(ctx, tau, treejoin.WithHybridVerification())
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePairs(t, "hybrid", hyb, want)
-		if len(want) > 0 && hst.StrategyLeft+hst.StrategyRight == 0 {
-			t.Fatalf("τ=%d: hybrid run verified %d results without a strategy decision", tau, len(want))
+			if m == treejoin.MethodBruteForce && tau >= 1 && bst.SeqRejects == 0 {
+				t.Fatalf("τ=%d: the string screen settled none of %d size-window pairs", tau, bst.Candidates)
+			}
+			if bst.SeqRejects > bst.DPAvoided || bst.DPAvoided+bst.StrategyLeft+bst.StrategyRight != bst.Candidates {
+				t.Fatalf("%v τ=%d: %d candidates, %d settled with no DP (%d by the string screen), %d+%d DPs",
+					m, tau, bst.Candidates, bst.DPAvoided, bst.SeqRejects, bst.StrategyLeft, bst.StrategyRight)
+			}
 		}
 	}
 }

@@ -6,8 +6,8 @@
 //
 //	benchfig -figure all -scale 0.01 -seed 1 [-workers 4] [-markdown] [-v]
 //
-// -figure selects one of: 10, 11, 12, 13, 14, ablation, position, verify,
-// panorama, pipeline, all
+// -figure selects one of: 10, 11, 12, 13, 14, ablation, position, panorama,
+// pipeline, all
 // (Figures 10/11 share runs, as do 12/13, so asking for either member of a
 // pair runs both and prints the requested one).
 // -scale multiplies the paper's collection cardinalities (100K/50K/10K/10K).
@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "10|11|12|13|14|ablation|position|verify|panorama|pipeline|all")
+		figure   = flag.String("figure", "all", "10|11|12|13|14|ablation|position|panorama|pipeline|all")
 		scale    = flag.Float64("scale", 0.01, "fraction of the paper's dataset cardinalities")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		workers  = flag.Int("workers", 0, "parallel TED verification workers (0 = sequential)")
@@ -69,8 +69,6 @@ func main() {
 		render(bench.AblationPartitioning(cfg))
 	case "position":
 		render(bench.AblationPosition(cfg))
-	case "verify":
-		render(bench.AblationVerification(cfg))
 	case "panorama":
 		render(bench.BaselinePanorama(cfg))
 	case "pipeline":
@@ -87,7 +85,6 @@ func main() {
 		render(ct14...)
 		render(bench.AblationPartitioning(cfg))
 		render(bench.AblationPosition(cfg))
-		render(bench.AblationVerification(cfg))
 		render(bench.BaselinePanorama(cfg))
 		render(bench.FilterPipeline(cfg))
 	default:

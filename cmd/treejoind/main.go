@@ -309,6 +309,8 @@ type wireSummary struct {
 	Trees      int     `json:"trees"`
 	CandMs     float64 `json:"cand_ms"`
 	VerifyMs   float64 `json:"verify_ms"`
+	DPAvoided  int64   `json:"dp_avoided"`
+	SeqRejects int64   `json:"seq_rejects"`
 	Source     string  `json:"source,omitempty"`
 }
 
@@ -319,6 +321,8 @@ func summarize(st treejoin.Stats) wireSummary {
 		Trees:      st.Trees,
 		CandMs:     float64(st.CandWall.Microseconds()) / 1e3,
 		VerifyMs:   float64(st.VerifyTime.Microseconds()) / 1e3,
+		DPAvoided:  st.DPAvoided,
+		SeqRejects: st.SeqRejects,
 		Source:     st.Source,
 	}
 }

@@ -80,8 +80,11 @@ func TestServeEndpoints(t *testing.T) {
 	last := lines[len(lines)-1]
 	var summary struct {
 		Summary struct {
-			Results int64 `json:"results"`
-			Trees   int   `json:"trees"`
+			Results    int64 `json:"results"`
+			Candidates int64 `json:"candidates"`
+			Trees      int   `json:"trees"`
+			DPAvoided  int64 `json:"dp_avoided"`
+			SeqRejects int64 `json:"seq_rejects"`
 		} `json:"summary"`
 	}
 	if err := json.Unmarshal([]byte(last), &summary); err != nil {
@@ -92,6 +95,10 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if got := int64(len(lines) - 1); got != summary.Summary.Results {
 		t.Fatalf("streamed %d pairs, summary says %d", got, summary.Summary.Results)
+	}
+	// The verifier counters of every shard round are rolled up into the line.
+	if s := summary.Summary; s.SeqRejects > s.DPAvoided || s.DPAvoided+s.Results > s.Candidates {
+		t.Fatalf("summary counters do not add up: %+v", s)
 	}
 
 	// Search for an existing corpus tree at tau=0 finds at least itself.

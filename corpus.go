@@ -711,7 +711,7 @@ func (cp *Corpus) Search(ctx context.Context, q *Tree, tau int, opts ...Option) 
 	if err != nil {
 		return nil, err
 	}
-	return ix.SearchWith(ctx, q, c.hybrid)
+	return ix.SearchCtx(ctx, q)
 }
 
 // TopK returns the k closest pairs of the corpus by TED, ordered by
@@ -746,7 +746,7 @@ func (cp *Corpus) KNN(ctx context.Context, q *Tree, k int, opts ...Option) ([]Ma
 	if err != nil {
 		return nil, err
 	}
-	return cp.searcher(st, c).NearestWith(ctx, q, k, c.hybrid)
+	return cp.searcher(st, c).NearestCtx(ctx, q, k)
 }
 
 // Incremental returns an empty streaming join with threshold tau that shares
@@ -830,9 +830,9 @@ func (cp *Corpus) searcher(st *corpusState, c config) *core.KNN {
 	if capacity < 1 {
 		capacity = core.DefaultIndexCacheCap
 	}
-	// Tau here only seeds KNN's expanding search; the verifier and the
-	// build's worker count are chosen per call, so one searcher — and one
-	// index per threshold — serves every caller at this position mode.
+	// Tau here only seeds KNN's expanding search, and the build's worker
+	// count is chosen per call, so one searcher — and one index per
+	// threshold — serves every caller at this position mode.
 	o := core.Options{Tau: 1, Position: c.position}
 	key := c.position
 	cp.mu.Lock()

@@ -140,25 +140,23 @@ func bruteMatches(dists []int, tau int) []treejoin.Match {
 	return out
 }
 
-// TestSearchMatchesBruteForce: Corpus.Search, with and without the hybrid
-// screens, on a never-joined corpus and on a joined one, reports exactly the
-// brute-force matches — members and strangers as queries alike.
+// TestSearchMatchesBruteForce: Corpus.Search, on a never-joined corpus and
+// on a joined one, reports exactly the brute-force matches — members and
+// strangers as queries alike.
 func TestSearchMatchesBruteForce(t *testing.T) {
 	ctx := context.Background()
 	all := synth.Synthetic(90, 19)
 	ts, queries := all[:60], all[55:75] // five members, fifteen strangers
 	dists := bruteDistances(ts, queries)
 	for state, cp := range coldAndJoined(t, ts) {
-		for _, opts := range [][]treejoin.Option{nil, {treejoin.WithHybridVerification()}} {
-			for _, tau := range []int{0, 1, 3} {
-				for qi, q := range queries {
-					got, err := cp.Search(ctx, q, tau, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := bruteMatches(dists[qi], tau); !slices.Equal(got, want) {
-						t.Fatalf("%s hybrid=%v τ=%d query %d: got %v, want %v", state, opts != nil, tau, qi, got, want)
-					}
+		for _, tau := range []int{0, 1, 3} {
+			for qi, q := range queries {
+				got, err := cp.Search(ctx, q, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := bruteMatches(dists[qi], tau); !slices.Equal(got, want) {
+					t.Fatalf("%s τ=%d query %d: got %v, want %v", state, tau, qi, got, want)
 				}
 			}
 		}

@@ -170,28 +170,6 @@ func AblationPartitioning(c Config) *Table {
 	return t
 }
 
-// AblationVerification measures the hybrid verifier extension: PartSJ with
-// plain bounded-TED verification versus verification screened by the
-// τ-banded traversal-string lower bounds. Identical results by construction;
-// the table shows the verification-time difference.
-func AblationVerification(c Config) *Table {
-	ts := synth.Synthetic(c.n(10000), c.Seed)
-	t := &Table{
-		Title:   fmt.Sprintf("Ablation: verification strategy (%d trees)", len(ts)),
-		Columns: []string{"tau", "variant", "verify", "total", "vs PRT"},
-	}
-	for tau := 1; tau <= 5; tau++ {
-		base := Run(PRT, "Synthetic", ts, tau, c.Workers)
-		hyb := Run(PRTHybrid, "Synthetic", ts, tau, c.Workers)
-		t.AddRow(fmt.Sprintf("%d", tau), string(PRT), dur(base.Verify), dur(base.Total()), "1.00x")
-		ratio := float64(hyb.Total()) / float64(base.Total())
-		t.AddRow(fmt.Sprintf("%d", tau), string(PRTHybrid), dur(hyb.Verify), dur(hyb.Total()),
-			fmt.Sprintf("%.2fx", ratio))
-		c.report("ablation-verify τ=%d: plain=%v hybrid=%v", tau, base.Total(), hyb.Total())
-	}
-	return t
-}
-
 // BaselinePanorama compares every filtering method in this module — the
 // paper's STR/SET/PRT plus the survey's other filters (HIST of Kailing et
 // al., EUL of Akutsu et al.) — on the synthetic dataset across τ. A

@@ -30,7 +30,6 @@ type Incremental struct {
 	cache   *engine.Cache
 	ts      []*tree.Tree
 	views   []*ted.TreeView // the default verifier's arena views, beside ts
-	seqs    []travSeqs      // the hybrid screen's sequences, beside ts
 	bins    []*lcrs.Bin
 	parts   []*Partition
 	ix      *invIndex
@@ -70,10 +69,10 @@ func NewIncremental(opts Options) *Incremental {
 }
 
 // NewIncrementalCached is NewIncremental drawing per-tree artifacts (binary
-// views, δ-partitions, the verifier's arena views and hybrid sequences) from
-// cache: a stream fed trees a corpus has already joined — or re-adding a tree
-// it removed — skips their recomputation. A nil cache computes everything
-// locally. Options must be valid.
+// views, δ-partitions, the verifier's arena views) from cache: a stream fed
+// trees a corpus has already joined — or re-adding a tree it removed — skips
+// their recomputation. A nil cache computes everything locally. Options must
+// be valid.
 func NewIncrementalCached(opts Options, cache *engine.Cache) *Incremental {
 	return &Incremental{
 		opts:      opts,
@@ -87,17 +86,12 @@ func NewIncrementalCached(opts Options, cache *engine.Cache) *Incremental {
 
 // verifiers returns the stream's batched verifier factory over the trees
 // added so far: a custom Options.Verifier adapted statelessly, else the
-// τ-banded bounded TED over the views kept beside the trees, behind the
-// string screens under hybrid.
+// τ-banded bounded TED over the views kept beside the trees.
 func (inc *Incremental) verifiers() sim.BatchVerifierFactory {
 	if inc.opts.Verifier != nil {
 		return sim.AdaptVerifier(inc.ts, inc.opts.Verifier)
 	}
-	arena := engine.NewArenaVerifiers(inc.views, nil)
-	if inc.opts.HybridVerify {
-		return hybridVerifiers(inc.seqs, arena)
-	}
-	return arena
+	return engine.NewArenaVerifiers(inc.views, nil)
 }
 
 // Len returns the number of trees added so far, including removed ones
@@ -125,15 +119,10 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 	ti := len(inc.ts)
 	inc.ts = append(inc.ts, t)
 	var view *ted.TreeView
-	var seqs travSeqs
 	if inc.opts.Verifier == nil {
-		one := []*tree.Tree{t}
-		view = engine.ArenaFor(inc.cache, one, 1)[0]
-		if inc.opts.HybridVerify {
-			seqs = engine.Cached(inc.cache, seqKey, one, computeSeqs)[0]
-		}
+		view = engine.ArenaFor(inc.cache, []*tree.Tree{t}, 1)[0]
 	}
-	inc.views, inc.seqs = append(inc.views, view), append(inc.seqs, seqs)
+	inc.views = append(inc.views, view)
 	b := cachedBin(inc.cache, t)
 	inc.bins = append(inc.bins, b)
 	inc.parts = append(inc.parts, nil)
@@ -250,7 +239,7 @@ func (inc *Incremental) Remove(i int) bool {
 	}
 	// Release the payload; only the tombstone remains.
 	inc.ts[i] = nil
-	inc.views[i], inc.seqs[i] = nil, travSeqs{}
+	inc.views[i] = nil
 	inc.bins[i] = nil
 	inc.parts[i] = nil
 	if inc.nRemoved >= inc.compactAt && inc.nRemoved*2 >= len(inc.ts) {

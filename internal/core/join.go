@@ -24,10 +24,6 @@ type Options struct {
 	// Verifier decides candidate pairs; nil means the τ-banded bounded TED
 	// over cached arena views.
 	Verifier sim.Verifier
-	// HybridVerify screens candidates with the τ-banded traversal-string
-	// lower bounds before the bounded TED (see verify.go). Ignored when
-	// Verifier is set.
-	HybridVerify bool
 	// Workers parallelises the index build, the probe chunks and TED
 	// verification. 1 runs sequentially; values below 1 ("unset") are
 	// normalized to runtime.GOMAXPROCS(0).
@@ -53,8 +49,7 @@ func (o Options) validate() error {
 }
 
 // Job assembles the engine job for a PartSJ execution: the inverted subgraph
-// index as the candidate source, prefilters (if any) ahead of it, and the
-// hybrid string-bound verifier when configured.
+// index as the candidate source, with prefilters (if any) ahead of it.
 func (o Options) Job(shards int, filters []engine.PairFilter) engine.Job {
 	job := engine.Job{
 		Source:   NewSource(o),
@@ -63,9 +58,6 @@ func (o Options) Job(shards int, filters []engine.PairFilter) engine.Job {
 		Verifier: o.Verifier,
 		Workers:  o.Workers,
 		Shards:   shards,
-	}
-	if o.HybridVerify && o.Verifier == nil {
-		job.VerifierFor = HybridVerifier
 	}
 	// PartSJ's candidate source is its own subgraph index — never a planner
 	// choice — so every PartSJ run carries this fixed plan record.

@@ -127,8 +127,6 @@ func TestJoinMethodsAgreeWithOracle(t *testing.T) {
 			check("PRT-off", off)
 			rnd, _ := core.SelfJoin(col.ts, core.Options{Tau: tau, RandomPartition: true, Seed: 99})
 			check("PRT-random", rnd)
-			hyb, _ := core.SelfJoin(col.ts, core.Options{Tau: tau, HybridVerify: true})
-			check("PRT-hybrid", hyb)
 			str, _ := baseline.STR(col.ts, baseline.Options{Tau: tau})
 			check("STR", str)
 			set, _ := baseline.SET(col.ts, baseline.Options{Tau: tau})

@@ -116,7 +116,7 @@ func (x *Index) Tau() int { return x.opts.Tau }
 // Search returns the collection trees within TED τ of q, in ascending
 // collection order, verifying as the index's options say.
 func (x *Index) Search(q *tree.Tree) []Match {
-	ms, _ := x.SearchWith(context.Background(), q, x.opts.HybridVerify)
+	ms, _ := x.SearchCtx(context.Background(), q)
 	return ms
 }
 
@@ -124,12 +124,9 @@ func (x *Index) Search(q *tree.Tree) []Match {
 // context checks.
 const searchCtxStride = 64
 
-// SearchWith is Search under a context — cancellation aborts the probe and
-// verification loops promptly and returns ctx's error with nil matches — with
-// the verifier chosen per call (one index serves both kinds of caller):
-// hybrid screens candidates with the traversal-string bounds first. A custom
-// Options.Verifier overrides either.
-func (x *Index) SearchWith(ctx context.Context, q *tree.Tree, hybrid bool) ([]Match, error) {
+// SearchCtx is Search under a context: cancellation aborts the probe and
+// verification loops promptly and returns ctx's error with nil matches.
+func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
 	b := lcrs.Build(q)
 	sz := q.Size()
 	tau := x.opts.Tau
@@ -161,10 +158,9 @@ func (x *Index) SearchWith(ctx context.Context, q *tree.Tree, hybrid bool) ([]Ma
 	}
 	// The default verifier is the τ-banded bounded TED over arena views: the
 	// candidates' views come through the index's artifact cache in one batch,
-	// and the query's view is built once per call, for the first candidate
-	// that reaches the DP (under hybrid: that passes the string screens), and
-	// — like its traversal sequences — never stored, so query traffic cannot
-	// pin corpus cache memory.
+	// and the query's view is built once per call, when there is a candidate
+	// to verify, and never stored, so query traffic cannot pin corpus cache
+	// memory.
 	verify := func(k int) (int, bool) { return x.opts.Verifier(x.ts[cands[k]], q, tau) }
 	if x.opts.Verifier == nil && len(cands) > 0 {
 		cts := make([]*tree.Tree, len(cands))
@@ -172,24 +168,10 @@ func (x *Index) SearchWith(ctx context.Context, q *tree.Tree, hybrid bool) ([]Ma
 			cts[k] = x.ts[i]
 		}
 		views := engine.ArenaFor(x.cache, cts, 1)
-		var qv *ted.TreeView
+		qv := ted.BuildViews([]*tree.Tree{q})[0]
 		s := ted.AcquireScratch()
 		defer ted.ReleaseScratch(s)
-		verify = func(k int) (int, bool) {
-			if qv == nil {
-				qv = ted.BuildViews([]*tree.Tree{q})[0]
-			}
-			return ted.DistanceBoundedView(views[k], qv, tau, s, nil)
-		}
-		if hybrid {
-			seqs, qs, arena := engine.Cached(x.cache, seqKey, cts, computeSeqs), computeSeqs(q), verify
-			verify = func(k int) (int, bool) {
-				if !seqs[k].within(qs, tau) {
-					return tau + 1, false
-				}
-				return arena(k)
-			}
-		}
+		verify = func(k int) (int, bool) { return ted.DistanceBoundedView(views[k], qv, tau, s, nil) }
 	}
 	var out []Match
 	for k, i := range cands {

@@ -225,14 +225,13 @@ func (x *KNN) IndexAt(ctx context.Context, tau, workers int) (ix *Index, built b
 // (Dist, Pos), verifying as the searcher's options say. Fewer than k matches
 // are returned only when the collection holds fewer than k trees.
 func (x *KNN) Nearest(q *tree.Tree, k int) []Match {
-	ms, _ := x.NearestWith(context.Background(), q, k, x.opts.HybridVerify)
+	ms, _ := x.NearestCtx(context.Background(), q, k)
 	return ms
 }
 
-// NearestWith is Nearest under a context — cancellation aborts the expanding
-// search promptly and returns ctx's error with nil matches — with the
-// verifier chosen per call, as in Index.SearchWith.
-func (x *KNN) NearestWith(ctx context.Context, q *tree.Tree, k int, hybrid bool) ([]Match, error) {
+// NearestCtx is Nearest under a context: cancellation aborts the expanding
+// search promptly and returns ctx's error with nil matches.
+func (x *KNN) NearestCtx(ctx context.Context, q *tree.Tree, k int) ([]Match, error) {
 	if k <= 0 || len(x.ts) == 0 {
 		return nil, ctx.Err()
 	}
@@ -249,6 +248,6 @@ func (x *KNN) NearestWith(ctx context.Context, q *tree.Tree, k int, hybrid bool)
 		if err != nil {
 			return nil, err
 		}
-		return ix.SearchWith(ctx, q, hybrid)
+		return ix.SearchCtx(ctx, q)
 	})
 }

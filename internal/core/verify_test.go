@@ -11,32 +11,29 @@ import (
 )
 
 // TestOneVerifierArtifact runs every verification path core has — the self
-// join, Search, KNN and an Incremental stream, each plain and hybrid — over
-// one artifact cache and accounts for every entry in it: one arena view per
-// tree, and beyond that only the binary views, the δ-partitions of the
-// thresholds used and the hybrid sequences. Nothing else — no second
-// per-tree verifier artifact — may exist.
+// join, Search, KNN and an Incremental stream — over one artifact cache and
+// accounts for every entry in it: one arena view per tree, and beyond that
+// only the binary views and the δ-partitions of the thresholds used. Nothing
+// else — no second per-tree verifier artifact — may exist.
 func TestOneVerifierArtifact(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(48, 5)
 	cache := engine.NewCache()
 	const tau = 2
-	for _, hybrid := range []bool{false, true} {
-		opts := Options{Tau: tau, HybridVerify: hybrid}
-		job := opts.Job(0, nil)
-		job.Cache = cache
-		if _, err := job.StreamSelf(ctx, ts, func(sim.Pair) bool { return true }); err != nil {
-			t.Fatal(err)
+	opts := Options{Tau: tau}
+	job := opts.Job(0, nil)
+	job.Cache = cache
+	if _, err := job.StreamSelf(ctx, ts, func(sim.Pair) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	ix := NewIndexCached(ts, opts, cache)
+	knn := NewKNNCached(ts, opts, cache, DefaultIndexCacheCap)
+	inc := NewIncrementalCached(opts, cache)
+	for _, q := range ts[:12] {
+		if len(ix.Search(q)) == 0 || len(knn.Nearest(q, 1)) != 1 {
+			t.Fatal("a collection tree did not find itself")
 		}
-		ix := NewIndexCached(ts, opts, cache)
-		knn := NewKNNCached(ts, opts, cache, DefaultIndexCacheCap)
-		inc := NewIncrementalCached(opts, cache)
-		for _, q := range ts[:12] {
-			if len(ix.Search(q)) == 0 || len(knn.Nearest(q, 1)) != 1 {
-				t.Fatal("a collection tree did not find itself")
-			}
-			inc.Add(q)
-		}
+		inc.Add(q)
 	}
 	distinct := make(map[*tree.Tree]bool) // the generator repeats exact duplicates by pointer
 	for _, tr := range ts {
@@ -46,7 +43,7 @@ func TestOneVerifierArtifact(t *testing.T) {
 		t.Fatalf("%d arena views, want one per distinct tree (%d)", got, len(distinct))
 	}
 	known := 0
-	for _, kind := range []string{engine.ArenaKey, seqKey, "lcrs", partitionCacheKey(Options{Tau: tau}.delta())} {
+	for _, kind := range []string{engine.ArenaKey, "lcrs", partitionCacheKey(Options{Tau: tau}.delta())} {
 		if cache.KindEntries(kind) == 0 {
 			t.Fatalf("no %q artifacts: the test no longer reaches that path", kind)
 		}

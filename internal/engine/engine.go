@@ -91,8 +91,7 @@ func (c *Collection) Context() context.Context { return c.ctx }
 func (c *Collection) Cache() *Cache { return c.cache }
 
 // VerifyCounters returns the run's shared τ-banded verifier instrumentation.
-// Verifiers built for this run (the default TED verifier, the hybrid
-// screen's fallback) record their pruning here; the engine folds the totals
+// The run's verifiers record their pruning here; the engine folds the totals
 // into the run's Stats.
 func (c *Collection) VerifyCounters() *ted.Counters { return c.counters }
 
@@ -368,12 +367,6 @@ type Job struct {
 	// Verifier decides candidate pairs; nil installs the default τ-banded
 	// TED verifier over arena views cached in the run's Cache.
 	Verifier sim.Verifier
-	// VerifierFor, when non-nil and Verifier is nil, builds the batched
-	// verifiers from the run's collection in place of the default (the
-	// hybrid screen, which draws its sequences and views from the
-	// collection's artifact cache and records into its verify counters). It
-	// runs once per join.
-	VerifierFor func(c *Collection) sim.BatchVerifierFactory
 	// Workers sizes the worker pool used for candidate generation and TED
 	// verification; 1 runs sequentially, and values below 1 ("unset") are
 	// normalized to runtime.GOMAXPROCS(0).
@@ -511,11 +504,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 			return stats, err
 		}
 		vstart := time.Now()
-		if job.VerifierFor != nil {
-			vfactory = job.VerifierFor(c)
-		} else {
-			vfactory = NewArenaVerifiers(ArenaFor(c.cache, ts, c.Workers), c.counters)
-		}
+		vfactory = NewArenaVerifiers(ArenaFor(c.cache, ts, c.Workers), c.counters)
 		stats.VerifyTime += time.Since(vstart)
 	}
 	stats.Source = source.Name()
@@ -576,8 +565,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 		}
 		spareWG.Wait()
 		for w := range spareStats {
-			stats.VerifyTime += spareStats[w].VerifyTime
-			stats.Candidates += spareStats[w].Candidates
+			mergeStats(stats, &spareStats[w])
 		}
 	}
 
@@ -611,6 +599,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	sim.VerifyStreamBatched(ctx, cands, job.Tau, vfactory, c.Workers, stats, em.emit)
 	stats.Results = em.n
 	stats.DPAvoided += c.counters.DPAvoided.Load()
+	stats.SeqRejects += c.counters.SeqRejects.Load()
 	stats.KeyrootsSkipped += c.counters.KeyrootsSkipped.Load()
 	stats.BandAborts += c.counters.BandAborts.Load()
 	stats.StrategyLeft += c.counters.StrategyLeft.Load()
@@ -669,11 +658,14 @@ func runTasks(tasks []Task, pipes []*Pipeline, workers int) {
 	wg.Wait()
 }
 
-// mergeStats folds one task's counters into the join totals. Times are
-// summed across tasks (CPU effort, as the sharded plan always reported), so
-// parallel speedups show up in Stats.CandWall, not here.
+// mergeStats folds one task's (or spare verify worker's) counters into the
+// join totals — the candidates a sequential task verified inline included.
+// Times are summed across tasks (CPU effort, as the sharded plan always
+// reported), so parallel speedups show up in Stats.CandWall, not here.
 func mergeStats(total, st *sim.Stats) {
 	total.CandTime += st.CandTime
+	total.VerifyTime += st.VerifyTime
+	total.Candidates += st.Candidates
 	total.PartitionTime += st.PartitionTime
 	total.IndexedSubgraphs += st.IndexedSubgraphs
 	total.SubgraphProbes += st.SubgraphProbes

@@ -136,6 +136,31 @@ func TestStageAttribution(t *testing.T) {
 	}
 }
 
+// TestInlineFlushesAreCounted: a sequential job verifies in chunks while its
+// source still runs; the candidates and verify time of those chunks must
+// reach the run's Stats exactly as the pool-wide pass of a parallel job does
+// (they used to be dropped: only the last partial chunk was reported).
+func TestInlineFlushesAreCounted(t *testing.T) {
+	ts := synth.Generate(synth.SyntheticParams(150, 3, 4, 6, 10, 11))
+	var want int64
+	for _, workers := range []int{4, 1} {
+		_, st := engine.Job{Tau: 40, Workers: workers}.SelfJoin(ts)
+		if workers == 4 {
+			want = st.Candidates
+			if want <= 2*4096 {
+				t.Fatalf("fixture too small: %d candidates do not span two inline chunks", want)
+			}
+			continue
+		}
+		if st.Candidates != want || st.VerifyTime <= 0 {
+			t.Fatalf("sequential run reports %d candidates in %v, the parallel run %d", st.Candidates, st.VerifyTime, want)
+		}
+		if st.DPAvoided+st.StrategyLeft+st.StrategyRight != st.Candidates {
+			t.Fatalf("%d candidates, but %d settled without a DP and %d+%d DPs", st.Candidates, st.DPAvoided, st.StrategyLeft, st.StrategyRight)
+		}
+	}
+}
+
 // TestFilterChainInvariance: chaining sound filters in any combination never
 // changes the result set.
 func TestFilterChainInvariance(t *testing.T) {

@@ -171,7 +171,8 @@ type Stats struct {
 	// τ-banded verifier counters, recorded by the default threshold-aware
 	// TED verifier (zero when a custom Verifier decided the candidates; see
 	// internal/ted and DESIGN.md, "Threshold-aware verification").
-	DPAvoided       int64 // candidates settled by the size/label lower bounds alone — full DPs avoided
+	DPAvoided       int64 // candidates settled with no DP: by the size or label bound or the traversal-string screen
+	SeqRejects      int64 // the candidates among DPAvoided that only the traversal-string screen settled
 	KeyrootsSkipped int64 // keyroot-pair forest DPs pruned by the positional skip
 	BandAborts      int64 // forest DPs cut short when a banded row's frontier exceeded τ
 

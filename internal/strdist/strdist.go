@@ -4,6 +4,8 @@
 // edit distance of their preorder (and postorder) label sequences.
 package strdist
 
+import "sync"
+
 // Levenshtein returns the unit-cost edit distance (insert, delete,
 // substitute) between the two sequences. It runs in O(|a|·|b|) time and
 // O(min(|a|,|b|)) space.
@@ -43,82 +45,127 @@ func Levenshtein(a, b []int32) int {
 }
 
 // Bounded returns the edit distance between a and b if it is at most tau, and
-// otherwise any value greater than tau. It evaluates only the diagonal band
-// of width 2·tau+1 (Ukkonen's cutoff), so it runs in O(tau·min(|a|,|b|))
-// time — the reason the STR baseline can afford string joins at small τ.
+// otherwise tau+1. It is Scratch.Bounded on a pooled scratch: callers that
+// own per-worker memory (the TED verifier) hold a Scratch and skip the pool.
 func Bounded(a, b []int32, tau int) int {
+	s := scratchPool.Get().(*Scratch)
+	d := s.Bounded(a, b, tau)
+	scratchPool.Put(s)
+	return d
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// Scratch is the band row of the bounded kernel, reused across calls: one
+// Scratch serves one goroutine and makes Bounded allocation-free once the row
+// has grown to the widest band it has met (at most tau+3 cells).
+type Scratch struct {
+	row []int32
+}
+
+// Bounded is the one τ-banded string kernel of the module: the edit distance
+// between a and b if it is at most tau, otherwise tau+1.
+//
+// The common prefix and suffix are stripped first — edit distance is
+// unchanged by removing a shared affix, and near-duplicate sequences collapse
+// to their few differing cells. What is left runs Ukkonen's cutoff: with
+// d = |a|−|b| ≥ 0, a path of cost ≤ tau that visits diagonal o = j−i pays at
+// least |o| to reach it and |o+d| to come back to the final diagonal −d, so
+// only diagonals −(tau+d)/2 … (tau−d)/2 matter: at most tau+1 of them. The
+// band lives in one skewed row updated in place — slot k of row i holds cell
+// (i, i+lo+k−1), so a cell's diagonal neighbour is its own slot's old value,
+// its upper neighbour the old value one slot right, and its left neighbour
+// the value just written (kept in a register); slots 0 and w+1 are sentinel
+// pads. The run stops as soon as a whole row exceeds tau. Time is
+// O(tau·min(|a|,|b|)), with no writes outside the band.
+func (s *Scratch) Bounded(a, b []int32, tau int) int {
 	if tau < 0 {
 		return tau + 1
 	}
 	if len(a) < len(b) {
 		a, b = b, a
 	}
-	if len(a)-len(b) > tau {
+	d := len(a) - len(b)
+	if d > tau {
 		return tau + 1
 	}
-	if len(b) == 0 {
-		return len(a)
+	for len(b) > 0 && a[0] == b[0] {
+		a, b = a[1:], b[1:]
 	}
-	const inf = int(^uint(0) >> 2)
-	// row[j] = distance for prefix lengths (i, j); cells outside the band
-	// hold inf.
-	row := make([]int, len(b)+1)
-	next := make([]int, len(b)+1)
-	for j := range row {
-		if j <= tau {
-			row[j] = j
+	for len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
+		a, b = a[:len(a)-1], b[:len(b)-1]
+	}
+	n, m := len(a), len(b)
+	if m == 0 {
+		return n // = d ≤ tau
+	}
+	// No distance exceeds n, so a wider band decides nothing more.
+	t := tau
+	if t > n {
+		t = n
+	}
+	lo, hi := -((t + d) / 2), (t-d)/2
+	w := hi - lo + 1
+	if cap(s.row) < w+2 {
+		s.row = make([]int32, w+2)
+	}
+	row := s.row[:w+2]
+	const inf = int32(1) << 30
+	// Row 0: cell (0, j) = j for the in-band columns 0 ≤ j ≤ m, between the
+	// two pads.
+	row[0], row[w+1] = inf, inf
+	for k := 1; k <= w; k++ {
+		if j := lo + k - 1; j >= 0 && j <= m {
+			row[k] = int32(j)
 		} else {
-			row[j] = inf
+			row[k] = inf
 		}
 	}
-	for i := 1; i <= len(a); i++ {
-		lo := i - tau
-		if lo < 0 {
-			lo = 0
+	t32 := int32(t)
+	for i := 1; i <= n; i++ {
+		// Slot k holds column j = i+lo+k−1; the row's cells with 1 ≤ j ≤ m are
+		// slots kLo..kHi. Slots left of column 0 have been inf since row 0;
+		// slots right of column m are never read again (the upper neighbour
+		// of slot kHi is the previous row's column m).
+		kLo, kHi := 2-i-lo, m-i-lo+1
+		left, rowMin := inf, inf
+		if kLo <= 1 {
+			kLo = 1
+		} else {
+			// Column 0 is in band: the boundary cell (i, 0) = i.
+			left = int32(i)
+			rowMin = left
+			row[kLo-1] = left
 		}
-		hi := i + tau
-		if hi > len(b) {
-			hi = len(b)
+		if kHi > w {
+			kHi = w
 		}
-		for j := range next {
-			next[j] = inf
-		}
-		if lo == 0 {
-			next[0] = i
-		}
-		rowMin := inf
-		start := lo
-		if start == 0 {
-			start = 1
-			rowMin = next[0]
-		}
-		for j := start; j <= hi; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
+		ai := a[i-1]
+		bj := b[i+lo+kLo-2 : i+lo+kHi-1]
+		cells := row[kLo : kHi+2] // the row's slots and one upper neighbour past them
+		for x, c := range bj {
+			v := cells[x] // diagonal
+			if ai != c {
+				v++
 			}
-			best := inf
-			if row[j-1] != inf && row[j-1]+cost < best {
-				best = row[j-1] + cost
+			if up := cells[x+1] + 1; up < v {
+				v = up
 			}
-			if row[j] != inf && row[j]+1 < best {
-				best = row[j] + 1
+			if l := left + 1; l < v {
+				v = l
 			}
-			if next[j-1] != inf && next[j-1]+1 < best {
-				best = next[j-1] + 1
-			}
-			next[j] = best
-			if best < rowMin {
-				rowMin = best
+			cells[x] = v
+			left = v
+			if v < rowMin {
+				rowMin = v
 			}
 		}
-		if rowMin > tau {
+		if rowMin > t32 {
 			return tau + 1
 		}
-		row, next = next, row
 	}
-	if row[len(b)] > tau {
-		return tau + 1
+	if v := int(row[1-d-lo]); v <= tau {
+		return v
 	}
-	return row[len(b)]
+	return tau + 1
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"treejoin/internal/strdist"
 	"treejoin/internal/tree"
 )
 
@@ -184,9 +185,35 @@ func TestArenaOverflowRunsUnboundedDP(t *testing.T) {
 	}
 }
 
+// TestViewRLabelsIsReversedPreorder pins the fact the traversal-string screen
+// rests on: the mirrored postorder the view already holds for the right-path
+// decomposition is the preorder label string read backwards (and Labels is
+// the postorder string), so the screen needs no array of its own.
+func TestViewRLabelsIsReversedPreorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	lt := tree.NewLabelTable()
+	var trees []*tree.Tree
+	for i := 0; i < 200; i++ {
+		trees = append(trees, randTree(rng, 40, 1+rng.Intn(5), lt))
+	}
+	for i, v := range BuildViews(trees) {
+		tr := trees[i]
+		rev := slices.Clone(v.RLabels)
+		slices.Reverse(rev)
+		if want := tree.LabelSeq(tr, tree.Preorder(tr)); !slices.Equal(rev, want) {
+			t.Fatalf("tree %d: reversed RLabels %v, preorder %v", i, rev, want)
+		}
+		if want := tree.LabelSeq(tr, tree.Postorder(tr)); !slices.Equal(v.Labels, want) {
+			t.Fatalf("tree %d: Labels %v, postorder %v", i, v.Labels, want)
+		}
+	}
+}
+
 // TestArenaCountersBruteForce checks the pruning and strategy counters
 // against expectations computed the slow way: DPAvoided from the size and
-// label bounds, KeyrootsSkipped by counting the keyroot pairs of the chosen
+// label bounds and the unbanded Levenshtein distances of the preorder and
+// postorder label strings (SeqRejects: the pairs only the strings settle),
+// KeyrootsSkipped by counting the keyroot pairs of the chosen
 // decomposition whose leftmost leaves lie more than the band apart, and the
 // strategy split, which must sum to the number of pairs that reached a DP.
 func TestArenaCountersBruteForce(t *testing.T) {
@@ -199,14 +226,23 @@ func TestArenaCountersBruteForce(t *testing.T) {
 		trees = append(trees, randTree(rng, 30, 3, lt))
 	}
 	vs := BuildViews(trees)
+	pre, post := make([][]int32, len(trees)), make([][]int32, len(trees))
+	for i, tr := range trees {
+		pre[i], post[i] = tree.LabelSeq(tr, tree.Preorder(tr)), tree.LabelSeq(tr, tree.Postorder(tr))
+	}
 	for _, tau := range []int{1, 3, 6} {
 		var tc Counters
-		var avoided, dps, skipped, left int64
+		var avoided, seqRejects, dps, skipped, left int64
 		for i := range trees {
 			for j := i + 1; j < len(trees); j++ {
 				_, _ = DistanceBoundedView(vs[i], vs[j], tau, s, &tc)
 				if SizeLowerBound(trees[i], trees[j]) > tau || LabelLowerBound(trees[i], trees[j]) > tau {
 					avoided++
+					continue
+				}
+				if strdist.Levenshtein(pre[i], pre[j]) > tau || strdist.Levenshtein(post[i], post[j]) > tau {
+					avoided++
+					seqRejects++
 					continue
 				}
 				dps++
@@ -227,6 +263,9 @@ func TestArenaCountersBruteForce(t *testing.T) {
 		}
 		if got := tc.DPAvoided.Load(); got != avoided {
 			t.Fatalf("τ=%d: DPAvoided %d, want %d", tau, got, avoided)
+		}
+		if got := tc.SeqRejects.Load(); got != seqRejects {
+			t.Fatalf("τ=%d: SeqRejects %d, want %d", tau, got, seqRejects)
 		}
 		if got := tc.KeyrootsSkipped.Load(); got != skipped {
 			t.Fatalf("τ=%d: KeyrootsSkipped %d, want %d", tau, got, skipped)

@@ -4,10 +4,15 @@
 // when it is, the exact distance is wanted. This file implements that
 // tri-state verifier as a banded variant of the DP in zs.go, in the spirit of
 // Touzet's k-strip algorithms for similar trees, over the TreeView arrays of
-// arena.go. Three pruning layers, each sound on its own (DESIGN.md,
+// arena.go. Four pruning layers, each sound on its own (DESIGN.md,
 // "Threshold-aware verification", has the arguments):
 //
 //   - the size and label lower bounds settle a pair with no DP at all;
+//   - so does the traversal-string screen: the τ-banded string edit distances
+//     of the two postorder and of the two preorder label sequences both
+//     lower-bound TED, and the view already holds both (Labels, and RLabels —
+//     the mirrored postorder is the preorder reversed, and edit distance does
+//     not change when both strings are reversed);
 //   - keyroot pairs whose leftmost leaves sit more than τ postorder
 //     positions apart are never visited (no ≤ τ mapping can use any
 //     subtree-pair entry they would produce): each outer keyroot
@@ -38,6 +43,8 @@ package ted
 import (
 	"sync"
 	"sync/atomic"
+
+	"treejoin/internal/strdist"
 )
 
 // Counters instruments the τ-banded verifier. All updates are atomic, so one
@@ -45,9 +52,12 @@ import (
 // a nil *Counters disables counting. The engine folds these into
 // sim.Stats after a run.
 type Counters struct {
-	// DPAvoided counts candidate pairs settled by the size/label lower
-	// bounds alone — full DPs avoided entirely.
+	// DPAvoided counts candidate pairs settled with no DP at all: by the
+	// size bound, the label bound or the traversal-string screen.
 	DPAvoided atomic.Int64
+	// SeqRejects counts the pairs among DPAvoided that passed the size and
+	// label bounds and were rejected by the traversal-string screen.
+	SeqRejects atomic.Int64
 	// KeyrootsSkipped counts keyroot-pair forest DPs pruned by the
 	// positional (leftmost-leaf distance) skip.
 	KeyrootsSkipped atomic.Int64
@@ -65,6 +75,13 @@ type Counters struct {
 func (tc *Counters) addDPAvoided() {
 	if tc != nil {
 		tc.DPAvoided.Add(1)
+	}
+}
+
+func (tc *Counters) addSeqReject() {
+	if tc != nil {
+		tc.DPAvoided.Add(1)
+		tc.SeqRejects.Add(1)
 	}
 }
 
@@ -132,6 +149,10 @@ type VerifyScratch struct {
 	// skip the refill.
 	padBt  int
 	padLen int
+	// seq is the band row of the traversal-string screen; labA and labB hold
+	// the sorted label multisets of DistanceBounded's one-off label bound.
+	seq        strdist.Scratch
+	labA, labB []int32
 }
 
 var verifyScratchPool = sync.Pool{New: func() any { return &VerifyScratch{padBt: -1} }}
@@ -198,8 +219,9 @@ func (s *VerifyScratch) ensureView(tdLen, fdLen, bt int, over int16) {
 }
 
 // DistanceBoundedView reports whether TED(a, b) ≤ tau from arena views: the
-// size and label lower bounds run first (no DP at all when either proves the
-// pair distant), then the strategy-chosen decomposition's band-compacted DP.
+// size and label lower bounds and the traversal-string screen run first (no
+// DP at all when any proves the pair distant), then the strategy-chosen
+// decomposition's band-compacted DP.
 // The tri-state contract: on true the returned distance is exact; on false
 // the distance is only known to exceed tau and tau+1 is returned. tc, when
 // non-nil, accumulates the verifier's pruning and strategy counters. The
@@ -228,6 +250,14 @@ func DistanceBoundedViewDecomp(a, b *TreeView, tau int, dec Decomp, s *VerifyScr
 	}
 	if labelBoundExceeds(a.SortedLabels, b.SortedLabels, tau) {
 		tc.addDPAvoided()
+		return tau + 1, false
+	}
+	// The traversal-string screen. A TED edit script of cost k induces one of
+	// cost ≤ k on the postorder strings and on the preorder strings, and
+	// RLabels — the postorder of the mirrored tree — is the preorder read
+	// backwards, which leaves the string distance as it is.
+	if s.seq.Bounded(a.Labels, b.Labels, tau) > tau || s.seq.Bounded(a.RLabels, b.RLabels, tau) > tau {
+		tc.addSeqReject()
 		return tau + 1, false
 	}
 	if dec == DecompAuto {
@@ -343,9 +373,9 @@ func bandedView(al, alml, akr []int32, bl, blml, bpar, bkr, bkrByLml []int32, ta
 		li := alml[i]
 		// τ-window gather: binary-search the first b-keyroot with lml ≥ li−τ
 		// in lml order, walk forward while lml ≤ li+τ. The window holds every
-		// inner keyroot the pointer kernel's positional skip would keep — on
-		// filtered workloads that is a handful out of all of them — so the
-		// skipped count is the complement in one subtraction, with no scan.
+		// inner keyroot the positional skip |lml − li| ≤ τ keeps — on filtered
+		// workloads that is a handful out of all of them — so the skipped
+		// count is the complement in one subtraction, with no scan.
 		wlo, whi := 0, nb
 		for wlo < whi {
 			mid := int(uint(wlo+whi) >> 1)

@@ -1,6 +1,8 @@
 package ted
 
 import (
+	"slices"
+
 	"treejoin/internal/tree"
 )
 
@@ -83,10 +85,11 @@ func LabelLowerBound(t1, t2 *tree.Tree) int {
 
 // DistanceBounded reports whether TED(t1, t2) ≤ tau, returning the exact
 // distance when it is and tau+1 otherwise: the one-off form of the verifier
-// in banded.go. The size bound runs before anything is built; a surviving
-// pair pays for both arena views and borrows a pooled scratch. Callers that
-// verify a tree more than once (every join, search and stream in this
-// module) hold its view and call DistanceBoundedView instead.
+// in banded.go. The size bound and the label bound (over label multisets
+// sorted on the pooled scratch) run before anything is built; a surviving
+// pair pays for both arena views. Callers that verify a tree more than once
+// (every join, search and stream in this module) hold its view and call
+// DistanceBoundedView instead.
 func DistanceBounded(t1, t2 *tree.Tree, tau int) (int, bool) {
 	if t1.Labels != t2.Labels {
 		panic("ted: trees must share a label table")
@@ -94,8 +97,22 @@ func DistanceBounded(t1, t2 *tree.Tree, tau int) (int, bool) {
 	if tau < 0 || SizeLowerBound(t1, t2) > tau {
 		return tau + 1, false
 	}
-	vs := BuildViews([]*tree.Tree{t1, t2})
 	s := AcquireScratch()
 	defer ReleaseScratch(s)
+	s.labA, s.labB = sortedLabels(s.labA, t1), sortedLabels(s.labB, t2)
+	if labelBoundExceeds(s.labA, s.labB, tau) {
+		return tau + 1, false
+	}
+	vs := BuildViews([]*tree.Tree{t1, t2})
 	return DistanceBoundedView(vs[0], vs[1], tau, s, nil)
+}
+
+// sortedLabels writes t's label multiset into buf, ascending.
+func sortedLabels(buf []int32, t *tree.Tree) []int32 {
+	buf = buf[:0]
+	for i := range t.Nodes {
+		buf = append(buf, t.Nodes[i].Label)
+	}
+	slices.Sort(buf)
+	return buf
 }

@@ -126,7 +126,6 @@ type config struct {
 	shards     int
 	position   core.PositionFilter
 	randPart   bool
-	hybrid     bool
 	sortedLoop bool
 	fixedPlan  bool
 	planSpecs  []PlanSpec
@@ -204,16 +203,6 @@ func WithoutPositionFilter() Option {
 // partitioning-scheme ablation; the join remains correct, only slower.
 func WithRandomPartitions(seed int64) Option {
 	return func(c *config) { c.randPart = true; c.seed = seed }
-}
-
-// WithHybridVerification screens PartSJ's candidate pairs with the τ-banded
-// traversal-string lower bounds before computing the exact TED. Results are
-// identical; verification is typically much faster when the collection
-// contains many just-over-threshold near-duplicates. An extension beyond the
-// paper (whose PRT verifies with RTED directly); applies to SelfJoin and
-// Join with MethodPartSJ.
-func WithHybridVerification() Option {
-	return func(c *config) { c.hybrid = true }
 }
 
 // WithSortedLoop forces candidate generation back to the O(n²) sorted
@@ -294,7 +283,6 @@ func (c config) coreOptions(tau int) core.Options {
 		Tau:             tau,
 		Position:        c.position,
 		RandomPartition: c.randPart,
-		HybridVerify:    c.hybrid,
 		Seed:            c.seed,
 		Workers:         c.workers,
 		Indexes:         c.indexes,

@@ -44,7 +44,7 @@ func TestPQGramPublicAPI(t *testing.T) {
 }
 
 // TestSoakAllProfiles is a larger end-to-end pass (skipped with -short):
-// 600 trees per profile, PartSJ (plain, hybrid, parallel) versus the
+// 600 trees per profile, PartSJ (sequential and parallel) versus the
 // brute-force oracle at τ = 2.
 func TestSoakAllProfiles(t *testing.T) {
 	if testing.Short() {
@@ -58,7 +58,6 @@ func TestSoakAllProfiles(t *testing.T) {
 		want, _ := treejoin.SelfJoin(ts, 2, treejoin.WithMethod(treejoin.MethodBruteForce), treejoin.WithWorkers(4))
 		for _, opts := range [][]treejoin.Option{
 			nil,
-			{treejoin.WithHybridVerification()},
 			{treejoin.WithWorkers(4)},
 		} {
 			got, _ := treejoin.SelfJoin(ts, 2, opts...)

@@ -55,34 +55,18 @@ func TestUnknownMethodString(t *testing.T) {
 	}
 }
 
-func TestHybridAndWorkersComposable(t *testing.T) {
-	ts := synth.Synthetic(60, 51)
-	ref, _ := treejoin.SelfJoin(ts, 2)
-	got, _ := treejoin.SelfJoin(ts, 2,
-		treejoin.WithHybridVerification(), treejoin.WithWorkers(4))
-	if len(got) != len(ref) {
-		t.Fatalf("composed options changed results: %d vs %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("pair %d differs", i)
-		}
-	}
-}
-
-func TestIncrementalHybrid(t *testing.T) {
+func TestIncrementalMatchesSelfJoin(t *testing.T) {
 	ts := synth.Synthetic(50, 53)
-	plain := treejoin.NewIncremental(2)
-	hybrid := treejoin.NewIncremental(2, treejoin.WithHybridVerification())
-	var nPlain, nHybrid int
+	ref, _ := treejoin.SelfJoin(ts, 2, treejoin.WithWorkers(4))
+	inc := treejoin.NewIncremental(2)
+	n := 0
 	for _, tr := range ts {
-		nPlain += len(plain.Add(tr))
-		nHybrid += len(hybrid.Add(tr))
+		n += len(inc.Add(tr))
 	}
-	if nPlain != nHybrid {
-		t.Fatalf("hybrid incremental differs: %d vs %d", nPlain, nHybrid)
+	if n != len(ref) {
+		t.Fatalf("incremental stream reported %d pairs, the self join %d", n, len(ref))
 	}
-	if plain.Tree(0) != ts[0] {
+	if inc.Tree(0) != ts[0] {
 		t.Fatal("Tree accessor wrong")
 	}
 }

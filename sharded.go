@@ -615,6 +615,7 @@ func foldStats(total, st *sim.Stats) {
 	total.PostingsTombstoned += st.PostingsTombstoned
 	total.PairsRetracted += st.PairsRetracted
 	total.DPAvoided += st.DPAvoided
+	total.SeqRejects += st.SeqRejects
 	total.KeyrootsSkipped += st.KeyrootsSkipped
 	total.BandAborts += st.BandAborts
 	total.StrategyLeft += st.StrategyLeft

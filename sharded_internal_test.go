@@ -19,7 +19,7 @@ func TestFoldStats(t *testing.T) {
 		Stages: []sim.StageStats{
 			{Name: "HIST", In: 100, Pruned: 60, SampledNs: 10, Sampled: 4},
 		},
-		PostingsScanned: 7, SkippedByCount: 3, DPAvoided: 2,
+		PostingsScanned: 7, SkippedByCount: 3, DPAvoided: 2, SeqRejects: 1,
 	})
 	foldStats(total, &sim.Stats{
 		Candidates: 3, Results: 1,
@@ -29,7 +29,7 @@ func TestFoldStats(t *testing.T) {
 			{Name: "HIST", In: 40, Pruned: 10, SampledNs: 5, Sampled: 2},
 			{Name: "STR", In: 30, Pruned: 5},
 		},
-		PostingsScanned: 1, SkippedByCount: 2, DPAvoided: 1,
+		PostingsScanned: 1, SkippedByCount: 2, DPAvoided: 1, SeqRejects: 1,
 	})
 	foldStats(total, nil) // a skipped round folds as a no-op
 
@@ -39,7 +39,7 @@ func TestFoldStats(t *testing.T) {
 	if total.CandTime != 2*time.Millisecond || total.VerifyTime != 3*time.Millisecond {
 		t.Fatalf("durations: Cand=%v Verify=%v", total.CandTime, total.VerifyTime)
 	}
-	if total.PostingsScanned != 8 || total.SkippedByCount != 5 || total.DPAvoided != 3 {
+	if total.PostingsScanned != 8 || total.SkippedByCount != 5 || total.DPAvoided != 3 || total.SeqRejects != 2 {
 		t.Fatalf("index/verifier counters wrong: %+v", total)
 	}
 	if total.Source != "token-index" {

@@ -58,9 +58,6 @@ func TestIndexBuiltOncePerEpoch(t *testing.T) {
 	if _, err := sc.Search(ctx, ts[0], 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Search(ctx, ts[1], 2, WithHybridVerification()); err != nil {
-		t.Fatal(err)
-	}
 	if n := indexBuilds(sc); n != 4 {
 		t.Fatalf("searches at the join's threshold built %d more indexes", n-4)
 	}

@@ -215,27 +215,25 @@ func TestPublicShardedJoin(t *testing.T) {
 	}
 }
 
-// TestKNNMatchesBruteForce: Corpus.KNN, with and without the hybrid screens,
-// on a never-joined corpus and on a joined one, returns exactly the k
-// brute-force nearest trees in (Dist, Pos) order.
+// TestKNNMatchesBruteForce: Corpus.KNN, on a never-joined corpus and on a
+// joined one, returns exactly the k brute-force nearest trees in (Dist, Pos)
+// order.
 func TestKNNMatchesBruteForce(t *testing.T) {
 	ctx := context.Background()
 	all := synth.Synthetic(90, 19)
 	ts, queries := all[:60], all[57:67] // three members, seven strangers
 	dists := bruteDistances(ts, queries)
 	for state, cp := range coldAndJoined(t, ts) {
-		for _, opts := range [][]treejoin.Option{nil, {treejoin.WithHybridVerification()}} {
-			for qi, q := range queries {
-				want := bruteMatches(dists[qi], 1<<30)
-				slices.SortStableFunc(want, func(a, b treejoin.Match) int { return a.Dist - b.Dist })
-				for _, k := range []int{1, 4} {
-					got, err := cp.KNN(ctx, q, k, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(got, want[:k]) {
-						t.Fatalf("%s hybrid=%v k=%d query %d: got %v, want %v", state, opts != nil, k, qi, got, want[:k])
-					}
+		for qi, q := range queries {
+			want := bruteMatches(dists[qi], 1<<30)
+			slices.SortStableFunc(want, func(a, b treejoin.Match) int { return a.Dist - b.Dist })
+			for _, k := range []int{1, 4} {
+				got, err := cp.KNN(ctx, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want[:k]) {
+					t.Fatalf("%s k=%d query %d: got %v, want %v", state, k, qi, got, want[:k])
 				}
 			}
 		}

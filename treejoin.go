@@ -11,8 +11,8 @@
 // if one tree contains a subgraph of the other — a filter served by an
 // in-memory subgraph index, built once per corpus epoch and threshold and
 // probed in parallel by joins and searches alike, with exact TED verification
-// (an RTED-style hybrid of Zhang–Shasha strategies) only for surviving
-// candidates. The baselines the paper compares against (STR traversal-string
+// (a τ-banded Zhang–Shasha with an RTED-style strategy choice, behind size,
+// label and traversal-string lower bounds) only for surviving candidates. The baselines the paper compares against (STR traversal-string
 // lower bounds and SET binary-branch distance) are included for comparison,
 // as are the survey's other filters (HIST statistics histograms, EUL Euler
 // strings) and a brute-force oracle.
@@ -148,7 +148,8 @@ func Distance(a, b *Tree) int { return ted.Distance(a, b) }
 
 // DistanceWithin reports whether TED(a, b) ≤ tau; when it is, the returned
 // distance is exact, otherwise it is some value greater than tau. The
-// computation is threshold-aware throughout: size and label lower bounds
-// short-circuit it entirely, and the DP itself is τ-banded with early
-// termination (see DESIGN.md, "Threshold-aware verification").
+// computation is threshold-aware throughout: size, label and
+// traversal-string lower bounds short-circuit it entirely, and the DP itself
+// is τ-banded with early termination (see DESIGN.md, "Threshold-aware
+// verification").
 func DistanceWithin(a, b *Tree, tau int) (int, bool) { return ted.DistanceBounded(a, b, tau) }
