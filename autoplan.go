@@ -22,8 +22,7 @@ const (
 	// no choice).
 	PlanSourceDefault PlanSource = iota
 	// PlanSourceTokenIndex pins the token inverted-index source. Conflicts
-	// with methods that have none (PartSJ, MethodBruteForce) and with
-	// WithSortedLoop.
+	// with methods that have none (PartSJ, MethodBruteForce).
 	PlanSourceTokenIndex
 	// PlanSourceSortedLoop pins the O(n²) sorted nested loop.
 	PlanSourceSortedLoop
@@ -133,7 +132,7 @@ func (cp *Corpus) planJob(ctx context.Context, c config, job engine.Job, tz engi
 	case c.method == MethodPartSJ:
 		pin = "partsj"
 		tz = nil
-	case tz == nil || c.sortedLoop || job.Source == nil:
+	case tz == nil:
 		pin = plan.SourceSortedLoop
 		tz = nil
 	}
@@ -151,11 +150,7 @@ func (cp *Corpus) planJob(ctx context.Context, c config, job engine.Job, tz engi
 		Stages:    stages,
 		Tokenizer: tz,
 		PinSource: pin,
-		// The maintained dynamic token snapshot serves self joins on a
-		// mutated corpus above the index cutoff; it probes full bags, so
-		// prefix tuning does not apply, and its per-run build cost is zero.
-		DynIndex: pin == "" && split < 0 && epoch > 0 && len(ts) >= engine.TokenIndexMinTrees,
-		Workers:  c.workers,
+		Workers:   c.workers,
 	})
 	job.Filters = dec.Filters()
 	if pin == "" && tz != nil && !dec.UseIndex {
@@ -216,6 +211,10 @@ type PlanExplanation struct {
 	Candidates int64
 	CandTime   time.Duration
 	VerifyTime time.Duration
+
+	// index says, under a token-index plan, whether the corpus holds this
+	// epoch's index for the plan's (tokenizer, τ, C) right now.
+	index string
 }
 
 // String formats the explanation the way cmd/treejoin -explain prints it.
@@ -223,6 +222,9 @@ func (ex PlanExplanation) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan:        method=%v τ=%d source=%s chain=[%s] C=%d origin=%s\n",
 		ex.Method, ex.Tau, ex.Source, strings.Join(ex.Chain, " "), ex.PrefixC, ex.Origin)
+	if ex.index != "" {
+		fmt.Fprintf(&b, "index:       %s\n", ex.index)
+	}
 	fmt.Fprintf(&b, "window:      %d pairs within the τ size window\n", ex.WindowPairs)
 	if ex.Survival != nil {
 		parts := make([]string, len(ex.Survival))
@@ -259,7 +261,6 @@ func (cp *Corpus) Explain(ctx context.Context, tau int, opts ...Option) (PlanExp
 	}
 	st := cp.state.Load()
 	job.Cache = cp.runCache()
-	job.DynTokens = cp.dynTokens(st)
 	job, dec := cp.planJob(ctx, c, job, tz, st.ts, -1, st.epoch)
 	ex := PlanExplanation{
 		Method:  c.method,
@@ -268,6 +269,17 @@ func (cp *Corpus) Explain(ctx context.Context, tau int, opts ...Option) (PlanExp
 		Chain:   slices.Clone(job.Plan.Chain),
 		PrefixC: job.Plan.PrefixC,
 		Origin:  job.Plan.Origin,
+	}
+	if ex.Source == plan.SourceTokenIndex {
+		// The candgen estimate scales the build time past runs reported, and
+		// a run that finds the index cached reports none.
+		cp.mu.Lock()
+		cached := cp.searcherEpoch == st.epoch && cp.tokens.Has(tokenIndexKey{tz.Name(), tau, ex.PrefixC})
+		cp.mu.Unlock()
+		ex.index = "not cached: the first join at this (tokenizer, τ, C) builds it"
+		if cached {
+			ex.index = "cached for this epoch: no build"
+		}
 	}
 	if dec != nil {
 		ex.WindowPairs = dec.Est.WindowPairs

@@ -11,9 +11,11 @@ import (
 
 // TestBandedVerificationMatches: the τ-banded verifier produces exactly the
 // brute-force result set (unbounded Zhang–Shasha over every pair) across
-// methods and thresholds, records its pruning counters — the
-// traversal-string screen's rejections a subset of the pairs settled with no
-// DP — and reports the strategy every DP it did run was decided under.
+// methods, thresholds and worker counts, and the run's Stats are conserved:
+// every candidate is accounted for — settled with no DP (the traversal-string
+// screen's rejections a subset of those) or decided by a DP under a recorded
+// strategy — and nothing the statistics count depends on how many workers the
+// tasks were dealt to.
 func TestBandedVerificationMatches(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(50, 23)
@@ -28,24 +30,43 @@ func TestBandedVerificationMatches(t *testing.T) {
 			}
 		}
 		for _, m := range []treejoin.Method{
-			treejoin.MethodPartSJ, treejoin.MethodBruteForce, treejoin.MethodHistogram,
+			treejoin.MethodPartSJ, treejoin.MethodSTR, treejoin.MethodSET, treejoin.MethodBruteForce,
+			treejoin.MethodHistogram, treejoin.MethodEulerString, treejoin.MethodPQGram,
 		} {
-			banded, bst, err := cp.SelfJoin(ctx, tau, treejoin.WithMethod(m))
-			if err != nil {
-				t.Fatal(err)
-			}
-			samePairs(t, "banded vs brute force", banded, want)
-			if m == treejoin.MethodBruteForce && tau <= 1 &&
-				bst.DPAvoided == 0 && bst.KeyrootsSkipped == 0 && bst.BandAborts == 0 {
-				t.Fatalf("%v τ=%d: banded run recorded no verifier pruning (candidates=%d)",
-					m, tau, bst.Candidates)
-			}
-			if m == treejoin.MethodBruteForce && tau >= 1 && bst.SeqRejects == 0 {
-				t.Fatalf("τ=%d: the string screen settled none of %d size-window pairs", tau, bst.Candidates)
-			}
-			if bst.SeqRejects > bst.DPAvoided || bst.DPAvoided+bst.StrategyLeft+bst.StrategyRight != bst.Candidates {
-				t.Fatalf("%v τ=%d: %d candidates, %d settled with no DP (%d by the string screen), %d+%d DPs",
-					m, tau, bst.Candidates, bst.DPAvoided, bst.SeqRejects, bst.StrategyLeft, bst.StrategyRight)
+			var one treejoin.Stats
+			for _, workers := range []int{1, 2, 4} {
+				// The fixed plan keeps the chain the same on every run; the
+				// planner may reorder it from what the runs before taught it.
+				banded, bst, err := cp.SelfJoin(ctx, tau, treejoin.WithMethod(m), treejoin.WithFixedPlan(), treejoin.WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				samePairs(t, "banded vs brute force", banded, want)
+				if m == treejoin.MethodBruteForce && tau <= 1 &&
+					bst.DPAvoided == 0 && bst.KeyrootsSkipped == 0 && bst.BandAborts == 0 {
+					t.Fatalf("%v τ=%d: banded run recorded no verifier pruning (candidates=%d)",
+						m, tau, bst.Candidates)
+				}
+				if m == treejoin.MethodBruteForce && tau >= 1 && bst.SeqRejects == 0 {
+					t.Fatalf("τ=%d: the string screen settled none of %d size-window pairs", tau, bst.Candidates)
+				}
+				if bst.SeqRejects > bst.DPAvoided || bst.DPAvoided+bst.StrategyLeft+bst.StrategyRight != bst.Candidates {
+					t.Fatalf("%v τ=%d w=%d: %d candidates, %d settled with no DP (%d by the string screen), %d+%d DPs",
+						m, tau, workers, bst.Candidates, bst.DPAvoided, bst.SeqRejects, bst.StrategyLeft, bst.StrategyRight)
+				}
+				if workers == 1 {
+					one = bst
+					continue
+				}
+				same := bst.Candidates == one.Candidates && bst.Results == one.Results && bst.Results == int64(len(want)) &&
+					bst.PostingsScanned == one.PostingsScanned && bst.SkippedByCount == one.SkippedByCount &&
+					len(bst.Stages) == len(one.Stages)
+				for i := 0; same && i < len(one.Stages); i++ {
+					same = bst.Stages[i].In == one.Stages[i].In && bst.Stages[i].Pruned == one.Stages[i].Pruned
+				}
+				if !same {
+					t.Fatalf("%v τ=%d: statistics at %d workers %+v differ from one worker's %+v", m, tau, workers, bst, one)
+				}
 			}
 		}
 	}

@@ -438,8 +438,12 @@ func printStats(m treejoin.Method, tau int, st treejoin.Stats) {
 		fmt.Fprintf(os.Stderr, "subgraphs:   %d indexed (built in %v), %d probes, %d match tests (%d hits)\n",
 			st.IndexedSubgraphs, st.IndexBuildTime, st.SubgraphProbes, st.MatchTests, st.MatchHits)
 	} else if st.PostingsScanned > 0 || st.IndexBuildTime > 0 {
-		fmt.Fprintf(os.Stderr, "tokenindex:  built in %v, %d postings scanned, %d partners skipped by count, %d tombstones crossed\n",
-			st.IndexBuildTime, st.PostingsScanned, st.SkippedByCount, st.PostingsTombstoned)
+		index := "index cached"
+		if st.IndexBuildTime > 0 {
+			index = fmt.Sprintf("index built in %v", st.IndexBuildTime)
+		}
+		fmt.Fprintf(os.Stderr, "tokenindex:  %s, %d postings scanned, %d partners skipped by count\n",
+			index, st.PostingsScanned, st.SkippedByCount)
 	}
 }
 

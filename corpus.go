@@ -53,10 +53,10 @@ type CacheStats = engine.CacheStats
 
 // corpusState is one immutable epoch of a corpus: the live trees in
 // insertion order, their stable public ids, and every structure derived
-// from the membership (the ownership set for cross-join cache routing, the
-// persistent token-index snapshots). Mutations build a new state and swap
-// the pointer — copy-on-write — so a query that loaded a state keeps a
-// perfectly consistent view for its whole run while writers proceed.
+// from the membership (the ownership set for cross-join cache routing).
+// Mutations build a new state and swap the pointer — copy-on-write — so a
+// query that loaded a state keeps a perfectly consistent view for its whole
+// run while writers proceed.
 type corpusState struct {
 	epoch  int64
 	ts     []*Tree
@@ -66,15 +66,6 @@ type corpusState struct {
 	lt     *LabelTable
 	// members routes cross-join artifacts by owner (see crossJob).
 	members map[*Tree]struct{}
-	// tokidx holds the persistent token-index snapshots, by tokenizer name.
-	// Materialised lazily by the first signature-method join after the
-	// corpus has mutated; maintained by every later Add/Remove.
-	tokidx map[string]dynEntry
-}
-
-type dynEntry struct {
-	tz   engine.Tokenizer
-	snap *engine.TokenSnap
 }
 
 // Corpus is the primary entry point for joining and querying a collection
@@ -95,7 +86,10 @@ type dynEntry struct {
 // and KNN queries additionally share a small LRU of per-threshold PartSJ
 // indexes (see WithIndexCacheCap), and PartSJ joins probe those same indexes
 // — one is built at most once per epoch, threshold and position mode, whoever
-// asks first. Removing trees evicts their artifacts,
+// asks first. The signature methods' self joins share frozen token indexes
+// the same way, one per epoch, tokenizer, threshold and prefix multiplier
+// (STR, EUL and PQG tokenise alike and share one; so do SET and HIST), built
+// by the first join that needs it. Removing trees evicts their artifacts,
 // so the cache's memory tracks the live collection; beyond that it never
 // evicts — its size is bounded by the filter kinds and PartSJ thresholds
 // actually queried (see DESIGN.md, "The corpus artifact cache").
@@ -108,11 +102,10 @@ type dynEntry struct {
 // a freshly built corpus over the same trees would); positions shift when
 // earlier trees are removed, so mutations address trees by the stable ids
 // Add returns (ID and PosOf translate). Snapshot pins the current epoch as
-// a frozen corpus view. A mutated corpus also keeps its token inverted
-// index live across joins — posting lists are appended on Add and
-// tombstoned on Remove, compacting when tombstones exceed half the
-// postings — instead of rebuilding it per join (see DESIGN.md, "Dynamic
-// corpora").
+// a frozen corpus view. A mutation drops the epoch's indexes and nothing
+// else: the write path maintains no index, and the first join or search of
+// the new epoch rebuilds the one it needs from the cached per-tree artifacts
+// (see DESIGN.md, "Dynamic corpora").
 //
 // Every query takes a context.Context: cancellation or deadline expiry
 // aborts the engine's candidate loops, worker pools, and verification stage
@@ -141,7 +134,7 @@ type Corpus struct {
 	// accumulate.
 	overflow *engine.Cache
 
-	writeMu sync.Mutex // serialises mutations and token-index installs
+	writeMu sync.Mutex // serialises mutations
 
 	// store backs a persistent corpus (see Open): mutations write through to
 	// it — WAL first, then the published state — so an acknowledged Add or
@@ -159,10 +152,28 @@ type Corpus struct {
 	// searchers holds, per position mode, the epoch's frozen PartSJ indexes
 	// by threshold: what Search and KNN probe, and what every PartSJ join over
 	// this membership — SelfJoin, either side of a Join, a TopK round, a shard
-	// round — resolves instead of building its own (see indexResolver).
+	// round — resolves instead of building its own (see indexResolver). tokens
+	// holds the epoch's frozen token indexes, which the signature methods'
+	// self joins resolve (see tokenResolver). Both rotate together.
 	mu            sync.Mutex
 	searchers     map[core.PositionFilter]*core.KNN
+	tokens        *engine.IndexLRU[tokenIndexKey, *engine.PrefixIndex]
 	searcherEpoch int64
+}
+
+// tokenIndexKey names one of an epoch's token indexes: the tokenisation, the
+// threshold, and the prefix multiplier C′ it was built with.
+type tokenIndexKey struct {
+	tokenizer    string
+	tau, prefixC int
+}
+
+// indexCapacity is the bound on each of the corpus's per-epoch index caches.
+func (cp *Corpus) indexCapacity() int {
+	if cp.indexCap < 1 {
+		return core.DefaultIndexCacheCap
+	}
+	return cp.indexCap
 }
 
 // runCache returns the cache a query on cp should read and write through: a
@@ -215,12 +226,12 @@ func NewCorpus(ts []*Tree, opts ...Option) (*Corpus, error) {
 		st.members[t] = struct{}{}
 	}
 	cp := &Corpus{
-		cache:     engine.NewCache(),
-		indexCap:  c.indexCap,
-		searchers: make(map[core.PositionFilter]*core.KNN),
-		planner:   plan.New(),
+		cache:    engine.NewCache(),
+		indexCap: c.indexCap,
+		planner:  plan.New(),
 	}
 	cp.state.Store(st)
+	cp.resetIndexes(st.epoch)
 	return cp, nil
 }
 
@@ -275,17 +286,16 @@ func (cp *Corpus) Snapshot() *Corpus {
 		parent = cp.parent
 	}
 	s := &Corpus{
-		cache:     cp.cache,
-		overflow:  engine.NewCache(),
-		indexCap:  cp.indexCap,
-		frozen:    true,
-		parent:    parent,
-		searchers: make(map[core.PositionFilter]*core.KNN),
-		planner:   cp.planner,
+		cache:    cp.cache,
+		overflow: engine.NewCache(),
+		indexCap: cp.indexCap,
+		frozen:   true,
+		parent:   parent,
+		planner:  cp.planner,
 	}
 	st := cp.state.Load()
 	s.state.Store(st)
-	s.searcherEpoch = st.epoch
+	s.resetIndexes(st.epoch)
 	return s
 }
 
@@ -293,10 +303,10 @@ func (cp *Corpus) Snapshot() *Corpus {
 // order) and returns their stable ids. Validation matches NewCorpus: no nil
 // trees, one shared LabelTable (an empty corpus adopts the first added
 // tree's table). The mutation is atomic — queries see either none or all of
-// the batch — and keeps every maintained artifact live: cached signatures
-// of existing trees are untouched, and materialised token-index posting
-// lists are appended to, not rebuilt. In-flight queries continue on their
-// pre-Add snapshot.
+// the batch — and leaves the cached signatures of existing trees untouched;
+// the epoch's indexes are dropped, to be rebuilt from those signatures by the
+// first query that needs one. In-flight queries continue on their pre-Add
+// snapshot.
 func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 	if cp.frozen {
 		return nil, ErrImmutableSnapshot
@@ -326,7 +336,6 @@ func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 		nextID:  st.nextID + len(ts),
 		lt:      lt,
 		members: maps.Clone(st.members),
-		tokidx:  make(map[string]dynEntry, len(st.tokidx)),
 	}
 	ids := make([]int, len(ts))
 	for i, t := range ts {
@@ -347,12 +356,8 @@ func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 			}
 		}
 	}
-	for name, e := range st.tokidx {
-		ns.tokidx[name] = dynEntry{tz: e.tz, snap: e.snap.WithAdded(ts, cp.cache)}
-	}
-	// Keep the arena views live the way the token index is kept live: once a
-	// join has paid to flatten the collection (the kind is populated), each
-	// Add flattens just its batch, so the next join's verifier finds every
+	// Keep the arena views live: once a join has paid to flatten the
+	// collection (the kind is populated), each Add flattens just its batch, so the next join's verifier finds every
 	// tree warm instead of rebuilding views for the whole membership. A
 	// corpus that never joined (or only ever used custom verifiers) skips
 	// this — the artifact would be pure speculation. Removal needs no
@@ -365,16 +370,39 @@ func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 	return ids, nil
 }
 
-// dropSearchers eagerly releases the per-threshold search indexes built over
-// the previous membership when a mutation lands at epoch. The searcher
-// method would rotate them lazily on the next Search/KNN anyway; dropping
-// them here means a mutation that is never followed by a search does not
-// keep full PartSJ indexes (and the removed trees they reference) resident.
+// dropSearchers eagerly releases the indexes built over the previous
+// membership when a mutation lands at epoch. The next query would rotate them
+// lazily anyway (see serves); dropping them here means a mutation that is
+// never followed by a query does not keep full indexes (and the removed trees
+// they reference) resident.
 func (cp *Corpus) dropSearchers(epoch int64) {
 	cp.mu.Lock()
-	cp.searchers = make(map[core.PositionFilter]*core.KNN)
-	cp.searcherEpoch = epoch
+	cp.resetIndexes(epoch)
 	cp.mu.Unlock()
+}
+
+// resetIndexes empties the per-epoch index caches and pins them to epoch; the
+// caller holds cp.mu (or is still constructing cp).
+func (cp *Corpus) resetIndexes(epoch int64) {
+	cp.searchers = make(map[core.PositionFilter]*core.KNN)
+	cp.tokens = engine.NewIndexLRU[tokenIndexKey, *engine.PrefixIndex](cp.indexCapacity())
+	cp.searcherEpoch = epoch
+}
+
+// serves reports whether the per-epoch index caches are st's to use, with
+// cp.mu held. The caches are pinned to one epoch: the first query after a
+// mutation rotates them, dropping every index built over the old membership
+// (the eviction-on-epoch contract — a stale index can never serve a
+// post-Remove query). A query still running against an older state is refused,
+// so it builds a one-off instead of polluting the cache.
+func (cp *Corpus) serves(st *corpusState) bool {
+	if cp.searcherEpoch != st.epoch {
+		if cp.state.Load().epoch != st.epoch {
+			return false
+		}
+		cp.resetIndexes(st.epoch)
+	}
+	return true
 }
 
 // Remove deletes the trees with the given ids from the corpus and returns
@@ -382,10 +410,9 @@ func (cp *Corpus) dropSearchers(epoch int64) {
 // Later trees shift down to keep positions dense, so after the call the
 // corpus is indistinguishable — query for query, pair for pair — from a
 // corpus freshly built over the survivors; ids are stable throughout. The
-// removed trees' cached signatures and arena views are evicted, their
-// token-index postings tombstoned (probes skip them; the lists compact once
-// tombstones exceed half the postings), and the per-threshold search-index
-// LRU is invalidated, so no stale index can serve a post-Remove query.
+// removed trees' cached signatures and arena views are evicted and the
+// epoch's indexes (PartSJ and token) are dropped, so no stale index can serve
+// a post-Remove query.
 // In-flight queries continue on their pre-Remove snapshot.
 func (cp *Corpus) Remove(ids ...int) int {
 	if cp.frozen || len(ids) == 0 {
@@ -426,7 +453,6 @@ func (cp *Corpus) Remove(ids ...int) int {
 		nextID:  st.nextID,
 		lt:      st.lt,
 		members: make(map[*Tree]struct{}, len(st.ts)-len(gone)),
-		tokidx:  make(map[string]dynEntry, len(st.tokidx)),
 	}
 	var removed []*tree.Tree
 	for p, t := range st.ts {
@@ -438,14 +464,6 @@ func (cp *Corpus) Remove(ids ...int) int {
 		ns.ts = append(ns.ts, t)
 		ns.ids = append(ns.ids, st.ids[p])
 		ns.members[t] = struct{}{}
-	}
-	// Below the token-index cutoff dynTokens stops serving the maintained
-	// snapshots, so drop them rather than paying their write-path upkeep on
-	// every further mutation; they re-materialise if the corpus grows back.
-	if len(ns.ts) >= engine.TokenIndexMinTrees {
-		for name, e := range st.tokidx {
-			ns.tokidx[name] = dynEntry{tz: e.tz, snap: e.snap.WithRemoved(positions)}
-		}
 	}
 	// Evict the removed trees' artifacts — unless the same tree object is
 	// still live at another position (the corpus permits aliases), in which
@@ -468,53 +486,24 @@ func (cp *Corpus) Remove(ids ...int) int {
 	return len(positions)
 }
 
-// dynTokens returns the persistent token-index provider for a self join
-// over st: the engine's token-index source calls it to probe a maintained
-// snapshot instead of building a per-run index. A corpus that has never
-// mutated keeps the per-run source (a one-shot join has nothing to
-// amortise); the first signature-method join after a mutation materialises
-// the snapshot — built from the same cached bags the per-run source would
-// use — installs it for every later join, and Add/Remove keep it live.
-func (cp *Corpus) dynTokens(st *corpusState) func(engine.Tokenizer) *engine.TokenSnap {
-	return func(tz engine.Tokenizer) *engine.TokenSnap {
-		if st.epoch == 0 || len(st.ts) < engine.TokenIndexMinTrees {
-			return nil
+// tokenResolver is the token-index source's hook for a self join over st: the
+// epoch's frozen index for (tokenizer, τ, C′), built from the cached bags by
+// whichever join asks first — never by NewCorpus, Add or Remove — and shared
+// by every later one (STR, EUL and PQG tokenise alike, so they share). A view
+// pinned to a superseded epoch gets nil and builds a private one.
+func (cp *Corpus) tokenResolver(st *corpusState) engine.TokenIndexResolver {
+	return func(ctx context.Context, tz engine.Tokenizer, tau, prefixC int) (*engine.PrefixIndex, bool) {
+		cp.mu.Lock()
+		ok := cp.serves(st)
+		lru := cp.tokens // read after serves, which may have rotated it
+		cp.mu.Unlock()
+		if !ok {
+			return nil, false
 		}
-		if e, ok := st.tokidx[tz.Name()]; ok {
-			return e.snap
-		}
-		// Materialise only for the corpus's current state: a stale view (an
-		// in-flight iterator that outlived a mutation) keeps the per-run
-		// prefix source rather than paying a full-bag build it could never
-		// install or amortise. Reading the current state also picks up a
-		// snapshot a concurrent join installed after st was pinned, keeping
-		// the duplicate-build window minimal.
-		if cur := cp.state.Load(); cur.epoch != st.epoch {
-			return nil
-		} else if e, ok := cur.tokidx[tz.Name()]; ok {
-			return e.snap
-		}
-		snap := engine.NewTokenSnap(tz, st.ts, cp.runCache())
-		// Install for later joins — unless the corpus moved on while the
-		// snapshot was building; the one-off still serves this run (it was
-		// built from st.ts, which is what the run joins).
-		cp.writeMu.Lock()
-		cur := cp.state.Load()
-		if cur.epoch == st.epoch {
-			if e, ok := cur.tokidx[tz.Name()]; ok {
-				snap = e.snap
-			} else {
-				ns := *cur
-				ns.tokidx = maps.Clone(cur.tokidx)
-				if ns.tokidx == nil {
-					ns.tokidx = make(map[string]dynEntry, 1)
-				}
-				ns.tokidx[tz.Name()] = dynEntry{tz: tz, snap: snap}
-				cp.state.Store(&ns)
-			}
-		}
-		cp.writeMu.Unlock()
-		return snap
+		x, built, _ := lru.Get(ctx, tokenIndexKey{tz.Name(), tau, prefixC}, func() *engine.PrefixIndex {
+			return engine.NewPrefixIndex(tz, st.ts, tau, prefixC, cp.runCache())
+		})
+		return x, built
 	}
 }
 
@@ -548,13 +537,12 @@ func (cp *Corpus) SelfJoin(ctx context.Context, tau int, opts ...Option) ([]Pair
 // per-round Stats up itself.
 func (cp *Corpus) streamSelfWith(ctx context.Context, tau int, c config, sink sim.EmitFunc) (*sim.Stats, error) {
 	st := cp.state.Load()
-	c.indexes = cp.indexResolver(st, c, nil, nil)
+	c.indexes, c.tokens = cp.indexResolver(st, c, nil, nil), cp.tokenResolver(st)
 	job, tz, err := c.pipelineChecked(tau)
 	if err != nil {
 		return nil, err
 	}
 	job.Cache = cp.runCache()
-	job.DynTokens = cp.dynTokens(st)
 	job, _ = cp.planJob(ctx, c, job, tz, st.ts, -1, st.epoch)
 	stats, err := job.StreamSelf(ctx, st.ts, sink)
 	if err == nil {
@@ -577,13 +565,12 @@ func (cp *Corpus) streamSelfWith(ctx context.Context, tau int, c config, sink si
 func (cp *Corpus) SelfJoinSeq(ctx context.Context, tau int, opts ...Option) (iter.Seq[Pair], error) {
 	c := buildConfig(opts)
 	st := cp.state.Load()
-	c.indexes = cp.indexResolver(st, c, nil, nil)
+	c.indexes, c.tokens = cp.indexResolver(st, c, nil, nil), cp.tokenResolver(st)
 	job, tz, err := c.pipelineChecked(tau)
 	if err != nil {
 		return nil, err
 	}
 	job.Cache = cp.runCache()
-	job.DynTokens = cp.dynTokens(st)
 	job, _ = cp.planJob(ctx, c, job, tz, st.ts, -1, st.epoch)
 	return func(yield func(Pair) bool) {
 		stats, err := job.StreamSelf(ctx, st.ts, sim.EmitFunc(yield))
@@ -819,39 +806,22 @@ func (cp *Corpus) indexResolver(st *corpusState, c config, other *Corpus, sb *co
 }
 
 // searcher returns the index machinery for c's position mode over the
-// st membership, creating it on first use. The searcher cache is pinned to
-// one epoch: the first query after a mutation rotates it, dropping every
-// per-threshold index built over the old membership (the eviction-on-epoch
-// contract — a stale index can never serve a post-Remove query). A query
-// still running against an older state builds a one-off searcher for its
-// snapshot instead of polluting the cache.
+// st membership, creating it on first use — a one-off when the per-epoch
+// caches serve another epoch (see serves).
 func (cp *Corpus) searcher(st *corpusState, c config) *core.KNN {
-	capacity := cp.indexCap
-	if capacity < 1 {
-		capacity = core.DefaultIndexCacheCap
-	}
 	// Tau here only seeds KNN's expanding search, and the build's worker
 	// count is chosen per call, so one searcher — and one index per
 	// threshold — serves every caller at this position mode.
 	o := core.Options{Tau: 1, Position: c.position}
-	key := c.position
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	if cp.searcherEpoch != st.epoch {
-		if cur := cp.state.Load(); cur.epoch == st.epoch {
-			// First query at the new epoch: invalidate everything built
-			// over the previous membership.
-			cp.searchers = make(map[core.PositionFilter]*core.KNN)
-			cp.searcherEpoch = st.epoch
-		} else {
-			// The query snapshotted an older epoch than the cache serves.
-			return core.NewKNNCached(st.ts, o, cp.runCache(), capacity)
-		}
+	if !cp.serves(st) {
+		return core.NewKNNCached(st.ts, o, cp.runCache(), cp.indexCapacity())
 	}
-	s := cp.searchers[key]
+	s := cp.searchers[c.position]
 	if s == nil {
-		s = core.NewKNNCached(st.ts, o, cp.runCache(), capacity)
-		cp.searchers[key] = s
+		s = core.NewKNNCached(st.ts, o, cp.runCache(), cp.indexCapacity())
+		cp.searchers[c.position] = s
 	}
 	return s
 }

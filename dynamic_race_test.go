@@ -1,7 +1,7 @@
 // The dynamic-corpus race hammer: concurrent Add/Remove writers against
 // Search/SelfJoinSeq/SelfJoin readers on one shared corpus. Run under
-// -race (CI does), it exercises the copy-on-write state swap, the
-// token-index snapshot handoff, the searcher-LRU epoch rotation, and the
+// -race (CI does), it exercises the copy-on-write state swap, the per-epoch
+// index caches' rotation (PartSJ searchers and token indexes alike), and the
 // shared artifact cache under eviction. Readers assert snapshot isolation
 // through pinned Snapshot views: every pair a view's join reports indexes
 // that view's membership and is within threshold for that view's trees — a
@@ -77,6 +77,30 @@ func TestDynamicCorpusRace(t *testing.T) {
 					}
 					if d := treejoin.Distance(v.Tree(p.I), v.Tree(p.J)); d != p.Dist || d > 2 {
 						report("%v: pair %+v has distance %d in its own snapshot", m, p, d)
+						return
+					}
+				}
+			}
+		}(m)
+	}
+
+	// Token-index readers on the live corpus: STR and EUL tokenise alike, so
+	// the two race each other for one index per epoch while the writer rotates
+	// the epochs under them. Each join is pinned to the state it loaded; its
+	// pairs must index that state (Stats.Trees) within the threshold.
+	for _, m := range []treejoin.Method{treejoin.MethodSTR, treejoin.MethodEulerString} {
+		wg.Add(1)
+		go func(m treejoin.Method) {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				pairs, st, err := cp.SelfJoin(ctx, 2, treejoin.WithMethod(m), treejoin.WithFixedPlan(), treejoin.WithWorkers(2))
+				if err != nil {
+					report("live %v SelfJoin: %v", m, err)
+					return
+				}
+				for _, p := range pairs {
+					if p.I < 0 || p.I >= p.J || p.J >= st.Trees || p.Dist > 2 {
+						report("live %v: pair %+v outside its state of %d trees", m, p, st.Trees)
 						return
 					}
 				}

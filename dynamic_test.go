@@ -263,10 +263,9 @@ func TestCorpusSearchInvalidation(t *testing.T) {
 	}
 }
 
-// TestCorpusDynamicTokenIndex: a corpus that has mutated probes its
-// maintained token index (Stats.Source says so) and keeps results identical
-// to a fresh corpus; before any mutation the per-run source runs, exactly as
-// for a static corpus.
+// TestCorpusDynamicTokenIndex: a corpus that has mutated probes the same
+// token-index source as a static one — a frozen index rebuilt once for the
+// new epoch — and keeps results identical to a fresh corpus.
 func TestCorpusDynamicTokenIndex(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(60, 17)
@@ -276,8 +275,8 @@ func TestCorpusDynamicTokenIndex(t *testing.T) {
 	if _, _, err := cp.SelfJoin(ctx, 2, treejoin.WithMethod(treejoin.MethodSTR), treejoin.WithStats(&st)); err != nil {
 		t.Fatal(err)
 	}
-	if strings.HasPrefix(st.Source, "dyn-") {
-		t.Fatalf("static corpus probed a dynamic index: source = %q", st.Source)
+	if !strings.HasPrefix(st.Source, "token-index(") || st.IndexBuildTime <= 0 {
+		t.Fatalf("static corpus: source = %q, index built in %v", st.Source, st.IndexBuildTime)
 	}
 
 	cp.Remove(0, 13)
@@ -290,8 +289,8 @@ func TestCorpusDynamicTokenIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.HasPrefix(gst.Source, "dyn-token-index(") {
-			t.Fatalf("%v: mutated corpus source = %q, want dyn-token-index", m, gst.Source)
+		if !strings.HasPrefix(gst.Source, "token-index(") {
+			t.Fatalf("%v: mutated corpus source = %q, want token-index", m, gst.Source)
 		}
 		fresh := mustCorpus(t, survivors(cp))
 		want, _, err := fresh.SelfJoin(ctx, 2, treejoin.WithMethod(m))
@@ -308,9 +307,9 @@ func TestCorpusDynamicTokenIndex(t *testing.T) {
 		}
 	}
 
-	// The maintained index is reused across joins: a second join at a new
-	// threshold recomputes no per-tree signature (the warm-corpus contract
-	// extends to dynamic corpora).
+	// A second join at a new threshold builds that threshold's index from the
+	// cached bags: it recomputes no per-tree signature (the warm-corpus
+	// contract extends to dynamic corpora).
 	base := cp.CacheStats()
 	if _, _, err := cp.SelfJoin(ctx, 3, treejoin.WithMethod(treejoin.MethodSTR)); err != nil {
 		t.Fatal(err)
@@ -320,8 +319,8 @@ func TestCorpusDynamicTokenIndex(t *testing.T) {
 	}
 
 	// Degenerate thresholds (τ at the largest tree's size) keep the
-	// sorted-loop fallback even on a mutated corpus — no maintained index
-	// is materialised or probed in a regime where it cannot help.
+	// sorted-loop fallback even on a mutated corpus — no index is built or
+	// probed in a regime where it cannot help.
 	maxSize := 0
 	for i := 0; i < cp.Len(); i++ {
 		if s := cp.Tree(i).Size(); s > maxSize {

@@ -48,38 +48,11 @@ type partSJSource struct{ opts Options }
 
 func (s partSJSource) Name() string { return "partsj" }
 
-// probeTasksPerWorker is how many chunks of the size order each worker gets
-// to pull: enough that the last, largest trees do not leave one worker
-// probing alone.
-const probeTasksPerWorker = 4
-
 // Tasks cuts the size order into contiguous probe chunks of about equal node
-// counts: at least shards of them, and several per worker.
+// counts (engine.ProbeChunks).
 func (s partSJSource) Tasks(c *engine.Collection, shards int) []engine.Task {
-	n := len(c.Order)
-	chunks := max(shards, 1)
-	if c.Workers > 1 {
-		chunks = max(chunks, probeTasksPerWorker*c.Workers)
-	}
-	chunks = min(chunks, n)
-	total := 0
-	for _, t := range c.Trees {
-		total += t.Size()
-	}
 	run := &probeRun{c: c, opts: s.opts}
-	tasks := make([]engine.Task, 0, chunks)
-	lo, nodes := 0, 0
-	for k, ti := range c.Order {
-		nodes += c.Trees[ti].Size()
-		// Close a chunk once it has its share of the nodes, or when the trees
-		// left are only enough for one each in the chunks still to come.
-		if done := len(tasks) + 1; nodes*chunks >= done*total || n-k-1 <= chunks-done {
-			from, to := lo, k+1
-			tasks = append(tasks, func(px *engine.Pipeline) { run.probe(px, from, to) })
-			lo = to
-		}
-	}
-	return tasks
+	return engine.ProbeChunks(c, shards, func(ti int) int { return c.Trees[ti].Size() }, run.probe)
 }
 
 // probeRun is what the probe tasks of one join share: the frozen index of

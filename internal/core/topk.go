@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"treejoin/internal/engine"
 	"treejoin/internal/sim"
@@ -80,67 +79,6 @@ func TopKCtx(ctx context.Context, ts []*tree.Tree, k int, opts Options, shards i
 // which is the caveat to weigh when lowering it via WithIndexCacheCap.
 const DefaultIndexCacheCap = 16
 
-// indexLRU is a small least-recently-used cache of per-threshold search
-// indexes. Capacities are tiny (single digits), so recency is tracked with a
-// plain slice — the O(cap) bookkeeping is noise next to an index build.
-type indexLRU struct {
-	mu        sync.Mutex
-	cap       int
-	order     []int // thresholds, most recently used first
-	m         map[int]*indexEntry
-	builds    int64
-	evictions int64
-}
-
-// indexEntry is one threshold's slot: whoever created it builds the index and
-// closes done; everyone else waits on done, so an index is built once however
-// many callers ask for it at the same moment.
-type indexEntry struct {
-	done chan struct{}
-	ix   *Index
-}
-
-func newIndexLRU(capacity int) *indexLRU {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &indexLRU{cap: capacity, m: make(map[int]*indexEntry)}
-}
-
-// entry returns tau's slot, refreshing its recency; created reports that the
-// slot is new — the caller must build its index — after evicting the least
-// recently used slot of a full cache.
-func (l *indexLRU) entry(tau int) (e *indexEntry, created bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e := l.m[tau]; e != nil {
-		l.touch(tau)
-		return e, false
-	}
-	if len(l.order) >= l.cap {
-		last := l.order[len(l.order)-1]
-		l.order = l.order[:len(l.order)-1]
-		delete(l.m, last)
-		l.evictions++
-	}
-	e = &indexEntry{done: make(chan struct{})}
-	l.m[tau] = e
-	l.order = append([]int{tau}, l.order...)
-	l.builds++
-	return e, true
-}
-
-// touch moves tau to the front of the recency order (must hold l.mu).
-func (l *indexLRU) touch(tau int) {
-	for i, v := range l.order {
-		if v == tau {
-			copy(l.order[1:i+1], l.order[:i])
-			l.order[0] = tau
-			return
-		}
-	}
-}
-
 // KNN answers k-nearest-neighbour queries over a fixed collection. Each
 // distinct threshold the expanding search visits builds one Index; a small
 // LRU keeps the most recently used of them (an unbounded cache would retain
@@ -150,7 +88,7 @@ type KNN struct {
 	ts        []*tree.Tree
 	opts      Options
 	tauCap    int
-	cache     *indexLRU
+	cache     *engine.IndexLRU[int, *Index]
 	artifacts *engine.Cache
 }
 
@@ -175,7 +113,7 @@ func NewKNNCached(ts []*tree.Tree, opts Options, cache *engine.Cache, capacity i
 			max1 = s
 		}
 	}
-	return &KNN{ts: ts, opts: opts, tauCap: max1, cache: newIndexLRU(capacity), artifacts: cache}
+	return &KNN{ts: ts, opts: opts, tauCap: max1, cache: engine.NewIndexLRU[int, *Index](capacity), artifacts: cache}
 }
 
 // Len returns the collection size.
@@ -188,15 +126,18 @@ func (x *KNN) Tree(i int) *tree.Tree { return x.ts[i] }
 // retained (≤ the configured capacity); Builds how many were ever built and
 // Evictions how many the LRU bound has discarded.
 func (x *KNN) CachedIndexes() int {
-	return int(x.counter(func(l *indexLRU) int64 { return int64(len(l.m)) }))
+	n, _, _ := x.cache.Counts()
+	return n
 }
-func (x *KNN) Builds() int64    { return x.counter(func(l *indexLRU) int64 { return l.builds }) }
-func (x *KNN) Evictions() int64 { return x.counter(func(l *indexLRU) int64 { return l.evictions }) }
 
-func (x *KNN) counter(read func(*indexLRU) int64) int64 {
-	x.cache.mu.Lock()
-	defer x.cache.mu.Unlock()
-	return read(x.cache)
+func (x *KNN) Builds() int64 {
+	_, n, _ := x.cache.Counts()
+	return n
+}
+
+func (x *KNN) Evictions() int64 {
+	_, _, n := x.cache.Counts()
+	return n
 }
 
 // IndexAt returns the index for threshold tau, building and caching it on
@@ -205,20 +146,11 @@ func (x *KNN) counter(read func(*indexLRU) int64) int64 {
 // while it is under way wait for it, or for their own context, whichever ends
 // first.
 func (x *KNN) IndexAt(ctx context.Context, tau, workers int) (ix *Index, built bool, err error) {
-	e, created := x.cache.entry(tau)
-	if created {
-		defer close(e.done)
+	return x.cache.Get(ctx, tau, func() *Index {
 		o := x.opts
 		o.Tau, o.Workers = tau, workers
-		e.ix = NewIndexCached(x.ts, o, x.artifacts)
-		return e.ix, true, nil
-	}
-	select {
-	case <-e.done:
-		return e.ix, false, nil
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
-	}
+		return NewIndexCached(x.ts, o, x.artifacts)
+	})
 }
 
 // Nearest returns the k collection trees closest to q by TED, ordered by

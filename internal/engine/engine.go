@@ -57,22 +57,10 @@ type Collection struct {
 	// the default Slack()·τ+1 prefix).
 	PrefixC int
 
-	ctx       context.Context
-	cache     *Cache
-	sizes     []int // sizes in Order order, for binary-searching the window
-	counters  *ted.Counters
-	dynTokens func(Tokenizer) *TokenSnap
-}
-
-// DynTokenSnap resolves the run's persistent token-index snapshot for tz, or
-// nil when the run is not backed by a dynamic corpus (or the corpus chose
-// not to materialise one). Sources must still verify the snapshot covers the
-// collection before probing it.
-func (c *Collection) DynTokenSnap(tz Tokenizer) *TokenSnap {
-	if c.dynTokens == nil {
-		return nil
-	}
-	return c.dynTokens(tz)
+	ctx      context.Context
+	cache    *Cache
+	sizes    []int // sizes in Order order, for binary-searching the window
+	counters *ted.Counters
 }
 
 // Cancelled reports whether the run's context has been cancelled — by the
@@ -114,12 +102,12 @@ func (c *Collection) WindowStart(sz int) int {
 	return sort.SearchInts(c.sizes, min)
 }
 
-func newCollection(ctx context.Context, ts []*tree.Tree, split, tau, workers int, cache *Cache, dynTokens func(Tokenizer) *TokenSnap) *Collection {
+func newCollection(ctx context.Context, ts []*tree.Tree, split, tau, workers int, cache *Cache) *Collection {
 	workers = sim.NormalizeWorkers(workers)
 	if cache == nil {
 		cache = NewCache()
 	}
-	c := &Collection{Trees: ts, Split: split, Tau: tau, Workers: workers, ctx: ctx, cache: cache, counters: new(ted.Counters), dynTokens: dynTokens}
+	c := &Collection{Trees: ts, Split: split, Tau: tau, Workers: workers, ctx: ctx, cache: cache, counters: new(ted.Counters)}
 	c.Order = sim.SizeOrder(ts)
 	c.sizes = make([]int, len(c.Order))
 	for p, ti := range c.Order {
@@ -135,7 +123,7 @@ func newCollection(ctx context.Context, ts []*tree.Tree, split, tau, workers int
 // package prepares individual filters against it and times their predicates
 // over sampled window pairs.
 func NewProbeCollection(ctx context.Context, ts []*tree.Tree, tau int, cache *Cache) *Collection {
-	return newCollection(ctx, ts, -1, tau, 1, cache, nil)
+	return newCollection(ctx, ts, -1, tau, 1, cache)
 }
 
 // PairFilter is one pipeline stage: a cheap pair-level test that may prune a
@@ -236,18 +224,9 @@ type Pipeline struct {
 	// O(total candidates). The flush verifier is minted lazily from the
 	// run's factory and persists across flushes (so its scratch stays warm
 	// for the whole task); stream() closes it after the tasks finish.
-	//
-	// Parallel jobs whose plan has fewer tasks than workers (the token
-	// index's single sequential task) set handoff: a full chunk is
-	// offered to the spare workers, who verify it while the source keeps
-	// running. The offer never blocks — when every spare worker is busy the
-	// chunk moves to deferred and waits, with whatever is left in cands, for
-	// the pool-wide pass after the tasks. Parallel jobs whose tasks fill the
-	// pool set flushAt = 0 and defer everything to that pass, where the
-	// bigger batch load-balances better.
+	// Parallel jobs set flushAt = 0 and defer everything to the pool-wide
+	// pass after the tasks, where the bigger batch load-balances better.
 	flushAt    int
-	handoff    chan<- []sim.Candidate
-	deferred   []sim.Candidate
 	vfactory   sim.BatchVerifierFactory
 	bv         sim.BatchVerifier
 	em         *emitter
@@ -259,25 +238,11 @@ type Pipeline struct {
 // between probes.
 func (px *Pipeline) Cancelled() bool { return px.c.Cancelled() }
 
-// flushCandidates drains the buffered candidates: to a spare worker when the
-// job overlaps verification with its tasks, otherwise by verifying them
-// inline, streaming confirmed pairs to the emitter. Inline time is remembered
-// so the engine can carve it back out of the source's candidate-generation
-// clock (flushes happen inside the source's timed loop).
+// flushCandidates verifies the buffered candidates inline, streaming
+// confirmed pairs to the emitter. Inline time is remembered so the engine can
+// carve it back out of the source's candidate-generation clock (flushes
+// happen inside the source's timed loop).
 func (px *Pipeline) flushCandidates() {
-	if len(px.cands) == 0 {
-		return
-	}
-	if px.handoff != nil {
-		select {
-		case px.handoff <- px.cands:
-			px.cands = make([]sim.Candidate, 0, px.flushAt)
-		default:
-			px.deferred = append(px.deferred, px.cands...)
-			px.cands = px.cands[:0]
-		}
-		return
-	}
 	start := time.Now()
 	if px.bv == nil {
 		px.bv = px.vfactory()
@@ -380,12 +345,6 @@ type Job struct {
 	// looked up there before being recomputed. nil gives the run a private
 	// cache.
 	Cache *Cache
-	// DynTokens, when non-nil, resolves a persistent token-index snapshot
-	// for a tokenizer (a dynamic corpus's maintained inverted index). The
-	// token-index source probes the snapshot instead of building a per-run
-	// index when the snapshot covers exactly the run's collection; results
-	// are identical either way.
-	DynTokens func(Tokenizer) *TokenSnap
 	// PrefixC, when above the source tokenizer's Slack(), grows the token
 	// index's per-tree indexed prefix to PrefixC·τ+1 expanded elements
 	// (default Slack()·τ+1). Any such value is sound — a longer prefix is a
@@ -467,7 +426,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	}
 	stats.Plan = job.Plan
 	em := &emitter{sink: sink, split: split, cancel: cancel}
-	c := newCollection(ctx, ts, split, job.Tau, job.Workers, job.Cache, job.DynTokens)
+	c := newCollection(ctx, ts, split, job.Tau, job.Workers, job.Cache)
 	c.PrefixC = job.PrefixC
 
 	// Prepare the filter chain once over the combined collection; stage
@@ -508,17 +467,13 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 		stats.VerifyTime += time.Since(vstart)
 	}
 	stats.Source = source.Name()
+	// Decomposing is part of the stage's wall clock: a build-then-probe
+	// source resolves (and may build) its index there.
+	tasksStart := time.Now()
 	tasks := source.Tasks(c, job.Shards)
 	flushAt := 0
-	var handoff chan []sim.Candidate
-	spare := c.Workers - len(tasks)
-	switch {
-	case c.Workers <= 1:
+	if c.Workers <= 1 {
 		flushAt = inlineFlushChunk
-	case spare > 0 && len(tasks) > 0:
-		// One queued chunk per spare worker: a worker that finishes a chunk
-		// finds the next without waiting for a task to fill one.
-		flushAt, handoff = overlapChunk, make(chan []sim.Candidate, spare)
 	}
 	pipes := make([]*Pipeline, len(tasks))
 	for i := range pipes {
@@ -527,7 +482,6 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 			preds:    preds,
 			counts:   make([]sim.StageStats, len(job.Filters)),
 			flushAt:  flushAt,
-			handoff:  handoff,
 			vfactory: vfactory,
 			em:       em,
 		}
@@ -536,38 +490,8 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 		}
 		pipes[i] = px
 	}
-	var cands []sim.Candidate
-	var spareWG sync.WaitGroup
-	var spareStats []sim.Stats
-	if handoff != nil {
-		spareStats = make([]sim.Stats, spare)
-		for w := range spareStats {
-			spareWG.Add(1)
-			go func(st *sim.Stats) {
-				defer spareWG.Done()
-				bv := vfactory()
-				defer bv.Close()
-				for chunk := range handoff {
-					sim.VerifyStreamWith(ctx, chunk, job.Tau, bv, st, em.emit)
-				}
-			}(&spareStats[w])
-		}
-	}
-	tasksStart := time.Now()
 	runTasks(tasks, pipes, c.Workers)
 	tasksWall := time.Since(tasksStart)
-	if handoff != nil {
-		// Chunks still queued rejoin the pool-wide pass; the spare workers
-		// finish at most the one each has in hand.
-		close(handoff)
-		for chunk := range handoff {
-			cands = append(cands, chunk...)
-		}
-		spareWG.Wait()
-		for w := range spareStats {
-			mergeStats(stats, &spareStats[w])
-		}
-	}
 
 	// Merge task-local candidates and statistics. Stage counters merge by
 	// position: every pipeline carries the same chain. Inline verification
@@ -579,9 +503,10 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	for k, f := range job.Filters {
 		stats.Stages[k].Name = f.Name()
 	}
+	var cands []sim.Candidate
 	var inline time.Duration
 	for _, px := range pipes {
-		cands = append(append(cands, px.deferred...), px.cands...)
+		cands = append(cands, px.cands...)
 		px.stats.CandTime -= px.inlineTime
 		inline += px.inlineTime
 		mergeStats(stats, &px.stats)
@@ -615,11 +540,41 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 // paper-scale join never holds more than a sliver of its candidates.
 const inlineFlushChunk = 4096
 
-// overlapChunk is the unit a task offers the spare workers: large enough to
-// amortise the channel operation and keep a verifier on one run of the
-// candidate stream, small enough that the chunk a spare worker still holds
-// when the tasks end is a sliver of the pool-wide pass it delays.
-const overlapChunk = 256
+// probeTasksPerWorker is how many chunks of the size order each worker gets
+// to pull from a frozen index's probe: enough that the last, largest trees do
+// not leave one worker probing alone.
+const probeTasksPerWorker = 4
+
+// ProbeChunks decomposes a build-then-probe source: it cuts the size order
+// into contiguous chunks of about equal total weight (weight(ti) > 0 stands
+// for what probing tree ti costs) — at least shards of them and several per
+// worker, one for a sequential job — and returns one task per chunk, running
+// probe over the order positions [lo, hi).
+func ProbeChunks(c *Collection, shards int, weight func(ti int) int, probe func(px *Pipeline, lo, hi int)) []Task {
+	n := len(c.Order)
+	chunks := max(shards, 1)
+	if c.Workers > 1 {
+		chunks = max(chunks, probeTasksPerWorker*c.Workers)
+	}
+	chunks = min(chunks, n)
+	total := 0
+	for _, ti := range c.Order {
+		total += weight(ti)
+	}
+	tasks := make([]Task, 0, chunks)
+	lo, sum := 0, 0
+	for k, ti := range c.Order {
+		sum += weight(ti)
+		// Close a chunk once it has its share of the weight, or when the trees
+		// left are only enough for one each in the chunks still to come.
+		if done := len(tasks) + 1; sum*chunks >= done*total || n-k-1 <= chunks-done {
+			from, to := lo, k+1
+			tasks = append(tasks, func(px *Pipeline) { probe(px, from, to) })
+			lo = to
+		}
+	}
+	return tasks
+}
 
 // runTasks executes the tasks on a pool of at most workers goroutines; one
 // task (or one worker) runs inline.
@@ -658,8 +613,7 @@ func runTasks(tasks []Task, pipes []*Pipeline, workers int) {
 	wg.Wait()
 }
 
-// mergeStats folds one task's (or spare verify worker's) counters into the
-// join totals — the candidates a sequential task verified inline included.
+// mergeStats folds one task's counters into the join totals — the candidates a sequential task verified inline included.
 // Times are summed across tasks (CPU effort, as the sharded plan always
 // reported), so parallel speedups show up in Stats.CandWall, not here.
 func mergeStats(total, st *sim.Stats) {
@@ -675,7 +629,6 @@ func mergeStats(total, st *sim.Stats) {
 	total.IndexBuildTime += st.IndexBuildTime
 	total.PostingsScanned += st.PostingsScanned
 	total.SkippedByCount += st.SkippedByCount
-	total.PostingsTombstoned += st.PostingsTombstoned
 	if st.Source != "" {
 		// A task reported the source that effectively ran (the token index
 		// stamping its sorted-loop fallback); it overrides the configured one.

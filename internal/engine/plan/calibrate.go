@@ -96,7 +96,7 @@ func (m *Model) calibrate(req Request) {
 		m.observe(st, sample, -1, req.Tau, req.Epoch, false)
 	}
 	if free {
-		mini.Source = engine.TokenIndex(req.Tokenizer)
+		mini.Source = engine.TokenIndex(req.Tokenizer, nil)
 		if st, err := mini.StreamSelf(ctx, sample, drop); err == nil {
 			st.Stages = nil
 			m.observe(st, sample, -1, req.Tau, req.Epoch, false)

@@ -233,10 +233,9 @@ func at(mm map[key]*obs, name string, tau int) *obs {
 }
 
 // NormalizeSource maps an effective Stats.Source to the model's source key:
-// the dynamic-snapshot prefix and the tokenizer suffix are variants of the
-// same cost regime ("dyn-token-index(labels)" → "token-index").
+// the tokenizer suffix names a variant of one cost regime
+// ("token-index(labels)" → "token-index").
 func NormalizeSource(s string) string {
-	s = strings.TrimPrefix(s, "dyn-")
 	if i := strings.IndexByte(s, '('); i >= 0 {
 		s = s[:i]
 	}

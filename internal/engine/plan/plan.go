@@ -85,9 +85,6 @@ type Request struct {
 	// name: "partsj", "sorted-loop") — the planner then only reorders the
 	// chain. Empty with a non-nil Tokenizer means the source is free.
 	PinSource string
-	// DynIndex reports that a maintained dynamic token snapshot will serve
-	// the index source (no per-run build; prefix tuning does not apply).
-	DynIndex bool
 	// Workers is the job's pool width (cost estimates are wall-clock based,
 	// so it only matters for calibration's mini-runs, which run sequential).
 	Workers int
@@ -323,7 +320,7 @@ func (m *Model) decide(req Request, free bool, wp int64) (Decision, bool) {
 	// decisive, absolutely-worthwhile predicted saving. The loop's cost is
 	// estimable even when it never ran — every window pair crosses the
 	// planned chain — but an actual loop observation (calibration's mini
-	// run, a WithSortedLoop ablation) is preferred.
+	// run, a pinned sorted-loop ablation) is preferred.
 	useIndex := req.Tokenizer != nil
 	srcName := req.PinSource
 	var candEst float64
@@ -364,16 +361,14 @@ func (m *Model) decide(req Request, free bool, wp int64) (Decision, bool) {
 		srcName = SourceSortedLoop
 	}
 
-	// Prefix multiplier: with the index running (and paying a per-run
-	// build), lengthen the prefix to 2×Slack when screening work dominates
-	// posting scans — the sharper count threshold then converts screenings
-	// into skips at a favorable exchange rate. The maintained dynamic
-	// snapshot probes full bags and ignores the prefix budget, so no tuning
-	// applies there.
+	// Prefix multiplier: with the index running, lengthen the prefix to
+	// 2×Slack when screening work dominates posting scans — the sharper count
+	// threshold then converts screenings into skips at a favorable exchange
+	// rate.
 	prefixC := 0
 	if useIndex && req.Tokenizer != nil {
 		prefixC = req.Tokenizer.Slack()
-		if !req.DynIndex && req.Tau > 0 {
+		if req.Tau > 0 {
 			if o, ok := m.sourceAt(SourceTokenIndex, req.Tau, req.Epoch); ok && o.skipped > 0 {
 				screenNs := (o.offers / o.w) * chainNs
 				scanNs := (o.scanned / o.w) * postScanNs
@@ -475,8 +470,8 @@ func chainProfile(evs []stageEval) (chainNs, survival float64) {
 
 // sourceEst estimates a source's candidate-stage wall cost for this query by
 // scaling its per-run observation: the build part scales with the collection
-// size (per-tree prefix construction; zero under a maintained dynamic
-// snapshot), the probe part with the window-pair count.
+// size (per-tree prefix construction; observed as zero by the runs that found
+// the corpus's index built), the probe part with the window-pair count.
 func (m *Model) sourceEst(name string, req Request, wp int64) (ns float64, real, ok bool) {
 	o, found := m.sourceAt(name, req.Tau, req.Epoch)
 	if !found {
@@ -495,9 +490,5 @@ func (m *Model) sourceEst(name string, req Request, wp int64) (ns float64, real,
 	if avgTrees := o.trees / o.w; avgTrees >= 1 {
 		scaleN = float64(len(req.Trees)) / avgTrees
 	}
-	build := avgBuild * scaleN
-	if name == SourceTokenIndex && req.DynIndex {
-		build = 0
-	}
-	return probe*scaleW + build, backedByRuns(o), true
+	return probe*scaleW + avgBuild*scaleN, backedByRuns(o), true
 }

@@ -159,7 +159,7 @@ func TestTauAccept(t *testing.T) {
 func TestNormalizeSource(t *testing.T) {
 	cases := map[string]string{
 		"token-index(euler-grams/q=3)": "token-index",
-		"dyn-token-index(labels)":      "token-index",
+		"token-index(labels)":          "token-index",
 		"sorted-loop":                  "sorted-loop",
 		"partsj":                       "partsj",
 		"":                             "",

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"context"
 	"slices"
 	"sort"
 	"time"
 
+	"treejoin/internal/sim"
 	"treejoin/internal/tree"
 )
 
@@ -29,8 +31,8 @@ import (
 //     elements in any fixed total order. Rare-first ordering makes those
 //     prefix postings the shortest ones.
 //   - Probing walks the posting lists of the probe's whole bag in
-//     ascending-size order (insertion order), merged by a heap over the list
-//     frontiers, and counts each partner's tokens shared with the probe. A
+//     ascending-size order, merged by a heap over the list frontiers, and
+//     counts each partner's tokens shared with the probe. A
 //     partner is handed to the filter chain only when that count reaches
 //     the threshold its bag sizes demand (MergeSkip-style skipping): a
 //     qualifying pair overlaps in ≥ |A| − Cτ elements, of which at most
@@ -51,6 +53,17 @@ import (
 // Emit), so the emitted candidate set is a subset of the sorted loop's
 // post-filter survivors and the join result is bit-identical; see DESIGN.md,
 // "Index-accelerated candidate generation", for the proofs.
+//
+// The index is build-then-probe, like PartSJ's: every tree's prefix is posted
+// up front, in the (size, number) order, and the frozen lists are probed
+// read-only by contiguous chunks of that order on every worker. The probe at
+// order rank r walks its lists over [size ≥ sz−τ, rank < r) only — precisely
+// the postings a probe-and-insert loop would have held on reaching that tree
+// — so offers, their order and every counter are those of the sequential
+// loop whatever the chunking. A corpus keeps the self-join index per
+// (tokenizer, τ, C′) for the current epoch (TokenIndexResolver); cross joins
+// build both sides per run, under the combined frequency order, and each
+// side probes the other below its own rank.
 //
 // On tiny corpora — or thresholds at least the largest tree's size, where
 // the C·τ slack swallows every bag — building the index costs more than the
@@ -97,13 +110,31 @@ func NewTokenizer(name string, slack int, tokens func(*tree.Tree) []uint64) Toke
 // filter calls beat the index's build cost.
 const TokenIndexMinTrees = 48
 
-type tokenIndexSource struct{ tz Tokenizer }
+// TokenIndexResolver is how a corpus shares one frozen index among the self
+// joins of an epoch: it returns the index over its membership for (tz, τ,
+// prefix multiplier C′), building it on first use, and reports whether this
+// call paid for the build. nil means the corpus has none to offer (a view
+// pinned to a superseded epoch). The source probes the answer only if it
+// covers exactly the run's collection.
+type TokenIndexResolver func(ctx context.Context, tz Tokenizer, tau, prefixC int) (x *PrefixIndex, built bool)
+
+type tokenIndexSource struct {
+	tz     Tokenizer
+	shared TokenIndexResolver
+}
 
 // TokenIndex returns the inverted-index candidate source over tz's tokens.
-func TokenIndex(tz Tokenizer) CandidateSource { return tokenIndexSource{tz: tz} }
+// shared, when non-nil, is consulted for self joins before a private index is
+// built for the run.
+func TokenIndex(tz Tokenizer, shared TokenIndexResolver) CandidateSource {
+	return tokenIndexSource{tz: tz, shared: shared}
+}
 
 func (s tokenIndexSource) Name() string { return "token-index(" + s.tz.Name() + ")" }
 
+// Tasks resolves the run's index — the corpus's, when it covers the
+// collection, else one built here — and cuts the size order into contiguous
+// probe chunks of about equal Σ bag size (ProbeChunks).
 func (s tokenIndexSource) Tasks(c *Collection, shards int) []Task {
 	if len(c.Order) == 0 {
 		return nil
@@ -113,12 +144,10 @@ func (s tokenIndexSource) Tasks(c *Collection, shards int) []Task {
 	// slack that swallows even the largest tree's bag (bags are
 	// size-monotone, so the largest tree's bag is the maximum — if it is
 	// light, every tree is, and any token index degenerates to a light-list
-	// scan, a worse sorted loop). The check precedes the dynamic-snapshot
-	// branch on purpose: in the degenerate regime a maintained index is just
-	// as useless as a per-run one, and skipping the provider here keeps a
-	// dynamic corpus from ever materialising one for it. The largest bag is
-	// read through the cache, so the probe task reuses the tokenisation when
-	// the index does run later at another threshold.
+	// scan, a worse sorted loop). The check precedes the resolver on purpose:
+	// in the degenerate regime a corpus never builds or retains an index. The
+	// largest bag is read through the cache, so the build reuses the
+	// tokenisation when the index does run later at another threshold.
 	largest := c.Trees[c.Order[len(c.Order)-1]]
 	if len(c.Order) < TokenIndexMinTrees || c.Tau >= largest.Size() ||
 		int(s.cachedBag(c, largest).total) <= s.tz.Slack()*c.Tau {
@@ -134,20 +163,40 @@ func (s tokenIndexSource) Tasks(c *Collection, shards int) []Task {
 		}
 		return tasks
 	}
-	// A dynamic corpus maintains a persistent full-bag index across joins;
-	// probing it skips the per-run build entirely. The covers check pins the
-	// snapshot to exactly this collection (same trees, same positions), so a
-	// stale or foreign snapshot can never produce wrong candidates — the run
-	// just falls through to the per-run index below.
-	if snap := c.DynTokenSnap(s.tz); snap != nil && !c.Cross() && snap.covers(c.Trees) {
-		return []Task{func(px *Pipeline) {
-			px.Stats().Source = "dyn-" + s.Name()
-			snap.probe(px)
-		}}
+	// The indexed prefix spends C'τ+1 expanded elements, where C' is the
+	// tokenizer's Slack unless the planner raised it (Collection.PrefixC). A
+	// longer prefix is always sound — it is a superset of the proven
+	// Slack·τ+1 prefix, so the theorem's shared token is still indexed — and
+	// it sharpens the count threshold, which charges a partner for the bag
+	// elements outside its prefix. Everything stated on the bag bound itself
+	// (the light-tree cutoff, the overlap floor |A| − Cτ) stays at Slack·τ:
+	// those are lower-bound facts the prefix length cannot change.
+	cmul := max(s.tz.Slack(), c.PrefixC)
+	var x *PrefixIndex
+	built := false
+	if s.shared != nil && !c.Cross() {
+		if x, built = s.shared(c.Context(), s.tz, c.Tau, cmul); x != nil && !x.covers(c.Trees, s.tz, c.Tau, cmul) {
+			x, built = nil, false
+		}
 	}
-	// The probe/insert loop shares one index, so candidate generation is a
-	// single sequential task; the engine still parallelises verification.
-	return []Task{func(px *Pipeline) { s.run(px) }}
+	if x == nil {
+		if c.Cancelled() {
+			return nil
+		}
+		x, built = buildPrefixIndex(s.tz, c.Trees, c.Split, c.Order, c.Tau, cmul, c.Cache()), true
+	}
+	tasks := ProbeChunks(c, shards, func(ti int) int { return int(x.bags[ti].total) }, x.probe)
+	if built {
+		// The build is candidate-generation effort of this run; a run that
+		// found the index built reports none.
+		first := tasks[0]
+		tasks[0] = func(px *Pipeline) {
+			px.Stats().IndexBuildTime += x.built
+			px.Stats().CandTime += x.built
+			first(px)
+		}
+	}
+	return tasks
 }
 
 // cachedBag returns one tree's token bag through the run's artifact cache.
@@ -197,89 +246,86 @@ func buildBag(tz Tokenizer, t *tree.Tree) *tokenBag {
 	return bag
 }
 
-// prefTok is one distinct token of a tree's indexed prefix with its
-// multiplicity within the prefix; prefix arrays hold them in ascending
-// global (frequency, key) order.
-type prefTok struct {
-	key   uint64
-	count int32
-}
-
-// scratchTok is prefTok during prefix selection, carrying the token's global
-// frequency so the selection can sort by the global order directly.
+// scratchTok is one distinct token of a bag during prefix selection,
+// carrying the token's global frequency so the selection can sort by the
+// global order directly.
 type scratchTok struct {
 	freq  int64
 	key   uint64
 	count int32
 }
 
-// posting records that a tree's prefix contains count occurrences of a
-// token. Lists grow in insertion order — ascending tree size — so a probe
-// binary-searches its size window and walks each list front to back.
+// posting records that the prefix of the tree at an order rank contains count
+// occurrences of a token. Lists are ascending in rank — the (size, number)
+// order — so a probe binary-searches its size window and walks each list
+// front to back up to its own rank.
 type posting struct {
-	pos   int32 // per-side insertion sequence (the heap's merge key)
-	tree  int32 // combined collection index
+	rank  int32
 	count int32
 }
 
-// tokenSide is one side's index state: posting lists by token key, the
-// light-tree list, and the insertion counter.
+// tokenSide is one side's postings: the lists by token key, and the order
+// ranks of the light trees, ascending.
 type tokenSide struct {
 	post  map[uint64][]posting
-	light []int32 // combined indices of inserted light trees, ascending size
-	n     int32   // insertions so far
+	light []int32
 }
 
-// frontier is one posting list being merged during a probe.
-type frontier struct {
-	list []posting
-	i    int
-	ca   int32 // the probe BAG's multiplicity of this token (probes walk
-	// their full bag, not their prefix — the asymmetry the count
-	// threshold's strength rests on; see run)
+// PrefixIndex is the frozen token index of one collection at one threshold
+// and prefix multiplier: every tree's prefix posted, nothing inserted
+// afterwards, so any number of probes read it concurrently.
+type PrefixIndex struct {
+	tz        string
+	tau, cmul int
+	ctau      int32 // Slack·τ: the bag bound's slack, and the light-tree cutoff
+	ts        []*tree.Tree
+	bags      []*tokenBag  // by tree
+	plen      []int32      // by tree: expanded prefix length p_i = min(C'τ+1, total_i)
+	sides     [2]tokenSide // [0]: the collection's (self join) or side A's; [1]: side B's
+	built     time.Duration
 }
 
-func (s tokenIndexSource) run(px *Pipeline) {
-	c := px.Collection()
-	stats := px.Stats()
+// NewPrefixIndex builds the self-join index over ts for threshold tau with a
+// prefix of max(tz.Slack(), prefixC)·τ+1 expanded elements per tree, drawing
+// the bags through cache.
+func NewPrefixIndex(tz Tokenizer, ts []*tree.Tree, tau, prefixC int, cache *Cache) *PrefixIndex {
+	return buildPrefixIndex(tz, ts, -1, sim.SizeOrder(ts), tau, max(tz.Slack(), prefixC), cache)
+}
+
+// covers reports whether x indexes exactly ts, in order, for this
+// tokenisation, threshold and prefix multiplier — what lets a run probe an
+// index it did not build.
+func (x *PrefixIndex) covers(ts []*tree.Tree, tz Tokenizer, tau, cmul int) bool {
+	return x.tz == tz.Name() && x.tau == tau && x.cmul == cmul && slices.Equal(x.ts, ts)
+}
+
+// buildPrefixIndex posts, in the ascending-size order, the first cmul·τ+1
+// expanded tokens of every tree's bag under the global order "rare tokens
+// first, ties by key": rare tokens have the short posting lists, so prefixes
+// drawn from the front of this order keep probe work minimal. Any fixed total
+// order is sound; frequency ordering is the classic heuristic. A cross join
+// (split ≥ 0) posts each tree on its own side.
+func buildPrefixIndex(tz Tokenizer, ts []*tree.Tree, split int, order []int, tau, cmul int, cache *Cache) *PrefixIndex {
 	start := time.Now()
-
-	ctau := s.tz.Slack() * c.Tau
-	// The indexed prefix spends C'τ+1 expanded elements, where C' is the
-	// tokenizer's Slack unless the planner raised it (Collection.PrefixC). A
-	// longer prefix is always sound — it is a superset of the proven
-	// Slack·τ+1 prefix, so the theorem's shared token is still indexed — and
-	// it sharpens the count threshold below, which charges a partner for the
-	// bag elements outside its prefix. Everything stated on the bag bound
-	// itself (the light-tree cutoff, the overlap floor |A| − Cτ) stays at
-	// Slack·τ: those are lower-bound facts the prefix length cannot change.
-	cmul := s.tz.Slack()
-	if c.PrefixC > cmul {
-		cmul = c.PrefixC
-	}
-	budget := int32(cmul*c.Tau + 1) // expanded prefix length C'τ+1
-
-	// Build phase: cached bags, global frequency ranks, per-tree prefixes.
-	tz := s.tz
-	bags := Cached(c.Cache(), tokenBagKey(tz), c.Trees, func(t *tree.Tree) *tokenBag {
-		return buildBag(tz, t)
-	})
+	x := &PrefixIndex{tz: tz.Name(), tau: tau, cmul: cmul, ctau: int32(tz.Slack() * tau), ts: ts, plen: make([]int32, len(ts))}
+	x.bags = Cached(cache, tokenBagKey(tz), ts, func(t *tree.Tree) *tokenBag { return buildBag(tz, t) })
 	freq := make(map[uint64]int64, 1<<10)
-	for _, b := range bags {
+	for _, b := range x.bags {
 		for _, tc := range b.toks {
 			freq[tc.key] += int64(tc.count)
 		}
 	}
-
-	// Per-tree prefixes in the global order "rare tokens first, ties by
-	// key": rare tokens have the short posting lists, so prefixes drawn from
-	// the front of this order keep probe work minimal. Any fixed total order
-	// is sound; frequency ordering is the classic heuristic.
-	prefixes := make([][]prefTok, len(c.Trees))
-	plen := make([]int32, len(c.Trees)) // expanded prefix length p_i = min(Cτ+1, total_i)
+	budget := int32(cmul*tau + 1)
 	var scratch []scratchTok
-	for _, ti := range c.Order {
-		b := bags[ti]
+	for r, ti := range order {
+		side := &x.sides[0]
+		if split >= 0 && ti >= split {
+			side = &x.sides[1]
+		}
+		if side.post == nil {
+			side.post = make(map[uint64][]posting, 1<<10)
+		}
+		b := x.bags[ti]
 		scratch = scratch[:0]
 		for _, tc := range b.toks {
 			scratch = append(scratch, scratchTok{freq: freq[tc.key], key: tc.key, count: tc.count})
@@ -301,132 +347,110 @@ func (s tokenIndexSource) run(px *Pipeline) {
 			}
 			return 0
 		})
+		// Every tree's prefix is indexed (a light tree may still be found
+		// through it by a heavier probe); light trees join the side list too.
 		var taken int32
-		pref := make([]prefTok, 0, min32(budget, int32(len(head))))
 		for _, pt := range head {
 			if taken >= budget {
 				break
 			}
-			cnt := pt.count
-			if room := budget - taken; cnt > room {
-				cnt = room
-			}
-			pref = append(pref, prefTok{key: pt.key, count: cnt})
+			cnt := min(pt.count, budget-taken)
+			side.post[pt.key] = append(side.post[pt.key], posting{rank: int32(r), count: cnt})
 			taken += cnt
 		}
-		prefixes[ti] = pref
-		plen[ti] = taken
+		x.plen[ti] = taken
+		if b.total <= x.ctau {
+			side.light = append(side.light, int32(r))
+		}
 	}
-	stats.IndexBuildTime += time.Since(start)
+	x.built = time.Since(start)
+	return x
+}
 
-	// Probe/insert loop over the ascending-size order; cross joins keep one
-	// index per side and probe the opposite one, exactly like the sorted
-	// loop's pair enumeration (every unordered pair offered at most once, at
-	// its larger tree's position).
-	nSides := 1
-	if c.Cross() {
-		nSides = 2
-	}
-	sides := make([]*tokenSide, nSides)
-	for i := range sides {
-		sides[i] = &tokenSide{post: make(map[uint64][]posting, 1<<10)}
-	}
+// frontier is one posting list being merged during a probe.
+type frontier struct {
+	list []posting
+	i    int
+	ca   int32 // the probe BAG's multiplicity of this token (probes walk
+	// their full bag, not their prefix — the asymmetry the count
+	// threshold's strength rests on; see probe)
+}
+
+// probe offers, for each tree at order ranks [lo, hi), its candidate partners
+// among the trees before it — for a cross join, those on the other side —
+// exactly like the sorted loop's pair enumeration: every unordered pair at
+// most once, at its larger tree's rank.
+func (x *PrefixIndex) probe(px *Pipeline, lo, hi int) {
+	c, ctau := px.Collection(), x.ctau
+	stats := px.Stats()
+	start := time.Now()
 	var fr []frontier
-	for _, ti := range c.Order {
-		if px.Cancelled() {
-			break
+	for r := lo; r < hi && !px.Cancelled(); r++ {
+		ti, me := c.Order[r], int32(r)
+		side := &x.sides[0]
+		if c.Cross() && ti < c.Split {
+			side = &x.sides[1]
 		}
-		side := 0
-		if c.Cross() && ti >= c.Split {
-			side = 1
-		}
-		probe := sides[(nSides-1)-side*(nSides-1)]
-		ins := sides[side]
-
-		sz := c.Trees[ti].Size()
-		minSz := sz - c.Tau
-		la := bags[ti].total
-		if la <= int32(ctau) {
+		from := int32(c.WindowStart(c.Trees[ti].Size())) // first rank inside the size window
+		la := x.bags[ti].total
+		if la <= ctau {
 			// Light probe: a qualifying partner may share nothing, but every
-			// size-window partner inserted so far is light too (bags are
+			// size-window partner before it is light too (bags are
 			// size-monotone), so the side list is exhaustive.
-			light := probe.light
-			lo := sort.Search(len(light), func(k int) bool {
-				return c.Trees[light[k]].Size() >= minSz
-			})
-			for _, tj := range light[lo:] {
-				px.Offer(ti, int(tj))
+			k, _ := slices.BinarySearch(side.light, from)
+			for ; k < len(side.light) && side.light[k] < me; k++ {
+				px.Offer(ti, c.Order[side.light[k]])
 			}
-		} else {
-			// Indexed probe: heap-merge the posting lists of the probe's
-			// whole bag in ascending-size order, counting each partner's
-			// shared tokens. The probe walks its full bag — not just its own
-			// prefix — because only the asymmetric form gives the count
-			// threshold teeth: a qualifying pair overlaps in ≥ |A| − Cτ
-			// elements, of which at most |B| − p_B fall outside B's indexed
-			// prefix, so B must collect |A| − Cτ − (|B| − p_B) hits from A's
-			// lists. Only globally rare tokens have posting lists at all, so
-			// most of the bag's lookups miss for free.
-			fr = fr[:0]
-			for _, tc := range bags[ti].toks {
-				list := probe.post[tc.key]
-				if len(list) == 0 {
-					continue
-				}
-				lo := sort.Search(len(list), func(k int) bool {
-					return c.Trees[list[k].tree].Size() >= minSz
-				})
-				if lo < len(list) {
-					fr = append(fr, frontier{list: list, i: lo, ca: tc.count})
-				}
-			}
-			heapify(fr)
-			for len(fr) > 0 {
-				pos := fr[0].list[fr[0].i].pos
-				tj := fr[0].list[fr[0].i].tree
-				var shared int32
-				for len(fr) > 0 && fr[0].list[fr[0].i].pos == pos {
-					e := fr[0].list[fr[0].i]
-					shared += min32(fr[0].ca, e.count)
-					stats.PostingsScanned++
-					fr[0].i++
-					if fr[0].i == len(fr[0].list) {
-						fr[0] = fr[len(fr)-1]
-						fr = fr[:len(fr)-1]
-					}
-					if len(fr) > 0 {
-						siftDown(fr)
-					}
-				}
-				// Count threshold: a ≤ τ pair's overlap is at least
-				// |A| − Cτ, and at most |B| − p_B of it can fall outside B's
-				// indexed prefix, so fewer than |A| − Cτ − (|B| − p_B) hits
-				// prove the bag bound unreachable. For same-bag-size partners
-				// this is the theorem's ≥ 1; it climbs with the bag-size gap,
-				// so partners at the small end of the size window need the
-				// most shared tokens.
-				t := la - int32(ctau) - (bags[tj].total - plen[tj])
-				if t < 1 {
-					t = 1
-				}
-				if shared >= t {
-					px.Offer(ti, int(tj))
-				} else {
-					stats.SkippedByCount++
-				}
+			continue
+		}
+		// Indexed probe: heap-merge the posting lists of the probe's whole
+		// bag in rank order, counting each partner's shared tokens. The probe
+		// walks its full bag — not just its own prefix — because only the
+		// asymmetric form gives the count threshold teeth: a qualifying pair
+		// overlaps in ≥ |A| − Cτ elements, of which at most |B| − p_B fall
+		// outside B's indexed prefix, so B must collect |A| − Cτ − (|B| − p_B)
+		// hits from A's lists. Only globally rare tokens have posting lists at
+		// all, so most of the bag's lookups miss for free.
+		fr = fr[:0]
+		for _, tc := range x.bags[ti].toks {
+			list := side.post[tc.key]
+			k := sort.Search(len(list), func(k int) bool { return list[k].rank >= from })
+			if k < len(list) && list[k].rank < me {
+				fr = append(fr, frontier{list: list, i: k, ca: tc.count})
 			}
 		}
-
-		// Insert: every tree's prefix is indexed (light probes may still be
-		// found through it by later, heavier probes); light trees join the
-		// side list as well.
-		for _, pt := range prefixes[ti] {
-			ins.post[pt.key] = append(ins.post[pt.key], posting{pos: ins.n, tree: int32(ti), count: pt.count})
+		heapify(fr)
+		// Lists run on past the probe's rank (the index is whole); the merge
+		// ends when the smallest frontier reaches it.
+		for len(fr) > 0 && fr[0].list[fr[0].i].rank < me {
+			rank := fr[0].list[fr[0].i].rank
+			tj := c.Order[rank]
+			var shared int32
+			for len(fr) > 0 && fr[0].list[fr[0].i].rank == rank {
+				shared += min(fr[0].ca, fr[0].list[fr[0].i].count)
+				stats.PostingsScanned++
+				fr[0].i++
+				if fr[0].i == len(fr[0].list) {
+					fr[0] = fr[len(fr)-1]
+					fr = fr[:len(fr)-1]
+				}
+				if len(fr) > 0 {
+					siftDown(fr)
+				}
+			}
+			// Count threshold: a ≤ τ pair's overlap is at least
+			// |A| − Cτ, and at most |B| − p_B of it can fall outside B's
+			// indexed prefix, so fewer than |A| − Cτ − (|B| − p_B) hits
+			// prove the bag bound unreachable. For same-bag-size partners
+			// this is the theorem's ≥ 1; it climbs with the bag-size gap,
+			// so partners at the small end of the size window need the
+			// most shared tokens.
+			if shared >= max(la-ctau-(x.bags[tj].total-x.plen[tj]), 1) {
+				px.Offer(ti, tj)
+			} else {
+				stats.SkippedByCount++
+			}
 		}
-		if la <= int32(ctau) {
-			ins.light = append(ins.light, int32(ti))
-		}
-		ins.n++
 	}
 	stats.CandTime += time.Since(start)
 }
@@ -483,15 +507,8 @@ func selectSmallest(s []scratchTok, k int) {
 	}
 }
 
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // heapify establishes the min-heap order on the frontiers (keyed by the
-// current entry's pos).
+// current entry's rank).
 func heapify(fr []frontier) {
 	for i := len(fr)/2 - 1; i >= 0; i-- {
 		sift(fr, i)
@@ -505,10 +522,10 @@ func sift(fr []frontier, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < len(fr) && fr[l].list[fr[l].i].pos < fr[m].list[fr[m].i].pos {
+		if l < len(fr) && fr[l].list[fr[l].i].rank < fr[m].list[fr[m].i].rank {
 			m = l
 		}
-		if r < len(fr) && fr[r].list[fr[r].i].pos < fr[m].list[fr[m].i].pos {
+		if r < len(fr) && fr[r].list[fr[r].i].rank < fr[m].list[fr[m].i].rank {
 			m = r
 		}
 		if m == i {

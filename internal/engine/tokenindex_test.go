@@ -12,6 +12,7 @@ import (
 	"treejoin/internal/pqgram"
 	"treejoin/internal/sim"
 	"treejoin/internal/synth"
+	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
@@ -21,41 +22,90 @@ func testTokenizers() []engine.Tokenizer {
 }
 
 // mixedCorpus is a synthetic collection large enough to engage the index,
-// with a handful of tiny trees appended so the light-tree path runs too.
+// with a handful of tiny trees appended so the light-tree path runs too, and
+// same-size variants of both (renamed copies, repeated tiny trees) so the
+// order has equal-size runs on either side of every chunk boundary.
 func mixedCorpus(n int, seed int64) []*tree.Tree {
 	ts := synth.Synthetic(n, seed)
 	lt := ts[0].Labels
-	for _, s := range []string{"{a}", "{b}", "{a{b}}", "{a{b}{c}}", "{x{y{z}}}"} {
+	for i := 0; i < n; i += 5 {
+		ts = append(ts, tree.Rename(ts[i], 0, "renamed"))
+	}
+	for _, s := range []string{"{a}", "{b}", "{a}", "{a{b}}", "{a{b}{c}}", "{a{c}{b}}", "{x{y{z}}}", "{a{b}{c}}"} {
 		ts = append(ts, tree.MustParseBracket(s, lt))
 	}
 	return ts
 }
 
-// TestTokenIndexOracle: the token-index source produces exactly the sorted
-// loop's result set — self and cross joins, every tokenizer, thresholds from
-// exact matching through bag-saturating — and never more post-filter
-// candidates.
+// candidateLog is a verifier that records, by tree identity, every pair
+// handed to verification.
+type candidateLog struct {
+	mu    sync.Mutex
+	pairs map[[2]*tree.Tree]bool
+}
+
+func (l *candidateLog) verify(t1, t2 *tree.Tree, tau int) (int, bool) {
+	l.mu.Lock()
+	if l.pairs == nil {
+		l.pairs = make(map[[2]*tree.Tree]bool)
+	}
+	l.pairs[[2]*tree.Tree{t1, t2}] = true
+	l.pairs[[2]*tree.Tree{t2, t1}] = true
+	l.mu.Unlock()
+	return ted.DistanceBounded(t1, t2, tau)
+}
+
+// TestTokenIndexOracle: the frozen token index produces exactly the sorted
+// loop's result set, and its candidates are among the loop's post-filter
+// survivors — self and cross joins, every tokenizer, thresholds from exact
+// matching through bag-saturating, the default and a doubled prefix. However
+// the probe is chunked (one chunk; three and eight, pulled by one worker and
+// by two), the candidates and every counter are those of the single chunk: a
+// probe sees the postings below its own rank and no others.
 func TestTokenIndexOracle(t *testing.T) {
 	ts := mixedCorpus(60, 11)
 	filter := baseline.HISTFilter()
+	run := func(job engine.Job, cross bool) ([]sim.Pair, *sim.Stats, *candidateLog) {
+		log := new(candidateLog)
+		job.Verifier = log.verify
+		if cross {
+			got, st := job.Join(ts[:25], ts[25:])
+			return got, st, log
+		}
+		got, st := job.SelfJoin(ts)
+		return got, st, log
+	}
 	for _, tz := range testTokenizers() {
 		for _, tau := range []int{0, 1, 2, 4, 8} {
-			loopJob := engine.Job{Tau: tau, Filters: []engine.PairFilter{filter}}
-			idxJob := engine.Job{Tau: tau, Filters: []engine.PairFilter{filter}, Source: engine.TokenIndex(tz)}
-			want, wst := loopJob.SelfJoin(ts)
-			got, gst := idxJob.SelfJoin(ts)
-			label := fmt.Sprintf("self %s τ=%d", tz.Name(), tau)
-			equalPairs(t, label, got, want)
-			if gst.Candidates > wst.Candidates {
-				t.Fatalf("%s: index fed %d candidates, loop %d", label, gst.Candidates, wst.Candidates)
-			}
-			a, b := ts[:25], ts[25:]
-			want, wst = loopJob.Join(a, b)
-			got, gst = idxJob.Join(a, b)
-			label = fmt.Sprintf("cross %s τ=%d", tz.Name(), tau)
-			equalPairs(t, label, got, want)
-			if gst.Candidates > wst.Candidates {
-				t.Fatalf("%s: index fed %d candidates, loop %d", label, gst.Candidates, wst.Candidates)
+			for _, cross := range []bool{false, true} {
+				want, _, loop := run(engine.Job{Tau: tau, Filters: []engine.PairFilter{filter}}, cross)
+				for _, prefixC := range []int{0, 2 * tz.Slack()} {
+					var one *sim.Stats
+					for _, chunks := range []struct{ shards, workers int }{{1, 1}, {3, 1}, {8, 1}, {8, 2}} {
+						label := fmt.Sprintf("%s τ=%d cross=%v C'=%d chunks=%v", tz.Name(), tau, cross, prefixC, chunks)
+						got, st, log := run(engine.Job{
+							Tau: tau, Filters: []engine.PairFilter{filter}, Source: engine.TokenIndex(tz, nil),
+							PrefixC: prefixC, Shards: chunks.shards, Workers: chunks.workers,
+						}, cross)
+						equalPairs(t, label, got, want)
+						for p := range log.pairs {
+							if !loop.pairs[p] {
+								t.Fatalf("%s: the index fed a pair the loop's filter chain prunes", label)
+							}
+						}
+						if one == nil {
+							one = st
+							continue
+						}
+						if st.Candidates != one.Candidates || st.PostingsScanned != one.PostingsScanned ||
+							st.SkippedByCount != one.SkippedByCount || st.Stages[0].In != one.Stages[0].In ||
+							st.Stages[0].Pruned != one.Stages[0].Pruned {
+							t.Fatalf("%s: candidates/scanned/skipped/in/pruned %d/%d/%d/%d/%d, one chunk %d/%d/%d/%d/%d", label,
+								st.Candidates, st.PostingsScanned, st.SkippedByCount, st.Stages[0].In, st.Stages[0].Pruned,
+								one.Candidates, one.PostingsScanned, one.SkippedByCount, one.Stages[0].In, one.Stages[0].Pruned)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -67,7 +117,7 @@ func TestTokenIndexOracle(t *testing.T) {
 func TestTokenIndexFallback(t *testing.T) {
 	tz := baseline.LabelTokenizer()
 	small := synth.Synthetic(engine.TokenIndexMinTrees-1, 3)
-	_, st := (engine.Job{Tau: 1, Source: engine.TokenIndex(tz)}).SelfJoin(small)
+	_, st := (engine.Job{Tau: 1, Source: engine.TokenIndex(tz, nil)}).SelfJoin(small)
 	if st.Source != "sorted-loop" {
 		t.Fatalf("small corpus source = %q, want sorted-loop", st.Source)
 	}
@@ -79,12 +129,12 @@ func TestTokenIndexFallback(t *testing.T) {
 			maxSize = tr.Size()
 		}
 	}
-	_, st = (engine.Job{Tau: maxSize, Source: engine.TokenIndex(tz)}).SelfJoin(big)
+	_, st = (engine.Job{Tau: maxSize, Source: engine.TokenIndex(tz, nil)}).SelfJoin(big)
 	if st.Source != "sorted-loop" {
 		t.Fatalf("τ=maxSize source = %q, want sorted-loop", st.Source)
 	}
 
-	_, st = (engine.Job{Tau: 1, Source: engine.TokenIndex(tz)}).SelfJoin(big)
+	_, st = (engine.Job{Tau: 1, Source: engine.TokenIndex(tz, nil)}).SelfJoin(big)
 	if !strings.HasPrefix(st.Source, "token-index(") {
 		t.Fatalf("regular corpus source = %q, want token-index(...)", st.Source)
 	}
@@ -129,9 +179,9 @@ func (s captureSource) Tasks(c *engine.Collection, shards int) []engine.Task {
 	return nil
 }
 
-// TestTokenIndexRace: the probe/insert machinery under concurrent joins
-// sharing one artifact cache — racing bag builds, racing light scans, self
-// and cross probes at once. Run with -race.
+// TestTokenIndexRace: the build-then-probe machinery under concurrent joins
+// sharing one artifact cache — racing bag builds, chunks of one index probed
+// from two workers, self and cross probes at once. Run with -race.
 func TestTokenIndexRace(t *testing.T) {
 	ts := mixedCorpus(60, 17)
 	cache := engine.NewCache()
@@ -146,7 +196,7 @@ func TestTokenIndexRace(t *testing.T) {
 			job := engine.Job{
 				Tau:     2,
 				Filters: []engine.PairFilter{baseline.HISTFilter()},
-				Source:  engine.TokenIndex(tz),
+				Source:  engine.TokenIndex(tz, nil),
 				Cache:   cache,
 				Workers: 2,
 			}

@@ -149,19 +149,13 @@ type Stats struct {
 	SmallTreeFallback int64         // candidate pairs produced by the small-tree path
 
 	// Token-index source counters (zero unless the join's candidates came
-	// from engine.TokenIndexSource). IndexBuildTime is a breakdown, not an
-	// addition to Total: of CandTime for the token index (tokenisation,
-	// frequency ranking, prefix construction), of PartitionTime for PartSJ,
-	// whose frozen subgraph index it times (0 when the index was found built).
+	// from engine.TokenIndex). IndexBuildTime is a breakdown, not an addition
+	// to Total: of CandTime for the token index (tokenisation, frequency
+	// ranking, prefix posting), of PartitionTime for PartSJ's subgraph index —
+	// 0 for either when the run found its frozen index already built.
 	IndexBuildTime  time.Duration // building the source's index
 	PostingsScanned int64         // posting-list entries inspected while probing
 	SkippedByCount  int64         // partners discarded because their shared-token count proved the bound unreachable
-
-	// PostingsTombstoned counts posting-list entries skipped because they
-	// referenced removed trees — the probe-side cost of a dynamic corpus's
-	// tombstone scheme, paid until compaction rewrites the lists (zero for
-	// static corpora and per-run indexes, which never tombstone).
-	PostingsTombstoned int64
 
 	// PairsRetracted counts result pairs withdrawn from a standing
 	// incremental result set because one of their trees was removed (see

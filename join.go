@@ -126,16 +126,17 @@ type config struct {
 	shards     int
 	position   core.PositionFilter
 	randPart   bool
-	sortedLoop bool
 	fixedPlan  bool
 	planSpecs  []PlanSpec
 	seed       int64
 	prefilters []Prefilter
 	statsDst   *Stats
 	indexCap   int
-	// indexes is the corpus's shared-index resolver (core.Options.Indexes);
-	// set by the Corpus query paths, never by an Option.
+	// indexes and tokens are the corpus's shared-index resolvers
+	// (core.Options.Indexes for PartSJ, the token-index source's for the
+	// signature methods); set by the Corpus query paths, never by an Option.
 	indexes func(context.Context, int, int) (*core.Index, bool)
+	tokens  engine.TokenIndexResolver
 
 	// Persistent-store knobs (see Open, WithMemtableBudget, WithStoreNoSync,
 	// WithSalvage).
@@ -152,14 +153,12 @@ func WithMethod(m Method) Option { return func(c *config) { c.method = m } }
 
 // WithWorkers runs the join on n parallel goroutines: TED verification for
 // every method, plus candidate generation wherever the source decomposes —
-// the sorted nested loop (WithSortedLoop, MethodBruteForce) deals its probe
-// positions across the pool, and PartSJ builds its subgraph index on the pool
-// (unless the corpus already holds it for this epoch and threshold) and then
-// cuts the size order into chunks that probe the one index concurrently. The
-// signature methods' default token-index source generates candidates in one
-// sequential task (its inverted index grows as it probes); their parallelism
-// is in the verification stage, which overlaps that task. Unset (or any
-// n < 1) uses one worker per available core — runtime.GOMAXPROCS(0); pass 1
+// the sorted nested loop (MethodBruteForce, a PlanSourceSortedLoop plan) deals
+// its probe positions across the pool; PartSJ builds its subgraph index on
+// the pool and the signature methods their token index on one worker (unless
+// the corpus already holds it for this epoch and threshold), and both then cut
+// the size order into chunks that probe the one frozen index concurrently.
+// Unset (or any n < 1) uses one worker per available core — runtime.GOMAXPROCS(0); pass 1
 // explicitly for a sequential run. Stats.CandTime sums the tasks' own clocks
 // (CPU effort); Stats.CandWall reports the stage's wall time.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
@@ -205,19 +204,6 @@ func WithRandomPartitions(seed int64) Option {
 	return func(c *config) { c.randPart = true; c.seed = seed }
 }
 
-// WithSortedLoop forces candidate generation back to the O(n²) sorted
-// nested loop for the signature methods (STR, SET, HIST, EUL, PQG), which by
-// default generate candidates through the token inverted-index source —
-// frequency-ordered prefix postings probed with count-threshold skipping, so
-// only pairs whose shared-token count could satisfy the method's lower bound
-// are ever screened (see DESIGN.md, "Index-accelerated candidate
-// generation"). Results are identical either way; this is the ablation
-// escape hatch, and the regime where the loop genuinely wins (tiny corpora,
-// thresholds at the largest tree's size) already falls back automatically —
-// Stats.Source reports which source ran. No effect on MethodPartSJ and
-// MethodBruteForce, which never use the token index.
-func WithSortedLoop() Option { return func(c *config) { c.sortedLoop = true } }
-
 // WithStats asks the call to write its execution statistics into dst when it
 // finishes. The slice-returning Corpus calls return Stats directly; this
 // option exists for the streaming variants, whose iter.Seq shape leaves no
@@ -225,13 +211,15 @@ func WithSortedLoop() Option { return func(c *config) { c.sortedLoop = true } }
 // abandoned (partial statistics on cancellation or early break).
 func WithStats(dst *Stats) Option { return func(c *config) { c.statsDst = dst } }
 
-// WithIndexCacheCap bounds the per-threshold search-index cache behind a
-// Corpus's Search and KNN queries (and the standalone KNN searcher) at n
+// WithIndexCacheCap bounds each of a Corpus's per-epoch index caches — the
+// per-threshold PartSJ indexes behind Search, KNN and PartSJ joins (and the
+// standalone KNN searcher), and the token indexes of the signature methods'
+// self joins, one per (tokenizer, threshold, prefix multiplier) — at n
 // indexes, evicting the least recently used; n < 1 selects the default
 // (which covers a full KNN expanding sweep for trees up to ~4K nodes). Each
-// cached entry is a full PartSJ index over the collection, so the cap
-// trades rebuild time against memory — but a cap smaller than a query's
-// sweep makes the sweep cycle the LRU, rebuilding every index per query.
+// cached entry is a full index over the collection, so the cap trades
+// rebuild time against memory — but a cap smaller than a query's sweep makes
+// the sweep cycle the LRU, rebuilding every index per query.
 func WithIndexCacheCap(n int) Option { return func(c *config) { c.indexCap = n } }
 
 func buildConfig(opts []Option) config {
@@ -322,8 +310,8 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	// q-grams for the string/gram class, label-histogram entries for the
 	// histogram/branch class. The source offers a subset of the sorted
 	// loop's pairs and every offered pair still runs the same filter chain,
-	// so results are identical; WithSortedLoop restores the loop for
-	// ablation.
+	// so results are identical; a PlanSourceSortedLoop plan restores the loop
+	// for ablation.
 	var tz engine.Tokenizer
 	switch c.method {
 	case MethodPartSJ:
@@ -357,7 +345,7 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	case MethodBruteForce:
 		// Size window only — no lower bound to index on; always the loop.
 	}
-	useIndex := tz != nil && !c.sortedLoop
+	useIndex := tz != nil
 	prefixC := 0
 	if hasSpec {
 		if spec.Chain != nil {
@@ -367,9 +355,6 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 		case PlanSourceTokenIndex:
 			if tz == nil {
 				return engine.Job{}, nil, fmt.Errorf("%w: %v has no token-index source", ErrOptionConflict, c.method)
-			}
-			if c.sortedLoop {
-				return engine.Job{}, nil, fmt.Errorf("%w: WithSortedLoop pins the loop; the plan asks for the token index", ErrOptionConflict)
 			}
 		case PlanSourceSortedLoop:
 			useIndex = false
@@ -383,7 +368,7 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	}
 	var src engine.CandidateSource
 	if useIndex {
-		src = engine.TokenIndex(tz)
+		src = engine.TokenIndex(tz, c.tokens)
 	}
 	job := engine.Job{
 		Source:  src,

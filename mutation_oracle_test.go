@@ -125,27 +125,25 @@ func TestMutationOracle(t *testing.T) {
 	}
 	checkCrossOracle(t, "final", cp, other)
 
-	// The sweep must have exercised the maintained index, not fallen back:
-	// mutation happened, the corpus is large enough, so signature joins
-	// probe the dynamic snapshot.
+	// The sweep must have exercised the token index, not fallen back: the
+	// corpus is large enough, so signature joins probe the epoch's index.
 	var st treejoin.Stats
 	if _, _, err := cp.SelfJoin(ctx, 2, treejoin.WithMethod(treejoin.MethodPQGram), treejoin.WithStats(&st)); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(st.Source, "dyn-token-index(") {
-		t.Fatalf("oracle never probed the dynamic index: source = %q", st.Source)
+	if !strings.HasPrefix(st.Source, "token-index(") {
+		t.Fatalf("oracle never probed the token index: source = %q", st.Source)
 	}
 }
 
-// TestMutationOracleChurn drives removals deep enough to force token-index
-// compaction and re-adds on top of it, then re-checks the oracle: compaction
-// must never drop a live posting (a dropped posting would lose result
-// pairs).
+// TestMutationOracleChurn removes most of the corpus and re-adds on top of
+// it, then re-checks the oracle: an index rebuilt for the new epoch must post
+// every live tree (a dropped posting would lose result pairs).
 func TestMutationOracleChurn(t *testing.T) {
 	pool := synth.Generate(synth.SyntheticParams(140, 3, 5, 20, 50, 53))
 	cp := mustCorpus(t, pool[:100])
 
-	// Materialise the maintained indexes, then churn hard.
+	// Build the first epoch's indexes, then churn hard.
 	cp.Remove(0)
 	checkSelfOracle(t, "churn warmup", cp)
 
@@ -153,7 +151,7 @@ func TestMutationOracleChurn(t *testing.T) {
 	for id := 1; id <= 60; id++ {
 		ids = append(ids, id)
 	}
-	cp.Remove(ids...) // 61/100 gone: past the compaction ratio
+	cp.Remove(ids...) // 61/100 gone
 	if _, err := cp.Add(pool[100:]...); err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,6 @@ func TestFixedPlanConflicts(t *testing.T) {
 	wantConflict("prefix multiplier without the index",
 		treejoin.WithMethod(treejoin.MethodPQGram),
 		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop, PrefixC: 8}))
-	wantConflict("index plan against WithSortedLoop",
-		treejoin.WithMethod(treejoin.MethodPQGram), treejoin.WithSortedLoop(),
-		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceTokenIndex}))
 	wantConflict("unknown source value",
 		treejoin.WithMethod(treejoin.MethodPQGram),
 		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSource(99)}))
@@ -105,6 +102,27 @@ func TestExplain(t *testing.T) {
 	if ex.Origin != "fixed" || ex.Source != "token-index" {
 		t.Fatalf("auto explanation on a small corpus = %+v", ex)
 	}
+
+	// A token-index plan says whether the corpus holds the index it would
+	// probe: not before a join at this (tokenizer, τ, C) built it, cached
+	// after — whatever the epoch number — and not again once a mutation has
+	// dropped the epoch's indexes.
+	indexLine := func(want string) {
+		t.Helper()
+		ex, err := cp.Explain(ctx, 2, treejoin.WithMethod(treejoin.MethodPQGram), treejoin.WithFixedPlan())
+		if err != nil || !strings.Contains(ex.String(), "index:       "+want) {
+			t.Fatalf("explanation %q (err %v) does not say the index is %s", ex.String(), err, want)
+		}
+	}
+	indexLine("not cached")
+	if _, _, err := cp.SelfJoin(ctx, 2, treejoin.WithMethod(treejoin.MethodPQGram), treejoin.WithFixedPlan()); err != nil {
+		t.Fatal(err)
+	}
+	indexLine("cached")
+	if cp.Remove(0) != 1 {
+		t.Fatal("Remove")
+	}
+	indexLine("not cached")
 
 	// Explain surfaces plan conflicts the same way a join would.
 	if _, err := cp.Explain(ctx, 1,

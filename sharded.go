@@ -612,7 +612,6 @@ func foldStats(total, st *sim.Stats) {
 	total.IndexBuildTime += st.IndexBuildTime
 	total.PostingsScanned += st.PostingsScanned
 	total.SkippedByCount += st.SkippedByCount
-	total.PostingsTombstoned += st.PostingsTombstoned
 	total.PairsRetracted += st.PairsRetracted
 	total.DPAvoided += st.DPAvoided
 	total.SeqRejects += st.SeqRejects

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"treejoin/internal/sim"
 	"treejoin/internal/synth"
 )
 
@@ -70,6 +72,80 @@ func TestIndexBuiltOncePerEpoch(t *testing.T) {
 	// Three shards kept their views (and indexes); the touched one is new.
 	if n := indexBuilds(sc); n != 3+1 {
 		t.Fatalf("after one Add the views hold %d index builds, want 3 kept + 1 rebuilt", n)
+	}
+}
+
+// TestTokenIndexBuiltOncePerEpoch: the signature methods' self joins share one
+// frozen token index per epoch, tokenizer, threshold and prefix multiplier. A
+// repeat join finds it (IndexBuildTime 0, identical pairs), so does a method
+// that tokenises alike (STR and EUL; SET tokenises labels and builds its own);
+// one mutation costs one rebuild per index, paid by the first join after it;
+// and a view pinned to the old epoch — a Snapshot, or a sequence made before
+// the mutation — builds its own and installs nothing on the live corpus.
+func TestTokenIndexBuiltOncePerEpoch(t *testing.T) {
+	ctx := context.Background()
+	pool := synth.Generate(synth.SyntheticParams(81, 3, 5, 20, 30, 67))
+	cp := mustNewCorpus(t, pool[:80])
+	builds := func(c *Corpus) int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, n, _ := c.tokens.Counts()
+		return n
+	}
+	join := func(c *Corpus, m Method, wantBuilt bool) []Pair {
+		t.Helper()
+		pairs, st, err := c.SelfJoin(ctx, 2, WithMethod(m), WithFixedPlan(), WithWorkers(2))
+		if err != nil || !strings.HasPrefix(st.Source, "token-index(") {
+			t.Fatalf("%v: source %q, err %v", m, st.Source, err)
+		}
+		if (st.IndexBuildTime > 0) != wantBuilt {
+			t.Fatalf("%v: IndexBuildTime %v, want built = %v", m, st.IndexBuildTime, wantBuilt)
+		}
+		return pairs
+	}
+	first := join(cp, MethodSTR, true)
+	if !slices.Equal(join(cp, MethodSTR, false), first) {
+		t.Fatal("the repeat join over the cached index differs from the first")
+	}
+	join(cp, MethodEulerString, false)
+	join(cp, MethodSET, true)
+	if n := builds(cp); n != 2 {
+		t.Fatalf("STR, STR, EUL, SET at one τ built %d indexes, want 2", n)
+	}
+
+	snap := cp.Snapshot()
+	stale, err := cp.SelfJoinSeq(ctx, 2, WithMethod(MethodSTR), WithFixedPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := cp.Add(pool[80])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(join(snap, MethodSTR, true), first) || !slices.Equal(join(snap, MethodSTR, false), first) {
+		t.Fatal("the snapshot's joins differ from the join at its epoch")
+	}
+	var got []Pair
+	for p := range stale {
+		got = append(got, p)
+	}
+	sim.SortPairs(got)
+	if !slices.Equal(got, first) {
+		t.Fatal("the sequence pinned before the Add differs from the join at its epoch")
+	}
+	if n := builds(cp); n != 0 {
+		t.Fatalf("views of the old epoch installed %d indexes on the live corpus", n)
+	}
+	join(cp, MethodSTR, true)
+	join(cp, MethodSTR, false)
+	if cp.Remove(ids...) != 1 {
+		t.Fatal("Remove")
+	}
+	if !slices.Equal(join(cp, MethodSTR, true), first) || !slices.Equal(join(cp, MethodEulerString, false), first) {
+		t.Fatal("joins after Add+Remove of one tree differ from the first")
+	}
+	if n := builds(cp); n != 1 {
+		t.Fatalf("the epoch after the Remove built %d indexes, want 1", n)
 	}
 }
 

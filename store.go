@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"treejoin/internal/baseline"
-	"treejoin/internal/core"
 	"treejoin/internal/engine"
 	"treejoin/internal/engine/plan"
 	"treejoin/internal/pqgram"
@@ -113,12 +112,12 @@ func corpusFromStore(s *segstore.Store, c config) (*Corpus, error) {
 	cp := &Corpus{
 		cache:      cache,
 		indexCap:   c.indexCap,
-		searchers:  make(map[core.PositionFilter]*core.KNN),
 		store:      s,
 		persistent: true,
 		planner:    plan.New(),
 	}
 	cp.state.Store(st)
+	cp.resetIndexes(st.epoch)
 	s.SetArtifacts(corpusArtifacts{cache: cache})
 	return cp, nil
 }

@@ -33,6 +33,7 @@ func indexCorpus(gen func(n int, seed int64) []*tree.Tree, n int, seed int64) []
 // post-filter candidate count never exceeds the loop's, across two synthetic
 // profiles (diverse sizes and narrow size bands).
 func TestTokenIndexOracleSweep(t *testing.T) {
+	loop := treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop})
 	profiles := []struct {
 		name string
 		gen  func(n int, seed int64) []*tree.Tree
@@ -48,16 +49,16 @@ func TestTokenIndexOracleSweep(t *testing.T) {
 				label := fmt.Sprintf("%s/%v/τ=%d", p.name, m, tau)
 				var ist, lst treejoin.Stats
 				got, ist := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m))
-				want, lst := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m), treejoin.WithSortedLoop())
+				want, lst := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m), loop)
 				samePairs(t, "self/"+label, got, want)
 				if ist.Candidates > lst.Candidates {
 					t.Fatalf("self/%s: index candidates %d > loop %d", label, ist.Candidates, lst.Candidates)
 				}
 				if lst.Source != "sorted-loop" {
-					t.Fatalf("%s: WithSortedLoop ran source %q", label, lst.Source)
+					t.Fatalf("%s: the pinned sorted loop ran source %q", label, lst.Source)
 				}
 				got, ist = treejoin.Join(a, b, tau, treejoin.WithMethod(m))
-				want, lst = treejoin.Join(a, b, tau, treejoin.WithMethod(m), treejoin.WithSortedLoop())
+				want, lst = treejoin.Join(a, b, tau, treejoin.WithMethod(m), loop)
 				samePairs(t, "cross/"+label, got, want)
 				if ist.Candidates > lst.Candidates {
 					t.Fatalf("cross/%s: index candidates %d > loop %d", label, ist.Candidates, lst.Candidates)
@@ -153,7 +154,7 @@ func TestCandWall(t *testing.T) {
 	ts := synth.Synthetic(64, 21)
 	for _, opts := range [][]treejoin.Option{
 		{treejoin.WithMethod(treejoin.MethodSTR)},
-		{treejoin.WithMethod(treejoin.MethodSTR), treejoin.WithSortedLoop(), treejoin.WithWorkers(4)},
+		{treejoin.WithMethod(treejoin.MethodSTR), treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop}), treejoin.WithWorkers(4)},
 	} {
 		_, st := treejoin.SelfJoin(ts, 2, opts...)
 		if st.CandWall <= 0 {
