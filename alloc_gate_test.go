@@ -74,3 +74,17 @@ func TestStringScreenAllocationGate(t *testing.T) {
 		t.Fatalf("Scratch.Bounded allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestParseBracketAllocationGate: a parse whose labels the table already
+// holds allocates the node array and the Tree — nothing per node or per label
+// (the open-node stack and the label cache are pooled).
+func TestParseBracketAllocationGate(t *testing.T) {
+	src := synth.Generate(synth.SyntheticParams(1, 4, 8, 16, 200, 17))[0]
+	text, lt := treejoin.FormatBracket(src), treejoin.NewLabelTable()
+	if tr := treejoin.MustParseBracket(text, lt); tr.Size() < 150 {
+		t.Fatalf("fixture too small to gate on: %d nodes", tr.Size())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { treejoin.MustParseBracket(text, lt) }); allocs > 3 {
+		t.Fatalf("ParseBracket allocated %.0f times for a tree of known labels, want at most 3", allocs)
+	}
+}

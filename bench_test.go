@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"treejoin"
@@ -387,5 +388,38 @@ func BenchmarkSubtreeSearch(b *testing.B) {
 				subtree.Search(big, query, tau)
 			}
 		})
+	}
+}
+
+// BenchmarkReadBracketLines — ingest of bracket text, the serial head of every
+// cold join: the Swissprot profile (many short labels, ~100 nodes a tree) and
+// 200-node synthetic trees, at one and two cores. Compare trees/s and
+// allocs/op across commits; the one-core rows isolate the parser itself.
+func BenchmarkReadBracketLines(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		ts   []*tree.Tree
+	}{
+		{"swissprot", synth.Swissprot(4000, 1)},
+		{"synthetic200", synth.Generate(synth.SyntheticParams(1400, 4, 8, 20, 200, 1))},
+	} {
+		var text bytes.Buffer
+		if err := treejoin.WriteBracketLines(&text, in.ts); err != nil {
+			b.Fatal(err)
+		}
+		for _, procs := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/procs=%d", in.name, procs), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				b.SetBytes(int64(text.Len()))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ts, err := treejoin.ReadBracketLines(bytes.NewReader(text.Bytes()), nil)
+					if err != nil || len(ts) != len(in.ts) {
+						b.Fatalf("read %d trees, err %v", len(ts), err)
+					}
+				}
+				b.ReportMetric(float64(len(in.ts))*float64(b.N)/b.Elapsed().Seconds(), "trees/s")
+			})
+		}
 	}
 }

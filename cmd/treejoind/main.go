@@ -36,7 +36,6 @@ import (
 	"net/http"
 	"os/signal"
 	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
@@ -136,12 +135,11 @@ func bootCorpus(storeDir, input, format string, shards int) (*treejoin.ShardedCo
 }
 
 // server is the handler state: the corpus, the single label table every
-// parse must intern into (LabelTable mutation is not thread-safe, so parses
-// serialise on parseMu), the admission semaphore, and the query defaults.
+// parse interns into (requests parse concurrently; the table synchronises
+// itself), the admission semaphore, and the query defaults.
 type server struct {
 	sc          *treejoin.ShardedCorpus
 	lt          *treejoin.LabelTable
-	parseMu     sync.Mutex
 	sem         chan struct{}
 	deadline    time.Duration
 	workers     int
@@ -267,12 +265,10 @@ func decode(r *http.Request, dst any) error {
 	return nil
 }
 
-// parseTrees parses bracket-notation trees into the server's label table.
-// Interning mutates the table, so parses serialise; corpus queries only
-// compare label ids and never touch the table, so they proceed concurrently.
+// parseTrees parses bracket-notation trees into the server's label table,
+// with no lock of its own: the table synchronises itself, and a parse touches
+// it about once per distinct label.
 func (s *server) parseTrees(specs []string) ([]*treejoin.Tree, error) {
-	s.parseMu.Lock()
-	defer s.parseMu.Unlock()
 	ts := make([]*treejoin.Tree, len(specs))
 	for i, spec := range specs {
 		t, err := treejoin.ParseBracket(spec, s.lt)

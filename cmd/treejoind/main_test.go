@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -169,7 +170,7 @@ func TestServeEndpoints(t *testing.T) {
 // TestServeMalformed: every malformed request the wire can carry answers
 // 4xx — no panic, no 5xx. This is the no-network-reachable-panic contract.
 func TestServeMalformed(t *testing.T) {
-	_, hs := testServer(t, 2, 8, 5*time.Second)
+	_, hs := testServer(t, 2, 8, 5*time.Minute) // the deep trees below take seconds, under -race a minute
 	cases := []struct {
 		name, path, body string
 	}{
@@ -202,6 +203,22 @@ func TestServeMalformed(t *testing.T) {
 		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
 			t.Errorf("GET %s: status %d, want 4xx", url, resp.StatusCode)
 		}
+	}
+
+	// The deepest tree the 8 MiB body cap admits: 4 M nested nodes. Parsing
+	// is iterative, so this is answered (the recursive-descent parser died
+	// here with an unrecoverable stack overflow), and the server goes on.
+	deep := strings.Repeat("{", 4_000_000) + strings.Repeat("}", 4_000_000)
+	for _, tc := range []struct{ path, body string }{
+		{"/search", `{"query":"` + deep + `","tau":1}`},
+		{"/add", `{"trees":["` + deep + `"]}`},
+	} {
+		if resp, body := post(t, hs, tc.path, tc.body); resp.StatusCode >= 500 {
+			t.Errorf("4M-deep tree to %s: status %d, body %.200q", tc.path, resp.StatusCode, body)
+		}
+	}
+	if resp, body := post(t, hs, "/search", `{"query":"{0{1}{2}}","tau":3}`); resp.StatusCode != 200 {
+		t.Errorf("search after the deep trees: status %d, body %q", resp.StatusCode, body)
 	}
 
 	// The server is still healthy after the abuse.
@@ -237,4 +254,61 @@ func TestServeAdmission(t *testing.T) {
 		t.Fatalf("healthz while saturated: %v %v", r2, err)
 	}
 	r2.Body.Close()
+}
+
+// TestServeConcurrentFreshLabels: a store-backed server under one client
+// adding and one searching, every request bringing labels the table has never
+// seen. Parses run with no server lock, and the store's WAL reads the table
+// (Len, Name) while other requests intern into it: under -race this reported
+// LabelTable.Len against LabelTable.Intern before the table synchronised
+// itself. Afterwards every acknowledged add is in the corpus and survives a
+// reopen, which checks the WAL's label splices under the same interleaving.
+func TestServeConcurrentFreshLabels(t *testing.T) {
+	dir := t.TempDir()
+	sc, err := treejoin.OpenSharded(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(newServer(sc, sc.Labels(), 0, 8, 5*time.Second).routes())
+	const rounds = 200
+	var wg sync.WaitGroup
+	for _, path := range []string{"/add", "/search"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				body := fmt.Sprintf(`{"trees":["{add%d{x}{y%d}}"]}`, i, i)
+				if path == "/search" {
+					body = fmt.Sprintf(`{"query":"{search%d{x}{z%d}}","tau":2}`, i, i)
+				}
+				resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Errorf("POST %s: %v", path, err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != 200 {
+					t.Errorf("POST %s round %d: status %d", path, i, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	hs.Close()
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := treejoin.OpenSharded(dir, 2)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if re.Len() != rounds {
+		t.Fatalf("reopened corpus holds %d trees, want %d", re.Len(), rounds)
+	}
+	for i := 0; i < rounds; i++ {
+		if got, want := treejoin.FormatBracket(re.Tree(i)), fmt.Sprintf("{add%d{x}{y%d}}", i, i); got != want {
+			t.Fatalf("tree %d after reopen = %s, want %s", i, got, want)
+		}
+	}
 }

@@ -392,10 +392,10 @@ func TestIncrementalRetraction(t *testing.T) {
 		}
 	}
 
-	apply(inc.Add(parse("{a{b}{c}}")))      // 0
-	apply(inc.Add(parse("{a{b}{d}}")))      // 1: pairs with 0
-	apply(inc.Add(parse("{a{b}{c}{d}}")))   // 2: pairs with 0 and 1
-	apply(inc.Add(parse("{z}")))            // 3: no partners
+	apply(inc.Add(parse("{a{b}{c}}")))    // 0
+	apply(inc.Add(parse("{a{b}{d}}")))    // 1: pairs with 0
+	apply(inc.Add(parse("{a{b}{c}{d}}"))) // 2: pairs with 0 and 1
+	apply(inc.Add(parse("{z}")))          // 3: no partners
 	if got := len(inc.Pairs()); got != 3 {
 		t.Fatalf("standing pairs = %d, want 3", got)
 	}

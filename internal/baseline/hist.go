@@ -143,4 +143,3 @@ func HistLowerBound(p1, p2 *HistProfile) int {
 	}
 	return lb
 }
-

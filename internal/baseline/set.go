@@ -65,4 +65,3 @@ func BIB(x1, x2 []branch) int {
 	}
 	return len(x1) + len(x2) - 2*common
 }
-

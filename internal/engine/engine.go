@@ -78,11 +78,6 @@ func (c *Collection) Context() context.Context { return c.ctx }
 // least lets concurrent tasks of the same join share per-tree artifacts.
 func (c *Collection) Cache() *Cache { return c.cache }
 
-// VerifyCounters returns the run's shared τ-banded verifier instrumentation.
-// The run's verifiers record their pruning here; the engine folds the totals
-// into the run's Stats.
-func (c *Collection) VerifyCounters() *ted.Counters { return c.counters }
-
 // Cross reports whether the collection is the union of two sides.
 func (c *Collection) Cross() bool { return c.Split >= 0 }
 

@@ -153,9 +153,9 @@ const (
 	// to be decisively cheaper and the saving to be worth a plan change;
 	// observation-backed estimates get a tighter margin than
 	// calibration-only ones.
-	sourceRatioObserved   = 0.90
-	sourceFloorObservedNs = 500e3 // 0.5ms
-	sourceRatioCalibrated = 0.67
+	sourceRatioObserved     = 0.90
+	sourceFloorObservedNs   = 500e3 // 0.5ms
+	sourceRatioCalibrated   = 0.67
 	sourceFloorCalibratedNs = 2e6 // 2ms
 	// Prefix tuning: lengthen the indexed prefix (sharpening the count
 	// threshold) only when chain screening demonstrably dominates posting

@@ -113,13 +113,5 @@ func (osFS) SyncDir(dir string) error {
 	return cerr
 }
 
-// fsOrDefault resolves an Options.FS, nil meaning the real filesystem.
-func fsOrDefault(f FS) FS {
-	if f == nil {
-		return osFS{}
-	}
-	return f
-}
-
 // notExist reports whether err is a missing-file error from any FS.
 func notExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }

@@ -115,8 +115,8 @@ func FuzzWALReplay(f *testing.F) {
 	img.Write(walMagic[:])
 	img.WriteByte(walVersion)
 	for _, rec := range [][]byte{
-		encodeAdd(1, lt, 0, tr),
-		encodeAdd(2, lt, lt.Len(), tr),
+		encodeAdd(1, lt, 0, lt.Len(), tr),
+		encodeAdd(2, lt, lt.Len(), lt.Len(), tr),
 		encodeRemove(1),
 	} {
 		img.Write(rec)

@@ -43,6 +43,7 @@ const (
 type manifest struct {
 	nextID int64
 	lt     *tree.LabelTable
+	labels int // how many of lt's labels writeManifestTo wrote (lt may grow meanwhile)
 	segs   []manifestSeg
 }
 
@@ -64,8 +65,9 @@ func writeManifestTo(fsys FS, path string, m *manifest, noSync bool) error {
 	}
 	c := newCW(f, manifestMagic, manifestVersion)
 	c.u(uint64(m.nextID))
-	c.u(uint64(m.lt.Len()))
-	for id := 0; id < m.lt.Len(); id++ {
+	m.labels = m.lt.Len()
+	c.u(uint64(m.labels))
+	for id := 0; id < m.labels; id++ {
 		c.str(m.lt.Name(int32(id)))
 	}
 	c.u(uint64(len(m.segs)))

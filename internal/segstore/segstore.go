@@ -153,7 +153,7 @@ type Store struct {
 	byHash    map[[32]byte]*block
 	nextID    int64
 	wal       *walWriter
-	walLabels int // lt.Len() after the last WAL record / rewrite
+	walLabels int // labels the last WAL record or manifest made durable: a prefix of lt
 	segSeq    int
 	closed    bool
 	dirty     bool // manifest on disk lags in-memory tombstones
@@ -493,13 +493,14 @@ func (s *Store) Add(id int64, t *tree.Tree) error {
 	if id < s.nextID {
 		return fmt.Errorf("segstore: id %d below next id %d", id, s.nextID)
 	}
-	if err := s.wal.append(encodeAdd(id, s.lt, s.walLabels, t)); err != nil {
+	labels := s.lt.Len() // once: the table may grow under a concurrent parse
+	if err := s.wal.append(encodeAdd(id, s.lt, s.walLabels, labels, t)); err != nil {
 		if s.wal.failed() {
 			s.enterDegradedLocked(err)
 		}
 		return err
 	}
-	s.walLabels = s.lt.Len()
+	s.walLabels = labels
 	s.addMemLocked(id, t)
 	if len(s.mem) >= s.opt.MemtableBudget {
 		if err := s.flushLocked(); err != nil {
@@ -736,7 +737,7 @@ func (s *Store) writeManifestLocked() error {
 	if err := writeManifestTo(s.fs, filepath.Join(s.dir, manifestName), m, s.opt.NoSync); err != nil {
 		return err
 	}
-	s.dirty = false
+	s.dirty, s.walLabels = false, m.labels
 	return nil
 }
 
@@ -751,7 +752,7 @@ func (s *Store) rewriteWALLocked() error {
 	// rewrite below replaces the file wholesale) and a failed rewrite leaves
 	// s.wal closed, which append reports as errWALClosed until recovery.
 	_ = s.wal.close()
-	if err := rewriteWALFile(s.fs, filepath.Join(s.dir, walName), ids, ts, s.lt.Len(), s.opt.NoSync); err != nil {
+	if err := rewriteWALFile(s.fs, filepath.Join(s.dir, walName), ids, ts, s.walLabels, s.opt.NoSync); err != nil {
 		return err
 	}
 	wal, err := openWALForAppend(s.fs, filepath.Join(s.dir, walName), s.opt.NoSync)
@@ -759,7 +760,6 @@ func (s *Store) rewriteWALLocked() error {
 		return err
 	}
 	s.wal = wal
-	s.walLabels = s.lt.Len()
 	return nil
 }
 

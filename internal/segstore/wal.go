@@ -141,16 +141,17 @@ func (w *walWriter) close() error {
 }
 
 // encodeAdd builds an 'A' record: the id, the label-table splice (labels
-// [prevLabels, lt.Len()) are the ones this mutation introduced), and the
+// [prevLabels, labels) are the ones interned since the last record — the
+// caller reads lt.Len() once: other goroutines may intern meanwhile), and the
 // tree stream.
-func encodeAdd(id int64, lt *tree.LabelTable, prevLabels int, t *tree.Tree) []byte {
+func encodeAdd(id int64, lt *tree.LabelTable, prevLabels, labels int, t *tree.Tree) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte('A')
 	c := &cw{bw: nil, out: &buf}
 	c.u(uint64(id))
 	c.u(uint64(prevLabels))
-	c.u(uint64(lt.Len() - prevLabels))
-	for i := prevLabels; i < lt.Len(); i++ {
+	c.u(uint64(labels - prevLabels))
+	for i := prevLabels; i < labels; i++ {
 		c.str(lt.Name(int32(i)))
 	}
 	writeTreeStream(c, t)

@@ -21,30 +21,62 @@ import (
 // Child order is preserved: Newick trees are read as rooted *ordered* trees,
 // which is what the TED of this module is defined over.
 
-// newickNode is the parser's intermediate form; the Builder wants parents
-// before children, but a Newick internal node's name arrives after its
-// children.
-type newickNode struct {
-	name     string
-	children []*newickNode
-}
-
 type newickParser struct {
 	s   string
 	pos int
 }
 
 // ParseNewick parses a single Newick tree, e.g. "(A,B,(C,D)E)F;". The
-// terminating semicolon is required; trailing whitespace is allowed.
+// terminating semicolon is required; trailing whitespace is allowed. Like
+// ParseBracket it keeps its own stack of open nodes, so nesting depth is
+// bounded by memory, not by goroutine stack.
 func ParseNewick(s string, lt *LabelTable) (*Tree, error) {
 	if lt == nil {
 		lt = NewLabelTable()
 	}
 	p := &newickParser{s: s}
-	p.skipSpace()
-	root, err := p.subtree()
-	if err != nil {
-		return nil, err
+	var (
+		nodes []Node
+		names []string // by node: an internal node's name arrives after its children
+		open  []openNode
+	)
+	for done := false; !done; {
+		p.skipSpace() // a subtree starts here and takes the next preorder id
+		cur := int32(len(nodes))
+		nodes, names = appendChild(nodes, open, 0), append(names, "")
+		if p.eat('(') {
+			open = append(open, openNode{cur, None})
+			continue
+		}
+		for { // cur has all its children: name it, then close parents while ')' follows
+			name, err := p.name()
+			if err != nil {
+				return nil, err
+			}
+			names[cur] = name
+			p.skipSpace()
+			if p.eat(':') { // branch length: parsed and discarded
+				p.skipSpace()
+				start := p.pos
+				for p.pos < len(p.s) && isNewickDigit(p.s[p.pos]) {
+					p.pos++
+				}
+				if p.pos == start {
+					return nil, p.errf("expected branch length after ':'")
+				}
+			}
+			if done = len(open) == 0; done {
+				break
+			}
+			p.skipSpace()
+			if p.eat(',') {
+				break
+			}
+			if !p.eat(')') {
+				return nil, p.errf("expected ')' or ','")
+			}
+			cur, open = open[len(open)-1].id, open[:len(open)-1]
+		}
 	}
 	p.skipSpace()
 	if !p.eat(';') {
@@ -54,17 +86,10 @@ func ParseNewick(s string, lt *LabelTable) (*Tree, error) {
 	if p.pos != len(p.s) {
 		return nil, p.errf("trailing input after ';'")
 	}
-	b := NewBuilder(lt)
-	b.Root(root.name)
-	var build func(parent int32, n *newickNode)
-	build = func(parent int32, n *newickNode) {
-		for _, c := range n.children {
-			id := b.Child(parent, c.name)
-			build(id, c)
-		}
+	for i := range nodes {
+		nodes[i].Label = lt.Intern(names[i])
 	}
-	build(0, root)
-	return b.Build()
+	return &Tree{Labels: lt, Nodes: nodes}, nil
 }
 
 // MustParseNewick is ParseNewick but panics on error. Intended for tests and
@@ -106,45 +131,6 @@ func (p *newickParser) skipSpace() {
 			return
 		}
 	}
-}
-
-func (p *newickParser) subtree() (*newickNode, error) {
-	p.skipSpace()
-	n := &newickNode{}
-	if p.eat('(') {
-		for {
-			child, err := p.subtree()
-			if err != nil {
-				return nil, err
-			}
-			n.children = append(n.children, child)
-			p.skipSpace()
-			if p.eat(',') {
-				continue
-			}
-			break
-		}
-		if !p.eat(')') {
-			return nil, p.errf("expected ')' or ','")
-		}
-	}
-	name, err := p.name()
-	if err != nil {
-		return nil, err
-	}
-	n.name = name
-	p.skipSpace()
-	if p.eat(':') { // branch length: parsed and discarded
-		p.skipSpace()
-		start := p.pos
-		for p.pos < len(p.s) && (isNewickDigit(p.s[p.pos])) {
-			p.pos++
-		}
-		if p.pos == start {
-			return nil, p.errf("expected branch length after ':'")
-		}
-	}
-	return n, nil
 }
 
 func isNewickDigit(c byte) bool {

@@ -176,3 +176,23 @@ func TestDotBracketEmpty(t *testing.T) {
 		t.Fatalf("size = %d", tr.Size())
 	}
 }
+
+// TestParseNewickDeepTree: like ParseBracket, the Newick parser keeps its own
+// stack of open nodes, so 4 M nested parentheses cost heap, not a goroutine
+// stack grown towards the runtime's fatal limit.
+func TestParseNewickDeepTree(t *testing.T) {
+	const depth = 4_000_000
+	tr, err := tree.ParseNewick(strings.Repeat("(", depth)+"x"+strings.Repeat(")", depth)+"r;", nil)
+	if err != nil {
+		t.Fatalf("deep parse: %v", err)
+	}
+	if tr.Size() != depth+1 || tr.Label(0) != "r" || tr.Label(depth) != "x" {
+		t.Fatalf("size %d, root %q, leaf %q", tr.Size(), tr.Label(0), tr.Label(depth))
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("deep tree invalid: %v", err)
+	}
+	if _, err := tree.ParseNewick(strings.Repeat("(", depth)+"x;", nil); err == nil {
+		t.Fatal("unclosed deep nesting accepted")
+	}
+}

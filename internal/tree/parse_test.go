@@ -123,16 +123,13 @@ func TestParseBracketSingleNodeAndEmptyLabel(t *testing.T) {
 	}
 }
 
+// TestParseDeepTree: nesting depth costs the parser heap, not goroutine
+// stack. 4 M levels is the deepest tree treejoind's 8 MiB body cap admits; the
+// recursive-descent parser this replaced died there with the runtime's
+// unrecoverable "fatal error: stack overflow".
 func TestParseDeepTree(t *testing.T) {
-	var sb strings.Builder
-	const depth = 20000
-	for i := 0; i < depth; i++ {
-		sb.WriteString("{a")
-	}
-	sb.WriteString(strings.Repeat("}", depth))
-	// Recursive-descent parsing recurses per level; this guards against
-	// unreasonable stack use for long chains.
-	tr, err := tree.ParseBracket(sb.String(), nil)
+	const depth = 4_000_000
+	tr, err := tree.ParseBracket(strings.Repeat("{", depth)+strings.Repeat("}", depth), nil)
 	if err != nil {
 		t.Fatalf("deep parse: %v", err)
 	}
@@ -141,5 +138,8 @@ func TestParseDeepTree(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("deep tree invalid: %v", err)
+	}
+	if _, err := tree.ParseBracket(strings.Repeat("{a", depth)+"}", nil); err == nil || !strings.Contains(err.Error(), `unclosed node "a"`) {
+		t.Fatalf("unclosed deep chain: %v", err)
 	}
 }

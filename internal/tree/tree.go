@@ -5,48 +5,68 @@
 // (see package lcrs).
 package tree
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+)
 
 // None marks the absence of a node reference (no parent, child, or sibling).
 const None int32 = -1
 
 // LabelTable interns node labels so that trees store compact int32 label ids
 // and label equality is an integer comparison. A table is typically shared by
-// every tree of a collection. It is not safe for concurrent mutation; joins
-// only read it.
+// every tree of a collection. Ids are dense and issued in first-Intern order.
+// A table is safe for concurrent use; the parsers touch it once per distinct
+// label of an input, not once per node.
 type LabelTable struct {
-	ids   map[string]int32
-	names []string
+	mu  sync.RWMutex // guards ids and orders the appends to names
+	ids map[string]int32
+	// names is append-only and republished on every append, so Name and Len
+	// read a snapshot without the lock.
+	names atomic.Pointer[[]string]
 }
 
 // NewLabelTable returns an empty label table.
 func NewLabelTable() *LabelTable {
-	return &LabelTable{ids: make(map[string]int32)}
+	lt := &LabelTable{ids: make(map[string]int32)}
+	lt.names.Store(new([]string))
+	return lt
 }
 
-// Intern returns the id of name, assigning a fresh id on first use.
+// Intern returns the id of name, assigning a fresh id on first use. The table
+// stores its own copy, so name may be a slice of a buffer the caller reuses.
 func (lt *LabelTable) Intern(name string) int32 {
-	if id, ok := lt.ids[name]; ok {
+	if id, ok := lt.Lookup(name); ok {
 		return id
 	}
-	id := int32(len(lt.names))
-	lt.names = append(lt.names, name)
-	lt.ids[name] = id
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	id, ok := lt.ids[name]
+	if !ok {
+		names := append(*lt.names.Load(), strings.Clone(name))
+		id = int32(len(names) - 1)
+		lt.ids[names[id]] = id
+		lt.names.Store(&names)
+	}
 	return id
 }
 
 // Lookup reports the id of name, if it has been interned.
 func (lt *LabelTable) Lookup(name string) (int32, bool) {
+	lt.mu.RLock()
 	id, ok := lt.ids[name]
+	lt.mu.RUnlock()
 	return id, ok
 }
 
 // Name returns the label string for id. It panics on an id that was never
 // issued by this table.
-func (lt *LabelTable) Name(id int32) string { return lt.names[id] }
+func (lt *LabelTable) Name(id int32) string { return (*lt.names.Load())[id] }
 
 // Len returns the number of distinct labels interned so far.
-func (lt *LabelTable) Len() int { return len(lt.names) }
+func (lt *LabelTable) Len() int { return len(*lt.names.Load()) }
 
 // Node is a single tree node. Children are reached through FirstChild and
 // then NextSibling chains; the same two links, read as left/right pointers,
@@ -116,7 +136,6 @@ func (t *Tree) Validate() error {
 		if nd.Label < 0 || int(nd.Label) >= t.Labels.Len() {
 			return fmt.Errorf("tree: node %d has invalid label id %d", v, nd.Label)
 		}
-		prev := None
 		for c := nd.FirstChild; c != None; c = t.Nodes[c].NextSibling {
 			if c < 0 || int(c) >= n {
 				return fmt.Errorf("tree: child id %d of node %d out of range", c, v)
@@ -125,8 +144,6 @@ func (t *Tree) Validate() error {
 				return fmt.Errorf("tree: node %d lists child %d whose parent is %d", v, c, t.Nodes[c].Parent)
 			}
 			stack = append(stack, c)
-			prev = c
-			_ = prev
 		}
 	}
 	if count != n {

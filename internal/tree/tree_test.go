@@ -1,7 +1,9 @@
 package tree_test
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"treejoin/internal/tree"
@@ -178,5 +180,34 @@ func TestRandomTreesValidate(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("random tree invalid: %v\n%s", err, tree.FormatBracket(tr))
 		}
+	}
+}
+
+// TestLabelTableConcurrent: Intern, Lookup, Name and Len from many
+// goroutines at once (run under -race): every name gets one id, ids stay
+// dense, and a reader never sees an id whose name is not there yet.
+func TestLabelTableConcurrent(t *testing.T) {
+	lt := tree.NewLabelTable()
+	const workers, labels = 8, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < labels; i++ {
+				name := fmt.Sprintf("l%d", (i*7+w)%labels)
+				id := lt.Intern(name)
+				if got := lt.Name(id); got != name || int(id) >= lt.Len() {
+					t.Errorf("Intern(%q) = %d, but Name says %q and Len %d", name, id, got, lt.Len())
+				}
+				if again, ok := lt.Lookup(name); !ok || again != id {
+					t.Errorf("Lookup(%q) = %d, %v after Intern gave %d", name, again, ok, id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if lt.Len() != labels {
+		t.Fatalf("%d labels interned, want %d", lt.Len(), labels)
 	}
 }

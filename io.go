@@ -2,9 +2,14 @@ package treejoin
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"treejoin/internal/dataset"
 	"treejoin/internal/tree"
@@ -12,45 +17,145 @@ import (
 
 // ReadBracketLines reads one bracket-notation tree per non-empty line from r.
 // Lines starting with '#' are comments. All trees intern into lt (a fresh
-// table if nil).
+// table if nil). Large inputs are parsed on every core (GOMAXPROCS), yet
+// label ids follow first appearance in r whatever the core count, so a read
+// is reproducible bit for bit; memory beyond the trees is a few chunks of
+// text, not the input. On error — the lowest failing line is reported — no
+// trees are returned, but lt may keep labels of the lines before it.
 func ReadBracketLines(r io.Reader, lt *LabelTable) ([]*Tree, error) {
+	return readLines(r, lt, ParseBracket)
+}
+
+// chunkBytes is the text a worker parses per hand-off: cut by bytes, not by
+// trees, so a few huge trees spread over the workers as many small ones do.
+const chunkBytes = 64 << 10
+
+// chunk is a run of consecutive tree lines. A worker parses it into a private
+// label table; the reader merges that table into the caller's, chunk by chunk
+// in input order and each in local-id order — the order in which labels first
+// appear in the input, so the ids are those of a sequential read — and a
+// worker then rewrites the chunk's trees to the merged ids.
+type chunk struct {
+	text   strings.Builder
+	lines  []lineRef
+	trees  []*Tree
+	err    error         // the first failing line, with its number
+	local  *LabelTable   // nil when parsed straight into the caller's table
+	ids    []int32       // local id → id in the caller's table; set by the merge
+	parsed chan struct{} // closed once trees and err are set
+}
+
+type lineRef struct{ end, no int } // end offset in chunk.text, 1-based line number
+
+func (c *chunk) parse(lt *LabelTable, parseLine func(string, *LabelTable) (*Tree, error)) {
+	text, lo := c.text.String(), 0
+	c.trees = make([]*Tree, 0, len(c.lines))
+	for _, ln := range c.lines {
+		t, err := parseLine(text[lo:ln.end], lt)
+		if err != nil {
+			c.err = fmt.Errorf("treejoin: line %d: %w", ln.no, err)
+			break
+		}
+		c.trees, lo = append(c.trees, t), ln.end
+	}
+	c.text.Reset()
+}
+
+// readLines is the line reader behind ReadBracketLines and ReadNewickLines:
+// comment and blank handling, the 64 MiB line cap, the chunking and the
+// "line N" error wrapping live here once. An input of a single chunk is
+// parsed on the calling goroutine, straight into lt.
+func readLines(r io.Reader, lt *LabelTable, parseLine func(string, *LabelTable) (*Tree, error)) ([]*Tree, error) {
 	if lt == nil {
 		lt = NewLabelTable()
 	}
+	var (
+		chunks []*chunk
+		work   chan *chunk
+		wg     sync.WaitGroup
+		failed atomic.Bool // stops the scan; chunks already handed off still finish
+	)
+	worker := func() {
+		defer wg.Done()
+		for c := range work {
+			if c.ids == nil {
+				c.parse(c.local, parseLine)
+				if c.err != nil {
+					failed.Store(true)
+				}
+				close(c.parsed)
+				continue
+			}
+			for _, t := range c.trees {
+				t.Labels = lt
+				for i := range t.Nodes {
+					t.Nodes[i].Label = c.ids[t.Nodes[i].Label]
+				}
+			}
+		}
+	}
+	handOff := func(c *chunk) {
+		if work == nil {
+			n := runtime.GOMAXPROCS(0)
+			work = make(chan *chunk, n) // lets the scanner read one chunk per worker ahead
+			for wg.Add(n); n > 0; n-- {
+				go worker()
+			}
+		}
+		c.local, c.parsed = NewLabelTable(), make(chan struct{})
+		work <- c
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26) // trees can be long single lines
-	var out []*Tree
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if isBlankOrComment(line) {
+	cur := new(chunk)
+	for no := 1; !failed.Load() && sc.Scan(); no++ {
+		line := sc.Bytes()
+		if rest := bytes.TrimLeft(line, " \t\r"); len(rest) == 0 || rest[0] == '#' {
 			continue
 		}
-		t, err := ParseBracket(line, lt)
-		if err != nil {
-			return nil, fmt.Errorf("treejoin: line %d: %w", lineNo, err)
+		if n := cur.text.Len(); n > 0 && n+len(line) > chunkBytes {
+			handOff(cur)
+			chunks, cur = append(chunks, cur), new(chunk)
 		}
-		out = append(out, t)
+		if cur.text.Len() == 0 {
+			cur.text.Grow(max(chunkBytes, len(line)))
+		}
+		cur.text.Write(line)
+		cur.lines = append(cur.lines, lineRef{cur.text.Len(), no})
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("treejoin: reading trees: %w", err)
+	if chunks = append(chunks, cur); work == nil {
+		cur.parse(lt, parseLine)
+	} else {
+		handOff(cur)
+	}
+	var out []*Tree
+	var err error
+	for _, c := range chunks {
+		if c.local != nil {
+			<-c.parsed
+		}
+		if err = c.err; err != nil {
+			break
+		}
+		if out = append(out, c.trees...); c.local != nil {
+			c.ids = make([]int32, c.local.Len())
+			for i := range c.ids {
+				c.ids[i] = lt.Intern(c.local.Name(int32(i)))
+			}
+			work <- c
+		}
+	}
+	if work != nil {
+		close(work)
+		wg.Wait()
+	}
+	if err == nil && sc.Err() != nil {
+		err = fmt.Errorf("treejoin: reading trees: %w", sc.Err())
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-func isBlankOrComment(line string) bool {
-	for i := 0; i < len(line); i++ {
-		switch line[i] {
-		case ' ', '\t', '\r':
-			continue
-		case '#':
-			return true
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // ReadBracketFile reads a bracket-notation dataset (one tree per line) from
@@ -90,12 +195,8 @@ func ParseDotBracket(structure, seq string, lt *LabelTable) (*Tree, error) {
 func WriteBracketLines(w io.Writer, ts []*Tree) error {
 	bw := bufio.NewWriter(w)
 	for _, t := range ts {
-		if _, err := bw.WriteString(FormatBracket(t)); err != nil {
-			return fmt.Errorf("treejoin: writing trees: %w", err)
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return fmt.Errorf("treejoin: writing trees: %w", err)
-		}
+		bw.WriteString(FormatBracket(t)) // a write error sticks: Flush reports it
+		bw.WriteByte('\n')
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("treejoin: writing trees: %w", err)
@@ -103,33 +204,10 @@ func WriteBracketLines(w io.Writer, ts []*Tree) error {
 	return nil
 }
 
-// ReadNewickLines reads one Newick tree per non-empty line from r. Lines
-// starting with '#' are comments. All trees intern into lt (a fresh table if
-// nil).
+// ReadNewickLines is ReadBracketLines for one Newick tree per line: the same
+// comments, parallel read, label-id order and error contract.
 func ReadNewickLines(r io.Reader, lt *LabelTable) ([]*Tree, error) {
-	if lt == nil {
-		lt = NewLabelTable()
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	var out []*Tree
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if isBlankOrComment(line) {
-			continue
-		}
-		t, err := ParseNewick(line, lt)
-		if err != nil {
-			return nil, fmt.Errorf("treejoin: line %d: %w", lineNo, err)
-		}
-		out = append(out, t)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("treejoin: reading trees: %w", err)
-	}
-	return out, nil
+	return readLines(r, lt, ParseNewick)
 }
 
 // WriteDataset encodes lt and ts in the compact binary dataset format

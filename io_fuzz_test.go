@@ -16,9 +16,11 @@ import (
 	"treejoin/internal/tree"
 )
 
-// FuzzReadBracketLines: the line reader must never panic, and every
-// collection it accepts must survive WriteBracketLines → ReadBracketLines
-// unchanged (tree for tree, shape for shape).
+// FuzzReadBracketLines: the line reader must never panic and must agree with
+// a sequential read (trees, label ids, table order, or the error); an input
+// it accepts must agree again when repeated until it spans three of the
+// reader's chunks, which puts the fuzzer's line shapes on the parallel path,
+// and must survive WriteBracketLines → ReadBracketLines unchanged.
 func FuzzReadBracketLines(f *testing.F) {
 	f.Add("{a{b}{c{d}}}\n{b}\n")
 	f.Add("# catalog, one record per line\n{album{title{Blue}}{artist{Joni Mitchell}}{year{1971}}{format{LP}}}\n\n{album{title{Blue Train}}{artist{John Coltrane}}{year{1957}}{format{LP}}}\n")
@@ -28,10 +30,12 @@ func FuzzReadBracketLines(f *testing.F) {
 	f.Add("}{")
 	f.Add("{item{name{espresso machine}}{brand{Gaggia}}{price{449}}}")
 	f.Fuzz(func(t *testing.T, data string) {
+		checkReadMatchesSequential(t, data, nil)
 		ts, err := treejoin.ReadBracketLines(strings.NewReader(data), nil)
 		if err != nil {
 			return
 		}
+		checkReadMatchesSequential(t, strings.Repeat(data+"\n", 1+(3*64<<10)/(len(data)+1)), []string{"b"})
 		for i, tr := range ts {
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("accepted invalid tree %d: %v", i, err)

@@ -457,10 +457,10 @@ type ShardedView struct {
 }
 
 // Len, Epoch, Tree, ID, and PosOf read the pinned state.
-func (v *ShardedView) Len() int      { return len(v.st.trees) }
-func (v *ShardedView) Epoch() int64  { return v.st.epoch }
+func (v *ShardedView) Len() int         { return len(v.st.trees) }
+func (v *ShardedView) Epoch() int64     { return v.st.epoch }
 func (v *ShardedView) Tree(i int) *Tree { return v.st.trees[i] }
-func (v *ShardedView) ID(i int) int  { return v.st.ids[i] }
+func (v *ShardedView) ID(i int) int     { return v.st.ids[i] }
 func (v *ShardedView) PosOf(id int) (int, bool) {
 	p, ok := v.st.pos[id]
 	return p, ok

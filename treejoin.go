@@ -66,7 +66,7 @@ import (
 type Tree = tree.Tree
 
 // LabelTable interns node labels. Every collection of trees to be joined
-// shares one table.
+// shares one table; it is safe for concurrent use.
 type LabelTable = tree.LabelTable
 
 // Builder constructs trees node by node.
