@@ -210,8 +210,7 @@ func TestOneVerifierArtifact(t *testing.T) {
 		}
 	}
 	cp := mustNewCorpus(t, ts)
-	member := cp.state.Load().members
-	queries = slices.DeleteFunc(queries, func(q *Tree) bool { _, ok := member[q]; return ok })
+	queries = slices.DeleteFunc(queries, cp.isMember)
 	if len(queries) < 1000 {
 		t.Fatalf("only %d distinct non-member queries", len(queries))
 	}

@@ -405,6 +405,8 @@ func printStoreStats(cp *treejoin.Corpus) {
 	}
 	fmt.Fprintf(os.Stderr, "store:       %d segments (%d opened), %d memtable trees, %d tombstoned, %d flushes, %d compactions\n",
 		ss.Segments, ss.SegmentsOpened, ss.MemtableTrees, ss.TombstonedTrees, ss.FlushRuns, ss.CompactionRuns)
+	fmt.Fprintf(os.Stderr, "store write: writers stalled %v; flushing %v, compacting %v, %d bytes of segments written; %d WAL fsyncs\n",
+		ss.StallTime, ss.FlushTime, ss.CompactionTime, ss.SegmentBytesWritten, ss.WALSyncs)
 }
 
 // printStats writes the execution summary — including per-stage filter

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -52,21 +51,21 @@ var (
 type CacheStats = engine.CacheStats
 
 // corpusState is one immutable epoch of a corpus: the live trees in
-// insertion order, their stable public ids, and every structure derived
-// from the membership (the ownership set for cross-join cache routing).
-// Mutations build a new state and swap the pointer — copy-on-write — so a
-// query that loaded a state keeps a perfectly consistent view for its whole
-// run while writers proceed.
+// insertion order and their stable public ids. Mutations build a new state
+// and swap the pointer — copy-on-write — so a query that loaded a state keeps
+// a perfectly consistent view for its whole run while writers proceed.
 type corpusState struct {
 	epoch  int64
 	ts     []*Tree
-	ids    []int       // public id of the tree at each position
-	pos    map[int]int // id -> current position
+	ids    []int // public id of the tree at each position; ascending, so PosOf bisects
 	nextID int
 	lt     *LabelTable
-	// members routes cross-join artifacts by owner (see crossJob).
-	members map[*Tree]struct{}
 }
+
+// posOf returns the position of the tree with the given id. Ids are assigned
+// in increasing order and removals keep the order, so ids ascend with
+// position in every state.
+func (st *corpusState) posOf(id int) (int, bool) { return slices.BinarySearch(st.ids, id) }
 
 // Corpus is the primary entry point for joining and querying a collection
 // of trees: construct it once, query it many times, and — since the corpus
@@ -136,6 +135,14 @@ type Corpus struct {
 
 	writeMu sync.Mutex // serialises mutations
 
+	// members counts, per tree object, the positions it occupies in the
+	// current state (the corpus permits aliases): what runCache routes
+	// artifacts by. It belongs to the live corpus — Snapshot views ask their
+	// parent's — and is updated in place (writers also hold writeMu), so a
+	// mutation touches only its own trees.
+	memberMu sync.RWMutex
+	members  map[*Tree]int
+
 	// store backs a persistent corpus (see Open): mutations write through to
 	// it — WAL first, then the published state — so an acknowledged Add or
 	// Remove survives a crash. Nil for in-memory corpora.
@@ -192,7 +199,7 @@ func (cp *Corpus) runCache() *engine.Cache {
 		over = engine.NewCache()
 	}
 	return engine.RoutedCache(func(t *tree.Tree) *engine.Cache {
-		if _, ok := live.state.Load().members[t]; ok {
+		if live.isMember(t) {
 			return live.cache
 		}
 		return over
@@ -206,11 +213,14 @@ func (cp *Corpus) runCache() *engine.Cache {
 func NewCorpus(ts []*Tree, opts ...Option) (*Corpus, error) {
 	c := buildConfig(opts)
 	st := &corpusState{
-		ts:      slices.Clone(ts),
-		ids:     make([]int, len(ts)),
-		pos:     make(map[int]int, len(ts)),
-		nextID:  len(ts),
-		members: make(map[*Tree]struct{}, len(ts)),
+		ts:     slices.Clone(ts),
+		ids:    make([]int, len(ts)),
+		nextID: len(ts),
+	}
+	cp := &Corpus{
+		cache:    engine.NewCache(),
+		indexCap: c.indexCap,
+		planner:  plan.New(),
 	}
 	for i, t := range st.ts {
 		if t == nil {
@@ -222,14 +232,8 @@ func NewCorpus(ts []*Tree, opts ...Option) (*Corpus, error) {
 			return nil, fmt.Errorf("%w (tree %d)", ErrLabelTable, i)
 		}
 		st.ids[i] = i
-		st.pos[i] = i
-		st.members[t] = struct{}{}
 	}
-	cp := &Corpus{
-		cache:    engine.NewCache(),
-		indexCap: c.indexCap,
-		planner:  plan.New(),
-	}
+	cp.addMembers(st.ts)
 	cp.state.Store(st)
 	cp.resetIndexes(st.epoch)
 	return cp, nil
@@ -259,9 +263,37 @@ func (cp *Corpus) ID(i int) int { return cp.state.Load().ids[i] }
 
 // PosOf returns the current position of the tree with the given id, or
 // false when the id was never assigned or its tree has been removed.
-func (cp *Corpus) PosOf(id int) (int, bool) {
-	p, ok := cp.state.Load().pos[id]
-	return p, ok
+func (cp *Corpus) PosOf(id int) (int, bool) { return cp.state.Load().posOf(id) }
+
+// isMember reports whether t occupies a position of the current state.
+func (cp *Corpus) isMember(t *Tree) bool {
+	cp.memberMu.RLock()
+	defer cp.memberMu.RUnlock()
+	return cp.members[t] > 0
+}
+
+// addMembers records one more position for each of ts; dropMember removes
+// one of t's and reports whether t is still live at another.
+func (cp *Corpus) addMembers(ts []*Tree) {
+	cp.memberMu.Lock()
+	defer cp.memberMu.Unlock()
+	if cp.members == nil {
+		cp.members = make(map[*Tree]int, len(ts))
+	}
+	for _, t := range ts {
+		cp.members[t]++
+	}
+}
+
+func (cp *Corpus) dropMember(t *Tree) (alive bool) {
+	cp.memberMu.Lock()
+	defer cp.memberMu.Unlock()
+	if cp.members[t] > 1 {
+		cp.members[t]--
+		return true
+	}
+	delete(cp.members, t)
+	return false
 }
 
 // Epoch returns the corpus's mutation epoch: 0 at construction, bumped by
@@ -328,34 +360,28 @@ func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 			return nil, fmt.Errorf("%w (added tree %d)", ErrLabelTable, i)
 		}
 	}
-	ns := &corpusState{
-		epoch:   st.epoch + 1,
-		ts:      append(slices.Clone(st.ts), ts...),
-		ids:     slices.Clone(st.ids),
-		pos:     maps.Clone(st.pos),
-		nextID:  st.nextID + len(ts),
-		lt:      lt,
-		members: maps.Clone(st.members),
-	}
 	ids := make([]int, len(ts))
-	for i, t := range ts {
-		id := st.nextID + i
-		ids[i] = id
-		ns.ids = append(ns.ids, id)
-		ns.pos[id] = len(st.ts) + i
-		ns.members[t] = struct{}{}
+	for i := range ts {
+		ids[i] = st.nextID + i
 	}
-	// Write-through for a persistent corpus: every tree reaches the store's
-	// WAL before the new state publishes, so an acknowledged Add survives a
-	// crash. On error nothing publishes — though an I/O failure mid-batch can
-	// leave a prefix of the batch durable, to reappear on reopen.
+	// Write-through for a persistent corpus: the batch reaches the store's
+	// WAL — one write, one fsync — before the new state publishes, so an
+	// acknowledged Add survives a crash. The batch is all or nothing: on
+	// error nothing is durable, nothing publishes, and the same ids are
+	// assigned again by the next Add.
 	if cp.store != nil {
-		for i, t := range ts {
-			if err := cp.store.Add(int64(ids[i]), t); err != nil {
-				return nil, fmt.Errorf("treejoin: persist add: %w", err)
-			}
+		if err := cp.store.Add(int64(st.nextID), ts...); err != nil {
+			return nil, fmt.Errorf("treejoin: persist add: %w", err)
 		}
 	}
+	ns := &corpusState{
+		epoch:  st.epoch + 1,
+		ts:     slices.Concat(st.ts, ts),
+		ids:    slices.Concat(st.ids, ids),
+		nextID: st.nextID + len(ts),
+		lt:     lt,
+	}
+	cp.addMembers(ts)
 	// Keep the arena views live: once a join has paid to flatten the
 	// collection (the kind is populated), each Add flattens just its batch, so the next join's verifier finds every
 	// tree warm instead of rebuilding views for the whole membership. A
@@ -421,65 +447,54 @@ func (cp *Corpus) Remove(ids ...int) int {
 	cp.writeMu.Lock()
 	defer cp.writeMu.Unlock()
 	st := cp.state.Load()
-	gone := make(map[int]bool, len(ids)) // positions to drop
+	positions := make([]int, 0, len(ids))
 	for _, id := range ids {
-		if p, ok := st.pos[id]; ok {
-			gone[p] = true
+		if p, ok := st.posOf(id); ok {
+			positions = append(positions, p)
 		}
 	}
-	if len(gone) == 0 {
+	slices.Sort(positions)
+	positions = slices.Compact(positions)
+	if len(positions) == 0 {
 		return 0
 	}
-	positions := make([]int, 0, len(gone))
-	for p := range gone {
-		positions = append(positions, p)
-	}
-	slices.Sort(positions)
 	// Write-through for a persistent corpus (see Add). Remove cannot return
 	// an error, so a store failure aborts the whole mutation: nothing is
 	// unpublished from the in-memory state and the call reports 0.
 	if cp.store != nil {
-		for _, p := range positions {
-			if err := cp.store.Remove(int64(st.ids[p])); err != nil {
-				return 0
-			}
+		gone := make([]int64, len(positions))
+		for i, p := range positions {
+			gone[i] = int64(st.ids[p])
+		}
+		if err := cp.store.Remove(gone...); err != nil {
+			return 0
 		}
 	}
 	ns := &corpusState{
-		epoch:   st.epoch + 1,
-		ts:      make([]*Tree, 0, len(st.ts)-len(gone)),
-		ids:     make([]int, 0, len(st.ts)-len(gone)),
-		pos:     make(map[int]int, len(st.ts)-len(gone)),
-		nextID:  st.nextID,
-		lt:      st.lt,
-		members: make(map[*Tree]struct{}, len(st.ts)-len(gone)),
-	}
-	var removed []*tree.Tree
-	for p, t := range st.ts {
-		if gone[p] {
-			removed = append(removed, t)
-			continue
-		}
-		ns.pos[st.ids[p]] = len(ns.ts)
-		ns.ts = append(ns.ts, t)
-		ns.ids = append(ns.ids, st.ids[p])
-		ns.members[t] = struct{}{}
+		epoch:  st.epoch + 1,
+		ts:     make([]*Tree, 0, len(st.ts)-len(positions)),
+		ids:    make([]int, 0, len(st.ts)-len(positions)),
+		nextID: st.nextID,
+		lt:     st.lt,
 	}
 	// Evict the removed trees' artifacts — unless the same tree object is
 	// still live at another position (the corpus permits aliases), in which
 	// case its artifacts stay warm for the survivor.
-	evict := removed[:0]
-	for _, t := range removed {
-		if _, alive := ns.members[t]; !alive {
-			evict = append(evict, t)
+	var evict []*tree.Tree
+	from := 0
+	for _, p := range positions {
+		ns.ts, ns.ids = append(ns.ts, st.ts[from:p]...), append(ns.ids, st.ids[from:p]...)
+		if !cp.dropMember(st.ts[p]) {
+			evict = append(evict, st.ts[p])
 		}
+		from = p + 1
 	}
-	// Publish the new state before evicting: once the swap is visible,
-	// runCache routes the dead trees to overflow caches, so the window in
-	// which a racing reader can re-store an evicted artifact into the
-	// shared cache shrinks to stores whose route was resolved before the
-	// swap — a handful of in-flight artifacts at worst, not the steady
-	// leak the reverse order would allow.
+	ns.ts, ns.ids = append(ns.ts, st.ts[from:]...), append(ns.ids, st.ids[from:]...)
+	// Evict only now that the dead trees have left members: runCache already
+	// routes them to overflow caches, so the window in which a racing reader
+	// can re-store an evicted artifact into the shared cache shrinks to
+	// stores whose route was resolved before that — a handful of in-flight
+	// artifacts at worst, not the steady leak the reverse order would allow.
 	cp.state.Store(ns)
 	cp.cache.Evict(evict...)
 	cp.dropSearchers(ns.epoch)
@@ -667,8 +682,12 @@ func (cp *Corpus) crossJob(ctx context.Context, c config, other *Corpus, tau int
 		return crossRun{}, err
 	}
 	ra, rb := cp.runCache(), other.runCache()
+	inB := make(map[*Tree]struct{}, len(sb.ts))
+	for _, t := range sb.ts {
+		inB[t] = struct{}{}
+	}
 	job.Cache = engine.RoutedCache(func(t *tree.Tree) *engine.Cache {
-		if _, ok := sb.members[t]; ok {
+		if _, ok := inB[t]; ok {
 			return rb
 		}
 		return ra

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"treejoin/internal/tree"
 )
@@ -65,16 +66,34 @@ outer:
 }
 
 func TestCrashRecoveryProperty(t *testing.T) {
-	for trial := 0; trial < 6; trial++ {
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
+	for trial := 0; trial < 12; trial++ {
+		rng := rand.New(rand.NewSource(int64(100 + trial/2)))
 		dir := t.TempDir()
+		// Odd trials replay the even trial's history with flushes and merges
+		// in the background, every segment write held at the gate: the
+		// directory is copied there — between freeze (or snapshot) and install
+		// — and must reopen to exactly the operations so far.
+		background := trial%2 == 1
+		gate := newGateFS(osFS{})
+		gate.armed.Store(background)
 		s, err := Create(dir, nil, Options{
-			MemtableBudget: 3, CompactMinDead: 2, NoBackground: true, NoSync: true,
+			MemtableBudget: 3, CompactMinDead: 2, NoBackground: !background, NoSync: true, FS: gate,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		model := modelState{}
+		held := func(name string) {
+			s2, err := Open(copyDir(t, dir), testOpts())
+			if err != nil {
+				t.Fatalf("trial %d, %s held: reopen: %v", trial, name, err)
+			}
+			if live := s2.Live(); !matchesSomePrefix(live, []modelState{model}) {
+				t.Fatalf("trial %d, %s held: reopened state (%d live) is not the %d operations so far",
+					trial, name, len(live), len(model.ids))
+			}
+			s2.Close()
+		}
 		states := []modelState{model.clone()} // the empty prefix
 		for op := 0; op < 40; op++ {
 			if len(model.ids) > 0 && rng.Intn(3) == 0 {
@@ -94,6 +113,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				model.trees = append(model.trees, tr)
 			}
 			states = append(states, model.clone())
+			settle(s, gate, held)
 		}
 		// Abandon without Close — the store dies here. Crash images: the
 		// directory as-is, and with the WAL torn at arbitrary byte offsets.
@@ -126,6 +146,10 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			}
 			s2.Close()
 		}
+		if background {
+			gate.armed.Store(false)
+			s.Close() // after the crash images: only to stop its goroutines
+		}
 	}
 }
 
@@ -138,10 +162,18 @@ func TestCrashRecoveryProperty(t *testing.T) {
 // or the post-flush state; once the triggering Add was acknowledged, sync-on
 // durability demands exactly the post state.
 func TestPowerCutMultiFileCommit(t *testing.T) {
+	// Inline, and with the flush on its own goroutine: there the Add returns
+	// at the freeze and every cut lands between freeze and install.
+	for _, background := range []bool{false, true} {
+		sweepFlushCuts(t, background)
+	}
+}
+
+func sweepFlushCuts(t *testing.T, background bool) {
 	rng := rand.New(rand.NewSource(77))
 	for cut := 0; ; cut++ {
 		fs := newErrFS()
-		s, err := Create("store", nil, Options{MemtableBudget: 3, NoBackground: true, FS: fs})
+		s, err := Create("store", nil, Options{MemtableBudget: 3, NoBackground: !background, FS: fs, retryBase: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,6 +194,7 @@ func TestPowerCutMultiFileCommit(t *testing.T) {
 		tr := randTestTree(rng, s.Labels(), 8)
 		id := s.NextID()
 		err = s.Add(id, tr)
+		waitIdle(s)
 		post := model.clone()
 		post.ids = append(post.ids, id)
 		post.trees = append(post.trees, tr)
@@ -185,7 +218,11 @@ func TestPowerCutMultiFileCommit(t *testing.T) {
 				t.Fatalf("cut@%d frac %v: close: %v", cut, frac, err)
 			}
 		}
-		if !fs.cutHit() {
+		done := !fs.cutHit()
+		if background {
+			_ = s.Close() // stops the retry loop; after a cut it can only fail
+		}
+		if done {
 			// The cut index ran past the whole commit: every operation of the
 			// multi-file window has been swept.
 			if cut < 10 {

@@ -100,6 +100,7 @@ func (s *Store) recoveryLoop() {
 		backoff := s.opt.retryBase
 		for {
 			s.mu.Lock()
+			s.drainLocked()
 			if s.closed || !s.degraded {
 				s.mu.Unlock()
 				break

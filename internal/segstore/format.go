@@ -18,14 +18,11 @@
 package segstore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
-	"io"
 )
 
 // Sanity caps mirroring internal/dataset: a corrupt or hostile header must
@@ -53,167 +50,32 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// cw is the common file encoder: buffered, CRC-accumulating (everything after
-// the magic feeds the trailing checksum), sticky-error. finish appends the
-// CRC trailer and flushes.
-type cw struct {
-	bw  *bufio.Writer
-	out io.Writer // tees into the CRC
-	crc hash.Hash32
-	buf [binary.MaxVarintLen64]byte
-	err error
+// cw is the common encoder: it appends into one buffer, and finish takes the
+// CRC of everything after the magic in one pass and appends the trailer. The
+// WAL's record encoders share u and str over a plain buffer.
+type cw struct{ b []byte }
+
+func newCW(dst []byte, magic [4]byte, version byte) *cw {
+	return &cw{b: append(append(dst, magic[:]...), version)}
 }
 
-func newCW(w io.Writer, magic [4]byte, version byte) *cw {
-	c := &cw{bw: bufio.NewWriter(w), crc: crc32.NewIEEE()}
-	c.out = io.MultiWriter(c.bw, c.crc)
-	if _, err := c.bw.Write(magic[:]); err != nil {
-		c.err = err
-	}
-	c.raw([]byte{version})
-	return c
-}
-
-func (c *cw) raw(p []byte) {
-	if c.err == nil {
-		_, c.err = c.out.Write(p)
-	}
-}
-
-func (c *cw) u(v uint64) {
-	if c.err == nil {
-		n := binary.PutUvarint(c.buf[:], v)
-		_, c.err = c.out.Write(c.buf[:n])
-	}
-}
+func (c *cw) u(v uint64)   { c.b = binary.AppendUvarint(c.b, v) }
+func (c *cw) raw(p []byte) { c.b = append(c.b, p...) }
 
 func (c *cw) str(s string) {
 	c.u(uint64(len(s)))
-	if c.err == nil {
-		_, c.err = io.WriteString(c.out, s)
-	}
+	c.b = append(c.b, s...)
 }
 
-func (c *cw) finish() error {
-	if c.err != nil {
-		return c.err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], c.crc.Sum32())
-	if _, err := c.bw.Write(sum[:]); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+func (c *cw) finish() []byte {
+	return binary.LittleEndian.AppendUint32(c.b, crc32.ChecksumIEEE(c.b[4:]))
 }
 
-// rd is the matching decoder: CRC-accumulating, sticky-error (the first
-// corruption poisons every later read, so decode loops need no per-call
-// checks), capped uvarints. finish verifies the CRC trailer and demands EOF.
-type rd struct {
-	br  *bufio.Reader
-	crc hash.Hash32
-	err error
-}
-
-func newRD(r io.Reader, magic [4]byte, version byte, what string) *rd {
-	d := &rd{br: bufio.NewReader(r), crc: crc32.NewIEEE()}
-	var m [4]byte
-	if _, err := io.ReadFull(d.br, m[:]); err != nil {
-		d.err = corruptf("%s: reading magic: %v", what, err)
-		return d
-	}
-	if m != magic {
-		d.err = corruptf("%s: bad magic %q", what, m[:])
-		return d
-	}
-	ver, err := d.ReadByte()
-	if err != nil {
-		d.err = corruptf("%s: reading version: %v", what, err)
-		return d
-	}
-	if ver != version {
-		d.err = corruptf("%s: unsupported version %d", what, ver)
-	}
-	return d
-}
-
-// ReadByte feeds the CRC; it exists for binary.ReadUvarint.
-func (d *rd) ReadByte() (byte, error) {
-	b, err := d.br.ReadByte()
-	if err == nil {
-		d.crc.Write([]byte{b})
-	}
-	return b, err
-}
-
-func (d *rd) bad(format string, args ...any) {
-	if d.err == nil {
-		d.err = corruptf(format, args...)
-	}
-}
-
-func (d *rd) u(cap uint64, what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d)
-	if err != nil {
-		d.bad("reading %s: %v", what, err)
-		return 0
-	}
-	if v > cap {
-		d.bad("%s %d exceeds limit %d", what, v, cap)
-		return 0
-	}
-	return v
-}
-
-func (d *rd) bytes(p []byte, what string) {
-	if d.err != nil {
-		return
-	}
-	if _, err := io.ReadFull(d.br, p); err != nil {
-		d.bad("reading %s: %v", what, err)
-		return
-	}
-	d.crc.Write(p)
-}
-
-func (d *rd) str(cap uint64, what string) string {
-	n := d.u(cap, what+" length")
-	if d.err != nil || n == 0 {
-		return ""
-	}
-	p := make([]byte, n)
-	d.bytes(p, what)
-	if d.err != nil {
-		return ""
-	}
-	return string(p)
-}
-
-func (d *rd) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	got := d.crc.Sum32()
-	var sum [4]byte
-	if _, err := io.ReadFull(d.br, sum[:]); err != nil {
-		return corruptf("reading checksum: %v", err)
-	}
-	if want := binary.LittleEndian.Uint32(sum[:]); got != want {
-		return corruptf("checksum mismatch: %08x != %08x", got, want)
-	}
-	if _, err := d.br.ReadByte(); err != io.EOF {
-		return corruptf("trailing bytes after checksum")
-	}
-	return nil
-}
-
-// sd decodes a whole in-memory file image — the segment read path, where the
-// bytes are already mapped. The CRC trailer is verified in one bulk pass up
-// front (SIMD-speed, versus rd's per-byte accumulation), then parsing runs
-// straight off the slice. Same sticky-error contract as rd.
+// sd is the matching decoder, over a whole in-memory file image (a mapped
+// segment, a manifest read in one go). The CRC trailer is verified in one bulk
+// pass up front, then parsing runs straight off the slice. Sticky-error: the
+// first corruption poisons every later read, so decode loops need no per-call
+// checks; uvarints are capped.
 type sd struct {
 	data []byte // image minus the CRC trailer
 	pos  int

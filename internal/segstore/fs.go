@@ -5,6 +5,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"syscall"
 )
 
@@ -111,6 +112,43 @@ func (osFS) SyncDir(dir string) error {
 		return serr
 	}
 	return cerr
+}
+
+// writeFile creates path holding data and, unless noSync, fsyncs it.
+func writeFile(fsys FS, path string, data []byte, noSync bool) error {
+	f, err := fsys.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if !noSync {
+		if err := f.Sync(); err != nil {
+			_ = f.Close()
+			return err
+		}
+	}
+	return f.Close()
+}
+
+// replaceFile atomically replaces path with data: tmp file, fsync, rename,
+// directory fsync. Every step's error propagates — with sync enabled, a
+// failed directory fsync is a failed commit (the rename may not survive a
+// crash), and the caller must treat the previous file as still current.
+func replaceFile(fsys FS, path string, data []byte, noSync bool) error {
+	tmp := path + ".tmp"
+	if err := writeFile(fsys, tmp, data, noSync); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		return err
+	}
+	if !noSync {
+		return fsys.SyncDir(filepath.Dir(path))
+	}
+	return nil
 }
 
 // notExist reports whether err is a missing-file error from any FS.

@@ -2,10 +2,8 @@ package segstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -82,7 +80,7 @@ func FuzzSegmentDecode(f *testing.F) {
 func FuzzManifestDecode(f *testing.F) {
 	fuzzSeeds(f, "golden_manifest.tjmf")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeManifest(bytes.NewReader(data))
+		m, err := decodeManifest(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("non-corruption error: %v", err)
@@ -114,16 +112,9 @@ func FuzzWALReplay(f *testing.F) {
 	var img bytes.Buffer
 	img.Write(walMagic[:])
 	img.WriteByte(walVersion)
-	for _, rec := range [][]byte{
-		encodeAdd(1, lt, 0, lt.Len(), tr),
-		encodeAdd(2, lt, lt.Len(), lt.Len(), tr),
-		encodeRemove(1),
-	} {
-		img.Write(rec)
-		var sum [4]byte
-		binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(rec))
-		img.Write(sum[:])
-	}
+	img.Write(appendAdd(nil, 1, lt, 0, lt.Len(), tr))
+	img.Write(appendAdd(nil, 2, lt, lt.Len(), lt.Len(), tr))
+	img.Write(appendRemove(nil, 1))
 	f.Add(img.Bytes())
 	f.Add(img.Bytes()[:img.Len()-3])
 	f.Add([]byte{})

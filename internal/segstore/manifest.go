@@ -1,9 +1,7 @@
 package segstore
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"path/filepath"
 	"strings"
 
@@ -58,12 +56,7 @@ type manifestSeg struct {
 // directory fsync is a failed commit (the rename may not survive a crash),
 // and the caller must treat the previous manifest as still current.
 func writeManifestTo(fsys FS, path string, m *manifest, noSync bool) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	c := newCW(f, manifestMagic, manifestVersion)
+	c := newCW(nil, manifestMagic, manifestVersion)
 	c.u(uint64(m.nextID))
 	m.labels = m.lt.Len()
 	c.u(uint64(m.labels))
@@ -85,26 +78,7 @@ func writeManifestTo(fsys FS, path string, m *manifest, noSync bool) error {
 			prev = p
 		}
 	}
-	if err := c.finish(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if !noSync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return err
-	}
-	if !noSync {
-		return fsys.SyncDir(filepath.Dir(path))
-	}
-	return nil
+	return replaceFile(fsys, path, c.finish(), noSync)
 }
 
 func readManifest(fsys FS, path string) (*manifest, error) {
@@ -112,11 +86,11 @@ func readManifest(fsys FS, path string) (*manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeManifest(bytes.NewReader(data))
+	return decodeManifest(data)
 }
 
-func decodeManifest(r io.Reader) (*manifest, error) {
-	d := newRD(r, manifestMagic, manifestVersion, "manifest")
+func decodeManifest(data []byte) (*manifest, error) {
+	d := newSD(data, manifestMagic, manifestVersion, "manifest")
 	m := &manifest{nextID: int64(d.u(maxID, "next id")), lt: tree.NewLabelTable()}
 	nLabels := d.u(maxLabels, "label count")
 	for i := uint64(0); i < nLabels && d.err == nil; i++ {

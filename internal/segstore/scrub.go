@@ -27,13 +27,14 @@ type ScrubReport struct {
 // Scrub re-reads every committed file and re-verifies it bottom up: the
 // manifest decodes; each segment file decodes (bulk CRC, structural and
 // arena-view validation), its blocks re-hash to their stored content
-// addresses, and its entry list matches the manifest's count. Mutations are
-// blocked for the duration; reads of the already-decoded corpus are not
-// affected. The error (wrapping ErrCorrupt) is non-nil iff any fault was
+// addresses, and its entry list matches the manifest's count. A flush or
+// merge in flight finishes first; mutations are then blocked for the
+// duration, reads of the already-decoded corpus are not affected. The error (wrapping ErrCorrupt) is non-nil iff any fault was
 // found — the report carries the detail either way.
 func (s *Store) Scrub() (ScrubReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	var rep ScrubReport
 	if s.closed {
 		return rep, fmt.Errorf("segstore: store is closed")
@@ -62,7 +63,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 			// scrub re-derives it from the decoded content, catching any
 			// corruption a colliding CRC let through — and pinning that the
 			// dedup map was built from honest addresses.
-			if got := newBlock(b.t, b.view).hash; got != b.hash {
+			if got := s.enc.newBlock(b.t, b.view).hash; got != b.hash {
 				fault(seg.name, "block %d: content address mismatch (stored %x, computed %x)", bi, b.hash[:8], got[:8])
 			}
 		}

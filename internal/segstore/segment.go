@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"treejoin/internal/engine"
@@ -67,59 +68,63 @@ type segEntry struct {
 	blk int32
 }
 
-// hashBlock computes a tree's content address: sha256 over the canonical
-// form — the preorder (label, childCount) stream, the strategy costs, and
-// the arena cells. BuildViews is deterministic, so the address is a pure
-// function of the tree content (equal trees collide, unequal trees do not,
-// short of a sha256 collision), and covering the cells makes the address
-// double as the block's integrity check.
-func hashBlock(t *tree.Tree, v *ted.TreeView, cells []int32) [32]byte {
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	wu := func(x uint64) {
-		n := binary.PutUvarint(buf[:], x)
-		h.Write(buf[:n])
-	}
-	wu(uint64(t.Size()))
-	for _, n := range tree.Preorder(t) {
-		wu(uint64(t.Nodes[n].Label))
-		var fan uint64
-		for c := t.Nodes[n].FirstChild; c != tree.None; c = t.Nodes[c].NextSibling {
-			fan++
-		}
-		wu(fan)
-	}
-	wu(uint64(v.CostL))
-	wu(uint64(v.CostR))
-	wu(uint64(len(cells)))
-	var cb [4]byte
-	for _, c := range cells {
-		binary.LittleEndian.PutUint32(cb[:], uint32(c))
-		h.Write(cb[:])
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+// blockEnc appends blocks in their canonical form — the preorder (label,
+// childCount) stream, the strategy costs, and the arena cells — which is both
+// what a segment stores per block and what the content address hashes.
+// BuildViews is deterministic, so the address is a pure function of the tree
+// content (equal trees collide, unequal trees do not, short of a sha256
+// collision), and covering the cells makes the address double as the block's
+// integrity check. The scratch slices are reused from call to call.
+type blockEnc struct {
+	form  cw
+	cells []int32
 }
 
-// newBlock builds the block of one tree: view, flattened cells, address.
-func newBlock(t *tree.Tree, v *ted.TreeView) *block {
-	cells := ted.AppendViewCells(make([]int32, 0, ted.ViewCellCount(t.Size(), ted.Leaves(t))), v)
-	return &block{hash: hashBlock(t, v, cells), t: t, view: v}
+func (e *blockEnc) appendForm(c *cw, t *tree.Tree, v *ted.TreeView) {
+	writeTreeStream(c, t)
+	c.u(uint64(v.CostL))
+	c.u(uint64(v.CostR))
+	e.cells = ted.AppendViewCells(e.cells[:0], v)
+	c.u(uint64(len(e.cells)))
+	b := slices.Grow(c.b, 4*len(e.cells))
+	for _, cell := range e.cells {
+		b = binary.LittleEndian.AppendUint32(b, uint32(cell))
+	}
+	c.b = b
+}
+
+// newBlock builds the block of one tree and its view: the canonical form is
+// laid out once and hashed in one call.
+func (e *blockEnc) newBlock(t *tree.Tree, v *ted.TreeView) *block {
+	e.form.b = e.form.b[:0]
+	e.appendForm(&e.form, t, v)
+	return &block{hash: sha256.Sum256(e.form.b), t: t, view: v}
 }
 
 // writeTreeStream encodes t's preorder (label, childCount) stream — the
-// canonical tree encoding shared by segments, the WAL, and the content hash.
+// canonical tree encoding shared by segments, the WAL, and the content hash —
+// walking the parent and sibling links, so it allocates nothing.
 func writeTreeStream(c *cw, t *tree.Tree) {
-	c.u(uint64(t.Size()))
-	for _, n := range tree.Preorder(t) {
-		c.u(uint64(t.Nodes[n].Label))
+	b := binary.AppendUvarint(c.b, uint64(t.Size()))
+	for n := t.Root(); n != tree.None; {
+		nd := &t.Nodes[n]
 		var fan uint64
-		for ch := t.Nodes[n].FirstChild; ch != tree.None; ch = t.Nodes[ch].NextSibling {
+		for ch := nd.FirstChild; ch != tree.None; ch = t.Nodes[ch].NextSibling {
 			fan++
 		}
-		c.u(fan)
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(nd.Label)), fan)
+		if nd.FirstChild != tree.None {
+			n = nd.FirstChild
+			continue
+		}
+		for n != tree.None && t.Nodes[n].NextSibling == tree.None {
+			n = t.Nodes[n].Parent
+		}
+		if n != tree.None {
+			n = t.Nodes[n].NextSibling
+		}
 	}
+	c.b = b
 }
 
 // readTreeStream reconstructs one tree from its preorder stream, exactly the
@@ -186,31 +191,23 @@ func readTreeStream(d *sd, lt *tree.LabelTable, labelLimit uint64) *tree.Tree {
 // output for identical logical content, which is what pins content
 // addresses and makes the golden test meaningful.
 func encodeSegment(w *bytes.Buffer, lt *tree.LabelTable, blocks []*block, entries []segEntry, bags map[string][][]engine.BagEntry) error {
-	c := newCW(w, segMagic, segVersion)
+	size := 64 + 4*len(entries)
+	for _, b := range blocks {
+		size += 13*4*b.t.Size() + 64 // ≤ 13 cells a node, plus stream, costs, address
+	}
+	w.Grow(size)
+	c := newCW(w.AvailableBuffer(), segMagic, segVersion)
 	c.u(uint64(lt.Len()))
 	c.u(uint64(len(blocks)))
-	var cellBuf []int32
-	var cb [4]byte
+	var enc blockEnc
 	for _, b := range blocks {
-		writeTreeStream(c, b.t)
-		c.u(uint64(b.view.CostL))
-		c.u(uint64(b.view.CostR))
-		cellBuf = ted.AppendViewCells(cellBuf[:0], b.view)
-		c.u(uint64(len(cellBuf)))
-		for _, cell := range cellBuf {
-			binary.LittleEndian.PutUint32(cb[:], uint32(cell))
-			c.raw(cb[:])
-		}
+		enc.appendForm(c, b.t, b.view)
 		c.raw(b.hash[:])
 	}
 	c.u(uint64(len(entries)))
 	prev := int64(0)
-	for i, e := range entries {
-		if i == 0 {
-			c.u(uint64(e.id))
-		} else {
-			c.u(uint64(e.id - prev))
-		}
+	for _, e := range entries {
+		c.u(uint64(e.id - prev)) // the first id is absolute
 		prev = e.id
 		c.u(uint64(e.blk))
 	}
@@ -220,73 +217,95 @@ func encodeSegment(w *bytes.Buffer, lt *tree.LabelTable, blocks []*block, entrie
 	}
 	sort.Strings(kinds)
 	c.u(uint64(len(kinds)))
+	// Invert the per-block bags into token postings: flat (key, block, count)
+	// triples in block order, stably sorted by key.
+	var posts, scratch []post
 	for _, kind := range kinds {
-		c.str(kind)
-		// Invert the per-block bags into token postings, ascending by key.
-		type post struct {
-			blk   int32
-			count int32
+		n := 0
+		for _, bag := range bags[kind] {
+			n += len(bag)
 		}
-		idx := make(map[uint64][]post)
-		keys := make([]uint64, 0, 64)
+		posts, scratch = slices.Grow(posts[:0], n), slices.Grow(scratch[:0], n)
 		for bi, bag := range bags[kind] {
 			for _, e := range bag {
-				if _, ok := idx[e.Key]; !ok {
-					keys = append(keys, e.Key)
-				}
-				idx[e.Key] = append(idx[e.Key], post{blk: int32(bi), count: e.Count})
+				posts = append(posts, post{key: e.Key, blk: int32(bi), count: e.Count})
 			}
 		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		c.u(uint64(len(keys)))
-		prevKey := uint64(0)
-		for i, key := range keys {
-			if i == 0 {
-				c.u(key)
-			} else {
-				c.u(key - prevKey)
+		posts, scratch = sortPosts(posts, scratch[:n])
+		nKeys := 0
+		for i := range posts {
+			if i == 0 || posts[i].key != posts[i-1].key {
+				nKeys++
 			}
-			prevKey = key
-			ps := idx[key]
-			c.u(uint64(len(ps)))
+		}
+		c.str(kind)
+		c.u(uint64(nKeys))
+		prevKey := uint64(0)
+		for i := 0; i < len(posts); {
+			j := i + 1
+			for j < len(posts) && posts[j].key == posts[i].key {
+				j++
+			}
+			c.u(posts[i].key - prevKey) // the first key is absolute
+			prevKey = posts[i].key
+			c.u(uint64(j - i))
 			prevBlk := int32(0)
-			for j, p := range ps {
-				if j == 0 {
-					c.u(uint64(p.blk))
-				} else {
-					c.u(uint64(p.blk - prevBlk))
-				}
+			for _, p := range posts[i:j] {
+				c.u(uint64(p.blk - prevBlk)) // the first block is absolute
 				prevBlk = p.blk
 				c.u(uint64(p.count))
 			}
+			i = j
 		}
 	}
-	return c.finish()
+	_, err := w.Write(c.finish())
+	return err
 }
 
-// writeSegmentFile encodes to path and (unless noSync) fsyncs. The file
-// becomes live only when a manifest referencing it commits; a crash before
-// that leaves an orphan the next open removes.
-func writeSegmentFile(fsys FS, path string, lt *tree.LabelTable, blocks []*block, entries []segEntry, bags map[string][][]engine.BagEntry, noSync bool) error {
-	var buf bytes.Buffer
-	if err := encodeSegment(&buf, lt, blocks, entries, bags); err != nil {
-		return err
-	}
-	f, err := fsys.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if !noSync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return err
+// post is one posting of the token section under construction.
+type post struct {
+	key        uint64
+	blk, count int32
+}
+
+// sortPosts sorts ps by key — a byte-wise radix sort through tmp, stable, so
+// the postings of one key stay in block order — and returns the sorted slice
+// and the other one.
+func sortPosts(ps, tmp []post) (sorted, other []post) {
+	var counts [8][256]int
+	for _, p := range ps {
+		for d := range counts {
+			counts[d][byte(p.key>>(8*d))]++
 		}
 	}
-	return f.Close()
+	for d := range counts {
+		c := &counts[d]
+		if len(ps) == 0 || c[byte(ps[0].key>>(8*d))] == len(ps) {
+			continue // every key has the same byte here
+		}
+		sum := 0
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, p := range ps {
+			b := byte(p.key >> (8 * d))
+			tmp[c[b]] = p
+			c[b]++
+		}
+		ps, tmp = tmp, ps
+	}
+	return ps, tmp
+}
+
+// writeSegmentFile encodes to path and (unless noSync) fsyncs, returning the
+// file's size. The file becomes live only when a manifest referencing it
+// commits; a crash before that leaves an orphan the next open removes.
+func writeSegmentFile(fsys FS, path string, lt *tree.LabelTable, blocks []*block, entries []segEntry, bags map[string][][]engine.BagEntry, noSync bool) (int, error) {
+	var buf bytes.Buffer
+	if err := encodeSegment(&buf, lt, blocks, entries, bags); err != nil {
+		return 0, err
+	}
+	return buf.Len(), writeFile(fsys, path, buf.Bytes(), noSync)
 }
 
 // decodeSegment parses a segment from data. Labels must already be interned

@@ -2,7 +2,9 @@ package segstore
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
+	"sort"
 	"sync"
 	"time"
 
@@ -21,9 +23,10 @@ type Options struct {
 	// dead AND the dead outnumber the live — the token index's compaction
 	// rule lifted to segments.
 	CompactMinDead int
-	// NoBackground runs every triggered compaction synchronously inside the
-	// mutating call instead of on the compactor goroutine, and disables the
-	// degraded-mode retry goroutine — Flush and Compact then double as the
+	// NoBackground runs every triggered flush and compaction synchronously
+	// inside the mutating call instead of on a background goroutine — the same
+	// freeze/snapshot → build → install steps, scheduled inline — and disables
+	// the degraded-mode retry goroutine: Flush and Compact then double as the
 	// synchronous recovery hooks (tests).
 	NoBackground bool
 	// NoSync skips fsyncs. Throughput for tests that never crash; never set
@@ -78,13 +81,24 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	Segments        int   // segment files currently live
 	SegmentsOpened  int64 // segment files decoded since Open/Create
-	MemtableTrees   int   // trees in the WAL-backed memtable
+	MemtableTrees   int   // trees in the active WAL-backed memtable (a frozen one counts nowhere until its segment installs)
 	TombstonedTrees int   // dead entries awaiting compaction
 	CompactionRuns  int64 // merges performed
 	FlushRuns       int64 // memtable → segment flushes
 	LiveTrees       int   // live entries (segments + memtable)
 	Blocks          int   // distinct tree contents across live segments
 	Entries         int   // total segment entries, dead included
+
+	// Where the write path's time went. StallTime is what mutating calls spent
+	// waiting — for the one frozen-memtable slot, or for the store's lock
+	// while someone else (an install, a Stats call) held it; FlushTime and
+	// CompactionTime are the wall clock of the flushes and merges themselves,
+	// wherever they ran.
+	StallTime           time.Duration
+	FlushTime           time.Duration
+	CompactionTime      time.Duration
+	WALSyncs            int64 // fsyncs of WAL appends: one per mutating call, none under NoSync
+	SegmentBytesWritten int64 // bytes of segment files written by flushes and merges
 
 	Degraded            bool   // store is read-only pending recovery
 	DegradedReason      string // the I/O failure that degraded it ("" when healthy)
@@ -128,35 +142,75 @@ type liveSeg struct {
 	nDead   int
 }
 
-// loc addresses one live id: a segment entry (seg ≥ 0) or a memtable slot
-// (seg == -1).
+// liveMem returns the segment's live entries as memtable entries.
+func (seg *liveSeg) liveMem() []memEntry {
+	out := make([]memEntry, 0, len(seg.entries)-seg.nDead)
+	for pos, e := range seg.entries {
+		if !seg.dead[pos] {
+			out = append(out, memEntry{id: e.id, blk: seg.blocks[e.blk]})
+		}
+	}
+	return out
+}
+
+// loc addresses one live id: an entry of a segment — installed, or the frozen
+// memtable on its way to becoming one — or, with seg nil, a slot of the active
+// memtable, found by bisecting its ascending ids.
 type loc struct {
-	seg int
+	seg *liveSeg
 	pos int
+}
+
+// segJob is one segment on its way to disk: a frozen memtable, or the merge
+// of the first merged segments. It is planned under the store's lock, built
+// without it (the build touches only the job and the filesystem), and
+// installed under it again; NoBackground, Flush, Compact and recovery run the
+// same three steps without letting go of the lock in between.
+type segJob struct {
+	seg    *liveSeg
+	merged int // leading segments this one replaces; 0 for a flush
+	start  time.Time
+	arts   Artifacts
+	kinds  []bagPlan
+	bytes  int // size of the written file
+}
+
+// bagPlan is one persistable bag kind of a job: the bags its blocks already
+// carry, and the blocks the build has to produce one for.
+type bagPlan struct {
+	kind    string
+	bags    [][]engine.BagEntry // one per block
+	missing []int
 }
 
 // Store is a persistent corpus directory. All methods are safe for
 // concurrent use; mutations serialise on one mutex (the corpus layer
-// additionally serialises its own writers).
+// additionally serialises its own writers), which flushes and compactions
+// hold only to freeze their input and to install their result.
 type Store struct {
 	dir string
 	opt Options
 	fs  FS
 
-	mu        sync.Mutex
-	lt        *tree.LabelTable
-	arts      Artifacts
-	segs      []*liveSeg
-	mem       []memEntry
-	byID      map[int64]loc
-	segIDs    map[int64]bool // every segment entry id, dead included (replay skips)
-	byHash    map[[32]byte]*block
-	nextID    int64
-	wal       *walWriter
-	walLabels int // labels the last WAL record or manifest made durable: a prefix of lt
-	segSeq    int
-	closed    bool
-	dirty     bool // manifest on disk lags in-memory tombstones
+	mu         sync.Mutex
+	cond       *sync.Cond // signalled when imm or compacting clears, and on Close
+	lt         *tree.LabelTable
+	arts       Artifacts
+	segs       []*liveSeg
+	imm        *liveSeg // the frozen memtable while its segment is built; not yet in segs
+	mem        []memEntry
+	compacting bool // a background merge is in flight
+	byID       map[int64]loc
+	byHash     map[[32]byte]*block
+	nextID     int64
+	wal        *walWriter
+	walLabels  int // labels the last WAL record or manifest made durable: a prefix of lt
+	segSeq     int
+	closed     bool
+	dirty      bool // manifest on disk lags in-memory tombstones
+
+	enc    blockEnc // the writer's scratch, under mu
+	walBuf []byte
 
 	// Degraded mode: a failed flush, commit, or compaction leaves the
 	// committed on-disk state untouched and flips the store read-only until
@@ -169,11 +223,29 @@ type Store struct {
 	segsOpened int64
 	compacts   int64
 	flushes    int64
+	walSyncs   int64
+	segBytes   int64
+	stall      time.Duration
+	flushTime  time.Duration
+	mergeTime  time.Duration
 
-	compactCh chan struct{}
 	recoverCh chan struct{}
 	stopCh    chan struct{}
 	wg        sync.WaitGroup
+}
+
+// newStore returns the store both Create and Open fill in.
+func newStore(dir string, opt Options, lt *tree.LabelTable) *Store {
+	s := &Store{
+		dir:    dir,
+		opt:    opt,
+		fs:     opt.FS,
+		lt:     lt,
+		byID:   make(map[int64]loc),
+		byHash: make(map[[32]byte]*block),
+	}
+	s.cond = sync.NewCond(&s.mu)
+	return s
 }
 
 // Create initialises an empty store in dir (created if missing; must not
@@ -191,15 +263,7 @@ func Create(dir string, lt *tree.LabelTable, opt Options) (*Store, error) {
 	if lt == nil {
 		lt = tree.NewLabelTable()
 	}
-	s := &Store{
-		dir:    dir,
-		opt:    opt,
-		fs:     fsys,
-		lt:     lt,
-		byID:   make(map[int64]loc),
-		segIDs: make(map[int64]bool),
-		byHash: make(map[[32]byte]*block),
-	}
+	s := newStore(dir, opt, lt)
 	if err := s.writeManifestLocked(); err != nil {
 		return nil, err
 	}
@@ -224,16 +288,8 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:    dir,
-		opt:    opt,
-		fs:     fsys,
-		lt:     m.lt,
-		byID:   make(map[int64]loc),
-		segIDs: make(map[int64]bool),
-		byHash: make(map[[32]byte]*block),
-		nextID: m.nextID,
-	}
+	s := newStore(dir, opt, m.lt)
+	s.nextID = m.nextID
 	maxSeq, err := cleanOrphans(fsys, dir, m)
 	if err != nil {
 		return nil, err
@@ -277,9 +333,8 @@ func Open(dir string, opt Options) (*Store, error) {
 		}
 		for pos, e := range seg.entries {
 			prevID = e.id
-			s.segIDs[e.id] = true
 			if !seg.dead[pos] {
-				s.byID[e.id] = loc{seg: len(s.segs), pos: pos}
+				s.byID[e.id] = loc{seg: seg, pos: pos}
 			}
 			if e.id >= s.nextID {
 				s.nextID = e.id + 1
@@ -353,84 +408,77 @@ func (s *Store) loadSegment(ms manifestSeg, prevID int64) (*liveSeg, error) {
 func (s *Store) replayLocked() error {
 	path := filepath.Join(s.dir, walName)
 	if _, err := s.fs.Stat(path); notExist(err) {
-		return rewriteWALFile(s.fs, path, nil, nil, s.lt.Len(), s.opt.NoSync)
+		return rewriteWALFile(s.fs, path, nil, s.lt.Len(), s.opt.NoSync)
 	}
 	ops, err := replayWAL(s.fs, path, s.lt, s.opt.NoSync)
 	if err != nil {
 		return err
 	}
+	// Every segment entry id, dead included, and the largest of them.
+	segIDs := make(map[int64]bool)
 	maxSegID := int64(-1)
-	for id := range s.segIDs {
-		if id > maxSegID {
-			maxSegID = id
+	for _, seg := range s.segs {
+		for _, e := range seg.entries {
+			segIDs[e.id] = true
+			maxSegID = e.id // ids ascend through manifest order
 		}
 	}
 	for _, op := range ops {
 		if op.remove {
-			l, ok := s.byID[op.id]
-			if !ok {
-				continue
+			if l, ok := s.byID[op.id]; ok {
+				s.removeLocLocked(op.id, l)
 			}
-			s.removeLocLocked(op.id, l)
 			continue
 		}
-		if s.segIDs[op.id] {
-			continue
-		}
-		if _, ok := s.byID[op.id]; ok {
+		if _, ok := s.byID[op.id]; ok || segIDs[op.id] {
 			continue
 		}
 		if op.id <= maxSegID || (len(s.mem) > 0 && op.id <= s.mem[len(s.mem)-1].id) {
 			// Unreachable by any crash of the commit protocol: corruption.
 			break
 		}
-		s.addMemLocked(op.id, op.t)
+		s.addMemLocked(op.id, op.t, s.viewsLocked([]*tree.Tree{op.t})[0])
 	}
 	return nil
 }
 
+// viewsLocked builds (or fetches from the corpus cache) one arena view per tree.
+func (s *Store) viewsLocked(ts []*tree.Tree) []*ted.TreeView {
+	if s.arts != nil {
+		return s.arts.Views(ts)
+	}
+	return ted.BuildViews(ts)
+}
+
 // addMemLocked inserts a tree into the memtable under id, deduping its
 // content against every known block.
-func (s *Store) addMemLocked(id int64, t *tree.Tree) {
-	nb := s.blockFor(t)
+func (s *Store) addMemLocked(id int64, t *tree.Tree, v *ted.TreeView) {
+	nb := s.enc.newBlock(t, v)
+	if canon, ok := s.byHash[nb.hash]; ok {
+		nb = canon
+	} else {
+		s.byHash[nb.hash] = nb
+	}
 	s.mem = append(s.mem, memEntry{id: id, blk: nb})
-	s.byID[id] = loc{seg: -1, pos: len(s.mem) - 1}
+	s.byID[id] = loc{}
 	if id >= s.nextID {
 		s.nextID = id + 1
 	}
 }
 
-// blockFor returns the canonical block of t's content, building view + hash
-// on first sight.
-func (s *Store) blockFor(t *tree.Tree) *block {
-	var v *ted.TreeView
-	if s.arts != nil {
-		v = s.arts.Views([]*tree.Tree{t})[0]
-	} else {
-		v = ted.BuildViews([]*tree.Tree{t})[0]
-	}
-	nb := newBlock(t, v)
-	if canon, ok := s.byHash[nb.hash]; ok {
-		return canon
-	}
-	s.byHash[nb.hash] = nb
-	return nb
-}
-
-// removeLocLocked erases one live id: memtable splice or tombstone.
+// removeLocLocked erases one live id: a memtable splice, or a tombstone — in
+// an installed segment, or in the frozen memtable, whose segment then starts
+// life with the entry dead.
 func (s *Store) removeLocLocked(id int64, l loc) {
 	delete(s.byID, id)
-	if l.seg >= 0 {
-		seg := s.segs[l.seg]
-		seg.dead[l.pos] = true
-		seg.nDead++
+	if l.seg != nil {
+		l.seg.dead[l.pos] = true
+		l.seg.nDead++
 		s.dirty = true
 		return
 	}
-	s.mem = append(s.mem[:l.pos], s.mem[l.pos+1:]...)
-	for i := l.pos; i < len(s.mem); i++ {
-		s.byID[s.mem[i].id] = loc{seg: -1, pos: i}
-	}
+	pos := sort.Search(len(s.mem), func(i int) bool { return s.mem[i].id >= id })
+	s.mem = append(s.mem[:pos], s.mem[pos+1:]...)
 }
 
 // SetArtifacts wires the corpus cache in; views and bags flow through it
@@ -451,13 +499,22 @@ func (s *Store) NextID() int64 {
 	return s.nextID
 }
 
+// heldSegsLocked lists the installed segments and, after them, the frozen
+// memtable if there is one.
+func (s *Store) heldSegsLocked() []*liveSeg {
+	if s.imm == nil {
+		return s.segs
+	}
+	return append(s.segs[:len(s.segs):len(s.segs)], s.imm)
+}
+
 // Live returns every live entry in position order — segments in manifest
-// order, then the memtable; ids ascend throughout.
+// order, then the frozen memtable, then the active one; ids ascend throughout.
 func (s *Store) Live() []LiveTree {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]LiveTree, 0, len(s.byID))
-	for _, seg := range s.segs {
+	for _, seg := range s.heldSegsLocked() {
 		for pos, e := range seg.entries {
 			if seg.dead[pos] {
 				continue
@@ -472,68 +529,115 @@ func (s *Store) Live() []LiveTree {
 	return out
 }
 
-// Add appends (id, t) through the WAL into the memtable, flushing into a new
-// segment when the budget fills. id must be at least NextID() and t must use
-// the store's label table. An error means the add did not happen (and will
-// not resurface after a reopen); a nil return means it is durable — if the
-// flush it triggered then fails, the store degrades (see ErrDegraded) but
-// the add itself is already safe in the WAL.
-func (s *Store) Add(id int64, t *tree.Tree) error {
+// lockMutation takes the store's lock for a mutating call, charging any wait
+// for it to StallTime.
+func (s *Store) lockMutation() {
+	if s.mu.TryLock() {
+		return
+	}
+	t0 := time.Now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.stall += time.Since(t0)
+}
+
+// writableLocked reports why the store takes no mutation right now, if so.
+func (s *Store) writableLocked() error {
 	if s.closed {
 		return fmt.Errorf("segstore: store is closed")
 	}
 	if s.degraded {
 		return s.degradedErrLocked()
-	}
-	if t.Labels != s.lt {
-		return fmt.Errorf("segstore: tree does not use the store's label table")
-	}
-	if id < s.nextID {
-		return fmt.Errorf("segstore: id %d below next id %d", id, s.nextID)
-	}
-	labels := s.lt.Len() // once: the table may grow under a concurrent parse
-	if err := s.wal.append(encodeAdd(id, s.lt, s.walLabels, labels, t)); err != nil {
-		if s.wal.failed() {
-			s.enterDegradedLocked(err)
-		}
-		return err
-	}
-	s.walLabels = labels
-	s.addMemLocked(id, t)
-	if len(s.mem) >= s.opt.MemtableBudget {
-		if err := s.flushLocked(); err != nil {
-			s.enterDegradedLocked(err)
-		}
 	}
 	return nil
 }
 
-// Remove tombstones id: WAL record first, then a memtable drop or a segment
-// tombstone; enough tombstones trigger compaction. The same error contract
-// as Add: an error means the remove did not happen; a failed compaction
-// behind a successful remove degrades the store instead of failing the call.
-func (s *Store) Remove(id int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("segstore: store is closed")
-	}
-	if s.degraded {
-		return s.degradedErrLocked()
-	}
-	l, ok := s.byID[id]
-	if !ok {
-		return fmt.Errorf("segstore: id %d is not live", id)
-	}
-	if err := s.wal.append(encodeRemove(id)); err != nil {
+// appendWALLocked makes the records of one mutating call durable: one write,
+// one fsync. An error means none of them is in the log.
+func (s *Store) appendWALLocked(recs []byte) error {
+	s.walBuf = recs[:0] // keep the grown buffer for the next call
+	if err := s.wal.append(recs); err != nil {
 		if s.wal.failed() {
 			s.enterDegradedLocked(err)
 		}
 		return err
 	}
-	s.removeLocLocked(id, l)
+	if !s.opt.NoSync {
+		s.walSyncs++
+	}
+	return nil
+}
+
+// Add appends ts under the ids firstID, firstID+1, … through the WAL into the
+// memtable as one batch, and hands a memtable that reached the budget to a
+// flush. firstID must be at least NextID() and the trees must use the store's
+// label table. An error means none of the batch happened (and none will
+// resurface after a reopen); a nil return means all of it is durable — if the
+// flush it triggered then fails, the store degrades (see ErrDegraded) but the
+// adds themselves are already safe in the WAL.
+func (s *Store) Add(firstID int64, ts ...*tree.Tree) error {
+	if len(ts) == 0 {
+		return nil
+	}
+	s.lockMutation()
+	defer s.mu.Unlock()
+	if err := s.writableLocked(); err != nil {
+		return err
+	}
+	for _, t := range ts {
+		if t.Labels != s.lt {
+			return fmt.Errorf("segstore: tree does not use the store's label table")
+		}
+	}
+	if firstID < s.nextID {
+		return fmt.Errorf("segstore: id %d below next id %d", firstID, s.nextID)
+	}
+	labels := s.lt.Len() // once: the table may grow under a concurrent parse
+	recs, prev := s.walBuf, s.walLabels
+	for i, t := range ts {
+		// The first record carries every label interned since the last one.
+		recs = appendAdd(recs, firstID+int64(i), s.lt, prev, labels, t)
+		prev = labels
+	}
+	if err := s.appendWALLocked(recs); err != nil {
+		return err
+	}
+	s.walLabels = labels
+	for i, v := range s.viewsLocked(ts) {
+		s.addMemLocked(firstID+int64(i), ts[i], v)
+	}
+	s.maybeFlushLocked()
+	return nil
+}
+
+// Remove tombstones ids as one batch: WAL records first, then per id a
+// memtable drop or a tombstone; enough tombstones trigger compaction. The
+// same error contract as Add: an error (one of the ids is not live, or the
+// WAL write failed) means none of the removes happened; a failed compaction
+// behind a successful remove degrades the store instead of failing the call.
+func (s *Store) Remove(ids ...int64) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	s.lockMutation()
+	defer s.mu.Unlock()
+	if err := s.writableLocked(); err != nil {
+		return err
+	}
+	recs := s.walBuf
+	for _, id := range ids {
+		if _, ok := s.byID[id]; !ok {
+			return fmt.Errorf("segstore: id %d is not live", id)
+		}
+		recs = appendRemove(recs, id)
+	}
+	if err := s.appendWALLocked(recs); err != nil {
+		return err
+	}
+	for _, id := range ids {
+		if l, ok := s.byID[id]; ok { // an id listed twice is removed once
+			s.removeLocLocked(id, l)
+		}
+	}
 	s.maybeCompactLocked()
 	return nil
 }
@@ -543,13 +647,10 @@ func (s *Store) Remove(id int64) error {
 func (s *Store) Bulk(ids []int64, ts []*tree.Tree, nextID int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("segstore: store is closed")
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
-	if s.degraded {
-		return s.degradedErrLocked()
-	}
-	if len(s.segs) != 0 || len(s.mem) != 0 {
+	if len(s.segs) != 0 || len(s.mem) != 0 || s.imm != nil {
 		return fmt.Errorf("segstore: Bulk needs an empty store")
 	}
 	prev := int64(-1)
@@ -562,8 +663,8 @@ func (s *Store) Bulk(ids []int64, ts []*tree.Tree, nextID int64) error {
 			return fmt.Errorf("segstore: tree %d does not use the store's label table", i)
 		}
 	}
-	for i, id := range ids {
-		s.addMemLocked(id, ts[i])
+	for i, v := range s.viewsLocked(ts) {
+		s.addMemLocked(ids[i], ts[i], v)
 	}
 	if nextID > s.nextID {
 		s.nextID = nextID
@@ -584,85 +685,129 @@ func (s *Store) Bulk(ids []int64, ts []*tree.Tree, nextID int64) error {
 	return nil
 }
 
+// drainLocked waits until no background flush or merge is in flight, so the
+// caller can run its own under the lock without meeting one.
+func (s *Store) drainLocked() {
+	for s.imm != nil || s.compacting {
+		s.cond.Wait()
+	}
+}
+
 // Flush forces the memtable into a segment (no-op when empty, beyond
-// persisting pending tombstones). On a degraded store, Flush is the
-// synchronous recovery hook: it retries the failed commit and clears
-// degraded mode on success.
+// persisting pending tombstones), after any flush or merge already in flight
+// has finished. On a degraded store, Flush is the synchronous recovery hook:
+// it retries the failed commit and clears degraded mode on success.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	if s.closed {
 		return fmt.Errorf("segstore: store is closed")
 	}
 	if s.degraded {
 		return s.recoverLocked()
 	}
-	var err error
-	switch {
-	case len(s.mem) > 0:
-		err = s.flushLocked()
-	case s.dirty:
-		err = s.commitLocked()
-	default:
-		return nil
-	}
+	err := s.persistLocked()
 	if err != nil {
 		s.enterDegradedLocked(err)
 	}
 	return err
 }
 
-// flushLocked writes the memtable as a new segment, then commits: manifest
-// rename first (the commit point), WAL rewrite second. The segment file is
-// fully written before any in-memory state changes, so a failure before the
-// commit leaves the store exactly as it was (minus an orphan file the next
-// open removes).
-func (s *Store) flushLocked() error {
-	blocks, entries := s.collectMem()
-	bags := s.collectBags(blocks)
-	name := fmt.Sprintf(segPattern, s.segSeq)
-	if err := writeSegmentFile(s.fs, filepath.Join(s.dir, name), s.lt, blocks, entries, bags, s.opt.NoSync); err != nil {
-		return err
+// persistLocked flushes the memtable if it holds anything, and otherwise
+// commits pending tombstones if there are any.
+func (s *Store) persistLocked() error {
+	switch {
+	case len(s.mem) > 0:
+		return s.flushLocked()
+	case s.dirty:
+		return s.commitLocked()
 	}
-	s.segSeq++
-	seg := &liveSeg{name: name, blocks: blocks, entries: entries, dead: make([]bool, len(entries))}
-	s.segs = append(s.segs, seg)
-	for pos, e := range entries {
-		s.byID[e.id] = loc{seg: len(s.segs) - 1, pos: pos}
-		s.segIDs[e.id] = true
-	}
-	s.mem = nil
-	s.flushes++
-	if err := s.commitLocked(); err != nil {
-		return err
-	}
-	s.maybeCompactLocked()
 	return nil
 }
 
-// collectMem lays the memtable out as (blocks, entries): distinct blocks in
-// first-use order, entries referencing them by index.
-func (s *Store) collectMem() ([]*block, []segEntry) {
+// maybeFlushLocked hands a memtable that reached the budget to a flush:
+// inline under NoBackground, otherwise frozen here — a fresh memtable takes
+// the writes from now on — and built on a goroutine of its own. There is one
+// frozen memtable at a time: a writer that fills the next one before the
+// first is installed waits here, and the wait is charged to StallTime.
+func (s *Store) maybeFlushLocked() {
+	full := func() bool { return len(s.mem) >= s.opt.MemtableBudget && !s.closed && !s.degraded }
+	if !full() {
+		return
+	}
+	if s.opt.NoBackground {
+		if err := s.flushLocked(); err != nil {
+			s.enterDegradedLocked(err)
+		}
+		return
+	}
+	if s.imm != nil {
+		t0 := time.Now()
+		for s.imm != nil && full() {
+			s.cond.Wait()
+		}
+		s.stall += time.Since(t0)
+		if s.imm != nil || !full() { // another writer froze it, or the store closed or degraded
+			return
+		}
+	}
+	job := s.freezeLocked()
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		err := s.buildSegment(job)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := s.installFlushLocked(job, err); err != nil {
+			s.enterDegradedLocked(err)
+		}
+	}()
+}
+
+// flushLocked is the whole flush under the lock: freeze, build, install.
+func (s *Store) flushLocked() error {
+	job := s.freezeLocked()
+	return s.installFlushLocked(job, s.buildSegment(job))
+}
+
+// freezeLocked turns the memtable into its future segment and starts a fresh
+// one. Until the segment installs, the frozen entries stay live, readable and
+// removable through s.imm.
+func (s *Store) freezeLocked() *segJob {
+	job := s.newJobLocked(s.mem, 0)
+	for pos, e := range job.seg.entries {
+		s.byID[e.id] = loc{seg: job.seg, pos: pos}
+	}
+	s.imm, s.mem = job.seg, nil
+	return job
+}
+
+// newJobLocked lays live out as the next segment — distinct blocks in
+// first-use order, entries referencing them by index, the next file name —
+// and plans its bags: per persistable kind, the bags the blocks already carry
+// (from an earlier segment load or an earlier job) and the blocks the build
+// must produce one for.
+func (s *Store) newJobLocked(live []memEntry, merged int) *segJob {
 	idx := make(map[*block]int32)
 	var blocks []*block
-	entries := make([]segEntry, 0, len(s.mem))
-	for _, me := range s.mem {
+	entries := make([]segEntry, len(live))
+	for i, me := range live {
 		bi, ok := idx[me.blk]
 		if !ok {
 			bi = int32(len(blocks))
 			idx[me.blk] = bi
 			blocks = append(blocks, me.blk)
 		}
-		entries = append(entries, segEntry{id: me.id, blk: bi})
+		entries[i] = segEntry{id: me.id, blk: bi}
 	}
-	return blocks, entries
-}
-
-// collectBags gathers, per persistable kind, one bag per block. A kind is
-// persisted when every block has one — from an earlier segment load or built
-// through the corpus artifacts; partial coverage drops the kind (the cache
-// rebuilds those bags lazily after a reopen).
-func (s *Store) collectBags(blocks []*block) map[string][][]engine.BagEntry {
+	job := &segJob{
+		seg:    &liveSeg{name: fmt.Sprintf(segPattern, s.segSeq), blocks: blocks, entries: entries, dead: make([]bool, len(entries))},
+		merged: merged,
+		start:  time.Now(),
+		arts:   s.arts,
+	}
+	s.segSeq++
 	kinds := make(map[string]bool)
 	for _, b := range blocks {
 		for k := range b.bags {
@@ -674,54 +819,113 @@ func (s *Store) collectBags(blocks []*block) map[string][][]engine.BagEntry {
 			kinds[k] = true
 		}
 	}
-	if len(kinds) == 0 || len(blocks) == 0 {
-		return nil
-	}
-	ts := make([]*tree.Tree, len(blocks))
-	for i, b := range blocks {
-		ts[i] = b.t
-	}
-	out := make(map[string][][]engine.BagEntry, len(kinds))
-kind:
 	for kind := range kinds {
-		perBlock := make([][]engine.BagEntry, len(blocks))
-		var missing []int
+		p := bagPlan{kind: kind, bags: make([][]engine.BagEntry, len(blocks))}
 		for i, b := range blocks {
 			if bag, ok := b.bags[kind]; ok {
-				perBlock[i] = bag
+				p.bags[i] = bag
 			} else {
-				missing = append(missing, i)
+				p.missing = append(p.missing, i)
 			}
 		}
-		if len(missing) > 0 {
-			if s.arts == nil {
+		job.kinds = append(job.kinds, p)
+	}
+	return job
+}
+
+// buildSegment writes the job's segment file. It needs no lock: it reads the
+// job, the immutable trees and views of its blocks, and the label table, and
+// builds the bags its blocks lack through the corpus artifacts. A kind is
+// persisted when every block ends up with a bag; partial coverage drops the
+// kind (the cache rebuilds those bags lazily after a reopen). The file is
+// fully written before any in-memory state changes, so a failure leaves the
+// store exactly as it was.
+func (s *Store) buildSegment(job *segJob) error {
+	blocks := job.seg.blocks
+	bags := make(map[string][][]engine.BagEntry, len(job.kinds))
+	kept := job.kinds[:0]
+	for _, p := range job.kinds {
+		if len(p.missing) > 0 {
+			if job.arts == nil {
 				continue
 			}
-			missTs := make([]*tree.Tree, len(missing))
-			for j, i := range missing {
-				missTs[j] = ts[i]
+			ts := make([]*tree.Tree, len(p.missing))
+			for k, i := range p.missing {
+				ts[k] = blocks[i].t
 			}
-			built, ok := s.arts.Bags(kind, missTs)
+			built, ok := job.arts.Bags(p.kind, ts)
 			if !ok {
-				continue kind
+				continue
 			}
-			for j, i := range missing {
-				perBlock[i] = built[j]
-				if blocks[i].bags == nil {
-					blocks[i].bags = make(map[string][]engine.BagEntry, len(kinds))
-				}
-				blocks[i].bags[kind] = built[j]
+			for k, i := range p.missing {
+				p.bags[i] = built[k]
 			}
 		}
-		out[kind] = perBlock
+		bags[p.kind] = p.bags
+		kept = append(kept, p)
 	}
-	return out
+	job.kinds = kept
+	path := filepath.Join(s.dir, job.seg.name)
+	n, err := writeSegmentFile(s.fs, path, s.lt, blocks, job.seg.entries, bags, s.opt.NoSync)
+	if err != nil {
+		// Best-effort: the name is never reused, and a leftover is an orphan
+		// the next open removes anyway.
+		_ = s.fs.Remove(path)
+		return err
+	}
+	job.bytes = n
+	return nil
+}
+
+// adoptLocked accounts a built job's file and gives its blocks the bags the
+// build produced. A block's bag map may already be in a reader's hands (Live),
+// so it is replaced, never written to.
+func (s *Store) adoptLocked(job *segJob) {
+	s.segBytes += int64(job.bytes)
+	for _, p := range job.kinds {
+		for _, i := range p.missing {
+			b := job.seg.blocks[i]
+			bags := make(map[string][]engine.BagEntry, len(b.bags)+1)
+			maps.Copy(bags, b.bags)
+			bags[p.kind] = p.bags[i]
+			b.bags = bags
+		}
+	}
+}
+
+// installFlushLocked ends a flush. A failed build thaws the frozen memtable
+// back in front of the active one — the store is then exactly where a failed
+// inline flush always left it: everything in the memtable and in the WAL.
+// Otherwise the segment, carrying dead marks for the ids removed while it was
+// built, joins the store and the commit follows: manifest rename first (the
+// commit point), WAL rewrite second.
+func (s *Store) installFlushLocked(job *segJob, buildErr error) error {
+	defer s.cond.Broadcast()
+	seg := job.seg
+	s.imm = nil
+	s.flushTime += time.Since(job.start)
+	if buildErr != nil {
+		thawed := seg.liveMem()
+		for _, me := range thawed {
+			s.byID[me.id] = loc{}
+		}
+		s.mem = append(thawed, s.mem...)
+		return buildErr
+	}
+	s.segs = append(s.segs, seg)
+	s.adoptLocked(job)
+	s.flushes++
+	if err := s.commitLocked(); err != nil {
+		return err
+	}
+	s.maybeCompactLocked()
+	return nil
 }
 
 // commitLocked is the two-file commit: manifest tmp+rename (after which the
-// new epoch is the truth), then a WAL rewrite holding exactly the current
-// memtable. A crash between the two leaves the stale-WAL window replayLocked
-// is built for.
+// new epoch is the truth), then a WAL rewrite holding exactly the trees no
+// committed segment holds. A crash between the two leaves the stale-WAL
+// window replayLocked is built for.
 func (s *Store) commitLocked() error {
 	if err := s.writeManifestLocked(); err != nil {
 		return err
@@ -741,18 +945,19 @@ func (s *Store) writeManifestLocked() error {
 	return nil
 }
 
+// rewriteWALLocked replaces the WAL with one holding the live entries of the
+// frozen memtable (a merge may commit while a flush is still building) and
+// the active one.
 func (s *Store) rewriteWALLocked() error {
-	ids := make([]int64, len(s.mem))
-	ts := make([]*tree.Tree, len(s.mem))
-	for i, me := range s.mem {
-		ids[i] = me.id
-		ts[i] = me.blk.t
+	mem := s.mem
+	if s.imm != nil {
+		mem = append(s.imm.liveMem(), mem...)
 	}
 	// The old writer is done either way; a close error does not matter (the
 	// rewrite below replaces the file wholesale) and a failed rewrite leaves
 	// s.wal closed, which append reports as errWALClosed until recovery.
 	_ = s.wal.close()
-	if err := rewriteWALFile(s.fs, filepath.Join(s.dir, walName), ids, ts, s.walLabels, s.opt.NoSync); err != nil {
+	if err := rewriteWALFile(s.fs, filepath.Join(s.dir, walName), mem, s.walLabels, s.opt.NoSync); err != nil {
 		return err
 	}
 	wal, err := openWALForAppend(s.fs, filepath.Join(s.dir, walName), s.opt.NoSync)
@@ -765,7 +970,7 @@ func (s *Store) rewriteWALLocked() error {
 
 // maybeCompactLocked applies the compaction trigger — at least CompactMinDead
 // tombstones and more dead than live — synchronously under NoBackground,
-// otherwise by waking the compactor. A synchronous compaction failure
+// otherwise on a goroutine of its own, one at a time. A compaction failure
 // degrades the store (the mutation that triggered it has already committed).
 func (s *Store) maybeCompactLocked() {
 	dead, live := 0, 0
@@ -773,27 +978,47 @@ func (s *Store) maybeCompactLocked() {
 		dead += seg.nDead
 		live += len(seg.entries) - seg.nDead
 	}
-	if dead < s.opt.CompactMinDead || dead <= live {
+	if dead < s.opt.CompactMinDead || dead <= live || s.compacting {
 		return
 	}
 	if s.opt.NoBackground {
-		if err := s.compactLocked(); err != nil {
+		if err := s.compactLocked(s.buildSegment); err != nil {
 			s.enterDegradedLocked(err)
 		}
 		return
 	}
-	select {
-	case s.compactCh <- struct{}{}:
-	default:
-	}
+	s.compacting = true
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.closed && !s.degraded {
+			if err := s.compactLocked(s.buildUnlocked); err != nil {
+				s.enterDegradedLocked(err)
+			}
+		}
+		s.compacting = false
+		s.cond.Broadcast()
+	}()
+}
+
+// buildUnlocked is buildSegment for a goroutine that holds the lock around it:
+// it lets go of the lock for the build.
+func (s *Store) buildUnlocked(job *segJob) error {
+	s.mu.Unlock()
+	defer s.mu.Lock()
+	return s.buildSegment(job)
 }
 
 // Compact forces a full merge of all segments into one, dropping every
-// tombstoned entry and deduplicating blocks across segments on disk. On a
-// degraded store it first retries recovery, then compacts.
+// tombstoned entry and deduplicating blocks across segments on disk, after
+// any flush or merge already in flight has finished. On a degraded store it
+// first retries recovery, then compacts.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	if s.closed {
 		return fmt.Errorf("segstore: store is closed")
 	}
@@ -802,69 +1027,73 @@ func (s *Store) Compact() error {
 			return err
 		}
 	}
-	if err := s.compactLocked(); err != nil {
+	if err := s.compactLocked(s.buildSegment); err != nil {
 		s.enterDegradedLocked(err)
 		return err
 	}
 	return nil
 }
 
-// compactLocked merges every segment into one. Soundness mirrors the token
-// index's generation swap: the merged segment is built from the live entries
-// of the current epoch while holding the mutation lock, so no live entry can
-// be dropped; the manifest rename publishes it atomically, and only then are
-// the old files unlinked.
-func (s *Store) compactLocked() error {
-	if len(s.segs) == 0 {
+// compactLocked is the whole merge — snapshot, build, install — entered and
+// left with the lock held; whether the build in the middle keeps it is the
+// caller's choice of build.
+func (s *Store) compactLocked(build func(*segJob) error) error {
+	job := s.snapshotMergeLocked()
+	if job == nil {
 		if s.dirty {
 			return s.commitLocked()
 		}
 		return nil
 	}
-	totalDead := 0
-	for _, seg := range s.segs {
-		totalDead += seg.nDead
+	return s.installMergeLocked(job, build(job))
+}
+
+// snapshotMergeLocked lists the live entries of every installed segment, in
+// order, as the entries of the one segment that will replace them; nil when
+// the store is already fully merged.
+func (s *Store) snapshotMergeLocked() *segJob {
+	if len(s.segs) == 0 || (len(s.segs) == 1 && s.segs[0].nDead == 0) {
+		return nil
 	}
-	if len(s.segs) == 1 && totalDead == 0 {
-		return nil // already fully merged
-	}
-	idx := make(map[*block]int32)
-	var blocks []*block
-	var entries []segEntry
+	var live []memEntry
 	for _, seg := range s.segs {
-		for pos, e := range seg.entries {
-			if seg.dead[pos] {
-				continue
-			}
-			b := seg.blocks[e.blk]
-			bi, ok := idx[b]
-			if !ok {
-				bi = int32(len(blocks))
-				idx[b] = bi
-				blocks = append(blocks, b)
-			}
-			entries = append(entries, segEntry{id: e.id, blk: bi})
+		live = append(live, seg.liveMem()...)
+	}
+	return s.newJobLocked(live, len(s.segs))
+}
+
+// installMergeLocked ends a merge: the merged segment replaces the segments
+// it was built from and the manifest rename publishes it atomically; only
+// then are the old files unlinked. Soundness is snapshot, build, reconcile:
+// every entry live at the snapshot is in the merged segment, so no live entry
+// can be dropped; an entry removed since then is still there but no longer in
+// byID, and gets its dead mark here; segments flushed since then hold only
+// larger ids and stay behind the merged one, so ids still ascend through
+// manifest order.
+func (s *Store) installMergeLocked(job *segJob, buildErr error) error {
+	s.mergeTime += time.Since(job.start)
+	if buildErr != nil {
+		return buildErr
+	}
+	seg := job.seg
+	for pos, e := range seg.entries {
+		if _, live := s.byID[e.id]; live {
+			s.byID[e.id] = loc{seg: seg, pos: pos}
+		} else {
+			seg.dead[pos] = true
+			seg.nDead++
 		}
 	}
-	bags := s.collectBags(blocks)
-	name := fmt.Sprintf(segPattern, s.segSeq)
-	if err := writeSegmentFile(s.fs, filepath.Join(s.dir, name), s.lt, blocks, entries, bags, s.opt.NoSync); err != nil {
-		return err
-	}
-	s.segSeq++
-	old := s.segs
-	seg := &liveSeg{name: name, blocks: blocks, entries: entries, dead: make([]bool, len(entries))}
-	s.segs = []*liveSeg{seg}
-	s.segIDs = make(map[int64]bool, len(entries))
-	for pos, e := range entries {
-		s.byID[e.id] = loc{seg: 0, pos: pos}
-		s.segIDs[e.id] = true
-	}
-	// Blocks referenced by no live entry leave the dedup map with their
-	// segments — a re-added duplicate simply recomputes its block.
-	s.byHash = make(map[[32]byte]*block, len(blocks))
-	for _, b := range blocks {
-		s.byHash[b.hash] = b
+	old := s.segs[:job.merged]
+	s.segs = append([]*liveSeg{seg}, s.segs[job.merged:]...)
+	s.adoptLocked(job)
+	// Blocks no segment or memtable references any more leave the dedup map
+	// with their segments — a re-added duplicate simply recomputes its block.
+	s.byHash = make(map[[32]byte]*block, len(seg.blocks))
+	for _, h := range s.heldSegsLocked() {
+		for _, b := range h.blocks {
+			s.byHash[b.hash] = b
+		}
 	}
 	for _, me := range s.mem {
 		s.byHash[me.blk.hash] = me.blk
@@ -881,58 +1110,42 @@ func (s *Store) compactLocked() error {
 	return nil
 }
 
-// startBackground launches the compactor and the degraded-mode recovery
-// loop. Under NoBackground neither runs: compaction happens inline and
+// startBackground launches the degraded-mode recovery loop. Under
+// NoBackground it does not run: flushes and compactions happen inline and
 // Flush/Compact double as the recovery hooks.
 func (s *Store) startBackground() {
-	s.compactCh = make(chan struct{}, 1)
 	s.recoverCh = make(chan struct{}, 1)
 	s.stopCh = make(chan struct{})
 	if s.opt.NoBackground {
 		return
 	}
-	s.wg.Add(2)
-	go func() {
-		defer s.wg.Done()
-		for range s.compactCh {
-			s.mu.Lock()
-			if !s.closed && !s.degraded {
-				if err := s.compactLocked(); err != nil {
-					s.enterDegradedLocked(err)
-				}
-			}
-			s.mu.Unlock()
-		}
-	}()
+	s.wg.Add(1)
 	go s.recoveryLoop()
 }
 
-// Close flushes the memtable into a segment, persists pending tombstones,
-// stops the background goroutines, and releases the WAL. The directory then
-// reopens purely from segments. Closing a degraded store attempts one final
-// recovery and reports its error; the on-disk state stays consistent either
-// way (that is the degraded-mode invariant).
+// Close waits for any flush or merge in flight, flushes the memtable into a
+// segment, persists pending tombstones, stops the background goroutines, and
+// releases the WAL. The directory then reopens purely from segments. Closing
+// a degraded store attempts one final recovery and reports its error; the
+// on-disk state stays consistent either way (that is the degraded-mode
+// invariant).
 func (s *Store) Close() error {
 	s.mu.Lock()
+	s.drainLocked()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
 	var err error
-	switch {
-	case s.degraded:
+	if s.degraded {
 		err = s.recoverLocked()
-		if err == nil && len(s.mem) > 0 {
-			err = s.flushLocked()
-		}
-	case len(s.mem) > 0:
-		err = s.flushLocked()
-	case s.dirty:
-		err = s.commitLocked()
+	}
+	if err == nil {
+		err = s.persistLocked()
 	}
 	s.closed = true
+	s.cond.Broadcast() // writers waiting for the frozen-memtable slot
 	s.mu.Unlock()
-	close(s.compactCh)
 	close(s.stopCh)
 	s.wg.Wait()
 	if cerr := s.wal.close(); err == nil {
@@ -952,6 +1165,11 @@ func (s *Store) Stats() Stats {
 		CompactionRuns:      s.compacts,
 		FlushRuns:           s.flushes,
 		LiveTrees:           len(s.byID),
+		StallTime:           s.stall,
+		FlushTime:           s.flushTime,
+		CompactionTime:      s.mergeTime,
+		WALSyncs:            s.walSyncs,
+		SegmentBytesWritten: s.segBytes,
 		Degraded:            s.degraded,
 		RecoveryAttempts:    s.recoveries,
 		QuarantinedSegments: len(s.quarantined),

@@ -19,6 +19,9 @@ func testOpts() Options {
 
 var testLabels = []string{"a", "b", "c", "d", "e"}
 
+// newBlock builds one block with a scratch of its own.
+func newBlock(t *tree.Tree, v *ted.TreeView) *block { return new(blockEnc).newBlock(t, v) }
+
 func randTestTree(rng *rand.Rand, lt *tree.LabelTable, maxExtra int) *tree.Tree {
 	b := tree.NewBuilder(lt)
 	ids := []int32{b.Root(testLabels[rng.Intn(len(testLabels))])}

@@ -11,10 +11,11 @@ import (
 	"treejoin/internal/tree"
 )
 
-// Write-ahead log (TJWL, version 1). Every mutation appends one record and
-// syncs before the in-memory state changes, so the memtable survives a
-// crash. Records are individually CRC'd (there is no trailer — the file
-// grows); a torn tail truncates back to the last whole record:
+// Write-ahead log (TJWL, version 1). Every mutation call appends its records
+// — one per tree or id of the batch — in one write and syncs once before the
+// in-memory state changes, so the memtable survives a crash. Records are
+// individually CRC'd (there is no trailer — the file grows); a torn tail
+// truncates back to the last whole record:
 //
 //	magic   "TJWL" (4 bytes), version byte
 //	records, each: kind byte, payload, crc32 IEEE LE over kind+payload
@@ -93,21 +94,19 @@ func openWALForAppend(fsys FS, path string, noSync bool) (*walWriter, error) {
 	return &walWriter{fs: fsys, path: path, f: f, off: size, noSync: noSync}, nil
 }
 
-// append writes one record (payload + CRC) and syncs it. On any failure the
-// file is truncated back to the previous record boundary before returning,
-// so an error here means the record is not (and will never be) in the log;
+// append writes the records of one mutation call (each already carrying its
+// CRC) in one write and syncs them once. On any failure the file is truncated
+// back to the previous boundary before returning, so an error here means none
+// of the records is (or will ever be) in the log — a batch is all or nothing;
 // if even that claw-back fails, the writer fails closed and every later
 // append returns errWALClosed.
-func (w *walWriter) append(rec []byte) error {
+func (w *walWriter) append(recs []byte) error {
 	if w.f == nil {
 		return errWALClosed
 	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(rec))
-	buf := append(rec, sum[:]...)
-	n, err := w.f.Write(buf)
-	if err == nil && n < len(buf) {
-		err = fmt.Errorf("segstore: WAL short write (%d of %d bytes)", n, len(buf))
+	n, err := w.f.Write(recs)
+	if err == nil && n < len(recs) {
+		err = fmt.Errorf("segstore: WAL short write (%d of %d bytes)", n, len(recs))
 	}
 	if err == nil && !w.noSync {
 		// A failed sync also claws back: the bytes are in the file but not
@@ -123,7 +122,7 @@ func (w *walWriter) append(rec []byte) error {
 		}
 		return err
 	}
-	w.off += int64(len(buf))
+	w.off += int64(len(recs))
 	return nil
 }
 
@@ -140,30 +139,32 @@ func (w *walWriter) close() error {
 	return err
 }
 
-// encodeAdd builds an 'A' record: the id, the label-table splice (labels
-// [prevLabels, labels) are the ones interned since the last record — the
-// caller reads lt.Len() once: other goroutines may intern meanwhile), and the
-// tree stream.
-func encodeAdd(id int64, lt *tree.LabelTable, prevLabels, labels int, t *tree.Tree) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte('A')
-	c := &cw{bw: nil, out: &buf}
+// appendAdd appends an 'A' record, CRC included: the id, the label-table
+// splice (labels [prevLabels, labels) are the ones interned since the last
+// record — the caller reads lt.Len() once: other goroutines may intern
+// meanwhile), and the tree stream.
+func appendAdd(dst []byte, id int64, lt *tree.LabelTable, prevLabels, labels int, t *tree.Tree) []byte {
+	c := cw{b: append(dst, 'A')}
 	c.u(uint64(id))
 	c.u(uint64(prevLabels))
 	c.u(uint64(labels - prevLabels))
 	for i := prevLabels; i < labels; i++ {
 		c.str(lt.Name(int32(i)))
 	}
-	writeTreeStream(c, t)
-	return buf.Bytes()
+	writeTreeStream(&c, t)
+	return appendRecordCRC(c.b, len(dst))
 }
 
-func encodeRemove(id int64) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte('R')
-	c := &cw{bw: nil, out: &buf}
+// appendRemove appends an 'R' record, CRC included.
+func appendRemove(dst []byte, id int64) []byte {
+	c := cw{b: append(dst, 'R')}
 	c.u(uint64(id))
-	return buf.Bytes()
+	return appendRecordCRC(c.b, len(dst))
+}
+
+// appendRecordCRC closes the record that started at b[start:].
+func appendRecordCRC(b []byte, start int) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
 // walOp is one replayed operation.
@@ -188,7 +189,7 @@ func replayWAL(fsys FS, path string, lt *tree.LabelTable, noSync bool) ([]walOp,
 	if len(data) < 5 || !bytes.Equal(data[:4], walMagic[:]) || data[4] != walVersion {
 		// An unrecognisable WAL is rebuilt empty: nothing can be recovered
 		// from it, and the manifest alone is a consistent (if older) state.
-		return nil, rewriteWALFile(fsys, path, nil, nil, 0, noSync)
+		return nil, rewriteWALFile(fsys, path, nil, 0, noSync)
 	}
 	var ops []walOp
 	pos := 5
@@ -288,57 +289,15 @@ func recordEnd(data []byte, pos int) (int, bool) {
 }
 
 // rewriteWALFile atomically replaces the WAL with one holding exactly the
-// given memtable as 'A' records (ids[i] ↔ ts[i]); labelsLen stamps every
-// record's prevLabels (their labels are already in the manifest's table, so
-// the splice is empty). Called after a manifest commit — never before.
-func rewriteWALFile(fsys FS, path string, ids []int64, ts []*tree.Tree, labelsLen int, noSync bool) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
+// given memtable as 'A' records; labelsLen stamps every record's prevLabels
+// (their labels are already in the manifest's table, so the splice is empty).
+// Called after a manifest commit — never before.
+func rewriteWALFile(fsys FS, path string, mem []memEntry, labelsLen int, noSync bool) error {
+	buf := append(walMagic[:len(walMagic):len(walMagic)], walVersion)
+	for _, me := range mem {
+		buf = appendAdd(buf, me.id, nil, labelsLen, labelsLen, me.blk.t)
 	}
-	var buf bytes.Buffer
-	buf.Write(walMagic[:])
-	buf.WriteByte(walVersion)
-	for i, id := range ids {
-		rec := encodeAddStable(id, labelsLen, ts[i])
-		var sum [4]byte
-		binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(rec))
-		buf.Write(rec)
-		buf.Write(sum[:])
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if !noSync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return err
-	}
-	if !noSync {
-		return fsys.SyncDir(filepath.Dir(path))
-	}
-	return nil
-}
-
-// encodeAddStable is encodeAdd with no new labels: the rewrite form.
-func encodeAddStable(id int64, labelsLen int, t *tree.Tree) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte('A')
-	c := &cw{out: &buf}
-	c.u(uint64(id))
-	c.u(uint64(labelsLen))
-	c.u(0)
-	writeTreeStream(c, t)
-	return buf.Bytes()
+	return replaceFile(fsys, path, buf, noSync)
 }
 
 // sliceReader parses varint records from a byte slice with bounds checks;

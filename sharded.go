@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,8 +67,7 @@ type shardedState struct {
 	epoch  int64
 	lt     *LabelTable
 	trees  []*Tree
-	ids    []int       // global id by global position
-	pos    map[int]int // global id → global position
+	ids    []int // global id by global position; ascending, so posOf bisects
 	nextID int
 
 	views    []*Corpus // one frozen Snapshot per shard
@@ -177,6 +177,10 @@ func (sc *ShardedCorpus) seed(ts []*Tree, ids []int) error {
 	return nil
 }
 
+// posOf returns the global position of the tree with the given global id;
+// global ids ascend with position, as a Corpus's do.
+func (st *shardedState) posOf(id int) (int, bool) { return slices.BinarySearch(st.ids, id) }
+
 // publishLocked builds and swaps in the next sharded state: global order
 // ids/trees, fresh snapshot views for the touched shards (nil touched means
 // all), and the rebuilt position maps. Caller owns writeMu (or the corpus is
@@ -187,13 +191,9 @@ func (sc *ShardedCorpus) publishLocked(prev *shardedState, ids []int, trees []*T
 		lt:       lt,
 		trees:    trees,
 		ids:      ids,
-		pos:      make(map[int]int, len(ids)),
 		nextID:   nextID,
 		views:    make([]*Corpus, len(sc.shards)),
 		toGlobal: make([][]int, len(sc.shards)),
-	}
-	for p, id := range ids {
-		ns.pos[id] = p
 	}
 	for s := range sc.shards {
 		if touched == nil || touched[s] || prev.views == nil {
@@ -201,13 +201,14 @@ func (sc *ShardedCorpus) publishLocked(prev *shardedState, ids []int, trees []*T
 		} else {
 			ns.views[s] = prev.views[s]
 		}
-		v := ns.views[s]
-		vst := v.state.Load()
-		tg := make([]int, len(vst.ids))
-		for p, lid := range vst.ids {
-			tg[p] = ns.pos[sc.globalByShard[s][lid]]
-		}
-		ns.toGlobal[s] = tg
+		ns.toGlobal[s] = make([]int, 0, ns.views[s].Len())
+	}
+	// Global id g lives on shard g mod n, and a shard holds its trees in
+	// ascending global id, so one pass over the global order fills every
+	// shard's local-position → global-position map in local order.
+	for p, id := range ids {
+		s := id % len(sc.shards)
+		ns.toGlobal[s] = append(ns.toGlobal[s], p)
 	}
 	sc.state.Store(ns)
 }
@@ -228,12 +229,9 @@ func (sc *ShardedCorpus) Labels() *LabelTable { return sc.state.Load().lt }
 
 // Tree, ID, and PosOf address the current state's global membership exactly
 // as their Corpus counterparts do.
-func (sc *ShardedCorpus) Tree(i int) *Tree { return sc.state.Load().trees[i] }
-func (sc *ShardedCorpus) ID(i int) int     { return sc.state.Load().ids[i] }
-func (sc *ShardedCorpus) PosOf(id int) (int, bool) {
-	p, ok := sc.state.Load().pos[id]
-	return p, ok
-}
+func (sc *ShardedCorpus) Tree(i int) *Tree         { return sc.state.Load().trees[i] }
+func (sc *ShardedCorpus) ID(i int) int             { return sc.state.Load().ids[i] }
+func (sc *ShardedCorpus) PosOf(id int) (int, bool) { return sc.state.Load().posOf(id) }
 
 // CacheStats sums the signature-cache counters across the shards.
 func (sc *ShardedCorpus) CacheStats() CacheStats {
@@ -347,7 +345,7 @@ func (sc *ShardedCorpus) Remove(ids ...int) int {
 	st := sc.state.Load()
 	gone := make(map[int]bool, len(ids))
 	for _, id := range ids {
-		if _, ok := st.pos[id]; ok {
+		if _, ok := st.posOf(id); ok {
 			gone[id] = true
 		}
 	}
@@ -457,14 +455,11 @@ type ShardedView struct {
 }
 
 // Len, Epoch, Tree, ID, and PosOf read the pinned state.
-func (v *ShardedView) Len() int         { return len(v.st.trees) }
-func (v *ShardedView) Epoch() int64     { return v.st.epoch }
-func (v *ShardedView) Tree(i int) *Tree { return v.st.trees[i] }
-func (v *ShardedView) ID(i int) int     { return v.st.ids[i] }
-func (v *ShardedView) PosOf(id int) (int, bool) {
-	p, ok := v.st.pos[id]
-	return p, ok
-}
+func (v *ShardedView) Len() int                 { return len(v.st.trees) }
+func (v *ShardedView) Epoch() int64             { return v.st.epoch }
+func (v *ShardedView) Tree(i int) *Tree         { return v.st.trees[i] }
+func (v *ShardedView) ID(i int) int             { return v.st.ids[i] }
+func (v *ShardedView) PosOf(id int) (int, bool) { return v.st.posOf(id) }
 
 // shardRound is one unit of the self-join decomposition: an intra-shard self
 // join (b == -1) or a cross-shard fragment-and-replicate round (a < b).

@@ -86,20 +86,22 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 func corpusFromStore(s *segstore.Store, c config) (*Corpus, error) {
 	live := s.Live()
 	st := &corpusState{
-		ts:      make([]*Tree, 0, len(live)),
-		ids:     make([]int, 0, len(live)),
-		pos:     make(map[int]int, len(live)),
-		nextID:  int(s.NextID()),
-		lt:      s.Labels(),
-		members: make(map[*Tree]struct{}, len(live)),
+		ts:     make([]*Tree, 0, len(live)),
+		ids:    make([]int, 0, len(live)),
+		nextID: int(s.NextID()),
+		lt:     s.Labels(),
 	}
 	cache := engine.NewCache()
+	cp := &Corpus{
+		cache:      cache,
+		indexCap:   c.indexCap,
+		store:      s,
+		persistent: true,
+		planner:    plan.New(),
+	}
 	for _, lv := range live {
-		id := int(lv.ID)
-		st.pos[id] = len(st.ts)
 		st.ts = append(st.ts, lv.Tree)
-		st.ids = append(st.ids, id)
-		st.members[lv.Tree] = struct{}{}
+		st.ids = append(st.ids, int(lv.ID))
 		// Duplicate-content entries alias one block; seeding is idempotent
 		// (the cache keys by tree pointer).
 		if lv.View != nil {
@@ -109,16 +111,10 @@ func corpusFromStore(s *segstore.Store, c config) (*Corpus, error) {
 			engine.SeedBag(cache, kind, lv.Tree, bag)
 		}
 	}
-	cp := &Corpus{
-		cache:      cache,
-		indexCap:   c.indexCap,
-		store:      s,
-		persistent: true,
-		planner:    plan.New(),
-	}
+	cp.addMembers(st.ts)
 	cp.state.Store(st)
 	cp.resetIndexes(st.epoch)
-	s.SetArtifacts(corpusArtifacts{cache: cache})
+	s.SetArtifacts(corpusArtifacts{cp})
 	return cp, nil
 }
 
@@ -137,7 +133,7 @@ func (cp *Corpus) SaveTo(dir string) error {
 	if err != nil {
 		return fmt.Errorf("treejoin: save store: %w", err)
 	}
-	s.SetArtifacts(corpusArtifacts{cache: cp.cache})
+	s.SetArtifacts(corpusArtifacts{cp})
 	ids := make([]int64, len(st.ids))
 	for i, id := range st.ids {
 		ids[i] = int64(id)
@@ -160,7 +156,8 @@ func (cp *Corpus) SaveTo(dir string) error {
 func (cp *Corpus) Labels() *LabelTable { return cp.state.Load().lt }
 
 // Close releases the corpus's backing store, flushing the memtable into a
-// final segment first, and waits for any background compaction to finish.
+// final segment first, and waits for any background flush or compaction to
+// finish.
 // Further mutations fail; queries over the already-loaded state keep working.
 // Closing an in-memory corpus (or a Snapshot view) is a no-op.
 func (cp *Corpus) Close() error {
@@ -206,8 +203,9 @@ func WithMemtableBudget(n int) Option { return func(c *config) { c.memBudget = n
 // checks, every block re-hashes to its stored content address, and entry
 // counts match the manifest. It is the deep check for corruption that crept
 // in after the open (bit rot, external truncation, a misbehaving disk) —
-// the open path alone would only notice on the next restart. Mutations block
-// for the duration; queries over the in-memory state do not. The error is
+// the open path alone would only notice on the next restart. It waits for a
+// flush or compaction in flight; mutations then block for the duration,
+// queries over the in-memory state do not. The error is
 // non-nil iff any fault was found; the report carries the detail either way.
 // Returns ErrNotPersistent for an in-memory corpus.
 func (cp *Corpus) Scrub() (ScrubReport, error) {
@@ -256,15 +254,17 @@ func (c config) storeOptions() segstore.Options {
 // scratch: arena views via the shared arena builder, token bags via the
 // persistence hooks keyed by tokenizer kind.
 type corpusArtifacts struct {
-	cache *engine.Cache
+	cp *Corpus
 }
 
+// Views runs inside Add, for trees about to become live: straight into the
+// shared cache.
 func (a corpusArtifacts) Views(ts []*tree.Tree) []*ted.TreeView {
-	return engine.ArenaFor(a.cache, ts, 1)
+	return engine.ArenaFor(a.cp.cache, ts, 1)
 }
 
 func (a corpusArtifacts) BagKinds() []string {
-	kinds := engine.BagKinds(a.cache)
+	kinds := engine.BagKinds(a.cp.cache)
 	// Always persist the two kinds the built-in methods draw on, so a corpus
 	// saved before its first join still reopens warm for every method.
 	for _, tz := range builtinTokenizers() {
@@ -277,8 +277,11 @@ func (a corpusArtifacts) BagKinds() []string {
 	return kinds
 }
 
+// Bags runs on the store's flush and merge goroutines, beside Remove: a tree
+// removed since the flush froze it must not land back in the cache it was
+// just evicted from, so the bags go through the corpus's router.
 func (a corpusArtifacts) Bags(kind string, ts []*tree.Tree) ([][]engine.BagEntry, bool) {
-	return engine.ExportBags(a.cache, kind, tokenizerFor(kind), ts)
+	return engine.ExportBags(a.cp.runCache(), kind, tokenizerFor(kind), ts)
 }
 
 // builtinTokenizers lists the tokenisations the built-in join methods use:

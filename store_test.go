@@ -2,6 +2,7 @@ package treejoin_test
 
 import (
 	"context"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -207,4 +208,90 @@ func TestSaveToAndReopen(t *testing.T) {
 			t.Fatalf("pair %d: %+v != %+v", i, got[i], want[i])
 		}
 	}
+}
+
+// TestIDsAscendWithPosition pins the invariant PosOf and Remove bisect on: in
+// every state of a Corpus, a ShardedCorpus and a reopened store, ids ascend
+// with position — whatever the Add/Remove history — and PosOf inverts ID.
+func TestIDsAscendWithPosition(t *testing.T) {
+	type corpus interface {
+		Len() int
+		ID(int) int
+		PosOf(int) (int, bool)
+		Add(...*treejoin.Tree) ([]int, error)
+		Remove(...int) int
+	}
+	check := func(what string, c corpus, gone []int) {
+		t.Helper()
+		for p := 0; p < c.Len(); p++ {
+			if p > 0 && c.ID(p) <= c.ID(p-1) {
+				t.Fatalf("%s: id %d at position %d follows id %d", what, c.ID(p), p, c.ID(p-1))
+			}
+			if q, ok := c.PosOf(c.ID(p)); !ok || q != p {
+				t.Fatalf("%s: PosOf(ID(%d)) = %d, %v", what, p, q, ok)
+			}
+		}
+		for _, id := range gone {
+			if p, ok := c.PosOf(id); ok {
+				t.Fatalf("%s: removed id %d still at position %d", what, id, p)
+			}
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	stored, err := treejoin.Open(dir, treejoin.WithMemtableBudget(8), treejoin.WithStoreNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt := stored.Labels()
+	sharded, err := treejoin.NewSharded(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := treejoin.NewCorpus(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := reintern(synth.Synthetic(150, 19), lt)
+	rng := rand.New(rand.NewSource(19))
+	var live, gone []int
+	for len(pool) > 0 {
+		if len(live) > 0 && rng.Intn(3) == 0 {
+			var ids []int
+			for k := 1 + rng.Intn(4); k > 0 && len(live) > 0; k-- {
+				at := rng.Intn(len(live))
+				ids = append(ids, live[at])
+				live = append(live[:at], live[at+1:]...)
+			}
+			gone = append(gone, ids...)
+			for _, c := range []corpus{plain, sharded, stored} {
+				if n := c.Remove(ids...); n != len(ids) {
+					t.Fatalf("Remove(%v) removed %d", ids, n)
+				}
+			}
+		} else {
+			k := min(1+rng.Intn(6), len(pool))
+			var ids []int
+			for _, c := range []corpus{plain, sharded, stored} {
+				if ids, err = c.Add(pool[:k]...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live, pool = append(live, ids...), pool[k:]
+		}
+		check("Corpus", plain, gone)
+		check("ShardedCorpus", sharded, gone)
+		check("stored Corpus", stored, gone)
+	}
+	if err := stored.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := treejoin.Open(dir, treejoin.WithStoreNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != len(live) {
+		t.Fatalf("reopened store holds %d trees, want %d", re.Len(), len(live))
+	}
+	check("reopened store", re, gone)
 }
