@@ -9,17 +9,20 @@ import (
 	"treejoin"
 )
 
-// BenchmarkColdOpen — time to first results on a cold start, the segment
-// store's reason to exist. Both variants start from bytes on disk and end
-// with the same SelfJoin answer over the shared 2000-tree bench corpus:
+// BenchmarkColdOpen — time to first results on a cold start. Both variants
+// start from bytes on disk and end with the same SelfJoin answer over the
+// shared 2000-tree bench corpus:
 //
-//	store:   treejoin.Open on a saved store (mmap'd segments seed canonical
-//	         trees, arena views, and every token bag), then the join.
+//	store:   treejoin.Open on a saved store (segments hold the canonical
+//	         trees and their ids, nothing derived), then the join.
 //	rebuild: parse the same trees from their serialised text, NewCorpus,
-//	         then the join — every signature recomputed from scratch.
+//	         then the join.
 //
-// The ratio is the cold-start speedup segments buy; baseline numbers are
-// recorded in BENCH_segstore.json.
+// Either way the join builds every signature and view from scratch, so the
+// two differ only in how the trees come back: a CRC pass and a varint stream
+// against a bracket parse. PQG is the counter-workload: the signature-method
+// path whose token bags segments once carried must not be slower for having
+// lost them. Run at -cpu 1,2.
 func BenchmarkColdOpen(b *testing.B) {
 	ctx := context.Background()
 	ts := engineBenchCorpus()
@@ -30,23 +33,12 @@ func BenchmarkColdOpen(b *testing.B) {
 		texts[i] = treejoin.FormatBracket(t)
 	}
 	dir := filepath.Join(b.TempDir(), "store")
-	seed := mustBenchCorpus(b, ts)
-	// Warm the artifacts SaveTo persists (views and token bags are built at
-	// save time regardless; a prior join also covers the filter profiles the
-	// store does not persist — the rebuild variant recomputes those too, so
-	// the comparison stays join-for-join fair).
-	if _, _, err := seed.SelfJoin(ctx, 1, treejoin.WithMethod(treejoin.MethodPQGram)); err != nil {
-		b.Fatal(err)
-	}
-	if err := seed.SaveTo(dir); err != nil {
+	if err := mustBenchCorpus(b, ts).SaveTo(dir); err != nil {
 		b.Fatal(err)
 	}
 
-	// Cold Open alone, for regression tracking: on return every persisted
-	// artifact (canonical trees, arena views, token bags) is live, so this is
-	// the full cost of reaching warm state from bytes on disk. (There is no
-	// rebuild twin at this level — NewCorpus is lazy and computes nothing, so
-	// a bare parse+NewCorpus timing would compare cold state against warm.)
+	// Open alone, for regression tracking: bytes on disk to a corpus ready
+	// to query.
 	b.Run("Open", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cp, err := treejoin.Open(dir, treejoin.WithStoreNoSync())

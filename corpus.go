@@ -91,7 +91,9 @@ func (st *corpusState) posOf(id int) (int, bool) { return slices.BinarySearch(st
 // by the first join that needs it. Removing trees evicts their artifacts,
 // so the cache's memory tracks the live collection; beyond that it never
 // evicts — its size is bounded by the filter kinds and PartSJ thresholds
-// actually queried (see DESIGN.md, "The corpus artifact cache").
+// actually queried (see DESIGN.md, "The corpus artifact cache"). A corpus
+// opened from a store (Open) starts with the same empty cache a NewCorpus
+// does: the store holds the trees and their ids, nothing derived.
 //
 // Mutations are epoch-versioned with copy-on-write snapshots: Add and
 // Remove build a new immutable state and swap it in, so every query — and
@@ -383,11 +385,13 @@ func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 	}
 	cp.addMembers(ts)
 	// Keep the arena views live: once a join has paid to flatten the
-	// collection (the kind is populated), each Add flattens just its batch, so the next join's verifier finds every
-	// tree warm instead of rebuilding views for the whole membership. A
-	// corpus that never joined (or only ever used custom verifiers) skips
-	// this — the artifact would be pure speculation. Removal needs no
-	// counterpart: Remove's Evict drops every kind, arenas included.
+	// collection (the kind is populated), each Add flattens just its batch,
+	// so the next join's verifier finds every tree warm instead of rebuilding
+	// views for the whole membership. A corpus that never joined — a freshly
+	// opened store, the backing corpus of a ShardedCorpus, one that only ever
+	// used custom verifiers — skips this: the artifact would be pure
+	// speculation. Removal needs no counterpart: Remove's Evict drops every
+	// kind, arenas included.
 	if cp.cache.KindEntries(engine.ArenaKey) > 0 {
 		engine.ArenaFor(cp.cache, ts, 1)
 	}

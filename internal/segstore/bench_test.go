@@ -27,7 +27,6 @@ func BenchmarkStoreIngestChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.SetArtifacts(labelBagArtifacts{})
 		start := time.Now()
 		for off := 0; off+batch <= n; off += batch {
 			t0 := time.Now()

@@ -196,14 +196,6 @@ func (e *errFS) ReadFile(path string) ([]byte, error) {
 	return append([]byte(nil), mf.data...), nil
 }
 
-func (e *errFS) MapFile(path string) ([]byte, func(), error) {
-	data, err := e.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, func() {}, nil
-}
-
 func (e *errFS) Rename(oldPath, newPath string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

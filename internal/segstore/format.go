@@ -1,13 +1,12 @@
 // Package segstore implements the persistent corpus: an on-disk directory of
-// immutable segment files (canonical tree encodings, serialised arena views,
-// token-bag posting lists), a manifest tracking segment membership and
-// tombstones, and a write-ahead log making the memtable durable — an
-// LSM-flavoured lifecycle where Add appends to a WAL-backed memtable, Remove
-// tombstones in the manifest, and compaction merges segments once tombstones
-// outnumber live entries (generalising the engine's token-index compaction
-// rule). Trees are content-addressed by a hash of their canonical form, so
-// duplicates across segments dedup to one arena block in memory and one block
-// per segment on disk.
+// immutable segment files (canonical tree encodings and the ids that map onto
+// them — nothing derived from the trees is stored), a manifest tracking
+// segment membership and tombstones, and a write-ahead log making the memtable
+// durable — an LSM-flavoured lifecycle where Add appends to a WAL-backed
+// memtable, Remove tombstones in the manifest, and compaction merges segments
+// once tombstones outnumber live entries. Trees are content-addressed by a
+// hash of their canonical encoding, so duplicates across segments dedup to one
+// tree in memory and one block per segment on disk.
 //
 // Crash safety: the manifest rename is the commit point. Every manifest
 // rewrite is accompanied by a WAL rewrite holding exactly the surviving
@@ -33,9 +32,6 @@ const (
 	maxTreeNodes = 1 << 28
 	maxBlocks    = 1 << 24
 	maxEntries   = 1 << 28
-	maxKinds     = 1 << 12
-	maxKindLen   = 1 << 10
-	maxTokens    = 1 << 30
 	maxSegments  = 1 << 20
 	maxNameLen   = 1 << 10
 	maxID        = 1 << 56
@@ -71,17 +67,20 @@ func (c *cw) finish() []byte {
 	return binary.LittleEndian.AppendUint32(c.b, crc32.ChecksumIEEE(c.b[4:]))
 }
 
-// sd is the matching decoder, over a whole in-memory file image (a mapped
-// segment, a manifest read in one go). The CRC trailer is verified in one bulk
-// pass up front, then parsing runs straight off the slice. Sticky-error: the
-// first corruption poisons every later read, so decode loops need no per-call
+// sd is the matching decoder: a cursor over bytes already in memory — a whole
+// file image, whose header and CRC trailer newSD verifies in one bulk pass up
+// front, or the payload of one WAL record (a bare &sd{data: …}, checksummed by
+// its caller). Parsing runs straight off the slice. Sticky-error: the first
+// corruption poisons every later read, so decode loops need no per-call
 // checks; uvarints are capped.
 type sd struct {
-	data []byte // image minus the CRC trailer
-	pos  int
-	err  error
+	data    []byte // what may be read: a file image minus its CRC trailer
+	pos     int
+	version byte // of a file image: 1..the newest the caller reads
+	err     error
 }
 
+// newSD opens a file image written at any version from 1 to version.
 func newSD(data []byte, magic [4]byte, version byte, what string) *sd {
 	d := &sd{}
 	if len(data) < 9 {
@@ -97,12 +96,12 @@ func newSD(data []byte, magic [4]byte, version byte, what string) *sd {
 		d.err = corruptf("%s: checksum mismatch: %08x != %08x", what, got, want)
 		return d
 	}
-	if data[4] != version {
+	if data[4] == 0 || data[4] > version {
 		d.err = corruptf("%s: unsupported version %d", what, data[4])
 		return d
 	}
 	d.data = data[: len(data)-4 : len(data)-4]
-	d.pos = 5
+	d.pos, d.version = 5, data[4]
 	return d
 }
 
@@ -129,13 +128,12 @@ func (d *sd) u(cap uint64, what string) uint64 {
 	return v
 }
 
-// take returns the next n bytes of the image without copying; the slice
-// aliases the (possibly mmap'd) file and must not be retained.
+// take returns the next n bytes without copying; the slice aliases the image.
 func (d *sd) take(n int, what string) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if d.pos+n > len(d.data) {
+	if n > len(d.data)-d.pos {
 		d.bad("reading %s: truncated", what)
 		return nil
 	}

@@ -33,9 +33,6 @@ type FS interface {
 	OpenAppend(path string) (File, error)
 	// ReadFile returns the whole contents of path.
 	ReadFile(path string) ([]byte, error)
-	// MapFile returns the file image (zero-copy where the platform allows)
-	// and a release function; the bytes are invalid after release.
-	MapFile(path string) (data []byte, release func(), err error)
 	// Rename atomically replaces newPath with oldPath.
 	Rename(oldPath, newPath string) error
 	// Remove unlinks path.
@@ -55,7 +52,7 @@ type File interface {
 	Close() error
 }
 
-// osFS is the production FS: the os package plus the platform mmap reader.
+// osFS is the production FS: the os package.
 type osFS struct{}
 
 func (osFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
@@ -74,8 +71,6 @@ func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
 func (osFS) OpenAppend(path string) (File, error) {
 	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 }
-
-func (osFS) MapFile(path string) ([]byte, func(), error) { return readFileBytes(path) }
 
 func (osFS) Rename(oldPath, newPath string) error { return os.Rename(oldPath, newPath) }
 func (osFS) Remove(path string) error             { return os.Remove(path) }

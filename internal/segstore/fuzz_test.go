@@ -16,8 +16,12 @@ import (
 // or returns an error wrapping ErrCorrupt — never a panic, never an
 // out-of-range read, never an unbounded allocation (the caps in format.go).
 
-func fuzzSeeds(f *testing.F, name string) {
-	if data, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
+func fuzzSeeds(f *testing.F, names ...string) {
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(data)
 		// Corrupted variants: truncations and single-byte flips at a spread
 		// of offsets, so the corpus starts with near-valid inputs.
@@ -47,10 +51,10 @@ func fuzzLabelTable() *tree.LabelTable {
 }
 
 func FuzzSegmentDecode(f *testing.F) {
-	fuzzSeeds(f, "golden_segment.tjsg")
+	fuzzSeeds(f, goldenV1, "golden_segment.tjsg")
 	lt := fuzzLabelTable()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		blocks, entries, err := decodeSegment(data, lt)
+		blocks, v1, entries, err := decodeSegment(data, lt)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("non-corruption error: %v", err)
@@ -69,9 +73,12 @@ func FuzzSegmentDecode(f *testing.F) {
 			}
 			prev = e.id
 		}
+		if v1 != nil && len(v1) != len(blocks) {
+			t.Fatalf("%d v1 addresses for %d blocks", len(v1), len(blocks))
+		}
 		for i, b := range blocks {
-			if b.t == nil || b.view == nil {
-				t.Fatalf("block %d accepted with nil tree or view", i)
+			if b.t == nil {
+				t.Fatalf("block %d accepted with a nil tree", i)
 			}
 		}
 	})

@@ -7,18 +7,16 @@ import (
 	"path/filepath"
 	"testing"
 
-	"treejoin/internal/engine"
-	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenFixture builds a small deterministic store image: three distinct
-// trees (one added twice, exercising dedup), a token-bag kind, and one
-// tombstone in the manifest. Any byte-level change to the segment or manifest
-// encodings is a format break and must bump the version byte.
-func goldenFixture(t *testing.T) (lt *tree.LabelTable, blocks []*block, entries []segEntry, bags map[string][][]engine.BagEntry, m *manifest) {
+// trees (one added twice, exercising dedup) and one tombstone in the manifest.
+// Any byte-level change to the segment or manifest encodings is a format break
+// and must bump the version byte.
+func goldenFixture(t *testing.T) (lt *tree.LabelTable, blocks []*block, entries []segEntry, m *manifest) {
 	t.Helper()
 	lt = tree.NewLabelTable()
 	mk := func(build func(b *tree.Builder)) *tree.Tree {
@@ -39,18 +37,9 @@ func goldenFixture(t *testing.T) (lt *tree.LabelTable, blocks []*block, entries 
 	t3 := mk(func(b *tree.Builder) {
 		b.Root("note")
 	})
-	views := ted.BuildViews([]*tree.Tree{t1, t2, t3})
-	b1, b2, b3 := newBlock(t1, views[0]), newBlock(t2, views[1]), newBlock(t3, views[2])
-	blocks = []*block{b1, b2, b3}
+	blocks = []*block{newBlock(new(cw), t1), newBlock(new(cw), t2), newBlock(new(cw), t3)}
 	// Entry 2 reuses block 0: the duplicate-content case.
 	entries = []segEntry{{id: 3, blk: 0}, {id: 5, blk: 1}, {id: 8, blk: 0}, {id: 12, blk: 2}}
-	bags = map[string][][]engine.BagEntry{
-		"tokidx/test": {
-			{{Key: 1, Count: 2}, {Key: 7, Count: 1}},
-			{{Key: 1, Count: 1}},
-			{{Key: 42, Count: 3}},
-		},
-	}
 	m = &manifest{
 		nextID: 13,
 		lt:     lt,
@@ -58,7 +47,7 @@ func goldenFixture(t *testing.T) (lt *tree.LabelTable, blocks []*block, entries 
 			{name: "seg-000001.tjsg", nEntries: 4, tombs: []int32{1}},
 		},
 	}
-	return lt, blocks, entries, bags, m
+	return lt, blocks, entries, m
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -84,54 +73,95 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-func TestSegmentGolden(t *testing.T) {
-	lt, blocks, entries, bags, _ := goldenFixture(t)
-	var buf bytes.Buffer
-	if err := encodeSegment(&buf, lt, blocks, entries, bags); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden_segment.tjsg", buf.Bytes())
+// goldenV1 is the frozen version 1 image of goldenFixture's segment, written
+// by the last encoder of that format (arena-view cells per block, a token
+// section after the entries): the read fixture for directories older than
+// version 2. It pairs with golden_manifest.tjmf, which names it seg-000001.tjsg.
+const goldenV1 = "golden_segment_v1.tjsg"
 
-	// The pinned bytes must round-trip through the real decoder.
-	lt2 := tree.NewLabelTable()
-	for i := 0; i < lt.Len(); i++ {
-		lt2.Intern(lt.Name(int32(i)))
+// goldenV1Dir lays a version 1 store directory out of the two golden files.
+func goldenV1Dir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for from, to := range map[string]string{goldenV1: "seg-000001.tjsg", "golden_manifest.tjmf": manifestName} {
+		data, err := os.ReadFile(filepath.Join("testdata", from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, to), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	blocks2, entries2, err := decodeSegment(buf.Bytes(), lt2)
+	return dir
+}
+
+// TestSegmentGolden pins the version 2 bytes the encoder writes, and that the
+// decoder reads them and the frozen version 1 image to the same trees, entries
+// and block addresses — what lets blocks of both versions dedup together.
+func TestSegmentGolden(t *testing.T) {
+	lt, blocks, entries, _ := goldenFixture(t)
+	v2 := encodeSegment(lt, blocks, entries)
+	checkGolden(t, "golden_segment.tjsg", v2)
+	v1, err := os.ReadFile(filepath.Join("testdata", goldenV1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blocks2) != len(blocks) || len(entries2) != len(entries) {
-		t.Fatalf("round trip: %d blocks / %d entries, want %d / %d",
-			len(blocks2), len(entries2), len(blocks), len(entries))
-	}
-	for i, e := range entries2 {
-		if e.id != entries[i].id || e.blk != entries[i].blk {
-			t.Fatalf("entry %d: got %+v want %+v", i, e, entries[i])
+	for version, data := range map[byte][]byte{1: v1, 2: v2} {
+		if data[4] != version {
+			t.Fatalf("v%d image carries version byte %d", version, data[4])
 		}
-	}
-	for i, b := range blocks2 {
-		if !tree.Equal(b.t, blocks[i].t) {
-			t.Fatalf("block %d: tree mismatch after round trip", i)
+		lt2 := tree.NewLabelTable()
+		for i := 0; i < lt.Len(); i++ {
+			lt2.Intern(lt.Name(int32(i)))
 		}
-		if b.hash != blocks[i].hash {
-			t.Fatalf("block %d: hash mismatch after round trip", i)
+		blocks2, stored, entries2, err := decodeSegment(data, lt2)
+		if err != nil {
+			t.Fatalf("v%d: %v", version, err)
 		}
-		got := b.bags["tokidx/test"]
-		want := bags["tokidx/test"][i]
-		if len(got) != len(want) {
-			t.Fatalf("block %d: bag length %d want %d", i, len(got), len(want))
+		if len(blocks2) != len(blocks) || len(entries2) != len(entries) {
+			t.Fatalf("v%d: %d blocks / %d entries, want %d / %d",
+				version, len(blocks2), len(entries2), len(blocks), len(entries))
 		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("block %d bag entry %d: got %+v want %+v", i, j, got[j], want[j])
+		for i, e := range entries2 {
+			if e != entries[i] {
+				t.Fatalf("v%d entry %d: got %+v want %+v", version, i, e, entries[i])
+			}
+		}
+		if (version == 1) != (stored != nil) {
+			t.Fatalf("v%d: %d stored v1 addresses", version, len(stored))
+		}
+		for i, b := range blocks2 {
+			if !tree.Equal(b.t, blocks[i].t) {
+				t.Fatalf("v%d block %d: tree mismatch", version, i)
+			}
+			if b.hash != blocks[i].hash {
+				t.Fatalf("v%d block %d: address differs from the encoder's", version, i)
+			}
+			if stored != nil && stored[i] != v1Address(new(cw), b.t) {
+				t.Fatalf("v1 block %d: stored address is not the re-derived one", i)
 			}
 		}
 	}
 }
 
+// TestGoldenV1Directory: a directory written before version 2 opens to the
+// live set its manifest describes and scrubs clean.
+func TestGoldenV1Directory(t *testing.T) {
+	_, blocks, _, _ := goldenFixture(t)
+	s, err := Open(goldenV1Dir(t), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	checkLive(t, s, []int64{3, 8, 12}, []*tree.Tree{blocks[0].t, blocks[0].t, blocks[2].t})
+	rep, err := s.Scrub()
+	if err != nil || rep.Segments != 1 || rep.Blocks != 3 || rep.Entries != 4 {
+		t.Fatalf("scrub of the v1 directory: %+v, %v", rep, err)
+	}
+}
+
 func TestManifestGolden(t *testing.T) {
-	_, _, _, _, m := goldenFixture(t)
+	_, _, _, m := goldenFixture(t)
 	tmp := filepath.Join(t.TempDir(), manifestName)
 	if err := writeManifestTo(osFS{}, tmp, m, true); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,13 @@
 package segstore
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
+
+	"treejoin/internal/ted"
+	"treejoin/internal/tree"
 )
 
 // Integrity tooling. Scrub re-verifies the store's on-disk invariants end to
@@ -25,12 +30,13 @@ type ScrubReport struct {
 }
 
 // Scrub re-reads every committed file and re-verifies it bottom up: the
-// manifest decodes; each segment file decodes (bulk CRC, structural and
-// arena-view validation), its blocks re-hash to their stored content
-// addresses, and its entry list matches the manifest's count. A flush or
-// merge in flight finishes first; mutations are then blocked for the
-// duration, reads of the already-decoded corpus are not affected. The error (wrapping ErrCorrupt) is non-nil iff any fault was
-// found — the report carries the detail either way.
+// manifest decodes; each segment file decodes (bulk CRC and structural
+// checks), its blocks re-hash to the content addresses the file stores — of
+// whichever format version — and its entry list matches the manifest's count.
+// A flush or merge in flight finishes first; mutations are then blocked for
+// the duration, reads of the already-decoded corpus are not affected. The
+// error (wrapping ErrCorrupt) is non-nil iff any fault was found — the report
+// carries the detail either way.
 func (s *Store) Scrub() (ScrubReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -47,7 +53,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 	}
 	for _, seg := range s.segs {
 		rep.Segments++
-		blocks, entries, err := readSegmentFile(s.fs, filepath.Join(s.dir, seg.name), s.lt)
+		blocks, v1, entries, err := readSegmentFile(s.fs, filepath.Join(s.dir, seg.name), s.lt)
 		if err != nil {
 			fault(seg.name, "%v", err)
 			continue
@@ -63,8 +69,12 @@ func (s *Store) Scrub() (ScrubReport, error) {
 			// scrub re-derives it from the decoded content, catching any
 			// corruption a colliding CRC let through — and pinning that the
 			// dedup map was built from honest addresses.
-			if got := s.enc.newBlock(b.t, b.view).hash; got != b.hash {
-				fault(seg.name, "block %d: content address mismatch (stored %x, computed %x)", bi, b.hash[:8], got[:8])
+			stored, got := b.hash, newBlock(&s.enc, b.t).hash
+			if v1 != nil {
+				stored, got = v1[bi], v1Address(&s.enc, b.t)
+			}
+			if got != stored {
+				fault(seg.name, "block %d: content address mismatch (stored %x, computed %x)", bi, stored[:8], got[:8])
 			}
 		}
 	}
@@ -72,6 +82,25 @@ func (s *Store) Scrub() (ScrubReport, error) {
 		return rep, fmt.Errorf("segstore: scrub found %d fault(s) in %s: %w", len(rep.Faults), s.dir, ErrCorrupt)
 	}
 	return rep, nil
+}
+
+// v1Address re-derives the content address a version 1 segment stores for t:
+// the hash of the preorder stream, the strategy costs and the length-prefixed
+// little-endian cells of its arena view, which that format persisted. Nothing
+// else reads those any more; Scrub rebuilds the view to keep the stored value
+// honest until a compaction rewrites the file as version 2.
+func v1Address(scratch *cw, t *tree.Tree) [32]byte {
+	v := ted.BuildViews([]*tree.Tree{t})[0]
+	scratch.b = scratch.b[:0]
+	writeTreeStream(scratch, t)
+	scratch.u(uint64(v.CostL))
+	scratch.u(uint64(v.CostR))
+	cells := ted.AppendViewCells(nil, v)
+	scratch.u(uint64(len(cells)))
+	for _, cell := range cells {
+		scratch.b = binary.LittleEndian.AppendUint32(scratch.b, uint32(cell))
+	}
+	return sha256.Sum256(scratch.b)
 }
 
 // QuarantinedSegment describes one segment Open(Salvage) set aside. The id

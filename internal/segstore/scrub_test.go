@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
@@ -53,44 +52,55 @@ func resealSegment(t *testing.T, path string, edit func(data []byte)) {
 
 // TestScrubCatchesBitRot flips one byte inside a stored content address and
 // re-seals the file CRC — corruption the open path cannot see, because the
-// decoder trusts addresses under the CRC. Scrub re-derives every address and
-// must catch it.
+// decoder trusts addresses under the CRC (and never reads a version 1 one at
+// all). Scrub re-derives every address, each the way its format version
+// computed it, and must catch it.
 func TestScrubCatchesBitRot(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Create(dir, nil, Options{MemtableBudget: 1, NoBackground: true, NoSync: true})
+	lt := tree.NewLabelTable()
+	tr := chainTree(lt, 5)
+	v2Dir := t.TempDir()
+	s, err := Create(v2Dir, lt, Options{MemtableBudget: 1, NoBackground: true, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := chainTree(s.Labels(), 5)
 	if err := s.Add(s.NextID(), tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The block's content address appears verbatim in the file; find and
-	// flip it, then re-seal the CRC trailer over the edit.
-	want := newBlock(tr, ted.BuildViews([]*tree.Tree{tr})[0]).hash
-	segPath := filepath.Join(dir, "seg-000000.tjsg")
-	resealSegment(t, segPath, func(data []byte) {
-		i := bytes.Index(data, want[:])
-		if i < 0 {
-			t.Fatal("stored content address not found in segment file")
+	_, goldenBlocks, _, _ := goldenFixture(t)
+	for _, tc := range []struct {
+		dir, seg string
+		addr     [32]byte
+	}{
+		{v2Dir, "seg-000000.tjsg", newBlock(new(cw), tr).hash},
+		{goldenV1Dir(t), "seg-000001.tjsg", v1Address(new(cw), goldenBlocks[0].t)},
+	} {
+		// The block's content address appears verbatim in the file; find and
+		// flip it, then re-seal the CRC trailer over the edit.
+		resealSegment(t, filepath.Join(tc.dir, tc.seg), func(data []byte) {
+			i := bytes.Index(data, tc.addr[:])
+			if i < 0 {
+				t.Fatalf("%s: stored content address not found in segment file", tc.seg)
+			}
+			data[i] ^= 0xff
+		})
+		s2, err := Open(tc.dir, Options{NoBackground: true, NoSync: true})
+		if err != nil {
+			t.Fatalf("open does not re-hash, so it must still succeed: %v", err)
 		}
-		data[i] ^= 0xff
-	})
-	s2, err := Open(dir, Options{NoBackground: true, NoSync: true})
-	if err != nil {
-		t.Fatalf("open does not re-hash, so it must still succeed: %v", err)
-	}
-	defer s2.Close()
-	rep, err := s2.Scrub()
-	if err == nil || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("scrub missed the flipped content address: %v", err)
-	}
-	if len(rep.Faults) != 1 || rep.Faults[0].Name != "seg-000000.tjsg" ||
-		!strings.Contains(rep.Faults[0].Err, "content address mismatch") {
-		t.Fatalf("wrong fault: %+v", rep.Faults)
+		rep, err := s2.Scrub()
+		if err == nil || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: scrub missed the flipped content address: %v", tc.seg, err)
+		}
+		if len(rep.Faults) != 1 || rep.Faults[0].Name != tc.seg ||
+			!strings.Contains(rep.Faults[0].Err, "content address mismatch") {
+			t.Fatalf("wrong fault: %+v", rep.Faults)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -2,14 +2,11 @@ package segstore
 
 import (
 	"fmt"
-	"maps"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
-	"treejoin/internal/engine"
-	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
@@ -106,24 +103,11 @@ type Stats struct {
 	QuarantinedSegments int    // segments Open(Salvage) set aside
 }
 
-// Artifacts supplies per-tree artifacts from the owning corpus's cache, so
-// views and token bags are computed once and shared between joins and
-// segment writes. Views must return one arena view per tree; Bags reports
-// ok=false when a kind cannot be produced for every tree (such kinds are
-// simply not persisted).
-type Artifacts interface {
-	Views(ts []*tree.Tree) []*ted.TreeView
-	BagKinds() []string
-	Bags(kind string, ts []*tree.Tree) ([][]engine.BagEntry, bool)
-}
-
 // LiveTree is one live corpus entry as the store surfaces it: duplicates
-// share the Tree, View, and Bags of their canonical block.
+// share the Tree of their canonical block.
 type LiveTree struct {
 	ID   int64
 	Tree *tree.Tree
-	View *ted.TreeView
-	Bags map[string][]engine.BagEntry
 }
 
 // memEntry is one memtable tree.
@@ -170,17 +154,7 @@ type segJob struct {
 	seg    *liveSeg
 	merged int // leading segments this one replaces; 0 for a flush
 	start  time.Time
-	arts   Artifacts
-	kinds  []bagPlan
 	bytes  int // size of the written file
-}
-
-// bagPlan is one persistable bag kind of a job: the bags its blocks already
-// carry, and the blocks the build has to produce one for.
-type bagPlan struct {
-	kind    string
-	bags    [][]engine.BagEntry // one per block
-	missing []int
 }
 
 // Store is a persistent corpus directory. All methods are safe for
@@ -195,7 +169,6 @@ type Store struct {
 	mu         sync.Mutex
 	cond       *sync.Cond // signalled when imm or compacting clears, and on Close
 	lt         *tree.LabelTable
-	arts       Artifacts
 	segs       []*liveSeg
 	imm        *liveSeg // the frozen memtable while its segment is built; not yet in segs
 	mem        []memEntry
@@ -209,7 +182,7 @@ type Store struct {
 	closed     bool
 	dirty      bool // manifest on disk lags in-memory tombstones
 
-	enc    blockEnc // the writer's scratch, under mu
+	enc    cw // the block hasher's scratch, under mu
 	walBuf []byte
 
 	// Degraded mode: a failed flush, commit, or compaction leaves the
@@ -277,8 +250,9 @@ func Create(dir string, lt *tree.LabelTable, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// Open loads the store in dir: manifest, segments (mmap-decoded, content
-// addresses verified), WAL replay, orphan cleanup. With Options.Salvage,
+// Open loads the store in dir: manifest, segments of either format version
+// (bulk CRC and structure verified, blocks deduplicated by content address),
+// WAL replay, orphan cleanup. With Options.Salvage,
 // segments that fail integrity checks are quarantined instead of failing the
 // open (see Options.Salvage and SalvageReport).
 func Open(dir string, opt Options) (*Store, error) {
@@ -308,18 +282,9 @@ func Open(dir string, opt Options) (*Store, error) {
 			continue
 		}
 		// Canonicalise blocks against the cross-segment dedup map: equal
-		// content addresses collapse to one in-memory block, merging any
-		// bag kinds the duplicates carry.
+		// content addresses collapse to one in-memory block.
 		for i, b := range seg.blocks {
 			if canon, ok := s.byHash[b.hash]; ok {
-				for kind, bag := range b.bags {
-					if _, have := canon.bags[kind]; !have {
-						if canon.bags == nil {
-							canon.bags = make(map[string][]engine.BagEntry, len(b.bags))
-						}
-						canon.bags[kind] = bag
-					}
-				}
 				seg.blocks[i] = canon
 			} else {
 				s.byHash[b.hash] = b
@@ -364,10 +329,10 @@ func Open(dir string, opt Options) (*Store, error) {
 }
 
 // loadSegment reads and validates one manifest-listed segment without
-// touching store state: the decode (bulk CRC, structural checks, arena-view
-// validation), the manifest's entry count, and id ascension past prevID.
+// touching store state: the decode (bulk CRC, structural checks), the
+// manifest's entry count, and id ascension past prevID.
 func (s *Store) loadSegment(ms manifestSeg, prevID int64) (*liveSeg, error) {
-	blocks, entries, err := readSegmentFile(s.fs, filepath.Join(s.dir, ms.name), s.lt)
+	blocks, _, entries, err := readSegmentFile(s.fs, filepath.Join(s.dir, ms.name), s.lt)
 	if err != nil {
 		return nil, err
 	}
@@ -437,23 +402,15 @@ func (s *Store) replayLocked() error {
 			// Unreachable by any crash of the commit protocol: corruption.
 			break
 		}
-		s.addMemLocked(op.id, op.t, s.viewsLocked([]*tree.Tree{op.t})[0])
+		s.addMemLocked(op.id, op.t)
 	}
 	return nil
 }
 
-// viewsLocked builds (or fetches from the corpus cache) one arena view per tree.
-func (s *Store) viewsLocked(ts []*tree.Tree) []*ted.TreeView {
-	if s.arts != nil {
-		return s.arts.Views(ts)
-	}
-	return ted.BuildViews(ts)
-}
-
 // addMemLocked inserts a tree into the memtable under id, deduping its
 // content against every known block.
-func (s *Store) addMemLocked(id int64, t *tree.Tree, v *ted.TreeView) {
-	nb := s.enc.newBlock(t, v)
+func (s *Store) addMemLocked(id int64, t *tree.Tree) {
+	nb := newBlock(&s.enc, t)
 	if canon, ok := s.byHash[nb.hash]; ok {
 		nb = canon
 	} else {
@@ -479,14 +436,6 @@ func (s *Store) removeLocLocked(id int64, l loc) {
 	}
 	pos := sort.Search(len(s.mem), func(i int) bool { return s.mem[i].id >= id })
 	s.mem = append(s.mem[:pos], s.mem[pos+1:]...)
-}
-
-// SetArtifacts wires the corpus cache in; views and bags flow through it
-// from now on.
-func (s *Store) SetArtifacts(a Artifacts) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.arts = a
 }
 
 // Labels returns the store's label table (shared with the owning corpus).
@@ -519,12 +468,11 @@ func (s *Store) Live() []LiveTree {
 			if seg.dead[pos] {
 				continue
 			}
-			b := seg.blocks[e.blk]
-			out = append(out, LiveTree{ID: e.id, Tree: b.t, View: b.view, Bags: b.bags})
+			out = append(out, LiveTree{ID: e.id, Tree: seg.blocks[e.blk].t})
 		}
 	}
 	for _, me := range s.mem {
-		out = append(out, LiveTree{ID: me.id, Tree: me.blk.t, View: me.blk.view, Bags: me.blk.bags})
+		out = append(out, LiveTree{ID: me.id, Tree: me.blk.t})
 	}
 	return out
 }
@@ -602,8 +550,8 @@ func (s *Store) Add(firstID int64, ts ...*tree.Tree) error {
 		return err
 	}
 	s.walLabels = labels
-	for i, v := range s.viewsLocked(ts) {
-		s.addMemLocked(firstID+int64(i), ts[i], v)
+	for i, t := range ts {
+		s.addMemLocked(firstID+int64(i), t)
 	}
 	s.maybeFlushLocked()
 	return nil
@@ -663,8 +611,8 @@ func (s *Store) Bulk(ids []int64, ts []*tree.Tree, nextID int64) error {
 			return fmt.Errorf("segstore: tree %d does not use the store's label table", i)
 		}
 	}
-	for i, v := range s.viewsLocked(ts) {
-		s.addMemLocked(ids[i], ts[i], v)
+	for i, t := range ts {
+		s.addMemLocked(ids[i], t)
 	}
 	if nextID > s.nextID {
 		s.nextID = nextID
@@ -783,11 +731,8 @@ func (s *Store) freezeLocked() *segJob {
 	return job
 }
 
-// newJobLocked lays live out as the next segment — distinct blocks in
-// first-use order, entries referencing them by index, the next file name —
-// and plans its bags: per persistable kind, the bags the blocks already carry
-// (from an earlier segment load or an earlier job) and the blocks the build
-// must produce one for.
+// newJobLocked lays live out as the next segment: distinct blocks in
+// first-use order, entries referencing them by index, the next file name.
 func (s *Store) newJobLocked(live []memEntry, merged int) *segJob {
 	idx := make(map[*block]int32)
 	var blocks []*block
@@ -805,92 +750,28 @@ func (s *Store) newJobLocked(live []memEntry, merged int) *segJob {
 		seg:    &liveSeg{name: fmt.Sprintf(segPattern, s.segSeq), blocks: blocks, entries: entries, dead: make([]bool, len(entries))},
 		merged: merged,
 		start:  time.Now(),
-		arts:   s.arts,
 	}
 	s.segSeq++
-	kinds := make(map[string]bool)
-	for _, b := range blocks {
-		for k := range b.bags {
-			kinds[k] = true
-		}
-	}
-	if s.arts != nil {
-		for _, k := range s.arts.BagKinds() {
-			kinds[k] = true
-		}
-	}
-	for kind := range kinds {
-		p := bagPlan{kind: kind, bags: make([][]engine.BagEntry, len(blocks))}
-		for i, b := range blocks {
-			if bag, ok := b.bags[kind]; ok {
-				p.bags[i] = bag
-			} else {
-				p.missing = append(p.missing, i)
-			}
-		}
-		job.kinds = append(job.kinds, p)
-	}
 	return job
 }
 
-// buildSegment writes the job's segment file. It needs no lock: it reads the
-// job, the immutable trees and views of its blocks, and the label table, and
-// builds the bags its blocks lack through the corpus artifacts. A kind is
-// persisted when every block ends up with a bag; partial coverage drops the
-// kind (the cache rebuilds those bags lazily after a reopen). The file is
-// fully written before any in-memory state changes, so a failure leaves the
-// store exactly as it was.
+// buildSegment writes the job's segment file (fsynced unless NoSync). It needs
+// no lock: it reads the job, the immutable trees of its blocks, and the label
+// table. The file is fully written before any in-memory state changes, so a
+// failure leaves the store exactly as it was; it becomes live only when a
+// manifest referencing it commits, and a crash before that leaves an orphan
+// the next open removes.
 func (s *Store) buildSegment(job *segJob) error {
-	blocks := job.seg.blocks
-	bags := make(map[string][][]engine.BagEntry, len(job.kinds))
-	kept := job.kinds[:0]
-	for _, p := range job.kinds {
-		if len(p.missing) > 0 {
-			if job.arts == nil {
-				continue
-			}
-			ts := make([]*tree.Tree, len(p.missing))
-			for k, i := range p.missing {
-				ts[k] = blocks[i].t
-			}
-			built, ok := job.arts.Bags(p.kind, ts)
-			if !ok {
-				continue
-			}
-			for k, i := range p.missing {
-				p.bags[i] = built[k]
-			}
-		}
-		bags[p.kind] = p.bags
-		kept = append(kept, p)
-	}
-	job.kinds = kept
 	path := filepath.Join(s.dir, job.seg.name)
-	n, err := writeSegmentFile(s.fs, path, s.lt, blocks, job.seg.entries, bags, s.opt.NoSync)
-	if err != nil {
+	data := encodeSegment(s.lt, job.seg.blocks, job.seg.entries)
+	if err := writeFile(s.fs, path, data, s.opt.NoSync); err != nil {
 		// Best-effort: the name is never reused, and a leftover is an orphan
 		// the next open removes anyway.
 		_ = s.fs.Remove(path)
 		return err
 	}
-	job.bytes = n
+	job.bytes = len(data)
 	return nil
-}
-
-// adoptLocked accounts a built job's file and gives its blocks the bags the
-// build produced. A block's bag map may already be in a reader's hands (Live),
-// so it is replaced, never written to.
-func (s *Store) adoptLocked(job *segJob) {
-	s.segBytes += int64(job.bytes)
-	for _, p := range job.kinds {
-		for _, i := range p.missing {
-			b := job.seg.blocks[i]
-			bags := make(map[string][]engine.BagEntry, len(b.bags)+1)
-			maps.Copy(bags, b.bags)
-			bags[p.kind] = p.bags[i]
-			b.bags = bags
-		}
-	}
 }
 
 // installFlushLocked ends a flush. A failed build thaws the frozen memtable
@@ -913,7 +794,7 @@ func (s *Store) installFlushLocked(job *segJob, buildErr error) error {
 		return buildErr
 	}
 	s.segs = append(s.segs, seg)
-	s.adoptLocked(job)
+	s.segBytes += int64(job.bytes)
 	s.flushes++
 	if err := s.commitLocked(); err != nil {
 		return err
@@ -1086,7 +967,7 @@ func (s *Store) installMergeLocked(job *segJob, buildErr error) error {
 	}
 	old := s.segs[:job.merged]
 	s.segs = append([]*liveSeg{seg}, s.segs[job.merged:]...)
-	s.adoptLocked(job)
+	s.segBytes += int64(job.bytes)
 	// Blocks no segment or memtable references any more leave the dedup map
 	// with their segments — a re-added duplicate simply recomputes its block.
 	s.byHash = make(map[[32]byte]*block, len(seg.blocks))

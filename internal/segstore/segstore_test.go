@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"treejoin/internal/engine"
-	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
@@ -18,9 +16,6 @@ func testOpts() Options {
 }
 
 var testLabels = []string{"a", "b", "c", "d", "e"}
-
-// newBlock builds one block with a scratch of its own.
-func newBlock(t *tree.Tree, v *ted.TreeView) *block { return new(blockEnc).newBlock(t, v) }
 
 func randTestTree(rng *rand.Rand, lt *tree.LabelTable, maxExtra int) *tree.Tree {
 	b := tree.NewBuilder(lt)
@@ -61,9 +56,6 @@ func checkLive(t *testing.T, s *Store, ids []int64, trees []*tree.Tree) {
 		prev = lv.ID
 		if !tree.Equal(lv.Tree, trees[i]) {
 			t.Fatalf("live[%d] tree content differs", i)
-		}
-		if lv.View == nil || lv.View.T != lv.Tree {
-			t.Fatalf("live[%d] view missing or detached", i)
 		}
 	}
 }
@@ -365,85 +357,4 @@ func TestBulk(t *testing.T) {
 	if got := s2.NextID(); got != 12 {
 		t.Fatalf("next id %d, want 12", got)
 	}
-}
-
-// TestBagsPersist: bags supplied at flush come back from the segment on
-// reopen, per entry, sorted, with duplicates sharing them.
-func TestBagsPersist(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Create(dir, nil, Options{MemtableBudget: 100, NoBackground: true, NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetArtifacts(labelBagArtifacts{})
-	rng := rand.New(rand.NewSource(11))
-	var trees []*tree.Tree
-	for i := 0; i < 5; i++ {
-		tr := randTestTree(rng, s.Labels(), 6)
-		trees = append(trees, tr)
-		if err := s.Add(s.NextID(), tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	for i, lv := range s2.Live() {
-		bag, ok := lv.Bags["tokidx/test-labels"]
-		if !ok {
-			t.Fatalf("live[%d] lost its bag", i)
-		}
-		want := labelBag(trees[i])
-		if len(bag) != len(want) {
-			t.Fatalf("live[%d] bag %v, want %v", i, bag, want)
-		}
-		for j := range bag {
-			if bag[j] != want[j] {
-				t.Fatalf("live[%d] bag %v, want %v", i, bag, want)
-			}
-		}
-	}
-}
-
-// labelBag is the stub tokenisation: sorted (label, multiplicity) entries.
-func labelBag(t *tree.Tree) []engine.BagEntry {
-	counts := map[uint64]int32{}
-	for i := range t.Nodes {
-		counts[uint64(t.Nodes[i].Label)]++
-	}
-	keys := make([]uint64, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ { // insertion sort; tiny
-		for j := i; j > 0 && keys[j-1] > keys[j]; j-- {
-			keys[j-1], keys[j] = keys[j], keys[j-1]
-		}
-	}
-	out := make([]engine.BagEntry, len(keys))
-	for i, k := range keys {
-		out[i] = engine.BagEntry{Key: k, Count: counts[k]}
-	}
-	return out
-}
-
-// labelBagArtifacts is a deterministic Artifacts stub over labelBag.
-type labelBagArtifacts struct{}
-
-func (labelBagArtifacts) Views(ts []*tree.Tree) []*ted.TreeView { return ted.BuildViews(ts) }
-func (labelBagArtifacts) BagKinds() []string                    { return []string{"tokidx/test-labels"} }
-func (labelBagArtifacts) Bags(kind string, ts []*tree.Tree) ([][]engine.BagEntry, bool) {
-	if kind != "tokidx/test-labels" {
-		return nil, false
-	}
-	out := make([][]engine.BagEntry, len(ts))
-	for i, t := range ts {
-		out[i] = labelBag(t)
-	}
-	return out, true
 }

@@ -224,21 +224,22 @@ func parseRecord(data []byte, pos int, lt *tree.LabelTable) (op walOp, next int,
 	if crc32.ChecksumIEEE(data[pos:end]) != want {
 		return op, 0, false
 	}
-	r := &sliceReader{data: data[:end], pos: pos}
-	switch r.byteVal() {
-	case 'A':
-		op.id = int64(r.u(maxID))
-		prevLabels := r.u(maxLabels)
-		nNew := r.u(maxLabels)
-		if r.err || prevLabels > uint64(lt.Len()) {
+	d := &sd{data: data[:end], pos: pos + 1} // past the kind byte recordEnd admitted
+	op.id = int64(d.u(maxID, "id"))
+	if data[pos] == 'R' {
+		op.remove = true
+	} else {
+		prevLabels := d.u(maxLabels, "label base")
+		nNew := d.u(maxLabels, "new label count")
+		if d.err != nil || prevLabels > uint64(lt.Len()) {
 			return op, 0, false
 		}
 		// Splice: labels the table already holds (a stale record whose
 		// mutation a newer manifest committed) must match byte for byte;
 		// genuinely new ones intern at exactly the recorded positions.
 		for i := uint64(0); i < nNew; i++ {
-			name := r.str(maxLabelLen)
-			if r.err {
+			name := d.str(maxLabelLen, "label")
+			if d.err != nil {
 				return op, 0, false
 			}
 			idx := int32(prevLabels + i)
@@ -250,12 +251,9 @@ func parseRecord(data []byte, pos int, lt *tree.LabelTable) (op walOp, next int,
 				return op, 0, false
 			}
 		}
-		op.t = r.tree(lt)
-	default: // recordEnd admitted only 'A' and 'R'
-		op.remove = true
-		op.id = int64(r.u(maxID))
+		op.t = readTreeStream(d, lt, uint64(lt.Len()))
 	}
-	if r.err || r.pos != end {
+	if d.finish() != nil {
 		return op, 0, false
 	}
 	return op, end + 4, true
@@ -264,28 +262,28 @@ func parseRecord(data []byte, pos int, lt *tree.LabelTable) (op walOp, next int,
 // recordEnd finds the byte offset just past a record's payload (where its
 // CRC trailer starts) by structurally skipping it, with no side effects.
 func recordEnd(data []byte, pos int) (int, bool) {
-	r := &sliceReader{data: data, pos: pos}
-	switch r.byteVal() {
+	d := &sd{data: data, pos: pos}
+	kind := d.take(1, "record kind")
+	if d.err != nil {
+		return 0, false
+	}
+	d.u(maxID, "id")
+	switch kind[0] {
 	case 'A':
-		r.u(maxID)
-		r.u(maxLabels)
-		nNew := r.u(maxLabels)
-		for i := uint64(0); i < nNew && !r.err; i++ {
-			r.str(maxLabelLen)
+		d.u(maxLabels, "label base")
+		nNew := d.u(maxLabels, "new label count")
+		for i := uint64(0); i < nNew && d.err == nil; i++ {
+			d.take(int(d.u(maxLabelLen, "label length")), "label")
 		}
-		n := r.u(maxTreeNodes)
-		for i := uint64(0); i < 2*n && !r.err; i++ {
-			r.u(^uint64(0))
+		n := d.u(maxTreeNodes, "tree size")
+		for i := uint64(0); i < 2*n && d.err == nil; i++ {
+			d.u(^uint64(0), "tree stream")
 		}
 	case 'R':
-		r.u(maxID)
 	default:
 		return 0, false
 	}
-	if r.err {
-		return 0, false
-	}
-	return r.pos, true
+	return d.pos, d.err == nil
 }
 
 // rewriteWALFile atomically replaces the WAL with one holding exactly the
@@ -298,97 +296,4 @@ func rewriteWALFile(fsys FS, path string, mem []memEntry, labelsLen int, noSync 
 		buf = appendAdd(buf, me.id, nil, labelsLen, labelsLen, me.blk.t)
 	}
 	return replaceFile(fsys, path, buf, noSync)
-}
-
-// sliceReader parses varint records from a byte slice with bounds checks;
-// the WAL's in-memory record parser.
-type sliceReader struct {
-	data []byte
-	pos  int
-	err  bool
-}
-
-func (r *sliceReader) byteVal() byte {
-	if r.err || r.pos >= len(r.data) {
-		r.err = true
-		return 0
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b
-}
-
-func (r *sliceReader) u(cap uint64) uint64 {
-	if r.err {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 || v > cap {
-		r.err = true
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *sliceReader) str(cap uint64) string {
-	n := r.u(cap)
-	if r.err || r.pos+int(n) > len(r.data) {
-		r.err = true
-		return ""
-	}
-	s := string(r.data[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s
-}
-
-// tree decodes a preorder stream, the slice-reader twin of readTreeStream.
-func (r *sliceReader) tree(lt *tree.LabelTable) *tree.Tree {
-	n := r.u(maxTreeNodes)
-	if r.err || n == 0 {
-		r.err = true
-		return nil
-	}
-	b := tree.NewBuilder(lt)
-	type frame struct {
-		id      int32
-		pending uint64
-	}
-	var stack []frame
-	for i := uint64(0); i < n; i++ {
-		label := r.u(uint64(lt.Len()))
-		fan := r.u(n)
-		if r.err || label >= uint64(lt.Len()) {
-			r.err = true
-			return nil
-		}
-		var id int32
-		if len(stack) == 0 {
-			if i != 0 {
-				r.err = true
-				return nil
-			}
-			id = b.RootID(int32(label))
-		} else {
-			top := &stack[len(stack)-1]
-			id = b.ChildID(top.id, int32(label))
-			top.pending--
-		}
-		if fan > 0 {
-			stack = append(stack, frame{id: id, pending: fan})
-		}
-		for len(stack) > 0 && stack[len(stack)-1].pending == 0 {
-			stack = stack[:len(stack)-1]
-		}
-	}
-	if len(stack) != 0 {
-		r.err = true
-		return nil
-	}
-	t, err := b.Build()
-	if err != nil {
-		r.err = true
-		return nil
-	}
-	return t
 }

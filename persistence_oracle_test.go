@@ -3,13 +3,15 @@
 // round trip) must remain observationally identical to a corpus freshly built
 // over the surviving trees — bit-identical SelfJoin results for every method
 // at every threshold. This extends the mutation oracle across the storage
-// boundary: WAL replay, segment flushes, tombstones, compaction, and artifact
-// seeding all sit on the query path it checks.
+// boundary: WAL replay, segment flushes, tombstones, compaction and both
+// segment format versions all sit on the query path it checks.
 package treejoin_test
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"treejoin"
@@ -105,4 +107,88 @@ func TestPersistenceOracle(t *testing.T) {
 	if err := cp.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMixedVersionDirectory walks a directory written before segment format
+// version 2 through its life under the current code: it opens, takes
+// duplicates of its trees into a v2 segment that shares blocks with the v1
+// one by content address, scrubs clean with both present, compacts to v2
+// only, and reopens to the same ids and join results.
+func TestMixedVersionDirectory(t *testing.T) {
+	dir := t.TempDir()
+	for from, to := range map[string]string{"golden_segment_v1.tjsg": "seg-000001.tjsg", "golden_manifest.tjmf": "MANIFEST"} {
+		data, err := os.ReadFile(filepath.Join("internal", "segstore", "testdata", from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, to), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// segVersions lists the format version byte of every segment file.
+	segVersions := func() (vs []byte) {
+		names, err := filepath.Glob(filepath.Join(dir, "seg-*.tjsg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs = append(vs, data[4])
+		}
+		return vs
+	}
+	liveIDs := func(cp *treejoin.Corpus) (ids []int) {
+		for p := 0; p < cp.Len(); p++ {
+			ids = append(ids, cp.ID(p))
+		}
+		return ids
+	}
+
+	cp, err := treejoin.Open(dir, treejoin.WithMemtableBudget(3), treejoin.WithStoreNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := liveIDs(cp); !slices.Equal(got, []int{3, 8, 12}) { // the fixture's id 5 is tombstoned
+		t.Fatalf("v1 directory opened to ids %v", got)
+	}
+	before, _ := cp.StoreStats()
+	if _, err := cp.Add(reintern(cp.Trees(), cp.Labels())...); err != nil { // fills the memtable: a flush follows
+		t.Fatal(err)
+	}
+	if rep, err := cp.Scrub(); err != nil || rep.Segments != 2 { // waits for that flush
+		t.Fatalf("scrub of the mixed directory: %+v, %v", rep, err)
+	}
+	if got := segVersions(); !slices.Equal(got, []byte{1, 2}) {
+		t.Fatalf("segment versions after the flush: %v, want [1 2]", got)
+	}
+	if st, _ := cp.StoreStats(); st.Blocks != before.Blocks || st.Entries != before.Entries+3 {
+		t.Fatalf("duplicates did not share the v1 segment's blocks: %+v, before %+v", st, before)
+	}
+	checkSelfOracle(t, "mixed", cp)
+
+	if err := cp.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := segVersions(); !slices.Equal(got, []byte{2}) {
+		t.Fatalf("segment versions after Compact: %v, want [2]", got)
+	}
+	if _, err := cp.Scrub(); err != nil {
+		t.Fatalf("scrub after Compact: %v", err)
+	}
+	want := liveIDs(cp)
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := treejoin.Open(dir, treejoin.WithStoreNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := liveIDs(re); !slices.Equal(got, want) || len(got) != 6 {
+		t.Fatalf("reopened ids %v, want %v", got, want)
+	}
+	checkSelfOracle(t, "mixed compacted reopen", re)
 }

@@ -1,6 +1,9 @@
 package treejoin
 
 import (
+	"context"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -106,6 +109,49 @@ func TestShardedRollupMatchesRounds(t *testing.T) {
 	if stats.PostingsScanned != want.PostingsScanned || stats.DPAvoided != want.DPAvoided {
 		t.Fatalf("rollup counters = %d/%d, want %d/%d",
 			stats.PostingsScanned, stats.DPAvoided, want.PostingsScanned, want.DPAvoided)
+	}
+}
+
+// TestOpenShardedBuildsNoArtifactOutsideItsShards: the backing corpus of a
+// durable ShardedCorpus is the store's write path and nothing else — opening,
+// adding and joining leave its artifact cache empty, every view and signature
+// living in the shard that uses it — and the shards answer as one Corpus does.
+func TestOpenShardedBuildsNoArtifactOutsideItsShards(t *testing.T) {
+	ctx := context.Background()
+	ts := chainForest(40)
+	saved, err := NewCorpus(ts[:39])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := saved.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := OpenSharded(dir, 4, WithStoreNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	if _, err := sc.Add(MustParseBracket(FormatBracket(ts[39]), sc.Labels())); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := sc.SelfJoin(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sc.backing.CacheStats(); st.Entries != 0 {
+		t.Fatalf("backing corpus holds artifacts no query reads: %+v", st)
+	}
+	single, err := NewCorpus(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := single.SelfJoin(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("sharded store join: %d pairs, single corpus %d", len(got), len(want))
 	}
 }
 

@@ -7,12 +7,9 @@ import (
 	"path/filepath"
 	"slices"
 
-	"treejoin/internal/baseline"
 	"treejoin/internal/engine"
 	"treejoin/internal/engine/plan"
-	"treejoin/internal/pqgram"
 	"treejoin/internal/segstore"
-	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
@@ -46,11 +43,11 @@ type StoreStats = segstore.Stats
 // the directory holds no store yet. The returned corpus is fully dynamic —
 // every Add appends to the store's write-ahead log before it is visible, every
 // Remove tombstones, and a background compactor folds segments once enough
-// entries die — and everything the store persisted comes back warm: canonical
-// trees (duplicates share one in-memory instance), arena verification views,
-// and the τ-independent token bags of every signature method a previous
-// session paid for. A cold Open followed by a join therefore skips signature
-// computation entirely for segment-resident trees.
+// entries die. The store holds the canonical trees (duplicates share one
+// in-memory instance) and their ids, nothing derived from them: the reopened
+// corpus starts with an empty artifact cache, and its first join builds the
+// signatures and views it needs on its workers, exactly as a NewCorpus over
+// the same trees would — above Add the two are indistinguishable.
 //
 // Trees added to a persistent corpus must be built against the corpus's own
 // label table (Labels()); the table is part of the store and survives
@@ -73,17 +70,11 @@ func Open(dir string, opts ...Option) (*Corpus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("treejoin: open store: %w", err)
 	}
-	cp, err := corpusFromStore(s, c)
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	return cp, nil
+	return corpusFromStore(s, c), nil
 }
 
-// corpusFromStore builds a live Corpus over an opened store, seeding the
-// signature cache with every artifact the segments carry.
-func corpusFromStore(s *segstore.Store, c config) (*Corpus, error) {
+// corpusFromStore builds a live Corpus over an opened store's live trees.
+func corpusFromStore(s *segstore.Store, c config) *Corpus {
 	live := s.Live()
 	st := &corpusState{
 		ts:     make([]*Tree, 0, len(live)),
@@ -91,9 +82,8 @@ func corpusFromStore(s *segstore.Store, c config) (*Corpus, error) {
 		nextID: int(s.NextID()),
 		lt:     s.Labels(),
 	}
-	cache := engine.NewCache()
 	cp := &Corpus{
-		cache:      cache,
+		cache:      engine.NewCache(),
 		indexCap:   c.indexCap,
 		store:      s,
 		persistent: true,
@@ -102,27 +92,18 @@ func corpusFromStore(s *segstore.Store, c config) (*Corpus, error) {
 	for _, lv := range live {
 		st.ts = append(st.ts, lv.Tree)
 		st.ids = append(st.ids, int(lv.ID))
-		// Duplicate-content entries alias one block; seeding is idempotent
-		// (the cache keys by tree pointer).
-		if lv.View != nil {
-			engine.SeedView(cache, lv.Tree, lv.View)
-		}
-		for kind, bag := range lv.Bags {
-			engine.SeedBag(cache, kind, lv.Tree, bag)
-		}
 	}
 	cp.addMembers(st.ts)
 	cp.state.Store(st)
 	cp.resetIndexes(st.epoch)
-	s.SetArtifacts(corpusArtifacts{cp})
-	return cp, nil
+	return cp
 }
 
-// SaveTo writes the corpus's current live membership — trees, arena views,
-// and every token bag already cached — as a fresh persistent store at dir
-// (which must not already hold one). The corpus itself is untouched and stays
-// in-memory; Open(dir) later restores an equivalent corpus. Stable ids are
-// preserved, so a reopened corpus addresses the same trees by the same ids.
+// SaveTo writes the corpus's current live membership — the trees and their
+// stable ids; cached artifacts are not stored — as a fresh persistent store at
+// dir (which must not already hold one). The corpus itself is untouched and
+// stays in-memory; Open(dir) later restores an equivalent corpus, addressing
+// the same trees by the same ids.
 func (cp *Corpus) SaveTo(dir string) error {
 	st := cp.state.Load()
 	lt := st.lt
@@ -133,7 +114,6 @@ func (cp *Corpus) SaveTo(dir string) error {
 	if err != nil {
 		return fmt.Errorf("treejoin: save store: %w", err)
 	}
-	s.SetArtifacts(corpusArtifacts{cp})
 	ids := make([]int64, len(st.ids))
 	for i, id := range st.ids {
 		ids[i] = int64(id)
@@ -200,14 +180,15 @@ func WithMemtableBudget(n int) Option { return func(c *config) { c.memBudget = n
 
 // Scrub re-reads and re-verifies every committed file of the backing store:
 // the manifest decodes, each segment passes its bulk CRC and structural
-// checks, every block re-hashes to its stored content address, and entry
-// counts match the manifest. It is the deep check for corruption that crept
-// in after the open (bit rot, external truncation, a misbehaving disk) —
+// checks, every block re-hashes to its stored content address (a segment
+// written before format version 2 to the address that version defined), and
+// entry counts match the manifest. It is the deep check for corruption that
+// crept in after the open (bit rot, external truncation, a misbehaving disk) —
 // the open path alone would only notice on the next restart. It waits for a
 // flush or compaction in flight; mutations then block for the duration,
-// queries over the in-memory state do not. The error is
-// non-nil iff any fault was found; the report carries the detail either way.
-// Returns ErrNotPersistent for an in-memory corpus.
+// queries over the in-memory state do not. The error is non-nil iff any fault
+// was found; the report carries the detail either way. Returns
+// ErrNotPersistent for an in-memory corpus.
 func (cp *Corpus) Scrub() (ScrubReport, error) {
 	if cp.store == nil || cp.frozen {
 		return ScrubReport{}, ErrNotPersistent
@@ -247,57 +228,4 @@ func (c config) storeOptions() segstore.Options {
 		NoSync:         c.storeNoSync,
 		Salvage:        c.salvage,
 	}
-}
-
-// corpusArtifacts lets the store serialise artifacts out of the corpus cache
-// at flush time (and build the missing ones) instead of recomputing from
-// scratch: arena views via the shared arena builder, token bags via the
-// persistence hooks keyed by tokenizer kind.
-type corpusArtifacts struct {
-	cp *Corpus
-}
-
-// Views runs inside Add, for trees about to become live: straight into the
-// shared cache.
-func (a corpusArtifacts) Views(ts []*tree.Tree) []*ted.TreeView {
-	return engine.ArenaFor(a.cp.cache, ts, 1)
-}
-
-func (a corpusArtifacts) BagKinds() []string {
-	kinds := engine.BagKinds(a.cp.cache)
-	// Always persist the two kinds the built-in methods draw on, so a corpus
-	// saved before its first join still reopens warm for every method.
-	for _, tz := range builtinTokenizers() {
-		kind := "tokidx/" + tz.Name()
-		if !slices.Contains(kinds, kind) {
-			kinds = append(kinds, kind)
-		}
-	}
-	slices.Sort(kinds)
-	return kinds
-}
-
-// Bags runs on the store's flush and merge goroutines, beside Remove: a tree
-// removed since the flush froze it must not land back in the cache it was
-// just evicted from, so the bags go through the corpus's router.
-func (a corpusArtifacts) Bags(kind string, ts []*tree.Tree) ([][]engine.BagEntry, bool) {
-	return engine.ExportBags(a.cp.runCache(), kind, tokenizerFor(kind), ts)
-}
-
-// builtinTokenizers lists the tokenisations the built-in join methods use:
-// Euler q-grams (STR, EUL, PQG) and label histograms (SET, HIST).
-func builtinTokenizers() []engine.Tokenizer {
-	return []engine.Tokenizer{pqgram.Tokenizer(0), baseline.LabelTokenizer()}
-}
-
-// tokenizerFor resolves a persisted bag kind back to its tokenizer, or nil
-// for kinds no built-in method produces (those export cache-only: whatever a
-// custom integration cached persists, but nothing is built for it).
-func tokenizerFor(kind string) engine.Tokenizer {
-	for _, tz := range builtinTokenizers() {
-		if kind == "tokidx/"+tz.Name() {
-			return tz
-		}
-	}
-	return nil
 }

@@ -167,10 +167,6 @@ func TestSaveToAndReopen(t *testing.T) {
 	ctx := context.Background()
 	pool := synth.Synthetic(50, 17)
 	cp := mustCorpus(t, pool)
-	// Warm the cache so SaveTo persists computed artifacts, not rebuilt ones.
-	if _, _, err := cp.SelfJoin(ctx, 2, treejoin.WithMethod(treejoin.MethodPQGram)); err != nil {
-		t.Fatal(err)
-	}
 	want, _, err := cp.SelfJoin(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -191,14 +187,26 @@ func TestSaveToAndReopen(t *testing.T) {
 	if re.Len() != len(pool) {
 		t.Fatalf("reopened %d trees, want %d", re.Len(), len(pool))
 	}
-	// The reopened corpus starts warm: segment-resident views and token bags
-	// seed the cache before the first query.
-	if st := re.CacheStats(); st.Entries == 0 {
-		t.Fatalf("reopen seeded no artifacts: %+v", st)
+	// A store holds trees and nothing derived: the reopened corpus starts
+	// with an empty artifact cache, and its first join does exactly the work
+	// of a corpus that was never stored.
+	if st := re.CacheStats(); st != (treejoin.CacheStats{}) {
+		t.Fatalf("fresh Open holds artifacts: %+v", st)
 	}
-	got, _, err := re.SelfJoin(ctx, 3)
+	got, gotStats, err := re.SelfJoin(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fresh := mustCorpus(t, re.Trees())
+	_, freshStats, err := fresh.SelfJoin(ctx, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotStats.Candidates != freshStats.Candidates {
+		t.Fatalf("first join after Open: %d candidates, NewCorpus %d", gotStats.Candidates, freshStats.Candidates)
+	}
+	if a, b := re.CacheStats().Entries, fresh.CacheStats().Entries; a == 0 || a != b {
+		t.Fatalf("first join after Open cached %d artifacts, NewCorpus %d", a, b)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("SelfJoin after SaveTo/Open: %d pairs, want %d", len(got), len(want))
