@@ -212,8 +212,8 @@ type PlanExplanation struct {
 	CandTime   time.Duration
 	VerifyTime time.Duration
 
-	// index says, under a token-index plan, whether the corpus holds this
-	// epoch's index for the plan's (tokenizer, τ, C) right now.
+	// index says, under a token-index plan, whether the corpus's parts hold
+	// the index for the plan's (tokenizer, τ, C) right now.
 	index string
 }
 
@@ -273,12 +273,10 @@ func (cp *Corpus) Explain(ctx context.Context, tau int, opts ...Option) (PlanExp
 	if ex.Source == plan.SourceTokenIndex {
 		// The candgen estimate scales the build time past runs reported, and
 		// a run that finds the index cached reports none.
-		cp.mu.Lock()
-		cached := cp.searcherEpoch == st.epoch && cp.tokens.Has(tokenIndexKey{tz.Name(), tau, ex.PrefixC})
-		cp.mu.Unlock()
+		key := tokenIndexKey{tz.Name(), tau, ex.PrefixC}
 		ex.index = "not cached: the first join at this (tokenizer, τ, C) builds it"
-		if cached {
-			ex.index = "cached for this epoch: no build"
+		if !slices.ContainsFunc(st.parts, func(p *part) bool { return !p.tokens.Has(key) }) {
+			ex.index = "cached on every part: no build"
 		}
 	}
 	if dec != nil {

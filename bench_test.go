@@ -15,7 +15,6 @@ import (
 
 	"treejoin"
 	"treejoin/internal/bench"
-	"treejoin/internal/core"
 	"treejoin/internal/dataset"
 	"treejoin/internal/subtree"
 	"treejoin/internal/synth"
@@ -162,42 +161,51 @@ func BenchmarkParallelVerification(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedJoin — the paper's parallel direction: the same join with
-// its size order cut into at least `shards` probe chunks over one shared
-// index, on as many workers.
+// BenchmarkShardedJoin — the paper's parallel direction: the same join over a
+// corpus cut into `shards` parts, on as many workers (indexes warm).
 func BenchmarkShardedJoin(b *testing.B) {
 	ts := synth.Synthetic(400, 1)
 	for _, shards := range []int{1, 2, 4, 8} {
+		cp, err := treejoin.NewSharded(shards, ts)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.Options{Tau: 3, Workers: shards}.Job(shards, nil).SelfJoin(ts)
+				cp.SelfJoin(context.Background(), 3, treejoin.WithWorkers(shards))
 			}
 		})
 	}
 }
 
 // BenchmarkTopK — threshold-free closest pairs via expanding-threshold
-// PartSJ passes.
+// PartSJ passes over a warm corpus.
 func BenchmarkTopK(b *testing.B) {
-	ts := synth.Synthetic(200, 1)
+	cp, err := treejoin.NewCorpus(synth.Synthetic(200, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, k := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.TopK(ts, k, core.Options{})
+				cp.TopK(context.Background(), k)
 			}
 		})
 	}
 }
 
-// BenchmarkKNN — nearest-neighbour queries against a warm searcher (indexes
+// BenchmarkKNN — nearest-neighbour queries against a warm corpus (indexes
 // cached per visited threshold).
 func BenchmarkKNN(b *testing.B) {
 	ts := synth.Synthetic(200, 1)
-	knn := core.NewKNN(ts, core.Options{})
-	knn.Nearest(ts[0], 5) // warm the index cache
+	cp, err := treejoin.NewCorpus(ts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cp.KNN(context.Background(), ts[0], 5) // warm the index cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		knn.Nearest(ts[i%len(ts)], 5)
+		cp.KNN(context.Background(), ts[i%len(ts)], 5)
 	}
 }
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	treejoin -input trees.txt -tau 2 [-method PRT|STR|SET|BF|HIST|EUL|PQG]
-//	         [-prefilter HIST,SET] [-workers 4] [-shards 4] [-timeout 30s]
+//	         [-prefilter HIST,SET] [-workers 4] [-timeout 30s]
 //	         [-format bracket|newick|binary] [-stats] [-quiet] [-fixed-plan]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	treejoin -input a.txt -other b.txt -tau 2
@@ -49,7 +49,7 @@
 // removal ids) are reported on stderr and skipped — a long-running watch
 // never loses its standing result to one bad input line, and skipped lines
 // consume no id. Watch mode runs the incremental PartSJ stream, so -method
-// PRT only, and -other/-topk/-shards/-prefilter do not combine with it.
+// PRT only, and -other/-topk/-prefilter do not combine with it.
 //
 // With -store the corpus is a persistent segment store at the given
 // directory: Open-ed if it exists, created otherwise. Trees from -input (text
@@ -107,7 +107,6 @@ func main() {
 		method     = flag.String("method", "PRT", "join method: PRT, STR, SET, BF, HIST, EUL, or PQG")
 		prefilter  = flag.String("prefilter", "", "comma-separated filter stages to chain in front of the method (HIST, STR, SET, EUL, PQG)")
 		workers    = flag.Int("workers", 0, "parallel candidate-generation and TED-verification workers")
-		shards     = flag.Int("shards", 0, "cut the PRT join's size order into at least this many probe chunks over its one index")
 		timeout    = flag.Duration("timeout", 0, "abort the join after this duration (0: no limit)")
 		stats      = flag.Bool("stats", false, "print execution statistics to stderr")
 		quiet      = flag.Bool("quiet", false, "suppress pair output (useful with -stats)")
@@ -200,7 +199,7 @@ func main() {
 		if *explain {
 			fail("-explain does not combine with -watch")
 		}
-		runWatch(*input, *format, *store, *tau, *topk, *other, *method, *prefilter, *shards, *workers, *timeout, *stats, *quiet)
+		runWatch(*input, *format, *store, *tau, *topk, *other, *method, *prefilter, *workers, *timeout, *stats, *quiet)
 		return
 	}
 	if *input == "" && *store == "" {
@@ -269,9 +268,6 @@ func main() {
 		}
 	}
 	opts := []treejoin.Option{treejoin.WithMethod(m), treejoin.WithWorkers(*workers)}
-	if *shards > 1 {
-		opts = append(opts, treejoin.WithShards(*shards))
-	}
 	if *fixedPlan {
 		opts = append(opts, treejoin.WithFixedPlan())
 	}
@@ -454,7 +450,7 @@ func printStats(m treejoin.Method, tau int, st treejoin.Stats) {
 // "+\ti\tj\tdist" for every pair entering the result; removals print
 // "-\ti\tj\tdist" for every standing pair they retract. Output is flushed
 // per mutation, so a pipe consumer sees each delta as it happens.
-func runWatch(input, format, store string, tau, topk int, other, method, prefilter string, shards, workers int, timeout time.Duration, stats, quiet bool) {
+func runWatch(input, format, store string, tau, topk int, other, method, prefilter string, workers int, timeout time.Duration, stats, quiet bool) {
 	if tau < 0 {
 		fail("threshold must be non-negative, got %d", tau)
 	}
@@ -465,8 +461,6 @@ func runWatch(input, format, store string, tau, topk int, other, method, prefilt
 		fail("-watch does not combine with -other")
 	case prefilter != "":
 		fail("-watch does not combine with -prefilter")
-	case shards > 1:
-		fail("-watch does not combine with -shards")
 	case method != "PRT":
 		fail("-watch supports -method PRT only (the incremental stream is PartSJ)")
 	}

@@ -1,8 +1,9 @@
-// Command treejoind serves a sharded treejoin corpus over HTTP/JSON: the
-// paper's similarity join and the corpus's search/topk/knn queries behind a
-// small endpoint set, with per-query deadlines, a bounded in-flight
-// admission gate, snapshot-isolated reads (every request pins one
-// multi-shard epoch), and streaming NDJSON for the join results. With -store
+// Command treejoind serves a treejoin corpus, partitioned into -shards
+// parts, over HTTP/JSON: the paper's similarity join and the corpus's
+// search/topk/knn queries behind a small endpoint set, with per-query
+// deadlines, a bounded in-flight admission gate, snapshot-isolated reads
+// (every request pins one epoch with Corpus.Snapshot), and streaming NDJSON
+// for the join results. With -store
 // the corpus is durable: mutations write through a segment store that
 // survives restarts.
 //
@@ -91,11 +92,11 @@ func main() {
 	}
 }
 
-// bootCorpus assembles the sharded corpus the server fronts: persistent when
+// bootCorpus assembles the corpus the server fronts: persistent when
 // storeDir is set (reloading whatever the store holds, then appending the
 // input dataset if one is given and the store is empty), in-memory over the
 // input dataset otherwise.
-func bootCorpus(storeDir, input, format string, shards int) (*treejoin.ShardedCorpus, *treejoin.LabelTable, error) {
+func bootCorpus(storeDir, input, format string, shards int) (*treejoin.Corpus, *treejoin.LabelTable, error) {
 	if storeDir != "" {
 		sc, err := treejoin.OpenSharded(storeDir, shards)
 		if err != nil {
@@ -138,7 +139,7 @@ func bootCorpus(storeDir, input, format string, shards int) (*treejoin.ShardedCo
 // parse interns into (requests parse concurrently; the table synchronises
 // itself), the admission semaphore, and the query defaults.
 type server struct {
-	sc          *treejoin.ShardedCorpus
+	sc          *treejoin.Corpus
 	lt          *treejoin.LabelTable
 	sem         chan struct{}
 	deadline    time.Duration
@@ -146,7 +147,7 @@ type server struct {
 	logRequests bool
 }
 
-func newServer(sc *treejoin.ShardedCorpus, lt *treejoin.LabelTable, workers, inflight int, deadline time.Duration) *server {
+func newServer(sc *treejoin.Corpus, lt *treejoin.LabelTable, workers, inflight int, deadline time.Duration) *server {
 	if inflight < 1 {
 		inflight = 1
 	}
@@ -346,7 +347,7 @@ func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: bad tau: %v", errBadRequest, err))
 		return
 	}
-	v := s.sc.View()
+	v := s.sc.Snapshot()
 	var stats treejoin.Stats
 	seq, err := v.SelfJoinSeq(r.Context(), tau, s.queryOpts(&stats)...)
 	if err != nil {
@@ -391,7 +392,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	v := s.sc.View()
+	v := s.sc.Snapshot()
 	pairs, stats, err := v.Join(r.Context(), other, req.Tau, s.queryOpts(nil)...)
 	if err != nil {
 		writeErr(w, err)
@@ -419,7 +420,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	v := s.sc.View()
+	v := s.sc.Snapshot()
 	ms, err := v.Search(r.Context(), qs[0], req.Tau)
 	if err != nil {
 		writeErr(w, err)
@@ -440,7 +441,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	v := s.sc.View()
+	v := s.sc.Snapshot()
 	pairs, err := v.TopK(r.Context(), req.K)
 	if err != nil {
 		writeErr(w, err)
@@ -467,7 +468,7 @@ func (s *server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	v := s.sc.View()
+	v := s.sc.Snapshot()
 	ms, err := v.KNN(r.Context(), qs[0], req.K)
 	if err != nil {
 		writeErr(w, err)

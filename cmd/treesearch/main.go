@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -81,18 +82,23 @@ func main() {
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-	if *k > 0 {
-		knn := treejoin.NewKNN(ts)
-		for qi, q := range qs {
-			for _, m := range knn.Nearest(q, *k) {
-				fmt.Fprintf(w, "%d\t%d\t%d\n", qi, m.Pos, m.Dist)
-			}
-		}
-		return
+	cp, err := treejoin.NewCorpus(ts)
+	if err != nil {
+		fail("%v", err)
 	}
-	ix := treejoin.NewIndex(ts, *tau)
+	ctx := context.Background()
 	for qi, q := range qs {
-		for _, m := range ix.Search(q) {
+		var ms []treejoin.Match
+		if *k > 0 {
+			ms, err = cp.KNN(ctx, q, *k)
+		} else {
+			ms, err = cp.Search(ctx, q, *tau)
+		}
+		if err != nil {
+			w.Flush()
+			fail("query %d: %v", qi, err)
+		}
+		for _, m := range ms {
 			fmt.Fprintf(w, "%d\t%d\t%d\n", qi, m.Pos, m.Dist)
 		}
 	}

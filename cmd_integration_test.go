@@ -180,13 +180,13 @@ func TestCLIPipeline(t *testing.T) {
 		}
 	}
 
-	// Sharded + workers agree too.
-	stdout, _, err := runTool(t, "treejoin", "-input", bin, "-tau", "2", "-shards", "3", "-workers", "2")
+	// Parallel workers agree too.
+	stdout, _, err := runTool(t, "treejoin", "-input", bin, "-tau", "2", "-workers", "3")
 	if err != nil {
-		t.Fatalf("sharded: %v", err)
+		t.Fatalf("workers: %v", err)
 	}
 	if got := nonEmptyLines(stdout); len(got) != len(want) {
-		t.Fatalf("sharded: %d pairs, want %d", len(got), len(want))
+		t.Fatalf("workers: %d pairs, want %d", len(got), len(want))
 	}
 
 	// A prefilter chain leaves the result set unchanged and reports its

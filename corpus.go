@@ -51,15 +51,88 @@ var (
 type CacheStats = engine.CacheStats
 
 // corpusState is one immutable epoch of a corpus: the live trees in
-// insertion order and their stable public ids. Mutations build a new state
-// and swap the pointer — copy-on-write — so a query that loaded a state keeps
-// a perfectly consistent view for its whole run while writers proceed.
+// insertion order, their stable public ids, and the partition of that
+// membership into parts. Mutations build a new state and swap the pointer —
+// copy-on-write — so a query that loaded a state keeps a perfectly consistent
+// view for its whole run while writers proceed.
 type corpusState struct {
 	epoch  int64
 	ts     []*Tree
 	ids    []int // public id of the tree at each position; ascending, so PosOf bisects
 	nextID int
 	lt     *LabelTable
+
+	// parts partitions the membership by id (partOf). The one part of a
+	// one-part state is ts and ids themselves.
+	parts []*part
+
+	// max1 ≥ max2 are the two largest tree sizes: no pair is farther apart
+	// than their sum (delete one tree, insert the other), which caps the
+	// expanding thresholds of TopK and KNN.
+	max1, max2 int
+}
+
+// part is one cell of a state's partition: its trees and their ids, in
+// ascending id (so in the order the state holds them), and the frozen indexes built over exactly those trees — per position mode and
+// threshold the PartSJ subgraph index that Search, KNN and every PartSJ round
+// probe, per (tokenizer, threshold, prefix multiplier) the token index the
+// signature methods' self rounds probe, each built by whoever asks first. A
+// part is immutable: a mutation gives the parts it touches new ones and
+// carries the others over by pointer. An index is therefore reachable only
+// from the membership it covers — a query pinned to a pre-Remove state finds
+// that state's indexes, a query on the new state can never find them, and an
+// untouched part keeps its indexes across epochs.
+type part struct {
+	ts       []*Tree
+	ids      []int
+	subgraph *engine.IndexLRU[subgraphKey, *core.Index]
+	tokens   *engine.IndexLRU[tokenIndexKey, *engine.PrefixIndex]
+}
+
+type subgraphKey struct {
+	position core.PositionFilter
+	tau      int
+}
+
+// tokenIndexKey names one of a part's token indexes: the tokenisation, the
+// threshold, and the prefix multiplier C′ it was built with.
+type tokenIndexKey struct {
+	tokenizer    string
+	tau, prefixC int
+}
+
+func newPart(ts []*Tree, ids []int, indexCap int) *part {
+	if indexCap < 1 {
+		indexCap = core.DefaultIndexCacheCap
+	}
+	return &part{
+		ts:       ts,
+		ids:      ids,
+		subgraph: engine.NewIndexLRU[subgraphKey, *core.Index](indexCap),
+		tokens:   engine.NewIndexLRU[tokenIndexKey, *engine.PrefixIndex](indexCap),
+	}
+}
+
+// indexAt returns the part's subgraph index for a position mode and
+// threshold, building it on workers goroutines from cache's artifacts on
+// first use; built reports that this call paid for the build.
+func (p *part) indexAt(ctx context.Context, position core.PositionFilter, tau, workers int, cache *engine.Cache) (ix *core.Index, built bool, err error) {
+	return p.subgraph.Get(ctx, subgraphKey{position, tau}, func() *core.Index {
+		return core.NewIndexCached(p.ts, core.Options{Tau: tau, Position: position, Workers: workers}, cache)
+	})
+}
+
+// tokenResolver is the token-index source's hook for a self round over the
+// part: its frozen index for (tokenizer, τ, C′), built from the cached bags by
+// whichever join asks first and shared by every later one (STR, EUL and PQG
+// tokenise alike, so they share).
+func (p *part) tokenResolver(cache *engine.Cache) engine.TokenIndexResolver {
+	return func(ctx context.Context, tz engine.Tokenizer, tau, prefixC int) (*engine.PrefixIndex, bool) {
+		x, built, _ := p.tokens.Get(ctx, tokenIndexKey{tz.Name(), tau, prefixC}, func() *engine.PrefixIndex {
+			return engine.NewPrefixIndex(tz, p.ts, tau, prefixC, cache)
+		})
+		return x, built
+	}
 }
 
 // posOf returns the position of the tree with the given id. Ids are assigned
@@ -67,11 +140,80 @@ type corpusState struct {
 // position in every state.
 func (st *corpusState) posOf(id int) (int, bool) { return slices.BinarySearch(st.ids, id) }
 
+// partOf returns the part the tree with the given id lives in.
+func (st *corpusState) partOf(id int) int { return id % len(st.parts) }
+
+// global translates position i of part p into a position of ts: by the id,
+// as PosOf does — a part carried over from an earlier state knows nothing of
+// how positions have shifted since.
+func (st *corpusState) global(p *part, i int) int {
+	if len(st.parts) == 1 {
+		return i
+	}
+	pos, _ := st.posOf(p.ids[i])
+	return pos
+}
+
+// foldSizes accounts for the sizes of ts in max1 and max2.
+func (st *corpusState) foldSizes(ts []*Tree) {
+	for _, t := range ts {
+		switch s := t.Size(); {
+		case s > st.max1:
+			st.max1, st.max2 = s, st.max1
+		case s > st.max2:
+			st.max2 = s
+		}
+	}
+}
+
+// next builds the state that follows prev — the given membership, size caps
+// aside — partitioned like prev: a part that loses one of the ids in gone
+// (ascending) or gains one of the added trees is built afresh, with empty
+// index caches of capacity indexCap, from its survivors and then its
+// newcomers; every other part is carried over. ts and ids already reflect
+// both changes.
+func (prev *corpusState) next(indexCap int, ts []*Tree, ids []int, nextID int, lt *LabelTable, gone []int, added []*Tree, addedIDs []int) *corpusState {
+	ns := &corpusState{epoch: prev.epoch + 1, ts: ts, ids: ids, nextID: nextID, lt: lt, parts: slices.Clone(prev.parts)}
+	if len(ns.parts) == 1 {
+		ns.parts[0] = newPart(ts, ids, indexCap)
+		return ns
+	}
+	touched, gains := make([]bool, len(ns.parts)), make([]int, len(ns.parts))
+	for _, id := range gone {
+		touched[ns.partOf(id)] = true
+	}
+	for _, id := range addedIDs {
+		touched[ns.partOf(id)] = true
+		gains[ns.partOf(id)]++
+	}
+	for p, old := range prev.parts {
+		if !touched[p] {
+			continue
+		}
+		pts, pids := make([]*Tree, 0, len(old.ts)+gains[p]), make([]int, 0, len(old.ts)+gains[p])
+		from := 0
+		for _, id := range gone {
+			if i, ok := slices.BinarySearch(old.ids, id); ok {
+				pts, pids = append(pts, old.ts[from:i]...), append(pids, old.ids[from:i]...)
+				from = i + 1
+			}
+		}
+		pts, pids = append(pts, old.ts[from:]...), append(pids, old.ids[from:]...)
+		for i, id := range addedIDs {
+			if ns.partOf(id) == p {
+				pts, pids = append(pts, added[i]), append(pids, id)
+			}
+		}
+		ns.parts[p] = newPart(pts, pids, indexCap)
+	}
+	return ns
+}
+
 // Corpus is the primary entry point for joining and querying a collection
 // of trees: construct it once, query it many times, and — since the corpus
 // is fully dynamic — mutate it in place with Add and Remove as documents
 // arrive, change, and disappear. All trees must share one LabelTable
-// (validated — NewCorpus and Add return errors instead of producing
+// (validated — the constructors and Add return errors instead of producing
 // silently wrong joins).
 //
 // The corpus owns a signature cache: every per-tree artifact any query
@@ -81,19 +223,27 @@ func (st *corpusState) posOf(id int) (int, bool) { return slices.BinarySearch(st
 // cached by (artifact, tree) and reused by every later query, whatever its
 // threshold or method. A second SelfJoin at a different τ recomputes no
 // per-tree signature and rebuilds no view; only the τ-dependent pair
-// predicates and candidate enumeration run again. Search
-// and KNN queries additionally share a small LRU of per-threshold PartSJ
-// indexes (see WithIndexCacheCap), and PartSJ joins probe those same indexes
-// — one is built at most once per epoch, threshold and position mode, whoever
-// asks first. The signature methods' self joins share frozen token indexes
-// the same way, one per epoch, tokenizer, threshold and prefix multiplier
-// (STR, EUL and PQG tokenise alike and share one; so do SET and HIST), built
-// by the first join that needs it. Removing trees evicts their artifacts,
-// so the cache's memory tracks the live collection; beyond that it never
-// evicts — its size is bounded by the filter kinds and PartSJ thresholds
-// actually queried (see DESIGN.md, "The corpus artifact cache"). A corpus
-// opened from a store (Open) starts with the same empty cache a NewCorpus
-// does: the store holds the trees and their ids, nothing derived.
+// predicates and candidate enumeration run again. Removing trees evicts
+// their artifacts, so the cache's memory tracks the live collection; beyond
+// that it never evicts — its size is bounded by the filter kinds and PartSJ
+// thresholds actually queried (see DESIGN.md, "The corpus artifact cache"). A
+// corpus opened from a store (Open) starts with the same empty cache a
+// NewCorpus does: the store holds the trees and their ids, nothing derived.
+//
+// The membership is partitioned into parts by id — one part for NewCorpus and
+// Open, n for NewSharded and OpenSharded — and the partition is transparent:
+// every query is written once over the parts and reports the positions, ids
+// and pairs a one-part corpus over the same trees would, because every method
+// is exact and the fan-out merely decomposes the same result set. SelfJoin
+// runs one self join per part plus one cross join per pair of parts (the
+// fragment-and-replicate rounds of the paper's §6 direction) on a bounded
+// pool, under one plan; Search probes every part; TopK and KNN expand one
+// global threshold over those two. Each part owns small LRUs of frozen
+// indexes over its trees (see WithIndexCacheCap): a PartSJ subgraph index is
+// built at most once per part, threshold and position mode, whoever asks
+// first — Search, KNN or a join round — and a token index once per part,
+// tokenizer, threshold and prefix multiplier (STR, EUL and PQG tokenise alike
+// and share one; so do SET and HIST).
 //
 // Mutations are epoch-versioned with copy-on-write snapshots: Add and
 // Remove build a new immutable state and swap it in, so every query — and
@@ -103,10 +253,11 @@ func (st *corpusState) posOf(id int) (int, bool) { return slices.BinarySearch(st
 // a freshly built corpus over the same trees would); positions shift when
 // earlier trees are removed, so mutations address trees by the stable ids
 // Add returns (ID and PosOf translate). Snapshot pins the current epoch as
-// a frozen corpus view. A mutation drops the epoch's indexes and nothing
-// else: the write path maintains no index, and the first join or search of
-// the new epoch rebuilds the one it needs from the cached per-tree artifacts
-// (see DESIGN.md, "Dynamic corpora").
+// a frozen corpus view. A mutation replaces the parts it touches, and with
+// them their indexes, and nothing else: the write path maintains no index,
+// an untouched part keeps its own, and the first join or search to reach a
+// new part rebuilds the index it needs from the cached per-tree artifacts
+// (see DESIGN.md, "Dynamic corpora and their parts").
 //
 // Every query takes a context.Context: cancellation or deadline expiry
 // aborts the engine's candidate loops, worker pools, and verification stage
@@ -148,8 +299,7 @@ type Corpus struct {
 	// store backs a persistent corpus (see Open): mutations write through to
 	// it — WAL first, then the published state — so an acknowledged Add or
 	// Remove survives a crash. Nil for in-memory corpora.
-	store      *segstore.Store
-	persistent bool
+	store *segstore.Store
 
 	// planner is the corpus's learned cost model behind WithAutoPlan (the
 	// default): per-stage selectivity and cost observed from completed runs,
@@ -157,32 +307,15 @@ type Corpus struct {
 	// runs teach the same model, down-weighted by the epochs they lag. See
 	// internal/engine/plan and autoplan.go.
 	planner *plan.Model
-
-	// searchers holds, per position mode, the epoch's frozen PartSJ indexes
-	// by threshold: what Search and KNN probe, and what every PartSJ join over
-	// this membership — SelfJoin, either side of a Join, a TopK round, a shard
-	// round — resolves instead of building its own (see indexResolver). tokens
-	// holds the epoch's frozen token indexes, which the signature methods'
-	// self joins resolve (see tokenResolver). Both rotate together.
-	mu            sync.Mutex
-	searchers     map[core.PositionFilter]*core.KNN
-	tokens        *engine.IndexLRU[tokenIndexKey, *engine.PrefixIndex]
-	searcherEpoch int64
 }
 
-// tokenIndexKey names one of an epoch's token indexes: the tokenisation, the
-// threshold, and the prefix multiplier C′ it was built with.
-type tokenIndexKey struct {
-	tokenizer    string
-	tau, prefixC int
-}
-
-// indexCapacity is the bound on each of the corpus's per-epoch index caches.
-func (cp *Corpus) indexCapacity() int {
-	if cp.indexCap < 1 {
-		return core.DefaultIndexCacheCap
+// live returns the corpus whose cache and member set cp's queries route by:
+// cp itself, or the parent of a Snapshot view.
+func (cp *Corpus) live() *Corpus {
+	if cp.parent != nil {
+		return cp.parent
 	}
-	return cp.indexCap
+	return cp
 }
 
 // runCache returns the cache a query on cp should read and write through: a
@@ -193,10 +326,7 @@ func (cp *Corpus) indexCapacity() int {
 // overflow when a query races a Remove, so it gets a per-run one that dies
 // with the query — overflow memory never outlives whoever needed it.
 func (cp *Corpus) runCache() *engine.Cache {
-	live, over := cp, cp.overflow
-	if cp.parent != nil {
-		live = cp.parent
-	}
+	live, over := cp.live(), cp.overflow
 	if over == nil {
 		over = engine.NewCache()
 	}
@@ -208,38 +338,48 @@ func (cp *Corpus) runCache() *engine.Cache {
 	})
 }
 
-// NewCorpus validates ts (no nil trees, one shared LabelTable) and returns a
-// corpus over it. The slice is copied; the trees are shared, which is safe —
-// trees are immutable. Corpus-level options are applied here (currently
-// WithIndexCacheCap); per-query options go to the individual calls.
-func NewCorpus(ts []*Tree, opts ...Option) (*Corpus, error) {
-	c := buildConfig(opts)
-	st := &corpusState{
-		ts:     slices.Clone(ts),
-		ids:    make([]int, len(ts)),
-		nextID: len(ts),
-	}
-	cp := &Corpus{
-		cache:    engine.NewCache(),
-		indexCap: c.indexCap,
-		planner:  plan.New(),
-	}
-	for i, t := range st.ts {
+// checkTrees validates trees entering a corpus whose label table is lt (nil
+// while it is empty, when the first tree's is adopted): no nil trees, one
+// shared LabelTable. It returns the table the trees share.
+func checkTrees(lt *LabelTable, what string, ts ...*Tree) (*LabelTable, error) {
+	for i, t := range ts {
 		if t == nil {
-			return nil, fmt.Errorf("%w at index %d", ErrNilTree, i)
+			return nil, fmt.Errorf("%w (%s %d)", ErrNilTree, what, i)
 		}
-		if st.lt == nil {
-			st.lt = t.Labels
-		} else if t.Labels != st.lt {
-			return nil, fmt.Errorf("%w (tree %d)", ErrLabelTable, i)
+		if lt == nil {
+			lt = t.Labels
+		} else if t.Labels != lt {
+			return nil, fmt.Errorf("%w (%s %d)", ErrLabelTable, what, i)
 		}
-		st.ids[i] = i
 	}
-	cp.addMembers(st.ts)
-	cp.state.Store(st)
-	cp.resetIndexes(st.epoch)
-	return cp, nil
+	return lt, nil
 }
+
+// NewCorpus validates ts (no nil trees, one shared LabelTable) and returns a
+// one-part corpus over it. The slice is copied; the trees are shared, which is
+// safe — trees are immutable. Corpus-level options are applied here
+// (currently WithIndexCacheCap); per-query options go to the individual calls.
+func NewCorpus(ts []*Tree, opts ...Option) (*Corpus, error) {
+	return NewSharded(1, ts, opts...)
+}
+
+// newCorpus returns the live n-part corpus over an already validated
+// membership, written through to store when that is non-nil.
+func newCorpus(n, indexCap int, ts []*Tree, ids []int, nextID int, lt *LabelTable, store *segstore.Store) *Corpus {
+	cp := &Corpus{cache: engine.NewCache(), indexCap: indexCap, planner: plan.New(), store: store}
+	cp.addMembers(ts)
+	empty := &corpusState{epoch: -1, parts: make([]*part, n)}
+	for p := range empty.parts {
+		empty.parts[p] = newPart(nil, nil, cp.indexCap)
+	}
+	st := empty.next(cp.indexCap, ts, ids, nextID, lt, nil, ts, ids)
+	st.foldSizes(ts)
+	cp.state.Store(st)
+	return cp
+}
+
+// NumShards returns the number of parts the membership is partitioned into.
+func (cp *Corpus) NumShards() int { return len(cp.state.Load().parts) }
 
 // Len returns the number of live trees in the corpus. Each call reads the
 // current state, so a Len-then-Tree loop racing a concurrent Remove can see
@@ -258,8 +398,8 @@ func (cp *Corpus) Tree(i int) *Tree { return cp.state.Load().ts[i] }
 func (cp *Corpus) Trees() []*Tree { return slices.Clone(cp.state.Load().ts) }
 
 // ID returns the stable id of the tree at position i of the current state
-// (see Len for the concurrent-mutation caveat). Ids are assigned by
-// NewCorpus (0..n-1) and Add (continuing the sequence) and never reused;
+// (see Len for the concurrent-mutation caveat). Ids are assigned by the
+// constructor (0..n-1) and Add (continuing the sequence) and never reused;
 // they survive removals of other trees, which shift positions but not ids.
 func (cp *Corpus) ID(i int) int { return cp.state.Load().ids[i] }
 
@@ -307,40 +447,37 @@ func (cp *Corpus) Epoch() int64 { return cp.state.Load().epoch }
 func (cp *Corpus) CacheStats() CacheStats { return cp.cache.Stats() }
 
 // Snapshot returns a frozen view of the corpus at its current epoch: a
-// corpus whose queries all run against this exact membership, unaffected by
-// later Add/Remove on the parent (which proceed without blocking). The view
-// shares the parent's signature cache, so its queries stay warm; artifacts
-// of trees the parent has since removed land in a view-local overflow that
-// is garbage-collected with the view, so a snapshot can never undo the
-// parent's evictions. Add and Remove on the view return ErrImmutableSnapshot
-// (respectively 0).
+// corpus whose queries all run against this exact membership — every part
+// and the position maps at once — unaffected by later Add/Remove on the
+// parent (which proceed without blocking). It costs one pointer load and one
+// small struct, and needs no release: the per-request isolation seam
+// cmd/treejoind uses. The view shares the parent's signature cache and its
+// epoch's parts, so its queries find every index the parent's built (and the
+// other way round); artifacts of trees the parent has since removed land in a
+// view-local overflow that is garbage-collected with the view, so a snapshot
+// can never undo the parent's evictions. Add and Remove on the view return
+// ErrImmutableSnapshot (respectively 0).
 func (cp *Corpus) Snapshot() *Corpus {
-	parent := cp
-	if cp.parent != nil {
-		parent = cp.parent
-	}
 	s := &Corpus{
 		cache:    cp.cache,
 		overflow: engine.NewCache(),
 		indexCap: cp.indexCap,
 		frozen:   true,
-		parent:   parent,
+		parent:   cp.live(),
 		planner:  cp.planner,
 	}
-	st := cp.state.Load()
-	s.state.Store(st)
-	s.resetIndexes(st.epoch)
+	s.state.Store(cp.state.Load())
 	return s
 }
 
 // Add appends ts to the corpus (they become the highest positions, in
-// order) and returns their stable ids. Validation matches NewCorpus: no nil
-// trees, one shared LabelTable (an empty corpus adopts the first added
+// order) and returns their stable ids. Validation matches the constructors:
+// no nil trees, one shared LabelTable (an empty corpus adopts the first added
 // tree's table). The mutation is atomic — queries see either none or all of
 // the batch — and leaves the cached signatures of existing trees untouched;
-// the epoch's indexes are dropped, to be rebuilt from those signatures by the
-// first query that needs one. In-flight queries continue on their pre-Add
-// snapshot.
+// the parts the batch lands in are replaced, their indexes to be rebuilt from
+// those signatures by the first query that needs one, and every other part
+// keeps its own. In-flight queries continue on their pre-Add snapshot.
 func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 	if cp.frozen {
 		return nil, ErrImmutableSnapshot
@@ -351,16 +488,9 @@ func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 	cp.writeMu.Lock()
 	defer cp.writeMu.Unlock()
 	st := cp.state.Load()
-	lt := st.lt
-	for i, t := range ts {
-		if t == nil {
-			return nil, fmt.Errorf("%w (added tree %d)", ErrNilTree, i)
-		}
-		if lt == nil {
-			lt = t.Labels
-		} else if t.Labels != lt {
-			return nil, fmt.Errorf("%w (added tree %d)", ErrLabelTable, i)
-		}
+	lt, err := checkTrees(st.lt, "added tree", ts...)
+	if err != nil {
+		return nil, err
 	}
 	ids := make([]int, len(ts))
 	for i := range ts {
@@ -376,63 +506,22 @@ func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 			return nil, fmt.Errorf("treejoin: persist add: %w", err)
 		}
 	}
-	ns := &corpusState{
-		epoch:  st.epoch + 1,
-		ts:     slices.Concat(st.ts, ts),
-		ids:    slices.Concat(st.ids, ids),
-		nextID: st.nextID + len(ts),
-		lt:     lt,
-	}
+	ns := st.next(cp.indexCap, slices.Concat(st.ts, ts), slices.Concat(st.ids, ids), st.nextID+len(ts), lt, nil, ts, ids)
+	ns.max1, ns.max2 = st.max1, st.max2
+	ns.foldSizes(ts)
 	cp.addMembers(ts)
 	// Keep the arena views live: once a join has paid to flatten the
 	// collection (the kind is populated), each Add flattens just its batch,
 	// so the next join's verifier finds every tree warm instead of rebuilding
 	// views for the whole membership. A corpus that never joined — a freshly
-	// opened store, the backing corpus of a ShardedCorpus, one that only ever
-	// used custom verifiers — skips this: the artifact would be pure
-	// speculation. Removal needs no counterpart: Remove's Evict drops every
-	// kind, arenas included.
+	// opened store, one that only ever used custom verifiers — skips this: the
+	// artifact would be pure speculation. Removal needs no counterpart:
+	// Remove's Evict drops every kind, arenas included.
 	if cp.cache.KindEntries(engine.ArenaKey) > 0 {
 		engine.ArenaFor(cp.cache, ts, 1)
 	}
 	cp.state.Store(ns)
-	cp.dropSearchers(ns.epoch)
 	return ids, nil
-}
-
-// dropSearchers eagerly releases the indexes built over the previous
-// membership when a mutation lands at epoch. The next query would rotate them
-// lazily anyway (see serves); dropping them here means a mutation that is
-// never followed by a query does not keep full indexes (and the removed trees
-// they reference) resident.
-func (cp *Corpus) dropSearchers(epoch int64) {
-	cp.mu.Lock()
-	cp.resetIndexes(epoch)
-	cp.mu.Unlock()
-}
-
-// resetIndexes empties the per-epoch index caches and pins them to epoch; the
-// caller holds cp.mu (or is still constructing cp).
-func (cp *Corpus) resetIndexes(epoch int64) {
-	cp.searchers = make(map[core.PositionFilter]*core.KNN)
-	cp.tokens = engine.NewIndexLRU[tokenIndexKey, *engine.PrefixIndex](cp.indexCapacity())
-	cp.searcherEpoch = epoch
-}
-
-// serves reports whether the per-epoch index caches are st's to use, with
-// cp.mu held. The caches are pinned to one epoch: the first query after a
-// mutation rotates them, dropping every index built over the old membership
-// (the eviction-on-epoch contract — a stale index can never serve a
-// post-Remove query). A query still running against an older state is refused,
-// so it builds a one-off instead of polluting the cache.
-func (cp *Corpus) serves(st *corpusState) bool {
-	if cp.searcherEpoch != st.epoch {
-		if cp.state.Load().epoch != st.epoch {
-			return false
-		}
-		cp.resetIndexes(st.epoch)
-	}
-	return true
 }
 
 // Remove deletes the trees with the given ids from the corpus and returns
@@ -440,9 +529,9 @@ func (cp *Corpus) serves(st *corpusState) bool {
 // Later trees shift down to keep positions dense, so after the call the
 // corpus is indistinguishable — query for query, pair for pair — from a
 // corpus freshly built over the survivors; ids are stable throughout. The
-// removed trees' cached signatures and arena views are evicted and the
-// epoch's indexes (PartSJ and token) are dropped, so no stale index can serve
-// a post-Remove query.
+// removed trees' cached signatures and arena views are evicted and the parts
+// they lived in are replaced, indexes (PartSJ and token) and all, so no stale
+// index can serve a post-Remove query.
 // In-flight queries continue on their pre-Remove snapshot.
 func (cp *Corpus) Remove(ids ...int) int {
 	if cp.frozen || len(ids) == 0 {
@@ -465,35 +554,40 @@ func (cp *Corpus) Remove(ids ...int) int {
 	// Write-through for a persistent corpus (see Add). Remove cannot return
 	// an error, so a store failure aborts the whole mutation: nothing is
 	// unpublished from the in-memory state and the call reports 0.
+	gone := make([]int, len(positions)) // ascending, as positions are
+	for i, p := range positions {
+		gone[i] = st.ids[p]
+	}
 	if cp.store != nil {
-		gone := make([]int64, len(positions))
-		for i, p := range positions {
-			gone[i] = int64(st.ids[p])
+		gone64 := make([]int64, len(gone))
+		for i, id := range gone {
+			gone64[i] = int64(id)
 		}
-		if err := cp.store.Remove(gone...); err != nil {
+		if err := cp.store.Remove(gone64...); err != nil {
 			return 0
 		}
 	}
-	ns := &corpusState{
-		epoch:  st.epoch + 1,
-		ts:     make([]*Tree, 0, len(st.ts)-len(positions)),
-		ids:    make([]int, 0, len(st.ts)-len(positions)),
-		nextID: st.nextID,
-		lt:     st.lt,
-	}
+	nts := make([]*Tree, 0, len(st.ts)-len(positions))
+	nids := make([]int, 0, len(st.ts)-len(positions))
 	// Evict the removed trees' artifacts — unless the same tree object is
 	// still live at another position (the corpus permits aliases), in which
 	// case its artifacts stay warm for the survivor.
 	var evict []*tree.Tree
-	from := 0
+	from, capped := 0, false
 	for _, p := range positions {
-		ns.ts, ns.ids = append(ns.ts, st.ts[from:p]...), append(ns.ids, st.ids[from:p]...)
+		nts, nids = append(nts, st.ts[from:p]...), append(nids, st.ids[from:p]...)
+		capped = capped || st.ts[p].Size() >= st.max2
 		if !cp.dropMember(st.ts[p]) {
 			evict = append(evict, st.ts[p])
 		}
 		from = p + 1
 	}
-	ns.ts, ns.ids = append(ns.ts, st.ts[from:]...), append(ns.ids, st.ids[from:]...)
+	nts, nids = append(nts, st.ts[from:]...), append(nids, st.ids[from:]...)
+	ns := st.next(cp.indexCap, nts, nids, st.nextID, st.lt, gone, nil, nil)
+	if ns.max1, ns.max2 = st.max1, st.max2; capped {
+		ns.max1, ns.max2 = 0, 0
+		ns.foldSizes(nts)
+	}
 	// Evict only now that the dead trees have left members: runCache already
 	// routes them to overflow caches, so the window in which a racing reader
 	// can re-store an evicted artifact into the shared cache shrinks to
@@ -501,73 +595,168 @@ func (cp *Corpus) Remove(ids ...int) int {
 	// artifacts at worst, not the steady leak the reverse order would allow.
 	cp.state.Store(ns)
 	cp.cache.Evict(evict...)
-	cp.dropSearchers(ns.epoch)
 	return len(positions)
 }
 
-// tokenResolver is the token-index source's hook for a self join over st: the
-// epoch's frozen index for (tokenizer, τ, C′), built from the cached bags by
-// whichever join asks first — never by NewCorpus, Add or Remove — and shared
-// by every later one (STR, EUL and PQG tokenise alike, so they share). A view
-// pinned to a superseded epoch gets nil and builds a private one.
-func (cp *Corpus) tokenResolver(st *corpusState) engine.TokenIndexResolver {
-	return func(ctx context.Context, tz engine.Tokenizer, tau, prefixC int) (*engine.PrefixIndex, bool) {
-		cp.mu.Lock()
-		ok := cp.serves(st)
-		lru := cp.tokens // read after serves, which may have rotated it
-		cp.mu.Unlock()
-		if !ok {
-			return nil, false
+// joinQuery is one validated and planned join over pinned memberships: the
+// self join of a's parts, or — with b set — the cross join of a's parts
+// against b's. It is planned once, over the whole membership, against the
+// receiver's cost model; every round executes that one pipeline, bound to the
+// indexes of the parts it joins.
+type joinQuery struct {
+	cp    *Corpus
+	c     config
+	a, b  *corpusState
+	job   engine.Job
+	tz    engine.Tokenizer
+	trees []*Tree // what the plan was made over: a's trees, then b's
+	// cache routes the artifacts of the run. An index built for a part
+	// outlives the run, so each side's builds route through ixCache[side],
+	// which knows the corpus owning that side and never its partner.
+	cache   *engine.Cache
+	ixCache [2]*engine.Cache
+	rounds  []round
+}
+
+// selfQuery validates, pins to st and plans the self join of cp at tau.
+func (cp *Corpus) selfQuery(ctx context.Context, st *corpusState, tau int, c config) (*joinQuery, error) {
+	q := &joinQuery{cp: cp, c: c, a: st, trees: st.ts, cache: cp.runCache(), rounds: selfRounds(st)}
+	q.ixCache = [2]*engine.Cache{q.cache, q.cache}
+	return q, q.plan(ctx, tau)
+}
+
+// crossQuery validates a cross join against other, pins both corpora's
+// states (the join runs against exactly these memberships even when either
+// side mutates mid-run) and plans it: the receiver's model never calibrates
+// on cross joins — it plans from whatever self-join observations it holds, or
+// emits the fixed plan. The run's cache routes each tree's artifacts to the
+// corpus it is live in, so both sides warm their own caches and neither
+// retains (and pins) the other's trees; trees live in neither — including
+// trees either side has since removed — land in an overflow that dies with
+// the query.
+func (cp *Corpus) crossQuery(ctx context.Context, other *Corpus, tau int, c config) (*joinQuery, error) {
+	if other == nil {
+		return nil, ErrNilCorpus
+	}
+	q := &joinQuery{cp: cp, c: c, a: cp.state.Load(), b: other.state.Load()}
+	if q.a.lt != nil && q.b.lt != nil && q.a.lt != q.b.lt {
+		return nil, fmt.Errorf("%w (cross join)", ErrLabelTable)
+	}
+	q.ixCache = [2]*engine.Cache{cp.runCache(), other.runCache()}
+	partner := other.live()
+	q.cache = engine.RoutedCache(func(t *tree.Tree) *engine.Cache {
+		if partner.isMember(t) {
+			return q.ixCache[1]
 		}
-		x, built, _ := lru.Get(ctx, tokenIndexKey{tz.Name(), tau, prefixC}, func() *engine.PrefixIndex {
-			return engine.NewPrefixIndex(tz, st.ts, tau, prefixC, cp.runCache())
+		return q.ixCache[0]
+	})
+	q.trees, q.rounds = slices.Concat(q.a.ts, q.b.ts), crossRounds(q.a, q.b)
+	return q, q.plan(ctx, tau)
+}
+
+// plan assembles the query's pipeline and lets the cost model revise it.
+func (q *joinQuery) plan(ctx context.Context, tau int) (err error) {
+	if q.job, q.tz, err = q.c.pipelineChecked(tau); err != nil {
+		return err
+	}
+	q.job.Cache = q.cache
+	q.job, _ = q.cp.planJob(ctx, q.c, q.job, q.tz, q.trees, q.split(), q.a.epoch)
+	return nil
+}
+
+// split is the engine's: len(A) for a cross join, -1 for a self join.
+func (q *joinQuery) split() int {
+	if q.b == nil {
+		return -1
+	}
+	return len(q.a.ts)
+}
+
+// run executes one round on workers goroutines, streaming its pairs to sink
+// in global positions.
+func (q *joinQuery) run(ctx context.Context, r round, workers int, sink sim.EmitFunc) (*sim.Stats, error) {
+	pa, sb := q.a.parts[r.a], q.b
+	if sb == nil {
+		sb = q.a
+	}
+	if r.b < 0 {
+		job := q.c.bound(q.job, q.tz, workers, q.indexes(pa, nil, workers), pa.tokenResolver(q.cache))
+		return job.StreamSelf(ctx, pa.ts, func(p Pair) bool {
+			return sink(Pair{I: q.a.global(pa, p.I), J: q.a.global(pa, p.J), Dist: p.Dist})
 		})
-		return x, built
+	}
+	pb := sb.parts[r.b]
+	job := q.c.bound(q.job, q.tz, workers, q.indexes(pa, pb, workers), nil)
+	return job.StreamJoin(ctx, pa.ts, pb.ts, func(p Pair) bool {
+		i, j := q.a.global(pa, p.I), sb.global(pb, p.J)
+		if q.b == nil {
+			return sink(globalPair(i, j, p.Dist))
+		}
+		return sink(Pair{I: i, J: j, Dist: p.Dist})
+	})
+}
+
+// indexes is the core.Options.Indexes hook of a PartSJ round over pa (and pb
+// as side 1): each side's frozen index comes out of its part, where Search,
+// KNN and every other round over that part at this threshold and position
+// mode find the same instance.
+func (q *joinQuery) indexes(pa, pb *part, workers int) func(context.Context, int, int) (*core.Index, bool) {
+	return func(ctx context.Context, side, tau int) (*core.Index, bool) {
+		p := pa
+		if side == 1 {
+			p = pb
+		}
+		ix, built, _ := p.indexAt(ctx, q.c.position, tau, workers, q.ixCache[side])
+		return ix, built
+	}
+}
+
+// stream runs every round, streaming each verified pair to sink, and feeds
+// the completed run — one Stats, however many rounds — back to the cost model.
+func (q *joinQuery) stream(ctx context.Context, sink sim.EmitFunc) (*sim.Stats, error) {
+	whole := &sim.Stats{Trees: len(q.trees), Plan: q.job.Plan}
+	stats, err := runRounds(ctx, q.c.workers, q.rounds, whole, sink, q.run)
+	if err == nil {
+		q.cp.observeRun(stats, q.trees, q.split(), q.job.Tau, q.a.epoch)
+	}
+	return stats, err
+}
+
+// collect runs the query to its end: the pairs in canonical order, or on
+// cancellation the pairs found so far (still sorted), the partial statistics,
+// and ctx's error.
+func (q *joinQuery) collect(ctx context.Context) ([]Pair, Stats, error) {
+	var pairs []Pair
+	stats, err := q.stream(ctx, func(p Pair) bool {
+		pairs = append(pairs, p)
+		return true
+	})
+	sim.SortPairs(pairs)
+	q.c.publishStats(stats)
+	return pairs, *stats, err
+}
+
+// seq returns the query as a sequence that runs it when ranged over.
+func (q *joinQuery) seq(ctx context.Context) iter.Seq[Pair] {
+	return func(yield func(Pair) bool) {
+		stats, _ := q.stream(ctx, sim.EmitFunc(yield))
+		q.c.publishStats(stats)
 	}
 }
 
 // SelfJoin reports every unordered pair of corpus trees whose tree edit
 // distance is at most tau, in ascending (I, J) order, with execution
-// statistics. Per-tree signatures come from the corpus cache — a repeat join
+// statistics — those of the one round of a one-part corpus, or the rounds'
+// rolled up. Per-tree signatures come from the corpus cache — a repeat join
 // at any threshold recomputes none of them. On cancellation it returns the
 // pairs found so far (still sorted), the partial statistics, and ctx's
 // error.
 func (cp *Corpus) SelfJoin(ctx context.Context, tau int, opts ...Option) ([]Pair, Stats, error) {
-	c := buildConfig(opts)
-	var pairs []Pair
-	stats, err := cp.streamSelfWith(ctx, tau, c, func(p Pair) bool {
-		pairs = append(pairs, p)
-		return true
-	})
-	if stats == nil {
+	q, err := cp.selfQuery(ctx, cp.state.Load(), tau, buildConfig(opts))
+	if err != nil {
 		return nil, Stats{}, err
 	}
-	sim.SortPairs(pairs)
-	c.publishStats(stats)
-	return pairs, *stats, err
-}
-
-// streamSelfWith is the configured core of SelfJoin: it pins the corpus
-// state, plans, and streams every verified pair to sink. It returns a nil
-// Stats exactly when validation rejected the query before anything ran.
-// Besides SelfJoin it is the per-shard round the sharded fan-out runs — the
-// sharded layer passes a config with statsDst stripped, so concurrent rounds
-// never race on a caller's WithStats destination, and rolls the returned
-// per-round Stats up itself.
-func (cp *Corpus) streamSelfWith(ctx context.Context, tau int, c config, sink sim.EmitFunc) (*sim.Stats, error) {
-	st := cp.state.Load()
-	c.indexes, c.tokens = cp.indexResolver(st, c, nil, nil), cp.tokenResolver(st)
-	job, tz, err := c.pipelineChecked(tau)
-	if err != nil {
-		return nil, err
-	}
-	job.Cache = cp.runCache()
-	job, _ = cp.planJob(ctx, c, job, tz, st.ts, -1, st.epoch)
-	stats, err := job.StreamSelf(ctx, st.ts, sink)
-	if err == nil {
-		cp.observeRun(stats, st.ts, -1, tau, st.epoch)
-	}
-	return stats, err
+	return q.collect(ctx)
 }
 
 // SelfJoinSeq is the streaming SelfJoin: it returns a sequence that runs the
@@ -576,187 +765,146 @@ func (cp *Corpus) streamSelfWith(ctx context.Context, tau int, c config, sink si
 // collected pairs, or use SelfJoin, for the canonical order). Breaking out
 // of the range stops the join; ranging again re-runs it (cheaply, against
 // the warm cache). Use WithStats to receive the run's statistics after the
-// sequence ends. Option and threshold validation happens eagerly, before the
+// sequence ends. Validation and planning happen eagerly, before the
 // sequence is returned; cancellation simply ends the sequence early — check
 // ctx.Err() afterwards to distinguish completion from abort. The sequence is
 // pinned to the corpus state at this call: later Add/Remove do not disturb a
 // running (or re-run) iteration.
 func (cp *Corpus) SelfJoinSeq(ctx context.Context, tau int, opts ...Option) (iter.Seq[Pair], error) {
-	c := buildConfig(opts)
-	st := cp.state.Load()
-	c.indexes, c.tokens = cp.indexResolver(st, c, nil, nil), cp.tokenResolver(st)
-	job, tz, err := c.pipelineChecked(tau)
+	q, err := cp.selfQuery(ctx, cp.state.Load(), tau, buildConfig(opts))
 	if err != nil {
 		return nil, err
 	}
-	job.Cache = cp.runCache()
-	job, _ = cp.planJob(ctx, c, job, tz, st.ts, -1, st.epoch)
-	return func(yield func(Pair) bool) {
-		stats, err := job.StreamSelf(ctx, st.ts, sim.EmitFunc(yield))
-		if err == nil {
-			cp.observeRun(stats, st.ts, -1, tau, st.epoch)
-		}
-		c.publishStats(stats)
-	}, nil
+	return q.seq(ctx), nil
 }
 
 // Join reports every cross pair (a ∈ this corpus, b ∈ other) within
 // distance tau; Pair.I indexes into the receiver and Pair.J into other. The
-// corpora must share one LabelTable (validated). Signatures for both sides
-// are drawn from — and cached in — the receiver's cache, so repeated joins
+// corpora must share one LabelTable (validated). Every part of the receiver
+// is joined against every part of other, each side's signatures and indexes
+// drawn from — and cached in — the corpus that owns it, so repeated joins
 // against the same partner warm up too.
 func (cp *Corpus) Join(ctx context.Context, other *Corpus, tau int, opts ...Option) ([]Pair, Stats, error) {
-	c := buildConfig(opts)
-	var pairs []Pair
-	st, err := cp.streamJoinWith(ctx, other, tau, c, func(p Pair) bool {
-		pairs = append(pairs, p)
-		return true
-	})
-	if st == nil {
+	q, err := cp.crossQuery(ctx, other, tau, buildConfig(opts))
+	if err != nil {
 		return nil, Stats{}, err
 	}
-	sim.SortPairs(pairs)
-	c.publishStats(st)
-	return pairs, *st, err
-}
-
-// streamJoinWith is the configured core of Join, with streamSelfWith's
-// contract (nil Stats iff validation failed); the sharded fan-out's
-// cross-shard rounds run on it.
-func (cp *Corpus) streamJoinWith(ctx context.Context, other *Corpus, tau int, c config, sink sim.EmitFunc) (*sim.Stats, error) {
-	run, err := cp.crossJob(ctx, c, other, tau)
-	if err != nil {
-		return nil, err
-	}
-	st, err := run.job.StreamJoin(ctx, run.a, run.b, sink)
-	if err == nil {
-		cp.observeRun(st, run.comb, len(run.a), tau, run.epoch)
-	}
-	return st, err
+	return q.collect(ctx)
 }
 
 // JoinSeq is the streaming Join, with SelfJoinSeq's contract.
 func (cp *Corpus) JoinSeq(ctx context.Context, other *Corpus, tau int, opts ...Option) (iter.Seq[Pair], error) {
-	c := buildConfig(opts)
-	run, err := cp.crossJob(ctx, c, other, tau)
+	q, err := cp.crossQuery(ctx, other, tau, buildConfig(opts))
 	if err != nil {
 		return nil, err
 	}
-	return func(yield func(Pair) bool) {
-		st, err := run.job.StreamJoin(ctx, run.a, run.b, sim.EmitFunc(yield))
-		if err == nil {
-			cp.observeRun(st, run.comb, len(run.a), tau, run.epoch)
-		}
-		c.publishStats(st)
-	}, nil
-}
-
-// crossRun is one assembled (and planned) cross join: the job, both sides'
-// pinned memberships, their concatenation for the planner's bookkeeping,
-// and the receiver's epoch the plan was made at.
-type crossRun struct {
-	job   engine.Job
-	a, b  []*Tree
-	comb  []*Tree
-	epoch int64
-}
-
-// crossJob validates a cross join against other, snapshots both corpora's
-// states (the join runs against exactly these memberships even when either
-// side mutates mid-run), assembles its job, and lets the receiver's cost
-// model plan it (the model never calibrates on cross joins — it plans from
-// whatever self-join observations it holds, or emits the fixed plan). The
-// run's cache routes each tree's artifacts to the corpus that owns it, so
-// both sides warm their own caches and neither retains (and pins) the
-// other's trees; trees belonging to neither side — including trees either
-// side has since removed — land in a run-local overflow that dies with the
-// query. A PartSJ run likewise takes each side's subgraph index from the
-// corpus that owns the side.
-func (cp *Corpus) crossJob(ctx context.Context, c config, other *Corpus, tau int) (crossRun, error) {
-	if other == nil {
-		return crossRun{}, ErrNilCorpus
-	}
-	sa, sb := cp.state.Load(), other.state.Load()
-	if sa.lt != nil && sb.lt != nil && sa.lt != sb.lt {
-		return crossRun{}, fmt.Errorf("%w (cross join)", ErrLabelTable)
-	}
-	c.indexes = cp.indexResolver(sa, c, other, sb)
-	job, tz, err := c.pipelineChecked(tau)
-	if err != nil {
-		return crossRun{}, err
-	}
-	ra, rb := cp.runCache(), other.runCache()
-	inB := make(map[*Tree]struct{}, len(sb.ts))
-	for _, t := range sb.ts {
-		inB[t] = struct{}{}
-	}
-	job.Cache = engine.RoutedCache(func(t *tree.Tree) *engine.Cache {
-		if _, ok := inB[t]; ok {
-			return rb
-		}
-		return ra
-	})
-	comb := make([]*Tree, 0, len(sa.ts)+len(sb.ts))
-	comb = append(append(comb, sa.ts...), sb.ts...)
-	job, _ = cp.planJob(ctx, c, job, tz, comb, len(sa.ts), sa.epoch)
-	return crossRun{job: job, a: sa.ts, b: sb.ts, comb: comb, epoch: sa.epoch}, nil
+	return q.seq(ctx), nil
 }
 
 // Search reports every corpus tree within TED tau of q, in ascending corpus
-// order. The per-threshold PartSJ index is built on first use and retained
-// in the corpus's index LRU, so repeated searches at the same threshold pay
-// only probing and verification; mutations invalidate the LRU, so a stale
-// index can never serve a post-Remove query. Search always runs on the
-// PartSJ index; WithMethod, WithPrefilter, and WithShards conflict with it.
+// order. Each part's per-threshold PartSJ index is built on first use and
+// retained in the part's index LRU, so repeated searches at the same
+// threshold pay only probing and verification; a mutation replaces the parts
+// it touches, so a stale index can never serve a post-Remove query. Search
+// always runs on the PartSJ index; WithMethod and WithPrefilter conflict with
+// it.
 func (cp *Corpus) Search(ctx context.Context, q *Tree, tau int, opts ...Option) ([]Match, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("%w %d", ErrNegativeThreshold, tau)
 	}
 	st := cp.state.Load()
-	c, err := cp.queryConfig(st, q, "Search", opts)
+	c, err := st.queryConfig(q, "Search", opts)
 	if err != nil {
 		return nil, err
 	}
-	ix, _, err := cp.searcher(st, c).IndexAt(ctx, tau, c.workers)
-	if err != nil {
-		return nil, err
+	return cp.search(ctx, st, q, tau, c)
+}
+
+// search probes every part of st for the trees within tau of q and merges
+// the hits into global position order.
+func (cp *Corpus) search(ctx context.Context, st *corpusState, q *Tree, tau int, c config) ([]Match, error) {
+	cache := cp.runCache()
+	hits, errs := make([][]Match, len(st.parts)), make([]error, len(st.parts))
+	fanOut(len(st.parts), c.workers, func(p, workers int) {
+		ix, _, err := st.parts[p].indexAt(ctx, c.position, tau, workers, cache)
+		if err == nil {
+			hits[p], err = ix.SearchCtx(ctx, q)
+		}
+		for i := range hits[p] {
+			hits[p][i].Pos = st.global(st.parts[p], hits[p][i].Pos)
+		}
+		errs[p] = err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	return ix.SearchCtx(ctx, q)
+	out := slices.Concat(hits...)
+	core.SortMatches(out)
+	return out, nil
 }
 
 // TopK returns the k closest pairs of the corpus by TED, ordered by
-// (Dist, I, J) — the threshold-free SelfJoin. It runs PartSJ at
+// (Dist, I, J) — the threshold-free SelfJoin. It runs PartSJ self joins at
 // geometrically increasing thresholds until k pairs are in reach; fewer than
 // k pairs come back only when the corpus has fewer than k pairs in total.
-// All rounds draw on the corpus cache, and WithWorkers/WithShards
-// parallelise them. On cancellation it returns the pairs the aborted round
+// All rounds draw on the corpus cache and its parts' indexes, and WithWorkers
+// parallelises them. On cancellation it returns the pairs the aborted round
 // had found (best-effort, not necessarily the global top k) and ctx's
 // error. TopK always runs PartSJ; WithMethod and WithPrefilter conflict
 // with it.
 func (cp *Corpus) TopK(ctx context.Context, k int, opts ...Option) ([]Pair, error) {
 	c := buildConfig(opts)
-	if err := c.requirePartSJ("TopK", true); err != nil {
+	if err := c.requirePartSJ("TopK"); err != nil {
 		return nil, err
 	}
+	// Every round is the PartSJ self join with no chain: nothing to plan, and
+	// no single round's Stats are the query's.
+	c.fixedPlan, c.statsDst = true, nil
 	st := cp.state.Load()
-	c.indexes = cp.indexResolver(st, c, nil, nil)
-	return core.TopKCtx(ctx, st.ts, k, c.coreOptions(0), c.shards, cp.runCache())
+	if k <= 0 || len(st.ts) < 2 {
+		return nil, ctx.Err()
+	}
+	k = min(k, len(st.ts)*(len(st.ts)-1)/2)
+	return sim.ExpandTau(1, st.max1+st.max2, k, sim.ComparePairsByDist, func(tau int) ([]Pair, error) {
+		q, err := cp.selfQuery(ctx, st, tau, c)
+		if err != nil {
+			return nil, err
+		}
+		pairs, _, err := q.collect(ctx)
+		return pairs, err
+	})
 }
 
 // KNN returns the k corpus trees closest to q by TED, ordered by
-// (Dist, Pos), with no threshold required. It searches per-threshold indexes
-// at expanding thresholds, sharing Search's index LRU, so a query workload
-// settles into reusing a handful of them. Fewer than k matches are returned
-// only when the corpus holds fewer than k trees. KNN always runs on the
-// PartSJ index; WithMethod, WithPrefilter, and WithShards conflict with
+// (Dist, Pos), with no threshold required. It runs Search at expanding
+// thresholds, sharing its index LRUs, so a query workload settles into
+// reusing a handful of indexes. The expansion is global — every part answers
+// at the same growing τ and the loop stops as soon as k matches exist across
+// their union: a per-part k-nearest fan-out would force parts that hold no
+// close neighbour of q to expand all the way to the size cap, paying an index
+// build per threshold for matches the merge then discards. Fewer than k
+// matches are returned only when the corpus holds fewer than k trees. KNN
+// always runs on the PartSJ index; WithMethod and WithPrefilter conflict with
 // it.
 func (cp *Corpus) KNN(ctx context.Context, q *Tree, k int, opts ...Option) ([]Match, error) {
 	st := cp.state.Load()
-	c, err := cp.queryConfig(st, q, "KNN", opts)
+	c, err := st.queryConfig(q, "KNN", opts)
 	if err != nil {
 		return nil, err
 	}
-	return cp.searcher(st, c).NearestCtx(ctx, q, k)
+	if k <= 0 || len(st.ts) == 0 {
+		return nil, ctx.Err()
+	}
+	return sim.ExpandTau(1, st.max1+q.Size(), min(k, len(st.ts)), core.CompareMatchesByDist, func(tau int) ([]Match, error) {
+		// Check before each round: an index build is uncancellable, so don't
+		// start one the caller no longer wants.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return cp.search(ctx, st, q, tau, c)
+	})
 }
 
 // Incremental returns an empty streaming join with threshold tau that shares
@@ -771,7 +919,7 @@ func (cp *Corpus) Incremental(tau int, opts ...Option) (*Incremental, error) {
 		return nil, fmt.Errorf("%w %d", ErrNegativeThreshold, tau)
 	}
 	c := buildConfig(opts)
-	if err := c.requirePartSJ("Incremental", false); err != nil {
+	if err := c.requirePartSJ("Incremental"); err != nil {
 		return nil, err
 	}
 	return &Incremental{inner: core.NewIncrementalCached(c.coreOptions(tau), cp.runCache())}, nil
@@ -779,72 +927,25 @@ func (cp *Corpus) Incremental(tau int, opts ...Option) (*Incremental, error) {
 
 // queryConfig validates a query tree and the options of an index-backed
 // query (Search, KNN).
-func (cp *Corpus) queryConfig(st *corpusState, q *Tree, op string, opts []Option) (config, error) {
+func (st *corpusState) queryConfig(q *Tree, op string, opts []Option) (config, error) {
 	c := buildConfig(opts)
-	if q == nil {
-		return c, fmt.Errorf("%w (query)", ErrNilTree)
-	}
-	if st.lt != nil && q.Labels != st.lt {
-		return c, fmt.Errorf("%w (query)", ErrLabelTable)
-	}
-	if err := c.requirePartSJ(op, false); err != nil {
+	if _, err := checkTrees(st.lt, "query", q); err != nil {
 		return c, err
 	}
-	return c, nil
+	return c, c.requirePartSJ(op)
 }
 
 // requirePartSJ rejects options an index-backed or expanding-threshold
-// operation cannot honor. allowShards permits WithShards where the
-// underlying runs are shardable engine joins (TopK).
-func (c config) requirePartSJ(op string, allowShards bool) error {
+// operation cannot honor.
+func (c config) requirePartSJ(op string) error {
 	if c.method != MethodPartSJ {
 		return fmt.Errorf("%w: %s supports MethodPartSJ only", ErrOptionConflict, op)
 	}
 	if len(c.prefilters) > 0 {
 		return fmt.Errorf("%w: %s does not take prefilters", ErrOptionConflict, op)
 	}
-	if !allowShards && c.shards > 1 {
-		return fmt.Errorf("%w: %s does not shard", ErrOptionConflict, op)
-	}
 	if len(c.planSpecs) > 0 {
 		return fmt.Errorf("%w: %s does not take a fixed plan spec", ErrOptionConflict, op)
 	}
 	return nil
-}
-
-// indexResolver is the core.Options.Indexes hook of a PartSJ join configured
-// by c over st — and, for a cross join, over other's pinned sb as side 1: each
-// side's frozen index comes out of the owning corpus's searcher, where Search,
-// KNN and every other join at that epoch, threshold and position mode find
-// the same instance. A side pinned to a superseded epoch gets a one-off.
-func (cp *Corpus) indexResolver(st *corpusState, c config, other *Corpus, sb *corpusState) func(context.Context, int, int) (*core.Index, bool) {
-	return func(ctx context.Context, side, tau int) (*core.Index, bool) {
-		owner, pinned := cp, st
-		if side == 1 {
-			owner, pinned = other, sb
-		}
-		ix, built, _ := owner.searcher(pinned, c).IndexAt(ctx, tau, c.workers)
-		return ix, built
-	}
-}
-
-// searcher returns the index machinery for c's position mode over the
-// st membership, creating it on first use — a one-off when the per-epoch
-// caches serve another epoch (see serves).
-func (cp *Corpus) searcher(st *corpusState, c config) *core.KNN {
-	// Tau here only seeds KNN's expanding search, and the build's worker
-	// count is chosen per call, so one searcher — and one index per
-	// threshold — serves every caller at this position mode.
-	o := core.Options{Tau: 1, Position: c.position}
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if !cp.serves(st) {
-		return core.NewKNNCached(st.ts, o, cp.runCache(), cp.indexCapacity())
-	}
-	s := cp.searchers[c.position]
-	if s == nil {
-		s = core.NewKNNCached(st.ts, o, cp.runCache(), cp.indexCapacity())
-		cp.searchers[c.position] = s
-	}
-	return s
 }

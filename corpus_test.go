@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -214,9 +215,9 @@ func TestCorpusMatchesLegacy(t *testing.T) {
 		t.Error("repeat cross join recomputed signatures")
 	}
 
-	// Parallel and sharded execution through the corpus.
+	// Parallel and partitioned execution through the corpus.
 	want, _ := treejoin.SelfJoin(ts, tau)
-	got, _, err := cp.SelfJoin(ctx, tau, treejoin.WithWorkers(4), treejoin.WithShards(3))
+	got, _, err := mustSharded(t, 3, ts).SelfJoin(ctx, tau, treejoin.WithWorkers(4))
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
 	}
@@ -392,54 +393,39 @@ func TestCorpusCancellation(t *testing.T) {
 	}
 }
 
-// TestCorpusQueriesMatchLegacy: Search, TopK and KNN through the corpus
-// agree with the legacy Index/TopK/KNN entry points.
+// TestCorpusQueriesMatchLegacy: Search and TopK through the corpus agree with
+// the legacy SelfJoin's pairs, and Corpus.Incremental with the legacy stream.
 func TestCorpusQueriesMatchLegacy(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(40, 13)
 	cp := mustCorpus(t, ts)
 	const tau = 2
 
-	legacyIx := treejoin.NewIndex(ts, tau)
-	for _, q := range ts[:5] {
-		want := legacyIx.Search(q)
+	pairs, _ := treejoin.SelfJoin(ts, tau)
+	for qi, q := range ts[:5] {
+		want := []treejoin.Match{{Pos: qi}}
+		for _, p := range pairs {
+			switch qi {
+			case p.I:
+				want = append(want, treejoin.Match{Pos: p.J, Dist: p.Dist})
+			case p.J:
+				want = append(want, treejoin.Match{Pos: p.I, Dist: p.Dist})
+			}
+		}
+		slices.SortFunc(want, func(a, b treejoin.Match) int { return a.Pos - b.Pos })
 		got, err := cp.Search(ctx, q, tau)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("search: %d matches, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("search match %d = %v, want %v", i, got[i], want[i])
-			}
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("search %d: %v, want %v (err %v)", qi, got, want, err)
 		}
 	}
 
-	wantTop := treejoin.TopK(ts, 5)
 	gotTop, err := cp.TopK(ctx, 5)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(gotTop) != 5 {
+		t.Fatalf("topk: %v, err %v", gotTop, err)
 	}
-	samePairs(t, "corpus topk", gotTop, wantTop)
-
-	legacyKNN := treejoin.NewKNN(ts)
-	for _, q := range ts[:3] {
-		want := legacyKNN.Nearest(q, 4)
-		got, err := cp.KNN(ctx, q, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("knn: %d matches, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("knn match %d = %v, want %v", i, got[i], want[i])
-			}
-		}
-	}
+	within, _ := treejoin.SelfJoin(ts, gotTop[4].Dist)
+	slices.SortStableFunc(within, func(a, b treejoin.Pair) int { return a.Dist - b.Dist })
+	samePairs(t, "corpus topk", gotTop, within[:5])
 
 	// Corpus.Incremental behaves like the legacy stream.
 	inc, err := cp.Incremental(tau)

@@ -1,10 +1,11 @@
 // Property tests for the engine-backed public API: every method — the six
 // historical ones plus MethodPQGram — returns oracle-identical results for
 // self and cross joins on randomized corpora, and the execution knobs
-// (WithWorkers, WithShards, WithPrefilter) never change the result set.
+// (WithWorkers, NewSharded, WithPrefilter) never change the result set.
 package treejoin_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -79,8 +80,8 @@ func TestSelfJoinMethodAgreement(t *testing.T) {
 	}
 }
 
-// TestParallelismInvariance: WithWorkers and WithShards change the execution
-// plan, never the result set — for every method, self and cross.
+// TestParallelismInvariance: WithWorkers and the part count change how the
+// join executes, never the result set — for every method, self and cross.
 func TestParallelismInvariance(t *testing.T) {
 	ts := synth.Treebank(50, 23)
 	a, b := ts[:20], ts[20:]
@@ -94,10 +95,12 @@ func TestParallelismInvariance(t *testing.T) {
 			got, _ = treejoin.Join(a, b, tau, treejoin.WithMethod(m), treejoin.WithWorkers(workers))
 			samePairs(t, fmt.Sprintf("cross/%v/w=%d", m, workers), got, cross)
 		}
+		sharded, _, err := mustSharded(t, 4, ts).SelfJoin(context.Background(), tau, treejoin.WithMethod(m), treejoin.WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePairs(t, fmt.Sprintf("self/%v/parts=4", m), sharded, self)
 	}
-	sharded, _ := treejoin.SelfJoin(ts, tau, treejoin.WithShards(4), treejoin.WithWorkers(4))
-	want, _ := treejoin.SelfJoin(ts, tau)
-	samePairs(t, "sharded", sharded, want)
 }
 
 // TestPrefilterInvariance: chaining any prefilter combination in front of

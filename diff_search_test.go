@@ -34,13 +34,17 @@ func TestPublicMappingAndScript(t *testing.T) {
 
 func TestPublicSearchIndex(t *testing.T) {
 	ts := synth.Synthetic(80, 7)
-	ix := treejoin.NewIndex(ts, 2)
-	if ix.Len() != len(ts) {
-		t.Fatalf("Len = %d", ix.Len())
+	cp := mustCorpus(t, ts)
+	search := func(q *treejoin.Tree) []treejoin.Match {
+		ms, err := cp.Search(context.Background(), q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms
 	}
 	// Every collection member finds itself at distance 0.
 	for i := 0; i < 10; i++ {
-		ms := ix.Search(ts[i])
+		ms := search(ts[i])
 		self := false
 		for _, m := range ms {
 			if m.Pos == i && m.Dist != 0 {
@@ -65,7 +69,7 @@ func TestPublicSearchIndex(t *testing.T) {
 		inJoin[[2]int{p.J, p.I}] = true
 	}
 	for i := 0; i < 20; i++ {
-		for _, m := range ix.Search(ts[i]) {
+		for _, m := range search(ts[i]) {
 			if m.Pos == i {
 				continue
 			}
@@ -89,15 +93,22 @@ func ExampleEditScript() {
 	// insert "footer"
 }
 
-func ExampleIndex_Search() {
+func ExampleCorpus_Search() {
 	lt := treejoin.NewLabelTable()
 	ts := []*treejoin.Tree{
 		treejoin.MustParseBracket("{a{b}{c}}", lt),
 		treejoin.MustParseBracket("{a{b}{d}}", lt),
 		treejoin.MustParseBracket("{z{z{z}}}", lt),
 	}
-	ix := treejoin.NewIndex(ts, 1)
-	for _, m := range ix.Search(treejoin.MustParseBracket("{a{b}{e}}", lt)) {
+	corpus, err := treejoin.NewCorpus(ts)
+	if err != nil {
+		panic(err)
+	}
+	matches, err := corpus.Search(context.Background(), treejoin.MustParseBracket("{a{b}{e}}", lt), 1)
+	if err != nil {
+		panic(err)
+	}
+	for _, m := range matches {
 		fmt.Printf("tree %d at distance %d\n", m.Pos, m.Dist)
 	}
 	// Output:

@@ -13,11 +13,13 @@ package treejoin_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"treejoin"
+	"treejoin/internal/synth"
 )
 
 func BenchmarkDynamicUpdate(b *testing.B) {
@@ -115,4 +117,67 @@ func BenchmarkDynamicUpdate(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCorpusMutate is the write path at steady state, on a one-part and
+// on a four-part corpus: 3 000 live Treebank trees, and 27 000 cycles that each
+// add one tree and remove the oldest (one benchmark iteration is the whole
+// run; CI smokes it with -benchtime 1x). add-ns and remove-ns are the mean cost
+// of one call; the first-/last- pairs are the same over the first and the last
+// 1 000 cycles, and heap-drift-B is how much the live heap grew between those
+// two windows — a write path that accumulates anything per mutation shows up
+// in either.
+func BenchmarkCorpusMutate(b *testing.B) {
+	const live, cycles, window = 3000, 27000, 1000
+	pool := synth.Treebank(live+1, 7) // one more than is live: the tree added is never an alias
+	heap := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	for _, parts := range []int{1, 4} {
+		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
+			var total, first, last [2]time.Duration // of the Add calls [0] and the Remove calls [1]
+			var drift float64
+			for range b.N {
+				cp, err := treejoin.NewSharded(parts, pool[:live])
+				if err != nil {
+					b.Fatal(err)
+				}
+				var settled float64
+				for c := range cycles {
+					start := time.Now()
+					if _, err := cp.Add(pool[(c+live)%len(pool)]); err != nil {
+						b.Fatal(err)
+					}
+					mid := time.Now()
+					if cp.Remove(c) != 1 {
+						b.Fatalf("cycle %d: the oldest tree was not removed", c)
+					}
+					d := [2]time.Duration{mid.Sub(start), time.Since(mid)}
+					for k := range d {
+						total[k] += d[k]
+						if c < window {
+							first[k] += d[k]
+						} else if c >= cycles-window {
+							last[k] += d[k]
+						}
+					}
+					if c == window-1 {
+						settled = heap()
+					}
+				}
+				drift += heap() - settled
+			}
+			per := func(d time.Duration, n int) float64 { return float64(d.Nanoseconds()) / float64(n*b.N) }
+			b.ReportMetric(per(total[0], cycles), "add-ns")
+			b.ReportMetric(per(total[1], cycles), "remove-ns")
+			b.ReportMetric(per(first[0], window), "first-add-ns")
+			b.ReportMetric(per(last[0], window), "last-add-ns")
+			b.ReportMetric(per(first[1], window), "first-remove-ns")
+			b.ReportMetric(per(last[1], window), "last-remove-ns")
+			b.ReportMetric(drift/float64(b.N), "heap-drift-B")
+		})
+	}
 }

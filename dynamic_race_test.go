@@ -1,8 +1,9 @@
 // The dynamic-corpus race hammer: concurrent Add/Remove writers against
 // Search/SelfJoinSeq/SelfJoin readers on one shared corpus. Run under
-// -race (CI does), it exercises the copy-on-write state swap, the per-epoch
-// index caches' rotation (PartSJ searchers and token indexes alike), and the
-// shared artifact cache under eviction. Readers assert snapshot isolation
+// -race (CI does), on a one-part and on a three-part corpus, it exercises the
+// copy-on-write state swap, parts and their indexes (PartSJ and token alike)
+// being replaced and carried over, and the shared artifact cache under
+// eviction. Readers assert snapshot isolation
 // through pinned Snapshot views: every pair a view's join reports indexes
 // that view's membership and is within threshold for that view's trees — a
 // result can never reference a tree removed by a concurrent writer, because
@@ -21,9 +22,15 @@ import (
 )
 
 func TestDynamicCorpusRace(t *testing.T) {
+	for _, parts := range []int{1, 3} {
+		dynamicCorpusRace(t, parts)
+	}
+}
+
+func dynamicCorpusRace(t *testing.T, parts int) {
 	ctx := context.Background()
 	pool := synth.Generate(synth.SyntheticParams(140, 3, 5, 20, 30, 61))
-	cp := mustCorpus(t, pool[:60])
+	cp := mustSharded(t, parts, pool[:60])
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)

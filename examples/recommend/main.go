@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,25 +54,39 @@ func main() {
 		return out
 	}
 
+	ctx := context.Background()
+	corpus, err := treejoin.NewCorpus(catalog)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// Near-duplicate detection: the 3 closest pairs of the catalog, no
 	// threshold needed. The two "Blue" listings (format differs) and the two
 	// "Blue Train" pressings rank first.
+	top, err := corpus.TopK(ctx, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("likely duplicate listings (TopK, k=3):")
-	for _, p := range treejoin.TopK(catalog, 3) {
+	for _, p := range top {
 		fmt.Printf("  #%d ~ #%d  distance %d\n", p.I, p.J, p.Dist)
 		fmt.Printf("     %s\n     %s\n", describe(p.I), describe(p.J))
 	}
 
 	// Recommendation: the 3 listings most similar to a new item the user is
-	// viewing. The searcher is reusable and safe for concurrent queries.
-	knn := treejoin.NewKNN(catalog)
+	// viewing. The corpus keeps its per-threshold indexes between queries and
+	// is safe for concurrent ones.
 	q, err := treejoin.ParseBracket(
 		"{album{title{Blue Train}}{artist{John Coltrane}}{year{1957}}{format{SACD}}}", lt)
 	if err != nil {
 		log.Fatal(err)
 	}
+	nearest, err := corpus.KNN(ctx, q, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\ncustomers also viewed (KNN, k=3):")
-	for _, m := range knn.Nearest(q, 3) {
+	for _, m := range nearest {
 		fmt.Printf("  #%d  distance %d  %s\n", m.Pos, m.Dist, describe(m.Pos))
 	}
 }

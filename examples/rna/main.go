@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,13 +67,20 @@ func main() {
 
 	// Classification by nearest neighbour: which known structure is a newly
 	// determined one most like? No threshold guess needed.
-	knn := treejoin.NewKNN(trees)
+	corpus, err := treejoin.NewCorpus(trees)
+	if err != nil {
+		log.Fatal(err)
+	}
 	q, err := treejoin.ParseDotBracket("(((..)))", "GGGAACCC", lt)
 	if err != nil {
 		log.Fatal(err)
 	}
+	nearest, err := corpus.KNN(context.Background(), q, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nnearest neighbours of a new hairpin (((..))):")
-	for _, m := range knn.Nearest(q, 2) {
+	for _, m := range nearest {
 		fmt.Printf("  %-10s distance %d\n", structures[m.Pos].name, m.Dist)
 	}
 }

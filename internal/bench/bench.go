@@ -83,7 +83,7 @@ func Run(m Method, dataset string, ts []*tree.Tree, tau, workers int) Result {
 		_, st = loopJob(tau, workers, pqgram.Filter(0)).SelfJoin(ts)
 	case PRTHist:
 		_, st = core.Options{Tau: tau, Workers: workers}.
-			Job(0, []engine.PairFilter{baseline.HISTFilter()}).SelfJoin(ts)
+			Job([]engine.PairFilter{baseline.HISTFilter()}).SelfJoin(ts)
 	case STRHist:
 		_, st = loopJob(tau, workers, baseline.HISTFilter(), baseline.STRFilter()).SelfJoin(ts)
 	case PQGHist:

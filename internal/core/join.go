@@ -50,14 +50,13 @@ func (o Options) validate() error {
 
 // Job assembles the engine job for a PartSJ execution: the inverted subgraph
 // index as the candidate source, with prefilters (if any) ahead of it.
-func (o Options) Job(shards int, filters []engine.PairFilter) engine.Job {
+func (o Options) Job(filters []engine.PairFilter) engine.Job {
 	job := engine.Job{
 		Source:   NewSource(o),
 		Filters:  filters,
 		Tau:      o.Tau,
 		Verifier: o.Verifier,
 		Workers:  o.Workers,
-		Shards:   shards,
 	}
 	// PartSJ's candidate source is its own subgraph index — never a planner
 	// choice — so every PartSJ run carries this fixed plan record.
@@ -82,7 +81,7 @@ func SelfJoin(ts []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
 	if err := opts.validate(); err != nil {
 		panic(err)
 	}
-	return opts.Job(0, nil).SelfJoin(ts)
+	return opts.Job(nil).SelfJoin(ts)
 }
 
 // Join reports every cross pair (a ∈ A, b ∈ B) with TED ≤ opts.Tau. Pair.I
@@ -94,5 +93,5 @@ func Join(a, b []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
 	if err := opts.validate(); err != nil {
 		panic(err)
 	}
-	return opts.Job(0, nil).Join(a, b)
+	return opts.Job(nil).Join(a, b)
 }

@@ -203,7 +203,7 @@ func TestProbesAgreeWithSequentialLoop(t *testing.T) {
 							mu.Unlock()
 							return 0, false
 						}
-						job := opts.Job(workers+1, filters)
+						job := opts.Job(filters)
 						var st *sim.Stats
 						if split < 0 {
 							_, st = job.SelfJoin(ts)

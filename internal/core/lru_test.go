@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"treejoin/internal/core"
@@ -9,27 +10,35 @@ import (
 	"treejoin/internal/synth"
 )
 
-// TestKNNIndexCacheEviction: the per-threshold index cache is bounded — it
-// never holds more than its capacity, evicts least-recently-used entries,
-// and eviction never changes query results.
+// TestKNNIndexCacheEviction: a per-threshold index cache — the
+// engine.IndexLRU of core.Index a corpus part keeps, and the expanding search
+// of KNN fills — is bounded: it never holds more than its capacity, evicts
+// least-recently-used entries, and eviction never changes query results.
 func TestKNNIndexCacheEviction(t *testing.T) {
 	ts := synth.Synthetic(30, 19)
-	knn := core.NewKNNCached(ts, core.Options{Tau: 1}, engine.NewCache(), 2)
+	artifacts := engine.NewCache()
+	lru := engine.NewIndexLRU[int, *core.Index](2)
 	indexAt := func(tau int) *core.Index {
-		ix, _, err := knn.IndexAt(context.Background(), tau, 1)
+		ix, _, err := lru.Get(context.Background(), tau, func() *core.Index {
+			return core.NewIndexCached(ts, core.Options{Tau: tau, Workers: 1}, artifacts)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ix
 	}
+	evictions := func() int64 {
+		_, _, n := lru.Counts()
+		return n
+	}
 
 	for _, tau := range []int{1, 2, 4, 8} {
 		indexAt(tau)
 	}
-	if n := knn.CachedIndexes(); n > 2 {
+	if n, _, _ := lru.Counts(); n > 2 {
 		t.Fatalf("cache holds %d indexes, cap 2", n)
 	}
-	if ev := knn.Evictions(); ev < 2 {
+	if ev := evictions(); ev < 2 {
 		t.Fatalf("evictions = %d, want ≥ 2 after 4 distinct thresholds", ev)
 	}
 
@@ -37,28 +46,23 @@ func TestKNNIndexCacheEviction(t *testing.T) {
 	indexAt(4)
 	ix4 := indexAt(4) // cached: same pointer both times
 	if indexAt(4) != ix4 {
-		t.Fatal("repeated IndexAt(4) rebuilt a cached index")
+		t.Fatal("repeated indexAt(4) rebuilt a cached index")
 	}
-	ev := knn.Evictions()
+	ev := evictions()
 	indexAt(16)
-	if knn.Evictions() != ev+1 {
-		t.Fatalf("inserting past cap evicted %d entries, want 1", knn.Evictions()-ev)
+	if evictions() != ev+1 {
+		t.Fatalf("inserting past cap evicted %d entries, want 1", evictions()-ev)
 	}
 	if indexAt(4) != ix4 {
 		t.Fatal("most-recently-used index 4 was evicted instead of 8")
 	}
 
 	// Results are identical with and without eviction pressure.
-	unbounded := core.NewKNNCached(ts, core.Options{Tau: 1}, nil, 64)
 	for _, q := range ts[:5] {
-		got := knn.Nearest(q, 3)
-		want := unbounded.Nearest(q, 3)
-		if len(got) != len(want) {
-			t.Fatalf("nearest: %d matches, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("nearest[%d] = %v, want %v", i, got[i], want[i])
+		for _, tau := range []int{1, 2, 4} {
+			want := core.NewIndexCached(ts, core.Options{Tau: tau}, nil).Search(q)
+			if got := indexAt(tau).Search(q); !slices.Equal(got, want) {
+				t.Fatalf("τ=%d: search through the cycling cache %v, fresh index %v", tau, got, want)
 			}
 		}
 	}

@@ -35,6 +35,17 @@ type Index struct {
 	built  time.Duration
 }
 
+// DefaultIndexCacheCap is the default bound on a corpus part's per-threshold
+// index cache: one full PartSJ index is retained per cached threshold, so the
+// cap trades rebuild time against memory. The expanding-threshold search
+// behind KNN and TopK (sim.ExpandTau) visits geometrically spaced thresholds
+// — at most ⌊log₂(tauCap)⌋+2 of them per query, where tauCap = max tree size +
+// query size — so the default covers a full worst-case sweep for
+// tree-plus-query sizes up to ~16K nodes. A smaller cap makes a sweep longer
+// than the cap cycle the LRU (each query rebuilding every index), which is the
+// caveat to weigh when lowering it via WithIndexCacheCap.
+const DefaultIndexCacheCap = 16
+
 // Match is one search hit: collection position and exact distance.
 type Match struct {
 	Pos  int

@@ -10,10 +10,11 @@ import (
 	"treejoin/internal/tree"
 )
 
-// shardedSelfJoin runs the self join cut into at least shards probe chunks.
-func shardedSelfJoin(ts []*tree.Tree, shards int, opts core.Options) ([]sim.Pair, *sim.Stats, error) {
+// chunkedSelfJoin runs the streaming self join, whose size order is cut into
+// several probe chunks per worker over the one frozen index.
+func chunkedSelfJoin(ts []*tree.Tree, opts core.Options) ([]sim.Pair, *sim.Stats, error) {
 	var pairs []sim.Pair
-	stats, err := opts.Job(shards, nil).StreamSelf(context.Background(), ts, func(p sim.Pair) bool {
+	stats, err := opts.Job(nil).StreamSelf(context.Background(), ts, func(p sim.Pair) bool {
 		pairs = append(pairs, p)
 		return true
 	})
@@ -22,30 +23,26 @@ func shardedSelfJoin(ts []*tree.Tree, shards int, opts core.Options) ([]sim.Pair
 }
 
 // TestShardedMatchesSelfJoin: the chunked join returns exactly the
-// sequential join's pairs, for every shard count and worker count.
+// sequential join's pairs, for every worker count (and so chunk count).
 func TestShardedMatchesSelfJoin(t *testing.T) {
 	ts := synth.Synthetic(120, 43)
 	for _, tau := range []int{1, 3} {
 		want, _ := core.SelfJoin(ts, core.Options{Tau: tau})
-		for _, shards := range []int{1, 2, 3, 7, 16} {
-			for _, workers := range []int{0, 1, 4} {
-				got, stats, err := shardedSelfJoin(ts, shards, core.Options{Tau: tau, Workers: workers})
-				if err != nil {
-					t.Fatalf("τ=%d shards=%d workers=%d: %v", tau, shards, workers, err)
+		for _, workers := range []int{0, 1, 2, 3, 7, 16} {
+			got, stats, err := chunkedSelfJoin(ts, core.Options{Tau: tau, Workers: workers})
+			if err != nil {
+				t.Fatalf("τ=%d workers=%d: %v", tau, workers, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("τ=%d workers=%d: %d pairs, want %d", tau, workers, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("τ=%d workers=%d: pair %d = %v, want %v", tau, workers, i, got[i], want[i])
 				}
-				if len(got) != len(want) {
-					t.Fatalf("τ=%d shards=%d workers=%d: %d pairs, want %d",
-						tau, shards, workers, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("τ=%d shards=%d: pair %d = %v, want %v",
-							tau, shards, i, got[i], want[i])
-					}
-				}
-				if stats.Results != int64(len(want)) {
-					t.Fatalf("stats results %d", stats.Results)
-				}
+			}
+			if stats.Results != int64(len(want)) {
+				t.Fatalf("stats results %d", stats.Results)
 			}
 		}
 	}
@@ -73,7 +70,7 @@ func TestShardedSizeSkip(t *testing.T) {
 		}
 		ts = append(ts, b.MustBuild())
 	}
-	got, _, err := shardedSelfJoin(ts, 2, core.Options{Tau: 2, Workers: 2})
+	got, _, err := chunkedSelfJoin(ts, core.Options{Tau: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +85,16 @@ func TestShardedSizeSkip(t *testing.T) {
 	}
 }
 
-// TestShardedEdgeCases: tiny collections, more shards than trees, empty
+// TestShardedEdgeCases: tiny collections, more workers than trees, empty
 // input.
 func TestShardedEdgeCases(t *testing.T) {
 	lt := tree.NewLabelTable()
-	if got, _, err := shardedSelfJoin(nil, 4, core.Options{Tau: 1}); err != nil || len(got) != 0 {
+	if got, _, err := chunkedSelfJoin(nil, core.Options{Tau: 1, Workers: 4}); err != nil || len(got) != 0 {
 		t.Fatalf("empty collection: %v", got)
 	}
 	a := tree.MustParseBracket("{a{b}}", lt)
 	b := tree.MustParseBracket("{a{c}}", lt)
-	got, _, err := shardedSelfJoin([]*tree.Tree{a, b}, 8, core.Options{Tau: 1, Workers: 4})
+	got, _, err := chunkedSelfJoin([]*tree.Tree{a, b}, core.Options{Tau: 1, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +103,13 @@ func TestShardedEdgeCases(t *testing.T) {
 	}
 }
 
-// TestShardedDuplicateTrees: repeated identical trees across shard
+// TestShardedDuplicateTrees: repeated identical trees across chunk
 // boundaries still produce each pair exactly once.
 func TestShardedDuplicateTrees(t *testing.T) {
 	lt := tree.NewLabelTable()
 	a := tree.MustParseBracket("{a{b}{c}}", lt)
 	ts := []*tree.Tree{a, a.Clone(), a.Clone(), a.Clone(), a.Clone()}
-	got, _, err := shardedSelfJoin(ts, 3, core.Options{Tau: 0, Workers: 2})
+	got, _, err := chunkedSelfJoin(ts, core.Options{Tau: 0, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +131,7 @@ func TestShardedDuplicateTrees(t *testing.T) {
 // network-facing callers (a bad request must not crash a server).
 func TestShardedInvalidOptions(t *testing.T) {
 	ts := synth.Synthetic(10, 7)
-	pairs, stats, err := shardedSelfJoin(ts, 2, core.Options{Tau: -3})
+	pairs, stats, err := chunkedSelfJoin(ts, core.Options{Tau: -3, Workers: 2})
 	if err == nil {
 		t.Fatal("negative threshold: want error, got nil")
 	}

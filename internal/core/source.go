@@ -50,9 +50,9 @@ func (s partSJSource) Name() string { return "partsj" }
 
 // Tasks cuts the size order into contiguous probe chunks of about equal node
 // counts (engine.ProbeChunks).
-func (s partSJSource) Tasks(c *engine.Collection, shards int) []engine.Task {
+func (s partSJSource) Tasks(c *engine.Collection) []engine.Task {
 	run := &probeRun{c: c, opts: s.opts}
-	return engine.ProbeChunks(c, shards, func(ti int) int { return c.Trees[ti].Size() }, run.probe)
+	return engine.ProbeChunks(c, func(ti int) int { return c.Trees[ti].Size() }, run.probe)
 }
 
 // probeRun is what the probe tasks of one join share: the frozen index of

@@ -1,10 +1,12 @@
 package core_test
 
 import (
-	"math/rand"
+	"context"
+	"slices"
 	"sync"
 	"testing"
 
+	"treejoin"
 	"treejoin/internal/core"
 	"treejoin/internal/sim"
 	"treejoin/internal/synth"
@@ -12,80 +14,91 @@ import (
 	"treejoin/internal/tree"
 )
 
+// The threshold-free queries are sim.ExpandTau over this package's join and
+// index, written once on treejoin.Corpus; these tests hold them to exhaustive
+// TED on corpora of one part and of three.
+
+// eachPartCount runs f on a one-part and on a three-part corpus over ts.
+func eachPartCount(t *testing.T, ts []*tree.Tree, f func(cp *treejoin.Corpus)) {
+	t.Helper()
+	for _, parts := range []int{1, 3} {
+		cp, err := treejoin.NewSharded(parts, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f(cp)
+	}
+}
+
+func topK(t *testing.T, cp *treejoin.Corpus, k int) []sim.Pair {
+	t.Helper()
+	got, err := cp.TopK(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func nearest(t *testing.T, cp *treejoin.Corpus, q *tree.Tree, k int) []core.Match {
+	t.Helper()
+	got, err := cp.KNN(context.Background(), q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // topkOracle computes the true k closest pairs by exhaustive TED.
 func topkOracle(ts []*tree.Tree, k int) []sim.Pair {
 	var all []sim.Pair
-	for i := 0; i < len(ts); i++ {
+	for i := range ts {
 		for j := i + 1; j < len(ts); j++ {
 			all = append(all, sim.Pair{I: i, J: j, Dist: ted.Distance(ts[i], ts[j])})
 		}
 	}
-	// Selection sort by (Dist, I, J) — plenty for test sizes.
-	for i := 0; i < len(all) && i < k; i++ {
-		best := i
-		for j := i + 1; j < len(all); j++ {
-			a, b := all[j], all[best]
-			if a.Dist != b.Dist {
-				if a.Dist < b.Dist {
-					best = j
-				}
-				continue
-			}
-			if a.I != b.I {
-				if a.I < b.I {
-					best = j
-				}
-				continue
-			}
-			if a.J < b.J {
-				best = j
-			}
-		}
-		all[i], all[best] = all[best], all[i]
+	slices.SortFunc(all, sim.ComparePairsByDist)
+	return all[:min(k, len(all))]
+}
+
+// knnOracle computes the true k nearest trees by exhaustive TED.
+func knnOracle(ts []*tree.Tree, q *tree.Tree, k int) []core.Match {
+	all := make([]core.Match, len(ts))
+	for i, t := range ts {
+		all[i] = core.Match{Pos: i, Dist: ted.Distance(q, t)}
 	}
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	slices.SortFunc(all, core.CompareMatchesByDist)
+	return all[:min(k, len(all))]
 }
 
 func TestTopKMatchesOracle(t *testing.T) {
 	ts := synth.Synthetic(40, 23)
-	for _, k := range []int{1, 3, 10, 25} {
-		got := core.TopK(ts, k, core.Options{})
-		want := topkOracle(ts, k)
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: %d pairs, want %d", k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("k=%d: pair %d = %v, want %v", k, i, got[i], want[i])
+	eachPartCount(t, ts, func(cp *treejoin.Corpus) {
+		for _, k := range []int{1, 3, 10, 25} {
+			if got, want := topK(t, cp, k), topkOracle(ts, k); !slices.Equal(got, want) {
+				t.Fatalf("parts=%d k=%d: %v, want %v", cp.NumShards(), k, got, want)
 			}
 		}
-	}
+	})
 }
 
 func TestTopKEdgeCases(t *testing.T) {
 	ts := synth.Synthetic(12, 29)
-	if got := core.TopK(ts, 0, core.Options{}); got != nil {
-		t.Fatalf("k=0 returned %v", got)
-	}
-	if got := core.TopK(ts[:1], 5, core.Options{}); got != nil {
-		t.Fatalf("single tree returned %v", got)
-	}
-	if got := core.TopK(nil, 5, core.Options{}); got != nil {
-		t.Fatalf("empty collection returned %v", got)
-	}
-	// k above the pair count returns every pair, sorted by distance.
-	all := len(ts) * (len(ts) - 1) / 2
-	got := core.TopK(ts, all+100, core.Options{})
-	if len(got) != all {
-		t.Fatalf("k beyond pair count: %d pairs, want %d", len(got), all)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Dist < got[i-1].Dist {
-			t.Fatalf("unsorted distances at %d", i)
+	eachPartCount(t, ts, func(cp *treejoin.Corpus) {
+		if got := topK(t, cp, 0); got != nil {
+			t.Fatalf("k=0 returned %v", got)
 		}
+		// k above the pair count returns every pair, sorted by distance.
+		all := len(ts) * (len(ts) - 1) / 2
+		if got := topK(t, cp, all+100); !slices.Equal(got, topkOracle(ts, all)) {
+			t.Fatalf("k beyond pair count: %d pairs, want all %d by distance", len(got), all)
+		}
+	})
+	for _, few := range [][]*tree.Tree{ts[:1], nil} {
+		eachPartCount(t, few, func(cp *treejoin.Corpus) {
+			if got := topK(t, cp, 5); got != nil {
+				t.Fatalf("%d trees returned %v", len(few), got)
+			}
+		})
 	}
 }
 
@@ -95,52 +108,25 @@ func TestTopKIdenticalTrees(t *testing.T) {
 	lt := tree.NewLabelTable()
 	a := tree.MustParseBracket("{a{b}{c{d}}}", lt)
 	ts := []*tree.Tree{a, a.Clone(), tree.MustParseBracket("{x{y}}", lt), a.Clone()}
-	got := core.TopK(ts, 3, core.Options{})
-	if len(got) != 3 {
-		t.Fatalf("got %d pairs", len(got))
-	}
-	for _, p := range got {
-		if p.Dist != 0 {
+	eachPartCount(t, ts, func(cp *treejoin.Corpus) {
+		got := topK(t, cp, 3)
+		if len(got) != 3 || got[0].Dist+got[1].Dist+got[2].Dist != 0 {
 			t.Fatalf("expected the three duplicate pairs first, got %v", got)
 		}
-	}
+	})
 }
 
 func TestKNNMatchesOracle(t *testing.T) {
 	ts := synth.Synthetic(40, 31)
-	knn := core.NewKNN(ts, core.Options{})
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 5; trial++ {
-		q := ts[rng.Intn(len(ts))]
-		for _, k := range []int{1, 4, 12} {
-			got := knn.Nearest(q, k)
-			// Oracle: all distances, selection of k smallest by (Dist, Pos).
-			type cand struct{ pos, dist int }
-			var all []cand
-			for i, t2 := range ts {
-				all = append(all, cand{i, ted.Distance(q, t2)})
-			}
-			for i := 0; i < k; i++ {
-				best := i
-				for j := i + 1; j < len(all); j++ {
-					if all[j].dist < all[best].dist ||
-						(all[j].dist == all[best].dist && all[j].pos < all[best].pos) {
-						best = j
-					}
-				}
-				all[i], all[best] = all[best], all[i]
-			}
-			if len(got) != k {
-				t.Fatalf("k=%d: got %d matches", k, len(got))
-			}
-			for i := 0; i < k; i++ {
-				if got[i].Pos != all[i].pos || got[i].Dist != all[i].dist {
-					t.Fatalf("k=%d: match %d = %+v, want pos=%d dist=%d",
-						k, i, got[i], all[i].pos, all[i].dist)
+	eachPartCount(t, ts, func(cp *treejoin.Corpus) {
+		for _, q := range []*tree.Tree{ts[3], ts[17], ts[39]} {
+			for _, k := range []int{1, 4, 12} {
+				if got, want := nearest(t, cp, q, k), knnOracle(ts, q, k); !slices.Equal(got, want) {
+					t.Fatalf("parts=%d k=%d: %v, want %v", cp.NumShards(), k, got, want)
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestKNNForeignQuery(t *testing.T) {
@@ -150,63 +136,47 @@ func TestKNNForeignQuery(t *testing.T) {
 		tree.MustParseBracket("{a{b}{c}{d}}", lt),
 		tree.MustParseBracket("{x{y{z{w}}}}", lt),
 	}
-	knn := core.NewKNN(ts, core.Options{})
 	q := tree.MustParseBracket("{a{b}{c}{d}{e}}", lt)
-	got := knn.Nearest(q, 2)
-	if len(got) != 2 {
-		t.Fatalf("got %d matches", len(got))
-	}
-	if got[0].Pos != 1 || got[0].Dist != 1 {
-		t.Fatalf("nearest = %+v, want pos=1 dist=1", got[0])
-	}
-	if got[1].Pos != 0 || got[1].Dist != 2 {
-		t.Fatalf("second = %+v, want pos=0 dist=2", got[1])
-	}
+	eachPartCount(t, ts, func(cp *treejoin.Corpus) {
+		want := []core.Match{{Pos: 1, Dist: 1}, {Pos: 0, Dist: 2}}
+		if got := nearest(t, cp, q, 2); !slices.Equal(got, want) {
+			t.Fatalf("nearest = %v, want %v", got, want)
+		}
+	})
 }
 
 func TestKNNConcurrent(t *testing.T) {
 	ts := synth.Synthetic(30, 41)
-	knn := core.NewKNN(ts, core.Options{})
-	var wg sync.WaitGroup
-	errs := make(chan string, 16)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			q := ts[w%len(ts)]
-			ms := knn.Nearest(q, 3)
-			if len(ms) != 3 {
-				errs <- "short result"
-				return
-			}
-			if ms[0].Dist != 0 {
-				errs <- "self not nearest"
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
+	eachPartCount(t, ts, func(cp *treejoin.Corpus) {
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ms, err := cp.KNN(context.Background(), ts[w%len(ts)], 3)
+				if err != nil || len(ms) != 3 || ms[0].Dist != 0 {
+					t.Errorf("query %d: %v, err %v: want three matches, itself first", w, ms, err)
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 func TestKNNEdgeCases(t *testing.T) {
 	lt := tree.NewLabelTable()
 	q := tree.MustParseBracket("{a}", lt)
-	empty := core.NewKNN(nil, core.Options{})
-	if got := empty.Nearest(q, 3); got != nil {
-		t.Fatalf("empty collection returned %v", got)
-	}
-	one := core.NewKNN([]*tree.Tree{tree.MustParseBracket("{b{c}}", lt)}, core.Options{})
-	got := one.Nearest(q, 5)
-	if len(got) != 1 || got[0].Pos != 0 {
-		t.Fatalf("singleton collection returned %v", got)
-	}
-	if got[0].Dist != 2 {
-		t.Fatalf("dist = %d, want 2", got[0].Dist)
-	}
-	if got := one.Nearest(q, 0); got != nil {
-		t.Fatalf("k=0 returned %v", got)
-	}
+	eachPartCount(t, nil, func(cp *treejoin.Corpus) {
+		if got := nearest(t, cp, q, 3); got != nil {
+			t.Fatalf("empty collection returned %v", got)
+		}
+	})
+	eachPartCount(t, []*tree.Tree{tree.MustParseBracket("{b{c}}", lt)}, func(cp *treejoin.Corpus) {
+		if got := nearest(t, cp, q, 5); !slices.Equal(got, []core.Match{{Pos: 0, Dist: 2}}) {
+			t.Fatalf("singleton collection returned %v", got)
+		}
+		if got := nearest(t, cp, q, 0); got != nil {
+			t.Fatalf("k=0 returned %v", got)
+		}
+	})
 }

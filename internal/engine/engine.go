@@ -156,12 +156,11 @@ type Task func(px *Pipeline)
 type CandidateSource interface {
 	// Name labels the source in diagnostics.
 	Name() string
-	// Tasks decomposes candidate generation into independent units. The
-	// engine passes the job's shard count; shards ≤ 1 asks for the source's
-	// natural decomposition (a single sequential task, or a split across
-	// c.Workers when the tasks share no mutable state). Together the tasks
-	// must offer every unordered candidate pair exactly once.
-	Tasks(c *Collection, shards int) []Task
+	// Tasks decomposes candidate generation into independent units — the
+	// source's natural decomposition: a single sequential task, or a split
+	// across c.Workers when the tasks share no mutable state. Together the
+	// tasks must offer every unordered candidate pair exactly once.
+	Tasks(c *Collection) []Task
 }
 
 // emitter is the serialised result stream of one run: every verified pair —
@@ -331,10 +330,6 @@ type Job struct {
 	// verification; 1 runs sequentially, and values below 1 ("unset") are
 	// normalized to runtime.GOMAXPROCS(0).
 	Workers int
-	// Shards asks the source to decompose the join into at least this many
-	// independent tasks (PartSJ's probe chunks, the sorted loop's strides).
-	// ≤ 1 leaves the decomposition to the source.
-	Shards int
 	// Cache, when non-nil, is the artifact cache shared across runs (a
 	// corpus's cache): per-tree filter signatures and source artifacts are
 	// looked up there before being recomputed. nil gives the run a private
@@ -465,7 +460,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	// Decomposing is part of the stage's wall clock: a build-then-probe
 	// source resolves (and may build) its index there.
 	tasksStart := time.Now()
-	tasks := source.Tasks(c, job.Shards)
+	tasks := source.Tasks(c)
 	flushAt := 0
 	if c.Workers <= 1 {
 		flushAt = inlineFlushChunk
@@ -542,14 +537,14 @@ const probeTasksPerWorker = 4
 
 // ProbeChunks decomposes a build-then-probe source: it cuts the size order
 // into contiguous chunks of about equal total weight (weight(ti) > 0 stands
-// for what probing tree ti costs) — at least shards of them and several per
-// worker, one for a sequential job — and returns one task per chunk, running
-// probe over the order positions [lo, hi).
-func ProbeChunks(c *Collection, shards int, weight func(ti int) int, probe func(px *Pipeline, lo, hi int)) []Task {
+// for what probing tree ti costs) — several per worker, one for a sequential
+// job — and returns one task per chunk, running probe over the order positions
+// [lo, hi).
+func ProbeChunks(c *Collection, weight func(ti int) int, probe func(px *Pipeline, lo, hi int)) []Task {
 	n := len(c.Order)
-	chunks := max(shards, 1)
+	chunks := 1
 	if c.Workers > 1 {
-		chunks = max(chunks, probeTasksPerWorker*c.Workers)
+		chunks = probeTasksPerWorker * c.Workers
 	}
 	chunks = min(chunks, n)
 	total := 0
@@ -608,22 +603,11 @@ func runTasks(tasks []Task, pipes []*Pipeline, workers int) {
 	wg.Wait()
 }
 
-// mergeStats folds one task's counters into the join totals — the candidates a sequential task verified inline included.
-// Times are summed across tasks (CPU effort, as the sharded plan always
-// reported), so parallel speedups show up in Stats.CandWall, not here.
+// mergeStats folds one task's counters into the join totals — the candidates
+// a sequential task verified inline included. Times are summed across tasks
+// (CPU effort), so parallel speedups show up in Stats.CandWall, not here.
 func mergeStats(total, st *sim.Stats) {
-	total.CandTime += st.CandTime
-	total.VerifyTime += st.VerifyTime
-	total.Candidates += st.Candidates
-	total.PartitionTime += st.PartitionTime
-	total.IndexedSubgraphs += st.IndexedSubgraphs
-	total.SubgraphProbes += st.SubgraphProbes
-	total.MatchTests += st.MatchTests
-	total.MatchHits += st.MatchHits
-	total.SmallTreeFallback += st.SmallTreeFallback
-	total.IndexBuildTime += st.IndexBuildTime
-	total.PostingsScanned += st.PostingsScanned
-	total.SkippedByCount += st.SkippedByCount
+	sim.AddCounters(total, st)
 	if st.Source != "" {
 		// A task reported the source that effectively ran (the token index
 		// stamping its sorted-loop fallback); it overrides the configured one.

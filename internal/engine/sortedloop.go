@@ -24,17 +24,8 @@ func SortedLoop() CandidateSource { return sortedLoop{} }
 
 func (sortedLoop) Name() string { return "sorted-loop" }
 
-func (sortedLoop) Tasks(c *Collection, shards int) []Task {
-	n := shards
-	if c.Workers > n {
-		n = c.Workers
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > len(c.Order) {
-		n = len(c.Order)
-	}
+func (sortedLoop) Tasks(c *Collection) []Task {
+	n := min(c.Workers, len(c.Order))
 	if n == 0 {
 		return nil
 	}

@@ -135,7 +135,7 @@ func (s tokenIndexSource) Name() string { return "token-index(" + s.tz.Name() + 
 // Tasks resolves the run's index — the corpus's, when it covers the
 // collection, else one built here — and cuts the size order into contiguous
 // probe chunks of about equal Σ bag size (ProbeChunks).
-func (s tokenIndexSource) Tasks(c *Collection, shards int) []Task {
+func (s tokenIndexSource) Tasks(c *Collection) []Task {
 	if len(c.Order) == 0 {
 		return nil
 	}
@@ -153,7 +153,7 @@ func (s tokenIndexSource) Tasks(c *Collection, shards int) []Task {
 		int(s.cachedBag(c, largest).total) <= s.tz.Slack()*c.Tau {
 		// Stamp the effective source so Stats attribution reports what
 		// actually ran.
-		tasks := SortedLoop().Tasks(c, shards)
+		tasks := SortedLoop().Tasks(c)
 		for i, t := range tasks {
 			inner := t
 			tasks[i] = func(px *Pipeline) {
@@ -185,7 +185,7 @@ func (s tokenIndexSource) Tasks(c *Collection, shards int) []Task {
 		}
 		x, built = buildPrefixIndex(s.tz, c.Trees, c.Split, c.Order, c.Tau, cmul, c.Cache()), true
 	}
-	tasks := ProbeChunks(c, shards, func(ti int) int { return int(x.bags[ti].total) }, x.probe)
+	tasks := ProbeChunks(c, func(ti int) int { return int(x.bags[ti].total) }, x.probe)
 	if built {
 		// The build is candidate-generation effort of this run; a run that
 		// found the index built reports none.

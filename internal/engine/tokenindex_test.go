@@ -81,11 +81,11 @@ func TestTokenIndexOracle(t *testing.T) {
 				want, _, loop := run(engine.Job{Tau: tau, Filters: []engine.PairFilter{filter}}, cross)
 				for _, prefixC := range []int{0, 2 * tz.Slack()} {
 					var one *sim.Stats
-					for _, chunks := range []struct{ shards, workers int }{{1, 1}, {3, 1}, {8, 1}, {8, 2}} {
-						label := fmt.Sprintf("%s τ=%d cross=%v C'=%d chunks=%v", tz.Name(), tau, cross, prefixC, chunks)
+					for _, workers := range []int{1, 2, 3} {
+						label := fmt.Sprintf("%s τ=%d cross=%v C'=%d workers=%d", tz.Name(), tau, cross, prefixC, workers)
 						got, st, log := run(engine.Job{
 							Tau: tau, Filters: []engine.PairFilter{filter}, Source: engine.TokenIndex(tz, nil),
-							PrefixC: prefixC, Shards: chunks.shards, Workers: chunks.workers,
+							PrefixC: prefixC, Workers: workers,
 						}, cross)
 						equalPairs(t, label, got, want)
 						for p := range log.pairs {
@@ -174,7 +174,7 @@ func TestWorkersNormalized(t *testing.T) {
 type captureSource struct{ onTasks func(c *engine.Collection) }
 
 func (s captureSource) Name() string { return "capture" }
-func (s captureSource) Tasks(c *engine.Collection, shards int) []engine.Task {
+func (s captureSource) Tasks(c *engine.Collection) []engine.Task {
 	s.onTasks(c)
 	return nil
 }

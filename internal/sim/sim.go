@@ -183,6 +183,35 @@ func (s *Stats) Total() time.Duration {
 	return s.CandTime + s.VerifyTime + s.PartitionTime
 }
 
+// AddCounters sums every counter and duration of st into total: what folding
+// one unit of a run — a task of a job, a round of a multi-part query — into
+// the whole means for the numeric fields. Times therefore add up to CPU
+// effort, not wall clock. Trees is a property of the whole, not a sum, and
+// Source, Stages and Plan merge by rules their folders own.
+func AddCounters(total, st *Stats) {
+	total.Candidates += st.Candidates
+	total.Results += st.Results
+	total.CandTime += st.CandTime
+	total.VerifyTime += st.VerifyTime
+	total.CandWall += st.CandWall
+	total.PartitionTime += st.PartitionTime
+	total.IndexedSubgraphs += st.IndexedSubgraphs
+	total.SubgraphProbes += st.SubgraphProbes
+	total.MatchTests += st.MatchTests
+	total.MatchHits += st.MatchHits
+	total.SmallTreeFallback += st.SmallTreeFallback
+	total.IndexBuildTime += st.IndexBuildTime
+	total.PostingsScanned += st.PostingsScanned
+	total.SkippedByCount += st.SkippedByCount
+	total.PairsRetracted += st.PairsRetracted
+	total.DPAvoided += st.DPAvoided
+	total.SeqRejects += st.SeqRejects
+	total.KeyrootsSkipped += st.KeyrootsSkipped
+	total.BandAborts += st.BandAborts
+	total.StrategyLeft += st.StrategyLeft
+	total.StrategyRight += st.StrategyRight
+}
+
 // NormalizeWorkers resolves a caller-supplied worker count: values below 1
 // ("unset") become runtime.GOMAXPROCS(0) — use every core the runtime will
 // schedule on — and explicit counts pass through. Every component that deals

@@ -123,7 +123,6 @@ func (p Prefilter) stage() engine.PairFilter {
 type config struct {
 	method     Method
 	workers    int
-	shards     int
 	position   core.PositionFilter
 	randPart   bool
 	fixedPlan  bool
@@ -132,11 +131,6 @@ type config struct {
 	prefilters []Prefilter
 	statsDst   *Stats
 	indexCap   int
-	// indexes and tokens are the corpus's shared-index resolvers
-	// (core.Options.Indexes for PartSJ, the token-index source's for the
-	// signature methods); set by the Corpus query paths, never by an Option.
-	indexes func(context.Context, int, int) (*core.Index, bool)
-	tokens  engine.TokenIndexResolver
 
 	// Persistent-store knobs (see Open, WithMemtableBudget, WithStoreNoSync,
 	// WithSalvage).
@@ -156,21 +150,14 @@ func WithMethod(m Method) Option { return func(c *config) { c.method = m } }
 // the sorted nested loop (MethodBruteForce, a PlanSourceSortedLoop plan) deals
 // its probe positions across the pool; PartSJ builds its subgraph index on
 // the pool and the signature methods their token index on one worker (unless
-// the corpus already holds it for this epoch and threshold), and both then cut
-// the size order into chunks that probe the one frozen index concurrently.
-// Unset (or any n < 1) uses one worker per available core — runtime.GOMAXPROCS(0); pass 1
+// the corpus part already holds it for this threshold), and both then cut
+// the size order into chunks that probe the one frozen index concurrently. On
+// a multi-part corpus the n goroutines are first dealt to the query's rounds,
+// and what exceeds their number parallelises inside each. Unset (or any
+// n < 1) uses one worker per available core — runtime.GOMAXPROCS(0); pass 1
 // explicitly for a sequential run. Stats.CandTime sums the tasks' own clocks
 // (CPU effort); Stats.CandWall reports the stage's wall time.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithShards asks a PartSJ self-join to cut its size order into at least n
-// probe chunks (by default it makes several per worker), run on the
-// WithWorkers pool — the paper's §6 parallel direction. Every chunk probes
-// the same frozen index, so results, candidates and filtering work are those
-// of the sequential join whatever n is; only the granularity of the work
-// dealt to the workers changes. Applies to SelfJoin and TopK with
-// MethodPartSJ only.
-func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithPrefilter chains the given filter stages, in order, in front of the
 // selected method's own filtering. Every stage is a sound lower bound, so
@@ -211,11 +198,11 @@ func WithRandomPartitions(seed int64) Option {
 // abandoned (partial statistics on cancellation or early break).
 func WithStats(dst *Stats) Option { return func(c *config) { c.statsDst = dst } }
 
-// WithIndexCacheCap bounds each of a Corpus's per-epoch index caches — the
-// per-threshold PartSJ indexes behind Search, KNN and PartSJ joins (and the
-// standalone KNN searcher), and the token indexes of the signature methods'
-// self joins, one per (tokenizer, threshold, prefix multiplier) — at n
-// indexes, evicting the least recently used; n < 1 selects the default
+// WithIndexCacheCap bounds each index cache of each part of a Corpus — the
+// per-threshold PartSJ indexes behind Search, KNN and PartSJ joins, and the
+// token indexes of the signature methods' self joins, one per (tokenizer,
+// threshold, prefix multiplier) — at n indexes, evicting the least recently
+// used; n < 1 selects the default
 // (which covers a full KNN expanding sweep for trees up to ~4K nodes). Each
 // cached entry is a full index over the collection, so the cap trades
 // rebuild time against memory — but a cap smaller than a query's sweep makes
@@ -273,7 +260,6 @@ func (c config) coreOptions(tau int) core.Options {
 		RandomPartition: c.randPart,
 		Seed:            c.seed,
 		Workers:         c.workers,
-		Indexes:         c.indexes,
 	}
 }
 
@@ -326,7 +312,7 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 				filters = chainStages(spec.Chain)
 			}
 		}
-		return c.coreOptions(tau).Job(c.shards, filters), nil, nil
+		return c.coreOptions(tau).Job(filters), nil, nil
 	case MethodSTR:
 		filters = append(filters, baseline.STRFilter())
 		tz = pqgram.Tokenizer(0)
@@ -368,7 +354,7 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	}
 	var src engine.CandidateSource
 	if useIndex {
-		src = engine.TokenIndex(tz, c.tokens)
+		src = engine.TokenIndex(tz, nil)
 	}
 	job := engine.Job{
 		Source:  src,
@@ -379,6 +365,24 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	}
 	job.Plan = fixedPlanRecord(job, tz)
 	return job, tz, nil
+}
+
+// bound returns job — an assembled, possibly planned pipeline — as one round
+// of a corpus query runs it: on workers goroutines, its candidate source
+// drawing the frozen indexes of the parts it joins through the corpus's
+// resolvers (core.Options.Indexes for PartSJ, the token-index source's for a
+// signature method planned onto the index; the sorted loop has none).
+func (c config) bound(job engine.Job, tz engine.Tokenizer, workers int, indexes func(context.Context, int, int) (*core.Index, bool), tokens engine.TokenIndexResolver) engine.Job {
+	job.Workers = workers
+	switch {
+	case c.method == MethodPartSJ:
+		o := c.coreOptions(job.Tau)
+		o.Indexes = indexes
+		job.Source = core.NewSource(o)
+	case job.Source != nil:
+		job.Source = engine.TokenIndex(tz, tokens)
+	}
+	return job
 }
 
 // chainStages maps a fixed-plan chain to engine filters, in order.

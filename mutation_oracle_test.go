@@ -3,8 +3,9 @@
 // over the surviving trees — bit-identical SelfJoin results (pairs and
 // distances) for every method at every threshold, and bit-identical cross
 // joins. This is the soundness harness for everything mutation maintains:
-// the copy-on-write state, the cache evictions, the tombstoned token-index
-// posting lists, and their compaction.
+// the copy-on-write state and its partition, the parts carried over with
+// their indexes and the ones replaced, and the cache evictions. Each history
+// draws the part count of its corpora.
 package treejoin_test
 
 import (
@@ -28,6 +29,9 @@ var oracleMethods = []treejoin.Method{
 }
 
 var oracleTaus = []int{0, 1, 2, 4}
+
+// drawParts draws a part count for one history's corpus: one or three.
+func drawParts(rng *rand.Rand) int { return 1 + 2*rng.Intn(2) }
 
 // checkSelfOracle asserts cp's SelfJoin equals a fresh corpus over the
 // survivors, for every method × τ.
@@ -91,9 +95,10 @@ func TestMutationOracle(t *testing.T) {
 	// seed the corpus (enough to engage the token-index machinery), the
 	// rest feed the Add stream.
 	pool := synth.Generate(synth.SyntheticParams(110, 3, 5, 20, 60, 37))
-	cp := mustCorpus(t, pool[:60])
-	other := mustCorpus(t, pool[95:])
 	rng := rand.New(rand.NewSource(41))
+	parts := drawParts(rng)
+	cp := mustSharded(t, parts, pool[:60])
+	other := mustSharded(t, 4-parts, pool[95:])
 
 	liveIDs := make([]int, 60)
 	for i := range liveIDs {
@@ -126,7 +131,7 @@ func TestMutationOracle(t *testing.T) {
 	checkCrossOracle(t, "final", cp, other)
 
 	// The sweep must have exercised the token index, not fallen back: the
-	// corpus is large enough, so signature joins probe the epoch's index.
+	// corpus is large enough, so signature joins probe their parts' indexes.
 	var st treejoin.Stats
 	if _, _, err := cp.SelfJoin(ctx, 2, treejoin.WithMethod(treejoin.MethodPQGram), treejoin.WithStats(&st)); err != nil {
 		t.Fatal(err)
@@ -141,7 +146,7 @@ func TestMutationOracle(t *testing.T) {
 // every live tree (a dropped posting would lose result pairs).
 func TestMutationOracleChurn(t *testing.T) {
 	pool := synth.Generate(synth.SyntheticParams(140, 3, 5, 20, 50, 53))
-	cp := mustCorpus(t, pool[:100])
+	cp := mustSharded(t, 4-drawParts(rand.New(rand.NewSource(41))), pool[:100]) // the count TestMutationOracle did not draw
 
 	// Build the first epoch's indexes, then churn hard.
 	cp.Remove(0)

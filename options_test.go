@@ -13,7 +13,6 @@ func TestNegativeTauPanics(t *testing.T) {
 		func() { treejoin.SelfJoin(nil, -1) },
 		func() { treejoin.Join(nil, nil, -2) },
 		func() { treejoin.NewIncremental(-1) },
-		func() { treejoin.NewIndex(nil, -3) },
 	}
 	for i, f := range cases {
 		func() {

@@ -20,7 +20,9 @@ import (
 
 func TestPersistenceOracle(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	cp, err := treejoin.Open(dir,
+	rng := rand.New(rand.NewSource(43))
+	parts := drawParts(rng)
+	cp, err := treejoin.OpenSharded(dir, parts,
 		treejoin.WithMemtableBudget(16), treejoin.WithStoreNoSync())
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +37,6 @@ func TestPersistenceOracle(t *testing.T) {
 	}
 	liveIDs := append([]int(nil), ids...)
 	next := 60
-	rng := rand.New(rand.NewSource(43))
 
 	for step := 0; step < 4; step++ {
 		if rng.Intn(2) == 0 && next < len(pool) {
@@ -64,10 +65,11 @@ func TestPersistenceOracle(t *testing.T) {
 			if err := cp.Close(); err != nil {
 				t.Fatalf("step %d Close: %v", step, err)
 			}
-			cp, err = treejoin.Open(dir,
+			parts = 4 - parts // the partition is not part of the store: one part, then three, or the reverse
+			cp, err = treejoin.OpenSharded(dir, parts,
 				treejoin.WithMemtableBudget(16), treejoin.WithStoreNoSync())
 			if err != nil {
-				t.Fatalf("step %d reopen: %v", step, err)
+				t.Fatalf("step %d reopen on %d parts: %v", step, parts, err)
 			}
 			// Reopening rebuilds the label table from the manifest; the Add
 			// stream must target the live table.

@@ -3,6 +3,7 @@ package treejoin
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 	"treejoin/internal/sim"
 )
 
-// TestFoldStats: the sharded rollup sums every counter and duration, merges
+// TestFoldStats: the multi-part rollup sums every counter and duration, merges
 // stages by name in first-seen order, and reports a single source only when
 // every round agrees.
 func TestFoldStats(t *testing.T) {
@@ -62,9 +63,35 @@ func TestFoldStats(t *testing.T) {
 	}
 }
 
-// TestShardedRollupMatchesRounds: the rollup a sharded self join publishes is
-// exactly the field-wise sum of its rounds — checked by comparing against the
-// sum of each round run individually on the same pinned shard views.
+// TestFoldStatsIsExhaustive: every numeric field of Stats either sums across
+// rounds or is named here as a property of the whole — so the next counter
+// cannot be dropped from the rollup (or from the engine's task merge, which
+// shares sim.AddCounters) silently.
+func TestFoldStatsIsExhaustive(t *testing.T) {
+	notSummed := map[string]bool{"Trees": true}
+	var round sim.Stats
+	rv := reflect.ValueOf(&round).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Field(i); f.CanInt() {
+			f.SetInt(1)
+		}
+	}
+	var total sim.Stats
+	foldStats(&total, &round)
+	foldStats(&total, &round)
+	tv := reflect.ValueOf(total)
+	for i := 0; i < tv.NumField(); i++ {
+		name := tv.Type().Field(i).Name
+		if f := tv.Field(i); f.CanInt() && f.Int() != 2 && !notSummed[name] {
+			t.Errorf("Stats.%s = %d after folding two rounds of 1: not summed, and not on the not-summed list", name, f.Int())
+		}
+	}
+}
+
+// TestShardedRollupMatchesRounds: the rollup a multi-part self join publishes
+// is exactly the field-wise sum of its rounds — checked by comparing against
+// the sum of each round run individually on the same pinned state — under the
+// one plan the query made.
 func TestShardedRollupMatchesRounds(t *testing.T) {
 	ts := chainForest(24)
 	sc, err := NewSharded(3, ts)
@@ -75,47 +102,36 @@ func TestShardedRollupMatchesRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Trees != len(ts) {
-		t.Fatalf("rollup Trees = %d, want %d", stats.Trees, len(ts))
+	q, err := sc.selfQuery(t.Context(), sc.state.Load(), 2, buildConfig([]Option{WithWorkers(1)}))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Re-run every round by hand on the same pinned state and sum.
-	st := sc.state.Load()
-	want := &sim.Stats{Trees: len(ts)}
-	c := buildConfig([]Option{WithWorkers(1)})
-	sum := func(part *sim.Stats, err error) {
-		t.Helper()
+	want := &sim.Stats{Trees: len(ts), Plan: q.job.Plan}
+	if len(q.rounds) != 6 {
+		t.Fatalf("3 parts decompose into %d rounds, want 3 self + 3 cross", len(q.rounds))
+	}
+	for _, r := range q.rounds {
+		part, err := q.run(t.Context(), r, 1, func(Pair) bool { return true })
 		if err != nil {
 			t.Fatal(err)
 		}
 		foldStats(want, part)
 	}
-	for s := range st.views {
-		if st.views[s].Len() >= 2 {
-			sum(st.views[s].streamSelfWith(t.Context(), 2, c, func(Pair) bool { return true }))
-		}
+	stats.CandTime, stats.VerifyTime, stats.CandWall, stats.PartitionTime, stats.IndexBuildTime = 0, 0, 0, 0, 0
+	want.CandTime, want.VerifyTime, want.CandWall, want.PartitionTime, want.IndexBuildTime = 0, 0, 0, 0, 0
+	for i := range want.Stages {
+		stats.Stages[i].SampledNs, want.Stages[i].SampledNs = 0, 0
 	}
-	for a := range st.views {
-		for b := a + 1; b < len(st.views); b++ {
-			if st.views[a].Len() > 0 && st.views[b].Len() > 0 {
-				sum(st.views[a].streamJoinWith(t.Context(), st.views[b], 2, c, func(Pair) bool { return true }))
-			}
-		}
-	}
-	if stats.Candidates != want.Candidates || stats.Results != want.Results {
-		t.Fatalf("rollup Candidates/Results = %d/%d, want %d/%d",
-			stats.Candidates, stats.Results, want.Candidates, want.Results)
-	}
-	if stats.PostingsScanned != want.PostingsScanned || stats.DPAvoided != want.DPAvoided {
-		t.Fatalf("rollup counters = %d/%d, want %d/%d",
-			stats.PostingsScanned, stats.DPAvoided, want.PostingsScanned, want.DPAvoided)
+	if !reflect.DeepEqual(stats, *want) || stats.Plan.Source == "" {
+		t.Fatalf("rollup = %+v\nsum of its rounds = %+v", stats, *want)
 	}
 }
 
-// TestOpenShardedBuildsNoArtifactOutsideItsShards: the backing corpus of a
-// durable ShardedCorpus is the store's write path and nothing else — opening,
-// adding and joining leave its artifact cache empty, every view and signature
-// living in the shard that uses it — and the shards answer as one Corpus does.
+// TestOpenShardedBuildsNoArtifactOutsideItsShards: a store-backed 4-part
+// corpus is the corpus that owns the store — after an Add and a SelfJoin it
+// holds exactly the artifacts a NewCorpus over the same trees does, answers as
+// it does, serves the store operations, and reopens under another part count
+// to the same ids and pairs.
 func TestOpenShardedBuildsNoArtifactOutsideItsShards(t *testing.T) {
 	ctx := context.Background()
 	ts := chainForest(40)
@@ -131,19 +147,17 @@ func TestOpenShardedBuildsNoArtifactOutsideItsShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
-	if _, err := sc.Add(MustParseBracket(FormatBracket(ts[39]), sc.Labels())); err != nil {
+	ids, err := sc.Add(MustParseBracket(FormatBracket(ts[39]), sc.Labels()))
+	if err != nil {
 		t.Fatal(err)
 	}
+	sc.Remove(ids[0] - 1)
 	got, _, err := sc.SelfJoin(ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := sc.backing.CacheStats(); st.Entries != 0 {
-		t.Fatalf("backing corpus holds artifacts no query reads: %+v", st)
-	}
-	single, err := NewCorpus(ts)
-	if err != nil {
+	single, err := NewCorpus(sc.Trees()) // the store's instances: equal trees share one
+	if err != nil || single.Len() != 39 {
 		t.Fatal(err)
 	}
 	want, _, err := single.SelfJoin(ctx, 2)
@@ -151,7 +165,39 @@ func TestOpenShardedBuildsNoArtifactOutsideItsShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) == 0 || !slices.Equal(got, want) {
-		t.Fatalf("sharded store join: %d pairs, single corpus %d", len(got), len(want))
+		t.Fatalf("4-part store join: %d pairs, one-part corpus %d", len(got), len(want))
+	}
+	if a, b := sc.CacheStats().Entries, single.CacheStats().Entries; a != b {
+		t.Fatalf("the store-backed corpus holds %d artifacts, NewCorpus over the same trees %d", a, b)
+	}
+	if rep, err := sc.Scrub(); err != nil || rep.Segments == 0 {
+		t.Fatalf("Scrub: %+v, %v", rep, err)
+	}
+	if err := sc.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	copyDir := filepath.Join(t.TempDir(), "copy")
+	if err := sc.SaveTo(copyDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for n, d := range map[int]string{1: dir, 3: copyDir} {
+		re, err := OpenSharded(d, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _, err := re.SelfJoin(ctx, 2)
+		if err != nil || !slices.Equal(again, want) || re.NumShards() != n {
+			t.Fatalf("reopened on %d parts: %d pairs (want %d), err %v", n, len(again), len(want), err)
+		}
+		for i := range re.Len() {
+			if re.ID(i) != sc.ID(i) {
+				t.Fatalf("reopened on %d parts: position %d has id %d, was %d", n, i, re.ID(i), sc.ID(i))
+			}
+		}
+		re.Close()
 	}
 }
 

@@ -1,8 +1,8 @@
-// Oracle tests for the sharded corpus: a ShardedCorpus must be
-// shard-transparent — bit-identical, query for query, to a single Corpus
-// over the same trees in the same order — across shard counts, methods,
-// thresholds, and mutation histories, and its pinned Views must stay
-// consistent under a concurrent Add/Remove hammer.
+// Oracle tests for the partition: an n-part corpus must be bit-identical,
+// query for query, to the one-part corpus over the same trees in the same
+// order — across part counts, methods, thresholds, and mutation histories —
+// and its Snapshots must stay consistent under a concurrent Add/Remove
+// hammer.
 package treejoin_test
 
 import (
@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -19,7 +21,7 @@ import (
 
 var shardCounts = []int{1, 2, 4, 7}
 
-func mustSharded(t *testing.T, n int, ts []*treejoin.Tree) *treejoin.ShardedCorpus {
+func mustSharded(t *testing.T, n int, ts []*treejoin.Tree) *treejoin.Corpus {
 	t.Helper()
 	sc, err := treejoin.NewSharded(n, ts)
 	if err != nil {
@@ -95,23 +97,27 @@ func TestShardedSelfJoinOracle(t *testing.T) {
 	}
 }
 
-// TestShardedJoinOracle: the cross join against another corpus, swept over
-// shard counts and thresholds.
+// TestShardedJoinOracle: the cross join against another corpus — itself
+// partitioned, for every second count — swept over shard counts and
+// thresholds.
 func TestShardedJoinOracle(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(60, 7)
 	left, right := ts[:40], ts[40:]
 	cp := mustCorpus(t, left)
 	other := mustCorpus(t, right)
-	for _, n := range shardCounts {
-		sc := mustSharded(t, n, left)
+	for i, n := range shardCounts {
+		sc, partner := mustSharded(t, n, left), other
+		if i%2 == 1 {
+			partner = mustSharded(t, n+1, right)
+		}
 		for _, tau := range []int{0, 1, 2, 4} {
-			label := fmt.Sprintf("join shards=%d tau=%d", n, tau)
+			label := fmt.Sprintf("join shards=%d×%d tau=%d", n, partner.NumShards(), tau)
 			want, _, err := cp.Join(ctx, other, tau)
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", label, err)
 			}
-			got, stats, err := sc.Join(ctx, other, tau)
+			got, stats, err := sc.Join(ctx, partner, tau)
 			if err != nil {
 				t.Fatalf("%s: sharded: %v", label, err)
 			}
@@ -283,13 +289,14 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// TestShardedViewIsolation: a View pinned before a mutation keeps answering
-// from the pre-mutation state while the corpus itself moves on.
-func TestShardedViewIsolation(t *testing.T) {
+// TestShardedSnapshotIsolation: a Snapshot pinned before a mutation keeps
+// answering from the pre-mutation state — every part of it — while the corpus
+// itself moves on.
+func TestShardedSnapshotIsolation(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(24, 5)
 	sc := mustSharded(t, 3, ts[:16])
-	v := sc.View()
+	v := sc.Snapshot()
 
 	want, _, err := v.SelfJoin(ctx, 2)
 	if err != nil {
@@ -351,7 +358,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 					return
 				default:
 				}
-				v := sc.View()
+				v := sc.Snapshot()
 				n := v.Len()
 				switch r % 4 {
 				case 0:
@@ -415,12 +422,54 @@ func TestShardedConcurrentHammer(t *testing.T) {
 	pairsEqual(t, "post-hammer", got, want)
 }
 
-func collectTrees(sc *treejoin.ShardedCorpus) []*treejoin.Tree {
+func collectTrees(sc *treejoin.Corpus) []*treejoin.Tree {
 	out := make([]*treejoin.Tree, sc.Len())
 	for i := range out {
 		out[i] = sc.Tree(i)
 	}
 	return out
+}
+
+// TestStatsAcrossPartCounts: a one-part corpus is the same code whichever
+// constructor made it — NewSharded(1, ts) and NewCorpus(ts) report
+// field-identical Stats, durations aside, for every method — and a multi-part
+// join carries the plan it ran: the fixed plan's record is the one-part
+// corpus's, and under the auto plan it is the one Explain describes.
+func TestStatsAcrossPartCounts(t *testing.T) {
+	ctx := context.Background()
+	ts := synth.Synthetic(200, 13) // 50 a part on four: past the token index's own cutoff
+	timeless := func(st treejoin.Stats) treejoin.Stats {
+		st.CandTime, st.VerifyTime, st.CandWall, st.PartitionTime, st.IndexBuildTime = 0, 0, 0, 0, 0
+		for i := range st.Stages {
+			st.Stages[i].SampledNs = 0
+		}
+		return st
+	}
+	for m := treejoin.MethodPartSJ; m <= treejoin.MethodPQGram; m++ {
+		opts := []treejoin.Option{treejoin.WithMethod(m), treejoin.WithFixedPlan(), treejoin.WithWorkers(1)}
+		pairs, want, err := mustCorpus(t, ts).SelfJoin(ctx, 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, one, err := mustSharded(t, 1, ts).SelfJoin(ctx, 2, opts...)
+		if err != nil || !reflect.DeepEqual(timeless(one), timeless(want)) {
+			t.Fatalf("%v: NewSharded(1) reports %+v\nNewCorpus %+v (err %v)", m, one, want, err)
+		}
+		four := mustSharded(t, 4, ts)
+		got, st, err := four.SelfJoin(ctx, 2, opts...)
+		if err != nil || st.Plan.Source == "" || !reflect.DeepEqual(st.Plan, want.Plan) || st.Source != want.Source {
+			t.Fatalf("%v: the 4-part fixed plan is %+v on %q, the one-part corpus's %+v on %q (err %v)", m, st.Plan, st.Source, want.Plan, want.Source, err)
+		}
+		pairsEqual(t, m.String()+" on 4 parts", got, pairs)
+		ex, err := four.Explain(ctx, 2, treejoin.WithMethod(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err = four.SelfJoin(ctx, 2, treejoin.WithMethod(m))
+		if err != nil || st.Plan.Source != ex.Source || !slices.Equal(st.Plan.Chain, ex.Chain) || st.Plan.Origin != ex.Origin {
+			t.Fatalf("%v: the auto-planned 4-part join ran %+v, Explain said %+v (err %v)", m, st.Plan, ex, err)
+		}
+	}
 }
 
 // TestShardedStreamingStop: breaking out of SelfJoinSeq stops the fan-out

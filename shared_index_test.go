@@ -14,22 +14,21 @@ import (
 	"treejoin/internal/synth"
 )
 
-// indexBuilds sums, over the shards' pinned views, how many per-threshold
-// indexes their searchers have built.
-func indexBuilds(sc *ShardedCorpus) (n int64) {
-	for _, v := range sc.state.Load().views {
-		v.mu.Lock()
-		for _, s := range v.searchers {
-			n += s.Builds()
-		}
-		v.mu.Unlock()
+// indexBuilds sums, over the current state's parts, how many subgraph and
+// token indexes they have built.
+func indexBuilds(cp *Corpus) (subgraph, tokens int64) {
+	for _, p := range cp.state.Load().parts {
+		_, n, _ := p.subgraph.Counts()
+		_, m, _ := p.tokens.Counts()
+		subgraph, tokens = subgraph+n, tokens+m
 	}
-	return n
+	return subgraph, tokens
 }
 
-// TestIndexBuiltOncePerEpoch: the ten rounds of a 4-shard SelfJoin share four
-// per-shard indexes, a repeat join finds them, and so does a Search at the
-// same threshold; a mutation rebuilds only the shard it touched.
+// TestIndexBuiltOncePerEpoch: the ten rounds of a 4-part SelfJoin share four
+// per-part indexes, a repeat join finds them, and so does a Search at the
+// same threshold — on the corpus or on a Snapshot of it; a mutation rebuilds
+// only the part it touched.
 func TestIndexBuiltOncePerEpoch(t *testing.T) {
 	ctx := context.Background()
 	pool := synth.Generate(synth.SyntheticParams(121, 3, 5, 20, 30, 67))
@@ -50,18 +49,29 @@ func TestIndexBuiltOncePerEpoch(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("run %d: sharded join differs from the corpus join", run)
 		}
-		if n := indexBuilds(sc); n != wantBuilds {
+		if n, _ := indexBuilds(sc); n != wantBuilds {
 			t.Fatalf("run %d: %d indexes built so far, want %d", run, n, wantBuilds)
 		}
 		if (st.IndexBuildTime > 0) != (run == 0) {
 			t.Fatalf("run %d: IndexBuildTime %v", run, st.IndexBuildTime)
 		}
 	}
-	if _, err := sc.Search(ctx, ts[0], 2); err != nil {
-		t.Fatal(err)
+	for _, target := range []*Corpus{sc, sc.Snapshot()} {
+		if _, err := target.Search(ctx, ts[0], 2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := indexBuilds(sc); n != 4 {
+	if n, _ := indexBuilds(sc); n != 4 {
 		t.Fatalf("searches at the join's threshold built %d more indexes", n-4)
+	}
+	one := mustNewCorpus(t, ts)
+	for _, target := range []*Corpus{one, one.Snapshot()} {
+		if _, err := target.Search(ctx, ts[0], 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := indexBuilds(one); n != 1 {
+		t.Fatalf("a Search and a Snapshot's Search at one τ built %d indexes, want 1", n)
 	}
 	if _, err := sc.Add(pool[120]); err != nil {
 		t.Fatal(err)
@@ -69,9 +79,9 @@ func TestIndexBuiltOncePerEpoch(t *testing.T) {
 	if _, _, err := sc.SelfJoin(ctx, 2, WithWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
-	// Three shards kept their views (and indexes); the touched one is new.
-	if n := indexBuilds(sc); n != 3+1 {
-		t.Fatalf("after one Add the views hold %d index builds, want 3 kept + 1 rebuilt", n)
+	// Three parts were carried over, indexes and all; the touched one is new.
+	if n, _ := indexBuilds(sc); n != 3+1 {
+		t.Fatalf("after one Add the parts hold %d index builds, want 3 kept + 1 rebuilt", n)
 	}
 }
 
@@ -81,15 +91,13 @@ func TestIndexBuiltOncePerEpoch(t *testing.T) {
 // that tokenises alike (STR and EUL; SET tokenises labels and builds its own);
 // one mutation costs one rebuild per index, paid by the first join after it;
 // and a view pinned to the old epoch — a Snapshot, or a sequence made before
-// the mutation — builds its own and installs nothing on the live corpus.
+// the mutation — keeps that epoch's index and installs nothing on the new one.
 func TestTokenIndexBuiltOncePerEpoch(t *testing.T) {
 	ctx := context.Background()
 	pool := synth.Generate(synth.SyntheticParams(81, 3, 5, 20, 30, 67))
 	cp := mustNewCorpus(t, pool[:80])
 	builds := func(c *Corpus) int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		_, n, _ := c.tokens.Counts()
+		_, n := indexBuilds(c)
 		return n
 	}
 	join := func(c *Corpus, m Method, wantBuilt bool) []Pair {
@@ -122,8 +130,8 @@ func TestTokenIndexBuiltOncePerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(join(snap, MethodSTR, true), first) || !slices.Equal(join(snap, MethodSTR, false), first) {
-		t.Fatal("the snapshot's joins differ from the join at its epoch")
+	if !slices.Equal(join(snap, MethodSTR, false), first) || builds(snap) != 2 {
+		t.Fatal("the snapshot's join differs from the join at its epoch, or rebuilt its index")
 	}
 	var got []Pair
 	for p := range stale {
@@ -187,17 +195,10 @@ func bruteKNN(ts []*Tree, q *Tree, k int) []Match {
 	return out[:min(k, len(out))]
 }
 
-// querier is the query surface Corpus and ShardedCorpus share.
-type querier interface {
-	SelfJoin(ctx context.Context, tau int, opts ...Option) ([]Pair, Stats, error)
-	Search(ctx context.Context, q *Tree, tau int, opts ...Option) ([]Match, error)
-	KNN(ctx context.Context, q *Tree, k int, opts ...Option) ([]Match, error)
-}
-
 // checkAgainstBruteForce runs SelfJoin, Search and KNN on target at once —
 // they race for the same per-threshold indexes — and holds each answer to
 // brute force over ts, the membership target is known to have.
-func checkAgainstBruteForce(target querier, ts []*Tree, q *Tree, report func(string, ...any)) {
+func checkAgainstBruteForce(target *Corpus, ts []*Tree, q *Tree, report func(string, ...any)) {
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -225,8 +226,8 @@ func checkAgainstBruteForce(target querier, ts []*Tree, q *Tree, report func(str
 }
 
 // TestSharedIndexRace (run under -race): joins, searches and KNN queries race
-// for the shared per-epoch indexes of one Corpus and one ShardedCorpus while
-// Add and Remove rotate the epochs. Two regimes: between mutations, queries on
+// for the parts' shared indexes of a one-part and a three-part corpus while
+// Add and Remove replace the parts. Two regimes: between mutations, queries on
 // the live objects must answer for the membership just published — the first
 // query after a mutation never sees the previous epoch's index — and while a
 // writer churns freely, queries on pinned views must answer for exactly the
@@ -295,8 +296,8 @@ func TestSharedIndexRace(t *testing.T) {
 				q := pool[rrng.Intn(len(pool))]
 				snap := cp.Snapshot()
 				checkAgainstBruteForce(snap, snap.Trees(), q, report)
-				view := sc.View()
-				checkAgainstBruteForce(view, view.st.trees, q, report)
+				view := sc.Snapshot()
+				checkAgainstBruteForce(view, view.Trees(), q, report)
 			}
 		}()
 	}

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"slices"
 
-	"treejoin/internal/engine"
-	"treejoin/internal/engine/plan"
 	"treejoin/internal/segstore"
 	"treejoin/internal/tree"
 )
@@ -40,7 +38,8 @@ type QuarantinedSegment = segstore.QuarantinedSegment
 type StoreStats = segstore.Stats
 
 // Open opens the persistent corpus stored at dir, creating an empty one if
-// the directory holds no store yet. The returned corpus is fully dynamic —
+// the directory holds no store yet, as a one-part corpus (OpenSharded picks
+// the part count). The returned corpus is fully dynamic —
 // every Add appends to the store's write-ahead log before it is visible, every
 // Remove tombstones, and a background compactor folds segments once enough
 // entries die. The store holds the canonical trees (duplicates share one
@@ -57,46 +56,19 @@ type StoreStats = segstore.Stats
 //
 // Options are corpus-level: WithIndexCacheCap as for NewCorpus, plus
 // WithMemtableBudget and WithStoreNoSync for the store itself.
-func Open(dir string, opts ...Option) (*Corpus, error) {
-	c := buildConfig(opts)
-	sopt := c.storeOptions()
-	var s *segstore.Store
-	var err error
+func Open(dir string, opts ...Option) (*Corpus, error) { return OpenSharded(dir, 1, opts...) }
+
+// openStore opens the store at dir, or creates an empty one there.
+func openStore(dir string, c config) (s *segstore.Store, err error) {
 	if _, statErr := os.Stat(filepath.Join(dir, "MANIFEST")); statErr == nil {
-		s, err = segstore.Open(dir, sopt)
+		s, err = segstore.Open(dir, c.storeOptions())
 	} else {
-		s, err = segstore.Create(dir, nil, sopt)
+		s, err = segstore.Create(dir, nil, c.storeOptions())
 	}
 	if err != nil {
 		return nil, fmt.Errorf("treejoin: open store: %w", err)
 	}
-	return corpusFromStore(s, c), nil
-}
-
-// corpusFromStore builds a live Corpus over an opened store's live trees.
-func corpusFromStore(s *segstore.Store, c config) *Corpus {
-	live := s.Live()
-	st := &corpusState{
-		ts:     make([]*Tree, 0, len(live)),
-		ids:    make([]int, 0, len(live)),
-		nextID: int(s.NextID()),
-		lt:     s.Labels(),
-	}
-	cp := &Corpus{
-		cache:      engine.NewCache(),
-		indexCap:   c.indexCap,
-		store:      s,
-		persistent: true,
-		planner:    plan.New(),
-	}
-	for _, lv := range live {
-		st.ts = append(st.ts, lv.Tree)
-		st.ids = append(st.ids, int(lv.ID))
-	}
-	cp.addMembers(st.ts)
-	cp.state.Store(st)
-	cp.resetIndexes(st.epoch)
-	return cp
+	return s, nil
 }
 
 // SaveTo writes the corpus's current live membership — the trees and their

@@ -219,17 +219,11 @@ func TestSaveToAndReopen(t *testing.T) {
 }
 
 // TestIDsAscendWithPosition pins the invariant PosOf and Remove bisect on: in
-// every state of a Corpus, a ShardedCorpus and a reopened store, ids ascend
-// with position — whatever the Add/Remove history — and PosOf inverts ID.
+// every state of a one-part corpus, a three-part one and a stored and reopened
+// one, ids ascend with position — whatever the Add/Remove history — and PosOf
+// inverts ID.
 func TestIDsAscendWithPosition(t *testing.T) {
-	type corpus interface {
-		Len() int
-		ID(int) int
-		PosOf(int) (int, bool)
-		Add(...*treejoin.Tree) ([]int, error)
-		Remove(...int) int
-	}
-	check := func(what string, c corpus, gone []int) {
+	check := func(what string, c *treejoin.Corpus, gone []int) {
 		t.Helper()
 		for p := 0; p < c.Len(); p++ {
 			if p > 0 && c.ID(p) <= c.ID(p-1) {
@@ -271,7 +265,7 @@ func TestIDsAscendWithPosition(t *testing.T) {
 				live = append(live[:at], live[at+1:]...)
 			}
 			gone = append(gone, ids...)
-			for _, c := range []corpus{plain, sharded, stored} {
+			for _, c := range []*treejoin.Corpus{plain, sharded, stored} {
 				if n := c.Remove(ids...); n != len(ids) {
 					t.Fatalf("Remove(%v) removed %d", ids, n)
 				}
@@ -279,16 +273,16 @@ func TestIDsAscendWithPosition(t *testing.T) {
 		} else {
 			k := min(1+rng.Intn(6), len(pool))
 			var ids []int
-			for _, c := range []corpus{plain, sharded, stored} {
+			for _, c := range []*treejoin.Corpus{plain, sharded, stored} {
 				if ids, err = c.Add(pool[:k]...); err != nil {
 					t.Fatal(err)
 				}
 			}
 			live, pool = append(live, ids...), pool[k:]
 		}
-		check("Corpus", plain, gone)
-		check("ShardedCorpus", sharded, gone)
-		check("stored Corpus", stored, gone)
+		check("one part", plain, gone)
+		check("three parts", sharded, gone)
+		check("stored", stored, gone)
 	}
 	if err := stored.Close(); err != nil {
 		t.Fatal(err)

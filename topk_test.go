@@ -17,8 +17,8 @@ func TestPublicTopK(t *testing.T) {
 		treejoin.MustParseBracket("{album{title{Red}}{year{1980}}{label{X}}}", lt),
 		treejoin.MustParseBracket("{book{title{Blue}}}", lt),
 	}
-	got := treejoin.TopK(ts, 2)
-	if len(got) != 2 {
+	got, err := mustCorpus(t, ts).TopK(context.Background(), 2)
+	if err != nil || len(got) != 2 {
 		t.Fatalf("got %d pairs", len(got))
 	}
 	if got[0].I != 0 || got[0].J != 1 || got[0].Dist != 1 {
@@ -47,13 +47,9 @@ func TestPublicKNN(t *testing.T) {
 		treejoin.MustParseBracket("{a{b}{c}{d}}", lt),
 		treejoin.MustParseBracket("{x{y{z}}}", lt),
 	}
-	knn := treejoin.NewKNN(ts)
-	if knn.Len() != 3 {
-		t.Fatalf("Len = %d", knn.Len())
-	}
 	q := treejoin.MustParseBracket("{a{b}{c}{e}}", lt)
-	ms := knn.Nearest(q, 2)
-	if len(ms) != 2 {
+	ms, err := mustCorpus(t, ts).KNN(context.Background(), q, 2)
+	if err != nil || len(ms) != 2 {
 		t.Fatalf("got %d matches", len(ms))
 	}
 	// Both neighbours are at distance 1 (delete e, resp. rename e→d), so the
@@ -63,9 +59,6 @@ func TestPublicKNN(t *testing.T) {
 	}
 	if ms[1].Pos != 1 || ms[1].Dist != 1 {
 		t.Fatalf("second = %+v", ms[1])
-	}
-	if treejoin.FormatBracket(knn.Tree(2)) != "{x{y{z}}}" {
-		t.Fatalf("Tree(2) = %s", treejoin.FormatBracket(knn.Tree(2)))
 	}
 }
 
@@ -204,8 +197,8 @@ func TestPublicShardedJoin(t *testing.T) {
 		ts = append(ts, b.MustBuild())
 	}
 	want, _ := treejoin.SelfJoin(ts, 2)
-	got, _ := treejoin.SelfJoin(ts, 2, treejoin.WithShards(4), treejoin.WithWorkers(4))
-	if len(got) != len(want) {
+	got, _, err := mustSharded(t, 4, ts).SelfJoin(context.Background(), 2, treejoin.WithWorkers(4))
+	if err != nil || len(got) != len(want) {
 		t.Fatalf("sharded: %d pairs, want %d", len(got), len(want))
 	}
 	for i := range got {

@@ -23,13 +23,15 @@
 // k-nearest neighbours (KNN), and a streaming join with inserts, deletes and
 // updates (Incremental). The corpus is fully dynamic: Add and Remove mutate
 // it in place under epoch-versioned copy-on-write snapshots, keeping cached
-// signatures, search indexes, and token inverted indexes live (removals
-// tombstone and compact) while in-flight queries stay consistent. The corpus
-// caches every per-tree filter signature the first query computes, so later
-// queries — at any threshold, with any method — skip that work; every query
-// takes a context for cancellation, and the Seq variants stream verified
-// pairs with constant result memory. The original free functions (SelfJoin, Join,
-// NewIndex, TopK, NewKNN) remain as deprecated one-shot wrappers.
+// signatures live and replacing only the indexes of the parts of the
+// membership they touch, while in-flight queries stay consistent. NewSharded
+// partitions the same corpus into n parts whose rounds run in parallel, with
+// identical results. The corpus caches every per-tree filter signature the
+// first query computes, so later queries — at any threshold, with any method
+// — skip that work; every query takes a context for cancellation, and the
+// Seq variants stream verified pairs with constant result memory. The
+// original free functions (SelfJoin, Join, NewIncremental) remain as
+// deprecated one-shot wrappers.
 //
 // Also here: subtree search inside one large tree (SubtreeSearch), exact
 // (Distance), bounded (DistanceWithin), weighted (DistanceWithCosts), and
