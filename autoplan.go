@@ -212,8 +212,8 @@ type PlanExplanation struct {
 	CandTime   time.Duration
 	VerifyTime time.Duration
 
-	// index says, under a token-index plan, whether the corpus's parts hold
-	// the index for the plan's (tokenizer, τ, C) right now.
+	// index says, under a token-index plan, whether the corpus holds the
+	// index for the plan's (tokenizer, τ, C) right now.
 	index string
 }
 
@@ -273,10 +273,9 @@ func (cp *Corpus) Explain(ctx context.Context, tau int, opts ...Option) (PlanExp
 	if ex.Source == plan.SourceTokenIndex {
 		// The candgen estimate scales the build time past runs reported, and
 		// a run that finds the index cached reports none.
-		key := tokenIndexKey{tz.Name(), tau, ex.PrefixC}
 		ex.index = "not cached: the first join at this (tokenizer, τ, C) builds it"
-		if !slices.ContainsFunc(st.parts, func(p *part) bool { return !p.tokens.Has(key) }) {
-			ex.index = "cached on every part: no build"
+		if st.tokens.Has(tokenIndexKey{tz.Name(), tau, ex.PrefixC}) {
+			ex.index = "cached: no build"
 		}
 	}
 	if dec != nil {

@@ -338,9 +338,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSelfJoin streams the join: one NDJSON line per result pair as the
-// rounds verify them, then a summary line with the rolled-up statistics. The
-// stream runs on a pinned view, so a concurrent /add or /remove never tears
-// the result.
+// verifiers accept them, then a summary line with the run's statistics — one
+// run over every shard's trees. The stream runs on a pinned view, so a
+// concurrent /add or /remove never tears the result.
 func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 	tau, err := strconv.Atoi(r.URL.Query().Get("tau"))
 	if err != nil {

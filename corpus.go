@@ -66,6 +66,14 @@ type corpusState struct {
 	// one-part state is ts and ids themselves.
 	parts []*part
 
+	// subgraph and tokens hold the frozen indexes over the whole membership
+	// that every join probes, each built by whoever asks first and dying with
+	// the epoch (a Snapshot shares them): per position mode and threshold the
+	// PartSJ index composed from the parts' (indexAt), per (tokenizer,
+	// threshold, prefix multiplier) the signature methods' token index.
+	subgraph *engine.IndexLRU[subgraphKey, *core.Index]
+	tokens   *engine.IndexLRU[tokenIndexKey, *engine.PrefixIndex]
+
 	// max1 ≥ max2 are the two largest tree sizes: no pair is farther apart
 	// than their sum (delete one tree, insert the other), which caps the
 	// expanding thresholds of TopK and KNN.
@@ -73,20 +81,18 @@ type corpusState struct {
 }
 
 // part is one cell of a state's partition: its trees and their ids, in
-// ascending id (so in the order the state holds them), and the frozen indexes built over exactly those trees — per position mode and
-// threshold the PartSJ subgraph index that Search, KNN and every PartSJ round
-// probe, per (tokenizer, threshold, prefix multiplier) the token index the
-// signature methods' self rounds probe, each built by whoever asks first. A
-// part is immutable: a mutation gives the parts it touches new ones and
-// carries the others over by pointer. An index is therefore reachable only
-// from the membership it covers — a query pinned to a pre-Remove state finds
-// that state's indexes, a query on the new state can never find them, and an
-// untouched part keeps its indexes across epochs.
+// ascending id (so in the order the state holds them), and per position mode
+// and threshold the frozen PartSJ index over exactly those trees — what Search
+// and KNN probe and a state's composed index is put together from, built by
+// whoever asks first. A part is immutable: a mutation gives the parts it
+// touches new ones and carries the others over by pointer. An index is
+// therefore reachable only from the membership it covers — a query pinned to a
+// pre-Remove state finds that state's indexes, a query on the new state can
+// never find them, and an untouched part keeps its indexes across epochs.
 type part struct {
 	ts       []*Tree
 	ids      []int
 	subgraph *engine.IndexLRU[subgraphKey, *core.Index]
-	tokens   *engine.IndexLRU[tokenIndexKey, *engine.PrefixIndex]
 }
 
 type subgraphKey struct {
@@ -94,7 +100,7 @@ type subgraphKey struct {
 	tau      int
 }
 
-// tokenIndexKey names one of a part's token indexes: the tokenisation, the
+// tokenIndexKey names one of a state's token indexes: the tokenisation, the
 // threshold, and the prefix multiplier C′ it was built with.
 type tokenIndexKey struct {
 	tokenizer    string
@@ -102,34 +108,50 @@ type tokenIndexKey struct {
 }
 
 func newPart(ts []*Tree, ids []int, indexCap int) *part {
-	if indexCap < 1 {
-		indexCap = core.DefaultIndexCacheCap
-	}
-	return &part{
-		ts:       ts,
-		ids:      ids,
-		subgraph: engine.NewIndexLRU[subgraphKey, *core.Index](indexCap),
-		tokens:   engine.NewIndexLRU[tokenIndexKey, *engine.PrefixIndex](indexCap),
-	}
+	return &part{ts: ts, ids: ids, subgraph: engine.NewIndexLRU[subgraphKey, *core.Index](indexCap)}
 }
 
 // indexAt returns the part's subgraph index for a position mode and
-// threshold, building it on workers goroutines from cache's artifacts on
-// first use; built reports that this call paid for the build.
-func (p *part) indexAt(ctx context.Context, position core.PositionFilter, tau, workers int, cache *engine.Cache) (ix *core.Index, built bool, err error) {
+// threshold, building it on workers goroutines from the artifacts of
+// owner's run cache on first use — made only then, so a warm probe allocates
+// none; built reports that this call paid for the build.
+func (p *part) indexAt(ctx context.Context, position core.PositionFilter, tau, workers int, owner *Corpus) (ix *core.Index, built bool, err error) {
 	return p.subgraph.Get(ctx, subgraphKey{position, tau}, func() *core.Index {
-		return core.NewIndexCached(p.ts, core.Options{Tau: tau, Position: position, Workers: workers}, cache)
+		return core.NewIndexCached(p.ts, core.Options{Tau: tau, Position: position, Workers: workers}, owner.runCache())
 	})
 }
 
-// tokenResolver is the token-index source's hook for a self round over the
-// part: its frozen index for (tokenizer, τ, C′), built from the cached bags by
+// indexAt returns the state's subgraph index for a position mode and
+// threshold: on first use, its parts' indexes — built where missing — composed
+// into the one a one-part build over ts would be (a one-part state's is its
+// part's own). built reports that this call paid for a build or a compose.
+func (st *corpusState) indexAt(ctx context.Context, position core.PositionFilter, tau, workers int, owner *Corpus) (ix *core.Index, built bool, err error) {
+	partBuilt := false
+	ix, ran, err := st.subgraph.Get(ctx, subgraphKey{position, tau}, func() *core.Index {
+		// Index builds are uncancellable: wait out a part another query is
+		// building rather than compose around a hole.
+		ctx := context.WithoutCancel(ctx)
+		at := make([][]int32, len(st.parts))
+		for g, id := range st.ids {
+			at[st.partOf(id)] = append(at[st.partOf(id)], int32(g))
+		}
+		return core.Compose(st.ts, at, func(k int) *core.Index {
+			x, built, _ := st.parts[k].indexAt(ctx, position, tau, workers, owner)
+			partBuilt = partBuilt || built
+			return x
+		})
+	})
+	return ix, partBuilt || ran && len(st.parts) > 1, err
+}
+
+// tokenResolver is the token-index source's hook for a self join over the
+// state: its frozen index for (tokenizer, τ, C′), built from the cached bags by
 // whichever join asks first and shared by every later one (STR, EUL and PQG
 // tokenise alike, so they share).
-func (p *part) tokenResolver(cache *engine.Cache) engine.TokenIndexResolver {
+func (st *corpusState) tokenResolver(cache *engine.Cache) engine.TokenIndexResolver {
 	return func(ctx context.Context, tz engine.Tokenizer, tau, prefixC int) (*engine.PrefixIndex, bool) {
-		x, built, _ := p.tokens.Get(ctx, tokenIndexKey{tz.Name(), tau, prefixC}, func() *engine.PrefixIndex {
-			return engine.NewPrefixIndex(tz, p.ts, tau, prefixC, cache)
+		x, built, _ := st.tokens.Get(ctx, tokenIndexKey{tz.Name(), tau, prefixC}, func() *engine.PrefixIndex {
+			return engine.NewPrefixIndex(tz, st.ts, tau, prefixC, cache)
 		})
 		return x, built
 	}
@@ -145,7 +167,8 @@ func (st *corpusState) partOf(id int) int { return id % len(st.parts) }
 
 // global translates position i of part p into a position of ts: by the id,
 // as PosOf does — a part carried over from an earlier state knows nothing of
-// how positions have shifted since.
+// how positions have shifted since. Search's hits need it; a join runs over
+// ts itself.
 func (st *corpusState) global(p *part, i int) int {
 	if len(st.parts) == 1 {
 		return i
@@ -168,12 +191,16 @@ func (st *corpusState) foldSizes(ts []*Tree) {
 
 // next builds the state that follows prev — the given membership, size caps
 // aside — partitioned like prev: a part that loses one of the ids in gone
-// (ascending) or gains one of the added trees is built afresh, with empty
-// index caches of capacity indexCap, from its survivors and then its
-// newcomers; every other part is carried over. ts and ids already reflect
-// both changes.
+// (ascending) or gains one of the added trees is built afresh, with an empty
+// index cache of capacity indexCap, from its survivors and then its
+// newcomers; every other part is carried over. The whole-membership indexes
+// start empty. ts and ids already reflect both changes.
 func (prev *corpusState) next(indexCap int, ts []*Tree, ids []int, nextID int, lt *LabelTable, gone []int, added []*Tree, addedIDs []int) *corpusState {
-	ns := &corpusState{epoch: prev.epoch + 1, ts: ts, ids: ids, nextID: nextID, lt: lt, parts: slices.Clone(prev.parts)}
+	ns := &corpusState{
+		epoch: prev.epoch + 1, ts: ts, ids: ids, nextID: nextID, lt: lt, parts: slices.Clone(prev.parts),
+		subgraph: engine.NewIndexLRU[subgraphKey, *core.Index](indexCap),
+		tokens:   engine.NewIndexLRU[tokenIndexKey, *engine.PrefixIndex](indexCap),
+	}
 	if len(ns.parts) == 1 {
 		ns.parts[0] = newPart(ts, ids, indexCap)
 		return ns
@@ -232,18 +259,18 @@ func (prev *corpusState) next(indexCap int, ts []*Tree, ids []int, nextID int, l
 //
 // The membership is partitioned into parts by id — one part for NewCorpus and
 // Open, n for NewSharded and OpenSharded — and the partition is transparent:
-// every query is written once over the parts and reports the positions, ids
-// and pairs a one-part corpus over the same trees would, because every method
-// is exact and the fan-out merely decomposes the same result set. SelfJoin
-// runs one self join per part plus one cross join per pair of parts (the
-// fragment-and-replicate rounds of the paper's §6 direction) on a bounded
-// pool, under one plan; Search probes every part; TopK and KNN expand one
-// global threshold over those two. Each part owns small LRUs of frozen
-// indexes over its trees (see WithIndexCacheCap): a PartSJ subgraph index is
-// built at most once per part, threshold and position mode, whoever asks
-// first — Search, KNN or a join round — and a token index once per part,
-// tokenizer, threshold and prefix multiplier (STR, EUL and PQG tokenise alike
-// and share one; so do SET and HIST).
+// every query reports the positions, ids, pairs and join statistics a
+// one-part corpus over the same trees would. A join is one run over the whole
+// membership, probing one index per epoch: for PartSJ the parts' frozen
+// subgraph indexes composed into exactly the index a one-part build holds, for
+// the signature methods one token index per tokenizer, threshold and prefix
+// multiplier (STR, EUL and PQG tokenise alike and share one; so do SET and
+// HIST). Search probes every part's index, so a point query after a mutation
+// rebuilds one part's index, never the whole membership's; TopK and KNN
+// expand one global threshold over those two. Every index cache is a small LRU
+// (see WithIndexCacheCap): a part's subgraph index is built at most once per
+// threshold and position mode, whoever asks first — Search, KNN or the compose
+// a join asks for — and each whole-membership index at most once per epoch.
 //
 // Mutations are epoch-versioned with copy-on-write snapshots: Add and
 // Remove build a new immutable state and swap it in, so every query — and
@@ -366,6 +393,9 @@ func NewCorpus(ts []*Tree, opts ...Option) (*Corpus, error) {
 // newCorpus returns the live n-part corpus over an already validated
 // membership, written through to store when that is non-nil.
 func newCorpus(n, indexCap int, ts []*Tree, ids []int, nextID int, lt *LabelTable, store *segstore.Store) *Corpus {
+	if indexCap < 1 {
+		indexCap = core.DefaultIndexCacheCap
+	}
 	cp := &Corpus{cache: engine.NewCache(), indexCap: indexCap, planner: plan.New(), store: store}
 	cp.addMembers(ts)
 	empty := &corpusState{epoch: -1, parts: make([]*part, n)}
@@ -599,29 +629,21 @@ func (cp *Corpus) Remove(ids ...int) int {
 }
 
 // joinQuery is one validated and planned join over pinned memberships: the
-// self join of a's parts, or — with b set — the cross join of a's parts
-// against b's. It is planned once, over the whole membership, against the
-// receiver's cost model; every round executes that one pipeline, bound to the
-// indexes of the parts it joins.
+// self join of a, or — with b set — the cross join of a against b. It is
+// planned once against the receiver's cost model and runs as one engine job
+// over the whole membership, probing each side's whole-membership index.
 type joinQuery struct {
-	cp    *Corpus
-	c     config
-	a, b  *corpusState
-	job   engine.Job
-	tz    engine.Tokenizer
-	trees []*Tree // what the plan was made over: a's trees, then b's
-	// cache routes the artifacts of the run. An index built for a part
-	// outlives the run, so each side's builds route through ixCache[side],
-	// which knows the corpus owning that side and never its partner.
-	cache   *engine.Cache
-	ixCache [2]*engine.Cache
-	rounds  []round
+	cp, other *Corpus // other owns b
+	c         config
+	a, b      *corpusState
+	job       engine.Job
+	trees     []*Tree // what the plan was made over: a's trees, then b's
+	cache     *engine.Cache
 }
 
 // selfQuery validates, pins to st and plans the self join of cp at tau.
 func (cp *Corpus) selfQuery(ctx context.Context, st *corpusState, tau int, c config) (*joinQuery, error) {
-	q := &joinQuery{cp: cp, c: c, a: st, trees: st.ts, cache: cp.runCache(), rounds: selfRounds(st)}
-	q.ixCache = [2]*engine.Cache{q.cache, q.cache}
+	q := &joinQuery{cp: cp, c: c, a: st, trees: st.ts, cache: cp.runCache()}
 	return q, q.plan(ctx, tau)
 }
 
@@ -638,29 +660,40 @@ func (cp *Corpus) crossQuery(ctx context.Context, other *Corpus, tau int, c conf
 	if other == nil {
 		return nil, ErrNilCorpus
 	}
-	q := &joinQuery{cp: cp, c: c, a: cp.state.Load(), b: other.state.Load()}
+	q := &joinQuery{cp: cp, other: other, c: c, a: cp.state.Load(), b: other.state.Load()}
 	if q.a.lt != nil && q.b.lt != nil && q.a.lt != q.b.lt {
 		return nil, fmt.Errorf("%w (cross join)", ErrLabelTable)
 	}
-	q.ixCache = [2]*engine.Cache{cp.runCache(), other.runCache()}
-	partner := other.live()
+	own, theirs, partner := cp.runCache(), other.runCache(), other.live()
 	q.cache = engine.RoutedCache(func(t *tree.Tree) *engine.Cache {
 		if partner.isMember(t) {
-			return q.ixCache[1]
+			return theirs
 		}
-		return q.ixCache[0]
+		return own
 	})
-	q.trees, q.rounds = slices.Concat(q.a.ts, q.b.ts), crossRounds(q.a, q.b)
+	q.trees = slices.Concat(q.a.ts, q.b.ts)
 	return q, q.plan(ctx, tau)
 }
 
-// plan assembles the query's pipeline and lets the cost model revise it.
-func (q *joinQuery) plan(ctx context.Context, tau int) (err error) {
-	if q.job, q.tz, err = q.c.pipelineChecked(tau); err != nil {
+// plan assembles the query's pipeline, lets the cost model revise it, and
+// binds its candidate source to the states' frozen indexes: PartSJ's through
+// core.Options.Indexes, a signature method planned onto the token index to a's
+// for a self join (a cross join builds both sides per run).
+func (q *joinQuery) plan(ctx context.Context, tau int) error {
+	job, tz, err := q.c.pipelineChecked(tau)
+	if err != nil {
 		return err
 	}
-	q.job.Cache = q.cache
-	q.job, _ = q.cp.planJob(ctx, q.c, q.job, q.tz, q.trees, q.split(), q.a.epoch)
+	job.Cache = q.cache
+	q.job, _ = q.cp.planJob(ctx, q.c, job, tz, q.trees, q.split(), q.a.epoch)
+	switch {
+	case q.c.method == MethodPartSJ:
+		o := q.c.coreOptions(tau)
+		o.Indexes = q.indexes
+		q.job.Source = core.NewSource(o)
+	case q.job.Source != nil && q.b == nil:
+		q.job.Source = engine.TokenIndex(tz, q.a.tokenResolver(q.cache))
+	}
 	return nil
 }
 
@@ -672,50 +705,28 @@ func (q *joinQuery) split() int {
 	return len(q.a.ts)
 }
 
-// run executes one round on workers goroutines, streaming its pairs to sink
-// in global positions.
-func (q *joinQuery) run(ctx context.Context, r round, workers int, sink sim.EmitFunc) (*sim.Stats, error) {
-	pa, sb := q.a.parts[r.a], q.b
-	if sb == nil {
-		sb = q.a
+// indexes is the core.Options.Indexes hook: side 0 is a's index, side 1 b's,
+// each where Search, KNN and every other join at this epoch, threshold and
+// position mode find the same instance.
+func (q *joinQuery) indexes(ctx context.Context, side, tau int) (*core.Index, bool) {
+	st, owner := q.a, q.cp
+	if side == 1 {
+		st, owner = q.b, q.other
 	}
-	if r.b < 0 {
-		job := q.c.bound(q.job, q.tz, workers, q.indexes(pa, nil, workers), pa.tokenResolver(q.cache))
-		return job.StreamSelf(ctx, pa.ts, func(p Pair) bool {
-			return sink(Pair{I: q.a.global(pa, p.I), J: q.a.global(pa, p.J), Dist: p.Dist})
-		})
-	}
-	pb := sb.parts[r.b]
-	job := q.c.bound(q.job, q.tz, workers, q.indexes(pa, pb, workers), nil)
-	return job.StreamJoin(ctx, pa.ts, pb.ts, func(p Pair) bool {
-		i, j := q.a.global(pa, p.I), sb.global(pb, p.J)
-		if q.b == nil {
-			return sink(globalPair(i, j, p.Dist))
-		}
-		return sink(Pair{I: i, J: j, Dist: p.Dist})
-	})
+	ix, built, _ := st.indexAt(ctx, q.c.position, tau, q.c.workers, owner)
+	return ix, built
 }
 
-// indexes is the core.Options.Indexes hook of a PartSJ round over pa (and pb
-// as side 1): each side's frozen index comes out of its part, where Search,
-// KNN and every other round over that part at this threshold and position
-// mode find the same instance.
-func (q *joinQuery) indexes(pa, pb *part, workers int) func(context.Context, int, int) (*core.Index, bool) {
-	return func(ctx context.Context, side, tau int) (*core.Index, bool) {
-		p := pa
-		if side == 1 {
-			p = pb
-		}
-		ix, built, _ := p.indexAt(ctx, q.c.position, tau, workers, q.ixCache[side])
-		return ix, built
-	}
-}
-
-// stream runs every round, streaming each verified pair to sink, and feeds
-// the completed run — one Stats, however many rounds — back to the cost model.
+// stream runs the join, streaming each verified pair to sink, and feeds the
+// completed run back to the cost model.
 func (q *joinQuery) stream(ctx context.Context, sink sim.EmitFunc) (*sim.Stats, error) {
-	whole := &sim.Stats{Trees: len(q.trees), Plan: q.job.Plan}
-	stats, err := runRounds(ctx, q.c.workers, q.rounds, whole, sink, q.run)
+	var stats *sim.Stats
+	var err error
+	if q.b == nil {
+		stats, err = q.job.StreamSelf(ctx, q.a.ts, sink)
+	} else {
+		stats, err = q.job.StreamJoin(ctx, q.a.ts, q.b.ts, sink)
+	}
 	if err == nil {
 		q.cp.observeRun(stats, q.trees, q.split(), q.job.Tau, q.a.epoch)
 	}
@@ -746,11 +757,10 @@ func (q *joinQuery) seq(ctx context.Context) iter.Seq[Pair] {
 
 // SelfJoin reports every unordered pair of corpus trees whose tree edit
 // distance is at most tau, in ascending (I, J) order, with execution
-// statistics — those of the one round of a one-part corpus, or the rounds'
-// rolled up. Per-tree signatures come from the corpus cache — a repeat join
-// at any threshold recomputes none of them. On cancellation it returns the
-// pairs found so far (still sorted), the partial statistics, and ctx's
-// error.
+// statistics — the same whatever the corpus's part count. Per-tree signatures
+// come from the corpus cache — a repeat join at any threshold recomputes none
+// of them. On cancellation it returns the pairs found so far (still sorted),
+// the partial statistics, and ctx's error.
 func (cp *Corpus) SelfJoin(ctx context.Context, tau int, opts ...Option) ([]Pair, Stats, error) {
 	q, err := cp.selfQuery(ctx, cp.state.Load(), tau, buildConfig(opts))
 	if err != nil {
@@ -780,10 +790,9 @@ func (cp *Corpus) SelfJoinSeq(ctx context.Context, tau int, opts ...Option) (ite
 
 // Join reports every cross pair (a ∈ this corpus, b ∈ other) within
 // distance tau; Pair.I indexes into the receiver and Pair.J into other. The
-// corpora must share one LabelTable (validated). Every part of the receiver
-// is joined against every part of other, each side's signatures and indexes
-// drawn from — and cached in — the corpus that owns it, so repeated joins
-// against the same partner warm up too.
+// corpora must share one LabelTable (validated). Each side's signatures and
+// PartSJ index are drawn from — and cached in — the corpus that owns it, so
+// repeated joins against the same partner warm up too.
 func (cp *Corpus) Join(ctx context.Context, other *Corpus, tau int, opts ...Option) ([]Pair, Stats, error) {
 	q, err := cp.crossQuery(ctx, other, tau, buildConfig(opts))
 	if err != nil {
@@ -823,10 +832,9 @@ func (cp *Corpus) Search(ctx context.Context, q *Tree, tau int, opts ...Option) 
 // search probes every part of st for the trees within tau of q and merges
 // the hits into global position order.
 func (cp *Corpus) search(ctx context.Context, st *corpusState, q *Tree, tau int, c config) ([]Match, error) {
-	cache := cp.runCache()
 	hits, errs := make([][]Match, len(st.parts)), make([]error, len(st.parts))
 	fanOut(len(st.parts), c.workers, func(p, workers int) {
-		ix, _, err := st.parts[p].indexAt(ctx, c.position, tau, workers, cache)
+		ix, _, err := st.parts[p].indexAt(ctx, c.position, tau, workers, cp)
 		if err == nil {
 			hits[p], err = ix.SearchCtx(ctx, q)
 		}
@@ -849,18 +857,18 @@ func (cp *Corpus) search(ctx context.Context, st *corpusState, q *Tree, tau int,
 // (Dist, I, J) — the threshold-free SelfJoin. It runs PartSJ self joins at
 // geometrically increasing thresholds until k pairs are in reach; fewer than
 // k pairs come back only when the corpus has fewer than k pairs in total.
-// All rounds draw on the corpus cache and its parts' indexes, and WithWorkers
-// parallelises them. On cancellation it returns the pairs the aborted round
-// had found (best-effort, not necessarily the global top k) and ctx's
-// error. TopK always runs PartSJ; WithMethod and WithPrefilter conflict
+// Every threshold's join draws on the corpus cache and indexes, and
+// WithWorkers parallelises it. On cancellation it returns the pairs the
+// aborted join had found (best-effort, not necessarily the global top k) and
+// ctx's error. TopK always runs PartSJ; WithMethod and WithPrefilter conflict
 // with it.
 func (cp *Corpus) TopK(ctx context.Context, k int, opts ...Option) ([]Pair, error) {
 	c := buildConfig(opts)
 	if err := c.requirePartSJ("TopK"); err != nil {
 		return nil, err
 	}
-	// Every round is the PartSJ self join with no chain: nothing to plan, and
-	// no single round's Stats are the query's.
+	// Every threshold runs the PartSJ self join with no chain: nothing to
+	// plan, and no single join's Stats are the query's.
 	c.fixedPlan, c.statsDst = true, nil
 	st := cp.state.Load()
 	if k <= 0 || len(st.ts) < 2 {

@@ -17,10 +17,10 @@ import (
 // position, then by the label twig at the subgraph root. This index holds the
 // same entries and applies the same three tests in the opposite order: one
 // flat table maps a twig to its postings {size, pos, tree, comp}, each list
-// kept sorted by (size, pos). A probe node looks up its ≤4 compatible twigs
-// — the only hash lookups it pays — binary-searches each list to the first
-// admissible size and scans to the last, applying the position window to each
-// posting. The size → position → twig order costs (τ+1) sizes × (τ+1)
+// kept sorted by (size, pos, tree). A probe node looks up its ≤4 compatible
+// twigs — the only hash lookups it pays — binary-searches each list to the
+// first admissible size and scans to the last, applying the position window to
+// each posting. The size → position → twig order costs (τ+1) sizes × (τ+1)
 // positions × 4 twigs lookups per node, nearly all of them misses, because
 // the twig is by far the most selective of the three keys; asking it first
 // means a probe touches only lists that can hold a partner (the ordering
@@ -113,9 +113,9 @@ type twig struct{ root, left, right int32 }
 
 // twigTable maps a twig to its list id: open addressing with linear probing
 // over a power-of-two slot array kept at most half full. A probe node pays its
-// ≤4 lookups here and every indexed tree of a sharded join is probed against
-// S of these, so the table is flat — one multiply-mix of the 12-byte key and
-// a short scan of adjacent 16-byte slots — rather than a generic hash map.
+// ≤4 lookups here, the hottest line of a join, so the table is flat — one
+// multiply-mix of the 12-byte key and a short scan of adjacent 16-byte slots —
+// rather than a generic hash map.
 type twigTable struct {
 	slots []twigSlot
 	shift uint // 64 − log2(len(slots))
@@ -183,9 +183,19 @@ type posting struct {
 	prog       int32
 }
 
-// comparePostings orders postings by (size, pos).
+// comparePostings orders postings by (size, pos, tree, comp): a total order,
+// so a list has one sorted form whichever runs or parts it was put together
+// from.
 func comparePostings(a, b posting) int {
-	return cmp.Or(cmp.Compare(a.size, b.size), cmp.Compare(a.pos, b.pos))
+	switch {
+	case a.size != b.size:
+		return cmp.Compare(a.size, b.size)
+	case a.pos != b.pos:
+		return cmp.Compare(a.pos, b.pos)
+	case a.tree != b.tree:
+		return cmp.Compare(a.tree, b.tree)
+	}
+	return cmp.Compare(a.comp, b.comp)
 }
 
 // invIndex is the subgraph index. Reads (probe, matches) touch no mutable
@@ -195,7 +205,7 @@ type invIndex struct {
 	tau   int
 	mode  PositionFilter
 	lists twigTable   // twig -> position of its list in posts
-	posts [][]posting // each sorted by (size, pos), equal keys in tree order
+	posts [][]posting // each sorted by comparePostings
 	progs []uint32    // match programs, see encode
 	n     int64       // postings inserted
 	stack []int32     // encode's scratch
@@ -208,10 +218,9 @@ func newInvIndex(tau int, mode PositionFilter) *invIndex {
 // buildInvIndex indexes trees 0..n−1 in bulk on up to workers goroutines:
 // part(i) yields tree i's partition, or nil for a tree that is not indexed
 // (too small, removed). Each worker partitions and compiles a contiguous run
-// of trees into an index of its own; the runs are then concatenated in tree
-// order and every list sorted once — the only serial part — into exactly
-// sized storage, since the result is retained for as long as its corpus
-// epoch.
+// of trees into an index of its own and sorts its lists; concat then merges
+// the runs into exactly sized storage, since the result is retained for as
+// long as its corpus epoch.
 func buildInvIndex(tau int, mode PositionFilter, n, workers int, part func(i int, st *partitionState) *Partition) *invIndex {
 	workers = max(1, min(workers, n))
 	runs := make([]*invIndex, workers)
@@ -226,35 +235,102 @@ func buildInvIndex(tau int, mode PositionFilter, n, workers int, part func(i int
 					run.add(i, p, false)
 				}
 			}
+			for _, ps := range run.posts {
+				slices.SortFunc(ps, comparePostings)
+			}
 			runs[w] = run
 		}()
 	}
 	wg.Wait()
-	ix := runs[0]
-	for _, run := range runs[1:] {
+	return concat(tau, mode, runs, nil)
+}
+
+// concat returns the index holding every posting of runs — the one routine
+// that puts postings together, for the worker runs of a build and the parts of
+// a Compose alike. Run k's tree t becomes tree at[k][t] (at nil: t itself, a
+// worker run numbering trees globally already), its programs move into one
+// arena, and each list is merged from the runs' lists, which must be sorted
+// and stay so under the renumbering (at[k] ascending). Storage is counted
+// before it is filled, so every list and the arena are exactly sized.
+func concat(tau int, mode PositionFilter, runs []*invIndex, at [][]int32) *invIndex {
+	ix := newInvIndex(tau, mode)
+	lists := make([][]int32, len(runs)) // run k's list j is ix's list lists[k][j]
+	nprogs := 0
+	for k, run := range runs {
+		lists[k] = make([]int32, len(run.posts))
+		for _, s := range run.lists.slots {
+			if s.list != 0 {
+				lists[k][s.list-1] = ix.list(s.key)
+			}
+		}
+		ix.n += run.n
+		nprogs += len(run.progs)
+	}
+	counts := make([]int, len(ix.posts))
+	for k, run := range runs {
+		for j, ps := range run.posts {
+			counts[lists[k][j]] += len(ps)
+		}
+	}
+	block, off := make([]posting, ix.n), 0
+	for li, c := range counts {
+		ix.posts[li] = block[off : off : off+c]
+		off += c
+	}
+	ix.progs = make([]uint32, 0, nprogs)
+	for k, run := range runs {
 		base := int32(len(ix.progs))
 		ix.progs = append(ix.progs, run.progs...)
-		for _, s := range run.lists.slots {
-			if s.list == 0 {
-				continue
-			}
-			li := ix.list(s.key)
-			for _, e := range run.posts[s.list-1] {
+		for j, ps := range run.posts {
+			li := lists[k][j]
+			for _, e := range ps {
+				if at != nil {
+					e.tree = at[k][e.tree]
+				}
 				e.prog += base
 				ix.posts[li] = append(ix.posts[li], e)
 			}
 		}
-		ix.n += run.n
 	}
-	block := make([]posting, 0, ix.n)
-	for li, ps := range ix.posts {
-		at := len(block)
-		block = append(block, ps...)
-		ix.posts[li] = block[at:len(block):len(block)]
-		slices.SortStableFunc(ix.posts[li], comparePostings)
+	var tmp []posting
+	for _, ps := range ix.posts {
+		tmp = mergeRuns(ps, tmp)
 	}
-	ix.progs, ix.stack = slices.Clone(ix.progs), nil
 	return ix
+}
+
+// mergeRuns sorts ps, a concatenation of sorted runs, by merging neighbouring
+// runs pairwise until one is left; tmp is scratch, returned for reuse.
+func mergeRuns(ps, tmp []posting) []posting {
+	for runEnd(ps, 0) < len(ps) {
+		tmp = tmp[:0]
+		for i := 0; i < len(ps); {
+			j := runEnd(ps, i)
+			k := j
+			if j < len(ps) {
+				k = runEnd(ps, j)
+			}
+			a, b := ps[i:j], ps[j:k]
+			for len(a) > 0 && len(b) > 0 {
+				if comparePostings(b[0], a[0]) < 0 {
+					tmp, b = append(tmp, b[0]), b[1:]
+				} else {
+					tmp, a = append(tmp, a[0]), a[1:]
+				}
+			}
+			tmp = append(append(tmp, a...), b...)
+			i = k
+		}
+		copy(ps, tmp)
+	}
+	return tmp
+}
+
+// runEnd returns the end of the sorted run of ps that starts at i.
+func runEnd(ps []posting, i int) int {
+	for i++; i < len(ps) && comparePostings(ps[i-1], ps[i]) <= 0; i++ {
+	}
+	return i
 }
 
 // list returns the position in posts of tw's list, creating it if needed.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"treejoin/internal/lcrs"
@@ -290,4 +292,63 @@ func TestPaperModeStoresRanges(t *testing.T) {
 // bulkIndex is buildInvIndex over partitions computed beforehand.
 func bulkIndex(tau int, mode PositionFilter, parts []*Partition, workers int) *invIndex {
 	return buildInvIndex(tau, mode, len(parts), workers, func(i int, _ *partitionState) *Partition { return parts[i] })
+}
+
+// TestComposeEqualsBuild: over random collections cut into 1–5 parts of random
+// membership, at every position mode and τ ∈ {0, 1, 2, 4}, Compose holds the
+// index NewIndexCached builds over the whole collection — list for list,
+// posting for posting, program for program, smalls equal — and one part is
+// returned as is. The first collection of each mode is four copies of one tree
+// in alternating parts, so a cross-part (size, pos) tie decides every list's
+// order.
+func TestComposeEqualsBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(2015))
+	lt := tree.NewLabelTable()
+	twin := randomSizedTree(rng, 12, lt)
+	for _, mode := range []PositionFilter{PositionSafe, PositionPaper, PositionOff} {
+		for trial := 0; trial < 12; trial++ {
+			tau, nparts := []int{0, 1, 2, 4}[trial%4], 1+rng.Intn(5)
+			ts := clusteredTrees(rng, 1+rng.Intn(60), lt)
+			if trial == 0 {
+				tau, nparts, ts = 2, 2, []*tree.Tree{twin, twin.Clone(), twin.Clone(), twin.Clone()}
+			}
+			opts := Options{Tau: tau, Position: mode, Workers: 1 + rng.Intn(3)}
+			at, subs := make([][]int32, nparts), make([][]*tree.Tree, nparts)
+			for i := range ts {
+				k := rng.Intn(nparts)
+				if trial == 0 {
+					k = i % 2
+				}
+				at[k], subs[k] = append(at[k], int32(i)), append(subs[k], ts[i])
+			}
+			x := Compose(ts, at, func(k int) *Index { return NewIndexCached(subs[k], opts, nil) })
+			want := NewIndexCached(ts, opts, nil)
+			if nparts == 1 && Compose(ts, at, func(int) *Index { return want }) != want ||
+				!slices.Equal(x.ts, ts) || !slices.Equal(x.smalls, want.smalls) || x.ix.lists.n != want.ix.lists.n {
+				t.Fatalf("%v τ=%d, %d parts: smalls %v, want %v; %d lists, want %d (or one part was copied)", mode, tau, nparts, x.smalls, want.smalls, x.ix.lists.n, want.ix.lists.n)
+			}
+			for _, s := range want.ix.lists.slots {
+				if got, exp := dumpList(x.ix, s.key), dumpList(want.ix, s.key); s.list != 0 && got != exp {
+					t.Fatalf("%v τ=%d, %d parts: list %+v is\n%swant\n%s", mode, tau, nparts, s.key, got, exp)
+				}
+			}
+		}
+	}
+}
+
+// dumpList renders ix's list of key a posting a line, each with its match
+// program's words in place of their offset: a node's word settles one pending
+// node and opens one per descending slot.
+func dumpList(ix *invIndex, key twig) string {
+	var b strings.Builder
+	for _, e := range ix.posts[max(ix.lists.get(key), 0)] {
+		pc := e.prog
+		for pending := 1; pending > 0; pc++ {
+			w := ix.progs[pc]
+			pending += int(w>>4&1+w>>2&1) - 1 // kindDescend is 2
+			pc += int32(w & 1)
+		}
+		fmt.Fprintln(&b, e.size, e.pos, e.tree, e.comp, ix.progs[e.prog:pc])
+	}
+	return b.String()
 }

@@ -31,7 +31,7 @@ type Options struct {
 	// Indexes, when non-nil, resolves the shared frozen index of one side of
 	// a join (0: the collection of a self join or side A of a cross join, 1:
 	// side B) at threshold tau and the options' position mode — a corpus's
-	// per-epoch index cache, which Search and KNN fill and use too. built
+	// per-epoch index, composed from the indexes Search and KNN probe. built
 	// reports that this call paid for the build. The source probes the index
 	// only if it covers exactly that side's trees and builds a private one
 	// otherwise (nil included), so a stale or foreign index can never produce

@@ -108,6 +108,34 @@ func NewIndexCached(ts []*tree.Tree, opts Options, cache *engine.Cache) *Index {
 	return x
 }
 
+// Compose returns the index over ts put together from len(at) parts:
+// part(k) returns the index over part k's trees (all parts at one threshold
+// and position mode), whose tree i is tree at[k][i] of ts, each at[k]
+// ascending and together a partition of ts's positions. The result holds
+// exactly the postings NewIndexCached over ts would, in the same order in
+// every list, so a probe of it visits what a probe of the whole build visits.
+// Composing costs a copy of the parts' postings, not their partitioning; one
+// part is its own composition and comes back as is.
+func Compose(ts []*tree.Tree, at [][]int32, part func(k int) *Index) *Index {
+	if len(at) == 1 {
+		return part(0)
+	}
+	start := time.Now()
+	x := &Index{ts: ts}
+	runs := make([]*invIndex, len(at))
+	for k := range at {
+		px := part(k)
+		x.opts, x.cache, runs[k] = px.opts, px.cache, px.ix
+		for _, i := range px.smalls {
+			x.smalls = append(x.smalls, at[k][i])
+		}
+	}
+	x.ix = concat(x.opts.Tau, x.opts.Position, runs, at)
+	slices.SortFunc(x.smalls, func(a, b int32) int { return cmp.Or(cmp.Compare(ts[a].Size(), ts[b].Size()), cmp.Compare(a, b)) })
+	x.built = time.Since(start)
+	return x
+}
+
 // covers reports whether the index was built over exactly ts, in order, at
 // o's threshold and position mode: the check that keeps a resolver's index
 // from answering for another membership.

@@ -184,10 +184,10 @@ func (s *Stats) Total() time.Duration {
 }
 
 // AddCounters sums every counter and duration of st into total: what folding
-// one unit of a run — a task of a job, a round of a multi-part query — into
-// the whole means for the numeric fields. Times therefore add up to CPU
-// effort, not wall clock. Trees is a property of the whole, not a sum, and
-// Source, Stages and Plan merge by rules their folders own.
+// one task of a job into the whole means for the numeric fields. Times
+// therefore add up to CPU effort, not wall clock. Trees is a property of the
+// whole, not a sum, and Source, Stages and Plan merge by rules their folders
+// own.
 func AddCounters(total, st *Stats) {
 	total.Candidates += st.Candidates
 	total.Results += st.Results

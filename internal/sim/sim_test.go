@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -126,5 +127,22 @@ func TestStatsTotal(t *testing.T) {
 	s := sim.Stats{CandTime: 2, VerifyTime: 3, PartitionTime: 5}
 	if s.Total() != 10 {
 		t.Fatalf("Total = %d", s.Total())
+	}
+}
+
+// TestAddCountersIsExhaustive: every numeric Stats field but Trees sums.
+func TestAddCountersIsExhaustive(t *testing.T) {
+	var one, total sim.Stats
+	for v, i := reflect.ValueOf(&one).Elem(), 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.CanInt() {
+			f.SetInt(1)
+		}
+	}
+	sim.AddCounters(&total, &one)
+	sim.AddCounters(&total, &one)
+	for v, i := reflect.ValueOf(total), 0; i < v.NumField(); i++ {
+		if f, name := v.Field(i), v.Type().Field(i).Name; f.CanInt() && f.Int() != 2 && name != "Trees" {
+			t.Errorf("Stats.%s = %d after adding 1 twice", name, f.Int())
+		}
 	}
 }

@@ -33,7 +33,7 @@ func benchPair(profile string, size int) (*tree.Tree, *tree.Tree) {
 }
 
 func BenchmarkZhangShasha(b *testing.B) {
-	for _, profile := range []string{"flat", "deep", "mixed"} {
+	for _, profile := range []string{"flat", "deep", "bushy"} {
 		for _, size := range []int{32, 64, 128} {
 			t1, t2 := benchPair(profile, size)
 			b.Run(fmt.Sprintf("%s/n=%d", profile, size), func(b *testing.B) {
@@ -67,7 +67,7 @@ func BenchmarkHybridStrategyChoice(b *testing.B) {
 }
 
 func BenchmarkDistanceBounded(b *testing.B) {
-	t1, t2 := benchPair("mixed", 80)
+	t1, t2 := benchPair("bushy", 80)
 	for _, tau := range []int{1, 5} {
 		b.Run(fmt.Sprintf("tau=%d", tau), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -1,7 +1,6 @@
 package treejoin
 
 import (
-	"context"
 	"fmt"
 
 	"treejoin/internal/baseline"
@@ -150,12 +149,11 @@ func WithMethod(m Method) Option { return func(c *config) { c.method = m } }
 // the sorted nested loop (MethodBruteForce, a PlanSourceSortedLoop plan) deals
 // its probe positions across the pool; PartSJ builds its subgraph index on
 // the pool and the signature methods their token index on one worker (unless
-// the corpus part already holds it for this threshold), and both then cut
-// the size order into chunks that probe the one frozen index concurrently. On
-// a multi-part corpus the n goroutines are first dealt to the query's rounds,
-// and what exceeds their number parallelises inside each. Unset (or any
-// n < 1) uses one worker per available core — runtime.GOMAXPROCS(0); pass 1
-// explicitly for a sequential run. Stats.CandTime sums the tasks' own clocks
+// the corpus already holds it for this threshold), and both then cut the
+// size order into chunks that probe the one frozen index concurrently. Search
+// on a multi-part corpus first deals the n goroutines to its parts. Unset (or
+// any n < 1) uses one worker per available core — runtime.GOMAXPROCS(0); pass
+// 1 explicitly for a sequential run. Stats.CandTime sums the tasks' own clocks
 // (CPU effort); Stats.CandWall reports the stage's wall time.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
@@ -198,11 +196,12 @@ func WithRandomPartitions(seed int64) Option {
 // abandoned (partial statistics on cancellation or early break).
 func WithStats(dst *Stats) Option { return func(c *config) { c.statsDst = dst } }
 
-// WithIndexCacheCap bounds each index cache of each part of a Corpus — the
-// per-threshold PartSJ indexes behind Search, KNN and PartSJ joins, and the
-// token indexes of the signature methods' self joins, one per (tokenizer,
-// threshold, prefix multiplier) — at n indexes, evicting the least recently
-// used; n < 1 selects the default
+// WithIndexCacheCap bounds each index cache of a Corpus — each part's
+// per-threshold PartSJ indexes behind Search and KNN, and the epoch's
+// whole-membership indexes that joins probe: the PartSJ ones composed from
+// the parts', and the token indexes of the signature methods' self joins, one
+// per (tokenizer, threshold, prefix multiplier) — at n indexes, evicting the
+// least recently used; n < 1 selects the default
 // (which covers a full KNN expanding sweep for trees up to ~4K nodes). Each
 // cached entry is a full index over the collection, so the cap trades
 // rebuild time against memory — but a cap smaller than a query's sweep makes
@@ -365,24 +364,6 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	}
 	job.Plan = fixedPlanRecord(job, tz)
 	return job, tz, nil
-}
-
-// bound returns job — an assembled, possibly planned pipeline — as one round
-// of a corpus query runs it: on workers goroutines, its candidate source
-// drawing the frozen indexes of the parts it joins through the corpus's
-// resolvers (core.Options.Indexes for PartSJ, the token-index source's for a
-// signature method planned onto the index; the sorted loop has none).
-func (c config) bound(job engine.Job, tz engine.Tokenizer, workers int, indexes func(context.Context, int, int) (*core.Index, bool), tokens engine.TokenIndexResolver) engine.Job {
-	job.Workers = workers
-	switch {
-	case c.method == MethodPartSJ:
-		o := c.coreOptions(job.Tau)
-		o.Indexes = indexes
-		job.Source = core.NewSource(o)
-	case job.Source != nil:
-		job.Source = engine.TokenIndex(tz, tokens)
-	}
-	return job
 }
 
 // chainStages maps a fixed-plan chain to engine filters, in order.

@@ -169,7 +169,7 @@ func TestMixedVersionDirectory(t *testing.T) {
 	if st, _ := cp.StoreStats(); st.Blocks != before.Blocks || st.Entries != before.Entries+3 {
 		t.Fatalf("duplicates did not share the v1 segment's blocks: %+v, before %+v", st, before)
 	}
-	checkSelfOracle(t, "mixed", cp)
+	checkSelfOracle(t, "v1 + v2 segments", cp)
 
 	if err := cp.Compact(); err != nil {
 		t.Fatal(err)
@@ -192,5 +192,5 @@ func TestMixedVersionDirectory(t *testing.T) {
 	if got := liveIDs(re); !slices.Equal(got, want) || len(got) != 6 {
 		t.Fatalf("reopened ids %v, want %v", got, want)
 	}
-	checkSelfOracle(t, "mixed compacted reopen", re)
+	checkSelfOracle(t, "compacted reopen", re)
 }

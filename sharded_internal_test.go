@@ -3,129 +3,12 @@ package treejoin
 import (
 	"context"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"testing"
-	"time"
 
-	"treejoin/internal/sim"
+	"treejoin/internal/core"
+	"treejoin/internal/synth"
 )
-
-// TestFoldStats: the multi-part rollup sums every counter and duration, merges
-// stages by name in first-seen order, and reports a single source only when
-// every round agrees.
-func TestFoldStats(t *testing.T) {
-	total := &sim.Stats{Trees: 10}
-	foldStats(total, &sim.Stats{
-		Candidates: 5, Results: 2,
-		CandTime: time.Millisecond, VerifyTime: 2 * time.Millisecond,
-		Source: "token-index",
-		Stages: []sim.StageStats{
-			{Name: "HIST", In: 100, Pruned: 60, SampledNs: 10, Sampled: 4},
-		},
-		PostingsScanned: 7, SkippedByCount: 3, DPAvoided: 2, SeqRejects: 1,
-	})
-	foldStats(total, &sim.Stats{
-		Candidates: 3, Results: 1,
-		CandTime: time.Millisecond, VerifyTime: time.Millisecond,
-		Source: "token-index",
-		Stages: []sim.StageStats{
-			{Name: "HIST", In: 40, Pruned: 10, SampledNs: 5, Sampled: 2},
-			{Name: "STR", In: 30, Pruned: 5},
-		},
-		PostingsScanned: 1, SkippedByCount: 2, DPAvoided: 1, SeqRejects: 1,
-	})
-	foldStats(total, nil) // a skipped round folds as a no-op
-
-	if total.Candidates != 8 || total.Results != 3 {
-		t.Fatalf("counters: Candidates=%d Results=%d", total.Candidates, total.Results)
-	}
-	if total.CandTime != 2*time.Millisecond || total.VerifyTime != 3*time.Millisecond {
-		t.Fatalf("durations: Cand=%v Verify=%v", total.CandTime, total.VerifyTime)
-	}
-	if total.PostingsScanned != 8 || total.SkippedByCount != 5 || total.DPAvoided != 3 || total.SeqRejects != 2 {
-		t.Fatalf("index/verifier counters wrong: %+v", total)
-	}
-	if total.Source != "token-index" {
-		t.Fatalf("source = %q, want token-index", total.Source)
-	}
-	if len(total.Stages) != 2 || total.Stages[0].Name != "HIST" || total.Stages[1].Name != "STR" {
-		t.Fatalf("stages = %+v", total.Stages)
-	}
-	if total.Stages[0].In != 140 || total.Stages[0].Pruned != 70 ||
-		total.Stages[0].SampledNs != 15 || total.Stages[0].Sampled != 6 {
-		t.Fatalf("HIST merge = %+v", total.Stages[0])
-	}
-
-	foldStats(total, &sim.Stats{Source: "sorted-loop"})
-	if total.Source != "mixed" {
-		t.Fatalf("disagreeing sources: %q, want mixed", total.Source)
-	}
-}
-
-// TestFoldStatsIsExhaustive: every numeric field of Stats either sums across
-// rounds or is named here as a property of the whole — so the next counter
-// cannot be dropped from the rollup (or from the engine's task merge, which
-// shares sim.AddCounters) silently.
-func TestFoldStatsIsExhaustive(t *testing.T) {
-	notSummed := map[string]bool{"Trees": true}
-	var round sim.Stats
-	rv := reflect.ValueOf(&round).Elem()
-	for i := 0; i < rv.NumField(); i++ {
-		if f := rv.Field(i); f.CanInt() {
-			f.SetInt(1)
-		}
-	}
-	var total sim.Stats
-	foldStats(&total, &round)
-	foldStats(&total, &round)
-	tv := reflect.ValueOf(total)
-	for i := 0; i < tv.NumField(); i++ {
-		name := tv.Type().Field(i).Name
-		if f := tv.Field(i); f.CanInt() && f.Int() != 2 && !notSummed[name] {
-			t.Errorf("Stats.%s = %d after folding two rounds of 1: not summed, and not on the not-summed list", name, f.Int())
-		}
-	}
-}
-
-// TestShardedRollupMatchesRounds: the rollup a multi-part self join publishes
-// is exactly the field-wise sum of its rounds — checked by comparing against
-// the sum of each round run individually on the same pinned state — under the
-// one plan the query made.
-func TestShardedRollupMatchesRounds(t *testing.T) {
-	ts := chainForest(24)
-	sc, err := NewSharded(3, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := sc.SelfJoin(t.Context(), 2, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := sc.selfQuery(t.Context(), sc.state.Load(), 2, buildConfig([]Option{WithWorkers(1)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &sim.Stats{Trees: len(ts), Plan: q.job.Plan}
-	if len(q.rounds) != 6 {
-		t.Fatalf("3 parts decompose into %d rounds, want 3 self + 3 cross", len(q.rounds))
-	}
-	for _, r := range q.rounds {
-		part, err := q.run(t.Context(), r, 1, func(Pair) bool { return true })
-		if err != nil {
-			t.Fatal(err)
-		}
-		foldStats(want, part)
-	}
-	stats.CandTime, stats.VerifyTime, stats.CandWall, stats.PartitionTime, stats.IndexBuildTime = 0, 0, 0, 0, 0
-	want.CandTime, want.VerifyTime, want.CandWall, want.PartitionTime, want.IndexBuildTime = 0, 0, 0, 0, 0
-	for i := range want.Stages {
-		stats.Stages[i].SampledNs, want.Stages[i].SampledNs = 0, 0
-	}
-	if !reflect.DeepEqual(stats, *want) || stats.Plan.Source == "" {
-		t.Fatalf("rollup = %+v\nsum of its rounds = %+v", stats, *want)
-	}
-}
 
 // TestOpenShardedBuildsNoArtifactOutsideItsShards: a store-backed 4-part
 // corpus is the corpus that owns the store — after an Add and a SelfJoin it
@@ -134,7 +17,7 @@ func TestShardedRollupMatchesRounds(t *testing.T) {
 // to the same ids and pairs.
 func TestOpenShardedBuildsNoArtifactOutsideItsShards(t *testing.T) {
 	ctx := context.Background()
-	ts := chainForest(40)
+	ts := synth.Synthetic(40, 13)
 	saved, err := NewCorpus(ts[:39])
 	if err != nil {
 		t.Fatal(err)
@@ -201,20 +84,27 @@ func TestOpenShardedBuildsNoArtifactOutsideItsShards(t *testing.T) {
 	}
 }
 
-// chainForest builds n chain trees of staggered depths over one table.
-func chainForest(n int) []*Tree {
-	lt := NewLabelTable()
-	ts := make([]*Tree, n)
-	for i := range ts {
-		s := "{a"
-		for d := 0; d < 2+i%5; d++ {
-			s += "{a"
+// TestWarmSearchAllocatesNoRunCache: on one part and on four, a warm Search
+// allocates what probing its parts' indexes does plus a few words for the
+// fan-out and the merge — the run cache an index build reads artifacts
+// through is made only when there is an index to build.
+func TestWarmSearchAllocatesNoRunCache(t *testing.T) {
+	ctx, ts := context.Background(), synth.Synthetic(200, 13)
+	// A query near no tree verifies nothing: no pooled scratch, which the race
+	// detector drops at random, blurs the count.
+	q := MustParseBracket("{q{q}{q}{q}{q}{q}}", ts[0].Labels)
+	for _, n := range []int{1, 4} {
+		cp, err := NewSharded(n, ts)
+		search := func() { _, err = cp.Search(ctx, q, 2, WithWorkers(1)) }
+		search() // builds the parts' indexes
+		probes := func() {
+			for _, p := range cp.state.Load().parts {
+				ix, _, _ := p.indexAt(ctx, core.PositionSafe, 2, 1, cp)
+				ix.SearchCtx(ctx, q)
+			}
 		}
-		for d := 0; d < 2+i%5; d++ {
-			s += "}"
+		if over := testing.AllocsPerRun(20, search) - testing.AllocsPerRun(20, probes); err != nil || over > 5 {
+			t.Fatalf("%d parts: a warm Search allocates %.0f times beyond its probes, want at most 5 (err %v)", n, over, err)
 		}
-		s += "}"
-		ts[i] = MustParseBracket(s, lt)
 	}
-	return ts
 }

@@ -14,21 +14,24 @@ import (
 	"treejoin/internal/synth"
 )
 
-// indexBuilds sums, over the current state's parts, how many subgraph and
-// token indexes they have built.
-func indexBuilds(cp *Corpus) (subgraph, tokens int64) {
-	for _, p := range cp.state.Load().parts {
+// indexBuilds counts, on the current state, the subgraph indexes its parts
+// have built, the whole-membership indexes composed from them, and the token
+// indexes built.
+func indexBuilds(cp *Corpus) (parts, composed, tokens int64) {
+	st := cp.state.Load()
+	for _, p := range st.parts {
 		_, n, _ := p.subgraph.Counts()
-		_, m, _ := p.tokens.Counts()
-		subgraph, tokens = subgraph+n, tokens+m
+		parts += n
 	}
-	return subgraph, tokens
+	_, composed, _ = st.subgraph.Counts()
+	_, tokens, _ = st.tokens.Counts()
+	return parts, composed, tokens
 }
 
-// TestIndexBuiltOncePerEpoch: the ten rounds of a 4-part SelfJoin share four
-// per-part indexes, a repeat join finds them, and so does a Search at the
-// same threshold — on the corpus or on a Snapshot of it; a mutation rebuilds
-// only the part it touched.
+// TestIndexBuiltOncePerEpoch: a 4-part SelfJoin builds four part indexes and
+// composes them once; a repeat join, a Snapshot's join and Searches at the
+// same threshold find them all; a mutation rebuilds only the part it touched,
+// and the next join composes once more.
 func TestIndexBuiltOncePerEpoch(t *testing.T) {
 	ctx := context.Background()
 	pool := synth.Generate(synth.SyntheticParams(121, 3, 5, 20, 30, 67))
@@ -41,17 +44,18 @@ func TestIndexBuiltOncePerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for run, wantBuilds := range []int64{4, 4} {
-		got, st, err := sc.SelfJoin(ctx, 2, WithWorkers(4))
-		if err != nil {
-			t.Fatal(err)
+	builds := func(c *Corpus, wantParts, wantComposed int64) {
+		t.Helper()
+		if p, n, _ := indexBuilds(c); p != wantParts || n != wantComposed {
+			t.Fatalf("%d part indexes built and %d composed, want %d and %d", p, n, wantParts, wantComposed)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("run %d: sharded join differs from the corpus join", run)
+	}
+	for run, target := range []*Corpus{sc, sc, sc.Snapshot()} {
+		got, st, err := target.SelfJoin(ctx, 2, WithWorkers(4))
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("run %d: the 4-part join differs from the corpus join (err %v)", run, err)
 		}
-		if n, _ := indexBuilds(sc); n != wantBuilds {
-			t.Fatalf("run %d: %d indexes built so far, want %d", run, n, wantBuilds)
-		}
+		builds(sc, 4, 1)
 		if (st.IndexBuildTime > 0) != (run == 0) {
 			t.Fatalf("run %d: IndexBuildTime %v", run, st.IndexBuildTime)
 		}
@@ -61,28 +65,21 @@ func TestIndexBuiltOncePerEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, _ := indexBuilds(sc); n != 4 {
-		t.Fatalf("searches at the join's threshold built %d more indexes", n-4)
-	}
+	builds(sc, 4, 1)
 	one := mustNewCorpus(t, ts)
 	for _, target := range []*Corpus{one, one.Snapshot()} {
 		if _, err := target.Search(ctx, ts[0], 3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n, _ := indexBuilds(one); n != 1 {
-		t.Fatalf("a Search and a Snapshot's Search at one τ built %d indexes, want 1", n)
-	}
+	builds(one, 1, 0)
 	if _, err := sc.Add(pool[120]); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sc.SelfJoin(ctx, 2, WithWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
-	// Three parts were carried over, indexes and all; the touched one is new.
-	if n, _ := indexBuilds(sc); n != 3+1 {
-		t.Fatalf("after one Add the parts hold %d index builds, want 3 kept + 1 rebuilt", n)
-	}
+	builds(sc, 3+1, 1) // three parts carried over, indexes and all; the touched one is new
 }
 
 // TestTokenIndexBuiltOncePerEpoch: the signature methods' self joins share one
@@ -97,7 +94,7 @@ func TestTokenIndexBuiltOncePerEpoch(t *testing.T) {
 	pool := synth.Generate(synth.SyntheticParams(81, 3, 5, 20, 30, 67))
 	cp := mustNewCorpus(t, pool[:80])
 	builds := func(c *Corpus) int64 {
-		_, n := indexBuilds(c)
+		_, _, n := indexBuilds(c)
 		return n
 	}
 	join := func(c *Corpus, m Method, wantBuilt bool) []Pair {

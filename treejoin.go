@@ -25,13 +25,13 @@
 // it in place under epoch-versioned copy-on-write snapshots, keeping cached
 // signatures live and replacing only the indexes of the parts of the
 // membership they touch, while in-flight queries stay consistent. NewSharded
-// partitions the same corpus into n parts whose rounds run in parallel, with
-// identical results. The corpus caches every per-tree filter signature the
-// first query computes, so later queries — at any threshold, with any method
-// — skip that work; every query takes a context for cancellation, and the
-// Seq variants stream verified pairs with constant result memory. The
-// original free functions (SelfJoin, Join, NewIncremental) remain as
-// deprecated one-shot wrappers.
+// partitions the same corpus into n parts, so a mutation rebuilds the indexes
+// of one part only, with identical results. The corpus caches every per-tree
+// filter signature the first query computes, so later queries — at any
+// threshold, with any method — skip that work; every query takes a context
+// for cancellation, and the Seq variants stream verified pairs with constant
+// result memory. The original free functions (SelfJoin, Join, NewIncremental)
+// remain as deprecated one-shot wrappers.
 //
 // Also here: subtree search inside one large tree (SubtreeSearch), exact
 // (Distance), bounded (DistanceWithin), weighted (DistanceWithCosts), and
