@@ -63,32 +63,19 @@ type PlanSpec struct {
 	PrefixC int
 }
 
-// WithAutoPlan lets the corpus's learned cost model choose the execution
-// plan per query: the candidate source (token index vs. sorted loop), the
-// prefilter subset and order, and the token index's prefix-length
-// multiplier. This is the default for all Corpus joins — the option exists
-// to undo an earlier WithFixedPlan in an option list. Every plan the model
-// can emit is sound, so results are bit-identical to the fixed default
-// plan's; Stats.Plan records what was chosen and why (origin "observed",
-// "calibrated", or "fixed"). The model learns from completed runs on this
-// corpus (and its snapshots) and runs a small sampled calibration probe on
-// corpora it has never seen; mutations age its observations. The legacy
-// free functions SelfJoin and Join never plan adaptively — only a Corpus
-// has somewhere to keep the model.
-func WithAutoPlan() Option {
-	return func(c *config) { c.fixedPlan = false; c.planSpecs = nil }
-}
-
-// WithFixedPlan disables adaptive planning for this query. With no
-// arguments the method's static default plan runs, exactly as releases
-// before the planner behaved. With specs, the given plan is forced —
-// sources, chains, and prefix multipliers that the planner could choose can
-// be pinned individually (later specs override earlier ones field by
-// field). Results are identical under every expressible plan; execution
-// statistics (Stats.Stages, Stats.Source) show the difference. Combinations
-// the method cannot execute (pinning the token index on MethodPartSJ or
-// MethodBruteForce, a prefix multiplier without the index) return
-// ErrOptionConflict.
+// WithFixedPlan disables adaptive planning for this query. By default a
+// Corpus join lets the corpus's learned cost model choose the candidate source
+// (token index vs. sorted loop), the prefilter subset and order, and the token
+// index's prefix-length multiplier; every plan it can emit is sound, and
+// Stats.Plan records what ran and why (origin "observed", "calibrated" or
+// "fixed"). With no arguments the method's static default plan runs. With
+// specs, the given plan is forced — sources, chains, and prefix multipliers
+// that the planner could choose can be pinned individually (later specs
+// override earlier ones field by field). Results are identical under every
+// expressible plan; execution statistics (Stats.Stages, Stats.Source) show the
+// difference. Combinations the method cannot execute (pinning the token index
+// on MethodPartSJ or MethodBruteForce, a prefix multiplier without the index)
+// return ErrOptionConflict.
 func WithFixedPlan(specs ...PlanSpec) Option {
 	return func(c *config) {
 		c.fixedPlan = true
@@ -245,8 +232,8 @@ func (ex PlanExplanation) String() string {
 }
 
 // Explain returns the execution plan the corresponding SelfJoin call would
-// run right now, without running the join. Under the default WithAutoPlan
-// this consults the corpus's cost model — including, on a cold corpus, the
+// run right now, without running the join. Without WithFixedPlan this
+// consults the corpus's cost model — including, on a cold corpus, the
 // same sampled calibration probe a real join would trigger (cheap, and its
 // artifacts pre-warm the corpus cache) — so the explanation carries the
 // model's estimates: expected candidates, per-stage survival, and stage

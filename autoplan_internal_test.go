@@ -112,8 +112,8 @@ func TestPlannedStageOrderAttribution(t *testing.T) {
 }
 
 // TestPlanRecordedOnEveryRun asserts satellite invariants of Stats.Plan: a
-// fixed record on PartSJ and brute-force runs and on the legacy free
-// functions, carrying the executed chain.
+// fixed record on PartSJ and brute-force runs and under WithFixedPlan,
+// carrying the executed chain.
 func TestPlanRecordedOnEveryRun(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Generate(synth.SyntheticParams(60, 3, 5, 20, 12, 5))
@@ -134,9 +134,11 @@ func TestPlanRecordedOnEveryRun(t *testing.T) {
 	if st.Plan.Source != "sorted-loop" || len(st.Plan.Chain) != 0 || st.Plan.PrefixC != 0 {
 		t.Fatalf("brute-force plan record = %+v", st.Plan)
 	}
-	_, st2 := SelfJoin(ts, 1, WithMethod(MethodPQGram))
-	if st2.Plan.Source != "token-index" || st2.Plan.Origin != "fixed" || st2.Plan.PrefixC != 12 {
-		t.Fatalf("legacy free-function plan record = %+v", st2.Plan)
+	if _, _, err := cp.SelfJoin(ctx, 1, WithMethod(MethodPQGram), WithFixedPlan(), WithStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Plan.Source != "token-index" || st.Plan.Origin != "fixed" || st.Plan.PrefixC != 12 {
+		t.Fatalf("fixed plan record = %+v", st.Plan)
 	}
 }
 

@@ -270,15 +270,14 @@ func BenchmarkTransform(b *testing.B) {
 // a filter-heavy method (EUL's banded string comparisons) over a 1000-tree
 // corpus at τ = 1, where candidate generation dominates end to end. The
 // sequential/parallel ns/op ratio is the engine's candidate-generation
-// speedup (verification is parallelised identically in both runs). Baseline
-// numbers are recorded in BENCH_engine.json.
+// speedup (verification is parallelised identically in both runs).
 func BenchmarkEngineParallelCandidates(b *testing.B) {
 	ts := synth.Synthetic(1000, 1)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var st treejoin.Stats
 			for i := 0; i < b.N; i++ {
-				_, st = treejoin.SelfJoin(ts, 1,
+				_, st = selfJoin(b, ts, 1,
 					treejoin.WithMethod(treejoin.MethodEulerString),
 					treejoin.WithWorkers(workers))
 			}
@@ -337,7 +336,7 @@ func BenchmarkEngineIndexSource(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/tau=%d/cold", mm.name, tau), func(b *testing.B) {
 				var st treejoin.Stats
 				for i := 0; i < b.N; i++ {
-					_, st = treejoin.SelfJoin(ts, tau, treejoin.WithMethod(mm.m))
+					_, st = selfJoin(b, ts, tau, treejoin.WithMethod(mm.m))
 				}
 				b.ReportMetric(float64(st.Candidates), "cand/op")
 				b.ReportMetric(float64(st.Results), "res/op")
@@ -377,7 +376,7 @@ func BenchmarkEngineCrossJoin(b *testing.B) {
 	} {
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				treejoin.Join(a, c, 2, treejoin.WithMethod(m))
+				crossJoin(b, a, c, 2, treejoin.WithMethod(m))
 			}
 		})
 	}

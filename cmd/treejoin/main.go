@@ -474,7 +474,6 @@ func runWatch(input, format, store string, tau, topk int, other, method, prefilt
 	defer stop()
 	context.AfterFunc(ctx, stop)
 
-	inc := treejoin.NewIncremental(tau, treejoin.WithWorkers(workers))
 	out := bufio.NewWriter(os.Stdout)
 	// Every flush is checked: a full disk or a closed pipe must surface as a
 	// non-zero exit, not an exit 0 with silently truncated deltas.
@@ -493,12 +492,21 @@ func runWatch(input, format, store string, tau, topk int, other, method, prefilt
 	var cp *treejoin.Corpus
 	var incToStore []int // incremental id → store id
 	storeToInc := map[int]int{}
+	var err error
 	if store != "" {
-		var err error
-		cp, err = treejoin.Open(store)
-		if err != nil {
+		if cp, err = treejoin.Open(store); err != nil {
 			fail("%v", err)
 		}
+	}
+	// The stream draws its signatures from the store's corpus, or without a
+	// store from an empty one.
+	src := cp
+	if src == nil {
+		src, _ = treejoin.NewCorpus(nil)
+	}
+	inc, err := src.Incremental(tau, treejoin.WithWorkers(workers))
+	if err != nil {
+		fail("%v", err)
 	}
 	emit := func(sign byte, pairs []treejoin.Pair) {
 		if quiet {

@@ -1,6 +1,6 @@
 // Command loadgen drives a running treejoind with concurrent mixed
 // read/mutate traffic and reports latency percentiles and throughput. It is
-// the serving benchmark behind BENCH_serve.json and the CI serve-smoke job:
+// the serving benchmark behind the CI serve-smoke job:
 // N clients issue a weighted mix of search, knn, selfjoin, topk, add, and
 // remove requests for the configured duration, every 5xx or transport error
 // counts as a failure, and the run exits non-zero if any occurred (or if
@@ -228,7 +228,7 @@ func getNDJSON(hc *http.Client, url string) (int, int64, time.Duration, error) {
 	return resp.StatusCode, rows, time.Since(start), nil
 }
 
-// Report is the JSON shape written to BENCH_serve.json.
+// Report is the JSON shape -out writes.
 type Report struct {
 	Clients   int                 `json:"clients"`
 	Tau       int                 `json:"tau"`

@@ -103,7 +103,7 @@ func TestCLIWatch(t *testing.T) {
 
 	// Library mirror of the same script.
 	lt := treejoin.NewLabelTable()
-	inc := treejoin.NewIncremental(1)
+	inc, _ := mustCorpus(t, nil).Incremental(1)
 	var want []string
 	emit := func(sign byte, ps []treejoin.Pair) {
 		for _, p := range ps {
@@ -165,7 +165,7 @@ func TestCLIPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := treejoin.SelfJoin(ts, 2)
+	want, _ := selfJoin(t, ts, 2)
 
 	for _, input := range []string{txt, bin} {
 		for _, method := range []string{"PRT", "STR", "SET", "HIST", "EUL", "PQG"} {

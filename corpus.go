@@ -17,9 +17,8 @@ import (
 	"treejoin/internal/tree"
 )
 
-// Errors returned by the Corpus API. The legacy free functions panic on the
-// same conditions; the Corpus surfaces them as wrapped sentinels so callers
-// can test with errors.Is.
+// Errors returned by the Corpus API, as wrapped sentinels so callers can test
+// with errors.Is.
 var (
 	// ErrNilTree reports a nil *Tree in a corpus or as a query.
 	ErrNilTree = errors.New("treejoin: nil tree")
@@ -68,10 +67,10 @@ type corpusState struct {
 
 	// subgraph and tokens hold the frozen indexes over the whole membership
 	// that every join probes, each built by whoever asks first and dying with
-	// the epoch (a Snapshot shares them): per position mode and threshold the
-	// PartSJ index composed from the parts' (indexAt), per (tokenizer,
-	// threshold, prefix multiplier) the signature methods' token index.
-	subgraph *engine.IndexLRU[subgraphKey, *core.Index]
+	// the epoch (a Snapshot shares them): per threshold the PartSJ index
+	// composed from the parts' (indexAt), per (tokenizer, threshold, prefix
+	// multiplier) the signature methods' token index.
+	subgraph *engine.IndexLRU[int, *core.Index]
 	tokens   *engine.IndexLRU[tokenIndexKey, *engine.PrefixIndex]
 
 	// max1 ≥ max2 are the two largest tree sizes: no pair is farther apart
@@ -81,10 +80,9 @@ type corpusState struct {
 }
 
 // part is one cell of a state's partition: its trees and their ids, in
-// ascending id (so in the order the state holds them), and per position mode
-// and threshold the frozen PartSJ index over exactly those trees — what Search
-// and KNN probe and a state's composed index is put together from, built by
-// whoever asks first. A part is immutable: a mutation gives the parts it
+// ascending id (so in the order the state holds them), and per threshold the
+// frozen PartSJ index over exactly those trees — what Search and KNN probe and
+// a state's composed index is put together from, built by whoever asks first. A part is immutable: a mutation gives the parts it
 // touches new ones and carries the others over by pointer. An index is
 // therefore reachable only from the membership it covers — a query pinned to a
 // pre-Remove state finds that state's indexes, a query on the new state can
@@ -92,12 +90,7 @@ type corpusState struct {
 type part struct {
 	ts       []*Tree
 	ids      []int
-	subgraph *engine.IndexLRU[subgraphKey, *core.Index]
-}
-
-type subgraphKey struct {
-	position core.PositionFilter
-	tau      int
+	subgraph *engine.IndexLRU[int, *core.Index]
 }
 
 // tokenIndexKey names one of a state's token indexes: the tokenisation, the
@@ -107,27 +100,27 @@ type tokenIndexKey struct {
 	tau, prefixC int
 }
 
-func newPart(ts []*Tree, ids []int, indexCap int) *part {
-	return &part{ts: ts, ids: ids, subgraph: engine.NewIndexLRU[subgraphKey, *core.Index](indexCap)}
+func newPart(ts []*Tree, ids []int) *part {
+	return &part{ts: ts, ids: ids, subgraph: engine.NewIndexLRU[int, *core.Index](core.DefaultIndexCacheCap)}
 }
 
-// indexAt returns the part's subgraph index for a position mode and
-// threshold, building it on workers goroutines from the artifacts of
-// owner's run cache on first use — made only then, so a warm probe allocates
-// none; built reports that this call paid for the build.
-func (p *part) indexAt(ctx context.Context, position core.PositionFilter, tau, workers int, owner *Corpus) (ix *core.Index, built bool, err error) {
-	return p.subgraph.Get(ctx, subgraphKey{position, tau}, func() *core.Index {
-		return core.NewIndexCached(p.ts, core.Options{Tau: tau, Position: position, Workers: workers}, owner.runCache())
+// indexAt returns the part's subgraph index for a threshold, building it on
+// workers goroutines from the artifacts of owner's run cache on first use —
+// made only then, so a warm probe allocates none; built reports that this call
+// paid for the build.
+func (p *part) indexAt(ctx context.Context, tau, workers int, owner *Corpus) (ix *core.Index, built bool, err error) {
+	return p.subgraph.Get(ctx, tau, func() *core.Index {
+		return core.NewIndexCached(p.ts, core.Options{Tau: tau, Workers: workers}, owner.runCache())
 	})
 }
 
-// indexAt returns the state's subgraph index for a position mode and
-// threshold: on first use, its parts' indexes — built where missing — composed
-// into the one a one-part build over ts would be (a one-part state's is its
-// part's own). built reports that this call paid for a build or a compose.
-func (st *corpusState) indexAt(ctx context.Context, position core.PositionFilter, tau, workers int, owner *Corpus) (ix *core.Index, built bool, err error) {
+// indexAt returns the state's subgraph index for a threshold: on first use,
+// its parts' indexes — built where missing — composed into the one a one-part
+// build over ts would be (a one-part state's is its part's own). built reports
+// that this call paid for a build or a compose.
+func (st *corpusState) indexAt(ctx context.Context, tau, workers int, owner *Corpus) (ix *core.Index, built bool, err error) {
 	partBuilt := false
-	ix, ran, err := st.subgraph.Get(ctx, subgraphKey{position, tau}, func() *core.Index {
+	ix, ran, err := st.subgraph.Get(ctx, tau, func() *core.Index {
 		// Index builds are uncancellable: wait out a part another query is
 		// building rather than compose around a hole.
 		ctx := context.WithoutCancel(ctx)
@@ -136,7 +129,7 @@ func (st *corpusState) indexAt(ctx context.Context, position core.PositionFilter
 			at[st.partOf(id)] = append(at[st.partOf(id)], int32(g))
 		}
 		return core.Compose(st.ts, at, func(k int) *core.Index {
-			x, built, _ := st.parts[k].indexAt(ctx, position, tau, workers, owner)
+			x, built, _ := st.parts[k].indexAt(ctx, tau, workers, owner)
 			partBuilt = partBuilt || built
 			return x
 		})
@@ -192,17 +185,17 @@ func (st *corpusState) foldSizes(ts []*Tree) {
 // next builds the state that follows prev — the given membership, size caps
 // aside — partitioned like prev: a part that loses one of the ids in gone
 // (ascending) or gains one of the added trees is built afresh, with an empty
-// index cache of capacity indexCap, from its survivors and then its
-// newcomers; every other part is carried over. The whole-membership indexes
-// start empty. ts and ids already reflect both changes.
-func (prev *corpusState) next(indexCap int, ts []*Tree, ids []int, nextID int, lt *LabelTable, gone []int, added []*Tree, addedIDs []int) *corpusState {
+// index cache, from its survivors and then its newcomers; every other part is
+// carried over. The whole-membership indexes start empty. ts and ids already
+// reflect both changes.
+func (prev *corpusState) next(ts []*Tree, ids []int, nextID int, lt *LabelTable, gone []int, added []*Tree, addedIDs []int) *corpusState {
 	ns := &corpusState{
 		epoch: prev.epoch + 1, ts: ts, ids: ids, nextID: nextID, lt: lt, parts: slices.Clone(prev.parts),
-		subgraph: engine.NewIndexLRU[subgraphKey, *core.Index](indexCap),
-		tokens:   engine.NewIndexLRU[tokenIndexKey, *engine.PrefixIndex](indexCap),
+		subgraph: engine.NewIndexLRU[int, *core.Index](core.DefaultIndexCacheCap),
+		tokens:   engine.NewIndexLRU[tokenIndexKey, *engine.PrefixIndex](core.DefaultIndexCacheCap),
 	}
 	if len(ns.parts) == 1 {
-		ns.parts[0] = newPart(ts, ids, indexCap)
+		ns.parts[0] = newPart(ts, ids)
 		return ns
 	}
 	touched, gains := make([]bool, len(ns.parts)), make([]int, len(ns.parts))
@@ -231,7 +224,7 @@ func (prev *corpusState) next(indexCap int, ts []*Tree, ids []int, nextID int, l
 				pts, pids = append(pts, added[i]), append(pids, id)
 			}
 		}
-		ns.parts[p] = newPart(pts, pids, indexCap)
+		ns.parts[p] = newPart(pts, pids)
 	}
 	return ns
 }
@@ -268,9 +261,9 @@ func (prev *corpusState) next(indexCap int, ts []*Tree, ids []int, nextID int, l
 // HIST). Search probes every part's index, so a point query after a mutation
 // rebuilds one part's index, never the whole membership's; TopK and KNN
 // expand one global threshold over those two. Every index cache is a small LRU
-// (see WithIndexCacheCap): a part's subgraph index is built at most once per
-// threshold and position mode, whoever asks first — Search, KNN or the compose
-// a join asks for — and each whole-membership index at most once per epoch.
+// (see core.DefaultIndexCacheCap): a part's subgraph index is built at most
+// once per threshold, whoever asks first — Search, KNN or the compose a join
+// asks for — and each whole-membership index at most once per epoch.
 //
 // Mutations are epoch-versioned with copy-on-write snapshots: Add and
 // Remove build a new immutable state and swap it in, so every query — and
@@ -297,11 +290,10 @@ func (prev *corpusState) next(indexCap int, ts []*Tree, ids []int, nextID int, l
 // A Corpus is safe for concurrent use, including concurrent readers with
 // writers; Add/Remove serialise against each other.
 type Corpus struct {
-	state    atomic.Pointer[corpusState]
-	cache    *engine.Cache
-	indexCap int
-	frozen   bool    // a Snapshot view: mutations are rejected
-	parent   *Corpus // the live corpus behind a Snapshot view; nil otherwise
+	state  atomic.Pointer[corpusState]
+	cache  *engine.Cache
+	frozen bool    // a Snapshot view: mutations are rejected
+	parent *Corpus // the live corpus behind a Snapshot view; nil otherwise
 
 	// overflow catches artifacts of trees no longer live in the corpus: a
 	// query pinned to a pre-Remove state (a Snapshot, an in-flight
@@ -328,9 +320,9 @@ type Corpus struct {
 	// Remove survives a crash. Nil for in-memory corpora.
 	store *segstore.Store
 
-	// planner is the corpus's learned cost model behind WithAutoPlan (the
-	// default): per-stage selectivity and cost observed from completed runs,
-	// decayed per mutation epoch. Shared with Snapshot views — a snapshot's
+	// planner is the corpus's learned cost model, which plans every join not
+	// run under WithFixedPlan: per-stage selectivity and cost observed from
+	// completed runs, decayed per mutation epoch. Shared with Snapshot views — a snapshot's
 	// runs teach the same model, down-weighted by the epochs they lag. See
 	// internal/engine/plan and autoplan.go.
 	planner *plan.Model
@@ -384,25 +376,19 @@ func checkTrees(lt *LabelTable, what string, ts ...*Tree) (*LabelTable, error) {
 
 // NewCorpus validates ts (no nil trees, one shared LabelTable) and returns a
 // one-part corpus over it. The slice is copied; the trees are shared, which is
-// safe — trees are immutable. Corpus-level options are applied here
-// (currently WithIndexCacheCap); per-query options go to the individual calls.
-func NewCorpus(ts []*Tree, opts ...Option) (*Corpus, error) {
-	return NewSharded(1, ts, opts...)
-}
+// safe — trees are immutable. Options go to the individual queries.
+func NewCorpus(ts []*Tree) (*Corpus, error) { return NewSharded(1, ts) }
 
 // newCorpus returns the live n-part corpus over an already validated
 // membership, written through to store when that is non-nil.
-func newCorpus(n, indexCap int, ts []*Tree, ids []int, nextID int, lt *LabelTable, store *segstore.Store) *Corpus {
-	if indexCap < 1 {
-		indexCap = core.DefaultIndexCacheCap
-	}
-	cp := &Corpus{cache: engine.NewCache(), indexCap: indexCap, planner: plan.New(), store: store}
+func newCorpus(n int, ts []*Tree, ids []int, nextID int, lt *LabelTable, store *segstore.Store) *Corpus {
+	cp := &Corpus{cache: engine.NewCache(), planner: plan.New(), store: store}
 	cp.addMembers(ts)
 	empty := &corpusState{epoch: -1, parts: make([]*part, n)}
 	for p := range empty.parts {
-		empty.parts[p] = newPart(nil, nil, cp.indexCap)
+		empty.parts[p] = newPart(nil, nil)
 	}
-	st := empty.next(cp.indexCap, ts, ids, nextID, lt, nil, ts, ids)
+	st := empty.next(ts, ids, nextID, lt, nil, ts, ids)
 	st.foldSizes(ts)
 	cp.state.Store(st)
 	return cp
@@ -491,7 +477,6 @@ func (cp *Corpus) Snapshot() *Corpus {
 	s := &Corpus{
 		cache:    cp.cache,
 		overflow: engine.NewCache(),
-		indexCap: cp.indexCap,
 		frozen:   true,
 		parent:   cp.live(),
 		planner:  cp.planner,
@@ -536,7 +521,7 @@ func (cp *Corpus) Add(ts ...*Tree) ([]int, error) {
 			return nil, fmt.Errorf("treejoin: persist add: %w", err)
 		}
 	}
-	ns := st.next(cp.indexCap, slices.Concat(st.ts, ts), slices.Concat(st.ids, ids), st.nextID+len(ts), lt, nil, ts, ids)
+	ns := st.next(slices.Concat(st.ts, ts), slices.Concat(st.ids, ids), st.nextID+len(ts), lt, nil, ts, ids)
 	ns.max1, ns.max2 = st.max1, st.max2
 	ns.foldSizes(ts)
 	cp.addMembers(ts)
@@ -613,7 +598,7 @@ func (cp *Corpus) Remove(ids ...int) int {
 		from = p + 1
 	}
 	nts, nids = append(nts, st.ts[from:]...), append(nids, st.ids[from:]...)
-	ns := st.next(cp.indexCap, nts, nids, st.nextID, st.lt, gone, nil, nil)
+	ns := st.next(nts, nids, st.nextID, st.lt, gone, nil, nil)
 	if ns.max1, ns.max2 = st.max1, st.max2; capped {
 		ns.max1, ns.max2 = 0, 0
 		ns.foldSizes(nts)
@@ -706,14 +691,14 @@ func (q *joinQuery) split() int {
 }
 
 // indexes is the core.Options.Indexes hook: side 0 is a's index, side 1 b's,
-// each where Search, KNN and every other join at this epoch, threshold and
-// position mode find the same instance.
+// each where every other join at this epoch and threshold finds the same
+// instance.
 func (q *joinQuery) indexes(ctx context.Context, side, tau int) (*core.Index, bool) {
 	st, owner := q.a, q.cp
 	if side == 1 {
 		st, owner = q.b, q.other
 	}
-	ix, built, _ := st.indexAt(ctx, q.c.position, tau, q.c.workers, owner)
+	ix, built, _ := st.indexAt(ctx, tau, q.c.workers, owner)
 	return ix, built
 }
 
@@ -834,7 +819,7 @@ func (cp *Corpus) Search(ctx context.Context, q *Tree, tau int, opts ...Option) 
 func (cp *Corpus) search(ctx context.Context, st *corpusState, q *Tree, tau int, c config) ([]Match, error) {
 	hits, errs := make([][]Match, len(st.parts)), make([]error, len(st.parts))
 	fanOut(len(st.parts), c.workers, func(p, workers int) {
-		ix, _, err := st.parts[p].indexAt(ctx, c.position, tau, workers, cp)
+		ix, _, err := st.parts[p].indexAt(ctx, tau, workers, cp)
 		if err == nil {
 			hits[p], err = ix.SearchCtx(ctx, q)
 		}
@@ -918,10 +903,12 @@ func (cp *Corpus) KNN(ctx context.Context, q *Tree, k int, opts ...Option) ([]Ma
 // Incremental returns an empty streaming join with threshold tau that shares
 // the corpus's signature cache: trees the corpus has already joined (or that
 // were added before) enter the stream without recomputing their binary view
-// or partition. The stream itself starts empty — it does not contain the
-// corpus trees — and evolves independently of later corpus mutations; its
-// Pairs and Retracted views maintain a standing result set across the
-// stream's own Add/Remove sequence.
+// or partition. Trees not live in the corpus are never cached, so a
+// long-lived stream over trees of its own pins nothing beyond its live
+// trees. The stream itself starts empty — it does not contain the corpus
+// trees — and evolves independently of later corpus mutations; its Pairs and
+// Retracted views maintain a standing result set across the stream's own
+// Add/Remove sequence.
 func (cp *Corpus) Incremental(tau int, opts ...Option) (*Incremental, error) {
 	if tau < 0 {
 		return nil, fmt.Errorf("%w %d", ErrNegativeThreshold, tau)
@@ -930,7 +917,14 @@ func (cp *Corpus) Incremental(tau int, opts ...Option) (*Incremental, error) {
 	if err := c.requirePartSJ("Incremental"); err != nil {
 		return nil, err
 	}
-	return &Incremental{inner: core.NewIncrementalCached(c.coreOptions(tau), cp.runCache())}, nil
+	live := cp.live()
+	cache := engine.RoutedCache(func(t *tree.Tree) *engine.Cache {
+		if live.isMember(t) {
+			return live.cache
+		}
+		return nil
+	})
+	return &Incremental{inner: core.NewIncrementalCached(c.coreOptions(tau), cache)}, nil
 }
 
 // queryConfig validates a query tree and the options of an index-backed

@@ -1,9 +1,9 @@
 // BenchmarkCorpusReuse quantifies the tentpole of the Corpus API: per-tree
-// signature reuse. "cold" pays the legacy cost profile — a fresh corpus per
+// signature reuse. "cold" pays the one-shot cost profile — a fresh corpus per
 // join, every signature recomputed; "warm" joins the same corpus again at a
 // different threshold, so signatures come from the cache and only the
 // τ-dependent work runs. The gap between the two is the precomputation share
-// of each method, the quantity BENCH_corpus.json records.
+// of each method.
 package treejoin_test
 
 import (

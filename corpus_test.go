@@ -1,6 +1,6 @@
-// Tests for the Corpus API: construction validation, error returns where
-// the legacy wrappers panic, corpus-versus-legacy result equality across
-// methods and prefilter chains, streaming-versus-slice equality, prompt
+// Tests for the Corpus API: construction validation, error returns for
+// invalid input, result equality with brute force across methods and
+// prefilter chains, streaming-versus-slice equality, prompt
 // cancellation without goroutine leaks, and warm-cache reuse (a second join
 // at a different threshold recomputes no per-tree signature).
 package treejoin_test
@@ -25,6 +25,39 @@ func mustCorpus(t *testing.T, ts []*treejoin.Tree) *treejoin.Corpus {
 		t.Fatalf("NewCorpus: %v", err)
 	}
 	return cp
+}
+
+// selfJoin is the one-shot self join of ts: a fresh corpus, joined under the
+// static plan (WithFixedPlan first; later options may pin a spec).
+func selfJoin(tb testing.TB, ts []*treejoin.Tree, tau int, opts ...treejoin.Option) ([]treejoin.Pair, treejoin.Stats) {
+	tb.Helper()
+	cp, err := treejoin.NewCorpus(ts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pairs, st, err := cp.SelfJoin(context.Background(), tau, append([]treejoin.Option{treejoin.WithFixedPlan()}, opts...)...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pairs, st
+}
+
+// crossJoin is selfJoin for the cross join of a against b.
+func crossJoin(tb testing.TB, a, b []*treejoin.Tree, tau int, opts ...treejoin.Option) ([]treejoin.Pair, treejoin.Stats) {
+	tb.Helper()
+	ca, err := treejoin.NewCorpus(a)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cb, err := treejoin.NewCorpus(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pairs, st, err := ca.Join(context.Background(), cb, tau, append([]treejoin.Option{treejoin.WithFixedPlan()}, opts...)...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pairs, st
 }
 
 func sortPairs(ps []treejoin.Pair) {
@@ -88,6 +121,9 @@ func TestCorpusErrorsWhereLegacyPanics(t *testing.T) {
 	if _, _, err := cp.SelfJoin(ctx, 1, treejoin.WithPrefilter(treejoin.Prefilter(42))); !errors.Is(err, treejoin.ErrUnknownPrefilter) {
 		t.Errorf("unknown prefilter: err = %v, want ErrUnknownPrefilter", err)
 	}
+	if _, _, err := cp.Join(ctx, cp, -2); !errors.Is(err, treejoin.ErrNegativeThreshold) {
+		t.Errorf("negative cross tau: err = %v, want ErrNegativeThreshold", err)
+	}
 	if _, _, err := cp.Join(ctx, nil, 1); !errors.Is(err, treejoin.ErrNilCorpus) {
 		t.Errorf("nil other: err = %v, want ErrNilCorpus", err)
 	}
@@ -117,33 +153,18 @@ func TestCorpusErrorsWhereLegacyPanics(t *testing.T) {
 	if _, err := cp.Incremental(-1); !errors.Is(err, treejoin.ErrNegativeThreshold) {
 		t.Errorf("incremental negative tau: err = %v, want ErrNegativeThreshold", err)
 	}
-
-	// The legacy wrappers keep the documented panicking contract.
-	for _, fn := range []func(){
-		func() { treejoin.SelfJoin(ts, -1) },
-		func() { treejoin.SelfJoin(ts, 1, treejoin.WithMethod(treejoin.Method(99))) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("legacy wrapper did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
 }
 
 // TestCorpusMatchesLegacy: the Corpus slice and streaming APIs return
-// exactly the legacy free functions' pair sets, for every method and for
-// prefilter chains, on self and cross joins.
+// exactly the brute-force pair sets (MethodBruteForce on a fresh corpus), for
+// every method and for prefilter chains, on self and cross joins.
 func TestCorpusMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(60, 11)
 	cp := mustCorpus(t, ts)
 	const tau = 2
+	want, _ := selfJoin(t, ts, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
 	for _, m := range allMethods {
-		want, _ := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m))
 		got, _, err := cp.SelfJoin(ctx, tau, treejoin.WithMethod(m))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -169,7 +190,6 @@ func TestCorpusMatchesLegacy(t *testing.T) {
 	}
 	for _, m := range []treejoin.Method{treejoin.MethodPartSJ, treejoin.MethodSTR} {
 		for ci, chain := range chains {
-			want, _ := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m), treejoin.WithPrefilter(chain...))
 			got, _, err := cp.SelfJoin(ctx, tau, treejoin.WithMethod(m), treejoin.WithPrefilter(chain...))
 			if err != nil {
 				t.Fatalf("%v chain %d: %v", m, ci, err)
@@ -181,13 +201,13 @@ func TestCorpusMatchesLegacy(t *testing.T) {
 	// Cross joins, including the streaming form.
 	a, b := ts[:25], ts[25:]
 	ca, cb := mustCorpus(t, a), mustCorpus(t, b)
+	wantCross, _ := crossJoin(t, a, b, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
 	for _, m := range []treejoin.Method{treejoin.MethodPartSJ, treejoin.MethodHistogram} {
-		want, _ := treejoin.Join(a, b, tau, treejoin.WithMethod(m))
 		got, _, err := ca.Join(ctx, cb, tau, treejoin.WithMethod(m))
 		if err != nil {
 			t.Fatalf("cross %v: %v", m, err)
 		}
-		samePairs(t, "corpus cross "+m.String(), got, want)
+		samePairs(t, "corpus cross "+m.String(), got, wantCross)
 
 		seq, err := ca.JoinSeq(ctx, cb, tau, treejoin.WithMethod(m))
 		if err != nil {
@@ -198,7 +218,7 @@ func TestCorpusMatchesLegacy(t *testing.T) {
 			streamed = append(streamed, p)
 		}
 		sortPairs(streamed)
-		samePairs(t, "corpus cross stream "+m.String(), streamed, want)
+		samePairs(t, "corpus cross stream "+m.String(), streamed, wantCross)
 	}
 
 	// Cross-join artifacts route to the corpus that owns each tree: the
@@ -216,7 +236,6 @@ func TestCorpusMatchesLegacy(t *testing.T) {
 	}
 
 	// Parallel and partitioned execution through the corpus.
-	want, _ := treejoin.SelfJoin(ts, tau)
 	got, _, err := mustSharded(t, 3, ts).SelfJoin(ctx, tau, treejoin.WithWorkers(4))
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
@@ -393,15 +412,15 @@ func TestCorpusCancellation(t *testing.T) {
 	}
 }
 
-// TestCorpusQueriesMatchLegacy: Search and TopK through the corpus agree with
-// the legacy SelfJoin's pairs, and Corpus.Incremental with the legacy stream.
+// TestCorpusQueriesMatchLegacy: Search, TopK and Corpus.Incremental through
+// the corpus agree with the brute-force pairs.
 func TestCorpusQueriesMatchLegacy(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(40, 13)
 	cp := mustCorpus(t, ts)
 	const tau = 2
 
-	pairs, _ := treejoin.SelfJoin(ts, tau)
+	pairs, _ := selfJoin(t, ts, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
 	for qi, q := range ts[:5] {
 		want := []treejoin.Match{{Pos: qi}}
 		for _, p := range pairs {
@@ -423,27 +442,24 @@ func TestCorpusQueriesMatchLegacy(t *testing.T) {
 	if err != nil || len(gotTop) != 5 {
 		t.Fatalf("topk: %v, err %v", gotTop, err)
 	}
-	within, _ := treejoin.SelfJoin(ts, gotTop[4].Dist)
+	within, _ := selfJoin(t, ts, gotTop[4].Dist, treejoin.WithMethod(treejoin.MethodBruteForce))
 	slices.SortStableFunc(within, func(a, b treejoin.Pair) int { return a.Dist - b.Dist })
 	samePairs(t, "corpus topk", gotTop, within[:5])
 
-	// Corpus.Incremental behaves like the legacy stream.
+	// Each Add reports the new tree's brute-force partners among the earlier
+	// trees, ascending.
 	inc, err := cp.Incremental(tau)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyInc := treejoin.NewIncremental(tau)
-	for _, tr := range ts[:20] {
-		got := inc.Add(tr)
-		want := legacyInc.Add(tr)
-		if len(got) != len(want) {
-			t.Fatalf("incremental: %d pairs, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("incremental pair %d = %v, want %v", i, got[i], want[i])
+	for k, tr := range ts[:20] {
+		var want []treejoin.Pair
+		for _, p := range pairs {
+			if p.J == k {
+				want = append(want, p)
 			}
 		}
+		samePairs(t, "incremental", inc.Add(tr), want)
 	}
 }
 

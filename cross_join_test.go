@@ -51,12 +51,12 @@ func TestCrossJoinMethodAgreement(t *testing.T) {
 			ts := corpus.gen(seed)
 			a, b := ts[:len(ts)/3], ts[len(ts)/3:]
 			for _, tau := range []int{0, 2, 4} {
-				want, _ := treejoin.Join(a, b, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
+				want, _ := crossJoin(t, a, b, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
 				for _, m := range allMethods {
 					if m == treejoin.MethodBruteForce {
 						continue
 					}
-					got, st := treejoin.Join(a, b, tau, treejoin.WithMethod(m))
+					got, st := crossJoin(t, a, b, tau, treejoin.WithMethod(m))
 					samePairs(t, fmt.Sprintf("%s/seed=%d/τ=%d/%v", corpus.name, seed, tau, m), got, want)
 					if st.Results != int64(len(want)) {
 						t.Fatalf("%v stats.Results = %d, want %d", m, st.Results, len(want))
@@ -72,9 +72,9 @@ func TestCrossJoinMethodAgreement(t *testing.T) {
 func TestSelfJoinMethodAgreement(t *testing.T) {
 	ts := synth.Synthetic(60, 17)
 	for _, tau := range []int{1, 3} {
-		want, _ := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
+		want, _ := selfJoin(t, ts, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
 		for _, m := range allMethods {
-			got, _ := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m))
+			got, _ := selfJoin(t, ts, tau, treejoin.WithMethod(m))
 			samePairs(t, fmt.Sprintf("τ=%d/%v", tau, m), got, want)
 		}
 	}
@@ -87,12 +87,12 @@ func TestParallelismInvariance(t *testing.T) {
 	a, b := ts[:20], ts[20:]
 	const tau = 2
 	for _, m := range allMethods {
-		self, _ := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m))
-		cross, _ := treejoin.Join(a, b, tau, treejoin.WithMethod(m))
+		self, _ := selfJoin(t, ts, tau, treejoin.WithMethod(m))
+		cross, _ := crossJoin(t, a, b, tau, treejoin.WithMethod(m))
 		for _, workers := range []int{2, 4} {
-			got, _ := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m), treejoin.WithWorkers(workers))
+			got, _ := selfJoin(t, ts, tau, treejoin.WithMethod(m), treejoin.WithWorkers(workers))
 			samePairs(t, fmt.Sprintf("self/%v/w=%d", m, workers), got, self)
-			got, _ = treejoin.Join(a, b, tau, treejoin.WithMethod(m), treejoin.WithWorkers(workers))
+			got, _ = crossJoin(t, a, b, tau, treejoin.WithMethod(m), treejoin.WithWorkers(workers))
 			samePairs(t, fmt.Sprintf("cross/%v/w=%d", m, workers), got, cross)
 		}
 		sharded, _, err := mustSharded(t, 4, ts).SelfJoin(context.Background(), tau, treejoin.WithMethod(m), treejoin.WithWorkers(4))
@@ -115,10 +115,10 @@ func TestPrefilterInvariance(t *testing.T) {
 		{treejoin.PrefilterHistogram, treejoin.PrefilterPQGram, treejoin.PrefilterEulerString},
 	}
 	for _, m := range allMethods {
-		self, _ := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m))
-		cross, _ := treejoin.Join(a, b, tau, treejoin.WithMethod(m))
+		self, _ := selfJoin(t, ts, tau, treejoin.WithMethod(m))
+		cross, _ := crossJoin(t, a, b, tau, treejoin.WithMethod(m))
 		for ci, chain := range chains {
-			got, st := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m), treejoin.WithPrefilter(chain...))
+			got, st := selfJoin(t, ts, tau, treejoin.WithMethod(m), treejoin.WithPrefilter(chain...))
 			samePairs(t, fmt.Sprintf("self/%v/chain=%d", m, ci), got, self)
 			if len(st.Stages) < len(chain) {
 				t.Fatalf("%v chain %d: %d stages reported, want ≥ %d", m, ci, len(st.Stages), len(chain))
@@ -129,14 +129,14 @@ func TestPrefilterInvariance(t *testing.T) {
 						m, ci, k, st.Stages[k].In, k-1, st.Stages[k-1].Out())
 				}
 			}
-			got, _ = treejoin.Join(a, b, tau, treejoin.WithMethod(m), treejoin.WithPrefilter(chain...))
+			got, _ = crossJoin(t, a, b, tau, treejoin.WithMethod(m), treejoin.WithPrefilter(chain...))
 			samePairs(t, fmt.Sprintf("cross/%v/chain=%d", m, ci), got, cross)
 		}
 	}
 	// Prefilter + workers compose.
-	got, _ := treejoin.SelfJoin(ts, tau,
+	got, _ := selfJoin(t, ts, tau,
 		treejoin.WithPrefilter(treejoin.PrefilterHistogram), treejoin.WithWorkers(4))
-	want, _ := treejoin.SelfJoin(ts, tau)
+	want, _ := selfJoin(t, ts, tau)
 	samePairs(t, "composed", got, want)
 }
 
@@ -144,7 +144,7 @@ func TestPrefilterInvariance(t *testing.T) {
 // attribution for a plain baseline method too (its own filter is a stage).
 func TestStageStatsExposed(t *testing.T) {
 	ts := synth.Synthetic(40, 31)
-	_, st := treejoin.SelfJoin(ts, 1, treejoin.WithMethod(treejoin.MethodHistogram))
+	_, st := selfJoin(t, ts, 1, treejoin.WithMethod(treejoin.MethodHistogram))
 	if len(st.Stages) != 1 || st.Stages[0].Name != "HIST" {
 		t.Fatalf("stages = %+v", st.Stages)
 	}

@@ -62,7 +62,7 @@ func TestPublicSearchIndex(t *testing.T) {
 		}
 	}
 	// Search results agree with SelfJoin pairs for in-collection queries.
-	pairs, _ := treejoin.SelfJoin(ts, 2)
+	pairs, _ := selfJoin(t, ts, 2)
 	inJoin := map[[2]int]bool{}
 	for _, p := range pairs {
 		inJoin[[2]int{p.I, p.J}] = true

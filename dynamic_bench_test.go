@@ -8,7 +8,7 @@
 // token index, so the mutation itself (mutate-ns/op, mutate-B/op) costs what it costs a corpus that never ran a
 // token join (the nojoin- metrics, measured on a twin that only ran PartSJ).
 // "rebuild" is the alternative: build a fresh corpus over the same 2000 trees
-// and re-run the self join from scratch. BENCH_dynamic.json records the gap.
+// and re-run the self join from scratch.
 package treejoin_test
 
 import (
@@ -27,7 +27,8 @@ func BenchmarkDynamicUpdate(b *testing.B) {
 	ts := engineBenchCorpus() // the shared 2000-tree synthetic corpus
 
 	b.Run("incremental", func(b *testing.B) {
-		inc := treejoin.NewIncremental(2)
+		cp, _ := treejoin.NewCorpus(nil)
+		inc, _ := cp.Incremental(2)
 		for _, t := range ts {
 			inc.Add(t)
 		}

@@ -371,7 +371,7 @@ func TestCorpusEvictionNotUndone(t *testing.T) {
 func TestIncrementalRetraction(t *testing.T) {
 	lt := treejoin.NewLabelTable()
 	parse := func(s string) *treejoin.Tree { return treejoin.MustParseBracket(s, lt) }
-	inc := treejoin.NewIncremental(1)
+	inc, _ := mustCorpus(t, nil).Incremental(1)
 
 	mirror := map[[2]int]int{}
 	apply := func(added []treejoin.Pair) {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,14 @@ func main() {
 	}
 
 	// Which pairs of hypotheses are within 3 rearrangement edits?
-	pairs, _ := treejoin.SelfJoin(trees, 3)
+	corpus, err := treejoin.NewCorpus(trees)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pairs, _, err := corpus.SelfJoin(context.Background(), 3)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nhypotheses within TED 3:")
 	for _, p := range pairs {
 		fmt.Printf("  %-11s ~ %-11s distance %d\n",

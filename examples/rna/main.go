@@ -48,8 +48,15 @@ func main() {
 		fmt.Printf("%-10s %3d nodes  %s\n", s.name, t.Size(), s.db)
 	}
 
+	corpus, err := treejoin.NewCorpus(trees)
+	if err != nil {
+		log.Fatal(err)
+	}
 	const tau = 4
-	pairs, _ := treejoin.SelfJoin(trees, tau)
+	pairs, _, err := corpus.SelfJoin(context.Background(), tau)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nstructures within %d edits of each other:\n", tau)
 	for _, p := range pairs {
 		fmt.Printf("  %-10s ~ %-10s distance %d\n",
@@ -67,10 +74,6 @@ func main() {
 
 	// Classification by nearest neighbour: which known structure is a newly
 	// determined one most like? No threshold guess needed.
-	corpus, err := treejoin.NewCorpus(trees)
-	if err != nil {
-		log.Fatal(err)
-	}
 	q, err := treejoin.ParseDotBracket("(((..)))", "GGGAACCC", lt)
 	if err != nil {
 		log.Fatal(err)

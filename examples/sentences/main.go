@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,14 @@ func main() {
 
 	// Two parses within one edit share essentially the same construction.
 	const tau = 1
-	pairs, _ := treejoin.SelfJoin(trees, tau)
+	corpus, err := treejoin.NewCorpus(trees)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pairs, _, err := corpus.SelfJoin(context.Background(), tau)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("sentences with near-identical constituent structure (τ=%d):\n\n", tau)
 	for _, p := range pairs {
 		fmt.Printf("  %q\n~ %q\n  (structural distance %d)\n\n",
@@ -59,7 +67,10 @@ func main() {
 
 	// The same join as a stream: categorize sentences as they arrive.
 	fmt.Println("streaming categorization:")
-	stream := treejoin.NewIncremental(tau)
+	stream, err := corpus.Incremental(tau)
+	if err != nil {
+		log.Fatal(err)
+	}
 	category := make([]int, 0, len(sentences))
 	next := 0
 	for i, t := range trees {

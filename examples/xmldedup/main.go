@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,14 @@ func main() {
 	// Two documents within 3 node edits are considered near-duplicates:
 	// enough to absorb a renamed artist, an extra element, or both.
 	const tau = 3
-	pairs, stats := treejoin.SelfJoin(docs, tau)
+	corpus, err := treejoin.NewCorpus(docs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pairs, stats, err := corpus.SelfJoin(context.Background(), tau)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%d items, τ=%d: %d near-duplicate pair(s)\n", len(docs), tau, len(pairs))
 	fmt.Printf("(the PartSJ filter verified only %d of %d possible pairs)\n\n",
@@ -82,7 +90,10 @@ func main() {
 	// Live catalog maintenance: documents are inserted and updated at a high
 	// rate (the paper's closing motivation). Each update removes the stale
 	// version and reports the revision's duplicates among the live items.
-	stream := treejoin.NewIncremental(tau)
+	stream, err := corpus.Incremental(tau)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, d := range docs {
 		stream.Add(d)
 	}

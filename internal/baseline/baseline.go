@@ -1,8 +1,8 @@
 // Package baseline implements the competitors the paper evaluates PartSJ
 // against (§2, §4) plus the survey's other lower-bound filters:
 //
-//   - BruteForce: nested loop with only the size filter — the ground-truth
-//     oracle and the source of the REL series in Figures 11/13.
+//   - BF (brute force): nested loop with only the size filter — the
+//     ground-truth oracle and the source of the REL series in Figures 11/13.
 //   - STR (Guha et al. [13]): prunes a pair when the string edit distance of
 //     the trees' preorder or postorder label sequences — both TED lower
 //     bounds — exceeds τ.
@@ -11,63 +11,8 @@
 //   - HIST (Kailing et al. [16]): statistic-histogram lower bounds.
 //   - EUL (Akutsu et al. [1]): the Euler-string edit distance bound.
 //
-// Every method is a thin constructor over the shared pipeline engine: the
-// sorted nested loop enumerates size-compatible pairs, the method's filter —
-// exposed as an engine.PairFilter in filters.go so any join can chain it as
-// a prefilter — prunes them, and survivors go to the shared TED verifier.
+// Each method is its filter, an engine.PairFilter (filters.go) that any join
+// can chain: the method's own join is the shared engine's sorted nested loop
+// (engine.SortedLoop) feeding that filter, with survivors going to the shared
+// TED verifier; brute force is the loop with no filter at all.
 package baseline
-
-import (
-	"treejoin/internal/engine"
-	"treejoin/internal/sim"
-	"treejoin/internal/tree"
-)
-
-// Options configures a baseline join.
-type Options struct {
-	Tau      int
-	Verifier sim.Verifier
-	Workers  int
-}
-
-// job assembles the engine job shared by all baselines: the sorted nested
-// loop feeding the given filter chain.
-func (o Options) job(filters ...engine.PairFilter) engine.Job {
-	return engine.Job{
-		Source:   engine.SortedLoop(),
-		Filters:  filters,
-		Tau:      o.Tau,
-		Verifier: o.Verifier,
-		Workers:  o.Workers,
-	}
-}
-
-// BruteForce joins ts with only the size filter: every pair within the τ size
-// window is verified. It is the correctness oracle for all other methods and
-// its result count is the paper's REL series.
-func BruteForce(ts []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
-	return opts.job().SelfJoin(ts)
-}
-
-// STR joins ts using the traversal-string lower bounds of Guha et al.; see
-// STRFilter.
-func STR(ts []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
-	return opts.job(STRFilter()).SelfJoin(ts)
-}
-
-// SET joins ts using the binary branch filter of Yang et al.; see SETFilter.
-func SET(ts []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
-	return opts.job(SETFilter()).SelfJoin(ts)
-}
-
-// HIST joins ts using the histogram lower bounds of Kailing et al.; see
-// HISTFilter.
-func HIST(ts []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
-	return opts.job(HISTFilter()).SelfJoin(ts)
-}
-
-// EUL joins ts using the Euler-string lower bound of Akutsu et al.; see
-// EULFilter.
-func EUL(ts []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
-	return opts.job(EULFilter()).SelfJoin(ts)
-}

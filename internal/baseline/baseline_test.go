@@ -5,11 +5,19 @@ import (
 	"testing"
 
 	"treejoin/internal/baseline"
+	"treejoin/internal/engine"
+	"treejoin/internal/sim"
 	"treejoin/internal/strdist"
 	"treejoin/internal/synth"
 	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
+
+// join is a baseline's self join: the sorted nested loop feeding filters (BF
+// with none).
+func join(ts []*tree.Tree, tau, workers int, filters ...engine.PairFilter) ([]sim.Pair, *sim.Stats) {
+	return engine.Job{Source: engine.SortedLoop(), Filters: filters, Tau: tau, Workers: workers}.SelfJoin(ts)
+}
 
 // TestFigure3Bounds reproduces §2's worked example: for the Figure 3 pair,
 // TED = 3, the preorder string distance is 0 and the postorder string
@@ -100,7 +108,7 @@ func TestBruteForceMatchesNaive(t *testing.T) {
 		N: 30, AvgSize: 15, SizeJitter: 0.4, MaxFanout: 4, MaxDepth: 6,
 		Labels: 6, DepthBias: 0, Cluster: 3, Decay: 0.08, Seed: 5})
 	for tau := 0; tau <= 3; tau++ {
-		got, stats := baseline.BruteForce(ts, baseline.Options{Tau: tau})
+		got, stats := join(ts, tau, 0)
 		// Naive double loop without any ordering.
 		var want int
 		for i := 0; i < len(ts); i++ {
@@ -131,13 +139,13 @@ func TestBruteForceMatchesNaive(t *testing.T) {
 func TestBaselinesParallelWorkers(t *testing.T) {
 	ts := synth.Synthetic(60, 9)
 	for _, tau := range []int{1, 3} {
-		s1, _ := baseline.STR(ts, baseline.Options{Tau: tau})
-		s2, _ := baseline.STR(ts, baseline.Options{Tau: tau, Workers: 4})
+		s1, _ := join(ts, tau, 0, baseline.STRFilter())
+		s2, _ := join(ts, tau, 4, baseline.STRFilter())
 		if len(s1) != len(s2) {
 			t.Fatalf("STR workers changed results")
 		}
-		e1, _ := baseline.SET(ts, baseline.Options{Tau: tau})
-		e2, _ := baseline.SET(ts, baseline.Options{Tau: tau, Workers: 4})
+		e1, _ := join(ts, tau, 0, baseline.SETFilter())
+		e2, _ := join(ts, tau, 4, baseline.SETFilter())
 		if len(e1) != len(e2) {
 			t.Fatalf("SET workers changed results")
 		}
@@ -150,9 +158,9 @@ func TestBaselinesParallelWorkers(t *testing.T) {
 func TestFilterSelectivityOrdering(t *testing.T) {
 	ts := synth.Synthetic(150, 13)
 	for _, tau := range []int{1, 2, 3} {
-		_, bf := baseline.BruteForce(ts, baseline.Options{Tau: tau})
-		_, str := baseline.STR(ts, baseline.Options{Tau: tau})
-		_, set := baseline.SET(ts, baseline.Options{Tau: tau})
+		_, bf := join(ts, tau, 0)
+		_, str := join(ts, tau, 0, baseline.STRFilter())
+		_, set := join(ts, tau, 0, baseline.SETFilter())
 		if str.Candidates > bf.Candidates {
 			t.Errorf("τ=%d: STR candidates %d above size-filter count %d", tau, str.Candidates, bf.Candidates)
 		}

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"treejoin/internal/baseline"
-	"treejoin/internal/sim"
+	"treejoin/internal/engine"
 	"treejoin/internal/synth"
 	"treejoin/internal/ted"
 	"treejoin/internal/tree"
@@ -121,15 +121,15 @@ func TestEulerLowerBound(t *testing.T) {
 func TestExtraBaselinesMatchOracle(t *testing.T) {
 	ts := synth.Synthetic(120, 17)
 	for tau := 0; tau <= 3; tau++ {
-		want, _ := baseline.BruteForce(ts, baseline.Options{Tau: tau})
+		want, _ := join(ts, tau, 0)
 		for _, m := range []struct {
-			name string
-			join func([]*tree.Tree, baseline.Options) ([]sim.Pair, *sim.Stats)
+			name   string
+			filter engine.PairFilter
 		}{
-			{"HIST", baseline.HIST},
-			{"EUL", baseline.EUL},
+			{"HIST", baseline.HISTFilter()},
+			{"EUL", baseline.EULFilter()},
 		} {
-			got, stats := m.join(ts, baseline.Options{Tau: tau})
+			got, stats := join(ts, tau, 0, m.filter)
 			if len(got) != len(want) {
 				t.Fatalf("τ=%d: %s returned %d pairs, oracle %d", tau, m.name, len(got), len(want))
 			}
@@ -150,9 +150,9 @@ func TestExtraBaselinesMatchOracle(t *testing.T) {
 func TestExtraBaselinesCandidateOrdering(t *testing.T) {
 	ts := synth.Synthetic(120, 19)
 	for _, tau := range []int{1, 2, 3} {
-		_, bf := baseline.BruteForce(ts, baseline.Options{Tau: tau})
-		_, hist := baseline.HIST(ts, baseline.Options{Tau: tau})
-		_, eul := baseline.EUL(ts, baseline.Options{Tau: tau})
+		_, bf := join(ts, tau, 0)
+		_, hist := join(ts, tau, 0, baseline.HISTFilter())
+		_, eul := join(ts, tau, 0, baseline.EULFilter())
 		if hist.Candidates > bf.Candidates {
 			t.Errorf("τ=%d: HIST candidates %d above size-filter %d", tau, hist.Candidates, bf.Candidates)
 		}

@@ -61,36 +61,7 @@ func (r Result) Total() time.Duration { return r.CandGen + r.Verify }
 
 // Run executes one join and collects its measurements.
 func Run(m Method, dataset string, ts []*tree.Tree, tau, workers int) Result {
-	var st *sim.Stats
-	switch m {
-	case STR:
-		_, st = baseline.STR(ts, baseline.Options{Tau: tau, Workers: workers})
-	case SET:
-		_, st = baseline.SET(ts, baseline.Options{Tau: tau, Workers: workers})
-	case BF:
-		_, st = baseline.BruteForce(ts, baseline.Options{Tau: tau, Workers: workers})
-	case HIST:
-		_, st = baseline.HIST(ts, baseline.Options{Tau: tau, Workers: workers})
-	case EUL:
-		_, st = baseline.EUL(ts, baseline.Options{Tau: tau, Workers: workers})
-	case PRTRandom:
-		_, st = core.SelfJoin(ts, core.Options{Tau: tau, Workers: workers, RandomPartition: true, Seed: 42})
-	case PRTPaper:
-		_, st = core.SelfJoin(ts, core.Options{Tau: tau, Workers: workers, Position: core.PositionPaper})
-	case PRTNoPos:
-		_, st = core.SelfJoin(ts, core.Options{Tau: tau, Workers: workers, Position: core.PositionOff})
-	case PQG:
-		_, st = loopJob(tau, workers, pqgram.Filter(0)).SelfJoin(ts)
-	case PRTHist:
-		_, st = core.Options{Tau: tau, Workers: workers}.
-			Job([]engine.PairFilter{baseline.HISTFilter()}).SelfJoin(ts)
-	case STRHist:
-		_, st = loopJob(tau, workers, baseline.HISTFilter(), baseline.STRFilter()).SelfJoin(ts)
-	case PQGHist:
-		_, st = loopJob(tau, workers, baseline.HISTFilter(), pqgram.Filter(0)).SelfJoin(ts)
-	default:
-		_, st = core.SelfJoin(ts, core.Options{Tau: tau, Workers: workers})
-	}
+	_, st := job(m, tau, workers).SelfJoin(ts)
 	return Result{
 		Method:     m,
 		Dataset:    dataset,
@@ -104,8 +75,42 @@ func Run(m Method, dataset string, ts []*tree.Tree, tau, workers int) Result {
 	}
 }
 
+// job assembles method m's engine job: PartSJ and its ablations probe the
+// subgraph index, every other method is the sorted nested loop feeding its
+// filter chain (BF's is empty).
+func job(m Method, tau, workers int) engine.Job {
+	prt := core.Options{Tau: tau, Workers: workers}
+	switch m {
+	case PRTRandom:
+		prt.RandomPartition, prt.Seed = true, 42
+	case PRTPaper:
+		prt.Position = core.PositionPaper
+	case PRTNoPos:
+		prt.Position = core.PositionOff
+	case PRTHist:
+		return prt.Job([]engine.PairFilter{baseline.HISTFilter()})
+	case STR:
+		return loopJob(tau, workers, baseline.STRFilter())
+	case SET:
+		return loopJob(tau, workers, baseline.SETFilter())
+	case BF:
+		return loopJob(tau, workers)
+	case HIST:
+		return loopJob(tau, workers, baseline.HISTFilter())
+	case EUL:
+		return loopJob(tau, workers, baseline.EULFilter())
+	case PQG:
+		return loopJob(tau, workers, pqgram.Filter(0))
+	case STRHist:
+		return loopJob(tau, workers, baseline.HISTFilter(), baseline.STRFilter())
+	case PQGHist:
+		return loopJob(tau, workers, baseline.HISTFilter(), pqgram.Filter(0))
+	}
+	return prt.Job(nil)
+}
+
 // loopJob assembles a sorted-nested-loop engine job with the given filter
-// chain — the shape of every non-PRT method.
+// chain.
 func loopJob(tau, workers int, filters ...engine.PairFilter) engine.Job {
 	return engine.Job{
 		Source:  engine.SortedLoop(),

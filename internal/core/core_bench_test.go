@@ -73,7 +73,7 @@ func BenchmarkSubgraphMatch(b *testing.B) {
 func BenchmarkIncrementalAdd(b *testing.B) {
 	ts := synth.Synthetic(512, 3)
 	b.ResetTimer()
-	inc := NewIncremental(Options{Tau: 2})
+	inc := NewIncrementalCached(Options{Tau: 2}, nil)
 	for i := 0; i < b.N; i++ {
 		inc.Add(ts[i%len(ts)])
 	}

@@ -3,7 +3,6 @@ package core_test
 import (
 	"testing"
 
-	"treejoin/internal/baseline"
 	"treejoin/internal/core"
 	"treejoin/internal/synth"
 	"treejoin/internal/tree"
@@ -22,8 +21,8 @@ func TestAliasedTrees(t *testing.T) {
 		{Tau: 1},
 		{Tau: 1, Workers: 3},
 	} {
-		got, _ := core.SelfJoin(ts, opts)
-		want, _ := baseline.BruteForce(ts, baseline.Options{Tau: opts.Tau})
+		got, _ := opts.Job(nil).SelfJoin(ts)
+		want, _ := loopJoin(ts, opts.Tau)
 		if len(got) != len(want) {
 			t.Fatalf("τ=%d: %v, oracle %v", opts.Tau, got, want)
 		}
@@ -42,8 +41,8 @@ func TestLargeTauSmallTrees(t *testing.T) {
 		N: 25, AvgSize: 6, SizeJitter: 0.5, MaxFanout: 3, MaxDepth: 4,
 		Labels: 3, DepthBias: 0, Cluster: 1, Decay: 0, Seed: 31})
 	for _, tau := range []int{6, 10, 25} {
-		got, st := core.SelfJoin(ts, core.Options{Tau: tau})
-		want, _ := baseline.BruteForce(ts, baseline.Options{Tau: tau})
+		got, st := core.Options{Tau: tau}.Job(nil).SelfJoin(ts)
+		want, _ := loopJoin(ts, tau)
 		if len(got) != len(want) {
 			t.Fatalf("τ=%d: %d pairs, oracle %d", tau, len(got), len(want))
 		}
@@ -62,8 +61,8 @@ func TestSingleLabelCollection(t *testing.T) {
 		N: 40, AvgSize: 18, SizeJitter: 0.4, MaxFanout: 4, MaxDepth: 8,
 		Labels: 1, DepthBias: 0, Cluster: 2, Decay: 0.08, Seed: 37})
 	for tau := 0; tau <= 3; tau++ {
-		got, _ := core.SelfJoin(ts, core.Options{Tau: tau})
-		want, _ := baseline.BruteForce(ts, baseline.Options{Tau: tau})
+		got, _ := core.Options{Tau: tau}.Job(nil).SelfJoin(ts)
+		want, _ := loopJoin(ts, tau)
 		if len(got) != len(want) {
 			t.Fatalf("τ=%d: %d pairs, oracle %d", tau, len(got), len(want))
 		}
@@ -79,7 +78,7 @@ func TestIdenticalForest(t *testing.T) {
 	for i := range ts {
 		ts[i] = base.Clone()
 	}
-	pairs, _ := core.SelfJoin(ts, core.Options{Tau: 2})
+	pairs, _ := core.Options{Tau: 2}.Job(nil).SelfJoin(ts)
 	want := len(ts) * (len(ts) - 1) / 2
 	if len(pairs) != want {
 		t.Fatalf("%d pairs, want %d", len(pairs), want)
@@ -98,7 +97,7 @@ func TestIdenticalForest(t *testing.T) {
 func TestVerifierFailureInjection(t *testing.T) {
 	ts := synth.Synthetic(40, 41)
 	rejectAll := func(a, b *tree.Tree, tau int) (int, bool) { return tau + 1, false }
-	pairs, st := core.SelfJoin(ts, core.Options{Tau: 2, Verifier: rejectAll})
+	pairs, st := core.Options{Tau: 2, Verifier: rejectAll}.Job(nil).SelfJoin(ts)
 	if len(pairs) != 0 {
 		t.Fatalf("reject-all verifier produced %d pairs", len(pairs))
 	}
@@ -106,7 +105,7 @@ func TestVerifierFailureInjection(t *testing.T) {
 		t.Fatal("no candidates reached the verifier")
 	}
 	acceptAll := func(a, b *tree.Tree, tau int) (int, bool) { return 0, true }
-	pairs, st = core.SelfJoin(ts, core.Options{Tau: 2, Verifier: acceptAll})
+	pairs, st = core.Options{Tau: 2, Verifier: acceptAll}.Job(nil).SelfJoin(ts)
 	if int64(len(pairs)) != st.Candidates {
 		t.Fatalf("accept-all: %d pairs vs %d candidates", len(pairs), st.Candidates)
 	}

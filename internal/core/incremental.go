@@ -57,22 +57,12 @@ type Incremental struct {
 // standingKey packs a result pair (i < j) into one map key.
 func standingKey(i, j int) uint64 { return uint64(uint32(i))<<32 | uint64(uint32(j)) }
 
-// NewIncremental returns an empty streaming join with the given options.
-// RandomPartition is not supported and is ignored. It panics on invalid
-// options — the legacy contract; corpus-backed callers use
-// NewIncrementalCached.
-func NewIncremental(opts Options) *Incremental {
-	if err := opts.validate(); err != nil {
-		panic(err)
-	}
-	return NewIncrementalCached(opts, nil)
-}
-
-// NewIncrementalCached is NewIncremental drawing per-tree artifacts (binary
-// views, δ-partitions, the verifier's arena views) from cache: a stream fed
-// trees a corpus has already joined — or re-adding a tree it removed — skips
-// their recomputation. A nil cache computes everything locally. Options must
-// be valid.
+// NewIncrementalCached returns an empty streaming join with the given options
+// (opts.Tau ≥ 0; RandomPartition is not supported and is ignored), drawing
+// per-tree artifacts (binary views, δ-partitions, the verifier's arena views)
+// from cache: a stream fed trees a corpus has already joined — or re-adding a
+// tree it removed — skips their recomputation. A nil cache computes
+// everything locally.
 func NewIncrementalCached(opts Options, cache *engine.Cache) *Incremental {
 	return &Incremental{
 		opts:      opts,

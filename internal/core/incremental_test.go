@@ -17,7 +17,7 @@ func TestIncrementalRemove(t *testing.T) {
 	ts := synth.Synthetic(60, 47)
 	const tau = 2
 	rng := rand.New(rand.NewSource(53))
-	inc := core.NewIncremental(core.Options{Tau: tau})
+	inc := core.NewIncrementalCached(core.Options{Tau: tau}, nil)
 	live := map[int]*tree.Tree{} // stream position -> tree
 	for _, tr := range ts {
 		// Occasionally remove a random live tree first.
@@ -59,7 +59,7 @@ func TestIncrementalRemove(t *testing.T) {
 // rejected; removed positions stay stable and report nil trees.
 func TestIncrementalRemoveEdgeCases(t *testing.T) {
 	lt := tree.NewLabelTable()
-	inc := core.NewIncremental(core.Options{Tau: 1})
+	inc := core.NewIncrementalCached(core.Options{Tau: 1}, nil)
 	inc.Add(tree.MustParseBracket("{a{b}}", lt))
 	inc.Add(tree.MustParseBracket("{a{c}}", lt))
 	if inc.Remove(-1) || inc.Remove(2) {
@@ -89,7 +89,7 @@ func TestIncrementalRemoveEdgeCases(t *testing.T) {
 // TestIncrementalUpdate: Update is Remove+Add with a fresh stable position.
 func TestIncrementalUpdate(t *testing.T) {
 	lt := tree.NewLabelTable()
-	inc := core.NewIncremental(core.Options{Tau: 1})
+	inc := core.NewIncrementalCached(core.Options{Tau: 1}, nil)
 	inc.Add(tree.MustParseBracket("{a{b}{c}}", lt))
 	inc.Add(tree.MustParseBracket("{x{y{z}}}", lt))
 	pos, pairs := inc.Update(0, tree.MustParseBracket("{a{b}{d}}", lt))
@@ -111,7 +111,7 @@ func TestIncrementalUpdate(t *testing.T) {
 func TestIncrementalCompaction(t *testing.T) {
 	lt := tree.NewLabelTable()
 	const tau = 1
-	inc := core.NewIncremental(core.Options{Tau: tau})
+	inc := core.NewIncrementalCached(core.Options{Tau: tau}, nil)
 	rng := rand.New(rand.NewSource(59))
 	var liveTrees []*tree.Tree
 	var livePos []int

@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"treejoin/internal/engine"
 	"treejoin/internal/sim"
-	"treejoin/internal/tree"
 )
 
 // Options configures a PartSJ join.
@@ -41,15 +39,15 @@ type Options struct {
 
 func (o Options) delta() int { return 2*o.Tau + 1 }
 
-func (o Options) validate() error {
-	if o.Tau < 0 {
-		return fmt.Errorf("core: negative threshold %d", o.Tau)
-	}
-	return nil
-}
-
-// Job assembles the engine job for a PartSJ execution: the inverted subgraph
-// index as the candidate source, with prefilters (if any) ahead of it.
+// Job assembles the engine job for a PartSJ execution (Algorithm 1): the
+// inverted subgraph index as the candidate source, with prefilters (if any)
+// ahead of it. Its SelfJoin reports every pair of trees with TED ≤ o.Tau, its
+// Join every cross pair, each tree probing the opposite side's index so the
+// Lemma 2 filter applies to cross pairs exactly as to self pairs. Trees
+// smaller than δ = 2τ+1 nodes cannot be δ-partitioned (a δ-partitioning needs
+// 2τ distinct edges); the paper does not discuss them. They are kept in a side
+// list and paired by direct verification, which is cheap precisely because
+// such trees are tiny. o.Tau must not be negative.
 func (o Options) Job(filters []engine.PairFilter) engine.Job {
 	job := engine.Job{
 		Source:   NewSource(o),
@@ -65,33 +63,4 @@ func (o Options) Job(filters []engine.PairFilter) engine.Job {
 		job.Plan.Chain[i] = f.Name()
 	}
 	return job
-}
-
-// SelfJoin implements Algorithm 1 (PartSJ): it reports every pair of trees in
-// ts with TED ≤ opts.Tau, in canonical (I, J) order, together with execution
-// statistics. Trees must share a label table. The index over subgraphs is
-// built at the start of the join (see source.go); no preprocessing is
-// required.
-//
-// Trees smaller than δ = 2τ+1 nodes cannot be δ-partitioned (a δ-partitioning
-// needs 2τ distinct edges); the paper does not discuss them. They are kept in
-// a side list and paired by direct verification, which is cheap precisely
-// because such trees are tiny.
-func SelfJoin(ts []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
-	if err := opts.validate(); err != nil {
-		panic(err)
-	}
-	return opts.Job(nil).SelfJoin(ts)
-}
-
-// Join reports every cross pair (a ∈ A, b ∈ B) with TED ≤ opts.Tau. Pair.I
-// indexes into A and Pair.J into B. Both collections must share one label
-// table. The engine processes the union of the collections in ascending
-// size order, each tree probing the opposite side's subgraph index, so the
-// Lemma 2 filter applies to every cross pair exactly as in the self join.
-func Join(a, b []*tree.Tree, opts Options) ([]sim.Pair, *sim.Stats) {
-	if err := opts.validate(); err != nil {
-		panic(err)
-	}
-	return opts.Job(nil).Join(a, b)
 }

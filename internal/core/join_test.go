@@ -7,10 +7,17 @@ import (
 
 	"treejoin/internal/baseline"
 	"treejoin/internal/core"
+	"treejoin/internal/engine"
 	"treejoin/internal/sim"
 	"treejoin/internal/synth"
 	"treejoin/internal/tree"
 )
+
+// loopJoin is a baseline's self join: the sorted nested loop feeding filters;
+// with none it is the brute-force oracle.
+func loopJoin(ts []*tree.Tree, tau int, filters ...engine.PairFilter) ([]sim.Pair, *sim.Stats) {
+	return engine.Job{Source: engine.SortedLoop(), Filters: filters, Tau: tau}.SelfJoin(ts)
+}
 
 // testCollection is one dataset for the oracle-equality suite.
 type testCollection struct {
@@ -113,7 +120,7 @@ func TestJoinMethodsAgreeWithOracle(t *testing.T) {
 	}
 	for _, col := range cols {
 		for tau := 0; tau <= maxTau; tau++ {
-			want, _ := baseline.BruteForce(col.ts, baseline.Options{Tau: tau})
+			want, _ := loopJoin(col.ts, tau)
 			check := func(name string, got []sim.Pair) {
 				t.Helper()
 				if !pairsEqual(want, got) {
@@ -121,21 +128,21 @@ func TestJoinMethodsAgreeWithOracle(t *testing.T) {
 						col.name, name, tau, len(got), len(want), got, want)
 				}
 			}
-			prt, _ := core.SelfJoin(col.ts, core.Options{Tau: tau})
+			prt, _ := core.Options{Tau: tau}.Job(nil).SelfJoin(col.ts)
 			check("PRT-safe", prt)
-			off, _ := core.SelfJoin(col.ts, core.Options{Tau: tau, Position: core.PositionOff})
+			off, _ := core.Options{Tau: tau, Position: core.PositionOff}.Job(nil).SelfJoin(col.ts)
 			check("PRT-off", off)
-			rnd, _ := core.SelfJoin(col.ts, core.Options{Tau: tau, RandomPartition: true, Seed: 99})
+			rnd, _ := core.Options{Tau: tau, RandomPartition: true, Seed: 99}.Job(nil).SelfJoin(col.ts)
 			check("PRT-random", rnd)
-			str, _ := baseline.STR(col.ts, baseline.Options{Tau: tau})
+			str, _ := loopJoin(col.ts, tau, baseline.STRFilter())
 			check("STR", str)
-			set, _ := baseline.SET(col.ts, baseline.Options{Tau: tau})
+			set, _ := loopJoin(col.ts, tau, baseline.SETFilter())
 			check("SET", set)
 			// The paper's position ranges: every reported pair must be a true
 			// result (no false positives ever); completeness can fail only in
 			// adversarial corner cases, which we surface as a log, not a
 			// failure (see DESIGN.md reproduction notes).
-			paper, _ := core.SelfJoin(col.ts, core.Options{Tau: tau, Position: core.PositionPaper})
+			paper, _ := core.Options{Tau: tau, Position: core.PositionPaper}.Job(nil).SelfJoin(col.ts)
 			wantSet := pairSet(want)
 			for _, p := range paper {
 				if _, ok := wantSet[[2]int{p.I, p.J}]; !ok {
@@ -156,8 +163,8 @@ func TestJoinStatsSanity(t *testing.T) {
 	cols := testCollections(true)
 	for _, col := range cols {
 		for tau := 1; tau <= 3; tau++ {
-			_, bfStats := baseline.BruteForce(col.ts, baseline.Options{Tau: tau})
-			pairs, st := core.SelfJoin(col.ts, core.Options{Tau: tau})
+			_, bfStats := loopJoin(col.ts, tau)
+			pairs, st := core.Options{Tau: tau}.Job(nil).SelfJoin(col.ts)
 			if st.Results != int64(len(pairs)) {
 				t.Fatalf("Results stat %d != %d", st.Results, len(pairs))
 			}
@@ -179,8 +186,8 @@ func TestJoinStatsSanity(t *testing.T) {
 func TestSelfJoinParallelVerification(t *testing.T) {
 	cols := testCollections(true)
 	for _, col := range cols {
-		seq, _ := core.SelfJoin(col.ts, core.Options{Tau: 2})
-		par, _ := core.SelfJoin(col.ts, core.Options{Tau: 2, Workers: 4})
+		seq, _ := core.Options{Tau: 2}.Job(nil).SelfJoin(col.ts)
+		par, _ := core.Options{Tau: 2, Workers: 4}.Job(nil).SelfJoin(col.ts)
 		if !pairsEqual(seq, par) {
 			t.Fatalf("%s: parallel verification changed results", col.name)
 		}
@@ -189,11 +196,11 @@ func TestSelfJoinParallelVerification(t *testing.T) {
 
 func TestSelfJoinEdgeCases(t *testing.T) {
 	lt := tree.NewLabelTable()
-	if pairs, st := core.SelfJoin(nil, core.Options{Tau: 2}); len(pairs) != 0 || st.Results != 0 {
+	if pairs, st := (core.Options{Tau: 2}).Job(nil).SelfJoin(nil); len(pairs) != 0 || st.Results != 0 {
 		t.Fatal("empty collection should produce no pairs")
 	}
 	one := []*tree.Tree{tree.MustParseBracket("{a}", lt)}
-	if pairs, _ := core.SelfJoin(one, core.Options{Tau: 3}); len(pairs) != 0 {
+	if pairs, _ := (core.Options{Tau: 3}).Job(nil).SelfJoin(one); len(pairs) != 0 {
 		t.Fatal("single tree should produce no pairs")
 	}
 	// τ = 0: exactly the duplicate pairs.
@@ -203,7 +210,7 @@ func TestSelfJoinEdgeCases(t *testing.T) {
 		tree.MustParseBracket("{a{c}}", lt),
 		tree.MustParseBracket("{a{b}}", lt),
 	}
-	pairs, _ := core.SelfJoin(dups, core.Options{Tau: 0})
+	pairs, _ := core.Options{Tau: 0}.Job(nil).SelfJoin(dups)
 	want := []sim.Pair{{I: 0, J: 1}, {I: 0, J: 3}, {I: 1, J: 3}}
 	if len(pairs) != len(want) {
 		t.Fatalf("τ=0 pairs = %v", pairs)
@@ -220,8 +227,8 @@ func TestSelfJoinEdgeCases(t *testing.T) {
 		tree.MustParseBracket("{a{b}}", lt),
 		tree.MustParseBracket("{a{c}}", lt),
 	}
-	got, st := core.SelfJoin(tiny, core.Options{Tau: 2})
-	oracle, _ := baseline.BruteForce(tiny, baseline.Options{Tau: 2})
+	got, st := core.Options{Tau: 2}.Job(nil).SelfJoin(tiny)
+	oracle, _ := loopJoin(tiny, 2)
 	if !pairsEqual(got, oracle) {
 		t.Fatalf("tiny join = %v, oracle %v", got, oracle)
 	}
@@ -230,13 +237,15 @@ func TestSelfJoinEdgeCases(t *testing.T) {
 	}
 }
 
+// TestSelfJoinPanicsOnNegativeTau: the collecting SelfJoin of a PartSJ job
+// panics on τ < 0 (a Corpus validates first and returns an error).
 func TestSelfJoinPanicsOnNegativeTau(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on τ < 0")
 		}
 	}()
-	core.SelfJoin(nil, core.Options{Tau: -1})
+	core.Options{Tau: -1}.Job(nil).SelfJoin(nil)
 }
 
 // TestIncrementalMatchesBatch: streaming insertion in random order yields the
@@ -246,10 +255,10 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, col := range cols {
 		for tau := 0; tau <= 3; tau++ {
-			want, _ := baseline.BruteForce(col.ts, baseline.Options{Tau: tau})
+			want, _ := loopJoin(col.ts, tau)
 			// Shuffle arrival order.
 			arrival := rng.Perm(len(col.ts))
-			inc := core.NewIncremental(core.Options{Tau: tau})
+			inc := core.NewIncrementalCached(core.Options{Tau: tau}, nil)
 			var got []sim.Pair
 			for _, orig := range arrival {
 				for _, p := range inc.Add(col.ts[orig]) {
@@ -283,8 +292,8 @@ func TestCrossJoin(t *testing.T) {
 		mid := len(col.ts) / 2
 		a, b := col.ts[:mid], col.ts[mid:]
 		for tau := 0; tau <= 3; tau++ {
-			got, _ := core.Join(a, b, core.Options{Tau: tau})
-			all, _ := baseline.BruteForce(col.ts, baseline.Options{Tau: tau})
+			got, _ := core.Options{Tau: tau}.Job(nil).Join(a, b)
+			all, _ := loopJoin(col.ts, tau)
 			var want []sim.Pair
 			for _, p := range all {
 				if p.I < mid && p.J >= mid {
@@ -310,11 +319,11 @@ func TestCustomVerifierInjection(t *testing.T) {
 		calls++
 		return sim.DefaultVerifier(t1, t2, tau)
 	}
-	pairs, st := core.SelfJoin(ts, core.Options{Tau: 2, Verifier: v})
+	pairs, st := core.Options{Tau: 2, Verifier: v}.Job(nil).SelfJoin(ts)
 	if int64(calls) != st.Candidates {
 		t.Fatalf("verifier calls %d != candidates %d", calls, st.Candidates)
 	}
-	oracle, _ := baseline.BruteForce(ts, baseline.Options{Tau: 2})
+	oracle, _ := loopJoin(ts, 2)
 	if !pairsEqual(pairs, oracle) {
 		t.Fatal("custom verifier changed results")
 	}
@@ -328,9 +337,9 @@ func TestCustomVerifierInjection(t *testing.T) {
 func TestPositionModesCandidateOrdering(t *testing.T) {
 	ts := synth.Synthetic(120, 5)
 	for tau := 1; tau <= 3; tau++ {
-		_, safe := core.SelfJoin(ts, core.Options{Tau: tau, Position: core.PositionSafe})
-		_, off := core.SelfJoin(ts, core.Options{Tau: tau, Position: core.PositionOff})
-		_, paper := core.SelfJoin(ts, core.Options{Tau: tau, Position: core.PositionPaper})
+		_, safe := core.Options{Tau: tau, Position: core.PositionSafe}.Job(nil).SelfJoin(ts)
+		_, off := core.Options{Tau: tau, Position: core.PositionOff}.Job(nil).SelfJoin(ts)
+		_, paper := core.Options{Tau: tau, Position: core.PositionPaper}.Job(nil).SelfJoin(ts)
 		if safe.Candidates > off.Candidates {
 			t.Errorf("τ=%d: safe candidates %d > off %d", tau, safe.Candidates, off.Candidates)
 		}
@@ -351,8 +360,8 @@ func TestLargerSyntheticAgainstOracle(t *testing.T) {
 			N: 90, AvgSize: 40, SizeJitter: 0.3, MaxFanout: 3, MaxDepth: 5,
 			Labels: 20, DepthBias: 0, Cluster: 4, Decay: 0.05, Seed: seed})
 		for tau := 1; tau <= 4; tau++ {
-			want, _ := baseline.BruteForce(ts, baseline.Options{Tau: tau})
-			got, _ := core.SelfJoin(ts, core.Options{Tau: tau})
+			want, _ := loopJoin(ts, tau)
+			got, _ := core.Options{Tau: tau}.Job(nil).SelfJoin(ts)
 			if !pairsEqual(want, got) {
 				t.Fatalf("seed %d τ=%d: %d pairs, oracle %d", seed, tau, len(got), len(want))
 			}
@@ -360,14 +369,14 @@ func TestLargerSyntheticAgainstOracle(t *testing.T) {
 	}
 }
 
-func ExampleSelfJoin() {
+func ExampleOptions_Job() {
 	lt := tree.NewLabelTable()
 	ts := []*tree.Tree{
 		tree.MustParseBracket("{article{title{Go}}{year{2015}}}", lt),
 		tree.MustParseBracket("{article{title{Go!}}{year{2015}}}", lt),
 		tree.MustParseBracket("{book{title{SQL}}{year{1999}}}", lt),
 	}
-	pairs, _ := core.SelfJoin(ts, core.Options{Tau: 1})
+	pairs, _ := core.Options{Tau: 1}.Job(nil).SelfJoin(ts)
 	for _, p := range pairs {
 		fmt.Printf("trees %d and %d are within distance %d\n", p.I, p.J, p.Dist)
 	}

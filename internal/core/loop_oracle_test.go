@@ -239,14 +239,14 @@ func TestForeignIndexIsNotProbed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	lt := tree.NewLabelTable()
 	ts := clusteredTrees(rng, 60, lt)
-	want, _ := SelfJoin(ts, Options{Tau: 2})
+	want, _ := Options{Tau: 2}.Job(nil).SelfJoin(ts)
 	for name, foreign := range map[string]*Index{
-		"other trees":     NewIndex(ts[:59], Options{Tau: 2}),
-		"other threshold": NewIndex(ts, Options{Tau: 1}),
-		"other mode":      NewIndex(ts, Options{Tau: 2, Position: PositionOff}),
+		"other trees":     NewIndexCached(ts[:59], Options{Tau: 2}, nil),
+		"other threshold": NewIndexCached(ts, Options{Tau: 1}, nil),
+		"other mode":      NewIndexCached(ts, Options{Tau: 2, Position: PositionOff}, nil),
 	} {
 		opts := Options{Tau: 2, Indexes: func(context.Context, int, int) (*Index, bool) { return foreign, false }}
-		got, st := SelfJoin(ts, opts)
+		got, st := opts.Job(nil).SelfJoin(ts)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: a foreign index changed the result", name)
 		}

@@ -24,8 +24,8 @@ import (
 // query and data is required ([13, 16, 27] study the search query; PartSJ's
 // index answers it directly).
 //
-// An Index is immutable after NewIndex and safe for concurrent use; probing
-// state is per call.
+// An Index is immutable after NewIndexCached and safe for concurrent use;
+// probing state is per call.
 type Index struct {
 	opts   Options
 	ts     []*tree.Tree
@@ -42,8 +42,8 @@ type Index struct {
 // — at most ⌊log₂(tauCap)⌋+2 of them per query, where tauCap = max tree size +
 // query size — so the default covers a full worst-case sweep for
 // tree-plus-query sizes up to ~16K nodes. A smaller cap makes a sweep longer
-// than the cap cycle the LRU (each query rebuilding every index), which is the
-// caveat to weigh when lowering it via WithIndexCacheCap.
+// than the cap cycle the LRU (each query rebuilding every index). A corpus
+// bounds its whole-membership index caches by the same cap.
 const DefaultIndexCacheCap = 16
 
 // Match is one search hit: collection position and exact distance.
@@ -62,24 +62,14 @@ func CompareMatchesByDist(a, b Match) int {
 	return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Pos, b.Pos))
 }
 
-// NewIndex partitions and indexes every tree of ts for searches with
-// threshold opts.Tau; the verifier options are used by Search. It panics on
-// invalid options — the legacy contract; corpus-backed callers validate first
-// and use NewIndexCached.
-func NewIndex(ts []*tree.Tree, opts Options) *Index {
-	if err := opts.validate(); err != nil {
-		panic(err)
-	}
-	return NewIndexCached(ts, opts, nil)
-}
-
-// NewIndexCached is NewIndex drawing per-tree artifacts (binary views and
-// δ-partitions) from cache, so an index built over a corpus's trees reuses
-// the signatures earlier indexes computed — and indexes at other thresholds
-// reuse at least the views. A nil cache computes everything locally. The
-// build runs on opts.Workers goroutines (partitioning and program
-// compilation per tree; see buildInvIndex), except under RandomPartition,
-// whose RNG stream is sequential. Options must be valid.
+// NewIndexCached partitions and indexes every tree of ts for probes with
+// threshold opts.Tau ≥ 0; the verifier options are used by Search. Per-tree
+// artifacts (binary views and δ-partitions) come from cache, so an index built
+// over a corpus's trees reuses the signatures earlier indexes computed — and
+// indexes at other thresholds reuse at least the views. A nil cache computes
+// everything locally. The build runs on opts.Workers goroutines (partitioning
+// and program compilation per tree; see buildInvIndex), except under
+// RandomPartition, whose RNG stream is sequential.
 func NewIndexCached(ts []*tree.Tree, opts Options, cache *engine.Cache) *Index {
 	start := time.Now()
 	x := &Index{opts: opts, ts: ts, cache: cache}

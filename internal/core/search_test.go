@@ -33,7 +33,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	rebuilt = append(rebuilt, tree.MustParseBracket("{l0}", lt))
 
 	for tau := 0; tau <= 3; tau++ {
-		ix := core.NewIndex(ts, core.Options{Tau: tau})
+		ix := core.NewIndexCached(ts, core.Options{Tau: tau}, nil)
 		for qi, q := range rebuilt {
 			got := ix.Search(q)
 			var want []core.Match
@@ -56,7 +56,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 
 func TestSearchConcurrent(t *testing.T) {
 	ts := synth.Synthetic(60, 19)
-	ix := core.NewIndex(ts, core.Options{Tau: 2})
+	ix := core.NewIndexCached(ts, core.Options{Tau: 2}, nil)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for w := 0; w < 8; w++ {
@@ -89,7 +89,7 @@ func TestSearchConcurrent(t *testing.T) {
 
 func TestSearchTinyTreesAndEmpty(t *testing.T) {
 	lt := tree.NewLabelTable()
-	ix := core.NewIndex(nil, core.Options{Tau: 2})
+	ix := core.NewIndexCached(nil, core.Options{Tau: 2}, nil)
 	if got := ix.Search(tree.MustParseBracket("{a}", lt)); len(got) != 0 {
 		t.Fatalf("empty index returned %v", got)
 	}
@@ -98,7 +98,7 @@ func TestSearchTinyTreesAndEmpty(t *testing.T) {
 		tree.MustParseBracket("{a{b}}", lt),
 		tree.MustParseBracket("{x{y{z{w{v{u}}}}}}", lt),
 	}
-	ix = core.NewIndex(ts, core.Options{Tau: 1})
+	ix = core.NewIndexCached(ts, core.Options{Tau: 1}, nil)
 	got := ix.Search(tree.MustParseBracket("{a{c}}", lt))
 	if len(got) != 2 || got[0].Pos != 0 || got[1].Pos != 1 {
 		t.Fatalf("search = %v", got)

@@ -27,7 +27,7 @@ func chunkedSelfJoin(ts []*tree.Tree, opts core.Options) ([]sim.Pair, *sim.Stats
 func TestShardedMatchesSelfJoin(t *testing.T) {
 	ts := synth.Synthetic(120, 43)
 	for _, tau := range []int{1, 3} {
-		want, _ := core.SelfJoin(ts, core.Options{Tau: tau})
+		want, _ := core.Options{Tau: tau}.Job(nil).SelfJoin(ts)
 		for _, workers := range []int{0, 1, 2, 3, 7, 16} {
 			got, stats, err := chunkedSelfJoin(ts, core.Options{Tau: tau, Workers: workers})
 			if err != nil {
@@ -74,7 +74,7 @@ func TestShardedSizeSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := core.SelfJoin(ts, core.Options{Tau: 2})
+	want, _ := core.Options{Tau: 2}.Job(nil).SelfJoin(ts)
 	if len(got) != len(want) {
 		t.Fatalf("%d pairs, want %d", len(got), len(want))
 	}

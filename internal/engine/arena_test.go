@@ -117,7 +117,7 @@ func TestArenaVerifierZeroAllocs(t *testing.T) {
 
 // TestCustomVerifierStillRuns: a Job with an explicit Verifier bypasses the
 // arena path through the stateless adapter, and its decisions are respected
-// verbatim (the legacy contract tests depend on).
+// verbatim (the verifier-injection tests depend on it).
 func TestCustomVerifierStillRuns(t *testing.T) {
 	ts := synth.Synthetic(30, 31)
 	var calls int64

@@ -349,8 +349,9 @@ type Job struct {
 // SelfJoin runs the job over one collection and reports every unordered pair
 // within Tau, in canonical ascending (I, J) order.
 //
-// It is the uncancellable materialising form of StreamSelf, retained for the
-// legacy free functions; it panics on a negative threshold.
+// It is the uncancellable materialising form of StreamSelf — the collecting
+// form the experiment harness and tests run; it panics on a negative
+// threshold.
 func (job Job) SelfJoin(ts []*tree.Tree) ([]sim.Pair, *sim.Stats) {
 	return job.collect(context.Background(), ts, -1)
 }
@@ -386,8 +387,8 @@ func combined(a, b []*tree.Tree) []*tree.Tree {
 	return ts
 }
 
-// collect materialises a stream into the canonical sorted slice; validation
-// failures panic (the legacy contract of the free functions).
+// collect materialises a stream into the canonical sorted slice; a
+// validation failure panics.
 func (job Job) collect(ctx context.Context, ts []*tree.Tree, split int) ([]sim.Pair, *sim.Stats) {
 	var results []sim.Pair
 	stats, err := job.stream(ctx, ts, split, func(p sim.Pair) bool {

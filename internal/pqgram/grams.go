@@ -142,8 +142,8 @@ func Tokenizer(q int) engine.Tokenizer {
 // Filter returns the Euler-gram lower bound as an engine pipeline stage:
 // pairs whose gram-bag distance exceeds 4qτ are pruned. q ≤ 0 selects
 // DefaultQ. This is the filter behind the public MethodPQGram and
-// PrefilterPQGram; the approximate pq-gram joins (Join, JoinIndexed) remain
-// separate because their distance carries no TED guarantee.
+// PrefilterPQGram; the pq-gram distance itself (Distance) is no such bound,
+// so it filters no join.
 func Filter(q int) engine.PairFilter {
 	if q <= 0 {
 		q = DefaultQ

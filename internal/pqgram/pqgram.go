@@ -151,23 +151,3 @@ func Distance(a, b *Profile) float64 {
 func BagDistance(a, b *Profile) int {
 	return a.Len() + b.Len() - 2*Intersection(a, b)
 }
-
-// Join reports every pair of trees whose normalised pq-gram distance is at
-// most eps — an *approximate* similarity join (no TED guarantee), useful for
-// candidate mining when an exact threshold is not required. Pairs are in
-// ascending (I, J) order.
-func Join(ts []*tree.Tree, p, q int, eps float64) [][2]int {
-	profiles := make([]*Profile, len(ts))
-	for i, t := range ts {
-		profiles[i] = New(t, p, q)
-	}
-	var out [][2]int
-	for i := 0; i < len(ts); i++ {
-		for j := i + 1; j < len(ts); j++ {
-			if Distance(profiles[i], profiles[j]) <= eps {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}

@@ -59,7 +59,7 @@ func TestDatasetRoundTripPublic(t *testing.T) {
 		}
 	}
 	// Joining the decoded collection works (labels re-interned consistently).
-	pairs, _ := treejoin.SelfJoin(ts2, 10)
+	pairs, _ := selfJoin(t, ts2, 10)
 	if len(pairs) != 1 {
 		t.Fatalf("join on decoded trees: %d pairs", len(pairs))
 	}

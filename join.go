@@ -39,7 +39,7 @@ const (
 	// MethodPQGram filters with the Euler-tour q-gram bag lower bound,
 	// |G_q(T1) △ G_q(T2)| ≤ 4q·TED — the pq-gram machinery's exact-join
 	// cousin. (The pq-gram distance itself approximates TED without bounding
-	// it, so the approximate joins stay separate; see internal/pqgram.)
+	// it, so it is no join filter; PQGramDistance exposes it.)
 	MethodPQGram
 )
 
@@ -122,14 +122,10 @@ func (p Prefilter) stage() engine.PairFilter {
 type config struct {
 	method     Method
 	workers    int
-	position   core.PositionFilter
-	randPart   bool
 	fixedPlan  bool
 	planSpecs  []PlanSpec
-	seed       int64
 	prefilters []Prefilter
 	statsDst   *Stats
-	indexCap   int
 
 	// Persistent-store knobs (see Open, WithMemtableBudget, WithStoreNoSync,
 	// WithSalvage).
@@ -138,13 +134,13 @@ type config struct {
 	salvage     bool
 }
 
-// Option customises a join call.
+// Option customises a query, or — the store options — an Open.
 type Option func(*config)
 
 // WithMethod selects the join algorithm (default MethodPartSJ).
 func WithMethod(m Method) Option { return func(c *config) { c.method = m } }
 
-// WithWorkers runs the join on n parallel goroutines: TED verification for
+// WithWorkers runs a query on n parallel goroutines: TED verification for
 // every method, plus candidate generation wherever the source decomposes —
 // the sorted nested loop (MethodBruteForce, a PlanSourceSortedLoop plan) deals
 // its probe positions across the pool; PartSJ builds its subgraph index on
@@ -168,45 +164,12 @@ func WithPrefilter(fs ...Prefilter) Option {
 	return func(c *config) { c.prefilters = append(c.prefilters, fs...) }
 }
 
-// WithPaperPositionRanges makes PartSJ use the paper's τ−⌊k/2⌋ postorder
-// pruning ranges instead of the proven-sound ±τ default. Slightly fewer
-// candidates, but completeness is not guaranteed in adversarial corner cases;
-// see DESIGN.md.
-func WithPaperPositionRanges() Option {
-	return func(c *config) { c.position = core.PositionPaper }
-}
-
-// WithoutPositionFilter disables PartSJ's postorder pruning layer (label
-// grouping only). Exposed for ablation experiments.
-func WithoutPositionFilter() Option {
-	return func(c *config) { c.position = core.PositionOff }
-}
-
-// WithRandomPartitions replaces PartSJ's balanced MaxMinSize partitioning by
-// uniformly random bridging edges (seeded by seed). Exposed for the
-// partitioning-scheme ablation; the join remains correct, only slower.
-func WithRandomPartitions(seed int64) Option {
-	return func(c *config) { c.randPart = true; c.seed = seed }
-}
-
 // WithStats asks the call to write its execution statistics into dst when it
 // finishes. The slice-returning Corpus calls return Stats directly; this
 // option exists for the streaming variants, whose iter.Seq shape leaves no
 // room for a Stats return — dst is filled when the sequence is exhausted or
 // abandoned (partial statistics on cancellation or early break).
 func WithStats(dst *Stats) Option { return func(c *config) { c.statsDst = dst } }
-
-// WithIndexCacheCap bounds each index cache of a Corpus — each part's
-// per-threshold PartSJ indexes behind Search and KNN, and the epoch's
-// whole-membership indexes that joins probe: the PartSJ ones composed from
-// the parts', and the token indexes of the signature methods' self joins, one
-// per (tokenizer, threshold, prefix multiplier) — at n indexes, evicting the
-// least recently used; n < 1 selects the default
-// (which covers a full KNN expanding sweep for trees up to ~4K nodes). Each
-// cached entry is a full index over the collection, so the cap trades
-// rebuild time against memory — but a cap smaller than a query's sweep makes
-// the sweep cycle the LRU, rebuilding every index per query.
-func WithIndexCacheCap(n int) Option { return func(c *config) { c.indexCap = n } }
 
 func buildConfig(opts []Option) config {
 	var c config
@@ -216,9 +179,8 @@ func buildConfig(opts []Option) config {
 	return c
 }
 
-// validate reports whether the configured method and prefilter chain name
-// real algorithms. The Corpus API surfaces this as an error; the legacy free
-// functions panic on it.
+// validate reports whether the configured method, prefilter chain and plan
+// specs name real algorithms.
 func (c config) validate() error {
 	switch c.method {
 	case MethodPartSJ, MethodSTR, MethodSET, MethodBruteForce, MethodHistogram, MethodEulerString, MethodPQGram:
@@ -253,28 +215,15 @@ func (c config) validate() error {
 }
 
 func (c config) coreOptions(tau int) core.Options {
-	return core.Options{
-		Tau:             tau,
-		Position:        c.position,
-		RandomPartition: c.randPart,
-		Seed:            c.seed,
-		Workers:         c.workers,
-	}
-}
-
-// jobChecked assembles the engine pipeline for the configured method; see
-// pipelineChecked, which additionally exposes the planning seam.
-func (c config) jobChecked(tau int) (engine.Job, error) {
-	job, _, err := c.pipelineChecked(tau)
-	return job, err
+	return core.Options{Tau: tau, Workers: c.workers}
 }
 
 // pipelineChecked assembles the engine pipeline for the configured method:
 // its candidate source, the prefilter chain followed by the method's own
 // filter, and the execution knobs — with any WithFixedPlan spec applied and
 // the resulting fixed plan record stamped into the job. This is the single
-// dispatch point behind the Corpus queries and the legacy SelfJoin and Join;
-// invalid input comes back as an error. The returned tokenizer is non-nil
+// dispatch point behind the Corpus joins and Explain; invalid input comes
+// back as an error. The returned tokenizer is non-nil
 // exactly when the method's candidate source is the token index family —
 // the seam the corpus's adaptive planner hangs off (a nil tokenizer means
 // the source is not the planner's to choose).
@@ -400,47 +349,6 @@ func fixedPlanRecord(job engine.Job, tz engine.Tokenizer) sim.PlanRecord {
 	return rec
 }
 
-// job is jobChecked for the legacy free functions, which panic on invalid
-// input.
-func (c config) job(tau int) engine.Job {
-	job, err := c.jobChecked(tau)
-	if err != nil {
-		panic(err.Error())
-	}
-	return job
-}
-
-// SelfJoin reports every unordered pair of trees in ts whose tree edit
-// distance is at most tau, in ascending (I, J) order. All trees must share
-// one LabelTable.
-//
-// Deprecated: construct a Corpus with NewCorpus and use Corpus.SelfJoin
-// (cancellable, error-returning, and reusing per-tree signatures across
-// calls) or Corpus.SelfJoinSeq (streaming). This wrapper remains for
-// compatibility and keeps the legacy contract: it panics on a negative
-// threshold or an unknown method/prefilter, and recomputes every signature
-// per call.
-func SelfJoin(ts []*Tree, tau int, opts ...Option) ([]Pair, Stats) {
-	c := buildConfig(opts)
-	pairs, st := c.job(tau).SelfJoin(ts)
-	c.publishStats(st)
-	return pairs, *st
-}
-
-// Join reports every cross pair (a ∈ A, b ∈ B) within distance tau; Pair.I
-// indexes into a and Pair.J into b. Every method supports cross joins. Both
-// collections must share one LabelTable.
-//
-// Deprecated: use Corpus.Join, which validates the shared label table,
-// returns errors instead of panicking, and reuses cached signatures. This
-// wrapper remains for compatibility and keeps the legacy panicking contract.
-func Join(a, b []*Tree, tau int, opts ...Option) ([]Pair, Stats) {
-	c := buildConfig(opts)
-	pairs, st := c.job(tau).Join(a, b)
-	c.publishStats(st)
-	return pairs, *st
-}
-
 // publishStats copies st into the WithStats destination, if one was given.
 func (c config) publishStats(st *Stats) {
 	if c.statsDst != nil && st != nil {
@@ -452,20 +360,10 @@ func (c config) publishStats(st *Stats) {
 // in any order, and each Add returns the new tree's partners among all
 // previously added trees. This serves the paper's closing motivation —
 // "streaming workloads where tree objects are inserted and updated at a high
-// rate" — with the same PartSJ index built incrementally.
+// rate" — with the same PartSJ index built incrementally. Corpus.Incremental
+// returns one.
 type Incremental struct {
 	inner *core.Incremental
-}
-
-// NewIncremental returns an empty streaming join with threshold tau. It
-// panics on a negative threshold; Corpus.Incremental is the error-returning
-// form, which additionally shares the corpus's signature cache.
-func NewIncremental(tau int, opts ...Option) *Incremental {
-	if tau < 0 {
-		panic(fmt.Sprintf("treejoin: negative threshold %d", tau))
-	}
-	c := buildConfig(opts)
-	return &Incremental{inner: core.NewIncremental(c.coreOptions(tau))}
 }
 
 // Add inserts t and returns all pairs (existing index, new index) within the

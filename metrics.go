@@ -50,12 +50,3 @@ func NewPQGramProfile(t *Tree, p, q int) *PQGramProfile { return pqgram.New(t, p
 // PQGramDistance returns the normalised pq-gram distance in [0, 1] between
 // two profiles of the same shape.
 func PQGramDistance(a, b *PQGramProfile) float64 { return pqgram.Distance(a, b) }
-
-// PQGramJoin reports every pair of trees whose normalised pq-gram distance
-// is at most eps, in ascending (I, J) order — an approximate similarity join
-// (no TED guarantee) evaluated through an inverted index over gram
-// fingerprints, useful for candidate mining when an exact threshold is not
-// required. p and q set the gram shape (2 and 3 are customary).
-func PQGramJoin(ts []*Tree, p, q int, eps float64) [][2]int {
-	return pqgram.JoinIndexed(ts, p, q, eps)
-}

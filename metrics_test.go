@@ -55,12 +55,12 @@ func TestSoakAllProfiles(t *testing.T) {
 		"treebank":  treebankSoak(),
 	}
 	for name, ts := range profiles {
-		want, _ := treejoin.SelfJoin(ts, 2, treejoin.WithMethod(treejoin.MethodBruteForce), treejoin.WithWorkers(4))
+		want, _ := selfJoin(t, ts, 2, treejoin.WithMethod(treejoin.MethodBruteForce), treejoin.WithWorkers(4))
 		for _, opts := range [][]treejoin.Option{
 			nil,
 			{treejoin.WithWorkers(4)},
 		} {
-			got, _ := treejoin.SelfJoin(ts, 2, opts...)
+			got, _ := selfJoin(t, ts, 2, opts...)
 			if len(got) != len(want) {
 				t.Fatalf("%s %v: %d pairs, oracle %d", name, opts, len(got), len(want))
 			}

@@ -8,24 +8,6 @@ import (
 	"treejoin/internal/synth"
 )
 
-func TestNegativeTauPanics(t *testing.T) {
-	cases := []func(){
-		func() { treejoin.SelfJoin(nil, -1) },
-		func() { treejoin.Join(nil, nil, -2) },
-		func() { treejoin.NewIncremental(-1) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic on negative tau", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestJoinSupportsEveryMethod(t *testing.T) {
 	// Historically Join panicked for every method but PartSJ; the engine
 	// refactor made cross joins universal. See cross_join_test.go for the
@@ -41,7 +23,7 @@ func TestJoinSupportsEveryMethod(t *testing.T) {
 		treejoin.MethodBruteForce, treejoin.MethodHistogram,
 		treejoin.MethodEulerString, treejoin.MethodPQGram,
 	} {
-		pairs, _ := treejoin.Join(a, b, 1, treejoin.WithMethod(m))
+		pairs, _ := crossJoin(t, a, b, 1, treejoin.WithMethod(m))
 		if len(pairs) != 1 || pairs[0].I != 0 || pairs[0].J != 0 || pairs[0].Dist != 1 {
 			t.Fatalf("%v: Join = %+v, want one (0,0,1) pair", m, pairs)
 		}
@@ -56,8 +38,8 @@ func TestUnknownMethodString(t *testing.T) {
 
 func TestIncrementalMatchesSelfJoin(t *testing.T) {
 	ts := synth.Synthetic(50, 53)
-	ref, _ := treejoin.SelfJoin(ts, 2, treejoin.WithWorkers(4))
-	inc := treejoin.NewIncremental(2)
+	ref, _ := selfJoin(t, ts, 2, treejoin.WithWorkers(4))
+	inc, _ := mustCorpus(t, nil).Incremental(2)
 	n := 0
 	for _, tr := range ts {
 		n += len(inc.Add(tr))

@@ -3,11 +3,11 @@
 // Treebank), the best execution plan for the same query differs — sometimes
 // the token index wins, sometimes the sorted loop with a reordered chain.
 // The sweep measures the PQG+HIST signature join per profile × τ under each
-// fixed plan and under WithAutoPlan. Fixed runs go first: their statistics
+// fixed plan and under the auto plan. Fixed runs go first: their statistics
 // feed the corpus's cost model, so the auto rows measure a converged planner
-// (origin "observed") — the steady state of a reused corpus. The numbers
-// land in BENCH_plan.json; the acceptance bar is auto within 5% of the best
-// fixed plan everywhere and ≥1.3× over the worst fixed plan somewhere.
+// (origin "observed") — the steady state of a reused corpus. The acceptance
+// bar is auto within 5% of the best fixed plan everywhere and ≥1.3× over the
+// worst fixed plan somewhere.
 package treejoin_test
 
 import (

@@ -60,12 +60,6 @@ func TestFixedPlanConflicts(t *testing.T) {
 	if _, err := cp.Incremental(1, treejoin.WithFixedPlan(treejoin.PlanSpec{})); !errors.Is(err, treejoin.ErrOptionConflict) {
 		t.Fatal("Incremental must reject fixed plan specs")
 	}
-
-	// WithAutoPlan undoes an earlier WithFixedPlan — no conflict survives.
-	if _, _, err := cp.SelfJoin(ctx, 1, treejoin.WithMethod(treejoin.MethodPQGram),
-		treejoin.WithFixedPlan(treejoin.PlanSpec{PrefixC: -1}), treejoin.WithAutoPlan()); err != nil {
-		t.Fatalf("WithAutoPlan after WithFixedPlan: %v", err)
-	}
 }
 
 func TestExplain(t *testing.T) {

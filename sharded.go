@@ -20,9 +20,8 @@ var ErrShardCount = errors.New("treejoin: shard count must be at least 1")
 // Search fans out over the parts, while a join probes the parts' indexes
 // composed into one. Ids are assigned 0..len(ts)-1 in order and tree i lives
 // in part i mod n; results and join statistics are those of NewCorpus(ts),
-// which is the n = 1 case. The slice is copied. Options are corpus-level
-// (currently WithIndexCacheCap).
-func NewSharded(n int, ts []*Tree, opts ...Option) (*Corpus, error) {
+// which is the n = 1 case. The slice is copied.
+func NewSharded(n int, ts []*Tree) (*Corpus, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrShardCount, n)
 	}
@@ -34,7 +33,7 @@ func NewSharded(n int, ts []*Tree, opts ...Option) (*Corpus, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	return newCorpus(n, buildConfig(opts).indexCap, slices.Clone(ts), ids, len(ts), lt, nil), nil
+	return newCorpus(n, slices.Clone(ts), ids, len(ts), lt, nil), nil
 }
 
 // OpenSharded is Open with the membership partitioned into n parts. The
@@ -45,8 +44,7 @@ func OpenSharded(dir string, n int, opts ...Option) (*Corpus, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w (got %d)", ErrShardCount, n)
 	}
-	c := buildConfig(opts)
-	s, err := openStore(dir, c)
+	s, err := openStore(dir, buildConfig(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +53,7 @@ func OpenSharded(dir string, n int, opts ...Option) (*Corpus, error) {
 	for i, lv := range live {
 		ts[i], ids[i] = lv.Tree, int(lv.ID)
 	}
-	return newCorpus(n, c.indexCap, ts, ids, int(s.NextID()), s.Labels(), s), nil
+	return newCorpus(n, ts, ids, int(s.NextID()), s.Labels(), s), nil
 }
 
 // fanOut runs fn(i, w) for every i in [0, n) on a pool carrying the caller's

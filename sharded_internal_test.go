@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"treejoin/internal/core"
 	"treejoin/internal/synth"
 )
 
@@ -99,7 +98,7 @@ func TestWarmSearchAllocatesNoRunCache(t *testing.T) {
 		search() // builds the parts' indexes
 		probes := func() {
 			for _, p := range cp.state.Load().parts {
-				ix, _, _ := p.indexAt(ctx, core.PositionSafe, 2, 1, cp)
+				ix, _, _ := p.indexAt(ctx, 2, 1, cp)
 				ix.SearchCtx(ctx, q)
 			}
 		}

@@ -54,8 +54,8 @@ type StoreStats = segstore.Stats
 // segment and releases the store; a crash instead of a Close loses nothing
 // (the WAL replays), it only leaves the memtable trees to be re-staged.
 //
-// Options are corpus-level: WithIndexCacheCap as for NewCorpus, plus
-// WithMemtableBudget and WithStoreNoSync for the store itself.
+// The options that apply are the store's: WithMemtableBudget, WithStoreNoSync
+// and WithSalvage.
 func Open(dir string, opts ...Option) (*Corpus, error) { return OpenSharded(dir, 1, opts...) }
 
 // openStore opens the store at dir, or creates an empty one there.

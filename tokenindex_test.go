@@ -48,8 +48,8 @@ func TestTokenIndexOracleSweep(t *testing.T) {
 			for _, tau := range []int{0, 1, 2, 4, 8} {
 				label := fmt.Sprintf("%s/%v/τ=%d", p.name, m, tau)
 				var ist, lst treejoin.Stats
-				got, ist := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m))
-				want, lst := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m), loop)
+				got, ist := selfJoin(t, ts, tau, treejoin.WithMethod(m))
+				want, lst := selfJoin(t, ts, tau, treejoin.WithMethod(m), loop)
 				samePairs(t, "self/"+label, got, want)
 				if ist.Candidates > lst.Candidates {
 					t.Fatalf("self/%s: index candidates %d > loop %d", label, ist.Candidates, lst.Candidates)
@@ -57,8 +57,8 @@ func TestTokenIndexOracleSweep(t *testing.T) {
 				if lst.Source != "sorted-loop" {
 					t.Fatalf("%s: the pinned sorted loop ran source %q", label, lst.Source)
 				}
-				got, ist = treejoin.Join(a, b, tau, treejoin.WithMethod(m))
-				want, lst = treejoin.Join(a, b, tau, treejoin.WithMethod(m), loop)
+				got, ist = crossJoin(t, a, b, tau, treejoin.WithMethod(m))
+				want, lst = crossJoin(t, a, b, tau, treejoin.WithMethod(m), loop)
 				samePairs(t, "cross/"+label, got, want)
 				if ist.Candidates > lst.Candidates {
 					t.Fatalf("cross/%s: index candidates %d > loop %d", label, ist.Candidates, lst.Candidates)
@@ -73,7 +73,7 @@ func TestTokenIndexOracleSweep(t *testing.T) {
 // regular workload the token index, all visible in Stats.Source.
 func TestTokenIndexAutoFallback(t *testing.T) {
 	small := synth.Synthetic(20, 9)
-	_, st := treejoin.SelfJoin(small, 1, treejoin.WithMethod(treejoin.MethodSTR))
+	_, st := selfJoin(t, small, 1, treejoin.WithMethod(treejoin.MethodSTR))
 	if st.Source != "sorted-loop" {
 		t.Fatalf("small corpus: source = %q, want sorted-loop", st.Source)
 	}
@@ -85,7 +85,7 @@ func TestTokenIndexAutoFallback(t *testing.T) {
 			maxSize = tr.Size()
 		}
 	}
-	_, st = treejoin.SelfJoin(big, maxSize, treejoin.WithMethod(treejoin.MethodHistogram))
+	_, st = selfJoin(t, big, maxSize, treejoin.WithMethod(treejoin.MethodHistogram))
 	if st.Source != "sorted-loop" {
 		t.Fatalf("τ=max size: source = %q, want sorted-loop", st.Source)
 	}
@@ -93,22 +93,22 @@ func TestTokenIndexAutoFallback(t *testing.T) {
 	// Bag-swallowing threshold: labels have C = 2 and bag = tree size, so at
 	// τ = ⌈maxSize/2⌉ even the largest bag is light and the index would
 	// degenerate to the light-list scan — must fall back.
-	_, st = treejoin.SelfJoin(big, (maxSize+1)/2, treejoin.WithMethod(treejoin.MethodHistogram))
+	_, st = selfJoin(t, big, (maxSize+1)/2, treejoin.WithMethod(treejoin.MethodHistogram))
 	if st.Source != "sorted-loop" {
 		t.Fatalf("bag-swallowing τ: source = %q, want sorted-loop", st.Source)
 	}
 
-	_, st = treejoin.SelfJoin(big, 2, treejoin.WithMethod(treejoin.MethodPQGram))
+	_, st = selfJoin(t, big, 2, treejoin.WithMethod(treejoin.MethodPQGram))
 	if !strings.HasPrefix(st.Source, "token-index(") {
 		t.Fatalf("regular corpus: source = %q, want token-index(...)", st.Source)
 	}
 
 	// PartSJ and BruteForce never use the token index.
-	_, st = treejoin.SelfJoin(big, 1)
+	_, st = selfJoin(t, big, 1)
 	if st.Source != "partsj" {
 		t.Fatalf("PartSJ source = %q", st.Source)
 	}
-	_, st = treejoin.SelfJoin(big, 1, treejoin.WithMethod(treejoin.MethodBruteForce))
+	_, st = selfJoin(t, big, 1, treejoin.WithMethod(treejoin.MethodBruteForce))
 	if st.Source != "sorted-loop" {
 		t.Fatalf("BruteForce source = %q", st.Source)
 	}
@@ -156,7 +156,7 @@ func TestCandWall(t *testing.T) {
 		{treejoin.WithMethod(treejoin.MethodSTR)},
 		{treejoin.WithMethod(treejoin.MethodSTR), treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop}), treejoin.WithWorkers(4)},
 	} {
-		_, st := treejoin.SelfJoin(ts, 2, opts...)
+		_, st := selfJoin(t, ts, 2, opts...)
 		if st.CandWall <= 0 {
 			t.Fatalf("CandWall = %v (stats %+v)", st.CandWall, st)
 		}

@@ -28,7 +28,7 @@ func TestPublicTopK(t *testing.T) {
 		t.Fatalf("pairs unsorted: %+v", got)
 	}
 	// TopK agrees with a SelfJoin at the distance of its worst pair.
-	pairs, _ := treejoin.SelfJoin(ts, got[1].Dist)
+	pairs, _ := selfJoin(t, ts, got[1].Dist)
 	found := 0
 	for _, p := range pairs {
 		if p == got[0] || p == got[1] {
@@ -86,9 +86,9 @@ func TestPublicExtraMethods(t *testing.T) {
 		treejoin.MustParseBracket("{a{b}{x}}", lt),
 		treejoin.MustParseBracket("{q{r{s{t{u}}}}}", lt),
 	}
-	want, _ := treejoin.SelfJoin(ts, 2)
+	want, _ := selfJoin(t, ts, 2)
 	for _, m := range []treejoin.Method{treejoin.MethodHistogram, treejoin.MethodEulerString} {
-		got, _ := treejoin.SelfJoin(ts, 2, treejoin.WithMethod(m))
+		got, _ := selfJoin(t, ts, 2, treejoin.WithMethod(m))
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d pairs, want %d", m, len(got), len(want))
 		}
@@ -122,7 +122,7 @@ func TestPublicSubtreeSearch(t *testing.T) {
 
 func TestPublicIncrementalRemove(t *testing.T) {
 	lt := treejoin.NewLabelTable()
-	inc := treejoin.NewIncremental(1)
+	inc, _ := mustCorpus(t, nil).Incremental(1)
 	inc.Add(treejoin.MustParseBracket("{a{b}}", lt))
 	if !inc.Remove(0) || inc.Remove(0) {
 		t.Fatal("remove semantics")
@@ -177,7 +177,7 @@ func TestPublicCanonicalize(t *testing.T) {
 			treejoin.FormatBracket(ca), treejoin.FormatBracket(cb))
 	}
 	// Canonicalise-then-join finds the unordered duplicate pair.
-	pairs, _ := treejoin.SelfJoin([]*treejoin.Tree{ca, cb}, 0)
+	pairs, _ := selfJoin(t, []*treejoin.Tree{ca, cb}, 0)
 	if len(pairs) != 1 {
 		t.Fatalf("join on canonical forms: %v", pairs)
 	}
@@ -196,7 +196,7 @@ func TestPublicShardedJoin(t *testing.T) {
 		}
 		ts = append(ts, b.MustBuild())
 	}
-	want, _ := treejoin.SelfJoin(ts, 2)
+	want, _ := selfJoin(t, ts, 2)
 	got, _, err := mustSharded(t, 4, ts).SelfJoin(context.Background(), 2, treejoin.WithWorkers(4))
 	if err != nil || len(got) != len(want) {
 		t.Fatalf("sharded: %d pairs, want %d", len(got), len(want))

@@ -12,12 +12,13 @@
 // in-memory subgraph index, built once per corpus epoch and threshold and
 // probed in parallel by joins and searches alike, with exact TED verification
 // (a τ-banded Zhang–Shasha with an RTED-style strategy choice, behind size,
-// label and traversal-string lower bounds) only for surviving candidates. The baselines the paper compares against (STR traversal-string
-// lower bounds and SET binary-branch distance) are included for comparison,
-// as are the survey's other filters (HIST statistics histograms, EUL Euler
-// strings) and a brute-force oracle.
+// label and traversal-string lower bounds) only for surviving candidates. The
+// baselines the paper compares against (STR traversal-string lower bounds and
+// SET binary-branch distance) are included for comparison, as are the
+// survey's other filters (HIST statistics histograms, EUL Euler strings, PQG
+// Euler-gram bags) and a brute-force oracle.
 //
-// The primary entry point is the Corpus: construct it over a collection,
+// Every join and query runs on a Corpus: construct it over a collection,
 // then run the whole query family off it — thresholded self and cross joins
 // (SelfJoin, Join), similarity search (Search), top-k closest pairs (TopK),
 // k-nearest neighbours (KNN), and a streaming join with inserts, deletes and
@@ -30,8 +31,7 @@
 // filter signature the first query computes, so later queries — at any
 // threshold, with any method — skip that work; every query takes a context
 // for cancellation, and the Seq variants stream verified pairs with constant
-// result memory. The original free functions (SelfJoin, Join, NewIncremental)
-// remain as deprecated one-shot wrappers.
+// result memory.
 //
 // Also here: subtree search inside one large tree (SubtreeSearch), exact
 // (Distance), bounded (DistanceWithin), weighted (DistanceWithCosts), and

@@ -1,6 +1,7 @@
 package treejoin_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -21,12 +22,12 @@ func sampleTrees(lt *treejoin.LabelTable) []*treejoin.Tree {
 func TestPublicSelfJoinMethodsAgree(t *testing.T) {
 	ts := synth.Synthetic(80, 3)
 	for tau := 0; tau <= 3; tau++ {
-		ref, refStats := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
+		ref, refStats := selfJoin(t, ts, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
 		if refStats.Results != int64(len(ref)) {
 			t.Fatalf("stats mismatch")
 		}
 		for _, m := range []treejoin.Method{treejoin.MethodPartSJ, treejoin.MethodSTR, treejoin.MethodSET} {
-			got, _ := treejoin.SelfJoin(ts, tau, treejoin.WithMethod(m))
+			got, _ := selfJoin(t, ts, tau, treejoin.WithMethod(m))
 			if len(got) != len(ref) {
 				t.Fatalf("τ=%d %v: %d pairs, oracle %d", tau, m, len(got), len(ref))
 			}
@@ -41,21 +42,9 @@ func TestPublicSelfJoinMethodsAgree(t *testing.T) {
 
 func TestPublicJoinOptions(t *testing.T) {
 	ts := synth.Synthetic(60, 4)
-	ref, _ := treejoin.SelfJoin(ts, 2)
-	for _, opts := range [][]treejoin.Option{
-		{treejoin.WithWorkers(4)},
-		{treejoin.WithoutPositionFilter()},
-		{treejoin.WithRandomPartitions(7)},
-	} {
-		got, _ := treejoin.SelfJoin(ts, 2, opts...)
-		if len(got) != len(ref) {
-			t.Fatalf("options %v changed results: %d vs %d", opts, len(got), len(ref))
-		}
-	}
-	// Paper ranges: subset of the truth.
-	paper, _ := treejoin.SelfJoin(ts, 2, treejoin.WithPaperPositionRanges())
-	if len(paper) > len(ref) {
-		t.Fatalf("paper ranges added results")
+	ref, _ := selfJoin(t, ts, 2)
+	if got, _ := selfJoin(t, ts, 2, treejoin.WithWorkers(4)); len(got) != len(ref) {
+		t.Fatalf("WithWorkers(4) changed results: %d vs %d", len(got), len(ref))
 	}
 }
 
@@ -77,11 +66,11 @@ func TestPublicDistance(t *testing.T) {
 func TestPublicCrossJoin(t *testing.T) {
 	lt := treejoin.NewLabelTable()
 	ts := sampleTrees(lt)
-	pairs, _ := treejoin.Join(ts[:2], ts[2:], 1)
+	pairs, _ := crossJoin(t, ts[:2], ts[2:], 1)
 	if len(pairs) != 0 {
 		t.Fatalf("cross pairs = %v", pairs)
 	}
-	pairs, _ = treejoin.Join(ts[:2], ts[1:2], 1)
+	pairs, _ = crossJoin(t, ts[:2], ts[1:2], 1)
 	// A[0]~B[0] (dist 1), A[1]~B[0] (dist 0)
 	if len(pairs) != 2 {
 		t.Fatalf("cross pairs = %v", pairs)
@@ -90,7 +79,7 @@ func TestPublicCrossJoin(t *testing.T) {
 
 func TestPublicIncremental(t *testing.T) {
 	lt := treejoin.NewLabelTable()
-	inc := treejoin.NewIncremental(1)
+	inc, _ := mustCorpus(t, nil).Incremental(1)
 	ts := sampleTrees(lt)
 	var total int
 	for _, tr := range ts {
@@ -137,14 +126,14 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-func ExampleSelfJoin() {
+func ExampleCorpus_SelfJoin() {
 	lt := treejoin.NewLabelTable()
-	docs := []*treejoin.Tree{
+	corpus, _ := treejoin.NewCorpus([]*treejoin.Tree{
 		treejoin.MustParseBracket("{html{head{title{x}}}{body{p{hi}}}}", lt),
 		treejoin.MustParseBracket("{html{head{title{x}}}{body{p{hello}}}}", lt),
 		treejoin.MustParseBracket("{html{body{table{tr{td}}}}}", lt),
-	}
-	pairs, _ := treejoin.SelfJoin(docs, 2)
+	})
+	pairs, _, _ := corpus.SelfJoin(context.Background(), 2)
 	for _, p := range pairs {
 		fmt.Printf("documents %d and %d differ by %d edit(s)\n", p.I, p.J, p.Dist)
 	}
@@ -154,7 +143,8 @@ func ExampleSelfJoin() {
 
 func ExampleIncremental() {
 	lt := treejoin.NewLabelTable()
-	stream := treejoin.NewIncremental(1)
+	corpus, _ := treejoin.NewCorpus(nil)
+	stream, _ := corpus.Incremental(1)
 	for _, s := range []string{"{a{b}{c}}", "{a{b}{d}}", "{x{y}}"} {
 		matches := stream.Add(treejoin.MustParseBracket(s, lt))
 		fmt.Printf("%s: %d match(es)\n", s, len(matches))
