@@ -12,9 +12,9 @@ import (
 // TestBandedVerificationMatches: the τ-banded verifier produces exactly the
 // brute-force result set (unbounded Zhang–Shasha over every pair) across
 // methods, thresholds and worker counts, and the run's Stats are conserved:
-// every candidate is accounted for — settled with no DP (the traversal-string
-// screen's rejections a subset of those) or decided by a DP under a recorded
-// strategy — and nothing the statistics count depends on how many workers the
+// every candidate is accounted for — rejected with no DP (the traversal-string
+// screen's rejections a subset of those), certified with no DP, or decided by
+// a DP under a recorded strategy — and nothing the statistics count depends on how many workers the
 // tasks were dealt to.
 func TestBandedVerificationMatches(t *testing.T) {
 	ctx := context.Background()
@@ -50,9 +50,10 @@ func TestBandedVerificationMatches(t *testing.T) {
 				if m == treejoin.MethodBruteForce && tau >= 1 && bst.SeqRejects == 0 {
 					t.Fatalf("τ=%d: the string screen settled none of %d size-window pairs", tau, bst.Candidates)
 				}
-				if bst.SeqRejects > bst.DPAvoided || bst.DPAvoided+bst.StrategyLeft+bst.StrategyRight != bst.Candidates {
-					t.Fatalf("%v τ=%d w=%d: %d candidates, %d settled with no DP (%d by the string screen), %d+%d DPs",
-						m, tau, workers, bst.Candidates, bst.DPAvoided, bst.SeqRejects, bst.StrategyLeft, bst.StrategyRight)
+				if bst.SeqRejects > bst.DPAvoided || bst.Certified > bst.Results ||
+					bst.DPAvoided+bst.Certified+bst.StrategyLeft+bst.StrategyRight != bst.Candidates {
+					t.Fatalf("%v τ=%d w=%d: %d candidates, %d rejected with no DP (%d by the string screen), %d certified, %d+%d DPs",
+						m, tau, workers, bst.Candidates, bst.DPAvoided, bst.SeqRejects, bst.Certified, bst.StrategyLeft, bst.StrategyRight)
 				}
 				if workers == 1 {
 					one = bst

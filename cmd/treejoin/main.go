@@ -424,8 +424,8 @@ func printStats(m treejoin.Method, tau int, st treejoin.Stats) {
 	// wall is what the user waited for the candidate stage.
 	fmt.Fprintf(os.Stderr, "candgen:     %v cpu, %v wall\n", st.CandTime+st.PartitionTime, st.CandWall)
 	fmt.Fprintf(os.Stderr, "verify:      %v\n", st.VerifyTime)
-	fmt.Fprintf(os.Stderr, "verifier:    %d DPs avoided (%d by the string screen), %d keyroots skipped, %d band aborts, strategy %dL/%dR\n",
-		st.DPAvoided, st.SeqRejects, st.KeyrootsSkipped, st.BandAborts, st.StrategyLeft, st.StrategyRight)
+	fmt.Fprintf(os.Stderr, "verifier:    %d DPs avoided (%d by the string screen), %d certified, %d keyroots skipped, %d band aborts, strategy %dL/%dR\n",
+		st.DPAvoided, st.SeqRejects, st.Certified, st.KeyrootsSkipped, st.BandAborts, st.StrategyLeft, st.StrategyRight)
 	fmt.Fprintf(os.Stderr, "total:       %v cpu\n", st.Total())
 	for _, stage := range st.Stages {
 		fmt.Fprintf(os.Stderr, "stage %-6s %d in, %d pruned, %d out\n",

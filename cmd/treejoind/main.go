@@ -308,6 +308,7 @@ type wireSummary struct {
 	VerifyMs   float64 `json:"verify_ms"`
 	DPAvoided  int64   `json:"dp_avoided"`
 	SeqRejects int64   `json:"seq_rejects"`
+	Certified  int64   `json:"certified"`
 	Source     string  `json:"source,omitempty"`
 }
 
@@ -320,6 +321,7 @@ func summarize(st treejoin.Stats) wireSummary {
 		VerifyMs:   float64(st.VerifyTime.Microseconds()) / 1e3,
 		DPAvoided:  st.DPAvoided,
 		SeqRejects: st.SeqRejects,
+		Certified:  st.Certified,
 		Source:     st.Source,
 	}
 }

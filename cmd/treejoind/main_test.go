@@ -86,6 +86,7 @@ func TestServeEndpoints(t *testing.T) {
 			Trees      int   `json:"trees"`
 			DPAvoided  int64 `json:"dp_avoided"`
 			SeqRejects int64 `json:"seq_rejects"`
+			Certified  int64 `json:"certified"`
 		} `json:"summary"`
 	}
 	if err := json.Unmarshal([]byte(last), &summary); err != nil {
@@ -98,7 +99,7 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("streamed %d pairs, summary says %d", got, summary.Summary.Results)
 	}
 	// The verifier counters of every shard round are rolled up into the line.
-	if s := summary.Summary; s.SeqRejects > s.DPAvoided || s.DPAvoided+s.Results > s.Candidates {
+	if s := summary.Summary; s.SeqRejects > s.DPAvoided || s.Certified == 0 || s.Certified > s.Results || s.DPAvoided+s.Results > s.Candidates {
 		t.Fatalf("summary counters do not add up: %+v", s)
 	}
 

@@ -77,9 +77,9 @@ func TestArenaVerifierMatchesOracle(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			got, st := engine.Job{Tau: tau, Workers: workers}.SelfJoin(ts)
 			equalPairs(t, fmt.Sprintf("arena τ=%d w=%d", tau, workers), got, want)
-			if tau > 0 && st.StrategyLeft+st.StrategyRight == 0 && st.Candidates > st.DPAvoided {
-				t.Fatalf("τ=%d w=%d: no strategy decisions recorded over %d DP candidates",
-					tau, workers, st.Candidates-st.DPAvoided)
+			if dps := st.Candidates - st.DPAvoided - st.Certified; st.StrategyLeft+st.StrategyRight != dps {
+				t.Fatalf("τ=%d w=%d: %d strategy decisions recorded over %d DP candidates",
+					tau, workers, st.StrategyLeft+st.StrategyRight, dps)
 			}
 		}
 	}

@@ -516,6 +516,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	stats.Results = em.n
 	stats.DPAvoided += c.counters.DPAvoided.Load()
 	stats.SeqRejects += c.counters.SeqRejects.Load()
+	stats.Certified += c.counters.Certified.Load()
 	stats.KeyrootsSkipped += c.counters.KeyrootsSkipped.Load()
 	stats.BandAborts += c.counters.BandAborts.Load()
 	stats.StrategyLeft += c.counters.StrategyLeft.Load()

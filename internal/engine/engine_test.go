@@ -155,8 +155,8 @@ func TestInlineFlushesAreCounted(t *testing.T) {
 		if st.Candidates != want || st.VerifyTime <= 0 {
 			t.Fatalf("sequential run reports %d candidates in %v, the parallel run %d", st.Candidates, st.VerifyTime, want)
 		}
-		if st.DPAvoided+st.StrategyLeft+st.StrategyRight != st.Candidates {
-			t.Fatalf("%d candidates, but %d settled without a DP and %d+%d DPs", st.Candidates, st.DPAvoided, st.StrategyLeft, st.StrategyRight)
+		if st.DPAvoided+st.Certified+st.StrategyLeft+st.StrategyRight != st.Candidates {
+			t.Fatalf("%d candidates, but %d rejected and %d certified without a DP and %d+%d DPs", st.Candidates, st.DPAvoided, st.Certified, st.StrategyLeft, st.StrategyRight)
 		}
 	}
 }

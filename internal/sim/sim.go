@@ -164,16 +164,19 @@ type Stats struct {
 
 	// τ-banded verifier counters, recorded by the default threshold-aware
 	// TED verifier (zero when a custom Verifier decided the candidates; see
-	// internal/ted and DESIGN.md, "Threshold-aware verification").
-	DPAvoided       int64 // candidates settled with no DP: by the size or label bound or the traversal-string screen
-	SeqRejects      int64 // the candidates among DPAvoided that only the traversal-string screen settled
+	// internal/ted and DESIGN.md, "Threshold-aware verification"). Every
+	// candidate is counted once: Candidates = DPAvoided + Certified +
+	// StrategyLeft + StrategyRight.
+	DPAvoided       int64 // candidates rejected with no DP: by the size or label bound or the traversal-string screen
+	SeqRejects      int64 // the candidates among DPAvoided that only the traversal-string screen rejected
+	Certified       int64 // candidates accepted with no DP: a screen alignment was a tree mapping
 	KeyrootsSkipped int64 // keyroot-pair forest DPs pruned by the positional skip
 	BandAborts      int64 // forest DPs cut short when a banded row's frontier exceeded τ
 
 	// Decomposition-strategy counters, recorded by the arena verifier: how
 	// many candidate pairs ran the DP under each RTED-style per-pair choice
-	// (left-path arrays vs. the mirrored right-path arrays). Pairs settled by
-	// the lower bounds alone count under neither.
+	// (left-path arrays vs. the mirrored right-path arrays). Pairs settled
+	// before the DP count under neither.
 	StrategyLeft  int64
 	StrategyRight int64
 }
@@ -206,6 +209,7 @@ func AddCounters(total, st *Stats) {
 	total.PairsRetracted += st.PairsRetracted
 	total.DPAvoided += st.DPAvoided
 	total.SeqRejects += st.SeqRejects
+	total.Certified += st.Certified
 	total.KeyrootsSkipped += st.KeyrootsSkipped
 	total.BandAborts += st.BandAborts
 	total.StrategyLeft += st.StrategyLeft

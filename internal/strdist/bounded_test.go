@@ -15,6 +15,8 @@ import (
 // verdict is exact, the distance is exact whenever it is within τ, and both
 // are unchanged by swapping the arguments and by reversing both strings (the
 // TED verifier relies on the last: it screens a reversed-preorder array).
+// Aligned agrees with Bounded, and its alignment is monotone and costs
+// exactly the distance.
 func TestScratchBoundedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	var s strdist.Scratch
@@ -33,9 +35,40 @@ func TestScratchBoundedProperty(t *testing.T) {
 				if got := s.Bounded(in[0], in[1], tau); got != exp {
 					t.Fatalf("Bounded(%v, %v, τ=%d) = %d, want %d (distance %d)", in[0], in[1], tau, got, exp, want)
 				}
+				if got := s.Aligned(in[0], in[1], tau); got != exp {
+					t.Fatalf("Aligned(%v, %v, τ=%d) = %d, want %d", in[0], in[1], tau, got, exp)
+				}
+				if exp > tau {
+					continue
+				}
+				for _, late := range []bool{false, true} {
+					if match := s.Alignment(nil, late); alignmentCost(in[0], in[1], match) != exp {
+						t.Fatalf("alignment %v of %v, %v costs %d, want %d", match, in[0], in[1], alignmentCost(in[0], in[1], match), exp)
+					}
+				}
 			}
 		}
 	}
+}
+
+// alignmentCost is the cost of the alignment match (a's position → b's, −1
+// for a deletion), or −1 when match is not monotone.
+func alignmentCost(a, b, match []int32) int {
+	cost, last := len(b), int32(-1)
+	for i, j := range match {
+		switch {
+		case j < 0:
+			cost++
+		case j <= last || int(j) >= len(b):
+			return -1
+		default:
+			last, cost = j, cost-1
+			if a[i] != b[j] {
+				cost++
+			}
+		}
+	}
+	return cost
 }
 
 // boundedInputs builds the benchmark's two regimes over length-n strings: a

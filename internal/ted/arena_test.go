@@ -112,7 +112,7 @@ func TestArenaAgreesWithOracleTauSweep(t *testing.T) {
 	s := AcquireScratch()
 	defer ReleaseScratch(s)
 	for iter := 0; iter < 150; iter++ {
-		t1, t2 := sweepPair(rng, iter, 28)
+		t1, t2 := sweepPair(rng, iter, 28, 3)
 		exact := ZhangShasha(t1, t2)
 		vs := BuildViews([]*tree.Tree{t1, t2})
 		for tau := 0; tau <= exact+2; tau++ {
@@ -124,15 +124,15 @@ func TestArenaAgreesWithOracleTauSweep(t *testing.T) {
 }
 
 // sweepPair draws one pair of trees of at most maxN nodes over a fresh label
-// table: a mutated near-duplicate on even iterations, an independent pair on
-// odd ones.
-func sweepPair(rng *rand.Rand, iter, maxN int) (t1, t2 *tree.Tree) {
+// table of the given alphabet: a mutated near-duplicate on even iterations,
+// an independent pair on odd ones.
+func sweepPair(rng *rand.Rand, iter, maxN, alphabet int) (t1, t2 *tree.Tree) {
 	lt := tree.NewLabelTable()
-	t1 = randTree(rng, maxN, 3, lt)
+	t1 = randTree(rng, maxN, alphabet, lt)
 	if iter%2 == 0 {
-		return t1, mutate(rng, t1, 1+rng.Intn(4), 3, lt)
+		return t1, mutate(rng, t1, 1+rng.Intn(4), alphabet, lt)
 	}
-	return t1, randTree(rng, maxN, 3, lt)
+	return t1, randTree(rng, maxN, alphabet, lt)
 }
 
 // checkVerdict requires the tri-state contract of one verification against
@@ -154,7 +154,9 @@ func checkVerdict(t *testing.T, vs []*TreeView, tau int, dec Decomp, s *VerifySc
 // ordinary thresholds overflow it, and requires the overflow path — the
 // unbounded DP over the chosen decomposition's view arrays — to keep the
 // contract for every τ up to past the trivial maximum n1+n2, under all three
-// decomposition modes, counting the forced direction's strategy.
+// decomposition modes, counting the forced direction's strategy. Below the
+// limit DecompAuto may certify instead: every pair past the screens is
+// certified or runs one DP, and a forced direction is never certified.
 func TestArenaOverflowRunsUnboundedDP(t *testing.T) {
 	defer func(old int) { maxViewBand = old }(maxViewBand)
 	maxViewBand = 3
@@ -162,7 +164,7 @@ func TestArenaOverflowRunsUnboundedDP(t *testing.T) {
 	s := AcquireScratch()
 	defer ReleaseScratch(s)
 	for iter := 0; iter < 60; iter++ {
-		t1, t2 := sweepPair(rng, iter, 12)
+		t1, t2 := sweepPair(rng, iter, 12, 3)
 		exact := ZhangShasha(t1, t2)
 		vs := BuildViews([]*tree.Tree{t1, t2})
 		for tau := 0; tau <= t1.Size()+t2.Size()+1; tau++ {
@@ -172,10 +174,10 @@ func TestArenaOverflowRunsUnboundedDP(t *testing.T) {
 			for _, dec := range []Decomp{DecompAuto, DecompLeft, DecompRight} {
 				var tc Counters
 				checkVerdict(t, vs, tau, dec, s, &tc, exact)
-				l, r := tc.StrategyLeft.Load(), tc.StrategyRight.Load()
+				l, r, c := tc.StrategyLeft.Load(), tc.StrategyRight.Load(), tc.Certified.Load()
 				reached := tc.DPAvoided.Load() == 0
 				switch {
-				case !reached && l+r != 0, reached && l+r != 1:
+				case !reached && l+r+c != 0, reached && l+r+c != 1, dec != DecompAuto && c != 0:
 					t.Fatalf("iter %d τ=%d dec=%d: strategy counts (%d,%d), DP reached: %v", iter, tau, dec, l, r, reached)
 				case reached && dec == DecompLeft && l != 1, reached && dec == DecompRight && r != 1:
 					t.Fatalf("iter %d τ=%d: forced dec=%d counted as (%d,%d)", iter, tau, dec, l, r)
@@ -215,7 +217,8 @@ func TestViewRLabelsIsReversedPreorder(t *testing.T) {
 // postorder label strings (SeqRejects: the pairs only the strings settle),
 // KeyrootsSkipped by counting the keyroot pairs of the chosen
 // decomposition whose leftmost leaves lie more than the band apart, and the
-// strategy split, which must sum to the number of pairs that reached a DP.
+// strategy split. Every pair past the screens is certified — at the oracle's
+// distance — or runs one DP.
 func TestArenaCountersBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	s := AcquireScratch()
@@ -232,10 +235,18 @@ func TestArenaCountersBruteForce(t *testing.T) {
 	}
 	for _, tau := range []int{1, 3, 6} {
 		var tc Counters
-		var avoided, seqRejects, dps, skipped, left int64
+		var avoided, seqRejects, certified, dps, skipped, left int64
 		for i := range trees {
 			for j := i + 1; j < len(trees); j++ {
-				_, _ = DistanceBoundedView(vs[i], vs[j], tau, s, &tc)
+				was := tc.Certified.Load()
+				d, _ := DistanceBoundedView(vs[i], vs[j], tau, s, &tc)
+				if tc.Certified.Load() > was {
+					if want := ZhangShasha(trees[i], trees[j]); d != want {
+						t.Fatalf("τ=%d: certified distance %d, oracle %d", tau, d, want)
+					}
+					certified++
+					continue
+				}
 				if SizeLowerBound(trees[i], trees[j]) > tau || LabelLowerBound(trees[i], trees[j]) > tau {
 					avoided++
 					continue
@@ -270,8 +281,8 @@ func TestArenaCountersBruteForce(t *testing.T) {
 		if got := tc.KeyrootsSkipped.Load(); got != skipped {
 			t.Fatalf("τ=%d: KeyrootsSkipped %d, want %d", tau, got, skipped)
 		}
-		if l, r := tc.StrategyLeft.Load(), tc.StrategyRight.Load(); l != left || l+r != dps {
-			t.Fatalf("τ=%d: strategy counts (%d,%d), want %d left of %d DPs", tau, l, r, left, dps)
+		if l, r := tc.StrategyLeft.Load(), tc.StrategyRight.Load(); l != left || l+r != dps || tau == 6 && certified == 0 {
+			t.Fatalf("τ=%d: strategy counts (%d,%d), want %d left of %d DPs; %d certified", tau, l, r, left, dps, certified)
 		}
 	}
 }

@@ -4,15 +4,18 @@
 // when it is, the exact distance is wanted. This file implements that
 // tri-state verifier as a banded variant of the DP in zs.go, in the spirit of
 // Touzet's k-strip algorithms for similar trees, over the TreeView arrays of
-// arena.go. Four pruning layers, each sound on its own (DESIGN.md,
-// "Threshold-aware verification", has the arguments):
+// arena.go. Five layers, each sound on its own (DESIGN.md, "Threshold-aware
+// verification", has the arguments):
 //
-//   - the size and label lower bounds settle a pair with no DP at all;
+//   - the size and label lower bounds reject a pair with no DP at all;
 //   - so does the traversal-string screen: the τ-banded string edit distances
 //     of the two postorder and of the two preorder label sequences both
 //     lower-bound TED, and the view already holds both (Labels, and RLabels —
 //     the mirrored postorder is the preorder reversed, and edit distance does
 //     not change when both strings are reversed);
+//   - the certificate accepts a pair with no DP: when an optimal alignment of
+//     the screen's postorder (or mirrored postorder) strings preserves
+//     ancestry, it is a tree mapping of cost sed ≤ TED, so TED = sed;
 //   - keyroot pairs whose leftmost leaves sit more than τ postorder
 //     positions apart are never visited (no ≤ τ mapping can use any
 //     subtree-pair entry they would produce): each outer keyroot
@@ -52,9 +55,13 @@ import (
 // a nil *Counters disables counting. The engine folds these into
 // sim.Stats after a run.
 type Counters struct {
-	// DPAvoided counts candidate pairs settled with no DP at all: by the
+	// DPAvoided counts candidate pairs rejected with no DP at all: by the
 	// size bound, the label bound or the traversal-string screen.
 	DPAvoided atomic.Int64
+	// Certified counts candidate pairs accepted with no DP: a screen
+	// alignment was a tree mapping, which settles the exact distance. Every
+	// candidate is counted once by DPAvoided, Certified or a strategy.
+	Certified atomic.Int64
 	// SeqRejects counts the pairs among DPAvoided that passed the size and
 	// label bounds and were rejected by the traversal-string screen.
 	SeqRejects atomic.Int64
@@ -67,7 +74,7 @@ type Counters struct {
 	// StrategyLeft and StrategyRight count candidate pairs whose DP ran
 	// under the left-path or right-path (mirrored) decomposition — the
 	// per-pair outcomes of the RTED-style strategy choice. Only pairs that
-	// reach a DP are counted; pairs settled by the lower bounds never pick.
+	// reach a DP are counted; pairs settled before it never pick.
 	StrategyLeft  atomic.Int64
 	StrategyRight atomic.Int64
 }
@@ -82,6 +89,12 @@ func (tc *Counters) addSeqReject() {
 	if tc != nil {
 		tc.DPAvoided.Add(1)
 		tc.SeqRejects.Add(1)
+	}
+}
+
+func (tc *Counters) addCertified() {
+	if tc != nil {
+		tc.Certified.Add(1)
 	}
 }
 
@@ -110,7 +123,8 @@ func (tc *Counters) addStrategy(dec Decomp) {
 
 // Decomp selects the decomposition the arena verifier runs: the per-pair
 // strategy-driven default, or a forced direction for ablation benchmarks and
-// the property tests.
+// the property tests. A forced direction always runs the DP: it skips the
+// certificate.
 type Decomp int
 
 const (
@@ -123,7 +137,8 @@ const (
 // reach 2·(τ+1), which must fit in int16). A pair whose clamped band exceeds
 // it — τ beyond 16000 on trees at least that large, which no paper-scale
 // workload comes near — runs the unbounded DP of zs.go over the same view
-// arrays instead. A variable only so the overflow test can lower it.
+// arrays instead, with no certificate (whose kept string band is as large).
+// A variable only so the overflow test can lower it.
 var maxViewBand = 16000
 
 // VerifyScratch is the reusable DP memory of the arena verifier: the
@@ -149,9 +164,13 @@ type VerifyScratch struct {
 	// skip the refill.
 	padBt  int
 	padLen int
-	// seq is the band row of the traversal-string screen; labA and labB hold
-	// the sorted label multisets of DistanceBounded's one-off label bound.
-	seq        strdist.Scratch
+	// seq and rseq are the bands of the postorder and mirrored-postorder
+	// string screens, kept for the certificate's traceback; match and cnt
+	// are the certificate's alignment and its matched-node prefix counts.
+	// labA and labB hold the sorted label multisets of DistanceBounded's
+	// one-off label bound.
+	seq, rseq  strdist.Scratch
+	match, cnt []int32
 	labA, labB []int32
 }
 
@@ -220,7 +239,8 @@ func (s *VerifyScratch) ensureView(tdLen, fdLen, bt int, over int16) {
 
 // DistanceBoundedView reports whether TED(a, b) ≤ tau from arena views: the
 // size and label lower bounds and the traversal-string screen run first (no
-// DP at all when any proves the pair distant), then the strategy-chosen
+// DP at all when any proves the pair distant), then the certificate (no DP
+// when a screen alignment is a tree mapping), then the strategy-chosen
 // decomposition's band-compacted DP.
 // The tri-state contract: on true the returned distance is exact; on false
 // the distance is only known to exceed tau and tau+1 is returned. tc, when
@@ -234,8 +254,8 @@ func DistanceBoundedView(a, b *TreeView, tau int, s *VerifyScratch, tc *Counters
 
 // DistanceBoundedViewDecomp is DistanceBoundedView with the decomposition
 // forced (DecompLeft/DecompRight) or strategy-driven (DecompAuto). Forced
-// directions back the strategy-ablation benchmarks; results are identical in
-// every mode.
+// directions skip the certificate and back the strategy-ablation benchmarks
+// and the DP's oracle tests; results are identical in every mode.
 func DistanceBoundedViewDecomp(a, b *TreeView, tau int, dec Decomp, s *VerifyScratch, tc *Counters) (int, bool) {
 	if a.T.Labels != b.T.Labels {
 		panic("ted: trees must share a label table")
@@ -252,23 +272,39 @@ func DistanceBoundedViewDecomp(a, b *TreeView, tau int, dec Decomp, s *VerifyScr
 		tc.addDPAvoided()
 		return tau + 1, false
 	}
-	// The traversal-string screen. A TED edit script of cost k induces one of
-	// cost ≤ k on the postorder strings and on the preorder strings, and
-	// RLabels — the postorder of the mirrored tree — is the preorder read
-	// backwards, which leaves the string distance as it is.
-	if s.seq.Bounded(a.Labels, b.Labels, tau) > tau || s.seq.Bounded(a.RLabels, b.RLabels, tau) > tau {
-		tc.addSeqReject()
-		return tau + 1, false
-	}
-	if dec == DecompAuto {
-		dec = chooseDecomp(a.CostL, a.CostR, b.CostL, b.CostR)
-	}
-	tc.addStrategy(dec)
 	// All distances are ≤ n1+n2, so the band never needs to be wider.
 	bt := tau
 	if bt > n1+n2 {
 		bt = n1 + n2
 	}
+	// The traversal-string screen. A TED edit script of cost k induces one of
+	// cost ≤ k on the postorder strings and on the preorder strings, and
+	// RLabels — the postorder of the mirrored tree — is the preorder read
+	// backwards, which leaves the string distance as it is. When the pair may
+	// be certified, the screens keep their bands for the traceback.
+	certify := dec == DecompAuto && bt <= maxViewBand
+	screen := (*strdist.Scratch).Bounded
+	if certify {
+		screen = (*strdist.Scratch).Aligned
+	}
+	post, pre := screen(&s.seq, a.Labels, b.Labels, tau), 0
+	if post <= tau {
+		pre = screen(&s.rseq, a.RLabels, b.RLabels, tau)
+	}
+	if post > tau || pre > tau {
+		tc.addSeqReject()
+		return tau + 1, false
+	}
+	// The certificate: TED ≥ max(post, pre), so only an alignment of that
+	// cost can be a mapping, and one that is settles the distance.
+	if certify && (post >= pre && s.certifies(&s.seq, a.Lml, b.Lml) || pre >= post && s.certifies(&s.rseq, a.Rml, b.Rml)) {
+		tc.addCertified()
+		return max(post, pre), true
+	}
+	if dec == DecompAuto {
+		dec = chooseDecomp(a.CostL, a.CostR, b.CostL, b.CostR)
+	}
+	tc.addStrategy(dec)
 	if bt > maxViewBand {
 		// The band does not fit int16 cells: a threshold this loose prunes
 		// next to nothing anyway, so run the unbounded DP over the chosen
@@ -282,6 +318,51 @@ func DistanceBoundedViewDecomp(a, b *TreeView, tau int, dec Decomp, s *VerifyScr
 		return bandedView(a.Labels, a.Lml, a.Keyroots, b.Labels, b.Lml, b.Parent, b.Keyroots, b.KrByLml, tau, bt, s, tc)
 	}
 	return bandedView(a.RLabels, a.Rml, a.RKeyroots, b.RLabels, b.Rml, b.RParent, b.RKeyroots, b.RKrByLml, tau, bt, s, tc)
+}
+
+// certifies reports whether one of the two extreme optimal alignments kept in
+// x — of two postorder label strings whose leftmost-leaf arrays are alml and
+// blml — is a tree mapping.
+func (s *VerifyScratch) certifies(x *strdist.Scratch, alml, blml []int32) bool {
+	for _, late := range [2]bool{true, false} {
+		if s.match = x.Alignment(s.match, late); s.isMapping(alml, blml) {
+			return true
+		}
+	}
+	return false
+}
+
+// isMapping reports whether the alignment in s.match preserves ancestry. It
+// is one-to-one and postorder-monotone, so with ancestry preserved it is a
+// tree mapping (left-of follows: in postorder a node is preceded exactly by
+// its descendants and the nodes left of it). Matched node i' < i descends
+// from i iff i' ≥ lml(i), so the matched descendants of i are the matched
+// pairs ranked from cnt_A(lml(i)) up — with cnt_X(p) the number of matched
+// nodes of X before position p — and those of its partner j the ones ranked
+// from cnt_B(lml(j)) up: ancestry is preserved iff the two ranks agree for
+// every matched (i, j). One pass in O(|a|+|b|): lml(i) ≤ i, so both counts
+// are written before they are read.
+func (s *VerifyScratch) isMapping(alml, blml []int32) bool {
+	n1, n2 := len(alml), len(blml)
+	if cap(s.cnt) < n1+n2 {
+		s.cnt = make([]int32, n1+n2)
+	}
+	cntA, cntB := s.cnt[:n1], s.cnt[n1:n1+n2]
+	c, next := int32(0), int32(0) // matched so far; first position of b without a count
+	for i, j := range s.match {
+		cntA[i] = c
+		if j < 0 {
+			continue
+		}
+		for ; next <= j; next++ {
+			cntB[next] = c
+		}
+		if cntA[alml[i]] != cntB[blml[j]] {
+			return false
+		}
+		c++
+	}
+	return true
 }
 
 // zsArrays returns one decomposition's arrays in the form the unbounded DP of

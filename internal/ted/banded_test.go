@@ -80,16 +80,20 @@ func tauSweep(d, max int) []int {
 // exactly at the true distance, and τ ≥ the maximum possible distance — and
 // report the exact distance whenever the verdict is positive. The one-off
 // tree-level wrapper DistanceBounded is held to the same contract, negative
-// thresholds included.
+// thresholds included. Over tiny alphabets many optimal string alignments
+// are not tree mappings, which the certificate must refuse.
 func TestBandedAgreesWithOracleTauSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := AcquireScratch()
 	defer ReleaseScratch(s)
-	check := func(iter int, t1, t2 *tree.Tree) {
+	check := func(iter int, t1, t2 *tree.Tree, taus ...int) {
 		t.Helper()
 		want := ZhangShasha(t1, t2) // unbounded oracle
 		vs := BuildViews([]*tree.Tree{t1, t2})
-		for _, tau := range append(tauSweep(want, t1.Size()+t2.Size()), -1) {
+		if taus == nil {
+			taus = append(tauSweep(want, t1.Size()+t2.Size()), -1)
+		}
+		for _, tau := range taus {
 			got, ok := DistanceBoundedView(vs[0], vs[1], tau, s, nil)
 			if ok != (tau >= 0 && want <= tau) {
 				t.Fatalf("iter %d τ=%d: banded verdict %v, oracle distance %d", iter, tau, ok, want)
@@ -118,6 +122,30 @@ func TestBandedAgreesWithOracleTauSweep(t *testing.T) {
 		t2 := mutate(rng, t1, rng.Intn(4), 4, lt)
 		check(1000+iter, t1, t2)
 	}
+	for iter := 0; iter < 4000; iter++ {
+		t1, t2 := sweepPair(rng, iter, 9, 1+rng.Intn(3))
+		check(2000+iter, t1, t2, 0, 1, 2, 3, 4, 5)
+	}
+}
+
+// FuzzVerifyBounded holds DistanceBounded — bounds, screen, certificate, DP —
+// to ZhangShasha's verdict and distance on two bracket trees and a τ.
+func FuzzVerifyBounded(f *testing.F) {
+	f.Add("{a{b}{c}}", "{a{b{c}}}", 2)
+	f.Add("{a{a}{a{a}}}", "{a{a{a}}{a}}", 1)
+	f.Fuzz(func(t *testing.T, s1, s2 string, tau int) {
+		lt := tree.NewLabelTable()
+		t1, err1 := tree.ParseBracket(s1, lt)
+		t2, err2 := tree.ParseBracket(s2, lt)
+		if err1 != nil || err2 != nil || t1.Size() > 40 || t2.Size() > 40 {
+			return
+		}
+		tau %= 50
+		want := ZhangShasha(t1, t2)
+		if d, ok := DistanceBounded(t1, t2, tau); ok != (tau >= 0 && want <= tau) || ok && d != want {
+			t.Fatalf("τ=%d: DistanceBounded (%d,%v), oracle distance %d", tau, d, ok, want)
+		}
+	})
 }
 
 // TestBandedCountersFire makes sure the instrumentation actually counts: a

@@ -118,10 +118,11 @@ func BenchmarkVerifyArena(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyArenaRejects is the verifier on the pairs a filter's false
-// positives are made of: cluster mates of 200-node near-duplicate clusters
-// whose distance lies just past τ (within 6 of it), so the size and label
-// bounds pass them and the traversal-string screen or the DP has to say no.
+// BenchmarkVerifyArenaRejects is the verifier on 200-node near-duplicate
+// cluster mates, in two cases: the pairs a filter's false positives are made
+// of — distance just past τ (within 6 of it), so the size and label bounds
+// pass them and the traversal-string screen or the DP has to say no — and the
+// accepted ones (d ≤ τ), which the certificate or the DP settles.
 func BenchmarkVerifyArenaRejects(b *testing.B) {
 	p := synth.SyntheticParams(72, 4, 8, 20, 200, 2015)
 	p.Cluster, p.Decay = 36, 0.03
@@ -129,25 +130,31 @@ func BenchmarkVerifyArenaRejects(b *testing.B) {
 	s := ted.AcquireScratch()
 	defer ted.ReleaseScratch(s)
 	for _, tau := range []int{6, 8} {
-		var pairs [][2]int
+		var rejects, accepts [][2]int
 		for i := range views {
 			for j := i + 1; j < len(views); j++ {
 				if d, ok := ted.DistanceBoundedView(views[i], views[j], tau+6, s, nil); ok && d > tau {
-					pairs = append(pairs, [2]int{i, j})
+					rejects = append(rejects, [2]int{i, j})
+				} else if ok {
+					accepts = append(accepts, [2]int{i, j})
 				}
 			}
 		}
-		b.Run(fmt.Sprintf("tau=%d/pairs=%d", tau, len(pairs)), func(b *testing.B) {
-			b.ReportAllocs()
-			var tc ted.Counters
-			for i := 0; i < b.N; i++ {
-				for _, p := range pairs {
-					ted.DistanceBoundedView(views[p[0]], views[p[1]], tau, s, &tc)
+		for c, pairs := range [][][2]int{rejects, accepts} {
+			b.Run(fmt.Sprintf("tau=%d/%s=%d", tau, []string{"rejects", "accepts"}[c], len(pairs)), func(b *testing.B) {
+				b.ReportAllocs()
+				var tc ted.Counters
+				for i := 0; i < b.N; i++ {
+					for _, p := range pairs {
+						ted.DistanceBoundedView(views[p[0]], views[p[1]], tau, s, &tc)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/pair")
-			b.ReportMetric(float64(tc.SeqRejects.Load())/float64(b.N*len(pairs)), "screened/pair")
-		})
+				n := float64(b.N * len(pairs))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/pair")
+				b.ReportMetric(float64(tc.SeqRejects.Load())/n, "screened/pair")
+				b.ReportMetric(float64(tc.Certified.Load())/n, "certified/pair")
+			})
+		}
 	}
 }
 

@@ -87,9 +87,10 @@ func LabelLowerBound(t1, t2 *tree.Tree) int {
 // distance when it is and tau+1 otherwise: the one-off form of the verifier
 // in banded.go. The size bound and the label bound (over label multisets
 // sorted on the pooled scratch) run before anything is built; a surviving
-// pair pays for both arena views. Callers that verify a tree more than once
-// (every join, search and stream in this module) hold its view and call
-// DistanceBoundedView instead.
+// pair pays for both arena views and the string screen, and for a DP only
+// when the certificate cannot settle it. Callers that verify a tree more
+// than once (every join, search and stream in this module) hold its view
+// and call DistanceBoundedView instead.
 func DistanceBounded(t1, t2 *tree.Tree, tau int) (int, bool) {
 	if t1.Labels != t2.Labels {
 		panic("ted: trees must share a label table")
