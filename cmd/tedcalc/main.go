@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -44,32 +45,40 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	w := bufio.NewWriter(os.Stdout)
+	code := 0
 	switch {
 	case *script:
 		d, ops := treejoin.EditScript(t1, t2)
-		fmt.Printf("distance %d\n", d)
-		fmt.Print(treejoin.FormatEditScript(t1, t2, ops))
+		fmt.Fprintf(w, "distance %d\n", d)
+		fmt.Fprint(w, treejoin.FormatEditScript(t1, t2, ops))
 	case *morph:
 		steps, err := treejoin.Transform(t1, t2)
 		if err != nil {
 			fail(err)
 		}
 		for i, s := range steps {
-			fmt.Printf("%d: %s\n", i, treejoin.FormatBracket(s))
+			fmt.Fprintf(w, "%d: %s\n", i, treejoin.FormatBracket(s))
 		}
 	case *constrained:
-		fmt.Printf("ted %d\nconstrained %d\n",
+		fmt.Fprintf(w, "ted %d\nconstrained %d\n",
 			treejoin.Distance(t1, t2), treejoin.ConstrainedDistance(t1, t2))
 	case *tau >= 0:
 		if d, ok := treejoin.DistanceWithin(t1, t2, *tau); ok {
-			fmt.Println(d)
-			return
+			fmt.Fprintln(w, d)
+		} else {
+			fmt.Fprintf(w, ">%d\n", *tau)
+			code = 1
 		}
-		fmt.Printf(">%d\n", *tau)
-		os.Exit(1)
 	default:
-		fmt.Println(treejoin.Distance(t1, t2))
+		fmt.Fprintln(w, treejoin.Distance(t1, t2))
 	}
+	// A full disk or a closed pipe must surface as a non-zero exit, not an
+	// exit 0 with the answer lost.
+	if err := w.Flush(); err != nil {
+		fail(err)
+	}
+	os.Exit(code)
 }
 
 func fail(err error) {

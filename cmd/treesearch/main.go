@@ -81,7 +81,6 @@ func main() {
 	}
 
 	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
 	cp, err := treejoin.NewCorpus(ts)
 	if err != nil {
 		fail("%v", err)
@@ -101,6 +100,11 @@ func main() {
 		for _, m := range ms {
 			fmt.Fprintf(w, "%d\t%d\t%d\n", qi, m.Pos, m.Dist)
 		}
+	}
+	// A full disk or a closed pipe must surface as a non-zero exit, not an
+	// exit 0 with silently truncated results.
+	if err := w.Flush(); err != nil {
+		fail("%v", err)
 	}
 }
 

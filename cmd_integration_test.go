@@ -54,6 +54,24 @@ func runTool(t *testing.T, name string, args ...string) (string, string, error) 
 	return out.String(), errb.String(), err
 }
 
+// runToFull runs a tool with its stdout on /dev/full, where every write fails
+// with ENOSPC, and returns its stderr; the test is skipped where the device
+// does not exist.
+func runToFull(t *testing.T, name string, args ...string) (string, error) {
+	t.Helper()
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	defer full.Close()
+	cmd := exec.Command(filepath.Join(buildTools(t), name), args...)
+	var errb strings.Builder
+	cmd.Stdout = full
+	cmd.Stderr = &errb
+	err = cmd.Run()
+	return errb.String(), err
+}
+
 func itoa(n int) string { return strconv.Itoa(n) }
 
 func atoi(t *testing.T, s string) int {
@@ -270,6 +288,12 @@ func TestCLISearch(t *testing.T) {
 	if lines := nonEmptyLines(stdout); len(lines) != 2 {
 		t.Fatalf("newick search: %v", lines)
 	}
+
+	// Results that cannot be written are an error, not an exit 0.
+	stderr, err := runToFull(t, "treesearch", "-input", txt, "-tau", "1", "-query", "{a{b}{c}}")
+	if err == nil || !strings.Contains(stderr, "no space left on device") {
+		t.Fatalf("treesearch > /dev/full: %v, stderr %q", err, stderr)
+	}
 }
 
 // TestCLITedcalc: distance, bounded exit codes, script and morph views.
@@ -300,6 +324,11 @@ func TestCLITedcalc(t *testing.T) {
 	stdout, _, err = runTool(t, "tedcalc", "-constrained", "{a{b{c}}}", "{a{c}}")
 	if err != nil || !strings.Contains(stdout, "constrained 1") {
 		t.Fatalf("constrained: %q, %v", stdout, err)
+	}
+	// A distance that cannot be written is an error, not an exit 0.
+	stderr, err := runToFull(t, "tedcalc", "{a{b}{c}}", "{a{b}{d}}")
+	if err == nil || !strings.Contains(stderr, "no space left on device") {
+		t.Fatalf("tedcalc > /dev/full: %v, stderr %q", err, stderr)
 	}
 }
 

@@ -7,9 +7,8 @@ import (
 )
 
 // ArenaKey names the per-tree struct-of-arrays verification view in the
-// corpus cache (ted.TreeView): the postorder label/lml arrays of both
-// decompositions, keyroots in both orders, structural arrays, sorted labels,
-// and strategy costs. τ-independent like every signature, so a warm corpus
+// corpus cache (ted.TreeView): the postorder label/lml arrays and keyroots of
+// both decompositions, sorted labels, and strategy costs. τ-independent like every signature, so a warm corpus
 // verifies any later join out of the same arenas.
 const ArenaKey = "ted/arena"
 

@@ -7,10 +7,8 @@
 //     to prepare(Mirror(t))'s without materialising the mirror, and built
 //     eagerly — the strategy-driven kernel flips between the two array sets
 //     per pair,
-//   - keyroots of both decompositions, each also sorted by leftmost leaf so
-//     the banded kernel binary-searches its τ-window instead of scanning,
-//   - the parent arrays of both postorders, and the sorted label multiset
-//     behind the label lower bound,
+//   - keyroots of both decompositions,
+//   - the sorted label multiset behind the label lower bound,
 //   - the left/right strategy costs the per-pair decomposition choice reads.
 //
 // BuildViews lays a whole collection out back-to-back, so a join's verify
@@ -45,23 +43,11 @@ type TreeView struct {
 	RLabels []int32
 	Rml     []int32
 
-	// Keyroots of each decomposition, ascending by postorder index, plus the
-	// same sets reordered by ascending leftmost-leaf index: the banded kernel
-	// binary-searches the lml-window |lml − li| ≤ τ in the latter.
+	// Keyroots of each decomposition, ascending by postorder index. (The
+	// frozen serialised form holds more arrays, all derived from these and
+	// the lml arrays; see arena_io.go.)
 	Keyroots  []int32
-	KrByLml   []int32
 	RKeyroots []int32
-	RKrByLml  []int32
-
-	// Parent is the postorder index of each node's parent (−1 for the root),
-	// by left postorder position; RParent is the same relation over mirrored
-	// postorder indices (the parent relation is mirror-invariant; only the
-	// ranks change): the kernel walks it to enumerate a keyroot's
-	// decomposition path under the right-path arrays. (Node depth and subtree
-	// size, which nothing in memory reads, exist only in the serialised form;
-	// see arena_io.go.)
-	Parent  []int32
-	RParent []int32
 
 	// SortedLabels is the label multiset sorted ascending, for the merge-based
 	// label lower bound.
@@ -77,7 +63,7 @@ type TreeView struct {
 func (v *TreeView) Size() int { return len(v.Labels) }
 
 // BuildViews flattens a collection into arena views backed by one contiguous
-// int32 block: per tree, 7·n array cells plus 4·leaves keyroot cells, laid
+// int32 block: per tree, 5·n array cells plus 2·leaves keyroot cells, laid
 // out back-to-back in collection order, with one working memory for the whole
 // batch. Construction allocates (it is a build-time, per-collection cost the
 // engine caches); verification over the views does not.
@@ -86,7 +72,7 @@ func BuildViews(ts []*tree.Tree) []*TreeView {
 	leaves := make([]int, len(ts))
 	for i, t := range ts {
 		leaves[i] = leafCount(t)
-		total += 7*t.Size() + 4*leaves[i]
+		total += 5*t.Size() + 2*leaves[i]
 	}
 	block := make([]int32, total)
 	views := make([]*TreeView, len(ts))
@@ -113,10 +99,10 @@ func leafCount(t *tree.Tree) int {
 
 // viewScratch is buildView's working memory, grown to the largest tree of a
 // batch: the child links of both traversal directions by node, one
-// traversal's order, ranks and decomposition leaves, and its stack.
+// traversal's order and ranks, and its stack.
 type viewScratch struct {
 	first, next, last, prev []int32
-	post, rank, leaf        []int32
+	post, rank              []int32
 	stack                   []viewFrame
 }
 
@@ -134,14 +120,12 @@ func (s *viewScratch) buildView(t *tree.Tree, leaves int, block []int32, off int
 	v := &TreeView{T: t}
 	v.Labels, v.Lml = take(n), take(n)
 	v.RLabels, v.Rml = take(n), take(n)
-	v.Keyroots, v.KrByLml = take(leaves), take(leaves)
-	v.RKeyroots, v.RKrByLml = take(leaves), take(leaves)
-	v.Parent, v.RParent = take(n), take(n)
+	v.Keyroots, v.RKeyroots = take(leaves), take(leaves)
 	v.SortedLabels = take(n)
 
 	if cap(s.first) < n {
-		cells := make([]int32, 7*n)
-		for i, p := range []*[]int32{&s.first, &s.next, &s.last, &s.prev, &s.post, &s.rank, &s.leaf} {
+		cells := make([]int32, 6*n)
+		for i, p := range []*[]int32{&s.first, &s.next, &s.last, &s.prev, &s.post, &s.rank} {
 			*p = cells[i*n : (i+1)*n : (i+1)*n]
 		}
 	}
@@ -162,9 +146,9 @@ func (s *viewScratch) buildView(t *tree.Tree, leaves int, block []int32, off int
 	// leaf. The strategy costs are strategyCost's: n plus the subtree sizes
 	// of the nodes with a sibling before them (left paths) or after them
 	// (right paths).
-	before, after := s.decompose(t, first, next, v.Labels, v.Lml, v.Parent, v.Keyroots, v.KrByLml)
+	before, after := s.decompose(t, first, next, v.Labels, v.Lml, v.Keyroots)
 	v.CostL, v.CostR = int64(n)+before, int64(n)+after
-	s.decompose(t, last, prev, v.RLabels, v.Rml, v.RParent, v.RKeyroots, v.RKrByLml)
+	s.decompose(t, last, prev, v.RLabels, v.Rml, v.RKeyroots)
 
 	copy(v.SortedLabels, v.Labels)
 	slices.Sort(v.SortedLabels)
@@ -172,14 +156,15 @@ func (s *viewScratch) buildView(t *tree.Tree, leaves int, block []int32, off int
 }
 
 // decompose fills one decomposition's arrays over the postorder that visits
-// each node's children from first[node] along next: labels, decomposition
-// leaves (memoised bottom-up: children precede parents) and parents by
-// postorder index, then the keyroots. It returns the summed subtree sizes of
-// the nodes that are not their parent's first child, and of those that have a
-// next sibling.
-func (s *viewScratch) decompose(t *tree.Tree, first, next, labels, lml, parent, kr, krByLml []int32) (notFirst, hasNext int64) {
+// each node's children from first[node] along next: labels and decomposition
+// leaves (a node's is its first child's, which precedes it) by postorder
+// index, and the keyroots in ascending postorder — the root and every node
+// that is not its parent's first child (no later postorder node shares its
+// decomposition leaf). It returns the summed subtree sizes of the nodes that
+// are not their parent's first child, and of those that have a next sibling.
+func (s *viewScratch) decompose(t *tree.Tree, first, next, labels, lml, kr []int32) (notFirst, hasNext int64) {
 	n := len(labels)
-	post, rank, leaf := s.post[:0], s.rank[:n], s.leaf[:n]
+	post, rank := s.post[:0], s.rank[:n]
 	stack := append(s.stack[:0], viewFrame{t.Root(), first[t.Root()]})
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
@@ -193,58 +178,26 @@ func (s *viewScratch) decompose(t *tree.Tree, first, next, labels, lml, parent, 
 		stack = append(stack, viewFrame{c, first[c]})
 	}
 	s.stack = stack
+	k := 0
 	for i, u := range post {
 		rank[u] = int32(i)
-		if c := first[u]; c == tree.None {
-			leaf[u] = u
-		} else {
-			leaf[u] = leaf[c]
-		}
-	}
-	for i, u := range post {
 		labels[i] = t.Nodes[u].Label
-		lml[i] = rank[leaf[u]]
-		if p := t.Nodes[u].Parent; p == tree.None {
-			parent[i] = -1
+		if c := first[u]; c == tree.None {
+			lml[i] = int32(i)
 		} else {
-			parent[i] = rank[p]
-			if size := int64(int32(i) - lml[i] + 1); first[p] != u {
+			lml[i] = lml[rank[c]]
+		}
+		size := int64(int32(i) - lml[i] + 1)
+		if p := t.Nodes[u].Parent; p == tree.None || first[p] != u {
+			kr[k] = int32(i)
+			k++
+			if p != tree.None {
 				notFirst += size
 			}
 		}
 		if next[u] != tree.None {
-			hasNext += int64(int32(i) - lml[i] + 1)
+			hasNext += size
 		}
 	}
-	fillKeyroots(lml, kr, krByLml, leaf)
 	return notFirst, hasNext
-}
-
-// fillKeyroots writes the keyroots of a decomposition given its lml array —
-// the nodes no later postorder node shares a decomposition leaf with — in
-// ascending postorder into kr, and the same set by ascending lml into
-// krByLml (keyroots own distinct leaves, so a sweep over the leaves' owners
-// orders them; owner is n cells of scratch). len(kr) must equal the tree's
-// leaf count.
-func fillKeyroots(lml, kr, krByLml, owner []int32) {
-	for i := range owner {
-		owner[i] = -1
-	}
-	k := len(kr)
-	for i := len(lml) - 1; i >= 0; i-- {
-		if owner[lml[i]] < 0 {
-			owner[lml[i]] = int32(i)
-			k--
-			kr[k] = int32(i)
-		}
-	}
-	if k != 0 {
-		panic("ted: keyroot count does not match leaf count")
-	}
-	for _, r := range owner {
-		if r >= 0 {
-			krByLml[k] = r
-			k++
-		}
-	}
 }

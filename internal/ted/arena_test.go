@@ -12,10 +12,9 @@ import (
 
 // TestBuildViewsMatchesPrepare checks the arena views against the oracle's
 // own preparation: left arrays against prepare(t), mirrored arrays against
-// prepare(Mirror(t)), keyroots of both directions, the lml-sorted keyroot
-// orders, strategy costs, the sorted label multiset, and the structural
-// arrays (depth, parent, subtree size) against naive recomputation from the
-// tree.
+// prepare(Mirror(t)), keyroots of both directions, strategy costs, the sorted
+// label multiset, and the depth and subtree size of the serialised cells
+// against naive recomputation from the tree.
 func TestBuildViewsMatchesPrepare(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 200; iter++ {
@@ -27,7 +26,7 @@ func TestBuildViewsMatchesPrepare(t *testing.T) {
 			t.Fatalf("iter %d: view size %d, tree size %d", iter, v.Size(), n)
 		}
 
-		checkDir := func(dir string, p *prep, labels, lml, kr, krByLml []int32) {
+		checkDir := func(dir string, p *prep, labels, lml, kr []int32) {
 			for i := range p.labels {
 				if labels[i] != p.labels[i] || lml[i] != p.lml[i] {
 					t.Fatalf("iter %d: %s arrays differ at %d: label %d/%d lml %d/%d",
@@ -42,22 +41,9 @@ func TestBuildViewsMatchesPrepare(t *testing.T) {
 					t.Fatalf("iter %d: %s keyroots differ at %d: %d vs %d", iter, dir, i, kr[i], p.keyroots[i])
 				}
 			}
-			// krByLml: the same set, sorted by ascending lml.
-			seen := make(map[int32]bool, len(kr))
-			for _, k := range kr {
-				seen[k] = true
-			}
-			for i, k := range krByLml {
-				if !seen[k] {
-					t.Fatalf("iter %d: %s krByLml[%d]=%d is not a keyroot", iter, dir, i, k)
-				}
-				if i > 0 && lml[krByLml[i-1]] >= lml[k] {
-					t.Fatalf("iter %d: %s krByLml not strictly ascending by lml at %d", iter, dir, i)
-				}
-			}
 		}
-		checkDir("left", prepare(tr), v.Labels, v.Lml, v.Keyroots, v.KrByLml)
-		checkDir("right", prepare(Mirror(tr)), v.RLabels, v.Rml, v.RKeyroots, v.RKrByLml)
+		checkDir("left", prepare(tr), v.Labels, v.Lml, v.Keyroots)
+		checkDir("right", prepare(Mirror(tr)), v.RLabels, v.Rml, v.RKeyroots)
 
 		wantL, wantR := strategyCost(tr)
 		if v.CostL != wantL || v.CostR != wantR {
@@ -69,16 +55,13 @@ func TestBuildViewsMatchesPrepare(t *testing.T) {
 			t.Fatalf("iter %d: sorted labels %v, want %v", iter, v.SortedLabels, sorted)
 		}
 
-		// Structural arrays against naive per-node recomputation; depth and
-		// subtree size exist only in the serialised cells.
+		// Depth and subtree size against naive per-node recomputation; they
+		// exist only in the serialised cells (TestViewCellsLayout checks the
+		// parents there).
 		cells := AppendViewCells(nil, v)
 		head := 4*n + 4*len(v.Keyroots)
 		depths, subtreeSizes := cells[head:head+n], cells[head+3*n:head+4*n]
 		post := tree.Postorder(tr)
-		rank := make(map[int32]int32, n)
-		for i, u := range post {
-			rank[u] = int32(i)
-		}
 		sizes := tree.SubtreeSizes(tr)
 		for i, u := range post {
 			depth := int32(0)
@@ -87,13 +70,6 @@ func TestBuildViewsMatchesPrepare(t *testing.T) {
 			}
 			if depths[i] != depth {
 				t.Fatalf("iter %d: depth[%d]=%d, want %d", iter, i, depths[i], depth)
-			}
-			wantParent := int32(-1)
-			if p := tr.Nodes[u].Parent; p != tree.None {
-				wantParent = rank[p]
-			}
-			if v.Parent[i] != wantParent {
-				t.Fatalf("iter %d: parent[%d]=%d, want %d", iter, i, v.Parent[i], wantParent)
 			}
 			if subtreeSizes[i] != sizes[u] {
 				t.Fatalf("iter %d: subtreeSize[%d]=%d, want %d", iter, i, subtreeSizes[i], sizes[u])

@@ -178,7 +178,7 @@ func TestBandedCountersFire(t *testing.T) {
 
 // TestPooledScratchConcurrent hammers the one-off wrapper — which borrows its
 // DP scratch from the pool, at thresholds that keep changing the band width
-// baked into it — from many goroutines and asserts identical results to the
+// it is laid out for — from many goroutines and asserts identical results to the
 // serial run over views. Run under -race this is the detector test for the
 // sync.Pool reuse.
 func TestPooledScratchConcurrent(t *testing.T) {
