@@ -318,52 +318,78 @@ func BenchmarkEngineFilterChain(b *testing.B) {
 // BenchmarkEngineFilterChain. cold runs one-shot joins (every iteration
 // tokenises from scratch, like the sorted-loop baseline recomputes its
 // signatures); warm runs against a pre-warmed Corpus whose cache already
-// holds every token bag and filter signature — the steady state of a served
-// workload. Warm reuse is asserted by cache hit counters in
-// TestTokenIndexWarmCorpus.
+// holds every token bag, filter signature and index — the steady state of a
+// served workload, where the probe is most of the time. Warm reuse is
+// asserted by cache hit counters in TestTokenIndexWarmCorpus. Both pin the
+// fixed plan: the auto plan's prefix multiplier C′ can differ between runs on
+// one corpus, and with it the postings probed. postings/op and skipped/op are
+// the probe's Stats.PostingsScanned and Stats.SkippedByCount.
 func BenchmarkEngineIndexSource(b *testing.B) {
-	ts := engineBenchCorpus()
-	methods := []struct {
+	type indexCase struct {
 		name string
+		ts   []*tree.Tree
+		tau  int
 		m    treejoin.Method
-	}{
-		{"STR", treejoin.MethodSTR},
-		{"PQG", treejoin.MethodPQGram},
-		{"HIST", treejoin.MethodHistogram},
 	}
+	var cases []indexCase
+	ts := engineBenchCorpus()
 	for _, tau := range engineBenchTaus {
-		for _, mm := range methods {
-			b.Run(fmt.Sprintf("%s/tau=%d/cold", mm.name, tau), func(b *testing.B) {
-				var st treejoin.Stats
-				for i := 0; i < b.N; i++ {
-					_, st = selfJoin(b, ts, tau, treejoin.WithMethod(mm.m))
-				}
-				b.ReportMetric(float64(st.Candidates), "cand/op")
-				b.ReportMetric(float64(st.Results), "res/op")
-			})
-			b.Run(fmt.Sprintf("%s/tau=%d/warm", mm.name, tau), func(b *testing.B) {
-				corpus, err := treejoin.NewCorpus(ts)
+		for _, mm := range []struct {
+			name string
+			m    treejoin.Method
+		}{
+			{"STR", treejoin.MethodSTR},
+			{"PQG", treejoin.MethodPQGram},
+			{"HIST", treejoin.MethodHistogram},
+		} {
+			cases = append(cases, indexCase{fmt.Sprintf("%s/tau=%d", mm.name, tau), ts, tau, mm.m})
+		}
+	}
+	// The join-dense workload's shape at its warm τ: 1 400 trees of 200
+	// nodes in clusters of 36 near-duplicates, where the probe, not the
+	// verifier, is most of a warm join.
+	dense := synth.SyntheticParams(1400, 4, 8, 20, 200, 1)
+	dense.Cluster, dense.Decay = 36, 0.03
+	cases = append(cases, indexCase{"PQG/dense/tau=6", synth.Generate(dense), 6, treejoin.MethodPQGram})
+	for _, ic := range cases {
+		b.Run(ic.name+"/cold", func(b *testing.B) {
+			var st treejoin.Stats
+			for i := 0; i < b.N; i++ {
+				_, st = selfJoin(b, ic.ts, ic.tau, treejoin.WithMethod(ic.m))
+			}
+			reportProbe(b, st)
+		})
+		b.Run(ic.name+"/warm", func(b *testing.B) {
+			corpus, err := treejoin.NewCorpus(ic.ts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			opts := []treejoin.Option{treejoin.WithMethod(ic.m), treejoin.WithFixedPlan()}
+			if _, _, err := corpus.SelfJoin(ctx, ic.tau, opts...); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var st treejoin.Stats
+			for i := 0; i < b.N; i++ {
+				var err error
+				_, st, err = corpus.SelfJoin(ctx, ic.tau, opts...)
 				if err != nil {
 					b.Fatal(err)
 				}
-				ctx := context.Background()
-				if _, _, err := corpus.SelfJoin(ctx, tau, treejoin.WithMethod(mm.m)); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				var st treejoin.Stats
-				for i := 0; i < b.N; i++ {
-					var err error
-					_, st, err = corpus.SelfJoin(ctx, tau, treejoin.WithMethod(mm.m))
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(st.Candidates), "cand/op")
-				b.ReportMetric(float64(st.Results), "res/op")
-			})
-		}
+			}
+			reportProbe(b, st)
+		})
 	}
+}
+
+// reportProbe reports a token-index join's candidates, results, and the
+// postings its probe read and the partners its count threshold dropped.
+func reportProbe(b *testing.B, st treejoin.Stats) {
+	b.ReportMetric(float64(st.Candidates), "cand/op")
+	b.ReportMetric(float64(st.Results), "res/op")
+	b.ReportMetric(float64(st.PostingsScanned), "postings/op")
+	b.ReportMetric(float64(st.SkippedByCount), "skipped/op")
 }
 
 // BenchmarkEngineCrossJoin — cross joins through the one engine loop, per

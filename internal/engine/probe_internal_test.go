@@ -1,0 +1,200 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"testing"
+
+	"treejoin/internal/sim"
+	"treejoin/internal/synth"
+	"treejoin/internal/tree"
+)
+
+// refTokenizers stand in for the two tokenizers the methods wire in, which
+// this package cannot import: label tokens with C = 2 (baseline's
+// LabelTokenizer) and Euler-tour 3-grams with C = 12 (pqgram's Tokenizer; a
+// window packs its three symbols instead of hashing them, which changes the
+// keys and not the multiset's shape).
+func refTokenizers() []Tokenizer {
+	labels := NewTokenizer("labels", 2, func(t *tree.Tree) []uint64 {
+		out := make([]uint64, len(t.Nodes))
+		for i := range t.Nodes {
+			out[i] = uint64(uint32(t.Nodes[i].Label))
+		}
+		return out
+	})
+	const q = 3
+	grams := NewTokenizer("euler-grams/q=3", 4*q, func(t *tree.Tree) []uint64 {
+		euler := tree.EulerString(t)
+		if len(euler) < q {
+			return nil
+		}
+		out := make([]uint64, len(euler)-q+1)
+		for w := range out {
+			for _, v := range euler[w : w+q] {
+				out[w] = out[w]<<21 ^ uint64(uint32(v))
+			}
+		}
+		return out
+	})
+	return []Tokenizer{labels, grams}
+}
+
+// mixedCorpus is the external tests' corpus of the same name: synthetic trees,
+// renamed same-size copies, and a tail of tiny trees for the light path.
+func mixedCorpus(n int, seed int64) []*tree.Tree {
+	ts := synth.Synthetic(n, seed)
+	lt := ts[0].Labels
+	for i := 0; i < n; i += 5 {
+		ts = append(ts, tree.Rename(ts[i], 0, "renamed"))
+	}
+	for _, s := range []string{"{a}", "{b}", "{a}", "{a{b}}", "{a{b}{c}}", "{a{c}{b}}", "{x{y{z}}}", "{a{b}{c}}"} {
+		ts = append(ts, tree.MustParseBracket(s, lt))
+	}
+	return ts
+}
+
+// probeReference recomputes what the probe must do from the index's bags and
+// prefix lengths alone: the global order (ascending bag frequency, ties by
+// key), each tree's prefix as the first plen expanded elements of its bag in
+// that order, a posting per (prefix token, tree). For every probe rank it
+// returns the offered pairs in order, and the postings a probe over the rank's
+// size window below it reads and the partners the count threshold drops.
+func probeReference(x *PrefixIndex, ts []*tree.Tree, split int, order []int) (offers [][2]int, scanned, skipped int64) {
+	freq := map[uint64]int64{}
+	for _, b := range x.bags {
+		for _, tc := range b.toks {
+			freq[tc.key] += int64(tc.count)
+		}
+	}
+	prefix := make([]map[uint64]int32, len(ts))
+	for ti, b := range x.bags {
+		toks := slices.Clone(b.toks)
+		slices.SortFunc(toks, func(a, b tokenCount) int {
+			if freq[a.key] != freq[b.key] {
+				return int(freq[a.key] - freq[b.key])
+			}
+			if a.key < b.key {
+				return -1
+			}
+			return 1
+		})
+		prefix[ti] = map[uint64]int32{}
+		left := x.plen[ti]
+		for _, tc := range toks {
+			if left == 0 {
+				break
+			}
+			n := min(tc.count, left)
+			prefix[ti][tc.key] = n
+			left -= n
+		}
+	}
+	for r, ti := range order {
+		la := x.bags[ti].total
+		for s := 0; s < r; s++ {
+			tj := order[s]
+			if ts[tj].Size() < ts[ti].Size()-x.tau || (split >= 0 && (ti < split) == (tj < split)) {
+				continue
+			}
+			lb := x.bags[tj].total
+			if la <= x.ctau {
+				if lb <= x.ctau {
+					offers = append(offers, [2]int{ti, tj})
+				}
+				continue
+			}
+			var shared int32
+			hits := 0
+			for _, tc := range x.bags[ti].toks {
+				if n := prefix[tj][tc.key]; n > 0 {
+					shared += min(tc.count, n)
+					hits++
+				}
+			}
+			scanned += int64(hits)
+			switch {
+			case hits == 0:
+			case shared >= max(la-x.ctau-(lb-x.plen[tj]), 1):
+				offers = append(offers, [2]int{ti, tj})
+			default:
+				skipped++
+			}
+		}
+	}
+	return offers, scanned, skipped
+}
+
+// TestProbeReference pins the probe to its definition: a sequential run
+// offers exactly the reference's pairs, in the reference's order, and counts
+// exactly its postings and count-skipped partners — both tokenizers,
+// thresholds from exact matching through bag-saturating, self and cross
+// joins, the default prefix and a doubled one.
+func TestProbeReference(t *testing.T) {
+	ts := mixedCorpus(60, 11)
+	const split = 25
+	for _, tz := range refTokenizers() {
+		for _, tau := range []int{0, 1, 2, 4, 8} {
+			for _, cross := range []bool{false, true} {
+				for _, prefixC := range []int{0, 2 * tz.Slack()} {
+					label := fmt.Sprintf("%s τ=%d cross=%v C'=%d", tz.Name(), tau, cross, prefixC)
+					var got [][2]int
+					record := NewFilter("record", func(*Collection) func(i, j int) bool {
+						return func(i, j int) bool {
+							got = append(got, [2]int{i, j})
+							return false
+						}
+					})
+					job := Job{Tau: tau, Filters: []PairFilter{record}, Source: TokenIndex(tz, nil), PrefixC: prefixC, Workers: 1}
+					var st *sim.Stats
+					sp := -1
+					if cross {
+						_, st = job.Join(ts[:split], ts[split:])
+						sp = split
+					} else {
+						_, st = job.SelfJoin(ts)
+					}
+					if st.Source != TokenIndex(tz, nil).Name() {
+						t.Fatalf("%s: source %q, want the token index", label, st.Source)
+					}
+					order := sim.SizeOrder(ts)
+					x := buildPrefixIndex(tz, ts, sp, order, tau, max(tz.Slack(), prefixC), NewCache())
+					for ti, b := range x.bags {
+						if want := min(int32(x.cmul*tau+1), b.total); x.plen[ti] != want {
+							t.Fatalf("%s: tree %d prefix length %d, want %d", label, ti, x.plen[ti], want)
+						}
+					}
+					want, scanned, skipped := probeReference(x, ts, sp, order)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: offered %d pairs, reference %d (or the order differs)", label, len(got), len(want))
+					}
+					if st.PostingsScanned != scanned || st.SkippedByCount != skipped {
+						t.Fatalf("%s: scanned/skipped %d/%d, reference %d/%d", label,
+							st.PostingsScanned, st.SkippedByCount, scanned, skipped)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProbeAllocs: a probe chunk allocates its scratch once, so a chunk of
+// every rank allocates no more often than a chunk of four.
+func TestProbeAllocs(t *testing.T) {
+	ts := mixedCorpus(60, 11)
+	for _, tz := range refTokenizers() {
+		c := newCollection(context.Background(), ts, -1, 2, 1, nil)
+		x := buildPrefixIndex(tz, ts, -1, c.Order, c.Tau, tz.Slack(), c.Cache())
+		px := &Pipeline{c: c, preds: []func(i, j int) bool{func(i, j int) bool { return false }}, counts: make([]sim.StageStats, 1)}
+		n := len(c.Order)
+		few := testing.AllocsPerRun(20, func() { x.probe(px, n-4, n) })
+		all := testing.AllocsPerRun(20, func() { x.probe(px, 0, n) })
+		if px.stats.PostingsScanned == 0 {
+			t.Fatalf("%s: the probes read no postings", tz.Name())
+		}
+		if few > 1 || all > 1 {
+			t.Fatalf("%s: %v allocations probing 4 ranks, %v probing %d; want at most 1", tz.Name(), few, all, n)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"slices"
-	"sort"
 	"time"
 
 	"treejoin/internal/sim"
@@ -30,13 +29,13 @@ import (
 //     theorem two such bags must share a token among their first Cτ+1
 //     elements in any fixed total order. Rare-first ordering makes those
 //     prefix postings the shortest ones.
-//   - Probing walks the posting lists of the probe's whole bag in
-//     ascending-size order, merged by a heap over the list frontiers, and
-//     counts each partner's tokens shared with the probe. A
-//     partner is handed to the filter chain only when that count reaches
-//     the threshold its bag sizes demand (MergeSkip-style skipping): a
-//     qualifying pair overlaps in ≥ |A| − Cτ elements, of which at most
-//     |B| − p_B fall outside B's indexed prefix, so fewer than
+//   - Probing walks each posting list of the probe's whole bag once over
+//     the size window below it, adding each partner's tokens shared with
+//     the probe into a dense per-rank count (ScanCount); the touched ranks,
+//     sorted, come out in the sorted loop's order. A partner is handed to
+//     the filter chain only when its count reaches the threshold its bag
+//     sizes demand: a qualifying pair overlaps in ≥ |A| − Cτ elements, of
+//     which at most |B| − p_B fall outside B's indexed prefix, so fewer than
 //     |A| − Cτ − (|B| − p_B) hits prove the bound unreachable and the pair
 //     is dropped without ever running a pair predicate. Probing with the
 //     full bag rather than the probe's own prefix is what gives the
@@ -367,15 +366,6 @@ func buildPrefixIndex(tz Tokenizer, ts []*tree.Tree, split int, order []int, tau
 	return x
 }
 
-// frontier is one posting list being merged during a probe.
-type frontier struct {
-	list []posting
-	i    int
-	ca   int32 // the probe BAG's multiplicity of this token (probes walk
-	// their full bag, not their prefix — the asymmetry the count
-	// threshold's strength rests on; see probe)
-}
-
 // probe offers, for each tree at order ranks [lo, hi), its candidate partners
 // among the trees before it — for a cross join, those on the other side —
 // exactly like the sorted loop's pair enumeration: every unordered pair at
@@ -384,7 +374,13 @@ func (x *PrefixIndex) probe(px *Pipeline, lo, hi int) {
 	c, ctau := px.Collection(), x.ctau
 	stats := px.Stats()
 	start := time.Now()
-	var fr []frontier
+	// Every partner of the chunk sits in [base, hi): windows only move right
+	// along the size order. One allocation holds the per-rank shared-token
+	// counts and the ranks touched by the current probe.
+	base := int32(c.WindowStart(c.Trees[c.Order[lo]].Size()))
+	n := hi - int(base)
+	scratch := make([]int32, 2*n)
+	cnt, touched := scratch[:n], scratch[n:n]
 	for r := lo; r < hi && !px.Cancelled(); r++ {
 		ti, me := c.Order[r], int32(r)
 		side := &x.sides[0]
@@ -403,54 +399,43 @@ func (x *PrefixIndex) probe(px *Pipeline, lo, hi int) {
 			}
 			continue
 		}
-		// Indexed probe: heap-merge the posting lists of the probe's whole
-		// bag in rank order, counting each partner's shared tokens. The probe
-		// walks its full bag — not just its own prefix — because only the
-		// asymmetric form gives the count threshold teeth: a qualifying pair
-		// overlaps in ≥ |A| − Cτ elements, of which at most |B| − p_B fall
-		// outside B's indexed prefix, so B must collect |A| − Cτ − (|B| − p_B)
-		// hits from A's lists. Only globally rare tokens have posting lists at
-		// all, so most of the bag's lookups miss for free.
-		fr = fr[:0]
+		// Indexed probe: walk the posting lists of the probe's whole bag over
+		// the window below it, adding each partner's shared tokens into its
+		// count cell. The probe walks its full bag — not just its own prefix —
+		// because only the asymmetric form gives the count threshold teeth: a
+		// qualifying pair overlaps in ≥ |A| − Cτ elements, of which at most
+		// |B| − p_B fall outside B's indexed prefix, so B must collect
+		// |A| − Cτ − (|B| − p_B) hits from A's lists. Only globally rare
+		// tokens have posting lists at all, so most of the bag's lookups miss
+		// for free.
 		for _, tc := range x.bags[ti].toks {
 			list := side.post[tc.key]
-			k := sort.Search(len(list), func(k int) bool { return list[k].rank >= from })
-			if k < len(list) && list[k].rank < me {
-				fr = append(fr, frontier{list: list, i: k, ca: tc.count})
+			k, _ := slices.BinarySearchFunc(list, from, func(p posting, rank int32) int { return int(p.rank - rank) })
+			for ; k < len(list) && list[k].rank < me; k++ {
+				s := list[k].rank - base
+				if cnt[s] == 0 {
+					touched = append(touched, s)
+				}
+				cnt[s] += min(tc.count, list[k].count)
+				stats.PostingsScanned++
 			}
 		}
-		heapify(fr)
-		// Lists run on past the probe's rank (the index is whole); the merge
-		// ends when the smallest frontier reaches it.
-		for len(fr) > 0 && fr[0].list[fr[0].i].rank < me {
-			rank := fr[0].list[fr[0].i].rank
-			tj := c.Order[rank]
-			var shared int32
-			for len(fr) > 0 && fr[0].list[fr[0].i].rank == rank {
-				shared += min(fr[0].ca, fr[0].list[fr[0].i].count)
-				stats.PostingsScanned++
-				fr[0].i++
-				if fr[0].i == len(fr[0].list) {
-					fr[0] = fr[len(fr)-1]
-					fr = fr[:len(fr)-1]
-				}
-				if len(fr) > 0 {
-					siftDown(fr)
-				}
-			}
-			// Count threshold: a ≤ τ pair's overlap is at least
-			// |A| − Cτ, and at most |B| − p_B of it can fall outside B's
-			// indexed prefix, so fewer than |A| − Cτ − (|B| − p_B) hits
-			// prove the bag bound unreachable. For same-bag-size partners
-			// this is the theorem's ≥ 1; it climbs with the bag-size gap,
-			// so partners at the small end of the size window need the
-			// most shared tokens.
-			if shared >= max(la-ctau-(x.bags[tj].total-x.plen[tj]), 1) {
+		// Offer in rank order, as the sorted loop would, zeroing each cell
+		// for the next probe. Count threshold: for same-bag-size partners it
+		// is the prefix theorem's ≥ 1; it climbs with the bag-size gap, so
+		// partners at the small end of the size window need the most shared
+		// tokens.
+		slices.Sort(touched)
+		for _, s := range touched {
+			tj := c.Order[base+s]
+			if cnt[s] >= max(la-ctau-(x.bags[tj].total-x.plen[tj]), 1) {
 				px.Offer(ti, tj)
 			} else {
 				stats.SkippedByCount++
 			}
+			cnt[s] = 0
 		}
+		touched = touched[:0]
 	}
 	stats.CandTime += time.Since(start)
 }
@@ -504,34 +489,5 @@ func selectSmallest(s []scratchTok, k int) {
 		default:
 			return
 		}
-	}
-}
-
-// heapify establishes the min-heap order on the frontiers (keyed by the
-// current entry's rank).
-func heapify(fr []frontier) {
-	for i := len(fr)/2 - 1; i >= 0; i-- {
-		sift(fr, i)
-	}
-}
-
-// siftDown restores the heap after the root's frontier advanced.
-func siftDown(fr []frontier) { sift(fr, 0) }
-
-func sift(fr []frontier, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(fr) && fr[l].list[fr[l].i].rank < fr[m].list[fr[m].i].rank {
-			m = l
-		}
-		if r < len(fr) && fr[r].list[fr[r].i].rank < fr[m].list[fr[m].i].rank {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		fr[i], fr[m] = fr[m], fr[i]
-		i = m
 	}
 }
