@@ -383,13 +383,15 @@ func BenchmarkEngineIndexSource(b *testing.B) {
 	}
 }
 
-// reportProbe reports a token-index join's candidates, results, and the
-// postings its probe read and the partners its count threshold dropped.
+// reportProbe reports a token-index join's candidates, results, the postings
+// its probe read and the partners its count threshold dropped, and the wall
+// time of its index build (0 when the corpus already held the index).
 func reportProbe(b *testing.B, st treejoin.Stats) {
 	b.ReportMetric(float64(st.Candidates), "cand/op")
 	b.ReportMetric(float64(st.Results), "res/op")
 	b.ReportMetric(float64(st.PostingsScanned), "postings/op")
 	b.ReportMetric(float64(st.SkippedByCount), "skipped/op")
+	b.ReportMetric(float64(st.IndexBuildTime)/1e6, "build-ms/op")
 }
 
 // BenchmarkEngineCrossJoin — cross joins through the one engine loop, per

@@ -141,10 +141,10 @@ func (st *corpusState) indexAt(ctx context.Context, tau, workers int, owner *Cor
 // state: its frozen index for (tokenizer, τ, C′), built from the cached bags by
 // whichever join asks first and shared by every later one (STR, EUL and PQG
 // tokenise alike, so they share).
-func (st *corpusState) tokenResolver(cache *engine.Cache) engine.TokenIndexResolver {
+func (st *corpusState) tokenResolver(cache *engine.Cache, workers int) engine.TokenIndexResolver {
 	return func(ctx context.Context, tz engine.Tokenizer, tau, prefixC int) (*engine.PrefixIndex, bool) {
 		x, built, _ := st.tokens.Get(ctx, tokenIndexKey{tz.Name(), tau, prefixC}, func() *engine.PrefixIndex {
-			return engine.NewPrefixIndex(tz, st.ts, tau, prefixC, cache)
+			return engine.NewPrefixIndex(tz, st.ts, tau, prefixC, workers, cache)
 		})
 		return x, built
 	}
@@ -677,7 +677,7 @@ func (q *joinQuery) plan(ctx context.Context, tau int) error {
 		o.Indexes = q.indexes
 		q.job.Source = core.NewSource(o)
 	case q.job.Source != nil && q.b == nil:
-		q.job.Source = engine.TokenIndex(tz, q.a.tokenResolver(q.cache))
+		q.job.Source = engine.TokenIndex(tz, q.a.tokenResolver(q.cache, q.c.workers))
 	}
 	return nil
 }

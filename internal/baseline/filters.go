@@ -34,7 +34,7 @@ type travStrings struct {
 // size-compatible pairs and dominates at small τ (cf. Figure 10).
 func STRFilter() engine.PairFilter {
 	return engine.NewFilter("STR", func(c *engine.Collection) func(i, j int) bool {
-		seqs := engine.Cached(c.Cache(), "str/traversals", c.Trees, func(t *tree.Tree) travStrings {
+		seqs := engine.Cached(c.Cache(), "str/traversals", c.Trees, c.Workers, func(t *tree.Tree) travStrings {
 			return travStrings{
 				pre:  tree.LabelSeq(t, tree.Preorder(t)),
 				post: tree.LabelSeq(t, tree.Postorder(t)),
@@ -56,7 +56,7 @@ func STRFilter() engine.PairFilter {
 // but the candidate set grows quickly with τ.
 func SETFilter() engine.PairFilter {
 	return engine.NewFilter("SET", func(c *engine.Collection) func(i, j int) bool {
-		vecs := engine.Cached(c.Cache(), "set/branches", c.Trees, BranchVector)
+		vecs := engine.Cached(c.Cache(), "set/branches", c.Trees, c.Workers, BranchVector)
 		limit := 5 * c.Tau
 		return func(i, j int) bool {
 			return BIB(vecs[i], vecs[j]) <= limit
@@ -72,7 +72,7 @@ func SETFilter() engine.PairFilter {
 // natural first link of a prefilter chain.
 func HISTFilter() engine.PairFilter {
 	return engine.NewFilter("HIST", func(c *engine.Collection) func(i, j int) bool {
-		profiles := engine.Cached(c.Cache(), "hist/profiles", c.Trees, NewHistProfile)
+		profiles := engine.Cached(c.Cache(), "hist/profiles", c.Trees, c.Workers, NewHistProfile)
 		tau := c.Tau
 		return func(i, j int) bool {
 			return HistLowerBound(profiles[i], profiles[j]) <= tau
@@ -87,7 +87,7 @@ func HISTFilter() engine.PairFilter {
 // more shape changes (the close symbols encode where subtrees end).
 func EULFilter() engine.PairFilter {
 	return engine.NewFilter("EUL", func(c *engine.Collection) func(i, j int) bool {
-		eulers := engine.Cached(c.Cache(), "eul/strings", c.Trees, EulerString)
+		eulers := engine.Cached(c.Cache(), "eul/strings", c.Trees, c.Workers, EulerString)
 		tau := c.Tau
 		return func(i, j int) bool {
 			return EulerLowerBound(eulers[i], eulers[j], tau) <= tau

@@ -155,11 +155,11 @@ func (c *Cache) Evict(ts ...*tree.Tree) int {
 	return n
 }
 
-// Cached returns build(t) for every tree of ts, in order, computing each
-// missing artifact exactly once and caching it under key. With a nil cache it
-// degrades to plain computation — the pre-corpus behaviour.
-func Cached[T any](c *Cache, key string, ts []*tree.Tree, build func(*tree.Tree) T) []T {
-	return cachedBatch(c, key, ts, 1, func(ts []*tree.Tree) []T {
+// Cached returns build(t) for every tree of ts, in order, calling build once
+// per tree missing under key (a racing call may too, see Cache), on at most
+// workers goroutines. With a nil cache it degrades to plain computation.
+func Cached[T any](c *Cache, key string, ts []*tree.Tree, workers int, build func(*tree.Tree) T) []T {
+	return cachedBatch(c, key, ts, workers, func(ts []*tree.Tree) []T {
 		out := make([]T, len(ts))
 		for i, t := range ts {
 			out[i] = build(t)
@@ -175,10 +175,11 @@ func Cached[T any](c *Cache, key string, ts []*tree.Tree, build func(*tree.Tree)
 // acquisition. A routed cache delegates per tree (the trees may span several
 // caches, so there is no single lock to bulk under), and stores through the
 // route as it is then: a tree removed while the batch was building must land
-// in the overflow, not back in the cache it was just evicted from.
+// in the overflow, not back in the cache it was just evicted from. A nil
+// cache stands for a fresh one.
 func cachedBatch[T any](c *Cache, key string, ts []*tree.Tree, workers int, build func([]*tree.Tree) []T) []T {
 	if c == nil {
-		return build(ts)
+		c = NewCache()
 	}
 	out := make([]T, len(ts))
 	var missing []int
@@ -211,24 +212,11 @@ func cachedBatch[T any](c *Cache, key string, ts []*tree.Tree, workers int, buil
 	for k, i := range missing {
 		mts[k] = ts[i]
 	}
-	workers = max(1, min(workers, len(mts)))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(mts)/workers, (w+1)*len(mts)/workers
-		run := func() {
-			defer wg.Done()
-			for k, v := range build(mts[lo:hi]) {
-				out[missing[lo+k]] = v
-			}
+	forRuns(len(mts), workers, func(lo, hi int) {
+		for k, v := range build(mts[lo:hi]) {
+			out[missing[lo+k]] = v
 		}
-		wg.Add(1)
-		if w == workers-1 {
-			run() // the last run — a small batch's only one — on the caller's goroutine
-		} else {
-			go run()
-		}
-	}
-	wg.Wait()
+	})
 	if c.route != nil {
 		for _, i := range missing {
 			c.Store(key, ts[i], out[i])
@@ -246,4 +234,20 @@ func cachedBatch[T any](c *Cache, key string, ts []*tree.Tree, workers int, buil
 	}
 	c.mu.Unlock()
 	return out
+}
+
+// forRuns calls run(lo, hi) on at most workers contiguous runs cutting [0, n),
+// the last (a small input's only one) on the caller's goroutine, and waits.
+func forRuns(n, workers int, run func(lo, hi int)) {
+	workers = max(1, min(workers, n))
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := range workers - 1 {
+		go func() {
+			defer wg.Done()
+			run(w*n/workers, (w+1)*n/workers)
+		}()
+	}
+	run((workers-1)*n/workers, n)
+	wg.Wait()
 }

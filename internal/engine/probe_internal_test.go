@@ -159,7 +159,7 @@ func TestProbeReference(t *testing.T) {
 						t.Fatalf("%s: source %q, want the token index", label, st.Source)
 					}
 					order := sim.SizeOrder(ts)
-					x := buildPrefixIndex(tz, ts, sp, order, tau, max(tz.Slack(), prefixC), NewCache())
+					x := buildPrefixIndex(tz, ts, sp, order, tau, max(tz.Slack(), prefixC), 1, NewCache())
 					for ti, b := range x.bags {
 						if want := min(int32(x.cmul*tau+1), b.total); x.plen[ti] != want {
 							t.Fatalf("%s: tree %d prefix length %d, want %d", label, ti, x.plen[ti], want)
@@ -185,7 +185,7 @@ func TestProbeAllocs(t *testing.T) {
 	ts := mixedCorpus(60, 11)
 	for _, tz := range refTokenizers() {
 		c := newCollection(context.Background(), ts, -1, 2, 1, nil)
-		x := buildPrefixIndex(tz, ts, -1, c.Order, c.Tau, tz.Slack(), c.Cache())
+		x := buildPrefixIndex(tz, ts, -1, c.Order, c.Tau, tz.Slack(), 1, c.Cache())
 		px := &Pipeline{c: c, preds: []func(i, j int) bool{func(i, j int) bool { return false }}, counts: make([]sim.StageStats, 1)}
 		n := len(c.Order)
 		few := testing.AllocsPerRun(20, func() { x.probe(px, n-4, n) })

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"slices"
+	"sync"
 	"time"
 
 	"treejoin/internal/sim"
@@ -182,7 +183,7 @@ func (s tokenIndexSource) Tasks(c *Collection) []Task {
 		if c.Cancelled() {
 			return nil
 		}
-		x, built = buildPrefixIndex(s.tz, c.Trees, c.Split, c.Order, c.Tau, cmul, c.Cache()), true
+		x, built = buildPrefixIndex(s.tz, c.Trees, c.Split, c.Order, c.Tau, cmul, c.Workers, c.Cache()), true
 	}
 	tasks := ProbeChunks(c, func(ti int) int { return int(x.bags[ti].total) }, x.probe)
 	if built {
@@ -286,9 +287,9 @@ type PrefixIndex struct {
 
 // NewPrefixIndex builds the self-join index over ts for threshold tau with a
 // prefix of max(tz.Slack(), prefixC)·τ+1 expanded elements per tree, drawing
-// the bags through cache.
-func NewPrefixIndex(tz Tokenizer, ts []*tree.Tree, tau, prefixC int, cache *Cache) *PrefixIndex {
-	return buildPrefixIndex(tz, ts, -1, sim.SizeOrder(ts), tau, max(tz.Slack(), prefixC), cache)
+// the bags through cache, on workers goroutines (< 1: GOMAXPROCS).
+func NewPrefixIndex(tz Tokenizer, ts []*tree.Tree, tau, prefixC, workers int, cache *Cache) *PrefixIndex {
+	return buildPrefixIndex(tz, ts, -1, sim.SizeOrder(ts), tau, max(tz.Slack(), prefixC), sim.NormalizeWorkers(workers), cache)
 }
 
 // covers reports whether x indexes exactly ts, in order, for this
@@ -303,19 +304,79 @@ func (x *PrefixIndex) covers(ts []*tree.Tree, tz Tokenizer, tau, cmul int) bool 
 // first, ties by key": rare tokens have the short posting lists, so prefixes
 // drawn from the front of this order keep probe work minimal. Any fixed total
 // order is sound; frequency ordering is the classic heuristic. A cross join
-// (split ≥ 0) posts each tree on its own side.
-func buildPrefixIndex(tz Tokenizer, ts []*tree.Tree, split int, order []int, tau, cmul int, cache *Cache) *PrefixIndex {
+// (split ≥ 0) posts each tree on its own side. Bags, counts and prefixes are
+// built on workers runs side by side; the postings are then appended in rank
+// order, so every list is the one-run build's at any worker count.
+func buildPrefixIndex(tz Tokenizer, ts []*tree.Tree, split int, order []int, tau, cmul, workers int, cache *Cache) *PrefixIndex {
 	start := time.Now()
 	x := &PrefixIndex{tz: tz.Name(), tau: tau, cmul: cmul, ctau: int32(tz.Slack() * tau), ts: ts, plen: make([]int32, len(ts))}
-	x.bags = Cached(cache, tokenBagKey(tz), ts, func(t *tree.Tree) *tokenBag { return buildBag(tz, t) })
-	freq := make(map[uint64]int64, 1<<10)
-	for _, b := range x.bags {
-		for _, tc := range b.toks {
-			freq[tc.key] += int64(tc.count)
+	x.bags = Cached(cache, tokenBagKey(tz), ts, workers, func(t *tree.Tree) *tokenBag { return buildBag(tz, t) })
+	// Each run of bags counts its token frequencies, and the runs' counts
+	// are summed into the first run to finish.
+	var mu sync.Mutex
+	var freq map[uint64]int64
+	forRuns(len(x.bags), workers, func(lo, hi int) {
+		m := make(map[uint64]int64, 1<<10)
+		for _, b := range x.bags[lo:hi] {
+			for _, tc := range b.toks {
+				m[tc.key] += int64(tc.count)
+			}
 		}
-	}
+		mu.Lock()
+		defer mu.Unlock()
+		if freq == nil {
+			freq = m
+			return
+		}
+		for k, n := range m {
+			freq[k] += n
+		}
+	})
+	// Rank r's prefix goes to heads[off[r]:off[r+1]], room for budget
+	// distinct tokens; slots it leaves unused keep count 0.
 	budget := int32(cmul*tau + 1)
-	var scratch []scratchTok
+	off := make([]int, len(order)+1)
+	for r, ti := range order {
+		off[r+1] = off[r] + min(int(budget), len(x.bags[ti].toks))
+	}
+	heads := make([]tokenCount, off[len(order)])
+	forRuns(len(order), workers, func(lo, hi int) {
+		var scratch []scratchTok
+		for r := lo; r < hi; r++ {
+			b := x.bags[order[r]]
+			scratch = scratch[:0]
+			for _, tc := range b.toks {
+				scratch = append(scratch, scratchTok{freq: freq[tc.key], key: tc.key, count: tc.count})
+			}
+			// The prefix spends at most budget expanded elements, so at most
+			// budget distinct tokens matter: quickselect them to the front,
+			// then sort only that head instead of the whole bag.
+			head := scratch
+			if int(budget) < len(scratch) {
+				selectSmallest(scratch, int(budget))
+				head = scratch[:budget]
+			}
+			slices.SortFunc(head, func(a, b scratchTok) int {
+				if tokLess(a, b) {
+					return -1
+				}
+				if tokLess(b, a) {
+					return 1
+				}
+				return 0
+			})
+			var taken int32
+			for k, pt := range head {
+				if taken >= budget {
+					break
+				}
+				cnt := min(pt.count, budget-taken)
+				heads[off[r]+k] = tokenCount{key: pt.key, count: cnt}
+				taken += cnt
+			}
+			x.plen[order[r]] = taken
+		}
+	})
 	for r, ti := range order {
 		side := &x.sides[0]
 		if split >= 0 && ti >= split {
@@ -324,41 +385,15 @@ func buildPrefixIndex(tz Tokenizer, ts []*tree.Tree, split int, order []int, tau
 		if side.post == nil {
 			side.post = make(map[uint64][]posting, 1<<10)
 		}
-		b := x.bags[ti]
-		scratch = scratch[:0]
-		for _, tc := range b.toks {
-			scratch = append(scratch, scratchTok{freq: freq[tc.key], key: tc.key, count: tc.count})
-		}
-		// The prefix spends at most budget expanded elements, so at most
-		// budget distinct tokens matter: quickselect them to the front, then
-		// sort only that head instead of the whole bag.
-		head := scratch
-		if int(budget) < len(scratch) {
-			selectSmallest(scratch, int(budget))
-			head = scratch[:budget]
-		}
-		slices.SortFunc(head, func(a, b scratchTok) int {
-			if tokLess(a, b) {
-				return -1
-			}
-			if tokLess(b, a) {
-				return 1
-			}
-			return 0
-		})
 		// Every tree's prefix is indexed (a light tree may still be found
 		// through it by a heavier probe); light trees join the side list too.
-		var taken int32
-		for _, pt := range head {
-			if taken >= budget {
+		for _, tc := range heads[off[r]:off[r+1]] {
+			if tc.count == 0 {
 				break
 			}
-			cnt := min(pt.count, budget-taken)
-			side.post[pt.key] = append(side.post[pt.key], posting{rank: int32(r), count: cnt})
-			taken += cnt
+			side.post[tc.key] = append(side.post[tc.key], posting{rank: int32(r), count: tc.count})
 		}
-		x.plen[ti] = taken
-		if b.total <= x.ctau {
+		if x.bags[ti].total <= x.ctau {
 			side.light = append(side.light, int32(r))
 		}
 	}

@@ -2,7 +2,7 @@ package pqgram
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"treejoin/internal/engine"
 	"treejoin/internal/tree"
@@ -54,7 +54,7 @@ func NewGrams(t *tree.Tree, q int) *GramProfile {
 		panic(fmt.Sprintf("pqgram: invalid gram width q=%d", q))
 	}
 	g := &GramProfile{Q: q, Hashes: gramHashes(t, q)}
-	sort.Slice(g.Hashes, func(i, j int) bool { return g.Hashes[i] < g.Hashes[j] })
+	slices.Sort(g.Hashes)
 	return g
 }
 
@@ -152,7 +152,7 @@ func Filter(q int) engine.PairFilter {
 		// Gram bags depend on q but not on τ; the cache key records q so
 		// differently-parameterised filters never alias.
 		key := fmt.Sprintf("pqg/grams/q=%d", q)
-		profiles := engine.Cached(c.Cache(), key, c.Trees, func(t *tree.Tree) *GramProfile {
+		profiles := engine.Cached(c.Cache(), key, c.Trees, c.Workers, func(t *tree.Tree) *GramProfile {
 			return NewGrams(t, q)
 		})
 		limit := 4 * q * c.Tau

@@ -149,10 +149,10 @@ type Stats struct {
 	SmallTreeFallback int64         // candidate pairs produced by the small-tree path
 
 	// Token-index source counters (zero unless the join's candidates came
-	// from engine.TokenIndex). IndexBuildTime is a breakdown, not an addition
-	// to Total: of CandTime for the token index (tokenisation, frequency
-	// ranking, prefix posting), of PartitionTime for PartSJ's subgraph index —
-	// 0 for either when the run found its frozen index already built.
+	// from engine.TokenIndex). IndexBuildTime is the build's wall time, also
+	// where it is charged to CandTime's CPU-effort sum — a breakdown, not an
+	// addition to Total: of CandTime for the token index (tokenisation, ranking,
+	// posting), of PartitionTime for PartSJ's — 0 when it was already built.
 	IndexBuildTime  time.Duration // building the source's index
 	PostingsScanned int64         // posting-list entries inspected while probing
 	SkippedByCount  int64         // partners discarded because their shared-token count proved the bound unreachable
