@@ -83,7 +83,9 @@ func BenchmarkIncrementalAdd(b *testing.B) {
 // for the size window and the position test per posting, no match tests — over
 // a Swissprot-profile collection indexed in full, every tree probing the
 // sizes a join would. lookups/node is the twig-table lookups one probe node
-// costs (its compatible keys, at most 4).
+// costs (its compatible keys, at most 4). The match cases run the match test
+// on every posting visited as well: tests/node is what a join would pay
+// without its per-partner dedup, hits/visit the share that matches.
 func BenchmarkIndexProbe(b *testing.B) {
 	ts := synth.Swissprot(2000, 11)
 	bins := make([]*lcrs.Bin, len(ts))
@@ -110,6 +112,25 @@ func BenchmarkIndexProbe(b *testing.B) {
 			}
 			b.ReportMetric(float64(lookups)/float64(nodes), "lookups/node")
 			b.ReportMetric(float64(visited)/float64(nodes), "visited/node")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/probe-node")
+		})
+		b.Run(fmt.Sprintf("match/tau=%d", tau), func(b *testing.B) {
+			var nodes, tests, hits int64
+			var sc matchScratch
+			for i := 0; i < b.N; i++ {
+				for _, bin := range bins {
+					for _, n := range bin.Order {
+						tests += ix.probe(bin, n, bin.Size()-tau, bin.Size(), noTieLimit, func(e posting) {
+							if ix.matches(e, bin, n, &sc) {
+								hits++
+							}
+						})
+					}
+					nodes += int64(bin.Size())
+				}
+			}
+			b.ReportMetric(float64(tests)/float64(nodes), "tests/node")
+			b.ReportMetric(float64(hits)/float64(tests), "hits/visit")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/probe-node")
 		})
 	}

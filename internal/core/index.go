@@ -25,8 +25,11 @@ import (
 // the twig is by far the most selective of the three keys; asking it first
 // means a probe touches only lists that can hold a partner (the ordering
 // argument of filter-and-verification trees). Position windows are therefore
-// a per-posting comparison rather than a bucket address. The set of entries a
-// probe visits is unchanged; only the order it visits them in differs.
+// a per-posting comparison rather than a bucket address. The twig a subgraph
+// is filed under also carries the slot occupancy of each root child it
+// descends into (indexKey), which a match needs and the probe node's own
+// children supply, so a probe visits the paper's entries less those whose
+// match would fail at a root child's slots, and finds the same matches.
 //
 // # Position keys — corrections to the paper
 //
@@ -103,18 +106,22 @@ func (m PositionFilter) String() string {
 // child is in-component, slotBridge when the slot is a bridging edge, and
 // slotEmpty when the slot is empty. (The paper folds bridge and empty into
 // one ε marker; distinguishing them is a strict refinement — an empty slot
-// can only match an empty slot — that preserves the probe-key count.)
+// can only match an empty slot — that preserves the probe-key count.) An
+// index key refines it once more with occ (see indexKey).
 const (
 	slotBridge int32 = -1
 	slotEmpty  int32 = -2
 )
 
-type twig struct{ root, left, right int32 }
+type twig struct {
+	root, left, right int32
+	occ               uint8 // index keys only: the descended children's slot occupancy
+}
 
 // twigTable maps a twig to its list id: open addressing with linear probing
 // over a power-of-two slot array kept at most half full. A probe node pays its
 // ≤4 lookups here, the hottest line of a join, so the table is flat — one
-// multiply-mix of the 12-byte key and a short scan of adjacent 16-byte slots —
+// multiply-mix of the 13-byte key and a short scan of adjacent 20-byte slots —
 // rather than a generic hash map.
 type twigTable struct {
 	slots []twigSlot
@@ -129,7 +136,7 @@ type twigSlot struct {
 
 func (t *twigTable) home(k twig) int {
 	h := (uint64(uint32(k.root))<<32 | uint64(uint32(k.left))) * 0x9E3779B97F4A7C15
-	h = (h ^ h>>32 ^ uint64(uint32(k.right))) * 0xC2B2AE3D27D4EB4F
+	h = (h ^ h>>32 ^ uint64(uint32(k.right)) ^ uint64(k.occ)<<32) * 0xC2B2AE3D27D4EB4F
 	return int(h >> t.shift)
 }
 
@@ -342,11 +349,39 @@ func (ix *invIndex) list(tw twig) int32 {
 	return li
 }
 
-// nodeTwig computes the label twig of node v of component c; the root's is
-// the subgraph's index key.
+// nodeTwig computes the label twig of node v of component c, occ left 0:
+// encode, which calls it for every node, needs only the slot kinds.
 func nodeTwig(p *Partition, c, v int32) twig {
 	b := p.Bin
 	return twig{root: b.Label(v), left: slotKey(p, c, b.Left(v)), right: slotKey(p, c, b.Right(v))}
+}
+
+// indexKey is the key component c is filed under: its root's twig plus, for
+// each slot that descends, the child's slot occupancy. A match needs it: the
+// child's word accepts a probe child only if every empty slot of the pattern
+// child is empty there and every bridge or descend slot filled, so the probe
+// child's occupancy, which probeKeys puts in the key, must be the same.
+func indexKey(p *Partition, c int32) twig {
+	b, v := p.Bin, p.Roots[c]
+	tw := nodeTwig(p, c, v)
+	if tw.left >= 0 {
+		tw.occ = occupancy(b, b.Left(v)) << 2
+	}
+	if tw.right >= 0 {
+		tw.occ |= occupancy(b, b.Right(v))
+	}
+	return tw
+}
+
+// occupancy packs whether node v's left and right slots hold a child.
+func occupancy(b *lcrs.Bin, v int32) (o uint8) {
+	if b.Left(v) != lcrs.None {
+		o = 2
+	}
+	if b.Right(v) != lcrs.None {
+		o |= 1
+	}
+	return o
 }
 
 func slotKey(p *Partition, c int32, child int32) int32 {
@@ -402,7 +437,7 @@ func (ix *invIndex) add(treeIdx int, p *Partition, sorted bool) {
 			slack := int32(ix.tau - ranks[c]/2)
 			lo, hi = max(rk-slack, 0), rk+slack
 		}
-		li := ix.list(nodeTwig(p, c, p.Roots[c]))
+		li := ix.list(indexKey(p, c))
 		ps := ix.posts[li]
 		for e.pos = lo; e.pos <= hi; e.pos++ {
 			at := len(ps)
@@ -416,20 +451,22 @@ func (ix *invIndex) add(treeIdx int, p *Partition, sorted bool) {
 	}
 }
 
-// probeKeys materialises the ≤4 twig keys compatible with probe node n: each
-// present child may match either a same-label in-component child or a
-// bridging slot; an absent child matches only an empty slot.
+// probeKeys materialises the ≤4 index keys compatible with probe node n: each
+// present child may match either a same-label in-component child of its own
+// slot occupancy or a bridging slot; an absent child matches only an empty
+// slot.
 func probeKeys(b *lcrs.Bin, n int32, keys *[4]twig) int {
 	var lopts, ropts [2]int32
+	var locc, rocc [2]uint8 // a descend option's occupancy bits; 0 for the others
 	nl, nr := 1, 1
 	if l := b.Left(n); l != lcrs.None {
-		lopts[0], lopts[1] = b.Label(l), slotBridge
+		lopts, locc = [2]int32{b.Label(l), slotBridge}, [2]uint8{occupancy(b, l) << 2}
 		nl = 2
 	} else {
 		lopts[0] = slotEmpty
 	}
 	if r := b.Right(n); r != lcrs.None {
-		ropts[0], ropts[1] = b.Label(r), slotBridge
+		ropts, rocc = [2]int32{b.Label(r), slotBridge}, [2]uint8{occupancy(b, r)}
 		nr = 2
 	} else {
 		ropts[0] = slotEmpty
@@ -438,7 +475,7 @@ func probeKeys(b *lcrs.Bin, n int32, keys *[4]twig) int {
 	k := 0
 	for i := 0; i < nl; i++ {
 		for j := 0; j < nr; j++ {
-			keys[k] = twig{root: lab, left: lopts[i], right: ropts[j]}
+			keys[k] = twig{root: lab, left: lopts[i], right: ropts[j], occ: locc[i] | rocc[j]}
 			k++
 		}
 	}

@@ -20,24 +20,24 @@ func TestSubgraphTwig(t *testing.T) {
 	p := Compute(b, 3)
 
 	// Component 0 root is l4: binary left = l5 (in component), right = l6
-	// (in component).
-	tw := nodeTwig(p, 0, p.Roots[0])
+	// (in component); neither has a child or a sibling.
+	tw := indexKey(p, 0)
 	l4, l5, l6 := lt.Intern("l4"), lt.Intern("l5"), lt.Intern("l6")
-	if tw != (twig{root: l4, left: l5, right: l6}) {
+	if tw != (twig{root: l4, left: l5, right: l6, occ: 0b0000}) {
 		t.Errorf("twig(comp0) = %+v", tw)
 	}
-	// Component 2 (root component) root is l1: left = l2 (in component),
-	// right = empty (the root has no sibling).
-	tw = nodeTwig(p, 2, p.Roots[2])
+	// Component 2 (root component) root is l1: left = l2 (in component, with
+	// a child l3 and a sibling l7), right = empty (the root has no sibling).
+	tw = indexKey(p, 2)
 	l1, l2 := lt.Intern("l1"), lt.Intern("l2")
-	if tw != (twig{root: l1, left: l2, right: slotEmpty}) {
+	if tw != (twig{root: l1, left: l2, right: slotEmpty, occ: 0b1100}) {
 		t.Errorf("twig(comp2) = %+v", tw)
 	}
-	// Component 1 root is l8: left = l9 (in component), right = l11 (also in
-	// component 1).
-	tw = nodeTwig(p, 1, p.Roots[1])
+	// Component 1 root is l8: left = l9 (in component, with a child l10 and
+	// no sibling), right = l11 (also in component 1, a leaf with no sibling).
+	tw = indexKey(p, 1)
 	l8, l9, l11 := lt.Intern("l8"), lt.Intern("l9"), lt.Intern("l11")
-	if tw != (twig{root: l8, left: l9, right: l11}) {
+	if tw != (twig{root: l8, left: l9, right: l11, occ: 0b1000}) {
 		t.Errorf("twig(comp1) = %+v", tw)
 	}
 }
@@ -52,10 +52,11 @@ func TestSubgraphTwigBridge(t *testing.T) {
 	if p.MinSize() != 1 {
 		t.Fatalf("expected singleton components, sizes %v", p.Sizes)
 	}
-	// The root component {a} has a bridging left slot (to b) and empty right.
+	// The root component {a} has a bridging left slot (to b) and empty right:
+	// no slot descends, so no occupancy bits, though b has a child.
 	rootComp := int32(p.Delta - 1)
-	tw := nodeTwig(p, rootComp, p.Roots[rootComp])
-	if tw != (twig{root: lt.Intern("a"), left: slotBridge, right: slotEmpty}) {
+	tw := indexKey(p, rootComp)
+	if tw != (twig{root: lt.Intern("a"), left: slotBridge, right: slotEmpty, occ: 0}) {
 		t.Errorf("twig(root comp) = %+v", tw)
 	}
 }
@@ -67,14 +68,15 @@ func TestProbeKeysEnumeration(t *testing.T) {
 	var keys [4]twig
 	la, lb, lc, ld := lt.Intern("a"), lt.Intern("b"), lt.Intern("c"), lt.Intern("d")
 
-	// Root a: left child b, right none → 2 keys.
+	// Root a: left child b (which has a child d and a sibling c), right none
+	// → 2 keys; only the descend option carries b's occupancy.
 	n := probeKeys(b, g.Root(), &keys)
 	if n != 2 {
 		t.Fatalf("root keys = %d", n)
 	}
 	wantRoot := map[twig]bool{
-		{root: la, left: lb, right: slotEmpty}:         true,
-		{root: la, left: slotBridge, right: slotEmpty}: true,
+		{root: la, left: lb, right: slotEmpty, occ: 0b1100}:    true,
+		{root: la, left: slotBridge, right: slotEmpty, occ: 0}: true,
 	}
 	for i := 0; i < n; i++ {
 		if !wantRoot[keys[i]] {
@@ -82,17 +84,18 @@ func TestProbeKeysEnumeration(t *testing.T) {
 		}
 	}
 
-	// Node b: left child d, right sibling c → 4 keys.
+	// Node b: left child d, right sibling c, both leaves without a sibling
+	// → 4 keys, every occupancy empty.
 	nb := nodeByLabel(g, "b")
 	n = probeKeys(b, nb, &keys)
 	if n != 4 {
 		t.Fatalf("b keys = %d", n)
 	}
 	want := map[twig]bool{
-		{root: lb, left: ld, right: lc}:                 true,
-		{root: lb, left: ld, right: slotBridge}:         true,
-		{root: lb, left: slotBridge, right: lc}:         true,
-		{root: lb, left: slotBridge, right: slotBridge}: true,
+		{root: lb, left: ld, right: lc, occ: 0}:                 true,
+		{root: lb, left: ld, right: slotBridge, occ: 0}:         true,
+		{root: lb, left: slotBridge, right: lc, occ: 0}:         true,
+		{root: lb, left: slotBridge, right: slotBridge, occ: 0}: true,
 	}
 	for i := 0; i < n; i++ {
 		if !want[keys[i]] {
@@ -105,8 +108,26 @@ func TestProbeKeysEnumeration(t *testing.T) {
 	if n = probeKeys(b, nd, &keys); n != 1 {
 		t.Fatalf("d keys = %d", n)
 	}
-	if keys[0] != (twig{root: ld, left: slotEmpty, right: slotEmpty}) {
+	if keys[0] != (twig{root: ld, left: slotEmpty, right: slotEmpty, occ: 0}) {
 		t.Errorf("d key = %+v", keys[0])
+	}
+
+	// A leaf whose right sibling has a child and a sibling of its own: the
+	// right descend option carries the low two bits.
+	g2 := tree.MustParseBracket("{a{x}{c{e}}{f}}", lt)
+	b2 := lcrs.Build(g2)
+	if n = probeKeys(b2, nodeByLabel(g2, "x"), &keys); n != 2 {
+		t.Fatalf("x keys = %d", n)
+	}
+	lx := lt.Intern("x")
+	wantX := map[twig]bool{
+		{root: lx, left: slotEmpty, right: lc, occ: 0b0011}:    true,
+		{root: lx, left: slotEmpty, right: slotBridge, occ: 0}: true,
+	}
+	for i := 0; i < n; i++ {
+		if !wantX[keys[i]] {
+			t.Errorf("unexpected x key %+v", keys[i])
+		}
 	}
 }
 

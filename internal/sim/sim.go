@@ -8,7 +8,6 @@ import (
 	"context"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,12 +25,7 @@ type Pair struct {
 // SortPairs orders pairs by (I, J); all join methods return this canonical
 // order so results can be compared directly.
 func SortPairs(ps []Pair) {
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].I != ps[b].I {
-			return ps[a].I < ps[b].I
-		}
-		return ps[a].J < ps[b].J
-	})
+	slices.SortFunc(ps, func(a, b Pair) int { return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J)) })
 }
 
 // ComparePairsByDist orders pairs by (Dist, I, J): the top-k result order.
@@ -143,7 +137,7 @@ type Stats struct {
 	// PartSJ-specific counters (zero for the baselines).
 	PartitionTime     time.Duration // δ-partitioning and indexing of all trees; 0 when the corpus already held the index
 	IndexedSubgraphs  int64         // index postings created: one per subgraph, or under PositionPaper one per stored position
-	SubgraphProbes    int64         // index postings inspected
+	SubgraphProbes    int64         // index postings visited: those passing the size, position and tie tests, a fraction of those scanned
 	MatchTests        int64         // full subgraph-match verifications run
 	MatchHits         int64         // match tests that succeeded
 	SmallTreeFallback int64         // candidate pairs produced by the small-tree path
@@ -249,9 +243,7 @@ func SizeOrder(ts []*tree.Tree) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return ts[order[a]].Size() < ts[order[b]].Size()
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ts[a].Size(), ts[b].Size()) })
 	return order
 }
 

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -50,6 +51,47 @@ func TestSizeOrder(t *testing.T) {
 	}
 	if pos2 > pos4 {
 		t.Fatal("size order not stable for ties")
+	}
+}
+
+// TestSizeOrderManyTies: over collections whose trees take only a few sizes,
+// SizeOrder equals a reference stable sort (a bucket per size, filled in index
+// order), and SortPairs equals the reference order of pairs with repeated I.
+func TestSizeOrderManyTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	lt := tree.NewLabelTable()
+	for _, n := range []int{0, 1, 2, 17, 300, 2000} {
+		sizes := 1 + rng.Intn(6)
+		ts := make([]*tree.Tree, n)
+		buckets := make([][]int, sizes+1)
+		for i := range ts {
+			b := tree.NewBuilder(lt)
+			b.Root("r")
+			size := 1 + rng.Intn(sizes)
+			for j := 1; j < size; j++ {
+				b.Child(0, "c")
+			}
+			ts[i] = b.MustBuild()
+			buckets[size] = append(buckets[size], i)
+		}
+		if got, want := sim.SizeOrder(ts), slices.Concat(buckets...); !slices.Equal(got, want) {
+			t.Fatalf("n=%d, %d sizes: SizeOrder = %v, want %v", n, sizes, got, want)
+		}
+
+		ps := make([]sim.Pair, n)
+		for i := range ps {
+			ps[i] = sim.Pair{I: rng.Intn(sizes), J: rng.Intn(n), Dist: i}
+		}
+		want := slices.Clone(ps)
+		sort.SliceStable(want, func(a, b int) bool {
+			return want[a].I < want[b].I || want[a].I == want[b].I && want[a].J < want[b].J
+		})
+		sim.SortPairs(ps)
+		for i := range ps {
+			if ps[i].I != want[i].I || ps[i].J != want[i].J {
+				t.Fatalf("n=%d: SortPairs position %d is %v, want %v", n, i, ps[i], want[i])
+			}
+		}
 	}
 }
 
