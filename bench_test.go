@@ -383,10 +383,14 @@ func BenchmarkEngineIndexSource(b *testing.B) {
 	}
 }
 
-// reportProbe reports a token-index join's candidates, results, the postings
-// its probe read and the partners its count threshold dropped, and the wall
-// time of its index build (0 when the corpus already held the index).
+// reportProbe reports a token-index join's offers (the pairs its first stage
+// screened), candidates, results, the postings its probe read and the
+// partners its count threshold dropped, and the wall time of its index build
+// (0 when the corpus already held the index).
 func reportProbe(b *testing.B, st treejoin.Stats) {
+	if len(st.Stages) > 0 {
+		b.ReportMetric(float64(st.Stages[0].In), "offers/op")
+	}
 	b.ReportMetric(float64(st.Candidates), "cand/op")
 	b.ReportMetric(float64(st.Results), "res/op")
 	b.ReportMetric(float64(st.PostingsScanned), "postings/op")

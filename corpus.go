@@ -72,6 +72,7 @@ type corpusState struct {
 	// multiplier) the signature methods' token index.
 	subgraph *engine.IndexLRU[int, *core.Index]
 	tokens   *engine.IndexLRU[tokenIndexKey, *engine.PrefixIndex]
+	ranks    *engine.IndexLRU[string, *engine.TokenRanking] // per tokenizer, what its indexes share
 
 	// max1 ≥ max2 are the two largest tree sizes: no pair is farther apart
 	// than their sum (delete one tree, insert the other), which caps the
@@ -138,13 +139,18 @@ func (st *corpusState) indexAt(ctx context.Context, tau, workers int, owner *Cor
 }
 
 // tokenResolver is the token-index source's hook for a self join over the
-// state: its frozen index for (tokenizer, τ, C′), built from the cached bags by
-// whichever join asks first and shared by every later one (STR, EUL and PQG
-// tokenise alike, so they share).
+// state: its frozen index for (tokenizer, τ, C′), built by whichever join asks
+// first and shared by every later one (STR, EUL and PQG tokenise alike, so
+// they share), over the tokenizer's one ranking of the state's cached bags.
 func (st *corpusState) tokenResolver(cache *engine.Cache, workers int) engine.TokenIndexResolver {
 	return func(ctx context.Context, tz engine.Tokenizer, tau, prefixC int) (*engine.PrefixIndex, bool) {
 		x, built, _ := st.tokens.Get(ctx, tokenIndexKey{tz.Name(), tau, prefixC}, func() *engine.PrefixIndex {
-			return engine.NewPrefixIndex(tz, st.ts, tau, prefixC, workers, cache)
+			return engine.NewPrefixIndex(func() *engine.TokenRanking {
+				rk, _, _ := st.ranks.Get(context.WithoutCancel(ctx), tz.Name(), func() *engine.TokenRanking {
+					return engine.NewTokenRanking(tz, st.ts, workers, cache)
+				})
+				return rk
+			}, tau, prefixC)
 		})
 		return x, built
 	}
@@ -193,6 +199,7 @@ func (prev *corpusState) next(ts []*Tree, ids []int, nextID int, lt *LabelTable,
 		epoch: prev.epoch + 1, ts: ts, ids: ids, nextID: nextID, lt: lt, parts: slices.Clone(prev.parts),
 		subgraph: engine.NewIndexLRU[int, *core.Index](core.DefaultIndexCacheCap),
 		tokens:   engine.NewIndexLRU[tokenIndexKey, *engine.PrefixIndex](core.DefaultIndexCacheCap),
+		ranks:    engine.NewIndexLRU[string, *engine.TokenRanking](core.DefaultIndexCacheCap),
 	}
 	if len(ns.parts) == 1 {
 		ns.parts[0] = newPart(ts, ids)

@@ -59,7 +59,8 @@ type Collection struct {
 
 	ctx      context.Context
 	cache    *Cache
-	sizes    []int // sizes in Order order, for binary-searching the window
+	filters  []PairFilter // the job's chain: the token index decides its bag stage (bagProbe)
+	sizes    []int        // sizes in Order order, for binary-searching the window
 	counters *ted.Counters
 }
 
@@ -211,6 +212,7 @@ type Pipeline struct {
 	cands    []sim.Candidate
 	stats    sim.Stats
 	screened uint64 // pairs screened so far, for cost sampling
+	inProbe  bagProbe
 
 	// Sequential jobs verify candidates in bounded chunks as they are
 	// emitted (Algorithm 1's interleaving, generalised), streaming results
@@ -273,12 +275,22 @@ func (px *Pipeline) Screen(i, j int) bool {
 	}
 	for k := range px.preds {
 		px.counts[k].In++
-		if !px.preds[k](i, j) {
+		if !px.keep(k, i, j) {
 			px.counts[k].Pruned++
 			return false
 		}
 	}
 	return true
+}
+
+// keep runs stage k over pair (i, j): its predicate, or — the token index's
+// own bag stage, inside one of its probes, i being the probe's tree — the
+// probe's mark (bagProbe).
+func (px *Pipeline) keep(k, i, j int) bool {
+	if px.inProbe.mark != nil && k == px.inProbe.at {
+		return px.inProbe.keep(j)
+	}
+	return px.preds[k](i, j)
 }
 
 // screenTimed is Screen's sampled path: identical screening, plus per-stage
@@ -287,7 +299,7 @@ func (px *Pipeline) screenTimed(i, j int) bool {
 	for k := range px.preds {
 		px.counts[k].In++
 		start := time.Now()
-		ok := px.preds[k](i, j)
+		ok := px.keep(k, i, j)
 		px.counts[k].SampledNs += time.Since(start).Nanoseconds()
 		px.counts[k].Sampled++
 		if !ok {
@@ -419,6 +431,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	em := &emitter{sink: sink, split: split, cancel: cancel}
 	c := newCollection(ctx, ts, split, job.Tau, job.Workers, job.Cache)
 	c.PrefixC = job.PrefixC
+	c.filters = job.Filters
 
 	// Prepare the filter chain once over the combined collection; stage
 	// preparation time is candidate-generation effort. One stage's

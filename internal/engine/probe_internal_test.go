@@ -198,3 +198,30 @@ func TestProbeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeAllocsBagStage: with the index tokenizer's bag stage in the chain
+// the probe decides it from its mark — the stage's own predicate is never
+// called — and the mark comes out of the chunk's one scratch allocation. A
+// rejecting stage behind it keeps Emit out of the count.
+func TestProbeAllocsBagStage(t *testing.T) {
+	ts := mixedCorpus(60, 11)
+	for _, tz := range refTokenizers() {
+		c := newCollection(context.Background(), ts, -1, 2, 1, nil)
+		c.filters = []PairFilter{BagFilter("BAG", tz)}
+		x := buildPrefixIndex(tz, ts, -1, c.Order, c.Tau, tz.Slack(), 1, c.Cache())
+		called := 0
+		preds := []func(i, j int) bool{
+			func(i, j int) bool { called++; return true },
+			func(i, j int) bool { return false },
+		}
+		px := &Pipeline{c: c, preds: preds, counts: make([]sim.StageStats, 2)}
+		n := len(c.Order)
+		all := testing.AllocsPerRun(20, func() { x.probe(px, 0, n) })
+		if called > 0 || px.counts[0].Pruned == 0 || px.counts[1].In == 0 {
+			t.Fatalf("%s: the stage's predicate ran %d times, the mark pruned %d of %d offers", tz.Name(), called, px.counts[0].Pruned, px.counts[0].In)
+		}
+		if all > 1 {
+			t.Fatalf("%s: %v allocations probing %d ranks with the bag stage; want at most 1", tz.Name(), all, n)
+		}
+	}
+}

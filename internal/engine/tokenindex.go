@@ -1,9 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"slices"
-	"sync"
 	"time"
 
 	"treejoin/internal/sim"
@@ -24,30 +24,28 @@ import (
 //   - Each tree is tokenised once; the bag (sorted distinct tokens with
 //     multiplicities) is a τ-independent per-tree signature cached in the
 //     run's artifact cache, so warm corpus joins re-tokenise nothing.
-//   - Tokens are globally frequency-ordered (rare first). Of each tree's
-//     bag, only the prefix a ≤ τ match cannot avoid is indexed: TED ≤ τ
-//     forces multiset overlap ≥ max(|A|,|B|) − Cτ, and by the prefix-filter
-//     theorem two such bags must share a token among their first Cτ+1
-//     elements in any fixed total order. Rare-first ordering makes those
-//     prefix postings the shortest ones.
-//   - Probing walks each posting list of the probe's whole bag once over
-//     the size window below it, adding each partner's tokens shared with
-//     the probe into a dense per-rank count (ScanCount); the touched ranks,
-//     sorted, come out in the sorted loop's order. A partner is handed to
-//     the filter chain only when its count reaches the threshold its bag
-//     sizes demand: a qualifying pair overlaps in ≥ |A| − Cτ elements, of
-//     which at most |B| − p_B fall outside B's indexed prefix, so fewer than
-//     |A| − Cτ − (|B| − p_B) hits prove the bound unreachable and the pair
-//     is dropped without ever running a pair predicate. Probing with the
-//     full bag rather than the probe's own prefix is what gives the
-//     threshold teeth (under symmetric prefixes it provably never exceeds
-//     1); only globally rare tokens have posting lists, so most bag tokens
-//     cost one empty map lookup.
+//   - Tokens are numbered in one global order, rare first (TokenRanking),
+//     and each bag is held in those ids, ascending. Only a bag's front — the
+//     prefix a ≤ τ match cannot avoid — is indexed: TED ≤ τ forces overlap
+//     ≥ max(|A|,|B|) − Cτ, so by the prefix-filter theorem two such bags
+//     share a token among their first Cτ+1 elements in any fixed order.
+//     Rare-first makes those postings the short lists; lists are laid out
+//     by id.
+//   - A probe walks the lists of its whole bag over the size window below
+//     it into a dense per-rank count (ScanCount) and offers the touched
+//     ranks in order — but only those whose count reaches what their bag
+//     sizes demand: a qualifying pair overlaps in ≥ |A| − Cτ elements, at
+//     most |B| − p_B of them outside B's indexed prefix. The full bag is
+//     what gives this threshold teeth (prefix against prefix it never
+//     exceeds 1); only the lowest ids have lists, so the walk is short.
 //   - Trees whose whole bag has at most Cτ elements ("light" trees) can
 //     qualify while sharing no token at all; they are kept in a side list
-//     and paired by direct screening — cheap precisely because such trees
-//     are tiny. A probe with a light bag scans only that list (all its
+//     and screened directly. A light probe scans only that list (its
 //     size-window partners are light too, bags being size-monotone).
+//   - When the chain holds the tokenizer's own bag bound (BagFilter), the
+//     probe decides that stage from a dense mark of its bag by id: a
+//     partner's overlap is Σ min(mark[id], c) over the partner's ranked bag,
+//     the multiset intersection the stage's merge computes.
 //
 // Every offered pair still runs through the job's filter chain (Screen →
 // Emit), so the emitted candidate set is a subset of the sorted loop's
@@ -61,9 +59,10 @@ import (
 // the postings a probe-and-insert loop would have held on reaching that tree
 // — so offers, their order and every counter are those of the sequential
 // loop whatever the chunking. A corpus keeps the self-join index per
-// (tokenizer, τ, C′) for the current epoch (TokenIndexResolver); cross joins
-// build both sides per run, under the combined frequency order, and each
-// side probes the other below its own rank.
+// (tokenizer, τ, C′) for the current epoch (TokenIndexResolver), all of them
+// over the epoch's one ranking per tokenizer; cross joins rank and build both
+// sides per run, under the combined frequency order, and each side probes
+// the other below its own rank.
 //
 // On tiny corpora — or thresholds at least the largest tree's size, where
 // the C·τ slack swallows every bag — building the index costs more than the
@@ -103,6 +102,40 @@ func (f funcTokenizer) Tokens(t *tree.Tree) []uint64 { return f.tokens(t) }
 // the tokenisation function.
 func NewTokenizer(name string, slack int, tokens func(*tree.Tree) []uint64) Tokenizer {
 	return funcTokenizer{name: name, slack: slack, tokens: tokens}
+}
+
+// bagFilter is a tokenizer's bag bound as a pipeline stage.
+type bagFilter struct {
+	name string
+	tz   Tokenizer
+}
+
+// BagFilter returns tz's bag bound as a pipeline stage labelled name: a pair
+// is pruned when |bag_i ⊖ bag_j| > Slack·τ. Prepare merges the cached token
+// bags; a token-index probe over tz's own tokens decides the stage from its
+// mark instead (see PrefixIndex.probe), with the same verdicts.
+func BagFilter(name string, tz Tokenizer) PairFilter { return bagFilter{name: name, tz: tz} }
+
+func (f bagFilter) Name() string { return f.name }
+
+func (f bagFilter) Prepare(c *Collection) func(i, j int) bool {
+	bags := cachedBags(c.Cache(), f.tz, c.Trees, c.Workers)
+	limit := f.tz.Slack() * c.Tau
+	return func(i, j int) bool {
+		a, b := bags[i].toks, bags[j].toks
+		common := 0
+		for p, q := 0, 0; p < len(a) && q < len(b); {
+			if a[p].key < b[q].key {
+				p++
+			} else if a[p].key > b[q].key {
+				q++
+			} else {
+				common += int(min(a[p].count, b[q].count))
+				p, q = p+1, q+1
+			}
+		}
+		return int(bags[i].total)+int(bags[j].total)-2*common <= limit
+	}
 }
 
 // TokenIndexMinTrees is the auto-fallback cutoff: collections with fewer
@@ -150,7 +183,7 @@ func (s tokenIndexSource) Tasks(c *Collection) []Task {
 	// tokenisation when the index does run later at another threshold.
 	largest := c.Trees[c.Order[len(c.Order)-1]]
 	if len(c.Order) < TokenIndexMinTrees || c.Tau >= largest.Size() ||
-		int(s.cachedBag(c, largest).total) <= s.tz.Slack()*c.Tau {
+		int(cachedBags(c.Cache(), s.tz, []*tree.Tree{largest}, 1)[0].total) <= s.tz.Slack()*c.Tau {
 		// Stamp the effective source so Stats attribution reports what
 		// actually ran.
 		tasks := SortedLoop().Tasks(c)
@@ -199,15 +232,10 @@ func (s tokenIndexSource) Tasks(c *Collection) []Task {
 	return tasks
 }
 
-// cachedBag returns one tree's token bag through the run's artifact cache.
-func (s tokenIndexSource) cachedBag(c *Collection, t *tree.Tree) *tokenBag {
-	key := tokenBagKey(s.tz)
-	if v, ok := c.Cache().Lookup(key, t); ok {
-		return v.(*tokenBag)
-	}
-	b := buildBag(s.tz, t)
-	c.Cache().Store(key, t, b)
-	return b
+// cachedBags returns every tree's token bag through cache, building the
+// missing ones on workers goroutines.
+func cachedBags(cache *Cache, tz Tokenizer, ts []*tree.Tree, workers int) []*tokenBag {
+	return Cached(cache, tokenBagKey(tz), ts, workers, func(t *tree.Tree) *tokenBag { return buildBag(tz, t) })
 }
 
 // tokenCount is one distinct token of a tree's bag with its multiplicity.
@@ -246,14 +274,77 @@ func buildBag(tz Tokenizer, t *tree.Tree) *tokenBag {
 	return bag
 }
 
-// scratchTok is one distinct token of a bag during prefix selection,
-// carrying the token's global frequency so the selection can sort by the
-// global order directly.
-type scratchTok struct {
-	freq  int64
-	key   uint64
-	count int32
+// idCount is one distinct token of a ranked bag: its id and multiplicity.
+type idCount struct {
+	id, count int32
 }
+
+// TokenRanking numbers the distinct tokens of a collection's bags in the
+// global order "rare tokens first, ties by key" — a token's id is its rank —
+// and holds every tree's bag in those ids, ascending. It depends on the
+// membership alone, not on τ or C′, so every index over one collection may
+// share it.
+type TokenRanking struct {
+	tz     string
+	slack  int
+	ts     []*tree.Tree
+	bags   []*tokenBag // by tree: the cached bags, sorted by key
+	ids    int32       // distinct tokens: the ids are [0, ids)
+	off    []int       // by tree: tree i's ranked bag is ranked[off[i]:off[i+1]]
+	ranked []idCount
+}
+
+// NewTokenRanking ranks the tokens of ts's bags, drawn through cache, on
+// workers goroutines (< 1: GOMAXPROCS) — the one-worker ranking at any
+// worker count.
+func NewTokenRanking(tz Tokenizer, ts []*tree.Tree, workers int, cache *Cache) *TokenRanking {
+	workers = sim.NormalizeWorkers(workers)
+	rk := &TokenRanking{tz: tz.Name(), slack: tz.Slack(), ts: ts, bags: cachedBags(cache, tz, ts, workers), off: make([]int, len(ts)+1)}
+	for i, b := range rk.bags {
+		rk.off[i+1] = rk.off[i] + len(b.toks)
+	}
+	rk.ranked = make([]idCount, rk.off[len(ts)])
+	// Number the tokens in first-appearance order, summing their
+	// frequencies, then rank those numbers: ascending frequency, ties by key.
+	type token struct {
+		freq int64
+		key  uint64
+		id   int32
+	}
+	var toks []token
+	first := make(map[uint64]int32, 1<<10)
+	for i, b := range rk.bags {
+		for k, tc := range b.toks {
+			id, ok := first[tc.key]
+			if !ok {
+				id = int32(len(toks))
+				first[tc.key] = id
+				toks = append(toks, token{key: tc.key, id: id})
+			}
+			toks[id].freq += int64(tc.count)
+			rk.ranked[rk.off[i]+k] = idCount{id: id, count: tc.count}
+		}
+	}
+	slices.SortFunc(toks, func(a, b token) int { return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.key, b.key)) })
+	rank := make([]int32, len(toks))
+	for r, t := range toks {
+		rank[t.id] = int32(r)
+	}
+	rk.ids = int32(len(toks))
+	forRuns(len(ts), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			bag := rk.bag(i)
+			for k := range bag {
+				bag[k].id = rank[bag[k].id]
+			}
+			slices.SortFunc(bag, func(a, b idCount) int { return int(a.id - b.id) })
+		}
+	})
+	return rk
+}
+
+// bag returns tree i's ranked bag.
+func (rk *TokenRanking) bag(i int) []idCount { return rk.ranked[rk.off[i]:rk.off[i+1]] }
 
 // posting records that the prefix of the tree at an order rank contains count
 // occurrences of a token. Lists are ascending in rank — the (size, number)
@@ -264,32 +355,39 @@ type posting struct {
 	count int32
 }
 
-// tokenSide is one side's postings: the lists by token key, and the order
-// ranks of the light trees, ascending.
+// tokenSide is one side's postings, laid out by token id: id's list is
+// post[start[id]:start[id+1]], and the ids from len(start)−1 on rank past
+// every indexed prefix and have none. light holds the order ranks of the
+// light trees, ascending.
 type tokenSide struct {
-	post  map[uint64][]posting
+	start []int32
+	post  []posting
 	light []int32
 }
 
 // PrefixIndex is the frozen token index of one collection at one threshold
-// and prefix multiplier: every tree's prefix posted, nothing inserted
-// afterwards, so any number of probes read it concurrently.
+// and prefix multiplier, over the collection's ranking: every tree's prefix
+// posted, nothing inserted afterwards, so any number of probes read it
+// concurrently.
 type PrefixIndex struct {
-	tz        string
+	*TokenRanking
 	tau, cmul int
-	ctau      int32 // Slack·τ: the bag bound's slack, and the light-tree cutoff
-	ts        []*tree.Tree
-	bags      []*tokenBag  // by tree
+	ctau      int32        // Slack·τ: the bag bound's slack, and the light-tree cutoff
 	plen      []int32      // by tree: expanded prefix length p_i = min(C'τ+1, total_i)
 	sides     [2]tokenSide // [0]: the collection's (self join) or side A's; [1]: side B's
 	built     time.Duration
 }
 
-// NewPrefixIndex builds the self-join index over ts for threshold tau with a
-// prefix of max(tz.Slack(), prefixC)·τ+1 expanded elements per tree, drawing
-// the bags through cache, on workers goroutines (< 1: GOMAXPROCS).
-func NewPrefixIndex(tz Tokenizer, ts []*tree.Tree, tau, prefixC, workers int, cache *Cache) *PrefixIndex {
-	return buildPrefixIndex(tz, ts, -1, sim.SizeOrder(ts), tau, max(tz.Slack(), prefixC), sim.NormalizeWorkers(workers), cache)
+// NewPrefixIndex builds the self-join index at threshold tau, with a prefix of
+// max(Slack, prefixC)·τ+1 expanded elements per tree, over the ranking rank
+// returns. rank runs on the build's clock: a ranking built for this index is
+// part of its build time, one an earlier index built is not.
+func NewPrefixIndex(rank func() *TokenRanking, tau, prefixC int) *PrefixIndex {
+	start := time.Now()
+	rk := rank()
+	x := rk.index(-1, sim.SizeOrder(rk.ts), tau, max(rk.slack, prefixC))
+	x.built = time.Since(start)
+	return x
 }
 
 // covers reports whether x indexes exactly ts, in order, for this
@@ -299,106 +397,95 @@ func (x *PrefixIndex) covers(ts []*tree.Tree, tz Tokenizer, tau, cmul int) bool 
 	return x.tz == tz.Name() && x.tau == tau && x.cmul == cmul && slices.Equal(x.ts, ts)
 }
 
-// buildPrefixIndex posts, in the ascending-size order, the first cmul·τ+1
-// expanded tokens of every tree's bag under the global order "rare tokens
-// first, ties by key": rare tokens have the short posting lists, so prefixes
-// drawn from the front of this order keep probe work minimal. Any fixed total
-// order is sound; frequency ordering is the classic heuristic. A cross join
-// (split ≥ 0) posts each tree on its own side. Bags, counts and prefixes are
-// built on workers runs side by side; the postings are then appended in rank
-// order, so every list is the one-run build's at any worker count.
+// buildPrefixIndex ranks ts's tokens privately and indexes them; a cross join
+// (split ≥ 0) ranks both sides together.
 func buildPrefixIndex(tz Tokenizer, ts []*tree.Tree, split int, order []int, tau, cmul, workers int, cache *Cache) *PrefixIndex {
 	start := time.Now()
-	x := &PrefixIndex{tz: tz.Name(), tau: tau, cmul: cmul, ctau: int32(tz.Slack() * tau), ts: ts, plen: make([]int32, len(ts))}
-	x.bags = Cached(cache, tokenBagKey(tz), ts, workers, func(t *tree.Tree) *tokenBag { return buildBag(tz, t) })
-	// Each run of bags counts its token frequencies, and the runs' counts
-	// are summed into the first run to finish.
-	var mu sync.Mutex
-	var freq map[uint64]int64
-	forRuns(len(x.bags), workers, func(lo, hi int) {
-		m := make(map[uint64]int64, 1<<10)
-		for _, b := range x.bags[lo:hi] {
-			for _, tc := range b.toks {
-				m[tc.key] += int64(tc.count)
-			}
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if freq == nil {
-			freq = m
-			return
-		}
-		for k, n := range m {
-			freq[k] += n
-		}
-	})
-	// Rank r's prefix goes to heads[off[r]:off[r+1]], room for budget
-	// distinct tokens; slots it leaves unused keep count 0.
-	budget := int32(cmul*tau + 1)
-	off := make([]int, len(order)+1)
-	for r, ti := range order {
-		off[r+1] = off[r] + min(int(budget), len(x.bags[ti].toks))
-	}
-	heads := make([]tokenCount, off[len(order)])
-	forRuns(len(order), workers, func(lo, hi int) {
-		var scratch []scratchTok
-		for r := lo; r < hi; r++ {
-			b := x.bags[order[r]]
-			scratch = scratch[:0]
-			for _, tc := range b.toks {
-				scratch = append(scratch, scratchTok{freq: freq[tc.key], key: tc.key, count: tc.count})
-			}
-			// The prefix spends at most budget expanded elements, so at most
-			// budget distinct tokens matter: quickselect them to the front,
-			// then sort only that head instead of the whole bag.
-			head := scratch
-			if int(budget) < len(scratch) {
-				selectSmallest(scratch, int(budget))
-				head = scratch[:budget]
-			}
-			slices.SortFunc(head, func(a, b scratchTok) int {
-				if tokLess(a, b) {
-					return -1
-				}
-				if tokLess(b, a) {
-					return 1
-				}
-				return 0
-			})
-			var taken int32
-			for k, pt := range head {
-				if taken >= budget {
-					break
-				}
-				cnt := min(pt.count, budget-taken)
-				heads[off[r]+k] = tokenCount{key: pt.key, count: cnt}
-				taken += cnt
-			}
-			x.plen[order[r]] = taken
-		}
-	})
-	for r, ti := range order {
-		side := &x.sides[0]
-		if split >= 0 && ti >= split {
-			side = &x.sides[1]
-		}
-		if side.post == nil {
-			side.post = make(map[uint64][]posting, 1<<10)
-		}
-		// Every tree's prefix is indexed (a light tree may still be found
-		// through it by a heavier probe); light trees join the side list too.
-		for _, tc := range heads[off[r]:off[r+1]] {
-			if tc.count == 0 {
-				break
-			}
-			side.post[tc.key] = append(side.post[tc.key], posting{rank: int32(r), count: tc.count})
-		}
-		if x.bags[ti].total <= x.ctau {
-			side.light = append(side.light, int32(r))
-		}
-	}
+	x := NewTokenRanking(tz, ts, workers, cache).index(split, order, tau, cmul)
 	x.built = time.Since(start)
 	return x
+}
+
+// index posts, in the ascending-size order, the first cmul·τ+1 expanded
+// tokens of every tree's bag under the global order — the front of its ranked
+// bag, the last entry's count clipped. Rare tokens have the short posting
+// lists, so prefixes drawn from the front of this order keep probe work
+// minimal; any fixed total order is sound, frequency ordering is the classic
+// heuristic. A cross join (split ≥ 0) posts each tree on its own side.
+func (rk *TokenRanking) index(split int, order []int, tau, cmul int) *PrefixIndex {
+	x := &PrefixIndex{TokenRanking: rk, tau: tau, cmul: cmul, ctau: int32(rk.slack * tau), plen: make([]int32, len(rk.ts))}
+	side := func(ti int) *tokenSide {
+		if split >= 0 && ti >= split {
+			return &x.sides[1]
+		}
+		return &x.sides[0]
+	}
+	budget := int32(cmul*tau + 1)
+	walk := func(post func(s *tokenSide, r int32, e idCount)) {
+		for r := len(order) - 1; r >= 0; r-- {
+			ti := order[r]
+			x.plen[ti] = 0
+			for _, e := range rk.bag(ti) {
+				if x.plen[ti] == budget {
+					break
+				}
+				e.count = min(e.count, budget-x.plen[ti])
+				x.plen[ti] += e.count
+				post(side(ti), int32(r), e)
+			}
+		}
+	}
+	// Each side counts its lists' lengths by id and sums them, so start[id]
+	// closes id's list; filling from the back, with the ranks walked down,
+	// leaves every list ascending in rank and start[id] where it opens. The
+	// ids past the last list are cut off.
+	for k := range x.sides {
+		x.sides[k].start = make([]int32, rk.ids+1)
+	}
+	walk(func(s *tokenSide, _ int32, e idCount) { s.start[e.id]++ })
+	for k := range x.sides {
+		s := &x.sides[k]
+		for id := 1; id < len(s.start); id++ {
+			s.start[id] += s.start[id-1]
+		}
+		s.post = make([]posting, s.start[rk.ids])
+	}
+	walk(func(s *tokenSide, r int32, e idCount) {
+		s.start[e.id]--
+		s.post[s.start[e.id]] = posting{rank: r, count: e.count}
+	})
+	for k := range x.sides {
+		s := &x.sides[k]
+		n, _ := slices.BinarySearch(s.start, int32(len(s.post)))
+		s.start = slices.Clone(s.start[:n+1])
+	}
+	// Every tree's prefix is indexed (a light tree may still be found through
+	// it by a heavier probe); light trees join the side list too.
+	for r, ti := range order {
+		if s := side(ti); rk.bags[ti].total <= x.ctau {
+			s.light = append(s.light, int32(r))
+		}
+	}
+	return x
+}
+
+// bagProbe is the index tokenizer's bag stage decided inside a probe.
+type bagProbe struct {
+	at    int     // the stage's chain position
+	mark  []int32 // by id: the current probe's multiplicities; nil outside a probe
+	total int32   // the current probe's bag size
+	limit int32   // Slack·τ
+	rank  *TokenRanking
+}
+
+// keep is the stage's verdict on the current probe and partner j: bagFilter's
+// test on the same multisets.
+func (b *bagProbe) keep(j int) bool {
+	var common int32
+	for _, e := range b.rank.bag(j) {
+		common += min(b.mark[e.id], e.count)
+	}
+	return b.total+b.rank.bags[j].total-2*common <= b.limit
 }
 
 // probe offers, for each tree at order ranks [lo, hi), its candidate partners
@@ -411,11 +498,19 @@ func (x *PrefixIndex) probe(px *Pipeline, lo, hi int) {
 	start := time.Now()
 	// Every partner of the chunk sits in [base, hi): windows only move right
 	// along the size order. One allocation holds the per-rank shared-token
-	// counts and the ranks touched by the current probe.
+	// counts, the ranks touched by the current probe and, when the chain
+	// holds this tokenizer's bag stage, the probe's mark by token id.
 	base := int32(c.WindowStart(c.Trees[c.Order[lo]].Size()))
 	n := hi - int(base)
-	scratch := make([]int32, 2*n)
-	cnt, touched := scratch[:n], scratch[n:n]
+	marks := 0
+	for k, f := range c.filters {
+		if b, ok := f.(bagFilter); ok && b.tz.Name() == x.tz {
+			px.inProbe, marks = bagProbe{at: k, limit: ctau, rank: x.TokenRanking}, int(x.ids)
+			break
+		}
+	}
+	scratch := make([]int32, 2*n+marks)
+	cnt, touched, mark := scratch[:n], scratch[n:n], scratch[2*n:]
 	for r := lo; r < hi && !px.Cancelled(); r++ {
 		ti, me := c.Order[r], int32(r)
 		side := &x.sides[0]
@@ -423,7 +518,13 @@ func (x *PrefixIndex) probe(px *Pipeline, lo, hi int) {
 			side = &x.sides[1]
 		}
 		from := int32(c.WindowStart(c.Trees[ti].Size())) // first rank inside the size window
-		la := x.bags[ti].total
+		bag, la := x.bag(ti), x.bags[ti].total
+		if marks > 0 {
+			for _, e := range bag {
+				mark[e.id] = e.count
+			}
+			px.inProbe.mark, px.inProbe.total = mark, la
+		}
 		if la <= ctau {
 			// Light probe: a qualifying partner may share nothing, but every
 			// size-window partner before it is light too (bags are
@@ -432,97 +533,50 @@ func (x *PrefixIndex) probe(px *Pipeline, lo, hi int) {
 			for ; k < len(side.light) && side.light[k] < me; k++ {
 				px.Offer(ti, c.Order[side.light[k]])
 			}
-			continue
-		}
-		// Indexed probe: walk the posting lists of the probe's whole bag over
-		// the window below it, adding each partner's shared tokens into its
-		// count cell. The probe walks its full bag — not just its own prefix —
-		// because only the asymmetric form gives the count threshold teeth: a
-		// qualifying pair overlaps in ≥ |A| − Cτ elements, of which at most
-		// |B| − p_B fall outside B's indexed prefix, so B must collect
-		// |A| − Cτ − (|B| − p_B) hits from A's lists. Only globally rare
-		// tokens have posting lists at all, so most of the bag's lookups miss
-		// for free.
-		for _, tc := range x.bags[ti].toks {
-			list := side.post[tc.key]
-			k, _ := slices.BinarySearchFunc(list, from, func(p posting, rank int32) int { return int(p.rank - rank) })
-			for ; k < len(list) && list[k].rank < me; k++ {
-				s := list[k].rank - base
-				if cnt[s] == 0 {
-					touched = append(touched, s)
+		} else {
+			// Indexed probe: add each partner's tokens shared with the
+			// probe's whole bag into its count cell. Only the rarest tokens
+			// have lists, and the bag ascends by id, so the walk ends at the
+			// first id past them.
+			posted := int32(len(side.start)) - 1
+			for _, e := range bag {
+				if e.id >= posted {
+					break
 				}
-				cnt[s] += min(tc.count, list[k].count)
-				stats.PostingsScanned++
+				list := side.post[side.start[e.id]:side.start[e.id+1]]
+				k, _ := slices.BinarySearchFunc(list, from, func(p posting, rank int32) int { return int(p.rank - rank) })
+				for ; k < len(list) && list[k].rank < me; k++ {
+					s := list[k].rank - base
+					if cnt[s] == 0 {
+						touched = append(touched, s)
+					}
+					cnt[s] += min(e.count, list[k].count)
+					stats.PostingsScanned++
+				}
+			}
+			// Offer in rank order, as the sorted loop would, zeroing each
+			// cell for the next probe. Count threshold: for same-bag-size
+			// partners it is the prefix theorem's ≥ 1; it climbs with the
+			// bag-size gap, so partners at the small end of the size window
+			// need the most shared tokens.
+			slices.Sort(touched)
+			for _, s := range touched {
+				tj := c.Order[base+s]
+				if cnt[s] >= max(la-ctau-(x.bags[tj].total-x.plen[tj]), 1) {
+					px.Offer(ti, tj)
+				} else {
+					stats.SkippedByCount++
+				}
+				cnt[s] = 0
+			}
+			touched = touched[:0]
+		}
+		if marks > 0 {
+			for _, e := range bag {
+				mark[e.id] = 0
 			}
 		}
-		// Offer in rank order, as the sorted loop would, zeroing each cell
-		// for the next probe. Count threshold: for same-bag-size partners it
-		// is the prefix theorem's ≥ 1; it climbs with the bag-size gap, so
-		// partners at the small end of the size window need the most shared
-		// tokens.
-		slices.Sort(touched)
-		for _, s := range touched {
-			tj := c.Order[base+s]
-			if cnt[s] >= max(la-ctau-(x.bags[tj].total-x.plen[tj]), 1) {
-				px.Offer(ti, tj)
-			} else {
-				stats.SkippedByCount++
-			}
-			cnt[s] = 0
-		}
-		touched = touched[:0]
 	}
+	px.inProbe.mark = nil
 	stats.CandTime += time.Since(start)
-}
-
-// tokLess is the global total order on tokens: ascending frequency, ties by
-// key.
-func tokLess(a, b scratchTok) bool {
-	if a.freq != b.freq {
-		return a.freq < b.freq
-	}
-	return a.key < b.key
-}
-
-// selectSmallest partitions s so that its k smallest entries under the
-// global order occupy s[:k], in no particular order (median-of-three
-// quickselect; k < len(s)).
-func selectSmallest(s []scratchTok, k int) {
-	lo, hi := 0, len(s)-1
-	for lo < hi {
-		// Median-of-three pivot guards against sorted inputs.
-		mid := lo + (hi-lo)/2
-		if tokLess(s[mid], s[lo]) {
-			s[lo], s[mid] = s[mid], s[lo]
-		}
-		if tokLess(s[hi], s[lo]) {
-			s[lo], s[hi] = s[hi], s[lo]
-		}
-		if tokLess(s[hi], s[mid]) {
-			s[mid], s[hi] = s[hi], s[mid]
-		}
-		pivot := s[mid]
-		i, j := lo, hi
-		for i <= j {
-			for tokLess(s[i], pivot) {
-				i++
-			}
-			for tokLess(pivot, s[j]) {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k > i:
-			lo = i
-		default:
-			return
-		}
-	}
 }

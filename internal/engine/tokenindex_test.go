@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -107,6 +108,76 @@ func TestTokenIndexOracle(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBagStageInProbe: the token index decides its own tokenizer's bag stage
+// inside the probe with the verdicts of the stage's predicate. The same job
+// with the stage wrapped opaquely in NewFilter — which the probe cannot
+// recognise, so every pair runs the prepared merge — reports the same stage
+// counts, candidates and results, and sequentially emits them in the same
+// order: both tokenizers, thresholds from exact matching through
+// bag-saturating, self and cross joins, the stage first and behind another
+// stage, on one worker and on two.
+func TestBagStageInProbe(t *testing.T) {
+	ts := mixedCorpus(60, 11)
+	for _, tz := range testTokenizers() {
+		bag := engine.BagFilter("BAG", tz)
+		opaque := engine.NewFilter(bag.Name(), bag.Prepare)
+		indexed, pruned := 0, int64(0)
+		for _, tau := range []int{0, 1, 2, 4, 8} {
+			for _, cross := range []bool{false, true} {
+				for _, behind := range []bool{false, true} {
+					for _, workers := range []int{1, 2} {
+						run := func(stage engine.PairFilter) ([]sim.Pair, *sim.Stats) {
+							chain := []engine.PairFilter{stage}
+							if behind {
+								chain = []engine.PairFilter{baseline.HISTFilter(), stage}
+							}
+							job := engine.Job{Tau: tau, Filters: chain, Source: engine.TokenIndex(tz, nil), Workers: workers}
+							var emitted []sim.Pair
+							sink := func(p sim.Pair) bool {
+								emitted = append(emitted, p)
+								return true
+							}
+							var st *sim.Stats
+							var err error
+							if cross {
+								st, err = job.StreamJoin(context.Background(), ts[:25], ts[25:], sink)
+							} else {
+								st, err = job.StreamSelf(context.Background(), ts, sink)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							if workers > 1 {
+								sim.SortPairs(emitted)
+							}
+							return emitted, st
+						}
+						label := fmt.Sprintf("%s τ=%d cross=%v behind=%v workers=%d", tz.Name(), tau, cross, behind, workers)
+						got, gst := run(bag)
+						want, wst := run(opaque)
+						equalPairs(t, label, got, want)
+						if gst.Candidates != wst.Candidates || gst.Source != wst.Source {
+							t.Fatalf("%s: candidates/source %d/%s, opaque stage %d/%s", label, gst.Candidates, gst.Source, wst.Candidates, wst.Source)
+						}
+						for k := range wst.Stages {
+							if g, w := gst.Stages[k], wst.Stages[k]; g.Name != w.Name || g.In != w.In || g.Pruned != w.Pruned {
+								t.Fatalf("%s: stage %d %s in/pruned %d/%d, opaque stage %s %d/%d", label, k, g.Name, g.In, g.Pruned, w.Name, w.In, w.Pruned)
+							}
+						}
+						if strings.HasPrefix(gst.Source, "token-index(") {
+							indexed++
+							pruned += gst.Stages[len(gst.Stages)-1].Pruned
+						}
+					}
+				}
+			}
+		}
+		if indexed == 0 || pruned == 0 {
+			t.Fatalf("%s: %d runs probed the index, their bag stage pruned %d pairs; the sweep tests nothing", tz.Name(), indexed, pruned)
 		}
 	}
 }
