@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -63,6 +64,31 @@ func TestStringDistanceIsLowerBound(t *testing.T) {
 		if pre > d || post > d {
 			t.Fatalf("string bound above TED: pre=%d post=%d ted=%d\n%s\n%s",
 				pre, post, d, tree.FormatBracket(a), tree.FormatBracket(b))
+		}
+	}
+}
+
+// TestSTRFilterMatchesTraversalStrings: the STR stage, which reads the
+// arena views' postorder and reversed preorder, gives the verdict of the
+// banded test over tree.LabelSeq's preorder and postorder sequences, in both
+// pair orders, over random pairs and every τ from 0 past n+m.
+func TestSTRFilterMatchesTraversalStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(311))
+	lt := tree.NewLabelTable()
+	cache := engine.NewCache()
+	for i := 0; i < 150; i++ {
+		ts := []*tree.Tree{randomTree(rng, 18, lt), randomTree(rng, 18, lt)}
+		var pre, post [2][]int32
+		for k, tr := range ts {
+			pre[k], post[k] = tree.LabelSeq(tr, tree.Preorder(tr)), tree.LabelSeq(tr, tree.Postorder(tr))
+		}
+		for tau := 0; tau <= ts[0].Size()+ts[1].Size()+1; tau++ {
+			want := strdist.Bounded(pre[0], pre[1], tau) <= tau && strdist.Bounded(post[0], post[1], tau) <= tau
+			keep := baseline.STRFilter().Prepare(engine.NewProbeCollection(context.Background(), ts, tau, cache))
+			if keep(0, 1) != want || keep(1, 0) != want {
+				t.Fatalf("τ=%d: STR keeps %v/%v, traversal strings say %v\n%s\n%s",
+					tau, keep(0, 1), keep(1, 0), want, tree.FormatBracket(ts[0]), tree.FormatBracket(ts[1]))
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package baseline
 import (
 	"treejoin/internal/engine"
 	"treejoin/internal/strdist"
-	"treejoin/internal/tree"
 )
 
 // The baselines' lower bounds as composable engine stages. Each constructor
@@ -20,32 +19,26 @@ import (
 // signature once, ever, and later joins at any threshold reuse it. Only the
 // pair predicates, which capture τ, are rebuilt per run.
 
-// travStrings is the per-tree STR signature: both traversal label sequences.
-type travStrings struct {
-	pre, post []int32
-}
-
 // STRFilter returns the traversal-string stage (Guha et al.): the unit-cost
 // string edit distance between the preorder (resp. postorder) label
 // sequences of two trees never exceeds their TED, so a pair whose preorder
 // or postorder sequences differ by more than τ cannot be a result. Sequence
 // distances are computed with the τ-banded algorithm, matching the original
 // method's cost profile: candidate generation is a string join over all
-// size-compatible pairs and dominates at small τ (cf. Figure 10).
+// size-compatible pairs and dominates at small τ (cf. Figure 10). The stage
+// keeps no signature of its own: it reads the verifier's arena views, whose
+// Labels are the postorder and whose RLabels, the mirrored postorder, are the
+// preorder reversed — and reversing both strings leaves their edit distance
+// unchanged.
 func STRFilter() engine.PairFilter {
 	return engine.NewFilter("STR", func(c *engine.Collection) func(i, j int) bool {
-		seqs := engine.Cached(c.Cache(), "str/traversals", c.Trees, c.Workers, func(t *tree.Tree) travStrings {
-			return travStrings{
-				pre:  tree.LabelSeq(t, tree.Preorder(t)),
-				post: tree.LabelSeq(t, tree.Postorder(t)),
-			}
-		})
+		views := engine.ArenaFor(c.Cache(), c.Trees, c.Workers)
 		tau := c.Tau
 		return func(i, j int) bool {
-			if strdist.Bounded(seqs[i].pre, seqs[j].pre, tau) > tau {
+			if strdist.Bounded(views[i].RLabels, views[j].RLabels, tau) > tau {
 				return false
 			}
-			return strdist.Bounded(seqs[i].post, seqs[j].post, tau) <= tau
+			return strdist.Bounded(views[i].Labels, views[j].Labels, tau) <= tau
 		}
 	})
 }

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"time"
 
 	"treejoin/internal/engine"
-	"treejoin/internal/lcrs"
 	"treejoin/internal/sim"
 	"treejoin/internal/ted"
 	"treejoin/internal/tree"
@@ -22,23 +23,20 @@ import (
 // agnostic — for any pair it is the earlier (already partitioned) tree whose
 // subgraph must appear in the later one — so correctness is unaffected.
 //
+// The stream grows an Index: Add appends to its trees, inserts into its
+// small-tree list or its subgraph index, and finds partners with the one
+// probe every PartSJ caller shares (Index.partners). A removed tree leaves the
+// small-tree list at once; its postings stay in the index, screened out,
+// until a compaction rebuilds it.
+//
 // Incremental is not safe for concurrent use; wrap it in a mutex if multiple
 // goroutines add trees.
 type Incremental struct {
-	opts    Options
-	delta   int
-	cache   *engine.Cache
-	ts      []*tree.Tree
-	views   []*ted.TreeView // the default verifier's arena views, beside ts
-	bins    []*lcrs.Bin
-	parts   []*Partition
-	ix      *invIndex
-	smalls  []int
-	checked []int32
-	gen     int32
-	sc      matchScratch
-	st      partitionState
-	stats   sim.Stats
+	x     *Index
+	views []*ted.TreeView // the default verifier's arena views, beside x.ts
+	parts []*Partition    // the indexed trees' partitions, for compaction
+	st    partitionState
+	stats sim.Stats
 
 	removed   []bool
 	nRemoved  int
@@ -65,39 +63,26 @@ func standingKey(i, j int) uint64 { return uint64(uint32(i))<<32 | uint64(uint32
 // everything locally.
 func NewIncrementalCached(opts Options, cache *engine.Cache) *Incremental {
 	return &Incremental{
-		opts:      opts,
-		delta:     opts.delta(),
-		cache:     cache,
-		ix:        newInvIndex(opts.Tau, opts.Position),
+		x:         &Index{opts: opts, cache: cache, ix: newInvIndex(opts.Tau, opts.Position)},
 		compactAt: 16,
 		standing:  make(map[uint64]int32),
 	}
 }
 
-// verifiers returns the stream's batched verifier factory over the trees
-// added so far: a custom Options.Verifier adapted statelessly, else the
-// τ-banded bounded TED over the views kept beside the trees.
-func (inc *Incremental) verifiers() sim.BatchVerifierFactory {
-	if inc.opts.Verifier != nil {
-		return sim.AdaptVerifier(inc.ts, inc.opts.Verifier)
-	}
-	return engine.NewArenaVerifiers(inc.views, nil)
-}
-
 // Len returns the number of trees added so far, including removed ones
 // (positions are stable).
-func (inc *Incremental) Len() int { return len(inc.ts) }
+func (inc *Incremental) Len() int { return len(inc.x.ts) }
 
 // Live returns the number of trees added and not yet removed.
-func (inc *Incremental) Live() int { return len(inc.ts) - inc.nRemoved }
+func (inc *Incremental) Live() int { return len(inc.x.ts) - inc.nRemoved }
 
 // Tree returns the i-th added tree, or nil if it has been removed.
-func (inc *Incremental) Tree(i int) *tree.Tree { return inc.ts[i] }
+func (inc *Incremental) Tree(i int) *tree.Tree { return inc.x.ts[i] }
 
 // Stats returns a snapshot of the accumulated execution statistics.
 func (inc *Incremental) Stats() sim.Stats {
 	s := inc.stats
-	s.Trees = len(inc.ts)
+	s.Trees = len(inc.x.ts)
 	return s
 }
 
@@ -106,71 +91,44 @@ func (inc *Incremental) Stats() sim.Stats {
 // after the call.
 func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 	start := time.Now()
-	ti := len(inc.ts)
-	inc.ts = append(inc.ts, t)
+	x := inc.x
+	ti := len(x.ts)
+	x.ts = append(x.ts, t)
 	var view *ted.TreeView
-	if inc.opts.Verifier == nil {
-		view = engine.ArenaFor(inc.cache, []*tree.Tree{t}, 1)[0]
+	if x.opts.Verifier == nil {
+		view = engine.ArenaFor(x.cache, []*tree.Tree{t}, 1)[0]
 	}
 	inc.views = append(inc.views, view)
-	b := cachedBin(inc.cache, t)
-	inc.bins = append(inc.bins, b)
 	inc.parts = append(inc.parts, nil)
-	inc.checked = append(inc.checked, -1)
 	inc.removed = append(inc.removed, false)
-	sz := t.Size()
-	gen := inc.gen
-	inc.gen++
-
+	b := cachedBin(x.cache, t)
 	var cands []sim.Candidate
-	for _, other := range inc.smalls {
-		if inc.removed[other] {
-			continue
-		}
-		d := inc.ts[other].Size() - sz
-		if d < 0 {
-			d = -d
-		}
-		if d <= inc.opts.Tau && inc.checked[other] != gen {
-			inc.checked[other] = gen
-			cands = append(cands, sim.Candidate{I: other, J: ti})
-			inc.stats.SmallTreeFallback++
-		}
-	}
-	minSize := sz - inc.opts.Tau
-	if minSize < 1 {
-		minSize = 1
-	}
-	for _, n := range b.Order {
-		inc.stats.SubgraphProbes += inc.ix.probe(b, n, minSize, sz+inc.opts.Tau, noTieLimit, func(e posting) {
-			if inc.removed[e.tree] || inc.checked[e.tree] == gen {
-				return
-			}
-			inc.stats.MatchTests++
-			if inc.ix.matches(e, b, n, &inc.sc) {
-				inc.stats.MatchHits++
-				inc.checked[e.tree] = gen
-				cands = append(cands, sim.Candidate{I: int(e.tree), J: ti})
-			}
-		})
-	}
+	x.partners(context.Background(), b, b.Size()+x.opts.Tau, noTieLimit, &inc.stats,
+		func(j int32) bool { return !inc.removed[j] },
+		func(j int32) { cands = append(cands, sim.Candidate{I: int(j), J: ti}) })
 	inc.stats.CandTime += time.Since(start)
 
+	// The default verifier reads the views kept beside the trees.
+	factory := sim.AdaptVerifier(x.ts, x.opts.Verifier)
+	if x.opts.Verifier == nil {
+		factory = engine.NewArenaVerifiers(inc.views, nil)
+	}
 	var pairs []sim.Pair
-	sim.VerifyStreamBatched(context.Background(), cands, inc.opts.Tau, inc.verifiers(), sim.NormalizeWorkers(inc.opts.Workers), &inc.stats, func(p sim.Pair) bool {
+	sim.VerifyStreamBatched(context.Background(), cands, x.opts.Tau, factory, sim.NormalizeWorkers(x.opts.Workers), &inc.stats, func(p sim.Pair) bool {
 		pairs = append(pairs, p)
 		return true
 	})
 
 	pStart := time.Now()
-	if sz >= inc.delta {
-		p := cachedPartition(inc.cache, t, b, partitionCacheKey(inc.delta), inc.delta, &inc.st)
+	if delta := x.opts.delta(); t.Size() >= delta {
+		p := cachedPartition(x.cache, t, b, partitionCacheKey(delta), delta, &inc.st)
 		inc.parts[ti] = p
-		indexed := inc.ix.n
-		inc.ix.insert(ti, p)
-		inc.stats.IndexedSubgraphs += inc.ix.n - indexed
+		indexed := x.ix.n
+		x.ix.insert(ti, p)
+		inc.stats.IndexedSubgraphs += x.ix.n - indexed
 	} else {
-		inc.smalls = append(inc.smalls, ti)
+		at, _ := inc.small(ti)
+		x.smalls = slices.Insert(x.smalls, at, int32(ti))
 	}
 	inc.stats.PartitionTime += time.Since(pStart)
 
@@ -180,6 +138,15 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 		inc.standing[standingKey(p.I, p.J)] = int32(p.Dist)
 	}
 	return pairs
+}
+
+// small returns where live tree i is, or belongs, in the small-tree list,
+// and whether it is there.
+func (inc *Incremental) small(i int) (int, bool) {
+	ts, sz := inc.x.ts, inc.x.ts[i].Size()
+	return slices.BinarySearchFunc(inc.x.smalls, int32(i), func(o, i int32) int {
+		return cmp.Or(cmp.Compare(ts[o].Size(), sz), cmp.Compare(o, i))
+	})
 }
 
 // Pairs returns the standing result set — every pair some Add reported whose
@@ -208,12 +175,16 @@ func (inc *Incremental) Retracted() []sim.Pair {
 
 // Remove deletes the i-th tree from the stream: it no longer appears in the
 // results of later Add calls. Positions are stable — later trees keep their
-// indices. Removal is a tombstone (probes skip dead entries); once half the
-// stream is dead the index is rebuilt from the survivors. Removing an
-// out-of-range or already-removed position reports false.
+// indices. A small tree leaves the small-tree list; an indexed tree's
+// postings are a tombstone the probe screens out until, once half the stream
+// is dead, the index is rebuilt from the survivors. Removing an out-of-range
+// or already-removed position reports false.
 func (inc *Incremental) Remove(i int) bool {
-	if i < 0 || i >= len(inc.ts) || inc.removed[i] {
+	if i < 0 || i >= len(inc.x.ts) || inc.removed[i] {
 		return false
+	}
+	if at, ok := inc.small(i); ok {
+		inc.x.smalls = slices.Delete(inc.x.smalls, at, at+1)
 	}
 	inc.removed[i] = true
 	inc.nRemoved++
@@ -228,11 +199,10 @@ func (inc *Incremental) Remove(i int) bool {
 		}
 	}
 	// Release the payload; only the tombstone remains.
-	inc.ts[i] = nil
+	inc.x.ts[i] = nil
 	inc.views[i] = nil
-	inc.bins[i] = nil
 	inc.parts[i] = nil
-	if inc.nRemoved >= inc.compactAt && inc.nRemoved*2 >= len(inc.ts) {
+	if inc.nRemoved >= inc.compactAt && inc.nRemoved*2 >= len(inc.x.ts) {
 		inc.compact()
 	}
 	return true
@@ -245,23 +215,18 @@ func (inc *Incremental) Remove(i int) bool {
 func (inc *Incremental) Update(i int, t *tree.Tree) (int, []sim.Pair) {
 	inc.Remove(i)
 	pairs := inc.Add(t)
-	return len(inc.ts) - 1, pairs
+	return len(inc.x.ts) - 1, pairs
 }
 
-// compact rebuilds the subgraph index and small-tree list from the live
-// trees, dropping tombstoned postings. Positions are preserved. The next
-// compaction fires only after as many further removals again, keeping the
-// amortised rebuild cost linear.
+// compact rebuilds the subgraph index from the live trees, dropping
+// tombstoned postings. Positions are preserved. The next compaction fires
+// only after as many further removals again, keeping the amortised rebuild
+// cost linear.
 func (inc *Incremental) compact() {
 	start := time.Now()
 	// Remove cleared the dead trees' slots.
-	inc.ix = buildInvIndex(inc.opts.Tau, inc.opts.Position, len(inc.parts), 1, func(i int, _ *partitionState) *Partition { return inc.parts[i] })
-	inc.smalls = inc.smalls[:0]
-	for ti, p := range inc.parts {
-		if p == nil && !inc.removed[ti] {
-			inc.smalls = append(inc.smalls, ti)
-		}
-	}
+	x := inc.x
+	x.ix = buildInvIndex(x.opts.Tau, x.opts.Position, len(inc.parts), 1, func(i int, _ *partitionState) *Partition { return inc.parts[i] })
 	inc.compactAt = inc.nRemoved + inc.nRemoved/2 + 16
 	inc.stats.PartitionTime += time.Since(start)
 }

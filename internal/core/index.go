@@ -482,20 +482,14 @@ func probeKeys(b *lcrs.Bin, n int32, keys *[4]twig) int {
 	return k
 }
 
-// noTieLimit is probe's tieBelow for callers that admit every tree of the
-// largest size (Search, Incremental).
+// noTieLimit is the tie of the partners callers that admit every tree of
+// the largest size (Search, Incremental).
 const noTieLimit = math.MaxInt32
 
 // probe visits the index entries that are twig- and position-compatible with
 // node n of probe tree b, for every indexed tree size in [minSize, maxSize];
-// of the trees of exactly maxSize, only those numbered below tieBelow. It
-// reports the number of entries visited.
-//
-// tieBelow is what lets a join probe an index built ahead of it: Algorithm 1
-// offers a probe the trees before it in the (size, number) order, and a
-// posting with size below the probe's is before it whatever its number, so
-// maxSize = the probe's size and tieBelow = its number admit exactly the
-// postings the on-the-fly index would hold at that moment.
+// of the trees of exactly maxSize, only those numbered below tieBelow (see
+// Index.partners). It reports the number of entries visited.
 func (ix *invIndex) probe(b *lcrs.Bin, n int32, minSize, maxSize int, tieBelow int32, visit func(posting)) int64 {
 	var keys [4]twig
 	nk := probeKeys(b, n, &keys)

@@ -3,8 +3,11 @@ package core
 import (
 	"cmp"
 	"context"
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
+	"sync"
 	"time"
 
 	"treejoin/internal/engine"
@@ -24,8 +27,9 @@ import (
 // query and data is required ([13, 16, 27] study the search query; PartSJ's
 // index answers it directly).
 //
-// An Index is immutable after NewIndexCached and safe for concurrent use;
-// probing state is per call.
+// An Index from NewIndexCached or Compose is frozen and safe for concurrent
+// use; probing state is per call. The one an Incremental grows is confined to
+// it, like the Incremental itself.
 type Index struct {
 	opts   Options
 	ts     []*tree.Tree
@@ -149,68 +153,122 @@ func (x *Index) Search(q *tree.Tree) []Match {
 	return ms
 }
 
-// searchCtxStride bounds how many probe nodes (or verifications) run between
-// context checks.
+// searchCtxStride bounds how many probe nodes run between context checks.
 const searchCtxStride = 64
 
 // SearchCtx is Search under a context: cancellation aborts the probe and
 // verification loops promptly and returns ctx's error with nil matches.
 func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
+	var stats sim.Stats
+	var cands []int32
 	b := lcrs.Build(q)
-	sz := q.Size()
-	tau := x.opts.Tau
-	seen := make(map[int32]bool)
-	var cands []int
-	for _, i := range x.smalls {
-		if d := x.ts[i].Size() - sz; d >= -tau && d <= tau {
-			cands = append(cands, int(i))
-		}
+	if err := x.partners(ctx, b, b.Size()+x.opts.Tau, noTieLimit, &stats, nil, func(j int32) { cands = append(cands, j) }); err != nil || len(cands) == 0 {
+		return nil, err
 	}
-	minSize := sz - tau
-	if minSize < 1 {
-		minSize = 1
+	// The candidates are trees 0..n−1 of the verified collection and the query
+	// is tree n. The default verifier is the τ-banded bounded TED over arena
+	// views: the candidates' views come through the index's artifact cache in
+	// one batch, and the query's view is built once per call and never
+	// stored, so query traffic cannot pin corpus cache memory.
+	n := len(cands)
+	ts, pairs := make([]*tree.Tree, n+1), make([]sim.Candidate, n)
+	for k, i := range cands {
+		ts[k], pairs[k] = x.ts[i], sim.Candidate{I: k, J: n}
 	}
-	var sc matchScratch
-	for k, n := range b.Order {
-		if k%searchCtxStride == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		x.ix.probe(b, n, minSize, sz+tau, noTieLimit, func(e posting) {
-			if seen[e.tree] {
-				return
-			}
-			if x.ix.matches(e, b, n, &sc) {
-				seen[e.tree] = true
-				cands = append(cands, int(e.tree))
-			}
-		})
-	}
-	// The default verifier is the τ-banded bounded TED over arena views: the
-	// candidates' views come through the index's artifact cache in one batch,
-	// and the query's view is built once per call, when there is a candidate
-	// to verify, and never stored, so query traffic cannot pin corpus cache
-	// memory.
-	verify := func(k int) (int, bool) { return x.opts.Verifier(x.ts[cands[k]], q, tau) }
-	if x.opts.Verifier == nil && len(cands) > 0 {
-		cts := make([]*tree.Tree, len(cands))
-		for k, i := range cands {
-			cts[k] = x.ts[i]
-		}
-		views := engine.ArenaFor(x.cache, cts, 1)
-		qv := ted.BuildViews([]*tree.Tree{q})[0]
-		s := ted.AcquireScratch()
-		defer ted.ReleaseScratch(s)
-		verify = func(k int) (int, bool) { return ted.DistanceBoundedView(views[k], qv, tau, s, nil) }
+	ts[n] = q
+	factory := sim.AdaptVerifier(ts, x.opts.Verifier)
+	if x.opts.Verifier == nil {
+		factory = engine.NewArenaVerifiers(append(engine.ArenaFor(x.cache, ts[:n], 1), ted.BuildViews(ts[n:])...), nil)
 	}
 	var out []Match
-	for k, i := range cands {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if d, ok := verify(k); ok {
-			out = append(out, Match{Pos: i, Dist: d})
-		}
+	sim.VerifyStreamBatched(ctx, pairs, x.opts.Tau, factory, 1, &stats, func(p sim.Pair) bool {
+		out = append(out, Match{Pos: int(cands[p.I]), Dist: p.Dist})
+		return true
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	SortMatches(out)
 	return out, nil
+}
+
+// probeState is one probe's partner bookkeeping: a stamp per indexed tree,
+// gen<<2 | code, so one zeroed array serves every probe (gen starts at 1) and
+// each partner is screened at most once and emitted at most once per probe;
+// and the match test's scratch. Probes draw them from one pool, so a probe
+// pays for neither: a stamp array serves any index no larger than it, since a
+// probe only ever reads the stamps of its own generation.
+type probeState struct {
+	stamp []uint32
+	gen   uint32
+	sc    matchScratch
+}
+
+var probeStates = sync.Pool{New: func() any { return new(probeState) }}
+
+// Stamp codes.
+const (
+	stPassed  = 1 // screen passed; match tests pending
+	stKilled  = 2 // screen refused the partner; skip its remaining entries
+	stEmitted = 3 // partner emitted; skip its remaining entries
+)
+
+// partners finds the partners of probe tree b among the index's trees of
+// sizes |b|−τ to hi, of size hi only those numbered below tie (Algorithm 1,
+// lines 5–10): the trees too small to partition, and those with a subgraph
+// that matches at a node of b (Lemma 2). Each is offered to screen (nil keeps
+// all) once, before any of its match tests, and a survivor goes to emit once.
+// It is the only walk of the index for a probe tree. The join's probe passes
+// hi = |b| and its own number as tie: Algorithm 1 offers a probe the trees
+// before it in the (size, number) order, what the on-the-fly index held at
+// that moment. Search and Incremental.Add pass hi = |b|+τ and noTieLimit.
+// The context is checked every searchCtxStride probe nodes; a cancelled probe
+// returns ctx's error.
+func (x *Index) partners(ctx context.Context, b *lcrs.Bin, hi int, tie int32, stats *sim.Stats, screen func(int32) bool, emit func(int32)) error {
+	lo := max(b.Size()-x.opts.Tau, 1)
+	from := sort.Search(len(x.smalls), func(i int) bool { return x.ts[x.smalls[i]].Size() >= lo })
+	for _, o := range x.smalls[from:] {
+		if so := x.ts[o].Size(); so > hi || so == hi && o >= tie {
+			break
+		}
+		if screen == nil || screen(o) {
+			stats.SmallTreeFallback++
+			emit(o)
+		}
+	}
+	ps := probeStates.Get().(*probeState)
+	defer probeStates.Put(ps)
+	if n := len(x.ts) - len(ps.stamp); n > 0 {
+		ps.stamp = append(ps.stamp, make([]uint32, n)...)
+	}
+	if ps.gen == math.MaxUint32>>2 {
+		clear(ps.stamp)
+		ps.gen = 0
+	}
+	ps.gen++
+	gen := ps.gen
+	for k, n := range b.Order {
+		if k%searchCtxStride == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		stats.SubgraphProbes += x.ix.probe(b, n, lo, hi, tie, func(e posting) {
+			switch st := ps.stamp[e.tree]; {
+			case st>>2 != gen:
+				if screen != nil && !screen(e.tree) {
+					ps.stamp[e.tree] = gen<<2 | stKilled
+					return
+				}
+				ps.stamp[e.tree] = gen<<2 | stPassed
+			case st&3 != stPassed: // already emitted or killed this probe
+				return
+			}
+			stats.MatchTests++
+			if x.ix.matches(e, b, n, &ps.sc) {
+				stats.MatchHits++
+				ps.stamp[e.tree] = gen<<2 | stEmitted
+				emit(e.tree)
+			}
+		})
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -19,8 +18,8 @@ import (
 // it per epoch and threshold, for Search and KNN as much as for joins; see
 // Options.Indexes), and the size order is cut into contiguous chunks that
 // probe it from every worker at once. A probe at order position k admits a
-// posting only if its tree comes before k in the order (invIndex.probe's
-// tieBelow), so each probe sees precisely the postings the on-the-fly index
+// posting only if its tree comes before k in the order (Index.partners'
+// tie), so each probe sees precisely the postings the on-the-fly index
 // held when Algorithm 1 reached it: candidates and the probe, match-test,
 // match-hit and indexed-subgraph counters are those of the sequential loop,
 // whatever the chunking. (The loop itself survives in the tests, as the
@@ -102,19 +101,9 @@ func (r *probeRun) resolve(stats *sim.Stats) {
 	r.ixs = ixs
 }
 
-// Per-probe pair states packed into the state stamps: a stamp is
-// gen<<2 | code, so one zeroed array serves all probes (gen starts at 1) and
-// each pair is screened at most once and emitted at most once per probe.
-const (
-	stPassed  = 1 // filter chain consulted, pair survived; match tests pending
-	stKilled  = 2 // filter chain pruned the pair; skip its remaining entries
-	stEmitted = 3 // pair emitted as a candidate; skip its remaining entries
-)
-
 // probe gathers, for each tree at order positions [lo, hi), its candidate
-// partners among the trees before it (Algorithm 1 lines 5–10): the trees too
-// small to partition by direct screening, the rest through the index. Pairs
-// pass the filter chain before any subgraph-match test.
+// partners among the trees before it (Index.partners), the filter chain
+// screening each pair before any subgraph-match test.
 func (r *probeRun) probe(px *engine.Pipeline, lo, hi int) {
 	stats := px.Stats()
 	r.once.Do(func() { r.resolve(stats) })
@@ -122,50 +111,17 @@ func (r *probeRun) probe(px *engine.Pipeline, lo, hi int) {
 		return
 	}
 	start := time.Now()
-	c, tau := r.c, r.opts.Tau
-	state := make([]uint32, len(c.Trees)) // indexed by the partner's number in its own index
-	var gen uint32
-	var sc matchScratch
+	c := r.c
 	for _, ti := range c.Order[lo:hi] {
-		if px.Cancelled() {
-			break
-		}
 		x, off := r.ixs[0], 0 // the index to probe, and where its trees start in c.Trees
 		if c.Cross() && ti < c.Split {
 			x, off = r.ixs[1], c.Split
 		}
-		sz, me := c.Trees[ti].Size(), int32(ti-off)
-		gen++
-		from := sort.Search(len(x.smalls), func(i int) bool { return x.ts[x.smalls[i]].Size() >= sz-tau })
-		for _, o := range x.smalls[from:] {
-			if so := x.ts[o].Size(); so > sz || so == sz && o >= me {
-				break
-			}
-			if px.Screen(ti, int(o)+off) {
-				stats.SmallTreeFallback++
-				px.Emit(ti, int(o)+off)
-			}
-		}
 		b := cachedBin(c.Cache(), c.Trees[ti])
-		for _, n := range b.Order {
-			stats.SubgraphProbes += x.ix.probe(b, n, max(sz-tau, 1), sz, me, func(e posting) {
-				switch st := state[e.tree]; {
-				case st>>2 != gen:
-					if !px.Screen(ti, int(e.tree)+off) {
-						state[e.tree] = gen<<2 | stKilled
-						return
-					}
-					state[e.tree] = gen<<2 | stPassed
-				case st&3 != stPassed: // already emitted or killed this probe
-					return
-				}
-				stats.MatchTests++
-				if x.ix.matches(e, b, n, &sc) {
-					stats.MatchHits++
-					state[e.tree] = gen<<2 | stEmitted
-					px.Emit(ti, int(e.tree)+off)
-				}
-			})
+		if x.partners(c.Context(), b, b.Size(), int32(ti-off), stats,
+			func(j int32) bool { return px.Screen(ti, int(j)+off) },
+			func(j int32) { px.Emit(ti, int(j)+off) }) != nil {
+			break
 		}
 	}
 	stats.CandTime += time.Since(start)

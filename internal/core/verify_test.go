@@ -52,3 +52,44 @@ func TestOneVerifierArtifact(t *testing.T) {
 		t.Fatalf("cache holds %d artifacts, %d of unaccounted kinds", total, total-known)
 	}
 }
+
+// TestSearchCtxCancelled: a cancelled context makes SearchCtx return ctx's
+// error and no matches — when it was cancelled before the call, which stops
+// the probe (Index.partners) before it visits a posting, and when a custom
+// verifier cancels it on its first candidate.
+func TestSearchCtxCancelled(t *testing.T) {
+	ts := synth.Synthetic(60, 23)
+	q := ts[5]
+	calls := 0
+	var cancel context.CancelFunc
+	verify := func(a, b *tree.Tree, tau int) (int, bool) {
+		calls++
+		if cancel != nil {
+			cancel()
+		}
+		return sim.DefaultVerifier(a, b, tau)
+	}
+	ix := NewIndexCached(ts, Options{Tau: 2, Verifier: verify}, nil)
+	if ms, err := ix.SearchCtx(context.Background(), q); err != nil || len(ms) == 0 || calls < 2 {
+		t.Fatalf("live search: %d matches, %d verifications, err %v", len(ms), calls, err)
+	}
+
+	ctx, stop := context.WithCancel(context.Background())
+	stop()
+	calls = 0
+	if ms, err := ix.SearchCtx(ctx, q); err != context.Canceled || ms != nil || calls != 0 {
+		t.Fatalf("pre-cancelled: %v matches, %d verifications, err %v", ms, calls, err)
+	}
+	var st sim.Stats
+	b := cachedBin(nil, q)
+	if err := ix.partners(ctx, b, b.Size()+2, noTieLimit, &st, nil, func(int32) {}); err != context.Canceled || st.SubgraphProbes != 0 {
+		t.Fatalf("pre-cancelled probe: err %v after %d postings", err, st.SubgraphProbes)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	calls = 0
+	if ms, err := ix.SearchCtx(ctx, q); err != context.Canceled || ms != nil || calls == 0 {
+		t.Fatalf("cancelled by the verifier: %v matches, %d verifications, err %v", ms, calls, err)
+	}
+}

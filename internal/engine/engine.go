@@ -217,14 +217,11 @@ type Pipeline struct {
 	// Sequential jobs verify candidates in bounded chunks as they are
 	// emitted (Algorithm 1's interleaving, generalised), streaming results
 	// to the emitter with peak candidate memory O(flushAt) instead of
-	// O(total candidates). The flush verifier is minted lazily from the
-	// run's factory and persists across flushes (so its scratch stays warm
-	// for the whole task); stream() closes it after the tasks finish.
-	// Parallel jobs set flushAt = 0 and defer everything to the pool-wide
-	// pass after the tasks, where the bigger batch load-balances better.
+	// O(total candidates). Parallel jobs set flushAt = 0 and defer everything
+	// to the pool-wide pass after the tasks, where the bigger batch
+	// load-balances better.
 	flushAt    int
 	vfactory   sim.BatchVerifierFactory
-	bv         sim.BatchVerifier
 	em         *emitter
 	inlineTime time.Duration
 }
@@ -240,10 +237,7 @@ func (px *Pipeline) Cancelled() bool { return px.c.Cancelled() }
 // happen inside the source's timed loop).
 func (px *Pipeline) flushCandidates() {
 	start := time.Now()
-	if px.bv == nil {
-		px.bv = px.vfactory()
-	}
-	sim.VerifyStreamWith(px.c.ctx, px.cands, px.c.Tau, px.bv, &px.stats, px.em.emit)
+	sim.VerifyStreamBatched(px.c.ctx, px.cands, px.c.Tau, px.vfactory, 1, &px.stats, px.em.emit)
 	px.cands = px.cands[:0]
 	px.inlineTime += time.Since(start)
 }
@@ -500,8 +494,8 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	// Merge task-local candidates and statistics. Stage counters merge by
 	// position: every pipeline carries the same chain. Inline verification
 	// ran inside the sources' timed loops, so its elapsed time moves from
-	// the candidate-generation clock to the verification clock (where
-	// VerifyStream already recorded it) — and is carved out of the stage's
+	// the candidate-generation clock to the verification clock (where the
+	// verify stage already recorded it) — and is carved out of the stage's
 	// wall clock the same way.
 	stats.Stages = make([]sim.StageStats, len(job.Filters))
 	for k, f := range job.Filters {
@@ -519,9 +513,6 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 			stats.Stages[k].Pruned += px.counts[k].Pruned
 			stats.Stages[k].SampledNs += px.counts[k].SampledNs
 			stats.Stages[k].Sampled += px.counts[k].Sampled
-		}
-		if px.bv != nil {
-			px.bv.Close()
 		}
 	}
 	stats.CandWall += tasksWall - inline

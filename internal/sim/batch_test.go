@@ -2,7 +2,10 @@ package sim_test
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"treejoin/internal/sim"
@@ -40,6 +43,8 @@ func (f *recordingFactory) factory() sim.BatchVerifier {
 	return recordingVerifier{f: f}
 }
 
+// batchFixture returns hand-written trees and every pair of them as
+// candidates.
 func batchFixture(t *testing.T) ([]*tree.Tree, []sim.Candidate) {
 	t.Helper()
 	lt := tree.NewLabelTable()
@@ -51,40 +56,81 @@ func batchFixture(t *testing.T) ([]*tree.Tree, []sim.Candidate) {
 	for i, s := range specs {
 		ts[i] = tree.MustParseBracket(s, lt)
 	}
-	var cands []sim.Candidate
-	for i := range ts {
-		for j := i + 1; j < len(ts); j++ {
-			cands = append(cands, sim.Candidate{I: i, J: j})
+	return ts, allPairs(len(ts))
+}
+
+// randomFixture returns 20 random trees of 1 to 12 nodes over three labels
+// and every pair of them as candidates, every other one in reverse order.
+func randomFixture() ([]*tree.Tree, []sim.Candidate) {
+	lt := tree.NewLabelTable()
+	rng := rand.New(rand.NewSource(77))
+	var ts []*tree.Tree
+	for i := 0; i < 20; i++ {
+		b := tree.NewBuilder(lt)
+		b.Root("r")
+		n := 1 + rng.Intn(12)
+		for j := 1; j < n; j++ {
+			b.Child(int32(rng.Intn(j)), string(rune('a'+rng.Intn(3))))
 		}
+		ts = append(ts, b.MustBuild())
+	}
+	cands := allPairs(len(ts))
+	for k := 0; k < len(cands); k += 2 {
+		cands[k].I, cands[k].J = cands[k].J, cands[k].I
 	}
 	return ts, cands
 }
 
+func allPairs(n int) []sim.Candidate {
+	var cands []sim.Candidate
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			cands = append(cands, sim.Candidate{I: i, J: j})
+		}
+	}
+	return cands
+}
+
+// referencePairs returns the candidates the one-off verifier accepts at tau,
+// normalised to I < J and sorted.
+func referencePairs(ts []*tree.Tree, cands []sim.Candidate, tau int) []sim.Pair {
+	var want []sim.Pair
+	for _, c := range cands {
+		if d, ok := sim.DefaultVerifier(ts[c.I], ts[c.J], tau); ok {
+			want = append(want, sim.Pair{I: min(c.I, c.J), J: max(c.I, c.J), Dist: d})
+		}
+	}
+	sim.SortPairs(want)
+	return want
+}
+
+// collect runs one verification through run and returns the pairs it emitted,
+// sorted, and the stats it accounted.
+func collect(run func(*sim.Stats, sim.EmitFunc)) ([]sim.Pair, sim.Stats) {
+	var st sim.Stats
+	var got []sim.Pair
+	run(&st, func(p sim.Pair) bool {
+		got = append(got, p)
+		return true
+	})
+	sim.SortPairs(got)
+	return got, st
+}
+
 // TestVerifyStreamBatchedMatchesSequential: the batched stage returns the
-// exact pair set of the sequential verifier at every worker count, and every
-// minted verifier is closed.
+// exact pair set of the one-off verifier at every worker count, counts every
+// candidate, and closes every verifier it minted.
 func TestVerifyStreamBatchedMatchesSequential(t *testing.T) {
 	ts, cands := batchFixture(t)
 	for _, tau := range []int{0, 1, 3} {
-		var ref sim.Stats
-		want := sim.VerifyAll(ts, cands, tau, nil, 1, &ref)
-		sim.SortPairs(want)
+		want := referencePairs(ts, cands, tau)
 		for _, workers := range []int{1, 2, 8} {
 			rf := &recordingFactory{ts: ts}
-			var st sim.Stats
-			var got []sim.Pair
-			sim.VerifyStreamBatched(context.Background(), cands, tau, rf.factory, workers, &st, func(p sim.Pair) bool {
-				got = append(got, p)
-				return true
+			got, st := collect(func(st *sim.Stats, emit sim.EmitFunc) {
+				sim.VerifyStreamBatched(context.Background(), cands, tau, rf.factory, workers, st, emit)
 			})
-			sim.SortPairs(got)
-			if len(got) != len(want) {
-				t.Fatalf("τ=%d w=%d: %d pairs, want %d", tau, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("τ=%d w=%d: pair %d = %v, want %v", tau, workers, i, got[i], want[i])
-				}
+			if !slices.Equal(got, want) {
+				t.Fatalf("τ=%d w=%d: pairs %v, want %v", tau, workers, got, want)
 			}
 			if st.Candidates != int64(len(cands)) {
 				t.Fatalf("τ=%d w=%d: candidates = %d, want %d", tau, workers, st.Candidates, len(cands))
@@ -93,6 +139,122 @@ func TestVerifyStreamBatchedMatchesSequential(t *testing.T) {
 				t.Fatalf("τ=%d w=%d: minted %d verifiers, closed %d", tau, workers, rf.minted, rf.closed)
 			}
 		}
+	}
+}
+
+// TestVerifyAllSequentialVsParallel: verifying all candidates of a random
+// fixture inline and on eight workers yields the same pairs — those the
+// one-off verifier accepts — and the same candidate accounting.
+func TestVerifyAllSequentialVsParallel(t *testing.T) {
+	ts, cands := randomFixture()
+	adapted := sim.AdaptVerifier(ts, sim.DefaultVerifier)
+	for _, tau := range []int{0, 2, 5} {
+		want := referencePairs(ts, cands, tau)
+		for _, workers := range []int{1, 8} {
+			got, st := collect(func(st *sim.Stats, emit sim.EmitFunc) {
+				sim.VerifyStreamBatched(context.Background(), cands, tau, adapted, workers, st, emit)
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("τ=%d w=%d: pairs %v, want %v", tau, workers, got, want)
+			}
+			if st.Candidates != int64(len(cands)) {
+				t.Fatalf("τ=%d w=%d: candidates = %d, want %d", tau, workers, st.Candidates, len(cands))
+			}
+		}
+	}
+}
+
+// TestVerifyAllNormalisesPairOrder: a candidate given as (J, I) comes back as
+// a pair with I < J, inline and in parallel.
+func TestVerifyAllNormalisesPairOrder(t *testing.T) {
+	lt := tree.NewLabelTable()
+	ts := []*tree.Tree{
+		tree.MustParseBracket("{a}", lt),
+		tree.MustParseBracket("{a}", lt),
+	}
+	got, _ := collect(func(st *sim.Stats, emit sim.EmitFunc) {
+		sim.VerifyStreamBatched(context.Background(), []sim.Candidate{{I: 1, J: 0}}, 0, sim.AdaptVerifier(ts, sim.DefaultVerifier), 1, st, emit)
+	})
+	if len(got) != 1 || got[0].I != 0 || got[0].J != 1 {
+		t.Fatalf("pair not normalised: %v", got)
+	}
+	// The random fixture reverses every other candidate.
+	rts, rcands := randomFixture()
+	for _, workers := range []int{1, 8} {
+		got, _ := collect(func(st *sim.Stats, emit sim.EmitFunc) {
+			sim.VerifyStreamBatched(context.Background(), rcands, 5, sim.AdaptVerifier(rts, sim.DefaultVerifier), workers, st, emit)
+		})
+		if len(got) == 0 {
+			t.Fatalf("w=%d: no pairs at τ=5", workers)
+		}
+		for _, p := range got {
+			if p.I >= p.J {
+				t.Fatalf("w=%d: pair not normalised: %v", workers, p)
+			}
+		}
+	}
+}
+
+// TestVerifyAllCustomVerifier: a custom verifier adapted by AdaptVerifier is
+// the one deciding, called once per candidate at every worker count.
+func TestVerifyAllCustomVerifier(t *testing.T) {
+	lt := tree.NewLabelTable()
+	ts := []*tree.Tree{
+		tree.MustParseBracket("{a}", lt),
+		tree.MustParseBracket("{b}", lt),
+	}
+	called := 0
+	v := func(a, b *tree.Tree, tau int) (int, bool) {
+		called++
+		return 0, true // everything matches
+	}
+	got, _ := collect(func(st *sim.Stats, emit sim.EmitFunc) {
+		sim.VerifyStreamBatched(context.Background(), []sim.Candidate{{I: 0, J: 1}}, 0, sim.AdaptVerifier(ts, v), 1, st, emit)
+	})
+	if called != 1 || len(got) != 1 {
+		t.Fatalf("custom verifier not used (called=%d, out=%v)", called, got)
+	}
+	rts, rcands := randomFixture()
+	for _, workers := range []int{1, 2, 8} {
+		var calls atomic.Int64
+		custom := func(a, b *tree.Tree, tau int) (int, bool) {
+			calls.Add(1)
+			return sim.DefaultVerifier(a, b, tau)
+		}
+		got, _ := collect(func(st *sim.Stats, emit sim.EmitFunc) {
+			sim.VerifyStreamBatched(context.Background(), rcands, 2, sim.AdaptVerifier(rts, custom), workers, st, emit)
+		})
+		if want := referencePairs(rts, rcands, 2); !slices.Equal(got, want) {
+			t.Fatalf("w=%d: pairs %v, want %v", workers, got, want)
+		}
+		if calls.Load() != int64(len(rcands)) {
+			t.Fatalf("w=%d: custom verifier called %d times, want %d", workers, calls.Load(), len(rcands))
+		}
+	}
+}
+
+// TestVerifyStreamWith: a run split into chunks that share one stats value —
+// as the engine's inline flushes drive the stage — decides the same pairs and
+// accounts the same candidates as one run, and closes every verifier each
+// chunk minted.
+func TestVerifyStreamWith(t *testing.T) {
+	ts, cands := batchFixture(t)
+	want := referencePairs(ts, cands, 3)
+	rf := &recordingFactory{ts: ts}
+	got, st := collect(func(st *sim.Stats, emit sim.EmitFunc) {
+		half := len(cands) / 2
+		for _, chunk := range [][]sim.Candidate{cands[:half], cands[half:]} {
+			sim.VerifyStreamBatched(context.Background(), chunk, 3, rf.factory, 1, st, emit)
+		}
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("pairs %v, want %v", got, want)
+	}
+	if st.Candidates != int64(len(cands)) {
+		t.Fatalf("candidates = %d, want %d", st.Candidates, len(cands))
+	}
+	if rf.minted == 0 || rf.minted != rf.closed {
+		t.Fatalf("minted %d verifiers, closed %d", rf.minted, rf.closed)
 	}
 }
 
@@ -133,45 +295,5 @@ func TestVerifyStreamBatchedCancellation(t *testing.T) {
 		if rf.minted != rf.closed {
 			t.Fatalf("w=%d: minted %d verifiers, closed %d", workers, rf.minted, rf.closed)
 		}
-	}
-}
-
-// TestVerifyStreamWith: the caller-owned inline form decides the same pairs
-// and accounts candidates, without closing the verifier it was lent.
-func TestVerifyStreamWith(t *testing.T) {
-	ts, cands := batchFixture(t)
-	rf := &recordingFactory{ts: ts}
-	v := rf.factory()
-	var st sim.Stats
-	var got []sim.Pair
-	// Two flushes over halves, as the engine's inline chunking drives it.
-	half := len(cands) / 2
-	for _, chunk := range [][]sim.Candidate{cands[:half], cands[half:]} {
-		sim.VerifyStreamWith(context.Background(), chunk, 3, v, &st, func(p sim.Pair) bool {
-			got = append(got, p)
-			return true
-		})
-	}
-	var ref sim.Stats
-	want := sim.VerifyAll(ts, cands, 3, nil, 1, &ref)
-	sim.SortPairs(want)
-	sim.SortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("%d pairs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if st.Candidates != int64(len(cands)) {
-		t.Fatalf("candidates = %d, want %d", st.Candidates, len(cands))
-	}
-	if rf.closed != 0 {
-		t.Fatal("VerifyStreamWith closed the caller's verifier")
-	}
-	v.Close()
-	if rf.closed != 1 {
-		t.Fatalf("closed = %d after explicit Close", rf.closed)
 	}
 }

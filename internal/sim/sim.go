@@ -107,8 +107,8 @@ type Stats struct {
 	Results    int64         // pairs with TED ≤ τ
 	CandTime   time.Duration // candidate generation (filtering) time, summed across tasks (CPU effort)
 	// VerifyTime is exact TED computation time: the wall clock of the
-	// pool-wide verification pass, plus the busy time of each spare worker
-	// that verified chunks while the source was still running.
+	// pool-wide verification pass, plus that of each chunk a sequential
+	// task verified inline while its source was still running.
 	VerifyTime time.Duration
 
 	// CandWall is the wall-clock time of the candidate-generation stage:
@@ -229,9 +229,8 @@ func NormalizeWorkers(n int) int {
 type Verifier func(t1, t2 *tree.Tree, tau int) (int, bool)
 
 // DefaultVerifier is the τ-banded bounded TED in its one-off form, which
-// flattens both trees per call. Engine-driven joins install a batch verifier
-// over cached arena views instead; this is the fallback for direct
-// VerifyStream callers.
+// flattens both trees per call: the tests' reference. The joins, Search and
+// Incremental verify through a batch verifier over cached arena views.
 func DefaultVerifier(t1, t2 *tree.Tree, tau int) (int, bool) {
 	return ted.DistanceBounded(t1, t2, tau)
 }
@@ -254,31 +253,14 @@ type Candidate struct{ I, J int }
 // stop early; producers may still deliver pairs already in flight.
 type EmitFunc func(Pair) bool
 
-// VerifyAll runs the verifier over cands, optionally in parallel, and returns
-// the confirmed pairs (unsorted). workers ≤ 1 verifies inline. The elapsed
-// wall-clock time is added to stats.VerifyTime and len(cands) to
-// stats.Candidates.
-func VerifyAll(ts []*tree.Tree, cands []Candidate, tau int, verify Verifier, workers int, stats *Stats) []Pair {
-	var out []Pair
-	VerifyStream(context.Background(), ts, cands, tau, verify, workers, stats, func(p Pair) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
-}
-
-// verifyCtxStride bounds how many candidates a verification loop decides
-// between context checks: small enough that cancellation aborts within a few
-// TED computations, large enough that the check never shows up in a profile.
-const verifyCtxStride = 16
-
-// verifyBatchChunk is how many candidates a parallel verify worker claims per
-// lock acquisition. Candidate decisions are microseconds, not nanoseconds, so
-// the chunk is about amortising the take/deliver mutex and keeping each
-// worker on one run of the candidate slice (the pairs of a run share trees
-// far more often than random pairs do — the arena verifier's views and
-// scratch stay hot); it is small enough that the tail imbalance stays under a
-// chunk's worth of work per worker.
+// verifyBatchChunk is how many candidates a verify worker claims per lock
+// acquisition, and decides between context checks. Candidate decisions are
+// microseconds, not nanoseconds, so the chunk is about amortising the
+// exchange mutex and keeping each worker on one run of the candidate slice
+// (the pairs of a run share trees far more often than random pairs do — the
+// arena verifier's views and scratch stay hot); it is small enough that
+// cancellation aborts within a few TED computations and the tail imbalance
+// stays under a chunk's worth of work per worker.
 const verifyBatchChunk = 32
 
 // BatchVerifier is a per-worker verification context: it decides candidate
@@ -308,57 +290,23 @@ func (f funcVerifier) Close()                               {}
 
 // AdaptVerifier lifts a stateless Verifier into a BatchVerifierFactory, so
 // custom verifiers (tests) run through the same batched stage as the arena
-// verifier. A nil v adapts DefaultVerifier.
+// verifier.
 func AdaptVerifier(ts []*tree.Tree, v Verifier) BatchVerifierFactory {
-	if v == nil {
-		v = DefaultVerifier
-	}
 	return func() BatchVerifier { return funcVerifier{ts: ts, v: v} }
 }
 
-// VerifyStream runs the verifier over cands and hands each confirmed pair to
-// emit as soon as it is decided. workers ≤ 1 verifies inline; with more, emit
-// is called from multiple goroutines but never concurrently (the stream is
-// serialised). The loop aborts early when ctx is cancelled or emit returns
-// false; candidates decided so far keep their accounting. The elapsed
-// wall-clock time is added to stats.VerifyTime and len(cands) to
-// stats.Candidates.
-func VerifyStream(ctx context.Context, ts []*tree.Tree, cands []Candidate, tau int, verify Verifier, workers int, stats *Stats, emit EmitFunc) {
-	VerifyStreamBatched(ctx, cands, tau, AdaptVerifier(ts, verify), workers, stats, emit)
-}
-
-// VerifyStreamWith verifies cands inline with one caller-owned BatchVerifier.
-// It is the sequential core the engine's chunked inline flushes run on: the
-// verifier persists across flushes (the caller Closes it when the whole task
-// is done), so per-flush cost is the candidates alone. Accounting matches
-// VerifyStream: elapsed time into stats.VerifyTime, len(cands) into
-// stats.Candidates.
-func VerifyStreamWith(ctx context.Context, cands []Candidate, tau int, v BatchVerifier, stats *Stats, emit EmitFunc) {
-	start := time.Now()
-	defer func() {
-		stats.VerifyTime += time.Since(start)
-		stats.Candidates += int64(len(cands))
-	}()
-	for k, c := range cands {
-		if k%verifyCtxStride == 0 && ctx.Err() != nil {
-			return
-		}
-		if d, ok := v.VerifyPair(c.I, c.J, tau); ok {
-			if !emit(makePair(c, d)) {
-				return
-			}
-		}
-	}
-}
-
-// VerifyStreamBatched is the batched form of VerifyStream: each worker mints
-// one BatchVerifier from factory, claims candidates in chunks of
-// verifyBatchChunk per lock acquisition, decides the chunk without touching
-// shared state, and delivers its confirmed pairs under one lock — so the
-// per-candidate cost of the stage is the verifier alone. Confirmed pairs are
-// emitted serially (never concurrently), grouped by chunk; ordering across
-// workers is arbitrary, as with VerifyStream. Every minted verifier is
-// Closed before return, including on early abort.
+// VerifyStreamBatched is the one verify loop over a candidate list — the
+// engine's inline flushes and pool-wide pass, Search and Incremental all run
+// on it. workers ≤ 1 verifies inline. Each worker mints one BatchVerifier from
+// factory, claims candidates in chunks of verifyBatchChunk per lock
+// acquisition, decides the chunk without touching shared state, and delivers
+// its confirmed pairs, normalised to I < J, to emit under one lock — so the
+// per-candidate cost of the stage is the verifier alone. Pairs are emitted
+// serially (never concurrently), grouped by chunk; ordering across workers is
+// arbitrary. The loop aborts early when ctx is cancelled or emit returns
+// false. Every minted verifier is Closed before return, including on early
+// abort. The elapsed wall-clock time is added to stats.VerifyTime and
+// len(cands) to stats.Candidates.
 func VerifyStreamBatched(ctx context.Context, cands []Candidate, tau int, factory BatchVerifierFactory, workers int, stats *Stats, emit EmitFunc) {
 	start := time.Now()
 	defer func() {
@@ -368,85 +316,78 @@ func VerifyStreamBatched(ctx context.Context, cands []Candidate, tau int, factor
 	if len(cands) == 0 {
 		return
 	}
-	if workers <= 1 || len(cands) < 2 {
-		v := factory()
-		defer v.Close()
-		for k, c := range cands {
-			if k%verifyCtxStride == 0 && ctx.Err() != nil {
-				return
-			}
-			if d, ok := v.VerifyPair(c.I, c.J, tau); ok {
-				if !emit(makePair(c, d)) {
-					return
-				}
-			}
-		}
+	r := &verifyRun{ctx: ctx, cands: cands, tau: tau, factory: factory, emit: emit}
+	workers = min(workers, (len(cands)+verifyBatchChunk-1)/verifyBatchChunk)
+	if workers <= 1 {
+		r.work()
 		return
 	}
-	if workers > (len(cands)+verifyBatchChunk-1)/verifyBatchChunk {
-		workers = (len(cands) + verifyBatchChunk - 1) / verifyBatchChunk
-	}
-	var next int
-	var stopped bool
-	var mu sync.Mutex // guards next, stopped, and the emit stream
 	var wg sync.WaitGroup
-	take := func() (int, int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped || next >= len(cands) {
-			return -1, -1
-		}
-		if ctx.Err() != nil {
-			stopped = true
-			return -1, -1
-		}
-		lo := next
-		hi := lo + verifyBatchChunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		next = hi
-		return lo, hi
-	}
-	deliver := func(ps []Pair) {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped {
-			return
-		}
-		for _, p := range ps {
-			if !emit(p) {
-				stopped = true
-				return
-			}
-		}
-	}
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v := factory()
-			defer v.Close()
-			buf := make([]Pair, 0, verifyBatchChunk)
-			for {
-				lo, hi := take()
-				if lo < 0 {
-					return
-				}
-				buf = buf[:0]
-				for k := lo; k < hi; k++ {
-					c := cands[k]
-					if d, ok := v.VerifyPair(c.I, c.J, tau); ok {
-						buf = append(buf, makePair(c, d))
-					}
-				}
-				if len(buf) > 0 {
-					deliver(buf)
-				}
-			}
+			r.work()
 		}()
 	}
 	wg.Wait()
+}
+
+// verifyRun is what the workers of one VerifyStreamBatched call share.
+type verifyRun struct {
+	ctx     context.Context
+	cands   []Candidate
+	tau     int
+	factory BatchVerifierFactory
+	emit    EmitFunc
+	mu      sync.Mutex // guards next, stopped and the emit stream
+	next    int
+	stopped bool
+}
+
+// work is one worker: it decides a chunk outside the lock, then emits its
+// confirmed pairs and claims the next chunk under one acquisition.
+func (r *verifyRun) work() {
+	v := r.factory()
+	defer v.Close()
+	var buf [verifyBatchChunk]Pair
+	n := 0
+	for {
+		lo, hi := r.exchange(buf[:n])
+		if lo == hi {
+			return
+		}
+		n = 0
+		for _, c := range r.cands[lo:hi] {
+			if d, ok := v.VerifyPair(c.I, c.J, r.tau); ok {
+				buf[n] = makePair(c, d)
+				n++
+			}
+		}
+	}
+}
+
+// exchange emits ps, unless the run has stopped, and returns the next chunk
+// [lo, hi) to decide, empty once the candidates are claimed, the context is
+// cancelled or emit has asked to stop.
+func (r *verifyRun) exchange(ps []Pair) (lo, hi int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, p := range ps {
+		if r.stopped {
+			break
+		}
+		r.stopped = !r.emit(p)
+	}
+	if r.ctx.Err() != nil {
+		r.stopped = true
+	}
+	if r.stopped {
+		return 0, 0
+	}
+	lo = r.next
+	r.next = min(lo+verifyBatchChunk, len(r.cands))
+	return lo, r.next
 }
 
 func makePair(c Candidate, d int) Pair {

@@ -95,76 +95,6 @@ func TestSizeOrderManyTies(t *testing.T) {
 	}
 }
 
-func TestVerifyAllSequentialVsParallel(t *testing.T) {
-	lt := tree.NewLabelTable()
-	rng := rand.New(rand.NewSource(77))
-	var ts []*tree.Tree
-	for i := 0; i < 20; i++ {
-		b := tree.NewBuilder(lt)
-		b.Root("r")
-		n := 1 + rng.Intn(12)
-		for j := 1; j < n; j++ {
-			b.Child(int32(rng.Intn(j)), string(rune('a'+rng.Intn(3))))
-		}
-		ts = append(ts, b.MustBuild())
-	}
-	var cands []sim.Candidate
-	for i := 0; i < len(ts); i++ {
-		for j := i + 1; j < len(ts); j++ {
-			cands = append(cands, sim.Candidate{I: i, J: j})
-		}
-	}
-	for _, tau := range []int{0, 2, 5} {
-		var s1, s2 sim.Stats
-		seq := sim.VerifyAll(ts, cands, tau, nil, 1, &s1)
-		par := sim.VerifyAll(ts, cands, tau, nil, 8, &s2)
-		sim.SortPairs(seq)
-		sim.SortPairs(par)
-		if len(seq) != len(par) {
-			t.Fatalf("τ=%d: %d vs %d results", tau, len(seq), len(par))
-		}
-		for i := range seq {
-			if seq[i] != par[i] {
-				t.Fatalf("τ=%d: pair %d differs: %v vs %v", tau, i, seq[i], par[i])
-			}
-		}
-		if s1.Candidates != int64(len(cands)) || s2.Candidates != int64(len(cands)) {
-			t.Fatalf("candidate accounting wrong")
-		}
-	}
-}
-
-func TestVerifyAllNormalisesPairOrder(t *testing.T) {
-	lt := tree.NewLabelTable()
-	ts := []*tree.Tree{
-		tree.MustParseBracket("{a}", lt),
-		tree.MustParseBracket("{a}", lt),
-	}
-	var st sim.Stats
-	out := sim.VerifyAll(ts, []sim.Candidate{{I: 1, J: 0}}, 0, nil, 1, &st)
-	if len(out) != 1 || out[0].I != 0 || out[0].J != 1 {
-		t.Fatalf("pair not normalised: %v", out)
-	}
-}
-
-func TestVerifyAllCustomVerifier(t *testing.T) {
-	lt := tree.NewLabelTable()
-	ts := []*tree.Tree{
-		tree.MustParseBracket("{a}", lt),
-		tree.MustParseBracket("{b}", lt),
-	}
-	called := 0
-	v := func(a, b *tree.Tree, tau int) (int, bool) {
-		called++
-		return 0, true // everything matches
-	}
-	var st sim.Stats
-	out := sim.VerifyAll(ts, []sim.Candidate{{I: 0, J: 1}}, 0, v, 1, &st)
-	if called != 1 || len(out) != 1 {
-		t.Fatalf("custom verifier not used (called=%d, out=%v)", called, out)
-	}
-}
-
 func TestStatsTotal(t *testing.T) {
 	s := sim.Stats{CandTime: 2, VerifyTime: 3, PartitionTime: 5}
 	if s.Total() != 10 {

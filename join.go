@@ -143,8 +143,8 @@ func WithMethod(m Method) Option { return func(c *config) { c.method = m } }
 // WithWorkers runs a query on n parallel goroutines: TED verification for
 // every method, plus candidate generation wherever the source decomposes —
 // the sorted nested loop (MethodBruteForce, a PlanSourceSortedLoop plan) deals
-// its probe positions across the pool; PartSJ builds its subgraph index on
-// the pool and the signature methods their token index on one worker (unless
+// its probe positions across the pool; PartSJ builds its subgraph index and
+// the signature methods their signatures and token index on the pool (unless
 // the corpus already holds it for this threshold), and both then cut the
 // size order into chunks that probe the one frozen index concurrently. Search
 // on a multi-part corpus first deals the n goroutines to its parts. Unset (or
