@@ -15,7 +15,11 @@
 //     not change when both strings are reversed);
 //   - the certificate accepts a pair with no DP: when an optimal alignment of
 //     the screen's postorder (or mirrored postorder) strings preserves
-//     ancestry, it is a tree mapping of cost sed ≤ TED, so TED = sed;
+//     ancestry, it is a tree mapping of cost sed ≤ TED, so TED = sed. The
+//     screen's one pass per string (strdist.Scratch.Aligned: bit-parallel,
+//     a machine word per band column, for bands of 5 to 64 diagonals, over
+//     match masks kept while the pair's first view repeats) keeps what the
+//     certificate's traceback reads, so no second string pass runs;
 //   - keyroot pairs whose leftmost leaves sit more than τ postorder
 //     positions apart are never visited (no ≤ τ mapping can use any
 //     subtree-pair entry they would produce);
@@ -167,8 +171,14 @@ var verifyScratchPool = sync.Pool{New: func() any { return new(VerifyScratch) }}
 // AcquireScratch takes a verify scratch from the pool.
 func AcquireScratch() *VerifyScratch { return verifyScratchPool.Get().(*VerifyScratch) }
 
-// ReleaseScratch returns a scratch obtained from AcquireScratch.
-func ReleaseScratch(s *VerifyScratch) { verifyScratchPool.Put(s) }
+// ReleaseScratch returns a scratch obtained from AcquireScratch. The string
+// screens' scratches drop the views' strings they hold (their match masks are
+// keyed to them), so a pooled scratch outlives no view.
+func ReleaseScratch(s *VerifyScratch) {
+	s.seq.Reset()
+	s.rseq.Reset()
+	verifyScratchPool.Put(s)
+}
 
 // ensureView sizes the scratch for one pair's DP, sets every subtree entry to
 // the sentinel over, and writes fd's constant cells for the band half-width
@@ -248,7 +258,9 @@ func DistanceBoundedViewDecomp(a, b *TreeView, tau int, dec Decomp, s *VerifyScr
 	// cost ≤ k on the postorder strings and on the preorder strings, and
 	// RLabels — the postorder of the mirrored tree — is the preorder read
 	// backwards, which leaves the string distance as it is. When the pair may
-	// be certified, the screens keep their bands for the traceback.
+	// be certified, the screens keep their bands for the traceback. a's
+	// strings go first: each screen keeps the match masks of its first
+	// string while a batch's candidates share their first view.
 	certify := dec == DecompAuto && bt <= maxViewBand
 	screen := (*strdist.Scratch).Bounded
 	if certify {
