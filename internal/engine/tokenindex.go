@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"context"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -296,7 +297,13 @@ type TokenRanking struct {
 
 // NewTokenRanking ranks the tokens of ts's bags, drawn through cache, on
 // workers goroutines (< 1: GOMAXPROCS) — the one-worker ranking at any
-// worker count.
+// worker count. Each worker numbers the distinct keys of its run of trees in
+// a flat table, writing those local ids into the run's entries; the later
+// runs' tables merge into the first's, summing frequencies; the merged
+// tokens sort by (frequency, key), which makes a token's rank independent of
+// where and in what order it was numbered; then each worker renames its
+// entries to their ranks and orders every bag with a radix over the ranks'
+// digits.
 func NewTokenRanking(tz Tokenizer, ts []*tree.Tree, workers int, cache *Cache) *TokenRanking {
 	workers = sim.NormalizeWorkers(workers)
 	rk := &TokenRanking{tz: tz.Name(), slack: tz.Slack(), ts: ts, bags: cachedBags(cache, tz, ts, workers), off: make([]int, len(ts)+1)}
@@ -304,43 +311,152 @@ func NewTokenRanking(tz Tokenizer, ts []*tree.Tree, workers int, cache *Cache) *
 		rk.off[i+1] = rk.off[i] + len(b.toks)
 	}
 	rk.ranked = make([]idCount, rk.off[len(ts)])
-	// Number the tokens in first-appearance order, summing their
-	// frequencies, then rank those numbers: ascending frequency, ties by key.
-	type token struct {
-		freq int64
-		key  uint64
-		id   int32
-	}
-	var toks []token
-	first := make(map[uint64]int32, 1<<10)
-	for i, b := range rk.bags {
-		for k, tc := range b.toks {
-			id, ok := first[tc.key]
-			if !ok {
-				id = int32(len(toks))
-				first[tc.key] = id
-				toks = append(toks, token{key: tc.key, id: id})
+	runs := make([]*tokenTable, max(1, min(workers, len(ts))))
+	forRuns(len(ts), len(runs), func(w, lo, hi int) {
+		tab := newTokenTable()
+		for i := lo; i < hi; i++ {
+			for k, tc := range rk.bags[i].toks {
+				rk.ranked[rk.off[i]+k] = idCount{id: tab.add(tc.key, int64(tc.count)), count: tc.count}
 			}
-			toks[id].freq += int64(tc.count)
-			rk.ranked[rk.off[i]+k] = idCount{id: id, count: tc.count}
+		}
+		runs[w] = tab
+	})
+	// Merge the later runs into the first one's table: global[w][l] is the
+	// merged id of run w's local id l, and then its rank (run 0's local ids
+	// are merged ids). Then sort the merged tokens in place.
+	global := make([][]int32, len(runs))
+	for w := 1; w < len(runs); w++ {
+		global[w] = make([]int32, len(runs[w].toks))
+		for l, t := range runs[w].toks {
+			global[w][l] = runs[0].add(t.key, t.freq)
 		}
 	}
+	toks := runs[0].toks
 	slices.SortFunc(toks, func(a, b token) int { return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.key, b.key)) })
 	rank := make([]int32, len(toks))
 	for r, t := range toks {
 		rank[t.id] = int32(r)
 	}
 	rk.ids = int32(len(toks))
-	forRuns(len(ts), workers, func(lo, hi int) {
+	// The fewest radix passes over digits of at most a byte, the digits as
+	// narrow as those passes allow: fewer buckets to clear per small bag.
+	idBits := bits.Len32(uint32(max(rk.ids-1, 0)))
+	passes := max(1, (idBits+7)/8)
+	digit := (idBits + passes - 1) / passes
+	forRuns(len(ts), len(runs), func(w, lo, hi int) {
+		local := rank
+		if w > 0 {
+			local = global[w]
+			for l, g := range local {
+				local[l] = rank[g]
+			}
+		}
+		var tmp []idCount
 		for i := lo; i < hi; i++ {
 			bag := rk.bag(i)
 			for k := range bag {
-				bag[k].id = rank[bag[k].id]
+				bag[k].id = local[bag[k].id]
 			}
-			slices.SortFunc(bag, func(a, b idCount) int { return int(a.id - b.id) })
+			if len(tmp) < len(bag) {
+				tmp = make([]idCount, max(len(bag), 2*len(tmp)))
+			}
+			radixByID(bag, tmp, passes, digit)
 		}
 	})
 	return rk
+}
+
+// radixByID orders bag ascending by id, ids below 2^(passes·digit), with an
+// LSD radix over digits of digit ≤ 8 bits; tmp (at least bag's length) is its
+// other buffer.
+func radixByID(bag, tmp []idCount, passes, digit int) {
+	src, dst := bag, tmp[:len(bag)]
+	var counts [256]int32
+	at, mask := counts[:1<<digit], int32(1)<<digit-1
+	for p := range passes {
+		shift := digit * p
+		clear(at)
+		for _, e := range src {
+			at[e.id>>shift&mask]++
+		}
+		var sum int32
+		for b, c := range at {
+			at[b] = sum
+			sum += c
+		}
+		for _, e := range src {
+			b := e.id >> shift & mask
+			dst[at[b]] = e
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	if passes%2 == 1 {
+		copy(bag, src)
+	}
+}
+
+// tokenTable numbers distinct token keys in first-insertion order and sums
+// each one's frequency: open addressing with linear probing over a
+// power-of-two array of ids plus one (0: empty) kept at most half full, so
+// every key — 0 and 2^64−1 included — is a legal key.
+type tokenTable struct {
+	slots []int32
+	shift uint    // 64 − log2(len(slots))
+	toks  []token // by id
+}
+
+// token is a distinct token of a tokenTable: its key, its summed frequency
+// and its id.
+type token struct {
+	freq int64
+	key  uint64
+	id   int32
+}
+
+// tokenTableLog is the log2 slot count of a new tokenTable.
+const tokenTableLog = 10
+
+func newTokenTable() *tokenTable {
+	return &tokenTable{slots: make([]int32, 1<<tokenTableLog), shift: 64 - tokenTableLog}
+}
+
+// home is key's first probe slot: Fibonacci hashing, so that small and
+// sequential keys (label ids) spread as well as hashed ones.
+func (t *tokenTable) home(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> t.shift) }
+
+// add adds count occurrences of key and returns its id.
+func (t *tokenTable) add(key uint64, count int64) int32 {
+	mask := len(t.slots) - 1
+	for h := t.home(key); ; h = (h + 1) & mask {
+		id := t.slots[h] - 1
+		if id < 0 {
+			id = int32(len(t.toks))
+			t.slots[h] = id + 1
+			t.toks = append(t.toks, token{freq: count, key: key, id: id})
+			if 2*len(t.toks) > len(t.slots) {
+				t.grow()
+			}
+			return id
+		}
+		if t.toks[id].key == key {
+			t.toks[id].freq += count
+			return id
+		}
+	}
+}
+
+// grow doubles the slot array and re-files every key.
+func (t *tokenTable) grow() {
+	t.slots, t.shift = make([]int32, 2*len(t.slots)), t.shift-1
+	mask := len(t.slots) - 1
+	for _, tok := range t.toks {
+		h := t.home(tok.key)
+		for t.slots[h] != 0 {
+			h = (h + 1) & mask
+		}
+		t.slots[h] = tok.id + 1
+	}
 }
 
 // bag returns tree i's ranked bag.

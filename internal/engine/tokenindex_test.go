@@ -284,3 +284,35 @@ func TestTokenIndexRace(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// BenchmarkTokenRanking — NewTokenRanking with every bag already cached, on
+// GOMAXPROCS workers: what a cold join of an epoch pays to number, rank and
+// re-bag its tokens once tokenisation is done. Shapes: the join-dense
+// workload's (1 400 trees of 200 nodes in clusters of 36) and the Swissprot
+// profile at the paper's 11 500 trees, each under Euler 3-grams and label
+// tokens. ids/op is the number of distinct tokens ranked.
+func BenchmarkTokenRanking(b *testing.B) {
+	dense := synth.SyntheticParams(1400, 4, 8, 20, 200, 1)
+	dense.Cluster, dense.Decay = 36, 0.03
+	shapes := []struct {
+		name string
+		ts   []*tree.Tree
+	}{
+		{"dense", synth.Generate(dense)},
+		{"swissprot", synth.Swissprot(11500, 1)},
+	}
+	for _, sh := range shapes {
+		for _, tz := range []engine.Tokenizer{pqgram.Tokenizer(0), baseline.LabelTokenizer()} {
+			b.Run(fmt.Sprintf("%s/%s", sh.name, strings.SplitN(tz.Name(), "/", 2)[0]), func(b *testing.B) {
+				cache := engine.NewCache()
+				rk := engine.NewTokenRanking(tz, sh.ts, 0, cache)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rk = engine.NewTokenRanking(tz, sh.ts, 0, cache)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
+				b.ReportMetric(float64(rk.Distinct()), "ids/op")
+			})
+		}
+	}
+}

@@ -175,26 +175,31 @@ func isNewickSpecial(c byte) bool {
 
 // FormatNewick renders t in Newick notation with a terminating semicolon.
 // Names that contain Newick metacharacters are quoted, so the output
-// round-trips through ParseNewick.
+// round-trips through ParseNewick. Like ParseNewick it keeps its own stack
+// of open nodes.
 func FormatNewick(t *Tree) string {
 	var sb strings.Builder
-	var walk func(n int32)
-	walk = func(n int32) {
-		if c := t.Nodes[n].FirstChild; c != None {
+	var stack [32]int32 // the open nodes of a shallow tree, off the heap
+	open := stack[:0]
+	for n := t.Root(); ; n = t.Nodes[n].NextSibling {
+		// Open n and its first descendants down to a leaf, and name the leaf.
+		for ; t.Nodes[n].FirstChild != None; n = t.Nodes[n].FirstChild {
 			sb.WriteByte('(')
-			for ; c != None; c = t.Nodes[c].NextSibling {
-				if c != t.Nodes[n].FirstChild {
-					sb.WriteByte(',')
-				}
-				walk(c)
-			}
-			sb.WriteByte(')')
+			open = append(open, n)
 		}
 		writeNewickName(&sb, t.Label(n))
+		// Close and name every open node n was the last descendant of.
+		for t.Nodes[n].NextSibling == None {
+			if len(open) == 0 {
+				sb.WriteByte(';')
+				return sb.String()
+			}
+			n, open = open[len(open)-1], open[:len(open)-1]
+			sb.WriteByte(')')
+			writeNewickName(&sb, t.Label(n))
+		}
+		sb.WriteByte(',')
 	}
-	walk(t.Root())
-	sb.WriteByte(';')
-	return sb.String()
 }
 
 func writeNewickName(sb *strings.Builder, name string) {

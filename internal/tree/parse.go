@@ -166,20 +166,32 @@ func (sc *parseScratch) label(s string, pos int) (int32, int, error) {
 
 // FormatBracket renders t in bracket notation. The output round-trips through
 // ParseBracket and is canonical: two trees are Equal iff their bracket forms
-// are identical strings.
+// are identical strings. Like the parser it keeps its own stack of open
+// nodes, so depth is bounded by memory, not by goroutine stack.
 func FormatBracket(t *Tree) string {
 	var sb strings.Builder
-	formatBracketNode(t, t.Root(), &sb)
-	return sb.String()
-}
-
-func formatBracketNode(t *Tree, n int32, sb *strings.Builder) {
-	sb.WriteByte('{')
-	escapeLabel(t.Label(n), sb)
-	for c := t.Nodes[n].FirstChild; c != None; c = t.Nodes[c].NextSibling {
-		formatBracketNode(t, c, sb)
+	var stack [32]int32 // the open nodes of a shallow tree, off the heap
+	open := stack[:0]
+	for n := t.Root(); ; n = t.Nodes[n].NextSibling {
+		// Open n and its first descendants down to a leaf.
+		for ; ; n = t.Nodes[n].FirstChild {
+			sb.WriteByte('{')
+			escapeLabel(t.Label(n), &sb)
+			if t.Nodes[n].FirstChild == None {
+				break
+			}
+			open = append(open, n)
+		}
+		// Close the leaf and every open node it was the last descendant of.
+		sb.WriteByte('}')
+		for t.Nodes[n].NextSibling == None {
+			if len(open) == 0 {
+				return sb.String()
+			}
+			n, open = open[len(open)-1], open[:len(open)-1]
+			sb.WriteByte('}')
+		}
 	}
-	sb.WriteByte('}')
 }
 
 func escapeLabel(s string, sb *strings.Builder) {

@@ -1,7 +1,9 @@
 package tree_test
 
 import (
+	"errors"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -141,5 +143,41 @@ func TestParseDeepTree(t *testing.T) {
 	}
 	if _, err := tree.ParseBracket(strings.Repeat("{a", depth)+"}", nil); err == nil || !strings.Contains(err.Error(), `unclosed node "a"`) {
 		t.Fatalf("unclosed deep chain: %v", err)
+	}
+}
+
+// TestFormatDeepChain: nesting depth costs the formatters heap, not goroutine
+// stack. A 1 M-deep chain formats and round-trips in both notations on a fresh
+// goroutine whose stack is capped at 16 MB, where formatters recursing once
+// per level die with the runtime's unrecoverable "fatal error: stack
+// overflow".
+func TestFormatDeepChain(t *testing.T) {
+	const depth = 1_000_000
+	lt := tree.NewLabelTable()
+	src := strings.Repeat("{a", depth) + strings.Repeat("}", depth)
+	tr := tree.MustParseBracket(src, lt)
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	done := make(chan error)
+	go func() {
+		done <- func() error {
+			if tree.FormatBracket(tr) != src {
+				return errors.New("bracket form is not the parsed string")
+			}
+			nw := tree.FormatNewick(tr)
+			if want := strings.Repeat("(", depth-1) + "a" + strings.Repeat(")a", depth-1) + ";"; nw != want {
+				return errors.New("Newick form differs from the chain's")
+			}
+			back, err := tree.ParseNewick(nw, lt)
+			if err != nil {
+				return err
+			}
+			if !tree.Equal(back, tr) {
+				return errors.New("Newick round trip changed the tree")
+			}
+			return nil
+		}()
+	}()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
