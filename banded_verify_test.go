@@ -35,8 +35,6 @@ func TestBandedVerificationMatches(t *testing.T) {
 		} {
 			var one treejoin.Stats
 			for _, workers := range []int{1, 2, 4} {
-				// The fixed plan keeps the chain the same on every run; the
-				// planner may reorder it from what the runs before taught it.
 				banded, bst, err := cp.SelfJoin(ctx, tau, treejoin.WithMethod(m), treejoin.WithFixedPlan(), treejoin.WithWorkers(workers))
 				if err != nil {
 					t.Fatal(err)

@@ -320,10 +320,9 @@ func BenchmarkEngineFilterChain(b *testing.B) {
 // signatures); warm runs against a pre-warmed Corpus whose cache already
 // holds every token bag, filter signature and index — the steady state of a
 // served workload, where the probe is most of the time. Warm reuse is
-// asserted by cache hit counters in TestTokenIndexWarmCorpus. Both pin the
-// fixed plan: the auto plan's prefix multiplier C′ can differ between runs on
-// one corpus, and with it the postings probed. postings/op and skipped/op are
-// the probe's Stats.PostingsScanned and Stats.SkippedByCount.
+// asserted by cache hit counters in TestTokenIndexWarmCorpus. postings/op
+// and skipped/op are the probe's Stats.PostingsScanned and
+// Stats.SkippedByCount.
 func BenchmarkEngineIndexSource(b *testing.B) {
 	type indexCase struct {
 		name string

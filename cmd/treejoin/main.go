@@ -5,7 +5,7 @@
 //
 //	treejoin -input trees.txt -tau 2 [-method PRT|STR|SET|BF|HIST|EUL|PQG]
 //	         [-prefilter HIST,SET] [-workers 4] [-timeout 30s]
-//	         [-format bracket|newick|binary] [-stats] [-quiet] [-fixed-plan]
+//	         [-format bracket|newick|binary] [-stats] [-quiet]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	treejoin -input a.txt -other b.txt -tau 2
 //	treejoin -input trees.txt -topk 10
@@ -28,14 +28,11 @@
 // threshold is ignored and the K closest pairs are printed instead. With
 // -stats, a summary of where the join spent its time follows on stderr,
 // including a "plan:" line describing the execution plan the run carried:
-// its candidate source, filter-chain order, prefix multiplier C, and origin
-// — "fixed" (the static default), "calibrated" (chosen from a sampled
-// probe), or "observed" (backed by completed-run feedback). Corpus joins
-// plan adaptively by default; -fixed-plan forces the static default plan.
-// With -explain the join does not run at all: the command prints the plan
-// the corpus would choose for this query, with the cost model's estimates
-// (window pairs, per-stage survival, expected candidates and stage times)
-// when the model has any.
+// its candidate source, filter-chain order and prefix multiplier C. Every
+// join runs its method's one plan (see treejoin.WithFixedPlan). With
+// -explain the join does not run at all: the command prints that plan —
+// its "plan:" line reads as the -stats run's does — the number of pairs in
+// the τ size window, and whether the token index is already built.
 //
 // With -watch the command becomes a standing join over a mutating stream:
 // it reads one mutation per stdin line — a bracket-notation tree to add, or
@@ -110,8 +107,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "abort the join after this duration (0: no limit)")
 		stats      = flag.Bool("stats", false, "print execution statistics to stderr")
 		quiet      = flag.Bool("quiet", false, "suppress pair output (useful with -stats)")
-		explain    = flag.Bool("explain", false, "print the execution plan and its cost estimates instead of running the join")
-		fixedPlan  = flag.Bool("fixed-plan", false, "disable adaptive planning; run the method's static default plan")
+		explain    = flag.Bool("explain", false, "print the execution plan instead of running the join")
 		watch      = flag.Bool("watch", false, "read mutations (bracket tree to add, -N to remove id N) from stdin and emit join deltas")
 		store      = flag.String("store", "", "persistent corpus directory (created if absent); -input trees are durably added")
 		compact    = flag.Bool("compact", false, "force a compaction cycle on -store and exit (no join)")
@@ -268,9 +264,6 @@ func main() {
 		}
 	}
 	opts := []treejoin.Option{treejoin.WithMethod(m), treejoin.WithWorkers(*workers)}
-	if *fixedPlan {
-		opts = append(opts, treejoin.WithFixedPlan())
-	}
 	if *prefilter != "" {
 		var fs []treejoin.Prefilter
 		for _, name := range strings.Split(*prefilter, ",") {
@@ -415,8 +408,8 @@ func printStats(m treejoin.Method, tau int, st treejoin.Stats) {
 		fmt.Fprintf(os.Stderr, "source:      %s\n", st.Source)
 	}
 	if st.Plan.Source != "" {
-		fmt.Fprintf(os.Stderr, "plan:        source=%s chain=[%s] C=%d origin=%s\n",
-			st.Plan.Source, strings.Join(st.Plan.Chain, " "), st.Plan.PrefixC, st.Plan.Origin)
+		fmt.Fprintf(os.Stderr, "plan:        source=%s chain=[%s] C=%d\n",
+			st.Plan.Source, strings.Join(st.Plan.Chain, " "), st.Plan.PrefixC)
 	}
 	fmt.Fprintf(os.Stderr, "candidates:  %d\n", st.Candidates)
 	fmt.Fprintf(os.Stderr, "results:     %d\n", st.Results)

@@ -221,6 +221,36 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("prefilter stats missing stage lines:\n%s", stderrOut)
 	}
 
+	// -explain runs no join: it prints no pair line, and its plan line is the
+	// one a -stats run of the same query then reports.
+	planLine := func(out string) string {
+		t.Helper()
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "plan:") {
+				return l
+			}
+		}
+		t.Fatalf("no plan line in:\n%s", out)
+		return ""
+	}
+	stdout, _, err = runTool(t, "treejoin", "-input", txt, "-tau", "2", "-method", "PQG", "-explain")
+	if err != nil {
+		t.Fatalf("explain: %v", err)
+	}
+	for _, l := range nonEmptyLines(stdout) {
+		if f := strings.Split(l, "\t"); len(f) == 3 {
+			t.Fatalf("explain printed a pair line %q", l)
+		}
+	}
+	explained := planLine(stdout)
+	_, stderrOut, err = runTool(t, "treejoin", "-input", txt, "-tau", "2", "-method", "PQG", "-stats", "-quiet")
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if ran := planLine(stderrOut); ran != explained {
+		t.Fatalf("-explain said %q, the -stats run %q", explained, ran)
+	}
+
 	// Cross join of the file against itself: every self-join pair appears
 	// (plus the diagonal and mirrored pairs).
 	stdout, _, err = runTool(t, "treejoin", "-input", txt, "-other", txt, "-tau", "2", "-method", "EUL")

@@ -11,7 +11,6 @@ import (
 
 	"treejoin/internal/core"
 	"treejoin/internal/engine"
-	"treejoin/internal/engine/plan"
 	"treejoin/internal/segstore"
 	"treejoin/internal/sim"
 	"treejoin/internal/tree"
@@ -326,13 +325,6 @@ type Corpus struct {
 	// it — WAL first, then the published state — so an acknowledged Add or
 	// Remove survives a crash. Nil for in-memory corpora.
 	store *segstore.Store
-
-	// planner is the corpus's learned cost model, which plans every join not
-	// run under WithFixedPlan: per-stage selectivity and cost observed from
-	// completed runs, decayed per mutation epoch. Shared with Snapshot views — a snapshot's
-	// runs teach the same model, down-weighted by the epochs they lag. See
-	// internal/engine/plan and autoplan.go.
-	planner *plan.Model
 }
 
 // live returns the corpus whose cache and member set cp's queries route by:
@@ -389,7 +381,7 @@ func NewCorpus(ts []*Tree) (*Corpus, error) { return NewSharded(1, ts) }
 // newCorpus returns the live n-part corpus over an already validated
 // membership, written through to store when that is non-nil.
 func newCorpus(n int, ts []*Tree, ids []int, nextID int, lt *LabelTable, store *segstore.Store) *Corpus {
-	cp := &Corpus{cache: engine.NewCache(), planner: plan.New(), store: store}
+	cp := &Corpus{cache: engine.NewCache(), store: store}
 	cp.addMembers(ts)
 	empty := &corpusState{epoch: -1, parts: make([]*part, n)}
 	for p := range empty.parts {
@@ -486,7 +478,6 @@ func (cp *Corpus) Snapshot() *Corpus {
 		overflow: engine.NewCache(),
 		frozen:   true,
 		parent:   cp.live(),
-		planner:  cp.planner,
 	}
 	s.state.Store(cp.state.Load())
 	return s
@@ -621,34 +612,32 @@ func (cp *Corpus) Remove(ids ...int) int {
 }
 
 // joinQuery is one validated and planned join over pinned memberships: the
-// self join of a, or — with b set — the cross join of a against b. It is
-// planned once against the receiver's cost model and runs as one engine job
-// over the whole membership, probing each side's whole-membership index.
+// self join of a, or — with b set — the cross join of a against b. It runs
+// its method's plan (see WithFixedPlan) as one engine job over the whole
+// membership, probing each side's whole-membership index.
 type joinQuery struct {
 	cp, other *Corpus // other owns b
 	c         config
 	a, b      *corpusState
 	job       engine.Job
-	trees     []*Tree // what the plan was made over: a's trees, then b's
 	cache     *engine.Cache
 }
 
 // selfQuery validates, pins to st and plans the self join of cp at tau.
-func (cp *Corpus) selfQuery(ctx context.Context, st *corpusState, tau int, c config) (*joinQuery, error) {
-	q := &joinQuery{cp: cp, c: c, a: st, trees: st.ts, cache: cp.runCache()}
-	return q, q.plan(ctx, tau)
+func (cp *Corpus) selfQuery(st *corpusState, tau int, c config) (*joinQuery, error) {
+	q := &joinQuery{cp: cp, c: c, a: st, cache: cp.runCache()}
+	return q, q.plan(tau)
 }
 
 // crossQuery validates a cross join against other, pins both corpora's
 // states (the join runs against exactly these memberships even when either
-// side mutates mid-run) and plans it: the receiver's model never calibrates
-// on cross joins — it plans from whatever self-join observations it holds, or
-// emits the fixed plan. The run's cache routes each tree's artifacts to the
-// corpus it is live in, so both sides warm their own caches and neither
-// retains (and pins) the other's trees; trees live in neither — including
-// trees either side has since removed — land in an overflow that dies with
-// the query.
-func (cp *Corpus) crossQuery(ctx context.Context, other *Corpus, tau int, c config) (*joinQuery, error) {
+// side mutates mid-run) and plans it: the same method plan a self join runs,
+// with both sides' token indexes built per run. The run's cache routes each
+// tree's artifacts to the corpus it is live in, so both sides warm their own
+// caches and neither retains (and pins) the other's trees; trees live in
+// neither — including trees either side has since removed — land in an
+// overflow that dies with the query.
+func (cp *Corpus) crossQuery(other *Corpus, tau int, c config) (*joinQuery, error) {
 	if other == nil {
 		return nil, ErrNilCorpus
 	}
@@ -663,21 +652,20 @@ func (cp *Corpus) crossQuery(ctx context.Context, other *Corpus, tau int, c conf
 		}
 		return own
 	})
-	q.trees = slices.Concat(q.a.ts, q.b.ts)
-	return q, q.plan(ctx, tau)
+	return q, q.plan(tau)
 }
 
-// plan assembles the query's pipeline, lets the cost model revise it, and
-// binds its candidate source to the states' frozen indexes: PartSJ's through
-// core.Options.Indexes, a signature method planned onto the token index to a's
-// for a self join (a cross join builds both sides per run).
-func (q *joinQuery) plan(ctx context.Context, tau int) error {
+// plan assembles the query's pipeline and binds its candidate source to the
+// states' frozen indexes: PartSJ's through core.Options.Indexes, a signature
+// method on the token index to a's for a self join (a cross join builds both
+// sides per run).
+func (q *joinQuery) plan(tau int) error {
 	job, tz, err := q.c.pipelineChecked(tau)
 	if err != nil {
 		return err
 	}
 	job.Cache = q.cache
-	q.job, _ = q.cp.planJob(ctx, q.c, job, tz, q.trees, q.split(), q.a.epoch)
+	q.job = job
 	switch {
 	case q.c.method == MethodPartSJ:
 		o := q.c.coreOptions(tau)
@@ -687,14 +675,6 @@ func (q *joinQuery) plan(ctx context.Context, tau int) error {
 		q.job.Source = engine.TokenIndex(tz, q.a.tokenResolver(q.cache, q.c.workers))
 	}
 	return nil
-}
-
-// split is the engine's: len(A) for a cross join, -1 for a self join.
-func (q *joinQuery) split() int {
-	if q.b == nil {
-		return -1
-	}
-	return len(q.a.ts)
 }
 
 // indexes is the core.Options.Indexes hook: side 0 is a's index, side 1 b's,
@@ -709,20 +689,12 @@ func (q *joinQuery) indexes(ctx context.Context, side, tau int) (*core.Index, bo
 	return ix, built
 }
 
-// stream runs the join, streaming each verified pair to sink, and feeds the
-// completed run back to the cost model.
+// stream runs the join, streaming each verified pair to sink.
 func (q *joinQuery) stream(ctx context.Context, sink sim.EmitFunc) (*sim.Stats, error) {
-	var stats *sim.Stats
-	var err error
 	if q.b == nil {
-		stats, err = q.job.StreamSelf(ctx, q.a.ts, sink)
-	} else {
-		stats, err = q.job.StreamJoin(ctx, q.a.ts, q.b.ts, sink)
+		return q.job.StreamSelf(ctx, q.a.ts, sink)
 	}
-	if err == nil {
-		q.cp.observeRun(stats, q.trees, q.split(), q.job.Tau, q.a.epoch)
-	}
-	return stats, err
+	return q.job.StreamJoin(ctx, q.a.ts, q.b.ts, sink)
 }
 
 // collect runs the query to its end: the pairs in canonical order, or on
@@ -754,7 +726,7 @@ func (q *joinQuery) seq(ctx context.Context) iter.Seq[Pair] {
 // of them. On cancellation it returns the pairs found so far (still sorted),
 // the partial statistics, and ctx's error.
 func (cp *Corpus) SelfJoin(ctx context.Context, tau int, opts ...Option) ([]Pair, Stats, error) {
-	q, err := cp.selfQuery(ctx, cp.state.Load(), tau, buildConfig(opts))
+	q, err := cp.selfQuery(cp.state.Load(), tau, buildConfig(opts))
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -773,7 +745,7 @@ func (cp *Corpus) SelfJoin(ctx context.Context, tau int, opts ...Option) ([]Pair
 // pinned to the corpus state at this call: later Add/Remove do not disturb a
 // running (or re-run) iteration.
 func (cp *Corpus) SelfJoinSeq(ctx context.Context, tau int, opts ...Option) (iter.Seq[Pair], error) {
-	q, err := cp.selfQuery(ctx, cp.state.Load(), tau, buildConfig(opts))
+	q, err := cp.selfQuery(cp.state.Load(), tau, buildConfig(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -786,7 +758,7 @@ func (cp *Corpus) SelfJoinSeq(ctx context.Context, tau int, opts ...Option) (ite
 // PartSJ index are drawn from — and cached in — the corpus that owns it, so
 // repeated joins against the same partner warm up too.
 func (cp *Corpus) Join(ctx context.Context, other *Corpus, tau int, opts ...Option) ([]Pair, Stats, error) {
-	q, err := cp.crossQuery(ctx, other, tau, buildConfig(opts))
+	q, err := cp.crossQuery(other, tau, buildConfig(opts))
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -795,7 +767,7 @@ func (cp *Corpus) Join(ctx context.Context, other *Corpus, tau int, opts ...Opti
 
 // JoinSeq is the streaming Join, with SelfJoinSeq's contract.
 func (cp *Corpus) JoinSeq(ctx context.Context, other *Corpus, tau int, opts ...Option) (iter.Seq[Pair], error) {
-	q, err := cp.crossQuery(ctx, other, tau, buildConfig(opts))
+	q, err := cp.crossQuery(other, tau, buildConfig(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -859,16 +831,15 @@ func (cp *Corpus) TopK(ctx context.Context, k int, opts ...Option) ([]Pair, erro
 	if err := c.requirePartSJ("TopK"); err != nil {
 		return nil, err
 	}
-	// Every threshold runs the PartSJ self join with no chain: nothing to
-	// plan, and no single join's Stats are the query's.
-	c.fixedPlan, c.statsDst = true, nil
+	// No single threshold's join Stats are the query's.
+	c.statsDst = nil
 	st := cp.state.Load()
 	if k <= 0 || len(st.ts) < 2 {
 		return nil, ctx.Err()
 	}
 	k = min(k, len(st.ts)*(len(st.ts)-1)/2)
 	return sim.ExpandTau(1, st.max1+st.max2, k, sim.ComparePairsByDist, func(tau int) ([]Pair, error) {
-		q, err := cp.selfQuery(ctx, st, tau, c)
+		q, err := cp.selfQuery(st, tau, c)
 		if err != nil {
 			return nil, err
 		}

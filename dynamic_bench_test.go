@@ -47,8 +47,8 @@ func BenchmarkDynamicUpdate(b *testing.B) {
 	})
 
 	b.Run("corpus-churn", func(b *testing.B) {
-		// The fixed plan pins the token index; at this τ the planner would
-		// settle on the sorted loop, which has no index to rebuild.
+		// The default plan runs the token index, which each mutation's new
+		// epoch rebuilds.
 		var build time.Duration
 		tokenJoins := func(cp *treejoin.Corpus) {
 			for _, m := range []treejoin.Method{treejoin.MethodSTR, treejoin.MethodSET} {

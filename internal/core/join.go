@@ -56,9 +56,9 @@ func (o Options) Job(filters []engine.PairFilter) engine.Job {
 		Verifier: o.Verifier,
 		Workers:  o.Workers,
 	}
-	// PartSJ's candidate source is its own subgraph index — never a planner
-	// choice — so every PartSJ run carries this fixed plan record.
-	job.Plan = sim.PlanRecord{Source: "partsj", Chain: make([]string, len(filters)), Origin: "fixed"}
+	// PartSJ's candidate source is its own subgraph index, so every PartSJ
+	// run carries this plan record.
+	job.Plan = sim.PlanRecord{Source: "partsj", Chain: make([]string, len(filters))}
 	for i, f := range filters {
 		job.Plan.Chain[i] = f.Name()
 	}

@@ -112,12 +112,10 @@ func newCollection(ctx context.Context, ts []*tree.Tree, split, tau, workers int
 	return c
 }
 
-// NewProbeCollection builds a Collection view over ts for calibration
-// probes, outside any job: same size ordering, windowing, and artifact-cache
-// routing as a real run's collection (so a probe's signature computations
-// warm the same cache the run will hit), sized for a single caller. The plan
-// package prepares individual filters against it and times their predicates
-// over sampled window pairs.
+// NewProbeCollection builds a Collection view over ts outside any job: same
+// size ordering, windowing, and artifact-cache routing as a real run's
+// collection, sized for a single caller. Tests prepare individual filters
+// against it and call their predicates directly.
 func NewProbeCollection(ctx context.Context, ts []*tree.Tree, tau int, cache *Cache) *Collection {
 	return newCollection(ctx, ts, -1, tau, 1, cache)
 }
@@ -206,13 +204,12 @@ func (e *emitter) emit(p sim.Pair) bool {
 // subgraph-match tests after the prefilters) call Screen and Emit separately
 // so the chain prunes a pair before the source spends effort on it.
 type Pipeline struct {
-	c        *Collection
-	preds    []func(i, j int) bool
-	counts   []sim.StageStats
-	cands    []sim.Candidate
-	stats    sim.Stats
-	screened uint64 // pairs screened so far, for cost sampling
-	inProbe  bagProbe
+	c       *Collection
+	preds   []func(i, j int) bool
+	counts  []sim.StageStats
+	cands   []sim.Candidate
+	stats   sim.Stats
+	inProbe bagProbe
 
 	// Sequential jobs verify candidates in bounded chunks as they are
 	// emitted (Algorithm 1's interleaving, generalised), streaming results
@@ -250,23 +247,9 @@ func (px *Pipeline) Collection() *Collection { return px.c }
 // merges all task sinks into the join's Stats.
 func (px *Pipeline) Stats() *sim.Stats { return &px.stats }
 
-// screenSampleMask selects every 64th screened pair of a task for per-stage
-// cost timing: two clock reads per stage on 1/64 of the pairs is invisible
-// in a profile, yet a paper-scale join samples thousands of calls per stage
-// — plenty for the planner's per-pair cost estimate.
-const screenSampleMask = 63
-
 // Screen runs the filter chain over pair (i, j) and reports whether it
 // survives every stage. Each pair must be screened at most once per join.
-// Every 64th call per task additionally times each stage's predicate,
-// feeding the sampled per-pair cost the plan package's chain ordering runs
-// on (StageStats.SampledNs/Sampled).
 func (px *Pipeline) Screen(i, j int) bool {
-	sampled := px.screened&screenSampleMask == 0
-	px.screened++
-	if sampled {
-		return px.screenTimed(i, j)
-	}
 	for k := range px.preds {
 		px.counts[k].In++
 		if !px.keep(k, i, j) {
@@ -285,23 +268,6 @@ func (px *Pipeline) keep(k, i, j int) bool {
 		return px.inProbe.keep(j)
 	}
 	return px.preds[k](i, j)
-}
-
-// screenTimed is Screen's sampled path: identical screening, plus per-stage
-// predicate timing.
-func (px *Pipeline) screenTimed(i, j int) bool {
-	for k := range px.preds {
-		px.counts[k].In++
-		start := time.Now()
-		ok := px.keep(k, i, j)
-		px.counts[k].SampledNs += time.Since(start).Nanoseconds()
-		px.counts[k].Sampled++
-		if !ok {
-			px.counts[k].Pruned++
-			return false
-		}
-	}
-	return true
 }
 
 // Emit records pair (i, j) — combined indices, either order — as a candidate
@@ -344,8 +310,8 @@ type Job struct {
 	// PrefixC, when above the source tokenizer's Slack(), grows the token
 	// index's per-tree indexed prefix to PrefixC·τ+1 expanded elements
 	// (default Slack()·τ+1). Any such value is sound — a longer prefix is a
-	// superset of the proven one and sharpens the count threshold — so the
-	// planner may tune it freely; values at or below Slack() are ignored.
+	// superset of the proven one and sharpens the count threshold — so a
+	// fixed plan may pin any; values at or below Slack() are ignored.
 	PrefixC int
 	// Plan is the execution-plan record the caller stamps into the run's
 	// Stats (Stats.Plan) for diagnostics; the engine does not interpret it.
@@ -511,8 +477,6 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 		for k := range px.counts {
 			stats.Stages[k].In += px.counts[k].In
 			stats.Stages[k].Pruned += px.counts[k].Pruned
-			stats.Stages[k].SampledNs += px.counts[k].SampledNs
-			stats.Stages[k].Sampled += px.counts[k].Sampled
 		}
 	}
 	stats.CandWall += tasksWall - inline

@@ -198,7 +198,7 @@ func (s tokenIndexSource) Tasks(c *Collection) []Task {
 		return tasks
 	}
 	// The indexed prefix spends C'τ+1 expanded elements, where C' is the
-	// tokenizer's Slack unless the planner raised it (Collection.PrefixC). A
+	// tokenizer's Slack unless a fixed plan pinned more (Collection.PrefixC). A
 	// longer prefix is always sound — it is a superset of the proven
 	// Slack·τ+1 prefix, so the theorem's shared token is still indexed — and
 	// it sharpens the count threshold, which charges a partner for the bag

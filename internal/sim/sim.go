@@ -57,45 +57,26 @@ func ExpandTau[T any](start, tauCap, k int, order func(a, b T) int, round func(t
 // StageStats attributes filtering work to one pipeline stage: how many pairs
 // the stage was offered and how many it killed. The engine records one entry
 // per *executed* filter, in the order the stages actually ran — when a
-// planner reorders or drops stages, the entries follow the executed chain,
-// not the configured one — so a filter chain's ablation (which stage does
-// the pruning) reads directly off a join's Stats.
+// fixed plan pins a chain, the entries follow that chain, not the configured
+// prefilters — so a filter chain's ablation (which stage does the pruning)
+// reads directly off a join's Stats.
 type StageStats struct {
 	Name   string // filter name, e.g. "HIST"
 	In     int64  // pairs offered to the stage
 	Pruned int64  // pairs the stage eliminated
-
-	// SampledNs and Sampled record the stage's per-pair cost by sampling:
-	// every sampled screening call times this stage's predicate and adds the
-	// elapsed nanoseconds here. The ratio SampledNs/Sampled estimates the
-	// predicate's cost; the cost model's chain ordering runs on it.
-	SampledNs int64
-	Sampled   int64
 }
 
 // Out returns the number of pairs that survived the stage.
 func (s StageStats) Out() int64 { return s.In - s.Pruned }
 
-// CostNs returns the sampled per-pair predicate cost in nanoseconds, or 0
-// when no screening call was sampled.
-func (s StageStats) CostNs() float64 {
-	if s.Sampled == 0 {
-		return 0
-	}
-	return float64(s.SampledNs) / float64(s.Sampled)
-}
-
 // PlanRecord describes the execution plan a run was given: which candidate
-// source was configured, the filter chain in executed order, the prefix
-// multiplier the token index ran with (0 when no index was involved), and
-// where the plan came from — "fixed" (the static default or an explicit
-// WithFixedPlan), "calibrated" (chosen by the cost model from a sampled
-// calibration probe), or "observed" (chosen from completed-run feedback).
+// source was configured, the filter chain in executed order, and the prefix
+// multiplier the token index ran with (0 when no index was involved). It is
+// the method's plan with any WithFixedPlan pins applied.
 type PlanRecord struct {
 	Source  string
 	Chain   []string
 	PrefixC int
-	Origin  string
 }
 
 // Stats records where a join spent its effort; the split between candidate
@@ -129,9 +110,8 @@ type Stats struct {
 	Stages []StageStats
 
 	// Plan records the execution plan behind the run (source, executed
-	// filter order, prefix multiplier, and the plan's origin); see
-	// PlanRecord. Always stamped by the treejoin layer, whether the plan was
-	// fixed or chosen by the adaptive planner.
+	// filter order, prefix multiplier); see PlanRecord. Stamped on every
+	// run.
 	Plan PlanRecord
 
 	// PartSJ-specific counters (zero for the baselines).

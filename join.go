@@ -2,11 +2,11 @@ package treejoin
 
 import (
 	"fmt"
+	"strings"
 
 	"treejoin/internal/baseline"
 	"treejoin/internal/core"
 	"treejoin/internal/engine"
-	"treejoin/internal/engine/plan"
 	"treejoin/internal/pqgram"
 	"treejoin/internal/sim"
 )
@@ -122,7 +122,6 @@ func (p Prefilter) stage() engine.PairFilter {
 type config struct {
 	method     Method
 	workers    int
-	fixedPlan  bool
 	planSpecs  []PlanSpec
 	prefilters []Prefilter
 	statsDst   *Stats
@@ -221,12 +220,10 @@ func (c config) coreOptions(tau int) core.Options {
 // pipelineChecked assembles the engine pipeline for the configured method:
 // its candidate source, the prefilter chain followed by the method's own
 // filter, and the execution knobs — with any WithFixedPlan spec applied and
-// the resulting fixed plan record stamped into the job. This is the single
+// the resulting plan record stamped into the job. This is the single
 // dispatch point behind the Corpus joins and Explain; invalid input comes
-// back as an error. The returned tokenizer is non-nil
-// exactly when the method's candidate source is the token index family —
-// the seam the corpus's adaptive planner hangs off (a nil tokenizer means
-// the source is not the planner's to choose).
+// back as an error. The returned tokenizer is the method's token-index
+// tokenizer, nil for the methods that have none (PartSJ, brute force).
 func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	if tau < 0 {
 		return engine.Job{}, nil, fmt.Errorf("%w %d", ErrNegativeThreshold, tau)
@@ -324,21 +321,36 @@ func chainStages(ps []Prefilter) []engine.PairFilter {
 	return fs
 }
 
-// fixedPlanRecord describes an assembled job's static plan for Stats.Plan.
-// It records the plan, not the run: a token-index plan whose collection
-// trips the index's own fallback still executes the loop, and Stats.Source
+// Normalized candidate-source names, as Stats.Plan.Source and
+// PlanExplanation.Source report them.
+const (
+	sourceTokenIndex = "token-index"
+	sourceSortedLoop = "sorted-loop"
+)
+
+// normalizeSource maps a source's name to its normalized form by dropping
+// the parenthesised tokenizer: "token-index(labels)" is "token-index".
+func normalizeSource(s string) string {
+	if i := strings.IndexByte(s, '('); i >= 0 {
+		s = s[:i]
+	}
+	return s
+}
+
+// fixedPlanRecord describes an assembled job's plan for Stats.Plan. It
+// records the plan, not the run: a token-index plan whose collection trips
+// the index's own fallback still executes the loop, and Stats.Source
 // reports that effective source.
 func fixedPlanRecord(job engine.Job, tz engine.Tokenizer) sim.PlanRecord {
 	rec := sim.PlanRecord{
-		Source: plan.SourceSortedLoop,
+		Source: sourceSortedLoop,
 		Chain:  make([]string, len(job.Filters)),
-		Origin: plan.OriginFixed,
 	}
 	for i, f := range job.Filters {
 		rec.Chain[i] = f.Name()
 	}
 	if job.Source != nil {
-		rec.Source = plan.NormalizeSource(job.Source.Name())
+		rec.Source = normalizeSource(job.Source.Name())
 	}
 	if tz != nil && job.Source != nil {
 		rec.PrefixC = tz.Slack()

@@ -1,5 +1,5 @@
-// Option-conflict and Explain coverage for the adaptive planner's public
-// surface: combinations a method cannot execute must fail loudly with
+// Option-conflict and Explain coverage for the plan's public surface:
+// combinations a method cannot execute must fail loudly with
 // ErrOptionConflict (fixed plans are ablation knobs, not silent no-ops), and
 // Explain must describe the plan a join would run without running it.
 package treejoin_test
@@ -7,6 +7,8 @@ package treejoin_test
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,12 +68,11 @@ func TestExplain(t *testing.T) {
 	ctx := context.Background()
 	cp := mustCorpus(t, synth.Synthetic(60, 4))
 
-	// A fixed plan explains without estimates.
 	ex, err := cp.Explain(ctx, 2, treejoin.WithMethod(treejoin.MethodPQGram), treejoin.WithFixedPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Source != "token-index" || ex.Origin != "fixed" || ex.PrefixC != 12 {
+	if ex.Source != "token-index" || ex.PrefixC != 12 {
 		t.Fatalf("fixed explanation = %+v", ex)
 	}
 	if len(ex.Chain) != 1 || ex.Chain[0] != "PQG" {
@@ -80,21 +81,40 @@ func TestExplain(t *testing.T) {
 	if ex.WindowPairs <= 0 {
 		t.Fatalf("window pairs = %d, want > 0", ex.WindowPairs)
 	}
-	if ex.Survival != nil {
-		t.Fatalf("fixed plan carries estimates: %+v", ex.Survival)
-	}
-	if s := ex.String(); !strings.Contains(s, "source=token-index") || !strings.Contains(s, "origin=fixed") {
+	if s := ex.String(); !strings.Contains(s, "plan:        source=token-index chain=[PQG] C=12\n") {
 		t.Fatalf("String() = %q", s)
 	}
 
-	// Under auto the small corpus stays on the fixed plan (the planner's
-	// work-scale gate) but must still explain coherently.
-	ex, err = cp.Explain(ctx, 2, treejoin.WithMethod(treejoin.MethodPQGram))
+	// With no plan option the explanation is the same plan.
+	auto, err := cp.Explain(ctx, 2, treejoin.WithMethod(treejoin.MethodPQGram))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Origin != "fixed" || ex.Source != "token-index" {
-		t.Fatalf("auto explanation on a small corpus = %+v", ex)
+	if !reflect.DeepEqual(auto, ex) {
+		t.Fatalf("default explanation %+v, WithFixedPlan() %+v", auto, ex)
+	}
+
+	// Explain is pure on a corpus of more than 4 096 window pairs too: it
+	// leaves the cache counters as they were, and names the plan the next
+	// join stamps.
+	big := mustCorpus(t, synth.Generate(synth.SyntheticParams(200, 3, 6, 20, 60, 7)))
+	before := big.CacheStats()
+	bex, err := big.Explain(ctx, 6, treejoin.WithMethod(treejoin.MethodPQGram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bex.WindowPairs <= 4096 {
+		t.Fatalf("corpus too small: %d window pairs", bex.WindowPairs)
+	}
+	if after := big.CacheStats(); after != before {
+		t.Fatalf("Explain touched the cache: %+v → %+v", before, after)
+	}
+	_, bst, err := big.SelfJoin(ctx, 6, treejoin.WithMethod(treejoin.MethodPQGram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bst.Plan.Source != bex.Source || !slices.Equal(bst.Plan.Chain, bex.Chain) || bst.Plan.PrefixC != bex.PrefixC {
+		t.Fatalf("join ran %+v, Explain said %+v", bst.Plan, bex)
 	}
 
 	// A token-index plan says whether the corpus holds the index it would

@@ -1,9 +1,9 @@
-// The plan-equivalence oracle: every plan the planner or WithFixedPlan can
-// emit — any source, any chain subset/order, any prefix multiplier, auto —
-// must produce bit-identical join results to the method's static default
-// plan. Plans move work around; they never change the answer. This is the
-// soundness harness for the adaptive planner, run for every method at every
-// threshold, self and cross, before and after mutations age the model.
+// The plan-equivalence oracle: every plan WithFixedPlan can pin — any
+// source, any chain subset/order, any prefix multiplier — must produce
+// bit-identical join results to the method's default plan. Plans move work
+// around; they never change the answer. This is the soundness harness for
+// PlanSpec, run for every method at every threshold, self and cross, before
+// and after mutations.
 package treejoin_test
 
 import (
@@ -21,26 +21,26 @@ type planVariant struct {
 }
 
 // planVariantsFor enumerates the fixed-plan space a method can execute,
-// plus the adaptive default.
+// plus the default plan (no options).
 func planVariantsFor(m treejoin.Method) []planVariant {
-	auto := planVariant{"auto", nil}
+	def := planVariant{"default", nil}
 	switch m {
 	case treejoin.MethodPartSJ:
 		return []planVariant{
-			auto,
+			def,
 			{"no-filters", []treejoin.Option{treejoin.WithFixedPlan(treejoin.PlanSpec{Chain: []treejoin.Prefilter{}})}},
 			{"chain-hist-pqg", []treejoin.Option{treejoin.WithFixedPlan(treejoin.PlanSpec{
 				Chain: []treejoin.Prefilter{treejoin.PrefilterHistogram, treejoin.PrefilterPQGram}})}},
 		}
 	case treejoin.MethodBruteForce:
 		return []planVariant{
-			auto,
+			def,
 			{"chain-hist", []treejoin.Option{treejoin.WithFixedPlan(treejoin.PlanSpec{
 				Chain: []treejoin.Prefilter{treejoin.PrefilterHistogram}})}},
 		}
 	default: // the signature methods: index or loop, free chain, prefix budget
 		return []planVariant{
-			auto,
+			def,
 			{"pin-index", []treejoin.Option{treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceTokenIndex})}},
 			{"pin-loop", []treejoin.Option{treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop})}},
 			{"no-filters", []treejoin.Option{treejoin.WithFixedPlan(treejoin.PlanSpec{Chain: []treejoin.Prefilter{}})}},
@@ -86,9 +86,8 @@ func checkPlanEquivalence(t *testing.T, step string, cp, other *treejoin.Corpus)
 }
 
 // TestPlanEquivalenceOracle runs the oracle on a fresh corpus, then mutates
-// it (ageing the cost model's observations and bumping the epoch) and runs
-// it again — the plans a mutated corpus emits (including the dynamic token
-// snapshot source) must be just as sound.
+// it (bumping the epoch) and runs it again — the plans on a mutated corpus
+// (including the dynamic token snapshot source) must be just as sound.
 func TestPlanEquivalenceOracle(t *testing.T) {
 	// One generator call: every tree shares a label table. 60 seed the
 	// corpus, 12 feed the Add stream, 40 build the cross-join peer.
