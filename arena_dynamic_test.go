@@ -205,7 +205,10 @@ func TestOneVerifierArtifact(t *testing.T) {
 			queries = append(queries, tr)
 		}
 	}
-	cp := mustNewCorpus(t, ts)
+	cp, err := NewCorpus(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	queries = slices.DeleteFunc(queries, cp.isMember)
 	if len(queries) < 1000 {
 		t.Fatalf("only %d distinct non-member queries", len(queries))

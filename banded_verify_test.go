@@ -2,6 +2,8 @@ package treejoin_test
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -39,7 +41,9 @@ func TestBandedVerificationMatches(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				samePairs(t, "banded vs brute force", banded, want)
+				if !slices.Equal(banded, want) {
+					t.Fatalf("%v τ=%d workers=%d: pairs differ from brute force", m, tau, workers)
+				}
 				if m == treejoin.MethodBruteForce && tau <= 1 &&
 					bst.DPAvoided == 0 && bst.KeyrootsSkipped == 0 && bst.BandAborts == 0 {
 					t.Fatalf("%v τ=%d: banded run recorded no verifier pruning (candidates=%d)",
@@ -118,21 +122,30 @@ func TestConcurrentVerifyAcrossTwoCorpora(t *testing.T) {
 						fail(err)
 						return
 					}
-					samePairs(t, "concurrent selfA", got, selfA)
+					if !slices.Equal(got, selfA) {
+						fail(errors.New("concurrent selfA: pairs differ"))
+						return
+					}
 				case 1:
 					got, _, err := cpB.SelfJoin(ctx, tau, treejoin.WithWorkers(4), treejoin.WithMethod(treejoin.MethodHistogram))
 					if err != nil {
 						fail(err)
 						return
 					}
-					samePairs(t, "concurrent selfB", got, selfB)
+					if !slices.Equal(got, selfB) {
+						fail(errors.New("concurrent selfB: pairs differ"))
+						return
+					}
 				case 2:
 					got, _, err := cpA.Join(ctx, cpB, tau, treejoin.WithWorkers(4))
 					if err != nil {
 						fail(err)
 						return
 					}
-					samePairs(t, "concurrent cross", got, cross)
+					if !slices.Equal(got, cross) {
+						fail(errors.New("concurrent cross: pairs differ"))
+						return
+					}
 				}
 			}
 		}(w)

@@ -30,7 +30,11 @@ func buildTools(t *testing.T) string {
 			return
 		}
 		for _, tool := range []string{"datagen", "treejoin", "treesearch", "tedcalc"} {
-			cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, tool), "./cmd/"+tool)
+			args := []string{"build", "-o", filepath.Join(binDir, tool)}
+			if toolCoverDir != "" {
+				args = append(args, "-cover")
+			}
+			cmd := exec.Command("go", append(args, "./cmd/"+tool)...)
 			if out, err := cmd.CombinedOutput(); err != nil {
 				buildErr = err
 				t.Logf("build %s: %s", tool, out)
@@ -44,9 +48,24 @@ func buildTools(t *testing.T) string {
 	return binDir
 }
 
-func runTool(t *testing.T, name string, args ...string) (string, string, error) {
+// toolCoverDir, when set, makes buildTools build the tools with -cover and
+// every tool run write its coverage counters there (the CI coverage job
+// merges them into its profile).
+var toolCoverDir = os.Getenv("TREEJOIN_TOOL_COVERDIR")
+
+// toolCmd is the command that runs the built tool name with args.
+func toolCmd(t *testing.T, name string, args ...string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(filepath.Join(buildTools(t), name), args...)
+	if toolCoverDir != "" {
+		cmd.Env = append(os.Environ(), "GOCOVERDIR="+toolCoverDir)
+	}
+	return cmd
+}
+
+func runTool(t *testing.T, name string, args ...string) (string, string, error) {
+	t.Helper()
+	cmd := toolCmd(t, name, args...)
 	var out, errb strings.Builder
 	cmd.Stdout = &out
 	cmd.Stderr = &errb
@@ -64,7 +83,7 @@ func runToFull(t *testing.T, name string, args ...string) (string, error) {
 		t.Skipf("no /dev/full: %v", err)
 	}
 	defer full.Close()
-	cmd := exec.Command(filepath.Join(buildTools(t), name), args...)
+	cmd := toolCmd(t, name, args...)
 	var errb strings.Builder
 	cmd.Stdout = full
 	cmd.Stderr = &errb
@@ -86,7 +105,7 @@ func atoi(t *testing.T, s string) int {
 // runToolStdin is runTool with the given stdin (for -watch pipelines).
 func runToolStdin(t *testing.T, stdin, name string, args ...string) (string, string, error) {
 	t.Helper()
-	cmd := exec.Command(filepath.Join(buildTools(t), name), args...)
+	cmd := toolCmd(t, name, args...)
 	cmd.Stdin = strings.NewReader(stdin)
 	var out, errb strings.Builder
 	cmd.Stdout = &out

@@ -10,11 +10,11 @@ import (
 	"errors"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
 	"treejoin"
+	"treejoin/internal/sim"
 	"treejoin/internal/synth"
 )
 
@@ -58,15 +58,6 @@ func crossJoin(tb testing.TB, a, b []*treejoin.Tree, tau int, opts ...treejoin.O
 		tb.Fatal(err)
 	}
 	return pairs, st
-}
-
-func sortPairs(ps []treejoin.Pair) {
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].I != ps[b].I {
-			return ps[a].I < ps[b].I
-		}
-		return ps[a].J < ps[b].J
-	})
 }
 
 func TestNewCorpusValidation(t *testing.T) {
@@ -155,92 +146,28 @@ func TestCorpusErrorsWhereLegacyPanics(t *testing.T) {
 	}
 }
 
-// TestCorpusMatchesLegacy: the Corpus slice and streaming APIs return
-// exactly the brute-force pair sets (MethodBruteForce on a fresh corpus), for
-// every method and for prefilter chains, on self and cross joins.
+// TestCorpusMatchesLegacy: joins as slices and as sequences, self and cross,
+// hold to the model (a history); and cross-join artifacts route to the corpus
+// that owns each tree: the other side's cache warms too, and a repeat cross
+// join recomputes no signatures on either side.
 func TestCorpusMatchesLegacy(t *testing.T) {
-	ctx := context.Background()
+	runHistories(t, 11, 1, mix{steps: 20, weights: [numKinds]int{opRemove: 1, opSelfJoin: 2, opJoin: 2}})
 	ts := synth.Synthetic(60, 11)
-	cp := mustCorpus(t, ts)
-	const tau = 2
-	want, _ := selfJoin(t, ts, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
-	for _, m := range allMethods {
-		got, _, err := cp.SelfJoin(ctx, tau, treejoin.WithMethod(m))
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		samePairs(t, "corpus self "+m.String(), got, want)
-
-		seq, err := cp.SelfJoinSeq(ctx, tau, treejoin.WithMethod(m))
-		if err != nil {
-			t.Fatalf("%v seq: %v", m, err)
-		}
-		var streamed []treejoin.Pair
-		for p := range seq {
-			streamed = append(streamed, p)
-		}
-		sortPairs(streamed)
-		samePairs(t, "corpus stream "+m.String(), streamed, want)
-	}
-
-	chains := [][]treejoin.Prefilter{
-		{treejoin.PrefilterHistogram},
-		{treejoin.PrefilterHistogram, treejoin.PrefilterSTR},
-		{treejoin.PrefilterSET, treejoin.PrefilterEulerString, treejoin.PrefilterPQGram},
-	}
-	for _, m := range []treejoin.Method{treejoin.MethodPartSJ, treejoin.MethodSTR} {
-		for ci, chain := range chains {
-			got, _, err := cp.SelfJoin(ctx, tau, treejoin.WithMethod(m), treejoin.WithPrefilter(chain...))
-			if err != nil {
-				t.Fatalf("%v chain %d: %v", m, ci, err)
-			}
-			samePairs(t, "corpus chain", got, want)
+	ca, cb := mustCorpus(t, ts[:25]), mustCorpus(t, ts[25:])
+	join := func() {
+		if _, _, err := ca.Join(context.Background(), cb, 2, treejoin.WithMethod(treejoin.MethodHistogram)); err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	// Cross joins, including the streaming form.
-	a, b := ts[:25], ts[25:]
-	ca, cb := mustCorpus(t, a), mustCorpus(t, b)
-	wantCross, _ := crossJoin(t, a, b, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
-	for _, m := range []treejoin.Method{treejoin.MethodPartSJ, treejoin.MethodHistogram} {
-		got, _, err := ca.Join(ctx, cb, tau, treejoin.WithMethod(m))
-		if err != nil {
-			t.Fatalf("cross %v: %v", m, err)
-		}
-		samePairs(t, "corpus cross "+m.String(), got, wantCross)
-
-		seq, err := ca.JoinSeq(ctx, cb, tau, treejoin.WithMethod(m))
-		if err != nil {
-			t.Fatalf("cross %v seq: %v", m, err)
-		}
-		var streamed []treejoin.Pair
-		for p := range seq {
-			streamed = append(streamed, p)
-		}
-		sortPairs(streamed)
-		samePairs(t, "corpus cross stream "+m.String(), streamed, wantCross)
-	}
-
-	// Cross-join artifacts route to the corpus that owns each tree: the
-	// other side's cache warms too, and a repeat cross join recomputes no
-	// signatures on either side.
+	join()
 	if st := cb.CacheStats(); st.Entries == 0 {
 		t.Error("cross join left the other corpus's cache cold")
 	}
 	missesA, missesB := ca.CacheStats().Misses, cb.CacheStats().Misses
-	if _, _, err := ca.Join(ctx, cb, tau, treejoin.WithMethod(treejoin.MethodHistogram)); err != nil {
-		t.Fatal(err)
-	}
+	join()
 	if ca.CacheStats().Misses != missesA || cb.CacheStats().Misses != missesB {
 		t.Error("repeat cross join recomputed signatures")
 	}
-
-	// Parallel and partitioned execution through the corpus.
-	got, _, err := mustSharded(t, 3, ts).SelfJoin(ctx, tau, treejoin.WithWorkers(4))
-	if err != nil {
-		t.Fatalf("sharded: %v", err)
-	}
-	samePairs(t, "corpus sharded", got, want)
 }
 
 // TestCorpusWarmCache: after the first join, a second join at a *different*
@@ -336,8 +263,10 @@ func TestCorpusStreamingEarlyStop(t *testing.T) {
 	for p := range seq {
 		again = append(again, p)
 	}
-	sortPairs(again)
-	samePairs(t, "re-range", again, full)
+	sim.SortPairs(again)
+	if !slices.Equal(again, full) {
+		t.Fatalf("re-range: %v, want %v", again, full)
+	}
 }
 
 // TestCorpusCancellation: a cancelled context aborts slice and streaming
@@ -412,57 +341,6 @@ func TestCorpusCancellation(t *testing.T) {
 	}
 }
 
-// TestCorpusQueriesMatchLegacy: Search, TopK and Corpus.Incremental through
-// the corpus agree with the brute-force pairs.
-func TestCorpusQueriesMatchLegacy(t *testing.T) {
-	ctx := context.Background()
-	ts := synth.Synthetic(40, 13)
-	cp := mustCorpus(t, ts)
-	const tau = 2
-
-	pairs, _ := selfJoin(t, ts, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
-	for qi, q := range ts[:5] {
-		want := []treejoin.Match{{Pos: qi}}
-		for _, p := range pairs {
-			switch qi {
-			case p.I:
-				want = append(want, treejoin.Match{Pos: p.J, Dist: p.Dist})
-			case p.J:
-				want = append(want, treejoin.Match{Pos: p.I, Dist: p.Dist})
-			}
-		}
-		slices.SortFunc(want, func(a, b treejoin.Match) int { return a.Pos - b.Pos })
-		got, err := cp.Search(ctx, q, tau)
-		if err != nil || !slices.Equal(got, want) {
-			t.Fatalf("search %d: %v, want %v (err %v)", qi, got, want, err)
-		}
-	}
-
-	gotTop, err := cp.TopK(ctx, 5)
-	if err != nil || len(gotTop) != 5 {
-		t.Fatalf("topk: %v, err %v", gotTop, err)
-	}
-	within, _ := selfJoin(t, ts, gotTop[4].Dist, treejoin.WithMethod(treejoin.MethodBruteForce))
-	slices.SortStableFunc(within, func(a, b treejoin.Pair) int { return a.Dist - b.Dist })
-	samePairs(t, "corpus topk", gotTop, within[:5])
-
-	// Each Add reports the new tree's brute-force partners among the earlier
-	// trees, ascending.
-	inc, err := cp.Incremental(tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, tr := range ts[:20] {
-		var want []treejoin.Pair
-		for _, p := range pairs {
-			if p.J == k {
-				want = append(want, p)
-			}
-		}
-		samePairs(t, "incremental", inc.Add(tr), want)
-	}
-}
-
 // TestCorpusWithStats: the WithStats option delivers statistics for
 // streaming runs, matching the slice API's counters.
 func TestCorpusWithStats(t *testing.T) {
@@ -487,5 +365,18 @@ func TestCorpusWithStats(t *testing.T) {
 	}
 	if st.Candidates < n {
 		t.Errorf("WithStats Candidates = %d < results %d", st.Candidates, n)
+	}
+}
+
+// TestStageStatsExposed: the public Stats surface carries the per-stage
+// attribution for a plain baseline method too (its own filter is a stage).
+func TestStageStatsExposed(t *testing.T) {
+	ts := synth.Synthetic(40, 31)
+	_, st := selfJoin(t, ts, 1, treejoin.WithMethod(treejoin.MethodHistogram))
+	if len(st.Stages) != 1 || st.Stages[0].Name != "HIST" {
+		t.Fatalf("stages = %+v", st.Stages)
+	}
+	if st.Stages[0].Out() != st.Candidates {
+		t.Fatalf("stage out %d ≠ candidates %d", st.Stages[0].Out(), st.Candidates)
 	}
 }

@@ -3,7 +3,6 @@ package treejoin_test
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -114,62 +113,4 @@ func ExampleCorpus_Search() {
 	// Output:
 	// tree 0 at distance 1
 	// tree 1 at distance 1
-}
-
-// coldAndJoined returns two corpora over ts: one no join has touched, whose
-// first query finds no arena view cached, and one a self join has warmed.
-func coldAndJoined(t *testing.T, ts []*treejoin.Tree) map[string]*treejoin.Corpus {
-	t.Helper()
-	joined := mustCorpus(t, ts)
-	if _, _, err := joined.SelfJoin(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*treejoin.Corpus{"cold": mustCorpus(t, ts), "joined": joined}
-}
-
-// bruteDistances is the search oracle's table: the unbounded distance from
-// every query to every tree.
-func bruteDistances(ts, queries []*treejoin.Tree) [][]int {
-	out := make([][]int, len(queries))
-	for qi, q := range queries {
-		for _, tr := range ts {
-			out[qi] = append(out[qi], treejoin.Distance(tr, q))
-		}
-	}
-	return out
-}
-
-// bruteMatches cuts one query's oracle distances at tau, in ascending
-// position order.
-func bruteMatches(dists []int, tau int) []treejoin.Match {
-	var out []treejoin.Match
-	for i, d := range dists {
-		if d <= tau {
-			out = append(out, treejoin.Match{Pos: i, Dist: d})
-		}
-	}
-	return out
-}
-
-// TestSearchMatchesBruteForce: Corpus.Search, on a never-joined corpus and
-// on a joined one, reports exactly the brute-force matches — members and
-// strangers as queries alike.
-func TestSearchMatchesBruteForce(t *testing.T) {
-	ctx := context.Background()
-	all := synth.Synthetic(90, 19)
-	ts, queries := all[:60], all[55:75] // five members, fifteen strangers
-	dists := bruteDistances(ts, queries)
-	for state, cp := range coldAndJoined(t, ts) {
-		for _, tau := range []int{0, 1, 3} {
-			for qi, q := range queries {
-				got, err := cp.Search(ctx, q, tau)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := bruteMatches(dists[qi], tau); !slices.Equal(got, want) {
-					t.Fatalf("%s τ=%d query %d: got %v, want %v", state, tau, qi, got, want)
-				}
-			}
-		}
-	}
 }

@@ -1,21 +1,20 @@
 // Tests for the dynamic Corpus: Add/Remove semantics (stable ids, dense
 // positions, epochs), snapshot isolation of views and in-flight sequences,
-// search-index invalidation on mutation, the maintained token index, and the
-// incremental stream's standing result view with retraction deltas.
+// the maintained token index, and the incremental stream's standing result
+// view with retraction deltas.
 package treejoin_test
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"treejoin"
+	"treejoin/internal/sim"
 	"treejoin/internal/synth"
 )
-
-// survivors materialises the corpus's current live trees in position order.
-func survivors(cp *treejoin.Corpus) []*treejoin.Tree { return cp.Trees() }
 
 func TestCorpusAddRemove(t *testing.T) {
 	ctx := context.Background()
@@ -62,27 +61,8 @@ func TestCorpusAddRemove(t *testing.T) {
 		t.Fatal("PosOf of a removed id reported true")
 	}
 
-	// A mutated corpus joins bit-identically to a fresh corpus over the
-	// survivors.
-	fresh := mustCorpus(t, survivors(cp))
-	for _, tau := range []int{0, 1, 2} {
-		got, _, err := cp.SelfJoin(ctx, tau)
-		if err != nil {
-			t.Fatalf("SelfJoin: %v", err)
-		}
-		want, _, err := fresh.SelfJoin(ctx, tau)
-		if err != nil {
-			t.Fatalf("fresh SelfJoin: %v", err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("τ=%d: %d pairs, fresh corpus %d", tau, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("τ=%d pair %d: %+v != %+v", tau, i, got[i], want[i])
-			}
-		}
-	}
+	// A mutated corpus joins as the model of its survivors says.
+	checkCorpus(t, cp)
 
 	// Validation: nil trees and foreign label tables are rejected atomically
 	// (the corpus is unchanged).
@@ -140,13 +120,8 @@ func TestCorpusSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("snapshot join: %d pairs, pre-mutation corpus had %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("snapshot pair %d: %+v != %+v", i, got[i], want[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("snapshot join: %v, the pre-mutation corpus's %v", got, want)
 	}
 	if _, err := view.Add(ts[0]); !errors.Is(err, treejoin.ErrImmutableSnapshot) {
 		t.Fatalf("snapshot Add: err = %v, want ErrImmutableSnapshot", err)
@@ -183,83 +158,9 @@ func TestCorpusSeqPinnedToEpoch(t *testing.T) {
 	for p := range seq {
 		got = append(got, p)
 	}
-	sortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("pinned seq: %d pairs, pre-mutation join had %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("pinned seq pair %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestCorpusSearchInvalidation: the per-threshold search-index LRU must not
-// survive a mutation — after Remove, a repeated Search at the same threshold
-// (the LRU's sweet spot) must agree with a fresh corpus over the survivors;
-// after Add, new trees must be found.
-func TestCorpusSearchInvalidation(t *testing.T) {
-	ctx := context.Background()
-	ts := synth.Synthetic(40, 21)
-	cp := mustCorpus(t, ts)
-	q := ts[7]
-
-	before, err := cp.Search(ctx, q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range before {
-		if m.Pos == 7 && m.Dist == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("query tree not found in its own corpus")
-	}
-
-	cp.Remove(7) // the id of ts[7]
-	after, err := cp.Search(ctx, q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshCp := mustCorpus(t, survivors(cp))
-	want, err := freshCp.Search(ctx, q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(want) {
-		t.Fatalf("post-Remove search: %d matches, fresh corpus %d", len(after), len(want))
-	}
-	for i := range after {
-		if after[i] != want[i] {
-			t.Fatalf("post-Remove match %d: %+v != %+v (stale index?)", i, after[i], want[i])
-		}
-	}
-	for _, m := range after {
-		if cp.Tree(m.Pos) == q {
-			t.Fatal("post-Remove search returned the removed tree")
-		}
-	}
-
-	// Re-adding the tree makes it findable again, at the new position.
-	ids, err := cp.Add(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := cp.Search(ctx, q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos, _ := cp.PosOf(ids[0])
-	found = false
-	for _, m := range again {
-		if m.Pos == pos && m.Dist == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("re-added tree not found: matches=%v, want pos %d", again, pos)
+	sim.SortPairs(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("pinned seq: %v, the pre-mutation join's %v", got, want)
 	}
 }
 
@@ -285,27 +186,11 @@ func TestCorpusDynamicTokenIndex(t *testing.T) {
 	}
 
 	for _, m := range []treejoin.Method{treejoin.MethodSTR, treejoin.MethodSET, treejoin.MethodPQGram} {
-		got, gst, err := cp.SelfJoin(ctx, 2, treejoin.WithMethod(m), treejoin.WithStats(&st))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(gst.Source, "token-index(") {
-			t.Fatalf("%v: mutated corpus source = %q, want token-index", m, gst.Source)
-		}
-		fresh := mustCorpus(t, survivors(cp))
-		want, _, err := fresh.SelfJoin(ctx, 2, treejoin.WithMethod(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d pairs, fresh corpus %d", m, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%v pair %d: %+v != %+v", m, i, got[i], want[i])
-			}
+		if _, gst, err := cp.SelfJoin(ctx, 2, treejoin.WithMethod(m)); err != nil || !strings.HasPrefix(gst.Source, "token-index(") {
+			t.Fatalf("%v: mutated corpus source = %q, want token-index (err %v)", m, gst.Source, err)
 		}
 	}
+	checkCorpus(t, cp)
 
 	// A second join at a new threshold builds that threshold's index from the
 	// cached bags: it recomputes no per-tree signature (the warm-corpus

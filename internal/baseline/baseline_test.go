@@ -1,7 +1,6 @@
 package baseline_test
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -70,12 +69,13 @@ func TestStringDistanceIsLowerBound(t *testing.T) {
 
 // TestSTRFilterMatchesTraversalStrings: the STR stage, which reads the
 // arena views' postorder and reversed preorder, gives the verdict of the
-// banded test over tree.LabelSeq's preorder and postorder sequences, in both
-// pair orders, over random pairs and every τ from 0 past n+m.
+// banded test over tree.LabelSeq's preorder and postorder sequences, with the
+// trees in either position, over random pairs and every τ from 0 past n+m.
+// The verdict is a two-tree join's Stats.Stages[0]; the sorted loop never
+// offers a pair outside the size window to the stage.
 func TestSTRFilterMatchesTraversalStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	lt := tree.NewLabelTable()
-	cache := engine.NewCache()
 	for i := 0; i < 150; i++ {
 		ts := []*tree.Tree{randomTree(rng, 18, lt), randomTree(rng, 18, lt)}
 		var pre, post [2][]int32
@@ -84,10 +84,13 @@ func TestSTRFilterMatchesTraversalStrings(t *testing.T) {
 		}
 		for tau := 0; tau <= ts[0].Size()+ts[1].Size()+1; tau++ {
 			want := strdist.Bounded(pre[0], pre[1], tau) <= tau && strdist.Bounded(post[0], post[1], tau) <= tau
-			keep := baseline.STRFilter().Prepare(engine.NewProbeCollection(context.Background(), ts, tau, cache))
-			if keep(0, 1) != want || keep(1, 0) != want {
-				t.Fatalf("τ=%d: STR keeps %v/%v, traversal strings say %v\n%s\n%s",
-					tau, keep(0, 1), keep(1, 0), want, tree.FormatBracket(ts[0]), tree.FormatBracket(ts[1]))
+			offered := max(ts[0].Size()-ts[1].Size(), ts[1].Size()-ts[0].Size()) <= tau
+			for _, pair := range [][]*tree.Tree{ts, {ts[1], ts[0]}} {
+				_, st := join(pair, tau, 1, baseline.STRFilter())
+				if in, out := st.Stages[0].In, st.Stages[0].Out(); offered && (in != 1 || (out == 1) != want) || !offered && in != 0 {
+					t.Fatalf("τ=%d: STR took %d pairs and passed %d, traversal strings say %v (offered %v)\n%s\n%s",
+						tau, in, out, want, offered, tree.FormatBracket(pair[0]), tree.FormatBracket(pair[1]))
+				}
 			}
 		}
 	}

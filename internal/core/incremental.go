@@ -37,6 +37,7 @@ type Incremental struct {
 	parts []*Partition    // the indexed trees' partitions, for compaction
 	st    partitionState
 	stats sim.Stats
+	tc    ted.Counters // the default verifier's, folded into Stats
 
 	removed   []bool
 	nRemoved  int
@@ -83,6 +84,7 @@ func (inc *Incremental) Tree(i int) *tree.Tree { return inc.x.ts[i] }
 func (inc *Incremental) Stats() sim.Stats {
 	s := inc.stats
 	s.Trees = len(inc.x.ts)
+	sim.AddVerifyCounters(&s, &inc.tc)
 	return s
 }
 
@@ -111,7 +113,7 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 	// The default verifier reads the views kept beside the trees.
 	factory := sim.AdaptVerifier(x.ts, x.opts.Verifier)
 	if x.opts.Verifier == nil {
-		factory = engine.NewArenaVerifiers(inc.views, nil)
+		factory = engine.NewArenaVerifiers(inc.views, &inc.tc)
 	}
 	var pairs []sim.Pair
 	sim.VerifyStreamBatched(context.Background(), cands, x.opts.Tau, factory, sim.NormalizeWorkers(x.opts.Workers), &inc.stats, func(p sim.Pair) bool {

@@ -112,14 +112,6 @@ func newCollection(ctx context.Context, ts []*tree.Tree, split, tau, workers int
 	return c
 }
 
-// NewProbeCollection builds a Collection view over ts outside any job: same
-// size ordering, windowing, and artifact-cache routing as a real run's
-// collection, sized for a single caller. Tests prepare individual filters
-// against it and call their predicates directly.
-func NewProbeCollection(ctx context.Context, ts []*tree.Tree, tau int, cache *Cache) *Collection {
-	return newCollection(ctx, ts, -1, tau, 1, cache)
-}
-
 // PairFilter is one pipeline stage: a cheap pair-level test that may prune a
 // pair only when a sound TED lower bound proves its distance exceeds τ.
 // Prepare runs once per join over the combined collection and returns the
@@ -482,13 +474,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	stats.CandWall += tasksWall - inline
 	sim.VerifyStreamBatched(ctx, cands, job.Tau, vfactory, c.Workers, stats, em.emit)
 	stats.Results = em.n
-	stats.DPAvoided += c.counters.DPAvoided.Load()
-	stats.SeqRejects += c.counters.SeqRejects.Load()
-	stats.Certified += c.counters.Certified.Load()
-	stats.KeyrootsSkipped += c.counters.KeyrootsSkipped.Load()
-	stats.BandAborts += c.counters.BandAborts.Load()
-	stats.StrategyLeft += c.counters.StrategyLeft.Load()
-	stats.StrategyRight += c.counters.StrategyRight.Load()
+	sim.AddVerifyCounters(stats, c.counters)
 	if err := outer.Err(); err != nil {
 		return stats, err
 	}

@@ -190,6 +190,18 @@ func AddCounters(total, st *Stats) {
 	total.StrategyRight += st.StrategyRight
 }
 
+// AddVerifyCounters folds the τ-banded verifier's counters into st: how its
+// candidates were settled, for a join run or an incremental stream alike.
+func AddVerifyCounters(st *Stats, tc *ted.Counters) {
+	st.DPAvoided += tc.DPAvoided.Load()
+	st.SeqRejects += tc.SeqRejects.Load()
+	st.Certified += tc.Certified.Load()
+	st.KeyrootsSkipped += tc.KeyrootsSkipped.Load()
+	st.BandAborts += tc.BandAborts.Load()
+	st.StrategyLeft += tc.StrategyLeft.Load()
+	st.StrategyRight += tc.StrategyRight.Load()
+}
+
 // NormalizeWorkers resolves a caller-supplied worker count: values below 1
 // ("unset") become runtime.GOMAXPROCS(0) — use every core the runtime will
 // schedule on — and explicit counts pass through. Every component that deals

@@ -8,47 +8,9 @@ import (
 	"treejoin/internal/synth"
 )
 
-func TestJoinSupportsEveryMethod(t *testing.T) {
-	// Historically Join panicked for every method but PartSJ; the engine
-	// refactor made cross joins universal. See cross_join_test.go for the
-	// oracle agreement property test.
-	lt := treejoin.NewLabelTable()
-	a := []*treejoin.Tree{treejoin.MustParseBracket("{a{b}{c}}", lt)}
-	b := []*treejoin.Tree{
-		treejoin.MustParseBracket("{a{b}{d}}", lt),
-		treejoin.MustParseBracket("{x{y{z{w}}}}", lt),
-	}
-	for _, m := range []treejoin.Method{
-		treejoin.MethodPartSJ, treejoin.MethodSTR, treejoin.MethodSET,
-		treejoin.MethodBruteForce, treejoin.MethodHistogram,
-		treejoin.MethodEulerString, treejoin.MethodPQGram,
-	} {
-		pairs, _ := crossJoin(t, a, b, 1, treejoin.WithMethod(m))
-		if len(pairs) != 1 || pairs[0].I != 0 || pairs[0].J != 0 || pairs[0].Dist != 1 {
-			t.Fatalf("%v: Join = %+v, want one (0,0,1) pair", m, pairs)
-		}
-	}
-}
-
 func TestUnknownMethodString(t *testing.T) {
 	if s := treejoin.Method(99).String(); !strings.Contains(s, "99") {
 		t.Fatalf("Method(99) = %q", s)
-	}
-}
-
-func TestIncrementalMatchesSelfJoin(t *testing.T) {
-	ts := synth.Synthetic(50, 53)
-	ref, _ := selfJoin(t, ts, 2, treejoin.WithWorkers(4))
-	inc, _ := mustCorpus(t, nil).Incremental(2)
-	n := 0
-	for _, tr := range ts {
-		n += len(inc.Add(tr))
-	}
-	if n != len(ref) {
-		t.Fatalf("incremental stream reported %d pairs, the self join %d", n, len(ref))
-	}
-	if inc.Tree(0) != ts[0] {
-		t.Fatal("Tree accessor wrong")
 	}
 }
 

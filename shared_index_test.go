@@ -2,12 +2,8 @@ package treejoin
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"treejoin/internal/sim"
@@ -40,7 +36,11 @@ func TestIndexBuiltOncePerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := mustNewCorpus(t, ts).SelfJoin(ctx, 2)
+	one, err := NewCorpus(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := one.SelfJoin(ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,9 @@ func TestIndexBuiltOncePerEpoch(t *testing.T) {
 		}
 	}
 	builds(sc, 4, 1)
-	one := mustNewCorpus(t, ts)
+	if one, err = NewCorpus(ts); err != nil {
+		t.Fatal(err)
+	}
 	for _, target := range []*Corpus{one, one.Snapshot()} {
 		if _, err := target.Search(ctx, ts[0], 3); err != nil {
 			t.Fatal(err)
@@ -92,7 +94,10 @@ func TestIndexBuiltOncePerEpoch(t *testing.T) {
 func TestTokenIndexBuiltOncePerEpoch(t *testing.T) {
 	ctx := context.Background()
 	pool := synth.Generate(synth.SyntheticParams(81, 3, 5, 20, 30, 67))
-	cp := mustNewCorpus(t, pool[:80])
+	cp, err := NewCorpus(pool[:80])
+	if err != nil {
+		t.Fatal(err)
+	}
 	builds := func(c *Corpus) int64 {
 		_, _, n := indexBuilds(c)
 		return n
@@ -151,155 +156,5 @@ func TestTokenIndexBuiltOncePerEpoch(t *testing.T) {
 	}
 	if n := builds(cp); n != 1 {
 		t.Fatalf("the epoch after the Remove built %d indexes, want 1", n)
-	}
-}
-
-func mustNewCorpus(t *testing.T, ts []*Tree) *Corpus {
-	t.Helper()
-	cp, err := NewCorpus(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cp
-}
-
-// bruteJoin, bruteSearch and bruteKNN are the oracles of the race test.
-func bruteJoin(ts []*Tree, tau int) []Pair {
-	var out []Pair
-	for i := range ts {
-		for j := i + 1; j < len(ts); j++ {
-			if d := Distance(ts[i], ts[j]); d <= tau {
-				out = append(out, Pair{I: i, J: j, Dist: d})
-			}
-		}
-	}
-	return out
-}
-
-func bruteSearch(ts []*Tree, q *Tree, tau int) []Match {
-	var out []Match
-	for i, t := range ts {
-		if d := Distance(t, q); d <= tau {
-			out = append(out, Match{Pos: i, Dist: d})
-		}
-	}
-	return out
-}
-
-func bruteKNN(ts []*Tree, q *Tree, k int) []Match {
-	out := bruteSearch(ts, q, 1<<30)
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Dist < out[b].Dist })
-	return out[:min(k, len(out))]
-}
-
-// checkAgainstBruteForce runs SelfJoin, Search and KNN on target at once —
-// they race for the same per-threshold indexes — and holds each answer to
-// brute force over ts, the membership target is known to have.
-func checkAgainstBruteForce(target *Corpus, ts []*Tree, q *Tree, report func(string, ...any)) {
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(3)
-		go func() {
-			defer wg.Done()
-			if got, _, err := target.SelfJoin(ctx, 2, WithWorkers(2)); err != nil || !slices.Equal(got, bruteJoin(ts, 2)) {
-				report("SelfJoin over %d trees: %v, err %v", len(ts), got, err)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if got, err := target.Search(ctx, q, 2); err != nil || !slices.Equal(got, bruteSearch(ts, q, 2)) {
-				report("Search over %d trees: %v, err %v", len(ts), got, err)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			if got, err := target.KNN(ctx, q, 3); err != nil || !slices.Equal(got, bruteKNN(ts, q, 3)) {
-				report("KNN over %d trees: %v, want %v, err %v", len(ts), got, bruteKNN(ts, q, 3), err)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestSharedIndexRace (run under -race): joins, searches and KNN queries race
-// for the parts' shared indexes of a one-part and a three-part corpus while
-// Add and Remove replace the parts. Two regimes: between mutations, queries on
-// the live objects must answer for the membership just published — the first
-// query after a mutation never sees the previous epoch's index — and while a
-// writer churns freely, queries on pinned views must answer for exactly the
-// view's membership.
-func TestSharedIndexRace(t *testing.T) {
-	pool := synth.Generate(synth.SyntheticParams(90, 3, 5, 20, 24, 71))
-	cp := mustNewCorpus(t, pool[:40])
-	sc, err := NewSharded(3, pool[:40])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var failed sync.Once
-	var failure string
-	report := func(format string, args ...any) {
-		failed.Do(func() { failure = fmt.Sprintf(format, args...) })
-	}
-
-	// Regime 1: mutate, then query the live objects against the model.
-	rng := rand.New(rand.NewSource(3))
-	model, ids, next := slices.Clone(pool[:40]), make([]int, 40), 40
-	for i := range ids {
-		ids[i] = i
-	}
-	for step := 0; step < 8 && failure == ""; step++ {
-		if step%2 == 0 {
-			a, err1 := cp.Add(pool[next])
-			b, err2 := sc.Add(pool[next])
-			if err1 != nil || err2 != nil || a[0] != b[0] {
-				t.Fatalf("Add: ids %v/%v, errors %v/%v", a, b, err1, err2)
-			}
-			model, ids, next = append(model, pool[next]), append(ids, a[0]), next+1
-		} else {
-			at := rng.Intn(len(model))
-			if cp.Remove(ids[at]) != 1 || sc.Remove(ids[at]) != 1 {
-				t.Fatalf("Remove(%d) did not remove one tree from each", ids[at])
-			}
-			model, ids = slices.Delete(model, at, at+1), slices.Delete(ids, at, at+1)
-		}
-		q := pool[rng.Intn(len(pool))]
-		checkAgainstBruteForce(cp, model, q, report)
-		checkAgainstBruteForce(sc, model, q, report)
-	}
-
-	// Regime 2: a free-running writer against readers on pinned views.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		wrng := rand.New(rand.NewSource(4))
-		for i := 0; i < 40; i++ {
-			if i%2 == 0 {
-				cp.Add(pool[(next+i)%len(pool)])
-				sc.Add(pool[(next+i)%len(pool)])
-			} else {
-				cp.Remove(wrng.Intn(next + i))
-				sc.Remove(wrng.Intn(next + i))
-			}
-		}
-	}()
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rrng := rand.New(rand.NewSource(int64(5 + r)))
-			for i := 0; i < 6; i++ {
-				q := pool[rrng.Intn(len(pool))]
-				snap := cp.Snapshot()
-				checkAgainstBruteForce(snap, snap.Trees(), q, report)
-				view := sc.Snapshot()
-				checkAgainstBruteForce(view, view.Trees(), q, report)
-			}
-		}()
-	}
-	wg.Wait()
-	if failure != "" {
-		t.Fatal(failure)
 	}
 }

@@ -2,8 +2,9 @@ package treejoin_test
 
 import (
 	"context"
-	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"treejoin"
@@ -113,7 +114,7 @@ func TestStoreBeyondMemtableBudget(t *testing.T) {
 	if st.MemtableTrees >= 8 {
 		t.Fatalf("memtable exceeds its budget: %+v", st)
 	}
-	checkSelfOracle(t, "beyond-budget", cp)
+	checkCorpus(t, cp)
 	if err := cp.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestStoreBeyondMemtableBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	checkSelfOracle(t, "beyond-budget reopen", re)
+	checkCorpus(t, re)
 }
 
 func TestStoreCompact(t *testing.T) {
@@ -149,7 +150,7 @@ func TestStoreCompact(t *testing.T) {
 	if st.CompactionRuns == 0 {
 		t.Fatalf("compaction did not run: %+v", st)
 	}
-	checkSelfOracle(t, "compacted", cp)
+	checkCorpus(t, cp)
 
 	mem, err := treejoin.NewCorpus(pool)
 	if err != nil {
@@ -218,73 +219,77 @@ func TestSaveToAndReopen(t *testing.T) {
 	}
 }
 
-// TestIDsAscendWithPosition pins the invariant PosOf and Remove bisect on: in
-// every state of a one-part corpus, a three-part one and a stored and reopened
-// one, ids ascend with position — whatever the Add/Remove history — and PosOf
-// inverts ID.
-func TestIDsAscendWithPosition(t *testing.T) {
-	check := func(what string, c *treejoin.Corpus, gone []int) {
-		t.Helper()
-		for p := 0; p < c.Len(); p++ {
-			if p > 0 && c.ID(p) <= c.ID(p-1) {
-				t.Fatalf("%s: id %d at position %d follows id %d", what, c.ID(p), p, c.ID(p-1))
-			}
-			if q, ok := c.PosOf(c.ID(p)); !ok || q != p {
-				t.Fatalf("%s: PosOf(ID(%d)) = %d, %v", what, p, q, ok)
-			}
+// TestMixedVersionDirectory walks a directory written before segment format
+// version 2 through its life under the current code: it opens, takes
+// duplicates of its trees into a v2 segment that shares blocks with the v1
+// one by content address, scrubs clean with both present, compacts to v2
+// only, and reopens to the same ids and join results.
+func TestMixedVersionDirectory(t *testing.T) {
+	dir := t.TempDir()
+	for from, to := range map[string]string{"golden_segment_v1.tjsg": "seg-000001.tjsg", "golden_manifest.tjmf": "MANIFEST"} {
+		data, err := os.ReadFile(filepath.Join("internal", "segstore", "testdata", from))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, id := range gone {
-			if p, ok := c.PosOf(id); ok {
-				t.Fatalf("%s: removed id %d still at position %d", what, id, p)
-			}
+		if err := os.WriteFile(filepath.Join(dir, to), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	dir := filepath.Join(t.TempDir(), "store")
-	stored, err := treejoin.Open(dir, treejoin.WithMemtableBudget(8), treejoin.WithStoreNoSync())
+	// segVersions lists the format version byte of every segment file.
+	segVersions := func() (vs []byte) {
+		names, err := filepath.Glob(filepath.Join(dir, "seg-*.tjsg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs = append(vs, data[4])
+		}
+		return vs
+	}
+	liveIDs := func(cp *treejoin.Corpus) (ids []int) {
+		for p := 0; p < cp.Len(); p++ {
+			ids = append(ids, cp.ID(p))
+		}
+		return ids
+	}
+
+	cp, err := treejoin.Open(dir, treejoin.WithMemtableBudget(3), treejoin.WithStoreNoSync())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt := stored.Labels()
-	sharded, err := treejoin.NewSharded(3, nil)
-	if err != nil {
+	if got := liveIDs(cp); !slices.Equal(got, []int{3, 8, 12}) { // the fixture's id 5 is tombstoned
+		t.Fatalf("v1 directory opened to ids %v", got)
+	}
+	before, _ := cp.StoreStats()
+	if _, err := cp.Add(reintern(cp.Trees(), cp.Labels())...); err != nil { // fills the memtable: a flush follows
 		t.Fatal(err)
 	}
-	plain, err := treejoin.NewCorpus(nil)
-	if err != nil {
+	if rep, err := cp.Scrub(); err != nil || rep.Segments != 2 { // waits for that flush
+		t.Fatalf("scrub of the mixed directory: %+v, %v", rep, err)
+	}
+	if got := segVersions(); !slices.Equal(got, []byte{1, 2}) {
+		t.Fatalf("segment versions after the flush: %v, want [1 2]", got)
+	}
+	if st, _ := cp.StoreStats(); st.Blocks != before.Blocks || st.Entries != before.Entries+3 {
+		t.Fatalf("duplicates did not share the v1 segment's blocks: %+v, before %+v", st, before)
+	}
+	checkCorpus(t, cp)
+
+	if err := cp.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	pool := reintern(synth.Synthetic(150, 19), lt)
-	rng := rand.New(rand.NewSource(19))
-	var live, gone []int
-	for len(pool) > 0 {
-		if len(live) > 0 && rng.Intn(3) == 0 {
-			var ids []int
-			for k := 1 + rng.Intn(4); k > 0 && len(live) > 0; k-- {
-				at := rng.Intn(len(live))
-				ids = append(ids, live[at])
-				live = append(live[:at], live[at+1:]...)
-			}
-			gone = append(gone, ids...)
-			for _, c := range []*treejoin.Corpus{plain, sharded, stored} {
-				if n := c.Remove(ids...); n != len(ids) {
-					t.Fatalf("Remove(%v) removed %d", ids, n)
-				}
-			}
-		} else {
-			k := min(1+rng.Intn(6), len(pool))
-			var ids []int
-			for _, c := range []*treejoin.Corpus{plain, sharded, stored} {
-				if ids, err = c.Add(pool[:k]...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			live, pool = append(live, ids...), pool[k:]
-		}
-		check("one part", plain, gone)
-		check("three parts", sharded, gone)
-		check("stored", stored, gone)
+	if got := segVersions(); !slices.Equal(got, []byte{2}) {
+		t.Fatalf("segment versions after Compact: %v, want [2]", got)
 	}
-	if err := stored.Close(); err != nil {
+	if _, err := cp.Scrub(); err != nil {
+		t.Fatalf("scrub after Compact: %v", err)
+	}
+	want := liveIDs(cp)
+	if err := cp.Close(); err != nil {
 		t.Fatal(err)
 	}
 	re, err := treejoin.Open(dir, treejoin.WithStoreNoSync())
@@ -292,8 +297,8 @@ func TestIDsAscendWithPosition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != len(live) {
-		t.Fatalf("reopened store holds %d trees, want %d", re.Len(), len(live))
+	if got := liveIDs(re); !slices.Equal(got, want) || len(got) != 6 {
+		t.Fatalf("reopened ids %v, want %v", got, want)
 	}
-	check("reopened store", re, gone)
+	checkCorpus(t, re)
 }

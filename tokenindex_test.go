@@ -2,70 +2,16 @@ package treejoin_test
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
 	"treejoin"
 	"treejoin/internal/synth"
-	"treejoin/internal/tree"
 )
 
 var signatureMethods = []treejoin.Method{
 	treejoin.MethodSTR, treejoin.MethodSET, treejoin.MethodHistogram,
 	treejoin.MethodEulerString, treejoin.MethodPQGram,
-}
-
-// indexCorpus returns a synthetic profile corpus big enough to engage the
-// token index, with tiny trees mixed in to exercise the light-tree path.
-func indexCorpus(gen func(n int, seed int64) []*tree.Tree, n int, seed int64) []*tree.Tree {
-	ts := gen(n, seed)
-	lt := ts[0].Labels
-	for _, s := range []string{"{a}", "{a{b}}", "{a{b}{c{d}}}"} {
-		ts = append(ts, tree.MustParseBracket(s, lt))
-	}
-	return ts
-}
-
-// TestTokenIndexOracleSweep: for every signature method, the default
-// token-index candidate generation returns exactly the sorted loop's result
-// set — self and cross joins, τ from exact matching up through 8 — and its
-// post-filter candidate count never exceeds the loop's, across two synthetic
-// profiles (diverse sizes and narrow size bands).
-func TestTokenIndexOracleSweep(t *testing.T) {
-	loop := treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop})
-	profiles := []struct {
-		name string
-		gen  func(n int, seed int64) []*tree.Tree
-	}{
-		{"Synthetic", synth.Synthetic},
-		{"Treebank", synth.Treebank},
-	}
-	for _, p := range profiles {
-		ts := indexCorpus(p.gen, 60, 41)
-		a, b := ts[:25], ts[25:]
-		for _, m := range signatureMethods {
-			for _, tau := range []int{0, 1, 2, 4, 8} {
-				label := fmt.Sprintf("%s/%v/τ=%d", p.name, m, tau)
-				var ist, lst treejoin.Stats
-				got, ist := selfJoin(t, ts, tau, treejoin.WithMethod(m))
-				want, lst := selfJoin(t, ts, tau, treejoin.WithMethod(m), loop)
-				samePairs(t, "self/"+label, got, want)
-				if ist.Candidates > lst.Candidates {
-					t.Fatalf("self/%s: index candidates %d > loop %d", label, ist.Candidates, lst.Candidates)
-				}
-				if lst.Source != "sorted-loop" {
-					t.Fatalf("%s: the pinned sorted loop ran source %q", label, lst.Source)
-				}
-				got, ist = crossJoin(t, a, b, tau, treejoin.WithMethod(m))
-				want, lst = crossJoin(t, a, b, tau, treejoin.WithMethod(m), loop)
-				samePairs(t, "cross/"+label, got, want)
-				if ist.Candidates > lst.Candidates {
-					t.Fatalf("cross/%s: index candidates %d > loop %d", label, ist.Candidates, lst.Candidates)
-				}
-			}
-		}
-	}
 }
 
 // TestTokenIndexAutoFallback: corpora below the cutoff — and thresholds at

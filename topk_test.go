@@ -2,11 +2,9 @@ package treejoin_test
 
 import (
 	"context"
-	"slices"
 	"testing"
 
 	"treejoin"
-	"treejoin/internal/synth"
 )
 
 func TestPublicTopK(t *testing.T) {
@@ -204,31 +202,6 @@ func TestPublicShardedJoin(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("sharded pair %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestKNNMatchesBruteForce: Corpus.KNN, on a never-joined corpus and on a
-// joined one, returns exactly the k brute-force nearest trees in (Dist, Pos)
-// order.
-func TestKNNMatchesBruteForce(t *testing.T) {
-	ctx := context.Background()
-	all := synth.Synthetic(90, 19)
-	ts, queries := all[:60], all[57:67] // three members, seven strangers
-	dists := bruteDistances(ts, queries)
-	for state, cp := range coldAndJoined(t, ts) {
-		for qi, q := range queries {
-			want := bruteMatches(dists[qi], 1<<30)
-			slices.SortStableFunc(want, func(a, b treejoin.Match) int { return a.Dist - b.Dist })
-			for _, k := range []int{1, 4} {
-				got, err := cp.KNN(ctx, q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(got, want[:k]) {
-					t.Fatalf("%s k=%d query %d: got %v, want %v", state, k, qi, got, want[:k])
-				}
-			}
 		}
 	}
 }

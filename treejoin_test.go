@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"treejoin"
-	"treejoin/internal/synth"
 )
 
 func sampleTrees(lt *treejoin.LabelTable) []*treejoin.Tree {
@@ -16,35 +15,6 @@ func sampleTrees(lt *treejoin.LabelTable) []*treejoin.Tree {
 		treejoin.MustParseBracket("{album{title{Blue!}}{artist{JM}}{year{1971}}}", lt),
 		treejoin.MustParseBracket("{album{title{Red}}{artist{TS}}{year{2012}}}", lt),
 		treejoin.MustParseBracket("{book{title{Go}}{year{2015}}}", lt),
-	}
-}
-
-func TestPublicSelfJoinMethodsAgree(t *testing.T) {
-	ts := synth.Synthetic(80, 3)
-	for tau := 0; tau <= 3; tau++ {
-		ref, refStats := selfJoin(t, ts, tau, treejoin.WithMethod(treejoin.MethodBruteForce))
-		if refStats.Results != int64(len(ref)) {
-			t.Fatalf("stats mismatch")
-		}
-		for _, m := range []treejoin.Method{treejoin.MethodPartSJ, treejoin.MethodSTR, treejoin.MethodSET} {
-			got, _ := selfJoin(t, ts, tau, treejoin.WithMethod(m))
-			if len(got) != len(ref) {
-				t.Fatalf("τ=%d %v: %d pairs, oracle %d", tau, m, len(got), len(ref))
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("τ=%d %v: pair %d = %v, want %v", tau, m, i, got[i], ref[i])
-				}
-			}
-		}
-	}
-}
-
-func TestPublicJoinOptions(t *testing.T) {
-	ts := synth.Synthetic(60, 4)
-	ref, _ := selfJoin(t, ts, 2)
-	if got, _ := selfJoin(t, ts, 2, treejoin.WithWorkers(4)); len(got) != len(ref) {
-		t.Fatalf("WithWorkers(4) changed results: %d vs %d", len(got), len(ref))
 	}
 }
 
