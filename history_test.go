@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"iter"
 	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -29,7 +30,6 @@ import (
 	"treejoin"
 	"treejoin/internal/synth"
 	"treejoin/internal/ted"
-	"treejoin/internal/tree"
 )
 
 // opKind is what one step of a history does.
@@ -141,45 +141,20 @@ func withTiny(ts []*treejoin.Tree) []*treejoin.Tree {
 	return append(tiny, ts...)
 }
 
-// pool is a fixed list of trees with their pairwise distances: a label
-// multiset lower bound for every pair, and the exact distance, from
-// ZhangShasha, for the pairs some check needed.
+// pool is a fixed list of trees with their pairwise distances, from
+// ZhangShasha, memoised for the pairs some check needed.
 type pool struct {
 	trees []*treejoin.Tree
 	index map[*treejoin.Tree]int // back from a view's trees
-	lb    [][]int
 
 	mu   sync.Mutex
 	dist map[[2]int]int
 }
 
 func newPool(ts []*treejoin.Tree) *pool {
-	p := &pool{trees: ts, index: make(map[*treejoin.Tree]int), lb: make([][]int, len(ts)), dist: make(map[[2]int]int)}
-	labels := make([][]int32, len(ts))
+	p := &pool{trees: ts, index: make(map[*treejoin.Tree]int), dist: make(map[[2]int]int)}
 	for i, t := range ts {
 		p.index[t] = i
-		labels[i] = tree.LabelSeq(t, tree.Preorder(t))
-		slices.Sort(labels[i])
-	}
-	// TED ≥ max(|A|, |B|) − |A ∩ B| over the label multisets: each node of
-	// the larger tree costs an operation unless it maps to an equal label,
-	// and at most |A ∩ B| of them can.
-	for i := range ts {
-		p.lb[i] = make([]int, len(ts))
-		for j := range ts {
-			a, b, common := labels[i], labels[j], 0
-			for len(a) > 0 && len(b) > 0 {
-				switch {
-				case a[0] < b[0]:
-					a = a[1:]
-				case a[0] > b[0]:
-					b = b[1:]
-				default:
-					a, b, common = a[1:], b[1:], common+1
-				}
-			}
-			p.lb[i][j] = max(len(labels[i]), len(labels[j])) - common
-		}
 	}
 	return p
 }
@@ -199,41 +174,14 @@ func (p *pool) distance(a, b int) int {
 	return d
 }
 
-// nearest returns the k smallest of n items under less, where bound(i) is a
-// lower bound on item i's distance and exact(i) the item itself: items are
-// evaluated in ascending bound order until the next bound exceeds the k-th
-// best distance so far (multi-step k-NN).
-func nearest[T any](n, k int, bound func(i int) int, exact func(i int) T, dist func(T) int, less func(a, b T) int) []T {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(bound(a), bound(b)) })
-	var found []T
-	var best []int // the k smallest distances found, ascending
-	for _, i := range order {
-		if len(best) == k && bound(i) > best[k-1] {
-			break
-		}
-		x := exact(i)
-		found = append(found, x)
-		at, _ := slices.BinarySearch(best, dist(x))
-		if best = slices.Insert(best, at, dist(x)); len(best) > k {
-			best = best[:k]
-		}
-	}
-	slices.SortFunc(found, less)
-	return found[:min(k, len(found))]
-}
-
 // model is what a corpus must hold: its live trees as pool indexes, and
 // their ids, in position order.
 type model struct {
 	trees   []int
 	ids     []int
 	nextID  int
-	gone    int // an id no live tree has: the last one removed, or -1
-	version int // bumped by every mutation
+	removed []int // every id removed so far, none of which PosOf may find
+	version int   // bumped by every mutation
 }
 
 // join lists the pairs of live position i and others' j within tau of each
@@ -242,7 +190,8 @@ func (m *model) join(p *pool, others []int, self bool, tau int) []treejoin.Pair 
 	var out []treejoin.Pair
 	for i, a := range m.trees {
 		for j, b := range others {
-			if (!self || j > i) && p.lb[a][b] <= tau {
+			// Each edit operation changes the node count by at most one.
+			if (!self || j > i) && abs(p.trees[a].Size()-p.trees[b].Size()) <= tau {
 				if d := p.distance(a, b); d <= tau {
 					out = append(out, treejoin.Pair{I: i, J: j, Dist: d})
 				}
@@ -252,29 +201,21 @@ func (m *model) join(p *pool, others []int, self bool, tau int) []treejoin.Pair 
 	return out
 }
 
+func abs(x int) int { return max(x, -x) }
+
 func (m *model) topK(p *pool, k int) []treejoin.Pair {
-	var pairs [][2]int
-	for i := range m.trees {
-		for j := i + 1; j < len(m.trees); j++ {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	return nearest(len(pairs), k,
-		func(x int) int { return p.lb[m.trees[pairs[x][0]]][m.trees[pairs[x][1]]] },
-		func(x int) treejoin.Pair {
-			i, j := pairs[x][0], pairs[x][1]
-			return treejoin.Pair{I: i, J: j, Dist: p.distance(m.trees[i], m.trees[j])}
-		},
-		func(pr treejoin.Pair) int { return pr.Dist },
-		func(a, b treejoin.Pair) int { return cmp.Or(a.Dist-b.Dist, a.I-b.I, a.J-b.J) })
+	pairs := m.join(p, m.trees, true, math.MaxInt)
+	slices.SortFunc(pairs, func(a, b treejoin.Pair) int { return cmp.Or(a.Dist-b.Dist, a.I-b.I, a.J-b.J) })
+	return pairs[:min(k, len(pairs))]
 }
 
 func (m *model) knn(p *pool, q, k int) []treejoin.Match {
-	return nearest(len(m.trees), k,
-		func(i int) int { return p.lb[m.trees[i]][q] },
-		func(i int) treejoin.Match { return treejoin.Match{Pos: i, Dist: p.distance(m.trees[i], q)} },
-		func(x treejoin.Match) int { return x.Dist },
-		func(a, b treejoin.Match) int { return cmp.Or(a.Dist-b.Dist, a.Pos-b.Pos) })
+	ms := make([]treejoin.Match, len(m.trees))
+	for i, a := range m.trees {
+		ms[i] = treejoin.Match{Pos: i, Dist: p.distance(a, q)}
+	}
+	slices.SortFunc(ms, func(a, b treejoin.Match) int { return cmp.Or(a.Dist-b.Dist, a.Pos-b.Pos) })
+	return ms[:min(k, len(ms))]
 }
 
 // planVariant is one way to pin a join's plan; every one must give the
@@ -359,8 +300,9 @@ func (tl *tally) requireAll(t *testing.T) {
 type checker struct {
 	pool *pool
 	tl   *tally
-	// seen holds each join's (Candidates, Results) per membership version
-	// and query, at whatever worker count ran first; nil skips the check.
+	// seen holds each join's (Candidates, Results) per membership version,
+	// part count and query, at whatever worker count ran first; nil skips
+	// the check.
 	seen map[string][2]int64
 }
 
@@ -419,10 +361,10 @@ func (c *checker) join(op histOp, cp *treejoin.Corpus, m *model, feed []*treejoi
 	}
 	c.tl.note(kind+"/"+op.Method.String(), st.Source)
 	if c.seen != nil {
-		key := fmt.Sprintf("%d %v %v %d %s %d-%d", m.version, op.Kind, op.Method, op.Tau, v.name, op.Lo, op.N)
+		key := fmt.Sprintf("%d %d %v %v %d %s %d-%d/%d", m.version, cp.NumShards(), op.Kind, op.Method, op.Tau, v.name, op.Lo, op.N, op.Parts)
 		now := [2]int64{st.Candidates, st.Results}
 		if was, ok := c.seen[key]; ok && was != now {
-			return fmt.Errorf("%s: (candidates, results) = %v, %v at another worker count", name, now, was)
+			return fmt.Errorf("%s: (candidates, results) = %v, %v at another worker count on the same trees and parts", name, now, was)
 		}
 		c.seen[key] = now
 	}
@@ -520,7 +462,7 @@ type replayer struct {
 func replay(h history, base string, tl *tally) (err error) {
 	p := pools[h.Profile]()
 	r := &replayer{checker: checker{pool: p, tl: tl, seen: map[string][2]int64{}}, h: h, base: base, parts: h.Parts,
-		m: &model{nextID: h.Seeded, gone: -1}, mirror: map[treejoin.Pair]bool{}}
+		m: &model{nextID: h.Seeded}, mirror: map[treejoin.Pair]bool{}}
 	defer func() {
 		if e := recover(); e != nil {
 			err = fmt.Errorf("panic: %v\n%s", e, debug.Stack())
@@ -536,8 +478,13 @@ func replay(h history, base string, tl *tally) (err error) {
 		if err := r.step(op); err != nil {
 			return fmt.Errorf("op %d %#v: %w", i, op, err)
 		}
-		if err := r.checkIDs(); err != nil {
+		if err := checkIDs(r.cp, r.m, r.feed, r.parts, h.Store); err != nil {
 			return fmt.Errorf("after op %d %#v: %w", i, op, err)
+		}
+		if pin := r.pin; pin != nil {
+			if err := checkIDs(pin.cp, pin.m, pin.feed, pin.parts, h.Store); err != nil {
+				return fmt.Errorf("after op %d %#v, the pinned Snapshot: %w", i, op, err)
+			}
 		}
 	}
 	return nil
@@ -601,8 +548,12 @@ func (r *replayer) step(op histOp) (err error) {
 		for i, p := range at {
 			ids[i] = r.m.ids[p]
 		}
-		if n := r.cp.Remove(append(ids, r.m.gone)...); n != len(ids) {
-			return fmt.Errorf("Remove(%v and unknown %d) removed %d", ids, r.m.gone, n)
+		unknown := -1
+		if n := len(r.m.removed); n > 0 {
+			unknown = r.m.removed[n-1]
+		}
+		if n := r.cp.Remove(append(ids, unknown)...); n != len(ids) {
+			return fmt.Errorf("Remove(%v and unknown %d) removed %d", ids, unknown, n)
 		}
 		if !r.h.forgetRemoves {
 			for i := len(at) - 1; i >= 0; i-- {
@@ -613,7 +564,7 @@ func (r *replayer) step(op histOp) (err error) {
 			if !r.inc.Remove(id) {
 				return fmt.Errorf("Incremental.Remove(%d) found no live tree", id)
 			}
-			r.m.gone = id
+			r.m.removed = append(r.m.removed, id)
 		}
 		for _, p := range r.inc.Retracted() {
 			if !r.mirror[p] {
@@ -624,7 +575,7 @@ func (r *replayer) step(op histOp) (err error) {
 		r.m.version++
 	case opPin:
 		pin, m := *r, *r.m
-		m.trees, m.ids = slices.Clone(m.trees), slices.Clone(m.ids)
+		m.trees, m.ids, m.removed = slices.Clone(m.trees), slices.Clone(m.ids), slices.Clone(m.removed)
 		pin.cp, pin.m = r.cp.Snapshot(), &m
 		r.pin = &pin
 	case opReopen, opSave:
@@ -669,24 +620,32 @@ func (r *replayer) incAdd(k int) {
 	}
 }
 
-// checkIDs holds the corpus's membership to the model: its length and part
-// count, and at every position the tree and an id that ascends with position
-// and that PosOf maps back.
-func (r *replayer) checkIDs() error {
-	if r.cp.Len() != len(r.m.trees) || r.cp.NumShards() != r.parts {
-		return fmt.Errorf("%d trees on %d parts, the model %d on %d", r.cp.Len(), r.cp.NumShards(), len(r.m.trees), r.parts)
+// checkIDs holds cp's membership to the model: its length and part count; at
+// every position the model's tree in feed (the same pointer, or for a store,
+// whose trees come back decoded, the same bracket form) and an id that
+// ascends with position and that PosOf maps back; and no removed id PosOf
+// still finds.
+func checkIDs(cp *treejoin.Corpus, m *model, feed []*treejoin.Tree, parts int, store bool) error {
+	if cp.Len() != len(m.trees) || cp.NumShards() != parts {
+		return fmt.Errorf("%d trees on %d parts, the model %d on %d", cp.Len(), cp.NumShards(), len(m.trees), parts)
 	}
-	for p, id := range r.m.ids {
-		if r.cp.ID(p) != id || r.cp.Tree(p).Size() != r.pool.trees[r.m.trees[p]].Size() {
-			return fmt.Errorf("position %d holds id %d of size %d, the model id %d of size %d",
-				p, r.cp.ID(p), r.cp.Tree(p).Size(), id, r.pool.trees[r.m.trees[p]].Size())
+	for p, id := range m.ids {
+		got, want := cp.Tree(p), feed[m.trees[p]]
+		if got != want && (!store || treejoin.FormatBracket(got) != treejoin.FormatBracket(want)) {
+			return fmt.Errorf("position %d holds %s, the model pool tree %d, %s",
+				p, treejoin.FormatBracket(got), m.trees[p], treejoin.FormatBracket(want))
 		}
-		if q, ok := r.cp.PosOf(id); !ok || q != p || p > 0 && r.m.ids[p-1] >= id {
+		if cp.ID(p) != id {
+			return fmt.Errorf("position %d holds id %d, the model %d", p, cp.ID(p), id)
+		}
+		if q, ok := cp.PosOf(id); !ok || q != p || p > 0 && m.ids[p-1] >= id {
 			return fmt.Errorf("PosOf(%d) = %d, %v at position %d", id, q, ok, p)
 		}
 	}
-	if _, ok := r.cp.PosOf(r.m.gone); ok && !slices.Contains(r.m.ids, r.m.gone) {
-		return fmt.Errorf("PosOf finds removed id %d", r.m.gone)
+	for _, id := range m.removed {
+		if q, ok := cp.PosOf(id); ok {
+			return fmt.Errorf("PosOf finds removed id %d at position %d", id, q)
+		}
 	}
 	return nil
 }
@@ -830,10 +789,11 @@ func runHistories(t *testing.T, seed int64, n int, mx mix) *tally {
 	return tl
 }
 
-// runConcurrent runs h's mutations on one writer while two readers pin
-// Snapshots and run h's queries on them, each checked against the model of
-// the view's own trees. The writer makes one mutation per query a reader
-// finishes, so the readers see many epochs while the corpus moves on.
+// runConcurrent runs h's mutations on one writer while two readers run h's
+// queries on pinned Snapshots, each checked against the model of the view's
+// own trees; reader 0 runs every other query as a self join on the live
+// corpus instead (liveJoin). The writer makes one mutation per query a
+// reader finishes, so the readers see many epochs while the corpus moves on.
 func runConcurrent(h history, tl *tally) error {
 	p := pools[h.Profile]()
 	cp, err := treejoin.NewSharded(h.Parts, p.trees[:h.Seeded])
@@ -860,14 +820,15 @@ func runConcurrent(h history, tl *tally) error {
 		go func() {
 			defer wg.Done()
 			c := &checker{pool: p, tl: tl}
-			for i := r; ctx.Err() == nil; i += 2 {
-				view := cp.Snapshot()
-				m := &model{}
-				for k, t := range view.Trees() {
-					m.trees, m.ids = append(m.trees, p.index[t]), append(m.ids, view.ID(k))
+			for n := 0; ctx.Err() == nil; n++ {
+				var err error
+				if r == 0 && n%2 == 1 {
+					err = liveJoin(cp, histMethods[n/2%len(histMethods)])
+				} else {
+					err = c.view(cp.Snapshot(), h.Parts, queries[(2*n+r)%len(queries)])
 				}
-				if err := c.query(queries[i%len(queries)], view, m, p.trees); err != nil {
-					fail(fmt.Errorf("reader %d on a view of %d trees: %w", r, view.Len(), err))
+				if err != nil {
+					fail(fmt.Errorf("reader %d: %w", r, err))
 					return
 				}
 				select {
@@ -896,6 +857,43 @@ func runConcurrent(h history, tl *tally) error {
 	stop()
 	wg.Wait()
 	return first
+}
+
+// view runs op on a pinned Snapshot after holding the view's ids to ID/PosOf
+// (checkIDs, against the model of the view's own trees).
+func (c *checker) view(view *treejoin.Corpus, parts int, op histOp) error {
+	m := &model{}
+	for k, t := range view.Trees() {
+		m.trees, m.ids = append(m.trees, c.pool.index[t]), append(m.ids, view.ID(k))
+	}
+	if err := checkIDs(view, m, c.pool.trees, parts, false); err != nil {
+		return fmt.Errorf("a view of %d trees: %w", view.Len(), err)
+	}
+	if err := c.query(op, view, m, c.pool.trees); err != nil {
+		return fmt.Errorf("a view of %d trees: %w", view.Len(), err)
+	}
+	return nil
+}
+
+// liveJoin runs a τ=2 self join on the live corpus while the writer mutates
+// it. No model holds still for it, so its pairs need only index the state
+// the join ran on (Stats.Trees) within the threshold, and its Stats keep
+// their invariants.
+func liveJoin(cp *treejoin.Corpus, m treejoin.Method) error {
+	const tau = 2
+	pairs, st, err := cp.SelfJoin(context.Background(), tau, treejoin.WithMethod(m), treejoin.WithWorkers(2))
+	if err != nil {
+		return fmt.Errorf("live %v SelfJoin: %w", m, err)
+	}
+	for _, pr := range pairs {
+		if pr.I < 0 || pr.I >= pr.J || pr.J >= st.Trees || pr.Dist > tau {
+			return fmt.Errorf("live %v SelfJoin: pair %+v outside its state of %d trees", m, pr, st.Trees)
+		}
+	}
+	if err := statsInvariants(st, len(pairs), st.Trees); err != nil {
+		return fmt.Errorf("live %v SelfJoin: %w", m, err)
+	}
+	return nil
 }
 
 // pickTrees returns feed's trees at the given pool indexes.

@@ -1,6 +1,6 @@
 // Tests of the partition that are not histories: construction and query
-// validation, snapshot isolation, Stats across part counts and streaming
-// stops. The sharded oracles are entry points of history_test.go.
+// validation, Stats across part counts and streaming stops. The sharded
+// oracles and snapshot isolation are entry points of history_test.go.
 package treejoin_test
 
 import (
