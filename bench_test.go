@@ -398,19 +398,40 @@ func reportProbe(b *testing.B, st treejoin.Stats) {
 }
 
 // BenchmarkEngineCrossJoin — cross joins through the one engine loop, per
-// method (historically only PartSJ could run these at all).
+// method: cold, both corpora built on every op, and warm/<method>, both built
+// once, so that an op is the partner's trees probing the receiver's cached
+// index (build-ms/op 0) — with the probe's counters (reportProbe).
 func BenchmarkEngineCrossJoin(b *testing.B) {
 	ts := synth.Synthetic(400, 1)
 	a, c := ts[:200], ts[200:]
-	for _, m := range []treejoin.Method{
-		treejoin.MethodPartSJ, treejoin.MethodHistogram, treejoin.MethodPQGram,
-	} {
+	methods := []treejoin.Method{treejoin.MethodPartSJ, treejoin.MethodHistogram, treejoin.MethodPQGram}
+	for _, m := range methods {
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				crossJoin(b, a, c, 2, treejoin.WithMethod(m))
 			}
 		})
 	}
+	b.Run("warm", func(b *testing.B) {
+		for _, m := range methods {
+			b.Run(m.String(), func(b *testing.B) {
+				ca, cc := mustCorpus(b, a), mustCorpus(b, c)
+				opts := []treejoin.Option{treejoin.WithFixedPlan(), treejoin.WithMethod(m)}
+				if _, _, err := ca.Join(context.Background(), cc, 2, opts...); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				var st treejoin.Stats
+				for i := 0; i < b.N; i++ {
+					var err error
+					if _, st, err = ca.Join(context.Background(), cc, 2, opts...); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportProbe(b, st)
+			})
+		}
+	})
 }
 
 // BenchmarkSubtreeSearch — similarity search inside one large tree, with

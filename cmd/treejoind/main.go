@@ -374,7 +374,8 @@ func (s *server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJoin joins the corpus against trees uploaded in the request body;
-// pair i is a corpus id, pair j an index into the uploaded list.
+// pair i is a corpus id, pair j an index into the uploaded list. The corpus
+// is the receiver, so the uploaded trees probe its cached index.
 func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Trees []string `json:"trees"`

@@ -4,10 +4,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -165,6 +167,68 @@ func TestServeEndpoints(t *testing.T) {
 	resp7.Body.Close()
 	if stats.Trees != 31 || stats.Shards != 3 {
 		t.Fatalf("stats = %+v, want 31 trees on 3 shards", stats)
+	}
+}
+
+// TestServeJoin: /join on a two-shard server. A one-tree body answers
+// exactly /search's hits for that tree at the same τ, as (corpus id, 0,
+// dist); a three-tree body answers the in-process Corpus.Join of the uploaded
+// trees, with I mapped to corpus ids.
+func TestServeJoin(t *testing.T) {
+	srv, hs := testServer(t, 2, 8, 5*time.Second)
+	const tau = 6
+	specs := []string{treejoin.FormatBracket(srv.sc.Tree(3)), treejoin.FormatBracket(srv.sc.Tree(11)), "{0{1}{2{3}}}"}
+	join := func(specs []string) []wirePair {
+		t.Helper()
+		body, _ := json.Marshal(map[string]any{"trees": specs, "tau": tau})
+		resp, out := post(t, hs, "/join", string(body))
+		if resp.StatusCode != 200 {
+			t.Fatalf("join: status %d: %s", resp.StatusCode, out)
+		}
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		pairs := make([]wirePair, len(lines)-1)
+		for k, l := range lines[:len(lines)-1] {
+			if err := json.Unmarshal([]byte(l), &pairs[k]); err != nil {
+				t.Fatalf("pair line %q: %v", l, err)
+			}
+		}
+		return pairs
+	}
+
+	body, _ := json.Marshal(map[string]any{"query": specs[0], "tau": tau})
+	resp, out := post(t, hs, "/search", string(body))
+	var search struct {
+		Matches []wireMatch `json:"matches"`
+	}
+	if err := json.Unmarshal([]byte(out), &search); resp.StatusCode != 200 || err != nil || len(search.Matches) < 2 {
+		t.Fatalf("search: status %d, %d matches (err %v): %s", resp.StatusCode, len(search.Matches), err, out)
+	}
+	var want []wirePair
+	for _, m := range search.Matches {
+		want = append(want, wirePair{I: m.ID, J: 0, Dist: m.Dist})
+	}
+	if got := join(specs[:1]); !slices.Equal(got, want) {
+		t.Fatalf("a one-tree /join answered %v, /search %v", got, want)
+	}
+
+	ts, err := srv.parseTrees(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := treejoin.NewCorpus(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, _, err := srv.sc.Join(context.Background(), other, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = want[:0]
+	for _, p := range pairs {
+		want = append(want, wirePair{I: srv.sc.ID(p.I), J: p.J, Dist: p.Dist})
+	}
+	if got := join(specs); len(want) < 3 || !slices.Equal(got, want) {
+		t.Fatalf("a three-tree /join answered %v, Corpus.Join %v", got, want)
 	}
 }
 

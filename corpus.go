@@ -137,10 +137,10 @@ func (st *corpusState) indexAt(ctx context.Context, tau, workers int, owner *Cor
 	return ix, partBuilt || ran && len(st.parts) > 1, err
 }
 
-// tokenResolver is the token-index source's hook for a self join over the
-// state: its frozen index for (tokenizer, τ, C′), built by whichever join asks
-// first and shared by every later one (STR, EUL and PQG tokenise alike, so
-// they share), over the tokenizer's one ranking of the state's cached bags.
+// tokenResolver is the token-index source's hook for a join the state
+// receives: its frozen index for (tokenizer, τ, C′), built by whichever join
+// asks first and shared by every later one (STR, EUL and PQG tokenise alike,
+// so they share), over the tokenizer's one ranking of the state's cached bags.
 func (st *corpusState) tokenResolver(cache *engine.Cache, workers int) engine.TokenIndexResolver {
 	return func(ctx context.Context, tz engine.Tokenizer, tau, prefixC int) (*engine.PrefixIndex, bool) {
 		x, built, _ := st.tokens.Get(ctx, tokenIndexKey{tz.Name(), tau, prefixC}, func() *engine.PrefixIndex {
@@ -613,14 +613,14 @@ func (cp *Corpus) Remove(ids ...int) int {
 
 // joinQuery is one validated and planned join over pinned memberships: the
 // self join of a, or — with b set — the cross join of a against b. It runs
-// its method's plan (see WithFixedPlan) as one engine job over the whole
-// membership, probing each side's whole-membership index.
+// its method's plan as one engine job, probing a's whole-membership index
+// with a's trees or with b's.
 type joinQuery struct {
-	cp, other *Corpus // other owns b
-	c         config
-	a, b      *corpusState
-	job       engine.Job
-	cache     *engine.Cache
+	cp    *Corpus
+	c     config
+	a, b  *corpusState
+	job   engine.Job
+	cache *engine.Cache
 }
 
 // selfQuery validates, pins to st and plans the self join of cp at tau.
@@ -632,16 +632,16 @@ func (cp *Corpus) selfQuery(st *corpusState, tau int, c config) (*joinQuery, err
 // crossQuery validates a cross join against other, pins both corpora's
 // states (the join runs against exactly these memberships even when either
 // side mutates mid-run) and plans it: the same method plan a self join runs,
-// with both sides' token indexes built per run. The run's cache routes each
-// tree's artifacts to the corpus it is live in, so both sides warm their own
-// caches and neither retains (and pins) the other's trees; trees live in
-// neither — including trees either side has since removed — land in an
-// overflow that dies with the query.
+// probing the receiver's per-epoch index with other's trees. The run's cache
+// routes each tree's artifacts to the corpus it is live in, so both sides
+// warm their own caches and neither retains (and pins) the other's trees;
+// trees live in neither — including trees either side has since removed —
+// land in an overflow that dies with the query.
 func (cp *Corpus) crossQuery(other *Corpus, tau int, c config) (*joinQuery, error) {
 	if other == nil {
 		return nil, ErrNilCorpus
 	}
-	q := &joinQuery{cp: cp, other: other, c: c, a: cp.state.Load(), b: other.state.Load()}
+	q := &joinQuery{cp: cp, c: c, a: cp.state.Load(), b: other.state.Load()}
 	if q.a.lt != nil && q.b.lt != nil && q.a.lt != q.b.lt {
 		return nil, fmt.Errorf("%w (cross join)", ErrLabelTable)
 	}
@@ -655,10 +655,9 @@ func (cp *Corpus) crossQuery(other *Corpus, tau int, c config) (*joinQuery, erro
 	return q, q.plan(tau)
 }
 
-// plan assembles the query's pipeline and binds its candidate source to the
-// states' frozen indexes: PartSJ's through core.Options.Indexes, a signature
-// method on the token index to a's for a self join (a cross join builds both
-// sides per run).
+// plan assembles the query's pipeline and binds its candidate source to a's
+// frozen indexes: PartSJ's through core.Options.Indexes, a signature method's
+// token index through a's resolver.
 func (q *joinQuery) plan(tau int) error {
 	job, tz, err := q.c.pipelineChecked(tau)
 	if err != nil {
@@ -671,21 +670,16 @@ func (q *joinQuery) plan(tau int) error {
 		o := q.c.coreOptions(tau)
 		o.Indexes = q.indexes
 		q.job.Source = core.NewSource(o)
-	case q.job.Source != nil && q.b == nil:
+	case q.job.Source != nil:
 		q.job.Source = engine.TokenIndex(tz, q.a.tokenResolver(q.cache, q.c.workers))
 	}
 	return nil
 }
 
-// indexes is the core.Options.Indexes hook: side 0 is a's index, side 1 b's,
-// each where every other join at this epoch and threshold finds the same
-// instance.
-func (q *joinQuery) indexes(ctx context.Context, side, tau int) (*core.Index, bool) {
-	st, owner := q.a, q.cp
-	if side == 1 {
-		st, owner = q.b, q.other
-	}
-	ix, built, _ := st.indexAt(ctx, tau, q.c.workers, owner)
+// indexes is the core.Options.Indexes hook: a's index, where every other
+// join at this epoch and threshold finds the same instance.
+func (q *joinQuery) indexes(ctx context.Context, tau int) (*core.Index, bool) {
+	ix, built, _ := q.a.indexAt(ctx, tau, q.c.workers, q.cp)
 	return ix, built
 }
 
@@ -754,9 +748,10 @@ func (cp *Corpus) SelfJoinSeq(ctx context.Context, tau int, opts ...Option) (ite
 
 // Join reports every cross pair (a ∈ this corpus, b ∈ other) within
 // distance tau; Pair.I indexes into the receiver and Pair.J into other. The
-// corpora must share one LabelTable (validated). Each side's signatures and
-// PartSJ index are drawn from — and cached in — the corpus that owns it, so
-// repeated joins against the same partner warm up too.
+// corpora must share one LabelTable (validated). The receiver is the side
+// that gets indexed: every tree of other probes the receiver's per-epoch
+// index, the one its self joins probe, so nothing is built for other. Each
+// side's signatures are drawn from — and cached in — the corpus that owns it.
 func (cp *Corpus) Join(ctx context.Context, other *Corpus, tau int, opts ...Option) ([]Pair, Stats, error) {
 	q, err := cp.crossQuery(other, tau, buildConfig(opts))
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 	"treejoin/internal/synth"
 )
 
-func mustCorpus(t *testing.T, ts []*treejoin.Tree) *treejoin.Corpus {
+func mustCorpus(t testing.TB, ts []*treejoin.Tree) *treejoin.Corpus {
 	t.Helper()
 	cp, err := treejoin.NewCorpus(ts)
 	if err != nil {

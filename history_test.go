@@ -37,7 +37,7 @@ type opKind uint8
 
 const (
 	opAdd         opKind = iota // add pool trees Trees as one batch
-	opRemove                    // remove the trees at Picks (live positions, modulo the live count) and one unknown id
+	opRemove                    // remove a live copy of each pool tree in Picks and one unknown id
 	opPin                       // pin a Snapshot: later queries with Pinned set run on it
 	opReopen                    // Close the store, then OpenSharded it on Parts parts
 	opCompact                   // Compact the store
@@ -59,7 +59,7 @@ var kindNames = [numKinds]string{"opAdd", "opRemove", "opPin", "opReopen", "opCo
 type histOp struct {
 	Kind    opKind
 	Trees   []int // opAdd
-	Picks   []int // opRemove
+	Picks   []int // opRemove: pool indexes
 	Parts   int   // opReopen, opSave, opJoin
 	Method  treejoin.Method
 	Tau, K  int
@@ -203,6 +203,24 @@ func (m *model) join(p *pool, others []int, self bool, tau int) []treejoin.Pair 
 
 func abs(x int) int { return max(x, -x) }
 
+// positions returns, ascending, the live position of a copy of each pool tree
+// in picks — the first copy no earlier pick took — skipping picks no copy of
+// is live. A pick names a tree, not a position, so it removes the same tree
+// whatever a shrunk history dropped before it.
+func (m *model) positions(picks []int) []int {
+	var at []int
+	for _, k := range picks {
+		for p, t := range m.trees {
+			if t == k && !slices.Contains(at, p) {
+				at = append(at, p)
+				break
+			}
+		}
+	}
+	slices.Sort(at)
+	return at
+}
+
 func (m *model) topK(p *pool, k int) []treejoin.Pair {
 	pairs := m.join(p, m.trees, true, math.MaxInt)
 	slices.SortFunc(pairs, func(a, b treejoin.Pair) int { return cmp.Or(a.Dist-b.Dist, a.I-b.I, a.J-b.J) })
@@ -300,10 +318,21 @@ func (tl *tally) requireAll(t *testing.T) {
 type checker struct {
 	pool *pool
 	tl   *tally
-	// seen holds each join's (Candidates, Results) per membership version,
-	// part count and query, at whatever worker count ran first; nil skips
-	// the check.
-	seen map[string][2]int64
+	// seen holds each join's counts (workerInvariant) per membership
+	// version, part count and query, at whatever worker count ran first; nil
+	// skips the check.
+	seen map[string]string
+}
+
+// workerInvariant prints what a join's Stats must hold at every worker
+// count: candidates, results, the token index's postings read and partners
+// skipped by count, and every stage's offered and pruned pairs.
+func workerInvariant(st treejoin.Stats) string {
+	s := fmt.Sprintf("candidates %d, results %d, postings %d, skipped %d, stages", st.Candidates, st.Results, st.PostingsScanned, st.SkippedByCount)
+	for _, g := range st.Stages {
+		s += fmt.Sprintf(" %s %d/%d", g.Name, g.Pruned, g.In)
+	}
+	return s
 }
 
 func (c *checker) query(op histOp, cp *treejoin.Corpus, m *model, feed []*treejoin.Tree) error {
@@ -362,9 +391,9 @@ func (c *checker) join(op histOp, cp *treejoin.Corpus, m *model, feed []*treejoi
 	c.tl.note(kind+"/"+op.Method.String(), st.Source)
 	if c.seen != nil {
 		key := fmt.Sprintf("%d %d %v %v %d %s %d-%d/%d", m.version, cp.NumShards(), op.Kind, op.Method, op.Tau, v.name, op.Lo, op.N, op.Parts)
-		now := [2]int64{st.Candidates, st.Results}
+		now := workerInvariant(st)
 		if was, ok := c.seen[key]; ok && was != now {
-			return fmt.Errorf("%s: (candidates, results) = %v, %v at another worker count on the same trees and parts", name, now, was)
+			return fmt.Errorf("%s: %s; %s at another worker count on the same trees and parts", name, now, was)
 		}
 		c.seen[key] = now
 	}
@@ -414,8 +443,10 @@ func statsInvariants(st treejoin.Stats, results, trees int) error {
 	if st.Results != int64(results) || st.Trees != trees {
 		return fmt.Errorf("Stats.Results %d, Trees %d for %d pairs over %d trees", st.Results, st.Trees, results, trees)
 	}
-	if funnel := st.DPAvoided + st.Certified + st.StrategyLeft + st.StrategyRight; funnel != st.Candidates {
-		return fmt.Errorf("%d candidates, but the verify funnel sums to %d: %+v", st.Candidates, funnel, st)
+	if funnel := st.DPAvoided + st.Certified + st.StrategyLeft + st.StrategyRight; funnel != st.Candidates ||
+		st.SeqRejects > st.DPAvoided || st.Certified > st.Results {
+		return fmt.Errorf("%d candidates, but the verify funnel sums to %d (%d rejected with no DP, %d of them by the string screen; %d certified): %+v",
+			st.Candidates, funnel, st.DPAvoided, st.SeqRejects, st.Certified, st)
 	}
 	for k := 1; k < len(st.Stages); k++ {
 		if st.Stages[k].In != st.Stages[k-1].Out() {
@@ -461,7 +492,7 @@ type replayer struct {
 // replay runs h, returning the first disagreement with the model.
 func replay(h history, base string, tl *tally) (err error) {
 	p := pools[h.Profile]()
-	r := &replayer{checker: checker{pool: p, tl: tl, seen: map[string][2]int64{}}, h: h, base: base, parts: h.Parts,
+	r := &replayer{checker: checker{pool: p, tl: tl, seen: map[string]string{}}, h: h, base: base, parts: h.Parts,
 		m: &model{nextID: h.Seeded}, mirror: map[treejoin.Pair]bool{}}
 	defer func() {
 		if e := recover(); e != nil {
@@ -536,14 +567,7 @@ func (r *replayer) step(op histOp) (err error) {
 		}
 		r.m.version++
 	case opRemove:
-		var at []int
-		for _, pick := range op.Picks {
-			if len(r.m.trees) > 0 {
-				at = append(at, pick%len(r.m.trees))
-			}
-		}
-		slices.Sort(at)
-		at = slices.Compact(at)
+		at := r.m.positions(op.Picks)
 		ids := make([]int, len(at))
 		for i, p := range at {
 			ids[i] = r.m.ids[p]
@@ -694,7 +718,10 @@ func genHistory(seed int64, mx mix) history {
 	for _, w := range mx.weights {
 		total += w
 	}
-	live, joins := h.Seeded, [2]int{}
+	live, joins := make([]int, h.Seeded), [2]int{} // live: the pool indexes of the live trees
+	for i := range live {
+		live[i] = i
+	}
 	var last histOp
 	for len(h.Ops) < mx.steps {
 		x := rng.Intn(total)
@@ -707,12 +734,13 @@ func genHistory(seed int64, mx mix) history {
 			for range 1 + rng.Intn(4) {
 				op.Trees = append(op.Trees, rng.Intn(poolSize))
 			}
-			live += len(op.Trees)
+			live = append(live, op.Trees...)
 		case opRemove:
-			for range min(1+rng.Intn(4), live-10) {
-				op.Picks = append(op.Picks, rng.Intn(1<<10))
+			for range min(1+rng.Intn(4), len(live)-10) {
+				i := rng.Intn(len(live))
+				op.Picks = append(op.Picks, live[i])
+				live = slices.Delete(live, i, i+1)
 			}
-			live -= len(op.Picks)
 		case opReopen, opSave:
 			op.Parts = pick(histParts)
 		case opSelfJoin, opJoin:
@@ -847,8 +875,12 @@ func runConcurrent(h history, tl *tally) error {
 		case <-ctx.Done():
 		}
 		if op.Kind == opRemove {
-			for _, pick := range op.Picks {
-				cp.Remove(cp.ID(pick % cp.Len()))
+			view := &model{}
+			for k, t := range cp.Trees() {
+				view.trees, view.ids = append(view.trees, p.index[t]), append(view.ids, cp.ID(k))
+			}
+			for _, at := range view.positions(op.Picks) {
+				cp.Remove(view.ids[at])
 			}
 		} else if _, err := cp.Add(pickTrees(p.trees, op.Trees)...); err != nil {
 			fail(err)

@@ -149,7 +149,7 @@ func BenchmarkSelfJoinWorkers(b *testing.B) {
 			shared := NewIndexCached(ts, opts, cache)
 			for _, mode := range []string{"cold-index", "warm-index"} {
 				if mode == "warm-index" {
-					opts.Indexes = func(context.Context, int, int) (*Index, bool) { return shared, false }
+					opts.Indexes = func(context.Context, int) (*Index, bool) { return shared, false }
 				}
 				job := opts.Job(nil)
 				job.Cache = cache

@@ -483,7 +483,7 @@ func probeKeys(b *lcrs.Bin, n int32, keys *[4]twig) int {
 }
 
 // noTieLimit is the tie of the partners callers that admit every tree of
-// the largest size (Search, Incremental).
+// the largest size (cross joins, Search, Incremental).
 const noTieLimit = math.MaxInt32
 
 // probe visits the index entries that are twig- and position-compatible with

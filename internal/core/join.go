@@ -26,15 +26,16 @@ type Options struct {
 	// verification. 1 runs sequentially; values below 1 ("unset") are
 	// normalized to runtime.GOMAXPROCS(0).
 	Workers int
-	// Indexes, when non-nil, resolves the shared frozen index of one side of
-	// a join (0: the collection of a self join or side A of a cross join, 1:
-	// side B) at threshold tau and the options' position mode — a corpus's
-	// per-epoch index, composed from the indexes Search and KNN probe. built
-	// reports that this call paid for the build. The source probes the index
-	// only if it covers exactly that side's trees and builds a private one
-	// otherwise (nil included), so a stale or foreign index can never produce
-	// wrong candidates. Ignored under RandomPartition and by Incremental.
-	Indexes func(ctx context.Context, side, tau int) (ix *Index, built bool)
+	// Indexes, when non-nil, resolves the shared frozen index of the join's
+	// indexed side (a self join's collection, a cross join's receiver A,
+	// which B's trees probe) at threshold tau and the options' position mode
+	// — a corpus's per-epoch index, composed from the indexes Search and KNN
+	// probe. built reports that this call paid for the build. The source
+	// probes the index only if it covers exactly those trees and builds a
+	// private one otherwise (nil included), so a stale or foreign index can
+	// never produce wrong candidates. Ignored under RandomPartition and by
+	// Incremental.
+	Indexes func(ctx context.Context, tau int) (ix *Index, built bool)
 }
 
 func (o Options) delta() int { return 2*o.Tau + 1 }
@@ -42,8 +43,9 @@ func (o Options) delta() int { return 2*o.Tau + 1 }
 // Job assembles the engine job for a PartSJ execution (Algorithm 1): the
 // inverted subgraph index as the candidate source, with prefilters (if any)
 // ahead of it. Its SelfJoin reports every pair of trees with TED ≤ o.Tau, its
-// Join every cross pair, each tree probing the opposite side's index so the
-// Lemma 2 filter applies to cross pairs exactly as to self pairs. Trees
+// Join every cross pair, each tree of the second side probing the first
+// side's index so the Lemma 2 filter applies to cross pairs exactly as to
+// self pairs. Trees
 // smaller than δ = 2τ+1 nodes cannot be δ-partitioned (a δ-partitioning needs
 // 2τ distinct edges); the paper does not discuss them. They are kept in a side
 // list and paired by direct verification, which is cheap precisely because

@@ -20,7 +20,9 @@ import (
 // join ran it before build-then-probe: one pass over the size order, each tree
 // probing an index that holds exactly the trees before it and then joining
 // it. It is kept as the oracle of the frozen-index source: same candidates,
-// same counters.
+// same counters. Its cross join is the one-sided reference: every tree of A
+// inserted, then each tree of B probing that index over its two-sided size
+// window.
 
 // loopOracle holds the loop's state; see run.
 type loopOracle struct {
@@ -39,61 +41,61 @@ type loopOracle struct {
 	stats sim.Stats
 }
 
-// run is the probe/insert loop over the ascending-size order: a tree probes
-// the opposite side's index and is inserted into its own, so with one side
-// every preceding pair is offered and with two sides only cross pairs are.
+// run is the probe/insert loop over the ascending-size order of a self join,
+// or A's inserts and then B's probes of a cross join.
 func (j *loopOracle) run() {
 	n := len(j.ts)
 	j.bins, j.state, j.gen, j.cands = make([]*lcrs.Bin, n), make([]int64, n), 1, make(map[[2]int]int)
-	nSides := 1
-	if j.split >= 0 {
-		nSides = 2
-	}
-	ixes, smalls := make([]*invIndex, nSides), make([][]int, nSides)
-	for i := range ixes {
-		ixes[i] = newInvIndex(j.opts.Tau, j.opts.Position)
-	}
-	for _, ti := range sim.SizeOrder(j.ts) {
-		s := 0
-		if j.split >= 0 && ti >= j.split {
-			s = 1
-		}
-		j.bins[ti] = lcrs.Build(j.ts[ti])
-		probe := (nSides - 1) - s*(nSides-1) // 0 for self joins, 1-s for cross
-		j.probeAndCollect(ti, ixes[probe], smalls[probe])
-		// Algorithm 1 lines 13–16: partition the tree and add its subgraphs,
-		// or record it as a small tree.
+	ix := newInvIndex(j.opts.Tau, j.opts.Position)
+	var smalls []int
+	// Algorithm 1 lines 13–16: partition the tree and add its subgraphs, or
+	// record it as a small tree.
+	insert := func(ti int) {
 		if j.ts[ti].Size() >= j.opts.delta() {
-			ixes[s].insert(ti, compute(j.bins[ti], j.opts.delta(), &j.st))
+			ix.insert(ti, compute(j.bins[ti], j.opts.delta(), &j.st))
 		} else {
-			smalls[s] = append(smalls[s], ti)
+			smalls = append(smalls, ti)
 		}
 	}
-	for _, ix := range ixes {
-		j.stats.IndexedSubgraphs += ix.n
+	if j.split < 0 {
+		for _, ti := range sim.SizeOrder(j.ts) {
+			j.bins[ti] = lcrs.Build(j.ts[ti])
+			j.probeAndCollect(ti, ix, smalls, j.ts[ti].Size())
+			insert(ti)
+		}
+	} else {
+		for ti := range j.split {
+			j.bins[ti] = lcrs.Build(j.ts[ti])
+			insert(ti)
+		}
+		for ti := j.split; ti < n; ti++ {
+			j.bins[ti] = lcrs.Build(j.ts[ti])
+			j.probeAndCollect(ti, ix, smalls, j.ts[ti].Size()+j.opts.Tau)
+		}
 	}
+	j.stats.IndexedSubgraphs += ix.n
 }
 
 func (j *loopOracle) screen(a, b int) bool { return j.keep == nil || j.keep(a, b) }
 
 func (j *loopOracle) emit(a, b int) { j.cands[[2]int{min(a, b), max(a, b)}]++ }
 
-// probeAndCollect gathers the candidate partners of tree ti among the trees
-// already inserted into ix and smalls (Algorithm 1 lines 5–10). Pairs pass
-// the filter chain before any subgraph-match test.
-func (j *loopOracle) probeAndCollect(ti int, ix *invIndex, smalls []int) {
+// probeAndCollect gathers the candidate partners of tree ti of sizes up to hi
+// among the trees already inserted into ix and smalls (Algorithm 1 lines
+// 5–10). Pairs pass the filter chain before any subgraph-match test.
+func (j *loopOracle) probeAndCollect(ti int, ix *invIndex, smalls []int, hi int) {
 	b, sz := j.bins[ti], j.ts[ti].Size()
 	gen := j.gen
 	j.gen++
 	// Small-tree fallback: trees below δ nodes were never indexed.
 	for _, other := range smalls {
-		if j.ts[other].Size() >= sz-j.opts.Tau && j.screen(ti, other) {
+		if so := j.ts[other].Size(); so >= sz-j.opts.Tau && so <= hi && j.screen(ti, other) {
 			j.stats.SmallTreeFallback++
 			j.emit(ti, other)
 		}
 	}
 	for _, n := range b.Order {
-		j.stats.SubgraphProbes += ix.probe(b, n, max(sz-j.opts.Tau, 1), sz, noTieLimit, func(e posting) {
+		j.stats.SubgraphProbes += ix.probe(b, n, max(sz-j.opts.Tau, 1), hi, noTieLimit, func(e posting) {
 			switch st := j.state[e.tree]; {
 			case st>>2 != gen:
 				if !j.screen(ti, int(e.tree)) {
@@ -134,7 +136,8 @@ func clusteredTrees(rng *rand.Rand, n int, lt *tree.LabelTable) []*tree.Tree {
 }
 
 // TestProbesAgreeWithSequentialLoop: over random collections, every
-// threshold 0..4, every position mode, self and cross joins, with and
+// threshold 0..4, every position mode, self and cross joins (against the
+// one-sided reference), with and
 // without a HIST prefilter, on 1, 2 and 8 workers (and more probe chunks than
 // that), the frozen-index source hands the verifier the candidate multiset
 // the sequential loop produces, and reports its four index counters and its
@@ -174,22 +177,23 @@ func TestProbesAgreeWithSequentialLoop(t *testing.T) {
 					want.run()
 
 					// One resolver for all worker counts: the first run builds
-					// each side's index, the rest must find and accept it.
-					shared := map[int]*Index{}
+					// the indexed side's index, the rest must find and accept
+					// it.
+					var shared *Index
 					builds := 0
-					opts.Indexes = func(_ context.Context, side, tau int) (*Index, bool) {
-						if x := shared[side]; x != nil {
-							return x, false
+					opts.Indexes = func(_ context.Context, tau int) (*Index, bool) {
+						if shared != nil {
+							return shared, false
 						}
-						side0 := ts
+						indexed := ts
 						if split >= 0 {
-							side0 = [][]*tree.Tree{ts[:split], ts[split:]}[side]
+							indexed = ts[:split]
 						}
 						o := opts
 						o.Workers = 2
-						shared[side] = NewIndexCached(side0, o, nil)
+						shared = NewIndexCached(indexed, o, nil)
 						builds++
-						return shared[side], true
+						return shared, true
 					}
 					for _, workers := range []int{1, 2, 8} {
 						name := fmt.Sprintf("iter %d split %d τ=%d %v hist=%v workers=%d", iter, split, tau, mode, hist, workers)
@@ -224,8 +228,8 @@ func TestProbesAgreeWithSequentialLoop(t *testing.T) {
 							t.Fatalf("%s: IndexBuildTime %v; only the first run builds", name, st.IndexBuildTime)
 						}
 					}
-					if sides := len(shared); builds != sides {
-						t.Fatalf("iter %d: %d index builds for %d sides", iter, builds, sides)
+					if builds != 1 {
+						t.Fatalf("iter %d: %d index builds", iter, builds)
 					}
 				}
 			}
@@ -245,7 +249,7 @@ func TestForeignIndexIsNotProbed(t *testing.T) {
 		"other threshold": NewIndexCached(ts, Options{Tau: 1}, nil),
 		"other mode":      NewIndexCached(ts, Options{Tau: 2, Position: PositionOff}, nil),
 	} {
-		opts := Options{Tau: 2, Indexes: func(context.Context, int, int) (*Index, bool) { return foreign, false }}
+		opts := Options{Tau: 2, Indexes: func(context.Context, int) (*Index, bool) { return foreign, false }}
 		got, st := opts.Job(nil).SelfJoin(ts)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: a foreign index changed the result", name)

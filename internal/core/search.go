@@ -137,15 +137,6 @@ func (x *Index) covers(ts []*tree.Tree, o Options) bool {
 	return x.opts.Tau == o.Tau && x.opts.Position == o.Position && slices.Equal(ts, x.ts)
 }
 
-// Len returns the collection size.
-func (x *Index) Len() int { return len(x.ts) }
-
-// Tree returns the i-th collection tree.
-func (x *Index) Tree(i int) *tree.Tree { return x.ts[i] }
-
-// Tau returns the threshold the index was built for.
-func (x *Index) Tau() int { return x.opts.Tau }
-
 // Search returns the collection trees within TED τ of q, in ascending
 // collection order, verifying as the index's options say.
 func (x *Index) Search(q *tree.Tree) []Match {
@@ -218,10 +209,10 @@ const (
 // lines 5–10): the trees too small to partition, and those with a subgraph
 // that matches at a node of b (Lemma 2). Each is offered to screen (nil keeps
 // all) once, before any of its match tests, and a survivor goes to emit once.
-// It is the only walk of the index for a probe tree. The join's probe passes
-// hi = |b| and its own number as tie: Algorithm 1 offers a probe the trees
-// before it in the (size, number) order, what the on-the-fly index held at
-// that moment. Search and Incremental.Add pass hi = |b|+τ and noTieLimit.
+// It is the only walk of the index for a probe tree. A self join's probe
+// passes hi = |b| and its own number as tie: the trees before it in the
+// (size, number) order, what Algorithm 1's on-the-fly index held then. Cross
+// joins, Search and Incremental.Add pass hi = |b|+τ and noTieLimit.
 // The context is checked every searchCtxStride probe nodes; a cancelled probe
 // returns ctx's error.
 func (x *Index) partners(ctx context.Context, b *lcrs.Bin, hi int, tie int32, stats *sim.Stats, screen func(int32) bool, emit func(int32)) error {

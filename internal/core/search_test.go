@@ -103,7 +103,4 @@ func TestSearchTinyTreesAndEmpty(t *testing.T) {
 	if len(got) != 2 || got[0].Pos != 0 || got[1].Pos != 1 {
 		t.Fatalf("search = %v", got)
 	}
-	if ix.Len() != 3 || ix.Tree(2) != ts[2] {
-		t.Fatal("accessors wrong")
-	}
 }

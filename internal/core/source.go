@@ -16,21 +16,19 @@ import (
 // loop one task and the index a by-product thrown away with the run. Here the
 // index over a collection is built once, frozen, and shared (a corpus keeps
 // it per epoch and threshold, for Search and KNN as much as for joins; see
-// Options.Indexes), and the size order is cut into contiguous chunks that
-// probe it from every worker at once. A probe at order position k admits a
-// posting only if its tree comes before k in the order (Index.partners'
-// tie), so each probe sees precisely the postings the on-the-fly index
-// held when Algorithm 1 reached it: candidates and the probe, match-test,
-// match-hit and indexed-subgraph counters are those of the sequential loop,
-// whatever the chunking. (The loop itself survives in the tests, as the
-// oracle.)
+// Options.Indexes), and the probing trees are cut into contiguous chunks that
+// probe it from every worker at once. A self join's probe at order position k
+// admits a posting only if its tree comes before k in the order
+// (Collection.Bound's tie), so each probe sees precisely the postings the
+// on-the-fly index held when Algorithm 1 reached it: candidates and the
+// probe, match-test, match-hit and indexed-subgraph counters are those of the
+// sequential loop, whatever the chunking. (The loop itself survives in the
+// tests, as the oracle.)
 //
-// A cross join probes each side against the other side's index. In the
-// combined collection A ++ B the order is by (size, combined number), so a
-// B-tree follows every A-tree of its own size and an A-tree precedes every
-// B-tree of its size: B probes A's index with ties admitted, A probes B's
-// with ties refused, and B's local tree numbers are offset by |A| on the way
-// out. Only cross pairs are ever offered.
+// A cross join indexes its receiver A alone and builds nothing for the
+// partner B: Lemma 2 holds whichever tree is partitioned, so every tree of B
+// probes A's index over its two-sided size window [|T|−τ, |T|+τ], ties
+// admitted — the probe Search runs for one query tree.
 //
 // Prefilters chained in front of this source run before the subgraph-match
 // tests: the first time a probe encounters an indexed tree, the pair goes
@@ -47,80 +45,70 @@ type partSJSource struct{ opts Options }
 
 func (s partSJSource) Name() string { return "partsj" }
 
-// Tasks cuts the size order into contiguous probe chunks of about equal node
+// Tasks cuts the probing trees into contiguous chunks of about equal node
 // counts (engine.ProbeChunks).
 func (s partSJSource) Tasks(c *engine.Collection) []engine.Task {
 	run := &probeRun{c: c, opts: s.opts}
 	return engine.ProbeChunks(c, func(ti int) int { return c.Trees[ti].Size() }, run.probe)
 }
 
-// probeRun is what the probe tasks of one join share: the frozen index of
-// each side, resolved by whichever task runs first.
+// probeRun is what the probe tasks of one join share: the frozen index of the
+// indexed side, resolved by whichever task runs first.
 type probeRun struct {
 	c    *engine.Collection
 	opts Options
 	once sync.Once
-	ixs  [2]*Index // [0]: the collection's (self join) or side A's; [1]: side B's
+	ix   *Index
 }
 
-// resolve fetches each side's index from the resolver, or builds a private
-// one on the run's workers when there is no resolver, the resolver's index
-// is not over exactly this side's trees, or the partitioning is the seeded
-// random ablation (whose output is the run's own). It leaves ixs empty when
-// the run is cancelled first.
+// resolve fetches the indexed side's index from the resolver, or builds a
+// private one on the run's workers when there is no resolver, the resolver's
+// index is not over exactly those trees, or the partitioning is the seeded
+// random ablation (whose output is the run's own). It leaves ix nil when the
+// run is cancelled first.
 func (r *probeRun) resolve(stats *sim.Stats) {
-	c := r.c
-	sides := [][]*tree.Tree{c.Trees}
-	if c.Cross() {
-		sides = [][]*tree.Tree{c.Trees[:c.Split], c.Trees[c.Split:]}
+	c, ts := r.c, r.c.Indexed()
+	var x *Index
+	built := false
+	if r.opts.Indexes != nil && !r.opts.RandomPartition {
+		if x, built = r.opts.Indexes(c.Context(), r.opts.Tau); x != nil && !x.covers(ts, r.opts) {
+			x, built = nil, false
+		}
 	}
-	var ixs [2]*Index
-	for s, ts := range sides {
-		var x *Index
-		built := false
-		if r.opts.Indexes != nil && !r.opts.RandomPartition {
-			if x, built = r.opts.Indexes(c.Context(), s, r.opts.Tau); x != nil && !x.covers(ts, r.opts) {
-				x, built = nil, false
-			}
+	if x == nil {
+		if c.Cancelled() {
+			return
 		}
-		if x == nil {
-			if c.Cancelled() {
-				return
-			}
-			o := r.opts
-			o.Workers = c.Workers
-			x, built = NewIndexCached(ts, o, c.Cache()), true
-		}
-		if built {
-			stats.IndexBuildTime += x.built
-			stats.PartitionTime += x.built
-		}
-		stats.IndexedSubgraphs += x.ix.n
-		ixs[s] = x
+		o := r.opts
+		o.Workers = c.Workers
+		x, built = NewIndexCached(ts, o, c.Cache()), true
 	}
-	r.ixs = ixs
+	if built {
+		stats.IndexBuildTime += x.built
+		stats.PartitionTime += x.built
+	}
+	stats.IndexedSubgraphs += x.ix.n
+	r.ix = x
 }
 
-// probe gathers, for each tree at order positions [lo, hi), its candidate
-// partners among the trees before it (Index.partners), the filter chain
-// screening each pair before any subgraph-match test.
+// probe gathers, for each probing tree at positions [lo, hi) of Probes, its
+// candidate partners in the index up to the collection's Bound
+// (Index.partners), the filter chain screening each pair before any
+// subgraph-match test.
 func (r *probeRun) probe(px *engine.Pipeline, lo, hi int) {
 	stats := px.Stats()
 	r.once.Do(func() { r.resolve(stats) })
-	if r.ixs[0] == nil {
+	if r.ix == nil {
 		return
 	}
 	start := time.Now()
 	c := r.c
-	for _, ti := range c.Order[lo:hi] {
-		x, off := r.ixs[0], 0 // the index to probe, and where its trees start in c.Trees
-		if c.Cross() && ti < c.Split {
-			x, off = r.ixs[1], c.Split
-		}
+	for _, ti := range c.Probes[lo:hi] {
+		top, tie := c.Bound(ti)
 		b := cachedBin(c.Cache(), c.Trees[ti])
-		if x.partners(c.Context(), b, b.Size(), int32(ti-off), stats,
-			func(j int32) bool { return px.Screen(ti, int(j)+off) },
-			func(j int32) { px.Emit(ti, int(j)+off) }) != nil {
+		if r.ix.partners(c.Context(), b, top, int32(tie), stats,
+			func(j int32) bool { return px.Screen(ti, int(j)) },
+			func(j int32) { px.Emit(ti, int(j)) }) != nil {
 			break
 		}
 	}

@@ -23,8 +23,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"treejoin/internal/sim"
@@ -33,20 +36,22 @@ import (
 )
 
 // Collection is the engine's view of the trees being joined: the combined
-// collection (A followed by B for cross joins), the TED threshold, and the
-// ascending-size processing order of Algorithm 1. It is immutable during a
-// run and shared by all tasks.
+// collection, the TED threshold, the indexed side's ascending-size order
+// (Algorithm 1's processing order) and the trees that probe it — a self
+// join's collection is both, a cross join's receiver A is indexed and probed
+// by every tree of B. It is immutable during a run and shared by all tasks.
 type Collection struct {
 	// Trees is the combined collection. For a cross join it is A ++ B; for a
 	// self join it is the collection itself.
 	Trees []*tree.Tree
-	// Split is len(A) for cross joins and -1 for self joins. In a cross join
-	// only pairs straddling the boundary are candidates.
-	Split int
 	// Tau is the TED threshold τ ≥ 0.
 	Tau int
-	// Order holds tree indices sorted by ascending size (ties by index).
+	// Order holds the indexed side's tree indices sorted by ascending size
+	// (ties by index).
 	Order []int
+	// Probes holds the probing trees: Order itself for a self join, B's
+	// trees by ascending size for a cross join.
+	Probes []int
 	// Workers is the worker-pool width the job runs with (≥ 1, normalized
 	// from Job.Workers: unset or negative counts become GOMAXPROCS).
 	// Sources that can decompose candidate generation cheaply use it as
@@ -79,23 +84,30 @@ func (c *Collection) Context() context.Context { return c.ctx }
 // least lets concurrent tasks of the same join share per-tree artifacts.
 func (c *Collection) Cache() *Cache { return c.cache }
 
-// Cross reports whether the collection is the union of two sides.
-func (c *Collection) Cross() bool { return c.Split >= 0 }
+// Indexed returns the indexed side's trees: Trees[:len(Order)].
+func (c *Collection) Indexed() []*tree.Tree { return c.Trees[:len(c.Order)] }
 
-// SameSide reports whether combined indices i and j belong to the same side
-// of a cross join (always false for self joins, where every pair qualifies).
-func (c *Collection) SameSide(i, j int) bool {
-	if !c.Cross() {
-		return false
+// Bound returns the top of probe tree ti's size window: partners of at most
+// hi nodes, of exactly hi only those indexed below tie. A probe from the
+// indexed side (a self join's) meets the trees before it in Order, what
+// Algorithm 1's on-the-fly index held on reaching it; one from B every tree
+// of A up to τ larger.
+func (c *Collection) Bound(ti int) (hi, tie int) {
+	if ti < len(c.Order) {
+		return c.Trees[ti].Size(), ti
 	}
-	return (i < c.Split) == (j < c.Split)
+	return c.Trees[ti].Size() + c.Tau, math.MaxInt32
 }
 
-// WindowStart returns the first position in Order whose tree size is at
-// least sz − τ: the start of the size window a probe of size sz must scan.
-func (c *Collection) WindowStart(sz int) int {
-	min := sz - c.Tau
-	return sort.SearchInts(c.sizes, min)
+// Window returns the positions [lo, hi) of Order that hold probe tree ti's
+// partners: from the first tree of at least |ti| − τ nodes up to Bound.
+func (c *Collection) Window(ti int) (lo, hi int) {
+	top, tie := c.Bound(ti)
+	lo = sort.SearchInts(c.sizes, c.Trees[ti].Size()-c.Tau)
+	hi = lo + sort.Search(len(c.Order)-lo, func(k int) bool {
+		return c.sizes[lo+k] > top || c.sizes[lo+k] == top && c.Order[lo+k] >= tie
+	})
+	return lo, hi
 }
 
 func newCollection(ctx context.Context, ts []*tree.Tree, split, tau, workers int, cache *Cache) *Collection {
@@ -103,11 +115,21 @@ func newCollection(ctx context.Context, ts []*tree.Tree, split, tau, workers int
 	if cache == nil {
 		cache = NewCache()
 	}
-	c := &Collection{Trees: ts, Split: split, Tau: tau, Workers: workers, ctx: ctx, cache: cache, counters: new(ted.Counters)}
-	c.Order = sim.SizeOrder(ts)
+	c := &Collection{Trees: ts, Tau: tau, Workers: workers, ctx: ctx, cache: cache, counters: new(ted.Counters)}
+	n := len(ts)
+	if split >= 0 {
+		n = split
+	}
+	c.Order, c.Probes = sim.SizeOrder(ts[:n]), sim.SizeOrder(ts[n:])
 	c.sizes = make([]int, len(c.Order))
 	for p, ti := range c.Order {
 		c.sizes[p] = ts[ti].Size()
+	}
+	for k := range c.Probes {
+		c.Probes[k] += n
+	}
+	if split < 0 {
+		c.Probes = c.Order
 	}
 	return c
 }
@@ -321,11 +343,12 @@ func (job Job) SelfJoin(ts []*tree.Tree) ([]sim.Pair, *sim.Stats) {
 }
 
 // Join runs the job as a cross join: every pair (a ∈ A, b ∈ B) within Tau,
-// with Pair.I indexing into a and Pair.J into b. Both collections must share
-// one label table. Like SelfJoin, it is the uncancellable materialising form
-// of StreamJoin and panics on a negative threshold.
+// with Pair.I indexing into a and Pair.J into b; a is the indexed side, which
+// every tree of b probes. Both collections must share one label table. Like
+// SelfJoin, it is the uncancellable materialising form of StreamJoin and
+// panics on a negative threshold.
 func (job Job) Join(a, b []*tree.Tree) ([]sim.Pair, *sim.Stats) {
-	return job.collect(context.Background(), combined(a, b), len(a))
+	return job.collect(context.Background(), slices.Concat(a, b), len(a))
 }
 
 // StreamSelf runs the job over one collection, handing each result pair to
@@ -341,14 +364,7 @@ func (job Job) StreamSelf(ctx context.Context, ts []*tree.Tree, sink sim.EmitFun
 // StreamJoin is StreamSelf for a cross join of two collections; Pair.I
 // indexes into a and Pair.J into b.
 func (job Job) StreamJoin(ctx context.Context, a, b []*tree.Tree, sink sim.EmitFunc) (*sim.Stats, error) {
-	return job.stream(ctx, combined(a, b), len(a), sink)
-}
-
-func combined(a, b []*tree.Tree) []*tree.Tree {
-	ts := make([]*tree.Tree, 0, len(a)+len(b))
-	ts = append(ts, a...)
-	ts = append(ts, b...)
-	return ts
+	return job.stream(ctx, slices.Concat(a, b), len(a), sink)
 }
 
 // collect materialises a stream into the canonical sorted slice; a
@@ -491,25 +507,25 @@ const inlineFlushChunk = 4096
 // not leave one worker probing alone.
 const probeTasksPerWorker = 4
 
-// ProbeChunks decomposes a build-then-probe source: it cuts the size order
-// into contiguous chunks of about equal total weight (weight(ti) > 0 stands
-// for what probing tree ti costs) — several per worker, one for a sequential
-// job — and returns one task per chunk, running probe over the order positions
-// [lo, hi).
+// ProbeChunks decomposes a build-then-probe source: it cuts the probing trees
+// (Probes) into contiguous chunks of about equal total weight (weight(ti) > 0
+// stands for what probing tree ti costs) — several per worker, one for a
+// sequential job — and returns one task per chunk, running probe over the
+// positions [lo, hi) of Probes.
 func ProbeChunks(c *Collection, weight func(ti int) int, probe func(px *Pipeline, lo, hi int)) []Task {
-	n := len(c.Order)
+	n := len(c.Probes)
 	chunks := 1
 	if c.Workers > 1 {
 		chunks = probeTasksPerWorker * c.Workers
 	}
 	chunks = min(chunks, n)
 	total := 0
-	for _, ti := range c.Order {
+	for _, ti := range c.Probes {
 		total += weight(ti)
 	}
 	tasks := make([]Task, 0, chunks)
 	lo, sum := 0, 0
-	for k, ti := range c.Order {
+	for k, ti := range c.Probes {
 		sum += weight(ti)
 		// Close a chunk once it has its share of the weight, or when the trees
 		// left are only enough for one each in the chunks still to come.
@@ -522,36 +538,23 @@ func ProbeChunks(c *Collection, weight func(ti int) int, probe func(px *Pipeline
 	return tasks
 }
 
-// runTasks executes the tasks on a pool of at most workers goroutines; one
-// task (or one worker) runs inline.
+// runTasks executes the tasks on a pool of at most workers goroutines, each
+// pulling the next task until none is left; one task (or one worker) runs
+// inline.
 func runTasks(tasks []Task, pipes []*Pipeline, workers int) {
-	if len(tasks) == 0 {
-		return
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 || len(tasks) == 1 {
+	if workers <= 1 || len(tasks) <= 1 {
 		for i, t := range tasks {
 			t(pipes[i])
 		}
 		return
 	}
-	var next int
-	var mu sync.Mutex
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(workers, len(tasks)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(tasks) {
-					return
-				}
+			for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
 				tasks[i](pipes[i])
 			}
 		}()

@@ -55,20 +55,30 @@ func mixedCorpus(n int, seed int64) []*tree.Tree {
 	return ts
 }
 
+// testIndex builds the index over ts on its own ranking.
+func testIndex(tz Tokenizer, ts []*tree.Tree, tau, prefixC, workers int) *PrefixIndex {
+	return NewPrefixIndex(func() *TokenRanking { return NewTokenRanking(tz, ts, workers, NewCache()) }, tau, prefixC)
+}
+
 // probeReference recomputes what the probe must do from the index's bags and
 // prefix lengths alone: the global order (ascending bag frequency, ties by
 // key), each tree's prefix as the first plen expanded elements of its bag in
-// that order, a posting per (prefix token, tree). For every probe rank it
-// returns the offered pairs in order, and the postings a probe over the rank's
-// size window below it reads and the partners the count threshold drops.
-func probeReference(x *PrefixIndex, ts []*tree.Tree, split int, order []int) (offers [][2]int, scanned, skipped int64) {
+// that order, a posting per (prefix token, tree). The probing trees are the
+// indexed ones (a self join, split < 0) or ts[split:] by ascending size (a
+// cross join over the index of ts[:split]); a self join's probe meets the
+// trees of its size window before it in the order, a cross join's every tree
+// of the two-sided window. For every probe it returns the offered pairs in
+// order, and the postings the probe reads and the partners the count
+// threshold drops: a light probe offers its light partners outright and reads
+// postings only for the heavy ones.
+func probeReference(x *PrefixIndex, tz Tokenizer, ts []*tree.Tree, split int) (offers [][2]int, scanned, skipped int64) {
 	freq := map[uint64]int64{}
 	for _, b := range x.bags {
 		for _, tc := range b.toks {
 			freq[tc.key] += int64(tc.count)
 		}
 	}
-	prefix := make([]map[uint64]int32, len(ts))
+	prefix := make([]map[uint64]int32, len(x.bags))
 	for ti, b := range x.bags {
 		toks := slices.Clone(b.toks)
 		slices.SortFunc(toks, func(a, b tokenCount) int {
@@ -91,32 +101,42 @@ func probeReference(x *PrefixIndex, ts []*tree.Tree, split int, order []int) (of
 			left -= n
 		}
 	}
-	for r, ti := range order {
-		la := x.bags[ti].total
-		for s := 0; s < r; s++ {
-			tj := order[s]
-			if ts[tj].Size() < ts[ti].Size()-x.tau || (split >= 0 && (ti < split) == (tj < split)) {
+	order, probes := sim.SizeOrder(x.ts), sim.SizeOrder(x.ts)
+	if split >= 0 {
+		probes = sim.SizeOrder(ts[split:])
+		for k := range probes {
+			probes[k] += split
+		}
+	}
+	for k, ti := range probes {
+		bag := buildBag(tz, ts[ti])
+		la := bag.total
+		for r, tj := range order {
+			d := ts[tj].Size() - ts[ti].Size()
+			if d < -x.tau || split < 0 && r >= k || split >= 0 && d > x.tau {
 				continue
 			}
 			lb := x.bags[tj].total
-			if la <= x.ctau {
-				if lb <= x.ctau {
-					offers = append(offers, [2]int{ti, tj})
-				}
+			if la <= x.ctau && lb <= x.ctau {
+				offers = append(offers, [2]int{ti, tj})
 				continue
 			}
 			var shared int32
 			hits := 0
-			for _, tc := range x.bags[ti].toks {
+			for _, tc := range bag.toks {
 				if n := prefix[tj][tc.key]; n > 0 {
 					shared += min(tc.count, n)
 					hits++
 				}
 			}
 			scanned += int64(hits)
+			need := la - x.ctau // the overlap floor, the bag bound's own for a larger partner
+			if lb > la {
+				need = (la + lb - x.ctau + 1) / 2
+			}
 			switch {
 			case hits == 0:
-			case shared >= max(la-x.ctau-(lb-x.plen[tj]), 1):
+			case shared >= max(need-(lb-x.plen[tj]), 1):
 				offers = append(offers, [2]int{ti, tj})
 			default:
 				skipped++
@@ -129,11 +149,12 @@ func probeReference(x *PrefixIndex, ts []*tree.Tree, split int, order []int) (of
 // TestProbeReference pins the probe to its definition: a sequential run
 // offers exactly the reference's pairs, in the reference's order, and counts
 // exactly its postings and count-skipped partners — both tokenizers,
-// thresholds from exact matching through bag-saturating, self and cross
-// joins, the default prefix and a doubled one.
+// thresholds from exact matching through bag-saturating, self joins and cross
+// joins (over the index of the first side alone), the default prefix and a
+// doubled one.
 func TestProbeReference(t *testing.T) {
 	ts := mixedCorpus(60, 11)
-	const split = 25
+	const split = 50
 	for _, tz := range refTokenizers() {
 		for _, tau := range []int{0, 1, 2, 4, 8} {
 			for _, cross := range []bool{false, true} {
@@ -148,24 +169,23 @@ func TestProbeReference(t *testing.T) {
 					})
 					job := Job{Tau: tau, Filters: []PairFilter{record}, Source: TokenIndex(tz, nil), PrefixC: prefixC, Workers: 1}
 					var st *sim.Stats
-					sp := -1
+					sp, indexed := -1, ts
 					if cross {
 						_, st = job.Join(ts[:split], ts[split:])
-						sp = split
+						sp, indexed = split, ts[:split]
 					} else {
 						_, st = job.SelfJoin(ts)
 					}
 					if st.Source != TokenIndex(tz, nil).Name() {
 						t.Fatalf("%s: source %q, want the token index", label, st.Source)
 					}
-					order := sim.SizeOrder(ts)
-					x := buildPrefixIndex(tz, ts, sp, order, tau, max(tz.Slack(), prefixC), 1, NewCache())
+					x := testIndex(tz, indexed, tau, prefixC, 1)
 					for ti, b := range x.bags {
 						if want := min(int32(x.cmul*tau+1), b.total); x.plen[ti] != want {
 							t.Fatalf("%s: tree %d prefix length %d, want %d", label, ti, x.plen[ti], want)
 						}
 					}
-					want, scanned, skipped := probeReference(x, ts, sp, order)
+					want, scanned, skipped := probeReference(x, tz, ts, sp)
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s: offered %d pairs, reference %d (or the order differs)", label, len(got), len(want))
 					}
@@ -180,21 +200,31 @@ func TestProbeReference(t *testing.T) {
 }
 
 // TestProbeAllocs: a probe chunk allocates its scratch once, so a chunk of
-// every rank allocates no more often than a chunk of four.
+// every rank allocates no more often than a chunk of four, and so does a
+// cross join's chunk.
 func TestProbeAllocs(t *testing.T) {
 	ts := mixedCorpus(60, 11)
 	for _, tz := range refTokenizers() {
 		c := newCollection(context.Background(), ts, -1, 2, 1, nil)
-		x := buildPrefixIndex(tz, ts, -1, c.Order, c.Tau, tz.Slack(), 1, c.Cache())
+		x := testIndex(tz, ts, c.Tau, 0, 1)
 		px := &Pipeline{c: c, preds: []func(i, j int) bool{func(i, j int) bool { return false }}, counts: make([]sim.StageStats, 1)}
 		n := len(c.Order)
-		few := testing.AllocsPerRun(20, func() { x.probe(px, n-4, n) })
-		all := testing.AllocsPerRun(20, func() { x.probe(px, 0, n) })
+		few := testing.AllocsPerRun(20, func() { x.probe(px, x.TokenRanking, 0, n-4, n) })
+		all := testing.AllocsPerRun(20, func() { x.probe(px, x.TokenRanking, 0, 0, n) })
 		if px.stats.PostingsScanned == 0 {
 			t.Fatalf("%s: the probes read no postings", tz.Name())
 		}
 		if few > 1 || all > 1 {
 			t.Fatalf("%s: %v allocations probing 4 ranks, %v probing %d; want at most 1", tz.Name(), few, all, n)
+		}
+		const split = 50
+		c = newCollection(context.Background(), ts, split, 2, 1, nil)
+		x = testIndex(tz, ts[:split], c.Tau, 0, 1)
+		probes := x.rankForeign(tz, ts[split:], 1, c.Cache())
+		px = &Pipeline{c: c, preds: px.preds, counts: make([]sim.StageStats, 1)}
+		cross := testing.AllocsPerRun(20, func() { x.probe(px, probes, split, 0, len(c.Probes)) })
+		if px.stats.PostingsScanned == 0 || cross > 1 {
+			t.Fatalf("%s: %v allocations probing a cross join's %d trees (%d postings read); want at most 1", tz.Name(), cross, len(c.Probes), px.stats.PostingsScanned)
 		}
 	}
 }
@@ -208,7 +238,7 @@ func TestProbeAllocsBagStage(t *testing.T) {
 	for _, tz := range refTokenizers() {
 		c := newCollection(context.Background(), ts, -1, 2, 1, nil)
 		c.filters = []PairFilter{BagFilter("BAG", tz)}
-		x := buildPrefixIndex(tz, ts, -1, c.Order, c.Tau, tz.Slack(), 1, c.Cache())
+		x := testIndex(tz, ts, c.Tau, 0, 1)
 		called := 0
 		preds := []func(i, j int) bool{
 			func(i, j int) bool { called++; return true },
@@ -216,7 +246,7 @@ func TestProbeAllocsBagStage(t *testing.T) {
 		}
 		px := &Pipeline{c: c, preds: preds, counts: make([]sim.StageStats, 2)}
 		n := len(c.Order)
-		all := testing.AllocsPerRun(20, func() { x.probe(px, 0, n) })
+		all := testing.AllocsPerRun(20, func() { x.probe(px, x.TokenRanking, 0, 0, n) })
 		if called > 0 || px.counts[0].Pruned == 0 || px.counts[1].In == 0 {
 			t.Fatalf("%s: the stage's predicate ran %d times, the mark pruned %d of %d offers", tz.Name(), called, px.counts[0].Pruned, px.counts[0].In)
 		}

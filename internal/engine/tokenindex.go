@@ -5,6 +5,8 @@ import (
 	"context"
 	"math/bits"
 	"slices"
+	"sort"
+	"sync"
 	"time"
 
 	"treejoin/internal/sim"
@@ -40,9 +42,9 @@ import (
 //     what gives this threshold teeth (prefix against prefix it never
 //     exceeds 1); only the lowest ids have lists, so the walk is short.
 //   - Trees whose whole bag has at most Cτ elements ("light" trees) can
-//     qualify while sharing no token at all; they are kept in a side list
-//     and screened directly. A light probe scans only that list (its
-//     size-window partners are light too, bags being size-monotone).
+//     qualify while sharing no token, but only with each other: a light
+//     probe offers the light trees of its window, the order's front,
+//     directly.
 //   - When the chain holds the tokenizer's own bag bound (BagFilter), the
 //     probe decides that stage from a dense mark of its bag by id: a
 //     partner's overlap is Σ min(mark[id], c) over the partner's ranked bag,
@@ -55,15 +57,17 @@ import (
 //
 // The index is build-then-probe, like PartSJ's: every tree's prefix is posted
 // up front, in the (size, number) order, and the frozen lists are probed
-// read-only by contiguous chunks of that order on every worker. The probe at
-// order rank r walks its lists over [size ≥ sz−τ, rank < r) only — precisely
-// the postings a probe-and-insert loop would have held on reaching that tree
-// — so offers, their order and every counter are those of the sequential
-// loop whatever the chunking. A corpus keeps the self-join index per
-// (tokenizer, τ, C′) for the current epoch (TokenIndexResolver), all of them
-// over the epoch's one ranking per tokenizer; cross joins rank and build both
-// sides per run, under the combined frequency order, and each side probes
-// the other below its own rank.
+// read-only by contiguous chunks of the probing trees on every worker. A self
+// join's probe at order rank r walks its lists over [size ≥ sz−τ, rank < r)
+// only — the postings a probe-and-insert loop would have held on reaching
+// that tree — so offers, their order and every counter are those of the
+// sequential loop whatever the chunking. A cross join probes the receiver's
+// index and builds nothing for the partner: the prefix-filter theorem needs
+// only the indexed tree's prefix, so each partner tree walks the lists over
+// [sz−τ, sz+τ] with its whole bag in the receiver's ids (rankForeign); keys
+// the receiver never saw count only toward its bag size. A corpus keeps the
+// index per (tokenizer, τ, C′) for the current epoch (TokenIndexResolver),
+// all of them over the epoch's one ranking per tokenizer.
 //
 // On tiny corpora — or thresholds at least the largest tree's size, where
 // the C·τ slack swallows every bag — building the index costs more than the
@@ -75,8 +79,7 @@ import (
 // the multiset symmetric difference) and that bag size is monotone in tree
 // size — a tree at least as large by Size() yields at least as large a bag.
 // Both properties are load-bearing: the first makes index pruning sound, the
-// second lets the ascending-size probe order assume the probe's bag is the
-// larger one.
+// second puts the light trees at the front of the ascending-size order.
 type Tokenizer interface {
 	// Name labels the tokenisation in cache keys and diagnostics; it must
 	// encode every parameter (e.g. "euler-grams/q=3"), so differently
@@ -144,12 +147,12 @@ func (f bagFilter) Prepare(c *Collection) func(i, j int) bool {
 // filter calls beat the index's build cost.
 const TokenIndexMinTrees = 48
 
-// TokenIndexResolver is how a corpus shares one frozen index among the self
-// joins of an epoch: it returns the index over its membership for (tz, τ,
-// prefix multiplier C′), building it on first use, and reports whether this
-// call paid for the build. nil means the corpus has none to offer (a view
-// pinned to a superseded epoch). The source probes the answer only if it
-// covers exactly the run's collection.
+// TokenIndexResolver is how a corpus shares one frozen index among the joins
+// of an epoch: it returns the index over its membership for (tz, τ, prefix
+// multiplier C′), building it on first use, and reports whether this call
+// paid for the build. nil means the corpus has none to offer (a view pinned to
+// a superseded epoch). The source probes the answer only if it covers exactly
+// the run's indexed side.
 type TokenIndexResolver func(ctx context.Context, tz Tokenizer, tau, prefixC int) (x *PrefixIndex, built bool)
 
 type tokenIndexSource struct {
@@ -158,19 +161,19 @@ type tokenIndexSource struct {
 }
 
 // TokenIndex returns the inverted-index candidate source over tz's tokens.
-// shared, when non-nil, is consulted for self joins before a private index is
-// built for the run.
+// shared, when non-nil, is consulted before a private index is built for the
+// run.
 func TokenIndex(tz Tokenizer, shared TokenIndexResolver) CandidateSource {
 	return tokenIndexSource{tz: tz, shared: shared}
 }
 
 func (s tokenIndexSource) Name() string { return "token-index(" + s.tz.Name() + ")" }
 
-// Tasks resolves the run's index — the corpus's, when it covers the
-// collection, else one built here — and cuts the size order into contiguous
-// probe chunks of about equal Σ bag size (ProbeChunks).
+// Tasks resolves the index of the run's indexed side — the corpus's, when it
+// covers those trees, else one built here — and cuts the probing trees into
+// contiguous chunks of about equal Σ bag size (ProbeChunks).
 func (s tokenIndexSource) Tasks(c *Collection) []Task {
-	if len(c.Order) == 0 {
+	if len(c.Order) == 0 || len(c.Probes) == 0 {
 		return nil
 	}
 	// Fall back to the sorted loop when the index cannot pay for itself:
@@ -189,11 +192,7 @@ func (s tokenIndexSource) Tasks(c *Collection) []Task {
 		// actually ran.
 		tasks := SortedLoop().Tasks(c)
 		for i, t := range tasks {
-			inner := t
-			tasks[i] = func(px *Pipeline) {
-				px.Stats().Source = SortedLoop().Name()
-				inner(px)
-			}
+			tasks[i] = func(px *Pipeline) { px.Stats().Source = SortedLoop().Name(); t(px) }
 		}
 		return tasks
 	}
@@ -206,10 +205,11 @@ func (s tokenIndexSource) Tasks(c *Collection) []Task {
 	// (the light-tree cutoff, the overlap floor |A| − Cτ) stays at Slack·τ:
 	// those are lower-bound facts the prefix length cannot change.
 	cmul := max(s.tz.Slack(), c.PrefixC)
+	ts := c.Indexed()
 	var x *PrefixIndex
 	built := false
-	if s.shared != nil && !c.Cross() {
-		if x, built = s.shared(c.Context(), s.tz, c.Tau, cmul); x != nil && !x.covers(c.Trees, s.tz, c.Tau, cmul) {
+	if s.shared != nil {
+		if x, built = s.shared(c.Context(), s.tz, c.Tau, cmul); x != nil && !x.covers(ts, s.tz, c.Tau, cmul) {
 			x, built = nil, false
 		}
 	}
@@ -217,16 +217,28 @@ func (s tokenIndexSource) Tasks(c *Collection) []Task {
 		if c.Cancelled() {
 			return nil
 		}
-		x, built = buildPrefixIndex(s.tz, c.Trees, c.Split, c.Order, c.Tau, cmul, c.Workers, c.Cache()), true
+		x, built = NewPrefixIndex(func() *TokenRanking { return NewTokenRanking(s.tz, ts, c.Workers, c.Cache()) }, c.Tau, cmul), true
 	}
-	tasks := ProbeChunks(c, func(ti int) int { return int(x.bags[ti].total) }, x.probe)
+	// The probes' bags: the index's own, or a cross join partner's in the
+	// index's ids. The build and this are the run's candidate generation.
+	probes, off := x.TokenRanking, 0
+	var build, cand time.Duration
 	if built {
-		// The build is candidate-generation effort of this run; a run that
-		// found the index built reports none.
+		build, cand = x.built, x.built
+	}
+	if len(c.Trees) > len(ts) {
+		start := time.Now()
+		probes, off = x.rankForeign(s.tz, c.Trees[len(ts):], c.Workers, c.Cache()), len(ts)
+		cand += time.Since(start)
+	}
+	tasks := ProbeChunks(c, func(ti int) int { return int(probes.bags[ti-off].total) }, func(px *Pipeline, lo, hi int) {
+		x.probe(px, probes, off, lo, hi)
+	})
+	if cand > 0 {
 		first := tasks[0]
 		tasks[0] = func(px *Pipeline) {
-			px.Stats().IndexBuildTime += x.built
-			px.Stats().CandTime += x.built
+			px.Stats().IndexBuildTime += build
+			px.Stats().CandTime += cand
 			first(px)
 		}
 	}
@@ -291,8 +303,12 @@ type TokenRanking struct {
 	ts     []*tree.Tree
 	bags   []*tokenBag // by tree: the cached bags, sorted by key
 	ids    int32       // distinct tokens: the ids are [0, ids)
+	keys   []uint64    // by id: the token's key
 	off    []int       // by tree: tree i's ranked bag is ranked[off[i]:off[i+1]]
 	ranked []idCount
+
+	lookupOnce sync.Once
+	lookup     *tokenTable // key → id, built by the first rankForeign
 }
 
 // NewTokenRanking ranks the tokens of ts's bags, drawn through cache, on
@@ -334,8 +350,9 @@ func NewTokenRanking(tz Tokenizer, ts []*tree.Tree, workers int, cache *Cache) *
 	toks := runs[0].toks
 	slices.SortFunc(toks, func(a, b token) int { return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.key, b.key)) })
 	rank := make([]int32, len(toks))
+	rk.keys = make([]uint64, len(toks))
 	for r, t := range toks {
-		rank[t.id] = int32(r)
+		rank[t.id], rk.keys[r] = int32(r), t.key
 	}
 	rk.ids = int32(len(toks))
 	// The fewest radix passes over digits of at most a byte, the digits as
@@ -425,37 +442,38 @@ func newTokenTable() *tokenTable {
 // sequential keys (label ids) spread as well as hashed ones.
 func (t *tokenTable) home(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> t.shift) }
 
+// slot returns the slot that holds key, or the empty one where it goes.
+func (t *tokenTable) slot(key uint64) int {
+	h, mask := t.home(key), len(t.slots)-1
+	for t.slots[h] != 0 && t.toks[t.slots[h]-1].key != key {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
 // add adds count occurrences of key and returns its id.
 func (t *tokenTable) add(key uint64, count int64) int32 {
-	mask := len(t.slots) - 1
-	for h := t.home(key); ; h = (h + 1) & mask {
-		id := t.slots[h] - 1
-		if id < 0 {
-			id = int32(len(t.toks))
-			t.slots[h] = id + 1
-			t.toks = append(t.toks, token{freq: count, key: key, id: id})
-			if 2*len(t.toks) > len(t.slots) {
-				t.grow()
-			}
-			return id
-		}
-		if t.toks[id].key == key {
-			t.toks[id].freq += count
-			return id
-		}
+	h := t.slot(key)
+	if t.slots[h] == 0 {
+		t.slots[h] = int32(len(t.toks)) + 1
+		t.toks = append(t.toks, token{key: key, id: t.slots[h] - 1})
 	}
+	id := t.slots[h] - 1
+	t.toks[id].freq += count
+	if 2*len(t.toks) > len(t.slots) {
+		t.grow()
+	}
+	return id
 }
+
+// get returns key's id, or −1 when the table does not hold it.
+func (t *tokenTable) get(key uint64) int32 { return t.slots[t.slot(key)] - 1 }
 
 // grow doubles the slot array and re-files every key.
 func (t *tokenTable) grow() {
 	t.slots, t.shift = make([]int32, 2*len(t.slots)), t.shift-1
-	mask := len(t.slots) - 1
 	for _, tok := range t.toks {
-		h := t.home(tok.key)
-		for t.slots[h] != 0 {
-			h = (h + 1) & mask
-		}
-		t.slots[h] = tok.id + 1
+		t.slots[t.slot(tok.key)] = tok.id + 1
 	}
 }
 
@@ -465,20 +483,10 @@ func (rk *TokenRanking) bag(i int) []idCount { return rk.ranked[rk.off[i]:rk.off
 // posting records that the prefix of the tree at an order rank contains count
 // occurrences of a token. Lists are ascending in rank — the (size, number)
 // order — so a probe binary-searches its size window and walks each list
-// front to back up to its own rank.
+// front to back to the window's end.
 type posting struct {
 	rank  int32
 	count int32
-}
-
-// tokenSide is one side's postings, laid out by token id: id's list is
-// post[start[id]:start[id+1]], and the ids from len(start)−1 on rank past
-// every indexed prefix and have none. light holds the order ranks of the
-// light trees, ascending.
-type tokenSide struct {
-	start []int32
-	post  []posting
-	light []int32
 }
 
 // PrefixIndex is the frozen token index of one collection at one threshold
@@ -488,20 +496,63 @@ type tokenSide struct {
 type PrefixIndex struct {
 	*TokenRanking
 	tau, cmul int
-	ctau      int32        // Slack·τ: the bag bound's slack, and the light-tree cutoff
-	plen      []int32      // by tree: expanded prefix length p_i = min(C'τ+1, total_i)
-	sides     [2]tokenSide // [0]: the collection's (self join) or side A's; [1]: side B's
+	ctau      int32     // Slack·τ: the bag bound's slack, and the light-tree cutoff
+	plen      []int32   // by tree: expanded prefix length p_i = min(C'τ+1, total_i)
+	start     []int32   // id's list is post[start[id]:start[id+1]]; ids past the end have none
+	post      []posting // the lists, by id
+	light     int32     // the light trees are the order ranks below it
 	built     time.Duration
 }
 
-// NewPrefixIndex builds the self-join index at threshold tau, with a prefix of
+// NewPrefixIndex builds the index at threshold tau, with a prefix of
 // max(Slack, prefixC)·τ+1 expanded elements per tree, over the ranking rank
 // returns. rank runs on the build's clock: a ranking built for this index is
 // part of its build time, one an earlier index built is not.
+//
+// It posts, in the ascending-size order, the first cmul·τ+1 expanded tokens
+// of every tree's bag under the global order — the front of its ranked bag,
+// the last entry's count clipped. Rare tokens have the short posting lists,
+// so prefixes drawn from the front of this order keep probe work minimal; any
+// fixed total order is sound, frequency ordering is the classic heuristic.
 func NewPrefixIndex(rank func() *TokenRanking, tau, prefixC int) *PrefixIndex {
 	start := time.Now()
 	rk := rank()
-	x := rk.index(-1, sim.SizeOrder(rk.ts), tau, max(rk.slack, prefixC))
+	order := sim.SizeOrder(rk.ts)
+	cmul := max(rk.slack, prefixC)
+	x := &PrefixIndex{TokenRanking: rk, tau: tau, cmul: cmul, ctau: int32(rk.slack * tau), plen: make([]int32, len(rk.ts))}
+	budget := int32(cmul*tau + 1)
+	walk := func(post func(r int32, e idCount)) {
+		for r := len(order) - 1; r >= 0; r-- {
+			ti := order[r]
+			x.plen[ti] = 0
+			for _, e := range rk.bag(ti) {
+				if x.plen[ti] == budget {
+					break
+				}
+				e.count = min(e.count, budget-x.plen[ti])
+				x.plen[ti] += e.count
+				post(int32(r), e)
+			}
+		}
+	}
+	// Count the lists' lengths by id and sum them, so start[id] closes id's
+	// list; filling from the back, with the ranks walked down, leaves every
+	// list ascending in rank and start[id] where it opens. The ids past the
+	// last list are cut off.
+	x.start = make([]int32, rk.ids+1)
+	walk(func(_ int32, e idCount) { x.start[e.id]++ })
+	for id := 1; id < len(x.start); id++ {
+		x.start[id] += x.start[id-1]
+	}
+	x.post = make([]posting, x.start[rk.ids])
+	walk(func(r int32, e idCount) {
+		x.start[e.id]--
+		x.post[x.start[e.id]] = posting{rank: r, count: e.count}
+	})
+	n, _ := slices.BinarySearch(x.start, int32(len(x.post)))
+	x.start = slices.Clone(x.start[:n+1])
+	// Bags are size-monotone, so the light trees are the order's front.
+	x.light = int32(sort.Search(len(order), func(r int) bool { return rk.bags[order[r]].total > x.ctau }))
 	x.built = time.Since(start)
 	return x
 }
@@ -513,76 +564,42 @@ func (x *PrefixIndex) covers(ts []*tree.Tree, tz Tokenizer, tau, cmul int) bool 
 	return x.tz == tz.Name() && x.tau == tau && x.cmul == cmul && slices.Equal(x.ts, ts)
 }
 
-// buildPrefixIndex ranks ts's tokens privately and indexes them; a cross join
-// (split ≥ 0) ranks both sides together.
-func buildPrefixIndex(tz Tokenizer, ts []*tree.Tree, split int, order []int, tau, cmul, workers int, cache *Cache) *PrefixIndex {
-	start := time.Now()
-	x := NewTokenRanking(tz, ts, workers, cache).index(split, order, tau, cmul)
-	x.built = time.Since(start)
-	return x
-}
-
-// index posts, in the ascending-size order, the first cmul·τ+1 expanded
-// tokens of every tree's bag under the global order — the front of its ranked
-// bag, the last entry's count clipped. Rare tokens have the short posting
-// lists, so prefixes drawn from the front of this order keep probe work
-// minimal; any fixed total order is sound, frequency ordering is the classic
-// heuristic. A cross join (split ≥ 0) posts each tree on its own side.
-func (rk *TokenRanking) index(split int, order []int, tau, cmul int) *PrefixIndex {
-	x := &PrefixIndex{TokenRanking: rk, tau: tau, cmul: cmul, ctau: int32(rk.slack * tau), plen: make([]int32, len(rk.ts))}
-	side := func(ti int) *tokenSide {
-		if split >= 0 && ti >= split {
-			return &x.sides[1]
+// rankForeign returns ts, trees outside x's ranking, in its ids: their cached
+// bags renamed on workers goroutines, the entries with lists first (what the
+// probe's walk reads), keys the ranking never saw all on the id past its last
+// (counted in bag sizes only). The first call builds the ranking's key → id
+// table, which a self join never needs.
+func (x *PrefixIndex) rankForeign(tz Tokenizer, ts []*tree.Tree, workers int, cache *Cache) *TokenRanking {
+	rk := x.TokenRanking
+	rk.lookupOnce.Do(func() {
+		rk.lookup = newTokenTable()
+		for _, key := range rk.keys {
+			rk.lookup.add(key, 0) // numbered in id order, so its id
 		}
-		return &x.sides[0]
+	})
+	fr := &TokenRanking{tz: rk.tz, slack: rk.slack, ts: ts, bags: cachedBags(cache, tz, ts, workers), ids: rk.ids + 1, off: make([]int, len(ts)+1)}
+	for i, b := range fr.bags {
+		fr.off[i+1] = fr.off[i] + len(b.toks)
 	}
-	budget := int32(cmul*tau + 1)
-	walk := func(post func(s *tokenSide, r int32, e idCount)) {
-		for r := len(order) - 1; r >= 0; r-- {
-			ti := order[r]
-			x.plen[ti] = 0
-			for _, e := range rk.bag(ti) {
-				if x.plen[ti] == budget {
-					break
+	fr.ranked = make([]idCount, fr.off[len(ts)])
+	posted := int32(len(x.start)) - 1
+	forRuns(len(ts), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			bag, front := fr.bag(i), 0
+			for k, tc := range fr.bags[i].toks {
+				id := rk.lookup.get(tc.key)
+				if id < 0 {
+					id = rk.ids
 				}
-				e.count = min(e.count, budget-x.plen[ti])
-				x.plen[ti] += e.count
-				post(side(ti), int32(r), e)
+				bag[k] = idCount{id: id, count: tc.count}
+				if id < posted {
+					bag[front], bag[k] = bag[k], bag[front]
+					front++
+				}
 			}
 		}
-	}
-	// Each side counts its lists' lengths by id and sums them, so start[id]
-	// closes id's list; filling from the back, with the ranks walked down,
-	// leaves every list ascending in rank and start[id] where it opens. The
-	// ids past the last list are cut off.
-	for k := range x.sides {
-		x.sides[k].start = make([]int32, rk.ids+1)
-	}
-	walk(func(s *tokenSide, _ int32, e idCount) { s.start[e.id]++ })
-	for k := range x.sides {
-		s := &x.sides[k]
-		for id := 1; id < len(s.start); id++ {
-			s.start[id] += s.start[id-1]
-		}
-		s.post = make([]posting, s.start[rk.ids])
-	}
-	walk(func(s *tokenSide, r int32, e idCount) {
-		s.start[e.id]--
-		s.post[s.start[e.id]] = posting{rank: r, count: e.count}
 	})
-	for k := range x.sides {
-		s := &x.sides[k]
-		n, _ := slices.BinarySearch(s.start, int32(len(s.post)))
-		s.start = slices.Clone(s.start[:n+1])
-	}
-	// Every tree's prefix is indexed (a light tree may still be found through
-	// it by a heavier probe); light trees join the side list too.
-	for r, ti := range order {
-		if s := side(ti); rk.bags[ti].total <= x.ctau {
-			s.light = append(s.light, int32(r))
-		}
-	}
-	return x
+	return fr
 }
 
 // bagProbe is the index tokenizer's bag stage decided inside a probe.
@@ -604,37 +621,37 @@ func (b *bagProbe) keep(j int) bool {
 	return b.total+b.rank.bags[j].total-2*common <= b.limit
 }
 
-// probe offers, for each tree at order ranks [lo, hi), its candidate partners
-// among the trees before it — for a cross join, those on the other side —
-// exactly like the sorted loop's pair enumeration: every unordered pair at
-// most once, at its larger tree's rank.
-func (x *PrefixIndex) probe(px *Pipeline, lo, hi int) {
+// probe offers, for each probing tree at positions [lo, hi) of Probes, its
+// candidate partners in its window (Collection.Window) in rank order, like
+// the sorted loop's pair enumeration. Probing tree ti's bag is tree ti−off of
+// probes.
+func (x *PrefixIndex) probe(px *Pipeline, probes *TokenRanking, off, lo, hi int) {
 	c, ctau := px.Collection(), x.ctau
 	stats := px.Stats()
 	start := time.Now()
-	// Every partner of the chunk sits in [base, hi): windows only move right
+	// Every partner of the chunk sits in [base, top): windows only move right
 	// along the size order. One allocation holds the per-rank shared-token
 	// counts, the ranks touched by the current probe and, when the chain
 	// holds this tokenizer's bag stage, the probe's mark by token id.
-	base := int32(c.WindowStart(c.Trees[c.Order[lo]].Size()))
-	n := hi - int(base)
+	base, _ := c.Window(c.Probes[lo])
+	_, top := c.Window(c.Probes[hi-1])
+	n := max(top-base, 0)
 	marks := 0
 	for k, f := range c.filters {
 		if b, ok := f.(bagFilter); ok && b.tz.Name() == x.tz {
-			px.inProbe, marks = bagProbe{at: k, limit: ctau, rank: x.TokenRanking}, int(x.ids)
+			px.inProbe, marks = bagProbe{at: k, limit: ctau, rank: x.TokenRanking}, int(probes.ids)
 			break
 		}
 	}
 	scratch := make([]int32, 2*n+marks)
 	cnt, touched, mark := scratch[:n], scratch[n:n], scratch[2*n:]
-	for r := lo; r < hi && !px.Cancelled(); r++ {
-		ti, me := c.Order[r], int32(r)
-		side := &x.sides[0]
-		if c.Cross() && ti < c.Split {
-			side = &x.sides[1]
+	posted := int32(len(x.start)) - 1
+	for _, ti := range c.Probes[lo:hi] {
+		if px.Cancelled() {
+			break
 		}
-		from := int32(c.WindowStart(c.Trees[ti].Size())) // first rank inside the size window
-		bag, la := x.bag(ti), x.bags[ti].total
+		from, to := c.Window(ti)
+		bag, la := probes.bag(ti-off), probes.bags[ti-off].total
 		if marks > 0 {
 			for _, e := range bag {
 				mark[e.id] = e.count
@@ -642,27 +659,25 @@ func (x *PrefixIndex) probe(px *Pipeline, lo, hi int) {
 			px.inProbe.mark, px.inProbe.total = mark, la
 		}
 		if la <= ctau {
-			// Light probe: a qualifying partner may share nothing, but every
-			// size-window partner before it is light too (bags are
-			// size-monotone), so the side list is exhaustive.
-			k, _ := slices.BinarySearch(side.light, from)
-			for ; k < len(side.light) && side.light[k] < me; k++ {
-				px.Offer(ti, c.Order[side.light[k]])
+			// Light probe: a partner may share nothing with it only if light
+			// too; a heavy one shares a token with its prefix, found below.
+			for ; from < min(to, int(x.light)); from++ {
+				px.Offer(ti, c.Order[from])
 			}
-		} else {
+		}
+		if from < to {
 			// Indexed probe: add each partner's tokens shared with the
 			// probe's whole bag into its count cell. Only the rarest tokens
-			// have lists, and the bag ascends by id, so the walk ends at the
-			// first id past them.
-			posted := int32(len(side.start)) - 1
+			// have lists, and they lead the bag (an indexed tree's ascends by
+			// id), so the walk ends at the first id past them.
 			for _, e := range bag {
 				if e.id >= posted {
 					break
 				}
-				list := side.post[side.start[e.id]:side.start[e.id+1]]
-				k, _ := slices.BinarySearchFunc(list, from, func(p posting, rank int32) int { return int(p.rank - rank) })
-				for ; k < len(list) && list[k].rank < me; k++ {
-					s := list[k].rank - base
+				list := x.post[x.start[e.id]:x.start[e.id+1]]
+				k, _ := slices.BinarySearchFunc(list, int32(from), func(p posting, rank int32) int { return int(p.rank - rank) })
+				for ; k < len(list) && int(list[k].rank) < to; k++ {
+					s := list[k].rank - int32(base)
 					if cnt[s] == 0 {
 						touched = append(touched, s)
 					}
@@ -674,11 +689,17 @@ func (x *PrefixIndex) probe(px *Pipeline, lo, hi int) {
 			// cell for the next probe. Count threshold: for same-bag-size
 			// partners it is the prefix theorem's ≥ 1; it climbs with the
 			// bag-size gap, so partners at the small end of the size window
-			// need the most shared tokens.
+			// need the most shared tokens. A partner with the larger bag (a
+			// cross join's) owes the bag bound's own overlap floor,
+			// (la + lb − Cτ)/2, the rest of its bag lying outside the lists.
 			slices.Sort(touched)
 			for _, s := range touched {
-				tj := c.Order[base+s]
-				if cnt[s] >= max(la-ctau-(x.bags[tj].total-x.plen[tj]), 1) {
+				tj := c.Order[int32(base)+s]
+				lb, need := x.bags[tj].total, la-ctau
+				if lb > la {
+					need = (la + lb - ctau + 1) / 2
+				}
+				if cnt[s] >= max(need-(lb-x.plen[tj]), 1) {
 					px.Offer(ti, tj)
 				} else {
 					stats.SkippedByCount++

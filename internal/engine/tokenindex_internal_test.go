@@ -11,36 +11,30 @@ import (
 	"slices"
 	"testing"
 
-	"treejoin/internal/sim"
 	"treejoin/internal/tree"
 )
 
 // TestBuildWorkerInvariance: the index built on any number of workers is the
-// one-worker build field for field — every posting list, every light list,
-// the prefix lengths and the bags — for both tokenizers, thresholds from
-// exact matching through bag-saturating, self and cross joins, the default
-// prefix and a doubled one, and a collection smaller than the worker count.
+// one-worker build field for field — every posting list, the light trees, the
+// prefix lengths and the bags — for both tokenizers, thresholds from exact
+// matching through bag-saturating, the default prefix and a doubled one, and
+// a collection smaller than the worker count.
 func TestBuildWorkerInvariance(t *testing.T) {
 	ts := mixedCorpus(60, 11)
 	for _, tz := range refTokenizers() {
 		for _, tau := range []int{0, 1, 2, 4, 8} {
-			for _, split := range []int{-1, 25} {
-				for _, prefixC := range []int{0, 2 * tz.Slack()} {
-					for _, col := range [][]*tree.Tree{ts, ts[len(ts)-5:]} {
-						order := sim.SizeOrder(col)
-						sp := min(split, len(col)/2)
-						cmul := max(tz.Slack(), prefixC)
-						want := buildPrefixIndex(tz, col, sp, order, tau, cmul, 1, NewCache())
-						for _, workers := range []int{1, 2, 3, 8} {
-							label := fmt.Sprintf("%s τ=%d split=%d C'=%d n=%d workers=%d", tz.Name(), tau, sp, prefixC, len(col), workers)
-							got := buildPrefixIndex(tz, col, sp, order, tau, cmul, workers, NewCache())
-							got.built = want.built
-							if !reflect.DeepEqual(got.sides, want.sides) {
-								t.Fatalf("%s: posting or light lists differ from the one-worker build", label)
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s: index differs from the one-worker build", label)
-							}
+			for _, prefixC := range []int{0, 2 * tz.Slack()} {
+				for _, col := range [][]*tree.Tree{ts, ts[len(ts)-5:]} {
+					want := testIndex(tz, col, tau, prefixC, 1)
+					for _, workers := range []int{1, 2, 3, 8} {
+						label := fmt.Sprintf("%s τ=%d C'=%d n=%d workers=%d", tz.Name(), tau, prefixC, len(col), workers)
+						got := testIndex(tz, col, tau, prefixC, workers)
+						got.built = want.built
+						if !slices.Equal(got.start, want.start) || !slices.Equal(got.post, want.post) || got.light != want.light {
+							t.Fatalf("%s: posting lists or light trees differ from the one-worker build", label)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: index differs from the one-worker build", label)
 						}
 					}
 				}
@@ -51,8 +45,8 @@ func TestBuildWorkerInvariance(t *testing.T) {
 
 // referenceRanking is TokenRanking by its definition: a map numbering of the
 // distinct keys of the bags, the keys sorted by (summed frequency, key), a
-// token's id its place in that sort, and each bag renamed and
-// comparison-sorted by id.
+// token's id its place in that sort (keys by id: that sort), and each bag
+// renamed and comparison-sorted by id.
 func referenceRanking(tz Tokenizer, ts []*tree.Tree) *TokenRanking {
 	rk := &TokenRanking{tz: tz.Name(), slack: tz.Slack(), ts: ts, bags: make([]*tokenBag, len(ts)), off: make([]int, len(ts)+1), ranked: []idCount{}}
 	freq := map[uint64]int64{}
@@ -69,7 +63,7 @@ func referenceRanking(tz Tokenizer, ts []*tree.Tree) *TokenRanking {
 	for r, k := range keys {
 		rank[k] = int32(r)
 	}
-	rk.ids = int32(len(keys))
+	rk.ids, rk.keys = int32(len(keys)), append(make([]uint64, 0, len(keys)), keys...)
 	for _, b := range rk.bags {
 		bag := make([]idCount, 0, len(b.toks))
 		for _, tc := range b.toks {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -70,7 +71,7 @@ func TestTokenIndexOracle(t *testing.T) {
 		log := new(candidateLog)
 		job.Verifier = log.verify
 		if cross {
-			got, st := job.Join(ts[:25], ts[25:])
+			got, st := job.Join(ts[:50], ts[50:])
 			return got, st, log
 		}
 		got, st := job.SelfJoin(ts)
@@ -144,7 +145,7 @@ func TestBagStageInProbe(t *testing.T) {
 							var st *sim.Stats
 							var err error
 							if cross {
-								st, err = job.StreamJoin(context.Background(), ts[:25], ts[25:], sink)
+								st, err = job.StreamJoin(context.Background(), ts[:50], ts[50:], sink)
 							} else {
 								st, err = job.StreamSelf(context.Background(), ts, sink)
 							}
@@ -250,35 +251,42 @@ func (s captureSource) Tasks(c *engine.Collection) []engine.Task {
 	return nil
 }
 
-// TestTokenIndexRace: the build-then-probe machinery under concurrent joins
-// sharing one artifact cache — racing bag builds, chunks of one index probed
-// from two workers, self and cross probes at once. Run with -race.
+// TestTokenIndexRace: concurrent joins over one shared cache — self joins on
+// private indexes, and cross joins that probe one shared index per
+// tokenizer, two at once, racing for its ranking's key lookup — each from
+// two workers. Run with -race.
 func TestTokenIndexRace(t *testing.T) {
 	ts := mixedCorpus(60, 17)
+	a, b := ts[:50], ts[50:]
 	cache := engine.NewCache()
-	want, _ := (engine.Job{Tau: 2, Filters: []engine.PairFilter{baseline.HISTFilter()}}).SelfJoin(ts)
+	hist := []engine.PairFilter{baseline.HISTFilter()}
+	self, _ := (engine.Job{Tau: 2, Filters: hist}).SelfJoin(ts)
+	cross, _ := (engine.Job{Tau: 2, Filters: hist}).Join(a, b)
+	tzs := testTokenizers()
+	shared := make([]func() *engine.PrefixIndex, len(tzs))
+	for k, tz := range tzs {
+		shared[k] = sync.OnceValue(func() *engine.PrefixIndex {
+			return engine.NewPrefixIndex(func() *engine.TokenRanking { return engine.NewTokenRanking(tz, a, 2, cache) }, 2, 0)
+		})
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		g := g
+	for g := range 6 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tz := testTokenizers()[g%2]
-			job := engine.Job{
-				Tau:     2,
-				Filters: []engine.PairFilter{baseline.HISTFilter()},
-				Source:  engine.TokenIndex(tz, nil),
-				Cache:   cache,
-				Workers: 2,
-			}
-			if g%3 == 0 {
-				a, b := ts[:30], ts[30:]
-				job.Join(a, b)
+			k := g % 2
+			job := engine.Job{Tau: 2, Filters: hist, Source: engine.TokenIndex(tzs[k], nil), Cache: cache, Workers: 2}
+			if g%3 == 2 {
+				if got, _ := job.SelfJoin(ts); len(got) != len(self) {
+					t.Errorf("goroutine %d: %d pairs, want %d", g, len(got), len(self))
+				}
 				return
 			}
-			got, _ := job.SelfJoin(ts)
-			if len(got) != len(want) {
-				t.Errorf("goroutine %d: %d pairs, want %d", g, len(got), len(want))
+			job.Source = engine.TokenIndex(tzs[k], func(context.Context, engine.Tokenizer, int, int) (*engine.PrefixIndex, bool) {
+				return shared[k](), false
+			})
+			if got, st := job.Join(a, b); !slices.Equal(got, cross) || !strings.HasPrefix(st.Source, "token-index(") {
+				t.Errorf("goroutine %d: %d cross pairs from %s, want %d from the token index", g, len(got), st.Source, len(cross))
 			}
 		}()
 	}

@@ -75,8 +75,10 @@ func TestShardedValidation(t *testing.T) {
 // the whole membership — NewSharded(1, ts) and NewSharded(4, ts) report Stats
 // field-identical to NewCorpus(ts)'s, durations aside, for every method under
 // the fixed plan; a repeat join finds every index it needs (IndexBuildTime 0,
-// though each of the four parts is below the token index's own cutoff); and
-// with no plan option a 4-part join runs the plan Explain describes.
+// though each of the four parts is below the token index's own cutoff); with
+// no plan option a 4-part join runs the plan Explain describes; and a cross
+// join reports the same Stats whether its receiver and its partner each sit on
+// one part or on four.
 func TestStatsAcrossPartCounts(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(160, 13) // 40 a part on four
@@ -99,6 +101,18 @@ func TestStatsAcrossPartCounts(t *testing.T) {
 				}
 				if !slices.Equal(got, pairs) {
 					t.Fatalf("%v on %d parts: pairs differ from NewCorpus's", m, n)
+				}
+			}
+		}
+		cpairs, cwant, err := mustCorpus(t, ts[:120]).Join(ctx, mustCorpus(t, ts[120:]), 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, na := range []int{1, 4} {
+			for _, nb := range []int{1, 4} {
+				got, st, err := mustSharded(t, na, ts[:120]).Join(ctx, mustSharded(t, nb, ts[120:]), 2, opts...)
+				if err != nil || !reflect.DeepEqual(timeless(st), timeless(cwant)) || !slices.Equal(got, cpairs) {
+					t.Fatalf("%v, cross join of %d parts against %d: Stats %+v\nNewCorpus %+v (err %v)", m, na, nb, st, cwant, err)
 				}
 			}
 		}

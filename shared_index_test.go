@@ -158,3 +158,81 @@ func TestTokenIndexBuiltOncePerEpoch(t *testing.T) {
 		t.Fatalf("the epoch after the Remove built %d indexes, want 1", n)
 	}
 }
+
+// lruCounts is what the state's index LRUs hold and have built: the parts'
+// and the composed subgraph indexes, the token indexes and the rankings.
+func lruCounts(cp *Corpus) [8]int64 {
+	st := cp.state.Load()
+	var out [8]int64
+	for _, p := range st.parts {
+		n, b, _ := p.subgraph.Counts()
+		out[0], out[1] = out[0]+int64(n), out[1]+b
+	}
+	n, b, _ := st.subgraph.Counts()
+	out[2], out[3] = int64(n), b
+	n, b, _ = st.tokens.Counts()
+	out[4], out[5] = int64(n), b
+	n, b, _ = st.ranks.Counts()
+	out[6], out[7] = int64(n), b
+	return out
+}
+
+// TestWarmCrossJoinBuildsNothing: a cross join probes its receiver's
+// per-epoch index with the partner's trees. The first Join builds it; a
+// second against a fresh partner corpus reports IndexBuildTime 0 and leaves
+// the receiver's index LRUs as they were, and neither partner's LRUs hold
+// anything — PQG and HIST on the token index, PartSJ on the subgraph index,
+// the receiver on one part and on four.
+func TestWarmCrossJoinBuildsNothing(t *testing.T) {
+	ctx := context.Background()
+	pool := synth.Generate(synth.SyntheticParams(160, 3, 5, 20, 30, 67))
+	for _, parts := range []int{1, 4} {
+		for _, m := range []Method{MethodPQGram, MethodHistogram, MethodPartSJ} {
+			recv, err := NewSharded(parts, pool[:100])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before [8]int64
+			for run, partner := range [][]*Tree{pool[100:130], pool[130:]} {
+				other, err := NewCorpus(partner)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := NewCorpus(slices.Concat(pool[:100], partner))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pairs, st, err := recv.Join(ctx, other, 2, WithMethod(m))
+				if err != nil {
+					t.Fatal(err)
+				}
+				all, _, err := want.SelfJoin(ctx, 2, WithMethod(m))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var cross []Pair
+				for _, p := range all {
+					if p.I < 100 && p.J >= 100 {
+						cross = append(cross, Pair{I: p.I, J: p.J - 100, Dist: p.Dist})
+					}
+				}
+				if !slices.Equal(pairs, cross) {
+					t.Fatalf("%v on %d parts, run %d: %d cross pairs, the self join of both %d", m, parts, run, len(pairs), len(cross))
+				}
+				if m != MethodPartSJ && !strings.HasPrefix(st.Source, "token-index(") {
+					t.Fatalf("%v: source %q, want the token index", m, st.Source)
+				}
+				if (st.IndexBuildTime > 0) != (run == 0) {
+					t.Fatalf("%v on %d parts, run %d: IndexBuildTime %v", m, parts, run, st.IndexBuildTime)
+				}
+				if run == 1 && lruCounts(recv) != before {
+					t.Fatalf("%v on %d parts: the warm join changed the receiver's index LRUs from %v to %v", m, parts, before, lruCounts(recv))
+				}
+				if lruCounts(other) != ([8]int64{}) {
+					t.Fatalf("%v: the partner's index LRUs hold %v", m, lruCounts(other))
+				}
+				before = lruCounts(recv)
+			}
+		}
+	}
+}
