@@ -88,7 +88,7 @@ func (c *Collection) Cache() *Cache { return c.cache }
 func (c *Collection) Indexed() []*tree.Tree { return c.Trees[:len(c.Order)] }
 
 // Bound returns the top of probe tree ti's size window: partners of at most
-// hi nodes, of exactly hi only those indexed below tie. A probe from the
+// hi nodes, of exactly hi only those numbered below tie. A probe from the
 // indexed side (a self join's) meets the trees before it in Order, what
 // Algorithm 1's on-the-fly index held on reaching it; one from B every tree
 // of A up to τ larger.
