@@ -67,7 +67,7 @@ type probeRun struct {
 // random ablation (whose output is the run's own). It leaves ix nil when the
 // run is cancelled first.
 func (r *probeRun) resolve(stats *sim.Stats) {
-	c, ts := r.c, r.c.Indexed()
+	c, ts := r.c, r.c.Trees[:len(r.c.Order)]
 	var x *Index
 	built := false
 	if r.opts.Indexes != nil && !r.opts.RandomPartition {

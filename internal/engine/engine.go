@@ -47,7 +47,7 @@ type Collection struct {
 	// Tau is the TED threshold τ ≥ 0.
 	Tau int
 	// Order holds the indexed side's tree indices sorted by ascending size
-	// (ties by index).
+	// (ties by index): the indexed trees are Trees[:len(Order)].
 	Order []int
 	// Probes holds the probing trees: Order itself for a self join, B's
 	// trees by ascending size for a cross join.
@@ -84,9 +84,6 @@ func (c *Collection) Context() context.Context { return c.ctx }
 // least lets concurrent tasks of the same join share per-tree artifacts.
 func (c *Collection) Cache() *Cache { return c.cache }
 
-// Indexed returns the indexed side's trees: Trees[:len(Order)].
-func (c *Collection) Indexed() []*tree.Tree { return c.Trees[:len(c.Order)] }
-
 // Bound returns the top of probe tree ti's size window: partners of at most
 // hi nodes, of exactly hi only those numbered below tie. A probe from the
 // indexed side (a self join's) meets the trees before it in Order, what
@@ -99,9 +96,9 @@ func (c *Collection) Bound(ti int) (hi, tie int) {
 	return c.Trees[ti].Size() + c.Tau, math.MaxInt32
 }
 
-// Window returns the positions [lo, hi) of Order that hold probe tree ti's
+// window returns the positions [lo, hi) of Order that hold probe tree ti's
 // partners: from the first tree of at least |ti| − τ nodes up to Bound.
-func (c *Collection) Window(ti int) (lo, hi int) {
+func (c *Collection) window(ti int) (lo, hi int) {
 	top, tie := c.Bound(ti)
 	lo = sort.SearchInts(c.sizes, c.Trees[ti].Size()-c.Tau)
 	hi = lo + sort.Search(len(c.Order)-lo, func(k int) bool {

@@ -5,7 +5,7 @@ import "time"
 // The sorted nested loop: the candidate source behind BruteForce and every
 // lower-bound baseline (STR, SET, HIST, EUL, and the Euler-gram filter).
 // Each probing tree scans its window of the indexed side's size order
-// (Collection.Window): for a self join the preceding trees within τ in size,
+// (Collection.window): for a self join the preceding trees within τ in size,
 // so the size filter is built into the enumeration and every unordered pair
 // is offered exactly once — at the probe of its larger tree; for a cross join
 // every tree of A within τ in size of the probing tree of B.
@@ -38,7 +38,7 @@ func (sortedLoop) Tasks(c *Collection) []Task {
 					break
 				}
 				ti := c.Probes[p]
-				lo, hi := c.Window(ti)
+				lo, hi := c.window(ti)
 				for _, tj := range c.Order[lo:hi] {
 					px.Offer(ti, tj)
 				}

@@ -205,7 +205,7 @@ func (s tokenIndexSource) Tasks(c *Collection) []Task {
 	// (the light-tree cutoff, the overlap floor |A| − Cτ) stays at Slack·τ:
 	// those are lower-bound facts the prefix length cannot change.
 	cmul := max(s.tz.Slack(), c.PrefixC)
-	ts := c.Indexed()
+	ts := c.Trees[:len(c.Order)]
 	var x *PrefixIndex
 	built := false
 	if s.shared != nil {
@@ -622,7 +622,7 @@ func (b *bagProbe) keep(j int) bool {
 }
 
 // probe offers, for each probing tree at positions [lo, hi) of Probes, its
-// candidate partners in its window (Collection.Window) in rank order, like
+// candidate partners in its window (Collection.window) in rank order, like
 // the sorted loop's pair enumeration. Probing tree ti's bag is tree ti−off of
 // probes.
 func (x *PrefixIndex) probe(px *Pipeline, probes *TokenRanking, off, lo, hi int) {
@@ -633,8 +633,8 @@ func (x *PrefixIndex) probe(px *Pipeline, probes *TokenRanking, off, lo, hi int)
 	// along the size order. One allocation holds the per-rank shared-token
 	// counts, the ranks touched by the current probe and, when the chain
 	// holds this tokenizer's bag stage, the probe's mark by token id.
-	base, _ := c.Window(c.Probes[lo])
-	_, top := c.Window(c.Probes[hi-1])
+	base, _ := c.window(c.Probes[lo])
+	_, top := c.window(c.Probes[hi-1])
 	n := max(top-base, 0)
 	marks := 0
 	for k, f := range c.filters {
@@ -650,7 +650,7 @@ func (x *PrefixIndex) probe(px *Pipeline, probes *TokenRanking, off, lo, hi int)
 		if px.Cancelled() {
 			break
 		}
-		from, to := c.Window(ti)
+		from, to := c.window(ti)
 		bag, la := probes.bag(ti-off), probes.bags[ti-off].total
 		if marks > 0 {
 			for _, e := range bag {
