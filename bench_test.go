@@ -364,7 +364,7 @@ func BenchmarkEngineIndexSource(b *testing.B) {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
-			opts := []treejoin.Option{treejoin.WithMethod(ic.m), treejoin.WithFixedPlan()}
+			opts := []treejoin.Option{treejoin.WithMethod(ic.m)}
 			if _, _, err := corpus.SelfJoin(ctx, ic.tau, opts...); err != nil {
 				b.Fatal(err)
 			}
@@ -416,7 +416,7 @@ func BenchmarkEngineCrossJoin(b *testing.B) {
 		for _, m := range methods {
 			b.Run(m.String(), func(b *testing.B) {
 				ca, cc := mustCorpus(b, a), mustCorpus(b, c)
-				opts := []treejoin.Option{treejoin.WithFixedPlan(), treejoin.WithMethod(m)}
+				opts := []treejoin.Option{treejoin.WithMethod(m)}
 				if _, _, err := ca.Join(context.Background(), cc, 2, opts...); err != nil {
 					b.Fatal(err)
 				}

@@ -28,11 +28,11 @@
 // threshold is ignored and the K closest pairs are printed instead. With
 // -stats, a summary of where the join spent its time follows on stderr,
 // including a "plan:" line describing the execution plan the run carried:
-// its candidate source, filter-chain order and prefix multiplier C. Every
-// join runs its method's one plan (see treejoin.WithFixedPlan). With
-// -explain the join does not run at all: the command prints that plan —
-// its "plan:" line reads as the -stats run's does — the number of pairs in
-// the τ size window, and whether the token index is already built.
+// its candidate source and filter-chain order. Every join runs its method's
+// one plan: the -prefilter stages, then the method's own. With -explain the
+// join does not run at all: the command prints that plan — its "plan:" line
+// reads as the -stats run's does — the number of pairs in the τ size window,
+// and whether the token index is already built.
 //
 // With -watch the command becomes a standing join over a mutating stream:
 // it reads one mutation per stdin line — a bracket-notation tree to add, or
@@ -191,11 +191,13 @@ func main() {
 		}
 		return
 	}
+	m := parseName("method", *method, treejoin.MethodPartSJ, treejoin.MethodSTR, treejoin.MethodSET,
+		treejoin.MethodBruteForce, treejoin.MethodHistogram, treejoin.MethodEulerString, treejoin.MethodPQGram)
 	if *watch {
 		if *explain {
 			fail("-explain does not combine with -watch")
 		}
-		runWatch(*input, *format, *store, *tau, *topk, *other, *method, *prefilter, *workers, *timeout, *stats, *quiet)
+		runWatch(*input, *format, *store, *tau, *topk, *other, m, *prefilter, *workers, *timeout, *stats, *quiet)
 		return
 	}
 	if *input == "" && *store == "" {
@@ -206,25 +208,6 @@ func main() {
 	}
 	if *tau < 0 {
 		fail("threshold must be non-negative, got %d", *tau)
-	}
-	var m treejoin.Method
-	switch *method {
-	case "PRT":
-		m = treejoin.MethodPartSJ
-	case "STR":
-		m = treejoin.MethodSTR
-	case "SET":
-		m = treejoin.MethodSET
-	case "BF":
-		m = treejoin.MethodBruteForce
-	case "HIST":
-		m = treejoin.MethodHistogram
-	case "EUL":
-		m = treejoin.MethodEulerString
-	case "PQG":
-		m = treejoin.MethodPQGram
-	default:
-		fail("unknown method %q (want PRT, STR, SET, BF, HIST, EUL, or PQG)", *method)
 	}
 
 	// The corpus: a persistent store (ingesting -input when given) or a fresh
@@ -267,20 +250,8 @@ func main() {
 	if *prefilter != "" {
 		var fs []treejoin.Prefilter
 		for _, name := range strings.Split(*prefilter, ",") {
-			switch strings.TrimSpace(name) {
-			case "HIST":
-				fs = append(fs, treejoin.PrefilterHistogram)
-			case "STR":
-				fs = append(fs, treejoin.PrefilterSTR)
-			case "SET":
-				fs = append(fs, treejoin.PrefilterSET)
-			case "EUL":
-				fs = append(fs, treejoin.PrefilterEulerString)
-			case "PQG":
-				fs = append(fs, treejoin.PrefilterPQGram)
-			default:
-				fail("unknown prefilter %q (want HIST, STR, SET, EUL, or PQG)", name)
-			}
+			fs = append(fs, parseName("prefilter", strings.TrimSpace(name), treejoin.PrefilterHistogram,
+				treejoin.PrefilterSTR, treejoin.PrefilterSET, treejoin.PrefilterEulerString, treejoin.PrefilterPQGram))
 		}
 		opts = append(opts, treejoin.WithPrefilter(fs...))
 	}
@@ -343,7 +314,7 @@ func main() {
 	case *topk > 0:
 		// TopK runs expanding-threshold PartSJ passes; reject flags it would
 		// silently ignore rather than pretend they took effect.
-		if *method != "PRT" {
+		if m != treejoin.MethodPartSJ {
 			fail("-topk supports -method PRT only")
 		}
 		if *prefilter != "" {
@@ -408,8 +379,7 @@ func printStats(m treejoin.Method, tau int, st treejoin.Stats) {
 		fmt.Fprintf(os.Stderr, "source:      %s\n", st.Source)
 	}
 	if st.Plan.Source != "" {
-		fmt.Fprintf(os.Stderr, "plan:        source=%s chain=[%s] C=%d\n",
-			st.Plan.Source, strings.Join(st.Plan.Chain, " "), st.Plan.PrefixC)
+		fmt.Fprintf(os.Stderr, "plan:        source=%s chain=[%s]\n", st.Plan.Source, strings.Join(st.Plan.Chain, " "))
 	}
 	fmt.Fprintf(os.Stderr, "candidates:  %d\n", st.Candidates)
 	fmt.Fprintf(os.Stderr, "results:     %d\n", st.Results)
@@ -443,7 +413,7 @@ func printStats(m treejoin.Method, tau int, st treejoin.Stats) {
 // "+\ti\tj\tdist" for every pair entering the result; removals print
 // "-\ti\tj\tdist" for every standing pair they retract. Output is flushed
 // per mutation, so a pipe consumer sees each delta as it happens.
-func runWatch(input, format, store string, tau, topk int, other, method, prefilter string, workers int, timeout time.Duration, stats, quiet bool) {
+func runWatch(input, format, store string, tau, topk int, other string, m treejoin.Method, prefilter string, workers int, timeout time.Duration, stats, quiet bool) {
 	if tau < 0 {
 		fail("threshold must be non-negative, got %d", tau)
 	}
@@ -454,7 +424,7 @@ func runWatch(input, format, store string, tau, topk int, other, method, prefilt
 		fail("-watch does not combine with -other")
 	case prefilter != "":
 		fail("-watch does not combine with -prefilter")
-	case method != "PRT":
+	case m != treejoin.MethodPartSJ:
 		fail("-watch supports -method PRT only (the incremental stream is PartSJ)")
 	}
 	ctx := context.Background()
@@ -730,6 +700,19 @@ func startProfiles(cpu, mem string) error {
 		})
 	}
 	return nil
+}
+
+// parseName returns the one of all whose String() is name, and fails naming
+// every choice when none is.
+func parseName[T fmt.Stringer](kind, name string, all ...T) T {
+	names := make([]string, len(all))
+	for i, v := range all {
+		if names[i] = v.String(); names[i] == name {
+			return v
+		}
+	}
+	fail("unknown %s %q (want %s, or %s)", kind, name, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
+	panic("unreachable")
 }
 
 func fail(format string, args ...any) {

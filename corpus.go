@@ -67,8 +67,8 @@ type corpusState struct {
 	// subgraph and tokens hold the frozen indexes over the whole membership
 	// that every join probes, each built by whoever asks first and dying with
 	// the epoch (a Snapshot shares them): per threshold the PartSJ index
-	// composed from the parts' (indexAt), per (tokenizer, threshold, prefix
-	// multiplier) the signature methods' token index.
+	// composed from the parts' (indexAt), per (tokenizer, threshold) the
+	// signature methods' token index.
 	subgraph *engine.IndexLRU[int, *core.Index]
 	tokens   *engine.IndexLRU[tokenIndexKey, *engine.PrefixIndex]
 	ranks    *engine.IndexLRU[string, *engine.TokenRanking] // per tokenizer, what its indexes share
@@ -93,11 +93,11 @@ type part struct {
 	subgraph *engine.IndexLRU[int, *core.Index]
 }
 
-// tokenIndexKey names one of a state's token indexes: the tokenisation, the
-// threshold, and the prefix multiplier C′ it was built with.
+// tokenIndexKey names one of a state's token indexes: the tokenisation and
+// the threshold it was built for.
 type tokenIndexKey struct {
-	tokenizer    string
-	tau, prefixC int
+	tokenizer string
+	tau       int
 }
 
 func newPart(ts []*Tree, ids []int) *part {
@@ -138,18 +138,18 @@ func (st *corpusState) indexAt(ctx context.Context, tau, workers int, owner *Cor
 }
 
 // tokenResolver is the token-index source's hook for a join the state
-// receives: its frozen index for (tokenizer, τ, C′), built by whichever join
+// receives: its frozen index for (tokenizer, τ), built by whichever join
 // asks first and shared by every later one (STR, EUL and PQG tokenise alike,
 // so they share), over the tokenizer's one ranking of the state's cached bags.
 func (st *corpusState) tokenResolver(cache *engine.Cache, workers int) engine.TokenIndexResolver {
-	return func(ctx context.Context, tz engine.Tokenizer, tau, prefixC int) (*engine.PrefixIndex, bool) {
-		x, built, _ := st.tokens.Get(ctx, tokenIndexKey{tz.Name(), tau, prefixC}, func() *engine.PrefixIndex {
+	return func(ctx context.Context, tz engine.Tokenizer, tau int) (*engine.PrefixIndex, bool) {
+		x, built, _ := st.tokens.Get(ctx, tokenIndexKey{tz.Name(), tau}, func() *engine.PrefixIndex {
 			return engine.NewPrefixIndex(func() *engine.TokenRanking {
 				rk, _, _ := st.ranks.Get(context.WithoutCancel(ctx), tz.Name(), func() *engine.TokenRanking {
 					return engine.NewTokenRanking(tz, st.ts, workers, cache)
 				})
 				return rk
-			}, tau, prefixC)
+			}, tau)
 		})
 		return x, built
 	}
@@ -262,11 +262,11 @@ func (prev *corpusState) next(ts []*Tree, ids []int, nextID int, lt *LabelTable,
 // one-part corpus over the same trees would. A join is one run over the whole
 // membership, probing one index per epoch: for PartSJ the parts' frozen
 // subgraph indexes composed into exactly the index a one-part build holds, for
-// the signature methods one token index per tokenizer, threshold and prefix
-// multiplier (STR, EUL and PQG tokenise alike and share one; so do SET and
-// HIST). Search probes every part's index, so a point query after a mutation
-// rebuilds one part's index, never the whole membership's; TopK and KNN
-// expand one global threshold over those two. Every index cache is a small LRU
+// the signature methods one token index per tokenizer and threshold (STR, EUL
+// and PQG tokenise alike and share one; so do SET and HIST). Search probes
+// every part's index, so a point query after a mutation rebuilds one part's
+// index, never the whole membership's; TopK and KNN expand one global
+// threshold over those two. Every index cache is a small LRU
 // (see core.DefaultIndexCacheCap): a part's subgraph index is built at most
 // once per threshold, whoever asks first — Search, KNN or the compose a join
 // asks for — and each whole-membership index at most once per epoch.
@@ -918,9 +918,6 @@ func (c config) requirePartSJ(op string) error {
 	}
 	if len(c.prefilters) > 0 {
 		return fmt.Errorf("%w: %s does not take prefilters", ErrOptionConflict, op)
-	}
-	if len(c.planSpecs) > 0 {
-		return fmt.Errorf("%w: %s does not take a fixed plan spec", ErrOptionConflict, op)
 	}
 	return nil
 }

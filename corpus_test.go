@@ -27,15 +27,14 @@ func mustCorpus(t testing.TB, ts []*treejoin.Tree) *treejoin.Corpus {
 	return cp
 }
 
-// selfJoin is the one-shot self join of ts: a fresh corpus, joined under the
-// static plan (WithFixedPlan first; later options may pin a spec).
+// selfJoin is the one-shot self join of ts: a fresh corpus, joined once.
 func selfJoin(tb testing.TB, ts []*treejoin.Tree, tau int, opts ...treejoin.Option) ([]treejoin.Pair, treejoin.Stats) {
 	tb.Helper()
 	cp, err := treejoin.NewCorpus(ts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pairs, st, err := cp.SelfJoin(context.Background(), tau, append([]treejoin.Option{treejoin.WithFixedPlan()}, opts...)...)
+	pairs, st, err := cp.SelfJoin(context.Background(), tau, opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func crossJoin(tb testing.TB, a, b []*treejoin.Tree, tau int, opts ...treejoin.O
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pairs, st, err := ca.Join(context.Background(), cb, tau, append([]treejoin.Option{treejoin.WithFixedPlan()}, opts...)...)
+	pairs, st, err := ca.Join(context.Background(), cb, tau, opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func BenchmarkDynamicUpdate(b *testing.B) {
 		var build time.Duration
 		tokenJoins := func(cp *treejoin.Corpus) {
 			for _, m := range []treejoin.Method{treejoin.MethodSTR, treejoin.MethodSET} {
-				_, st, err := cp.SelfJoin(ctx, 1, treejoin.WithMethod(m), treejoin.WithFixedPlan())
+				_, st, err := cp.SelfJoin(ctx, 1, treejoin.WithMethod(m))
 				if err != nil {
 					b.Fatal(err)
 				}

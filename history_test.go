@@ -64,7 +64,7 @@ type histOp struct {
 	Method  treejoin.Method
 	Tau, K  int
 	Workers int
-	Plan    int // index into planVariants(Method), modulo its length
+	Plan    int // index into planVariants, modulo its length
 	Seq     bool
 	Query   int // a pool index
 	Lo, N   int
@@ -236,35 +236,25 @@ func (m *model) knn(p *pool, q, k int) []treejoin.Match {
 	return ms[:min(k, len(ms))]
 }
 
-// planVariant is one way to pin a join's plan; every one must give the
-// default plan's answer.
-type planVariant struct {
-	name    string
-	opts    []treejoin.Option
-	prefixC bool // pins a prefix multiplier, which the sorted loop cannot take
+// planVariants are the plans a join can run: its method's default and the
+// method behind prefilter chains. Every one must give the default plan's
+// answer.
+var planVariants = []struct {
+	name       string
+	prefilters []treejoin.Prefilter
+}{
+	{"default", nil},
+	{"prefilter-hist", []treejoin.Prefilter{treejoin.PrefilterHistogram}},
+	{"prefilter-set-str", []treejoin.Prefilter{treejoin.PrefilterSET, treejoin.PrefilterSTR}},
+	{"prefilter-hist-pqg-eul", []treejoin.Prefilter{treejoin.PrefilterHistogram, treejoin.PrefilterPQGram, treejoin.PrefilterEulerString}},
 }
 
-func planVariants(m treejoin.Method) []planVariant {
-	fixed := func(s treejoin.PlanSpec) []treejoin.Option { return []treejoin.Option{treejoin.WithFixedPlan(s)} }
-	pre := func(ps ...treejoin.Prefilter) []treejoin.Option {
-		return []treejoin.Option{treejoin.WithPrefilter(ps...)}
-	}
-	vs := []planVariant{
-		{"default", nil, false},
-		{"no-filters", fixed(treejoin.PlanSpec{Chain: []treejoin.Prefilter{}}), false},
-		{"chain-hist-pqg", fixed(treejoin.PlanSpec{Chain: []treejoin.Prefilter{treejoin.PrefilterHistogram, treejoin.PrefilterPQGram}}), false},
-		{"prefilter-hist", pre(treejoin.PrefilterHistogram), false},
-		{"prefilter-set-str", pre(treejoin.PrefilterSET, treejoin.PrefilterSTR), false},
-		{"prefilter-hist-pqg-eul", pre(treejoin.PrefilterHistogram, treejoin.PrefilterPQGram, treejoin.PrefilterEulerString), false},
-	}
-	if m == treejoin.MethodPartSJ || m == treejoin.MethodBruteForce {
-		return vs
-	}
-	return append(vs,
-		planVariant{"pin-index", fixed(treejoin.PlanSpec{Source: treejoin.PlanSourceTokenIndex}), false},
-		planVariant{"pin-loop", fixed(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop}), false},
-		planVariant{"chain-rev", fixed(treejoin.PlanSpec{Chain: []treejoin.Prefilter{treejoin.PrefilterPQGram, treejoin.PrefilterSTR, treejoin.PrefilterHistogram}}), false},
-		planVariant{"prefix-c24", fixed(treejoin.PlanSpec{Source: treejoin.PlanSourceTokenIndex, PrefixC: 24}), true})
+// ownStage is each signature method's own filter stage: the method's chain
+// on the sorted loop is MethodBruteForce with that stage last.
+var ownStage = map[treejoin.Method]treejoin.Prefilter{
+	treejoin.MethodSTR: treejoin.PrefilterSTR, treejoin.MethodSET: treejoin.PrefilterSET,
+	treejoin.MethodHistogram: treejoin.PrefilterHistogram, treejoin.MethodEulerString: treejoin.PrefilterEulerString,
+	treejoin.MethodPQGram: treejoin.PrefilterPQGram,
 }
 
 // tally records what a run of histories exercised: the (query kind, method)
@@ -361,9 +351,8 @@ func (c *checker) query(op histOp, cp *treejoin.Corpus, m *model, feed []*treejo
 }
 
 func (c *checker) join(op histOp, cp *treejoin.Corpus, m *model, feed []*treejoin.Tree) error {
-	variants := planVariants(op.Method)
-	v := variants[op.Plan%len(variants)]
-	opts := append([]treejoin.Option{treejoin.WithMethod(op.Method), treejoin.WithWorkers(op.Workers)}, v.opts...)
+	v := planVariants[op.Plan%len(planVariants)]
+	opts := []treejoin.Option{treejoin.WithMethod(op.Method), treejoin.WithWorkers(op.Workers), treejoin.WithPrefilter(v.prefilters...)}
 	kind, want, trees := "SelfJoin", m.join(c.pool, m.trees, true, op.Tau), cp.Len()
 	var other *treejoin.Corpus
 	if op.Kind == opJoin {
@@ -397,14 +386,16 @@ func (c *checker) join(op histOp, cp *treejoin.Corpus, m *model, feed []*treejoi
 		}
 		c.seen[key] = now
 	}
-	if strings.HasPrefix(st.Source, "token-index(") && !v.prefixC {
-		loop := append(slices.Clip(opts), treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop}))
+	if strings.HasPrefix(st.Source, "token-index(") {
+		// The same chain on the sorted loop: the method's stage after the
+		// prefilters, on MethodBruteForce.
+		loop := append(slices.Clip(opts), treejoin.WithMethod(treejoin.MethodBruteForce), treejoin.WithPrefilter(ownStage[op.Method]))
 		lgot, lst, err := joinOnce(cp, other, op.Tau, false, loop)
-		if err := same(name+" pinned to the sorted loop", lgot, want, err); err != nil {
+		if err := same(name+" on the sorted loop", lgot, want, err); err != nil {
 			return err
 		}
 		if lst.Source != "sorted-loop" || lst.Candidates < st.Candidates {
-			return fmt.Errorf("%s: %d candidates from %s, %d from the pinned loop (%s)", name, st.Candidates, st.Source, lst.Candidates, lst.Source)
+			return fmt.Errorf("%s: %d candidates from %s, %d from the sorted loop (%s)", name, st.Candidates, st.Source, lst.Candidates, lst.Source)
 		}
 		c.tl.note(kind+"/"+op.Method.String(), lst.Source)
 	}
@@ -752,7 +743,7 @@ func genHistory(seed int64, mx mix) history {
 			n := joins[op.Kind-opSelfJoin]
 			joins[op.Kind-opSelfJoin]++
 			op.Method, op.Seq, op.Tau, op.Workers = histMethods[n%len(histMethods)], n/len(histMethods)%2 == 1, pick(histTaus), pick(histWorkers)
-			op.Plan = rng.Intn(len(planVariants(op.Method)))
+			op.Plan = rng.Intn(len(planVariants))
 			if op.Kind == opJoin {
 				op.N, op.Parts = 10+rng.Intn(20), pick(histParts)
 				op.Lo = rng.Intn(poolSize - op.N)
@@ -992,8 +983,8 @@ func TestPersistenceOracle(t *testing.T) {
 		opSelfJoin: 4, opJoin: 1, opSearch: 1, opTopK: 1, opKNN: 1, opIncremental: 1}})
 }
 
-// TestPlanEquivalenceOracle: every expressible plan gives the default plan's
-// answer, before and after mutations.
+// TestPlanEquivalenceOracle: every method behind every prefilter chain gives
+// the default plan's answer, before and after mutations.
 func TestPlanEquivalenceOracle(t *testing.T) {
 	runHistories(t, 3, 1, mix{steps: 90, weights: [numKinds]int{opAdd: 1, opRemove: 1, opSelfJoin: 4, opJoin: 2}})
 }
@@ -1045,7 +1036,7 @@ func TestCorpusQueriesMatchLegacy(t *testing.T) {
 }
 
 // TestTokenIndexOracleSweep: every join the token index serves is repeated
-// on the pinned sorted loop, which must give the same pairs from at least as
+// on the sorted loop, which must give the same pairs from at least as
 // many candidates.
 func TestTokenIndexOracleSweep(t *testing.T) {
 	runHistories(t, 59, 1, mix{steps: 90, weights: [numKinds]int{opAdd: 1, opRemove: 1, opSelfJoin: 3, opJoin: 2}})

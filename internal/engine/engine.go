@@ -57,10 +57,6 @@ type Collection struct {
 	// Sources that can decompose candidate generation cheaply use it as
 	// their default task count.
 	Workers int
-	// PrefixC carries Job.PrefixC: the token-index source's prefix-length
-	// multiplier override (0 or values at most the tokenizer's Slack leave
-	// the default Slack()·τ+1 prefix).
-	PrefixC int
 
 	ctx      context.Context
 	cache    *Cache
@@ -318,12 +314,6 @@ type Job struct {
 	// looked up there before being recomputed. nil gives the run a private
 	// cache.
 	Cache *Cache
-	// PrefixC, when above the source tokenizer's Slack(), grows the token
-	// index's per-tree indexed prefix to PrefixC·τ+1 expanded elements
-	// (default Slack()·τ+1). Any such value is sound — a longer prefix is a
-	// superset of the proven one and sharpens the count threshold — so a
-	// fixed plan may pin any; values at or below Slack() are ignored.
-	PrefixC int
 	// Plan is the execution-plan record the caller stamps into the run's
 	// Stats (Stats.Plan) for diagnostics; the engine does not interpret it.
 	Plan sim.PlanRecord
@@ -395,7 +385,6 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	stats.Plan = job.Plan
 	em := &emitter{sink: sink, split: split, cancel: cancel}
 	c := newCollection(ctx, ts, split, job.Tau, job.Workers, job.Cache)
-	c.PrefixC = job.PrefixC
 	c.filters = job.Filters
 
 	// Prepare the filter chain once over the combined collection; stage

@@ -56,8 +56,8 @@ func mixedCorpus(n int, seed int64) []*tree.Tree {
 }
 
 // testIndex builds the index over ts on its own ranking.
-func testIndex(tz Tokenizer, ts []*tree.Tree, tau, prefixC, workers int) *PrefixIndex {
-	return NewPrefixIndex(func() *TokenRanking { return NewTokenRanking(tz, ts, workers, NewCache()) }, tau, prefixC)
+func testIndex(tz Tokenizer, ts []*tree.Tree, tau, workers int) *PrefixIndex {
+	return NewPrefixIndex(func() *TokenRanking { return NewTokenRanking(tz, ts, workers, NewCache()) }, tau)
 }
 
 // probeReference recomputes what the probe must do from the index's bags and
@@ -150,49 +150,46 @@ func probeReference(x *PrefixIndex, tz Tokenizer, ts []*tree.Tree, split int) (o
 // offers exactly the reference's pairs, in the reference's order, and counts
 // exactly its postings and count-skipped partners — both tokenizers,
 // thresholds from exact matching through bag-saturating, self joins and cross
-// joins (over the index of the first side alone), the default prefix and a
-// doubled one.
+// joins (over the index of the first side alone).
 func TestProbeReference(t *testing.T) {
 	ts := mixedCorpus(60, 11)
 	const split = 50
 	for _, tz := range refTokenizers() {
 		for _, tau := range []int{0, 1, 2, 4, 8} {
 			for _, cross := range []bool{false, true} {
-				for _, prefixC := range []int{0, 2 * tz.Slack()} {
-					label := fmt.Sprintf("%s τ=%d cross=%v C'=%d", tz.Name(), tau, cross, prefixC)
-					var got [][2]int
-					record := NewFilter("record", func(*Collection) func(i, j int) bool {
-						return func(i, j int) bool {
-							got = append(got, [2]int{i, j})
-							return false
-						}
-					})
-					job := Job{Tau: tau, Filters: []PairFilter{record}, Source: TokenIndex(tz, nil), PrefixC: prefixC, Workers: 1}
-					var st *sim.Stats
-					sp, indexed := -1, ts
-					if cross {
-						_, st = job.Join(ts[:split], ts[split:])
-						sp, indexed = split, ts[:split]
-					} else {
-						_, st = job.SelfJoin(ts)
+				label := fmt.Sprintf("%s τ=%d cross=%v", tz.Name(), tau, cross)
+				var got [][2]int
+				record := NewFilter("record", func(*Collection) func(i, j int) bool {
+					return func(i, j int) bool {
+						got = append(got, [2]int{i, j})
+						return false
 					}
-					if st.Source != TokenIndex(tz, nil).Name() {
-						t.Fatalf("%s: source %q, want the token index", label, st.Source)
+				})
+				job := Job{Tau: tau, Filters: []PairFilter{record}, Source: TokenIndex(tz, nil), Workers: 1}
+				var st *sim.Stats
+				sp, indexed := -1, ts
+				if cross {
+					_, st = job.Join(ts[:split], ts[split:])
+					sp, indexed = split, ts[:split]
+				} else {
+					_, st = job.SelfJoin(ts)
+				}
+				if st.Source != TokenIndex(tz, nil).Name() {
+					t.Fatalf("%s: source %q, want the token index", label, st.Source)
+				}
+				x := testIndex(tz, indexed, tau, 1)
+				for ti, b := range x.bags {
+					if want := min(int32(tz.Slack()*tau+1), b.total); x.plen[ti] != want {
+						t.Fatalf("%s: tree %d prefix length %d, want %d", label, ti, x.plen[ti], want)
 					}
-					x := testIndex(tz, indexed, tau, prefixC, 1)
-					for ti, b := range x.bags {
-						if want := min(int32(x.cmul*tau+1), b.total); x.plen[ti] != want {
-							t.Fatalf("%s: tree %d prefix length %d, want %d", label, ti, x.plen[ti], want)
-						}
-					}
-					want, scanned, skipped := probeReference(x, tz, ts, sp)
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s: offered %d pairs, reference %d (or the order differs)", label, len(got), len(want))
-					}
-					if st.PostingsScanned != scanned || st.SkippedByCount != skipped {
-						t.Fatalf("%s: scanned/skipped %d/%d, reference %d/%d", label,
-							st.PostingsScanned, st.SkippedByCount, scanned, skipped)
-					}
+				}
+				want, scanned, skipped := probeReference(x, tz, ts, sp)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: offered %d pairs, reference %d (or the order differs)", label, len(got), len(want))
+				}
+				if st.PostingsScanned != scanned || st.SkippedByCount != skipped {
+					t.Fatalf("%s: scanned/skipped %d/%d, reference %d/%d", label,
+						st.PostingsScanned, st.SkippedByCount, scanned, skipped)
 				}
 			}
 		}
@@ -206,7 +203,7 @@ func TestProbeAllocs(t *testing.T) {
 	ts := mixedCorpus(60, 11)
 	for _, tz := range refTokenizers() {
 		c := newCollection(context.Background(), ts, -1, 2, 1, nil)
-		x := testIndex(tz, ts, c.Tau, 0, 1)
+		x := testIndex(tz, ts, c.Tau, 1)
 		px := &Pipeline{c: c, preds: []func(i, j int) bool{func(i, j int) bool { return false }}, counts: make([]sim.StageStats, 1)}
 		n := len(c.Order)
 		few := testing.AllocsPerRun(20, func() { x.probe(px, x.TokenRanking, 0, n-4, n) })
@@ -219,7 +216,7 @@ func TestProbeAllocs(t *testing.T) {
 		}
 		const split = 50
 		c = newCollection(context.Background(), ts, split, 2, 1, nil)
-		x = testIndex(tz, ts[:split], c.Tau, 0, 1)
+		x = testIndex(tz, ts[:split], c.Tau, 1)
 		probes := x.rankForeign(tz, ts[split:], 1, c.Cache())
 		px = &Pipeline{c: c, preds: px.preds, counts: make([]sim.StageStats, 1)}
 		cross := testing.AllocsPerRun(20, func() { x.probe(px, probes, split, 0, len(c.Probes)) })
@@ -238,7 +235,7 @@ func TestProbeAllocsBagStage(t *testing.T) {
 	for _, tz := range refTokenizers() {
 		c := newCollection(context.Background(), ts, -1, 2, 1, nil)
 		c.filters = []PairFilter{BagFilter("BAG", tz)}
-		x := testIndex(tz, ts, c.Tau, 0, 1)
+		x := testIndex(tz, ts, c.Tau, 1)
 		called := 0
 		preds := []func(i, j int) bool{
 			func(i, j int) bool { called++; return true },

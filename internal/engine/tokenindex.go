@@ -66,8 +66,8 @@ import (
 // only the indexed tree's prefix, so each partner tree walks the lists over
 // [sz−τ, sz+τ] with its whole bag in the receiver's ids (rankForeign); keys
 // the receiver never saw count only toward its bag size. A corpus keeps the
-// index per (tokenizer, τ, C′) for the current epoch (TokenIndexResolver),
-// all of them over the epoch's one ranking per tokenizer.
+// index per (tokenizer, τ) for the current epoch (TokenIndexResolver), all of
+// them over the epoch's one ranking per tokenizer.
 //
 // On tiny corpora — or thresholds at least the largest tree's size, where
 // the C·τ slack swallows every bag — building the index costs more than the
@@ -148,12 +148,11 @@ func (f bagFilter) Prepare(c *Collection) func(i, j int) bool {
 const TokenIndexMinTrees = 48
 
 // TokenIndexResolver is how a corpus shares one frozen index among the joins
-// of an epoch: it returns the index over its membership for (tz, τ, prefix
-// multiplier C′), building it on first use, and reports whether this call
-// paid for the build. nil means the corpus has none to offer (a view pinned to
-// a superseded epoch). The source probes the answer only if it covers exactly
-// the run's indexed side.
-type TokenIndexResolver func(ctx context.Context, tz Tokenizer, tau, prefixC int) (x *PrefixIndex, built bool)
+// of an epoch: it returns the index over its membership for (tz, τ), building
+// it on first use, and reports whether this call paid for the build. nil means
+// the corpus has none to offer (a view pinned to a superseded epoch). The
+// source probes the answer only if it covers exactly the run's indexed side.
+type TokenIndexResolver func(ctx context.Context, tz Tokenizer, tau int) (x *PrefixIndex, built bool)
 
 type tokenIndexSource struct {
 	tz     Tokenizer
@@ -196,20 +195,11 @@ func (s tokenIndexSource) Tasks(c *Collection) []Task {
 		}
 		return tasks
 	}
-	// The indexed prefix spends C'τ+1 expanded elements, where C' is the
-	// tokenizer's Slack unless a fixed plan pinned more (Collection.PrefixC). A
-	// longer prefix is always sound — it is a superset of the proven
-	// Slack·τ+1 prefix, so the theorem's shared token is still indexed — and
-	// it sharpens the count threshold, which charges a partner for the bag
-	// elements outside its prefix. Everything stated on the bag bound itself
-	// (the light-tree cutoff, the overlap floor |A| − Cτ) stays at Slack·τ:
-	// those are lower-bound facts the prefix length cannot change.
-	cmul := max(s.tz.Slack(), c.PrefixC)
 	ts := c.Trees[:len(c.Order)]
 	var x *PrefixIndex
 	built := false
 	if s.shared != nil {
-		if x, built = s.shared(c.Context(), s.tz, c.Tau, cmul); x != nil && !x.covers(ts, s.tz, c.Tau, cmul) {
+		if x, built = s.shared(c.Context(), s.tz, c.Tau); x != nil && !x.covers(ts, s.tz, c.Tau) {
 			x, built = nil, false
 		}
 	}
@@ -217,7 +207,7 @@ func (s tokenIndexSource) Tasks(c *Collection) []Task {
 		if c.Cancelled() {
 			return nil
 		}
-		x, built = NewPrefixIndex(func() *TokenRanking { return NewTokenRanking(s.tz, ts, c.Workers, c.Cache()) }, c.Tau, cmul), true
+		x, built = NewPrefixIndex(func() *TokenRanking { return NewTokenRanking(s.tz, ts, c.Workers, c.Cache()) }, c.Tau), true
 	}
 	// The probes' bags: the index's own, or a cross join partner's in the
 	// index's ids. The build and this are the run's candidate generation.
@@ -295,8 +285,8 @@ type idCount struct {
 // TokenRanking numbers the distinct tokens of a collection's bags in the
 // global order "rare tokens first, ties by key" — a token's id is its rank —
 // and holds every tree's bag in those ids, ascending. It depends on the
-// membership alone, not on τ or C′, so every index over one collection may
-// share it.
+// membership alone, not on τ, so every index over one collection may share
+// it.
 type TokenRanking struct {
 	tz     string
 	slack  int
@@ -489,38 +479,36 @@ type posting struct {
 	count int32
 }
 
-// PrefixIndex is the frozen token index of one collection at one threshold
-// and prefix multiplier, over the collection's ranking: every tree's prefix
-// posted, nothing inserted afterwards, so any number of probes read it
-// concurrently.
+// PrefixIndex is the frozen token index of one collection at one threshold,
+// over the collection's ranking: every tree's prefix posted, nothing inserted
+// afterwards, so any number of probes read it concurrently.
 type PrefixIndex struct {
 	*TokenRanking
-	tau, cmul int
-	ctau      int32     // Slack·τ: the bag bound's slack, and the light-tree cutoff
-	plen      []int32   // by tree: expanded prefix length p_i = min(C'τ+1, total_i)
-	start     []int32   // id's list is post[start[id]:start[id+1]]; ids past the end have none
-	post      []posting // the lists, by id
-	light     int32     // the light trees are the order ranks below it
-	built     time.Duration
+	tau   int
+	ctau  int32     // Slack·τ: the bag bound's slack, and the light-tree cutoff
+	plen  []int32   // by tree: expanded prefix length p_i = min(Slack·τ+1, total_i)
+	start []int32   // id's list is post[start[id]:start[id+1]]; ids past the end have none
+	post  []posting // the lists, by id
+	light int32     // the light trees are the order ranks below it
+	built time.Duration
 }
 
 // NewPrefixIndex builds the index at threshold tau, with a prefix of
-// max(Slack, prefixC)·τ+1 expanded elements per tree, over the ranking rank
-// returns. rank runs on the build's clock: a ranking built for this index is
-// part of its build time, one an earlier index built is not.
+// Slack·τ+1 expanded elements per tree, over the ranking rank returns. rank
+// runs on the build's clock: a ranking built for this index is part of its
+// build time, one an earlier index built is not.
 //
-// It posts, in the ascending-size order, the first cmul·τ+1 expanded tokens
+// It posts, in the ascending-size order, the first Slack·τ+1 expanded tokens
 // of every tree's bag under the global order — the front of its ranked bag,
 // the last entry's count clipped. Rare tokens have the short posting lists,
 // so prefixes drawn from the front of this order keep probe work minimal; any
 // fixed total order is sound, frequency ordering is the classic heuristic.
-func NewPrefixIndex(rank func() *TokenRanking, tau, prefixC int) *PrefixIndex {
+func NewPrefixIndex(rank func() *TokenRanking, tau int) *PrefixIndex {
 	start := time.Now()
 	rk := rank()
 	order := sim.SizeOrder(rk.ts)
-	cmul := max(rk.slack, prefixC)
-	x := &PrefixIndex{TokenRanking: rk, tau: tau, cmul: cmul, ctau: int32(rk.slack * tau), plen: make([]int32, len(rk.ts))}
-	budget := int32(cmul*tau + 1)
+	x := &PrefixIndex{TokenRanking: rk, tau: tau, ctau: int32(rk.slack * tau), plen: make([]int32, len(rk.ts))}
+	budget := x.ctau + 1
 	walk := func(post func(r int32, e idCount)) {
 		for r := len(order) - 1; r >= 0; r-- {
 			ti := order[r]
@@ -558,10 +546,10 @@ func NewPrefixIndex(rank func() *TokenRanking, tau, prefixC int) *PrefixIndex {
 }
 
 // covers reports whether x indexes exactly ts, in order, for this
-// tokenisation, threshold and prefix multiplier — what lets a run probe an
-// index it did not build.
-func (x *PrefixIndex) covers(ts []*tree.Tree, tz Tokenizer, tau, cmul int) bool {
-	return x.tz == tz.Name() && x.tau == tau && x.cmul == cmul && slices.Equal(x.ts, ts)
+// tokenisation and threshold — what lets a run probe an index it did not
+// build.
+func (x *PrefixIndex) covers(ts []*tree.Tree, tz Tokenizer, tau int) bool {
+	return x.tz == tz.Name() && x.tau == tau && slices.Equal(x.ts, ts)
 }
 
 // rankForeign returns ts, trees outside x's ranking, in its ids: their cached

@@ -17,25 +17,23 @@ import (
 // TestBuildWorkerInvariance: the index built on any number of workers is the
 // one-worker build field for field — every posting list, the light trees, the
 // prefix lengths and the bags — for both tokenizers, thresholds from exact
-// matching through bag-saturating, the default prefix and a doubled one, and
-// a collection smaller than the worker count.
+// matching through bag-saturating, and a collection smaller than the worker
+// count.
 func TestBuildWorkerInvariance(t *testing.T) {
 	ts := mixedCorpus(60, 11)
 	for _, tz := range refTokenizers() {
 		for _, tau := range []int{0, 1, 2, 4, 8} {
-			for _, prefixC := range []int{0, 2 * tz.Slack()} {
-				for _, col := range [][]*tree.Tree{ts, ts[len(ts)-5:]} {
-					want := testIndex(tz, col, tau, prefixC, 1)
-					for _, workers := range []int{1, 2, 3, 8} {
-						label := fmt.Sprintf("%s τ=%d C'=%d n=%d workers=%d", tz.Name(), tau, prefixC, len(col), workers)
-						got := testIndex(tz, col, tau, prefixC, workers)
-						got.built = want.built
-						if !slices.Equal(got.start, want.start) || !slices.Equal(got.post, want.post) || got.light != want.light {
-							t.Fatalf("%s: posting lists or light trees differ from the one-worker build", label)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: index differs from the one-worker build", label)
-						}
+			for _, col := range [][]*tree.Tree{ts, ts[len(ts)-5:]} {
+				want := testIndex(tz, col, tau, 1)
+				for _, workers := range []int{1, 2, 3, 8} {
+					label := fmt.Sprintf("%s τ=%d n=%d workers=%d", tz.Name(), tau, len(col), workers)
+					got := testIndex(tz, col, tau, workers)
+					got.built = want.built
+					if !slices.Equal(got.start, want.start) || !slices.Equal(got.post, want.post) || got.light != want.light {
+						t.Fatalf("%s: posting lists or light trees differ from the one-worker build", label)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: index differs from the one-worker build", label)
 					}
 				}
 			}

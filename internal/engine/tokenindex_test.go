@@ -60,10 +60,10 @@ func (l *candidateLog) verify(t1, t2 *tree.Tree, tau int) (int, bool) {
 // TestTokenIndexOracle: the frozen token index produces exactly the sorted
 // loop's result set, and its candidates are among the loop's post-filter
 // survivors — self and cross joins, every tokenizer, thresholds from exact
-// matching through bag-saturating, the default and a doubled prefix. However
-// the probe is chunked (one chunk; three and eight, pulled by one worker and
-// by two), the candidates and every counter are those of the single chunk: a
-// probe sees the postings below its own rank and no others.
+// matching through bag-saturating. However the probe is chunked (one chunk;
+// three and eight, pulled by one worker and by two), the candidates and every
+// counter are those of the single chunk: a probe sees the postings below its
+// own rank and no others.
 func TestTokenIndexOracle(t *testing.T) {
 	ts := mixedCorpus(60, 11)
 	filter := baseline.HISTFilter()
@@ -81,31 +81,29 @@ func TestTokenIndexOracle(t *testing.T) {
 		for _, tau := range []int{0, 1, 2, 4, 8} {
 			for _, cross := range []bool{false, true} {
 				want, _, loop := run(engine.Job{Tau: tau, Filters: []engine.PairFilter{filter}}, cross)
-				for _, prefixC := range []int{0, 2 * tz.Slack()} {
-					var one *sim.Stats
-					for _, workers := range []int{1, 2, 3} {
-						label := fmt.Sprintf("%s τ=%d cross=%v C'=%d workers=%d", tz.Name(), tau, cross, prefixC, workers)
-						got, st, log := run(engine.Job{
-							Tau: tau, Filters: []engine.PairFilter{filter}, Source: engine.TokenIndex(tz, nil),
-							PrefixC: prefixC, Workers: workers,
-						}, cross)
-						equalPairs(t, label, got, want)
-						for p := range log.pairs {
-							if !loop.pairs[p] {
-								t.Fatalf("%s: the index fed a pair the loop's filter chain prunes", label)
-							}
+				var one *sim.Stats
+				for _, workers := range []int{1, 2, 3} {
+					label := fmt.Sprintf("%s τ=%d cross=%v workers=%d", tz.Name(), tau, cross, workers)
+					got, st, log := run(engine.Job{
+						Tau: tau, Filters: []engine.PairFilter{filter}, Source: engine.TokenIndex(tz, nil),
+						Workers: workers,
+					}, cross)
+					equalPairs(t, label, got, want)
+					for p := range log.pairs {
+						if !loop.pairs[p] {
+							t.Fatalf("%s: the index fed a pair the loop's filter chain prunes", label)
 						}
-						if one == nil {
-							one = st
-							continue
-						}
-						if st.Candidates != one.Candidates || st.PostingsScanned != one.PostingsScanned ||
-							st.SkippedByCount != one.SkippedByCount || st.Stages[0].In != one.Stages[0].In ||
-							st.Stages[0].Pruned != one.Stages[0].Pruned {
-							t.Fatalf("%s: candidates/scanned/skipped/in/pruned %d/%d/%d/%d/%d, one chunk %d/%d/%d/%d/%d", label,
-								st.Candidates, st.PostingsScanned, st.SkippedByCount, st.Stages[0].In, st.Stages[0].Pruned,
-								one.Candidates, one.PostingsScanned, one.SkippedByCount, one.Stages[0].In, one.Stages[0].Pruned)
-						}
+					}
+					if one == nil {
+						one = st
+						continue
+					}
+					if st.Candidates != one.Candidates || st.PostingsScanned != one.PostingsScanned ||
+						st.SkippedByCount != one.SkippedByCount || st.Stages[0].In != one.Stages[0].In ||
+						st.Stages[0].Pruned != one.Stages[0].Pruned {
+						t.Fatalf("%s: candidates/scanned/skipped/in/pruned %d/%d/%d/%d/%d, one chunk %d/%d/%d/%d/%d", label,
+							st.Candidates, st.PostingsScanned, st.SkippedByCount, st.Stages[0].In, st.Stages[0].Pruned,
+							one.Candidates, one.PostingsScanned, one.SkippedByCount, one.Stages[0].In, one.Stages[0].Pruned)
 					}
 				}
 			}
@@ -266,7 +264,7 @@ func TestTokenIndexRace(t *testing.T) {
 	shared := make([]func() *engine.PrefixIndex, len(tzs))
 	for k, tz := range tzs {
 		shared[k] = sync.OnceValue(func() *engine.PrefixIndex {
-			return engine.NewPrefixIndex(func() *engine.TokenRanking { return engine.NewTokenRanking(tz, a, 2, cache) }, 2, 0)
+			return engine.NewPrefixIndex(func() *engine.TokenRanking { return engine.NewTokenRanking(tz, a, 2, cache) }, 2)
 		})
 	}
 	var wg sync.WaitGroup
@@ -282,7 +280,7 @@ func TestTokenIndexRace(t *testing.T) {
 				}
 				return
 			}
-			job.Source = engine.TokenIndex(tzs[k], func(context.Context, engine.Tokenizer, int, int) (*engine.PrefixIndex, bool) {
+			job.Source = engine.TokenIndex(tzs[k], func(context.Context, engine.Tokenizer, int) (*engine.PrefixIndex, bool) {
 				return shared[k](), false
 			})
 			if got, st := job.Join(a, b); !slices.Equal(got, cross) || !strings.HasPrefix(st.Source, "token-index(") {

@@ -56,10 +56,9 @@ func ExpandTau[T any](start, tauCap, k int, order func(a, b T) int, round func(t
 
 // StageStats attributes filtering work to one pipeline stage: how many pairs
 // the stage was offered and how many it killed. The engine records one entry
-// per *executed* filter, in the order the stages actually ran — when a
-// fixed plan pins a chain, the entries follow that chain, not the configured
-// prefilters — so a filter chain's ablation (which stage does the pruning)
-// reads directly off a join's Stats.
+// per executed filter, in the order the stages actually ran, so a filter
+// chain's ablation (which stage does the pruning) reads directly off a join's
+// Stats.
 type StageStats struct {
 	Name   string // filter name, e.g. "HIST"
 	In     int64  // pairs offered to the stage
@@ -70,13 +69,11 @@ type StageStats struct {
 func (s StageStats) Out() int64 { return s.In - s.Pruned }
 
 // PlanRecord describes the execution plan a run was given: which candidate
-// source was configured, the filter chain in executed order, and the prefix
-// multiplier the token index ran with (0 when no index was involved). It is
-// the method's plan with any WithFixedPlan pins applied.
+// source its method configures and the filter chain in executed order — the
+// prefilters, then the method's own stage.
 type PlanRecord struct {
-	Source  string
-	Chain   []string
-	PrefixC int
+	Source string
+	Chain  []string
 }
 
 // Stats records where a join spent its effort; the split between candidate
@@ -109,9 +106,8 @@ type Stats struct {
 	// pipeline: one entry per stage, in the order the stages ran.
 	Stages []StageStats
 
-	// Plan records the execution plan behind the run (source, executed
-	// filter order, prefix multiplier); see PlanRecord. Stamped on every
-	// run.
+	// Plan records the execution plan behind the run (source and executed
+	// filter order); see PlanRecord. Stamped on every run.
 	Plan PlanRecord
 
 	// PartSJ-specific counters (zero for the baselines).

@@ -122,7 +122,6 @@ func (p Prefilter) stage() engine.PairFilter {
 type config struct {
 	method     Method
 	workers    int
-	planSpecs  []PlanSpec
 	prefilters []Prefilter
 	statsDst   *Stats
 
@@ -141,15 +140,16 @@ func WithMethod(m Method) Option { return func(c *config) { c.method = m } }
 
 // WithWorkers runs a query on n parallel goroutines: TED verification for
 // every method, plus candidate generation wherever the source decomposes —
-// the sorted nested loop (MethodBruteForce, a PlanSourceSortedLoop plan) deals
-// its probe positions across the pool; PartSJ builds its subgraph index and
-// the signature methods their signatures and token index on the pool (unless
-// the corpus already holds it for this threshold), and both then cut the
-// size order into chunks that probe the one frozen index concurrently. Search
-// on a multi-part corpus first deals the n goroutines to its parts. Unset (or
-// any n < 1) uses one worker per available core — runtime.GOMAXPROCS(0); pass
-// 1 explicitly for a sequential run. Stats.CandTime sums the tasks' own clocks
-// (CPU effort); Stats.CandWall reports the stage's wall time.
+// the sorted nested loop (MethodBruteForce, and the token index's own
+// fallback) deals its probe positions across the pool; PartSJ builds its
+// subgraph index and the signature methods their signatures and token index
+// on the pool (unless the corpus already holds it for this threshold), and
+// both then cut the size order into chunks that probe the one frozen index
+// concurrently. Search on a multi-part corpus first deals the n goroutines to
+// its parts. Unset (or any n < 1) uses one worker per available core —
+// runtime.GOMAXPROCS(0); pass 1 explicitly for a sequential run.
+// Stats.CandTime sums the tasks' own clocks (CPU effort); Stats.CandWall
+// reports the stage's wall time.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithPrefilter chains the given filter stages, in order, in front of the
@@ -178,8 +178,8 @@ func buildConfig(opts []Option) config {
 	return c
 }
 
-// validate reports whether the configured method, prefilter chain and plan
-// specs name real algorithms.
+// validate reports whether the configured method and prefilter chain name
+// real algorithms.
 func (c config) validate() error {
 	switch c.method {
 	case MethodPartSJ, MethodSTR, MethodSET, MethodBruteForce, MethodHistogram, MethodEulerString, MethodPQGram:
@@ -193,23 +193,6 @@ func (c config) validate() error {
 			return fmt.Errorf("%w %d", ErrUnknownPrefilter, int(p))
 		}
 	}
-	for _, s := range c.planSpecs {
-		switch s.Source {
-		case PlanSourceDefault, PlanSourceTokenIndex, PlanSourceSortedLoop:
-		default:
-			return fmt.Errorf("%w: unknown plan source %d", ErrOptionConflict, int(s.Source))
-		}
-		for _, p := range s.Chain {
-			switch p {
-			case PrefilterHistogram, PrefilterSTR, PrefilterSET, PrefilterEulerString, PrefilterPQGram:
-			default:
-				return fmt.Errorf("%w %d", ErrUnknownPrefilter, int(p))
-			}
-		}
-		if s.PrefixC < 0 {
-			return fmt.Errorf("%w: negative prefix multiplier %d", ErrOptionConflict, s.PrefixC)
-		}
-	}
 	return nil
 }
 
@@ -219,11 +202,11 @@ func (c config) coreOptions(tau int) core.Options {
 
 // pipelineChecked assembles the engine pipeline for the configured method:
 // its candidate source, the prefilter chain followed by the method's own
-// filter, and the execution knobs — with any WithFixedPlan spec applied and
-// the resulting plan record stamped into the job. This is the single
-// dispatch point behind the Corpus joins and Explain; invalid input comes
-// back as an error. The returned tokenizer is the method's token-index
-// tokenizer, nil for the methods that have none (PartSJ, brute force).
+// filter, and the execution knobs — with the resulting plan record stamped
+// into the job. This is the single dispatch point behind the Corpus joins and
+// Explain; invalid input comes back as an error. The returned tokenizer is
+// the method's token-index tokenizer, nil for the methods that have none
+// (PartSJ, brute force).
 func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	if tau < 0 {
 		return engine.Job{}, nil, fmt.Errorf("%w %d", ErrNegativeThreshold, tau)
@@ -231,32 +214,20 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	if err := c.validate(); err != nil {
 		return engine.Job{}, nil, err
 	}
-	spec, hasSpec := c.mergedPlanSpec()
 	filters := make([]engine.PairFilter, 0, len(c.prefilters)+1)
 	for _, p := range c.prefilters {
 		filters = append(filters, p.stage())
 	}
-	// Signature methods default to the token inverted-index source over the
-	// token bag their bound (or a sound sibling of it) is stated on: Euler
-	// q-grams for the string/gram class, label-histogram entries for the
-	// histogram/branch class. The source offers a subset of the sorted
-	// loop's pairs and every offered pair still runs the same filter chain,
-	// so results are identical; a PlanSourceSortedLoop plan restores the loop
-	// for ablation.
+	// Signature methods run the token inverted-index source over the token
+	// bag their bound (or a sound sibling of it) is stated on: Euler q-grams
+	// for the string/gram class, label-histogram entries for the
+	// histogram/branch class. The source offers a subset of the sorted loop's
+	// pairs and every offered pair still runs the same filter chain, so
+	// results are identical; MethodBruteForce with the method's stage as its
+	// last prefilter runs the same chain on the loop.
 	var tz engine.Tokenizer
 	switch c.method {
 	case MethodPartSJ:
-		if hasSpec {
-			if spec.Source != PlanSourceDefault {
-				return engine.Job{}, nil, fmt.Errorf("%w: %v generates candidates through the PartSJ index; its plan cannot pick a source", ErrOptionConflict, c.method)
-			}
-			if spec.PrefixC > 0 {
-				return engine.Job{}, nil, fmt.Errorf("%w: %v takes no prefix multiplier", ErrOptionConflict, c.method)
-			}
-			if spec.Chain != nil {
-				filters = chainStages(spec.Chain)
-			}
-		}
 		return c.coreOptions(tau).Job(filters), nil, nil
 	case MethodSTR:
 		filters = append(filters, baseline.STRFilter())
@@ -276,29 +247,8 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	case MethodBruteForce:
 		// Size window only — no lower bound to index on; always the loop.
 	}
-	useIndex := tz != nil
-	prefixC := 0
-	if hasSpec {
-		if spec.Chain != nil {
-			filters = chainStages(spec.Chain)
-		}
-		switch spec.Source {
-		case PlanSourceTokenIndex:
-			if tz == nil {
-				return engine.Job{}, nil, fmt.Errorf("%w: %v has no token-index source", ErrOptionConflict, c.method)
-			}
-		case PlanSourceSortedLoop:
-			useIndex = false
-		}
-		if spec.PrefixC > 0 {
-			if !useIndex {
-				return engine.Job{}, nil, fmt.Errorf("%w: a prefix multiplier needs the token-index source", ErrOptionConflict)
-			}
-			prefixC = spec.PrefixC
-		}
-	}
 	var src engine.CandidateSource
-	if useIndex {
+	if tz != nil {
 		src = engine.TokenIndex(tz, nil)
 	}
 	job := engine.Job{
@@ -306,19 +256,9 @@ func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 		Filters: filters,
 		Tau:     tau,
 		Workers: c.workers,
-		PrefixC: prefixC,
 	}
-	job.Plan = fixedPlanRecord(job, tz)
+	job.Plan = planRecord(job)
 	return job, tz, nil
-}
-
-// chainStages maps a fixed-plan chain to engine filters, in order.
-func chainStages(ps []Prefilter) []engine.PairFilter {
-	fs := make([]engine.PairFilter, len(ps))
-	for i, p := range ps {
-		fs[i] = p.stage()
-	}
-	return fs
 }
 
 // Normalized candidate-source names, as Stats.Plan.Source and
@@ -337,11 +277,11 @@ func normalizeSource(s string) string {
 	return s
 }
 
-// fixedPlanRecord describes an assembled job's plan for Stats.Plan. It
-// records the plan, not the run: a token-index plan whose collection trips
-// the index's own fallback still executes the loop, and Stats.Source
-// reports that effective source.
-func fixedPlanRecord(job engine.Job, tz engine.Tokenizer) sim.PlanRecord {
+// planRecord describes an assembled job's plan for Stats.Plan. It records
+// the plan, not the run: a token-index plan whose collection trips the
+// index's own fallback still executes the loop, and Stats.Source reports that
+// effective source.
+func planRecord(job engine.Job) sim.PlanRecord {
 	rec := sim.PlanRecord{
 		Source: sourceSortedLoop,
 		Chain:  make([]string, len(job.Filters)),
@@ -351,12 +291,6 @@ func fixedPlanRecord(job engine.Job, tz engine.Tokenizer) sim.PlanRecord {
 	}
 	if job.Source != nil {
 		rec.Source = normalizeSource(job.Source.Name())
-	}
-	if tz != nil && job.Source != nil {
-		rec.PrefixC = tz.Slack()
-		if job.PrefixC > rec.PrefixC {
-			rec.PrefixC = job.PrefixC
-		}
 	}
 	return rec
 }

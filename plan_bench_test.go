@@ -1,12 +1,11 @@
-// BenchmarkPlanSweep measures the default plan against the two pinned
-// candidate sources on corpora of very different shapes (flat/wide
-// Swissprot, deep/narrow Sentiment, parse-like Treebank): the PQG+HIST
-// signature join per profile × τ under fixed-index, fixed-loop and the
-// default plan (no plan option) on one reused corpus, so each row is the
-// steady state of a corpus that already holds its artifacts. The default
-// plan is the token index (with its own fallback to the loop), so its rows
-// track fixed-index; the cands metric shows every plan offers the verifier
-// the same candidates.
+// BenchmarkPlanSweep measures the token index against the sorted loop on
+// corpora of very different shapes (flat/wide Swissprot, deep/narrow
+// Sentiment, parse-like Treebank): the HIST→PQG chain per profile × τ as
+// MethodPQGram behind a HIST prefilter (default: the token index, with its
+// own fallback to the loop) and as MethodBruteForce behind HIST and PQG
+// prefilters (fixed-loop), on one reused corpus, so each row is the steady
+// state of a corpus that already holds its artifacts. The cands metric shows
+// both plans hand the verifier the same candidates.
 package treejoin_test
 
 import (
@@ -35,9 +34,10 @@ func BenchmarkPlanSweep(b *testing.B) {
 		name string
 		opts []treejoin.Option
 	}{
-		{"fixed-index", []treejoin.Option{treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceTokenIndex})}},
-		{"fixed-loop", []treejoin.Option{treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop})}},
-		{"default", nil},
+		{"fixed-loop", []treejoin.Option{treejoin.WithMethod(treejoin.MethodBruteForce),
+			treejoin.WithPrefilter(treejoin.PrefilterHistogram, treejoin.PrefilterPQGram)}},
+		{"default", []treejoin.Option{treejoin.WithMethod(treejoin.MethodPQGram),
+			treejoin.WithPrefilter(treejoin.PrefilterHistogram)}},
 	}
 	for _, p := range profiles {
 		cp, err := treejoin.NewCorpus(p.ts)
@@ -47,12 +47,8 @@ func BenchmarkPlanSweep(b *testing.B) {
 		for _, tau := range []int{1, 2, 4} {
 			for _, pl := range plans {
 				b.Run(fmt.Sprintf("%s/tau=%d/%s", p.name, tau, pl.name), func(b *testing.B) {
-					opts := append([]treejoin.Option{
-						treejoin.WithMethod(treejoin.MethodPQGram),
-						treejoin.WithPrefilter(treejoin.PrefilterHistogram),
-					}, pl.opts...)
 					var st treejoin.Stats
-					opts = append(opts, treejoin.WithStats(&st))
+					opts := append(pl.opts, treejoin.WithStats(&st))
 					for i := 0; i < b.N; i++ {
 						if _, _, err := cp.SelfJoin(ctx, tau, opts...); err != nil {
 							b.Fatal(err)

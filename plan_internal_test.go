@@ -10,11 +10,12 @@ import (
 	"treejoin/internal/synth"
 )
 
-// TestPlannedStageOrderAttribution is the executed-order regression test:
-// when a fixed plan reorders the filter chain (here the declared HIST→PQG
-// becomes PQG→HIST), Stats.Stages must report the stages in the order they
-// actually ran — with consistent flow between them — and Stats.Plan must
-// record the same chain. Results must match the declared order's exactly.
+// TestPlannedStageOrderAttribution is the executed-order regression test: a
+// brute-force join whose prefilters run PQG before HIST — the reverse of
+// MethodPQGram behind a HIST prefilter — must report the stages in Stats.Stages
+// in the order they actually ran, with consistent flow between them, and
+// Stats.Plan must record the same chain. Results must match the PQGram
+// join's exactly.
 func TestPlannedStageOrderAttribution(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Generate(synth.SyntheticParams(300, 3, 5, 20, 15, 11))
@@ -26,8 +27,7 @@ func TestPlannedStageOrderAttribution(t *testing.T) {
 
 	var st Stats
 	got, _, err := cp.SelfJoin(ctx, tau,
-		WithMethod(MethodPQGram), WithPrefilter(PrefilterHistogram),
-		WithFixedPlan(PlanSpec{Chain: []Prefilter{PrefilterPQGram, PrefilterHistogram}}), WithStats(&st))
+		WithMethod(MethodBruteForce), WithPrefilter(PrefilterPQGram, PrefilterHistogram), WithStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +41,11 @@ func TestPlannedStageOrderAttribution(t *testing.T) {
 	if len(st.Plan.Chain) != 2 || st.Plan.Chain[0] != "PQG" || st.Plan.Chain[1] != "HIST" {
 		t.Fatalf("Stats.Plan.Chain = %v, want [PQG HIST]", st.Plan.Chain)
 	}
-	if st.Plan.Source != "token-index" {
-		t.Fatalf("plan source = %q, want token-index", st.Plan.Source)
-	}
-	if !strings.HasPrefix(st.Source, "token-index(") {
-		t.Fatalf("effective source = %q, want token-index(...)", st.Source)
+	if st.Plan.Source != "sorted-loop" || st.Source != "sorted-loop" {
+		t.Fatalf("plan source %q, effective source %q, want sorted-loop", st.Plan.Source, st.Source)
 	}
 
-	// The reordered plan must not change a single pair.
+	// The reordered chain must not change a single pair.
 	var declared Stats
 	want, _, err := cp.SelfJoin(ctx, tau,
 		WithMethod(MethodPQGram), WithPrefilter(PrefilterHistogram), WithStats(&declared))
@@ -57,6 +54,9 @@ func TestPlannedStageOrderAttribution(t *testing.T) {
 	}
 	if len(declared.Stages) != 2 || declared.Stages[0].Name != "HIST" || declared.Stages[1].Name != "PQG" {
 		t.Fatalf("default plan did not run the declared chain: %+v (plan %+v)", declared.Stages, declared.Plan)
+	}
+	if !strings.HasPrefix(declared.Source, "token-index(") {
+		t.Fatalf("PQGram join's effective source = %q, want token-index(...)", declared.Source)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("reordered join found %d pairs, declared order %d", len(got), len(want))
@@ -72,7 +72,7 @@ func TestPlannedStageOrderAttribution(t *testing.T) {
 // PartSJ and brute-force runs and under WithFixedPlan, carrying the executed
 // chain; and, on a corpus large enough that the index runs, one plan per
 // query whatever ran before it — the same record on two fresh corpora, and
-// one token index per threshold, all at the tokenizer's own C.
+// one token index per threshold.
 func TestPlanRecordedOnEveryRun(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Generate(synth.SyntheticParams(60, 3, 5, 20, 12, 5))
@@ -90,20 +90,19 @@ func TestPlanRecordedOnEveryRun(t *testing.T) {
 	if _, _, err := cp.SelfJoin(ctx, 1, WithMethod(MethodBruteForce), WithStats(&st)); err != nil {
 		t.Fatal(err)
 	}
-	if st.Plan.Source != "sorted-loop" || len(st.Plan.Chain) != 0 || st.Plan.PrefixC != 0 {
+	if st.Plan.Source != "sorted-loop" || len(st.Plan.Chain) != 0 {
 		t.Fatalf("brute-force plan record = %+v", st.Plan)
 	}
 	if _, _, err := cp.SelfJoin(ctx, 1, WithMethod(MethodPQGram), WithFixedPlan(), WithStats(&st)); err != nil {
 		t.Fatal(err)
 	}
-	if st.Plan.Source != "token-index" || st.Plan.PrefixC != 12 {
-		t.Fatalf("fixed plan record = %+v", st.Plan)
+	if st.Plan.Source != "token-index" || !reflect.DeepEqual(st.Plan.Chain, []string{"PQG"}) {
+		t.Fatalf("WithFixedPlan() plan record = %+v", st.Plan)
 	}
 
 	// On a corpus of more than 4 096 window pairs, where the index runs, PQG
 	// at τ=6 and then τ=8 records the same plan on two fresh corpora, and
-	// each corpus holds exactly one token index per threshold — no second
-	// C′.
+	// each corpus holds exactly one token index per threshold.
 	big := synth.Generate(synth.SyntheticParams(200, 3, 6, 20, 60, 7))
 	if wp := countWindowPairs(big, 6); wp <= 4096 {
 		t.Fatalf("corpus too small: %d window pairs at τ=6", wp)
@@ -119,7 +118,7 @@ func TestPlanRecordedOnEveryRun(t *testing.T) {
 			if _, _, err := cp.SelfJoin(ctx, tau, WithMethod(MethodPQGram), WithStats(&st)); err != nil {
 				t.Fatal(err)
 			}
-			if !strings.HasPrefix(st.Source, "token-index(") || st.Plan.Source != "token-index" || st.Plan.PrefixC != 12 ||
+			if !strings.HasPrefix(st.Source, "token-index(") || st.Plan.Source != "token-index" ||
 				len(st.Plan.Chain) != 1 || st.Plan.Chain[0] != "PQG" {
 				t.Fatalf("corpus %d τ=%d: source %q, plan %+v", c, tau, st.Source, st.Plan)
 			}

@@ -1,7 +1,5 @@
-// Option-conflict and Explain coverage for the plan's public surface:
-// combinations a method cannot execute must fail loudly with
-// ErrOptionConflict (fixed plans are ablation knobs, not silent no-ops), and
-// Explain must describe the plan a join would run without running it.
+// Explain coverage for the plan's public surface: Explain must describe the
+// plan a join would run without running it.
 package treejoin_test
 
 import (
@@ -16,54 +14,6 @@ import (
 	"treejoin/internal/synth"
 )
 
-func TestFixedPlanConflicts(t *testing.T) {
-	ctx := context.Background()
-	cp := mustCorpus(t, synth.Synthetic(20, 1))
-
-	wantConflict := func(label string, opts ...treejoin.Option) {
-		t.Helper()
-		if _, _, err := cp.SelfJoin(ctx, 1, opts...); !errors.Is(err, treejoin.ErrOptionConflict) {
-			t.Fatalf("%s: err = %v, want ErrOptionConflict", label, err)
-		}
-	}
-
-	wantConflict("index source on PartSJ",
-		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceTokenIndex}))
-	wantConflict("loop source on PartSJ",
-		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop}))
-	wantConflict("prefix multiplier on PartSJ",
-		treejoin.WithFixedPlan(treejoin.PlanSpec{PrefixC: 8}))
-	wantConflict("index source on brute force",
-		treejoin.WithMethod(treejoin.MethodBruteForce),
-		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceTokenIndex}))
-	wantConflict("prefix multiplier without the index",
-		treejoin.WithMethod(treejoin.MethodPQGram),
-		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop, PrefixC: 8}))
-	wantConflict("unknown source value",
-		treejoin.WithMethod(treejoin.MethodPQGram),
-		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSource(99)}))
-	wantConflict("negative prefix multiplier",
-		treejoin.WithMethod(treejoin.MethodPQGram),
-		treejoin.WithFixedPlan(treejoin.PlanSpec{PrefixC: -1}))
-
-	if _, _, err := cp.SelfJoin(ctx, 1, treejoin.WithMethod(treejoin.MethodPQGram),
-		treejoin.WithFixedPlan(treejoin.PlanSpec{Chain: []treejoin.Prefilter{treejoin.Prefilter(42)}})); !errors.Is(err, treejoin.ErrUnknownPrefilter) {
-		t.Fatalf("unknown chain prefilter: err = %v, want ErrUnknownPrefilter", err)
-	}
-
-	// PartSJ-only operations never take a plan spec.
-	q := cp.Tree(0)
-	if _, err := cp.Search(ctx, q, 1, treejoin.WithFixedPlan(treejoin.PlanSpec{})); !errors.Is(err, treejoin.ErrOptionConflict) {
-		t.Fatal("Search must reject fixed plan specs")
-	}
-	if _, err := cp.TopK(ctx, 3, treejoin.WithFixedPlan(treejoin.PlanSpec{})); !errors.Is(err, treejoin.ErrOptionConflict) {
-		t.Fatal("TopK must reject fixed plan specs")
-	}
-	if _, err := cp.Incremental(1, treejoin.WithFixedPlan(treejoin.PlanSpec{})); !errors.Is(err, treejoin.ErrOptionConflict) {
-		t.Fatal("Incremental must reject fixed plan specs")
-	}
-}
-
 func TestExplain(t *testing.T) {
 	ctx := context.Background()
 	cp := mustCorpus(t, synth.Synthetic(60, 4))
@@ -72,7 +22,7 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Source != "token-index" || ex.PrefixC != 12 {
+	if ex.Source != "token-index" {
 		t.Fatalf("fixed explanation = %+v", ex)
 	}
 	if len(ex.Chain) != 1 || ex.Chain[0] != "PQG" {
@@ -81,7 +31,7 @@ func TestExplain(t *testing.T) {
 	if ex.WindowPairs <= 0 {
 		t.Fatalf("window pairs = %d, want > 0", ex.WindowPairs)
 	}
-	if s := ex.String(); !strings.Contains(s, "plan:        source=token-index chain=[PQG] C=12\n") {
+	if s := ex.String(); !strings.Contains(s, "plan:        source=token-index chain=[PQG]\n") {
 		t.Fatalf("String() = %q", s)
 	}
 
@@ -113,12 +63,12 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bst.Plan.Source != bex.Source || !slices.Equal(bst.Plan.Chain, bex.Chain) || bst.Plan.PrefixC != bex.PrefixC {
+	if bst.Plan.Source != bex.Source || !slices.Equal(bst.Plan.Chain, bex.Chain) {
 		t.Fatalf("join ran %+v, Explain said %+v", bst.Plan, bex)
 	}
 
 	// A token-index plan says whether the corpus holds the index it would
-	// probe: not before a join at this (tokenizer, τ, C) built it, cached
+	// probe: not before a join at this (tokenizer, τ) built it, cached
 	// after — whatever the epoch number — and not again once a mutation has
 	// dropped the epoch's indexes.
 	indexLine := func(want string) {
@@ -138,9 +88,8 @@ func TestExplain(t *testing.T) {
 	}
 	indexLine("not cached")
 
-	// Explain surfaces plan conflicts the same way a join would.
-	if _, err := cp.Explain(ctx, 1,
-		treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceTokenIndex})); !errors.Is(err, treejoin.ErrOptionConflict) {
-		t.Fatalf("Explain conflict: err = %v, want ErrOptionConflict", err)
+	// Explain refuses invalid options the same way a join would.
+	if _, err := cp.Explain(ctx, 1, treejoin.WithPrefilter(treejoin.Prefilter(42))); !errors.Is(err, treejoin.ErrUnknownPrefilter) {
+		t.Fatalf("Explain of an unknown prefilter: err = %v, want ErrUnknownPrefilter", err)
 	}
 }

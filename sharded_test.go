@@ -73,12 +73,11 @@ func TestShardedValidation(t *testing.T) {
 
 // TestStatsAcrossPartCounts: a join over any number of parts is one run over
 // the whole membership — NewSharded(1, ts) and NewSharded(4, ts) report Stats
-// field-identical to NewCorpus(ts)'s, durations aside, for every method under
-// the fixed plan; a repeat join finds every index it needs (IndexBuildTime 0,
-// though each of the four parts is below the token index's own cutoff); with
-// no plan option a 4-part join runs the plan Explain describes; and a cross
-// join reports the same Stats whether its receiver and its partner each sit on
-// one part or on four.
+// field-identical to NewCorpus(ts)'s, durations aside, for every method; a
+// repeat join finds every index it needs (IndexBuildTime 0, though each of the
+// four parts is below the token index's own cutoff); a 4-part join runs the
+// plan Explain describes; and a cross join reports the same Stats whether its
+// receiver and its partner each sit on one part or on four.
 func TestStatsAcrossPartCounts(t *testing.T) {
 	ctx := context.Background()
 	ts := synth.Synthetic(160, 13) // 40 a part on four
@@ -87,7 +86,7 @@ func TestStatsAcrossPartCounts(t *testing.T) {
 		return st
 	}
 	for m := treejoin.MethodPartSJ; m <= treejoin.MethodPQGram; m++ {
-		opts := []treejoin.Option{treejoin.WithMethod(m), treejoin.WithFixedPlan(), treejoin.WithWorkers(1)}
+		opts := []treejoin.Option{treejoin.WithMethod(m), treejoin.WithWorkers(1)}
 		pairs, want, err := mustCorpus(t, ts).SelfJoin(ctx, 2, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +121,7 @@ func TestStatsAcrossPartCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, st, err := four.SelfJoin(ctx, 2, treejoin.WithMethod(m))
-		if err != nil || st.Plan.Source != ex.Source || !slices.Equal(st.Plan.Chain, ex.Chain) || st.Plan.PrefixC != ex.PrefixC {
+		if err != nil || st.Plan.Source != ex.Source || !slices.Equal(st.Plan.Chain, ex.Chain) {
 			t.Fatalf("%v: the 4-part join ran %+v, Explain said %+v (err %v)", m, st.Plan, ex, err)
 		}
 	}

@@ -85,12 +85,12 @@ func TestIndexBuiltOncePerEpoch(t *testing.T) {
 }
 
 // TestTokenIndexBuiltOncePerEpoch: the signature methods' self joins share one
-// frozen token index per epoch, tokenizer, threshold and prefix multiplier. A
-// repeat join finds it (IndexBuildTime 0, identical pairs), so does a method
-// that tokenises alike (STR and EUL; SET tokenises labels and builds its own);
-// one mutation costs one rebuild per index, paid by the first join after it;
-// and a view pinned to the old epoch — a Snapshot, or a sequence made before
-// the mutation — keeps that epoch's index and installs nothing on the new one.
+// frozen token index per epoch, tokenizer and threshold. A repeat join finds
+// it (IndexBuildTime 0, identical pairs), so does a method that tokenises
+// alike (STR and EUL; SET tokenises labels and builds its own); one mutation
+// costs one rebuild per index, paid by the first join after it; and a view
+// pinned to the old epoch — a Snapshot, or a sequence made before the
+// mutation — keeps that epoch's index and installs nothing on the new one.
 func TestTokenIndexBuiltOncePerEpoch(t *testing.T) {
 	ctx := context.Background()
 	pool := synth.Generate(synth.SyntheticParams(81, 3, 5, 20, 30, 67))
@@ -104,7 +104,7 @@ func TestTokenIndexBuiltOncePerEpoch(t *testing.T) {
 	}
 	join := func(c *Corpus, m Method, wantBuilt bool) []Pair {
 		t.Helper()
-		pairs, st, err := c.SelfJoin(ctx, 2, WithMethod(m), WithFixedPlan(), WithWorkers(2))
+		pairs, st, err := c.SelfJoin(ctx, 2, WithMethod(m), WithWorkers(2))
 		if err != nil || !strings.HasPrefix(st.Source, "token-index(") {
 			t.Fatalf("%v: source %q, err %v", m, st.Source, err)
 		}
@@ -124,7 +124,7 @@ func TestTokenIndexBuiltOncePerEpoch(t *testing.T) {
 	}
 
 	snap := cp.Snapshot()
-	stale, err := cp.SelfJoinSeq(ctx, 2, WithMethod(MethodSTR), WithFixedPlan())
+	stale, err := cp.SelfJoinSeq(ctx, 2, WithMethod(MethodSTR))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestCandWall(t *testing.T) {
 	ts := synth.Synthetic(64, 21)
 	for _, opts := range [][]treejoin.Option{
 		{treejoin.WithMethod(treejoin.MethodSTR)},
-		{treejoin.WithMethod(treejoin.MethodSTR), treejoin.WithFixedPlan(treejoin.PlanSpec{Source: treejoin.PlanSourceSortedLoop}), treejoin.WithWorkers(4)},
+		{treejoin.WithMethod(treejoin.MethodBruteForce), treejoin.WithPrefilter(treejoin.PrefilterSTR), treejoin.WithWorkers(4)},
 	} {
 		_, st := selfJoin(t, ts, 2, opts...)
 		if st.CandWall <= 0 {

@@ -1,10 +1,14 @@
 package treejoin_test
 
 import (
+	"cmp"
 	"context"
+	"slices"
+	"sync"
 	"testing"
 
 	"treejoin"
+	"treejoin/internal/synth"
 )
 
 func TestPublicTopK(t *testing.T) {
@@ -204,4 +208,131 @@ func TestPublicShardedJoin(t *testing.T) {
 			t.Fatalf("sharded pair %d = %v, want %v", i, got[i], want[i])
 		}
 	}
+}
+
+// eachPartCount runs f on a one-part and on a three-part corpus over ts.
+func eachPartCount(t *testing.T, ts []*treejoin.Tree, f func(cp *treejoin.Corpus)) {
+	t.Helper()
+	for _, parts := range []int{1, 3} {
+		cp, err := treejoin.NewSharded(parts, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f(cp)
+	}
+}
+
+func topK(t *testing.T, cp *treejoin.Corpus, k int) []treejoin.Pair {
+	t.Helper()
+	got, err := cp.TopK(context.Background(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func nearest(t *testing.T, cp *treejoin.Corpus, q *treejoin.Tree, k int) []treejoin.Match {
+	t.Helper()
+	got, err := cp.KNN(context.Background(), q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// The history harness holds TopK and KNN to exhaustive TED over mutating
+// corpora of every part count; these are the edges its draws do not reach.
+
+func TestTopKEdgeCases(t *testing.T) {
+	ts := synth.Synthetic(12, 29)
+	var all []treejoin.Pair
+	for i := range ts {
+		for j := i + 1; j < len(ts); j++ {
+			all = append(all, treejoin.Pair{I: i, J: j, Dist: treejoin.Distance(ts[i], ts[j])})
+		}
+	}
+	slices.SortFunc(all, func(a, b treejoin.Pair) int { return cmp.Or(a.Dist-b.Dist, a.I-b.I, a.J-b.J) })
+	eachPartCount(t, ts, func(cp *treejoin.Corpus) {
+		if got := topK(t, cp, 0); got != nil {
+			t.Fatalf("k=0 returned %v", got)
+		}
+		// k above the pair count returns every pair, sorted by distance.
+		if got := topK(t, cp, len(all)+100); !slices.Equal(got, all) {
+			t.Fatalf("k beyond pair count: %d pairs, want all %d by distance", len(got), len(all))
+		}
+	})
+	for _, few := range [][]*treejoin.Tree{ts[:1], nil} {
+		eachPartCount(t, few, func(cp *treejoin.Corpus) {
+			if got := topK(t, cp, 5); got != nil {
+				t.Fatalf("%d trees returned %v", len(few), got)
+			}
+		})
+	}
+}
+
+// TestTopKIdenticalTrees: duplicates give zero-distance pairs that must rank
+// first.
+func TestTopKIdenticalTrees(t *testing.T) {
+	lt := treejoin.NewLabelTable()
+	a := treejoin.MustParseBracket("{a{b}{c{d}}}", lt)
+	ts := []*treejoin.Tree{a, a.Clone(), treejoin.MustParseBracket("{x{y}}", lt), a.Clone()}
+	eachPartCount(t, ts, func(cp *treejoin.Corpus) {
+		got := topK(t, cp, 3)
+		if len(got) != 3 || got[0].Dist+got[1].Dist+got[2].Dist != 0 {
+			t.Fatalf("expected the three duplicate pairs first, got %v", got)
+		}
+	})
+}
+
+// TestKNNForeignQuery: the query need not be in the corpus.
+func TestKNNForeignQuery(t *testing.T) {
+	lt := treejoin.NewLabelTable()
+	ts := []*treejoin.Tree{
+		treejoin.MustParseBracket("{a{b}{c}}", lt),
+		treejoin.MustParseBracket("{a{b}{c}{d}}", lt),
+		treejoin.MustParseBracket("{x{y{z{w}}}}", lt),
+	}
+	q := treejoin.MustParseBracket("{a{b}{c}{d}{e}}", lt)
+	eachPartCount(t, ts, func(cp *treejoin.Corpus) {
+		want := []treejoin.Match{{Pos: 1, Dist: 1}, {Pos: 0, Dist: 2}}
+		if got := nearest(t, cp, q, 2); !slices.Equal(got, want) {
+			t.Fatalf("nearest = %v, want %v", got, want)
+		}
+	})
+}
+
+func TestKNNConcurrent(t *testing.T) {
+	ts := synth.Synthetic(30, 41)
+	eachPartCount(t, ts, func(cp *treejoin.Corpus) {
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ms, err := cp.KNN(context.Background(), ts[w%len(ts)], 3)
+				if err != nil || len(ms) != 3 || ms[0].Dist != 0 {
+					t.Errorf("query %d: %v, err %v: want three matches, itself first", w, ms, err)
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
+func TestKNNEdgeCases(t *testing.T) {
+	lt := treejoin.NewLabelTable()
+	q := treejoin.MustParseBracket("{a}", lt)
+	eachPartCount(t, nil, func(cp *treejoin.Corpus) {
+		if got := nearest(t, cp, q, 3); got != nil {
+			t.Fatalf("empty collection returned %v", got)
+		}
+	})
+	eachPartCount(t, []*treejoin.Tree{treejoin.MustParseBracket("{b{c}}", lt)}, func(cp *treejoin.Corpus) {
+		if got := nearest(t, cp, q, 5); !slices.Equal(got, []treejoin.Match{{Pos: 0, Dist: 2}}) {
+			t.Fatalf("singleton collection returned %v", got)
+		}
+		if got := nearest(t, cp, q, 0); got != nil {
+			t.Fatalf("k=0 returned %v", got)
+		}
+	})
 }
