@@ -1,17 +1,17 @@
-package dataset_test
+package segstore_test
 
 import (
 	"bytes"
 	"testing"
 
-	"treejoin/internal/dataset"
+	"treejoin/internal/segstore"
 	"treejoin/internal/tree"
 )
 
-// FuzzRead: arbitrary bytes must never panic or over-allocate; any input the
-// decoder accepts must re-encode to an equivalent collection (decode/encode
-// idempotence).
-func FuzzRead(f *testing.F) {
+// FuzzReadDataset: arbitrary bytes must never panic or over-allocate; any
+// input the decoder accepts must re-encode to an equivalent collection
+// (decode/encode idempotence).
+func FuzzReadDataset(f *testing.F) {
 	// Seed with a couple of valid encodings and near-misses.
 	lt := tree.NewLabelTable()
 	ts := []*tree.Tree{
@@ -19,7 +19,7 @@ func FuzzRead(f *testing.F) {
 		tree.MustParseBracket("{b}", lt),
 	}
 	var buf bytes.Buffer
-	if err := dataset.Write(&buf, lt, ts); err != nil {
+	if err := segstore.WriteDataset(&buf, lt, ts); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -27,7 +27,7 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lt2, ts2, err := dataset.Read(bytes.NewReader(data))
+		lt2, ts2, err := segstore.ReadDataset(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -37,10 +37,10 @@ func FuzzRead(f *testing.F) {
 			}
 		}
 		var out bytes.Buffer
-		if err := dataset.Write(&out, lt2, ts2); err != nil {
+		if err := segstore.WriteDataset(&out, lt2, ts2); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		lt3, ts3, err := dataset.Read(&out)
+		lt3, ts3, err := segstore.ReadDataset(&out)
 		if err != nil {
 			t.Fatalf("re-encoded form does not decode: %v", err)
 		}

@@ -1,4 +1,4 @@
-package dataset_test
+package segstore_test
 
 import (
 	"bytes"
@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"treejoin/internal/dataset"
+	"treejoin/internal/segstore"
 	"treejoin/internal/synth"
 	"treejoin/internal/tree"
 )
@@ -16,10 +16,10 @@ import (
 func roundTrip(t *testing.T, lt *tree.LabelTable, ts []*tree.Tree) (*tree.LabelTable, []*tree.Tree) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := dataset.Write(&buf, lt, ts); err != nil {
+	if err := segstore.WriteDataset(&buf, lt, ts); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	lt2, ts2, err := dataset.Read(&buf)
+	lt2, ts2, err := segstore.ReadDataset(&buf)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestWriteRejectsForeignTable(t *testing.T) {
 	a := tree.MustParseBracket("{a}", lt1)
 	b := tree.MustParseBracket("{a}", lt2)
 	var buf bytes.Buffer
-	if err := dataset.Write(&buf, lt1, []*tree.Tree{a, b}); err == nil {
+	if err := segstore.WriteDataset(&buf, lt1, []*tree.Tree{a, b}); err == nil {
 		t.Fatal("expected error for foreign label table")
 	}
 }
@@ -123,7 +123,7 @@ func TestCorruptionDetected(t *testing.T) {
 		tree.MustParseBracket("{b{a}}", lt),
 	}
 	var buf bytes.Buffer
-	if err := dataset.Write(&buf, lt, ts); err != nil {
+	if err := segstore.WriteDataset(&buf, lt, ts); err != nil {
 		t.Fatal(err)
 	}
 	orig := buf.Bytes()
@@ -131,7 +131,7 @@ func TestCorruptionDetected(t *testing.T) {
 		mut := make([]byte, len(orig))
 		copy(mut, orig)
 		mut[pos] ^= 0x41
-		lt2, ts2, err := dataset.Read(bytes.NewReader(mut))
+		lt2, ts2, err := segstore.ReadDataset(bytes.NewReader(mut))
 		if err != nil {
 			continue // detected — good
 		}
@@ -152,35 +152,35 @@ func TestTruncationDetected(t *testing.T) {
 	lt := tree.NewLabelTable()
 	ts := []*tree.Tree{tree.MustParseBracket("{a{b}{c}}", lt)}
 	var buf bytes.Buffer
-	if err := dataset.Write(&buf, lt, ts); err != nil {
+	if err := segstore.WriteDataset(&buf, lt, ts); err != nil {
 		t.Fatal(err)
 	}
 	orig := buf.Bytes()
 	for cut := 0; cut < len(orig); cut++ {
-		if _, _, err := dataset.Read(bytes.NewReader(orig[:cut])); err == nil {
+		if _, _, err := segstore.ReadDataset(bytes.NewReader(orig[:cut])); err == nil {
 			t.Fatalf("truncation at %d went undetected", cut)
-		} else if !errors.Is(err, dataset.ErrCorrupt) {
+		} else if !errors.Is(err, segstore.ErrCorrupt) {
 			t.Fatalf("truncation at %d: error %v does not wrap ErrCorrupt", cut, err)
 		}
 	}
 	// Trailing garbage is also rejected.
-	if _, _, err := dataset.Read(bytes.NewReader(append(append([]byte{}, orig...), 0))); err == nil {
+	if _, _, err := segstore.ReadDataset(bytes.NewReader(append(append([]byte{}, orig...), 0))); err == nil {
 		t.Fatal("trailing byte went undetected")
 	}
 }
 
 func TestBadMagicAndVersion(t *testing.T) {
-	if _, _, err := dataset.Read(bytes.NewReader([]byte("NOPE0123456789"))); err == nil {
+	if _, _, err := segstore.ReadDataset(bytes.NewReader([]byte("NOPE0123456789"))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	lt := tree.NewLabelTable()
 	var buf bytes.Buffer
-	if err := dataset.Write(&buf, lt, nil); err != nil {
+	if err := segstore.WriteDataset(&buf, lt, nil); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
 	b[4] = 99 // version
-	if _, _, err := dataset.Read(bytes.NewReader(b)); err == nil {
+	if _, _, err := segstore.ReadDataset(bytes.NewReader(b)); err == nil {
 		t.Fatal("bad version accepted")
 	}
 }
@@ -190,23 +190,23 @@ func TestFileHelpers(t *testing.T) {
 	path := filepath.Join(dir, "ds.tjds")
 	lt := tree.NewLabelTable()
 	ts := []*tree.Tree{tree.MustParseBracket("{a{b}}", lt)}
-	if err := dataset.WriteFile(path, lt, ts); err != nil {
+	if err := segstore.WriteDatasetFile(path, lt, ts); err != nil {
 		t.Fatal(err)
 	}
-	_, ts2, err := dataset.ReadFile(path)
+	_, ts2, err := segstore.ReadDatasetFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ts2) != 1 || !tree.Equal(ts[0], ts2[0]) {
 		t.Fatal("file round trip changed tree")
 	}
-	if _, _, err := dataset.ReadFile(filepath.Join(dir, "missing")); err == nil {
+	if _, _, err := segstore.ReadDatasetFile(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dataset.ReadFile(path); err == nil {
+	if _, _, err := segstore.ReadDatasetFile(path); err == nil {
 		t.Fatal("garbage file accepted")
 	}
 }
@@ -217,7 +217,7 @@ func TestCompactness(t *testing.T) {
 	ts := synth.Synthetic(200, 11)
 	lt := ts[0].Labels
 	var bin bytes.Buffer
-	if err := dataset.Write(&bin, lt, ts); err != nil {
+	if err := segstore.WriteDataset(&bin, lt, ts); err != nil {
 		t.Fatal(err)
 	}
 	var text int

@@ -14,6 +14,11 @@
 // fed is committed — and replay is idempotent against operations the manifest
 // already reflects, so a crash in the window between the two rewrites loses
 // nothing. See DESIGN.md, "Persistent segments".
+//
+// The same codec — one frame, one label list, one tree stream — also writes
+// and reads the dataset file (WriteDataset, ReadDataset), a whole collection
+// with its label table in one checksummed image. See DESIGN.md, "File formats
+// and content addressing".
 package segstore
 
 import (
@@ -24,11 +29,12 @@ import (
 	"hash/crc32"
 )
 
-// Sanity caps mirroring internal/dataset: a corrupt or hostile header must
-// not drive allocations. All far above anything the module generates.
+// Sanity caps: a corrupt or hostile header must not drive allocations. All
+// far above anything the module generates.
 const (
 	maxLabels    = 1 << 26
 	maxLabelLen  = 1 << 20
+	maxTrees     = 1 << 28
 	maxTreeNodes = 1 << 28
 	maxBlocks    = 1 << 24
 	maxEntries   = 1 << 28
@@ -38,9 +44,11 @@ const (
 	maxCost      = 1 << 56
 )
 
-// ErrCorrupt reports a malformed or truncated store file; errors.Is against
-// it matches every decode failure produced by this package.
-var ErrCorrupt = errors.New("segstore: corrupt store")
+// ErrCorrupt reports a malformed or truncated file of any kind this package
+// reads — segment, manifest, WAL or dataset; errors.Is against it matches
+// every decode failure produced by this package, and each message names the
+// kind of file.
+var ErrCorrupt = errors.New("segstore: corrupt file")
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))

@@ -184,3 +184,32 @@ func TestManifestGolden(t *testing.T) {
 		t.Fatalf("round trip segment: %+v want %+v", s2, s)
 	}
 }
+
+// TestDatasetGolden pins the dataset file of goldenFixture's trees, one per
+// entry (so the first tree comes twice). The golden bytes were written by an
+// earlier, separate dataset encoder, and must not be regenerated: every file
+// it wrote has to keep reading.
+func TestDatasetGolden(t *testing.T) {
+	lt, blocks, entries, _ := goldenFixture(t)
+	var ts []*tree.Tree
+	for _, e := range entries {
+		ts = append(ts, blocks[e.blk].t)
+	}
+	data, err := encodeDataset(lt, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "golden_dataset.tjds", data)
+	lt2, ts2, err := decodeDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lt2.Len() != lt.Len() || len(ts2) != len(ts) {
+		t.Fatalf("round trip: %d labels / %d trees, want %d / %d", lt2.Len(), len(ts2), lt.Len(), len(ts))
+	}
+	for i := range ts {
+		if tree.FormatBracket(ts2[i]) != tree.FormatBracket(ts[i]) {
+			t.Fatalf("tree %d: %s, want %s", i, tree.FormatBracket(ts2[i]), tree.FormatBracket(ts[i]))
+		}
+	}
+}

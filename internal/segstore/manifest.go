@@ -59,10 +59,7 @@ func writeManifestTo(fsys FS, path string, m *manifest, noSync bool) error {
 	c := newCW(nil, manifestMagic, manifestVersion)
 	c.u(uint64(m.nextID))
 	m.labels = m.lt.Len()
-	c.u(uint64(m.labels))
-	for id := 0; id < m.labels; id++ {
-		c.str(m.lt.Name(int32(id)))
-	}
+	writeLabels(c, m.lt, m.labels)
 	c.u(uint64(len(m.segs)))
 	for _, s := range m.segs {
 		c.str(s.name)
@@ -81,6 +78,29 @@ func writeManifestTo(fsys FS, path string, m *manifest, noSync bool) error {
 	return replaceFile(fsys, path, c.finish(), noSync)
 }
 
+// writeLabels writes the label list of the manifest and the dataset file:
+// the count n, then lt's first n names, each with its length in front.
+func writeLabels(c *cw, lt *tree.LabelTable, n int) {
+	c.u(uint64(n))
+	for id := 0; id < n; id++ {
+		c.str(lt.Name(int32(id)))
+	}
+}
+
+// readLabels decodes a label list into a fresh table, name i at id i; a name
+// listed twice is corrupt.
+func readLabels(d *sd) *tree.LabelTable {
+	lt := tree.NewLabelTable()
+	n := d.u(maxLabels, "label count")
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		name := d.str(maxLabelLen, "label")
+		if d.err == nil && lt.Intern(name) != int32(i) {
+			d.bad("duplicate label %q", name)
+		}
+	}
+	return lt
+}
+
 func readManifest(fsys FS, path string) (*manifest, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
@@ -91,17 +111,8 @@ func readManifest(fsys FS, path string) (*manifest, error) {
 
 func decodeManifest(data []byte) (*manifest, error) {
 	d := newSD(data, manifestMagic, manifestVersion, "manifest")
-	m := &manifest{nextID: int64(d.u(maxID, "next id")), lt: tree.NewLabelTable()}
-	nLabels := d.u(maxLabels, "label count")
-	for i := uint64(0); i < nLabels && d.err == nil; i++ {
-		name := d.str(maxLabelLen, "label")
-		if d.err != nil {
-			break
-		}
-		if id := m.lt.Intern(name); id != int32(i) {
-			d.bad("duplicate label %q", name)
-		}
-	}
+	m := &manifest{nextID: int64(d.u(maxID, "next id"))}
+	m.lt = readLabels(d)
 	nSegs := d.u(maxSegments, "segment count")
 	if d.err != nil {
 		return nil, d.err

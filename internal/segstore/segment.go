@@ -67,8 +67,9 @@ func newBlock(scratch *cw, t *tree.Tree) *block {
 }
 
 // writeTreeStream encodes t's preorder (label, childCount) stream — the
-// canonical tree encoding shared by segments, the WAL, and the content hash —
-// walking the parent and sibling links, so it allocates nothing.
+// canonical tree encoding shared by segments, the WAL, the dataset file and
+// the content hash — walking the parent and sibling links, so it allocates
+// nothing.
 func writeTreeStream(c *cw, t *tree.Tree) {
 	b := binary.AppendUvarint(c.b, uint64(t.Size()))
 	for n := t.Root(); n != tree.None; {
@@ -92,8 +93,9 @@ func writeTreeStream(c *cw, t *tree.Tree) {
 	c.b = b
 }
 
-// readTreeStream reconstructs one tree from its preorder stream, exactly the
-// dataset package's stack pass: labels must be interned below labelLimit.
+// readTreeStream reconstructs one tree from its preorder stream — the one
+// decoder of that stream, for segments, the WAL and the dataset file — in a
+// single stack pass: labels must be interned below labelLimit.
 func readTreeStream(d *sd, lt *tree.LabelTable, labelLimit uint64) *tree.Tree {
 	n := d.u(maxTreeNodes, "tree size")
 	if d.err != nil {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"treejoin/internal/sim"
 	"treejoin/internal/tree"
@@ -115,6 +116,34 @@ func TestAddCountersIsExhaustive(t *testing.T) {
 	for v, i := reflect.ValueOf(total), 0; i < v.NumField(); i++ {
 		if f, name := v.Field(i), v.Type().Field(i).Name; f.CanInt() && f.Int() != 2 && name != "Trees" {
 			t.Errorf("Stats.%s = %d after adding 1 twice", name, f.Int())
+		}
+	}
+}
+
+// TestAddCountersFoldsEveryCounter: every int64 and time.Duration field of
+// Stats is summed by AddCounters, so a new counter cannot be left out of the
+// fold unnoticed. Trees, an int, is exempt: it is a property of the whole,
+// not a sum.
+func TestAddCountersFoldsEveryCounter(t *testing.T) {
+	var one, total sim.Stats
+	v := reflect.ValueOf(&one).Elem()
+	durType := reflect.TypeOf(time.Duration(0))
+	var counters []string
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.Type == durType || f.Type.Kind() == reflect.Int64 {
+			v.Field(i).SetInt(1)
+			counters = append(counters, f.Name)
+		}
+	}
+	if len(counters) == 0 {
+		t.Fatal("Stats has no int64 or time.Duration field")
+	}
+	sim.AddCounters(&total, &one)
+	got := reflect.ValueOf(total)
+	for _, name := range counters {
+		if n := got.FieldByName(name).Int(); n != 1 {
+			t.Errorf("AddCounters leaves %s at %d, want 1", name, n)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"treejoin/internal/dataset"
+	"treejoin/internal/segstore"
 	"treejoin/internal/tree"
 )
 
@@ -210,22 +210,29 @@ func ReadNewickLines(r io.Reader, lt *LabelTable) ([]*Tree, error) {
 	return readLines(r, lt, ParseNewick)
 }
 
-// WriteDataset encodes lt and ts in the compact binary dataset format
-// (varint-encoded structure plus a CRC trailer) — the fast way to store and
-// reload large collections. Every tree must use lt as its label table.
+// WriteDataset encodes lt and ts in the binary dataset format: the label
+// table once, then each tree as its varint preorder (label, childCount)
+// stream, under a CRC trailer. It reloads a collection without re-interning
+// its labels, but does not decode faster than bracket text parses
+// (BenchmarkDatasetCodec measures both). Every tree must use lt as its label
+// table; nothing is written if one does not.
 func WriteDataset(w io.Writer, lt *LabelTable, ts []*Tree) error {
-	return dataset.Write(w, lt, ts)
+	return segstore.WriteDataset(w, lt, ts)
 }
 
-// ReadDataset decodes a binary dataset written by WriteDataset. Decoding
-// verifies the checksum; corrupt or truncated input is reported as an
-// error, never as wrong trees.
-func ReadDataset(r io.Reader) (*LabelTable, []*Tree, error) { return dataset.Read(r) }
+// ReadDataset decodes a binary dataset written by WriteDataset. It reads r
+// to its end and verifies the checksum before it parses anything; corrupt or
+// truncated input is reported as an error, never as wrong trees.
+func ReadDataset(r io.Reader) (*LabelTable, []*Tree, error) { return segstore.ReadDataset(r) }
 
-// WriteDatasetFile is WriteDataset to a file path.
+// WriteDatasetFile is WriteDataset to a file path. The file is replaced
+// atomically (a synced temporary file renamed over path), so a write that
+// fails or is rejected leaves an existing file at path as it was.
 func WriteDatasetFile(path string, lt *LabelTable, ts []*Tree) error {
-	return dataset.WriteFile(path, lt, ts)
+	return segstore.WriteDatasetFile(path, lt, ts)
 }
 
 // ReadDatasetFile is ReadDataset from a file path.
-func ReadDatasetFile(path string) (*LabelTable, []*Tree, error) { return dataset.ReadFile(path) }
+func ReadDatasetFile(path string) (*LabelTable, []*Tree, error) {
+	return segstore.ReadDatasetFile(path)
+}

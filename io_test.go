@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -62,6 +63,28 @@ func TestDatasetRoundTripPublic(t *testing.T) {
 	pairs, _ := selfJoin(t, ts2, 10)
 	if len(pairs) != 1 {
 		t.Fatalf("join on decoded trees: %d pairs", len(pairs))
+	}
+}
+
+// TestRejectedDatasetWriteKeepsFile: a WriteDatasetFile that rejects its
+// trees leaves the file it was to replace readable and unchanged.
+func TestRejectedDatasetWriteKeepsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ds.tjds")
+	lt := treejoin.NewLabelTable()
+	ts := []*treejoin.Tree{treejoin.MustParseBracket("{a{b}{c}}", lt)}
+	if err := treejoin.WriteDatasetFile(path, lt, ts); err != nil {
+		t.Fatal(err)
+	}
+	foreign := treejoin.MustParseBracket("{a}", treejoin.NewLabelTable())
+	if err := treejoin.WriteDatasetFile(path, lt, append(ts, foreign)); err == nil {
+		t.Fatal("tree of another label table accepted")
+	}
+	_, ts2, err := treejoin.ReadDatasetFile(path)
+	if err != nil {
+		t.Fatalf("the earlier file does not read after the rejected write: %v", err)
+	}
+	if len(ts2) != 1 || treejoin.FormatBracket(ts2[0]) != treejoin.FormatBracket(ts[0]) {
+		t.Fatalf("the earlier file changed: %d trees", len(ts2))
 	}
 }
 
