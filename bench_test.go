@@ -209,8 +209,9 @@ func BenchmarkKNN(b *testing.B) {
 }
 
 // BenchmarkDatasetCodec — binary dataset encode and decode against parsing
-// the same trees as bracket text. Decode builds each tree as the text parser
-// does but skips re-interning labels; it is not faster than the parse.
+// the same trees as bracket text. Decode sizes each tree from the stream's
+// node count and skips re-interning labels; it runs on one core, the parse on
+// every core.
 func BenchmarkDatasetCodec(b *testing.B) {
 	ts := synth.Synthetic(500, 1)
 	lt := ts[0].Labels

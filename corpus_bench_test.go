@@ -1,9 +1,3 @@
-// BenchmarkCorpusReuse quantifies the tentpole of the Corpus API: per-tree
-// signature reuse. "cold" pays the one-shot cost profile — a fresh corpus per
-// join, every signature recomputed; "warm" joins the same corpus again at a
-// different threshold, so signatures come from the cache and only the
-// τ-dependent work runs. The gap between the two is the precomputation share
-// of each method.
 package treejoin_test
 
 import (
@@ -18,57 +12,6 @@ import (
 	"treejoin/internal/engine"
 	"treejoin/internal/synth"
 )
-
-func BenchmarkCorpusReuse(b *testing.B) {
-	ctx := context.Background()
-	// Bigger trees, moderate cardinality: the serving profile where per-tree
-	// signature extraction is a real share of a join (small τ keeps the
-	// surviving pair work bounded, as a warmed production corpus would see).
-	ts := synth.Generate(synth.SyntheticParams(120, 4, 8, 30, 250, 1))
-	methods := []treejoin.Method{
-		treejoin.MethodPartSJ,
-		treejoin.MethodSTR,
-		treejoin.MethodSET,
-		treejoin.MethodPQGram,
-	}
-	for _, m := range methods {
-		b.Run(fmt.Sprintf("cold/%s", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cp, err := treejoin.NewCorpus(ts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := cp.SelfJoin(ctx, 2, treejoin.WithMethod(m)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("warm/%s", m), func(b *testing.B) {
-			cp, err := treejoin.NewCorpus(ts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Warm the cache at a different threshold: the measured joins
-			// reuse signatures computed here, never recomputing them.
-			if _, _, err := cp.SelfJoin(ctx, 1, treejoin.WithMethod(m)); err != nil {
-				b.Fatal(err)
-			}
-			base := cp.CacheStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := cp.SelfJoin(ctx, 2, treejoin.WithMethod(m)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := cp.CacheStats()
-			b.ReportMetric(float64(st.Hits-base.Hits)/float64(b.N), "cachehits/op")
-			if m != treejoin.MethodPartSJ && st.Misses != base.Misses {
-				b.Fatalf("warm run recomputed %d signatures", st.Misses-base.Misses)
-			}
-		})
-	}
-}
 
 // BenchmarkSelfJoinParts: a warm τ=2 PartSJ SelfJoin over the 3 000 boot
 // trees of a serve-mixed run (seed 31), on one part and on four. Either way

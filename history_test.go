@@ -697,6 +697,7 @@ type mix struct {
 	weights    [numKinds]int
 	store      bool // persistent histories, which also draw the store ops
 	concurrent bool // a writer runs the mutations while readers query (runConcurrent)
+	bulk       bool // a quarter of the removes take all but ten live trees
 }
 
 // genHistory draws a history from seed.
@@ -727,7 +728,11 @@ func genHistory(seed int64, mx mix) history {
 			}
 			live = append(live, op.Trees...)
 		case opRemove:
-			for range min(1+rng.Intn(4), len(live)-10) {
+			n := 1 + rng.Intn(4)
+			if mx.bulk && rng.Intn(4) == 0 {
+				n = len(live)
+			}
+			for range min(n, len(live)-10) {
 				i := rng.Intn(len(live))
 				op.Picks = append(op.Picks, live[i])
 				live = slices.Delete(live, i, i+1)
@@ -1042,8 +1047,10 @@ func TestTokenIndexOracleSweep(t *testing.T) {
 	runHistories(t, 59, 1, mix{steps: 90, weights: [numKinds]int{opAdd: 1, opRemove: 1, opSelfJoin: 3, opJoin: 2}})
 }
 
+// TestIncrementalMatchesSelfJoin: the stream against the self join of its
+// live trees, through bulk removes that compact its index.
 func TestIncrementalMatchesSelfJoin(t *testing.T) {
-	runHistories(t, 61, 2, mix{steps: 75, weights: [numKinds]int{opAdd: 3, opRemove: 3, opIncremental: 2}})
+	runHistories(t, 61, 2, mix{steps: 75, bulk: true, weights: [numKinds]int{opAdd: 3, opRemove: 3, opIncremental: 2}})
 }
 
 // TestSharedIndexRace: queries on the live corpus right after each mutation,

@@ -74,16 +74,6 @@ func TestFigure9Partition(t *testing.T) {
 	}
 }
 
-func randomGeneralTree(rng *rand.Rand, maxN int, lt *tree.LabelTable) *tree.Tree {
-	n := 1 + rng.Intn(maxN)
-	b := tree.NewBuilder(lt)
-	b.Root(string(rune('a' + rng.Intn(5))))
-	for i := 1; i < n; i++ {
-		b.Child(int32(rng.Intn(i)), string(rune('a'+rng.Intn(5))))
-	}
-	return b.MustBuild()
-}
-
 // bruteforcePartitionable enumerates all (δ−1)-subsets of edges and reports
 // whether some subset yields δ components all of size ≥ γ. Exponential; keep
 // trees small.
@@ -142,7 +132,7 @@ func TestPartitionableMatchesBruteForce(t *testing.T) {
 	lt := tree.NewLabelTable()
 	st := &partitionState{}
 	for i := 0; i < 300; i++ {
-		g := randomGeneralTree(rng, 12, lt)
+		g := randomSizedTree(rng, 1+rng.Intn(12), lt)
 		b := lcrs.Build(g)
 		n := b.Size()
 		for delta := 1; delta <= n && delta <= 4; delta++ {
@@ -165,7 +155,7 @@ func TestMaxMinSizeMaximality(t *testing.T) {
 	lt := tree.NewLabelTable()
 	st := &partitionState{}
 	for i := 0; i < 300; i++ {
-		g := randomGeneralTree(rng, 60, lt)
+		g := randomSizedTree(rng, 1+rng.Intn(60), lt)
 		b := lcrs.Build(g)
 		n := b.Size()
 		for delta := 1; delta <= n && delta <= 9; delta += 2 {
@@ -190,7 +180,7 @@ func TestComputeInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	lt := tree.NewLabelTable()
 	for i := 0; i < 300; i++ {
-		g := randomGeneralTree(rng, 80, lt)
+		g := randomSizedTree(rng, 1+rng.Intn(80), lt)
 		b := lcrs.Build(g)
 		n := b.Size()
 		for delta := 1; delta <= n && delta <= 9; delta += 2 {
@@ -216,7 +206,7 @@ func TestComputeRandomInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	lt := tree.NewLabelTable()
 	for i := 0; i < 200; i++ {
-		g := randomGeneralTree(rng, 60, lt)
+		g := randomSizedTree(rng, 1+rng.Intn(60), lt)
 		b := lcrs.Build(g)
 		n := b.Size()
 		for delta := 1; delta <= n && delta <= 7; delta += 2 {
@@ -260,7 +250,7 @@ func TestPaperLowerBoundFormula(t *testing.T) {
 	lt := tree.NewLabelTable()
 	st := &partitionState{}
 	for i := 0; i < 200; i++ {
-		g := randomGeneralTree(rng, 50, lt)
+		g := randomSizedTree(rng, 1+rng.Intn(50), lt)
 		b := lcrs.Build(g)
 		n := b.Size()
 		for delta := 1; delta <= n && delta <= 7; delta++ {

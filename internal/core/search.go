@@ -137,18 +137,13 @@ func (x *Index) covers(ts []*tree.Tree, o Options) bool {
 	return x.opts.Tau == o.Tau && x.opts.Position == o.Position && slices.Equal(ts, x.ts)
 }
 
-// Search returns the collection trees within TED τ of q, in ascending
-// collection order, verifying as the index's options say.
-func (x *Index) Search(q *tree.Tree) []Match {
-	ms, _ := x.SearchCtx(context.Background(), q)
-	return ms
-}
-
 // searchCtxStride bounds how many probe nodes run between context checks.
 const searchCtxStride = 64
 
-// SearchCtx is Search under a context: cancellation aborts the probe and
-// verification loops promptly and returns ctx's error with nil matches.
+// SearchCtx returns the collection trees within TED τ of q, in ascending
+// collection order, verifying as the index's options say. Cancellation
+// aborts the probe and verification loops promptly and returns ctx's error
+// with nil matches.
 func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
 	var stats sim.Stats
 	var cands []int32

@@ -7,6 +7,7 @@ import (
 	"treejoin/internal/engine"
 	"treejoin/internal/sim"
 	"treejoin/internal/synth"
+	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
@@ -29,7 +30,7 @@ func TestOneVerifierArtifact(t *testing.T) {
 	ix := NewIndexCached(ts, opts, cache)
 	inc := NewIncrementalCached(opts, cache)
 	for _, q := range ts[:12] {
-		if len(ix.Search(q)) == 0 {
+		if ms, err := ix.SearchCtx(ctx, q); err != nil || len(ms) == 0 {
 			t.Fatal("a collection tree did not find itself")
 		}
 		inc.Add(q)
@@ -67,7 +68,7 @@ func TestSearchCtxCancelled(t *testing.T) {
 		if cancel != nil {
 			cancel()
 		}
-		return sim.DefaultVerifier(a, b, tau)
+		return ted.DistanceBounded(a, b, tau)
 	}
 	ix := NewIndexCached(ts, Options{Tau: 2, Verifier: verify}, nil)
 	if ms, err := ix.SearchCtx(context.Background(), q); err != nil || len(ms) == 0 || calls < 2 {
@@ -91,5 +92,23 @@ func TestSearchCtxCancelled(t *testing.T) {
 	calls = 0
 	if ms, err := ix.SearchCtx(ctx, q); err != context.Canceled || ms != nil || calls == 0 {
 		t.Fatalf("cancelled by the verifier: %v matches, %d verifications, err %v", ms, calls, err)
+	}
+}
+
+func TestSearchTinyTreesAndEmpty(t *testing.T) {
+	ctx, lt := context.Background(), tree.NewLabelTable()
+	ix := NewIndexCached(nil, Options{Tau: 2}, nil)
+	if got, err := ix.SearchCtx(ctx, tree.MustParseBracket("{a}", lt)); err != nil || len(got) != 0 {
+		t.Fatalf("empty index returned %v, %v", got, err)
+	}
+	ts := []*tree.Tree{
+		tree.MustParseBracket("{a}", lt),
+		tree.MustParseBracket("{a{b}}", lt),
+		tree.MustParseBracket("{x{y{z{w{v{u}}}}}}", lt),
+	}
+	ix = NewIndexCached(ts, Options{Tau: 1}, nil)
+	got, err := ix.SearchCtx(ctx, tree.MustParseBracket("{a{c}}", lt))
+	if err != nil || len(got) != 2 || got[0].Pos != 0 || got[1].Pos != 1 {
+		t.Fatalf("search = %v, %v", got, err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"treejoin/internal/engine"
 	"treejoin/internal/sim"
 	"treejoin/internal/synth"
+	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
@@ -123,7 +124,7 @@ func TestCustomVerifierStillRuns(t *testing.T) {
 	var calls int64
 	v := func(t1, t2 *tree.Tree, tau int) (int, bool) {
 		calls++
-		return sim.DefaultVerifier(t1, t2, tau)
+		return ted.DistanceBounded(t1, t2, tau)
 	}
 	got, st := engine.Job{Tau: 2, Verifier: v, Workers: 1}.SelfJoin(ts)
 	want := oracleSelf(ts, 2)

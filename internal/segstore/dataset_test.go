@@ -2,10 +2,13 @@ package segstore_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"treejoin/internal/segstore"
@@ -166,6 +169,25 @@ func TestTruncationDetected(t *testing.T) {
 	// Trailing garbage is also rejected.
 	if _, _, err := segstore.ReadDataset(bytes.NewReader(append(append([]byte{}, orig...), 0))); err == nil {
 		t.Fatal("trailing byte went undetected")
+	}
+}
+
+// TestHostileTreeSizeAllocatesWithinInput: a tree whose node count claims
+// far more nodes than the bytes left could hold is rejected, and decoding it
+// allocates by those bytes, not by the count (4 M nodes would be 64 MB).
+func TestHostileTreeSizeAllocatesWithinInput(t *testing.T) {
+	img := binary.AppendUvarint([]byte("TJDS\x01\x01\x01a\x01"), 1<<22) // one label, one tree
+	img = append(img, 0, 0)
+	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img[4:]))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := segstore.ReadDataset(bytes.NewReader(img))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, segstore.ErrCorrupt) {
+		t.Fatalf("error %v does not wrap ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding %d bytes allocated %d", len(img), grew)
 	}
 }
 

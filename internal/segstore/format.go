@@ -86,6 +86,14 @@ type sd struct {
 	pos     int
 	version byte // of a file image: 1..the newest the caller reads
 	err     error
+	stack   []streamFrame // readTreeStream's, reused across the image's trees
+}
+
+// streamFrame is a node of readTreeStream's stack: its id, its last child
+// so far, and how many children it still expects.
+type streamFrame struct {
+	id, last int32
+	pending  uint64
 }
 
 // newSD opens a file image written at any version from 1 to version.

@@ -95,7 +95,10 @@ func writeTreeStream(c *cw, t *tree.Tree) {
 
 // readTreeStream reconstructs one tree from its preorder stream — the one
 // decoder of that stream, for segments, the WAL and the dataset file — in a
-// single stack pass: labels must be interned below labelLimit.
+// single stack pass: labels must be interned below labelLimit. The nodes are
+// sized from the stream's count, capped by the bytes left (a node takes at
+// least two), so a hostile count allocates no more than the image could hold;
+// the stack is d's, reused by every tree of one image.
 func readTreeStream(d *sd, lt *tree.LabelTable, labelLimit uint64) *tree.Tree {
 	n := d.u(maxTreeNodes, "tree size")
 	if d.err != nil {
@@ -105,12 +108,8 @@ func readTreeStream(d *sd, lt *tree.LabelTable, labelLimit uint64) *tree.Tree {
 		d.bad("empty tree")
 		return nil
 	}
-	b := tree.NewBuilder(lt)
-	type frame struct {
-		id      int32
-		pending uint64
-	}
-	var stack []frame
+	nodes := make([]tree.Node, 0, min(n, uint64(len(d.data)-d.pos)/2))
+	stack := d.stack[:0]
 	for i := uint64(0); i < n; i++ {
 		label := d.u(labelLimit, "label id")
 		fan := d.u(n, "child count")
@@ -121,35 +120,37 @@ func readTreeStream(d *sd, lt *tree.LabelTable, labelLimit uint64) *tree.Tree {
 			d.bad("node %d: label id %d out of range", i, label)
 			return nil
 		}
-		var id int32
+		id := int32(len(nodes))
+		node := tree.Node{Label: int32(label), Parent: tree.None, FirstChild: tree.None, NextSibling: tree.None}
 		if len(stack) == 0 {
 			if i != 0 {
 				d.bad("node %d after the root completed", i)
 				return nil
 			}
-			id = b.RootID(int32(label))
 		} else {
 			top := &stack[len(stack)-1]
-			id = b.ChildID(top.id, int32(label))
+			node.Parent = top.id
+			if top.last == tree.None {
+				nodes[top.id].FirstChild = id
+			} else {
+				nodes[top.last].NextSibling = id
+			}
+			top.last = id
 			top.pending--
 		}
+		nodes = append(nodes, node)
 		if fan > 0 {
-			stack = append(stack, frame{id: id, pending: fan})
+			stack = append(stack, streamFrame{id: id, last: tree.None, pending: fan})
 		}
 		for len(stack) > 0 && stack[len(stack)-1].pending == 0 {
 			stack = stack[:len(stack)-1]
 		}
 	}
-	if len(stack) != 0 {
+	if d.stack = stack; len(stack) != 0 {
 		d.bad("%d nodes missing", len(stack))
 		return nil
 	}
-	t, err := b.Build()
-	if err != nil {
-		d.bad("invalid tree: %v", err)
-		return nil
-	}
-	return t
+	return &tree.Tree{Labels: lt, Nodes: nodes}
 }
 
 // encodeSegment lays out the segment of (blocks, entries). Deterministic:

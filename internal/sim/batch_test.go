@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"treejoin/internal/sim"
+	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
@@ -27,7 +28,7 @@ type recordingVerifier struct {
 }
 
 func (v recordingVerifier) VerifyPair(i, j, tau int) (int, bool) {
-	return sim.DefaultVerifier(v.f.ts[i], v.f.ts[j], tau)
+	return ted.DistanceBounded(v.f.ts[i], v.f.ts[j], tau)
 }
 
 func (v recordingVerifier) Close() {
@@ -96,7 +97,7 @@ func allPairs(n int) []sim.Candidate {
 func referencePairs(ts []*tree.Tree, cands []sim.Candidate, tau int) []sim.Pair {
 	var want []sim.Pair
 	for _, c := range cands {
-		if d, ok := sim.DefaultVerifier(ts[c.I], ts[c.J], tau); ok {
+		if d, ok := ted.DistanceBounded(ts[c.I], ts[c.J], tau); ok {
 			want = append(want, sim.Pair{I: min(c.I, c.J), J: max(c.I, c.J), Dist: d})
 		}
 	}
@@ -147,7 +148,7 @@ func TestVerifyStreamBatchedMatchesSequential(t *testing.T) {
 // one-off verifier accepts — and the same candidate accounting.
 func TestVerifyAllSequentialVsParallel(t *testing.T) {
 	ts, cands := randomFixture()
-	adapted := sim.AdaptVerifier(ts, sim.DefaultVerifier)
+	adapted := sim.AdaptVerifier(ts, ted.DistanceBounded)
 	for _, tau := range []int{0, 2, 5} {
 		want := referencePairs(ts, cands, tau)
 		for _, workers := range []int{1, 8} {
@@ -173,7 +174,7 @@ func TestVerifyAllNormalisesPairOrder(t *testing.T) {
 		tree.MustParseBracket("{a}", lt),
 	}
 	got, _ := collect(func(st *sim.Stats, emit sim.EmitFunc) {
-		sim.VerifyStreamBatched(context.Background(), []sim.Candidate{{I: 1, J: 0}}, 0, sim.AdaptVerifier(ts, sim.DefaultVerifier), 1, st, emit)
+		sim.VerifyStreamBatched(context.Background(), []sim.Candidate{{I: 1, J: 0}}, 0, sim.AdaptVerifier(ts, ted.DistanceBounded), 1, st, emit)
 	})
 	if len(got) != 1 || got[0].I != 0 || got[0].J != 1 {
 		t.Fatalf("pair not normalised: %v", got)
@@ -182,7 +183,7 @@ func TestVerifyAllNormalisesPairOrder(t *testing.T) {
 	rts, rcands := randomFixture()
 	for _, workers := range []int{1, 8} {
 		got, _ := collect(func(st *sim.Stats, emit sim.EmitFunc) {
-			sim.VerifyStreamBatched(context.Background(), rcands, 5, sim.AdaptVerifier(rts, sim.DefaultVerifier), workers, st, emit)
+			sim.VerifyStreamBatched(context.Background(), rcands, 5, sim.AdaptVerifier(rts, ted.DistanceBounded), workers, st, emit)
 		})
 		if len(got) == 0 {
 			t.Fatalf("w=%d: no pairs at τ=5", workers)
@@ -219,7 +220,7 @@ func TestVerifyAllCustomVerifier(t *testing.T) {
 		var calls atomic.Int64
 		custom := func(a, b *tree.Tree, tau int) (int, bool) {
 			calls.Add(1)
-			return sim.DefaultVerifier(a, b, tau)
+			return ted.DistanceBounded(a, b, tau)
 		}
 		got, _ := collect(func(st *sim.Stats, emit sim.EmitFunc) {
 			sim.VerifyStreamBatched(context.Background(), rcands, 2, sim.AdaptVerifier(rts, custom), workers, st, emit)

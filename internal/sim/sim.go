@@ -216,13 +216,6 @@ func NormalizeWorkers(n int) int {
 // position through a BatchVerifier.
 type Verifier func(t1, t2 *tree.Tree, tau int) (int, bool)
 
-// DefaultVerifier is the τ-banded bounded TED in its one-off form, which
-// flattens both trees per call: the tests' reference. The joins, Search and
-// Incremental verify through a batch verifier over cached arena views.
-func DefaultVerifier(t1, t2 *tree.Tree, tau int) (int, bool) {
-	return ted.DistanceBounded(t1, t2, tau)
-}
-
 // SizeOrder returns tree indices sorted by ascending size, ties by index, as
 // required by Algorithm 1 (line 3).
 func SizeOrder(ts []*tree.Tree) []int {
