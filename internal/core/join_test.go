@@ -132,23 +132,31 @@ func TestSelfJoinEdgeCases(t *testing.T) {
 }
 
 // TestSelfJoinPanicsOnNegativeTau: the collecting SelfJoin of a PartSJ job
-// panics on τ < 0; its streaming entry, which sits behind network-facing
-// callers, returns an error and no pairs instead (a Corpus validates first).
+// panics on τ < 0 (a Corpus validates first and returns an error).
 func TestSelfJoinPanicsOnNegativeTau(t *testing.T) {
-	emitted := 0
-	stats, err := Options{Tau: -3, Workers: 2}.Job(nil).StreamSelf(context.Background(), synth.Synthetic(10, 7), func(sim.Pair) bool {
-		emitted++
-		return true
-	})
-	if err == nil || emitted != 0 || stats.Results != 0 {
-		t.Fatalf("StreamSelf at τ = −3: err %v, %d pairs, %d results", err, emitted, stats.Results)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on τ < 0")
 		}
 	}()
 	Options{Tau: -1}.Job(nil).SelfJoin(nil)
+}
+
+// TestShardedInvalidOptions: a malformed threshold comes back from the
+// streaming entry as an error — never a panic — since it sits behind
+// network-facing callers (a bad request must not crash a server).
+func TestShardedInvalidOptions(t *testing.T) {
+	emitted := 0
+	stats, err := Options{Tau: -3, Workers: 2}.Job(nil).StreamSelf(context.Background(), synth.Synthetic(10, 7), func(sim.Pair) bool {
+		emitted++
+		return true
+	})
+	if err == nil {
+		t.Fatal("negative threshold: want error, got nil")
+	}
+	if emitted != 0 || stats.Results != 0 {
+		t.Fatalf("invalid options returned results: %d pairs, %v", emitted, stats)
+	}
 }
 
 // TestCustomVerifierInjection: the injected verifier is used for every

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"treejoin/internal/lcrs"
 	"treejoin/internal/tree"
@@ -262,5 +263,41 @@ func TestPaperLowerBoundFormula(t *testing.T) {
 				t.Fatalf("closed-form bound infeasible: n=%d δ=%d γ=%d", n, delta, gmin)
 			}
 		}
+	}
+}
+
+// TestQuickBinaryPostorderPermutation: lcrs.Build's orders are inverse
+// permutations with children before parents, for arbitrary trees.
+func TestQuickBinaryPostorderPermutation(t *testing.T) {
+	lt := tree.NewLabelTable()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomSizedTree(rng, 1+rng.Intn(60), lt)
+		b := lcrs.Build(g)
+		for r, n := range b.Order {
+			if b.Rank[n] != int32(r) {
+				return false
+			}
+		}
+		for id := range g.Nodes {
+			n := int32(id)
+			if l := b.Left(n); l != lcrs.None && b.Rank[l] >= b.Rank[n] {
+				return false
+			}
+			if r := b.Right(n); r != lcrs.None && b.Rank[r] >= b.Rank[n] {
+				return false
+			}
+			// General postorder: parent after every child.
+			for c := g.Nodes[n].FirstChild; c != tree.None; c = g.Nodes[c].NextSibling {
+				if b.GenRank[c] >= b.GenRank[n] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 250, Rand: rand.New(rand.NewSource(419))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -64,9 +64,6 @@ func TestFigure4(t *testing.T) {
 	}
 }
 
-// TestBinaryPostorderProperties: over random trees, Order and Rank are inverse
-// permutations, the root comes last, and every child precedes its parent in
-// the binary postorder (Rank) and in the general one (GenRank).
 func TestBinaryPostorderProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 200; i++ {
@@ -93,12 +90,6 @@ func TestBinaryPostorderProperties(t *testing.T) {
 			}
 			if r := b.Right(n); r != lcrs.None && b.Rank[r] >= b.Rank[n] {
 				t.Fatalf("right child ranked after parent")
-			}
-			// General postorder: the parent after every child.
-			for c := g.Nodes[n].FirstChild; c != tree.None; c = g.Nodes[c].NextSibling {
-				if b.GenRank[c] >= b.GenRank[n] {
-					t.Fatalf("general child ranked after its parent")
-				}
 			}
 		}
 	}
