@@ -424,7 +424,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := s.sc.Snapshot()
-	ms, err := v.Search(r.Context(), qs[0], req.Tau)
+	ms, err := v.Search(r.Context(), qs[0], req.Tau, s.queryOpts(nil)...)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -445,7 +445,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := s.sc.Snapshot()
-	pairs, err := v.TopK(r.Context(), req.K)
+	pairs, err := v.TopK(r.Context(), req.K, s.queryOpts(nil)...)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -472,7 +472,7 @@ func (s *server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := s.sc.Snapshot()
-	ms, err := v.KNN(r.Context(), qs[0], req.K)
+	ms, err := v.KNN(r.Context(), qs[0], req.K, s.queryOpts(nil)...)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -232,6 +232,56 @@ func TestServeJoin(t *testing.T) {
 	}
 }
 
+// TestServeWorkersQueries: on a -workers 1 server, /search, /knn and /topk
+// run under the server's query options and answer exactly what the
+// in-process corpus does, ids mapped.
+func TestServeWorkersQueries(t *testing.T) {
+	sc, err := treejoin.NewSharded(2, synth.Synthetic(30, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(newServer(sc, sc.Labels(), 1, 8, 5*time.Second).routes())
+	t.Cleanup(hs.Close)
+	ctx, q := context.Background(), sc.Tree(3)
+	query := func(path string, req map[string]any, into any) {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		resp, out := post(t, hs, path, string(body))
+		if err := json.Unmarshal([]byte(out), into); resp.StatusCode != 200 || err != nil {
+			t.Fatalf("%s: status %d (err %v): %s", path, resp.StatusCode, err, out)
+		}
+	}
+	wire := func(ms []treejoin.Match) []wireMatch {
+		out := make([]wireMatch, len(ms))
+		for i, m := range ms {
+			out[i] = wireMatch{ID: sc.ID(m.Pos), Dist: m.Dist}
+		}
+		return out
+	}
+	var matches struct {
+		Matches []wireMatch `json:"matches"`
+	}
+	ms, err := sc.Search(ctx, q, 4)
+	if query("/search", map[string]any{"query": treejoin.FormatBracket(q), "tau": 4}, &matches); err != nil || len(ms) < 2 || !slices.Equal(matches.Matches, wire(ms)) {
+		t.Fatalf("/search answered %v, Search %v (err %v)", matches.Matches, ms, err)
+	}
+	ms, err = sc.KNN(ctx, q, 5)
+	if query("/knn", map[string]any{"query": treejoin.FormatBracket(q), "k": 5}, &matches); err != nil || !slices.Equal(matches.Matches, wire(ms)) {
+		t.Fatalf("/knn answered %v, KNN %v (err %v)", matches.Matches, ms, err)
+	}
+	var topk struct {
+		Pairs []wirePair `json:"pairs"`
+	}
+	pairs, err := sc.TopK(ctx, 4)
+	var want []wirePair
+	for _, p := range pairs {
+		want = append(want, wirePair{I: sc.ID(p.I), J: sc.ID(p.J), Dist: p.Dist})
+	}
+	if query("/topk", map[string]any{"k": 4}, &topk); err != nil || len(want) != 4 || !slices.Equal(topk.Pairs, want) {
+		t.Fatalf("/topk answered %v, TopK %v (err %v)", topk.Pairs, want, err)
+	}
+}
+
 // TestServeMalformed: every malformed request the wire can carry answers
 // 4xx — no panic, no 5xx. This is the no-network-reachable-panic contract.
 func TestServeMalformed(t *testing.T) {

@@ -655,25 +655,13 @@ func (cp *Corpus) crossQuery(other *Corpus, tau int, c config) (*joinQuery, erro
 	return q, q.plan(tau)
 }
 
-// plan assembles the query's pipeline and binds its candidate source to a's
+// plan assembles the query's pipeline, its candidate source bound to a's
 // frozen indexes: PartSJ's through core.Options.Indexes, a signature method's
 // token index through a's resolver.
-func (q *joinQuery) plan(tau int) error {
-	job, tz, err := q.c.pipelineChecked(tau)
-	if err != nil {
-		return err
-	}
-	job.Cache = q.cache
-	q.job = job
-	switch {
-	case q.c.method == MethodPartSJ:
-		o := q.c.coreOptions(tau)
-		o.Indexes = q.indexes
-		q.job.Source = core.NewSource(o)
-	case q.job.Source != nil:
-		q.job.Source = engine.TokenIndex(tz, q.a.tokenResolver(q.cache, q.c.workers))
-	}
-	return nil
+func (q *joinQuery) plan(tau int) (err error) {
+	q.job, _, err = q.c.pipelineChecked(tau, q.indexes, q.a.tokenResolver(q.cache, q.c.workers))
+	q.job.Cache = q.cache
+	return err
 }
 
 // indexes is the core.Options.Indexes hook: a's index, where every other
@@ -897,7 +885,7 @@ func (cp *Corpus) Incremental(tau int, opts ...Option) (*Incremental, error) {
 		}
 		return nil
 	})
-	return &Incremental{inner: core.NewIncrementalCached(c.coreOptions(tau), cache)}, nil
+	return core.NewIncrementalCached(c.coreOptions(tau), cache), nil
 }
 
 // queryConfig validates a query tree and the options of an index-backed

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"treejoin/internal/engine"
+	"treejoin/internal/pqgram"
 	"treejoin/internal/strdist"
 )
 
@@ -18,6 +19,27 @@ import (
 // through the run's artifact cache: a corpus-backed join computes each tree's
 // signature once, ever, and later joins at any threshold reuse it. Only the
 // pair predicates, which capture τ, are rebuilt per run.
+
+// Stage is one filter method's stage: the filter its lower bound runs as, and
+// the tokenizer of the bag that bound (or a sound sibling of it) is stated
+// on, which the method's token-index source posts.
+type Stage struct {
+	Filter    func() engine.PairFilter
+	Tokenizer func() engine.Tokenizer
+}
+
+// Stages is the one table of the filter methods, keyed by the name a join
+// method, its prefilter and its stage share: Euler q-grams index the
+// string/gram class, label-histogram entries the histogram/branch class.
+var Stages = map[string]Stage{
+	"HIST": {HISTFilter, LabelTokenizer},
+	"STR":  {STRFilter, eulerGrams},
+	"SET":  {SETFilter, LabelTokenizer},
+	"EUL":  {EULFilter, eulerGrams},
+	"PQG":  {func() engine.PairFilter { return pqgram.Filter(0) }, eulerGrams},
+}
+
+func eulerGrams() engine.Tokenizer { return pqgram.Tokenizer(0) }
 
 // STRFilter returns the traversal-string stage (Guha et al.): the unit-cost
 // string edit distance between the preorder (resp. postorder) label

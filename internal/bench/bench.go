@@ -13,12 +13,12 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"treejoin/internal/baseline"
 	"treejoin/internal/core"
 	"treejoin/internal/engine"
-	"treejoin/internal/pqgram"
 	"treejoin/internal/sim"
 	"treejoin/internal/synth"
 	"treejoin/internal/tree"
@@ -77,8 +77,20 @@ func Run(m Method, dataset string, ts []*tree.Tree, tau, workers int) Result {
 
 // job assembles method m's engine job: PartSJ and its ablations probe the
 // subgraph index, every other method is the sorted nested loop feeding its
-// filter chain (BF's is empty).
+// filter chain (BF's is empty); a "HIST→" method puts the HIST stage first.
 func job(m Method, tau, workers int) engine.Job {
+	j := engine.Job{Source: engine.SortedLoop(), Tau: tau, Workers: workers}
+	name, hist := strings.CutPrefix(string(m), "HIST→")
+	if hist {
+		j.Filters = append(j.Filters, baseline.HISTFilter())
+	}
+	if st, ok := baseline.Stages[name]; ok {
+		j.Filters = append(j.Filters, st.Filter())
+		return j
+	}
+	if m == BF {
+		return j
+	}
 	prt := core.Options{Tau: tau, Workers: workers}
 	switch m {
 	case PRTRandom:
@@ -87,37 +99,9 @@ func job(m Method, tau, workers int) engine.Job {
 		prt.Position = core.PositionPaper
 	case PRTNoPos:
 		prt.Position = core.PositionOff
-	case PRTHist:
-		return prt.Job([]engine.PairFilter{baseline.HISTFilter()})
-	case STR:
-		return loopJob(tau, workers, baseline.STRFilter())
-	case SET:
-		return loopJob(tau, workers, baseline.SETFilter())
-	case BF:
-		return loopJob(tau, workers)
-	case HIST:
-		return loopJob(tau, workers, baseline.HISTFilter())
-	case EUL:
-		return loopJob(tau, workers, baseline.EULFilter())
-	case PQG:
-		return loopJob(tau, workers, pqgram.Filter(0))
-	case STRHist:
-		return loopJob(tau, workers, baseline.HISTFilter(), baseline.STRFilter())
-	case PQGHist:
-		return loopJob(tau, workers, baseline.HISTFilter(), pqgram.Filter(0))
 	}
-	return prt.Job(nil)
-}
-
-// loopJob assembles a sorted-nested-loop engine job with the given filter
-// chain.
-func loopJob(tau, workers int, filters ...engine.PairFilter) engine.Job {
-	return engine.Job{
-		Source:  engine.SortedLoop(),
-		Filters: filters,
-		Tau:     tau,
-		Workers: workers,
-	}
+	j.Source = core.NewSource(prt)
+	return j
 }
 
 // Dataset is a named tree collection.

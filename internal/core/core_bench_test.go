@@ -151,7 +151,7 @@ func BenchmarkSelfJoinWorkers(b *testing.B) {
 				if mode == "warm-index" {
 					opts.Indexes = func(context.Context, int) (*Index, bool) { return shared, false }
 				}
-				job := opts.Job(nil)
+				job := partSJJob(opts)
 				job.Cache = cache
 				job.SelfJoin(ts) // the verifier's views
 				b.Run(fmt.Sprintf("tau=%d/workers=%d/%s", tau, workers, mode), func(b *testing.B) {

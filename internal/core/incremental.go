@@ -24,8 +24,8 @@ import (
 // subgraph must appear in the later one — so correctness is unaffected.
 //
 // The stream grows an Index: Add appends to its trees, inserts into its
-// small-tree list or its subgraph index, and finds partners with the one
-// probe every PartSJ caller shares (Index.partners). A removed tree leaves the
+// small-tree list or its subgraph index, and finds and verifies partners with
+// the one-tree probe Search runs (Index.probeVerify). A removed tree leaves the
 // small-tree list at once; its postings stay in the index, screened out,
 // until a compaction rebuilds it.
 //
@@ -33,8 +33,7 @@ import (
 // goroutines add trees.
 type Incremental struct {
 	x     *Index
-	views []*ted.TreeView // the default verifier's arena views, beside x.ts
-	parts []*Partition    // the indexed trees' partitions, for compaction
+	parts []*Partition // the indexed trees' partitions, for compaction
 	st    partitionState
 	stats sim.Stats
 	tc    ted.Counters // the default verifier's, folded into Stats
@@ -89,10 +88,10 @@ func (inc *Incremental) Stats() sim.Stats {
 }
 
 // Add inserts t and returns all pairs (existing index, new index) whose TED
-// is at most τ, sorted by existing index. The new tree's index is Len()-1
-// after the call.
+// is at most τ, sorted by existing index: the one-tree probe Search runs
+// (Index.probeVerify), with the removed trees screened out. The new tree's
+// index is Len()-1 after the call.
 func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
-	start := time.Now()
 	x := inc.x
 	ti := len(x.ts)
 	x.ts = append(x.ts, t)
@@ -100,26 +99,15 @@ func (inc *Incremental) Add(t *tree.Tree) []sim.Pair {
 	if x.opts.Verifier == nil {
 		view = engine.ArenaFor(x.cache, []*tree.Tree{t}, 1)[0]
 	}
-	inc.views = append(inc.views, view)
+	x.views = append(x.views, view)
 	inc.parts = append(inc.parts, nil)
 	inc.removed = append(inc.removed, false)
 	b := cachedBin(x.cache, t)
-	var cands []sim.Candidate
-	x.partners(context.Background(), b, b.Size()+x.opts.Tau, noTieLimit, &inc.stats,
-		func(j int32) bool { return !inc.removed[j] },
-		func(j int32) { cands = append(cands, sim.Candidate{I: int(j), J: ti}) })
-	inc.stats.CandTime += time.Since(start)
-
-	// The default verifier reads the views kept beside the trees.
-	factory := sim.AdaptVerifier(x.ts, x.opts.Verifier)
-	if x.opts.Verifier == nil {
-		factory = engine.NewArenaVerifiers(inc.views, &inc.tc)
-	}
 	var pairs []sim.Pair
-	sim.VerifyStreamBatched(context.Background(), cands, x.opts.Tau, factory, sim.NormalizeWorkers(x.opts.Workers), &inc.stats, func(p sim.Pair) bool {
-		pairs = append(pairs, p)
-		return true
-	})
+	x.probeVerify(context.Background(), t, b, view, func(j int32) bool { return !inc.removed[j] },
+		sim.NormalizeWorkers(x.opts.Workers), &inc.stats, &inc.tc, func(pos, dist int) {
+			pairs = append(pairs, sim.Pair{I: pos, J: ti, Dist: dist})
+		})
 
 	pStart := time.Now()
 	if delta := x.opts.delta(); t.Size() >= delta {
@@ -154,7 +142,7 @@ func (inc *Incremental) small(i int) (int, bool) {
 // Pairs returns the standing result set — every pair some Add reported whose
 // trees are both still live — in canonical ascending (I, J) order. It is the
 // self-join of the live trees at the stream's threshold, maintained across
-// arbitrary Add/Remove sequences.
+// arbitrary Add/Remove/Update sequences without ever re-joining.
 func (inc *Incremental) Pairs() []sim.Pair {
 	out := make([]sim.Pair, 0, len(inc.standing))
 	for k, d := range inc.standing {
@@ -165,9 +153,10 @@ func (inc *Incremental) Pairs() []sim.Pair {
 }
 
 // Retracted drains the retraction delta: every standing pair withdrawn by
-// Remove calls since the previous drain, in canonical order. A consumer
-// mirroring the result set applies Add's returned pairs as insertions and
-// this delta as deletions; after both, its mirror equals Pairs().
+// Remove (and Update) calls since the previous drain, in canonical order. A
+// consumer mirroring the result set applies Add's returned pairs as
+// insertions and this delta as deletions; after both, its mirror equals
+// Pairs(). Stats().PairsRetracted counts the retractions cumulatively.
 func (inc *Incremental) Retracted() []sim.Pair {
 	out := inc.retract
 	inc.retract = nil
@@ -202,7 +191,7 @@ func (inc *Incremental) Remove(i int) bool {
 	}
 	// Release the payload; only the tombstone remains.
 	inc.x.ts[i] = nil
-	inc.views[i] = nil
+	inc.x.views[i] = nil
 	inc.parts[i] = nil
 	if inc.nRemoved >= inc.compactAt && inc.nRemoved*2 >= len(inc.x.ts) {
 		inc.compact()

@@ -7,8 +7,8 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
+	"treejoin/internal/engine"
 	"treejoin/internal/lcrs"
 )
 
@@ -225,30 +225,23 @@ func newInvIndex(tau int, mode PositionFilter) *invIndex {
 // buildInvIndex indexes trees 0..n−1 in bulk on up to workers goroutines:
 // part(i) yields tree i's partition, or nil for a tree that is not indexed
 // (too small, removed). Each worker partitions and compiles a contiguous run
-// of trees into an index of its own and sorts its lists; concat then merges
-// the runs into exactly sized storage, since the result is retained for as
-// long as its corpus epoch.
+// of trees (engine.ForRuns) into an index of its own and sorts its lists;
+// concat then merges the runs into exactly sized storage, since the result is
+// retained for as long as its corpus epoch.
 func buildInvIndex(tau int, mode PositionFilter, n, workers int, part func(i int, st *partitionState) *Partition) *invIndex {
-	workers = max(1, min(workers, n))
-	runs := make([]*invIndex, workers)
-	var wg sync.WaitGroup
-	for w := range runs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run, st := newInvIndex(tau, mode), new(partitionState)
-			for i := w * n / workers; i < (w+1)*n/workers; i++ {
-				if p := part(i, st); p != nil {
-					run.add(i, p, false)
-				}
+	runs := make([]*invIndex, max(1, min(workers, n)))
+	engine.ForRuns(n, len(runs), func(w, lo, hi int) {
+		run, st := newInvIndex(tau, mode), new(partitionState)
+		for i := lo; i < hi; i++ {
+			if p := part(i, st); p != nil {
+				run.add(i, p, false)
 			}
-			for _, ps := range run.posts {
-				slices.SortFunc(ps, comparePostings)
-			}
-			runs[w] = run
-		}()
-	}
-	wg.Wait()
+		}
+		for _, ps := range run.posts {
+			slices.SortFunc(ps, comparePostings)
+		}
+		runs[w] = run
+	})
 	return concat(tau, mode, runs, nil)
 }
 

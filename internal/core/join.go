@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"treejoin/internal/engine"
 	"treejoin/internal/sim"
 )
 
@@ -39,30 +38,3 @@ type Options struct {
 }
 
 func (o Options) delta() int { return 2*o.Tau + 1 }
-
-// Job assembles the engine job for a PartSJ execution (Algorithm 1): the
-// inverted subgraph index as the candidate source, with prefilters (if any)
-// ahead of it. Its SelfJoin reports every pair of trees with TED ≤ o.Tau, its
-// Join every cross pair, each tree of the second side probing the first
-// side's index so the Lemma 2 filter applies to cross pairs exactly as to
-// self pairs. Trees
-// smaller than δ = 2τ+1 nodes cannot be δ-partitioned (a δ-partitioning needs
-// 2τ distinct edges); the paper does not discuss them. They are kept in a side
-// list and paired by direct verification, which is cheap precisely because
-// such trees are tiny. o.Tau must not be negative.
-func (o Options) Job(filters []engine.PairFilter) engine.Job {
-	job := engine.Job{
-		Source:   NewSource(o),
-		Filters:  filters,
-		Tau:      o.Tau,
-		Verifier: o.Verifier,
-		Workers:  o.Workers,
-	}
-	// PartSJ's candidate source is its own subgraph index, so every PartSJ
-	// run carries this plan record.
-	job.Plan = sim.PlanRecord{Source: "partsj", Chain: make([]string, len(filters))}
-	for i, f := range filters {
-		job.Plan.Chain[i] = f.Name()
-	}
-	return job
-}

@@ -21,6 +21,12 @@ import (
 // and partitioning ablations, the counters, the verifier seam and the edges
 // of the package's own entry points.
 
+// partSJJob is the engine job of a PartSJ join (NewSource) behind the given
+// prefilters, with o's threshold, verifier and workers.
+func partSJJob(o Options, filters ...engine.PairFilter) engine.Job {
+	return engine.Job{Source: NewSource(o), Filters: filters, Tau: o.Tau, Verifier: o.Verifier, Workers: o.Workers}
+}
+
 // loopJoin is a baseline's self join: the sorted nested loop feeding filters;
 // with none it is the brute-force oracle.
 func loopJoin(ts []*tree.Tree, tau int, filters ...engine.PairFilter) ([]sim.Pair, *sim.Stats) {
@@ -53,11 +59,11 @@ func TestJoinMethodsAgreeWithOracle(t *testing.T) {
 				"PRT-off":    {Tau: tau, Position: PositionOff},
 				"PRT-random": {Tau: tau, RandomPartition: true, Seed: 99},
 			} {
-				if got, _ := opts.Job(nil).SelfJoin(ts); !slices.Equal(got, want) {
+				if got, _ := partSJJob(opts).SelfJoin(ts); !slices.Equal(got, want) {
 					t.Errorf("collection %d %s τ=%d: %d pairs, oracle %d\n got: %v\nwant: %v", c, name, tau, len(got), len(want), got, want)
 				}
 			}
-			paper, _ := Options{Tau: tau, Position: PositionPaper}.Job(nil).SelfJoin(ts)
+			paper, _ := partSJJob(Options{Tau: tau, Position: PositionPaper}).SelfJoin(ts)
 			for _, p := range paper {
 				if !slices.Contains(want, p) {
 					t.Errorf("collection %d PRT-paper τ=%d: spurious pair %v", c, tau, p)
@@ -77,7 +83,7 @@ func TestJoinStatsSanity(t *testing.T) {
 	for c, ts := range testCollections(24) {
 		for tau := 1; tau <= 3; tau++ {
 			_, bfStats := loopJoin(ts, tau)
-			pairs, st := Options{Tau: tau}.Job(nil).SelfJoin(ts)
+			pairs, st := partSJJob(Options{Tau: tau}).SelfJoin(ts)
 			if st.Results != int64(len(pairs)) {
 				t.Fatalf("Results stat %d != %d", st.Results, len(pairs))
 			}
@@ -97,11 +103,11 @@ func TestJoinStatsSanity(t *testing.T) {
 
 func TestSelfJoinEdgeCases(t *testing.T) {
 	lt := tree.NewLabelTable()
-	if pairs, st := (Options{Tau: 2}).Job(nil).SelfJoin(nil); len(pairs) != 0 || st.Results != 0 {
+	if pairs, st := partSJJob(Options{Tau: 2}).SelfJoin(nil); len(pairs) != 0 || st.Results != 0 {
 		t.Fatal("empty collection should produce no pairs")
 	}
 	one := []*tree.Tree{tree.MustParseBracket("{a}", lt)}
-	if pairs, _ := (Options{Tau: 3}).Job(nil).SelfJoin(one); len(pairs) != 0 {
+	if pairs, _ := partSJJob(Options{Tau: 3}).SelfJoin(one); len(pairs) != 0 {
 		t.Fatal("single tree should produce no pairs")
 	}
 	// τ = 0: exactly the duplicate pairs.
@@ -111,7 +117,7 @@ func TestSelfJoinEdgeCases(t *testing.T) {
 		tree.MustParseBracket("{a{c}}", lt),
 		tree.MustParseBracket("{a{b}}", lt),
 	}
-	if pairs, _ := (Options{Tau: 0}).Job(nil).SelfJoin(dups); !slices.Equal(pairs, []sim.Pair{{I: 0, J: 1}, {I: 0, J: 3}, {I: 1, J: 3}}) {
+	if pairs, _ := partSJJob(Options{Tau: 0}).SelfJoin(dups); !slices.Equal(pairs, []sim.Pair{{I: 0, J: 1}, {I: 0, J: 3}, {I: 1, J: 3}}) {
 		t.Fatalf("τ=0 pairs = %v", pairs)
 	}
 	// All trees smaller than δ: everything flows through the small-tree path.
@@ -121,7 +127,7 @@ func TestSelfJoinEdgeCases(t *testing.T) {
 		tree.MustParseBracket("{a{b}}", lt),
 		tree.MustParseBracket("{a{c}}", lt),
 	}
-	got, st := Options{Tau: 2}.Job(nil).SelfJoin(tiny)
+	got, st := partSJJob(Options{Tau: 2}).SelfJoin(tiny)
 	oracle, _ := loopJoin(tiny, 2)
 	if !slices.Equal(got, oracle) {
 		t.Fatalf("tiny join = %v, oracle %v", got, oracle)
@@ -139,7 +145,7 @@ func TestSelfJoinPanicsOnNegativeTau(t *testing.T) {
 			t.Fatal("no panic on τ < 0")
 		}
 	}()
-	Options{Tau: -1}.Job(nil).SelfJoin(nil)
+	partSJJob(Options{Tau: -1}).SelfJoin(nil)
 }
 
 // TestShardedInvalidOptions: a malformed threshold comes back from the
@@ -147,7 +153,7 @@ func TestSelfJoinPanicsOnNegativeTau(t *testing.T) {
 // network-facing callers (a bad request must not crash a server).
 func TestShardedInvalidOptions(t *testing.T) {
 	emitted := 0
-	stats, err := Options{Tau: -3, Workers: 2}.Job(nil).StreamSelf(context.Background(), synth.Synthetic(10, 7), func(sim.Pair) bool {
+	stats, err := partSJJob(Options{Tau: -3, Workers: 2}).StreamSelf(context.Background(), synth.Synthetic(10, 7), func(sim.Pair) bool {
 		emitted++
 		return true
 	})
@@ -170,7 +176,7 @@ func TestCustomVerifierInjection(t *testing.T) {
 		calls++
 		return ted.DistanceBounded(t1, t2, tau)
 	}
-	pairs, st := Options{Tau: 2, Verifier: v}.Job(nil).SelfJoin(ts)
+	pairs, st := partSJJob(Options{Tau: 2, Verifier: v}).SelfJoin(ts)
 	if int64(calls) != st.Candidates {
 		t.Fatalf("verifier calls %d != candidates %d", calls, st.Candidates)
 	}
@@ -187,7 +193,7 @@ func TestCustomVerifierInjection(t *testing.T) {
 func TestVerifierFailureInjection(t *testing.T) {
 	ts := synth.Synthetic(40, 41)
 	rejectAll := func(a, b *tree.Tree, tau int) (int, bool) { return tau + 1, false }
-	pairs, st := Options{Tau: 2, Verifier: rejectAll}.Job(nil).SelfJoin(ts)
+	pairs, st := partSJJob(Options{Tau: 2, Verifier: rejectAll}).SelfJoin(ts)
 	if len(pairs) != 0 {
 		t.Fatalf("reject-all verifier produced %d pairs", len(pairs))
 	}
@@ -195,7 +201,7 @@ func TestVerifierFailureInjection(t *testing.T) {
 		t.Fatal("no candidates reached the verifier")
 	}
 	acceptAll := func(a, b *tree.Tree, tau int) (int, bool) { return 0, true }
-	pairs, st = Options{Tau: 2, Verifier: acceptAll}.Job(nil).SelfJoin(ts)
+	pairs, st = partSJJob(Options{Tau: 2, Verifier: acceptAll}).SelfJoin(ts)
 	if int64(len(pairs)) != st.Candidates {
 		t.Fatalf("accept-all: %d pairs vs %d candidates", len(pairs), st.Candidates)
 	}
@@ -209,9 +215,9 @@ func TestVerifierFailureInjection(t *testing.T) {
 func TestPositionModesCandidateOrdering(t *testing.T) {
 	ts := synth.Synthetic(120, 5)
 	for tau := 1; tau <= 3; tau++ {
-		_, safe := Options{Tau: tau, Position: PositionSafe}.Job(nil).SelfJoin(ts)
-		_, off := Options{Tau: tau, Position: PositionOff}.Job(nil).SelfJoin(ts)
-		_, paper := Options{Tau: tau, Position: PositionPaper}.Job(nil).SelfJoin(ts)
+		_, safe := partSJJob(Options{Tau: tau, Position: PositionSafe}).SelfJoin(ts)
+		_, off := partSJJob(Options{Tau: tau, Position: PositionOff}).SelfJoin(ts)
+		_, paper := partSJJob(Options{Tau: tau, Position: PositionPaper}).SelfJoin(ts)
 		if safe.Candidates > off.Candidates {
 			t.Errorf("τ=%d: safe candidates %d > off %d", tau, safe.Candidates, off.Candidates)
 		}
@@ -330,14 +336,14 @@ func TestKNNIndexCacheEviction(t *testing.T) {
 	}
 }
 
-func ExampleOptions_Job() {
+func ExampleNewSource() {
 	lt := tree.NewLabelTable()
 	ts := []*tree.Tree{
 		tree.MustParseBracket("{article{title{Go}}{year{2015}}}", lt),
 		tree.MustParseBracket("{article{title{Go!}}{year{2015}}}", lt),
 		tree.MustParseBracket("{book{title{SQL}}{year{1999}}}", lt),
 	}
-	pairs, _ := Options{Tau: 1}.Job(nil).SelfJoin(ts)
+	pairs, _ := engine.Job{Source: NewSource(Options{Tau: 1}), Tau: 1}.SelfJoin(ts)
 	for _, p := range pairs {
 		fmt.Printf("trees %d and %d are within distance %d\n", p.I, p.J, p.Dist)
 	}

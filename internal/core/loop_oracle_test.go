@@ -207,7 +207,7 @@ func TestProbesAgreeWithSequentialLoop(t *testing.T) {
 							mu.Unlock()
 							return 0, false
 						}
-						job := opts.Job(filters)
+						job := partSJJob(opts, filters...)
 						var st *sim.Stats
 						if split < 0 {
 							_, st = job.SelfJoin(ts)
@@ -243,14 +243,14 @@ func TestForeignIndexIsNotProbed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	lt := tree.NewLabelTable()
 	ts := clusteredTrees(rng, 60, lt)
-	want, _ := Options{Tau: 2}.Job(nil).SelfJoin(ts)
+	want, _ := partSJJob(Options{Tau: 2}).SelfJoin(ts)
 	for name, foreign := range map[string]*Index{
 		"other trees":     NewIndexCached(ts[:59], Options{Tau: 2}, nil),
 		"other threshold": NewIndexCached(ts, Options{Tau: 1}, nil),
 		"other mode":      NewIndexCached(ts, Options{Tau: 2, Position: PositionOff}, nil),
 	} {
 		opts := Options{Tau: 2, Indexes: func(context.Context, int) (*Index, bool) { return foreign, false }}
-		got, st := opts.Job(nil).SelfJoin(ts)
+		got, st := partSJJob(opts).SelfJoin(ts)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: a foreign index changed the result", name)
 		}

@@ -37,6 +37,10 @@ type Index struct {
 	ix     *invIndex
 	smalls []int32 // trees below δ nodes, ascending (size, position)
 	built  time.Duration
+	// views holds the default verifier's arena views beside ts in the index
+	// an Incremental grows; nil in a frozen index, whose probes draw them
+	// from the cache.
+	views []*ted.TreeView
 }
 
 // DefaultIndexCacheCap is the default bound on a corpus part's per-threshold
@@ -143,39 +147,75 @@ const searchCtxStride = 64
 // SearchCtx returns the collection trees within TED τ of q, in ascending
 // collection order, verifying as the index's options say. Cancellation
 // aborts the probe and verification loops promptly and returns ctx's error
-// with nil matches.
+// with nil matches. The query's arena view is built once per call and never
+// stored, so query traffic cannot pin corpus cache memory.
 func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
 	var stats sim.Stats
-	var cands []int32
-	b := lcrs.Build(q)
-	if err := x.partners(ctx, b, b.Size()+x.opts.Tau, noTieLimit, &stats, nil, func(j int32) { cands = append(cands, j) }); err != nil || len(cands) == 0 {
-		return nil, err
-	}
-	// The candidates are trees 0..n−1 of the verified collection and the query
-	// is tree n. The default verifier is the τ-banded bounded TED over arena
-	// views: the candidates' views come through the index's artifact cache in
-	// one batch, and the query's view is built once per call and never
-	// stored, so query traffic cannot pin corpus cache memory.
-	n := len(cands)
-	ts, pairs := make([]*tree.Tree, n+1), make([]sim.Candidate, n)
-	for k, i := range cands {
-		ts[k], pairs[k] = x.ts[i], sim.Candidate{I: k, J: n}
-	}
-	ts[n] = q
-	factory := sim.AdaptVerifier(ts, x.opts.Verifier)
-	if x.opts.Verifier == nil {
-		factory = engine.NewArenaVerifiers(append(engine.ArenaFor(x.cache, ts[:n], 1), ted.BuildViews(ts[n:])...), nil)
-	}
 	var out []Match
-	sim.VerifyStreamBatched(ctx, pairs, x.opts.Tau, factory, 1, &stats, func(p sim.Pair) bool {
-		out = append(out, Match{Pos: int(cands[p.I]), Dist: p.Dist})
-		return true
-	})
-	if err := ctx.Err(); err != nil {
+	if err := x.probeVerify(ctx, q, lcrs.Build(q), nil, nil, 1, &stats, nil, func(pos, dist int) {
+		out = append(out, Match{Pos: pos, Dist: dist})
+	}); err != nil {
 		return nil, err
 	}
 	SortMatches(out)
 	return out, nil
+}
+
+// probeVerify is the one-tree probe behind Search and Incremental.Add: it
+// finds q's partners in the index over the two-sided size window
+// [|q|−τ, |q|+τ] (partners, screen as there; b is q's binary view), verifies
+// them against q on workers goroutines, and hands each tree within τ to emit
+// as its collection position and distance, in no particular order. The
+// candidates are trees 0..n−1 of the verified collection and q is tree n. The
+// default verifier is the τ-banded bounded TED over arena views: the
+// candidates' come from views, kept beside the trees, or else through the
+// artifact cache in one batch; q's is qv, built here when nil. stats and tc
+// take the probe's and the verifier's counters. A cancelled probe returns
+// ctx's error.
+func (x *Index) probeVerify(ctx context.Context, q *tree.Tree, b *lcrs.Bin, qv *ted.TreeView, screen func(int32) bool, workers int, stats *sim.Stats, tc *ted.Counters, emit func(pos, dist int)) error {
+	start := time.Now()
+	var cands []int32
+	err := x.partners(ctx, b, b.Size()+x.opts.Tau, noTieLimit, stats, screen, func(j int32) { cands = append(cands, j) })
+	stats.CandTime += time.Since(start)
+	if err != nil || len(cands) == 0 {
+		return err
+	}
+	n := len(cands)
+	pairs := make([]sim.Candidate, n)
+	for k := range pairs {
+		pairs[k] = sim.Candidate{I: k, J: n}
+	}
+	var factory sim.BatchVerifierFactory
+	if x.opts.Verifier != nil {
+		factory = sim.AdaptVerifier(append(x.trees(cands), q), x.opts.Verifier)
+	} else {
+		views := make([]*ted.TreeView, 0, n+1)
+		if x.views == nil {
+			views = append(views, engine.ArenaFor(x.cache, x.trees(cands), 1)...)
+		} else {
+			for _, i := range cands {
+				views = append(views, x.views[i])
+			}
+		}
+		if qv == nil {
+			qv = ted.BuildViews([]*tree.Tree{q})[0]
+		}
+		factory = engine.NewArenaVerifiers(append(views, qv), tc)
+	}
+	sim.VerifyStreamBatched(ctx, pairs, x.opts.Tau, factory, workers, stats, func(p sim.Pair) bool {
+		emit(int(cands[p.I]), p.Dist)
+		return true
+	})
+	return ctx.Err()
+}
+
+// trees returns the index's trees at the positions at, with room for one more.
+func (x *Index) trees(at []int32) []*tree.Tree {
+	ts := make([]*tree.Tree, len(at), len(at)+1)
+	for k, i := range at {
+		ts[k] = x.ts[i]
+	}
+	return ts
 }
 
 // probeState is one probe's partner bookkeeping: a stamp per indexed tree,
@@ -207,7 +247,7 @@ const (
 // It is the only walk of the index for a probe tree. A self join's probe
 // passes hi = |b| and its own number as tie: the trees before it in the
 // (size, number) order, what Algorithm 1's on-the-fly index held then. Cross
-// joins, Search and Incremental.Add pass hi = |b|+τ and noTieLimit.
+// joins and probeVerify pass hi = |b|+τ and noTieLimit.
 // The context is checked every searchCtxStride probe nodes; a cancelled probe
 // returns ctx's error.
 func (x *Index) partners(ctx context.Context, b *lcrs.Bin, hi int, tie int32, stats *sim.Stats, screen func(int32) bool, emit func(int32)) error {

@@ -38,7 +38,13 @@ import (
 
 // NewSource returns the PartSJ inverted-subgraph-index candidate source
 // configured by opts (the verification fields are ignored here; the engine
-// owns them).
+// owns them): Algorithm 1's candidates, the self join's pairs and a cross
+// join's, each tree of the second side probing the first side's index so the
+// Lemma 2 filter applies to cross pairs exactly as to self pairs. Trees
+// smaller than δ = 2τ+1 nodes cannot be δ-partitioned (a δ-partitioning needs
+// 2τ distinct edges); the paper does not discuss them. They are kept in a side
+// list and paired by direct verification, which is cheap precisely because
+// such trees are tiny. opts.Tau must not be negative.
 func NewSource(opts Options) engine.CandidateSource { return partSJSource{opts: opts} }
 
 type partSJSource struct{ opts Options }

@@ -22,7 +22,7 @@ func TestOneVerifierArtifact(t *testing.T) {
 	cache := engine.NewCache()
 	const tau = 2
 	opts := Options{Tau: tau}
-	job := opts.Job(nil)
+	job := partSJJob(opts)
 	job.Cache = cache
 	if _, err := job.StreamSelf(ctx, ts, func(sim.Pair) bool { return true }); err != nil {
 		t.Fatal(err)

@@ -212,7 +212,7 @@ func cachedBatch[T any](c *Cache, key string, ts []*tree.Tree, workers int, buil
 	for k, i := range missing {
 		mts[k] = ts[i]
 	}
-	forRuns(len(mts), workers, func(_, lo, hi int) {
+	ForRuns(len(mts), workers, func(_, lo, hi int) {
 		for k, v := range build(mts[lo:hi]) {
 			out[missing[lo+k]] = v
 		}
@@ -236,10 +236,10 @@ func cachedBatch[T any](c *Cache, key string, ts []*tree.Tree, workers int, buil
 	return out
 }
 
-// forRuns calls run(w, lo, hi) on the w-th of at most workers contiguous runs
+// ForRuns calls run(w, lo, hi) on the w-th of at most workers contiguous runs
 // cutting [0, n), the last (a small input's only one) on the caller's
 // goroutine, and waits. One (n, workers) cuts the same runs every time.
-func forRuns(n, workers int, run func(w, lo, hi int)) {
+func ForRuns(n, workers int, run func(w, lo, hi int)) {
 	workers = max(1, min(workers, n))
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)

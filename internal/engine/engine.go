@@ -26,6 +26,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -314,9 +315,25 @@ type Job struct {
 	// looked up there before being recomputed. nil gives the run a private
 	// cache.
 	Cache *Cache
-	// Plan is the execution-plan record the caller stamps into the run's
-	// Stats (Stats.Plan) for diagnostics; the engine does not interpret it.
-	Plan sim.PlanRecord
+}
+
+// Plan is the job's execution-plan record, which every run stamps into
+// Stats.Plan: its source's name without the parenthesised tokenizer
+// ("token-index(labels)" is "token-index"; a nil source is "sorted-loop") and
+// its filter chain in order. It records the plan, not the run: a token-index
+// plan whose collection trips the index's own fallback still executes the
+// loop, and Stats.Source reports that effective source.
+func (job Job) Plan() sim.PlanRecord {
+	source := job.Source
+	if source == nil {
+		source = SortedLoop()
+	}
+	rec := sim.PlanRecord{Chain: make([]string, len(job.Filters))}
+	rec.Source, _, _ = strings.Cut(source.Name(), "(")
+	for i, f := range job.Filters {
+		rec.Chain[i] = f.Name()
+	}
+	return rec
 }
 
 // SelfJoin runs the job over one collection and reports every unordered pair
@@ -382,7 +399,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 	if source == nil {
 		source = SortedLoop()
 	}
-	stats.Plan = job.Plan
+	stats.Plan = job.Plan()
 	em := &emitter{sink: sink, split: split, cancel: cancel}
 	c := newCollection(ctx, ts, split, job.Tau, job.Workers, job.Cache)
 	c.filters = job.Filters

@@ -318,7 +318,7 @@ func NewTokenRanking(tz Tokenizer, ts []*tree.Tree, workers int, cache *Cache) *
 	}
 	rk.ranked = make([]idCount, rk.off[len(ts)])
 	runs := make([]*tokenTable, max(1, min(workers, len(ts))))
-	forRuns(len(ts), len(runs), func(w, lo, hi int) {
+	ForRuns(len(ts), len(runs), func(w, lo, hi int) {
 		tab := newTokenTable()
 		for i := lo; i < hi; i++ {
 			for k, tc := range rk.bags[i].toks {
@@ -350,7 +350,7 @@ func NewTokenRanking(tz Tokenizer, ts []*tree.Tree, workers int, cache *Cache) *
 	idBits := bits.Len32(uint32(max(rk.ids-1, 0)))
 	passes := max(1, (idBits+7)/8)
 	digit := (idBits + passes - 1) / passes
-	forRuns(len(ts), len(runs), func(w, lo, hi int) {
+	ForRuns(len(ts), len(runs), func(w, lo, hi int) {
 		local := rank
 		if w > 0 {
 			local = global[w]
@@ -571,7 +571,7 @@ func (x *PrefixIndex) rankForeign(tz Tokenizer, ts []*tree.Tree, workers int, ca
 	}
 	fr.ranked = make([]idCount, fr.off[len(ts)])
 	posted := int32(len(x.start)) - 1
-	forRuns(len(ts), workers, func(_, lo, hi int) {
+	ForRuns(len(ts), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			bag, front := fr.bag(i), 0
 			for k, tc := range fr.bags[i].toks {

@@ -4,7 +4,8 @@
 //
 //   - labels and leftmost-leaf indices of the left-path decomposition,
 //   - the same two arrays of the mirrored (right-path) decomposition, equal
-//     to prepare(Mirror(t))'s without materialising the mirror, and built
+//     to prepare's over t with every node's children reversed, without
+//     materialising that mirror, and built
 //     eagerly — the strategy-driven kernel flips between the two array sets
 //     per pair,
 //   - keyroots of both decompositions,
@@ -39,7 +40,8 @@ type TreeView struct {
 	Lml    []int32 // postorder index of the leftmost leaf of the subtree at i
 
 	// Right-path decomposition arrays over the mirrored postorder, exactly
-	// the arrays prepare(Mirror(T)) computes.
+	// the arrays prepare computes over T with every node's children
+	// reversed.
 	RLabels []int32
 	Rml     []int32
 
@@ -54,8 +56,10 @@ type TreeView struct {
 	SortedLabels []int32
 
 	// CostL and CostR are the RTED-style strategy costs of the left- and
-	// right-path decompositions (strategyCost's); the per-pair decomposition
-	// choice multiplies them.
+	// right-path decompositions: the number of DP cells Zhang–Shasha touches
+	// for this tree, the sum of subtree sizes over the decomposition's
+	// keyroots. The per-pair decomposition choice multiplies them (the
+	// product bounds the pair's total work).
 	CostL, CostR int64
 }
 
@@ -143,9 +147,8 @@ func (s *viewScratch) buildView(t *tree.Tree, leaves int, block []int32, off int
 	// Left decomposition: standard postorder. Right decomposition: the same
 	// construction over the mirrored postorder — children walked right to
 	// left through the inverted sibling links, decomposition leaf = rightmost
-	// leaf. The strategy costs are strategyCost's: n plus the subtree sizes
-	// of the nodes with a sibling before them (left paths) or after them
-	// (right paths).
+	// leaf. The strategy costs are n plus the subtree sizes of the nodes with
+	// a sibling before them (left paths) or after them (right paths).
 	before, after := s.decompose(t, first, next, v.Labels, v.Lml, v.Keyroots)
 	v.CostL, v.CostR = int64(n)+before, int64(n)+after
 	s.decompose(t, last, prev, v.RLabels, v.Rml, v.RKeyroots)

@@ -56,7 +56,7 @@ func BenchmarkHybridStrategyChoice(b *testing.B) {
 	})
 	b.Run("right", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ted.ZhangShashaRight(t1, t2)
+			ted.ZhangShasha(ted.Mirror(t1), ted.Mirror(t2))
 		}
 	})
 	b.Run("hybrid", func(b *testing.B) {

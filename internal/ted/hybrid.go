@@ -6,46 +6,19 @@ import (
 	"treejoin/internal/tree"
 )
 
-// strategyCost estimates the number of DP cells Zhang–Shasha touches for one
-// tree under the left- or right-path decomposition: the sum of subtree sizes
-// over the decomposition's keyroots (the product of the two trees' sums
-// bounds the total work, as in the RTED cost model).
-func strategyCost(t *tree.Tree) (left, right int64) {
-	sizes := tree.SubtreeSizes(t)
-	left = int64(t.Size())
-	right = int64(t.Size())
-	for id := range t.Nodes {
-		n := int32(id)
-		// Has a left sibling ⇔ n is not its parent's first child.
-		p := t.Nodes[n].Parent
-		if p == tree.None {
-			continue
-		}
-		if t.Nodes[p].FirstChild != n {
-			left += int64(sizes[n])
-		}
-		if t.Nodes[n].NextSibling != tree.None {
-			right += int64(sizes[n])
-		}
-	}
-	return left, right
-}
-
 // Distance returns TED(t1, t2). It follows RTED's idea at whole-tree
 // granularity: estimate the cost of the left-path and right-path
-// decompositions from the tree shapes and run the cheaper one. The returned
-// distance is exact either way. Both trees must share one LabelTable (label
-// equality is id equality).
+// decompositions from the tree shapes (the arena views' CostL and CostR) and
+// run the unbounded Zhang–Shasha DP over the cheaper one's arrays
+// (chooseDecomp, the verifier's rule). The returned distance is exact either
+// way. Both trees must share one LabelTable (label equality is id equality).
 func Distance(t1, t2 *tree.Tree) int {
 	if t1.Labels != t2.Labels {
 		panic("ted: trees must share a label table")
 	}
-	l1, r1 := strategyCost(t1)
-	l2, r2 := strategyCost(t2)
-	if l1*l2 <= r1*r2 {
-		return ZhangShasha(t1, t2)
-	}
-	return ZhangShashaRight(t1, t2)
+	vs := BuildViews([]*tree.Tree{t1, t2})
+	dec := chooseDecomp(vs[0].CostL, vs[0].CostR, vs[1].CostL, vs[1].CostR)
+	return zs(vs[0].zsArrays(dec), vs[1].zsArrays(dec))
 }
 
 // SizeLowerBound returns |size(t1) − size(t2)|, a TED lower bound: every edit

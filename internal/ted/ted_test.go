@@ -21,9 +21,6 @@ func TestFigure3Distance(t *testing.T) {
 	if d := ted.ZhangShasha(t1, t2); d != 3 {
 		t.Errorf("ZhangShasha = %d, want 3", d)
 	}
-	if d := ted.ZhangShashaRight(t1, t2); d != 3 {
-		t.Errorf("ZhangShashaRight = %d, want 3", d)
-	}
 	if d := ted.Distance(t1, t2); d != 3 {
 		t.Errorf("Distance = %d, want 3", d)
 	}
@@ -70,8 +67,8 @@ func TestAgainstExhaustiveOracle(t *testing.T) {
 			t.Fatalf("ZhangShasha(%s, %s) = %d, oracle %d",
 				tree.FormatBracket(a), tree.FormatBracket(b), got, want)
 		}
-		if got := ted.ZhangShashaRight(a, b); got != want {
-			t.Fatalf("ZhangShashaRight(%s, %s) = %d, oracle %d",
+		if got := ted.Distance(a, b); got != want {
+			t.Fatalf("Distance(%s, %s) = %d, oracle %d",
 				tree.FormatBracket(a), tree.FormatBracket(b), got, want)
 		}
 	}
@@ -84,7 +81,7 @@ func TestLeftRightAgreeOnLargerTrees(t *testing.T) {
 		a := tinyRandomTree(rng, 60, 4, lt)
 		b := tinyRandomTree(rng, 60, 4, lt)
 		dl := ted.ZhangShasha(a, b)
-		dr := ted.ZhangShashaRight(a, b)
+		dr := ted.ZhangShasha(ted.Mirror(a), ted.Mirror(b))
 		dh := ted.Distance(a, b)
 		if dl != dr || dl != dh {
 			t.Fatalf("strategies disagree: left=%d right=%d hybrid=%d\n%s\n%s",
@@ -211,18 +208,6 @@ func TestDistanceBounded(t *testing.T) {
 				t.Fatalf("DistanceBounded(τ=%d) reported %d with ok=false", tau, got)
 			}
 		}
-	}
-}
-
-func TestMirror(t *testing.T) {
-	lt := tree.NewLabelTable()
-	a := tree.MustParseBracket("{a{b{d}{e}}{c}}", lt)
-	m := ted.Mirror(a)
-	if got := tree.FormatBracket(m); got != "{a{c}{b{e}{d}}}" {
-		t.Fatalf("mirror = %s", got)
-	}
-	if !tree.Equal(ted.Mirror(m), a) {
-		t.Fatal("mirror is not an involution")
 	}
 }
 

@@ -2,11 +2,11 @@
 // labeled trees under the standard unit-cost model (insert, delete, rename).
 //
 // The package provides the Zhang–Shasha algorithm (the [29] component of
-// RTED), its right-path variant obtained by mirroring both trees, and
-// Distance, an RTED-style hybrid that picks the cheaper of the two
-// decompositions from the trees' shapes. Distance is what the similarity-join
-// verifiers use, mirroring the paper's use of RTED: all algorithms return the
-// exact same distance value; the strategy choice only affects runtime.
+// RTED) and Distance, an RTED-style hybrid that runs it over the cheaper of
+// the left-path and right-path decompositions, picked from the trees' shapes
+// by the rule the similarity-join verifier (banded.go) applies per pair,
+// mirroring the paper's use of RTED: every form returns the exact same
+// distance value; the strategy choice only affects runtime.
 package ted
 
 import (
@@ -129,29 +129,4 @@ func forestDP(a, b *prep, i, j int32, td, fd []int32, writeTD bool) {
 			}
 		}
 	}
-}
-
-// Mirror returns the tree with every node's children reversed. TED is
-// invariant under mirroring both inputs, which turns the left-path
-// decomposition into a right-path one.
-func Mirror(t *tree.Tree) *tree.Tree {
-	b := tree.NewBuilder(t.Labels)
-	var copyRev func(src, dst int32)
-	copyRev = func(src, dst int32) {
-		cs := t.Children(src)
-		for i := len(cs) - 1; i >= 0; i-- {
-			id := b.ChildID(dst, t.Nodes[cs[i]].Label)
-			copyRev(cs[i], id)
-		}
-	}
-	root := b.RootID(t.Nodes[t.Root()].Label)
-	copyRev(t.Root(), root)
-	return b.MustBuild()
-}
-
-// ZhangShashaRight returns TED(t1, t2) using the right-path decomposition
-// (Zhang–Shasha on the mirrored trees). The value is identical to
-// ZhangShasha; the work differs on left-deep versus right-deep shapes.
-func ZhangShashaRight(t1, t2 *tree.Tree) int {
-	return ZhangShasha(Mirror(t1), Mirror(t2))
 }

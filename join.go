@@ -1,14 +1,12 @@
 package treejoin
 
 import (
+	"context"
 	"fmt"
-	"strings"
 
 	"treejoin/internal/baseline"
 	"treejoin/internal/core"
 	"treejoin/internal/engine"
-	"treejoin/internal/pqgram"
-	"treejoin/internal/sim"
 )
 
 // Method selects the join algorithm. All methods return identical result
@@ -43,25 +41,13 @@ const (
 	MethodPQGram
 )
 
+var methodNames = [...]string{"PRT", "STR", "SET", "BF", "HIST", "EUL", "PQG"}
+
 func (m Method) String() string {
-	switch m {
-	case MethodPartSJ:
-		return "PRT"
-	case MethodSTR:
-		return "STR"
-	case MethodSET:
-		return "SET"
-	case MethodBruteForce:
-		return "BF"
-	case MethodHistogram:
-		return "HIST"
-	case MethodEulerString:
-		return "EUL"
-	case MethodPQGram:
-		return "PQG"
-	default:
+	if m < 0 || int(m) >= len(methodNames) {
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
+	return methodNames[m]
 }
 
 // Prefilter names a cheap pair-level filter stage that can be chained in
@@ -85,38 +71,13 @@ const (
 	PrefilterPQGram
 )
 
+var prefilterNames = [...]string{"HIST", "STR", "SET", "EUL", "PQG"}
+
 func (p Prefilter) String() string {
-	switch p {
-	case PrefilterHistogram:
-		return "HIST"
-	case PrefilterSTR:
-		return "STR"
-	case PrefilterSET:
-		return "SET"
-	case PrefilterEulerString:
-		return "EUL"
-	case PrefilterPQGram:
-		return "PQG"
-	default:
+	if p < 0 || int(p) >= len(prefilterNames) {
 		return fmt.Sprintf("Prefilter(%d)", int(p))
 	}
-}
-
-func (p Prefilter) stage() engine.PairFilter {
-	switch p {
-	case PrefilterHistogram:
-		return baseline.HISTFilter()
-	case PrefilterSTR:
-		return baseline.STRFilter()
-	case PrefilterSET:
-		return baseline.SETFilter()
-	case PrefilterEulerString:
-		return baseline.EULFilter()
-	case PrefilterPQGram:
-		return pqgram.Filter(0)
-	default:
-		panic(fmt.Sprintf("treejoin: unknown prefilter %d", int(p)))
-	}
+	return prefilterNames[p]
 }
 
 type config struct {
@@ -125,8 +86,9 @@ type config struct {
 	prefilters []Prefilter
 	statsDst   *Stats
 
-	// Persistent-store knobs (see Open, WithMemtableBudget, WithStoreNoSync,
-	// WithSalvage).
+	// Persistent-store knobs (see Open, WithStoreNoSync, WithSalvage; the
+	// memtable budget is set only by the tests' hook): memBudget < 1 keeps
+	// the store's default.
 	memBudget   int
 	storeNoSync bool
 	salvage     bool
@@ -181,15 +143,11 @@ func buildConfig(opts []Option) config {
 // validate reports whether the configured method and prefilter chain name
 // real algorithms.
 func (c config) validate() error {
-	switch c.method {
-	case MethodPartSJ, MethodSTR, MethodSET, MethodBruteForce, MethodHistogram, MethodEulerString, MethodPQGram:
-	default:
+	if c.method < 0 || int(c.method) >= len(methodNames) {
 		return fmt.Errorf("%w %d", ErrUnknownMethod, int(c.method))
 	}
 	for _, p := range c.prefilters {
-		switch p {
-		case PrefilterHistogram, PrefilterSTR, PrefilterSET, PrefilterEulerString, PrefilterPQGram:
-		default:
+		if p < 0 || int(p) >= len(prefilterNames) {
 			return fmt.Errorf("%w %d", ErrUnknownPrefilter, int(p))
 		}
 	}
@@ -202,97 +160,41 @@ func (c config) coreOptions(tau int) core.Options {
 
 // pipelineChecked assembles the engine pipeline for the configured method:
 // its candidate source, the prefilter chain followed by the method's own
-// filter, and the execution knobs — with the resulting plan record stamped
-// into the job. This is the single dispatch point behind the Corpus joins and
-// Explain; invalid input comes back as an error. The returned tokenizer is
-// the method's token-index tokenizer, nil for the methods that have none
-// (PartSJ, brute force).
-func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
+// filter, and the execution knobs. This is the single dispatch point behind
+// the Corpus joins and Explain; invalid input comes back as an error. The
+// PartSJ source finds its index through indexes and a token-index source
+// through tokens (nil for both: the run builds its own). The returned
+// tokenizer is the method's token-index tokenizer, nil for the methods that
+// have none (PartSJ, brute force).
+func (c config) pipelineChecked(tau int, indexes func(context.Context, int) (*core.Index, bool), tokens engine.TokenIndexResolver) (engine.Job, engine.Tokenizer, error) {
 	if tau < 0 {
 		return engine.Job{}, nil, fmt.Errorf("%w %d", ErrNegativeThreshold, tau)
 	}
 	if err := c.validate(); err != nil {
 		return engine.Job{}, nil, err
 	}
-	filters := make([]engine.PairFilter, 0, len(c.prefilters)+1)
+	job := engine.Job{Tau: tau, Workers: c.workers}
 	for _, p := range c.prefilters {
-		filters = append(filters, p.stage())
+		job.Filters = append(job.Filters, baseline.Stages[p.String()].Filter())
 	}
-	// Signature methods run the token inverted-index source over the token
-	// bag their bound (or a sound sibling of it) is stated on: Euler q-grams
-	// for the string/gram class, label-histogram entries for the
-	// histogram/branch class. The source offers a subset of the sorted loop's
+	// A signature method runs the token inverted-index source over its
+	// stage's token bag. The source offers a subset of the sorted loop's
 	// pairs and every offered pair still runs the same filter chain, so
 	// results are identical; MethodBruteForce with the method's stage as its
-	// last prefilter runs the same chain on the loop.
+	// last prefilter runs the same chain on the loop. MethodBruteForce itself
+	// has the size window only, no lower bound to index on: the nil source is
+	// the loop.
 	var tz engine.Tokenizer
-	switch c.method {
-	case MethodPartSJ:
-		return c.coreOptions(tau).Job(filters), nil, nil
-	case MethodSTR:
-		filters = append(filters, baseline.STRFilter())
-		tz = pqgram.Tokenizer(0)
-	case MethodSET:
-		filters = append(filters, baseline.SETFilter())
-		tz = baseline.LabelTokenizer()
-	case MethodHistogram:
-		filters = append(filters, baseline.HISTFilter())
-		tz = baseline.LabelTokenizer()
-	case MethodEulerString:
-		filters = append(filters, baseline.EULFilter())
-		tz = pqgram.Tokenizer(0)
-	case MethodPQGram:
-		filters = append(filters, pqgram.Filter(0))
-		tz = pqgram.Tokenizer(0)
-	case MethodBruteForce:
-		// Size window only — no lower bound to index on; always the loop.
+	if st, ok := baseline.Stages[c.method.String()]; ok {
+		job.Filters = append(job.Filters, st.Filter())
+		tz = st.Tokenizer()
+		job.Source = engine.TokenIndex(tz, tokens)
+	} else if c.method == MethodPartSJ {
+		o := c.coreOptions(tau)
+		o.Indexes = indexes
+		job.Source = core.NewSource(o)
 	}
-	var src engine.CandidateSource
-	if tz != nil {
-		src = engine.TokenIndex(tz, nil)
-	}
-	job := engine.Job{
-		Source:  src,
-		Filters: filters,
-		Tau:     tau,
-		Workers: c.workers,
-	}
-	job.Plan = planRecord(job)
 	return job, tz, nil
-}
-
-// Normalized candidate-source names, as Stats.Plan.Source and
-// PlanExplanation.Source report them.
-const (
-	sourceTokenIndex = "token-index"
-	sourceSortedLoop = "sorted-loop"
-)
-
-// normalizeSource maps a source's name to its normalized form by dropping
-// the parenthesised tokenizer: "token-index(labels)" is "token-index".
-func normalizeSource(s string) string {
-	if i := strings.IndexByte(s, '('); i >= 0 {
-		s = s[:i]
-	}
-	return s
-}
-
-// planRecord describes an assembled job's plan for Stats.Plan. It records
-// the plan, not the run: a token-index plan whose collection trips the
-// index's own fallback still executes the loop, and Stats.Source reports that
-// effective source.
-func planRecord(job engine.Job) sim.PlanRecord {
-	rec := sim.PlanRecord{
-		Source: sourceSortedLoop,
-		Chain:  make([]string, len(job.Filters)),
-	}
-	for i, f := range job.Filters {
-		rec.Chain[i] = f.Name()
-	}
-	if job.Source != nil {
-		rec.Source = normalizeSource(job.Source.Name())
-	}
-	return rec
 }
 
 // publishStats copies st into the WithStats destination, if one was given.
@@ -304,48 +206,6 @@ func (c config) publishStats(st *Stats) {
 
 // Incremental is a streaming similarity join: trees are added one at a time,
 // in any order, and each Add returns the new tree's partners among all
-// previously added trees. This serves the paper's closing motivation —
-// "streaming workloads where tree objects are inserted and updated at a high
-// rate" — with the same PartSJ index built incrementally. Corpus.Incremental
-// returns one.
-type Incremental struct {
-	inner *core.Incremental
-}
-
-// Add inserts t and returns all pairs (existing index, new index) within the
-// threshold. The new tree's index is Len()-1 after the call.
-func (inc *Incremental) Add(t *Tree) []Pair { return inc.inner.Add(t) }
-
-// Remove deletes the i-th tree from the stream: it no longer appears in the
-// results of later Add calls. Positions are stable. Removing an out-of-range
-// or already-removed position reports false.
-func (inc *Incremental) Remove(i int) bool { return inc.inner.Remove(i) }
-
-// Update replaces the i-th tree with t (Remove followed by Add): it returns
-// the replacement's new position and its join partners among the live trees.
-func (inc *Incremental) Update(i int, t *Tree) (int, []Pair) { return inc.inner.Update(i, t) }
-
-// Pairs returns the standing result set: every pair some Add reported whose
-// trees are both still live, in ascending (I, J) order — the self-join of
-// the live trees at the stream's threshold, maintained across arbitrary
-// Add/Remove/Update sequences without ever re-joining.
-func (inc *Incremental) Pairs() []Pair { return inc.inner.Pairs() }
-
-// Retracted drains the retraction delta: the standing pairs withdrawn by
-// Remove (and Update) calls since the previous drain, in ascending (I, J)
-// order. Together with Add's returned pairs it forms the full delta stream
-// of the standing result — a consumer applying both mirrors Pairs() exactly;
-// Stats().PairsRetracted counts the retractions cumulatively.
-func (inc *Incremental) Retracted() []Pair { return inc.inner.Retracted() }
-
-// Len returns the number of trees added so far, including removed ones.
-func (inc *Incremental) Len() int { return inc.inner.Len() }
-
-// Live returns the number of trees added and not yet removed.
-func (inc *Incremental) Live() int { return inc.inner.Live() }
-
-// Tree returns the i-th added tree, or nil if it has been removed.
-func (inc *Incremental) Tree(i int) *Tree { return inc.inner.Tree(i) }
-
-// Stats returns a snapshot of the accumulated execution statistics.
-func (inc *Incremental) Stats() Stats { return inc.inner.Stats() }
+// previously added trees, with the same PartSJ index built incrementally.
+// Corpus.Incremental returns one.
+type Incremental = core.Incremental

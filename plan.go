@@ -64,19 +64,19 @@ func (ex PlanExplanation) String() string {
 // reads no artifact, so it leaves the corpus cache as it found it.
 func (cp *Corpus) Explain(ctx context.Context, tau int, opts ...Option) (PlanExplanation, error) {
 	c := buildConfig(opts)
-	job, tz, err := c.pipelineChecked(tau)
+	job, tz, err := c.pipelineChecked(tau, nil, nil)
 	if err != nil {
 		return PlanExplanation{}, err
 	}
-	st := cp.state.Load()
+	st, plan := cp.state.Load(), job.Plan()
 	ex := PlanExplanation{
 		Method:      c.method,
 		Tau:         tau,
-		Source:      job.Plan.Source,
-		Chain:       job.Plan.Chain,
+		Source:      plan.Source,
+		Chain:       plan.Chain,
 		WindowPairs: countWindowPairs(st.ts, tau),
 	}
-	if ex.Source == sourceTokenIndex {
+	if tz != nil {
 		ex.index = "not cached: the first join at this (tokenizer, τ) builds it"
 		if st.tokens.Has(tokenIndexKey{tz.Name(), tau}) {
 			ex.index = "cached: no build"

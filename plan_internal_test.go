@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"treejoin/internal/engine"
 	"treejoin/internal/synth"
 )
 
@@ -170,6 +171,8 @@ func TestCountWindowPairs(t *testing.T) {
 	}
 }
 
+// TestNormalizeSource: a plan records its source's name without the
+// parenthesised tokenizer, and the nil source as the sorted loop.
 func TestNormalizeSource(t *testing.T) {
 	cases := map[string]string{
 		"token-index(euler-grams/q=3)": "token-index",
@@ -179,8 +182,17 @@ func TestNormalizeSource(t *testing.T) {
 		"":                             "",
 	}
 	for in, want := range cases {
-		if got := normalizeSource(in); got != want {
-			t.Fatalf("normalizeSource(%q) = %q, want %q", in, got, want)
+		if got := (engine.Job{Source: namedSource(in)}).Plan().Source; got != want {
+			t.Fatalf("the plan of source %q records %q, want %q", in, got, want)
 		}
 	}
+	if got := (engine.Job{}).Plan().Source; got != "sorted-loop" {
+		t.Fatalf("the plan of the nil source records %q, want sorted-loop", got)
+	}
 }
+
+// namedSource is a candidate source that offers nothing under its name.
+type namedSource string
+
+func (s namedSource) Name() string                         { return string(s) }
+func (namedSource) Tasks(*engine.Collection) []engine.Task { return nil }

@@ -54,8 +54,7 @@ type StoreStats = segstore.Stats
 // segment and releases the store; a crash instead of a Close loses nothing
 // (the WAL replays), it only leaves the memtable trees to be re-staged.
 //
-// The options that apply are the store's: WithMemtableBudget, WithStoreNoSync
-// and WithSalvage.
+// The options that apply are the store's: WithStoreNoSync and WithSalvage.
 func Open(dir string, opts ...Option) (*Corpus, error) { return OpenSharded(dir, 1, opts...) }
 
 // openStore opens the store at dir, or creates an empty one there.
@@ -142,13 +141,6 @@ func (cp *Corpus) StoreStats() (stats StoreStats, ok bool) {
 	}
 	return cp.store.Stats(), true
 }
-
-// WithMemtableBudget bounds how many trees a persistent corpus stages in its
-// WAL-backed memtable before flushing them into an immutable segment; n < 1
-// keeps the default (512). Smaller budgets bound recovery-replay time and
-// memory at the cost of more, smaller segments. Open-time option; no effect
-// on queries or on in-memory corpora.
-func WithMemtableBudget(n int) Option { return func(c *config) { c.memBudget = n } }
 
 // Scrub re-reads and re-verifies every committed file of the backing store:
 // the manifest decodes, each segment passes its bulk CRC and structural

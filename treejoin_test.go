@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"treejoin"
+	"treejoin/internal/ted"
 )
 
 func sampleTrees(lt *treejoin.LabelTable) []*treejoin.Tree {
@@ -30,6 +31,39 @@ func TestPublicDistance(t *testing.T) {
 	}
 	if d, ok := treejoin.DistanceWithin(a, b, 1); !ok || d != 1 {
 		t.Fatalf("DistanceWithin(1) = %d, %v", d, ok)
+	}
+}
+
+// TestDistanceBothDecompositions: Distance equals the left-path Zhang–Shasha
+// on left-deep pairs and on right-deep pairs, the shapes on which it runs the
+// left and the right decomposition (internal/ted's
+// TestDistanceEitherDecomposition asserts the pick).
+func TestDistanceBothDecompositions(t *testing.T) {
+	lt := treejoin.NewLabelTable()
+	// comb nests depth spine nodes, each with the next one as its first child
+	// (left-deep) or its last (right-deep) and a leaf labelled from labs
+	// beside it.
+	comb := func(depth int, labs string, leftDeep bool) *treejoin.Tree {
+		s := "{x}"
+		for i := range depth {
+			leaf := "{" + string(labs[i%len(labs)]) + "}"
+			if leftDeep {
+				s = "{s" + s + leaf + "}"
+			} else {
+				s = "{s" + leaf + s + "}"
+			}
+		}
+		return treejoin.MustParseBracket(s, lt)
+	}
+	for _, leftDeep := range []bool{true, false} {
+		for _, p := range [][2]string{{"ab", "ba"}, {"abc", "aab"}, {"a", "bcd"}} {
+			for _, depth := range []int{3, 9, 17} {
+				a, b := comb(depth, p[0], leftDeep), comb(depth+depth%4, p[1], leftDeep)
+				if d, z := treejoin.Distance(a, b), ted.ZhangShasha(a, b); d != z {
+					t.Fatalf("left-deep %v, depth %d, labels %q/%q: Distance %d, ZhangShasha %d", leftDeep, depth, p[0], p[1], d, z)
+				}
+			}
+		}
 	}
 }
 
