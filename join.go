@@ -41,6 +41,8 @@ const (
 	MethodPQGram
 )
 
+// methodNames are the methods' names, by Method; a filter method's is its
+// key in baseline.Stages.
 var methodNames = [...]string{"PRT", "STR", "SET", "BF", "HIST", "EUL", "PQG"}
 
 func (m Method) String() string {
@@ -71,6 +73,8 @@ const (
 	PrefilterPQGram
 )
 
+// prefilterNames are the prefilters' names, by Prefilter: their keys in
+// baseline.Stages.
 var prefilterNames = [...]string{"HIST", "STR", "SET", "EUL", "PQG"}
 
 func (p Prefilter) String() string {
