@@ -821,7 +821,7 @@ func (cp *Corpus) TopK(ctx context.Context, k int, opts ...Option) ([]Pair, erro
 		return nil, ctx.Err()
 	}
 	k = min(k, len(st.ts)*(len(st.ts)-1)/2)
-	return sim.ExpandTau(1, st.max1+st.max2, k, sim.ComparePairsByDist, func(tau int) ([]Pair, error) {
+	return sim.ExpandTau(st.max1+st.max2, k, sim.ComparePairsByDist, func(tau int) ([]Pair, error) {
 		q, err := cp.selfQuery(st, tau, c)
 		if err != nil {
 			return nil, err
@@ -851,7 +851,7 @@ func (cp *Corpus) KNN(ctx context.Context, q *Tree, k int, opts ...Option) ([]Ma
 	if k <= 0 || len(st.ts) == 0 {
 		return nil, ctx.Err()
 	}
-	return sim.ExpandTau(1, st.max1+q.Size(), min(k, len(st.ts)), core.CompareMatchesByDist, func(tau int) ([]Match, error) {
+	return sim.ExpandTau(st.max1+q.Size(), min(k, len(st.ts)), core.CompareMatchesByDist, func(tau int) ([]Match, error) {
 		// Check before each round: an index build is uncancellable, so don't
 		// start one the caller no longer wants.
 		if err := ctx.Err(); err != nil {

@@ -83,8 +83,10 @@ func main() {
 		groups[r] = append(groups[r], i)
 	}
 	fmt.Printf("\ncatalog collapses to %d distinct item group(s):\n", len(groups))
-	for _, members := range groups {
-		fmt.Printf("  %v\n", members)
+	for i := range docs { // each group once, by its first member
+		if members := groups[find(i)]; members[0] == i {
+			fmt.Printf("  %v\n", members)
+		}
 	}
 
 	// Live catalog maintenance: documents are inserted and updated at a high

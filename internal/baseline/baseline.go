@@ -10,6 +10,8 @@
 //     exceeds 5τ, using BIB(T1,T2) ≤ 5·TED(T1,T2).
 //   - HIST (Kailing et al. [16]): statistic-histogram lower bounds.
 //   - EUL (Akutsu et al. [1]): the Euler-string edit distance bound.
+//   - PQG: the Euler-tour q-gram bag bound, the exact-join cousin of the
+//     pq-gram profile (grams.go).
 //
 // Each method is its filter, an engine.PairFilter (filters.go) that any join
 // can chain: the method's own join is the shared engine's sorted nested loop

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"treejoin/internal/engine"
-	"treejoin/internal/pqgram"
 	"treejoin/internal/strdist"
 )
 
@@ -33,13 +32,11 @@ type Stage struct {
 // string/gram class, label-histogram entries the histogram/branch class.
 var Stages = map[string]Stage{
 	"HIST": {HISTFilter, LabelTokenizer},
-	"STR":  {STRFilter, eulerGrams},
+	"STR":  {STRFilter, EulerGramTokenizer},
 	"SET":  {SETFilter, LabelTokenizer},
-	"EUL":  {EULFilter, eulerGrams},
-	"PQG":  {func() engine.PairFilter { return pqgram.Filter(0) }, eulerGrams},
+	"EUL":  {EULFilter, EulerGramTokenizer},
+	"PQG":  {PQGFilter, EulerGramTokenizer},
 }
-
-func eulerGrams() engine.Tokenizer { return pqgram.Tokenizer(0) }
 
 // STRFilter returns the traversal-string stage (Guha et al.): the unit-cost
 // string edit distance between the preorder (resp. postorder) label

@@ -1,19 +1,18 @@
-package pqgram_test
+package baseline
 
 import (
 	"math/rand"
 	"slices"
 	"testing"
 
-	"treejoin/internal/pqgram"
 	"treejoin/internal/synth"
 	"treejoin/internal/ted"
 	"treejoin/internal/tree"
 )
 
-// gramBag returns t's Euler-tour q-gram multiset from Tokenizer(q), sorted.
+// gramBag returns t's Euler-tour q-gram multiset, sorted.
 func gramBag(t *tree.Tree, q int) []uint64 {
-	bag := pqgram.Tokenizer(q).Tokens(t)
+	bag := gramHashes(t, q)
 	slices.Sort(bag)
 	return bag
 }

@@ -13,9 +13,9 @@ import (
 
 // refTokenizers stand in for the two tokenizers the methods wire in, which
 // this package cannot import: label tokens with C = 2 (baseline's
-// LabelTokenizer) and Euler-tour 3-grams with C = 12 (pqgram's Tokenizer; a
-// window packs its three symbols instead of hashing them, which changes the
-// keys and not the multiset's shape).
+// LabelTokenizer) and Euler-tour 3-grams with C = 12 (baseline's
+// EulerGramTokenizer; a window packs its three symbols instead of hashing
+// them, which changes the keys and not the multiset's shape).
 func refTokenizers() []Tokenizer {
 	labels := NewTokenizer("labels", 2, func(t *tree.Tree) []uint64 {
 		out := make([]uint64, len(t.Nodes))

@@ -11,7 +11,6 @@ import (
 
 	"treejoin/internal/baseline"
 	"treejoin/internal/engine"
-	"treejoin/internal/pqgram"
 	"treejoin/internal/sim"
 	"treejoin/internal/synth"
 	"treejoin/internal/ted"
@@ -20,7 +19,7 @@ import (
 
 // tokenizers under test: the two real implementations the methods wire in.
 func testTokenizers() []engine.Tokenizer {
-	return []engine.Tokenizer{baseline.LabelTokenizer(), pqgram.Tokenizer(0)}
+	return []engine.Tokenizer{baseline.LabelTokenizer(), baseline.EulerGramTokenizer()}
 }
 
 // mixedCorpus is a synthetic collection large enough to engage the index,
@@ -308,7 +307,7 @@ func BenchmarkTokenRanking(b *testing.B) {
 		{"swissprot", synth.Swissprot(11500, 1)},
 	}
 	for _, sh := range shapes {
-		for _, tz := range []engine.Tokenizer{pqgram.Tokenizer(0), baseline.LabelTokenizer()} {
+		for _, tz := range []engine.Tokenizer{baseline.EulerGramTokenizer(), baseline.LabelTokenizer()} {
 			b.Run(fmt.Sprintf("%s/%s", sh.name, strings.SplitN(tz.Name(), "/", 2)[0]), func(b *testing.B) {
 				cache := engine.NewCache()
 				rk := engine.NewTokenRanking(tz, sh.ts, 0, cache)

@@ -34,18 +34,18 @@ func ComparePairsByDist(a, b Pair) int {
 }
 
 // ExpandTau is the expanding-threshold driver behind every threshold-free
-// query (top-k pairs, k nearest trees, k best subtrees). A round at threshold
-// τ is complete for distances ≤ τ, so as soon as one produces k hits the k
-// best of them are the global answer — anything unseen is farther than τ,
-// hence farther than the k-th hit. Rounds start at max(1, start) and double,
-// clamped to tauCap (the largest distance any hit can have), so the total
-// work is dominated by the last round — the one a clairvoyant caller with
-// the right τ would have paid for anyway. The final round's hits come back
-// ordered by order and cut to k. A round that fails ends the search with its
-// error and whatever hits it returned beside it, ordered and cut the same
-// way: a caller that wants nothing on failure returns nil from round.
-func ExpandTau[T any](start, tauCap, k int, order func(a, b T) int, round func(tau int) ([]T, error)) ([]T, error) {
-	for tau := max(1, start); ; tau = min(2*tau, tauCap) {
+// query (top-k pairs, k nearest trees). A round at threshold τ is complete
+// for distances ≤ τ, so as soon as one produces k hits the k best of them are
+// the global answer — anything unseen is farther than τ, hence farther than
+// the k-th hit. Rounds start at 1 and double, clamped to tauCap (the largest
+// distance any hit can have), so the total work is dominated by the last
+// round — the one a clairvoyant caller with the right τ would have paid for
+// anyway. The final round's hits come back ordered by order and cut to k. A
+// round that fails ends the search with its error and whatever hits it
+// returned beside it, ordered and cut the same way: a caller that wants
+// nothing on failure returns nil from round.
+func ExpandTau[T any](tauCap, k int, order func(a, b T) int, round func(tau int) ([]T, error)) ([]T, error) {
+	for tau := 1; ; tau = min(2*tau, tauCap) {
 		hits, err := round(tau)
 		if err != nil || len(hits) >= k || tau >= tauCap {
 			slices.SortFunc(hits, order)

@@ -15,9 +15,6 @@
 package subtree
 
 import (
-	"cmp"
-
-	"treejoin/internal/sim"
 	"treejoin/internal/strdist"
 	"treejoin/internal/ted"
 	"treejoin/internal/tree"
@@ -33,21 +30,11 @@ type Match struct {
 // Search returns every subtree of data within TED tau of query, in ascending
 // root node id order. data and query must share one label table.
 func Search(data, query *tree.Tree, tau int) []Match {
-	search := searcher(data, query)
-	if tau < 0 {
-		return nil
-	}
-	return search(tau)
-}
-
-// searcher returns Search over one (data, query) pair as a function of the
-// threshold (≥ 0), so that everything thresholds share — the query's
-// traversal sequences and arena view, the data tree's whole-tree sequences
-// with each node's rank and subtree size — is computed once however many
-// rounds SearchBest runs.
-func searcher(data, query *tree.Tree) func(tau int) []Match {
 	if data.Labels != query.Labels {
 		panic("subtree: trees must share a label table")
+	}
+	if tau < 0 {
+		return nil
 	}
 	qSize := query.Size()
 	qPre := tree.LabelSeq(query, tree.Preorder(query))
@@ -69,52 +56,34 @@ func searcher(data, query *tree.Tree) func(tau int) []Match {
 	}
 	sizes := tree.SubtreeSizes(data)
 
-	return func(tau int) []Match {
-		// Screen every node first, then flatten the survivors in one batch.
-		var roots []int32
-		var subs []*tree.Tree
-		for id := range data.Nodes {
-			n := int32(id)
-			sz := int(sizes[n])
-			if sz < qSize-tau || sz > qSize+tau {
-				continue
-			}
-			// Subtree n occupies preorder [preRank, preRank+sz) and postorder
-			// [postRank−sz+1, postRank+1].
-			p := preSeq[preRank[n] : int(preRank[n])+sz]
-			if strdist.Bounded(p, qPre, tau) > tau {
-				continue
-			}
-			q := postSeq[int(postRank[n])-sz+1 : postRank[n]+1]
-			if strdist.Bounded(q, qPost, tau) > tau {
-				continue
-			}
-			roots, subs = append(roots, n), append(subs, tree.SubtreeAt(data, n))
+	// Screen every node first, then flatten the survivors in one batch.
+	var roots []int32
+	var subs []*tree.Tree
+	for id := range data.Nodes {
+		n := int32(id)
+		sz := int(sizes[n])
+		if sz < qSize-tau || sz > qSize+tau {
+			continue
 		}
-		scratch := ted.AcquireScratch()
-		defer ted.ReleaseScratch(scratch)
-		var out []Match
-		for k, sub := range ted.BuildViews(subs) {
-			if d, ok := ted.DistanceBoundedView(sub, qView, tau, scratch, nil); ok {
-				out = append(out, Match{Root: roots[k], Dist: d})
-			}
+		// Subtree n occupies preorder [preRank, preRank+sz) and postorder
+		// [postRank−sz+1, postRank+1].
+		p := preSeq[preRank[n] : int(preRank[n])+sz]
+		if strdist.Bounded(p, qPre, tau) > tau {
+			continue
 		}
-		return out // ascending Root: the loop's order
+		q := postSeq[int(postRank[n])-sz+1 : postRank[n]+1]
+		if strdist.Bounded(q, qPost, tau) > tau {
+			continue
+		}
+		roots, subs = append(roots, n), append(subs, tree.SubtreeAt(data, n))
 	}
-}
-
-// SearchBest returns the k subtrees of data closest to query by TED, ordered
-// by (Dist, Root) — the top-k approximate subtree matching query of TASM
-// [3]. It runs Search at geometrically increasing thresholds until k hits
-// are in reach; fewer than k only when data has fewer than k nodes.
-func SearchBest(data, query *tree.Tree, k int) []Match {
-	if k <= 0 {
-		return nil
+	scratch := ted.AcquireScratch()
+	defer ted.ReleaseScratch(scratch)
+	var out []Match
+	for k, sub := range ted.BuildViews(subs) {
+		if d, ok := ted.DistanceBoundedView(sub, qView, tau, scratch, nil); ok {
+			out = append(out, Match{Root: roots[k], Dist: d})
+		}
 	}
-	search := searcher(data, query)
-	byDist := func(a, b Match) int { return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Root, b.Root)) }
-	ms, _ := sim.ExpandTau(1, data.Size()+query.Size(), min(k, data.Size()), byDist, func(tau int) ([]Match, error) {
-		return search(tau), nil
-	})
-	return ms
+	return out // ascending Root: the loop's order
 }

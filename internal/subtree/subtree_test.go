@@ -113,32 +113,6 @@ func TestSearchSelfQuery(t *testing.T) {
 	}
 }
 
-func TestSearchBest(t *testing.T) {
-	lt := tree.NewLabelTable()
-	data := tree.MustParseBracket("{doc{sec{p{x}}{p{y}}}{sec{p{x}}{q{y}}}{misc{z}}}", lt)
-	query := tree.MustParseBracket("{sec{p{x}}{p{y}}}", lt)
-	got := subtree.SearchBest(data, query, 2)
-	if len(got) != 2 {
-		t.Fatalf("got %v", got)
-	}
-	if got[0].Dist != 0 || got[1].Dist != 1 {
-		t.Fatalf("top-2 distances %v", got)
-	}
-	// k beyond the node count returns every subtree, sorted by distance.
-	all := subtree.SearchBest(data, query, 1000)
-	if len(all) != data.Size() {
-		t.Fatalf("k beyond nodes: %d matches for %d nodes", len(all), data.Size())
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i].Dist < all[i-1].Dist {
-			t.Fatalf("unsorted distances at %d", i)
-		}
-	}
-	if got := subtree.SearchBest(data, query, 0); got != nil {
-		t.Fatalf("k=0 returned %v", got)
-	}
-}
-
 func TestSearchEdgeCases(t *testing.T) {
 	lt := tree.NewLabelTable()
 	data := tree.MustParseBracket("{a}", lt)

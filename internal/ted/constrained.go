@@ -32,45 +32,23 @@ import "treejoin/internal/tree"
 // ConstrainedDistance returns the constrained (LCA-preserving) edit distance
 // between t1 and t2 under unit costs. Both trees must share one LabelTable.
 func ConstrainedDistance(t1, t2 *tree.Tree) int {
-	return int(ConstrainedDistanceCosts(t1, t2, UnitCosts{}))
-}
-
-// ConstrainedDistanceCosts is ConstrainedDistance under an arbitrary cost
-// model.
-func ConstrainedDistanceCosts(t1, t2 *tree.Tree, costs Costs) int64 {
 	if t1.Labels != t2.Labels {
 		panic("ted: trees must share a label table")
 	}
 	n1, n2 := t1.Size(), t2.Size()
 	post1, post2 := tree.Postorder(t1), tree.Postorder(t2)
 
-	// Whole-subtree delete/insert costs, and the same minus the root (the
-	// cost of erasing/creating a node's child forest).
-	delTree := make([]int64, n1)
-	delForest := make([]int64, n1)
-	for _, i := range post1 {
-		var f int64
-		for c := t1.Nodes[i].FirstChild; c != tree.None; c = t1.Nodes[c].NextSibling {
-			f += delTree[c]
-		}
-		delForest[i] = f
-		delTree[i] = f + int64(costs.Delete(t1.Nodes[i].Label))
-	}
-	insTree := make([]int64, n2)
-	insForest := make([]int64, n2)
-	for _, j := range post2 {
-		var f int64
-		for c := t2.Nodes[j].FirstChild; c != tree.None; c = t2.Nodes[c].NextSibling {
-			f += insTree[c]
-		}
-		insForest[j] = f
-		insTree[j] = f + int64(costs.Insert(t2.Nodes[j].Label))
-	}
+	// Under unit costs deleting (inserting) a whole subtree costs its size,
+	// and erasing (creating) its child forest one less, so both differences
+	// the recurrences take, xTree(i) − xTree(r) and xForest(i) − xForest(r),
+	// are a difference of subtree sizes.
+	delTree := tree.SubtreeSizes(t1)
+	insTree := tree.SubtreeSizes(t2)
 
-	dt := make([]int64, n1*n2) // D(i, j), indexed i*n2+j
-	df := make([]int64, n1*n2) // F(i, j)
+	dt := make([]int, n1*n2) // D(i, j), indexed i*n2+j
+	df := make([]int, n1*n2) // F(i, j)
 	// Scratch rows for the child-sequence alignment; grown on demand.
-	var prev, cur []int64
+	var prev, cur []int
 	for _, i := range post1 {
 		ci := t1.Children(i)
 		for _, j := range post2 {
@@ -78,21 +56,21 @@ func ConstrainedDistanceCosts(t1, t2 *tree.Tree, costs Costs) int64 {
 
 			// A(i, j): align the child sequences.
 			if len(cur) < len(cj)+1 {
-				cur = make([]int64, len(cj)+1)
-				prev = make([]int64, len(cj)+1)
+				cur = make([]int, len(cj)+1)
+				prev = make([]int, len(cj)+1)
 			}
 			prev[0] = 0
 			for q, s := range cj {
-				prev[q+1] = prev[q] + insTree[s]
+				prev[q+1] = prev[q] + int(insTree[s])
 			}
 			for _, r := range ci {
-				cur[0] = prev[0] + delTree[r]
+				cur[0] = prev[0] + int(delTree[r])
 				for q, s := range cj {
 					best := prev[q] + dt[int(r)*n2+int(s)]
-					if d := prev[q+1] + delTree[r]; d < best {
+					if d := prev[q+1] + int(delTree[r]); d < best {
 						best = d
 					}
-					if d := cur[q] + insTree[s]; d < best {
+					if d := cur[q] + int(insTree[s]); d < best {
 						best = d
 					}
 					cur[q+1] = best
@@ -103,26 +81,29 @@ func ConstrainedDistanceCosts(t1, t2 *tree.Tree, costs Costs) int64 {
 
 			// F options (a)/(b): bury one forest inside a child of the other.
 			for _, s := range cj {
-				if d := insForest[j] - insForest[s] + df[int(i)*n2+int(s)]; d < f {
+				if d := int(insTree[j]-insTree[s]) + df[int(i)*n2+int(s)]; d < f {
 					f = d
 				}
 			}
 			for _, r := range ci {
-				if d := delForest[i] - delForest[r] + df[int(r)*n2+int(j)]; d < f {
+				if d := int(delTree[i]-delTree[r]) + df[int(r)*n2+int(j)]; d < f {
 					f = d
 				}
 			}
 			df[int(i)*n2+int(j)] = f
 
 			// D options.
-			d := f + int64(costs.Rename(t1.Nodes[i].Label, t2.Nodes[j].Label))
+			d := f
+			if t1.Nodes[i].Label != t2.Nodes[j].Label {
+				d++
+			}
 			for _, s := range cj {
-				if v := insTree[j] - insTree[s] + dt[int(i)*n2+int(s)]; v < d {
+				if v := int(insTree[j]-insTree[s]) + dt[int(i)*n2+int(s)]; v < d {
 					d = v
 				}
 			}
 			for _, r := range ci {
-				if v := delTree[i] - delTree[r] + dt[int(r)*n2+int(j)]; v < d {
+				if v := int(delTree[i]-delTree[r]) + dt[int(r)*n2+int(j)]; v < d {
 					d = v
 				}
 			}

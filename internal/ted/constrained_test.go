@@ -141,32 +141,6 @@ func TestConstrainedEqualsTEDOnSameShape(t *testing.T) {
 	}
 }
 
-// TestConstrainedWeightedCosts: with expensive renames the distance routes
-// around them; DistanceCosts and ConstrainedDistanceCosts agree on the
-// weighted chain case where the optimal mapping is constrained.
-func TestConstrainedWeightedCosts(t *testing.T) {
-	lt := tree.NewLabelTable()
-	a := cParse(t, lt, "{a{b}}")
-	b := cParse(t, lt, "{a{c}}")
-	costs := ted.WeightedCosts{DeleteCost: 1, InsertCost: 1, RenameCost: 3}
-	// rename b→c costs 3; delete b + insert c costs 2.
-	if d := ted.ConstrainedDistanceCosts(a, b, costs); d != 2 {
-		t.Errorf("weighted CTED = %d, want 2", d)
-	}
-	if d := ted.DistanceCosts(a, b, costs); d != 2 {
-		t.Errorf("weighted TED = %d, want 2", d)
-	}
-	// Unit costs: ConstrainedDistanceCosts(UnitCosts) == ConstrainedDistance.
-	rng := rand.New(rand.NewSource(521))
-	for i := 0; i < 50; i++ {
-		x := randTree(rng, lt, 1+rng.Intn(12), 3)
-		y := randTree(rng, lt, 1+rng.Intn(12), 3)
-		if int64(ted.ConstrainedDistance(x, y)) != ted.ConstrainedDistanceCosts(x, y, ted.UnitCosts{}) {
-			t.Fatal("unit-cost paths disagree")
-		}
-	}
-}
-
 // TestConstrainedGapCase documents a pair where CTED strictly exceeds TED:
 // distributing the children of one node over two requires a non-constrained
 // mapping.

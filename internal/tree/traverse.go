@@ -56,7 +56,7 @@ func LabelSeq(t *Tree, order []int32) []int32 {
 // EulerString returns the Euler tour string of t as interned symbols: label
 // id L maps to 2L on descent and 2L+1 on ascent, so open and close symbols
 // of equal labels stay distinct. Both the EUL baseline's string-edit bound
-// and the Euler-gram bag bound (internal/pqgram) are stated over this one
+// and the PQG baseline's Euler-gram bag bound are stated over this one
 // encoding; see DESIGN.md.
 func EulerString(t *Tree) []int32 {
 	out := make([]int32, 0, 2*t.Size())

@@ -37,7 +37,7 @@ const (
 	// MethodPQGram filters with the Euler-tour q-gram bag lower bound,
 	// |G_q(T1) △ G_q(T2)| ≤ 4q·TED — the pq-gram machinery's exact-join
 	// cousin. (The pq-gram distance itself approximates TED without bounding
-	// it, so it is no join filter; PQGramDistance exposes it.)
+	// it, so it is no join filter.)
 	MethodPQGram
 )
 

@@ -23,13 +23,6 @@ func SubtreeSearch(data, query *Tree, tau int) []SubtreeMatch {
 	return subtree.Search(data, query, tau)
 }
 
-// SubtreeSearchBest returns the k subtrees of data closest to query by TED,
-// ordered by (Dist, Root) — top-k approximate subtree matching, no
-// threshold required.
-func SubtreeSearchBest(data, query *Tree, k int) []SubtreeMatch {
-	return subtree.SearchBest(data, query, k)
-}
-
 // SubtreeAt extracts the subtree of t rooted at node n as a standalone tree
 // sharing t's label table.
 func SubtreeAt(t *Tree, n int32) *Tree { return tree.SubtreeAt(t, n) }

@@ -34,8 +34,8 @@
 // result memory.
 //
 // Also here: subtree search inside one large tree (SubtreeSearch), exact
-// (Distance), bounded (DistanceWithin), weighted (DistanceWithCosts), and
-// constrained (ConstrainedDistance) distances, and structural diffs
+// (Distance), bounded (DistanceWithin) and constrained (ConstrainedDistance)
+// distances, and structural diffs
 // (EditScript, Mapping, Transform) on top. Trees parse from bracket, XML,
 // Newick, and RNA dot-bracket notation and persist in a compact binary
 // dataset format.
@@ -155,3 +155,13 @@ func Distance(a, b *Tree) int { return ted.Distance(a, b) }
 // is τ-banded with early termination (see DESIGN.md, "Threshold-aware
 // verification").
 func DistanceWithin(a, b *Tree, tau int) (int, bool) { return ted.DistanceBounded(a, b, tau) }
+
+// ConstrainedDistance returns the constrained (LCA-preserving) edit distance
+// between a and b under unit costs — the O(|a|·|b|) restriction of TED where
+// disjoint subtrees must map to disjoint subtrees (Zhang 1995; the paper's
+// related work [15, 24]). It never underestimates: ConstrainedDistance ≥
+// Distance, with equality whenever the optimal mapping happens to preserve
+// least common ancestors, so it doubles as a fast conservative screen — a
+// pair within τ under the constrained distance is certainly within τ under
+// TED.
+func ConstrainedDistance(a, b *Tree) int { return ted.ConstrainedDistance(a, b) }
