@@ -773,23 +773,30 @@ func (cp *Corpus) Search(ctx context.Context, q *Tree, tau int, opts ...Option) 
 	if err != nil {
 		return nil, err
 	}
-	return cp.search(ctx, st, q, tau, c)
+	var stats Stats
+	defer c.publishStats(&stats)
+	return cp.search(ctx, st, q, tau, c, &stats)
 }
 
-// search probes every part of st for the trees within tau of q and merges
-// the hits into global position order.
-func (cp *Corpus) search(ctx context.Context, st *corpusState, q *Tree, tau int, c config) ([]Match, error) {
+// search probes every part of st for the trees within tau of q, merges the
+// hits into global position order and adds the parts' probe and verifier
+// counters to stats.
+func (cp *Corpus) search(ctx context.Context, st *corpusState, q *Tree, tau int, c config, stats *Stats) ([]Match, error) {
 	hits, errs := make([][]Match, len(st.parts)), make([]error, len(st.parts))
+	partStats := make([]Stats, len(st.parts))
 	fanOut(len(st.parts), c.workers, func(p, workers int) {
 		ix, _, err := st.parts[p].indexAt(ctx, tau, workers, cp)
 		if err == nil {
-			hits[p], err = ix.SearchCtx(ctx, q)
+			hits[p], err = ix.SearchCtx(ctx, q, &partStats[p])
 		}
 		for i := range hits[p] {
 			hits[p][i].Pos = st.global(st.parts[p], hits[p][i].Pos)
 		}
 		errs[p] = err
 	})
+	for p := range partStats {
+		sim.AddCounters(stats, &partStats[p])
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -851,13 +858,15 @@ func (cp *Corpus) KNN(ctx context.Context, q *Tree, k int, opts ...Option) ([]Ma
 	if k <= 0 || len(st.ts) == 0 {
 		return nil, ctx.Err()
 	}
+	var stats Stats
+	defer c.publishStats(&stats)
 	return sim.ExpandTau(st.max1+q.Size(), min(k, len(st.ts)), core.CompareMatchesByDist, func(tau int) ([]Match, error) {
 		// Check before each round: an index build is uncancellable, so don't
 		// start one the caller no longer wants.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return cp.search(ctx, st, q, tau, c)
+		return cp.search(ctx, st, q, tau, c, &stats)
 	})
 }
 

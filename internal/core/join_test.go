@@ -328,8 +328,8 @@ func TestKNNIndexCacheEviction(t *testing.T) {
 	// Results are identical with and without eviction pressure.
 	for _, q := range ts[:5] {
 		for _, tau := range []int{1, 2, 4} {
-			want, _ := NewIndexCached(ts, Options{Tau: tau}, nil).SearchCtx(context.Background(), q)
-			if got, _ := indexAt(tau).SearchCtx(context.Background(), q); !slices.Equal(got, want) {
+			want, _ := NewIndexCached(ts, Options{Tau: tau}, nil).SearchCtx(context.Background(), q, nil)
+			if got, _ := indexAt(tau).SearchCtx(context.Background(), q, nil); !slices.Equal(got, want) {
 				t.Fatalf("τ=%d: search through the cycling cache %v, fresh index %v", tau, got, want)
 			}
 		}

@@ -145,18 +145,25 @@ func (x *Index) covers(ts []*tree.Tree, o Options) bool {
 const searchCtxStride = 64
 
 // SearchCtx returns the collection trees within TED τ of q, in ascending
-// collection order, verifying as the index's options say. Cancellation
-// aborts the probe and verification loops promptly and returns ctx's error
-// with nil matches. The query's arena view is built once per call and never
-// stored, so query traffic cannot pin corpus cache memory.
-func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree) ([]Match, error) {
-	var stats sim.Stats
+// collection order, verifying as the index's options say, and adds the probe's
+// and the verifier's counters to stats (nil: dropped). Cancellation aborts the probe and
+// verification loops promptly and returns ctx's error with nil matches. The
+// query's arena view is built once per call and never stored, so query
+// traffic cannot pin corpus cache memory.
+func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree, stats *sim.Stats) ([]Match, error) {
+	if stats == nil {
+		stats = new(sim.Stats)
+	}
+	var tc ted.Counters
 	var out []Match
-	if err := x.probeVerify(ctx, q, lcrs.Build(q), nil, nil, 1, &stats, nil, func(pos, dist int) {
+	err := x.probeVerify(ctx, q, lcrs.Build(q), nil, nil, 1, stats, &tc, func(pos, dist int) {
 		out = append(out, Match{Pos: pos, Dist: dist})
-	}); err != nil {
+	})
+	sim.AddVerifyCounters(stats, &tc)
+	if err != nil {
 		return nil, err
 	}
+	stats.Results += int64(len(out))
 	SortMatches(out)
 	return out, nil
 }

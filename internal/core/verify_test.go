@@ -30,7 +30,7 @@ func TestOneVerifierArtifact(t *testing.T) {
 	ix := NewIndexCached(ts, opts, cache)
 	inc := NewIncrementalCached(opts, cache)
 	for _, q := range ts[:12] {
-		if ms, err := ix.SearchCtx(ctx, q); err != nil || len(ms) == 0 {
+		if ms, err := ix.SearchCtx(ctx, q, nil); err != nil || len(ms) == 0 {
 			t.Fatal("a collection tree did not find itself")
 		}
 		inc.Add(q)
@@ -71,14 +71,14 @@ func TestSearchCtxCancelled(t *testing.T) {
 		return ted.DistanceBounded(a, b, tau)
 	}
 	ix := NewIndexCached(ts, Options{Tau: 2, Verifier: verify}, nil)
-	if ms, err := ix.SearchCtx(context.Background(), q); err != nil || len(ms) == 0 || calls < 2 {
+	if ms, err := ix.SearchCtx(context.Background(), q, nil); err != nil || len(ms) == 0 || calls < 2 {
 		t.Fatalf("live search: %d matches, %d verifications, err %v", len(ms), calls, err)
 	}
 
 	ctx, stop := context.WithCancel(context.Background())
 	stop()
 	calls = 0
-	if ms, err := ix.SearchCtx(ctx, q); err != context.Canceled || ms != nil || calls != 0 {
+	if ms, err := ix.SearchCtx(ctx, q, nil); err != context.Canceled || ms != nil || calls != 0 {
 		t.Fatalf("pre-cancelled: %v matches, %d verifications, err %v", ms, calls, err)
 	}
 	var st sim.Stats
@@ -90,7 +90,7 @@ func TestSearchCtxCancelled(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	calls = 0
-	if ms, err := ix.SearchCtx(ctx, q); err != context.Canceled || ms != nil || calls == 0 {
+	if ms, err := ix.SearchCtx(ctx, q, nil); err != context.Canceled || ms != nil || calls == 0 {
 		t.Fatalf("cancelled by the verifier: %v matches, %d verifications, err %v", ms, calls, err)
 	}
 }
@@ -98,7 +98,7 @@ func TestSearchCtxCancelled(t *testing.T) {
 func TestSearchTinyTreesAndEmpty(t *testing.T) {
 	ctx, lt := context.Background(), tree.NewLabelTable()
 	ix := NewIndexCached(nil, Options{Tau: 2}, nil)
-	if got, err := ix.SearchCtx(ctx, tree.MustParseBracket("{a}", lt)); err != nil || len(got) != 0 {
+	if got, err := ix.SearchCtx(ctx, tree.MustParseBracket("{a}", lt), nil); err != nil || len(got) != 0 {
 		t.Fatalf("empty index returned %v, %v", got, err)
 	}
 	ts := []*tree.Tree{
@@ -107,7 +107,7 @@ func TestSearchTinyTreesAndEmpty(t *testing.T) {
 		tree.MustParseBracket("{x{y{z{w{v{u}}}}}}", lt),
 	}
 	ix = NewIndexCached(ts, Options{Tau: 1}, nil)
-	got, err := ix.SearchCtx(ctx, tree.MustParseBracket("{a{c}}", lt))
+	got, err := ix.SearchCtx(ctx, tree.MustParseBracket("{a{c}}", lt), nil)
 	if err != nil || len(got) != 2 || got[0].Pos != 0 || got[1].Pos != 1 {
 		t.Fatalf("search = %v, %v", got, err)
 	}

@@ -130,10 +130,12 @@ func WithPrefilter(fs ...Prefilter) Option {
 }
 
 // WithStats asks the call to write its execution statistics into dst when it
-// finishes. The slice-returning Corpus calls return Stats directly; this
-// option exists for the streaming variants, whose iter.Seq shape leaves no
-// room for a Stats return — dst is filled when the sequence is exhausted or
-// abandoned (partial statistics on cancellation or early break).
+// finishes. The slice-returning joins return Stats directly; this option
+// exists for the streaming variants, whose iter.Seq shape leaves no room for a
+// Stats return — dst is filled when the sequence is exhausted or abandoned
+// (partial statistics on cancellation or early break) — and for Search and
+// KNN, which fill dst with their probe and verification counters, summed over
+// the parts and, for KNN, over its thresholds.
 func WithStats(dst *Stats) Option { return func(c *config) { c.statsDst = dst } }
 
 func buildConfig(opts []Option) config {

@@ -99,7 +99,7 @@ func TestWarmSearchAllocatesNoRunCache(t *testing.T) {
 		probes := func() {
 			for _, p := range cp.state.Load().parts {
 				ix, _, _ := p.indexAt(ctx, 2, 1, cp)
-				ix.SearchCtx(ctx, q)
+				ix.SearchCtx(ctx, q, nil)
 			}
 		}
 		if over := testing.AllocsPerRun(20, search) - testing.AllocsPerRun(20, probes); err != nil || over > 5 {
