@@ -27,14 +27,15 @@ func benchConfig() bench.Config { return bench.Config{Scale: 0.002, Seed: 1} }
 
 var benchMethods = []bench.Method{bench.STR, bench.SET, bench.PRT}
 
-// runJoin is the common measurement loop: one full self-join per iteration,
-// with candidate and result counts attached as custom metrics.
+// runJoin is the common measurement loop: one full self join per iteration,
+// on one worker as the paper ran them, with candidate and result counts
+// attached as custom metrics.
 func runJoin(b *testing.B, m bench.Method, name string, ts []*tree.Tree, tau int) {
 	b.Helper()
 	var last bench.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last = bench.Run(m, name, ts, tau, 0)
+		last = bench.Run(m, name, ts, tau, 1)
 	}
 	b.ReportMetric(float64(last.Candidates), "cand/op")
 	b.ReportMetric(float64(last.Results), "res/op")
@@ -103,32 +104,6 @@ func BenchmarkFig14(b *testing.B) {
 					runJoin(b, m, sw.param, ts, tau)
 				})
 			}
-		}
-	}
-}
-
-// BenchmarkAblationPartitioning — §4.3's omitted experiment: the balanced
-// MaxMinSize partitioning versus random bridging edges.
-func BenchmarkAblationPartitioning(b *testing.B) {
-	ts := synth.Synthetic(100, 1)
-	for _, tau := range []int{1, 3, 5} {
-		for _, m := range []bench.Method{bench.PRT, bench.PRTRandom} {
-			b.Run(fmt.Sprintf("tau=%d/%s", tau, m), func(b *testing.B) {
-				runJoin(b, m, "Synthetic", ts, tau)
-			})
-		}
-	}
-}
-
-// BenchmarkAblationPosition — reproduction extension: the position layer's
-// variants (sound ±τ default, the paper's tighter ranges, no position layer).
-func BenchmarkAblationPosition(b *testing.B) {
-	ts := synth.Synthetic(100, 1)
-	for _, tau := range []int{1, 3, 5} {
-		for _, m := range []bench.Method{bench.PRT, bench.PRTPaper, bench.PRTNoPos} {
-			b.Run(fmt.Sprintf("tau=%d/%s", tau, m), func(b *testing.B) {
-				runJoin(b, m, "Synthetic", ts, tau)
-			})
 		}
 	}
 }

@@ -1,16 +1,23 @@
 // Command benchfig regenerates the paper's evaluation figures (runtime and
-// candidate counts for Figures 10–14) and the partitioning/position-filter
-// ablations, printing each as a text table.
+// candidate counts for Figures 10–14) and two extensions, every filtering
+// method side by side and the filter pipelines, printing each as a text
+// table. Every join runs through the public Corpus API.
 //
 // Usage:
 //
-//	benchfig -figure all -scale 0.01 -seed 1 [-workers 4] [-markdown] [-v]
+//	benchfig -figure all -scale 0.01 -seed 1 [-workers 1] [-markdown] [-v]
 //
-// -figure selects one of: 10, 11, 12, 13, 14, ablation, position, panorama,
-// pipeline, all
+// -figure selects one of: 10, 11, 12, 13, 14, panorama, pipeline, all
 // (Figures 10/11 share runs, as do 12/13, so asking for either member of a
 // pair runs both and prints the requested one).
 // -scale multiplies the paper's collection cardinalities (100K/50K/10K/10K).
+// -workers is each join's worker count: 1, the default, runs sequentially as
+// the paper did; a value below 1 uses every core.
+//
+// §4.3's balanced-against-random partitioning ablation is
+// BenchmarkAblationPartitioning in internal/core:
+//
+//	go test -run '^$' -bench AblationPartitioning ./internal/core
 package main
 
 import (
@@ -24,10 +31,10 @@ import (
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "10|11|12|13|14|ablation|position|panorama|pipeline|all")
+		figure   = flag.String("figure", "all", "10|11|12|13|14|panorama|pipeline|all")
 		scale    = flag.Float64("scale", 0.01, "fraction of the paper's dataset cardinalities")
 		seed     = flag.Int64("seed", 1, "generator seed")
-		workers  = flag.Int("workers", 0, "parallel TED verification workers (0 = sequential)")
+		workers  = flag.Int("workers", 1, "workers per join (1 = sequential, as the paper ran; below 1 = every core)")
 		markdown = flag.Bool("markdown", false, "emit GitHub-flavored markdown tables")
 		verbose  = flag.Bool("v", false, "print per-join progress to stderr")
 	)
@@ -65,10 +72,6 @@ func main() {
 		rt, ct := bench.Figure14(cfg)
 		render(rt...)
 		render(ct...)
-	case "ablation":
-		render(bench.AblationPartitioning(cfg))
-	case "position":
-		render(bench.AblationPosition(cfg))
 	case "panorama":
 		render(bench.BaselinePanorama(cfg))
 	case "pipeline":
@@ -83,8 +86,6 @@ func main() {
 		rt14, ct14 := bench.Figure14(cfg)
 		render(rt14...)
 		render(ct14...)
-		render(bench.AblationPartitioning(cfg))
-		render(bench.AblationPosition(cfg))
 		render(bench.BaselinePanorama(cfg))
 		render(bench.FilterPipeline(cfg))
 	default:

@@ -1,9 +1,12 @@
 // Package bench is the experiment harness that regenerates the paper's
-// evaluation (Figures 10–14, Table 1's parameter grid, and the partitioning
-// ablation the paper describes in §4.3's closing paragraph). Each figure
-// function runs the relevant joins and returns text tables whose rows mirror
-// the series of the corresponding plot; cmd/benchfig prints them, and
-// bench_test.go wraps them as testing.B benchmarks.
+// evaluation (Figures 10–14 and Table 1's parameter grid) and two extensions
+// of it, every filtering method side by side and the filter pipelines. Each
+// figure function runs the relevant joins through the public Corpus API and
+// returns text tables whose rows mirror the series of the corresponding plot;
+// cmd/benchfig prints them, and bench_test.go wraps them as testing.B
+// benchmarks. (§4.3's balanced-against-random partitioning ablation needs a
+// partitioning no Corpus runs; it is BenchmarkAblationPartitioning in
+// internal/core.)
 //
 // The paper's collections (up to 100K trees) are scaled by Config.Scale so
 // experiments finish in laptop time; the shape of the comparison — who wins,
@@ -12,14 +15,12 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
-	"treejoin/internal/baseline"
-	"treejoin/internal/core"
-	"treejoin/internal/engine"
-	"treejoin/internal/sim"
+	"treejoin"
 	"treejoin/internal/synth"
 	"treejoin/internal/tree"
 )
@@ -28,20 +29,26 @@ import (
 type Method string
 
 const (
-	STR       Method = "STR"
-	SET       Method = "SET"
-	PRT       Method = "PRT"
-	PRTRandom Method = "PRT-rand"  // random δ-partitioning (ablation)
-	PRTPaper  Method = "PRT-paper" // paper's position ranges (ablation)
-	PRTNoPos  Method = "PRT-nopos" // no position layer (ablation)
-	BF        Method = "BF"        // size filter only (oracle / REL)
-	HIST      Method = "HIST"      // Kailing et al. histogram bounds (extension)
-	EUL       Method = "EUL"       // Akutsu et al. Euler-string bound (extension)
-	PQG       Method = "PQG"       // Euler-gram bag bound (extension)
-	PRTHist   Method = "HIST→PRT"  // HIST prefilter chained before PartSJ
-	STRHist   Method = "HIST→STR"  // HIST prefilter chained before STR
-	PQGHist   Method = "HIST→PQG"  // HIST prefilter chained before PQG
+	STR     Method = "STR"
+	SET     Method = "SET"
+	PRT     Method = "PRT"
+	BF      Method = "BF"       // size filter only (oracle / REL)
+	HIST    Method = "HIST"     // Kailing et al. histogram bounds (extension)
+	EUL     Method = "EUL"      // Akutsu et al. Euler-string bound (extension)
+	PQG     Method = "PQG"      // Euler-gram bag bound (extension)
+	PRTHist Method = "HIST→PRT" // HIST prefilter chained before PartSJ
+	STRHist Method = "HIST→STR" // HIST prefilter chained before STR
+	PQGHist Method = "HIST→PQG" // HIST prefilter chained before PQG
 )
+
+// stages are the filter methods' stages, by name.
+var stages = map[string]treejoin.Prefilter{
+	"HIST": treejoin.PrefilterHistogram,
+	"STR":  treejoin.PrefilterSTR,
+	"SET":  treejoin.PrefilterSET,
+	"EUL":  treejoin.PrefilterEulerString,
+	"PQG":  treejoin.PrefilterPQGram,
+}
 
 // Result is one join execution's measurements.
 type Result struct {
@@ -53,15 +60,24 @@ type Result struct {
 	Results    int64
 	CandGen    time.Duration // candidate generation (+ partitioning for PRT)
 	Verify     time.Duration // exact TED computation
-	Stages     []sim.StageStats
+	Stages     []treejoin.StageStats
 }
 
 // Total is the end-to-end join time.
 func (r Result) Total() time.Duration { return r.CandGen + r.Verify }
 
-// Run executes one join and collects its measurements.
+// Run executes one self join on a corpus of ts and collects its
+// measurements. It panics if ts cannot form a corpus (trees of two label
+// tables) — the generators' collections always can.
 func Run(m Method, dataset string, ts []*tree.Tree, tau, workers int) Result {
-	_, st := job(m, tau, workers).SelfJoin(ts)
+	cp, err := treejoin.NewCorpus(ts)
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	_, st, err := cp.SelfJoin(context.Background(), tau, append(m.options(), treejoin.WithWorkers(workers))...)
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
 	return Result{
 		Method:     m,
 		Dataset:    dataset,
@@ -75,33 +91,23 @@ func Run(m Method, dataset string, ts []*tree.Tree, tau, workers int) Result {
 	}
 }
 
-// job assembles method m's engine job: PartSJ and its ablations probe the
-// subgraph index, every other method is the sorted nested loop feeding its
-// filter chain (BF's is empty); a "HIST→" method puts the HIST stage first.
-func job(m Method, tau, workers int) engine.Job {
-	j := engine.Job{Source: engine.SortedLoop(), Tau: tau, Workers: workers}
+// options are method m's join options. PartSJ probes the subgraph index; the
+// other methods run as the paper ran its baselines, the sorted nested loop
+// feeding their filter (BF's chain is empty), not the token index; a "HIST→"
+// method puts the HIST stage first.
+func (m Method) options() []treejoin.Option {
 	name, hist := strings.CutPrefix(string(m), "HIST→")
+	var fs []treejoin.Prefilter
 	if hist {
-		j.Filters = append(j.Filters, baseline.HISTFilter())
+		fs = append(fs, treejoin.PrefilterHistogram)
 	}
-	if st, ok := baseline.Stages[name]; ok {
-		j.Filters = append(j.Filters, st.Filter())
-		return j
+	if Method(name) == PRT {
+		return []treejoin.Option{treejoin.WithPrefilter(fs...)}
 	}
-	if m == BF {
-		return j
+	if st, ok := stages[name]; ok {
+		fs = append(fs, st)
 	}
-	prt := core.Options{Tau: tau, Workers: workers}
-	switch m {
-	case PRTRandom:
-		prt.RandomPartition, prt.Seed = true, 42
-	case PRTPaper:
-		prt.Position = core.PositionPaper
-	case PRTNoPos:
-		prt.Position = core.PositionOff
-	}
-	j.Source = core.NewSource(prt)
-	return j
+	return []treejoin.Option{treejoin.WithMethod(treejoin.MethodBruteForce), treejoin.WithPrefilter(fs...)}
 }
 
 // Dataset is a named tree collection.
@@ -117,8 +123,9 @@ type Config struct {
 	Scale float64
 	// Seed drives the data generators.
 	Seed int64
-	// Workers parallelises TED verification (0/1 = sequential, matching the
-	// paper's single-threaded runs).
+	// Workers parallelises each join, its candidate generation and TED
+	// verification: 1 runs sequentially, matching the paper's
+	// single-threaded runs, and a value below 1 uses every core.
 	Workers int
 	// Progress, when non-nil, receives one line per completed join.
 	Progress func(string)

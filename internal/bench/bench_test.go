@@ -13,15 +13,13 @@ func tinyConfig() bench.Config {
 	return bench.Config{Scale: 0.002, Seed: 1} // 200/100/20/20 trees
 }
 
-// TestRunMethodsAgreeOnResults: every method finds BF's result count, except
-// PRTPaper, whose unproven position ranges may miss pairs but never add one.
+// TestRunMethodsAgreeOnResults: every method finds BF's result count.
 func TestRunMethodsAgreeOnResults(t *testing.T) {
 	ts := synth.Synthetic(60, 2)
 	for tau := 1; tau <= 3; tau++ {
 		want := bench.Run(bench.BF, "t", ts, tau, 0).Results
 		for _, m := range []bench.Method{
-			bench.STR, bench.SET, bench.PRT, bench.PRTRandom, bench.PRTPaper, bench.PRTNoPos,
-			bench.HIST, bench.EUL, bench.PQG, bench.PRTHist, bench.STRHist, bench.PQGHist,
+			bench.STR, bench.SET, bench.PRT, bench.HIST, bench.EUL, bench.PQG, bench.PRTHist, bench.STRHist, bench.PQGHist,
 		} {
 			r := bench.Run(m, "t", ts, tau, 0)
 			if r.Candidates < r.Results {
@@ -30,7 +28,7 @@ func TestRunMethodsAgreeOnResults(t *testing.T) {
 			if r.Trees != len(ts) {
 				t.Fatalf("tree count wrong")
 			}
-			if r.Results != want && (m != bench.PRTPaper || r.Results > want) {
+			if r.Results != want {
 				t.Fatalf("%s τ=%d: %d results, BF %d", m, tau, r.Results, want)
 			}
 		}
@@ -84,20 +82,6 @@ func TestFigure14Shape(t *testing.T) {
 		if len(tab.Rows) != 5*3 { // 5 parameter values × 3 methods
 			t.Fatalf("%s: %d rows", tab.Title, len(tab.Rows))
 		}
-	}
-}
-
-func TestAblationTables(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tab := bench.AblationPartitioning(tinyConfig())
-	if len(tab.Rows) != 10 {
-		t.Fatalf("partitioning ablation rows = %d", len(tab.Rows))
-	}
-	tab = bench.AblationPosition(tinyConfig())
-	if len(tab.Rows) != 15 {
-		t.Fatalf("position ablation rows = %d", len(tab.Rows))
 	}
 }
 

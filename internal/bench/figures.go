@@ -148,28 +148,6 @@ func Figure14(c Config) (runtime, candidates []*Table) {
 	return runtime, candidates
 }
 
-// AblationPartitioning reproduces the experiment the paper describes but
-// omits for space (§4.3, final paragraph): the balanced MaxMinSize
-// partitioning versus random tree partitioning, reported as a 50–300%
-// overall improvement. Runs on the synthetic dataset across τ.
-func AblationPartitioning(c Config) *Table {
-	ts := synth.Synthetic(c.n(10000), c.Seed)
-	t := &Table{
-		Title:   fmt.Sprintf("Ablation (§4.3): balanced vs random partitioning (%d trees)", len(ts)),
-		Columns: []string{"tau", "method", "candidates", "total", "vs PRT"},
-	}
-	for tau := 1; tau <= 5; tau++ {
-		base := Run(PRT, "Synthetic", ts, tau, c.Workers)
-		rnd := Run(PRTRandom, "Synthetic", ts, tau, c.Workers)
-		t.AddRow(fmt.Sprintf("%d", tau), string(PRT), count(base.Candidates), dur(base.Total()), "1.00x")
-		ratio := float64(rnd.Total()) / float64(base.Total())
-		t.AddRow(fmt.Sprintf("%d", tau), string(PRTRandom), count(rnd.Candidates), dur(rnd.Total()),
-			fmt.Sprintf("%.2fx", ratio))
-		c.report("ablation-part τ=%d: balanced=%v random=%v (%.2fx)", tau, base.Total(), rnd.Total(), ratio)
-	}
-	return t
-}
-
 // BaselinePanorama compares every filtering method in this module — the
 // paper's STR/SET/PRT plus the survey's other filters (HIST of Kailing et
 // al., EUL of Akutsu et al.) — on the synthetic dataset across τ. A
@@ -219,25 +197,6 @@ func FilterPipeline(c Config) *Table {
 			t.AddRow(fmt.Sprintf("%d", tau), string(m), kills,
 				count(r.Candidates), dur(r.CandGen), dur(r.Total()))
 			c.report("pipeline τ=%d %s: cand=%d total=%v", tau, m, r.Candidates, r.Total())
-		}
-	}
-	return t
-}
-
-// AblationPosition measures the subgraph index's position test: the sound
-// size-difference-aware default, the paper's tighter ranges, and no position
-// layer at all. A reproduction extension (not a paper figure).
-func AblationPosition(c Config) *Table {
-	ts := synth.Synthetic(c.n(10000), c.Seed)
-	t := &Table{
-		Title:   fmt.Sprintf("Ablation: position-filter variants (%d trees)", len(ts)),
-		Columns: []string{"tau", "variant", "candidates", "results", "total"},
-	}
-	for tau := 1; tau <= 5; tau++ {
-		for _, m := range []Method{PRT, PRTPaper, PRTNoPos} {
-			r := Run(m, "Synthetic", ts, tau, c.Workers)
-			t.AddRow(fmt.Sprintf("%d", tau), string(m), count(r.Candidates), count(r.Results), dur(r.Total()))
-			c.report("ablation-pos τ=%d %s: cand=%d total=%v", tau, m, r.Candidates, r.Total())
 		}
 	}
 	return t

@@ -7,6 +7,7 @@ import (
 
 	"treejoin/internal/engine"
 	"treejoin/internal/lcrs"
+	"treejoin/internal/sim"
 	"treejoin/internal/synth"
 )
 
@@ -48,7 +49,7 @@ func BenchmarkComputePartition(b *testing.B) {
 func BenchmarkSubgraphMatch(b *testing.B) {
 	bin := benchBin(256)
 	p := Compute(bin, 7)
-	ix := newInvIndex(3, PositionSafe)
+	ix := newInvIndex(3)
 	ix.insert(0, p)
 	var sc matchScratch
 	b.Run("self-hit", func(b *testing.B) {
@@ -109,7 +110,7 @@ func BenchmarkIndexProbe(b *testing.B) {
 		for i, bin := range bins {
 			parts[i] = Compute(bin, 2*tau+1)
 		}
-		ix := bulkIndex(tau, PositionSafe, parts, 1)
+		ix := bulkIndex(tau, parts, 1)
 		b.Run(fmt.Sprintf("tau=%d", tau), func(b *testing.B) {
 			var nodes, lookups, visited int64
 			var keys [4]twig
@@ -172,6 +173,34 @@ func BenchmarkSelfJoinWorkers(b *testing.B) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkAblationPartitioning is §4.3's experiment the paper describes but
+// omits: PartSJ over balanced MaxMinSize partitions against random bridging
+// edges (the paper reports the balanced scheme 50–300 % faster overall). An
+// op builds the index, NewIndexCached or randomIndex, and runs the self join
+// on it, on one goroutine; cand/op and res/op are the join's counts.
+func BenchmarkAblationPartitioning(b *testing.B) {
+	ts := synth.Synthetic(100, 1)
+	for _, tau := range []int{1, 3, 5} {
+		opts := Options{Tau: tau, Workers: 1}
+		for _, m := range []struct {
+			name  string
+			build func() *Index
+		}{
+			{"PRT", func() *Index { return NewIndexCached(ts, opts, nil) }},
+			{"PRT-rand", func() *Index { return randomIndex(ts, tau, 42) }},
+		} {
+			b.Run(fmt.Sprintf("tau=%d/%s", tau, m.name), func(b *testing.B) {
+				var st *sim.Stats
+				for i := 0; i < b.N; i++ {
+					_, st = partSJJob(withIndex(opts, m.build())).SelfJoin(ts)
+				}
+				b.ReportMetric(float64(st.Candidates), "cand/op")
+				b.ReportMetric(float64(st.Results), "res/op")
+			})
 		}
 	}
 }

@@ -56,14 +56,13 @@ type Incremental struct {
 func standingKey(i, j int) uint64 { return uint64(uint32(i))<<32 | uint64(uint32(j)) }
 
 // NewIncrementalCached returns an empty streaming join with the given options
-// (opts.Tau ≥ 0; RandomPartition is not supported and is ignored), drawing
-// per-tree artifacts (binary views, δ-partitions, the verifier's arena views)
-// from cache: a stream fed trees a corpus has already joined — or re-adding a
-// tree it removed — skips their recomputation. A nil cache computes
-// everything locally.
+// (opts.Tau ≥ 0), drawing per-tree artifacts (binary views, δ-partitions, the
+// verifier's arena views) from cache: a stream fed trees a corpus has already
+// joined — or re-adding a tree it removed — skips their recomputation. A nil
+// cache computes everything locally.
 func NewIncrementalCached(opts Options, cache *engine.Cache) *Incremental {
 	return &Incremental{
-		x:         &Index{opts: opts, cache: cache, ix: newInvIndex(opts.Tau, opts.Position)},
+		x:         &Index{opts: opts, cache: cache, ix: newInvIndex(opts.Tau)},
 		compactAt: 16,
 		standing:  make(map[uint64]int32),
 	}
@@ -217,7 +216,7 @@ func (inc *Incremental) compact() {
 	start := time.Now()
 	// Remove cleared the dead trees' slots.
 	x := inc.x
-	x.ix = buildInvIndex(x.opts.Tau, x.opts.Position, len(inc.parts), 1, func(i int, _ *partitionState) *Partition { return inc.parts[i] })
+	x.ix = buildInvIndex(x.opts.Tau, len(inc.parts), 1, func(i int, _ *partitionState) *Partition { return inc.parts[i] })
 	inc.compactAt = inc.nRemoved + inc.nRemoved/2 + 16
 	inc.stats.PartitionTime += time.Since(start)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -53,9 +52,9 @@ import (
 //     r, and the two trees of a candidate pair may differ in size. Measuring
 //     from the end is also what the paper's own |N_k| argument bounds.
 //
-// With both corrections the sound default (PositionSafe) stores each
-// subgraph once, at its exact reverse position r_k, and the probe admits
-// the window r_k could have moved to. Let the candidate pair's sizes differ
+// With both corrections the index stores each subgraph once, at its exact
+// reverse position r_k, and the probe admits the window r_k could have moved
+// to. Let the candidate pair's sizes differ
 // by d = |probe| − |pattern| and let the mapping use I inserts and D
 // deletes; then I − D = d and I + D ≤ τ, so I ≤ ⌊(τ+d)/2⌋ and
 // D ≤ ⌊(τ−d)/2⌋. An untouched subgraph whose root maps to probe node N
@@ -66,40 +65,13 @@ import (
 // a window of τ+1 positions (versus 2τ+1 for the naive ±τ), valid for any
 // δ-partitioning.
 //
-// The paper instead tightens per subgraph rank k, using ∆′(k) = τ − ⌊k/2⌋.
-// Its argument assumes an edit operation cannot both invalidate an earlier
-// subgraph's match and shift a later subgraph's position, which fails for
-// boundary-straddling operations (e.g. deleting a node whose spliced
-// children sit in an earlier component). PositionPaper implements the
-// formula for benchmarking fidelity; the oracle tests accept its output only
-// as a subset of the true result.
-type PositionFilter int
-
-const (
-	// PositionSafe keys every subgraph by its exact reverse general
-	// postorder and probes the size-difference-aware window above: the
-	// proven-sound default.
-	PositionSafe PositionFilter = iota
-	// PositionPaper uses the paper's τ − ⌊k/2⌋ ranges (subgraphs ranked by
-	// root postorder). Retained for benchmarking fidelity; can miss results
-	// in adversarial corner cases.
-	PositionPaper
-	// PositionOff disables the position test entirely (size and twig only).
-	PositionOff
-)
-
-func (m PositionFilter) String() string {
-	switch m {
-	case PositionSafe:
-		return "safe"
-	case PositionPaper:
-		return "paper"
-	case PositionOff:
-		return "off"
-	default:
-		return fmt.Sprintf("PositionFilter(%d)", int(m))
-	}
-}
+// The paper instead tightens per subgraph rank k, storing each subgraph under
+// the range r_k ± ∆′(k), ∆′(k) = τ − ⌊k/2⌋, and probing a point. Its argument
+// assumes an edit operation cannot both invalidate an earlier subgraph's
+// match and shift a later subgraph's position, which fails for
+// boundary-straddling operations (e.g. deleting a node whose spliced children
+// sit in an earlier component), so the rule can miss results and is not
+// used here.
 
 // Label twig keys (§3.4, "Label indexing"). The key of a subgraph is the
 // label of its root plus one marker per slot: the child's label when the
@@ -181,9 +153,8 @@ func (t *twigTable) list(k twig) int32 {
 }
 
 // posting is one index entry: a subgraph (component comp of tree's
-// partition) filed under its tree's size and a position key, with the offset
-// of its match program in the index's arena. PositionPaper files one
-// subgraph under a range of positions; the postings share one program.
+// partition) filed under its tree's size and its root's reverse position,
+// with the offset of its match program in the index's arena.
 type posting struct {
 	size, pos  int32
 	tree, comp int32
@@ -210,7 +181,6 @@ func comparePostings(a, b posting) int {
 // and KNN all probe one frozen instance; only Incremental keeps inserting.
 type invIndex struct {
 	tau   int
-	mode  PositionFilter
 	lists twigTable   // twig -> position of its list in posts
 	posts [][]posting // each sorted by comparePostings
 	progs []uint32    // match programs, see encode
@@ -218,9 +188,7 @@ type invIndex struct {
 	stack []int32     // encode's scratch
 }
 
-func newInvIndex(tau int, mode PositionFilter) *invIndex {
-	return &invIndex{tau: tau, mode: mode}
-}
+func newInvIndex(tau int) *invIndex { return &invIndex{tau: tau} }
 
 // buildInvIndex indexes trees 0..n−1 in bulk on up to workers goroutines:
 // part(i) yields tree i's partition, or nil for a tree that is not indexed
@@ -228,10 +196,10 @@ func newInvIndex(tau int, mode PositionFilter) *invIndex {
 // of trees (engine.ForRuns) into an index of its own and sorts its lists;
 // concat then merges the runs into exactly sized storage, since the result is
 // retained for as long as its corpus epoch.
-func buildInvIndex(tau int, mode PositionFilter, n, workers int, part func(i int, st *partitionState) *Partition) *invIndex {
+func buildInvIndex(tau, n, workers int, part func(i int, st *partitionState) *Partition) *invIndex {
 	runs := make([]*invIndex, max(1, min(workers, n)))
 	engine.ForRuns(n, len(runs), func(w, lo, hi int) {
-		run, st := newInvIndex(tau, mode), new(partitionState)
+		run, st := newInvIndex(tau), new(partitionState)
 		for i := lo; i < hi; i++ {
 			if p := part(i, st); p != nil {
 				run.add(i, p, false)
@@ -242,7 +210,7 @@ func buildInvIndex(tau int, mode PositionFilter, n, workers int, part func(i int
 		}
 		runs[w] = run
 	})
-	return concat(tau, mode, runs, nil)
+	return concat(tau, runs, nil)
 }
 
 // concat returns the index holding every posting of runs — the one routine
@@ -252,8 +220,8 @@ func buildInvIndex(tau int, mode PositionFilter, n, workers int, part func(i int
 // arena, and each list is merged from the runs' lists, which must be sorted
 // and stay so under the renumbering (at[k] ascending). Storage is counted
 // before it is filled, so every list and the arena are exactly sized.
-func concat(tau int, mode PositionFilter, runs []*invIndex, at [][]int32) *invIndex {
-	ix := newInvIndex(tau, mode)
+func concat(tau int, runs []*invIndex, at [][]int32) *invIndex {
+	ix := newInvIndex(tau)
 	lists := make([][]int32, len(runs)) // run k's list j is ix's list lists[k][j]
 	nprogs := 0
 	for k, run := range runs {
@@ -388,24 +356,6 @@ func slotKey(p *Partition, c int32, child int32) int32 {
 	}
 }
 
-// postorderRanks returns, for each component, its 1-based rank k when the
-// components are ordered by the general postorder of their roots (the
-// s_1..s_δ numbering the paper's ∆′ formula refers to).
-func postorderRanks(p *Partition) []int {
-	order := make([]int, p.Delta)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return p.Bin.GenRank[p.Roots[order[a]]] < p.Bin.GenRank[p.Roots[order[b]]]
-	})
-	ranks := make([]int, p.Delta)
-	for k, c := range order {
-		ranks[c] = k + 1
-	}
-	return ranks
-}
-
 // insert adds every subgraph of p (a partition of tree treeIdx) to the
 // index, keeping each touched list sorted: Incremental's arrival-order
 // inserts pay a binary search and a shift.
@@ -413,35 +363,17 @@ func (ix *invIndex) insert(treeIdx int, p *Partition) { ix.add(treeIdx, p, true)
 
 func (ix *invIndex) add(treeIdx int, p *Partition, sorted bool) {
 	size := int32(p.Bin.Size())
-	var ranks []int
-	if ix.mode == PositionPaper {
-		ranks = postorderRanks(p)
-	}
 	for c := int32(0); c < int32(p.Delta); c++ {
-		e := posting{size: size, tree: int32(treeIdx), comp: c, prog: ix.encode(p, c)}
-		// PositionSafe stores the exact reverse position and probes a window.
-		rk := size - 1 - p.Bin.GenRank[p.Roots[c]]
-		lo, hi := rk, rk
-		switch ix.mode {
-		case PositionOff:
-			lo, hi = 0, 0
-		case PositionPaper:
-			// The paper stores ranges around r_k and probes a point.
-			slack := int32(ix.tau - ranks[c]/2)
-			lo, hi = max(rk-slack, 0), rk+slack
-		}
+		e := posting{size: size, pos: size - 1 - p.Bin.GenRank[p.Roots[c]], tree: int32(treeIdx), comp: c, prog: ix.encode(p, c)}
 		li := ix.list(indexKey(p, c))
 		ps := ix.posts[li]
-		for e.pos = lo; e.pos <= hi; e.pos++ {
-			at := len(ps)
-			if sorted && at > 0 && comparePostings(e, ps[at-1]) < 0 {
-				at = sort.Search(at, func(i int) bool { return comparePostings(e, ps[i]) < 0 })
-			}
-			ps = slices.Insert(ps, at, e)
+		at := len(ps)
+		if sorted && at > 0 && comparePostings(e, ps[at-1]) < 0 {
+			at = sort.Search(at, func(i int) bool { return comparePostings(e, ps[i]) < 0 })
 		}
-		ix.posts[li] = ps
-		ix.n += int64(hi - lo + 1)
+		ix.posts[li] = slices.Insert(ps, at, e)
 	}
+	ix.n += int64(p.Delta)
 }
 
 // probeKeys materialises the ≤4 index keys compatible with probe node n: each
@@ -482,16 +414,14 @@ const noTieLimit = math.MaxInt32
 // probe visits the index entries that are twig- and position-compatible with
 // node n of probe tree b, for every indexed tree size in [minSize, maxSize];
 // of the trees of exactly maxSize, only those numbered below tieBelow (see
-// Index.partners). It reports the number of entries visited.
+// Index.partners). The position test is the size-difference-aware window
+// around n's reverse position (see the top of the file). It reports the
+// number of entries visited.
 func (ix *invIndex) probe(b *lcrs.Bin, n int32, minSize, maxSize int, tieBelow int32, visit func(posting)) int64 {
 	var keys [4]twig
 	nk := probeKeys(b, n, &keys)
 	psize := int32(b.Size())
 	r := psize - 1 - b.GenRank[n]
-	lo, hi := r, r // PositionPaper: ranges live on the store side
-	if ix.mode == PositionOff {
-		lo, hi = 0, 0
-	}
 	var visited int64
 	for k := 0; k < nk; k++ {
 		li := ix.lists.get(keys[k])
@@ -512,10 +442,8 @@ func (ix *invIndex) probe(b *lcrs.Bin, n int32, minSize, maxSize int, tieBelow i
 			if int(size) == maxSize {
 				below = tieBelow
 			}
-			if ix.mode == PositionSafe { // size-difference-aware window around r
-				d := int(psize - size) // probe minus pattern size
-				lo, hi = r-int32((ix.tau+d)/2), r+int32((ix.tau-d)/2)
-			}
+			d := int(psize - size) // probe minus pattern size
+			lo, hi := r-int32((ix.tau+d)/2), r+int32((ix.tau-d)/2)
 			for ; i < len(ps) && ps[i].size == size; i++ {
 				if e := &ps[i]; e.pos >= lo && e.pos <= hi && e.tree < below {
 					visited++

@@ -39,7 +39,7 @@ func TestIndexKeyIsNecessary(t *testing.T) {
 					continue
 				}
 				p := Compute(bp, delta)
-				ix := newInvIndex(delta/2, PositionSafe)
+				ix := newInvIndex(delta / 2)
 				ix.insert(pi, p)
 				for _, slot := range ix.lists.slots {
 					if slot.list == 0 {

@@ -131,19 +131,6 @@ func TestProbeKeysEnumeration(t *testing.T) {
 	}
 }
 
-func TestPostorderRanks(t *testing.T) {
-	lt := tree.NewLabelTable()
-	g := figure9Tree(lt)
-	b := lcrs.Build(g)
-	p := Compute(b, 3)
-	ranks := postorderRanks(p)
-	// General postorder of the roots: l4 before l8 before l1 (the paper's
-	// s1, s2, s3 order).
-	if ranks[0] != 1 || ranks[1] != 2 || ranks[2] != 3 {
-		t.Fatalf("ranks = %v", ranks)
-	}
-}
-
 // TestProbeWindowMath verifies the size-difference-aware window directly:
 // with τ=2 the window for equal sizes is r±1, for the maximal size gap it is
 // one-sided.
@@ -154,7 +141,7 @@ func TestProbeWindowMath(t *testing.T) {
 	bp := lcrs.Build(pat)
 	tau := 2
 	p := Compute(bp, 2*tau+1)
-	ix := newInvIndex(tau, PositionSafe)
+	ix := newInvIndex(tau)
 	ix.insert(0, p)
 
 	// Probing with the identical tree must visit every component once per
@@ -179,8 +166,8 @@ func TestProbeWindowMath(t *testing.T) {
 // bruteProbe is the documented contract of probe, applied to every posting
 // ever inserted: same twig as one of the node's keys, size within
 // [minSize, maxSize], at maxSize a tree number below tieBelow, and position
-// inside the mode's window.
-func bruteProbe(all []posting, twigs map[int32]twig, tau int, mode PositionFilter, b *lcrs.Bin, n int32, minSize, maxSize int, tieBelow int32) map[posting]int {
+// inside the window.
+func bruteProbe(all []posting, twigs map[int32]twig, tau int, b *lcrs.Bin, n int32, minSize, maxSize int, tieBelow int32) map[posting]int {
 	var keys [4]twig
 	nk := probeKeys(b, n, &keys)
 	r := int32(b.Size()) - 1 - b.GenRank[n]
@@ -190,23 +177,16 @@ func bruteProbe(all []posting, twigs map[int32]twig, tau int, mode PositionFilte
 			!slices.Contains(keys[:nk], twigs[e.prog]) {
 			continue
 		}
-		lo, hi := r, r // PositionPaper probes the point; ranges were stored
-		switch mode {
-		case PositionOff:
-			lo, hi = 0, 0
-		case PositionSafe:
-			d := b.Size() - int(e.size)
-			lo, hi = r-int32((tau+d)/2), r+int32((tau-d)/2)
-		}
-		if e.pos >= lo && e.pos <= hi {
+		d := b.Size() - int(e.size)
+		if e.pos >= r-int32((tau+d)/2) && e.pos <= r+int32((tau-d)/2) {
 			want[e]++
 		}
 	}
 	return want
 }
 
-// TestProbeVisitsExactlyTheWindow: for random trees, every position mode and
-// every way of building the index (ascending-size inserts, shuffled inserts,
+// TestProbeVisitsExactlyTheWindow: for random trees and every way of building
+// the index (ascending-size inserts, shuffled inserts,
 // bulk build on one goroutine and on several), the multiset of postings probe
 // visits at a node equals a brute-force scan of everything inserted against
 // the size and position windows and the tie limit — and the lists stay
@@ -217,7 +197,6 @@ func TestProbeVisitsExactlyTheWindow(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		tau := 1 + rng.Intn(3)
 		delta := 2*tau + 1
-		mode := PositionFilter(iter % 3)
 		parts := make([]*Partition, 12+rng.Intn(12))
 		for i := range parts {
 			if rng.Intn(6) == 0 {
@@ -235,7 +214,7 @@ func TestProbeVisitsExactlyTheWindow(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		sort.SliceStable(ascending, func(i, j int) bool { return parts[ascending[i]].Bin.Size() < parts[ascending[j]].Bin.Size() })
 
-		built := map[string]*invIndex{"sorted": newInvIndex(tau, mode), "shuffled": newInvIndex(tau, mode), "bulk": bulkIndex(tau, mode, parts, 1), "bulk3": bulkIndex(tau, mode, parts, 3)}
+		built := map[string]*invIndex{"sorted": newInvIndex(tau), "shuffled": newInvIndex(tau), "bulk": bulkIndex(tau, parts, 1), "bulk3": bulkIndex(tau, parts, 3)}
 		for _, ti := range ascending {
 			built["sorted"].insert(ti, parts[ti])
 		}
@@ -252,18 +231,18 @@ func TestProbeVisitsExactlyTheWindow(t *testing.T) {
 				}
 				tw, ps := slot.key, ix.posts[slot.list-1]
 				if ix.lists.get(tw) != slot.list-1 {
-					t.Fatalf("%s/%v: table does not find %+v where it holds it", name, mode, tw)
+					t.Fatalf("%s: table does not find %+v where it holds it", name, tw)
 				}
 				if !slices.IsSortedFunc(ps, comparePostings) {
-					t.Fatalf("%s/%v: list of %+v is not sorted by (size, pos)", name, mode, tw)
+					t.Fatalf("%s: list of %+v is not sorted by (size, pos)", name, tw)
 				}
 				for _, e := range ps {
 					twigs[e.prog] = tw
 				}
 				all = append(all, ps...)
 			}
-			if int64(len(all)) != ix.n || mode != PositionPaper && len(all) != delta*len(ascending) {
-				t.Fatalf("%s/%v: %d postings held, counter says %d, %d subgraphs inserted", name, mode, len(all), ix.n, delta*len(ascending))
+			if int64(len(all)) != ix.n || len(all) != delta*len(ascending) {
+				t.Fatalf("%s: %d postings held, counter says %d, %d subgraphs inserted", name, len(all), ix.n, delta*len(ascending))
 			}
 			for _, b := range probes {
 				minSize, maxSize := b.Size()-rng.Intn(tau+1), b.Size()+rng.Intn(tau+1)
@@ -274,16 +253,16 @@ func TestProbeVisitsExactlyTheWindow(t *testing.T) {
 				for _, n := range b.Order {
 					got := make(map[posting]int)
 					visited := ix.probe(b, n, minSize, maxSize, tieBelow, func(e posting) { got[e]++ })
-					want := bruteProbe(all, twigs, tau, mode, b, n, minSize, maxSize, tieBelow)
+					want := bruteProbe(all, twigs, tau, b, n, minSize, maxSize, tieBelow)
 					if !maps.Equal(got, want) {
-						t.Fatalf("%s/%v τ=%d node %d sizes [%d,%d] ties below %d: probe visited %v, brute force admits %v", name, mode, tau, n, minSize, maxSize, tieBelow, got, want)
+						t.Fatalf("%s τ=%d node %d sizes [%d,%d] ties below %d: probe visited %v, brute force admits %v", name, tau, n, minSize, maxSize, tieBelow, got, want)
 					}
 					made := 0
 					for _, c := range got {
 						made += c
 					}
 					if int64(made) != visited {
-						t.Fatalf("%s/%v: probe reported %d visits, made %d", name, mode, visited, made)
+						t.Fatalf("%s: probe reported %d visits, made %d", name, visited, made)
 					}
 				}
 			}
@@ -291,67 +270,45 @@ func TestProbeVisitsExactlyTheWindow(t *testing.T) {
 	}
 }
 
-// TestPaperModeStoresRanges: PositionPaper materialises 2∆′+1 entries per
-// subgraph.
-func TestPaperModeStoresRanges(t *testing.T) {
-	lt := tree.NewLabelTable()
-	pat := tree.MustParseBracket("{a{b{c}{d}}{e{f}{g}}{h{i}{j}}}", lt)
-	bp := lcrs.Build(pat)
-	tau := 2
-	delta := 2*tau + 1
-	p := Compute(bp, delta)
-	ix := newInvIndex(tau, PositionPaper)
-	ix.insert(0, p)
-	added := ix.n
-	// Σ_k (2·(τ−⌊k/2⌋)+1) for k=1..5, τ=2: 5+3+3+1+1 = 13, minus any range
-	// clamped at position 0.
-	if added > 13 || added < int64(delta) {
-		t.Fatalf("PositionPaper added %d entries", added)
-	}
-}
-
 // bulkIndex is buildInvIndex over partitions computed beforehand.
-func bulkIndex(tau int, mode PositionFilter, parts []*Partition, workers int) *invIndex {
-	return buildInvIndex(tau, mode, len(parts), workers, func(i int, _ *partitionState) *Partition { return parts[i] })
+func bulkIndex(tau int, parts []*Partition, workers int) *invIndex {
+	return buildInvIndex(tau, len(parts), workers, func(i int, _ *partitionState) *Partition { return parts[i] })
 }
 
 // TestComposeEqualsBuild: over random collections cut into 1–5 parts of random
-// membership, at every position mode and τ ∈ {0, 1, 2, 4}, Compose holds the
-// index NewIndexCached builds over the whole collection — list for list,
-// posting for posting, program for program, smalls equal — and one part is
-// returned as is. The first collection of each mode is four copies of one tree
-// in alternating parts, so a cross-part (size, pos) tie decides every list's
-// order.
+// membership, at τ ∈ {0, 1, 2, 4}, Compose holds the index NewIndexCached
+// builds over the whole collection — list for list, posting for posting,
+// program for program, smalls equal — and one part is returned as is. The
+// first collection is four copies of one tree in alternating parts, so a
+// cross-part (size, pos) tie decides every list's order.
 func TestComposeEqualsBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(2015))
 	lt := tree.NewLabelTable()
 	twin := randomSizedTree(rng, 12, lt)
-	for _, mode := range []PositionFilter{PositionSafe, PositionPaper, PositionOff} {
-		for trial := 0; trial < 12; trial++ {
-			tau, nparts := []int{0, 1, 2, 4}[trial%4], 1+rng.Intn(5)
-			ts := clusteredTrees(rng, 1+rng.Intn(60), lt)
+	for trial := 0; trial < 12; trial++ {
+		tau, nparts := []int{0, 1, 2, 4}[trial%4], 1+rng.Intn(5)
+		ts := clusteredTrees(rng, 1+rng.Intn(60), lt)
+		if trial == 0 {
+			tau, nparts, ts = 2, 2, []*tree.Tree{twin, twin.Clone(), twin.Clone(), twin.Clone()}
+		}
+		opts := Options{Tau: tau, Workers: 1 + rng.Intn(3)}
+		at, subs := make([][]int32, nparts), make([][]*tree.Tree, nparts)
+		for i := range ts {
+			k := rng.Intn(nparts)
 			if trial == 0 {
-				tau, nparts, ts = 2, 2, []*tree.Tree{twin, twin.Clone(), twin.Clone(), twin.Clone()}
+				k = i % 2
 			}
-			opts := Options{Tau: tau, Position: mode, Workers: 1 + rng.Intn(3)}
-			at, subs := make([][]int32, nparts), make([][]*tree.Tree, nparts)
-			for i := range ts {
-				k := rng.Intn(nparts)
-				if trial == 0 {
-					k = i % 2
-				}
-				at[k], subs[k] = append(at[k], int32(i)), append(subs[k], ts[i])
-			}
-			x := Compose(ts, at, func(k int) *Index { return NewIndexCached(subs[k], opts, nil) })
-			want := NewIndexCached(ts, opts, nil)
-			if nparts == 1 && Compose(ts, at, func(int) *Index { return want }) != want ||
-				!slices.Equal(x.ts, ts) || !slices.Equal(x.smalls, want.smalls) || x.ix.lists.n != want.ix.lists.n {
-				t.Fatalf("%v τ=%d, %d parts: smalls %v, want %v; %d lists, want %d (or one part was copied)", mode, tau, nparts, x.smalls, want.smalls, x.ix.lists.n, want.ix.lists.n)
-			}
-			for _, s := range want.ix.lists.slots {
-				if got, exp := dumpList(x.ix, s.key), dumpList(want.ix, s.key); s.list != 0 && got != exp {
-					t.Fatalf("%v τ=%d, %d parts: list %+v is\n%swant\n%s", mode, tau, nparts, s.key, got, exp)
-				}
+			at[k], subs[k] = append(at[k], int32(i)), append(subs[k], ts[i])
+		}
+		x := Compose(ts, at, func(k int) *Index { return NewIndexCached(subs[k], opts, nil) })
+		want := NewIndexCached(ts, opts, nil)
+		if nparts == 1 && Compose(ts, at, func(int) *Index { return want }) != want ||
+			!slices.Equal(x.ts, ts) || !slices.Equal(x.smalls, want.smalls) || x.ix.lists.n != want.ix.lists.n {
+			t.Fatalf("τ=%d, %d parts: smalls %v, want %v; %d lists, want %d (or one part was copied)", tau, nparts, x.smalls, want.smalls, x.ix.lists.n, want.ix.lists.n)
+		}
+		for _, s := range want.ix.lists.slots {
+			if got, exp := dumpList(x.ix, s.key), dumpList(want.ix, s.key); s.list != 0 && got != exp {
+				t.Fatalf("τ=%d, %d parts: list %+v is\n%swant\n%s", tau, nparts, s.key, got, exp)
 			}
 		}
 	}

@@ -11,13 +11,6 @@ type Options struct {
 	// Tau is the TED threshold τ ≥ 0. Each tree is split into δ = 2τ+1
 	// subgraphs.
 	Tau int
-	// Position selects the postorder-pruning variant (default PositionSafe).
-	Position PositionFilter
-	// RandomPartition replaces the balanced MaxMinSize partitioning with
-	// δ−1 random bridging edges; used by the partitioning-scheme ablation.
-	RandomPartition bool
-	// Seed seeds the random partitioner (ignored unless RandomPartition).
-	Seed int64
 	// Verifier decides candidate pairs; nil means the τ-banded bounded TED
 	// over cached arena views.
 	Verifier sim.Verifier
@@ -27,13 +20,12 @@ type Options struct {
 	Workers int
 	// Indexes, when non-nil, resolves the shared frozen index of the join's
 	// indexed side (a self join's collection, a cross join's receiver A,
-	// which B's trees probe) at threshold tau and the options' position mode
-	// — a corpus's per-epoch index, composed from the indexes Search and KNN
-	// probe. built reports that this call paid for the build. The source
-	// probes the index only if it covers exactly those trees and builds a
-	// private one otherwise (nil included), so a stale or foreign index can
-	// never produce wrong candidates. Ignored under RandomPartition and by
-	// Incremental.
+	// which B's trees probe) at threshold tau — a corpus's per-epoch index,
+	// composed from the indexes Search and KNN probe. built reports that this
+	// call paid for the build. The source probes the index only if it covers
+	// exactly those trees and builds a private one otherwise (nil included),
+	// so a stale or foreign index can never produce wrong candidates. Ignored
+	// by Incremental.
 	Indexes func(ctx context.Context, tau int) (ix *Index, built bool)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"treejoin/internal/engine"
+	"treejoin/internal/lcrs"
 	"treejoin/internal/sim"
 	"treejoin/internal/synth"
 	"treejoin/internal/ted"
@@ -17,9 +18,9 @@ import (
 // The joins' results through the public API — the default configuration,
 // every method, cross joins, worker counts, Incremental deltas, Search, TopK
 // and KNN — are held to a Zhang–Shasha model by the root package's history
-// harness. The tests here hold what only this package reaches: the position
-// and partitioning ablations, the counters, the verifier seam and the edges
-// of the package's own entry points.
+// harness. The tests here hold what only this package reaches: the
+// partitioning ablation, the counters, the verifier seam and the edges of the
+// package's own entry points.
 
 // partSJJob is the engine job of a PartSJ join (NewSource) behind the given
 // prefilters, with o's threshold, verifier and workers.
@@ -45,33 +46,41 @@ func testCollections(n int) [][]*tree.Tree {
 	return cols
 }
 
-// TestJoinMethodsAgreeWithOracle holds the PartSJ ablations to the
-// brute-force join at every threshold 0..4: PositionOff and RandomPartition
-// return exactly its result set, and the paper's position ranges
-// (PositionPaper) never a pair outside it — their completeness can fail in
-// corner cases, which is logged, not failed (see DESIGN.md, "The subgraph
-// index").
+// randomIndex is the index of §4.3's ablation: ts's trees cut by
+// ComputeRandom from one seeded stream instead of MaxMinSize, on one
+// goroutine, since the stream is sequential.
+func randomIndex(ts []*tree.Tree, tau int, seed int64) *Index {
+	rng := rand.New(rand.NewSource(seed))
+	return newIndex(ts, Options{Tau: tau}, nil, 1, func(i int, _ *partitionState) *Partition {
+		return ComputeRandom(lcrs.Build(ts[i]), 2*tau+1, rng)
+	})
+}
+
+// withIndex returns o with a resolver that hands the source x, unbuilt.
+func withIndex(o Options, x *Index) Options {
+	o.Indexes = func(context.Context, int) (*Index, bool) { return x, false }
+	return o
+}
+
+// TestJoinMethodsAgreeWithOracle holds PartSJ to the brute-force join at
+// every threshold 0..4, over the balanced partitions and over random ones
+// handed to the source through Options.Indexes: Lemma 2 holds for any
+// δ-partitioning, so both return exactly the oracle's result set.
 func TestJoinMethodsAgreeWithOracle(t *testing.T) {
 	for c, ts := range testCollections(48) {
 		for tau := 0; tau <= 4; tau++ {
 			want, _ := loopJoin(ts, tau)
 			for name, opts := range map[string]Options{
-				"PRT-off":    {Tau: tau, Position: PositionOff},
-				"PRT-random": {Tau: tau, RandomPartition: true, Seed: 99},
+				"PRT":        {Tau: tau},
+				"PRT-random": withIndex(Options{Tau: tau}, randomIndex(ts, tau, 99)),
 			} {
-				if got, _ := partSJJob(opts).SelfJoin(ts); !slices.Equal(got, want) {
+				got, st := partSJJob(opts).SelfJoin(ts)
+				if !slices.Equal(got, want) {
 					t.Errorf("collection %d %s τ=%d: %d pairs, oracle %d\n got: %v\nwant: %v", c, name, tau, len(got), len(want), got, want)
 				}
-			}
-			paper, _ := partSJJob(Options{Tau: tau, Position: PositionPaper}).SelfJoin(ts)
-			for _, p := range paper {
-				if !slices.Contains(want, p) {
-					t.Errorf("collection %d PRT-paper τ=%d: spurious pair %v", c, tau, p)
+				if (st.IndexBuildTime == 0) != (opts.Indexes != nil) {
+					t.Fatalf("collection %d %s τ=%d: build time %v; only the run without a resolver builds", c, name, tau, st.IndexBuildTime)
 				}
-			}
-			if len(paper) != len(want) {
-				t.Logf("collection %d PRT-paper τ=%d: %d of %d results (paper-formula position ranges miss %d pairs)",
-					c, tau, len(paper), len(want), len(want)-len(paper))
 			}
 		}
 	}
@@ -204,26 +213,6 @@ func TestVerifierFailureInjection(t *testing.T) {
 	pairs, st = partSJJob(Options{Tau: 2, Verifier: acceptAll}).SelfJoin(ts)
 	if int64(len(pairs)) != st.Candidates {
 		t.Fatalf("accept-all: %d pairs vs %d candidates", len(pairs), st.Candidates)
-	}
-}
-
-// TestPositionModesCandidateOrdering: the position layer can only reduce
-// candidates relative to no position filtering. (PositionSafe's
-// size-difference-aware window and PositionPaper's rank-based ranges are
-// incomparable with each other: either may admit a candidate the other
-// prunes.)
-func TestPositionModesCandidateOrdering(t *testing.T) {
-	ts := synth.Synthetic(120, 5)
-	for tau := 1; tau <= 3; tau++ {
-		_, safe := partSJJob(Options{Tau: tau, Position: PositionSafe}).SelfJoin(ts)
-		_, off := partSJJob(Options{Tau: tau, Position: PositionOff}).SelfJoin(ts)
-		_, paper := partSJJob(Options{Tau: tau, Position: PositionPaper}).SelfJoin(ts)
-		if safe.Candidates > off.Candidates {
-			t.Errorf("τ=%d: safe candidates %d > off %d", tau, safe.Candidates, off.Candidates)
-		}
-		if paper.Candidates > off.Candidates {
-			t.Errorf("τ=%d: paper candidates %d > off %d", tau, paper.Candidates, off.Candidates)
-		}
 	}
 }
 

@@ -46,7 +46,7 @@ type loopOracle struct {
 func (j *loopOracle) run() {
 	n := len(j.ts)
 	j.bins, j.state, j.gen, j.cands = make([]*lcrs.Bin, n), make([]int64, n), 1, make(map[[2]int]int)
-	ix := newInvIndex(j.opts.Tau, j.opts.Position)
+	ix := newInvIndex(j.opts.Tau)
 	var smalls []int
 	// Algorithm 1 lines 13–16: partition the tree and add its subgraphs, or
 	// record it as a small tree.
@@ -136,9 +136,8 @@ func clusteredTrees(rng *rand.Rand, n int, lt *tree.LabelTable) []*tree.Tree {
 }
 
 // TestProbesAgreeWithSequentialLoop: over random collections, every
-// threshold 0..4, every position mode, self and cross joins (against the
-// one-sided reference), with and
-// without a HIST prefilter, on 1, 2 and 8 workers (and more probe chunks than
+// threshold 0..4, self and cross joins (against the one-sided reference),
+// with and without a HIST prefilter, on 1, 2 and 8 workers (and more probe chunks than
 // that), the frozen-index source hands the verifier the candidate multiset
 // the sequential loop produces, and reports its four index counters and its
 // small-tree count. A corpus-style resolver that serves one index to every
@@ -165,72 +164,70 @@ func TestProbesAgreeWithSequentialLoop(t *testing.T) {
 			profiles[i] = baseline.NewHistProfile(tr)
 		}
 		for tau := 0; tau <= 4; tau++ {
-			for _, mode := range []PositionFilter{PositionSafe, PositionPaper, PositionOff} {
-				for _, hist := range []bool{false, true} {
-					opts := Options{Tau: tau, Position: mode}
-					want := &loopOracle{ts: ts, split: split, opts: opts}
-					var filters []engine.PairFilter
-					if hist {
-						want.keep = func(i, j int) bool { return baseline.HistLowerBound(profiles[i], profiles[j]) <= tau }
-						filters = []engine.PairFilter{baseline.HISTFilter()}
-					}
-					want.run()
+			for _, hist := range []bool{false, true} {
+				opts := Options{Tau: tau}
+				want := &loopOracle{ts: ts, split: split, opts: opts}
+				var filters []engine.PairFilter
+				if hist {
+					want.keep = func(i, j int) bool { return baseline.HistLowerBound(profiles[i], profiles[j]) <= tau }
+					filters = []engine.PairFilter{baseline.HISTFilter()}
+				}
+				want.run()
 
-					// One resolver for all worker counts: the first run builds
-					// the indexed side's index, the rest must find and accept
-					// it.
-					var shared *Index
-					builds := 0
-					opts.Indexes = func(_ context.Context, tau int) (*Index, bool) {
-						if shared != nil {
-							return shared, false
-						}
-						indexed := ts
-						if split >= 0 {
-							indexed = ts[:split]
-						}
-						o := opts
-						o.Workers = 2
-						shared = NewIndexCached(indexed, o, nil)
-						builds++
-						return shared, true
+				// One resolver for all worker counts: the first run builds
+				// the indexed side's index, the rest must find and accept
+				// it.
+				var shared *Index
+				builds := 0
+				opts.Indexes = func(_ context.Context, tau int) (*Index, bool) {
+					if shared != nil {
+						return shared, false
 					}
-					for _, workers := range []int{1, 2, 8} {
-						name := fmt.Sprintf("iter %d split %d τ=%d %v hist=%v workers=%d", iter, split, tau, mode, hist, workers)
-						var mu sync.Mutex
-						got := make(map[[2]int]int)
-						opts.Workers = workers
-						opts.Verifier = func(t1, t2 *tree.Tree, _ int) (int, bool) {
-							i, j := at[t1], at[t2]
-							mu.Lock()
-							got[[2]int{min(i, j), max(i, j)}]++
-							mu.Unlock()
-							return 0, false
-						}
-						job := partSJJob(opts, filters...)
-						var st *sim.Stats
-						if split < 0 {
-							_, st = job.SelfJoin(ts)
-						} else {
-							_, st = job.Join(ts[:split], ts[split:])
-						}
-						if !maps.Equal(got, want.cands) {
-							t.Fatalf("%s: candidates differ from the sequential loop's:\n got %v\nwant %v", name, got, want.cands)
-						}
-						w := want.stats
-						if st.SubgraphProbes != w.SubgraphProbes || st.MatchTests != w.MatchTests || st.MatchHits != w.MatchHits ||
-							st.IndexedSubgraphs != w.IndexedSubgraphs || st.SmallTreeFallback != w.SmallTreeFallback {
-							t.Fatalf("%s: probes/tests/hits/indexed/small = %d/%d/%d/%d/%d, the loop's %d/%d/%d/%d/%d", name,
-								st.SubgraphProbes, st.MatchTests, st.MatchHits, st.IndexedSubgraphs, st.SmallTreeFallback,
-								w.SubgraphProbes, w.MatchTests, w.MatchHits, w.IndexedSubgraphs, w.SmallTreeFallback)
-						}
-						if (st.IndexBuildTime > 0) != (workers == 1) {
-							t.Fatalf("%s: IndexBuildTime %v; only the first run builds", name, st.IndexBuildTime)
-						}
+					indexed := ts
+					if split >= 0 {
+						indexed = ts[:split]
 					}
-					if builds != 1 {
-						t.Fatalf("iter %d: %d index builds", iter, builds)
+					o := opts
+					o.Workers = 2
+					shared = NewIndexCached(indexed, o, nil)
+					builds++
+					return shared, true
+				}
+				for _, workers := range []int{1, 2, 8} {
+					name := fmt.Sprintf("iter %d split %d τ=%d hist=%v workers=%d", iter, split, tau, hist, workers)
+					var mu sync.Mutex
+					got := make(map[[2]int]int)
+					opts.Workers = workers
+					opts.Verifier = func(t1, t2 *tree.Tree, _ int) (int, bool) {
+						i, j := at[t1], at[t2]
+						mu.Lock()
+						got[[2]int{min(i, j), max(i, j)}]++
+						mu.Unlock()
+						return 0, false
 					}
+					job := partSJJob(opts, filters...)
+					var st *sim.Stats
+					if split < 0 {
+						_, st = job.SelfJoin(ts)
+					} else {
+						_, st = job.Join(ts[:split], ts[split:])
+					}
+					if !maps.Equal(got, want.cands) {
+						t.Fatalf("%s: candidates differ from the sequential loop's:\n got %v\nwant %v", name, got, want.cands)
+					}
+					w := want.stats
+					if st.SubgraphProbes != w.SubgraphProbes || st.MatchTests != w.MatchTests || st.MatchHits != w.MatchHits ||
+						st.IndexedSubgraphs != w.IndexedSubgraphs || st.SmallTreeFallback != w.SmallTreeFallback {
+						t.Fatalf("%s: probes/tests/hits/indexed/small = %d/%d/%d/%d/%d, the loop's %d/%d/%d/%d/%d", name,
+							st.SubgraphProbes, st.MatchTests, st.MatchHits, st.IndexedSubgraphs, st.SmallTreeFallback,
+							w.SubgraphProbes, w.MatchTests, w.MatchHits, w.IndexedSubgraphs, w.SmallTreeFallback)
+					}
+					if (st.IndexBuildTime > 0) != (workers == 1) {
+						t.Fatalf("%s: IndexBuildTime %v; only the first run builds", name, st.IndexBuildTime)
+					}
+				}
+				if builds != 1 {
+					t.Fatalf("iter %d: %d index builds", iter, builds)
 				}
 			}
 		}
@@ -238,16 +235,21 @@ func TestProbesAgreeWithSequentialLoop(t *testing.T) {
 }
 
 // TestForeignIndexIsNotProbed: a resolver that hands back an index over other
-// trees, or at another threshold, is ignored — the run builds its own.
+// trees — fewer, or equal copies of them — or at another threshold, is
+// ignored: the run builds its own.
 func TestForeignIndexIsNotProbed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	lt := tree.NewLabelTable()
 	ts := clusteredTrees(rng, 60, lt)
 	want, _ := partSJJob(Options{Tau: 2}).SelfJoin(ts)
+	copies := make([]*tree.Tree, len(ts))
+	for i, t := range ts {
+		copies[i] = t.Clone()
+	}
 	for name, foreign := range map[string]*Index{
 		"other trees":     NewIndexCached(ts[:59], Options{Tau: 2}, nil),
 		"other threshold": NewIndexCached(ts, Options{Tau: 1}, nil),
-		"other mode":      NewIndexCached(ts, Options{Tau: 2, Position: PositionOff}, nil),
+		"copies":          NewIndexCached(copies, Options{Tau: 2}, nil),
 	} {
 		opts := Options{Tau: 2, Indexes: func(context.Context, int) (*Index, bool) { return foreign, false }}
 		got, st := partSJJob(opts).SelfJoin(ts)

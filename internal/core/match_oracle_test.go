@@ -100,7 +100,7 @@ func TestMatchProgramsAgreeWithPointerWalk(t *testing.T) {
 		}
 		b2 := lcrs.Build(t2)
 
-		ix := newInvIndex(tau, PositionFilter(rng.Intn(3)))
+		ix := newInvIndex(tau)
 		ix.insert(0, p)
 		progNodes := 0
 		seen := make(map[int32]bool)

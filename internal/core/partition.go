@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"treejoin/internal/lcrs"
 )
@@ -129,40 +128,6 @@ func compute(b *lcrs.Bin, delta int, st *partitionState) *Partition {
 	p := assemble(b, delta, cuts)
 	p.Gamma = gamma
 	return p
-}
-
-// ComputeRandom realises a δ-partitioning from delta−1 distinct random edges;
-// the baseline for the partitioning-scheme ablation (the paper reports the
-// balanced scheme wins by 50–300%).
-func ComputeRandom(b *lcrs.Bin, delta int, rng *rand.Rand) *Partition {
-	n := b.Size()
-	if delta > n {
-		panic(fmt.Sprintf("core: ComputeRandom: delta %d exceeds tree size %d", delta, n))
-	}
-	// Each non-root node identifies the edge to its binary parent. Choose
-	// delta−1 of the n−1 edges without replacement.
-	nonRoot := make([]int32, 0, n-1)
-	root := b.Tree.Root()
-	for id := range b.Tree.Nodes {
-		if int32(id) != root {
-			nonRoot = append(nonRoot, int32(id))
-		}
-	}
-	rng.Shuffle(len(nonRoot), func(i, j int) { nonRoot[i], nonRoot[j] = nonRoot[j], nonRoot[i] })
-	cuts := nonRoot[:delta-1]
-	// assemble expects cut roots ordered by binary postorder rank (component
-	// numbering follows root rank).
-	sortByRank(cuts, b.Rank)
-	return assemble(b, delta, cuts)
-}
-
-func sortByRank(cuts []int32, rank []int32) {
-	// Insertion sort: δ is tiny (2τ+1).
-	for i := 1; i < len(cuts); i++ {
-		for j := i; j > 0 && rank[cuts[j]] < rank[cuts[j-1]]; j-- {
-			cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
-		}
-	}
 }
 
 // assemble labels every node with its component: each cut root claims the

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
@@ -76,25 +75,27 @@ func CompareMatchesByDist(a, b Match) int {
 // over a corpus's trees reuses the signatures earlier indexes computed — and
 // indexes at other thresholds reuse at least the views. A nil cache computes
 // everything locally. The build runs on opts.Workers goroutines (partitioning
-// and program compilation per tree; see buildInvIndex), except under
-// RandomPartition, whose RNG stream is sequential.
+// and program compilation per tree; see buildInvIndex).
 func NewIndexCached(ts []*tree.Tree, opts Options, cache *engine.Cache) *Index {
+	delta := opts.delta()
+	partKey := partitionCacheKey(delta)
+	return newIndex(ts, opts, cache, sim.NormalizeWorkers(opts.Workers), func(i int, st *partitionState) *Partition {
+		return cachedPartition(cache, ts[i], nil, partKey, delta, st)
+	})
+}
+
+// newIndex builds the index over ts on workers goroutines, part(i) giving
+// the δ-partition of tree i of at least δ nodes; the smaller trees go to the
+// small-tree list.
+func newIndex(ts []*tree.Tree, opts Options, cache *engine.Cache, workers int, part func(i int, st *partitionState) *Partition) *Index {
 	start := time.Now()
 	x := &Index{opts: opts, ts: ts, cache: cache}
-	delta, workers := opts.delta(), sim.NormalizeWorkers(opts.Workers)
-	partKey := partitionCacheKey(delta)
-	var rng *rand.Rand
-	if opts.RandomPartition {
-		rng, workers = rand.New(rand.NewSource(opts.Seed)), 1
-	}
-	x.ix = buildInvIndex(opts.Tau, opts.Position, len(ts), workers, func(i int, st *partitionState) *Partition {
-		switch {
-		case ts[i].Size() < delta:
+	delta := opts.delta()
+	x.ix = buildInvIndex(opts.Tau, len(ts), workers, func(i int, st *partitionState) *Partition {
+		if ts[i].Size() < delta {
 			return nil
-		case rng != nil:
-			return ComputeRandom(cachedBin(cache, ts[i]), delta, rng)
 		}
-		return cachedPartition(cache, ts[i], nil, partKey, delta, st)
+		return part(i, st)
 	})
 	for i, t := range ts {
 		if t.Size() < delta {
@@ -107,8 +108,8 @@ func NewIndexCached(ts []*tree.Tree, opts Options, cache *engine.Cache) *Index {
 }
 
 // Compose returns the index over ts put together from len(at) parts:
-// part(k) returns the index over part k's trees (all parts at one threshold
-// and position mode), whose tree i is tree at[k][i] of ts, each at[k]
+// part(k) returns the index over part k's trees (all parts at one threshold),
+// whose tree i is tree at[k][i] of ts, each at[k]
 // ascending and together a partition of ts's positions. The result holds
 // exactly the postings NewIndexCached over ts would, in the same order in
 // every list, so a probe of it visits what a probe of the whole build visits.
@@ -128,17 +129,17 @@ func Compose(ts []*tree.Tree, at [][]int32, part func(k int) *Index) *Index {
 			x.smalls = append(x.smalls, at[k][i])
 		}
 	}
-	x.ix = concat(x.opts.Tau, x.opts.Position, runs, at)
+	x.ix = concat(x.opts.Tau, runs, at)
 	slices.SortFunc(x.smalls, func(a, b int32) int { return cmp.Or(cmp.Compare(ts[a].Size(), ts[b].Size()), cmp.Compare(a, b)) })
 	x.built = time.Since(start)
 	return x
 }
 
 // covers reports whether the index was built over exactly ts, in order, at
-// o's threshold and position mode: the check that keeps a resolver's index
-// from answering for another membership.
-func (x *Index) covers(ts []*tree.Tree, o Options) bool {
-	return x.opts.Tau == o.Tau && x.opts.Position == o.Position && slices.Equal(ts, x.ts)
+// threshold tau: the check that keeps a resolver's index from answering for
+// another membership.
+func (x *Index) covers(ts []*tree.Tree, tau int) bool {
+	return x.opts.Tau == tau && slices.Equal(ts, x.ts)
 }
 
 // searchCtxStride bounds how many probe nodes run between context checks.

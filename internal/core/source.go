@@ -68,16 +68,15 @@ type probeRun struct {
 }
 
 // resolve fetches the indexed side's index from the resolver, or builds a
-// private one on the run's workers when there is no resolver, the resolver's
-// index is not over exactly those trees, or the partitioning is the seeded
-// random ablation (whose output is the run's own). It leaves ix nil when the
+// private one on the run's workers when there is no resolver or the
+// resolver's index is not over exactly those trees. It leaves ix nil when the
 // run is cancelled first.
 func (r *probeRun) resolve(stats *sim.Stats) {
 	c, ts := r.c, r.c.Trees[:len(r.c.Order)]
 	var x *Index
 	built := false
-	if r.opts.Indexes != nil && !r.opts.RandomPartition {
-		if x, built = r.opts.Indexes(c.Context(), r.opts.Tau); x != nil && !x.covers(ts, r.opts) {
+	if r.opts.Indexes != nil {
+		if x, built = r.opts.Indexes(c.Context(), r.opts.Tau); x != nil && !x.covers(ts, r.opts.Tau) {
 			x, built = nil, false
 		}
 	}

@@ -112,7 +112,7 @@ type Stats struct {
 
 	// PartSJ-specific counters (zero for the baselines).
 	PartitionTime     time.Duration // δ-partitioning and indexing of all trees; 0 when the corpus already held the index
-	IndexedSubgraphs  int64         // index postings created: one per subgraph, or under PositionPaper one per stored position
+	IndexedSubgraphs  int64         // index postings created: one per subgraph
 	SubgraphProbes    int64         // index postings visited: those passing the size, position and tie tests, a fraction of those scanned
 	MatchTests        int64         // full subgraph-match verifications run
 	MatchHits         int64         // match tests that succeeded
