@@ -11,7 +11,8 @@
 // The paper's collections (up to 100K trees) are scaled by Config.Scale so
 // experiments finish in laptop time; the shape of the comparison — who wins,
 // by what factor, how gaps move with τ and cardinality — is the quantity
-// being reproduced, not the absolute seconds (see EXPERIMENTS.md).
+// being reproduced, not the absolute seconds (DESIGN.md, "Reproduction
+// notes").
 package bench
 
 import (

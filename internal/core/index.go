@@ -54,11 +54,10 @@ import (
 //
 // With both corrections the index stores each subgraph once, at its exact
 // reverse position r_k, and the probe admits the window r_k could have moved
-// to. Let the candidate pair's sizes differ
-// by d = |probe| − |pattern| and let the mapping use I inserts and D
-// deletes; then I − D = d and I + D ≤ τ, so I ≤ ⌊(τ+d)/2⌋ and
-// D ≤ ⌊(τ−d)/2⌋. An untouched subgraph whose root maps to probe node N
-// satisfies r(N) − r_k ∈ [−D, +I], hence
+// to. Let the candidate pair's sizes differ by d = |probe| − |pattern| and
+// let the mapping use I inserts and D deletes; then I − D = d and I + D ≤ τ,
+// so I ≤ ⌊(τ+d)/2⌋ and D ≤ ⌊(τ−d)/2⌋. An untouched subgraph whose root
+// maps to probe node N satisfies r(N) − r_k ∈ [−D, +I], hence
 //
 //	r_k ∈ [r(N) − ⌊(τ+d)/2⌋, r(N) + ⌊(τ−d)/2⌋],
 //

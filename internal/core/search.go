@@ -108,9 +108,9 @@ func newIndex(ts []*tree.Tree, opts Options, cache *engine.Cache, workers int, p
 }
 
 // Compose returns the index over ts put together from len(at) parts:
-// part(k) returns the index over part k's trees (all parts at one threshold),
-// whose tree i is tree at[k][i] of ts, each at[k]
-// ascending and together a partition of ts's positions. The result holds
+// part(k) returns the index over part k's trees (all parts at one
+// threshold), whose tree i is tree at[k][i] of ts, each at[k] ascending and
+// together a partition of ts's positions. The result holds
 // exactly the postings NewIndexCached over ts would, in the same order in
 // every list, so a probe of it visits what a probe of the whole build visits.
 // Composing costs a copy of the parts' postings, not their partitioning; one
@@ -146,11 +146,11 @@ func (x *Index) covers(ts []*tree.Tree, tau int) bool {
 const searchCtxStride = 64
 
 // SearchCtx returns the collection trees within TED τ of q, in ascending
-// collection order, verifying as the index's options say, and adds the probe's
-// and the verifier's counters to stats (nil: dropped). Cancellation aborts the probe and
-// verification loops promptly and returns ctx's error with nil matches. The
-// query's arena view is built once per call and never stored, so query
-// traffic cannot pin corpus cache memory.
+// collection order, verifying as the index's options say, and adds the
+// probe's and the verifier's counters to stats (nil: dropped). Cancellation
+// aborts the probe and verification loops promptly and returns ctx's error
+// with nil matches. The query's arena view is built once per call and never
+// stored, so query traffic cannot pin corpus cache memory.
 func (x *Index) SearchCtx(ctx context.Context, q *tree.Tree, stats *sim.Stats) ([]Match, error) {
 	if stats == nil {
 		stats = new(sim.Stats)
