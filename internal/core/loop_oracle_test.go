@@ -137,10 +137,10 @@ func clusteredTrees(rng *rand.Rand, n int, lt *tree.LabelTable) []*tree.Tree {
 
 // TestProbesAgreeWithSequentialLoop: over random collections, every
 // threshold 0..4, self and cross joins (against the one-sided reference),
-// with and without a HIST prefilter, on 1, 2 and 8 workers (and more probe chunks than
-// that), the frozen-index source hands the verifier the candidate multiset
-// the sequential loop produces, and reports its four index counters and its
-// small-tree count. A corpus-style resolver that serves one index to every
+// with and without a HIST prefilter, on 1, 2 and 8 workers (and more probe
+// chunks than that), the frozen-index source hands the verifier the candidate
+// multiset the sequential loop produces, and reports its four index counters
+// and its small-tree count. A corpus-style resolver that serves one index to every
 // run must change nothing.
 func TestProbesAgreeWithSequentialLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1307))
