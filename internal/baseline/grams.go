@@ -18,23 +18,26 @@ import (
 // narrow enough that the 4q·TED slack still prunes at small τ.
 const gramQ = 3
 
-// gramHashes returns the fingerprints of t's Euler-tour q-gram windows, in
-// tour order: the tokenisation behind both the filter and the engine's token
-// index.
-func gramHashes(t *tree.Tree, q int) []uint64 {
-	euler := tree.EulerString(t)
-	if len(euler) < q {
-		return nil
+// appendGrams appends the fingerprints of t's Euler-tour q-gram windows to
+// dst, in tour order: the tokenisation behind both the filter and the
+// engine's token index. The tour is written into dst itself and each window
+// hashed in place over its first symbol, which no later window reads, so no
+// separate Euler string is built.
+func appendGrams(dst []uint64, t *tree.Tree, q int) []uint64 {
+	base := len(dst)
+	dst = tree.AppendEuler(dst, t)
+	tour := dst[base:]
+	if len(tour) < q {
+		return dst[:base]
 	}
-	out := make([]uint64, len(euler)-q+1)
-	for w := range out {
+	for w := range len(tour) - q + 1 {
 		h := offset64
-		for _, v := range euler[w : w+q] {
-			h = fnvMix(h, v)
+		for _, v := range tour[w : w+q] {
+			h = fnvMix(h, int32(v))
 		}
-		out[w] = h
+		tour[w] = h
 	}
-	return out
+	return dst[:len(dst)-q+1]
 }
 
 // FNV-1a over the 4 little-endian bytes of each symbol, inlined to keep the
@@ -60,11 +63,12 @@ func fnvMix(h uint64, v int32) uint64 {
 // collision merges two gram bins, which can only increase measured overlaps
 // — pairs are kept, not lost, so pruning stays sound. Bag size is
 // 2·|T| − q + 1 (clamped at 0), monotone in tree size as the source requires.
-// The tokens come back unsorted (in tour order): the engine sorts each tree's
-// bag once, into the cached bag both the filter and the index read.
+// The grams are appended in tour order, into the build's reused buffer; the
+// engine radix-sorts them into the one cached bag both the filter and the
+// index read.
 func EulerGramTokenizer() engine.Tokenizer {
-	return engine.NewTokenizer(fmt.Sprintf("euler-grams/q=%d", gramQ), 4*gramQ, func(t *tree.Tree) []uint64 {
-		return gramHashes(t, gramQ)
+	return engine.NewTokenizer(fmt.Sprintf("euler-grams/q=%d", gramQ), 4*gramQ, func(dst []uint64, t *tree.Tree) []uint64 {
+		return appendGrams(dst, t, gramQ)
 	})
 }
 

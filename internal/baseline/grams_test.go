@@ -12,7 +12,7 @@ import (
 
 // gramBag returns t's Euler-tour q-gram multiset, sorted.
 func gramBag(t *tree.Tree, q int) []uint64 {
-	bag := gramHashes(t, q)
+	bag := appendGrams(nil, t, q)
 	slices.Sort(bag)
 	return bag
 }

@@ -17,11 +17,10 @@ import (
 // bound, but the label bound's C = 2 yields prefixes two and a half times
 // shorter for the same soundness).
 func LabelTokenizer() engine.Tokenizer {
-	return engine.NewTokenizer("labels", 2, func(t *tree.Tree) []uint64 {
-		out := make([]uint64, len(t.Nodes))
+	return engine.NewTokenizer("labels", 2, func(dst []uint64, t *tree.Tree) []uint64 {
 		for i := range t.Nodes {
-			out[i] = uint64(uint32(t.Nodes[i].Label))
+			dst = append(dst, uint64(uint32(t.Nodes[i].Label)))
 		}
-		return out
+		return dst
 	})
 }

@@ -83,11 +83,10 @@ func partitionable(b *lcrs.Bin, delta, gamma int, st *partitionState, cuts *[]in
 	return false
 }
 
-// MaxMinSize is Algorithm 3: the largest γ such that b is (δ, γ)-partitionable,
-// found by binary search between the closed-form lower bound and ⌊n/δ⌋.
-// It requires delta ≤ size(b); O(n·log(n/δ)) time.
-func MaxMinSize(b *lcrs.Bin, delta int) int { return maxMinSize(b, delta, &partitionState{}) }
-
+// maxMinSize is Algorithm 3 (MaxMinSize): the largest γ such that b is
+// (δ, γ)-partitionable, found by binary search between the closed-form lower
+// bound and ⌊n/δ⌋, over the caller's scratch. It requires delta ≤ size(b);
+// O(n·log(n/δ)) time.
 func maxMinSize(b *lcrs.Bin, delta int, st *partitionState) int {
 	n := b.Size()
 	if delta > n {
@@ -111,13 +110,11 @@ func maxMinSize(b *lcrs.Bin, delta int, st *partitionState) int {
 	return gammaMin
 }
 
-// Compute runs the paper's partitioning scheme: γ = MaxMinSize(b, δ), then a
+// compute runs the paper's partitioning scheme: γ = MaxMinSize(b, δ), then a
 // δ-partitioning realised by the first δ−1 greedy γ-subtree cuts, with the
-// root component absorbing everything else. It requires delta ≤ size(b).
-func Compute(b *lcrs.Bin, delta int) *Partition { return compute(b, delta, &partitionState{}) }
-
-// compute is Compute over the caller's scratch, shared by the γ search and
-// the cut pass and reusable across trees.
+// root component absorbing everything else. It requires delta ≤ size(b). st
+// is the caller's scratch, shared by the γ search and the cut pass and
+// reusable across trees.
 func compute(b *lcrs.Bin, delta int, st *partitionState) *Partition {
 	gamma := maxMinSize(b, delta, st)
 	cuts := make([]int32, 0, delta-1)
@@ -173,65 +170,4 @@ func assemble(b *lcrs.Bin, delta int, cuts []int32) *Partition {
 		}
 	}
 	return p
-}
-
-// Validate checks the structural invariants of a partition: components are
-// non-empty, connected through binary edges, rooted at Roots, numbered by
-// ascending root postorder rank, and component Delta−1 holds the tree root.
-// Used by tests and safe to call on any partition.
-func (p *Partition) Validate() error {
-	b := p.Bin
-	if len(p.Roots) != p.Delta {
-		return fmt.Errorf("core: partition has %d roots, want %d", len(p.Roots), p.Delta)
-	}
-	for c := 0; c < p.Delta; c++ {
-		if p.Sizes[c] <= 0 {
-			return fmt.Errorf("core: component %d is empty", c)
-		}
-		if p.Comp[p.Roots[c]] != int32(c) {
-			return fmt.Errorf("core: root of component %d labeled %d", c, p.Comp[p.Roots[c]])
-		}
-		if c > 0 && b.Rank[p.Roots[c-1]] >= b.Rank[p.Roots[c]] {
-			return fmt.Errorf("core: component roots out of postorder: %d then %d", c-1, c)
-		}
-	}
-	if p.Roots[p.Delta-1] != b.Tree.Root() {
-		return fmt.Errorf("core: last component root %d is not the tree root", p.Roots[p.Delta-1])
-	}
-	// Every non-component-root node must connect to its binary parent within
-	// the same component; this implies connectivity.
-	rootSet := make(map[int32]bool, p.Delta)
-	for _, r := range p.Roots {
-		rootSet[r] = true
-	}
-	var total int32
-	for id := range p.Comp {
-		n := int32(id)
-		total++
-		if rootSet[n] {
-			continue
-		}
-		par := b.Parent(n)
-		if par == lcrs.None {
-			return fmt.Errorf("core: node %d has no binary parent but is not a component root", n)
-		}
-		if p.Comp[par] != p.Comp[n] {
-			return fmt.Errorf("core: node %d (comp %d) detached from parent %d (comp %d)", n, p.Comp[n], par, p.Comp[par])
-		}
-	}
-	if int(total) != b.Size() {
-		return fmt.Errorf("core: labeled %d of %d nodes", total, b.Size())
-	}
-	return nil
-}
-
-// MinSize returns the size of the smallest component.
-func (p *Partition) MinSize() int {
-	m := p.Sizes[0]
-	for _, s := range p.Sizes[1:] {
-		if s < m {
-			m = s
-		}
-	}
-	return int(m)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -323,4 +324,71 @@ func TestQuickBinaryPostorderPermutation(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// MaxMinSize is Algorithm 3 on fresh scratch.
+func MaxMinSize(b *lcrs.Bin, delta int) int { return maxMinSize(b, delta, &partitionState{}) }
+
+// Compute is the paper's partitioning scheme on fresh scratch.
+func Compute(b *lcrs.Bin, delta int) *Partition { return compute(b, delta, &partitionState{}) }
+
+// Validate checks the structural invariants of a partition: components are
+// non-empty, connected through binary edges, rooted at Roots, numbered by
+// ascending root postorder rank, and component Delta−1 holds the tree root.
+// Safe to call on any partition.
+func (p *Partition) Validate() error {
+	b := p.Bin
+	if len(p.Roots) != p.Delta {
+		return fmt.Errorf("core: partition has %d roots, want %d", len(p.Roots), p.Delta)
+	}
+	for c := 0; c < p.Delta; c++ {
+		if p.Sizes[c] <= 0 {
+			return fmt.Errorf("core: component %d is empty", c)
+		}
+		if p.Comp[p.Roots[c]] != int32(c) {
+			return fmt.Errorf("core: root of component %d labeled %d", c, p.Comp[p.Roots[c]])
+		}
+		if c > 0 && b.Rank[p.Roots[c-1]] >= b.Rank[p.Roots[c]] {
+			return fmt.Errorf("core: component roots out of postorder: %d then %d", c-1, c)
+		}
+	}
+	if p.Roots[p.Delta-1] != b.Tree.Root() {
+		return fmt.Errorf("core: last component root %d is not the tree root", p.Roots[p.Delta-1])
+	}
+	// Every non-component-root node must connect to its binary parent within
+	// the same component; this implies connectivity.
+	rootSet := make(map[int32]bool, p.Delta)
+	for _, r := range p.Roots {
+		rootSet[r] = true
+	}
+	var total int32
+	for id := range p.Comp {
+		n := int32(id)
+		total++
+		if rootSet[n] {
+			continue
+		}
+		par := b.Parent(n)
+		if par == lcrs.None {
+			return fmt.Errorf("core: node %d has no binary parent but is not a component root", n)
+		}
+		if p.Comp[par] != p.Comp[n] {
+			return fmt.Errorf("core: node %d (comp %d) detached from parent %d (comp %d)", n, p.Comp[n], par, p.Comp[par])
+		}
+	}
+	if int(total) != b.Size() {
+		return fmt.Errorf("core: labeled %d of %d nodes", total, b.Size())
+	}
+	return nil
+}
+
+// MinSize returns the size of the smallest component.
+func (p *Partition) MinSize() int {
+	m := p.Sizes[0]
+	for _, s := range p.Sizes[1:] {
+		if s < m {
+			m = s
+		}
+	}
+	return int(m)
 }

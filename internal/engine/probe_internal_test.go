@@ -17,26 +17,23 @@ import (
 // EulerGramTokenizer; a window packs its three symbols instead of hashing
 // them, which changes the keys and not the multiset's shape).
 func refTokenizers() []Tokenizer {
-	labels := NewTokenizer("labels", 2, func(t *tree.Tree) []uint64 {
-		out := make([]uint64, len(t.Nodes))
+	labels := NewTokenizer("labels", 2, func(dst []uint64, t *tree.Tree) []uint64 {
 		for i := range t.Nodes {
-			out[i] = uint64(uint32(t.Nodes[i].Label))
+			dst = append(dst, uint64(uint32(t.Nodes[i].Label)))
 		}
-		return out
+		return dst
 	})
 	const q = 3
-	grams := NewTokenizer("euler-grams/q=3", 4*q, func(t *tree.Tree) []uint64 {
+	grams := NewTokenizer("euler-grams/q=3", 4*q, func(dst []uint64, t *tree.Tree) []uint64 {
 		euler := tree.EulerString(t)
-		if len(euler) < q {
-			return nil
-		}
-		out := make([]uint64, len(euler)-q+1)
-		for w := range out {
+		for w := 0; w+q <= len(euler); w++ {
+			var key uint64
 			for _, v := range euler[w : w+q] {
-				out[w] = out[w]<<21 ^ uint64(uint32(v))
+				key = key<<21 ^ uint64(uint32(v))
 			}
+			dst = append(dst, key)
 		}
-		return out
+		return dst
 	})
 	return []Tokenizer{labels, grams}
 }

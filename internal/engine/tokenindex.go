@@ -3,12 +3,12 @@ package engine
 import (
 	"cmp"
 	"context"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"treejoin/internal/radix"
 	"treejoin/internal/sim"
 	"treejoin/internal/tree"
 )
@@ -87,24 +87,29 @@ type Tokenizer interface {
 	Name() string
 	// Slack returns the constant C of the bag bound.
 	Slack() int
-	// Tokens returns the token multiset of t, in any order.
-	Tokens(t *tree.Tree) []uint64
+	// AppendTokens appends the token multiset of t to dst, in any order, and
+	// returns the extended slice. It may use dst's spare capacity as working
+	// memory: the bag build hands every tree of a worker's run the same
+	// buffer, so a tokenisation that needs no other memory leaves no garbage.
+	AppendTokens(dst []uint64, t *tree.Tree) []uint64
 }
 
 // funcTokenizer adapts a (name, slack, tokens) triple to the interface.
 type funcTokenizer struct {
 	name   string
 	slack  int
-	tokens func(*tree.Tree) []uint64
+	tokens func([]uint64, *tree.Tree) []uint64
 }
 
-func (f funcTokenizer) Name() string                 { return f.name }
-func (f funcTokenizer) Slack() int                   { return f.slack }
-func (f funcTokenizer) Tokens(t *tree.Tree) []uint64 { return f.tokens(t) }
+func (f funcTokenizer) Name() string { return f.name }
+func (f funcTokenizer) Slack() int   { return f.slack }
+func (f funcTokenizer) AppendTokens(dst []uint64, t *tree.Tree) []uint64 {
+	return f.tokens(dst, t)
+}
 
 // NewTokenizer builds a Tokenizer from a name, the bag-bound constant C, and
-// the tokenisation function.
-func NewTokenizer(name string, slack int, tokens func(*tree.Tree) []uint64) Tokenizer {
+// the tokenisation function (AppendTokens).
+func NewTokenizer(name string, slack int, tokens func(dst []uint64, t *tree.Tree) []uint64) Tokenizer {
 	return funcTokenizer{name: name, slack: slack, tokens: tokens}
 }
 
@@ -236,9 +241,18 @@ func (s tokenIndexSource) Tasks(c *Collection) []Task {
 }
 
 // cachedBags returns every tree's token bag through cache, building the
-// missing ones on workers goroutines.
+// missing ones on workers goroutines, each over its own bagScratch.
 func cachedBags(cache *Cache, tz Tokenizer, ts []*tree.Tree, workers int) []*tokenBag {
-	return Cached(cache, tokenBagKey(tz), ts, workers, func(t *tree.Tree) *tokenBag { return buildBag(tz, t) })
+	return cachedBatch(cache, tokenBagKey(tz), ts, workers, func(ts []*tree.Tree) []*tokenBag {
+		var s bagScratch
+		bags := make([]tokenBag, len(ts))
+		out := make([]*tokenBag, len(ts))
+		for i, t := range ts {
+			s.build(&bags[i], tz, t)
+			out[i] = &bags[i]
+		}
+		return out
+	})
 }
 
 // tokenCount is one distinct token of a tree's bag with its multiplicity.
@@ -258,23 +272,39 @@ type tokenBag struct {
 // tokenBagKey names the artifact-cache entry of a tokenisation.
 func tokenBagKey(tz Tokenizer) string { return "tokidx/" + tz.Name() }
 
-func buildBag(tz Tokenizer, t *tree.Tree) *tokenBag {
-	raw := tz.Tokens(t)
+// bagScratch is a bag build's working memory, reused across the trees of a
+// worker's run: the tokenizer's output and the key sort's scatter buffer.
+type bagScratch struct {
+	raw, tmp []uint64
+}
+
+// build fills bag with t's tokens: the raw multiset radix-sorted by key, then
+// run-length coded into a toks slice of exactly the distinct count.
+func (s *bagScratch) build(bag *tokenBag, tz Tokenizer, t *tree.Tree) {
+	raw := tz.AppendTokens(s.raw[:0], t)
+	s.raw = raw
 	if len(raw) == 0 {
-		return &tokenBag{}
+		return
 	}
-	slices.Sort(raw)
-	bag := &tokenBag{total: int32(len(raw)), toks: make([]tokenCount, 0, len(raw))}
-	for lo := 0; lo < len(raw); {
+	if len(s.tmp) < len(raw) {
+		s.tmp = make([]uint64, cap(raw))
+	}
+	radix.Sort(raw, s.tmp)
+	distinct := 1
+	for k := 1; k < len(raw); k++ {
+		if raw[k] != raw[k-1] {
+			distinct++
+		}
+	}
+	bag.total, bag.toks = int32(len(raw)), make([]tokenCount, distinct)
+	for k, lo := 0, 0; lo < len(raw); k++ {
 		hi := lo + 1
 		for hi < len(raw) && raw[hi] == raw[lo] {
 			hi++
 		}
-		bag.toks = append(bag.toks, tokenCount{key: raw[lo], count: int32(hi - lo)})
+		bag.toks[k] = tokenCount{key: raw[lo], count: int32(hi - lo)}
 		lo = hi
 	}
-	bag.toks = slices.Clip(bag.toks)
-	return bag
 }
 
 // idCount is one distinct token of a ranked bag: its id and multiplicity.
@@ -308,8 +338,7 @@ type TokenRanking struct {
 // runs' tables merge into the first's, summing frequencies; the merged
 // tokens sort by (frequency, key), which makes a token's rank independent of
 // where and in what order it was numbered; then each worker renames its
-// entries to their ranks and orders every bag with a radix over the ranks'
-// digits.
+// entries to their ranks and radix-sorts every bag by rank.
 func NewTokenRanking(tz Tokenizer, ts []*tree.Tree, workers int, cache *Cache) *TokenRanking {
 	workers = sim.NormalizeWorkers(workers)
 	rk := &TokenRanking{tz: tz.Name(), slack: tz.Slack(), ts: ts, bags: cachedBags(cache, tz, ts, workers), off: make([]int, len(ts)+1)}
@@ -345,11 +374,6 @@ func NewTokenRanking(tz Tokenizer, ts []*tree.Tree, workers int, cache *Cache) *
 		rank[t.id], rk.keys[r] = int32(r), t.key
 	}
 	rk.ids = int32(len(toks))
-	// The fewest radix passes over digits of at most a byte, the digits as
-	// narrow as those passes allow: fewer buckets to clear per small bag.
-	idBits := bits.Len32(uint32(max(rk.ids-1, 0)))
-	passes := max(1, (idBits+7)/8)
-	digit := (idBits + passes - 1) / passes
 	ForRuns(len(ts), len(runs), func(w, lo, hi int) {
 		local := rank
 		if w > 0 {
@@ -358,48 +382,33 @@ func NewTokenRanking(tz Tokenizer, ts []*tree.Tree, workers int, cache *Cache) *
 				local[l] = rank[g]
 			}
 		}
-		var tmp []idCount
+		count := make([]int32, rk.ids)
+		var keys, tmp []int32
 		for i := lo; i < hi; i++ {
 			bag := rk.bag(i)
-			for k := range bag {
-				bag[k].id = local[bag[k].id]
+			if len(keys) < len(bag) {
+				n := max(len(bag), 2*len(keys))
+				keys, tmp = make([]int32, n), make([]int32, n)
 			}
-			if len(tmp) < len(bag) {
-				tmp = make([]idCount, max(len(bag), 2*len(tmp)))
-			}
-			radixByID(bag, tmp, passes, digit)
+			radixByID(bag, local, count, keys, tmp)
 		}
 	})
 	return rk
 }
 
-// radixByID orders bag ascending by id, ids below 2^(passes·digit), with an
-// LSD radix over digits of digit ≤ 8 bits; tmp (at least bag's length) is its
-// other buffer.
-func radixByID(bag, tmp []idCount, passes, digit int) {
-	src, dst := bag, tmp[:len(bag)]
-	var counts [256]int32
-	at, mask := counts[:1<<digit], int32(1)<<digit-1
-	for p := range passes {
-		shift := digit * p
-		clear(at)
-		for _, e := range src {
-			at[e.id>>shift&mask]++
-		}
-		var sum int32
-		for b, c := range at {
-			at[b] = sum
-			sum += c
-		}
-		for _, e := range src {
-			b := e.id >> shift & mask
-			dst[at[b]] = e
-			at[b]++
-		}
-		src, dst = dst, src
+// radixByID renames bag's entries through rename and orders them ascending
+// by their new ids. A bag's ids are distinct, so the radix sorts the ids
+// alone, and each entry's count waits in count (by new id) meanwhile; keys
+// and tmp (at least bag's length) are the radix's buffers.
+func radixByID(bag []idCount, rename, count, keys, tmp []int32) {
+	keys = keys[:len(bag)]
+	for k, e := range bag {
+		keys[k] = rename[e.id]
+		count[keys[k]] = e.count
 	}
-	if passes%2 == 1 {
-		copy(bag, src)
+	radix.Sort(keys, tmp)
+	for k, id := range keys {
+		bag[k] = idCount{id: id, count: count[id]}
 	}
 }
 

@@ -83,7 +83,7 @@ func stressCollection(n int, bag func(i int) []uint64) (Tokenizer, []*tree.Tree)
 		ts[i] = tree.MustParseBracket("{a}", lt)
 		toks[ts[i]] = bag(i)
 	}
-	return NewTokenizer("stress", 2, func(t *tree.Tree) []uint64 { return slices.Clone(toks[t]) }), ts
+	return NewTokenizer("stress", 2, func(dst []uint64, t *tree.Tree) []uint64 { return append(dst, toks[t]...) }), ts
 }
 
 // TestTokenRankingReference: NewTokenRanking equals referenceRanking field for

@@ -21,6 +21,7 @@ package ted
 import (
 	"slices"
 
+	"treejoin/internal/radix"
 	"treejoin/internal/tree"
 )
 
@@ -102,15 +103,12 @@ func leafCount(t *tree.Tree) int {
 }
 
 // viewScratch is buildView's working memory, grown to the largest tree of a
-// batch: the child links of both traversal directions by node, one
-// traversal's order and ranks, and its stack.
+// batch: the child links of both traversal directions by node, the pre- and
+// postorder, one decomposition's ranks, and the label sort's scatter buffer.
 type viewScratch struct {
 	first, next, last, prev []int32
-	post, rank              []int32
-	stack                   []viewFrame
+	pre, post, rank, tmp    []int32
 }
-
-type viewFrame struct{ node, child int32 }
 
 // buildView fills the view of t, a tree with so many leaves, from
 // block[off:], returning the new offset.
@@ -128,8 +126,8 @@ func (s *viewScratch) buildView(t *tree.Tree, leaves int, block []int32, off int
 	v.SortedLabels = take(n)
 
 	if cap(s.first) < n {
-		cells := make([]int32, 6*n)
-		for i, p := range []*[]int32{&s.first, &s.next, &s.last, &s.prev, &s.post, &s.rank} {
+		cells := make([]int32, 8*n)
+		for i, p := range []*[]int32{&s.first, &s.next, &s.last, &s.prev, &s.pre, &s.post, &s.rank, &s.tmp} {
 			*p = cells[i*n : (i+1)*n : (i+1)*n]
 		}
 	}
@@ -144,45 +142,54 @@ func (s *viewScratch) buildView(t *tree.Tree, leaves int, block []int32, off int
 		}
 		last[id] = p
 	}
+	// One walk along the links gives the preorder and the postorder.
+	pre, post := s.pre[:0], s.post[:0]
+	u := t.Root()
+walk:
+	for {
+		pre = append(pre, u)
+		if first[u] != tree.None {
+			u = first[u]
+			continue
+		}
+		// A leaf: close it and each ancestor whose last child it ends.
+		for next[u] == tree.None {
+			post = append(post, u)
+			if u = t.Nodes[u].Parent; u == tree.None {
+				break walk
+			}
+		}
+		post = append(post, u)
+		u = next[u]
+	}
 	// Left decomposition: standard postorder. Right decomposition: the same
-	// construction over the mirrored postorder — children walked right to
-	// left through the inverted sibling links, decomposition leaf = rightmost
-	// leaf. The strategy costs are n plus the subtree sizes of the nodes with
-	// a sibling before them (left paths) or after them (right paths).
-	before, after := s.decompose(t, first, next, v.Labels, v.Lml, v.Keyroots)
+	// construction over the mirrored postorder, which is the preorder
+	// reversed — children right to left through the inverted sibling links,
+	// decomposition leaf = rightmost leaf. The strategy costs are n plus the
+	// subtree sizes of the nodes with a sibling before them (left paths) or
+	// after them (right paths).
+	slices.Reverse(pre)
+	before, after := s.decompose(t, post, first, next, v.Labels, v.Lml, v.Keyroots)
 	v.CostL, v.CostR = int64(n)+before, int64(n)+after
-	s.decompose(t, last, prev, v.RLabels, v.Rml, v.RKeyroots)
+	s.decompose(t, pre, last, prev, v.RLabels, v.Rml, v.RKeyroots)
 
 	copy(v.SortedLabels, v.Labels)
-	slices.Sort(v.SortedLabels)
+	radix.Sort(v.SortedLabels, s.tmp)
 	return v, off
 }
 
-// decompose fills one decomposition's arrays over the postorder that visits
-// each node's children from first[node] along next: labels and decomposition
-// leaves (a node's is its first child's, which precedes it) by postorder
-// index, and the keyroots in ascending postorder — the root and every node
-// that is not its parent's first child (no later postorder node shares its
-// decomposition leaf). It returns the summed subtree sizes of the nodes that
-// are not their parent's first child, and of those that have a next sibling.
-func (s *viewScratch) decompose(t *tree.Tree, first, next, labels, lml, kr []int32) (notFirst, hasNext int64) {
-	n := len(labels)
-	post, rank := s.post[:0], s.rank[:n]
-	stack := append(s.stack[:0], viewFrame{t.Root(), first[t.Root()]})
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if top.child == tree.None {
-			post = append(post, top.node)
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		c := top.child
-		top.child = next[c]
-		stack = append(stack, viewFrame{c, first[c]})
-	}
-	s.stack = stack
+// decompose fills one decomposition's arrays over order, the postorder that
+// visits each node's children from first[node] along next: labels and
+// decomposition leaves (a node's is its first child's, which precedes it) by
+// postorder index, and the keyroots in ascending postorder — the root and
+// every node that is not its parent's first child (no later postorder node
+// shares its decomposition leaf). It returns the summed subtree sizes of the
+// nodes that are not their parent's first child, and of those that have a
+// next sibling.
+func (s *viewScratch) decompose(t *tree.Tree, order, first, next, labels, lml, kr []int32) (notFirst, hasNext int64) {
+	rank := s.rank[:len(order)]
 	k := 0
-	for i, u := range post {
+	for i, u := range order {
 		rank[u] = int32(i)
 		labels[i] = t.Nodes[u].Label
 		if c := first[u]; c == tree.None {

@@ -1,6 +1,7 @@
 package ted
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -366,5 +367,46 @@ func TestArenaTinyAndEqualTrees(t *testing.T) {
 	want := ZhangShasha(one, big)
 	if d, ok := DistanceBoundedView(vs[0], vs[2], want, s, nil); !ok || d != want {
 		t.Fatalf("leaf vs big at τ=%d: (%d,%v)", want, d, ok)
+	}
+}
+
+// TestSortedLabelsReference: a view's SortedLabels, radix-sorted in the
+// batch's scratch, is its label multiset comparison-sorted — on trees of 1,
+// 2, 16, 17, 63, 64, 65, 257 and 4 096 nodes (a tree has at least one), with
+// labels 0 and 2^31−1, all labels equal, labels sharing their top 16 bits, a
+// small alphabet, and an alphabet far larger than the tree; each shape is one
+// batch, built longest tree first and longest last, so the scratch is reused
+// both ways.
+func TestSortedLabelsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	lt := tree.NewLabelTable()
+	shapes := []struct {
+		name  string
+		label func() int32
+	}{
+		{"extremes", func() int32 { return []int32{0, math.MaxInt32}[rng.Intn(2)] }},
+		{"all equal", func() int32 { return 12345 }},
+		{"shared top 16 bits", func() int32 { return 0x7abc<<16 | rng.Int31n(1<<16) }},
+		{"small alphabet", func() int32 { return rng.Int31n(5) }},
+		{"huge alphabet", func() int32 { return rng.Int31() }},
+	}
+	for _, sh := range shapes {
+		var ts []*tree.Tree
+		for _, n := range []int{1, 2, 16, 17, 63, 64, 65, 257, 4096} {
+			b := tree.NewBuilder(lt)
+			b.RootID(sh.label())
+			for i := 1; i < n; i++ {
+				b.ChildID(int32(rng.Intn(i)), sh.label())
+			}
+			ts = append(ts, b.MustBuild())
+		}
+		for _, order := range []string{"longest last", "longest first"} {
+			for i, v := range BuildViews(ts) {
+				if want := slices.Sorted(slices.Values(v.Labels)); !slices.Equal(v.SortedLabels, want) {
+					t.Fatalf("%s, %s, tree %d (%d nodes): SortedLabels is not the sorted label multiset", sh.name, order, i, v.Size())
+				}
+			}
+			slices.Reverse(ts)
+		}
 	}
 }

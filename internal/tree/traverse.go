@@ -58,29 +58,31 @@ func LabelSeq(t *Tree, order []int32) []int32 {
 // of equal labels stay distinct. Both the EUL baseline's string-edit bound
 // and the PQG baseline's Euler-gram bag bound are stated over this one
 // encoding; see DESIGN.md.
-func EulerString(t *Tree) []int32 {
-	out := make([]int32, 0, 2*t.Size())
-	type frame struct {
-		node  int32
-		child int32 // next child to visit, or None when ascending
-	}
-	stack := make([]frame, 0, 16)
-	root := t.Root()
-	out = append(out, 2*t.Nodes[root].Label)
-	stack = append(stack, frame{root, t.Nodes[root].FirstChild})
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if top.child == None {
-			out = append(out, 2*t.Nodes[top.node].Label+1)
-			stack = stack[:len(stack)-1]
+func EulerString(t *Tree) []int32 { return AppendEuler(make([]int32, 0, 2*t.Size()), t) }
+
+// AppendEuler appends EulerString(t) to dst, as int32 symbols or as the
+// uint64 words a hashing caller works in. It walks the parent and sibling
+// links, so it keeps no stack and allocates only to grow dst.
+func AppendEuler[S ~int32 | ~uint64](dst []S, t *Tree) []S {
+	for u := t.Root(); ; {
+		dst = append(dst, S(2*t.Nodes[u].Label))
+		if c := t.Nodes[u].FirstChild; c != None {
+			u = c
 			continue
 		}
-		c := top.child
-		top.child = t.Nodes[c].NextSibling
-		out = append(out, 2*t.Nodes[c].Label)
-		stack = append(stack, frame{c, t.Nodes[c].FirstChild})
+		// Close u and every ancestor whose last child it ends, then open
+		// the next sibling.
+		for {
+			dst = append(dst, S(2*t.Nodes[u].Label+1))
+			if s := t.Nodes[u].NextSibling; s != None {
+				u = s
+				break
+			}
+			if u = t.Nodes[u].Parent; u == None {
+				return dst
+			}
+		}
 	}
-	return out
 }
 
 // Depths returns the depth of every node (root depth is 0), indexed by node

@@ -2,6 +2,7 @@ package tree_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"treejoin/internal/tree"
@@ -109,6 +110,39 @@ func TestLabelSeq(t *testing.T) {
 	for i, id := range seq {
 		if lt.Name(id) != want[i] {
 			t.Fatalf("seq[%d] = %q, want %q", i, lt.Name(id), want[i])
+		}
+	}
+}
+
+// TestAppendEuler: the link walk's tour equals a recursive one (open symbol
+// 2L, the children's tours, close symbol 2L+1) on random trees, as int32
+// symbols and as uint64 words, appended after what dst already holds.
+func TestAppendEuler(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	lt := tree.NewLabelTable()
+	for iter := 0; iter < 200; iter++ {
+		tr := randomTree(rng, 40, 5, lt)
+		var want []int32
+		var tour func(n int32)
+		tour = func(n int32) {
+			want = append(want, 2*tr.Nodes[n].Label)
+			for c := tr.Nodes[n].FirstChild; c != tree.None; c = tr.Nodes[c].NextSibling {
+				tour(c)
+			}
+			want = append(want, 2*tr.Nodes[n].Label+1)
+		}
+		tour(tr.Root())
+		if got := tree.EulerString(tr); !slices.Equal(got, want) {
+			t.Fatalf("iter %d: EulerString %v, want %v", iter, got, want)
+		}
+		words := tree.AppendEuler([]uint64{7}, tr)
+		if len(words) != 1+len(want) || words[0] != 7 {
+			t.Fatalf("iter %d: AppendEuler kept %d words of a %d-symbol tour", iter, len(words), len(want))
+		}
+		for i, w := range words[1:] {
+			if w != uint64(want[i]) {
+				t.Fatalf("iter %d: word %d is %d, want %d", iter, i, w, want[i])
+			}
 		}
 	}
 }
