@@ -1,6 +1,7 @@
 package treejoin
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"treejoin/internal/core"
 	"treejoin/internal/engine"
@@ -82,8 +84,9 @@ type corpusState struct {
 // part is one cell of a state's partition: its trees and their ids, in
 // ascending id (so in the order the state holds them), and per threshold the
 // frozen PartSJ index over exactly those trees — what Search and KNN probe and
-// a state's composed index is put together from, built by whoever asks first. A part is immutable: a mutation gives the parts it
-// touches new ones and carries the others over by pointer. An index is
+// a state's composed index is put together from, built by whoever asks
+// first. A part is immutable: a mutation gives the parts it touches new ones
+// and carries the others over by pointer. An index is
 // therefore reachable only from the membership it covers — a query pinned to a
 // pre-Remove state finds that state's indexes, a query on the new state can
 // never find them, and an untouched part keeps its indexes across epochs.
@@ -137,22 +140,18 @@ func (st *corpusState) indexAt(ctx context.Context, tau, workers int, owner *Cor
 	return ix, partBuilt || ran && len(st.parts) > 1, err
 }
 
-// tokenResolver is the token-index source's hook for a join the state
-// receives: its frozen index for (tokenizer, τ), built by whichever join
-// asks first and shared by every later one (STR, EUL and PQG tokenise alike,
-// so they share), over the tokenizer's one ranking of the state's cached bags.
-func (st *corpusState) tokenResolver(cache *engine.Cache, workers int) engine.TokenIndexResolver {
-	return func(ctx context.Context, tz engine.Tokenizer, tau int) (*engine.PrefixIndex, bool) {
-		x, built, _ := st.tokens.Get(ctx, tokenIndexKey{tz.Name(), tau}, func() *engine.PrefixIndex {
-			return engine.NewPrefixIndex(func() *engine.TokenRanking {
-				rk, _, _ := st.ranks.Get(context.WithoutCancel(ctx), tz.Name(), func() *engine.TokenRanking {
-					return engine.NewTokenRanking(tz, st.ts, workers, cache)
-				})
-				return rk
-			}, tau)
+// tokenIndex returns the state's frozen token index for (tz, τ), built by
+// whichever join asks first and shared by every later one (STR, EUL and PQG
+// tokenise alike, so they share), over the tokenizer's one ranking of the
+// state's bags, drawn through cache. built reports that this call paid for
+// the build.
+func (st *corpusState) tokenIndex(ctx context.Context, tz engine.Tokenizer, tau, workers int, cache *engine.Cache) (x *engine.PrefixIndex, built bool, err error) {
+	return st.tokens.Get(ctx, tokenIndexKey{tz.Name(), tau}, func() *engine.PrefixIndex {
+		rk, _, _ := st.ranks.Get(context.WithoutCancel(ctx), tz.Name(), func() *engine.TokenRanking {
+			return engine.NewTokenRanking(tz, st.ts, workers, cache)
 		})
-		return x, built
-	}
+		return engine.NewPrefixIndex(rk, tau)
+	})
 }
 
 // posOf returns the position of the tree with the given id. Ids are assigned
@@ -620,6 +619,7 @@ type joinQuery struct {
 	c     config
 	a, b  *corpusState
 	job   engine.Job
+	tz    engine.Tokenizer // the method's token-index tokenizer; nil without one
 	cache *engine.Cache
 }
 
@@ -655,28 +655,56 @@ func (cp *Corpus) crossQuery(other *Corpus, tau int, c config) (*joinQuery, erro
 	return q, q.plan(tau)
 }
 
-// plan assembles the query's pipeline, its candidate source bound to a's
-// frozen indexes: PartSJ's through core.Options.Indexes, a signature method's
-// token index through a's resolver.
+// plan assembles the query's pipeline. Its source gets the index it probes
+// only when the query runs (stream), so planning builds nothing.
 func (q *joinQuery) plan(tau int) (err error) {
-	q.job, _, err = q.c.pipelineChecked(tau, q.indexes, q.a.tokenResolver(q.cache, q.c.workers))
+	q.job, q.tz, err = q.c.pipelineChecked(tau)
 	q.job.Cache = q.cache
 	return err
 }
 
-// indexes is the core.Options.Indexes hook: a's index, where every other
-// join at this epoch and threshold finds the same instance.
-func (q *joinQuery) indexes(ctx context.Context, tau int) (*core.Index, bool) {
-	ix, built, _ := q.a.indexAt(ctx, tau, q.c.workers, q.cp)
-	return ix, built
-}
-
-// stream runs the join, streaming each verified pair to sink.
+// stream runs the join, streaming each verified pair to sink. It first hands
+// the source the index it probes: a's, for the method and threshold, where
+// every other join at this epoch finds the same instance. A build this call
+// paid for is charged to the run's Stats. A run whose context is already
+// done, or that has nothing to probe, resolves nothing.
 func (q *joinQuery) stream(ctx context.Context, sink sim.EmitFunc) (*sim.Stats, error) {
-	if q.b == nil {
-		return q.job.StreamSelf(ctx, q.a.ts, sink)
+	job, tau, workers := q.job, q.job.Tau, q.c.workers
+	var build time.Duration
+	var err error
+	if ctx.Err() == nil && len(q.a.ts) > 0 && (q.b == nil || len(q.b.ts) > 0) {
+		start, built := time.Now(), false
+		switch {
+		case q.tz != nil:
+			var x *engine.PrefixIndex
+			x, built, err = q.a.tokenIndex(ctx, q.tz, tau, workers, q.cache)
+			job.Source = engine.TokenIndex(q.tz, x)
+		case q.c.method == MethodPartSJ:
+			var x *core.Index
+			x, built, err = q.a.indexAt(ctx, tau, workers, q.cp)
+			job.Source = core.NewSource(x)
+		}
+		if built {
+			build = time.Since(start)
+		}
 	}
-	return q.job.StreamJoin(ctx, q.a.ts, q.b.ts, sink)
+	var stats *sim.Stats
+	var runErr error
+	if q.b == nil {
+		stats, runErr = job.StreamSelf(ctx, q.a.ts, sink)
+	} else {
+		stats, runErr = job.StreamJoin(ctx, q.a.ts, q.b.ts, sink)
+	}
+	// The build is candidate generation's wall time, and a breakdown of the
+	// token index's CandTime or of PartSJ's PartitionTime (Stats).
+	stats.IndexBuildTime += build
+	stats.CandWall += build
+	if q.tz != nil {
+		stats.CandTime += build
+	} else {
+		stats.PartitionTime += build
+	}
+	return stats, cmp.Or(err, runErr)
 }
 
 // collect runs the query to its end: the pairs in canonical order, or on
@@ -894,7 +922,7 @@ func (cp *Corpus) Incremental(tau int, opts ...Option) (*Incremental, error) {
 		}
 		return nil
 	})
-	return core.NewIncrementalCached(c.coreOptions(tau), cache), nil
+	return core.NewIncrementalCached(core.Options{Tau: tau, Workers: c.workers}, cache), nil
 }
 
 // queryConfig validates a query tree and the options of an index-backed

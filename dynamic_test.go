@@ -203,21 +203,6 @@ func TestCorpusDynamicTokenIndex(t *testing.T) {
 		t.Fatalf("warm dynamic join recomputed %d signatures", now.Misses-base.Misses)
 	}
 
-	// Degenerate thresholds (τ at the largest tree's size) keep the
-	// sorted-loop fallback even on a mutated corpus — no index is built or
-	// probed in a regime where it cannot help.
-	maxSize := 0
-	for i := 0; i < cp.Len(); i++ {
-		if s := cp.Tree(i).Size(); s > maxSize {
-			maxSize = s
-		}
-	}
-	if _, _, err := cp.SelfJoin(ctx, maxSize, treejoin.WithMethod(treejoin.MethodSTR), treejoin.WithStats(&st)); err != nil {
-		t.Fatal(err)
-	}
-	if st.Source != "sorted-loop" {
-		t.Fatalf("degenerate τ source = %q, want sorted-loop", st.Source)
-	}
 }
 
 // TestCorpusEvictionNotUndone: a snapshot re-running queries after the

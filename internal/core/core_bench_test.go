@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -152,23 +151,23 @@ func BenchmarkIndexProbe(b *testing.B) {
 // BenchmarkSelfJoinWorkers times whole PartSJ self joins of a Swissprot-profile
 // collection, per-tree artifacts warm, across worker counts: cold-index joins
 // build the subgraph index and probe it (a corpus's first join at a
-// threshold), warm-index joins resolve it ready-made (every later one).
+// threshold), warm-index joins probe it ready-made (every later one).
 func BenchmarkSelfJoinWorkers(b *testing.B) {
 	ts := synth.Swissprot(2000, 11)
 	for _, tau := range []int{2, 3} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			cache := engine.NewCache()
 			opts := Options{Tau: tau, Workers: workers}
-			shared := NewIndexCached(ts, opts, cache)
+			job := partSJJob(opts, NewIndexCached(ts, opts, cache))
+			job.Cache = cache
+			job.SelfJoin(ts) // the verifier's views
 			for _, mode := range []string{"cold-index", "warm-index"} {
-				if mode == "warm-index" {
-					opts.Indexes = func(context.Context, int) (*Index, bool) { return shared, false }
-				}
-				job := partSJJob(opts)
-				job.Cache = cache
-				job.SelfJoin(ts) // the verifier's views
 				b.Run(fmt.Sprintf("tau=%d/workers=%d/%s", tau, workers, mode), func(b *testing.B) {
+					job := job
 					for i := 0; i < b.N; i++ {
+						if mode == "cold-index" {
+							job.Source = NewSource(NewIndexCached(ts, opts, cache))
+						}
 						job.SelfJoin(ts)
 					}
 				})
@@ -196,7 +195,7 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 			b.Run(fmt.Sprintf("tau=%d/%s", tau, m.name), func(b *testing.B) {
 				var st *sim.Stats
 				for i := 0; i < b.N; i++ {
-					_, st = partSJJob(withIndex(opts, m.build())).SelfJoin(ts)
+					_, st = partSJJob(opts, m.build()).SelfJoin(ts)
 				}
 				b.ReportMetric(float64(st.Candidates), "cand/op")
 				b.ReportMetric(float64(st.Results), "res/op")

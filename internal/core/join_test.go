@@ -22,10 +22,16 @@ import (
 // partitioning ablation, the counters, the verifier seam and the edges of the
 // package's own entry points.
 
-// partSJJob is the engine job of a PartSJ join (NewSource) behind the given
-// prefilters, with o's threshold, verifier and workers.
-func partSJJob(o Options, filters ...engine.PairFilter) engine.Job {
-	return engine.Job{Source: NewSource(o), Filters: filters, Tau: o.Tau, Verifier: o.Verifier, Workers: o.Workers}
+// partSJJob is the engine job of a PartSJ join probing x (NewSource) behind
+// the given prefilters, with o's threshold, verifier and workers.
+func partSJJob(o Options, x *Index, filters ...engine.PairFilter) engine.Job {
+	return engine.Job{Source: NewSource(x), Filters: filters, Tau: o.Tau, Verifier: o.Verifier, Workers: o.Workers}
+}
+
+// partSJSelfJoin is the PartSJ self join of ts under o, on an index built for
+// it.
+func partSJSelfJoin(ts []*tree.Tree, o Options) ([]sim.Pair, *sim.Stats) {
+	return partSJJob(o, NewIndexCached(ts, o, nil)).SelfJoin(ts)
 }
 
 // loopJoin is a baseline's self join: the sorted nested loop feeding filters;
@@ -56,30 +62,24 @@ func randomIndex(ts []*tree.Tree, tau int, seed int64) *Index {
 	})
 }
 
-// withIndex returns o with a resolver that hands the source x, unbuilt.
-func withIndex(o Options, x *Index) Options {
-	o.Indexes = func(context.Context, int) (*Index, bool) { return x, false }
-	return o
-}
-
 // TestJoinMethodsAgreeWithOracle holds PartSJ to the brute-force join at
-// every threshold 0..4, over the balanced partitions and over random ones
-// handed to the source through Options.Indexes: Lemma 2 holds for any
-// δ-partitioning, so both return exactly the oracle's result set.
+// every threshold 0..4, over the balanced partitions and over random ones:
+// Lemma 2 holds for any δ-partitioning, so both return exactly the oracle's
+// result set. The source probes the index it is handed and charges no build.
 func TestJoinMethodsAgreeWithOracle(t *testing.T) {
 	for c, ts := range testCollections(48) {
 		for tau := 0; tau <= 4; tau++ {
 			want, _ := loopJoin(ts, tau)
-			for name, opts := range map[string]Options{
-				"PRT":        {Tau: tau},
-				"PRT-random": withIndex(Options{Tau: tau}, randomIndex(ts, tau, 99)),
+			for name, x := range map[string]*Index{
+				"PRT":        NewIndexCached(ts, Options{Tau: tau}, nil),
+				"PRT-random": randomIndex(ts, tau, 99),
 			} {
-				got, st := partSJJob(opts).SelfJoin(ts)
+				got, st := partSJJob(Options{Tau: tau}, x).SelfJoin(ts)
 				if !slices.Equal(got, want) {
 					t.Errorf("collection %d %s τ=%d: %d pairs, oracle %d\n got: %v\nwant: %v", c, name, tau, len(got), len(want), got, want)
 				}
-				if (st.IndexBuildTime == 0) != (opts.Indexes != nil) {
-					t.Fatalf("collection %d %s τ=%d: build time %v; only the run without a resolver builds", c, name, tau, st.IndexBuildTime)
+				if st.IndexBuildTime != 0 || st.PartitionTime != 0 {
+					t.Fatalf("collection %d %s τ=%d: build time %v, partition time %v; the source builds nothing", c, name, tau, st.IndexBuildTime, st.PartitionTime)
 				}
 			}
 		}
@@ -92,7 +92,7 @@ func TestJoinStatsSanity(t *testing.T) {
 	for c, ts := range testCollections(24) {
 		for tau := 1; tau <= 3; tau++ {
 			_, bfStats := loopJoin(ts, tau)
-			pairs, st := partSJJob(Options{Tau: tau}).SelfJoin(ts)
+			pairs, st := partSJSelfJoin(ts, Options{Tau: tau})
 			if st.Results != int64(len(pairs)) {
 				t.Fatalf("Results stat %d != %d", st.Results, len(pairs))
 			}
@@ -112,11 +112,11 @@ func TestJoinStatsSanity(t *testing.T) {
 
 func TestSelfJoinEdgeCases(t *testing.T) {
 	lt := tree.NewLabelTable()
-	if pairs, st := partSJJob(Options{Tau: 2}).SelfJoin(nil); len(pairs) != 0 || st.Results != 0 {
+	if pairs, st := partSJSelfJoin(nil, Options{Tau: 2}); len(pairs) != 0 || st.Results != 0 {
 		t.Fatal("empty collection should produce no pairs")
 	}
 	one := []*tree.Tree{tree.MustParseBracket("{a}", lt)}
-	if pairs, _ := partSJJob(Options{Tau: 3}).SelfJoin(one); len(pairs) != 0 {
+	if pairs, _ := partSJSelfJoin(one, Options{Tau: 3}); len(pairs) != 0 {
 		t.Fatal("single tree should produce no pairs")
 	}
 	// τ = 0: exactly the duplicate pairs.
@@ -126,7 +126,7 @@ func TestSelfJoinEdgeCases(t *testing.T) {
 		tree.MustParseBracket("{a{c}}", lt),
 		tree.MustParseBracket("{a{b}}", lt),
 	}
-	if pairs, _ := partSJJob(Options{Tau: 0}).SelfJoin(dups); !slices.Equal(pairs, []sim.Pair{{I: 0, J: 1}, {I: 0, J: 3}, {I: 1, J: 3}}) {
+	if pairs, _ := partSJSelfJoin(dups, Options{Tau: 0}); !slices.Equal(pairs, []sim.Pair{{I: 0, J: 1}, {I: 0, J: 3}, {I: 1, J: 3}}) {
 		t.Fatalf("τ=0 pairs = %v", pairs)
 	}
 	// All trees smaller than δ: everything flows through the small-tree path.
@@ -136,7 +136,7 @@ func TestSelfJoinEdgeCases(t *testing.T) {
 		tree.MustParseBracket("{a{b}}", lt),
 		tree.MustParseBracket("{a{c}}", lt),
 	}
-	got, st := partSJJob(Options{Tau: 2}).SelfJoin(tiny)
+	got, st := partSJSelfJoin(tiny, Options{Tau: 2})
 	oracle, _ := loopJoin(tiny, 2)
 	if !slices.Equal(got, oracle) {
 		t.Fatalf("tiny join = %v, oracle %v", got, oracle)
@@ -154,7 +154,7 @@ func TestSelfJoinPanicsOnNegativeTau(t *testing.T) {
 			t.Fatal("no panic on τ < 0")
 		}
 	}()
-	partSJJob(Options{Tau: -1}).SelfJoin(nil)
+	partSJJob(Options{Tau: -1}, nil).SelfJoin(nil)
 }
 
 // TestShardedInvalidOptions: a malformed threshold comes back from the
@@ -162,7 +162,7 @@ func TestSelfJoinPanicsOnNegativeTau(t *testing.T) {
 // network-facing callers (a bad request must not crash a server).
 func TestShardedInvalidOptions(t *testing.T) {
 	emitted := 0
-	stats, err := partSJJob(Options{Tau: -3, Workers: 2}).StreamSelf(context.Background(), synth.Synthetic(10, 7), func(sim.Pair) bool {
+	stats, err := partSJJob(Options{Tau: -3, Workers: 2}, nil).StreamSelf(context.Background(), synth.Synthetic(10, 7), func(sim.Pair) bool {
 		emitted++
 		return true
 	})
@@ -185,7 +185,7 @@ func TestCustomVerifierInjection(t *testing.T) {
 		calls++
 		return ted.DistanceBounded(t1, t2, tau)
 	}
-	pairs, st := partSJJob(Options{Tau: 2, Verifier: v}).SelfJoin(ts)
+	pairs, st := partSJSelfJoin(ts, Options{Tau: 2, Verifier: v})
 	if int64(calls) != st.Candidates {
 		t.Fatalf("verifier calls %d != candidates %d", calls, st.Candidates)
 	}
@@ -202,7 +202,7 @@ func TestCustomVerifierInjection(t *testing.T) {
 func TestVerifierFailureInjection(t *testing.T) {
 	ts := synth.Synthetic(40, 41)
 	rejectAll := func(a, b *tree.Tree, tau int) (int, bool) { return tau + 1, false }
-	pairs, st := partSJJob(Options{Tau: 2, Verifier: rejectAll}).SelfJoin(ts)
+	pairs, st := partSJSelfJoin(ts, Options{Tau: 2, Verifier: rejectAll})
 	if len(pairs) != 0 {
 		t.Fatalf("reject-all verifier produced %d pairs", len(pairs))
 	}
@@ -210,7 +210,7 @@ func TestVerifierFailureInjection(t *testing.T) {
 		t.Fatal("no candidates reached the verifier")
 	}
 	acceptAll := func(a, b *tree.Tree, tau int) (int, bool) { return 0, true }
-	pairs, st = partSJJob(Options{Tau: 2, Verifier: acceptAll}).SelfJoin(ts)
+	pairs, st = partSJSelfJoin(ts, Options{Tau: 2, Verifier: acceptAll})
 	if int64(len(pairs)) != st.Candidates {
 		t.Fatalf("accept-all: %d pairs vs %d candidates", len(pairs), st.Candidates)
 	}
@@ -332,7 +332,7 @@ func ExampleNewSource() {
 		tree.MustParseBracket("{article{title{Go!}}{year{2015}}}", lt),
 		tree.MustParseBracket("{book{title{SQL}}{year{1999}}}", lt),
 	}
-	pairs, _ := engine.Job{Source: NewSource(Options{Tau: 1}), Tau: 1}.SelfJoin(ts)
+	pairs, _ := engine.Job{Source: NewSource(NewIndexCached(ts, Options{Tau: 1}, nil)), Tau: 1}.SelfJoin(ts)
 	for _, p := range pairs {
 		fmt.Printf("trees %d and %d are within distance %d\n", p.I, p.J, p.Dist)
 	}

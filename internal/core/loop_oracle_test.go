@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"maps"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -140,8 +138,7 @@ func clusteredTrees(rng *rand.Rand, n int, lt *tree.LabelTable) []*tree.Tree {
 // with and without a HIST prefilter, on 1, 2 and 8 workers (and more probe
 // chunks than that), the frozen-index source hands the verifier the candidate
 // multiset the sequential loop produces, and reports its four index counters
-// and its small-tree count. A corpus-style resolver that serves one index to every
-// run must change nothing.
+// and its small-tree count. One index, built once, serves every run.
 func TestProbesAgreeWithSequentialLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1307))
 	lt := tree.NewLabelTable()
@@ -174,24 +171,12 @@ func TestProbesAgreeWithSequentialLoop(t *testing.T) {
 				}
 				want.run()
 
-				// One resolver for all worker counts: the first run builds
-				// the indexed side's index, the rest must find and accept
-				// it.
-				var shared *Index
-				builds := 0
-				opts.Indexes = func(_ context.Context, tau int) (*Index, bool) {
-					if shared != nil {
-						return shared, false
-					}
-					indexed := ts
-					if split >= 0 {
-						indexed = ts[:split]
-					}
-					o := opts
-					o.Workers = 2
-					shared = NewIndexCached(indexed, o, nil)
-					builds++
-					return shared, true
+				// One index for all worker counts, built once.
+				o := opts
+				o.Workers = 2
+				x := NewIndexCached(ts, o, nil)
+				if split >= 0 {
+					x = NewIndexCached(ts[:split], o, nil)
 				}
 				for _, workers := range []int{1, 2, 8} {
 					name := fmt.Sprintf("iter %d split %d τ=%d hist=%v workers=%d", iter, split, tau, hist, workers)
@@ -205,7 +190,7 @@ func TestProbesAgreeWithSequentialLoop(t *testing.T) {
 						mu.Unlock()
 						return 0, false
 					}
-					job := partSJJob(opts, filters...)
+					job := partSJJob(opts, x, filters...)
 					var st *sim.Stats
 					if split < 0 {
 						_, st = job.SelfJoin(ts)
@@ -222,42 +207,8 @@ func TestProbesAgreeWithSequentialLoop(t *testing.T) {
 							st.SubgraphProbes, st.MatchTests, st.MatchHits, st.IndexedSubgraphs, st.SmallTreeFallback,
 							w.SubgraphProbes, w.MatchTests, w.MatchHits, w.IndexedSubgraphs, w.SmallTreeFallback)
 					}
-					if (st.IndexBuildTime > 0) != (workers == 1) {
-						t.Fatalf("%s: IndexBuildTime %v; only the first run builds", name, st.IndexBuildTime)
-					}
-				}
-				if builds != 1 {
-					t.Fatalf("iter %d: %d index builds", iter, builds)
 				}
 			}
-		}
-	}
-}
-
-// TestForeignIndexIsNotProbed: a resolver that hands back an index over other
-// trees — fewer, or equal copies of them — or at another threshold, is
-// ignored: the run builds its own.
-func TestForeignIndexIsNotProbed(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	lt := tree.NewLabelTable()
-	ts := clusteredTrees(rng, 60, lt)
-	want, _ := partSJJob(Options{Tau: 2}).SelfJoin(ts)
-	copies := make([]*tree.Tree, len(ts))
-	for i, t := range ts {
-		copies[i] = t.Clone()
-	}
-	for name, foreign := range map[string]*Index{
-		"other trees":     NewIndexCached(ts[:59], Options{Tau: 2}, nil),
-		"other threshold": NewIndexCached(ts, Options{Tau: 1}, nil),
-		"copies":          NewIndexCached(copies, Options{Tau: 2}, nil),
-	} {
-		opts := Options{Tau: 2, Indexes: func(context.Context, int) (*Index, bool) { return foreign, false }}
-		got, st := partSJJob(opts).SelfJoin(ts)
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: a foreign index changed the result", name)
-		}
-		if st.IndexBuildTime == 0 {
-			t.Fatalf("%s: no private index was built", name)
 		}
 	}
 }

@@ -35,7 +35,6 @@ type Index struct {
 	cache  *engine.Cache
 	ix     *invIndex
 	smalls []int32 // trees below δ nodes, ascending (size, position)
-	built  time.Duration
 	// views holds the default verifier's arena views beside ts in the index
 	// an Incremental grows; nil in a frozen index, whose probes draw them
 	// from the cache.
@@ -88,7 +87,6 @@ func NewIndexCached(ts []*tree.Tree, opts Options, cache *engine.Cache) *Index {
 // the δ-partition of tree i of at least δ nodes; the smaller trees go to the
 // small-tree list.
 func newIndex(ts []*tree.Tree, opts Options, cache *engine.Cache, workers int, part func(i int, st *partitionState) *Partition) *Index {
-	start := time.Now()
 	x := &Index{opts: opts, ts: ts, cache: cache}
 	delta := opts.delta()
 	x.ix = buildInvIndex(opts.Tau, len(ts), workers, func(i int, st *partitionState) *Partition {
@@ -103,7 +101,6 @@ func newIndex(ts []*tree.Tree, opts Options, cache *engine.Cache, workers int, p
 		}
 	}
 	slices.SortStableFunc(x.smalls, func(a, b int32) int { return cmp.Compare(ts[a].Size(), ts[b].Size()) })
-	x.built = time.Since(start)
 	return x
 }
 
@@ -119,7 +116,6 @@ func Compose(ts []*tree.Tree, at [][]int32, part func(k int) *Index) *Index {
 	if len(at) == 1 {
 		return part(0)
 	}
-	start := time.Now()
 	x := &Index{ts: ts}
 	runs := make([]*invIndex, len(at))
 	for k := range at {
@@ -131,15 +127,7 @@ func Compose(ts []*tree.Tree, at [][]int32, part func(k int) *Index) *Index {
 	}
 	x.ix = concat(x.opts.Tau, runs, at)
 	slices.SortFunc(x.smalls, func(a, b int32) int { return cmp.Or(cmp.Compare(ts[a].Size(), ts[b].Size()), cmp.Compare(a, b)) })
-	x.built = time.Since(start)
 	return x
-}
-
-// covers reports whether the index was built over exactly ts, in order, at
-// threshold tau: the check that keeps a resolver's index from answering for
-// another membership.
-func (x *Index) covers(ts []*tree.Tree, tau int) bool {
-	return x.opts.Tau == tau && slices.Equal(ts, x.ts)
 }
 
 // searchCtxStride bounds how many probe nodes run between context checks.

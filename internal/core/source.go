@@ -2,12 +2,10 @@ package core
 
 import (
 	"strconv"
-	"sync"
 	"time"
 
 	"treejoin/internal/engine"
 	"treejoin/internal/lcrs"
-	"treejoin/internal/sim"
 	"treejoin/internal/tree"
 )
 
@@ -15,15 +13,15 @@ import (
 // its index while it joins — probe tree k, insert tree k — which makes the
 // loop one task and the index a by-product thrown away with the run. Here the
 // index over a collection is built once, frozen, and shared (a corpus keeps
-// it per epoch and threshold, for Search and KNN as much as for joins; see
-// Options.Indexes), and the probing trees are cut into contiguous chunks that
-// probe it from every worker at once. A self join's probe at order position k
-// admits a posting only if its tree comes before k in the order
-// (Collection.Bound's tie), so each probe sees precisely the postings the
-// on-the-fly index held when Algorithm 1 reached it: candidates and the
-// probe, match-test, match-hit and indexed-subgraph counters are those of the
-// sequential loop, whatever the chunking. (The loop itself survives in the
-// tests, as the oracle.)
+// it per epoch and threshold, for Search and KNN as much as for joins, and
+// hands a join the one it probes), and the probing trees are cut into
+// contiguous chunks that probe it from every worker at once. A self join's
+// probe at order position k admits a posting only if its tree comes before k
+// in the order (Collection.Bound's tie), so each probe sees precisely the
+// postings the on-the-fly index held when Algorithm 1 reached it: candidates
+// and the probe, match-test, match-hit and indexed-subgraph counters are those
+// of the sequential loop, whatever the chunking. (The loop itself survives in
+// the tests, as the oracle.)
 //
 // A cross join indexes its receiver A alone and builds nothing for the
 // partner B: Lemma 2 holds whichever tree is partitioned, so every tree of B
@@ -36,82 +34,46 @@ import (
 // subgraph entries are ever match-tested — a cheap statistics screen (HIST)
 // thus saves both match and verification work.
 
-// NewSource returns the PartSJ inverted-subgraph-index candidate source
-// configured by opts (the verification fields are ignored here; the engine
-// owns them): Algorithm 1's candidates, the self join's pairs and a cross
-// join's, each tree of the second side probing the first side's index so the
-// Lemma 2 filter applies to cross pairs exactly as to self pairs. Trees
-// smaller than δ = 2τ+1 nodes cannot be δ-partitioned (a δ-partitioning needs
-// 2τ distinct edges); the paper does not discuss them. They are kept in a side
-// list and paired by direct verification, which is cheap precisely because
-// such trees are tiny. opts.Tau must not be negative.
-func NewSource(opts Options) engine.CandidateSource { return partSJSource{opts: opts} }
+// NewSource returns the PartSJ inverted-subgraph-index candidate source that
+// probes ix, the index of the run's indexed side (a self join's collection, a
+// cross join's first one) at the run's threshold: Algorithm 1's candidates,
+// the self join's pairs and a cross join's, each tree of the second side
+// probing the first side's index so the Lemma 2 filter applies to cross pairs
+// exactly as to self pairs. Trees smaller than δ = 2τ+1 nodes cannot be
+// δ-partitioned (a δ-partitioning needs 2τ distinct edges); the paper does not
+// discuss them. The index keeps them in a side list, paired by direct
+// verification, which is cheap precisely because such trees are tiny. A nil ix
+// offers nothing, for a run that has no index to probe.
+func NewSource(ix *Index) engine.CandidateSource { return partSJSource{ix: ix} }
 
-type partSJSource struct{ opts Options }
+type partSJSource struct{ ix *Index }
 
 func (s partSJSource) Name() string { return "partsj" }
 
 // Tasks cuts the probing trees into contiguous chunks of about equal node
 // counts (engine.ProbeChunks).
 func (s partSJSource) Tasks(c *engine.Collection) []engine.Task {
-	run := &probeRun{c: c, opts: s.opts}
-	return engine.ProbeChunks(c, func(ti int) int { return c.Trees[ti].Size() }, run.probe)
-}
-
-// probeRun is what the probe tasks of one join share: the frozen index of the
-// indexed side, resolved by whichever task runs first.
-type probeRun struct {
-	c    *engine.Collection
-	opts Options
-	once sync.Once
-	ix   *Index
-}
-
-// resolve fetches the indexed side's index from the resolver, or builds a
-// private one on the run's workers when there is no resolver or the
-// resolver's index is not over exactly those trees. It leaves ix nil when the
-// run is cancelled first.
-func (r *probeRun) resolve(stats *sim.Stats) {
-	c, ts := r.c, r.c.Trees[:len(r.c.Order)]
-	var x *Index
-	built := false
-	if r.opts.Indexes != nil {
-		if x, built = r.opts.Indexes(c.Context(), r.opts.Tau); x != nil && !x.covers(ts, r.opts.Tau) {
-			x, built = nil, false
-		}
+	if s.ix == nil {
+		return nil
 	}
-	if x == nil {
-		if c.Cancelled() {
-			return
-		}
-		o := r.opts
-		o.Workers = c.Workers
-		x, built = NewIndexCached(ts, o, c.Cache()), true
-	}
-	if built {
-		stats.IndexBuildTime += x.built
-		stats.PartitionTime += x.built
-	}
-	stats.IndexedSubgraphs += x.ix.n
-	r.ix = x
+	return engine.ProbeChunks(c, func(ti int) int { return c.Trees[ti].Size() }, s.probe)
 }
 
 // probe gathers, for each probing tree at positions [lo, hi) of Probes, its
 // candidate partners in the index up to the collection's Bound
 // (Index.partners), the filter chain screening each pair before any
-// subgraph-match test.
-func (r *probeRun) probe(px *engine.Pipeline, lo, hi int) {
-	stats := px.Stats()
-	r.once.Do(func() { r.resolve(stats) })
-	if r.ix == nil {
-		return
+// subgraph-match test. The first chunk counts the index's subgraphs, once per
+// run.
+func (s partSJSource) probe(px *engine.Pipeline, lo, hi int) {
+	stats, c := px.Stats(), px.Collection()
+	if lo == 0 {
+		stats.IndexedSubgraphs += s.ix.ix.n
 	}
 	start := time.Now()
-	c := r.c
 	for _, ti := range c.Probes[lo:hi] {
 		top, tie := c.Bound(ti)
 		b := cachedBin(c.Cache(), c.Trees[ti])
-		if r.ix.partners(c.Context(), b, top, int32(tie), stats,
+		if s.ix.partners(c.Context(), b, top, int32(tie), stats,
 			func(j int32) bool { return px.Screen(ti, int(j)) },
 			func(j int32) { px.Emit(ti, int(j)) }) != nil {
 			break

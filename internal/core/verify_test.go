@@ -22,12 +22,12 @@ func TestOneVerifierArtifact(t *testing.T) {
 	cache := engine.NewCache()
 	const tau = 2
 	opts := Options{Tau: tau}
-	job := partSJJob(opts)
+	ix := NewIndexCached(ts, opts, cache)
+	job := partSJJob(opts, ix)
 	job.Cache = cache
 	if _, err := job.StreamSelf(ctx, ts, func(sim.Pair) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	ix := NewIndexCached(ts, opts, cache)
 	inc := NewIncrementalCached(opts, cache)
 	for _, q := range ts[:12] {
 		if ms, err := ix.SearchCtx(ctx, q, nil); err != nil || len(ms) == 0 {

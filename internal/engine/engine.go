@@ -320,9 +320,7 @@ type Job struct {
 // Plan is the job's execution-plan record, which every run stamps into
 // Stats.Plan: its source's name without the parenthesised tokenizer
 // ("token-index(labels)" is "token-index"; a nil source is "sorted-loop") and
-// its filter chain in order. It records the plan, not the run: a token-index
-// plan whose collection trips the index's own fallback still executes the
-// loop, and Stats.Source reports that effective source.
+// its filter chain in order.
 func (job Job) Plan() sim.PlanRecord {
 	source := job.Source
 	if source == nil {
@@ -442,8 +440,8 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 		stats.VerifyTime += time.Since(vstart)
 	}
 	stats.Source = source.Name()
-	// Decomposing is part of the stage's wall clock: a build-then-probe
-	// source resolves (and may build) its index there.
+	// Decomposing is part of the stage's wall clock: a cross join's token
+	// source ranks the partner's bags there.
 	tasksStart := time.Now()
 	tasks := source.Tasks(c)
 	flushAt := 0
@@ -484,7 +482,7 @@ func (job Job) stream(outer context.Context, ts []*tree.Tree, split int, sink si
 		cands = append(cands, px.cands...)
 		px.stats.CandTime -= px.inlineTime
 		inline += px.inlineTime
-		mergeStats(stats, &px.stats)
+		sim.AddCounters(stats, &px.stats)
 		for k := range px.counts {
 			stats.Stages[k].In += px.counts[k].In
 			stats.Stages[k].Pruned += px.counts[k].Pruned
@@ -563,16 +561,4 @@ func runTasks(tasks []Task, pipes []*Pipeline, workers int) {
 		}()
 	}
 	wg.Wait()
-}
-
-// mergeStats folds one task's counters into the join totals — the candidates
-// a sequential task verified inline included. Times are summed across tasks
-// (CPU effort), so parallel speedups show up in Stats.CandWall, not here.
-func mergeStats(total, st *sim.Stats) {
-	sim.AddCounters(total, st)
-	if st.Source != "" {
-		// A task reported the source that effectively ran (the token index
-		// stamping its sorted-loop fallback); it overrides the configured one.
-		total.Source = st.Source
-	}
 }

@@ -52,11 +52,6 @@ func mixedCorpus(n int, seed int64) []*tree.Tree {
 	return ts
 }
 
-// testIndex builds the index over ts on its own ranking.
-func testIndex(tz Tokenizer, ts []*tree.Tree, tau, workers int) *PrefixIndex {
-	return NewPrefixIndex(func() *TokenRanking { return NewTokenRanking(tz, ts, workers, NewCache()) }, tau)
-}
-
 // probeReference recomputes what the probe must do from the index's bags and
 // prefix lengths alone: the global order (ascending bag frequency, ties by
 // key), each tree's prefix as the first plen expanded elements of its bag in
@@ -162,19 +157,18 @@ func TestProbeReference(t *testing.T) {
 						return false
 					}
 				})
-				job := Job{Tau: tau, Filters: []PairFilter{record}, Source: TokenIndex(tz, nil), Workers: 1}
-				var st *sim.Stats
 				sp, indexed := -1, ts
 				if cross {
-					_, st = job.Join(ts[:split], ts[split:])
 					sp, indexed = split, ts[:split]
+				}
+				x := BuildIndex(tz, indexed, tau, 1)
+				job := Job{Tau: tau, Filters: []PairFilter{record}, Source: TokenIndex(tz, x), Workers: 1}
+				var st *sim.Stats
+				if cross {
+					_, st = job.Join(ts[:split], ts[split:])
 				} else {
 					_, st = job.SelfJoin(ts)
 				}
-				if st.Source != TokenIndex(tz, nil).Name() {
-					t.Fatalf("%s: source %q, want the token index", label, st.Source)
-				}
-				x := testIndex(tz, indexed, tau, 1)
 				for ti, b := range x.bags {
 					if want := min(int32(tz.Slack()*tau+1), b.total); x.plen[ti] != want {
 						t.Fatalf("%s: tree %d prefix length %d, want %d", label, ti, x.plen[ti], want)
@@ -200,7 +194,7 @@ func TestProbeAllocs(t *testing.T) {
 	ts := mixedCorpus(60, 11)
 	for _, tz := range refTokenizers() {
 		c := newCollection(context.Background(), ts, -1, 2, 1, nil)
-		x := testIndex(tz, ts, c.Tau, 1)
+		x := BuildIndex(tz, ts, c.Tau, 1)
 		px := &Pipeline{c: c, preds: []func(i, j int) bool{func(i, j int) bool { return false }}, counts: make([]sim.StageStats, 1)}
 		n := len(c.Order)
 		few := testing.AllocsPerRun(20, func() { x.probe(px, x.TokenRanking, 0, n-4, n) })
@@ -213,7 +207,7 @@ func TestProbeAllocs(t *testing.T) {
 		}
 		const split = 50
 		c = newCollection(context.Background(), ts, split, 2, 1, nil)
-		x = testIndex(tz, ts[:split], c.Tau, 1)
+		x = BuildIndex(tz, ts[:split], c.Tau, 1)
 		probes := x.rankForeign(tz, ts[split:], 1, c.Cache())
 		px = &Pipeline{c: c, preds: px.preds, counts: make([]sim.StageStats, 1)}
 		cross := testing.AllocsPerRun(20, func() { x.probe(px, probes, split, 0, len(c.Probes)) })
@@ -232,7 +226,7 @@ func TestProbeAllocsBagStage(t *testing.T) {
 	for _, tz := range refTokenizers() {
 		c := newCollection(context.Background(), ts, -1, 2, 1, nil)
 		c.filters = []PairFilter{BagFilter("BAG", tz)}
-		x := testIndex(tz, ts, c.Tau, 1)
+		x := BuildIndex(tz, ts, c.Tau, 1)
 		called := 0
 		preds := []func(i, j int) bool{
 			func(i, j int) bool { called++; return true },

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"cmp"
-	"context"
 	"slices"
 	"sort"
 	"sync"
@@ -65,14 +64,10 @@ import (
 // index and builds nothing for the partner: the prefix-filter theorem needs
 // only the indexed tree's prefix, so each partner tree walks the lists over
 // [sz−τ, sz+τ] with its whole bag in the receiver's ids (rankForeign); keys
-// the receiver never saw count only toward its bag size. A corpus keeps the
-// index per (tokenizer, τ) for the current epoch (TokenIndexResolver), all of
-// them over the epoch's one ranking per tokenizer.
-//
-// On tiny corpora — or thresholds at least the largest tree's size, where
-// the C·τ slack swallows every bag — building the index costs more than the
-// loop it replaces, so Tasks falls back to the sorted loop and stamps the
-// effective source into Stats.Source.
+// the receiver never saw count only toward its bag size. The source builds no
+// index: it probes the one it is handed. A corpus keeps the index per
+// (tokenizer, τ) for the current epoch, all of them over the epoch's one
+// ranking per tokenizer, and resolves the one a join probes before the run.
 
 // Tokenizer turns a tree into a token multiset with a proven bag bound:
 // implementations guarantee |bag(T1) ⊖ bag(T2)| ≤ Slack()·TED(T1, T2) (⊖ is
@@ -147,97 +142,42 @@ func (f bagFilter) Prepare(c *Collection) func(i, j int) bool {
 	}
 }
 
-// TokenIndexMinTrees is the auto-fallback cutoff: collections with fewer
-// trees run the sorted loop instead — at this size the loop's Θ(n²) cheap
-// filter calls beat the index's build cost.
-const TokenIndexMinTrees = 48
-
-// TokenIndexResolver is how a corpus shares one frozen index among the joins
-// of an epoch: it returns the index over its membership for (tz, τ), building
-// it on first use, and reports whether this call paid for the build. nil means
-// the corpus has none to offer (a view pinned to a superseded epoch). The
-// source probes the answer only if it covers exactly the run's indexed side.
-type TokenIndexResolver func(ctx context.Context, tz Tokenizer, tau int) (x *PrefixIndex, built bool)
-
 type tokenIndexSource struct {
-	tz     Tokenizer
-	shared TokenIndexResolver
+	tz Tokenizer
+	x  *PrefixIndex
 }
 
-// TokenIndex returns the inverted-index candidate source over tz's tokens.
-// shared, when non-nil, is consulted before a private index is built for the
-// run.
-func TokenIndex(tz Tokenizer, shared TokenIndexResolver) CandidateSource {
-	return tokenIndexSource{tz: tz, shared: shared}
+// TokenIndex returns the inverted-index candidate source over tz's tokens
+// that probes x: the index of the run's indexed side (a self join's
+// collection, a cross join's first one) at the run's threshold. A nil x
+// offers nothing, for a run that has no index to probe.
+func TokenIndex(tz Tokenizer, x *PrefixIndex) CandidateSource {
+	return tokenIndexSource{tz: tz, x: x}
 }
 
 func (s tokenIndexSource) Name() string { return "token-index(" + s.tz.Name() + ")" }
 
-// Tasks resolves the index of the run's indexed side — the corpus's, when it
-// covers those trees, else one built here — and cuts the probing trees into
-// contiguous chunks of about equal Σ bag size (ProbeChunks).
+// Tasks cuts the probing trees into contiguous chunks of about equal Σ bag
+// size (ProbeChunks). A cross join's partner trees first get their bags in
+// the index's ids, on the first chunk's candidate-generation clock.
 func (s tokenIndexSource) Tasks(c *Collection) []Task {
-	if len(c.Order) == 0 || len(c.Probes) == 0 {
+	x := s.x
+	if x == nil {
 		return nil
 	}
-	// Fall back to the sorted loop when the index cannot pay for itself:
-	// tiny collections, thresholds covering every size window, or a C·τ
-	// slack that swallows even the largest tree's bag (bags are
-	// size-monotone, so the largest tree's bag is the maximum — if it is
-	// light, every tree is, and any token index degenerates to a light-list
-	// scan, a worse sorted loop). The check precedes the resolver on purpose:
-	// in the degenerate regime a corpus never builds or retains an index. The
-	// largest bag is read through the cache, so the build reuses the
-	// tokenisation when the index does run later at another threshold.
-	largest := c.Trees[c.Order[len(c.Order)-1]]
-	if len(c.Order) < TokenIndexMinTrees || c.Tau >= largest.Size() ||
-		int(cachedBags(c.Cache(), s.tz, []*tree.Tree{largest}, 1)[0].total) <= s.tz.Slack()*c.Tau {
-		// Stamp the effective source so Stats attribution reports what
-		// actually ran.
-		tasks := SortedLoop().Tasks(c)
-		for i, t := range tasks {
-			tasks[i] = func(px *Pipeline) { px.Stats().Source = SortedLoop().Name(); t(px) }
-		}
-		return tasks
-	}
-	ts := c.Trees[:len(c.Order)]
-	var x *PrefixIndex
-	built := false
-	if s.shared != nil {
-		if x, built = s.shared(c.Context(), s.tz, c.Tau); x != nil && !x.covers(ts, s.tz, c.Tau) {
-			x, built = nil, false
-		}
-	}
-	if x == nil {
-		if c.Cancelled() {
-			return nil
-		}
-		x, built = NewPrefixIndex(func() *TokenRanking { return NewTokenRanking(s.tz, ts, c.Workers, c.Cache()) }, c.Tau), true
-	}
-	// The probes' bags: the index's own, or a cross join partner's in the
-	// index's ids. The build and this are the run's candidate generation.
 	probes, off := x.TokenRanking, 0
-	var build, cand time.Duration
-	if built {
-		build, cand = x.built, x.built
-	}
-	if len(c.Trees) > len(ts) {
+	var rank time.Duration
+	if n := len(c.Order); len(c.Trees) > n {
 		start := time.Now()
-		probes, off = x.rankForeign(s.tz, c.Trees[len(ts):], c.Workers, c.Cache()), len(ts)
-		cand += time.Since(start)
+		probes, off = x.rankForeign(s.tz, c.Trees[n:], c.Workers, c.Cache()), n
+		rank = time.Since(start)
 	}
-	tasks := ProbeChunks(c, func(ti int) int { return int(probes.bags[ti-off].total) }, func(px *Pipeline, lo, hi int) {
+	return ProbeChunks(c, func(ti int) int { return int(probes.bags[ti-off].total) }, func(px *Pipeline, lo, hi int) {
+		if lo == 0 {
+			px.Stats().CandTime += rank
+		}
 		x.probe(px, probes, off, lo, hi)
 	})
-	if cand > 0 {
-		first := tasks[0]
-		tasks[0] = func(px *Pipeline) {
-			px.Stats().IndexBuildTime += build
-			px.Stats().CandTime += cand
-			first(px)
-		}
-	}
-	return tasks
 }
 
 // cachedBags returns every tree's token bag through cache, building the
@@ -499,22 +439,17 @@ type PrefixIndex struct {
 	start []int32   // id's list is post[start[id]:start[id+1]]; ids past the end have none
 	post  []posting // the lists, by id
 	light int32     // the light trees are the order ranks below it
-	built time.Duration
 }
 
 // NewPrefixIndex builds the index at threshold tau, with a prefix of
-// Slack·τ+1 expanded elements per tree, over the ranking rank returns. rank
-// runs on the build's clock: a ranking built for this index is part of its
-// build time, one an earlier index built is not.
+// Slack·τ+1 expanded elements per tree, over the ranking rk.
 //
 // It posts, in the ascending-size order, the first Slack·τ+1 expanded tokens
 // of every tree's bag under the global order — the front of its ranked bag,
 // the last entry's count clipped. Rare tokens have the short posting lists,
 // so prefixes drawn from the front of this order keep probe work minimal; any
 // fixed total order is sound, frequency ordering is the classic heuristic.
-func NewPrefixIndex(rank func() *TokenRanking, tau int) *PrefixIndex {
-	start := time.Now()
-	rk := rank()
+func NewPrefixIndex(rk *TokenRanking, tau int) *PrefixIndex {
 	order := sim.SizeOrder(rk.ts)
 	x := &PrefixIndex{TokenRanking: rk, tau: tau, ctau: int32(rk.slack * tau), plen: make([]int32, len(rk.ts))}
 	budget := x.ctau + 1
@@ -550,15 +485,7 @@ func NewPrefixIndex(rank func() *TokenRanking, tau int) *PrefixIndex {
 	x.start = slices.Clone(x.start[:n+1])
 	// Bags are size-monotone, so the light trees are the order's front.
 	x.light = int32(sort.Search(len(order), func(r int) bool { return rk.bags[order[r]].total > x.ctau }))
-	x.built = time.Since(start)
 	return x
-}
-
-// covers reports whether x indexes exactly ts, in order, for this
-// tokenisation and threshold — what lets a run probe an index it did not
-// build.
-func (x *PrefixIndex) covers(ts []*tree.Tree, tz Tokenizer, tau int) bool {
-	return x.tz == tz.Name() && x.tau == tau && slices.Equal(x.ts, ts)
 }
 
 // rankForeign returns ts, trees outside x's ranking, in its ids: their cached
@@ -628,8 +555,9 @@ func (x *PrefixIndex) probe(px *Pipeline, probes *TokenRanking, off, lo, hi int)
 	start := time.Now()
 	// Every partner of the chunk sits in [base, top): windows only move right
 	// along the size order. One allocation holds the per-rank shared-token
-	// counts, the ranks touched by the current probe and, when the chain
-	// holds this tokenizer's bag stage, the probe's mark by token id.
+	// counts, the ranks touched by the current probe, their sort's scatter
+	// buffer and, when the chain holds this tokenizer's bag stage, the probe's
+	// mark by token id.
 	base, _ := c.window(c.Probes[lo])
 	_, top := c.window(c.Probes[hi-1])
 	n := max(top-base, 0)
@@ -640,8 +568,8 @@ func (x *PrefixIndex) probe(px *Pipeline, probes *TokenRanking, off, lo, hi int)
 			break
 		}
 	}
-	scratch := make([]int32, 2*n+marks)
-	cnt, touched, mark := scratch[:n], scratch[n:n], scratch[2*n:]
+	scratch := make([]int32, 3*n+marks)
+	cnt, touched, tmp, mark := scratch[:n], scratch[n:n:2*n], scratch[2*n:3*n], scratch[3*n:]
 	posted := int32(len(x.start)) - 1
 	for _, ti := range c.Probes[lo:hi] {
 		if px.Cancelled() {
@@ -689,7 +617,7 @@ func (x *PrefixIndex) probe(px *Pipeline, probes *TokenRanking, off, lo, hi int)
 			// need the most shared tokens. A partner with the larger bag (a
 			// cross join's) owes the bag bound's own overlap floor,
 			// (la + lb − Cτ)/2, the rest of its bag lying outside the lists.
-			slices.Sort(touched)
+			radix.Sort(touched, tmp)
 			for _, s := range touched {
 				tj := c.Order[int32(base)+s]
 				lb, need := x.bags[tj].total, la-ctau

@@ -24,11 +24,10 @@ func TestBuildWorkerInvariance(t *testing.T) {
 	for _, tz := range refTokenizers() {
 		for _, tau := range []int{0, 1, 2, 4, 8} {
 			for _, col := range [][]*tree.Tree{ts, ts[len(ts)-5:]} {
-				want := testIndex(tz, col, tau, 1)
+				want := BuildIndex(tz, col, tau, 1)
 				for _, workers := range []int{1, 2, 3, 8} {
 					label := fmt.Sprintf("%s τ=%d n=%d workers=%d", tz.Name(), tau, len(col), workers)
-					got := testIndex(tz, col, tau, workers)
-					got.built = want.built
+					got := BuildIndex(tz, col, tau, workers)
 					if !slices.Equal(got.start, want.start) || !slices.Equal(got.post, want.post) || got.light != want.light {
 						t.Fatalf("%s: posting lists or light trees differ from the one-worker build", label)
 					}

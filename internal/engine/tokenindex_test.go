@@ -80,11 +80,15 @@ func TestTokenIndexOracle(t *testing.T) {
 		for _, tau := range []int{0, 1, 2, 4, 8} {
 			for _, cross := range []bool{false, true} {
 				want, _, loop := run(engine.Job{Tau: tau, Filters: []engine.PairFilter{filter}}, cross)
+				indexed := ts
+				if cross {
+					indexed = ts[:50]
+				}
 				var one *sim.Stats
 				for _, workers := range []int{1, 2, 3} {
 					label := fmt.Sprintf("%s τ=%d cross=%v workers=%d", tz.Name(), tau, cross, workers)
 					got, st, log := run(engine.Job{
-						Tau: tau, Filters: []engine.PairFilter{filter}, Source: engine.TokenIndex(tz, nil),
+						Tau: tau, Filters: []engine.PairFilter{filter}, Source: engine.TokenIndex(tz, engine.BuildIndex(tz, indexed, tau, workers)),
 						Workers: workers,
 					}, cross)
 					equalPairs(t, label, got, want)
@@ -126,6 +130,10 @@ func TestBagStageInProbe(t *testing.T) {
 		indexed, pruned := 0, int64(0)
 		for _, tau := range []int{0, 1, 2, 4, 8} {
 			for _, cross := range []bool{false, true} {
+				x := engine.BuildIndex(tz, ts, tau, 1)
+				if cross {
+					x = engine.BuildIndex(tz, ts[:50], tau, 1)
+				}
 				for _, behind := range []bool{false, true} {
 					for _, workers := range []int{1, 2} {
 						run := func(stage engine.PairFilter) ([]sim.Pair, *sim.Stats) {
@@ -133,7 +141,7 @@ func TestBagStageInProbe(t *testing.T) {
 							if behind {
 								chain = []engine.PairFilter{baseline.HISTFilter(), stage}
 							}
-							job := engine.Job{Tau: tau, Filters: chain, Source: engine.TokenIndex(tz, nil), Workers: workers}
+							job := engine.Job{Tau: tau, Filters: chain, Source: engine.TokenIndex(tz, x), Workers: workers}
 							var emitted []sim.Pair
 							sink := func(p sim.Pair) bool {
 								emitted = append(emitted, p)
@@ -177,38 +185,6 @@ func TestBagStageInProbe(t *testing.T) {
 		if indexed == 0 || pruned == 0 {
 			t.Fatalf("%s: %d runs probed the index, their bag stage pruned %d pairs; the sweep tests nothing", tz.Name(), indexed, pruned)
 		}
-	}
-}
-
-// TestTokenIndexFallback: tiny collections and bag-swallowing thresholds
-// must run the sorted loop, and Stats.Source must say so; a regular workload
-// must report the token index.
-func TestTokenIndexFallback(t *testing.T) {
-	tz := baseline.LabelTokenizer()
-	small := synth.Synthetic(engine.TokenIndexMinTrees-1, 3)
-	_, st := (engine.Job{Tau: 1, Source: engine.TokenIndex(tz, nil)}).SelfJoin(small)
-	if st.Source != "sorted-loop" {
-		t.Fatalf("small corpus source = %q, want sorted-loop", st.Source)
-	}
-
-	big := synth.Synthetic(80, 3)
-	maxSize := 0
-	for _, tr := range big {
-		if tr.Size() > maxSize {
-			maxSize = tr.Size()
-		}
-	}
-	_, st = (engine.Job{Tau: maxSize, Source: engine.TokenIndex(tz, nil)}).SelfJoin(big)
-	if st.Source != "sorted-loop" {
-		t.Fatalf("τ=maxSize source = %q, want sorted-loop", st.Source)
-	}
-
-	_, st = (engine.Job{Tau: 1, Source: engine.TokenIndex(tz, nil)}).SelfJoin(big)
-	if !strings.HasPrefix(st.Source, "token-index(") {
-		t.Fatalf("regular corpus source = %q, want token-index(...)", st.Source)
-	}
-	if st.IndexBuildTime <= 0 {
-		t.Fatal("token-index run recorded no IndexBuildTime")
 	}
 }
 
@@ -263,7 +239,7 @@ func TestTokenIndexRace(t *testing.T) {
 	shared := make([]func() *engine.PrefixIndex, len(tzs))
 	for k, tz := range tzs {
 		shared[k] = sync.OnceValue(func() *engine.PrefixIndex {
-			return engine.NewPrefixIndex(func() *engine.TokenRanking { return engine.NewTokenRanking(tz, a, 2, cache) }, 2)
+			return engine.NewPrefixIndex(engine.NewTokenRanking(tz, a, 2, cache), 2)
 		})
 	}
 	var wg sync.WaitGroup
@@ -272,16 +248,15 @@ func TestTokenIndexRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			k := g % 2
-			job := engine.Job{Tau: 2, Filters: hist, Source: engine.TokenIndex(tzs[k], nil), Cache: cache, Workers: 2}
+			job := engine.Job{Tau: 2, Filters: hist, Cache: cache, Workers: 2}
 			if g%3 == 2 {
+				job.Source = engine.TokenIndex(tzs[k], engine.NewPrefixIndex(engine.NewTokenRanking(tzs[k], ts, 2, cache), 2))
 				if got, _ := job.SelfJoin(ts); len(got) != len(self) {
 					t.Errorf("goroutine %d: %d pairs, want %d", g, len(got), len(self))
 				}
 				return
 			}
-			job.Source = engine.TokenIndex(tzs[k], func(context.Context, engine.Tokenizer, int) (*engine.PrefixIndex, bool) {
-				return shared[k](), false
-			})
+			job.Source = engine.TokenIndex(tzs[k], shared[k]())
 			if got, st := job.Join(a, b); !slices.Equal(got, cross) || !strings.HasPrefix(st.Source, "token-index(") {
 				t.Errorf("goroutine %d: %d cross pairs from %s, want %d from the token index", g, len(got), st.Source, len(cross))
 			}

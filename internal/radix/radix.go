@@ -1,6 +1,7 @@
 // Package radix orders integer slices without comparisons: the one sort
 // behind the per-tree artifacts a cold join builds — the token bags' keys,
-// the ranked bags' ids and the views' label multisets.
+// the ranked bags' ids and the views' label multisets — and behind the token
+// index's probe, which offers the ranks it touched in ascending order.
 package radix
 
 import "math/bits"

@@ -96,10 +96,9 @@ type Stats struct {
 	// the wall clock; CandWall is what the user waited.
 	CandWall time.Duration
 
-	// Source names the candidate source that actually ran ("sorted-loop",
-	// "token-index", "partsj"). When a source falls back — the token index
-	// reverts to the sorted loop on tiny corpora or oversized thresholds —
-	// the effective source is reported, not the configured one.
+	// Source names the candidate source that ran ("sorted-loop",
+	// "partsj", or "token-index" with its tokenizer in parentheses): the
+	// plan's source, Plan.Source, with that suffix.
 	Source string
 
 	// Stages holds per-filter attribution when the join ran a filter

@@ -1,7 +1,6 @@
 package treejoin
 
 import (
-	"context"
 	"fmt"
 
 	"treejoin/internal/baseline"
@@ -160,19 +159,15 @@ func (c config) validate() error {
 	return nil
 }
 
-func (c config) coreOptions(tau int) core.Options {
-	return core.Options{Tau: tau, Workers: c.workers}
-}
-
 // pipelineChecked assembles the engine pipeline for the configured method:
 // its candidate source, the prefilter chain followed by the method's own
 // filter, and the execution knobs. This is the single dispatch point behind
-// the Corpus joins and Explain; invalid input comes back as an error. The
-// PartSJ source finds its index through indexes and a token-index source
-// through tokens (nil for both: the run builds its own). The returned
-// tokenizer is the method's token-index tokenizer, nil for the methods that
-// have none (PartSJ, brute force).
-func (c config) pipelineChecked(tau int, indexes func(context.Context, int) (*core.Index, bool), tokens engine.TokenIndexResolver) (engine.Job, engine.Tokenizer, error) {
+// the Corpus joins and Explain; invalid input comes back as an error. An
+// index-backed source comes without its index (it offers nothing until a
+// join hands it one; see joinQuery.stream). The returned tokenizer is the
+// method's token-index tokenizer, nil for the methods that have none (PartSJ,
+// brute force).
+func (c config) pipelineChecked(tau int) (engine.Job, engine.Tokenizer, error) {
 	if tau < 0 {
 		return engine.Job{}, nil, fmt.Errorf("%w %d", ErrNegativeThreshold, tau)
 	}
@@ -194,11 +189,9 @@ func (c config) pipelineChecked(tau int, indexes func(context.Context, int) (*co
 	if st, ok := baseline.Stages[c.method.String()]; ok {
 		job.Filters = append(job.Filters, st.Filter())
 		tz = st.Tokenizer()
-		job.Source = engine.TokenIndex(tz, tokens)
+		job.Source = engine.TokenIndex(tz, nil)
 	} else if c.method == MethodPartSJ {
-		o := c.coreOptions(tau)
-		o.Indexes = indexes
-		job.Source = core.NewSource(o)
+		job.Source = core.NewSource(nil)
 	}
 	return job, tz, nil
 }

@@ -10,11 +10,9 @@ import (
 // WithFixedPlan changes nothing: every join runs its method's one plan — the
 // WithPrefilter stages and then the method's own filter, in that order, over
 // the method's candidate source (the PartSJ index; the token inverted index
-// for the signature methods, which itself falls back to the sorted loop on
-// collections under TokenIndexMinTrees, at thresholds reaching the largest
-// tree's size, and when even the largest tree's token bag is light; the
-// sorted loop for MethodBruteForce). A sorted-loop run of a signature method
-// is WithMethod(MethodBruteForce) with the method's own stage appended to the
+// for the signature methods, at every corpus size and threshold; the sorted
+// loop for MethodBruteForce). A sorted-loop run of a signature method is
+// WithMethod(MethodBruteForce) with the method's own stage appended to the
 // prefilters. The option is kept so that callers written against earlier
 // releases compile; Stats.Plan and Explain describe the plan that runs.
 func WithFixedPlan() Option {
@@ -27,9 +25,9 @@ type PlanExplanation struct {
 	// Method and Tau echo the query.
 	Method Method
 	Tau    int
-	// Source is the planned candidate source ("token-index", "sorted-loop",
-	// "partsj"). The run's effective source can still differ when the token
-	// index's own fallback conditions trip (Stats.Source reports it).
+	// Source is the candidate source the join runs ("token-index",
+	// "sorted-loop", "partsj"): Stats.Plan.Source, and Stats.Source without
+	// its tokenizer suffix.
 	Source string
 	// Chain is the planned filter chain, in execution order.
 	Chain []string
@@ -64,7 +62,7 @@ func (ex PlanExplanation) String() string {
 // reads no artifact, so it leaves the corpus cache as it found it.
 func (cp *Corpus) Explain(ctx context.Context, tau int, opts ...Option) (PlanExplanation, error) {
 	c := buildConfig(opts)
-	job, tz, err := c.pipelineChecked(tau, nil, nil)
+	job, tz, err := c.pipelineChecked(tau)
 	if err != nil {
 		return PlanExplanation{}, err
 	}

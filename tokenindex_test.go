@@ -2,6 +2,9 @@ package treejoin_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,49 +17,93 @@ var signatureMethods = []treejoin.Method{
 	treejoin.MethodEulerString, treejoin.MethodPQGram,
 }
 
-// TestTokenIndexAutoFallback: corpora below the cutoff — and thresholds at
-// the largest tree's size — must run the sorted loop automatically, and a
-// regular workload the token index, all visible in Stats.Source.
-func TestTokenIndexAutoFallback(t *testing.T) {
-	small := synth.Synthetic(20, 9)
-	_, st := selfJoin(t, small, 1, treejoin.WithMethod(treejoin.MethodSTR))
-	if st.Source != "sorted-loop" {
-		t.Fatalf("small corpus: source = %q, want sorted-loop", st.Source)
-	}
-
-	big := synth.Synthetic(80, 9)
+// TestExplainMatchesRun: the plan Explain reports is the plan a cold join
+// runs, for every method, on a corpus of 20 trees and on one of 80 at an
+// ordinary threshold, at the largest tree's size and at a threshold whose
+// slack swallows every label bag. Explain's source and chain are the run's
+// Stats.Plan, Stats.Source names the same source, and a token-index plan's
+// cold join builds the index, which the next Explain reports cached. The
+// trees are small (16 nodes on average), so that the thresholds that make
+// every pair a candidate stay cheap to verify.
+func TestExplainMatchesRun(t *testing.T) {
+	ctx := context.Background()
+	small := synth.Generate(synth.SyntheticParams(20, 3, 5, 20, 16, 9))
+	big := synth.Generate(synth.SyntheticParams(80, 3, 5, 20, 16, 9))
 	maxSize := 0
 	for _, tr := range big {
-		if tr.Size() > maxSize {
-			maxSize = tr.Size()
+		maxSize = max(maxSize, tr.Size())
+	}
+	cases := []struct {
+		ts  []*treejoin.Tree
+		tau int
+	}{{small, 1}, {big, maxSize}, {big, (maxSize + 1) / 2}, {big, 2}}
+	for _, m := range histMethods {
+		for _, c := range cases {
+			label := fmt.Sprintf("%v n=%d τ=%d", m, len(c.ts), c.tau)
+			cp := mustCorpus(t, c.ts)
+			ex, err := cp.Explain(ctx, c.tau, treejoin.WithMethod(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := cp.SelfJoin(ctx, c.tau, treejoin.WithMethod(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Source != st.Plan.Source || !slices.Equal(ex.Chain, st.Plan.Chain) {
+				t.Fatalf("%s: Explain plans %s %v, the run recorded %s %v", label, ex.Source, ex.Chain, st.Plan.Source, st.Plan.Chain)
+			}
+			if source, _, _ := strings.Cut(st.Source, "("); source != ex.Source {
+				t.Fatalf("%s: Explain plans %s, the run's source is %s", label, ex.Source, st.Source)
+			}
+			if ex.Source != "token-index" {
+				continue
+			}
+			if st.IndexBuildTime <= 0 {
+				t.Fatalf("%s: the cold join built no index", label)
+			}
+			if again, err := cp.Explain(ctx, c.tau, treejoin.WithMethod(m)); err != nil || !strings.Contains(again.String(), "cached: no build") {
+				t.Fatalf("%s: after the join Explain reports\n%s (err %v)", label, again, err)
+			}
 		}
 	}
-	_, st = selfJoin(t, big, maxSize, treejoin.WithMethod(treejoin.MethodHistogram))
-	if st.Source != "sorted-loop" {
-		t.Fatalf("τ=max size: source = %q, want sorted-loop", st.Source)
-	}
+}
 
-	// Bag-swallowing threshold: labels have C = 2 and bag = tree size, so at
-	// τ = ⌈maxSize/2⌉ even the largest bag is light and the index would
-	// degenerate to the light-list scan — must fall back.
-	_, st = selfJoin(t, big, (maxSize+1)/2, treejoin.WithMethod(treejoin.MethodHistogram))
-	if st.Source != "sorted-loop" {
-		t.Fatalf("bag-swallowing τ: source = %q, want sorted-loop", st.Source)
-	}
-
-	_, st = selfJoin(t, big, 2, treejoin.WithMethod(treejoin.MethodPQGram))
-	if !strings.HasPrefix(st.Source, "token-index(") {
-		t.Fatalf("regular corpus: source = %q, want token-index(...)", st.Source)
-	}
-
-	// PartSJ and BruteForce never use the token index.
-	_, st = selfJoin(t, big, 1)
-	if st.Source != "partsj" {
-		t.Fatalf("PartSJ source = %q", st.Source)
-	}
-	_, st = selfJoin(t, big, 1, treejoin.WithMethod(treejoin.MethodBruteForce))
-	if st.Source != "sorted-loop" {
-		t.Fatalf("BruteForce source = %q", st.Source)
+// TestResolveBuildsNothingWhenIdle: a join builds no index when its context
+// is done before it starts, or when either side is empty — for every method,
+// on self joins and cross joins. Such joins return no pairs (and ctx's error
+// when cancelled); afterwards Explain still finds no token index, and the
+// next PartSJ join pays for its build.
+func TestResolveBuildsNothingWhenIdle(t *testing.T) {
+	ts := synth.Synthetic(60, 5)
+	const tau = 2
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctx := context.Background()
+	for _, m := range histMethods {
+		cp, empty := mustCorpus(t, ts), mustCorpus(t, nil)
+		with := treejoin.WithMethod(m)
+		if pairs, _, err := cp.SelfJoin(cancelled, tau, with); !errors.Is(err, context.Canceled) || len(pairs) > 0 {
+			t.Fatalf("%v: cancelled self join: %d pairs, err %v", m, len(pairs), err)
+		}
+		if pairs, _, err := cp.Join(cancelled, empty, tau, with); !errors.Is(err, context.Canceled) || len(pairs) > 0 {
+			t.Fatalf("%v: cancelled cross join: %d pairs, err %v", m, len(pairs), err)
+		}
+		if pairs, _, err := cp.Join(ctx, empty, tau, with); err != nil || len(pairs) > 0 {
+			t.Fatalf("%v: join against an empty partner: %d pairs, err %v", m, len(pairs), err)
+		}
+		if pairs, _, err := empty.Join(ctx, cp, tau, with); err != nil || len(pairs) > 0 {
+			t.Fatalf("%v: join of an empty receiver: %d pairs, err %v", m, len(pairs), err)
+		}
+		ex, err := cp.Explain(ctx, tau, with)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Source == "token-index" && !strings.Contains(ex.String(), "not cached") {
+			t.Fatalf("%v: an idle join built the token index:\n%s", m, ex)
+		}
+		if _, st, err := cp.SelfJoin(ctx, tau); err != nil || st.IndexBuildTime <= 0 {
+			t.Fatalf("%v: the next PartSJ join built in %v (err %v); an idle join built its index", m, st.IndexBuildTime, err)
+		}
 	}
 }
 
